@@ -14,13 +14,11 @@
 //!   serial vs chunked — the costs the zero-copy fan-out and
 //!   worker-side construction moved off the critical path.
 //!
-//! CI gates only the S = 1 pair: sharded replay at one shard must stay
-//! within noise of the unsharded path (the refactor's overhead — fan-out,
-//! gap bookkeeping, outcome recording, merge re-accounting — is bounded
-//! and mostly off the scoring hot loop). Higher shard counts are archived
-//! for trend tracking: on CI's single-core runners they measure the
-//! sharding machinery itself; thread scaling needs a multi-core runner
-//! (see ROADMAP).
+//! CI gates only the S = 1 pair: one shard replays inline on the calling
+//! thread — no fan-out, gap bookkeeping, outcome recording or merge — so
+//! it must sit at parity with the unsharded `WindowedSimulator` (both
+//! sides are set-up inclusive: a fresh engine clone and batcher per
+//! replay). Higher shard counts are archived for trend tracking.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use icgmm::{GmmPolicyEngine, TrainedModel};
@@ -101,10 +99,11 @@ fn bench_sharded(c: &mut Criterion) {
     group.throughput(Throughput::Elements(REQUESTS as u64));
 
     group.bench_function("unsharded_scan_k256", |b| {
-        let mut e = eng.clone();
-        let mut wsim = WindowedSimulator::default();
         b.iter(|| {
-            e.reset();
+            // Set-up inclusive, like `sim.run`: a fresh engine clone and
+            // batcher per replay.
+            let mut e = eng.clone();
+            let mut wsim = WindowedSimulator::default();
             let mut cache = SetAssocCache::new(cfg).expect("valid geometry");
             let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
             let mut adm = ThresholdAdmit::new(f64::NEG_INFINITY);
@@ -145,10 +144,11 @@ fn bench_sharded(c: &mut Criterion) {
     }
 
     group.bench_function("unsharded_tenants_k256", |b| {
-        let mut e = eng.clone();
-        let mut wsim = WindowedSimulator::default();
         b.iter(|| {
-            e.reset();
+            // Set-up inclusive, like `sim.run`: a fresh engine clone and
+            // batcher per replay.
+            let mut e = eng.clone();
+            let mut wsim = WindowedSimulator::default();
             let mut cache = SetAssocCache::new(cfg).expect("valid geometry");
             let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
             let mut adm = ThresholdAdmit::new(f64::NEG_INFINITY);

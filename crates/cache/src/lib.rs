@@ -55,7 +55,9 @@ mod view;
 
 pub mod policy;
 
-pub use adapt::{AdaptPlan, AdaptSink, AdaptStats, DriftDetector, ObsSample, RecentRing, Reservoir};
+pub use adapt::{
+    AdaptPlan, AdaptSink, AdaptStats, DriftDetector, ObsSample, RecentRing, Reservoir,
+};
 pub use batch::{
     simulate_batched, simulate_batched_with_warmup, SpecParams, SpecStats, WindowedSimulator,
     DEFAULT_SPEC_WINDOW, DENSE_MISS_FRACTION_DIV, MIN_SPEC_WINDOW, STREAM_MISS_FRACTION_DIV,

@@ -62,9 +62,21 @@
 //! passes over the shard subtrace) runs *inside* each worker, in
 //! parallel, instead of serially on the calling thread; the supervisor
 //! re-runs it on the calling thread only when recovering a dead shard.
-//! The shard-determinism contract checks run on the worker too, with the
-//! refusal re-asserted deterministically on the calling thread so callers
-//! still observe a plain panic.
+//! The shard-determinism contract checks run on the worker too and
+//! surface as [`ShardRunError::Contract`].
+//!
+//! # One shard runs inline
+//!
+//! At `S = 1` the shard *is* the whole trace, so
+//! [`ShardedSimulator::run`] replays it on the calling thread through the
+//! same per-shard function the workers use: plain slice views instead of
+//! a [`ShardPartition`], no scoped thread, no [`GapScore`] (every gap is
+//! zero), no per-record outcome buffer and no merge — the shard's own
+//! [`SimReport`] already went through the `Accounting` the merge would
+//! replay it through, in the same order. The supervisor's
+//! catch-and-re-replay of a panicked shard stays. This is what lets the
+//! single-threaded front-ends *be* the one-shard geometry at no cost
+//! (`tests/shard_alloc_inline.rs` pins the allocation side).
 
 use crate::batch::{SpecParams, SpecStats, WindowedSimulator};
 use crate::cache::{AccessOutcome, SetAssocCache};
@@ -81,6 +93,7 @@ use std::any::Any;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::thread;
 
 /// Error from [`ShardedSimulator::run`].
 #[derive(Clone, Debug, PartialEq)]
@@ -106,6 +119,14 @@ pub enum ShardRunError {
         /// The panic payloads, worker first, then the supervisor replay.
         message: String,
     },
+    /// The policies `make_shard` built cannot reproduce the
+    /// single-threaded replay above one shard (see [`shard_contract`]).
+    Contract {
+        /// Index of the first shard (in shard order) that was refused.
+        shard: usize,
+        /// The refusal, naming the offending policy or score source.
+        message: String,
+    },
 }
 
 impl fmt::Display for ShardRunError {
@@ -119,6 +140,9 @@ impl fmt::Display for ShardRunError {
             ),
             ShardRunError::ShardFailed { shard, message } => {
                 write!(f, "shard {shard} failed: {message}")
+            }
+            ShardRunError::Contract { shard, message } => {
+                write!(f, "shard {shard} refused: {message}")
             }
         }
     }
@@ -304,9 +328,8 @@ pub struct ShardPolicies {
 
 /// The shard-determinism contract (see the module docs), shared by the
 /// offline engine and the serving front-end so the two can never drift in
-/// what they refuse. Checked on each worker right after `make_shard`; a
-/// violation is re-asserted on the calling thread so the caller observes
-/// one deterministic panic.
+/// what they refuse. Checked on each worker right after `make_shard`; both
+/// engines turn a violation into a typed [`ShardRunError::Contract`].
 ///
 /// # Errors
 ///
@@ -441,7 +464,8 @@ impl OutcomeStream for ReplayedShardStream<'_> {
 
 /// Outcome of one shard worker.
 struct ShardOutcome {
-    outcomes: Vec<AccessOutcome>,
+    /// Per-record outcomes for the merge (`None` for the inline shard).
+    outcomes: Option<Vec<AccessOutcome>>,
     scored: u64,
     spec: SpecStats,
     fault: FaultStats,
@@ -453,9 +477,10 @@ struct ShardOutcome {
 
 /// Observer that records every replayed outcome (warm-up included) in
 /// shard order, for the global re-accounting merge — and, when a
-/// [`FaultPlan`] armed a panic point for this shard, dies there.
+/// [`FaultPlan`] armed a panic point for this shard, dies there. The
+/// inline one-shard replay has nothing to merge and keeps no buffer.
 struct OutcomeRecorder {
-    outcomes: Vec<AccessOutcome>,
+    outcomes: Option<Vec<AccessOutcome>>,
     scored: u64,
     /// Shard-local record index at which to panic (fault injection).
     panic_at: Option<u64>,
@@ -473,7 +498,9 @@ impl ReplayObserver for OutcomeRecorder {
             )));
         }
         self.seen += 1;
-        self.outcomes.push(*ev.outcome);
+        if let Some(outcomes) = self.outcomes.as_mut() {
+            outcomes.push(*ev.outcome);
+        }
         self.scored += u64::from(ev.score.is_some());
     }
 }
@@ -655,23 +682,22 @@ impl ShardedSimulator {
     /// [`ScoreSource::prefers_batching`] ride the speculative miss-window
     /// batcher (with this simulator's [`SpecParams`]); other shards take
     /// the streaming loop — the same routing as
-    /// [`crate::simulate_with_warmup`], so a one-shard run does exactly
-    /// the single-threaded work.
+    /// [`crate::simulate_with_warmup`]. One shard replays inline on the
+    /// calling thread (see the module docs), so a one-shard run does
+    /// exactly the single-threaded work.
     ///
     /// # Errors
     ///
-    /// Returns [`ShardRunError::Config`] for invalid cache geometry, and
-    /// [`ShardRunError::ShardFailed`] when a shard worker panics *and* the
-    /// supervisor's re-replay of that shard panics too (a lone worker
-    /// panic — injected or genuine — is recovered transparently: the
-    /// supervisor re-replays the shard's subtrace on the calling thread
-    /// and the merged report is bit-identical to an undisturbed run).
-    ///
-    /// # Panics
-    ///
-    /// Panics when running more than one shard with an eviction policy
-    /// that is not [`EvictionPolicy::shard_deterministic`] or a score
-    /// source that is not [`ScoreSource::shardable`].
+    /// Returns [`ShardRunError::Config`] for invalid cache geometry,
+    /// [`ShardRunError::Contract`] when running more than one shard with
+    /// an eviction policy that is not
+    /// [`EvictionPolicy::shard_deterministic`] or a score source that is
+    /// not [`ScoreSource::shardable`], and [`ShardRunError::ShardFailed`]
+    /// when a shard worker panics *and* the supervisor's re-replay of that
+    /// shard panics too (a lone worker panic — injected or genuine — is
+    /// recovered transparently: the supervisor re-replays the shard's
+    /// subtrace on the calling thread and the merged report is
+    /// bit-identical to an undisturbed run).
     pub fn run(
         &self,
         warmup: &[TraceRecord],
@@ -683,153 +709,112 @@ impl ShardedSimulator {
     ) -> Result<ShardedReport, ShardRunError> {
         cache_cfg.validate()?;
         let s = self.shards;
-
-        // Zero-copy fan-out: 4 bytes of routing per record, gaps and
-        // global merge positions derived from the index entries.
-        let part = ShardPartition::build(s, &cache_cfg, warmup, measured)?;
+        let lat = *latency;
 
         // Fault arming: a per-shard panic point (the shard-worker fault
         // class) and the per-shard speculation circuit breaker.
-        let panic_at: Vec<Option<u64>> = (0..s)
-            .map(|shard| {
-                self.fault
-                    .as_ref()
-                    .and_then(|p| p.shard_panic_point(shard, part.positions(shard).len()))
-            })
-            .collect();
+        let panic_point = |shard: usize, len: usize| {
+            self.fault
+                .as_ref()
+                .and_then(|p| p.shard_panic_point(shard, len))
+        };
         let breaker = self
             .fault
             .filter(|p| p.breaker_armed())
             .map(|p| (p.breaker_storm_windows, p.breaker_cooldown_records));
 
-        // Replay shards on scoped threads. Each worker builds its own
-        // policies (make_shard), checks the shard-determinism contract,
-        // resolves its routing and replays — fully independent (own
-        // cache, own policies, own scorer clone), so join order —
-        // shard-index order — is the only ordering that matters. Worker
-        // panics are captured at join, never propagated: degradation
-        // (supervisor re-replay) happens below.
-        let params = self.params;
-        let routing = self.routing;
-        let lat = *latency;
-        let part_ref = &part;
-        let joined: Vec<Result<ShardOutcome, String>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..s)
-                .map(|shard| {
-                    let at = panic_at[shard];
-                    scope.spawn(move |_| {
-                        let (warm, meas) = part_ref.views(shard, warmup, measured);
-                        let ctx = ShardCtx {
-                            shard,
-                            shards: s,
-                            warmup: warm,
-                            measured: meas,
-                        };
-                        let pol = make_shard(&ctx);
-                        if let Err(msg) = shard_contract(s, &pol) {
-                            // resume_unwind skips the panic hook: the
-                            // refusal is re-asserted (and panics plainly)
-                            // on the calling thread below.
-                            resume_unwind(Box::new(msg));
-                        }
-                        let batched = resolve_shard_routing(routing, &pol);
-                        run_shard(
-                            warm,
-                            meas,
-                            part_ref.positions(shard),
-                            cache_cfg,
-                            params,
-                            batched,
-                            &lat,
-                            pol,
-                            at,
-                            breaker,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(panic_message))
-                .collect()
-        })
-        .expect("scope completes once every handle is joined");
+        // One shard's whole job, wherever it runs: build its policies
+        // (make_shard), check the shard-determinism contract, resolve its
+        // routing and replay — fully independent of every other shard (own
+        // cache, own policies, own scorer clone). `index` is the shard's
+        // position list; `None` is the inline whole-trace shard, whose own
+        // accounting is final (so it alone collects the miss series).
+        let replay = |shard: usize,
+                      warm: RecordsRef<'_>,
+                      meas: RecordsRef<'_>,
+                      index: Option<&[u32]>,
+                      panic_at: Option<u64>|
+         -> Result<ShardOutcome, ShardRunError> {
+            let pol = make_shard(&ShardCtx {
+                shard,
+                shards: s,
+                warmup: warm,
+                measured: meas,
+            });
+            shard_contract(s, &pol)
+                .map_err(|message| ShardRunError::Contract { shard, message })?;
+            let batched = resolve_shard_routing(self.routing, &pol);
+            let series = series_window.filter(|_| index.is_none());
+            Ok(run_shard(
+                warm,
+                meas,
+                index,
+                cache_cfg,
+                self.params,
+                batched,
+                &lat,
+                pol,
+                panic_at,
+                breaker,
+                series,
+            ))
+        };
 
-        // Graceful degradation: a panicked shard's worker left no shared
-        // state behind (the merge below is the only cross-shard touch
-        // point), so the supervisor re-replays that shard's subtrace on
-        // this thread with fresh policies and the panic point disarmed.
-        // The replay is deterministic, so the merged report is
-        // bit-identical to a run where the worker never died. A
-        // contract refusal also reproduces deterministically — as a plain
-        // panic on this thread, which is what callers observe.
         let mut fault = FaultStats::default();
-        let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(s);
-        for (shard, res) in joined.into_iter().enumerate() {
-            match res {
-                Ok(o) => outcomes.push(o),
-                Err(worker_msg) => {
-                    fault.shard_panics += 1;
-                    let (warm, meas) = part.views(shard, warmup, measured);
-                    let ctx = ShardCtx {
-                        shard,
-                        shards: s,
-                        warmup: warm,
-                        measured: meas,
-                    };
-                    let pol = make_shard(&ctx);
-                    if let Err(msg) = shard_contract(s, &pol) {
-                        panic!("{msg}");
-                    }
-                    let batched = resolve_shard_routing(routing, &pol);
-                    let replay = catch_unwind(AssertUnwindSafe(|| {
-                        run_shard(
-                            warm,
-                            meas,
-                            part.positions(shard),
-                            cache_cfg,
-                            params,
-                            batched,
-                            &lat,
-                            pol,
-                            None,
-                            breaker,
-                        )
-                    }));
-                    match replay {
-                        Ok(o) => {
-                            fault.shard_recoveries += 1;
-                            outcomes.push(o);
-                        }
-                        Err(p) => {
-                            return Err(ShardRunError::ShardFailed {
-                                shard,
-                                message: format!(
-                                    "worker panicked ({worker_msg}); supervisor re-replay \
-                                     panicked too ({})",
-                                    panic_message(p)
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        let (mut sim, outcomes) = if s == 1 {
+            let warm = RecordsRef::from_slice(warmup);
+            let meas = RecordsRef::from_slice(measured);
+            let at = panic_point(0, warmup.len() + measured.len());
+            let first = catch_unwind(AssertUnwindSafe(|| replay(0, warm, meas, None, at)));
+            let o = supervise(0, first, || replay(0, warm, meas, None, None), &mut fault)?;
+            (o.report.clone(), vec![o])
+        } else {
+            // Zero-copy fan-out: 4 bytes of routing per record, gaps and
+            // global merge positions derived from the index entries.
+            let part = ShardPartition::build(s, &cache_cfg, warmup, measured)?;
+            let (part_ref, replay_ref) = (&part, &replay);
 
-        // Merge by re-accounting in global sequence order through the
-        // streaming k-way merge: identical operation sequence to the
-        // single-threaded loop, hence identical stats, f64 latency totals
-        // and miss series — and a panic (not a skewed report) on any lost
-        // or duplicated outcome. Each outcome's global position is its
-        // shard-index entry — no gap prefix sums, no trace re-walk.
-        let mut merge = StreamingMerge::new(warmup.len(), &lat, series_window);
-        {
+            // Replay shards on scoped threads; join order — shard-index
+            // order — is the only ordering that matters. Worker panics
+            // are captured at join, never propagated.
+            let joined: Vec<thread::Result<Result<ShardOutcome, ShardRunError>>> =
+                crossbeam::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..s)
+                        .map(|shard| {
+                            scope.spawn(move |_| {
+                                let (warm, meas) = part_ref.views(shard, warmup, measured);
+                                let index = part_ref.positions(shard);
+                                let at = panic_point(shard, index.len());
+                                replay_ref(shard, warm, meas, Some(index), at)
+                            })
+                        })
+                        .collect();
+                    handles.into_iter().map(|h| h.join()).collect()
+                })
+                .expect("scope completes once every handle is joined");
+
+            let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(s);
+            for (shard, first) in joined.into_iter().enumerate() {
+                let (warm, meas) = part.views(shard, warmup, measured);
+                let index = Some(part.positions(shard));
+                let retry = || replay(shard, warm, meas, index, None);
+                outcomes.push(supervise(shard, first, retry, &mut fault)?);
+            }
+
+            // Merge by re-accounting in global sequence order through the
+            // streaming k-way merge: identical operation sequence to the
+            // single-threaded loop, hence identical stats, f64 latency
+            // totals and miss series — and a panic (not a skewed report)
+            // on any lost or duplicated outcome. Each outcome's global
+            // position is its shard-index entry — no gap prefix sums, no
+            // trace re-walk.
+            let mut merge = StreamingMerge::new(warmup.len(), &lat, series_window);
             let mut streams: Vec<ReplayedShardStream<'_>> = (0..s)
                 .map(|shard| ReplayedShardStream {
                     warmup,
                     measured,
                     index: part.positions(shard),
-                    outcomes: &outcomes[shard].outcomes,
+                    outcomes: outcomes[shard].outcomes.as_deref().unwrap_or_default(),
                     idx: 0,
                 })
                 .collect();
@@ -843,12 +828,13 @@ impl ShardedSimulator {
                 warmup.len() + measured.len(),
                 "sharded replay merged fewer outcomes than the trace holds"
             );
-        }
-        let mut sim = merge.finish(
-            measured.len(),
-            &outcomes[0].report.eviction,
-            &outcomes[0].report.admission,
-        );
+            let sim = merge.finish(
+                measured.len(),
+                &outcomes[0].report.eviction,
+                &outcomes[0].report.admission,
+            );
+            (sim, outcomes)
+        };
 
         let batched = outcomes.iter().any(|o| o.batched);
         let mut spec = SpecStats::default();
@@ -878,17 +864,52 @@ impl ShardedSimulator {
     }
 }
 
+/// Graceful degradation for one shard. A panicked attempt left no shared
+/// state behind, so the supervisor runs `retry` — the same shard, fresh
+/// policies, panic point disarmed — on the calling thread. The replay is
+/// deterministic, so the report is bit-identical to a run where the first
+/// attempt never died; a second panic means the failure reproduces (a
+/// genuine bug, not an injected fault) and is returned as an error.
+fn supervise(
+    shard: usize,
+    first: thread::Result<Result<ShardOutcome, ShardRunError>>,
+    retry: impl FnOnce() -> Result<ShardOutcome, ShardRunError>,
+    fault: &mut FaultStats,
+) -> Result<ShardOutcome, ShardRunError> {
+    let worker_msg = match first {
+        Ok(done) => return done,
+        Err(p) => panic_message(p),
+    };
+    fault.shard_panics += 1;
+    match catch_unwind(AssertUnwindSafe(retry)) {
+        Ok(done) => {
+            let outcome = done?;
+            fault.shard_recoveries += 1;
+            Ok(outcome)
+        }
+        Err(p) => Err(ShardRunError::ShardFailed {
+            shard,
+            message: format!(
+                "worker panicked ({worker_msg}); supervisor re-replay panicked too ({})",
+                panic_message(p)
+            ),
+        }),
+    }
+}
+
 /// One shard's replay — batcher or streaming per the resolved routing —
-/// over zero-copy indexed views, with an [`OutcomeRecorder`] on the
-/// replay-event stream. `index` is the shard's full ascending position
-/// list (warm-up ⧺ measured), the source of the scorer clock's
-/// foreign-record gaps; `panic_at` arms the fault-injection panic point;
-/// `breaker` arms the per-shard speculation circuit breaker.
+/// with an [`OutcomeRecorder`] on the replay-event stream. `index` is the
+/// shard's full ascending position list (warm-up ⧺ measured) behind its
+/// indexed views: the source of the scorer clock's foreign-record gaps,
+/// and the reason to buffer outcomes for the merge. `None` means the views
+/// are the whole trace — no gaps to fast-forward, nothing to merge.
+/// `panic_at` arms the fault-injection panic point; `breaker` arms the
+/// per-shard speculation circuit breaker.
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
     warm: RecordsRef<'_>,
     meas: RecordsRef<'_>,
-    index: &[u32],
+    index: Option<&[u32]>,
     cache_cfg: CacheConfig,
     params: SpecParams,
     batched: bool,
@@ -896,63 +917,61 @@ fn run_shard(
     mut pol: ShardPolicies,
     panic_at: Option<u64>,
     breaker: Option<(u32, u32)>,
+    series_window: Option<u64>,
 ) -> ShardOutcome {
     let mut cache = SetAssocCache::new(cache_cfg).expect("geometry validated by run()");
     let mut recorder = OutcomeRecorder {
-        outcomes: Vec::with_capacity(index.len()),
+        outcomes: index.map(|ix| Vec::with_capacity(ix.len())),
         scored: 0,
         panic_at,
         seen: 0,
     };
     let mut spec = SpecStats::default();
     let mut fault = FaultStats::default();
-    let report = match pol.score.as_mut() {
-        Some(score) => {
-            let mut gap_score = GapScore::from_index(score.as_mut(), index);
-            if batched {
-                let mut wsim = WindowedSimulator::with_params(params);
-                if let Some((storm, cooldown)) = breaker {
-                    wsim.set_breaker(storm, cooldown);
-                }
-                let report = wsim.run_observed_records(
-                    warm,
-                    meas,
-                    &mut cache,
-                    pol.admission.as_mut(),
-                    pol.eviction.as_mut(),
-                    Some(&mut gap_score),
-                    latency,
-                    None,
-                    &mut recorder,
-                );
-                spec = *wsim.spec_stats();
-                fault = *wsim.fault_stats();
-                report
-            } else {
-                crate::sim::simulate_streaming_observed_records(
-                    warm,
-                    meas,
-                    &mut cache,
-                    pol.admission.as_mut(),
-                    pol.eviction.as_mut(),
-                    Some(&mut gap_score),
-                    latency,
-                    None,
-                    &mut recorder,
-                )
-            }
+    let batched = batched && pol.score.is_some();
+    let mut gap_score;
+    let score: Option<&mut dyn ScoreSource> = match (pol.score.as_mut(), index) {
+        (Some(score), Some(index)) => {
+            gap_score = GapScore::from_index(score.as_mut(), index);
+            Some(&mut gap_score)
         }
-        None => crate::sim::simulate_streaming_observed_records(
+        (Some(score), None) => Some(score.as_mut()),
+        (None, _) => None,
+    };
+    let report = if batched {
+        let mut wsim = WindowedSimulator::with_params(params);
+        if let Some((storm, cooldown)) = breaker {
+            wsim.set_breaker(storm, cooldown);
+        }
+        let report = wsim.run_observed_records(
             warm,
             meas,
             &mut cache,
             pol.admission.as_mut(),
             pol.eviction.as_mut(),
-            None,
+            score,
             latency,
-            None,
+            series_window,
             &mut recorder,
-        ),
+        );
+        spec = *wsim.spec_stats();
+        fault = *wsim.fault_stats();
+        report
+    } else {
+        // A score-free inline shard with no panic point has nothing to
+        // record; it runs unobserved, exactly the plain streaming loop.
+        let observed = index.is_some() || panic_at.is_some() || score.is_some();
+        crate::sim::simulate_streaming_impl(
+            warm,
+            meas,
+            &mut cache,
+            pol.admission.as_mut(),
+            pol.eviction.as_mut(),
+            score,
+            latency,
+            series_window,
+            observed.then_some(&mut recorder as &mut dyn ReplayObserver),
+        )
     };
     ShardOutcome {
         outcomes: recorder.outcomes,
@@ -960,7 +979,7 @@ fn run_shard(
         spec,
         fault,
         report,
-        batched: batched && pol.score.is_some(),
+        batched,
     }
 }
 

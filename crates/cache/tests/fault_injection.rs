@@ -166,31 +166,32 @@ proptest! {
 /// An armed panic point fires in every shard worker (1000‰), the
 /// supervisor re-replays each lost shard, and the merged accounting is
 /// identical to an undisturbed run — the only trace the faults leave is
-/// the panic/recovery counters.
+/// the panic/recovery counters. One shard replays inline on the calling
+/// thread (the geometry `Icgmm::run` is) and recovers the same way.
 #[test]
 fn armed_shard_panics_recover_with_identical_accounting() {
     let trace = zipf_trace(11, 1200, 96, 0.9, 25);
-    let clean = sharded_run(FaultPlan::empty(), 4, &trace);
-    let armed = sharded_run(
-        FaultPlan {
-            seed: 7,
-            shard_panic_per_mille: 1000,
-            ..FaultPlan::empty()
-        },
-        4,
-        &trace,
-    );
-    assert_eq!(armed.sim.fault.shard_panics, 4, "every worker should panic");
-    assert_eq!(
-        armed.sim.fault.shard_panics,
-        armed.sim.fault.shard_recoveries
-    );
-    let mut scrubbed = armed.sim.clone();
-    scrubbed.fault = clean.sim.fault;
-    assert_eq!(
-        scrubbed, clean.sim,
-        "recovery changed the replay accounting"
-    );
+    for shards in [1usize, 4] {
+        let clean = sharded_run(FaultPlan::empty(), shards, &trace);
+        let armed = sharded_run(
+            FaultPlan {
+                seed: 7,
+                shard_panic_per_mille: 1000,
+                ..FaultPlan::empty()
+            },
+            shards,
+            &trace,
+        );
+        let fault = armed.sim.fault;
+        assert_eq!(fault.shard_panics, shards as u64, "every shard panics");
+        assert_eq!(fault.shard_panics, fault.shard_recoveries);
+        let mut scrubbed = armed.sim.clone();
+        scrubbed.fault = clean.sim.fault;
+        assert_eq!(
+            scrubbed, clean.sim,
+            "recovery changed the replay accounting at {shards} shards"
+        );
+    }
 }
 
 /// An eviction policy that panics on its first victim choice — in the

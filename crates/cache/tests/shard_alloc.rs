@@ -16,40 +16,11 @@
 //! One `#[test]` per binary: the byte counter is process-global, and a
 //! sibling test running concurrently would perturb the delta.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod support;
 
 use icgmm_cache::{CacheConfig, ShardPartition};
 use icgmm_trace::TraceRecord;
-
-/// Counts cumulative allocated bytes; frees are ignored so the delta
-/// over a call is "bytes requested", not peak or net.
-struct CountingAlloc;
-
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: delegates verbatim to `System`; the only addition is a relaxed
-// counter bump, which cannot violate the `GlobalAlloc` contract.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns its result plus the bytes allocated inside it.
-fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let before = ALLOCATED.load(Ordering::Relaxed);
-    let r = f();
-    (r, ALLOCATED.load(Ordering::Relaxed) - before)
-}
+use support::allocated_by;
 
 #[test]
 fn fanout_routing_state_is_four_bytes_per_record() {
@@ -66,7 +37,8 @@ fn fanout_routing_state_is_four_bytes_per_record() {
         .collect();
     let (warmup, measured) = trace.split_at(N / 4);
 
-    let (part, bytes) = allocated_by(|| ShardPartition::build(SHARDS, &cfg, warmup, measured).unwrap());
+    let (part, bytes) =
+        allocated_by(|| ShardPartition::build(SHARDS, &cfg, warmup, measured).unwrap());
 
     // Every record is routed exactly once.
     let routed: usize = (0..SHARDS).map(|s| part.positions(s).len()).sum();

@@ -9,8 +9,8 @@
 
 use icgmm_cache::{
     simulate_streaming_with_warmup, AlwaysAdmit, CacheConfig, FnScore, LatencyModel, LruPolicy,
-    RandomPolicy, ScoreSource, SetAssocCache, ShardPolicies, ShardRouting, ShardedSimulator,
-    SimReport, SpecParams, SpecStats, ThresholdAdmit, WindowedSimulator,
+    RandomPolicy, ScoreSource, SetAssocCache, ShardPolicies, ShardRouting, ShardRunError,
+    ShardedSimulator, SimReport, SpecParams, SpecStats, ThresholdAdmit, WindowedSimulator,
 };
 use icgmm_testutil::{
     admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, SHARDABLE_EVICTIONS,
@@ -291,22 +291,29 @@ fn empty_shards_are_tolerated() {
 }
 
 #[test]
-#[should_panic(expected = "not shard-deterministic")]
 fn random_eviction_is_refused_above_one_shard() {
     let cfg = small_cfg();
     let trace = mixed_trace(100);
-    let _ = ShardedSimulator::new(2).run(
-        &[],
-        &trace,
-        cfg,
-        &|_ctx| ShardPolicies {
-            admission: Box::new(AlwaysAdmit),
-            eviction: Box::new(RandomPolicy::new(7)),
-            score: None,
-        },
-        &LatencyModel::paper_tlc(),
-        None,
-    );
+    let err = ShardedSimulator::new(2)
+        .run(
+            &[],
+            &trace,
+            cfg,
+            &|_ctx| ShardPolicies {
+                admission: Box::new(AlwaysAdmit),
+                eviction: Box::new(RandomPolicy::new(7)),
+                score: None,
+            },
+            &LatencyModel::paper_tlc(),
+            None,
+        )
+        .expect_err("random eviction must be refused above one shard");
+    match err {
+        ShardRunError::Contract { shard: 0, message } => {
+            assert!(message.contains("not shard-deterministic"), "{message}");
+        }
+        other => panic!("expected a contract refusal from shard 0, got {other:?}"),
+    }
 }
 
 #[test]

@@ -87,6 +87,7 @@ impl From<icgmm_serve::ServeError> for IcgmmError {
             icgmm_serve::ServeError::ShardFailed { shard, message } => {
                 IcgmmError::ShardFailed { shard, message }
             }
+            icgmm_serve::ServeError::Contract { message, .. } => IcgmmError::Config(message),
         }
     }
 }
@@ -101,6 +102,7 @@ impl From<icgmm_cache::ShardRunError> for IcgmmError {
             icgmm_cache::ShardRunError::ShardFailed { shard, message } => {
                 IcgmmError::ShardFailed { shard, message }
             }
+            icgmm_cache::ShardRunError::Contract { message, .. } => IcgmmError::Config(message),
         }
     }
 }

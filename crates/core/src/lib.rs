@@ -50,7 +50,6 @@ mod error;
 mod online;
 mod system;
 
-pub mod adaptive;
 pub mod benchmarks;
 pub mod experiment;
 pub mod persist;

@@ -158,9 +158,7 @@ impl AdaptiveEngine {
         let mut t = TimestampTransformer::from_config(&self.preprocess);
         t.advance(s.pos);
         let ts = t.next();
-        self.engine
-            .scaler()
-            .transform([s.page as f64, ts as f64])
+        self.engine.scaler().transform([s.page as f64, ts as f64])
     }
 
     fn buffer(&mut self, page: u64, pos: u64) {
@@ -186,7 +184,12 @@ impl AdaptiveEngine {
             // the check rides the same fast path as replay scoring, so
             // arming adaptation taxes a run by well under the window's
             // worth of scalar evaluations per interval.
-            let zs: Vec<Vec2> = self.ring.samples().iter().map(|s| self.feature(s)).collect();
+            let zs: Vec<Vec2> = self
+                .ring
+                .samples()
+                .iter()
+                .map(|s| self.feature(s))
+                .collect();
             let mut ld = vec![0.0; zs.len()];
             self.engine.scorer().log_density_batch(&zs, &mut ld);
             self.stats.evals += ld.len() as u64;
@@ -266,7 +269,8 @@ impl ScoreSource for AdaptiveEngine {
             }
             self.buffer(records[i].page().raw(), p);
         }
-        self.engine.score_window(&records[start..], &mut out[start..]);
+        self.engine
+            .score_window(&records[start..], &mut out[start..]);
         self.pos += (records.len() - start) as u64;
     }
 
@@ -386,16 +390,8 @@ mod tests {
         let (model, em) = trained(4, 7);
         let mut plain = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
         let engine = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
-        let mut adaptive = AdaptiveEngine::new(
-            engine,
-            &model.gmm,
-            em,
-            &pre(),
-            plan,
-            0,
-            AdaptSink::new(),
-        )
-        .unwrap();
+        let mut adaptive =
+            AdaptiveEngine::new(engine, &model.gmm, em, &pre(), plan, 0, AdaptSink::new()).unwrap();
         let records: Vec<TraceRecord> = (0..500).map(record).collect();
         let mut a = vec![0.0; records.len()];
         adaptive.score_window(&records, &mut a);

@@ -1,24 +1,30 @@
 //! The end-to-end ICGMM system: fit (offline GMM training, paper §3) and
 //! run (online cache simulation with the chosen policy, paper §5).
+//!
+//! The four replay front-ends (`run`, `run_sharded`, `serve`,
+//! `run_dataflow`) build their per-shard policy/scorer/fault stack through
+//! one private `Assembly` and differ only in the engine they hand it to.
 
 use crate::config::{IcgmmConfig, PolicyMode};
 use crate::engine::{GmmPolicyEngine, TrainedModel};
 use crate::error::IcgmmError;
 use crate::online::AdaptiveEngine;
 use icgmm_cache::{
-    AdaptSink, AdaptStats, AlwaysAdmit, BeladyPolicy, FailoverAdmission, FailoverEviction,
-    FaultPlan, FaultSink, FaultyScore, FifoPolicy, GmmScorePolicy, LatencyModel, LfuPolicy,
-    LruPolicy, RandomPolicy, ScorerHealth, SetAssocCache, ShardCtx, ShardPolicies,
-    ShardedSimulator, SimReport, SpecStats, ThresholdAdmit, WindowedSimulator,
+    resolve_shard_routing, AdaptPlan, AdaptSink, AdaptStats, AdmissionPolicy, AlwaysAdmit,
+    BeladyPolicy, EvictionPolicy, FailoverAdmission, FailoverEviction, FaultPlan, FaultSink,
+    FaultStats, FaultyScore, FifoPolicy, GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy,
+    RandomPolicy, ScoreSource, ScorerHealth, ShardCtx, ShardPolicies, ShardRouting,
+    ShardedSimulator, SimReport, SpecStats, ThresholdAdmit,
 };
 use icgmm_gmm::{calibrate_threshold, EmReport, EmTrainer, StandardScaler};
 use icgmm_hw::{DataflowConfig, DataflowReport};
 use icgmm_serve::{CacheServer, ServeConfig, ServeReport};
-use icgmm_trace::{extract_weighted_cells_range, trim, Trace, TraceRecord};
+use icgmm_trace::{extract_weighted_cells_range, Trace, TraceRecord};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// Summary of one `fit` (offline training) invocation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -66,44 +72,125 @@ impl RunReport {
     }
 }
 
-/// The single-threaded replay's score stack: the plain engine, the
-/// adaptive wrapper, and either of them behind the fault injector. Built
-/// once per run from the configuration's plans; empty plans contribute no
-/// layer, so disabled features stay bit-identical by construction.
-enum ScoreStack {
-    None,
-    Plain(GmmPolicyEngine),
-    Adaptive(Box<AdaptiveEngine>),
-    Faulty(FaultyScore<GmmPolicyEngine>),
-    FaultyAdaptive(Box<FaultyScore<AdaptiveEngine>>),
+/// The one replay assembly: what it takes to build any shard's
+/// policy/scorer/fault stack — the mode's engine, the fault and adaptation
+/// plans, the trimmed trace and the per-shard telemetry sinks. Empty plans
+/// install no wrapper, so disabled features stay bit-identical.
+struct Assembly<'a> {
+    sys: &'a Icgmm,
+    mode: PolicyMode,
+    engine: Option<GmmPolicyEngine>,
+    fault: FaultPlan,
+    adapt: AdaptPlan,
+    /// Warm-up ⧺ measured (the trace minus its trimmed tail).
+    records: &'a [TraceRecord],
+    warmup_len: usize,
+    /// One slot per shard, written by whichever thread builds that shard.
+    /// A supervisor re-replay replaces the aborted attempt's sinks
+    /// wholesale, keeping merged stats equal to an undisturbed run.
+    sinks: Mutex<Vec<(FaultSink, AdaptSink)>>,
 }
 
-impl ScoreStack {
-    fn as_score(&mut self) -> Option<&mut dyn icgmm_cache::ScoreSource> {
-        match self {
-            ScoreStack::None => None,
-            ScoreStack::Plain(e) => Some(e),
-            ScoreStack::Adaptive(a) => Some(a.as_mut()),
-            ScoreStack::Faulty(f) => Some(f),
-            ScoreStack::FaultyAdaptive(f) => Some(f.as_mut()),
+impl<'a> Assembly<'a> {
+    /// The warm-up prefix (replayed through cache, policies and the
+    /// Algorithm 1 clock, excluded from statistics) and the measured middle.
+    fn phases(&self) -> (&'a [TraceRecord], &'a [TraceRecord]) {
+        self.records.split_at(self.warmup_len)
+    }
+
+    /// Builds one shard's policies, scorer clone and fault/adapt wrappers.
+    /// Runs on that shard's replay thread.
+    fn shard(&self, ctx: &ShardCtx<'_>) -> ShardPolicies {
+        let cfg = &self.sys.cfg;
+        let (sets, ways) = (cfg.cache.num_sets(), cfg.cache.ways);
+        let (gmm_admits, gmm_evicts) = match self.mode {
+            PolicyMode::GmmCachingOnly => (true, false),
+            PolicyMode::GmmEvictionOnly => (false, true),
+            PolicyMode::GmmCachingEviction => (true, true),
+            _ => (false, false),
+        };
+        let mut eviction: Box<dyn EvictionPolicy + Send> = match self.mode {
+            PolicyMode::Fifo => Box::new(FifoPolicy::new(sets, ways)),
+            PolicyMode::Random => Box::new(RandomPolicy::new(cfg.em.seed)),
+            PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
+            // The oracle sees exactly this shard's subsequence (its
+            // positions are the shard-local sequence numbers the replay
+            // presents). One shard's is the whole trace, whose contiguous
+            // slice takes the chunk-parallel build; indexed views build
+            // straight off the view, never materializing the subtrace.
+            PolicyMode::Belady if ctx.shards == 1 => {
+                Box::new(BeladyPolicy::from_records(self.records, sets, ways))
+            }
+            PolicyMode::Belady => Box::new(BeladyPolicy::from_pages(
+                ctx.warmup
+                    .iter()
+                    .chain(ctx.measured.iter())
+                    .map(|r| r.page().raw()),
+                sets,
+                ways,
+            )),
+            _ if gmm_evicts && cfg.eviction_hit_bonus > 0.0 => Box::new(
+                GmmScorePolicy::with_hit_bonus(sets, ways, cfg.eviction_hit_bonus),
+            ),
+            _ if gmm_evicts => Box::new(GmmScorePolicy::new(sets, ways)),
+            _ => Box::new(LruPolicy::new(sets, ways)),
+        };
+        let mut admission: Box<dyn AdmissionPolicy + Send> = if gmm_admits {
+            Box::new(ThresholdAdmit {
+                threshold: self.sys.model.as_ref().map_or(0.0, |m| m.threshold),
+                admit_writes_always: cfg.admit_writes_always,
+            })
+        } else {
+            Box::new(AlwaysAdmit)
+        };
+        // An armed adaptation plan wraps the shard's engine clone in the
+        // online refit loop (per-shard buffers, shard-salted seed streams).
+        let (fsink, asink) = (FaultSink::new(), AdaptSink::new());
+        let mut score: Option<Box<dyn ScoreSource + Send>> = match &self.engine {
+            None => None,
+            Some(e) if self.adapt.is_empty() => Some(Box::new(e.clone())),
+            Some(e) => {
+                let model = self.sys.model.as_ref();
+                let gmm = &model.expect("a GMM engine implies a trained model").gmm;
+                let (em, pre, shard) = (cfg.em, &cfg.preprocess, ctx.shard as u64);
+                let adaptive =
+                    AdaptiveEngine::new(e.clone(), gmm, em, pre, self.adapt, shard, asink.clone());
+                Some(Box::new(
+                    adaptive.expect("adapt plan validated by IcgmmConfig"),
+                ))
+            }
+        };
+        // An armed fault plan passes the scores through the injector,
+        // feeding the shard's own health monitor (degradation transitions
+        // stay per-shard deterministic) and the policies' fallbacks.
+        let plan = self.fault;
+        let health = (score.is_some() && plan.monitor_armed()).then(|| ScorerHealth::new(&plan));
+        if plan.scorer_armed() || health.is_some() {
+            let wrap = |s| Box::new(FaultyScore::new(s, plan, health.clone(), fsink.clone())) as _;
+            score = score.map(wrap);
+        }
+        if let Some(h) = health.clone().filter(|_| gmm_evicts) {
+            let lru = Box::new(LruPolicy::new(sets, ways));
+            eviction = Box::new(FailoverEviction::new(eviction, lru, h, fsink.clone()));
+        }
+        if let Some(h) = health.filter(|_| gmm_admits) {
+            admission = Box::new(FailoverAdmission::new(admission, h, fsink.clone()));
+        }
+        self.sinks.lock().expect("sink lock never poisoned")[ctx.shard] = (fsink, asink);
+        ShardPolicies {
+            admission,
+            eviction,
+            score,
         }
     }
 
-    fn scores_computed(&self) -> u64 {
-        match self {
-            ScoreStack::None => 0,
-            ScoreStack::Plain(e) => e.scores_computed(),
-            ScoreStack::Adaptive(a) => a.scores_computed(),
-            ScoreStack::Faulty(f) => f.inner().scores_computed(),
-            ScoreStack::FaultyAdaptive(f) => f.inner().scores_computed(),
-        }
-    }
-
-    fn adapt_stats(&self) -> AdaptStats {
-        match self {
-            ScoreStack::Adaptive(a) => a.stats(),
-            ScoreStack::FaultyAdaptive(f) => f.inner().stats(),
-            _ => AdaptStats::default(),
+    /// Merges the per-shard sinks into a report's telemetry blocks, in
+    /// shard order (deterministic for a given shard count).
+    fn finish(self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
+        let sinks = self.sinks.into_inner();
+        for (fsink, asink) in sinks.expect("no worker holds the sink lock") {
+            fault.merge(&fsink.snapshot());
+            adapt.merge(&asink.snapshot());
         }
     }
 }
@@ -235,27 +322,56 @@ impl Icgmm {
         )?)
     }
 
-    /// The evaluated portion of a trace (same trim as training — warm-up
-    /// and tail are excluded from measurement, paper §3.1).
-    pub fn eval_records<'a>(&self, trace: &'a Trace) -> &'a [TraceRecord] {
-        trim(trace, &self.cfg.preprocess)
-    }
-
-    /// Splits a trace into its warm-up prefix and measured middle. The
-    /// warm-up is replayed through the cache (state, policies and the
-    /// Algorithm 1 clock all see it) but excluded from statistics.
-    fn phases<'a>(&self, trace: &'a Trace) -> (&'a [TraceRecord], &'a [TraceRecord]) {
+    /// The shared prologue of every replay front-end: refuse what cannot
+    /// be replayed, build the mode's engine, cut the trace into phases.
+    fn assemble<'a>(
+        &'a self,
+        trace: &'a Trace,
+        mode: PolicyMode,
+        shards: usize,
+        fault: FaultPlan,
+        adapt: AdaptPlan,
+    ) -> Result<Assembly<'a>, IcgmmError> {
+        if shards > 1 && mode == PolicyMode::Random {
+            return Err(IcgmmError::Config(format!(
+                "random eviction is not shard-deterministic; replay it at sim_shards = 1 \
+                 (requested {shards})"
+            )));
+        }
+        let engine = mode.uses_gmm().then(|| self.policy_engine()).transpose()?;
         let (start, end) = self.cfg.preprocess.kept_range(trace.len());
-        (&trace.records()[..start], &trace.records()[start..end])
+        Ok(Assembly {
+            sys: self,
+            mode,
+            engine,
+            fault,
+            adapt,
+            records: &trace.records()[..end],
+            warmup_len: start,
+            sinks: Mutex::new(vec![Default::default(); shards]),
+        })
     }
 
     /// Runs one policy mode over the (trimmed) trace with the analytic
     /// latency model — the paper's Fig. 6 / Table 1 measurement.
     ///
+    /// This is the one-shard geometry of [`Icgmm::run_sharded`], replayed
+    /// inline on the calling thread: engines at paper-scale K
+    /// ([`ScoreSource::prefers_batching`]) lookahead-classify `sim_window`
+    /// requests and ride the batched scoring kernel, small-K engines and
+    /// score-free modes stream — bit-identical either way. The
+    /// [`FaultPlan`] therefore applies as to any shard: an armed
+    /// `shard_panic_per_mille` point is caught, the trace re-replayed once
+    /// with it disarmed, and the event counted in
+    /// `FaultStats::{shard_panics, shard_recoveries}`; the functional
+    /// report is bit-identical to an undisturbed run.
+    ///
     /// # Errors
     ///
     /// [`IcgmmError::NotFitted`] if `mode.uses_gmm()` and the system is
-    /// untrained; cache-geometry errors otherwise.
+    /// untrained; cache-geometry errors otherwise;
+    /// [`IcgmmError::ShardFailed`] when the replay panics and the
+    /// re-replay panics too.
     pub fn run(&self, trace: &Trace, mode: PolicyMode) -> Result<RunReport, IcgmmError> {
         self.run_with_latency(trace, mode, &self.cfg.latency)
     }
@@ -271,142 +387,7 @@ impl Icgmm {
         mode: PolicyMode,
         latency: &LatencyModel,
     ) -> Result<RunReport, IcgmmError> {
-        let (warmup, measured) = self.phases(trace);
-        let mut cache = SetAssocCache::new(self.cfg.cache)?;
-        let sets = self.cfg.cache.num_sets();
-        let ways = self.cfg.cache.ways;
-
-        let engine = if mode.uses_gmm() {
-            Some(self.policy_engine()?)
-        } else {
-            None
-        };
-        let threshold = self.model.as_ref().map(|m| m.threshold).unwrap_or(0.0);
-
-        // One simulator per run: engines at paper-scale K lookahead-
-        // classify `sim_window` requests and ride the batched scoring
-        // kernel; small-K engines (where scalar scoring is too cheap to
-        // out-earn the speculation overhead) and score-free modes take
-        // the streaming loop — bit-identical either way.
-        let use_batched = engine
-            .as_ref()
-            .is_some_and(icgmm_cache::ScoreSource::prefers_batching);
-
-        // Score-stack plumbing: an armed adaptation plan wraps the engine
-        // in the online refit loop, and an armed fault plan passes its
-        // scores through the injector (feeding the health monitor) while
-        // the GMM-driven policies gain their degradation fallbacks. Empty
-        // plans wrap nothing, so plain runs take exactly the original code
-        // paths.
-        let plan = self.cfg.fault;
-        let sink = FaultSink::new();
-        let health = (engine.is_some() && plan.monitor_armed()).then(|| ScorerHealth::new(&plan));
-        let scorer_faulted = engine.is_some() && (plan.scorer_armed() || health.is_some());
-        let mut stack = match engine {
-            None => ScoreStack::None,
-            Some(e) => {
-                let adaptive = (!self.cfg.adapt.is_empty())
-                    .then(|| self.adaptive_engine(e.clone(), 0, AdaptSink::new()));
-                match (adaptive, scorer_faulted) {
-                    (None, false) => ScoreStack::Plain(e),
-                    (None, true) => {
-                        ScoreStack::Faulty(FaultyScore::new(e, plan, health.clone(), sink.clone()))
-                    }
-                    (Some(a), false) => ScoreStack::Adaptive(Box::new(a)),
-                    (Some(a), true) => ScoreStack::FaultyAdaptive(Box::new(FaultyScore::new(
-                        a,
-                        plan,
-                        health.clone(),
-                        sink.clone(),
-                    ))),
-                }
-            }
-        };
-
-        let mut wsim = WindowedSimulator::with_params(self.cfg.spec_params());
-        if use_batched && plan.breaker_armed() {
-            wsim.set_breaker(plan.breaker_storm_windows, plan.breaker_cooldown_records);
-        }
-        let mut sim = {
-            let wsim = &mut wsim;
-            let score: Option<&mut dyn icgmm_cache::ScoreSource> = stack.as_score();
-            let wrap_ev = |primary: GmmScorePolicy| -> Box<dyn icgmm_cache::EvictionPolicy + Send> {
-                match &health {
-                    Some(h) => Box::new(FailoverEviction::new(
-                        Box::new(primary),
-                        Box::new(LruPolicy::new(sets, ways)),
-                        h.clone(),
-                        sink.clone(),
-                    )),
-                    None => Box::new(primary),
-                }
-            };
-            let wrap_adm =
-                |primary: ThresholdAdmit| -> Box<dyn icgmm_cache::AdmissionPolicy + Send> {
-                    match &health {
-                        Some(h) => Box::new(FailoverAdmission::new(
-                            Box::new(primary),
-                            h.clone(),
-                            sink.clone(),
-                        )),
-                        None => Box::new(primary),
-                    }
-                };
-            let mut run =
-                |adm: &mut dyn icgmm_cache::AdmissionPolicy,
-                 ev: &mut dyn icgmm_cache::EvictionPolicy,
-                 score: Option<&mut dyn icgmm_cache::ScoreSource>| {
-                    if use_batched {
-                        wsim.run(warmup, measured, &mut cache, adm, ev, score, latency, None)
-                    } else {
-                        icgmm_cache::simulate_streaming_with_warmup(
-                            warmup, measured, &mut cache, adm, ev, score, latency, None,
-                        )
-                    }
-                };
-            match mode {
-                PolicyMode::Lru => run(&mut AlwaysAdmit, &mut LruPolicy::new(sets, ways), None),
-                PolicyMode::Fifo => run(&mut AlwaysAdmit, &mut FifoPolicy::new(sets, ways), None),
-                PolicyMode::Random => run(
-                    &mut AlwaysAdmit,
-                    &mut RandomPolicy::new(self.cfg.em.seed),
-                    None,
-                ),
-                PolicyMode::Lfu => run(&mut AlwaysAdmit, &mut LfuPolicy::new(sets, ways), None),
-                PolicyMode::Belady => {
-                    // The oracle sees warm-up + measured with absolute
-                    // sequence numbers (seq is continuous across phases).
-                    let end = warmup.len() + measured.len();
-                    let mut ev = BeladyPolicy::from_records(&trace.records()[..end], sets, ways);
-                    run(&mut AlwaysAdmit, &mut ev, None)
-                }
-                PolicyMode::GmmCachingOnly => {
-                    let mut adm = wrap_adm(self.admission(threshold));
-                    run(adm.as_mut(), &mut LruPolicy::new(sets, ways), score)
-                }
-                PolicyMode::GmmEvictionOnly => {
-                    let mut ev = wrap_ev(self.score_eviction(sets, ways));
-                    run(&mut AlwaysAdmit, ev.as_mut(), score)
-                }
-                PolicyMode::GmmCachingEviction => {
-                    let mut adm = wrap_adm(self.admission(threshold));
-                    let mut ev = wrap_ev(self.score_eviction(sets, ways));
-                    run(adm.as_mut(), ev.as_mut(), score)
-                }
-            }
-        };
-        if use_batched {
-            sim.fault.merge(wsim.fault_stats());
-        }
-        sim.fault.merge(&sink.snapshot());
-        sim.adapt.merge(&stack.adapt_stats());
-        let gmm_inferences = stack.scores_computed();
-        Ok(RunReport {
-            mode,
-            sim,
-            gmm_inferences,
-            spec: use_batched.then(|| *wsim.spec_stats()),
-        })
+        self.replay(trace, mode, latency, 1)
     }
 
     /// [`Icgmm::run`] with the cache partitioned by set index into the
@@ -421,11 +402,11 @@ impl Icgmm {
     /// every shard count — enforced by the differential suite in
     /// `tests/shard_differential.rs` and the property grid in
     /// `crates/cache/tests/shard_equivalence.rs`. [`RunReport::spec`] is
-    /// the field-wise sum of per-shard telemetry (identical to the
-    /// single-threaded batcher's at one shard); `gmm_inferences` counts
+    /// the field-wise sum of per-shard telemetry; `gmm_inferences` counts
     /// the inferences the sharded replay actually performed, which above
     /// one shard may differ from the single-threaded count (speculation
-    /// windows are per-shard).
+    /// windows are per-shard). At `sim_shards = 1` this *is*
+    /// [`Icgmm::run`].
     ///
     /// # Errors
     ///
@@ -448,173 +429,37 @@ impl Icgmm {
         mode: PolicyMode,
         latency: &LatencyModel,
     ) -> Result<RunReport, IcgmmError> {
-        let shards = self.cfg.sim_shards;
-        if shards > 1 && mode == PolicyMode::Random {
-            return Err(IcgmmError::Config(format!(
-                "random eviction is not shard-deterministic; run it at sim_shards = 1 \
-                 (requested {shards})"
-            )));
-        }
-        let (warmup, measured) = self.phases(trace);
-        let engine = if mode.uses_gmm() {
-            Some(self.policy_engine()?)
-        } else {
-            None
-        };
-        let threshold = self.model.as_ref().map(|m| m.threshold).unwrap_or(0.0);
-        // Per-shard fault plumbing: each replay thread gets its own score
-        // injector, health monitor and stats sink, so degradation
-        // transitions stay deterministic per shard (and a supervisor
-        // re-replay after a worker panic replaces the aborted attempt's
-        // sink wholesale, keeping merged stats equal to an undisturbed
-        // run). Sinks merge into the report in shard order. The sink
-        // table sits behind a mutex because `make_shard` now runs on the
-        // shard workers themselves (parallel policy construction).
-        let plan = self.cfg.fault;
-        let scorer_armed = plan.scorer_armed() || plan.monitor_armed();
-        let shard_sinks = std::sync::Mutex::new(vec![FaultSink::new(); shards]);
-        let adapt_sinks = std::sync::Mutex::new(vec![AdaptSink::new(); shards]);
-        let ssim = ShardedSimulator::with_params(shards, self.cfg.spec_params()).with_faults(plan);
-        let rep = ssim.run(
-            warmup,
-            measured,
-            self.cfg.cache,
-            &|ctx| {
-                self.shard_policies(ctx, mode, engine.as_ref(), threshold, plan, scorer_armed, {
-                    (&shard_sinks, &adapt_sinks)
-                })
-            },
-            latency,
-            None,
-        )?;
-        let mut rep = rep;
-        for sink in shard_sinks
-            .into_inner()
-            .expect("no worker holds the sink lock")
-        {
-            rep.sim.fault.merge(&sink.snapshot());
-        }
-        for sink in adapt_sinks
-            .into_inner()
-            .expect("no worker holds the adapt sink lock")
-        {
-            rep.sim.adapt.merge(&sink.snapshot());
-        }
-        let gmm_inferences = if engine.is_none() {
-            0
-        } else if rep.batched {
+        self.replay(trace, mode, latency, self.cfg.sim_shards)
+    }
+
+    /// The offline replay: [`Icgmm::run`] at one shard, else `run_sharded`.
+    fn replay(
+        &self,
+        trace: &Trace,
+        mode: PolicyMode,
+        latency: &LatencyModel,
+        shards: usize,
+    ) -> Result<RunReport, IcgmmError> {
+        let asm = self.assemble(trace, mode, shards, self.cfg.fault, self.cfg.adapt)?;
+        let (warmup, measured) = asm.phases();
+        let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
+        let engine = ShardedSimulator::with_params(shards, self.cfg.spec_params());
+        let engine = engine.with_faults(asm.fault);
+        let rep = engine.run(warmup, measured, self.cfg.cache, &make_shard, latency, None)?;
+        let mut sim = rep.sim;
+        asm.finish(&mut sim.fault, &mut sim.adapt);
+        // Score-free modes never batch and never consume a score.
+        let gmm_inferences = if rep.batched {
             rep.spec.scores_computed()
         } else {
             rep.scores_consumed
         };
         Ok(RunReport {
             mode,
-            sim: rep.sim,
+            sim,
             gmm_inferences,
-            spec: (engine.is_some() && rep.batched).then_some(rep.spec),
+            spec: rep.batched.then_some(rep.spec),
         })
-    }
-
-    /// Builds one shard's policy/scorer/fault stack — the single factory
-    /// shared by [`Icgmm::run_sharded`] and [`Icgmm::serve`], so the
-    /// offline replay and the serving front-end can never drift apart in
-    /// what they instantiate per shard.
-    #[allow(clippy::too_many_arguments)]
-    fn shard_policies(
-        &self,
-        ctx: &ShardCtx<'_>,
-        mode: PolicyMode,
-        engine: Option<&GmmPolicyEngine>,
-        threshold: f64,
-        plan: FaultPlan,
-        scorer_armed: bool,
-        sinks: (
-            &std::sync::Mutex<Vec<FaultSink>>,
-            &std::sync::Mutex<Vec<AdaptSink>>,
-        ),
-    ) -> ShardPolicies {
-        let (shard_sinks, adapt_sinks) = sinks;
-        let sets = self.cfg.cache.num_sets();
-        let ways = self.cfg.cache.ways;
-        let eviction: Box<dyn icgmm_cache::EvictionPolicy + Send> = match mode {
-            PolicyMode::Fifo => Box::new(FifoPolicy::new(sets, ways)),
-            PolicyMode::Random => Box::new(RandomPolicy::new(self.cfg.em.seed)),
-            PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
-            PolicyMode::Belady => {
-                // The oracle sees exactly this shard's subsequence:
-                // its positions are the shard-local sequence
-                // numbers the replay will present, order-isomorphic
-                // to the global ones. Built straight off the shard's
-                // indexed views — no subtrace materialization.
-                Box::new(BeladyPolicy::from_pages(
-                    ctx.warmup
-                        .iter()
-                        .chain(ctx.measured.iter())
-                        .map(|r| r.page().raw()),
-                    sets,
-                    ways,
-                ))
-            }
-            PolicyMode::GmmEvictionOnly | PolicyMode::GmmCachingEviction => {
-                Box::new(self.score_eviction(sets, ways))
-            }
-            PolicyMode::Lru | PolicyMode::GmmCachingOnly => Box::new(LruPolicy::new(sets, ways)),
-        };
-        let admission: Box<dyn icgmm_cache::AdmissionPolicy + Send> = match mode {
-            PolicyMode::GmmCachingOnly | PolicyMode::GmmCachingEviction => {
-                Box::new(self.admission(threshold))
-            }
-            _ => Box::new(AlwaysAdmit),
-        };
-        // Each shard's engine clone optionally gains the online refit loop
-        // (per-shard buffers, per-shard salted seeds, per-shard sink —
-        // replaced wholesale on a supervisor re-replay, exactly like the
-        // fault sink). Empty plans wrap nothing.
-        let score = engine.map(|e| {
-            if self.cfg.adapt.is_empty() {
-                Box::new(e.clone()) as Box<dyn icgmm_cache::ScoreSource + Send>
-            } else {
-                let sink = AdaptSink::new();
-                let adaptive = self.adaptive_engine(e.clone(), ctx.shard as u64, sink.clone());
-                adapt_sinks.lock().expect("adapt sink lock never poisoned")[ctx.shard] = sink;
-                Box::new(adaptive) as Box<dyn icgmm_cache::ScoreSource + Send>
-            }
-        });
-        let (mut admission, mut eviction, mut score) = (admission, eviction, score);
-        if score.is_some() && scorer_armed {
-            let sink = FaultSink::new();
-            let health = plan.monitor_armed().then(|| ScorerHealth::new(&plan));
-            score = score.map(|s| {
-                Box::new(FaultyScore::new(s, plan, health.clone(), sink.clone()))
-                    as Box<dyn icgmm_cache::ScoreSource + Send>
-            });
-            if let Some(h) = &health {
-                if matches!(
-                    mode,
-                    PolicyMode::GmmEvictionOnly | PolicyMode::GmmCachingEviction
-                ) {
-                    eviction = Box::new(FailoverEviction::new(
-                        eviction,
-                        Box::new(LruPolicy::new(sets, ways)),
-                        h.clone(),
-                        sink.clone(),
-                    ));
-                }
-                if matches!(
-                    mode,
-                    PolicyMode::GmmCachingOnly | PolicyMode::GmmCachingEviction
-                ) {
-                    admission =
-                        Box::new(FailoverAdmission::new(admission, h.clone(), sink.clone()));
-                }
-            }
-            shard_sinks.lock().expect("sink lock never poisoned")[ctx.shard] = sink;
-        }
-        ShardPolicies {
-            admission,
-            eviction,
-            score,
-        }
     }
 
     /// Serves the (trimmed) trace through the concurrent
@@ -632,13 +477,13 @@ impl Icgmm {
     /// cannot measure: requests/sec at saturation and p50/p99
     /// admission-decision latencies.
     ///
-    /// The configuration's [`icgmm_cache::FaultPlan`] plugs in unchanged:
-    /// shard-worker panics are supervisor-recovered mid-service, scorer
-    /// faults ride each worker's [`FaultyScore`] wrapper with the health
-    /// monitor and failover policies, and the speculation breaker guards
-    /// batched workers. (Scorer-fault runs are routed to the streaming
-    /// engine: injection interacts with speculative dense scoring, whose
-    /// window boundaries serving necessarily cuts differently.)
+    /// The configuration's [`FaultPlan`] plugs in unchanged: shard-worker
+    /// panics are supervisor-recovered mid-service, scorer faults ride
+    /// each worker's [`FaultyScore`] wrapper with the health monitor and
+    /// failover policies, and the speculation breaker guards batched
+    /// workers. (Scorer-fault runs are routed to the streaming engine:
+    /// injection interacts with speculative dense scoring, whose window
+    /// boundaries serving necessarily cuts differently.)
     ///
     /// # Errors
     ///
@@ -661,58 +506,20 @@ impl Icgmm {
         latency: &LatencyModel,
     ) -> Result<ServeReport, IcgmmError> {
         let shards = self.cfg.sim_shards;
-        if shards > 1 && mode == PolicyMode::Random {
-            return Err(IcgmmError::Config(format!(
-                "random eviction is not shard-deterministic; serve it at sim_shards = 1 \
-                 (requested {shards})"
-            )));
-        }
-        let (warmup, measured) = self.phases(trace);
-        let engine = if mode.uses_gmm() {
-            Some(self.policy_engine()?)
-        } else {
-            None
-        };
-        let threshold = self.model.as_ref().map(|m| m.threshold).unwrap_or(0.0);
-        let plan = self.cfg.fault;
-        let scorer_armed = plan.scorer_armed() || plan.monitor_armed();
-        let shard_sinks = std::sync::Mutex::new(vec![FaultSink::new(); shards]);
-        let adapt_sinks = std::sync::Mutex::new(vec![AdaptSink::new(); shards]);
+        let asm = self.assemble(trace, mode, shards, self.cfg.fault, self.cfg.adapt)?;
+        let (warmup, measured) = asm.phases();
         let server = CacheServer::new(ServeConfig {
             shards,
             clients: self.cfg.serve_clients,
             queue_depth: self.cfg.serve_queue_depth,
             completion_depth: self.cfg.serve_completion_depth,
             params: self.cfg.spec_params(),
-            fault: plan,
+            fault: asm.fault,
             ..ServeConfig::default()
         })?;
-        let mut rep = server.serve(
-            warmup,
-            measured,
-            self.cfg.cache,
-            &|ctx| {
-                self.shard_policies(ctx, mode, engine.as_ref(), threshold, plan, scorer_armed, {
-                    (&shard_sinks, &adapt_sinks)
-                })
-            },
-            latency,
-            None,
-        )?;
-        // Scorer-fault and adaptation telemetry travel by sink, exactly as
-        // offline — merged in shard order for determinism.
-        for sink in shard_sinks
-            .into_inner()
-            .expect("no worker holds the sink lock")
-        {
-            rep.sim.fault.merge(&sink.snapshot());
-        }
-        for sink in adapt_sinks
-            .into_inner()
-            .expect("no worker holds the adapt sink lock")
-        {
-            rep.sim.adapt.merge(&sink.snapshot());
-        }
+        let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
+        let mut rep = server.serve(warmup, measured, self.cfg.cache, &make_shard, latency, None)?;
+        asm.finish(&mut rep.sim.fault, &mut rep.sim.adapt);
         Ok(rep)
     }
 
@@ -720,12 +527,18 @@ impl Icgmm {
     /// instead of the analytic latency constants.
     ///
     /// Host replay follows the same routing as [`Icgmm::run`]: engines at
-    /// paper-scale K ([`icgmm_cache::ScoreSource::prefers_batching`]) ride
-    /// the speculative miss-window batcher with this configuration's
+    /// paper-scale K ([`ScoreSource::prefers_batching`]) ride the
+    /// speculative miss-window batcher with this configuration's
     /// `sim_window`/`sim_window_floor`/`sim_stream_miss_div` knobs, small-K
     /// engines and score-free modes stream. The modeled timing is
     /// bit-identical either way; [`DataflowReport::spec`] carries the
     /// speculation telemetry of batched runs.
+    ///
+    /// The dataflow front-end replays the **frozen** model: it is the one
+    /// caller that hands the assembly an empty [`AdaptPlan`], so an armed
+    /// `IcgmmConfig::adapt` is ignored and the report's stats equal
+    /// [`Icgmm::run`]'s with the plan cleared (refits under the modeled
+    /// global FIFO/SSD queue are not modeled).
     ///
     /// # Errors
     ///
@@ -736,153 +549,38 @@ impl Icgmm {
         mode: PolicyMode,
         config: &DataflowConfig,
     ) -> Result<DataflowReport, IcgmmError> {
-        let (warmup, measured) = self.phases(trace);
-        let sets = self.cfg.cache.num_sets();
-        let ways = self.cfg.cache.ways;
-        let mut engine = if mode.uses_gmm() {
-            Some(self.policy_engine()?)
-        } else {
-            None
-        };
-        let threshold = self.model.as_ref().map(|m| m.threshold).unwrap_or(0.0);
-        let use_batched = engine
-            .as_ref()
-            .is_some_and(icgmm_cache::ScoreSource::prefers_batching);
-        let params = self.cfg.spec_params();
-
         // This configuration's fault plan rides along unless the dataflow
-        // config armed its own: device faults and the circuit breaker act
-        // inside the hardware model, scorer faults and policy failover are
-        // wired here, and everything lands in the report's fault block.
-        let effective;
-        let config = if config.fault.is_empty() && !self.cfg.fault.is_empty() {
-            effective = DataflowConfig {
-                fault: self.cfg.fault,
-                ..config.clone()
-            };
-            &effective
+        // config armed its own: device faults and the breaker act inside
+        // the hardware model, scorer faults and policy failover come from
+        // the assembly, and everything lands in the report's fault block.
+        let mut config = config.clone();
+        if config.fault.is_empty() {
+            config.fault = self.cfg.fault;
+        }
+        let asm = self.assemble(trace, mode, 1, config.fault, AdaptPlan::empty())?;
+        let (warmup, measured) = asm.phases();
+        let mut pol = asm.shard(&ShardCtx {
+            shard: 0,
+            shards: 1,
+            warmup: warmup.into(),
+            measured: measured.into(),
+        });
+        let batched = resolve_shard_routing(ShardRouting::Auto, &pol);
+        let (adm, ev) = (pol.admission.as_mut(), pol.eviction.as_mut());
+        let score = pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource);
+        let cache = self.cfg.cache;
+        let mut report = if batched {
+            let params = self.cfg.spec_params();
+            icgmm_hw::run_dataflow_batched_with_warmup(
+                warmup, measured, cache, adm, ev, score, &config, params,
+            )?
         } else {
-            config
+            icgmm_hw::run_dataflow_streaming_with_warmup(
+                warmup, measured, cache, adm, ev, score, &config,
+            )?
         };
-        let plan = config.fault;
-        let sink = FaultSink::new();
-        let health = (engine.is_some() && plan.monitor_armed()).then(|| ScorerHealth::new(&plan));
-        let mut faulty = if engine.is_some() && (plan.scorer_armed() || health.is_some()) {
-            engine
-                .take()
-                .map(|e| FaultyScore::new(e, plan, health.clone(), sink.clone()))
-        } else {
-            None
-        };
-        let score: Option<&mut dyn icgmm_cache::ScoreSource> = match faulty.as_mut() {
-            Some(f) => Some(f),
-            None => engine
-                .as_mut()
-                .map(|e| e as &mut dyn icgmm_cache::ScoreSource),
-        };
-        let wrap_ev = |primary: GmmScorePolicy| -> Box<dyn icgmm_cache::EvictionPolicy + Send> {
-            match &health {
-                Some(h) => Box::new(FailoverEviction::new(
-                    Box::new(primary),
-                    Box::new(LruPolicy::new(sets, ways)),
-                    h.clone(),
-                    sink.clone(),
-                )),
-                None => Box::new(primary),
-            }
-        };
-        let wrap_adm = |primary: ThresholdAdmit| -> Box<dyn icgmm_cache::AdmissionPolicy + Send> {
-            match &health {
-                Some(h) => Box::new(FailoverAdmission::new(
-                    Box::new(primary),
-                    h.clone(),
-                    sink.clone(),
-                )),
-                None => Box::new(primary),
-            }
-        };
-        let cache_cfg = self.cfg.cache;
-        let go = |adm: &mut dyn icgmm_cache::AdmissionPolicy,
-                  ev: &mut dyn icgmm_cache::EvictionPolicy,
-                  score: Option<&mut dyn icgmm_cache::ScoreSource>|
-         -> Result<DataflowReport, IcgmmError> {
-            Ok(if use_batched {
-                icgmm_hw::run_dataflow_batched_with_warmup(
-                    warmup, measured, cache_cfg, adm, ev, score, config, params,
-                )?
-            } else {
-                icgmm_hw::run_dataflow_streaming_with_warmup(
-                    warmup, measured, cache_cfg, adm, ev, score, config,
-                )?
-            })
-        };
-        let mut report = match mode {
-            PolicyMode::Lru | PolicyMode::Fifo | PolicyMode::Random | PolicyMode::Lfu => {
-                let mut ev: Box<dyn icgmm_cache::EvictionPolicy> = match mode {
-                    PolicyMode::Fifo => Box::new(FifoPolicy::new(sets, ways)),
-                    PolicyMode::Random => Box::new(RandomPolicy::new(self.cfg.em.seed)),
-                    PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
-                    _ => Box::new(LruPolicy::new(sets, ways)),
-                };
-                go(&mut AlwaysAdmit, ev.as_mut(), None)
-            }
-            PolicyMode::Belady => {
-                let end = warmup.len() + measured.len();
-                let mut ev = BeladyPolicy::from_records(&trace.records()[..end], sets, ways);
-                go(&mut AlwaysAdmit, &mut ev, None)
-            }
-            PolicyMode::GmmCachingOnly => {
-                let mut adm = wrap_adm(self.admission(threshold));
-                go(adm.as_mut(), &mut LruPolicy::new(sets, ways), score)
-            }
-            PolicyMode::GmmEvictionOnly => {
-                let mut ev = wrap_ev(self.score_eviction(sets, ways));
-                go(&mut AlwaysAdmit, ev.as_mut(), score)
-            }
-            PolicyMode::GmmCachingEviction => {
-                let mut adm = wrap_adm(self.admission(threshold));
-                let mut ev = wrap_ev(self.score_eviction(sets, ways));
-                go(adm.as_mut(), ev.as_mut(), score)
-            }
-        }?;
-        report.fault.merge(&sink.snapshot());
+        asm.finish(&mut report.fault, &mut AdaptStats::default());
         Ok(report)
-    }
-
-    /// Wraps one engine clone in the online refit loop described by
-    /// `self.cfg.adapt` (callers check [`icgmm_cache::AdaptPlan::is_empty`]
-    /// first). `shard` salts the plan seed so each shard draws independent
-    /// reservoir and re-seed streams.
-    fn adaptive_engine(&self, engine: GmmPolicyEngine, shard: u64, sink: AdaptSink) -> AdaptiveEngine {
-        let model = self
-            .model
-            .as_ref()
-            .expect("a GMM engine implies a trained model");
-        AdaptiveEngine::new(
-            engine,
-            &model.gmm,
-            self.cfg.em,
-            &self.cfg.preprocess,
-            self.cfg.adapt,
-            shard,
-            sink,
-        )
-        .expect("adapt plan is validated at configuration time")
-    }
-
-    fn score_eviction(&self, sets: usize, ways: usize) -> GmmScorePolicy {
-        if self.cfg.eviction_hit_bonus > 0.0 {
-            GmmScorePolicy::with_hit_bonus(sets, ways, self.cfg.eviction_hit_bonus)
-        } else {
-            GmmScorePolicy::new(sets, ways)
-        }
-    }
-
-    fn admission(&self, threshold: f64) -> ThresholdAdmit {
-        ThresholdAdmit {
-            threshold,
-            admit_writes_always: self.cfg.admit_writes_always,
-        }
     }
 }
 

@@ -59,9 +59,9 @@ pub mod fixed;
 pub mod scorer;
 
 pub use em::{EmConfig, EmReport, EmTrainer};
-pub use incremental::IncrementalEm;
 pub use error::GmmError;
 pub use gaussian::{Gaussian2, Mat2, Vec2};
+pub use incremental::IncrementalEm;
 pub use init::InitMethod;
 pub use model::Gmm;
 pub use scaler::StandardScaler;

@@ -125,6 +125,15 @@ pub enum ServeError {
         /// Panic payload description.
         message: String,
     },
+    /// The policies `make_shard` built cannot reproduce the
+    /// single-threaded replay above one shard (mirrors
+    /// [`icgmm_cache::ShardRunError::Contract`]).
+    Contract {
+        /// Index of the refused shard.
+        shard: usize,
+        /// The refusal, naming the offending policy or score source.
+        message: String,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -137,6 +146,9 @@ impl fmt::Display for ServeError {
             ),
             ServeError::ShardFailed { shard, message } => {
                 write!(f, "shard {shard} failed beyond recovery: {message}")
+            }
+            ServeError::Contract { shard, message } => {
+                write!(f, "shard {shard} refused: {message}")
             }
         }
     }

@@ -244,20 +244,17 @@ impl CacheServer {
     /// report. `make_shard` is called once per shard *on that shard's
     /// worker thread* (hence `Fn + Sync`), exactly as in
     /// [`icgmm_cache::ShardedSimulator::run`]; the same shard-determinism
-    /// contracts are asserted above one shard.
+    /// contracts are checked above one shard. A lost or duplicated
+    /// outcome trips the merge's ordering assertion — a service bug, not
+    /// an input error.
     ///
     /// # Errors
     ///
     /// [`ServeError::Config`] for invalid cache geometry;
-    /// [`ServeError::ShardFailed`] when a worker dies and the
+    /// [`ServeError::Contract`] when running more than one shard with a
+    /// non-shard-deterministic eviction policy or a non-shardable score
+    /// source; [`ServeError::ShardFailed`] when a worker dies and the
     /// supervisor's offline re-replay of its subtrace dies too.
-    ///
-    /// # Panics
-    ///
-    /// Panics when running more than one shard with a non-
-    /// shard-deterministic eviction policy or a non-shardable score
-    /// source, and on any lost/duplicated outcome (the merge's ordering
-    /// assertion — a service bug, not an input error).
     pub fn serve(
         &self,
         warmup: &[TraceRecord],
@@ -386,17 +383,16 @@ impl CacheServer {
                             measured: meas,
                         };
                         let pol = make_shard(&ctx);
-                        if let Err(msg) = shard_contract(s, &pol) {
-                            // resume_unwind skips the panic hook: the
-                            // refusal is re-asserted plainly on the
-                            // calling thread by the supervisor.
-                            resume_unwind(Box::new(msg));
-                        }
+                        // A refused worker returns before touching its
+                        // queues; the dropped channel ends wake the
+                        // merger, which fails the session.
+                        shard_contract(s, &pol)
+                            .map_err(|message| ServeError::Contract { shard, message })?;
                         let batched = resolve_shard_routing(routing, &pol) && !force_streaming;
-                        run_worker(
+                        Ok(run_worker(
                             rx, tx, pol, cache_cfg, params, batched, lat, at, breaker, warmup_len,
                             batch, dry_budget, infl, comp_depth,
-                        )
+                        ))
                     })
                 })
                 .collect();
@@ -448,10 +444,11 @@ impl CacheServer {
                                 measured: meas,
                             };
                             let pol = make_shard(&ctx);
-                            // A contract refusal reproduces here as the
-                            // deterministic plain panic callers observe.
-                            if let Err(msg) = shard_contract(s, &pol) {
-                                panic!("{msg}");
+                            // A refused worker looks dead from here; the
+                            // refusal reproduces deterministically.
+                            if let Err(message) = shard_contract(s, &pol) {
+                                merge_err = Some(ServeError::Contract { shard, message });
+                                break 'merge;
                             }
                             recovered_names.get_or_insert_with(|| {
                                 (
@@ -514,7 +511,10 @@ impl CacheServer {
             let mut names = recovered_names;
             for (shard, h) in worker_handles.into_iter().enumerate() {
                 match h.join() {
-                    Ok(done) => {
+                    Ok(Err(refused)) => {
+                        merge_err.get_or_insert(refused);
+                    }
+                    Ok(Ok(done)) => {
                         hist.merge(&done.hist);
                         spec.merge(&done.spec);
                         fault.merge(&done.fault);

@@ -452,3 +452,30 @@ fn blocking_backpressure_serves_exactly() {
     assert_eq!(rep.sim, reference);
     assert_eq!(rep.sheds, 0);
 }
+
+/// The shard-determinism contract is a typed refusal, not a panic, and
+/// the session still shuts down cleanly (every client and worker joins).
+#[test]
+fn random_eviction_is_refused_above_one_shard() {
+    let trace = zipf_trace(5, 300, 32, 0.2, 15);
+    let err = serve(
+        ServeConfig {
+            shards: 2,
+            clients: 2,
+            queue_depth: 4,
+            ..ServeConfig::default()
+        },
+        "random",
+        "always",
+        "none",
+        &trace,
+        75,
+    )
+    .expect_err("random eviction must be refused above one shard");
+    match err {
+        ServeError::Contract { message, .. } => {
+            assert!(message.contains("not shard-deterministic"), "{message}");
+        }
+        other => panic!("expected a contract refusal, got {other:?}"),
+    }
+}

@@ -100,7 +100,9 @@ fn held_off(seed: u64) -> AdaptPlan {
 fn empty_plan_runs_leave_adapt_telemetry_clean() {
     let (trace, _) = fixture();
     let sys = system_with(AdaptPlan::empty(), 2);
-    let rep = sys.run_sharded(trace, PolicyMode::GmmCachingEviction).unwrap();
+    let rep = sys
+        .run_sharded(trace, PolicyMode::GmmCachingEviction)
+        .unwrap();
     assert!(
         rep.sim.adapt.is_clean(),
         "an empty plan must never touch the adaptation loop: {:?}",
@@ -189,7 +191,10 @@ fn static_vs_adaptive_repairs_drift_on_the_rotating_workload() {
         trace.len() / 3,
     )
     .unwrap();
-    assert!(cmp.static_run.adapt.is_clean(), "the static arm never adapts");
+    assert!(
+        cmp.static_run.adapt.is_clean(),
+        "the static arm never adapts"
+    );
     assert!(
         cmp.adaptive_run.adapt.swaps > 0,
         "the rotating workload must trip the detector: {:?}",
@@ -197,6 +202,35 @@ fn static_vs_adaptive_repairs_drift_on_the_rotating_workload() {
     );
     assert_eq!(cmp.adaptive_run.adapt.swaps, cmp.adaptive_run.adapt.refits);
     assert!(cmp.miss_improvement_pts().is_finite());
+}
+
+/// The dataflow front-end replays the frozen model: an armed plan that
+/// demonstrably changes `run`'s decisions leaves `run_dataflow` equal to
+/// the static arm. (The model is fitted on a prefix so there is drift to
+/// chase — on the shared whole-trace model the detector never fires.)
+#[test]
+fn dataflow_ignores_an_armed_plan_and_replays_the_frozen_model() {
+    let (trace, _) = fixture();
+    let mode = PolicyMode::GmmCachingEviction;
+    let prefix = Trace::from_records(trace.records()[..trace.len() / 3].to_vec());
+    let mut frozen = Icgmm::new(adapt_cfg()).unwrap();
+    frozen.fit(&prefix).unwrap();
+    let mut armed = Icgmm::new(IcgmmConfig {
+        adapt: AdaptPlan::drifty(3),
+        ..adapt_cfg()
+    })
+    .unwrap();
+    armed.set_model(frozen.model().expect("fitted").clone());
+
+    let static_run = frozen.run(trace, mode).unwrap();
+    let adaptive_run = armed.run(trace, mode).unwrap();
+    assert!(adaptive_run.sim.adapt.swaps > 0, "the plan must be live");
+    assert_ne!(adaptive_run.sim.stats, static_run.sim.stats);
+
+    let dataflow = armed
+        .run_dataflow(trace, mode, &icgmm::hw::DataflowConfig::default())
+        .unwrap();
+    assert_eq!(dataflow.stats, static_run.sim.stats);
 }
 
 proptest! {
