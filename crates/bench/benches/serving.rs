@@ -6,13 +6,13 @@
 //!
 //! * the pooled multi-tenant interleave (16 tenants, per-tenant Zipf) —
 //!   the request mix a shared CXL device actually serves; and
-//! * the all-miss scan — every request scores, the speculative-batching
-//!   regime where hand-off overhead is most exposed.
+//! * the all-miss scan — every request scores, the regime where hand-off
+//!   overhead is most exposed.
 //!
 //! CI gates only the tightest pair: serving at S = 1 / C = 1 with a deep
 //! queue must hold ≥ 0.85× the unsharded replay rate. That single-worker
 //! geometry replays the identical decision sequence through the identical
-//! batcher, so the ratio isolates the service machinery itself — queue
+//! streaming step, so the ratio isolates the service machinery itself — queue
 //! hand-off, per-request admission timestamping, sequence-numbered
 //! outcome streaming and the incremental merge. The wide geometries
 //! (4 shards × 2 clients, 8 shards × 4 clients) exercise the per-shard
@@ -121,7 +121,7 @@ fn bench_serving(c: &mut Criterion) {
     let cfg = cache_cfg();
 
     // The gate geometry: one worker, one client, a queue deep enough that
-    // hand-off never stalls the batcher mid-chunk.
+    // hand-off never stalls the worker.
     let tight = CacheServer::new(ServeConfig {
         shards: 1,
         clients: 1,

@@ -4,9 +4,9 @@
 //!
 //! Three scenario families at paper-scale K = 256:
 //!
-//! * the all-miss scan from `sim_batch` (every request scores, the
-//!   batched-kernel regime) at shard counts {1, 2, 4, 8} against the
-//!   unsharded `WindowedSimulator`;
+//! * the all-miss scan from `sim_batch` (every request scores) at shard
+//!   counts {1, 2, 4, 8} against the unsharded `WindowedSimulator` — which,
+//!   like the shards, streams the engine (it does not prefer batching);
 //! * the multi-tenant pooled workload (16 tenants, Zipf-interleaved) —
 //!   the trace shape sharding exists for; and
 //! * setup-only scenarios: the index fan-out in isolation

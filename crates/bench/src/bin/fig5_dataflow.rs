@@ -90,8 +90,8 @@ fn main() {
 
     // Host-replay speculation telemetry: the modeled timing above is
     // bit-identical between the streaming and batched replay engines, so
-    // these columns are pure host-side diagnostics (`None` would mean the
-    // engine streamed — small K below the `prefers_batching` floor).
+    // these columns are pure host-side diagnostics (`None` means the
+    // engine streamed — which the GMM policy engine now always does).
     let spec_cell = |r: &icgmm_hw::DataflowReport,
                      get: &dyn Fn(&icgmm_cache::SpecStats) -> String| {
         r.spec.as_ref().map_or_else(|| "streamed".into(), get)

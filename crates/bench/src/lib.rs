@@ -18,8 +18,11 @@
 //! K = 256) and take minutes.
 
 use icgmm::benchmarks::BenchmarkSpec;
-use icgmm::IcgmmConfig;
-use icgmm_gmm::EmConfig;
+use icgmm::{GmmPolicyEngine, IcgmmConfig, TrainedModel};
+use icgmm_gmm::{EmConfig, Gaussian2, Gmm, Mat2, StandardScaler};
+use icgmm_trace::{PreprocessConfig, TraceRecord, Zipf};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Harness scale selected on the command line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,6 +92,50 @@ fn arg_value(flag: &str) -> Option<u64> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
+}
+
+/// A hand-built K-component policy engine (no EM) for replay-timing
+/// scenarios: components spread over the standardized feature square,
+/// pages `0..span` mapped onto it, and a `−∞` threshold so admission
+/// never bypasses (no bypass noise in the timing).
+pub fn hand_engine(k: usize, span: usize) -> GmmPolicyEngine {
+    let comps: Vec<Gaussian2> = (0..k)
+        .map(|i| {
+            let t = i as f64 / k as f64;
+            Gaussian2::new(
+                [t * 10.0 - 5.0, (t * std::f64::consts::TAU).sin()],
+                Mat2::new(0.05 + t * 0.1, 0.01, 0.08),
+            )
+            .expect("valid component")
+        })
+        .collect();
+    let model = TrainedModel {
+        scaler: StandardScaler::fit(&[[0.0, 0.0], [span as f64, 256.0]], &[1.0, 1.0]),
+        gmm: Gmm::new(vec![1.0 / k as f64; k], comps).expect("valid mixture"),
+        threshold: f64::NEG_INFINITY,
+    };
+    let pre = PreprocessConfig {
+        len_window: 32,
+        len_access_shot: 10_000,
+        ..Default::default()
+    };
+    GmmPolicyEngine::new(&model, &pre, false).expect("engine builds")
+}
+
+/// Sequential scan over `n` distinct pages: 100 % miss — the pure miss
+/// window, every request triggers a policy-engine inference.
+pub fn scan_trace(n: usize) -> Vec<TraceRecord> {
+    (0..n as u64).map(|p| TraceRecord::read(p << 12)).collect()
+}
+
+/// `n` Zipf(0.9)-skewed reads over 4096 pages: realistic hit/miss
+/// interleaving.
+pub fn zipf_trace(n: usize) -> Vec<TraceRecord> {
+    let zipf = Zipf::new(4096, 0.9).expect("valid zipf");
+    let mut rng = StdRng::seed_from_u64(1234);
+    (0..n)
+        .map(|_| TraceRecord::read((zipf.sample(&mut rng) - 1) << 12))
+        .collect()
 }
 
 /// Prints a section header in the style all binaries share.

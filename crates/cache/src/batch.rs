@@ -2,11 +2,23 @@
 //! [`ScoreSource::score_window`].
 //!
 //! The streaming simulator scores every miss one at a time because the
-//! admission decision needs the score synchronously. The hardware does not
-//! work that way: the scoring pipeline streams a whole miss window
-//! back-to-back under the Algorithm 1 clock, and PR 1's batched scoring
-//! kernel is 4–5× cheaper per point than the scalar path. This module
-//! closes the gap with *speculation*:
+//! admission decision needs the score synchronously. When this module was
+//! written the batched scoring kernel was 4–5× cheaper per point than the
+//! single-point path, and *speculation* was how a replay got at that
+//! kernel. **That gap is gone**: the single-point GMM kernel now
+//! vectorises across components and costs ≈ 1.4× the batched one per
+//! score (0.55 vs 0.40 µs at K = 256), while speculation spends
+//! ≈ 240 ns per *request* on the shadow and scores up to 2.7× more
+//! positions than misses consume — so no production score source
+//! [`ScoreSource::prefers_batching`] any more, and
+//! [`WindowedSimulator`] hands a source that does not straight to the
+//! streaming loop. What follows describes the speculative path as it runs
+//! for a source that *does* prefer batching (today: only sources wrapped
+//! in [`crate::PreferBatching`] — the differential suites, the `ablation`
+//! bin and the archived `*_batched` benchmark cases); the module is kept
+//! until the repository benchmark's `cache.batch.*` probes are retired.
+//!
+//! Speculation works like this:
 //!
 //! 1. **Classify.** Requests are classified into predicted hits and
 //!    predicted misses against a *shadow* of the cache tag state
@@ -42,8 +54,10 @@
 //!    window upfront, predicted hits included — exactly how the hardware
 //!    pipeline streams a full window through the scoring engine. A hit's
 //!    score the streaming path would never compute costs one batched
-//!    point (~5× cheaper than a scalar score), so the trade wins whenever
-//!    misses clear the kernel cost ratio; it also hands classification
+//!    point, so the trade wins whenever the miss fraction clears the
+//!    batched/single-point kernel cost ratio (≈ 0.22 when the threshold
+//!    was derived; ≈ 0.7 for the GMM engine now, which is why that engine
+//!    no longer speculates at all); it also hands classification
 //!    every score before it starts (no pending scores, no run splits) and
 //!    turns stale-predicted-hit fallbacks into free positional lookups.
 //!    Scores are pure functions of observation position, so the extra
@@ -175,6 +189,10 @@ pub const MIN_SPEC_WINDOW: usize = 16;
 /// plain streaming (scoring so few misses cannot repay per-request
 /// lookahead), for [`STREAM_SPAN_WINDOWS`] × window records before probing
 /// again.
+///
+/// Derived against a 4.5× batched/single-point kernel gap that no longer
+/// exists for the GMM engine (see the module docs); it now only tunes
+/// speculation over [`crate::PreferBatching`]-wrapped sources.
 pub const STREAM_MISS_FRACTION_DIV: usize = 8;
 
 /// How many windows' worth of *observed evidence* each streaming span
@@ -193,11 +211,16 @@ pub const MIN_PROBE_EVIDENCE: usize = 256;
 /// whole window — predicted hits included — in one batched call, before
 /// classification) when the previous window's replay missed at least
 /// 1-in-this-many records. Scoring a hit the streaming path would skip
-/// costs one batched-kernel point (~5× cheaper than a scalar score), so
-/// dense mode wins whenever the miss fraction clears roughly the
-/// batched/scalar cost ratio; below it, per-miss-run sparse prefetching
-/// wins. Results are identical either way — scores are pure functions of
-/// observation position.
+/// costs one batched-kernel point, so dense mode wins whenever the miss
+/// fraction clears roughly the batched/single-point cost ratio; below it,
+/// per-miss-run sparse prefetching wins. Results are identical either way
+/// — scores are pure functions of observation position.
+///
+/// 1-in-4 was derived from a cost ratio of ≈ 0.22 (a batched point ~5×
+/// cheaper than a single-point score). That gap no longer exists for the
+/// GMM engine (ratio ≈ 0.7, see the module docs), which therefore does not
+/// speculate at all; the divisor is left as derived and only tunes
+/// speculation over [`crate::PreferBatching`]-wrapped sources.
 pub const DENSE_MISS_FRACTION_DIV: usize = 4;
 
 /// Tuning knobs of the speculative batcher. Results are bit-identical to
@@ -619,9 +642,10 @@ impl WindowedSimulator {
     /// Batched counterpart of [`crate::simulate_streaming_with_warmup`]:
     /// same arguments, bit-identical [`SimReport`].
     ///
-    /// Without a score source there is nothing to batch, so the call
-    /// delegates to the streaming loop unchanged (score-free baselines pay
-    /// zero speculation overhead).
+    /// Without a score source — or with one that does not
+    /// [`ScoreSource::prefers_batching`] — there is nothing worth
+    /// batching, so the call delegates to the streaming loop unchanged
+    /// (zero speculation overhead, all-zero [`SpecStats`]).
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
@@ -777,18 +801,27 @@ impl WindowedSimulator {
     ) -> SimReport {
         self.spec = SpecStats::default();
         self.fault = FaultStats::default();
-        let Some(score) = score else {
-            return simulate_streaming_impl(
-                warmup,
-                measured,
-                cache,
-                admission,
-                eviction,
-                None,
-                latency,
-                series_window,
-                observer,
-            );
+        // Speculation only pays for a source whose batched kernel is
+        // materially cheaper per score than its single-point one — the
+        // one signal every default entry point routes on. Any other run
+        // (score-free, or a source that does not prefer batching) is the
+        // streaming loop, unchanged.
+        let score = match score {
+            Some(s) if s.prefers_batching() => s,
+            score => {
+                return simulate_streaming_impl(
+                    warmup,
+                    measured,
+                    seq_base,
+                    cache,
+                    admission,
+                    eviction,
+                    score,
+                    latency,
+                    series_window,
+                    observer,
+                );
+            }
         };
 
         self.model = eviction.shadow_victim_model();
@@ -1592,7 +1625,9 @@ pub fn simulate_batched(
 /// One-shot speculative batched simulation at [`DEFAULT_SPEC_WINDOW`].
 ///
 /// Bit-identical to [`crate::simulate_streaming_with_warmup`]; this is the
-/// path [`crate::simulate_with_warmup`] routes scored runs through.
+/// path [`crate::simulate_with_warmup`] routes sources that
+/// [`ScoreSource::prefers_batching`] through (any other source streams
+/// here too — see [`WindowedSimulator::run`]).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_batched_with_warmup(
     warmup: &[TraceRecord],
@@ -1623,7 +1658,7 @@ mod tests {
     use crate::policy::{
         AlwaysAdmit, FifoPolicy, GmmScorePolicy, LfuPolicy, LruPolicy, ThresholdAdmit,
     };
-    use crate::score::{ConstantScore, FnScore};
+    use crate::score::{ConstantScore, FnScore, PreferBatching};
     use crate::sim::{simulate_streaming, simulate_streaming_with_warmup};
 
     fn small_cache() -> SetAssocCache {
@@ -1696,7 +1731,9 @@ mod tests {
 
             let mut c2 = small_cache();
             let mut lru2 = LruPolicy::new(8, 2);
-            let mut s2 = FnScore::new(|page, seq| ((page * 37 + seq) % 100) as f64 / 100.0);
+            let mut s2 = PreferBatching(FnScore::new(|page, seq| {
+                ((page * 37 + seq) % 100) as f64 / 100.0
+            }));
             let mut a2 = ThresholdAdmit::new(0.5);
             let mut sim = WindowedSimulator::new(w);
             let batched = sim.run(
@@ -1736,7 +1773,7 @@ mod tests {
 
         let mut c2 = small_cache();
         let mut lru2 = LruPolicy::new(8, 2);
-        let mut s2 = ConstantScore(1.0);
+        let mut s2 = PreferBatching(ConstantScore(1.0));
         let batched = simulate_batched_with_warmup(
             warm,
             meas,
@@ -1776,6 +1813,70 @@ mod tests {
     }
 
     #[test]
+    fn sources_that_do_not_prefer_batching_delegate_to_streaming() {
+        // The simulator honours `ScoreSource::prefers_batching` itself: an
+        // unwrapped source never speculates — one-shot or chunked (where
+        // the streaming loop must carry the chunk's sequence base, or LRU
+        // stamps would restart at every chunk).
+        let trace = mixed_trace(2_000);
+        let lat = LatencyModel::paper_tlc();
+        let score = || FnScore::new(|page, seq| ((page * 37 + seq) % 100) as f64 / 100.0);
+        let mut c1 = small_cache();
+        let mut lru1 = LruPolicy::new(8, 2);
+        let streaming = simulate_streaming(
+            &trace,
+            &mut c1,
+            &mut ThresholdAdmit::new(0.5),
+            &mut lru1,
+            Some(&mut score()),
+            &lat,
+            None,
+        );
+
+        let mut c2 = small_cache();
+        let mut lru2 = LruPolicy::new(8, 2);
+        let mut sim = WindowedSimulator::new(256);
+        let windowed = sim.run(
+            &[],
+            &trace,
+            &mut c2,
+            &mut ThresholdAdmit::new(0.5),
+            &mut lru2,
+            Some(&mut score()),
+            &lat,
+            None,
+        );
+        assert_eq!(streaming, windowed);
+        assert_eq!(sim.spec_stats(), &SpecStats::default());
+
+        struct Stats(crate::stats::CacheStats);
+        impl ReplayObserver for Stats {
+            fn on_record(&mut self, ev: &crate::sim::ReplayEvent<'_>) {
+                self.0.record(ev.record.op, ev.outcome);
+            }
+        }
+        let mut c3 = small_cache();
+        let mut lru3 = LruPolicy::new(8, 2);
+        let mut admit = ThresholdAdmit::new(0.5);
+        let mut s3 = score();
+        let mut seen = Stats(Default::default());
+        for (i, chunk) in trace.chunks(300).enumerate() {
+            let _ = sim.run_observed_from(
+                (i * 300) as u64,
+                chunk,
+                &mut c3,
+                &mut admit,
+                &mut lru3,
+                Some(&mut s3),
+                &lat,
+                &mut seen,
+            );
+            assert_eq!(sim.spec_stats(), &SpecStats::default());
+        }
+        assert_eq!(seen.0, streaming.stats, "chunked streaming lost its seq");
+    }
+
+    #[test]
     fn bypass_heavy_trace_counts_admission_divergences() {
         // Every cold miss scores 0.0 < threshold, so each speculated insert
         // is bypassed by the real admission policy: the speculation must
@@ -1798,7 +1899,7 @@ mod tests {
 
         let mut c2 = small_cache();
         let mut lru2 = LruPolicy::new(8, 2);
-        let mut s2 = FnScore::new(|page, _| if page < 8 { 1.0 } else { 0.0 });
+        let mut s2 = PreferBatching(FnScore::new(|page, _| if page < 8 { 1.0 } else { 0.0 }));
         let mut a2 = ThresholdAdmit::new(0.5);
         let mut sim = WindowedSimulator::new(256);
         let batched = sim.run(
@@ -1842,7 +1943,9 @@ mod tests {
 
         let mut c2 = small_cache();
         let mut lru2 = LruPolicy::new(8, 2);
-        let mut s2 = FnScore::new(|page, seq| ((page * 37 + seq) % 100) as f64 / 100.0);
+        let mut s2 = PreferBatching(FnScore::new(|page, seq| {
+            ((page * 37 + seq) % 100) as f64 / 100.0
+        }));
         let mut sim = WindowedSimulator::new(256);
         let batched = sim.run(
             &[],
@@ -1874,7 +1977,7 @@ mod tests {
         for div in [1usize, 8] {
             let mut c = small_cache();
             let mut lru = LruPolicy::new(8, 2);
-            let mut s = ConstantScore(1.0);
+            let mut s = PreferBatching(ConstantScore(1.0));
             let mut sim = WindowedSimulator::with_params(SpecParams {
                 window: 256,
                 stream_miss_fraction_div: div,
@@ -1909,7 +2012,7 @@ mod tests {
         let lat = LatencyModel::paper_tlc();
         let mut c = small_cache();
         let mut lru = LruPolicy::new(8, 2);
-        let mut s = ConstantScore(1.0);
+        let mut s = PreferBatching(ConstantScore(1.0));
         let mut sim = WindowedSimulator::new(1024);
         let rep = sim.run(
             &[],
@@ -1957,7 +2060,9 @@ mod tests {
 
         let mut c2 = small_cache();
         let mut g2 = GmmScorePolicy::new(8, 2);
-        let mut s2 = FnScore::new(|page, seq| ((page * 13 + seq * 7) % 101) as f64 / 101.0);
+        let mut s2 = PreferBatching(FnScore::new(|page, seq| {
+            ((page * 13 + seq * 7) % 101) as f64 / 101.0
+        }));
         let mut sim = WindowedSimulator::new(1024);
         let batched = sim.run(
             &[],
@@ -2003,7 +2108,7 @@ mod tests {
             );
             let mut c2 = small_cache();
             let mut e2 = make();
-            let mut s2 = ConstantScore(0.5);
+            let mut s2 = PreferBatching(ConstantScore(0.5));
             let mut sim = WindowedSimulator::new(1024);
             let batched = sim.run(
                 &[],
@@ -2045,7 +2150,9 @@ mod tests {
 
         let mut c2 = small_cache();
         let mut g2 = GmmScorePolicy::with_hit_bonus(8, 2, 0.25);
-        let mut s2 = FnScore::new(|page, seq| ((page * 29 + seq * 3) % 89) as f64 / 89.0);
+        let mut s2 = PreferBatching(FnScore::new(|page, seq| {
+            ((page * 29 + seq * 3) % 89) as f64 / 89.0
+        }));
         let mut sim = WindowedSimulator::new(512);
         let batched = sim.run(
             &[],
@@ -2098,7 +2205,9 @@ mod tests {
 
         let mut c2 = small_cache();
         let mut ev2 = GmmScorePolicy::new(8, 2);
-        let mut s2 = FnScore::new(|page, seq| ((page * 37 + seq) % 100) as f64 / 100.0);
+        let mut s2 = PreferBatching(FnScore::new(|page, seq| {
+            ((page * 37 + seq) % 100) as f64 / 100.0
+        }));
         let mut a2 = ThresholdAdmit::new(0.4);
         let mut sim = WindowedSimulator::new(256);
         let mut got = Collect(Vec::new());

@@ -75,7 +75,7 @@ pub use policy::{
     AccessCtx, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy, FifoPolicy,
     GmmScorePolicy, LfuPolicy, LruPolicy, RandomPolicy, ShadowVictimModel, ThresholdAdmit,
 };
-pub use score::{ConstantScore, FnScore, ScoreSource};
+pub use score::{ConstantScore, FnScore, PreferBatching, ScoreSource};
 pub use shard::{
     resolve_shard_routing, shard_contract, shard_gap_before, GapScore, ShardCtx, ShardPartition,
     ShardPolicies, ShardRouting, ShardRunError, ShardedReport, ShardedSimulator,

@@ -43,13 +43,21 @@ pub trait ScoreSource {
 
     /// Whether this source's [`ScoreSource::score_window`] is genuinely
     /// batched — materially cheaper per score than `observe` +
-    /// `score_current`. The default entry points ([`crate::simulate`],
-    /// [`crate::simulate_with_warmup`]) consult this to decide whether
-    /// miss-window speculation is worth its per-request overhead; sources
-    /// inheriting the default (streaming) `score_window` have nothing to
-    /// gain and should keep the default `false`. Calling
-    /// [`crate::WindowedSimulator`] directly always speculates, whatever
-    /// this returns.
+    /// `score_current`, by enough to repay miss-window speculation (a few
+    /// hundred ns per *request* of shadow classification, plus scores
+    /// computed for predicted misses that then hit). Every replay engine
+    /// routes on this one signal: the default entry points
+    /// ([`crate::simulate`], [`crate::simulate_with_warmup`]), the sharded
+    /// and serving engines, the dataflow front-end, and
+    /// [`crate::WindowedSimulator`] itself, which hands a source answering
+    /// `false` to the streaming loop exactly as it does a score-free run.
+    ///
+    /// No in-tree production source answers `true` any more: since the GMM
+    /// scorer's single-point kernel vectorises across components it costs
+    /// about what the batched kernel does per score (≈ 1.2–1.4× at
+    /// K = 256, down from 4.5×), and streaming replay wins on every
+    /// measured workload. Wrap a source in [`PreferBatching`] to drive the
+    /// speculative path anyway (test suites, ablations).
     fn prefers_batching(&self) -> bool {
         false
     }
@@ -141,6 +149,49 @@ impl<S: ScoreSource + ?Sized> ScoreSource for Box<S> {
     }
 }
 
+/// Forwards every call to the wrapped source and answers
+/// [`ScoreSource::prefers_batching`] with `true` — the way to make a
+/// replay engine speculate over a source that does not ask for it.
+///
+/// Results are bit-identical with or without the wrapper (the batcher's
+/// own invariant); only where the host time goes changes. The
+/// differential suites, the `ablation` bin and the archived `*_batched`
+/// benchmark cases use it to keep exercising
+/// [`crate::WindowedSimulator`]'s speculation, which no production source
+/// selects any more.
+#[derive(Clone, Debug)]
+pub struct PreferBatching<S>(pub S);
+
+impl<S: ScoreSource> ScoreSource for PreferBatching<S> {
+    fn observe(&mut self, record: &TraceRecord) {
+        self.0.observe(record);
+    }
+
+    fn score_current(&mut self) -> f64 {
+        self.0.score_current()
+    }
+
+    fn score_window(&mut self, records: &[TraceRecord], out: &mut [f64]) {
+        self.0.score_window(records, out);
+    }
+
+    fn prefers_batching(&self) -> bool {
+        true
+    }
+
+    fn shardable(&self) -> bool {
+        self.0.shardable()
+    }
+
+    fn observe_gap(&mut self, n: u64) {
+        self.0.observe_gap(n);
+    }
+
+    fn score_window_gapped(&mut self, records: &[TraceRecord], gaps: &[u64], out: &mut [f64]) {
+        self.0.score_window_gapped(records, gaps, out);
+    }
+}
+
 /// A constant score for every page (testing, and the degenerate baseline).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ConstantScore(pub f64);
@@ -207,6 +258,27 @@ mod tests {
         assert_eq!(s.score_current(), 0.7);
         s.observe(&TraceRecord::write(0x9000));
         assert_eq!(s.score_current(), 0.7);
+    }
+
+    #[test]
+    fn prefer_batching_changes_the_signal_and_nothing_else() {
+        let records: Vec<TraceRecord> = (0..6u64).map(|p| TraceRecord::read(p << 12)).collect();
+        let mut plain = FnScore::new(|page, seq| page as f64 * 10.0 + seq as f64);
+        let mut wrapped = PreferBatching(FnScore::new(|page, seq| page as f64 * 10.0 + seq as f64));
+        assert!(!plain.prefers_batching() && wrapped.prefers_batching());
+        assert_eq!(plain.shardable(), wrapped.shardable());
+        let (mut a, mut b) = (vec![0.0; 3], vec![0.0; 3]);
+        plain.score_window_gapped(&records[..3], &[2, 0, 1], &mut a);
+        wrapped.score_window_gapped(&records[..3], &[2, 0, 1], &mut b);
+        assert_eq!(a, b);
+        plain.observe_gap(4);
+        wrapped.observe_gap(4);
+        plain.score_window(&records[3..], &mut a);
+        wrapped.score_window(&records[3..], &mut b);
+        assert_eq!(a, b);
+        plain.observe(&records[0]);
+        wrapped.observe(&records[0]);
+        assert_eq!(plain.score_current(), wrapped.score_current());
     }
 
     #[test]

@@ -366,8 +366,9 @@ pub fn shard_contract(shards: usize, p: &ShardPolicies) -> Result<(), String> {
 /// disagree across shards. Shared with the serving front-end.
 pub fn resolve_shard_routing(routing: ShardRouting, p: &ShardPolicies) -> bool {
     match routing {
-        ShardRouting::Auto => p.score.as_ref().is_some_and(|s| s.prefers_batching()),
-        ShardRouting::Batched => p.score.is_some(),
+        ShardRouting::Auto | ShardRouting::Batched => {
+            p.score.as_ref().is_some_and(|s| s.prefers_batching())
+        }
         ShardRouting::Streaming => false,
     }
 }
@@ -410,9 +411,13 @@ pub enum ShardRouting {
     /// the single-threaded work. The default.
     #[default]
     Auto,
-    /// Always ride the speculative miss-window batcher (mirrors calling
-    /// [`WindowedSimulator`] directly; the equivalence suites use this to
-    /// pit speculating shards against the single-threaded batcher).
+    /// Ask for the speculative miss-window batcher. It can only ask:
+    /// [`WindowedSimulator`] itself streams a source that does not
+    /// [`ScoreSource::prefers_batching`], so this resolves exactly like
+    /// [`ShardRouting::Auto`] and forcing speculation takes a
+    /// [`crate::PreferBatching`]-wrapped source — which is what the
+    /// equivalence suites and the `ablation` bin pair this with. Kept so
+    /// those callers state their intent.
     Batched,
     /// Always take the streaming loop.
     Streaming,
@@ -964,6 +969,7 @@ fn run_shard(
         crate::sim::simulate_streaming_impl(
             warm,
             meas,
+            0,
             &mut cache,
             pol.admission.as_mut(),
             pol.eviction.as_mut(),

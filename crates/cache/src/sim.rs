@@ -8,8 +8,9 @@
 //!
 //! * [`simulate_streaming`] / [`simulate_streaming_with_warmup`] — the
 //!   reference loop: observe each request, score each miss synchronously,
-//!   access the cache. Simple, but every miss pays a scalar policy-engine
-//!   inference.
+//!   access the cache. One single-point policy-engine inference per miss
+//!   — which, since the GMM scorer vectorises that across components, is
+//!   also the cheapest way to replay it.
 //! * The speculative batcher ([`crate::WindowedSimulator`]) — classifies
 //!   the next `W` requests against a shadow of the tag state, prefetches
 //!   predicted-miss scores through [`ScoreSource::score_window`] in
@@ -32,15 +33,15 @@
 //!
 //! [`simulate`] and [`simulate_with_warmup`] are the default entry
 //! points: runs whose score source reports
-//! [`ScoreSource::prefers_batching`] (the GMM policy engine at
-//! paper-scale K — not sources inheriting the default streaming
-//! `score_window`) route through the batcher at
+//! [`ScoreSource::prefers_batching`] route through the batcher at
 //! [`crate::DEFAULT_SPEC_WINDOW`] (tune the cap via
 //! [`crate::WindowedSimulator::new`] — larger `W` amortizes more batching;
 //! the *effective* depth adapts on its own, halving after divergent
-//! windows and recovering after clean ones); score-free runs and
-//! streaming-kernel sources use the streaming loop directly. Equivalence
-//! across all policy pairs is enforced by property tests
+//! windows and recovering after clean ones); score-free runs and every
+//! other source — the GMM policy engine included, whose single-point
+//! kernel costs about what its batched one does — use the streaming loop
+//! directly. [`crate::WindowedSimulator`] applies the same rule itself.
+//! Equivalence across all policy pairs is enforced by property tests
 //! (`tests/batch_equivalence.rs`).
 
 use crate::cache::{AccessOutcome, SetAssocCache};
@@ -104,7 +105,7 @@ pub struct ReplayEvent<'a> {
 /// Consumer of the replay event stream.
 ///
 /// This is the seam between *host replay* (how fast the simulator computes
-/// outcomes — streaming scalar scoring vs the speculative batched kernel)
+/// outcomes — streaming single-point scoring vs the speculative batched kernel)
 /// and *modeled semantics* (what each outcome means): an observer sees the
 /// same per-record stream either way, so anything built on it — the
 /// `icgmm-hw` cycle-approximate dataflow timing, custom telemetry — is
@@ -201,8 +202,8 @@ pub fn simulate(
 ///
 /// Runs whose score source [`ScoreSource::prefers_batching`] ride the
 /// speculative miss-window batcher at the default window; score-free runs
-/// and sources without a batched kernel use the streaming loop (identical
-/// results either way — the routing is purely an economics decision).
+/// and sources that do not use the streaming loop (identical results
+/// either way — the routing is purely an economics decision).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_with_warmup(
     warmup: &[TraceRecord],
@@ -265,8 +266,8 @@ pub fn simulate_streaming(
 /// scored synchronously.
 ///
 /// Kept public as the ground truth the speculative batcher is property-
-/// tested against, and for measuring the batcher's end-to-end speedup
-/// (the `sim_batch` criterion group).
+/// tested against, and as the baseline the default entry points are gated
+/// never to lose to (the `sim_batch` criterion group).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_streaming_with_warmup(
     warmup: &[TraceRecord],
@@ -281,6 +282,7 @@ pub fn simulate_streaming_with_warmup(
     simulate_streaming_impl(
         RecordsRef::from_slice(warmup),
         RecordsRef::from_slice(measured),
+        0,
         cache,
         admission,
         eviction,
@@ -310,6 +312,7 @@ pub fn simulate_streaming_observed_with_warmup(
     simulate_streaming_impl(
         RecordsRef::from_slice(warmup),
         RecordsRef::from_slice(measured),
+        0,
         cache,
         admission,
         eviction,
@@ -339,6 +342,7 @@ pub fn simulate_streaming_observed_records(
     simulate_streaming_impl(
         warmup,
         measured,
+        0,
         cache,
         admission,
         eviction,
@@ -349,10 +353,14 @@ pub fn simulate_streaming_observed_records(
     )
 }
 
+/// The streaming loop behind every public streaming entry point.
+/// `seq_base` is the absolute index of the first record (non-zero only for
+/// the batcher's chunked continuations, which pass no warm-up).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_streaming_impl(
     warmup: RecordsRef<'_>,
     measured: RecordsRef<'_>,
+    seq_base: u64,
     cache: &mut SetAssocCache,
     admission: &mut dyn AdmissionPolicy,
     eviction: &mut dyn EvictionPolicy,
@@ -364,14 +372,14 @@ pub(crate) fn simulate_streaming_impl(
     let mut acct = Accounting::new(warmup.len(), latency, series_window, observer);
 
     for (i, r) in warmup.iter().chain(measured.iter()).enumerate() {
-        let (outcome, score_val) =
-            streaming_step(r, i as u64, cache, admission, eviction, &mut score);
+        let seq = seq_base + i as u64;
+        let (outcome, score_val) = streaming_step(r, seq, cache, admission, eviction, &mut score);
         let origin = if score_val.is_some() {
             ScoreOrigin::Streamed
         } else {
             ScoreOrigin::None
         };
-        acct.record(i as u64, r, &outcome, score_val, origin);
+        acct.record(seq, r, &outcome, score_val, origin);
     }
 
     acct.into_report(measured.len(), eviction, admission)

@@ -5,11 +5,12 @@
 //! rollback.
 
 use icgmm_cache::{
-    simulate_streaming_with_warmup, FnScore, LatencyModel, LruPolicy, ScoreSource, SetAssocCache,
-    ThresholdAdmit, WindowedSimulator,
+    simulate_streaming_with_warmup, FnScore, LatencyModel, LruPolicy, PreferBatching, ScoreSource,
+    SetAssocCache, ThresholdAdmit, WindowedSimulator,
 };
 use icgmm_testutil::{
-    admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, EVICTIONS, SCORES,
+    admission_for, eviction_for, score_for, small_cfg, speculating_score_for, zipf_trace,
+    ADMISSIONS, EVICTIONS, SCORES,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -51,7 +52,7 @@ fn run_pair(
     let mut c2 = SetAssocCache::new(cfg).unwrap();
     let mut ev2 = eviction_for(eviction, cfg, trace);
     let mut ad2 = admission_for(admission);
-    let mut sc2 = score_for(score);
+    let mut sc2 = speculating_score_for(score);
     let mut wsim = WindowedSimulator::new(window);
     let batched = wsim.run(
         warm,
@@ -234,4 +235,20 @@ fn public_simulate_matches_streaming_reference() {
         None,
     );
     assert_eq!(streaming, defaulted);
+
+    // …and a source that does prefer batching takes the other route.
+    let mut c3 = SetAssocCache::new(cfg).unwrap();
+    let mut ev3 = LruPolicy::new(cfg.num_sets(), cfg.ways);
+    let mut sc3 = PreferBatching(FnScore::new(|p, s| ((p * 31 + s) % 97) as f64 / 97.0));
+    let mut ad3 = ThresholdAdmit::new(0.3);
+    let speculated = icgmm_cache::simulate(
+        &trace,
+        &mut c3,
+        &mut ad3,
+        &mut ev3,
+        Some(&mut sc3),
+        &lat,
+        None,
+    );
+    assert_eq!(streaming, speculated);
 }

@@ -6,11 +6,12 @@
 use icgmm_cache::{
     simulate_streaming_with_warmup, AccessCtx, EvictionPolicy, FailoverAdmission, FailoverEviction,
     FaultPlan, FaultSink, FaultyScore, FnScore, GmmScorePolicy, LatencyModel, LruPolicy,
-    ScoreSource, ScorerHealth, SetAssocCache, ShardPolicies, ShardRunError, ShardedReport,
-    ShardedSimulator, SpecParams, ThresholdAdmit, WindowedSimulator,
+    PreferBatching, ScoreSource, ScorerHealth, SetAssocCache, ShardPolicies, ShardRunError,
+    ShardedReport, ShardedSimulator, SpecParams, ThresholdAdmit, WindowedSimulator,
 };
 use icgmm_testutil::{
-    admission_for, conflict_trace, eviction_for, score_for, small_cfg, zipf_trace,
+    admission_for, conflict_trace, eviction_for, score_for, small_cfg, speculating_score_for,
+    zipf_trace,
 };
 use icgmm_trace::{Op, PageIndex, TraceRecord};
 use proptest::prelude::*;
@@ -100,7 +101,7 @@ proptest! {
         let mut c2 = SetAssocCache::new(cfg).unwrap();
         let mut ev2 = GmmScorePolicy::new(sets, ways);
         let mut ad2 = ThresholdAdmit::new(0.5);
-        let mut sc2 = non_finite_score();
+        let mut sc2 = PreferBatching(non_finite_score());
         let mut wsim = WindowedSimulator::with_params(SpecParams::with_window(128));
         let batched = wsim.run(
             warm, meas, &mut c2, &mut ad2, &mut ev2,
@@ -254,7 +255,7 @@ fn breaker_run(
     let mut cache = SetAssocCache::new(cfg).unwrap();
     let mut ev = eviction_for("gmm-score", cfg, trace);
     let mut ad = admission_for("threshold");
-    let mut sc = score_for("fn");
+    let mut sc = speculating_score_for("fn");
     let mut wsim = WindowedSimulator::with_params(SpecParams::with_window(128));
     if let Some((storm, cooldown)) = breaker {
         wsim.set_breaker(storm, cooldown);

@@ -13,7 +13,8 @@ use icgmm_cache::{
     ShardedSimulator, SimReport, SpecParams, SpecStats, ThresholdAdmit, WindowedSimulator,
 };
 use icgmm_testutil::{
-    admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, SHARDABLE_EVICTIONS,
+    admission_for, eviction_for, score_for, small_cfg, speculating_score_for, zipf_trace,
+    ADMISSIONS, SHARDABLE_EVICTIONS,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -33,9 +34,10 @@ fn run_sharded(
     let cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();
     let (warm, meas) = trace.split_at(warmup_len);
-    // `Batched` mirrors calling `WindowedSimulator` directly: every shard
-    // speculates, so the suite exercises the batcher (shadow, rollback,
-    // run splits) under sharding even for streaming-kernel score sources.
+    // `Batched` hands every shard to `WindowedSimulator`, and the sources
+    // are wrapped to prefer batching, so every shard really speculates:
+    // the suite exercises the batcher (shadow, rollback, run splits) under
+    // sharding even though no production source selects it.
     let sim = ShardedSimulator::with_params(shards, SpecParams::with_window(window))
         .with_routing(ShardRouting::Batched);
     let rep = sim
@@ -56,7 +58,7 @@ fn run_sharded(
                 ShardPolicies {
                     admission: admission_for(admission),
                     eviction: eviction_for(eviction, cfg, &recs),
-                    score: score_for(score),
+                    score: speculating_score_for(score),
                 }
             },
             &lat,
@@ -98,7 +100,7 @@ fn references(
     let mut c2 = SetAssocCache::new(cfg).unwrap();
     let mut ev2 = eviction_for(eviction, cfg, trace);
     let mut ad2 = admission_for(admission);
-    let mut sc2 = score_for(score);
+    let mut sc2 = speculating_score_for(score);
     let mut wsim = WindowedSimulator::with_params(SpecParams::with_window(window));
     let batched = wsim.run(
         warm,
@@ -255,8 +257,8 @@ fn scores_consumed_counts_scored_misses() {
             None,
         )
         .unwrap();
-    // FnScore inherits the streaming score_window, so Auto routing takes
-    // the streaming route: one consumed score per miss.
+    // FnScore does not prefer batching, so Auto routing takes the
+    // streaming route: one consumed score per miss.
     assert!(!rep.batched);
     assert_eq!(rep.scores_consumed, rep.sim.stats.misses());
 }

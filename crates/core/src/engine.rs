@@ -25,9 +25,11 @@ pub struct TrainedModel {
 /// Online policy engine driving the cache simulator.
 ///
 /// Scoring goes through the mixture's flat [`GmmScorer`] kernel: the
-/// streaming path (`score_current`) uses its allocation-free scalar
-/// log-sum-exp, and the windowed path (`score_window`) batches a whole
-/// miss window through `score_batch` — bit-identical results, one kernel.
+/// streaming path (`score_current`) uses its allocation-free single-point
+/// log-sum-exp (vectorised across the K components of the one miss, like
+/// the paper's pipeline), and the windowed path (`score_window`) pushes a
+/// whole window through `score_batch` (vectorised across points) —
+/// bit-identical results, one summation order.
 #[derive(Clone, Debug)]
 pub struct GmmPolicyEngine {
     scaler: StandardScaler,
@@ -41,12 +43,15 @@ pub struct GmmPolicyEngine {
 }
 
 impl GmmPolicyEngine {
-    /// Windows at or below this many points take the allocation-free
-    /// scalar kernel — the batched kernel's per-call setup would dominate
-    /// (the speculative batcher emits many short windows on hit-heavy
-    /// traces). Scalar and batched scoring are bit-identical, so the
-    /// routing is invisible.
-    const SCALAR_MAX: usize = 4;
+    /// Windows at or below this many points take the single-point kernel:
+    /// the batched kernel vectorises across *points*, so a window shorter
+    /// than one 8-lane vector runs its scalar remainder loop and pays a
+    /// term-scratch allocation on top. Measured per score (ns, single →
+    /// batched): K = 32: 168 → 186 at 6 points, 164 → 104 at 8; K = 64:
+    /// 179 → 241 at 6, 181 → 136 at 8; K = 256: 649 → 1 466 at 6,
+    /// 664 → 754 at 8, parity from 16. Single-point and batched scoring
+    /// are bit-identical, so the routing is invisible.
+    const SCALAR_MAX: usize = 7;
 
     /// Builds the engine.
     ///
@@ -158,11 +163,10 @@ impl ScoreSource for GmmPolicyEngine {
     /// round-trips. Results are bit-identical to the streaming path
     /// (asserted in this module's tests).
     ///
-    /// Windows shorter than a few points take the allocation-free scalar
-    /// kernel instead — the batched kernel's per-call setup would dominate
-    /// there, and the speculative batcher emits many short windows on
-    /// hit-heavy traces. Scalar and batched scoring are bit-identical
-    /// (property-tested in the gmm crate), so the routing is invisible.
+    /// Windows shorter than one vector of points take the single-point
+    /// kernel instead (see `SCALAR_MAX`). Single-point and batched scoring
+    /// are bit-identical (property-tested in the gmm crate), so the
+    /// routing is invisible.
     fn score_window(&mut self, records: &[TraceRecord], out: &mut [f64]) {
         assert_eq!(records.len(), out.len(), "one score slot per record");
         if records.len() <= Self::SCALAR_MAX {
@@ -207,8 +211,7 @@ impl ScoreSource for GmmPolicyEngine {
     /// Sharded counterpart of the batched `score_window`: `gaps[i]`
     /// foreign-shard requests tick the Algorithm 1 clock before
     /// `records[i]` is observed, and the whole window still goes through
-    /// one batched kernel call — a shard pays the same per-window kernel
-    /// economics as the single-threaded batcher.
+    /// one batched kernel call.
     fn score_window_gapped(&mut self, records: &[TraceRecord], gaps: &[u64], out: &mut [f64]) {
         assert_eq!(records.len(), out.len(), "one score slot per record");
         assert_eq!(records.len(), gaps.len(), "one gap per record");
@@ -235,13 +238,17 @@ impl ScoreSource for GmmPolicyEngine {
         }
     }
 
-    /// The batched kernel wins per point at any K, but the simulator's
-    /// miss-window speculation costs a few tens of ns per *request*; only
-    /// at substantial component counts is the absolute per-miss saving
-    /// large enough to pay for it. Below that, the default entry points
-    /// keep the streaming path (identical results, less machinery).
+    /// Never: the single-point kernel vectorises across components and
+    /// costs about what the batched kernel does per score (≈ 0.55 vs
+    /// ≈ 0.40 µs at K = 256, where it used to be 1.8 vs 0.40), so there
+    /// is no gap for miss-window speculation to win back — it spends
+    /// ≈ 240 ns per *request* on shadow classification and scores up to
+    /// 2.7× more positions than misses consume. The fixed-point datapath's
+    /// `score_batch` is a scalar loop to begin with. Every replay engine
+    /// therefore streams this source (identical results, less machinery);
+    /// wrap it in [`icgmm_cache::PreferBatching`] to speculate anyway.
     fn prefers_batching(&self) -> bool {
-        self.scorer.k() >= 64
+        false
     }
 }
 

@@ -50,13 +50,14 @@ pub struct RunReport {
     pub sim: SimReport,
     /// Policy-engine inferences performed (0 for score-free modes).
     ///
-    /// With the speculative batcher this counts *speculated* inferences —
-    /// the batched kernel also scores predicted misses that turn out to
-    /// hit, exactly like the hardware pipeline scoring a window that a
-    /// later admission decision partially discards.
+    /// Streaming replay — what every mode runs, see [`Icgmm::run`] —
+    /// performs exactly one per scored miss. (A speculating replay would
+    /// count its *speculated* inferences here: the batched kernel also
+    /// scores predicted misses that turn out to hit.)
     pub gmm_inferences: u64,
-    /// Miss-window speculation telemetry (`None` for score-free modes,
-    /// which take the streaming path).
+    /// Miss-window speculation telemetry; `None` whenever the replay
+    /// streamed, which since the single-point scorer caught up with the
+    /// batched one is every mode.
     pub spec: Option<SpecStats>,
 }
 
@@ -356,10 +357,12 @@ impl Icgmm {
     /// latency model — the paper's Fig. 6 / Table 1 measurement.
     ///
     /// This is the one-shard geometry of [`Icgmm::run_sharded`], replayed
-    /// inline on the calling thread: engines at paper-scale K
-    /// ([`ScoreSource::prefers_batching`]) lookahead-classify `sim_window`
-    /// requests and ride the batched scoring kernel, small-K engines and
-    /// score-free modes stream — bit-identical either way. The
+    /// inline on the calling thread. Routing follows
+    /// [`ScoreSource::prefers_batching`]: the GMM policy engine scores a
+    /// single miss about as cheaply as a batched one, so it — like the
+    /// score-free modes — streams, and [`RunReport::spec`] is `None` (a
+    /// source that does prefer batching would lookahead-classify
+    /// `sim_window` requests; bit-identical either way). The
     /// [`FaultPlan`] therefore applies as to any shard: an armed
     /// `shard_panic_per_mille` point is caught, the trace re-replayed once
     /// with it disarmed, and the event counted in
@@ -395,18 +398,16 @@ impl Icgmm {
     /// threads and deterministically merged.
     ///
     /// Each shard owns the sets congruent to its index, with its own
-    /// policy state, its own miss-window speculation and its own policy-
-    /// engine clone kept on the *global* Algorithm 1 clock (foreign-shard
+    /// policy state and its own policy-engine clone kept on the *global*
+    /// Algorithm 1 clock (foreign-shard
     /// requests fast-forward the clock in O(1)), so the merged
     /// [`RunReport::sim`] is **bit-identical** to [`Icgmm::run`]'s for
     /// every shard count — enforced by the differential suite in
     /// `tests/shard_differential.rs` and the property grid in
-    /// `crates/cache/tests/shard_equivalence.rs`. [`RunReport::spec`] is
-    /// the field-wise sum of per-shard telemetry; `gmm_inferences` counts
-    /// the inferences the sharded replay actually performed, which above
-    /// one shard may differ from the single-threaded count (speculation
-    /// windows are per-shard). At `sim_shards = 1` this *is*
-    /// [`Icgmm::run`].
+    /// `crates/cache/tests/shard_equivalence.rs`. `gmm_inferences` counts
+    /// the inferences the sharded replay actually performed — one per
+    /// scored miss, the single-threaded count. At `sim_shards = 1` this
+    /// *is* [`Icgmm::run`].
     ///
     /// # Errors
     ///
@@ -465,8 +466,8 @@ impl Icgmm {
     /// Serves the (trimmed) trace through the concurrent
     /// [`icgmm_serve::CacheServer`]: `serve_clients` submitter threads
     /// feed `sim_shards` shard workers through bounded ingestion queues of
-    /// depth `serve_queue_depth`, the workers decide at speculation speed,
-    /// and a sequence-number merge re-accounts the outcome stream in
+    /// depth `serve_queue_depth`, the workers decide per request, and a
+    /// sequence-number merge re-accounts the outcome stream in
     /// global trace order — incrementally, in O(shards) memory.
     ///
     /// The semantic half of the returned [`ServeReport`] (`sim`,
@@ -480,10 +481,8 @@ impl Icgmm {
     /// The configuration's [`FaultPlan`] plugs in unchanged: shard-worker
     /// panics are supervisor-recovered mid-service, scorer faults ride
     /// each worker's [`FaultyScore`] wrapper with the health monitor and
-    /// failover policies, and the speculation breaker guards batched
-    /// workers. (Scorer-fault runs are routed to the streaming engine:
-    /// injection interacts with speculative dense scoring, whose window
-    /// boundaries serving necessarily cuts differently.)
+    /// failover policies. (The speculation breaker guards batched
+    /// workers only — none run here, the engine streams.)
     ///
     /// # Errors
     ///
@@ -526,13 +525,14 @@ impl Icgmm {
     /// Runs one mode through the cycle-approximate dataflow hardware model
     /// instead of the analytic latency constants.
     ///
-    /// Host replay follows the same routing as [`Icgmm::run`]: engines at
-    /// paper-scale K ([`ScoreSource::prefers_batching`]) ride the
-    /// speculative miss-window batcher with this configuration's
-    /// `sim_window`/`sim_window_floor`/`sim_stream_miss_div` knobs, small-K
-    /// engines and score-free modes stream. The modeled timing is
-    /// bit-identical either way; [`DataflowReport::spec`] carries the
-    /// speculation telemetry of batched runs.
+    /// Host replay follows the same routing as [`Icgmm::run`]
+    /// ([`ScoreSource::prefers_batching`]): the GMM policy engine and the
+    /// score-free modes stream; a source that prefers batching would ride
+    /// the speculative miss-window batcher with this configuration's
+    /// `sim_window`/`sim_window_floor`/`sim_stream_miss_div` knobs. The
+    /// modeled timing is bit-identical either way;
+    /// [`DataflowReport::spec`] carries the speculation telemetry of
+    /// batched runs.
     ///
     /// The dataflow front-end replays the **frozen** model: it is the one
     /// caller that hands the assembly an empty [`AdaptPlan`], so an armed
@@ -670,13 +670,12 @@ mod tests {
 
     #[test]
     fn sim_window_does_not_change_results() {
-        // W = 1 degenerates to per-request speculation; W = default batches
-        // thousands of requests. The SimReport must be bit-identical, with
-        // speculation telemetry present for GMM modes only.
+        // The speculation depth is a host-side knob of the miss-window
+        // batcher. The engine streams at every K (see
+        // `GmmPolicyEngine::prefers_batching`), so the knob must be inert:
+        // bit-identical SimReports and no speculation telemetry.
         let mut small = small_cfg();
         let mut wide = small_cfg();
-        // K >= 64 so the engine prefers the batched path (small-K engines
-        // route to streaming — see `GmmPolicyEngine::prefers_batching`).
         small.em.k = 64;
         wide.em.k = 64;
         small.sim_window = 1;
@@ -690,21 +689,16 @@ mod tests {
             let a = sys_small.run(&trace, mode).unwrap();
             let b = sys_wide.run(&trace, mode).unwrap();
             assert_eq!(a.sim, b.sim, "{mode}");
-            if mode.uses_gmm() {
-                let spec = b.spec.expect("gmm modes speculate");
-                assert!(spec.batched_scores > 0, "{spec:?}");
-            } else {
-                assert!(a.spec.is_none() && b.spec.is_none());
-            }
+            assert!(a.spec.is_none() && b.spec.is_none(), "{mode}");
+            assert_eq!(a.gmm_inferences, b.gmm_inferences, "{mode}");
         }
     }
 
     #[test]
     fn dataflow_sim_window_does_not_change_results() {
-        // The dataflow model rides the batched replay engine at paper-scale
-        // K; the speculation depth is a host-side economics knob and must
-        // leave every modeled quantity — stats and all timing fields —
-        // bit-identical.
+        // The dataflow front-end routes like `run`: the engine streams at
+        // every K, so the speculation depth must leave the whole report —
+        // stats, all timing fields, and the absent telemetry — identical.
         let mut narrow = small_cfg();
         let mut wide = small_cfg();
         narrow.em.k = 64;
@@ -725,12 +719,9 @@ mod tests {
         let b = sys_wide
             .run_dataflow(&trace, PolicyMode::GmmCachingEviction, &cfg)
             .unwrap();
-        assert!(a.spec.is_some() && b.spec.is_some(), "K=64 must batch");
-        let (mut a2, mut b2) = (a.clone(), b.clone());
-        a2.spec = None;
-        b2.spec = None;
-        assert_eq!(a2, b2, "sim_window must not change the dataflow report");
-        // Score-free modes keep the streaming engine (no telemetry).
+        assert!(a.spec.is_none(), "the engine must stream at every K");
+        assert_eq!(a, b, "sim_window must not change the dataflow report");
+        // Score-free modes keep the streaming engine too.
         let lru = sys_narrow
             .run_dataflow(&trace, PolicyMode::Lru, &cfg)
             .unwrap();
@@ -740,7 +731,7 @@ mod tests {
     #[test]
     fn run_sharded_is_bit_identical_to_run_for_every_mode_and_shard_count() {
         let mut base = small_cfg();
-        base.em.k = 64; // engine prefers the batched path
+        base.em.k = 64;
         let trace = WorkloadKind::Memtier
             .default_workload()
             .generate(30_000, 17);

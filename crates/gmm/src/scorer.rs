@@ -19,29 +19,51 @@
 //! exactly the quantities the FPGA keeps in its weight buffer. Scoring
 //! walks these arrays sequentially — cache-line-dense and trivially
 //! vectorizable — instead of hopping through an array-of-structs
-//! `Vec<Gaussian2>` (72 bytes/component of which 40 are used), and never
-//! allocates: the scalar path keeps its running state in registers and the
-//! batch path in fixed-size stack chunks.
+//! `Vec<Gaussian2>` (72 bytes/component of which 40 are used); the
+//! single-point path never allocates (one stack block), the batch path
+//! allocates one term scratch per call.
 //!
 //! # The kernel
 //!
 //! Per point, the mixture log-density is a log-sum-exp over the
 //! per-component joint log-densities `l_k = coef_k − ½ (x−μ_k)ᵀ Σ_k⁻¹
-//! (x−μ_k)`. Both the scalar and the batched kernels use the same
-//! two-pass max-trick formulation — pass 1 finds `m = max_k l_k`, pass 2
-//! accumulates `Σ_k exp(l_k − m)` in component order — so batched results
-//! are **bit-identical** to scalar results (the integration test suite
-//! asserts this). Pass 2 evaluates `exp` through [`exp_unit`], a
-//! branch-free ~2-ulp Cody–Waite + Cephes polynomial that the compiler
-//! can vectorize right inside the component loop (a libm call cannot be),
-//! with inputs clamped at [`EXP_CLAMP`] so fully-underflowed terms cost a
-//! harmless ~3e-308 instead of a denormal stall.
+//! (x−μ_k)`. Every kernel uses the same two-pass max-trick formulation
+//! with one canonical, ISA-independent summation order: pass 1 finds
+//! `m = max_k l_k` (order-free), pass 2 accumulates `exp(l_k − m)` into
+//! partial sum `k % 8`, and the eight partials are combined by one fixed
+//! tree `((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))` — so single-point, batched
+//! and parallel results are **bit-identical** at every K and batch size
+//! (property-tested in `tests/scorer_properties.rs`). Pass 2 evaluates
+//! `exp` through [`exp_unit`], a branch-free ~2-ulp Cody–Waite + Cephes
+//! polynomial that the compiler can vectorize right inside the loop (a
+//! libm call cannot be), with inputs clamped at [`EXP_CLAMP`] so
+//! fully-underflowed terms cost a harmless ~3e-308 instead of a denormal
+//! stall.
 //!
-//! The scalar path recomputes the cheap quadratic form in pass 2 and so
-//! needs no storage at all; the batch path stages one chunk's terms in a
-//! `K × 64` scratch row reused across the whole batch, keeping the
-//! working set at the SoA arrays (10 KiB at K = 256 — L1-resident, like
-//! the paper's 8-BRAM weight buffer) plus that one scratch.
+//! The lane-strided order is what lets *both* shapes vectorise: the
+//! batched kernel runs its loops across the **points** of a chunk (one
+//! component per outer iteration, partial `k % 8` picked per component),
+//! the single-point kernel runs them across the **components** of one
+//! point (eight adjacent components fill the eight partials at once) —
+//! the software analogue of the paper's pipeline streaming the K terms of
+//! one miss through the datapath. A serial `s += exp(..)` over components
+//! is an ordered reduction the compiler may not reassociate, which is why
+//! the single-point path used to cost ~4.5× the batched one per score; it
+//! now costs about the same (see `gmm_inference/{scalar,batched}_k256`).
+//!
+//! The E-step primitives ([`GmmScorer::log_terms_into`],
+//! [`GmmScorer::responsibilities_into`]) deliberately keep the plain
+//! component-order sum: fitted models stay bit-identical across this
+//! kernel's history, at the price that their `lse` and
+//! [`GmmScorer::log_density`] agree only to a few ulp.
+//!
+//! The single-point path stages one point's terms in a 2 KiB stack block
+//! (K ≤ 256 fits whole; larger mixtures go block by block and recompute
+//! the cheap quadratic forms in pass 2); the batch path stages one
+//! chunk's terms in a `K × 64` scratch row reused across the whole batch,
+//! keeping the working set at the SoA arrays (10 KiB at K = 256 —
+//! L1-resident, like the paper's 8-BRAM weight buffer) plus that one
+//! scratch.
 //!
 //! [`GmmScorer::score_batch_parallel`] splits a batch across scoped worker
 //! threads (the same crossbeam pattern as the EM E-step) for offline bulk
@@ -106,9 +128,9 @@ fn exp_unit(x: f64) -> f64 {
 
 /// Fused multiply-add where the target has an FMA unit, plain
 /// multiply-then-add elsewhere (calling `f64::mul_add` without hardware
-/// FMA falls back to a slow correctly-rounded libm routine). Both scalar
-/// and batched kernels go through this one helper, which is what keeps
-/// them bit-identical on every target.
+/// FMA falls back to a slow correctly-rounded libm routine). Every kernel
+/// goes through this one helper, which (with the shared summation order)
+/// is what keeps them bit-identical on every target.
 #[inline(always)]
 fn fmadd(a: f64, b: f64, c: f64) -> f64 {
     #[cfg(target_feature = "fma")]
@@ -123,6 +145,53 @@ fn fmadd(a: f64, b: f64, c: f64) -> f64 {
 
 /// Points per stack-resident batch chunk.
 const CHUNK: usize = 64;
+
+/// Partial sums of the canonical pass-2 order: component `j` accumulates
+/// into partial `j % LANES` (see the module docs).
+const LANES: usize = 8;
+
+/// Terms per stack block of the single-point kernel (2 KiB; one block
+/// holds the paper's K = 256). Must be a multiple of [`LANES`].
+const BLOCK: usize = 256;
+
+const _: () = assert!(
+    BLOCK.is_multiple_of(LANES),
+    "block positions must keep `j % LANES`"
+);
+
+/// The one fixed combine of the [`LANES`] pass-2 partial sums, shared by
+/// every kernel.
+#[inline(always)]
+fn lane_tree(s: &[f64; LANES]) -> f64 {
+    ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+}
+
+/// Folds `terms` into the lane partials: position `i` lands in lane
+/// `i % LANES`. Whole-lane-group loops plus one remainder, so the
+/// compiler keeps `acc` in vector registers.
+#[inline(always)]
+fn fold_lanes(acc: &mut [f64; LANES], terms: &[f64], f: impl Fn(f64, f64) -> f64) {
+    let mut groups = terms.chunks_exact(LANES);
+    for g in &mut groups {
+        for (a, &t) in acc.iter_mut().zip(g) {
+            *a = f(*a, t);
+        }
+    }
+    for (a, &t) in acc.iter_mut().zip(groups.remainder()) {
+        *a = f(*a, t);
+    }
+}
+
+/// Pass 1's running max: a NaN term never replaces the maximum (and the
+/// maximum is never NaN), so the result does not depend on visit order.
+#[inline(always)]
+fn nan_skipping_max(m: f64, l: f64) -> f64 {
+    if l > m {
+        l
+    } else {
+        m
+    }
+}
 
 /// Minimum batch size for which spawning scoring workers pays off.
 const PARALLEL_MIN: usize = 4_096;
@@ -204,7 +273,8 @@ impl ScorerTables {
 }
 
 /// The shared per-component term `coef + hxx·dx² + hxy·dx·dy + hyy·dy²`,
-/// used by the scalar, batched and E-step paths alike (bit-agreement).
+/// used by the single-point, batched and E-step paths alike
+/// (bit-agreement).
 #[inline(always)]
 fn log_term_raw(coef: f64, hxx: f64, hxy: f64, hyy: f64, dx: f64, dy: f64) -> f64 {
     fmadd(hxx, dx * dx, fmadd(hxy, dx * dy, fmadd(hyy, dy * dy, coef)))
@@ -269,28 +339,59 @@ impl GmmScorer {
         log_term_raw(t.coef[j], t.hxx[j], t.hxy[j], t.hyy[j], dx, dy)
     }
 
-    /// Log mixture density `ln G(x)` — allocation-free scalar path.
+    /// Writes `l_j` for components `start..start + out.len()` into `out`
+    /// — a plain map over the SoA columns, so the compiler vectorises it
+    /// across components.
+    #[inline(always)]
+    fn log_terms_block(&self, x: Vec2, start: usize, out: &mut [f64]) {
+        let t = &*self.tables;
+        let r = start..start + out.len();
+        let (coef, mx, my) = (&t.coef[r.clone()], &t.mx[r.clone()], &t.my[r.clone()]);
+        let (hxx, hxy, hyy) = (&t.hxx[r.clone()], &t.hxy[r.clone()], &t.hyy[r]);
+        for (j, o) in out.iter_mut().enumerate() {
+            *o = log_term_raw(coef[j], hxx[j], hxy[j], hyy[j], x[0] - mx[j], x[1] - my[j]);
+        }
+    }
+
+    /// Log mixture density `ln G(x)` — allocation-free single-point path,
+    /// vectorised across **components**: the terms of one point are staged
+    /// in a [`BLOCK`]-term stack block and both log-sum-exp passes run as
+    /// plain loops over it. Pass 2 sums in the canonical lane-strided
+    /// order (see the module docs), so the result is bit-identical to
+    /// [`GmmScorer::log_density_batch`] at every K. It is *not*
+    /// bit-identical to the `lse` [`GmmScorer::responsibilities_into`]
+    /// returns, which sums in component order (within a few ulp).
     ///
     /// Returns `−∞` when every component term underflows to `−∞` (only
     /// possible for non-finite input or an all-zero-weight mixture, which
     /// the [`Gmm`] constructor forbids).
     pub fn log_density(&self, x: Vec2) -> f64 {
-        let mut m = f64::NEG_INFINITY;
-        for j in 0..self.k() {
-            let l = self.log_term(j, x);
-            if l > m {
-                m = l;
-            }
+        let k = self.k();
+        let mut buf = [0.0f64; BLOCK];
+        let mut m = [f64::NEG_INFINITY; LANES];
+        for start in (0..k).step_by(BLOCK) {
+            let terms = &mut buf[..BLOCK.min(k - start)];
+            self.log_terms_block(x, start, terms);
+            fold_lanes(&mut m, terms, nan_skipping_max);
         }
+        let m = m.iter().copied().fold(f64::NEG_INFINITY, nan_skipping_max);
         if !m.is_finite() {
             return m;
         }
-        let mut s = 0.0;
-        for j in 0..self.k() {
-            let t = self.log_term(j, x) - m;
-            s += exp_unit(t.max(EXP_CLAMP));
+        let mut s = [0.0f64; LANES];
+        for start in (0..k).step_by(BLOCK) {
+            let terms = &mut buf[..BLOCK.min(k - start)];
+            // A mixture that fits one block still holds its pass-1 terms;
+            // a larger one recomputes the (cheap) quadratic forms.
+            if k > BLOCK {
+                self.log_terms_block(x, start, terms);
+            }
+            for e in terms.iter_mut() {
+                *e = exp_unit((*e - m).max(EXP_CLAMP));
+            }
+            fold_lanes(&mut s, terms, |a, e| a + e);
         }
-        m + s.ln()
+        m + lane_tree(&s).ln()
     }
 
     /// Mixture density `G(x)` — the paper's access-frequency score.
@@ -329,6 +430,11 @@ impl GmmScorer {
     /// reaches `x`), `out` is left holding `−∞` terms and the caller
     /// decides the fallback (the [`Gmm`] wrapper substitutes π).
     ///
+    /// The normaliser is summed in plain component order — the order every
+    /// fitted model was trained under — not in the lane-strided order of
+    /// [`GmmScorer::log_density`], so the two agree to a few ulp, not
+    /// bit-for-bit.
+    ///
     /// # Panics
     ///
     /// Panics when `out.len() != self.k()`.
@@ -350,9 +456,9 @@ impl GmmScorer {
     }
 
     /// One ≤[`CHUNK`]-point tile of the batched kernel. Identical
-    /// component order and floating-point operations as
-    /// [`GmmScorer::log_density`], so results bit-agree with the scalar
-    /// path.
+    /// floating-point operations and pass-2 order (partial `j % LANES`,
+    /// then [`lane_tree`]) as [`GmmScorer::log_density`], so results
+    /// bit-agree with the single-point path.
     fn log_density_chunk(&self, xs: &[Vec2], out: &mut [f64], lbuf: &mut [f64]) {
         debug_assert!(xs.len() <= CHUNK && xs.len() == out.len());
         debug_assert_eq!(lbuf.len() % self.k(), 0);
@@ -387,17 +493,18 @@ impl GmmScorer {
                 }
             }
         }
-        let mut s = [0.0f64; CHUNK];
+        let mut s = [[0.0f64; CHUNK]; LANES];
         for j in 0..self.k() {
             let row = &lbuf[j * stride..j * stride + n];
+            let sl = &mut s[j % LANES];
             for b in 0..n {
                 let t = row[b] - m[b];
-                s[b] += exp_unit(t.max(EXP_CLAMP));
+                sl[b] += exp_unit(t.max(EXP_CLAMP));
             }
         }
         for b in 0..n {
             out[b] = if m[b].is_finite() {
-                m[b] + s[b].ln()
+                m[b] + lane_tree(&std::array::from_fn(|l| s[l][b])).ln()
             } else {
                 m[b]
             };

@@ -1,5 +1,6 @@
-//! Allocation accounting for scorer hand-off: cloning a [`GmmScorer`]
-//! must allocate **zero** heap bytes.
+//! Allocation accounting for scorer hand-off and single-point scoring:
+//! cloning a [`GmmScorer`] and calling [`GmmScorer::log_density`] must
+//! each allocate **zero** heap bytes.
 //!
 //! The flattened SoA tables (six K-length `f64` columns — 12 KiB at the
 //! paper's K = 256) live behind an `Arc`, so handing a scorer to each
@@ -46,12 +47,10 @@ fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (r, ALLOCATED.load(Ordering::Relaxed) - before)
 }
 
-#[test]
-fn scorer_clone_allocates_zero_table_bytes() {
-    const K: usize = 256; // the paper's component count
-    let comps: Vec<Gaussian2> = (0..K)
+fn spread_gmm(k: usize) -> Gmm {
+    let comps: Vec<Gaussian2> = (0..k)
         .map(|i| {
-            let t = i as f64 / K as f64;
+            let t = i as f64 / k as f64;
             Gaussian2::new(
                 [t * 10.0 - 5.0, (t * std::f64::consts::TAU).sin()],
                 Mat2::new(0.05 + t * 0.1, 0.01, 0.08),
@@ -59,7 +58,13 @@ fn scorer_clone_allocates_zero_table_bytes() {
             .unwrap()
         })
         .collect();
-    let gmm = Gmm::new(vec![1.0 / K as f64; K], comps).unwrap();
+    Gmm::new(vec![1.0 / k as f64; k], comps).unwrap()
+}
+
+#[test]
+fn scorer_clone_allocates_zero_table_bytes() {
+    const K: usize = 256; // the paper's component count
+    let gmm = spread_gmm(K);
 
     // Flattening is where the table bytes are paid — once.
     let (scorer, build_bytes) = allocated_by(|| GmmScorer::from_gmm(&gmm));
@@ -85,4 +90,17 @@ fn scorer_clone_allocates_zero_table_bytes() {
         scorer.log_density(x).to_bits()
     );
     assert_eq!(copy, scorer);
+
+    // Single-point scoring — the per-miss path of streaming replay —
+    // stays on the stack: one block of terms at K = 256, block by block
+    // past it.
+    for scorer in [scorer, GmmScorer::from_gmm(&spread_gmm(300))] {
+        let (_, score_bytes) = allocated_by(|| scorer.log_density(x));
+        assert_eq!(
+            score_bytes,
+            0,
+            "log_density at K = {} allocated {score_bytes} B",
+            scorer.k()
+        );
+    }
 }

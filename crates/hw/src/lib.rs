@@ -18,10 +18,11 @@
 //!
 //! Host replay and modeled time are decoupled: [`run_dataflow`] /
 //! [`run_dataflow_with_warmup`] route score sources that report
-//! [`icgmm_cache::ScoreSource::prefers_batching`] (the GMM policy engine
-//! at paper-scale K) through the speculative miss-window batcher by
-//! default, so the replay *wall-clock* rides the batched scoring kernel —
-//! while the *modeled* timeline stays strictly per-miss: each miss is
+//! [`icgmm_cache::ScoreSource::prefers_batching`] through the speculative
+//! miss-window batcher and every other source (the GMM policy engine
+//! included — its single-point kernel costs about what the batched one
+//! does) through the streaming loop, while the *modeled* timeline stays
+//! strictly per-miss either way: each miss is
 //! charged one GMM inference overlapped (or not) with its own SSD access,
 //! with FIFO backpressure and SSD queueing, so every timing field of the
 //! [`DataflowReport`] is bit-identical to the streaming reference

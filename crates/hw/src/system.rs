@@ -23,16 +23,17 @@
 //! [`icgmm_cache::ReplayObserver`] ([`DataflowTimer`], private) hanging off
 //! the cache crate's replay-event stream, so *how the host computes the
 //! outcomes* and *what the modeled hardware charges for them* are
-//! independent: score sources that prefer batching
-//! ([`icgmm_cache::ScoreSource::prefers_batching`] — the GMM policy engine
-//! at paper-scale K) replay through the speculative miss-window batcher
-//! ([`icgmm_cache::WindowedSimulator`]) and ride the 4-5× cheaper batched
-//! scoring kernel, while the modeled timeline stays strictly per-miss:
-//! every miss still pays one GMM inference overlapped (or not) with its
-//! own SSD access, FIFO backpressure and SSD queueing included, exactly as
-//! the synchronous pipeline would. The two replay engines feed the
-//! identical per-record event stream, so the [`DataflowReport`] — stats
-//! *and* every timing field — is bit-identical between them
+//! independent: a score source that prefers batching
+//! ([`icgmm_cache::ScoreSource::prefers_batching`]) replays through the
+//! speculative miss-window batcher ([`icgmm_cache::WindowedSimulator`]),
+//! every other source — the GMM policy engine included, now that its
+//! single-point kernel costs about what the batched one does per score —
+//! through the streaming loop, while the modeled timeline stays strictly
+//! per-miss: every miss still pays one GMM inference overlapped (or not)
+//! with its own SSD access, FIFO backpressure and SSD queueing included,
+//! exactly as the synchronous pipeline would. The two replay engines feed
+//! the identical per-record event stream, so the [`DataflowReport`] —
+//! stats *and* every timing field — is bit-identical between them
 //! (property-enforced in `tests/dataflow_equivalence.rs`); only host
 //! wall-clock and the [`DataflowReport::spec`] telemetry differ.
 
@@ -390,9 +391,10 @@ pub fn run_dataflow_streaming_with_warmup(
 /// [`run_dataflow_streaming_with_warmup`], with
 /// [`DataflowReport::spec`] carrying the speculation telemetry.
 ///
-/// Without a score source there is nothing to batch: the batcher
-/// delegates to the streaming loop internally and the report's `spec`
-/// stays `None` (the run never speculated).
+/// Without a score source — or with one that does not
+/// [`ScoreSource::prefers_batching`] — there is nothing worth batching:
+/// the batcher delegates to the streaming loop internally and the
+/// report's `spec` stays `None` (the run never speculated).
 ///
 /// # Errors
 ///
@@ -417,7 +419,7 @@ pub fn run_dataflow_batched_with_warmup(
             config.fault.breaker_cooldown_records,
         );
     }
-    let scored = score.is_some();
+    let speculates = score.as_ref().is_some_and(|s| s.prefers_batching());
     let sim = wsim.run_observed(
         warmup,
         measured,
@@ -429,7 +431,7 @@ pub fn run_dataflow_batched_with_warmup(
         None,
         &mut timer,
     );
-    let spec = scored.then(|| *wsim.spec_stats());
+    let spec = speculates.then(|| *wsim.spec_stats());
     let breaker = *wsim.fault_stats();
     let mut report = timer.into_report(sim.stats, measured.len(), spec);
     report.fault.merge(&breaker);
@@ -439,7 +441,9 @@ pub fn run_dataflow_batched_with_warmup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icgmm_cache::{AlwaysAdmit, FnScore, LatencyModel, LruPolicy, SetAssocCache};
+    use icgmm_cache::{
+        AlwaysAdmit, FnScore, LatencyModel, LruPolicy, PreferBatching, SetAssocCache,
+    };
 
     fn small_cfg() -> CacheConfig {
         CacheConfig {
@@ -463,30 +467,11 @@ mod tests {
     }
 
     /// A deterministic score source that opts into the batched replay
-    /// engine (the built-in `FnScore` keeps the streaming default).
-    struct BatchyScore(FnScore<fn(u64, u64) -> f64>);
-
-    impl BatchyScore {
-        fn new() -> Self {
-            BatchyScore(FnScore::new(
-                (|page, seq| ((page * 37 + seq) % 100) as f64 / 100.0) as fn(u64, u64) -> f64,
-            ))
-        }
-    }
-
-    impl ScoreSource for BatchyScore {
-        fn observe(&mut self, record: &TraceRecord) {
-            self.0.observe(record);
-        }
-        fn score_current(&mut self) -> f64 {
-            self.0.score_current()
-        }
-        fn score_window(&mut self, records: &[TraceRecord], out: &mut [f64]) {
-            self.0.score_window(records, out);
-        }
-        fn prefers_batching(&self) -> bool {
-            true
-        }
+    /// engine (a bare `FnScore` keeps the streaming default).
+    fn batchy_score() -> impl ScoreSource {
+        PreferBatching(FnScore::new(|page, seq| {
+            ((page * 37 + seq) % 100) as f64 / 100.0
+        }))
     }
 
     #[test]
@@ -632,7 +617,7 @@ mod tests {
         let config = DataflowConfig::default();
 
         let mut lru1 = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        let mut s1 = BatchyScore::new();
+        let mut s1 = batchy_score();
         let streaming = run_dataflow_streaming_with_warmup(
             &trace[..500],
             &trace[500..],
@@ -646,7 +631,7 @@ mod tests {
         assert!(streaming.spec.is_none());
 
         let mut lru2 = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        let mut s2 = BatchyScore::new();
+        let mut s2 = batchy_score();
         let routed = run_dataflow_with_warmup(
             &trace[..500],
             &trace[500..],

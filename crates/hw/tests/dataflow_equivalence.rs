@@ -13,7 +13,8 @@ use icgmm_hw::{
     DataflowReport,
 };
 use icgmm_testutil::{
-    admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, EVICTIONS, SCORES,
+    admission_for, eviction_for, score_for, small_cfg, speculating_score_for, zipf_trace,
+    ADMISSIONS, EVICTIONS, SCORES,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -52,7 +53,7 @@ fn run_pair(
 
     let mut ev2 = eviction_for(eviction, cfg, trace);
     let mut ad2 = admission_for(admission);
-    let mut sc2 = score_for(score);
+    let mut sc2 = speculating_score_for(score);
     let batched = run_dataflow_batched_with_warmup(
         warm,
         meas,

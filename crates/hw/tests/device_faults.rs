@@ -10,7 +10,7 @@ use icgmm_hw::{
     DataflowReport,
 };
 use icgmm_testutil::{
-    admission_for, conflict_trace, eviction_for, score_for, small_cfg, zipf_trace,
+    admission_for, conflict_trace, eviction_for, small_cfg, speculating_score_for, zipf_trace,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -110,7 +110,7 @@ fn batched_dataflow_merges_device_and_breaker_fault_stats() {
         let (warm, meas) = trace.split_at(1_000);
         let mut ev = eviction_for("gmm-score", cfg, &trace);
         let mut ad = admission_for("threshold");
-        let mut sc = score_for("fn");
+        let mut sc = speculating_score_for("fn");
         run_dataflow_batched_with_warmup(
             warm,
             meas,

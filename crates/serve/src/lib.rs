@@ -3,7 +3,7 @@
 //! Concurrent cache *service* over the ICGMM reproduction's sharded
 //! replay engine: N client threads submit trace requests into bounded
 //! per-shard ingestion queues, shard workers decide hit/miss/admit/evict
-//! at speculation speed, and a sequence-number merge re-accounts the
+//! as requests arrive, and a sequence-number merge re-accounts the
 //! outcome stream in global trace order — incrementally, in O(shards)
 //! memory.
 //!

@@ -1,5 +1,6 @@
 //! The concurrent cache service: clients → bounded per-shard ingestion
-//! queues → shard workers deciding at speculation speed → a sequence-
+//! queues → shard workers deciding per request (or, for a source that
+//! prefers batching, per speculated chunk) → a sequence-
 //! number merge re-accounting outcomes in global order, incrementally.
 //!
 //! # Why the served stream re-accounts bit-identically

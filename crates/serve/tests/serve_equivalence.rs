@@ -10,11 +10,25 @@ use icgmm_cache::{
     SpecParams,
 };
 use icgmm_serve::{CacheServer, ServeConfig, ServeError, ServeReport, SubmitMode};
-use icgmm_testutil::{admission_for, eviction_for, score_for, small_cfg, zipf_trace};
+use icgmm_testutil::{
+    admission_for, eviction_for, score_for, small_cfg, speculating_score_for, zipf_trace,
+};
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// The testutil score grid plus `"fn-speculating"`: the `fn` source
+/// wrapped to prefer batching, which routes serving workers (and the
+/// offline reference's shards) through the speculative batcher — the
+/// only way to reach the batched worker now that no production source
+/// prefers batching.
+fn grid_score(name: &str) -> Option<Box<dyn icgmm_cache::ScoreSource + Send>> {
+    match name {
+        "fn-speculating" => speculating_score_for("fn"),
+        other => score_for(other),
+    }
+}
 
 /// Serves the trace through a [`CacheServer`] over the grid fixtures.
 fn serve(
@@ -43,7 +57,7 @@ fn serve(
             ShardPolicies {
                 admission: admission_for(admission),
                 eviction: eviction_for(eviction, cache_cfg, &recs),
-                score: score_for(score),
+                score: grid_score(score),
             }
         },
         &lat,
@@ -83,7 +97,7 @@ fn offline(
                 ShardPolicies {
                     admission: admission_for(admission),
                     eviction: eviction_for(eviction, cache_cfg, &recs),
-                    score: score_for(score),
+                    score: grid_score(score),
                 }
             },
             &lat,
@@ -95,8 +109,8 @@ fn offline(
 
 proptest! {
     /// Served report == offline sharded replay, bit for bit, across
-    /// {score-free LRU, Belady oracle, scored GMM-threshold} × every
-    /// shard count × varying client counts, queue depths and submit
+    /// {score-free LRU, Belady oracle, scored GMM-threshold streaming and
+    /// speculating} × every shard count × varying client counts, queue depths and submit
     /// modes over random Zipf traces.
     #[test]
     fn served_stream_matches_offline_replay(
@@ -109,6 +123,7 @@ proptest! {
             ("lru", "always", "none"),
             ("belady", "always", "none"),
             ("gmm-score", "threshold", "fn"),
+            ("gmm-score", "threshold", "fn-speculating"),
         ];
         for (i, (eviction, admission, score)) in grid.into_iter().enumerate() {
             for shards in SHARD_COUNTS {
@@ -145,6 +160,7 @@ proptest! {
                 );
                 prop_assert_eq!(rep.scores_consumed, ref_scores);
                 prop_assert_eq!(rep.requests as usize, n);
+                prop_assert_eq!(rep.batched, score == "fn-speculating");
                 if submit == SubmitMode::Block {
                     prop_assert_eq!(rep.sheds, 0);
                 }
@@ -232,9 +248,14 @@ proptest! {
             shard_panic_per_mille: 1000, // every shard dies once
             ..FaultPlan::default()
         };
-        for (eviction, admission, score) in
-            [("lru", "always", "none"), ("gmm-score", "threshold", "fn")]
-        {
+        // Panic-only plans keep the batched routing, so the speculating
+        // entry kills batched workers mid-chunk (the supervisor's
+        // streaming re-replay then stands in for them).
+        for (eviction, admission, score) in [
+            ("lru", "always", "none"),
+            ("gmm-score", "threshold", "fn"),
+            ("gmm-score", "threshold", "fn-speculating"),
+        ] {
             let (reference, ref_scores) = offline(
                 4, ShardRouting::Auto, 128, eviction, admission, score, &trace, warmup_len,
             );

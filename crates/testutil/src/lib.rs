@@ -19,8 +19,8 @@
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
     AdmissionPolicy, AlwaysAdmit, BeladyPolicy, CacheConfig, ConstantScore, EvictionPolicy,
-    FifoPolicy, FnScore, GmmScorePolicy, LfuPolicy, LruPolicy, RandomPolicy, ScoreSource,
-    ThresholdAdmit,
+    FifoPolicy, FnScore, GmmScorePolicy, LfuPolicy, LruPolicy, PreferBatching, RandomPolicy,
+    ScoreSource, ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_trace::{PreprocessConfig, TraceRecord, Zipf};
@@ -139,6 +139,14 @@ pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
     }
 }
 
+/// [`score_for`], wrapped in [`PreferBatching`] so that every replay
+/// engine speculates over it. No production source prefers batching any
+/// more, so the suites that pit the speculative batcher against the
+/// streaming loop build their batched side from this.
+pub fn speculating_score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
+    score_for(name).map(|s| Box::new(PreferBatching(s)) as Box<dyn ScoreSource + Send>)
+}
+
 /// A hand-built K-component mixture (no EM) so real-engine integration
 /// tests are fast and deterministic.
 pub fn hand_model(k: usize) -> TrainedModel {
@@ -162,9 +170,9 @@ pub fn hand_model(k: usize) -> TrainedModel {
     }
 }
 
-/// A real [`GmmPolicyEngine`] over [`hand_model`] (K ≥ 64 prefers the
-/// batched replay path; `fixed` selects the FPGA-style fixed-point
-/// datapath).
+/// A real [`GmmPolicyEngine`] over [`hand_model`] (`fixed` selects the
+/// FPGA-style fixed-point datapath). Like every engine it streams; wrap it
+/// in [`PreferBatching`] to replay it through the speculative batcher.
 pub fn hand_engine(k: usize, fixed: bool) -> GmmPolicyEngine {
     let cfg = PreprocessConfig {
         len_window: 16,
@@ -191,6 +199,11 @@ mod tests {
         assert!(score_for("none").is_none());
         assert!(score_for("constant").is_some());
         assert!(score_for("fn").is_some());
+        assert!(speculating_score_for("none").is_none());
+        for name in ["constant", "fn"] {
+            assert!(!score_for(name).unwrap().prefers_batching());
+            assert!(speculating_score_for(name).unwrap().prefers_batching());
+        }
         assert!(SHARDABLE_EVICTIONS.iter().all(|e| EVICTIONS.contains(e)));
     }
 
@@ -208,13 +221,16 @@ mod tests {
     }
 
     #[test]
-    fn hand_engine_scores_and_prefers_batching_at_scale() {
+    fn hand_engine_scores_and_streams_at_every_k() {
         let mut e = hand_engine(64, false);
-        use icgmm_cache::ScoreSource as _;
-        assert!(e.prefers_batching());
         assert!(e.shardable());
         e.observe(&TraceRecord::read(0x5000));
         assert!(e.score_current().is_finite());
-        assert!(!hand_engine(8, false).prefers_batching());
+        // The single-point kernel costs about what the batched one does,
+        // so no engine asks for speculation — f64 or fixed-point.
+        for k in [8, 64, 256] {
+            assert!(!hand_engine(k, false).prefers_batching());
+            assert!(!hand_engine(k, true).prefers_batching());
+        }
     }
 }

@@ -38,9 +38,11 @@ fn rotating_trace(n: usize, seed: u64) -> Trace {
     .generate(n, seed)
 }
 
-/// A config that trains in milliseconds, at K = 64 so the engine prefers
-/// the batched replay path (the segmented-window logic is exercised, not
-/// just the per-record one).
+/// A config that trains in milliseconds (K = 64). The engine streams at
+/// every K, so these runs drive the adaptive engine's per-record path;
+/// its segmented-window path is covered by the `online.rs` unit tests
+/// (`window_chunking_does_not_move_check_boundaries`,
+/// `gapped_windows_track_global_positions`).
 fn adapt_cfg() -> IcgmmConfig {
     IcgmmConfig {
         cache: CacheConfig {

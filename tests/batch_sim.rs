@@ -1,12 +1,12 @@
 //! Integration tests: the speculative miss-window batcher driven by the
-//! *real* trained policy engine (f64 and fixed-point datapaths) is
-//! bit-identical to the streaming simulator, and the end-to-end system
-//! rides it by default.
+//! *real* trained policy engine (f64 and fixed-point datapaths, wrapped
+//! to prefer batching) is bit-identical to the streaming simulator, and
+//! the end-to-end system — which streams by default — agrees with both.
 
 use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
 use icgmm_cache::{
     simulate_streaming_with_warmup, AlwaysAdmit, CacheConfig, GmmScorePolicy, LatencyModel,
-    ScoreSource, SetAssocCache, ThresholdAdmit, WindowedSimulator,
+    PreferBatching, ScoreSource, SetAssocCache, ThresholdAdmit, WindowedSimulator,
 };
 use icgmm_gmm::EmConfig;
 use icgmm_testutil::{conflict_trace, hand_engine};
@@ -43,7 +43,7 @@ fn gmm_engine_batched_replay_is_bit_identical_both_datapaths() {
         let mut c2 = SetAssocCache::new(cfg).unwrap();
         let mut ev2 = GmmScorePolicy::new(cfg.num_sets(), cfg.ways);
         let mut ad2 = ThresholdAdmit::new(-6.0);
-        let mut e2 = hand_engine(24, fixed);
+        let mut e2 = PreferBatching(hand_engine(24, fixed));
         let mut wsim = WindowedSimulator::new(512);
         let batched = wsim.run(
             warm,
@@ -105,7 +105,7 @@ fn gmm_eviction_only_mode_speculates_without_victim_divergence() {
 
         let mut c2 = SetAssocCache::new(cfg).unwrap();
         let mut ev2 = GmmScorePolicy::new(cfg.num_sets(), cfg.ways);
-        let mut e2 = hand_engine(24, fixed);
+        let mut e2 = PreferBatching(hand_engine(24, fixed));
         let mut wsim = WindowedSimulator::new(1024);
         let batched = wsim.run(
             warm,
@@ -128,10 +128,10 @@ fn gmm_eviction_only_mode_speculates_without_victim_divergence() {
 
 #[test]
 fn system_default_path_matches_explicit_streaming_replay() {
-    // `Icgmm::run` (batched by default at paper-scale K) must agree with
-    // a hand-driven streaming replay of the same trained model and
-    // policies. K = 64 is the smallest component count at which the
-    // engine prefers the batched path.
+    // `Icgmm::run` must agree with a hand-driven streaming replay of the
+    // same trained model and policies — and, since the engine no longer
+    // prefers batching at any K, it must *be* a streaming replay: no
+    // speculation telemetry, one inference per scored miss.
     let cfg = IcgmmConfig {
         cache: CacheConfig {
             capacity_bytes: 128 * 4096,
@@ -176,6 +176,6 @@ fn system_default_path_matches_explicit_streaming_replay() {
         None,
     );
     assert_eq!(run.sim, streaming);
-    let spec = run.spec.expect("gmm mode speculates");
-    assert!(spec.batched_scores > 0, "{spec:?}");
+    assert!(run.spec.is_none(), "the default path must not speculate");
+    assert_eq!(run.gmm_inferences, eng.scores_computed());
 }

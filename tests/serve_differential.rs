@@ -22,8 +22,8 @@ fn tenant_trace(n: usize, seed: u64) -> icgmm_trace::Trace {
     .generate(n, seed)
 }
 
-/// A config that trains in milliseconds, at K = 64 so the engine prefers
-/// the batched replay path (serving workers speculate per chunk).
+/// A config that trains in milliseconds (K = 64; the engine streams at
+/// every K, so serving workers run the per-request streaming step).
 fn serve_cfg() -> IcgmmConfig {
     IcgmmConfig {
         cache: CacheConfig {
@@ -91,11 +91,11 @@ fn served_reports_match_offline_replay_real_engine() {
             assert!(served.wall_us > 0.0);
             assert!(served.admission_p50_us <= served.admission_p99_us);
             if mode == PolicyMode::GmmCachingEviction {
-                assert!(served.batched, "K = 64 must ride the batcher");
+                assert!(!served.batched, "the engine must stream at every K");
                 assert!(served.scores_consumed > 0);
-                assert!(
-                    served.spec.scores_computed() >= served.scores_consumed,
-                    "speculation computes at least what the replay consumes"
+                assert_eq!(
+                    served.scores_consumed, sharded.gmm_inferences,
+                    "streaming computes exactly what the replay consumes"
                 );
             }
         }

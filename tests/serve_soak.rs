@@ -94,10 +94,10 @@ fn worker_panics_leave_served_results_untouched_real_engine() {
     let clean = clean_sys
         .serve(&trace, PolicyMode::GmmCachingEviction)
         .unwrap();
-    assert!(clean.batched, "panic-only plans keep the batched routing");
+    assert!(!clean.batched, "the engine streams at every K");
     assert_eq!(clean.sim.fault.shard_panics, 0);
 
-    // Kill every worker once, mid-service, while the batcher speculates.
+    // Kill every worker once, mid-service.
     let panicky = FaultPlan {
         seed: 5,
         shard_panic_per_mille: 1000,
