@@ -6,7 +6,11 @@
 //! * the refit kernel in isolation: one incremental E/M pass over a
 //!   reservoir-sized batch (`refit_incremental_k64`) against a cold
 //!   from-scratch EM fit of the same batch (`fit_cold_k64`) — the cost a
-//!   drift repair actually pays vs the cost it avoids;
+//!   drift repair actually pays vs the cost it avoids — and, at the
+//!   paper's K = 256, the same refit (`refit_incremental_k256`) against
+//!   one batch-scoring pass over the same points (`score_batch_k256`):
+//!   the E-step shares the scoring kernel, so a refit must stay within a
+//!   small multiple of scoring its own batch;
 //! * full replay overhead: the multi-tenant trace through the static
 //!   engine (`replay_static_k64`) vs the same trace through an armed
 //!   adaptive wrapper whose trigger is held off
@@ -14,7 +18,8 @@
 //!   checks with zero refits, i.e. the pure tax of arming the loop.
 //!
 //! CI gates the replay pair (held-off adaptation must stay within noise
-//! of the static path) and archives the refit pair for trend tracking;
+//! of the static path), the refit-vs-cold-fit pair and the
+//! refit-vs-scoring pair;
 //! the miss-rate gates ride the `adapt_gate` binary, which appends its
 //! own records to the same JSON artifact.
 
@@ -36,6 +41,11 @@ fn em_cfg() -> EmConfig {
         max_iters: 15,
         ..Default::default()
     }
+}
+
+/// The paper's component count, for the refit-vs-scoring pair.
+fn em_cfg_k256() -> EmConfig {
+    EmConfig { k: 256, ..em_cfg() }
 }
 
 /// A reservoir-sized feature batch shaped like the scaled `(page, time)`
@@ -94,6 +104,11 @@ fn bench_adapt(c: &mut Criterion) {
     let trainer = EmTrainer::new(em_cfg()).expect("valid config");
     let (gmm, _) = trainer.fit(&xs, &[]).expect("baseline fit");
     let incremental = IncrementalEm::new(&gmm, em_cfg(), 0.6).expect("valid state");
+    let (gmm256, _) = EmTrainer::new(em_cfg_k256())
+        .expect("valid config")
+        .fit(&xs, &[])
+        .expect("K = 256 fit");
+    let incremental256 = IncrementalEm::new(&gmm256, em_cfg_k256(), 0.6).expect("valid state");
 
     let trace = tenant_trace();
     let mut static_sys = Icgmm::new(replay_cfg()).expect("valid config");
@@ -120,6 +135,19 @@ fn bench_adapt(c: &mut Criterion) {
     });
     group.bench_function("fit_cold_k64", |b| {
         b.iter(|| black_box(trainer.fit(black_box(&xs), &[]).expect("fit")))
+    });
+    group.bench_function("refit_incremental_k256", |b| {
+        b.iter(|| {
+            let mut t = incremental256.clone();
+            black_box(t.refit(black_box(&xs), &[]).expect("refit"))
+        })
+    });
+    group.bench_function("score_batch_k256", |b| {
+        let mut out = vec![0.0; xs.len()];
+        b.iter(|| {
+            gmm256.score_batch(black_box(&xs), &mut out);
+            black_box(out[0])
+        })
     });
 
     group.throughput(Throughput::Elements(REQUESTS as u64));

@@ -26,7 +26,7 @@ fn bench_em(c: &mut Criterion) {
     let mut group = c.benchmark_group("gmm_training");
     group.sample_size(10);
     let (xs, ws) = training_cells(10_000);
-    for k in [16usize, 64] {
+    for k in [16usize, 64, 256] {
         group.bench_with_input(BenchmarkId::new("em_fit_10k_cells", k), &k, |b, &k| {
             let trainer = EmTrainer::new(EmConfig {
                 k,

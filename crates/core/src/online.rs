@@ -85,6 +85,10 @@ pub struct AdaptiveEngine {
     pos: u64,
     /// Next check boundary; checks fire while `pos >= next_check`.
     next_check: u64,
+    /// Feature / log-density scratch of the drift check and the refit,
+    /// kept across checks so neither allocates per firing.
+    features: Vec<Vec2>,
+    log_densities: Vec<f64>,
 }
 
 impl AdaptiveEngine {
@@ -131,6 +135,8 @@ impl AdaptiveEngine {
             stats: AdaptStats::default(),
             pos: 0,
             next_check: plan.check_interval,
+            features: Vec::new(),
+            log_densities: Vec::new(),
         })
     }
 
@@ -161,6 +167,13 @@ impl AdaptiveEngine {
         self.engine.scaler().transform([s.page as f64, ts as f64])
     }
 
+    /// Overwrites `out` (the `self.features` scratch, taken by the caller
+    /// for the duration) with the features of `samples`.
+    fn fill_features(&self, samples: &[ObsSample], out: &mut Vec<Vec2>) {
+        out.clear();
+        out.extend(samples.iter().map(|s| self.feature(s)));
+    }
+
     fn buffer(&mut self, page: u64, pos: u64) {
         let s = ObsSample { page, pos };
         self.reservoir.offer(s);
@@ -184,16 +197,14 @@ impl AdaptiveEngine {
             // the check rides the same fast path as replay scoring, so
             // arming adaptation taxes a run by well under the window's
             // worth of scalar evaluations per interval.
-            let zs: Vec<Vec2> = self
-                .ring
-                .samples()
-                .iter()
-                .map(|s| self.feature(s))
-                .collect();
-            let mut ld = vec![0.0; zs.len()];
-            self.engine.scorer().log_density_batch(&zs, &mut ld);
+            let mut zs = std::mem::take(&mut self.features);
+            self.fill_features(self.ring.samples(), &mut zs);
+            let ld = &mut self.log_densities;
+            ld.resize(zs.len(), 0.0);
+            self.engine.scorer().log_density_batch(&zs, ld);
             self.stats.evals += ld.len() as u64;
             let mll = ld.iter().sum::<f64>() / ld.len() as f64;
+            self.features = zs;
             if self.detector.observe(mll) {
                 self.stats.drifts += 1;
                 self.try_refit();
@@ -208,13 +219,11 @@ impl AdaptiveEngine {
             self.stats.refit_failures += 1;
             return;
         }
-        let xs: Vec<Vec2> = self
-            .reservoir
-            .samples()
-            .iter()
-            .map(|s| self.feature(s))
-            .collect();
-        match self.trainer.refit(&xs, &[]) {
+        let mut xs = std::mem::take(&mut self.features);
+        self.fill_features(self.reservoir.samples(), &mut xs);
+        let refit = self.trainer.refit(&xs, &[]);
+        self.features = xs;
+        match refit {
             Ok(gmm) => {
                 self.engine.swap_scorer(gmm.scorer().clone());
                 self.stats.refits += 1;

@@ -11,13 +11,14 @@
 //! while the geometric decay window lets the mixture track workload
 //! drift without forgetting everything it knew.
 //!
-//! The E-step reuses the same structure-of-arrays kernel
-//! ([`crate::GmmScorer::log_terms_into`] via [`crate::em::e_step`]) that
-//! serves online inference, and the M-step is byte-for-byte the batch
+//! The E-step is the batch trainer's [`crate::em::e_step`] — the scoring
+//! kernel itself ([`crate::GmmScorer::unit_terms_into`]), vectorised
+//! across components, so a K = 256 refit costs about two batch-scoring
+//! passes over the buffer — and the M-step is byte-for-byte the batch
 //! trainer's [`crate::em::m_step`], so a refit is deterministic from the
 //! trainer's construction seed and the batch contents.
 
-use crate::em::{e_step, m_step, EmConfig, SuffStats};
+use crate::em::{e_step, m_step, total_weight, EmConfig, SuffStats};
 use crate::error::GmmError;
 use crate::gaussian::{Gaussian2, Mat2, Vec2};
 use crate::model::Gmm;
@@ -99,26 +100,16 @@ impl IncrementalEm {
     ///
     /// # Errors
     ///
-    /// Returns [`GmmError::EmptyInput`] for an empty/zero-weight batch
-    /// and propagates covariance failures from rebuilding the mixture.
+    /// Returns [`GmmError::EmptyInput`] for an empty/zero-weight batch,
+    /// [`GmmError::InvalidParam`] for a non-finite or negative weight
+    /// (the persisted statistics are untouched), and propagates covariance
+    /// failures from rebuilding the mixture.
     ///
     /// # Panics
     ///
     /// Panics if `ws` is non-empty and `ws.len() != xs.len()`.
     pub fn refit(&mut self, xs: &[Vec2], ws: &[f64]) -> Result<Gmm, GmmError> {
-        assert!(
-            ws.is_empty() || ws.len() == xs.len(),
-            "weights must be empty or match samples"
-        );
-        let batch_w: f64 = if ws.is_empty() {
-            xs.len() as f64
-        } else {
-            ws.iter().sum()
-        };
-        if xs.is_empty() || batch_w <= 0.0 {
-            return Err(GmmError::EmptyInput);
-        }
-        let k = self.weights.len();
+        let batch_w = total_weight(xs, ws)?;
         let threads = if self.cfg.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -129,7 +120,7 @@ impl IncrementalEm {
         };
 
         let scorer = GmmScorer::from_params(&self.weights, &self.means, &self.covs)?;
-        let batch = e_step(&scorer, xs, ws, k, threads);
+        let batch = e_step(&scorer, xs, ws, threads);
         self.last_batch_mll = batch.loglik / batch_w;
 
         self.stats.scale(self.decay);
@@ -148,7 +139,6 @@ impl IncrementalEm {
             &mut self.weights,
             &mut self.means,
             &mut self.covs,
-            threads,
         );
         self.refits += 1;
 
@@ -242,6 +232,30 @@ mod tests {
         let one = [[1.0, 1.0]];
         assert_eq!(inc.refit(&one, &[0.0]).unwrap_err(), GmmError::EmptyInput);
         assert_eq!(inc.refits(), 0);
+    }
+
+    #[test]
+    fn hostile_weights_are_rejected_before_the_state_moves() {
+        let xs = cluster([0.0, 0.0], 64, 2);
+        let (gmm, cfg) = fit_base(&xs, 2);
+        let mut inc = IncrementalEm::new(&gmm, cfg, 0.7).unwrap();
+        let batch = [[0.1, 0.1], [0.2, -0.1], [-0.1, 0.0]];
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            assert!(
+                matches!(
+                    inc.refit(&batch, &[1.0, 1.0, bad]),
+                    Err(GmmError::InvalidParam(_))
+                ),
+                "weight {bad}"
+            );
+        }
+        assert_eq!(inc.refits(), 0);
+        // The rejected batches left no trace: the next refit equals a
+        // fresh trainer's first.
+        let mut fresh = IncrementalEm::new(&gmm, cfg, 0.7).unwrap();
+        let (a, b) = (inc.refit(&xs, &[]).unwrap(), fresh.refit(&xs, &[]).unwrap());
+        assert_eq!(a.weights(), b.weights());
+        assert_eq!(a.components(), b.components());
     }
 
     #[test]

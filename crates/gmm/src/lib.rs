@@ -12,7 +12,8 @@
 //! * [`GmmScorer`] — the allocation-free structure-of-arrays scoring
 //!   kernel behind every hot path (scalar, batched and parallel);
 //! * [`EmTrainer`]/[`EmConfig`] — weighted EM with k-means++ init and a
-//!   crossbeam-parallel E-step (responsibilities via the SoA kernel);
+//!   crossbeam-parallel E-step ([`e_step`] → [`SuffStats`]) that runs on
+//!   the scoring kernel itself, vectorised across components;
 //! * [`IncrementalEm`] — online refits over decayed sufficient
 //!   statistics: one E/M pass per refit instead of a cold `fit`;
 //! * [`StandardScaler`] — the affine feature map stored with the model;
@@ -58,7 +59,7 @@ mod threshold;
 pub mod fixed;
 pub mod scorer;
 
-pub use em::{EmConfig, EmReport, EmTrainer};
+pub use em::{e_step, EmConfig, EmReport, EmTrainer, SuffStats};
 pub use error::GmmError;
 pub use gaussian::{Gaussian2, Mat2, Vec2};
 pub use incremental::IncrementalEm;

@@ -51,11 +51,12 @@
 //! the single-point path used to cost ~4.5× the batched one per score; it
 //! now costs about the same (see `gmm_inference/{scalar,batched}_k256`).
 //!
-//! The E-step primitives ([`GmmScorer::log_terms_into`],
-//! [`GmmScorer::responsibilities_into`]) deliberately keep the plain
-//! component-order sum: fitted models stay bit-identical across this
-//! kernel's history, at the price that their `lse` and
-//! [`GmmScorer::log_density`] agree only to a few ulp.
+//! The EM E-step runs on the same machinery: [`GmmScorer::unit_terms_into`]
+//! writes one point's `exp(l_k − m)` terms through those very loops and
+//! returns `m` and the lane-strided sum, so training, online refits and
+//! [`GmmScorer::responsibilities_into`] share the scoring kernel's order —
+//! their log-likelihood of a point *is* [`GmmScorer::log_density`], bit
+//! for bit.
 //!
 //! The single-point path stages one point's terms in a 2 KiB stack block
 //! (K ≤ 256 fits whole; larger mixtures go block by block and recompute
@@ -330,15 +331,6 @@ impl GmmScorer {
         self.tables.coef.len()
     }
 
-    /// The per-component joint log-density `l_j = ln π_j + ln N_j(x)`.
-    #[inline(always)]
-    fn log_term(&self, j: usize, x: Vec2) -> f64 {
-        let t = &*self.tables;
-        let dx = x[0] - t.mx[j];
-        let dy = x[1] - t.my[j];
-        log_term_raw(t.coef[j], t.hxx[j], t.hxy[j], t.hyy[j], dx, dy)
-    }
-
     /// Writes `l_j` for components `start..start + out.len()` into `out`
     /// — a plain map over the SoA columns, so the compiler vectorises it
     /// across components.
@@ -358,9 +350,8 @@ impl GmmScorer {
     /// in a [`BLOCK`]-term stack block and both log-sum-exp passes run as
     /// plain loops over it. Pass 2 sums in the canonical lane-strided
     /// order (see the module docs), so the result is bit-identical to
-    /// [`GmmScorer::log_density_batch`] at every K. It is *not*
-    /// bit-identical to the `lse` [`GmmScorer::responsibilities_into`]
-    /// returns, which sums in component order (within a few ulp).
+    /// [`GmmScorer::log_density_batch`] and to the `lse`
+    /// [`GmmScorer::responsibilities_into`] returns, at every K.
     ///
     /// Returns `−∞` when every component term underflows to `−∞` (only
     /// possible for non-finite input or an all-zero-weight mixture, which
@@ -404,49 +395,48 @@ impl GmmScorer {
         self.density(x)
     }
 
-    /// Writes every `l_j = ln π_j + ln N_j(x)` into `out` and returns
-    /// their maximum (`−∞` when all underflow). This is the E-step
-    /// primitive: responsibilities are `exp(out[j] − lse)` with
-    /// `lse = max + ln Σ exp(out[j] − max)`.
+    /// The E-step primitive: writes the unit terms `exp(l_j − m)` of `x`
+    /// into `out` (`l_j = ln π_j + ln N_j(x)`, `m = max_j l_j`) and returns
+    /// `(m, Σ_j out[j])`, so `ln G(x) = m + ln Σ` and the responsibilities
+    /// are `out[j] / Σ`. Same loops and the same lane-strided sum as
+    /// [`GmmScorer::log_density`] — `m + Σ.ln()` equals it bit for bit.
+    ///
+    /// When `m` is not finite (non-finite input: no component reaches
+    /// `x`) the sum is `0.0` and `out` is left holding the raw `l_j`.
     ///
     /// # Panics
     ///
     /// Panics when `out.len() != self.k()`.
-    pub fn log_terms_into(&self, x: Vec2, out: &mut [f64]) -> f64 {
+    pub fn unit_terms_into(&self, x: Vec2, out: &mut [f64]) -> (f64, f64) {
         assert_eq!(out.len(), self.k(), "scratch length must equal K");
-        let mut m = f64::NEG_INFINITY;
-        for (j, o) in out.iter_mut().enumerate() {
-            let l = self.log_term(j, x);
-            *o = l;
-            if l > m {
-                m = l;
-            }
+        self.log_terms_block(x, 0, out);
+        let mut m = [f64::NEG_INFINITY; LANES];
+        fold_lanes(&mut m, out, nan_skipping_max);
+        let m = m.iter().copied().fold(f64::NEG_INFINITY, nan_skipping_max);
+        if !m.is_finite() {
+            return (m, 0.0);
         }
-        m
+        for e in out.iter_mut() {
+            *e = exp_unit((*e - m).max(EXP_CLAMP));
+        }
+        let mut s = [0.0f64; LANES];
+        fold_lanes(&mut s, out, |a, e| a + e);
+        (m, lane_tree(&s))
     }
 
     /// Writes the posterior responsibilities `p(j | x)` into `out` and
-    /// returns `ln G(x)`. When the log-density is `−∞` (no component
-    /// reaches `x`), `out` is left holding `−∞` terms and the caller
-    /// decides the fallback (the [`Gmm`] wrapper substitutes π).
-    ///
-    /// The normaliser is summed in plain component order — the order every
-    /// fitted model was trained under — not in the lane-strided order of
-    /// [`GmmScorer::log_density`], so the two agree to a few ulp, not
-    /// bit-for-bit.
+    /// returns `ln G(x)` — bit-identical to [`GmmScorer::log_density`].
+    /// When the log-density is `−∞` (no component reaches `x`), `out` is
+    /// left holding the raw `−∞`/NaN terms and the caller decides the
+    /// fallback (the [`Gmm`] wrapper substitutes π).
     ///
     /// # Panics
     ///
     /// Panics when `out.len() != self.k()`.
     pub fn responsibilities_into(&self, x: Vec2, out: &mut [f64]) -> f64 {
-        let m = self.log_terms_into(x, out);
+        let (m, sum) = self.unit_terms_into(x, out);
         if !m.is_finite() {
             return m;
-        }
-        let mut sum = 0.0;
-        for o in out.iter_mut() {
-            *o = exp_unit((*o - m).max(EXP_CLAMP));
-            sum += *o;
         }
         let inv = 1.0 / sum;
         for o in out.iter_mut() {
@@ -705,17 +695,31 @@ mod tests {
     }
 
     #[test]
-    fn log_terms_match_component_log_pdfs() {
+    fn unit_terms_match_component_log_pdfs() {
         let gmm = spread_gmm(4);
         let scorer = GmmScorer::from_gmm(&gmm);
         let mut out = vec![0.0; 4];
         let x = [1.0, 0.5];
-        let m = scorer.log_terms_into(x, &mut out);
-        for (j, (w, c)) in gmm.weights().iter().zip(gmm.components()).enumerate() {
-            let want = w.ln() + c.log_pdf(x);
-            assert!((out[j] - want).abs() < 1e-12 * want.abs().max(1.0));
+        let (m, sum) = scorer.unit_terms_into(x, &mut out);
+        let logs: Vec<f64> = gmm
+            .weights()
+            .iter()
+            .zip(gmm.components())
+            .map(|(w, c)| w.ln() + c.log_pdf(x))
+            .collect();
+        let want_m = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        assert!((m - want_m).abs() < 1e-12 * want_m.abs().max(1.0));
+        for (got, l) in out.iter().zip(&logs) {
+            assert!((got - (l - want_m).exp()).abs() < 1e-12);
         }
-        assert_eq!(m, out.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
+        assert_eq!(
+            (m + sum.ln()).to_bits(),
+            scorer.log_density(x).to_bits(),
+            "the E-step normaliser is the scoring kernel's"
+        );
+        // Non-finite input: nothing reaches it, the sum is empty.
+        let (m, sum) = scorer.unit_terms_into([f64::NAN, 0.0], &mut out);
+        assert_eq!((m, sum), (f64::NEG_INFINITY, 0.0));
     }
 
     #[test]

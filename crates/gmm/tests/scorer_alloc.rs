@@ -10,42 +10,12 @@
 //! global allocator: a regression back to deep-copied tables (six `Vec`
 //! clones per worker per model swap) fails on the exact byte count.
 //!
-//! One `#[test]` per binary: the byte counter is process-global, and a
-//! sibling test running concurrently would perturb the delta.
+//! One `#[test]` per binary (see `support`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod support;
 
 use icgmm_gmm::{Gaussian2, Gmm, GmmScorer, Mat2};
-
-/// Counts cumulative allocated bytes; frees are ignored so the delta
-/// over a call is "bytes requested", not peak or net.
-struct CountingAlloc;
-
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: delegates verbatim to `System`; the only addition is a relaxed
-// counter bump, which cannot violate the `GlobalAlloc` contract.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns its result plus the bytes allocated inside it.
-fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let before = ALLOCATED.load(Ordering::Relaxed);
-    let r = f();
-    (r, ALLOCATED.load(Ordering::Relaxed) - before)
-}
+use support::allocated_by;
 
 fn spread_gmm(k: usize) -> Gmm {
     let comps: Vec<Gaussian2> = (0..k)
