@@ -1,6 +1,6 @@
 //! Criterion bench: end-to-end fit+run pipeline on a reduced workload
-//! (regression guard for total harness cost), plus the streaming-vs-
-//! windowed policy-engine scoring comparison on a realistic miss window.
+//! (regression guard for total harness cost), plus the per-miss
+//! policy-engine scoring cost over a realistic miss window.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
@@ -42,10 +42,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
     group.finish();
 
-    // Streaming vs windowed policy-engine scoring over one miss window —
-    // the per-miss cost the GMM modes pay inside `run`.
+    // Policy-engine scoring over one miss window — the per-miss cost the
+    // GMM modes pay inside `run`.
     let window = &trace.records()[..8_192];
-    let mut scores = vec![0.0; window.len()];
     let mut scoring = c.benchmark_group("policy_engine_scoring");
     scoring.throughput(Throughput::Elements(window.len() as u64));
     scoring.bench_function("streaming_8k_window", |b| {
@@ -56,13 +55,6 @@ fn bench_end_to_end(c: &mut Criterion) {
                 engine.observe(black_box(r));
                 black_box(engine.score_current());
             }
-        })
-    });
-    scoring.bench_function("batched_8k_window", |b| {
-        let mut engine = sys.policy_engine().expect("fitted");
-        b.iter(|| {
-            engine.reset();
-            engine.score_window(black_box(window), black_box(&mut scores));
         })
     });
     scoring.finish();

@@ -25,8 +25,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
-    CacheConfig, LatencyModel, LruPolicy, ScoreSource, SetAssocCache, ShardPolicies,
-    ThresholdAdmit, WindowedSimulator,
+    simulate, CacheConfig, LatencyModel, LruPolicy, ScoreSource, SetAssocCache, ShardPolicies,
+    ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_serve::{CacheServer, ServeConfig};
@@ -156,17 +156,15 @@ fn bench_serving(c: &mut Criterion) {
             b.iter(|| {
                 // One offline session per iteration, constructed exactly
                 // as a serve session constructs its per-shard state
-                // (fresh simulator, cloned engine, fresh policies) — the
+                // (fresh cache, cloned engine, fresh policies) — the
                 // serve/replay ratio then isolates the service machinery
                 // rather than charging serving for session setup the
                 // baseline amortized away.
                 let mut e = eng.clone();
-                let mut wsim = WindowedSimulator::default();
                 let mut cache = SetAssocCache::new(cfg).expect("valid geometry");
                 let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
                 let mut adm = ThresholdAdmit::new(f64::NEG_INFINITY);
-                black_box(wsim.run(
-                    &[],
+                black_box(simulate(
                     black_box(trace),
                     &mut cache,
                     &mut adm,

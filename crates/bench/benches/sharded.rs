@@ -5,8 +5,7 @@
 //! Three scenario families at paper-scale K = 256:
 //!
 //! * the all-miss scan from `sim_batch` (every request scores) at shard
-//!   counts {1, 2, 4, 8} against the unsharded `WindowedSimulator` — which,
-//!   like the shards, streams the engine (it does not prefer batching);
+//!   counts {1, 2, 4, 8} against the unsharded `simulate` loop;
 //! * the multi-tenant pooled workload (16 tenants, Zipf-interleaved) —
 //!   the trace shape sharding exists for; and
 //! * setup-only scenarios: the index fan-out in isolation
@@ -16,15 +15,15 @@
 //!
 //! CI gates only the S = 1 pair: one shard replays inline on the calling
 //! thread — no fan-out, gap bookkeeping, outcome recording or merge — so
-//! it must sit at parity with the unsharded `WindowedSimulator` (both
-//! sides are set-up inclusive: a fresh engine clone and batcher per
-//! replay). Higher shard counts are archived for trend tracking.
+//! it must sit at parity with the unsharded `simulate` (both sides are
+//! set-up inclusive: a fresh engine clone per replay). Higher shard
+//! counts are archived for trend tracking.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
-    BeladyPolicy, CacheConfig, LatencyModel, LruPolicy, ScoreSource, SetAssocCache, ShardPartition,
-    ShardPolicies, ShardedSimulator, ThresholdAdmit, WindowedSimulator,
+    simulate, BeladyPolicy, CacheConfig, LatencyModel, LruPolicy, ScoreSource, SetAssocCache,
+    ShardPartition, ShardPolicies, ShardedSimulator, ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
@@ -100,15 +99,13 @@ fn bench_sharded(c: &mut Criterion) {
 
     group.bench_function("unsharded_scan_k256", |b| {
         b.iter(|| {
-            // Set-up inclusive, like `sim.run`: a fresh engine clone and
-            // batcher per replay.
+            // Set-up inclusive, like `sim.run`: a fresh engine clone per
+            // replay.
             let mut e = eng.clone();
-            let mut wsim = WindowedSimulator::default();
             let mut cache = SetAssocCache::new(cfg).expect("valid geometry");
             let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
             let mut adm = ThresholdAdmit::new(f64::NEG_INFINITY);
-            black_box(wsim.run(
-                &[],
+            black_box(simulate(
                 black_box(&scan),
                 &mut cache,
                 &mut adm,
@@ -145,15 +142,13 @@ fn bench_sharded(c: &mut Criterion) {
 
     group.bench_function("unsharded_tenants_k256", |b| {
         b.iter(|| {
-            // Set-up inclusive, like `sim.run`: a fresh engine clone and
-            // batcher per replay.
+            // Set-up inclusive, like `sim.run`: a fresh engine clone per
+            // replay.
             let mut e = eng.clone();
-            let mut wsim = WindowedSimulator::default();
             let mut cache = SetAssocCache::new(cfg).expect("valid geometry");
             let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
             let mut adm = ThresholdAdmit::new(f64::NEG_INFINITY);
-            black_box(wsim.run(
-                &[],
+            black_box(simulate(
                 black_box(&tenants),
                 &mut cache,
                 &mut adm,

@@ -6,11 +6,7 @@
 //! 4. SSD device class (TLC vs Z-NAND vs QLC),
 //! 5. cache size sweep,
 //! 6. fixed-point vs f64 inference,
-//! 7. eviction hit-bonus (recency blended back into stored scores),
-//! 8. streaming vs speculative replay (`ShardRouting::Streaming` vs
-//!    `::Batched`) across scan / Zipf / multi-tenant / gmm-evict at
-//!    K ∈ {64, 256, 1024} — results invariant, wall-time says whether the
-//!    miss-window batcher still earns its keep (ROADMAP item 3).
+//! 7. eviction hit-bonus (recency blended back into stored scores).
 //!
 //! One benchmark per ablation keeps the run minutes-scale; `--quick`
 //! shrinks it further.
@@ -19,15 +15,12 @@
 
 use icgmm::benchmarks::BenchmarkSpec;
 use icgmm::report::{f, format_table};
-use icgmm::{GmmPolicyEngine, Icgmm, IcgmmConfig, PolicyMode};
-use icgmm_bench::{banner, hand_engine, scan_trace, zipf_trace, Scale};
-use icgmm_cache::{
-    CacheConfig, GmmScorePolicy, LatencyModel, LruPolicy, PreferBatching, ShardPolicies,
-    ShardRouting, ShardedSimulator, ThresholdAdmit,
-};
+use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
+use icgmm_bench::{banner, Scale};
+use icgmm_cache::{CacheConfig, LatencyModel};
 use icgmm_gmm::{EmConfig, ThresholdConfig};
-use icgmm_trace::synth::{MultiTenantWorkload, Workload, WorkloadKind};
-use icgmm_trace::{PreprocessConfig, Trace, TraceRecord};
+use icgmm_trace::synth::WorkloadKind;
+use icgmm_trace::{PreprocessConfig, Trace};
 
 fn spec_for(scale: Scale, kind: WorkloadKind) -> (BenchmarkSpec, IcgmmConfig, Trace) {
     let spec = scale
@@ -47,60 +40,6 @@ fn run_pair(cfg: IcgmmConfig, trace: &Trace, mode: PolicyMode) -> (f64, f64) {
     }
     let rep = sys.run(trace, mode).expect("run succeeds");
     (rep.miss_rate_pct(), rep.avg_us())
-}
-
-/// Median wall time (ms) of `reps` alternating streaming / speculative
-/// one-shard replays, plus whether the two reports agreed every time.
-fn time_routings(
-    eng: &GmmPolicyEngine,
-    trace: &[TraceRecord],
-    gmm_evict: bool,
-    reps: usize,
-) -> (f64, f64, bool) {
-    let cfg = CacheConfig {
-        capacity_bytes: 512 * 4096,
-        block_bytes: 4096,
-        ways: 8,
-    };
-    let lat = LatencyModel::paper_tlc();
-    let run = |routing: ShardRouting| {
-        let sim = ShardedSimulator::new(1).with_routing(routing);
-        let t0 = std::time::Instant::now();
-        let rep = sim
-            .run(
-                &[],
-                trace,
-                cfg,
-                &|_ctx| ShardPolicies {
-                    admission: Box::new(ThresholdAdmit::new(f64::NEG_INFINITY)),
-                    eviction: if gmm_evict {
-                        Box::new(GmmScorePolicy::new(cfg.num_sets(), cfg.ways))
-                    } else {
-                        Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways))
-                    },
-                    // The wrapper is what lets `Batched` speculate at all;
-                    // `Streaming` overrides it.
-                    score: Some(Box::new(PreferBatching(eng.clone()))),
-                },
-                &lat,
-                None,
-            )
-            .expect("valid geometry");
-        (t0.elapsed().as_secs_f64() * 1e3, rep)
-    };
-    let (mut stream_ms, mut spec_ms, mut same) = (Vec::new(), Vec::new(), true);
-    for _ in 0..reps {
-        let (a_ms, a) = run(ShardRouting::Streaming);
-        let (b_ms, b) = run(ShardRouting::Batched);
-        same &= a.sim == b.sim && !a.batched && b.batched;
-        stream_ms.push(a_ms);
-        spec_ms.push(b_ms);
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    (median(&mut stream_ms), median(&mut spec_ms), same)
 }
 
 fn main() {
@@ -257,62 +196,4 @@ fn main() {
     println!("bonus = 0 is the paper's stored-score design; positive values test");
     println!("whether mixing recency back in helps (it should matter little when");
     println!("the GMM already separates hot from cold).");
-
-    // 8. Streaming vs speculative replay, one shard, hand-built engine.
-    //    The single-point scoring kernel now costs about what the batched
-    //    one does per score, so the question ROADMAP item 3 asks — does
-    //    miss-window speculation still buy anything, anywhere? — gets one
-    //    row per scenario × K. Simulated results must be identical.
-    banner("ablation 8 — streaming vs speculative replay (one shard, admit-all)");
-    let n = match scale {
-        Scale::Full => 200_000,
-        Scale::Quick => 40_000,
-    };
-    let (scan, zipf) = (scan_trace(n), zipf_trace(n));
-    let tenants = MultiTenantWorkload {
-        tenants: 16,
-        pages_per_tenant: 2_048,
-        ..Default::default()
-    }
-    .generate(n, 4242)
-    .into_records();
-    let scenarios: [(&str, &[TraceRecord], bool); 4] = [
-        ("scan (all-miss), lru", &scan, false),
-        ("zipf(0.9), lru", &zipf, false),
-        ("multi-tenant, lru", &tenants, false),
-        ("zipf(0.9), gmm-evict", &zipf, true),
-    ];
-    let mut rows = Vec::new();
-    for k in [64usize, 256, 1024] {
-        let eng = hand_engine(k, n);
-        for (name, trace, gmm_evict) in scenarios {
-            let (stream_ms, spec_ms, same) = time_routings(&eng, trace, gmm_evict, 5);
-            rows.push(vec![
-                k.to_string(),
-                name.into(),
-                f(stream_ms, 1),
-                f(spec_ms, 1),
-                f(stream_ms / spec_ms, 2),
-                if same { "yes" } else { "NO" }.into(),
-            ]);
-            eprintln!("[ablation] K={k} {name} done");
-        }
-    }
-    println!(
-        "{}",
-        format_table(
-            &[
-                "K",
-                "scenario",
-                "streaming ms",
-                "speculative ms",
-                "speculation speed-up x",
-                "identical"
-            ],
-            &rows
-        )
-    );
-    println!("speed-up < 1: streaming wins (what every default entry point now runs).");
-    println!("Anything above 1.10 is a scenario the batcher still earns its keep on —");
-    println!("write it into ROADMAP item 3 before deleting crates/cache/src/batch.rs.");
 }

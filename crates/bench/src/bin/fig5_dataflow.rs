@@ -4,9 +4,7 @@
 //!
 //! Runs the cycle-approximate dataflow model on one miss-heavy benchmark
 //! with overlap on and off, and reports per-module busy time, FIFO stalls
-//! and the latency the overlap buys back — plus the host-replay
-//! speculation telemetry (batched score fraction, divergences, run
-//! splits), so dataflow runs are diagnosable exactly like analytic runs.
+//! and the latency the overlap buys back.
 //!
 //! Usage: `cargo run -p icgmm-bench --release --bin fig5_dataflow [--quick]`
 
@@ -88,43 +86,6 @@ fn main() {
         format_table(&["metric", "dataflow (overlap)", "sequential"], &rows)
     );
 
-    // Host-replay speculation telemetry: the modeled timing above is
-    // bit-identical between the streaming and batched replay engines, so
-    // these columns are pure host-side diagnostics (`None` means the
-    // engine streamed — which the GMM policy engine now always does).
-    let spec_cell = |r: &icgmm_hw::DataflowReport,
-                     get: &dyn Fn(&icgmm_cache::SpecStats) -> String| {
-        r.spec.as_ref().map_or_else(|| "streamed".into(), get)
-    };
-    let spec_row = |label: &str, get: &dyn Fn(&icgmm_cache::SpecStats) -> String| {
-        vec![
-            label.to_string(),
-            spec_cell(&with, get),
-            spec_cell(&without, get),
-        ]
-    };
-    let spec_rows = vec![
-        spec_row("batched score fraction (%)", &|s| {
-            f(s.batched_fraction() * 100.0, 1)
-        }),
-        spec_row("batch calls", &|s| s.batch_calls.to_string()),
-        spec_row("dense windows", &|s| s.dense_windows.to_string()),
-        spec_row("run splits", &|s| s.run_splits.to_string()),
-        spec_row("divergences (total)", &|s| s.divergences().to_string()),
-        spec_row("  victim", &|s| s.victim_divergences.to_string()),
-        spec_row("  class (hit/miss)", &|s| s.class_divergences().to_string()),
-        spec_row("  admission bypass", &|s| {
-            s.admission_divergences.to_string()
-        }),
-        spec_row("streamed records", &|s| s.streamed_records.to_string()),
-    ];
-    println!(
-        "{}",
-        format_table(
-            &["host replay telemetry", "dataflow (overlap)", "sequential"],
-            &spec_rows
-        )
-    );
     let gain = (without.avg_request_us - with.avg_request_us) / without.avg_request_us * 100.0;
     println!("overlap removes {gain:.2}% of average latency on this miss-heavy trace;");
     println!("per miss it hides the full 3 µs GMM inference behind the >=75 µs SSD access,");

@@ -1,40 +1,27 @@
 //! CI perf-regression gate over the criterion shim's JSON-lines output.
 //!
 //! Reads a `BENCH_*.json` file (one JSON object per benchmark, written by
-//! the shim when `CRITERION_JSON` is set) and fails unless the speculative
-//! batched simulator is at least `--min-ratio` (default 2.0) times faster
-//! than the streaming simulator *in the same run*. Comparing two
-//! benchmarks of one run on one runner makes the gate a relative check,
-//! immune to the heterogeneous-runner problem that absolute thresholds
-//! have.
+//! the shim when `CRITERION_JSON` is set) and fails unless every named
+//! baseline is at least its `MIN_RATIO` times slower than its candidate
+//! *in the same run*. Comparing two benchmarks of one run on one runner
+//! makes the gate a relative check, immune to the heterogeneous-runner
+//! problem that absolute thresholds have.
 //!
 //! Usage:
 //!
 //! ```text
-//! perf_gate BENCH_sim.json \
-//!     [--baseline sim_batch/streaming_k256_w4096] \
-//!     [--candidate sim_batch/batched_k256_w4096] \
-//!     [--min-ratio 2.0] \
-//!     [--gate BASELINE,CANDIDATE,MIN_RATIO]...
+//! perf_gate BENCH_gmm.json --gate BASELINE,CANDIDATE,MIN_RATIO...
 //! ```
 //!
 //! `--gate` is repeatable: each occurrence adds one `baseline ≥ min_ratio
 //! × candidate` check, so one invocation can gate several benchmark pairs
-//! of the same run (e.g. the LRU scan at ≥ 2× *and* the gmm-score
-//! eviction pairs at ≥ 2× / ≥ 1×). The `--baseline`/`--candidate`/
-//! `--min-ratio` trio describes one more gate: the implicit default when
-//! no `--gate` is given, or an additional explicit check when any of the
-//! three is set alongside `--gate` (explicit flags are never silently
-//! dropped). All gates are evaluated (the worst offender is not masked by
-//! an earlier failure) and any failure fails the run.
+//! of the same run. All gates are evaluated (the worst offender is not
+//! masked by an earlier failure) and any failure fails the run.
 //!
 //! Exit codes: 0 all gates pass, 1 any gate failed or entries missing,
 //! 2 usage error.
 
 use std::process::ExitCode;
-
-const DEFAULT_BASELINE: &str = "sim_batch/streaming_k256_w4096";
-const DEFAULT_CANDIDATE: &str = "sim_batch/batched_k256_w4096";
 
 /// One `baseline ≥ min_ratio × candidate` check.
 struct Gate {
@@ -46,36 +33,11 @@ struct Gate {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path = None;
-    let mut baseline = DEFAULT_BASELINE.to_string();
-    let mut candidate = DEFAULT_CANDIDATE.to_string();
-    let mut min_ratio = 2.0f64;
-    let mut single_flags = false;
     let mut gates: Vec<Gate> = Vec::new();
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--baseline" => match it.next() {
-                Some(v) => {
-                    baseline = v.clone();
-                    single_flags = true;
-                }
-                None => return usage("--baseline needs a value"),
-            },
-            "--candidate" => match it.next() {
-                Some(v) => {
-                    candidate = v.clone();
-                    single_flags = true;
-                }
-                None => return usage("--candidate needs a value"),
-            },
-            "--min-ratio" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    min_ratio = v;
-                    single_flags = true;
-                }
-                None => return usage("--min-ratio needs a number"),
-            },
             "--gate" => {
                 let Some(spec) = it.next() else {
                     return usage("--gate needs BASELINE,CANDIDATE,MIN_RATIO");
@@ -102,18 +64,8 @@ fn main() -> ExitCode {
     let Some(path) = path else {
         return usage("missing JSON file path");
     };
-    // The single-check flags form their own gate: by default when no
-    // --gate was given, and as one more gate when they were explicitly
-    // set alongside --gate (never silently dropped).
-    if gates.is_empty() || single_flags {
-        gates.insert(
-            0,
-            Gate {
-                baseline,
-                candidate,
-                min_ratio,
-            },
-        );
+    if gates.is_empty() {
+        return usage("at least one --gate is required");
     }
 
     let content = match std::fs::read_to_string(&path) {
@@ -132,7 +84,7 @@ fn main() -> ExitCode {
         println!("perf_gate: PASS ({} gate(s))", gates.len());
         ExitCode::SUCCESS
     } else {
-        eprintln!("perf_gate: FAIL — batched path regressed below a gate");
+        eprintln!("perf_gate: FAIL — a candidate regressed below its gate");
         ExitCode::from(1)
     }
 }
@@ -170,10 +122,7 @@ fn check_gate(content: &str, path: &str, gate: &Gate) -> bool {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("perf_gate: {msg}");
-    eprintln!(
-        "usage: perf_gate <bench.json> [--baseline ID] [--candidate ID] [--min-ratio X] \
-         [--gate BASELINE,CANDIDATE,RATIO]..."
-    );
+    eprintln!("usage: perf_gate <bench.json> --gate BASELINE,CANDIDATE,RATIO...");
     ExitCode::from(2)
 }
 

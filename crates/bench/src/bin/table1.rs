@@ -39,15 +39,7 @@ fn main() {
                 f(paper.reduction_pct, 2)
             ),
         ]);
-        eprintln!(
-            "[table1] {name} done (miss-window batcher: {:.1}% of scores batched, {} divergences \
-             = {} victim + {} class + {} bypass)",
-            best.batched_score_fraction * 100.0,
-            best.spec_divergences,
-            best.spec_victim_divergences,
-            best.spec_class_divergences,
-            best.spec_admission_bypasses
-        );
+        eprintln!("[table1] {name} done");
     }
     println!(
         "{}",

@@ -130,13 +130,6 @@ impl SetAssocCache {
         &self.blocks[self.slot(set, way)]
     }
 
-    /// The full tag array, `set`-major (`set * ways + way`). The
-    /// speculative batcher snapshots this into its shadow state at every
-    /// window start.
-    pub fn blocks(&self) -> &[BlockState] {
-        &self.blocks
-    }
-
     /// Full access path: lookup, hit handling, admission, insertion and
     /// eviction — one host request end-to-end.
     ///

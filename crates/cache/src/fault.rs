@@ -9,7 +9,7 @@
 //!
 //! * [`FaultPlan`] — a seeded, `Copy` description of which faults to arm
 //!   (scorer, device, shard) and how the degradation ladder responds
-//!   (speculation circuit breaker, scorer health monitor). An empty plan
+//!   (the scorer health monitor). An empty plan
 //!   injects nothing and arms nothing; callers skip all wrapping in that
 //!   case, so empty-plan runs take exactly the fault-free code paths and
 //!   stay bit-identical to them (property-enforced by
@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
-use crate::policy::{AccessCtx, AdmissionPolicy, EvictionPolicy, ShadowVictimModel};
+use crate::policy::{AccessCtx, AdmissionPolicy, EvictionPolicy};
 use crate::score::ScoreSource;
 
 /// Decision streams, so the same position can roll independently for each
@@ -101,12 +101,6 @@ pub struct FaultPlan {
     /// Per-mille probability (rolled once per shard) that a shard worker
     /// panics mid-replay at a plan-chosen record.
     pub shard_panic_per_mille: u16,
-    /// Consecutive divergent speculation windows that trip the circuit
-    /// breaker (demoting batched→streaming). Zero disarms the breaker.
-    pub breaker_storm_windows: u32,
-    /// Records replayed in streaming mode after a breaker trip before the
-    /// batcher re-arms.
-    pub breaker_cooldown_records: u32,
     /// Consecutive non-finite scores before the scorer health monitor
     /// demotes gmm-score eviction to LRU and threshold admission to
     /// always-admit. Zero disarms the monitor.
@@ -129,8 +123,6 @@ impl Default for FaultPlan {
             device_backoff_us: 50.0,
             device_timeout_us: 1_000.0,
             shard_panic_per_mille: 0,
-            breaker_storm_windows: 0,
-            breaker_cooldown_records: 0,
             scorer_demote_after: 0,
             scorer_promote_after: 64,
         }
@@ -154,8 +146,6 @@ impl FaultPlan {
             device_fail_per_mille: 20,
             device_spike_per_mille: 50,
             shard_panic_per_mille: 500,
-            breaker_storm_windows: 4,
-            breaker_cooldown_records: 4_096,
             scorer_demote_after: 8,
             scorer_promote_after: 64,
             ..FaultPlan::default()
@@ -165,11 +155,7 @@ impl FaultPlan {
     /// Whether the plan injects nothing and arms no ladder rung — the
     /// "today's engines, untouched" configuration.
     pub fn is_empty(&self) -> bool {
-        !self.scorer_armed()
-            && !self.device_armed()
-            && !self.shard_armed()
-            && !self.breaker_armed()
-            && !self.monitor_armed()
+        !self.scorer_armed() && !self.device_armed() && !self.shard_armed() && !self.monitor_armed()
     }
 
     /// Scorer faults armed (non-finite flips or outages)?
@@ -185,11 +171,6 @@ impl FaultPlan {
     /// Shard-worker panic points armed?
     pub fn shard_armed(&self) -> bool {
         self.shard_panic_per_mille > 0
-    }
-
-    /// Speculation circuit breaker armed?
-    pub fn breaker_armed(&self) -> bool {
-        self.breaker_storm_windows > 0
     }
 
     /// Scorer health monitor (gmm-score→LRU, threshold→always) armed?
@@ -233,11 +214,6 @@ impl FaultPlan {
                 "fault.device_timeout_us must be finite and >= 0, got {}",
                 self.device_timeout_us
             ));
-        }
-        if self.breaker_storm_windows > 0 && self.breaker_cooldown_records == 0 {
-            return Err(
-                "fault.breaker_cooldown_records must be >= 1 when the breaker is armed".into(),
-            );
         }
         if self.scorer_demote_after > 0 && self.scorer_promote_after == 0 {
             return Err(
@@ -307,10 +283,6 @@ pub struct FaultStats {
     pub shard_panics: u64,
     /// Panicked shards successfully re-replayed by the supervisor.
     pub shard_recoveries: u64,
-    /// Speculation circuit-breaker trips (batched demoted to streaming).
-    pub breaker_trips: u64,
-    /// Records replayed in streaming mode during breaker cooldowns.
-    pub breaker_streamed: u64,
     /// Scorer health-monitor demotions (gmm-score→LRU, threshold→always).
     pub scorer_demotions: u64,
     /// Scorer health-monitor re-promotions back to the primary policies.
@@ -325,7 +297,7 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Accumulates `other` into `self` (used by the sharded merge and by
-    /// callers combining scorer, breaker and device stats into one block).
+    /// callers combining scorer and device stats into one block).
     pub fn merge(&mut self, other: &FaultStats) {
         self.scorer_nan_injected += other.scorer_nan_injected;
         self.scorer_outage_scores += other.scorer_outage_scores;
@@ -336,8 +308,6 @@ impl FaultStats {
         self.device_fault_us += other.device_fault_us;
         self.shard_panics += other.shard_panics;
         self.shard_recoveries += other.shard_recoveries;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_streamed += other.breaker_streamed;
         self.scorer_demotions += other.scorer_demotions;
         self.scorer_repromotions += other.scorer_repromotions;
         self.degraded_scores += other.degraded_scores;
@@ -464,10 +434,9 @@ impl ScorerHealth {
 /// feeds the health monitor.
 ///
 /// The wrapper keeps its own observation clock (advanced exactly like the
-/// inner source's: `observe` +1, `observe_gap` +n, window calls by their
-/// span), so every injection decision is keyed on the record's *global
-/// trace position* — identical across the streaming, batched and sharded
-/// engines for the positions they actually score.
+/// inner source's: `observe` +1, `observe_gap` +n), so every injection
+/// decision is keyed on the record's *global trace position* — identical
+/// at every shard count.
 pub struct FaultyScore<S: ScoreSource> {
     inner: S,
     plan: FaultPlan,
@@ -556,19 +525,6 @@ impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
         self.corrupt(self.clock.wrapping_sub(1), raw)
     }
 
-    fn score_window(&mut self, records: &[TraceRecord], out: &mut [f64]) {
-        self.inner.score_window(records, out);
-        for slot in out.iter_mut() {
-            let seq = self.clock;
-            self.clock += 1;
-            *slot = self.corrupt(seq, *slot);
-        }
-    }
-
-    fn prefers_batching(&self) -> bool {
-        self.inner.prefers_batching()
-    }
-
     fn shardable(&self) -> bool {
         self.inner.shardable()
     }
@@ -577,18 +533,6 @@ impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
         self.inner.observe_gap(n);
         self.clock += n;
     }
-
-    fn score_window_gapped(&mut self, records: &[TraceRecord], gaps: &[u64], out: &mut [f64]) {
-        self.inner.score_window_gapped(records, gaps, out);
-        assert_eq!(records.len(), out.len(), "one score slot per record");
-        assert_eq!(records.len(), gaps.len(), "one gap per record");
-        for (i, slot) in out.iter_mut().enumerate() {
-            self.clock += gaps[i];
-            let seq = self.clock;
-            self.clock += 1;
-            *slot = self.corrupt(seq, *slot);
-        }
-    }
 }
 
 /// The gmm-score→LRU rung: routes victim choices to a fallback policy
@@ -596,9 +540,7 @@ impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
 ///
 /// Both policies' replacement metadata is kept warm on every hit and
 /// insert, so a mid-run demotion hands the fallback a fully-populated
-/// view instead of cold state. The shadow model follows the currently
-/// active policy; a stale prediction after a flip only costs the batcher
-/// a divergence (replay verifies every victim), never correctness.
+/// view instead of cold state.
 pub struct FailoverEviction {
     primary: Box<dyn EvictionPolicy + Send>,
     fallback: Box<dyn EvictionPolicy + Send>,
@@ -647,14 +589,6 @@ impl EvictionPolicy for FailoverEviction {
             self.fallback.choose_victim(set, ways, ctx)
         } else {
             self.primary.choose_victim(set, ways, ctx)
-        }
-    }
-
-    fn shadow_victim_model(&self) -> ShadowVictimModel {
-        if self.health.is_degraded() {
-            self.fallback.shadow_victim_model()
-        } else {
-            self.primary.shadow_victim_model()
         }
     }
 
@@ -726,7 +660,7 @@ mod tests {
         let p = FaultPlan::chaos(7);
         assert!(!p.is_empty());
         assert!(p.scorer_armed() && p.device_armed() && p.shard_armed());
-        assert!(p.breaker_armed() && p.monitor_armed());
+        assert!(p.monitor_armed());
         assert!(p.validate().is_ok());
     }
 
@@ -756,11 +690,6 @@ mod tests {
             },
             FaultPlan {
                 device_timeout_us: f64::INFINITY,
-                ..FaultPlan::default()
-            },
-            FaultPlan {
-                breaker_storm_windows: 2,
-                breaker_cooldown_records: 0,
                 ..FaultPlan::default()
             },
             FaultPlan {
@@ -955,7 +884,6 @@ mod tests {
             scorer_nan_injected: 1,
             device_retries: 2,
             shard_panics: 3,
-            breaker_trips: 4,
             device_fault_us: 1.5,
             ..FaultStats::default()
         };

@@ -58,11 +58,8 @@ pub mod policy;
 pub use adapt::{
     AdaptPlan, AdaptSink, AdaptStats, DriftDetector, ObsSample, RecentRing, Reservoir,
 };
-pub use batch::{
-    simulate_batched, simulate_batched_with_warmup, SpecParams, SpecStats, WindowedSimulator,
-    DEFAULT_SPEC_WINDOW, DENSE_MISS_FRACTION_DIV, MIN_SPEC_WINDOW, STREAM_MISS_FRACTION_DIV,
-    STREAM_SPAN_WINDOWS,
-};
+#[doc(hidden)]
+pub use batch::{SpecParams, SpecStats, WindowedSimulator};
 pub use cache::{AccessOutcome, BlockState, Eviction, SetAssocCache};
 pub use config::{CacheConfig, CacheConfigError};
 pub use fault::{
@@ -73,17 +70,17 @@ pub use latency::LatencyModel;
 pub use merge::{merge_streams, OutcomeStream, SeqOutcome, StreamingMerge};
 pub use policy::{
     AccessCtx, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy, FifoPolicy,
-    GmmScorePolicy, LfuPolicy, LruPolicy, RandomPolicy, ShadowVictimModel, ThresholdAdmit,
+    GmmScorePolicy, LfuPolicy, LruPolicy, RandomPolicy, ThresholdAdmit,
 };
-pub use score::{ConstantScore, FnScore, PreferBatching, ScoreSource};
+pub use score::{ConstantScore, FnScore, ScoreSource};
 pub use shard::{
-    resolve_shard_routing, shard_contract, shard_gap_before, GapScore, ShardCtx, ShardPartition,
-    ShardPolicies, ShardRouting, ShardRunError, ShardedReport, ShardedSimulator,
+    shard_contract, shard_gap_before, GapScore, ShardCtx, ShardPartition, ShardPolicies,
+    ShardRunError, ShardedReport, ShardedSimulator,
 };
 pub use sim::{
-    simulate, simulate_streaming, simulate_streaming_observed_records,
-    simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, simulate_with_warmup,
-    streaming_step, ReplayEvent, ReplayObserver, ScoreOrigin, SimReport,
+    simulate, simulate_streaming_observed_records, simulate_streaming_observed_with_warmup,
+    simulate_streaming_with_warmup, simulate_with_warmup, streaming_step, ReplayEvent,
+    ReplayObserver, SimReport,
 };
 pub use stats::{CacheStats, MissSeries};
 pub use view::{RecordsIter, RecordsRef};

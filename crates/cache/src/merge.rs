@@ -19,7 +19,7 @@
 
 use crate::cache::AccessOutcome;
 use crate::latency::LatencyModel;
-use crate::sim::{Accounting, ScoreOrigin, SimReport};
+use crate::sim::{Accounting, SimReport};
 use icgmm_trace::TraceRecord;
 
 /// One replayed outcome stamped with its global trace position.
@@ -75,8 +75,7 @@ impl<'a> StreamingMerge<'a> {
             out.seq, self.next_seq
         );
         self.next_seq += 1;
-        self.acct
-            .record(out.seq, &out.record, &out.outcome, None, ScoreOrigin::None);
+        self.acct.record(out.seq, &out.record, &out.outcome, None);
     }
 
     /// How many outcomes have been merged so far (equals the next

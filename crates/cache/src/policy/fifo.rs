@@ -1,6 +1,6 @@
 //! First-In-First-Out eviction (insertion order, ignores hits).
 
-use super::{AccessCtx, EvictionPolicy, ShadowVictimModel};
+use super::{AccessCtx, EvictionPolicy};
 
 /// FIFO: the victim is the block inserted longest ago.
 #[derive(Clone, Debug)]
@@ -43,10 +43,6 @@ impl EvictionPolicy for FifoPolicy {
         (0..ways)
             .min_by_key(|&w| self.inserted[set * self.ways + w])
             .expect("set has at least one way")
-    }
-
-    fn shadow_victim_model(&self) -> ShadowVictimModel {
-        ShadowVictimModel::Insertion
     }
 }
 

@@ -7,16 +7,13 @@
 //! engine), but an optional multiplicative `hit_bonus` can nudge stored
 //! scores upward on reuse for ablation studies (default 0 = paper-faithful).
 
-use super::{AccessCtx, EvictionPolicy, ShadowVictimModel};
+use super::{AccessCtx, EvictionPolicy};
 
 /// Lexicographic strict-`<` scan over `(stored score, recency)` keys: the
 /// way with the lowest score wins, equal scores fall back to the least
-/// recent. Shared by [`GmmScorePolicy::choose_victim`] and the
-/// speculative batcher's stored-score victim prediction — one
-/// implementation, so the shadow's ranking (including NaN handling, which
-/// the strict-`<` scan never selects past way 0) cannot drift from the
-/// real policy's.
-pub(crate) fn min_by_score_then_recency(keys: impl Iterator<Item = (f64, u64)>) -> usize {
+/// recent. A NaN score never compares below anything, so the scan never
+/// selects a NaN-scored way past way 0.
+fn min_by_score_then_recency(keys: impl Iterator<Item = (f64, u64)>) -> usize {
     let mut victim = 0;
     let mut best = (f64::INFINITY, u64::MAX);
     for (w, key) in keys.enumerate() {
@@ -98,12 +95,6 @@ impl EvictionPolicy for GmmScorePolicy {
         let scores = &self.score[base..base + ways];
         let lasts = &self.last[base..base + ways];
         min_by_score_then_recency(scores.iter().zip(lasts).map(|(s, l)| (*s, *l)))
-    }
-
-    fn shadow_victim_model(&self) -> ShadowVictimModel {
-        ShadowVictimModel::StoredScore {
-            hit_bonus: self.hit_bonus,
-        }
     }
 }
 

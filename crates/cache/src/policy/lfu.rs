@@ -1,6 +1,6 @@
 //! Least-Frequently-Used eviction (frequency baseline).
 
-use super::{AccessCtx, EvictionPolicy, ShadowVictimModel};
+use super::{AccessCtx, EvictionPolicy};
 
 /// LFU with per-block hit counters; counters reset on insertion, and ties
 /// break toward the least-recently touched block.
@@ -57,10 +57,6 @@ impl EvictionPolicy for LfuPolicy {
                 (self.count[s], self.last[s])
             })
             .expect("set has at least one way")
-    }
-
-    fn shadow_victim_model(&self) -> ShadowVictimModel {
-        ShadowVictimModel::Frequency
     }
 }
 

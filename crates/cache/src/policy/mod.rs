@@ -16,46 +16,12 @@ mod random;
 
 pub use belady::BeladyPolicy;
 pub use fifo::FifoPolicy;
-pub(crate) use gmm::min_by_score_then_recency;
 pub use gmm::GmmScorePolicy;
 pub use lfu::LfuPolicy;
 pub use lru::LruPolicy;
 pub use random::RandomPolicy;
 
 use icgmm_trace::{Op, PageIndex};
-
-/// How the speculative miss-window batcher's shadow should predict this
-/// policy's victim choices (see `crate::WindowedSimulator`).
-///
-/// The shadow maintains per-slot recency, insertion-order, frequency and
-/// stored-score metadata in lock-step with the replay; the model names
-/// which of those the policy's [`EvictionPolicy::choose_victim`] actually
-/// consults, so the shadow can rank the same way and speculated windows
-/// stay divergence-free. A model is a *prediction* contract only — every
-/// victim is still verified against the real policy at replay, so a policy
-/// exposing a poor model (or the default) loses batching throughput, never
-/// correctness.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum ShadowVictimModel {
-    /// Victim = least-recently-touched block (LRU). Also the fallback for
-    /// policies whose choices the shadow cannot rank (Random, Belady):
-    /// their victims simply diverge and cut the window.
-    #[default]
-    Recency,
-    /// Victim = oldest-inserted block; hits do not refresh (FIFO).
-    Insertion,
-    /// Victim = fewest hits since insertion, least-recently-touched
-    /// tie-break (LFU).
-    Frequency,
-    /// Victim = lowest stored score, least-recently-touched tie-break (the
-    /// paper's score-table eviction). `hit_bonus` mirrors
-    /// [`GmmScorePolicy::with_hit_bonus`]: on every hit the stored score is
-    /// multiplied by `1 + hit_bonus`.
-    StoredScore {
-        /// Multiplicative score bump the policy applies on hits.
-        hit_bonus: f64,
-    },
-}
 
 /// Per-request context handed to policies.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -88,16 +54,6 @@ pub trait EvictionPolicy {
 
     /// Chooses the victim way in a full `set` (all `ways` valid).
     fn choose_victim(&mut self, set: usize, ways: usize, ctx: &AccessCtx) -> usize;
-
-    /// The victim model the speculative batcher's shadow should use to
-    /// predict this policy's [`EvictionPolicy::choose_victim`] choices.
-    ///
-    /// Defaults to [`ShadowVictimModel::Recency`]; policies ranked by
-    /// something else override it so miss-heavy windows stay predictable
-    /// (a wrong model only costs speed — replay verifies every victim).
-    fn shadow_victim_model(&self) -> ShadowVictimModel {
-        ShadowVictimModel::default()
-    }
 
     /// Whether this policy's decisions depend only on the *relative order*
     /// of the events it sees within each set — never on cross-set

@@ -21,14 +21,13 @@ pub trait ScoreSource {
     /// Observes and scores a whole window of requests at once, writing one
     /// score per record into `out`.
     ///
-    /// The contract matches the streaming path exactly: `out[i]` must equal
-    /// what `observe(records[i]); score_current()` would have produced at
-    /// that position, so windowed and streaming replays are interchangeable.
-    /// The default implementation is that loop; batch-capable sources (the
-    /// GMM policy engine) override it to collect the window's feature pairs
-    /// and push them through their batched kernel in one call — the
-    /// software analogue of the hardware streaming a miss window through
-    /// the scoring pipeline back-to-back.
+    /// The contract matches the per-record path exactly: `out[i]` must
+    /// equal what `observe(records[i]); score_current()` would have
+    /// produced at that position. The default implementation is that loop;
+    /// batch-capable sources (the GMM policy engine) override it to collect
+    /// the window's feature pairs and push them through their batched
+    /// kernel in one call. Replay itself scores per miss and never calls
+    /// this; it serves callers that already hold a window of records.
     ///
     /// # Panics
     ///
@@ -39,27 +38,6 @@ pub trait ScoreSource {
             self.observe(r);
             *o = self.score_current();
         }
-    }
-
-    /// Whether this source's [`ScoreSource::score_window`] is genuinely
-    /// batched — materially cheaper per score than `observe` +
-    /// `score_current`, by enough to repay miss-window speculation (a few
-    /// hundred ns per *request* of shadow classification, plus scores
-    /// computed for predicted misses that then hit). Every replay engine
-    /// routes on this one signal: the default entry points
-    /// ([`crate::simulate`], [`crate::simulate_with_warmup`]), the sharded
-    /// and serving engines, the dataflow front-end, and
-    /// [`crate::WindowedSimulator`] itself, which hands a source answering
-    /// `false` to the streaming loop exactly as it does a score-free run.
-    ///
-    /// No in-tree production source answers `true` any more: since the GMM
-    /// scorer's single-point kernel vectorises across components it costs
-    /// about what the batched kernel does per score (≈ 1.2–1.4× at
-    /// K = 256, down from 4.5×), and streaming replay wins on every
-    /// measured workload. Wrap a source in [`PreferBatching`] to drive the
-    /// speculative path anyway (test suites, ablations).
-    fn prefers_batching(&self) -> bool {
-        false
     }
 
     /// Whether this source's observation state depends only on the *count*
@@ -90,33 +68,6 @@ pub trait ScoreSource {
         let _ = n;
         unimplemented!("observe_gap on a source that is not shardable");
     }
-
-    /// [`ScoreSource::score_window`] for a sharded replay: `gaps[i]`
-    /// foreign-shard requests precede `records[i]` and must advance the
-    /// clock (via [`ScoreSource::observe_gap`]) before that record is
-    /// observed. `out[i]` must equal what the single-threaded
-    /// `observe`/`score_current` sequence would have produced at the same
-    /// global position.
-    ///
-    /// The default implementation is the per-record loop; batch-capable
-    /// sources override it to keep one batched kernel call per window
-    /// (the GMM policy engine folds the gaps into its timestamp stream
-    /// while collecting features).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `records`, `gaps` and `out` disagree in length.
-    fn score_window_gapped(&mut self, records: &[TraceRecord], gaps: &[u64], out: &mut [f64]) {
-        assert_eq!(records.len(), out.len(), "one score slot per record");
-        assert_eq!(records.len(), gaps.len(), "one gap per record");
-        for ((r, &g), o) in records.iter().zip(gaps).zip(out.iter_mut()) {
-            if g > 0 {
-                self.observe_gap(g);
-            }
-            self.observe(r);
-            *o = self.score_current();
-        }
-    }
 }
 
 impl<S: ScoreSource + ?Sized> ScoreSource for Box<S> {
@@ -132,63 +83,12 @@ impl<S: ScoreSource + ?Sized> ScoreSource for Box<S> {
         (**self).score_window(records, out);
     }
 
-    fn prefers_batching(&self) -> bool {
-        (**self).prefers_batching()
-    }
-
     fn shardable(&self) -> bool {
         (**self).shardable()
     }
 
     fn observe_gap(&mut self, n: u64) {
         (**self).observe_gap(n);
-    }
-
-    fn score_window_gapped(&mut self, records: &[TraceRecord], gaps: &[u64], out: &mut [f64]) {
-        (**self).score_window_gapped(records, gaps, out);
-    }
-}
-
-/// Forwards every call to the wrapped source and answers
-/// [`ScoreSource::prefers_batching`] with `true` — the way to make a
-/// replay engine speculate over a source that does not ask for it.
-///
-/// Results are bit-identical with or without the wrapper (the batcher's
-/// own invariant); only where the host time goes changes. The
-/// differential suites, the `ablation` bin and the archived `*_batched`
-/// benchmark cases use it to keep exercising
-/// [`crate::WindowedSimulator`]'s speculation, which no production source
-/// selects any more.
-#[derive(Clone, Debug)]
-pub struct PreferBatching<S>(pub S);
-
-impl<S: ScoreSource> ScoreSource for PreferBatching<S> {
-    fn observe(&mut self, record: &TraceRecord) {
-        self.0.observe(record);
-    }
-
-    fn score_current(&mut self) -> f64 {
-        self.0.score_current()
-    }
-
-    fn score_window(&mut self, records: &[TraceRecord], out: &mut [f64]) {
-        self.0.score_window(records, out);
-    }
-
-    fn prefers_batching(&self) -> bool {
-        true
-    }
-
-    fn shardable(&self) -> bool {
-        self.0.shardable()
-    }
-
-    fn observe_gap(&mut self, n: u64) {
-        self.0.observe_gap(n);
-    }
-
-    fn score_window_gapped(&mut self, records: &[TraceRecord], gaps: &[u64], out: &mut [f64]) {
-        self.0.score_window_gapped(records, gaps, out);
     }
 }
 
@@ -258,27 +158,6 @@ mod tests {
         assert_eq!(s.score_current(), 0.7);
         s.observe(&TraceRecord::write(0x9000));
         assert_eq!(s.score_current(), 0.7);
-    }
-
-    #[test]
-    fn prefer_batching_changes_the_signal_and_nothing_else() {
-        let records: Vec<TraceRecord> = (0..6u64).map(|p| TraceRecord::read(p << 12)).collect();
-        let mut plain = FnScore::new(|page, seq| page as f64 * 10.0 + seq as f64);
-        let mut wrapped = PreferBatching(FnScore::new(|page, seq| page as f64 * 10.0 + seq as f64));
-        assert!(!plain.prefers_batching() && wrapped.prefers_batching());
-        assert_eq!(plain.shardable(), wrapped.shardable());
-        let (mut a, mut b) = (vec![0.0; 3], vec![0.0; 3]);
-        plain.score_window_gapped(&records[..3], &[2, 0, 1], &mut a);
-        wrapped.score_window_gapped(&records[..3], &[2, 0, 1], &mut b);
-        assert_eq!(a, b);
-        plain.observe_gap(4);
-        wrapped.observe_gap(4);
-        plain.score_window(&records[3..], &mut a);
-        wrapped.score_window(&records[3..], &mut b);
-        assert_eq!(a, b);
-        plain.observe(&records[0]);
-        wrapped.observe(&records[0]);
-        assert_eq!(plain.score_current(), wrapped.score_current());
     }
 
     #[test]
@@ -353,34 +232,6 @@ mod tests {
         sharded.observe(&TraceRecord::read(9 << 12));
         assert_eq!(global.score_current(), sharded.score_current());
         assert!(sharded.shardable());
-    }
-
-    #[test]
-    fn default_score_window_gapped_matches_streaming_positions() {
-        // Shard records at global positions 1, 4, 5 (gaps 1, 2, 0).
-        let all: Vec<TraceRecord> = (0..6u64).map(|p| TraceRecord::read(p << 12)).collect();
-        let shard = [all[1], all[4], all[5]];
-        let gaps = [1u64, 2, 0];
-        let mut reference = FnScore::new(|page, seq| page as f64 + seq as f64 * 100.0);
-        let mut expected = Vec::new();
-        for (i, r) in all.iter().enumerate() {
-            reference.observe(r);
-            if [1, 4, 5].contains(&i) {
-                expected.push(reference.score_current());
-            }
-        }
-        let mut sharded = FnScore::new(|page, seq| page as f64 + seq as f64 * 100.0);
-        let mut out = vec![0.0; 3];
-        sharded.score_window_gapped(&shard, &gaps, &mut out);
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "one gap per record")]
-    fn score_window_gapped_rejects_gap_length_mismatch() {
-        let mut s = ConstantScore(0.0);
-        let mut out = vec![0.0; 1];
-        s.score_window_gapped(&[TraceRecord::read(0)], &[0, 0], &mut out);
     }
 
     #[test]

@@ -25,11 +25,9 @@
 //!   Algorithm 1 clock, which counts *every* request. A shard's scorer
 //!   clone keeps that clock in global trace order without seeing foreign
 //!   records: the gaps between its records are fast-forwarded through
-//!   [`ScoreSource::observe_gap`] / [`ScoreSource::score_window_gapped`]
-//!   (sources opt in via [`ScoreSource::shardable`]), so every score is
-//!   bit-identical to the single-threaded stream — and each shard still
-//!   rides its own [`WindowedSimulator`] miss-window speculation with one
-//!   batched kernel call per window.
+//!   [`ScoreSource::observe_gap`] (sources opt in via
+//!   [`ScoreSource::shardable`]), so every score is bit-identical to the
+//!   single-threaded stream.
 //! * **Accounting** is replayed, not summed: shard workers record their
 //!   per-record [`crate::AccessOutcome`]s through the replay-event stream,
 //!   each stamped with its global trace position, and a k-way
@@ -41,11 +39,6 @@
 //!   [`SimReport`] is bit-identical for *every* shard count — the
 //!   property `tests/shard_equivalence.rs` enforces across the policy ×
 //!   admission × score grid.
-//!
-//! Speculation telemetry ([`SpecStats`]) is merged field-wise in
-//! shard-index order — deterministic for a given shard count, and exactly
-//! the single-threaded batcher's telemetry at `S = 1` (the shard then
-//! replays the whole trace through the same code path).
 //!
 //! # Zero-copy fan-out and parallel setup
 //!
@@ -78,7 +71,6 @@
 //! single-threaded front-ends *be* the one-shard geometry at no cost
 //! (`tests/shard_alloc_inline.rs` pins the allocation side).
 
-use crate::batch::{SpecParams, SpecStats, WindowedSimulator};
 use crate::cache::{AccessOutcome, SetAssocCache};
 use crate::config::{CacheConfig, CacheConfigError};
 use crate::fault::{FaultPlan, FaultStats};
@@ -100,6 +92,8 @@ use std::thread;
 pub enum ShardRunError {
     /// Invalid cache geometry.
     Config(CacheConfigError),
+    /// A shard count of zero: there is nothing to partition the sets over.
+    ZeroShards,
     /// The trace does not fit the `u32` index-based fan-out: a record's
     /// global position would truncate. Raised by
     /// [`ShardPartition::build`] *before* any routing happens — a trace
@@ -133,6 +127,7 @@ impl fmt::Display for ShardRunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShardRunError::Config(e) => e.fmt(f),
+            ShardRunError::ZeroShards => write!(f, "shard count must be >= 1"),
             ShardRunError::TraceTooLong { records } => write!(
                 f,
                 "trace too long for u32 index-based fan-out ({records} records, max {})",
@@ -211,17 +206,16 @@ impl ShardPartition {
     /// far beyond any in-memory replay this engine targets). The check
     /// runs before any routing: silent `as u32` truncation would route
     /// late records to wrong shards and corrupt the merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards == 0`.
+    /// [`ShardRunError::ZeroShards`] when `shards == 0`.
     pub fn build(
         shards: usize,
         cache_cfg: &CacheConfig,
         warmup: &[TraceRecord],
         measured: &[TraceRecord],
     ) -> Result<Self, ShardRunError> {
-        assert!(shards > 0, "shard count must be >= 1");
+        if shards == 0 {
+            return Err(ShardRunError::ZeroShards);
+        }
         let n = warmup.len() + measured.len();
         Self::check_capacity(n)?;
         // Two passes: count, then fill exact-capacity lists — the routing
@@ -360,19 +354,6 @@ pub fn shard_contract(shards: usize, p: &ShardPolicies) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves whether a shard's replay rides the speculative batcher.
-/// Routing is uniform in practice (every shard holds a clone of the same
-/// source), so resolving it per worker — off the calling thread — cannot
-/// disagree across shards. Shared with the serving front-end.
-pub fn resolve_shard_routing(routing: ShardRouting, p: &ShardPolicies) -> bool {
-    match routing {
-        ShardRouting::Auto | ShardRouting::Batched => {
-            p.score.as_ref().is_some_and(|s| s.prefers_batching())
-        }
-        ShardRouting::Streaming => false,
-    }
-}
-
 /// Result of one sharded replay.
 #[derive(Clone, Debug)]
 pub struct ShardedReport {
@@ -380,57 +361,19 @@ pub struct ShardedReport {
     /// [`crate::simulate_with_warmup`] over the same inputs, for every
     /// shard count.
     pub sim: SimReport,
-    /// Field-wise sum of per-shard speculation telemetry (zeroed when the
-    /// shards took the streaming path). Equals the single-threaded
-    /// batcher's telemetry at one shard; above that the window boundaries
-    /// are per-shard, so the counters describe the sharded replay itself.
-    pub spec: SpecStats,
-    /// Whether the shards rode the speculative miss-window batcher
-    /// (the score source preferred batching) rather than the streaming
-    /// loop.
-    pub batched: bool,
     /// Replay events that consumed a score — i.e. scored misses, warm-up
-    /// included. For streaming-routed runs this equals the policy engine's
-    /// inference count; batched runs additionally speculate
-    /// ([`SpecStats::scores_computed`] counts those).
+    /// included: the policy engine's inference count.
     pub scores_consumed: u64,
     /// Per-shard reports (shard-local warm-up split), for load-balance
     /// diagnostics. Their merged stats equal [`ShardedReport::sim`]'s.
     pub per_shard: Vec<SimReport>,
 }
 
-/// How scored shards replay.
-///
-/// Routing is a pure host-side economics decision — results are
-/// bit-identical whichever engine runs (the batcher's own property-tested
-/// invariant), so this only chooses where the replay time goes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardRouting {
-    /// Follow [`ScoreSource::prefers_batching`] — the same routing as
-    /// [`crate::simulate_with_warmup`], so a one-shard run does exactly
-    /// the single-threaded work. The default.
-    #[default]
-    Auto,
-    /// Ask for the speculative miss-window batcher. It can only ask:
-    /// [`WindowedSimulator`] itself streams a source that does not
-    /// [`ScoreSource::prefers_batching`], so this resolves exactly like
-    /// [`ShardRouting::Auto`] and forcing speculation takes a
-    /// [`crate::PreferBatching`]-wrapped source — which is what the
-    /// equivalence suites and the `ablation` bin pair this with. Kept so
-    /// those callers state their intent.
-    Batched,
-    /// Always take the streaming loop.
-    Streaming,
-}
-
 /// The sharded replay engine. Holds only configuration (shard count,
-/// speculation parameters, routing); per-run state lives on the worker
-/// threads.
+/// fault plan); per-run state lives on the worker threads.
 #[derive(Clone, Debug)]
 pub struct ShardedSimulator {
     shards: usize,
-    params: SpecParams,
-    routing: ShardRouting,
     fault: Option<FaultPlan>,
 }
 
@@ -472,12 +415,7 @@ struct ShardOutcome {
     /// Per-record outcomes for the merge (`None` for the inline shard).
     outcomes: Option<Vec<AccessOutcome>>,
     scored: u64,
-    spec: SpecStats,
-    fault: FaultStats,
     report: SimReport,
-    /// Whether this shard rode the speculative batcher (resolved on the
-    /// worker from its own policies; uniform across shards in practice).
-    batched: bool,
 }
 
 /// Observer that records every replayed outcome (warm-up included) in
@@ -510,78 +448,37 @@ impl ReplayObserver for OutcomeRecorder {
     }
 }
 
-/// How a [`GapScore`] learns its foreign-record gaps: an explicit slice
-/// (the serving transport ships per-record gaps over its channels) or a
-/// shard index list to derive them from on the fly (the offline engine's
-/// zero-copy representation).
-enum GapSource<'a> {
-    Slice(&'a [u64]),
-    Index(&'a [u32]),
-}
-
-impl GapSource<'_> {
-    #[inline]
-    fn at(&self, j: usize) -> u64 {
-        match self {
-            GapSource::Slice(g) => g[j],
-            GapSource::Index(ix) => shard_gap_before(ix, j),
-        }
-    }
-}
-
 /// Keeps a shard scorer clone's observation clock in *global* trace
 /// order: before each shard record is observed, the foreign-shard gap
-/// preceding it is fast-forwarded through the inner source's
+/// preceding it — derived from the shard's ascending index list, see
+/// [`shard_gap_before`] — is fast-forwarded through the inner source's
 /// [`ScoreSource::observe_gap`]. A single linear cursor suffices because
-/// the replay engines observe each record exactly once, in trace order
-/// (the exactness invariant the batcher is property-tested for).
+/// the replay loop observes each record exactly once, in trace order.
 ///
-/// Public for the serving front-end, whose shard workers replay the same
-/// set-partitioned subsequences chunk by chunk and need the identical
-/// clock discipline.
+/// Public for the serving front-end, whose supervisor re-replays a dead
+/// shard's subtrace with the identical clock discipline.
 pub struct GapScore<'a> {
     inner: &'a mut dyn ScoreSource,
-    gaps: GapSource<'a>,
+    index: &'a [u32],
     cursor: usize,
-    /// Reusable scratch materializing window gaps for
-    /// [`ScoreSource::score_window_gapped`] in the index-derived case —
-    /// `O(window)` bounded, recycled across calls.
-    gap_buf: Vec<u64>,
 }
 
 impl<'a> GapScore<'a> {
-    /// Wraps `inner` so that `gaps[j]` foreign records are fast-forwarded
-    /// before the `j`-th shard record is observed.
-    pub fn new(inner: &'a mut dyn ScoreSource, gaps: &'a [u64]) -> Self {
-        GapScore {
-            inner,
-            gaps: GapSource::Slice(gaps),
-            cursor: 0,
-            gap_buf: Vec::new(),
-        }
-    }
-
     /// Wraps `inner` with gaps derived from an ascending shard index list
     /// (`index[j]` is the global position of the `j`-th shard record):
     /// zero stored gap state, one subtraction per record.
     pub fn from_index(inner: &'a mut dyn ScoreSource, index: &'a [u32]) -> Self {
         GapScore {
             inner,
-            gaps: GapSource::Index(index),
+            index,
             cursor: 0,
-            gap_buf: Vec::new(),
         }
-    }
-
-    /// How many shard records have been observed through this adapter.
-    pub fn observed(&self) -> usize {
-        self.cursor
     }
 }
 
 impl ScoreSource for GapScore<'_> {
     fn observe(&mut self, record: &TraceRecord) {
-        let gap = self.gaps.at(self.cursor);
+        let gap = shard_gap_before(self.index, self.cursor);
         if gap > 0 {
             self.inner.observe_gap(gap);
         }
@@ -592,69 +489,24 @@ impl ScoreSource for GapScore<'_> {
     fn score_current(&mut self) -> f64 {
         self.inner.score_current()
     }
-
-    fn score_window(&mut self, records: &[TraceRecord], out: &mut [f64]) {
-        let n = records.len();
-        match self.gaps {
-            GapSource::Slice(g) => {
-                self.inner
-                    .score_window_gapped(records, &g[self.cursor..self.cursor + n], out);
-            }
-            GapSource::Index(ix) => {
-                self.gap_buf.clear();
-                self.gap_buf
-                    .extend((self.cursor..self.cursor + n).map(|j| shard_gap_before(ix, j)));
-                self.inner.score_window_gapped(records, &self.gap_buf, out);
-            }
-        }
-        self.cursor += n;
-    }
-
-    fn prefers_batching(&self) -> bool {
-        self.inner.prefers_batching()
-    }
 }
 
 impl ShardedSimulator {
-    /// Creates a sharded simulator with the default speculation
-    /// parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards == 0`.
+    /// Creates a sharded simulator over `shards` set-partitioned shards.
+    /// A zero shard count is refused by [`ShardedSimulator::run`] with a
+    /// typed error, not here.
     pub fn new(shards: usize) -> Self {
-        ShardedSimulator::with_params(shards, SpecParams::default())
-    }
-
-    /// Creates a sharded simulator with explicit [`SpecParams`] for each
-    /// shard's [`WindowedSimulator`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards == 0` or any parameter is invalid.
-    pub fn with_params(shards: usize, params: SpecParams) -> Self {
-        assert!(shards > 0, "shard count must be >= 1");
-        // Reuse the batcher's own validation by constructing one.
-        let _ = WindowedSimulator::with_params(params);
         ShardedSimulator {
             shards,
-            params,
-            routing: ShardRouting::default(),
             fault: None,
         }
     }
 
-    /// Overrides how scored shards replay (see [`ShardRouting`]).
-    pub fn with_routing(mut self, routing: ShardRouting) -> Self {
-        self.routing = routing;
-        self
-    }
-
     /// Arms a [`FaultPlan`] for this simulator's runs: per-shard panic
-    /// points (recovered by the supervisor) and the per-shard speculation
-    /// circuit breaker. Scorer faults are the caller's concern — wrap the
-    /// per-shard scorer clones in [`crate::FaultyScore`] from `make_shard`.
-    /// An empty plan is equivalent to never calling this.
+    /// points (recovered by the supervisor). Scorer faults are the
+    /// caller's concern — wrap the per-shard scorer clones in
+    /// [`crate::FaultyScore`] from `make_shard`. An empty plan is
+    /// equivalent to never calling this.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.fault = if plan.is_empty() { None } else { Some(plan) };
         self
@@ -663,11 +515,6 @@ impl ShardedSimulator {
     /// The shard count `S`.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The per-shard speculation parameters.
-    pub fn params(&self) -> &SpecParams {
-        &self.params
     }
 
     /// Which shard owns `record` under `cache_cfg`'s set mapping.
@@ -683,17 +530,15 @@ impl ShardedSimulator {
     /// thread* (hence `Fn + Sync` — policy construction, including Belady
     /// oracle builds over the shard subtrace, runs in parallel); the
     /// supervisor calls it again on the calling thread only when
-    /// recovering a dead shard. Scored shards whose source
-    /// [`ScoreSource::prefers_batching`] ride the speculative miss-window
-    /// batcher (with this simulator's [`SpecParams`]); other shards take
-    /// the streaming loop — the same routing as
-    /// [`crate::simulate_with_warmup`]. One shard replays inline on the
+    /// recovering a dead shard. Every shard runs the streaming loop of
+    /// [`crate::simulate_with_warmup`]; one shard replays inline on the
     /// calling thread (see the module docs), so a one-shard run does
     /// exactly the single-threaded work.
     ///
     /// # Errors
     ///
     /// Returns [`ShardRunError::Config`] for invalid cache geometry,
+    /// [`ShardRunError::ZeroShards`] for a zero shard count,
     /// [`ShardRunError::Contract`] when running more than one shard with
     /// an eviction policy that is not
     /// [`EvictionPolicy::shard_deterministic`] or a score source that is
@@ -717,21 +562,17 @@ impl ShardedSimulator {
         let lat = *latency;
 
         // Fault arming: a per-shard panic point (the shard-worker fault
-        // class) and the per-shard speculation circuit breaker.
+        // class).
         let panic_point = |shard: usize, len: usize| {
             self.fault
                 .as_ref()
                 .and_then(|p| p.shard_panic_point(shard, len))
         };
-        let breaker = self
-            .fault
-            .filter(|p| p.breaker_armed())
-            .map(|p| (p.breaker_storm_windows, p.breaker_cooldown_records));
 
         // One shard's whole job, wherever it runs: build its policies
-        // (make_shard), check the shard-determinism contract, resolve its
-        // routing and replay — fully independent of every other shard (own
-        // cache, own policies, own scorer clone). `index` is the shard's
+        // (make_shard), check the shard-determinism contract and replay —
+        // fully independent of every other shard (own cache, own
+        // policies, own scorer clone). `index` is the shard's
         // position list; `None` is the inline whole-trace shard, whose own
         // accounting is final (so it alone collects the miss series).
         let replay = |shard: usize,
@@ -748,20 +589,9 @@ impl ShardedSimulator {
             });
             shard_contract(s, &pol)
                 .map_err(|message| ShardRunError::Contract { shard, message })?;
-            let batched = resolve_shard_routing(self.routing, &pol);
             let series = series_window.filter(|_| index.is_none());
             Ok(run_shard(
-                warm,
-                meas,
-                index,
-                cache_cfg,
-                self.params,
-                batched,
-                &lat,
-                pol,
-                panic_at,
-                breaker,
-                series,
+                warm, meas, index, cache_cfg, &lat, pol, panic_at, series,
             ))
         };
 
@@ -841,16 +671,7 @@ impl ShardedSimulator {
             (sim, outcomes)
         };
 
-        let batched = outcomes.iter().any(|o| o.batched);
-        let mut spec = SpecStats::default();
-        let mut scores_consumed = 0;
-        for o in &outcomes {
-            spec.merge(&o.spec);
-            // Per-shard fault telemetry (breaker trips etc.), merged in
-            // shard-index order — deterministic for a given shard count.
-            fault.merge(&o.fault);
-            scores_consumed += o.scored;
-        }
+        let scores_consumed = outcomes.iter().map(|o| o.scored).sum();
         sim.fault = fault;
         if cfg!(debug_assertions) {
             let mut merged = crate::stats::CacheStats::default();
@@ -861,8 +682,6 @@ impl ShardedSimulator {
         }
         Ok(ShardedReport {
             sim,
-            spec,
-            batched,
             scores_consumed,
             per_shard: outcomes.into_iter().map(|o| o.report).collect(),
         })
@@ -902,26 +721,22 @@ fn supervise(
     }
 }
 
-/// One shard's replay — batcher or streaming per the resolved routing —
-/// with an [`OutcomeRecorder`] on the replay-event stream. `index` is the
-/// shard's full ascending position list (warm-up ⧺ measured) behind its
-/// indexed views: the source of the scorer clock's foreign-record gaps,
-/// and the reason to buffer outcomes for the merge. `None` means the views
-/// are the whole trace — no gaps to fast-forward, nothing to merge.
-/// `panic_at` arms the fault-injection panic point; `breaker` arms the
-/// per-shard speculation circuit breaker.
+/// One shard's replay: the streaming loop with an [`OutcomeRecorder`] on
+/// the replay-event stream. `index` is the shard's full ascending position
+/// list (warm-up ⧺ measured) behind its indexed views: the source of the
+/// scorer clock's foreign-record gaps, and the reason to buffer outcomes
+/// for the merge. `None` means the views are the whole trace — no gaps to
+/// fast-forward, nothing to merge. `panic_at` arms the fault-injection
+/// panic point.
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
     warm: RecordsRef<'_>,
     meas: RecordsRef<'_>,
     index: Option<&[u32]>,
     cache_cfg: CacheConfig,
-    params: SpecParams,
-    batched: bool,
     latency: &LatencyModel,
     mut pol: ShardPolicies,
     panic_at: Option<u64>,
-    breaker: Option<(u32, u32)>,
     series_window: Option<u64>,
 ) -> ShardOutcome {
     let mut cache = SetAssocCache::new(cache_cfg).expect("geometry validated by run()");
@@ -931,9 +746,6 @@ fn run_shard(
         panic_at,
         seen: 0,
     };
-    let mut spec = SpecStats::default();
-    let mut fault = FaultStats::default();
-    let batched = batched && pol.score.is_some();
     let mut gap_score;
     let score: Option<&mut dyn ScoreSource> = match (pol.score.as_mut(), index) {
         (Some(score), Some(index)) => {
@@ -943,49 +755,24 @@ fn run_shard(
         (Some(score), None) => Some(score.as_mut()),
         (None, _) => None,
     };
-    let report = if batched {
-        let mut wsim = WindowedSimulator::with_params(params);
-        if let Some((storm, cooldown)) = breaker {
-            wsim.set_breaker(storm, cooldown);
-        }
-        let report = wsim.run_observed_records(
-            warm,
-            meas,
-            &mut cache,
-            pol.admission.as_mut(),
-            pol.eviction.as_mut(),
-            score,
-            latency,
-            series_window,
-            &mut recorder,
-        );
-        spec = *wsim.spec_stats();
-        fault = *wsim.fault_stats();
-        report
-    } else {
-        // A score-free inline shard with no panic point has nothing to
-        // record; it runs unobserved, exactly the plain streaming loop.
-        let observed = index.is_some() || panic_at.is_some() || score.is_some();
-        crate::sim::simulate_streaming_impl(
-            warm,
-            meas,
-            0,
-            &mut cache,
-            pol.admission.as_mut(),
-            pol.eviction.as_mut(),
-            score,
-            latency,
-            series_window,
-            observed.then_some(&mut recorder as &mut dyn ReplayObserver),
-        )
-    };
+    // A score-free inline shard with no panic point has nothing to
+    // record; it runs unobserved, exactly the plain streaming loop.
+    let observed = index.is_some() || panic_at.is_some() || score.is_some();
+    let report = crate::sim::simulate_streaming_impl(
+        warm,
+        meas,
+        &mut cache,
+        pol.admission.as_mut(),
+        pol.eviction.as_mut(),
+        score,
+        latency,
+        series_window,
+        observed.then_some(&mut recorder as &mut dyn ReplayObserver),
+    );
     ShardOutcome {
         outcomes: recorder.outcomes,
         scored: recorder.scored,
-        spec,
-        fault,
         report,
-        batched,
     }
 }
 
@@ -999,17 +786,29 @@ mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "shard count")]
-    fn zero_shards_panics() {
-        let _ = ShardedSimulator::new(0);
-    }
-
-    #[test]
-    fn routing_and_params_are_plumbed() {
-        let sim = ShardedSimulator::with_params(3, SpecParams::with_window(128))
-            .with_routing(ShardRouting::Streaming);
-        assert_eq!(sim.shards(), 3);
-        assert_eq!(sim.params().window, 128);
+    fn zero_shards_is_a_typed_error_not_a_panic() {
+        use crate::policy::{AlwaysAdmit, LruPolicy};
+        let cfg = CacheConfig {
+            capacity_bytes: 16 * 4096,
+            block_bytes: 4096,
+            ways: 2,
+        };
+        let make = |_: &ShardCtx<'_>| ShardPolicies {
+            admission: Box::new(AlwaysAdmit),
+            eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+            score: None,
+        };
+        let trace = [TraceRecord::read(0)];
+        let lat = LatencyModel::paper_tlc();
+        let run = ShardedSimulator::new(0).run(&[], &trace, cfg, &make, &lat, None);
+        assert_eq!(run.err(), Some(ShardRunError::ZeroShards));
+        assert_eq!(
+            ShardPartition::build(0, &cfg, &[], &trace).err(),
+            Some(ShardRunError::ZeroShards)
+        );
+        assert!(ShardRunError::ZeroShards
+            .to_string()
+            .contains("shard count"));
     }
 
     #[test]

@@ -2,47 +2,21 @@
 //! pair, an optional score source and a latency model into miss rates and
 //! average access latency (the quantities of the paper's Fig. 6/Table 1).
 //!
-//! # Streaming vs speculative batched replay
+//! # One replay loop
 //!
-//! Two interchangeable replay engines produce bit-identical [`SimReport`]s:
+//! Every entry point — [`simulate`], [`simulate_with_warmup`], the
+//! observed variants, the sharded engine's workers and (through
+//! [`streaming_step`]) the serving workers — runs the same loop: observe
+//! each request, score each miss synchronously (one single-point
+//! policy-engine inference, as in the paper's Algorithm 1 datapath),
+//! access the cache. There is no routing decision anywhere.
 //!
-//! * [`simulate_streaming`] / [`simulate_streaming_with_warmup`] — the
-//!   reference loop: observe each request, score each miss synchronously,
-//!   access the cache. One single-point policy-engine inference per miss
-//!   — which, since the GMM scorer vectorises that across components, is
-//!   also the cheapest way to replay it.
-//! * The speculative batcher ([`crate::WindowedSimulator`]) — classifies
-//!   the next `W` requests against a shadow of the tag state, prefetches
-//!   predicted-miss scores through [`ScoreSource::score_window`] in
-//!   batched calls, then replays through the real cache. Any divergence
-//!   between speculation and reality (mispredicted hit/miss, admission
-//!   bypass, different eviction victim) is detected during replay, counted
-//!   in [`crate::SpecStats`], and repaired by re-speculating from the
-//!   divergent point — mispredicted misses fall back to the synchronous
-//!   [`ScoreSource::score_current`], so results never drift.
-//!
-//! Both engines additionally expose a **replay-event stream**: a
-//! [`ReplayObserver`] passed to [`simulate_streaming_observed_with_warmup`]
-//! or [`crate::WindowedSimulator::run_observed`] receives every record's
-//! real outcome in trace order — with the consumed score, its
-//! [`ScoreOrigin`] (which prefetch batch produced it, or which synchronous
-//! path), and cut/run-split notifications — so consumers that attach
-//! their own semantics to the replay (the `icgmm-hw` cycle-approximate
-//! dataflow timing model) are decoupled from *how* the host computed the
-//! outcomes and stay bit-identical across engines for free.
-//!
-//! [`simulate`] and [`simulate_with_warmup`] are the default entry
-//! points: runs whose score source reports
-//! [`ScoreSource::prefers_batching`] route through the batcher at
-//! [`crate::DEFAULT_SPEC_WINDOW`] (tune the cap via
-//! [`crate::WindowedSimulator::new`] — larger `W` amortizes more batching;
-//! the *effective* depth adapts on its own, halving after divergent
-//! windows and recovering after clean ones); score-free runs and every
-//! other source — the GMM policy engine included, whose single-point
-//! kernel costs about what its batched one does — use the streaming loop
-//! directly. [`crate::WindowedSimulator`] applies the same rule itself.
-//! Equivalence across all policy pairs is enforced by property tests
-//! (`tests/batch_equivalence.rs`).
+//! The loop exposes a **replay-event stream**: a [`ReplayObserver`] passed
+//! to [`simulate_streaming_observed_with_warmup`] receives every record's
+//! real outcome in trace order, with the score it consumed, so consumers
+//! that attach their own semantics to the replay (the `icgmm-hw`
+//! cycle-approximate dataflow timing model, the sharded engine's outcome
+//! buffers) never duplicate it.
 
 use crate::cache::{AccessOutcome, SetAssocCache};
 use crate::latency::LatencyModel;
@@ -53,81 +27,32 @@ use crate::view::RecordsRef;
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
-/// Where the score a replayed record consumed came from.
-///
-/// Part of the replay-event stream (see [`ReplayObserver`]): consumers that
-/// attribute host-side inference cost — e.g. the `icgmm-hw` dataflow model
-/// attributing batched inference time to the miss that consumed each score —
-/// need to know which prefetch batch (if any) produced a score, not just its
-/// value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScoreOrigin {
-    /// No score was consumed: a hit, or a score-free run.
-    None,
-    /// Prefetched by a batched [`ScoreSource::score_window`] call; `call`
-    /// is the 1-based ordinal of that call within the run (matches
-    /// [`crate::SpecStats::batch_calls`] counting).
-    Batched {
-        /// 1-based ordinal of the producing `score_window` call.
-        call: u64,
-    },
-    /// Synchronous [`ScoreSource::score_current`] fallback on a stale
-    /// predicted hit inside a speculation window.
-    SyncFallback,
-    /// Synchronous score in plain streaming replay (the reference loop or
-    /// a batcher streaming span). Score-free runs never consume a score,
-    /// so their events always carry [`ScoreOrigin::None`].
-    Streamed,
-}
-
 /// One replayed record, delivered to a [`ReplayObserver`] in trace order.
 ///
 /// Events cover *every* record — warm-up included (`seq` is the absolute
 /// request index, so observers can skip `seq < warmup_len`) — and are
-/// emitted exactly once per record regardless of replay engine: the
-/// streaming loop emits them inline, the speculative batcher emits them
-/// from its verified replay (never from speculation), so the stream is
-/// bit-identical between the two engines whenever the reports are.
+/// emitted exactly once per record.
 #[derive(Debug)]
 pub struct ReplayEvent<'a> {
     /// Absolute request index (warm-up + measured, 0-based).
     pub seq: u64,
     /// The trace record.
     pub record: &'a TraceRecord,
-    /// The real cache outcome (never a speculated one).
+    /// The cache outcome.
     pub outcome: &'a AccessOutcome,
     /// Score consumed by the access (misses of scored runs), if any.
     pub score: Option<f64>,
-    /// Which path produced [`ReplayEvent::score`].
-    pub origin: ScoreOrigin,
 }
 
 /// Consumer of the replay event stream.
 ///
-/// This is the seam between *host replay* (how fast the simulator computes
-/// outcomes — streaming single-point scoring vs the speculative batched kernel)
-/// and *modeled semantics* (what each outcome means): an observer sees the
-/// same per-record stream either way, so anything built on it — the
-/// `icgmm-hw` cycle-approximate dataflow timing, custom telemetry — is
-/// automatically bit-identical across replay engines.
+/// This is the seam between *host replay* (how the simulator computes
+/// outcomes) and *modeled semantics* (what each outcome means): anything
+/// built on it — the `icgmm-hw` cycle-approximate dataflow timing, custom
+/// telemetry — rides the one replay loop instead of copying it.
 pub trait ReplayObserver {
     /// One record replayed (trace order, exactly once per record).
     fn on_record(&mut self, ev: &ReplayEvent<'_>);
-
-    /// The speculative batcher cut its window at absolute request index
-    /// `seq` (a divergence forced re-speculation there). Telemetry only;
-    /// never emitted by the streaming engine.
-    fn on_cut(&mut self, seq: u64) {
-        let _ = seq;
-    }
-
-    /// A predicted-miss run was split at absolute request index `seq`
-    /// because a stored-score victim decision depended on a score still
-    /// being prefetched. Telemetry only; never emitted by the streaming
-    /// engine.
-    fn on_run_split(&mut self, seq: u64) {
-        let _ = seq;
-    }
 }
 
 /// Result of one simulation run.
@@ -167,10 +92,6 @@ impl SimReport {
 /// `None` to run score-free baselines (LRU/FIFO/…).
 ///
 /// `series_window`, when set, collects a per-window miss-rate series.
-///
-/// Sources whose [`ScoreSource::prefers_batching`] returns `true` ride
-/// the speculative miss-window batcher (see the module docs); all others
-/// take the streaming loop. The report is bit-identical either way.
 pub fn simulate(
     records: &[TraceRecord],
     cache: &mut SetAssocCache,
@@ -200,10 +121,7 @@ pub fn simulate(
 /// full access path with statistics discarded; `measured` follows with
 /// statistics recorded. Sequence numbers are continuous across phases.
 ///
-/// Runs whose score source [`ScoreSource::prefers_batching`] ride the
-/// speculative miss-window batcher at the default window; score-free runs
-/// and sources that do not use the streaming loop (identical results
-/// either way — the routing is purely an economics decision).
+/// This *is* [`simulate_streaming_with_warmup`] under its short name.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_with_warmup(
     warmup: &[TraceRecord],
@@ -215,44 +133,9 @@ pub fn simulate_with_warmup(
     latency: &LatencyModel,
     series_window: Option<u64>,
 ) -> SimReport {
-    if score.as_ref().is_some_and(|s| s.prefers_batching()) {
-        crate::batch::simulate_batched_with_warmup(
-            warmup,
-            measured,
-            cache,
-            admission,
-            eviction,
-            score,
-            latency,
-            series_window,
-        )
-    } else {
-        simulate_streaming_with_warmup(
-            warmup,
-            measured,
-            cache,
-            admission,
-            eviction,
-            score,
-            latency,
-            series_window,
-        )
-    }
-}
-
-/// [`simulate_streaming_with_warmup`] without a warm-up phase.
-pub fn simulate_streaming(
-    records: &[TraceRecord],
-    cache: &mut SetAssocCache,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
-    score: Option<&mut dyn ScoreSource>,
-    latency: &LatencyModel,
-    series_window: Option<u64>,
-) -> SimReport {
     simulate_streaming_with_warmup(
-        &[],
-        records,
+        warmup,
+        measured,
         cache,
         admission,
         eviction,
@@ -262,12 +145,8 @@ pub fn simulate_streaming(
     )
 }
 
-/// The reference streaming replay loop: one request at a time, misses
-/// scored synchronously.
-///
-/// Kept public as the ground truth the speculative batcher is property-
-/// tested against, and as the baseline the default entry points are gated
-/// never to lose to (the `sim_batch` criterion group).
+/// The streaming replay loop: one request at a time, misses scored
+/// synchronously.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_streaming_with_warmup(
     warmup: &[TraceRecord],
@@ -282,7 +161,6 @@ pub fn simulate_streaming_with_warmup(
     simulate_streaming_impl(
         RecordsRef::from_slice(warmup),
         RecordsRef::from_slice(measured),
-        0,
         cache,
         admission,
         eviction,
@@ -312,7 +190,6 @@ pub fn simulate_streaming_observed_with_warmup(
     simulate_streaming_impl(
         RecordsRef::from_slice(warmup),
         RecordsRef::from_slice(measured),
-        0,
         cache,
         admission,
         eviction,
@@ -342,7 +219,6 @@ pub fn simulate_streaming_observed_records(
     simulate_streaming_impl(
         warmup,
         measured,
-        0,
         cache,
         admission,
         eviction,
@@ -353,14 +229,11 @@ pub fn simulate_streaming_observed_records(
     )
 }
 
-/// The streaming loop behind every public streaming entry point.
-/// `seq_base` is the absolute index of the first record (non-zero only for
-/// the batcher's chunked continuations, which pass no warm-up).
+/// The streaming loop behind every public entry point.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_streaming_impl(
     warmup: RecordsRef<'_>,
     measured: RecordsRef<'_>,
-    seq_base: u64,
     cache: &mut SetAssocCache,
     admission: &mut dyn AdmissionPolicy,
     eviction: &mut dyn EvictionPolicy,
@@ -372,27 +245,20 @@ pub(crate) fn simulate_streaming_impl(
     let mut acct = Accounting::new(warmup.len(), latency, series_window, observer);
 
     for (i, r) in warmup.iter().chain(measured.iter()).enumerate() {
-        let seq = seq_base + i as u64;
+        let seq = i as u64;
         let (outcome, score_val) = streaming_step(r, seq, cache, admission, eviction, &mut score);
-        let origin = if score_val.is_some() {
-            ScoreOrigin::Streamed
-        } else {
-            ScoreOrigin::None
-        };
-        acct.record(seq, r, &outcome, score_val, origin);
+        acct.record(seq, r, &outcome, score_val);
     }
 
     acct.into_report(measured.len(), eviction, admission)
 }
 
-/// The canonical streaming replay step — observe, score the miss
-/// synchronously, access. One implementation shared by the reference loop,
-/// the speculative batcher's streaming spans, the serving shard workers
-/// and (through the observed entry points) the `icgmm-hw` dataflow
-/// warm-up, so the replay semantics cannot drift between engines: hits
-/// bypass the policy engine (the hardware triggers the GMM on miss only),
-/// and the score is computed with the Algorithm 1 clock exactly at the
-/// record.
+/// The canonical replay step — observe, score the miss synchronously,
+/// access. One implementation shared by the offline loop and the serving
+/// shard workers (which receive their records over a channel instead of a
+/// slice), so the replay semantics cannot drift between them: hits bypass
+/// the policy engine (the hardware triggers the GMM on miss only), and the
+/// score is computed with the Algorithm 1 clock exactly at the record.
 #[inline]
 pub fn streaming_step(
     r: &TraceRecord,
@@ -414,9 +280,9 @@ pub fn streaming_step(
     (outcome, score_val)
 }
 
-/// Measurement bookkeeping shared by the streaming loop and every replay
-/// arm of the speculative batcher — one implementation, so the two paths
-/// cannot drift apart in what they account.
+/// Measurement bookkeeping shared by the streaming loop and the sharded
+/// merge — one implementation, so the two cannot drift apart in what they
+/// account.
 pub(crate) struct Accounting<'a, 'o> {
     warmup_len: usize,
     stats: CacheStats,
@@ -452,7 +318,6 @@ impl<'a, 'o> Accounting<'a, 'o> {
         r: &TraceRecord,
         outcome: &crate::AccessOutcome,
         score: Option<f64>,
-        origin: ScoreOrigin,
     ) {
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_record(&ReplayEvent {
@@ -460,7 +325,6 @@ impl<'a, 'o> Accounting<'a, 'o> {
                 record: r,
                 outcome,
                 score,
-                origin,
             });
         }
         if (i as usize) < self.warmup_len {
@@ -470,22 +334,6 @@ impl<'a, 'o> Accounting<'a, 'o> {
         self.total_us += self.latency.request_us(r.op, outcome);
         if let Some(ms) = self.series.as_mut() {
             ms.record(!outcome.is_hit());
-        }
-    }
-
-    /// Forwards a window-cut event to the observer (see
-    /// [`ReplayObserver::on_cut`]).
-    pub(crate) fn cut(&mut self, seq: u64) {
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_cut(seq);
-        }
-    }
-
-    /// Forwards a run-split event to the observer (see
-    /// [`ReplayObserver::on_run_split`]).
-    pub(crate) fn run_split(&mut self, seq: u64) {
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_run_split(seq);
         }
     }
 

@@ -10,18 +10,11 @@
 //! copying every [`TraceRecord`] into per-shard buffers, and the workers
 //! iterate the caller's trace by reference.
 //!
-//! Both replay engines ([`crate::simulate_streaming_with_warmup`]'s loop
-//! and the speculative [`crate::WindowedSimulator`]) run directly on
-//! views, so an indexed subtrace replays in one uninterrupted call — the
-//! property that keeps per-shard speculation telemetry exactly equal to
-//! the single-threaded batcher's at one shard. The only place contiguity
-//! is still required is [`crate::ScoreSource::score_window`] (the batched
-//! scoring kernel's ABI); [`RecordsRef::contiguous`] provides it, free
-//! for slice views and via a reusable `O(window)` gather buffer for
-//! indexed ones — bounded scratch, never a second copy of the trace.
+//! The replay loop runs directly on views, so an indexed subtrace replays
+//! in one uninterrupted call, bit-identically to the equivalent copied
+//! slice.
 
 use icgmm_trace::TraceRecord;
-use std::ops::Range;
 
 /// A borrowed, possibly non-contiguous sequence of trace records.
 ///
@@ -108,25 +101,6 @@ impl<'a> RecordsRef<'a> {
         }
     }
 
-    /// Sub-view over positions `r` (same representation, no copying).
-    #[inline]
-    pub fn slice(&self, r: Range<usize>) -> RecordsRef<'a> {
-        match self.repr {
-            Repr::Slice(s) => RecordsRef::from_slice(&s[r]),
-            Repr::Indexed {
-                backing,
-                index,
-                base,
-            } => RecordsRef {
-                repr: Repr::Indexed {
-                    backing,
-                    index: &index[r],
-                    base,
-                },
-            },
-        }
-    }
-
     /// Iterates the records in position order.
     #[inline]
     pub fn iter(&self) -> RecordsIter<'a> {
@@ -141,28 +115,6 @@ impl<'a> RecordsRef<'a> {
                 index: index.iter(),
                 base,
             },
-        }
-    }
-
-    /// The records as one contiguous slice, for consumers whose ABI
-    /// requires contiguity ([`crate::ScoreSource::score_window`]).
-    ///
-    /// A slice view returns its own storage (no copy, no allocation); an
-    /// indexed view gathers into `buf`, which the caller reuses across
-    /// calls so the scratch stays `O(max window)` regardless of trace
-    /// length.
-    #[inline]
-    pub fn contiguous<'b>(&self, buf: &'b mut Vec<TraceRecord>) -> &'b [TraceRecord]
-    where
-        'a: 'b,
-    {
-        match self.repr {
-            Repr::Slice(s) => s,
-            Repr::Indexed { .. } => {
-                buf.clear();
-                buf.extend(self.iter().copied());
-                &buf[..]
-            }
         }
     }
 }
@@ -242,13 +194,6 @@ mod tests {
         }
         let collected: Vec<_> = v.iter().copied().collect();
         assert_eq!(collected, recs);
-        let sub = v.slice(2..7);
-        assert_eq!(sub.len(), 5);
-        assert_eq!(sub.get(0), &recs[2]);
-        let mut buf = Vec::new();
-        // Contiguity is free for slices: the original storage comes back.
-        assert_eq!(sub.contiguous(&mut buf).as_ptr(), recs[2..].as_ptr());
-        assert!(buf.is_empty());
     }
 
     #[test]
@@ -260,11 +205,6 @@ mod tests {
         assert_eq!(v.get(2), &recs[4]);
         let collected: Vec<_> = v.iter().copied().collect();
         assert_eq!(collected, vec![recs[1], recs[3], recs[4], recs[8]]);
-        let sub = v.slice(1..3);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.get(0), &recs[3]);
-        let mut buf = Vec::new();
-        assert_eq!(sub.contiguous(&mut buf), &[recs[3], recs[4]][..]);
     }
 
     #[test]

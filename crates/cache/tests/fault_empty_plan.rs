@@ -13,7 +13,7 @@
 use icgmm_cache::{
     simulate_streaming_with_warmup, FailoverAdmission, FailoverEviction, FaultPlan, FaultSink,
     FaultyScore, LatencyModel, LruPolicy, ScoreSource, ScorerHealth, ShardPolicies,
-    ShardedSimulator, SimReport, SpecParams,
+    ShardedSimulator, SimReport,
 };
 use icgmm_testutil::{
     admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, SCORES,
@@ -36,7 +36,7 @@ fn run_sharded(
     let cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();
     let (warm, meas) = trace.split_at(warmup_len);
-    let mut sim = ShardedSimulator::with_params(shards, SpecParams::with_window(256));
+    let mut sim = ShardedSimulator::new(shards);
     if let Some(p) = fault {
         sim = sim.with_faults(p);
     }

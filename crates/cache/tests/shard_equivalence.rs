@@ -3,18 +3,15 @@
 //! simulator for every shard count in {1, 2, 4, 8}, across the eviction ×
 //! admission × score grid (minus `random`, whose global RNG stream is not
 //! shard-reproducible and which the engine refuses above one shard), with
-//! random warm-up splits and random speculation windows. Speculation
-//! telemetry is checked to be deterministic for a given shard count and
-//! exactly the single-threaded batcher's at one shard.
+//! random warm-up splits.
 
 use icgmm_cache::{
     simulate_streaming_with_warmup, AlwaysAdmit, CacheConfig, FnScore, LatencyModel, LruPolicy,
-    RandomPolicy, ScoreSource, SetAssocCache, ShardPolicies, ShardRouting, ShardRunError,
-    ShardedSimulator, SimReport, SpecParams, SpecStats, ThresholdAdmit, WindowedSimulator,
+    RandomPolicy, ScoreSource, SetAssocCache, ShardPolicies, ShardRunError, ShardedSimulator,
+    SimReport, ThresholdAdmit,
 };
 use icgmm_testutil::{
-    admission_for, eviction_for, score_for, small_cfg, speculating_score_for, zipf_trace,
-    ADMISSIONS, SHARDABLE_EVICTIONS,
+    admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, SHARDABLE_EVICTIONS,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -29,18 +26,11 @@ fn run_sharded(
     score: &str,
     trace: &[TraceRecord],
     warmup_len: usize,
-    window: usize,
-) -> (SimReport, SpecStats) {
+) -> SimReport {
     let cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();
     let (warm, meas) = trace.split_at(warmup_len);
-    // `Batched` hands every shard to `WindowedSimulator`, and the sources
-    // are wrapped to prefer batching, so every shard really speculates:
-    // the suite exercises the batcher (shadow, rollback, run splits) under
-    // sharding even though no production source selects it.
-    let sim = ShardedSimulator::with_params(shards, SpecParams::with_window(window))
-        .with_routing(ShardRouting::Batched);
-    let rep = sim
+    ShardedSimulator::new(shards)
         .run(
             warm,
             meas,
@@ -58,26 +48,24 @@ fn run_sharded(
                 ShardPolicies {
                     admission: admission_for(admission),
                     eviction: eviction_for(eviction, cfg, &recs),
-                    score: speculating_score_for(score),
+                    score: score_for(score),
                 }
             },
             &lat,
             Some(64),
         )
-        .expect("valid geometry");
-    (rep.sim, rep.spec)
+        .expect("valid geometry")
+        .sim
 }
 
-/// The single-threaded references: the streaming loop (ground truth) and
-/// the speculative batcher (for telemetry parity at one shard).
-fn references(
+/// The single-threaded reference: the streaming loop.
+fn reference(
     eviction: &str,
     admission: &str,
     score: &str,
     trace: &[TraceRecord],
     warmup_len: usize,
-    window: usize,
-) -> (SimReport, SpecStats) {
+) -> SimReport {
     let cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();
     let (warm, meas) = trace.split_at(warmup_len);
@@ -86,7 +74,7 @@ fn references(
     let mut ev = eviction_for(eviction, cfg, trace);
     let mut ad = admission_for(admission);
     let mut sc = score_for(score);
-    let streaming = simulate_streaming_with_warmup(
+    simulate_streaming_with_warmup(
         warm,
         meas,
         &mut c,
@@ -95,69 +83,35 @@ fn references(
         sc.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
         &lat,
         Some(64),
-    );
-
-    let mut c2 = SetAssocCache::new(cfg).unwrap();
-    let mut ev2 = eviction_for(eviction, cfg, trace);
-    let mut ad2 = admission_for(admission);
-    let mut sc2 = speculating_score_for(score);
-    let mut wsim = WindowedSimulator::with_params(SpecParams::with_window(window));
-    let batched = wsim.run(
-        warm,
-        meas,
-        &mut c2,
-        ad2.as_mut(),
-        ev2.as_mut(),
-        sc2.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
-        &lat,
-        Some(64),
-    );
-    assert_eq!(streaming, batched, "batcher reference self-check");
-    (streaming, *wsim.spec_stats())
+    )
 }
 
 proptest! {
     /// Sharded replay == single-threaded replay, bit for bit (stats,
     /// `total_us`, `avg_us`, miss series), for every shard count ×
     /// eviction × admission × score combination over random Zipf traces
-    /// with random warm-up splits and speculation windows.
+    /// with random warm-up splits.
     #[test]
     fn sharded_replay_matches_single_threaded(
-        params in (0u64..1_000_000, 300usize..1200, 24u64..160, (60u64..140), 0u8..45, 1usize..1500)
+        params in (0u64..1_000_000, 300usize..1200, 24u64..160, (60u64..140), 0u8..45)
     ) {
-        let (seed, n, pages, skew_pct, write_pct, window) = params;
+        let (seed, n, pages, skew_pct, write_pct) = params;
         let skew = skew_pct as f64 / 100.0;
         let trace = zipf_trace(seed, n, pages, skew, write_pct);
         let warmup_len = (seed as usize) % (n / 2);
         for eviction in SHARDABLE_EVICTIONS {
             for admission in ADMISSIONS {
                 for score in ["none", "constant", "fn"] {
-                    let (reference, ref_spec) =
-                        references(eviction, admission, score, &trace, warmup_len, window);
+                    let reference = reference(eviction, admission, score, &trace, warmup_len);
                     for shards in SHARD_COUNTS {
-                        let (sim, spec) = run_sharded(
-                            shards, eviction, admission, score, &trace, warmup_len, window,
-                        );
+                        let sim =
+                            run_sharded(shards, eviction, admission, score, &trace, warmup_len);
                         prop_assert_eq!(
                             &reference,
                             &sim,
-                            "{}/{}/{} diverged at {} shards (seed {}, n {}, window {})",
-                            eviction, admission, score, shards, seed, n, window
+                            "{}/{}/{} diverged at {} shards (seed {}, n {})",
+                            eviction, admission, score, shards, seed, n
                         );
-                        if shards == 1 {
-                            // One shard replays the whole trace through the
-                            // same batcher: telemetry is exact, not merely
-                            // deterministic.
-                            prop_assert_eq!(
-                                &ref_spec, &spec,
-                                "{}/{}/{} telemetry diverged at 1 shard",
-                                eviction, admission, score
-                            );
-                        }
-                        // The per-shard exactness invariant survives the
-                        // merge: stale predicted hits are the only source
-                        // of synchronous fallbacks.
-                        prop_assert!(spec.sync_scores <= spec.pred_hit_missed);
                     }
                 }
             }
@@ -167,26 +121,25 @@ proptest! {
 
 proptest! {
     /// Sharded replay is deterministic: the same inputs and shard count
-    /// produce identical reports *and* identical telemetry on every run
-    /// (thread scheduling must be invisible).
+    /// produce identical reports on every run (thread scheduling must be
+    /// invisible).
     #[test]
     fn sharded_replay_is_deterministic(
-        params in (0u64..1_000_000, 300usize..900, 24u64..160, 1usize..1024)
+        params in (0u64..1_000_000, 300usize..900, 24u64..160)
     ) {
-        let (seed, n, pages, window) = params;
+        let (seed, n, pages) = params;
         let trace = zipf_trace(seed, n, pages, 0.9, 20);
         let warmup_len = n / 5;
         for shards in [2usize, 8] {
-            let a = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, warmup_len, window);
-            let b = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, warmup_len, window);
-            prop_assert_eq!(&a.0, &b.0, "report not deterministic at {} shards", shards);
-            prop_assert_eq!(&a.1, &b.1, "telemetry not deterministic at {} shards", shards);
+            let a = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, warmup_len);
+            let b = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, warmup_len);
+            prop_assert_eq!(&a, &b, "report not deterministic at {} shards", shards);
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// API-surface behaviors of the sharded engine (default Auto routing).
+// API-surface behaviors of the sharded engine.
 // ---------------------------------------------------------------------
 
 fn mixed_trace(n: usize) -> Vec<TraceRecord> {
@@ -257,9 +210,7 @@ fn scores_consumed_counts_scored_misses() {
             None,
         )
         .unwrap();
-    // FnScore does not prefer batching, so Auto routing takes the
-    // streaming route: one consumed score per miss.
-    assert!(!rep.batched);
+    // One consumed score per miss.
     assert_eq!(rep.scores_consumed, rep.sim.stats.misses());
 }
 
@@ -445,9 +396,9 @@ fn chunked_belady_oracle_matches_serial_through_the_replay() {
     }
 }
 
-/// Deterministic spot check on the adversarial bypass-storm fixture of
-/// `batch_equivalence.rs`: heavy rollback inside every shard, still
-/// bit-identical after the merge at every shard count.
+/// Deterministic spot check on an adversarial bypass-storm fixture:
+/// constant admission bypasses inside every shard, still bit-identical
+/// after the merge at every shard count.
 #[test]
 fn divergence_heavy_trace_merges_bit_identical() {
     let trace = {
@@ -469,13 +420,10 @@ fn divergence_heavy_trace_merges_bit_identical() {
         }
         t
     };
-    let (reference, _) = references("gmm-score", "threshold", "fn", &trace, 1_000, 512);
+    let reference = reference("gmm-score", "threshold", "fn", &trace, 1_000);
+    assert!(reference.stats.bypasses() > 0, "the fixture must bypass");
     for shards in SHARD_COUNTS {
-        let (sim, spec) = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, 1_000, 512);
+        let sim = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, 1_000);
         assert_eq!(reference, sim, "{shards} shards");
-        assert!(
-            spec.divergences() > 0,
-            "{shards} shards should still hit the bypass storm: {spec:?}"
-        );
     }
 }

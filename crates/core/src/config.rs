@@ -100,29 +100,10 @@ pub struct IcgmmConfig {
     /// (`0.0`, the default); positive values blend recency back in and are
     /// swept by the ablation bench.
     pub eviction_hit_bonus: f64,
-    /// Speculation depth `W` of the miss-window batcher: GMM-mode runs
-    /// lookahead-classify this many requests, prefetch predicted-miss
-    /// scores through the batched kernel, and replay (results are
-    /// bit-identical to streaming at any value). Larger windows amortize
-    /// more batching; smaller ones bound the re-speculation cost after a
-    /// divergence.
-    pub sim_window: usize,
-    /// Floor of the batcher's adaptive depth: after a divergent window the
-    /// effective depth halves, but never below `min(sim_window_floor,
-    /// sim_window)`. Results are invariant; the floor only bounds how much
-    /// lookahead a divergence storm can waste per cut.
-    pub sim_window_floor: usize,
-    /// Hit-dominance divisor of the batcher's mode probe: a cleanly
-    /// replayed window missing fewer than 1-in-this-many records flips the
-    /// simulator into plain streaming for a span (scoring that few misses
-    /// cannot repay per-request lookahead). Larger values keep speculating
-    /// on more hit-heavy phases; results are invariant either way.
-    pub sim_stream_miss_div: usize,
     /// Shard count of [`crate::Icgmm::run_sharded`]: the set-associative
     /// cache is partitioned by set index into this many independent shards
-    /// replayed on scoped threads (each with its own policy state,
-    /// miss-window speculation and scorer clone on the global Algorithm 1
-    /// clock). Results are bit-identical to the single-threaded
+    /// replayed on scoped threads (each with its own policy state and
+    /// scorer clone on the global Algorithm 1 clock). Results are bit-identical to the single-threaded
     /// [`crate::Icgmm::run`] at any value — sharding is pure host-side
     /// parallelism. `1` (the default) replays single-threaded.
     pub sim_shards: usize,
@@ -151,7 +132,7 @@ pub struct IcgmmConfig {
     /// scorer faults (non-finite scores, engine outages), device faults
     /// (SSD failures, retries, tail-latency spikes on the modeled
     /// timeline), shard-worker panics, and the degradation ladder's knobs
-    /// (speculation circuit breaker, scorer health monitor). The empty
+    /// (the scorer health monitor). The empty
     /// default arms nothing and leaves every run bit-identical to a
     /// fault-free build.
     pub fault: FaultPlan,
@@ -177,9 +158,6 @@ impl Default for IcgmmConfig {
             fixed_point_inference: false,
             admit_writes_always: true,
             eviction_hit_bonus: 0.0,
-            sim_window: icgmm_cache::DEFAULT_SPEC_WINDOW,
-            sim_window_floor: icgmm_cache::MIN_SPEC_WINDOW,
-            sim_stream_miss_div: icgmm_cache::STREAM_MISS_FRACTION_DIV,
             sim_shards: 1,
             serve_clients: 1,
             serve_queue_depth: 256,
@@ -215,20 +193,6 @@ impl IcgmmConfig {
         if !(self.eviction_hit_bonus.is_finite() && self.eviction_hit_bonus >= 0.0) {
             return Err(IcgmmError::Config(
                 "eviction_hit_bonus must be finite and >= 0".into(),
-            ));
-        }
-        if self.sim_window == 0 {
-            return Err(IcgmmError::Config("sim_window must be >= 1".into()));
-        }
-        if self.sim_window_floor == 0 {
-            // A floor above sim_window is fine (the batcher clamps it to
-            // the window — W = 1 sweeps rely on that), but zero would
-            // stall the adaptive shrink entirely.
-            return Err(IcgmmError::Config("sim_window_floor must be >= 1".into()));
-        }
-        if self.sim_stream_miss_div == 0 {
-            return Err(IcgmmError::Config(
-                "sim_stream_miss_div must be >= 1".into(),
             ));
         }
         if self.sim_shards == 0 {
@@ -270,13 +234,12 @@ impl IcgmmConfig {
         Ok(())
     }
 
-    /// The batcher parameter set this configuration describes.
+    /// Benchmark façade — imported by `icgmm_bench`; deleted by the
+    /// benchmark PR that retires the `cache.batch.*` probes. There is no
+    /// batcher left to parameterise.
+    #[doc(hidden)]
     pub fn spec_params(&self) -> icgmm_cache::SpecParams {
-        icgmm_cache::SpecParams {
-            window: self.sim_window,
-            min_window: self.sim_window_floor,
-            stream_miss_fraction_div: self.sim_stream_miss_div,
-        }
+        icgmm_cache::SpecParams {}
     }
 }
 
@@ -309,15 +272,6 @@ mod tests {
         assert!(c.validate().is_err());
         c = IcgmmConfig::default();
         c.cache.ways = 0;
-        assert!(c.validate().is_err());
-        c = IcgmmConfig::default();
-        c.sim_window = 0;
-        assert!(c.validate().is_err());
-        c = IcgmmConfig::default();
-        c.sim_window_floor = 0;
-        assert!(c.validate().is_err());
-        c = IcgmmConfig::default();
-        c.sim_stream_miss_div = 0;
         assert!(c.validate().is_err());
         c = IcgmmConfig::default();
         c.sim_shards = 0;
@@ -397,32 +351,6 @@ mod tests {
         };
         assert!(c.validate().is_ok());
         assert_eq!(IcgmmConfig::default().sim_shards, 1);
-    }
-
-    #[test]
-    fn spec_params_mirror_the_sim_knobs_and_tolerate_a_high_floor() {
-        let mut c = IcgmmConfig {
-            sim_window: 512,
-            sim_window_floor: 32,
-            sim_stream_miss_div: 4,
-            ..Default::default()
-        };
-        assert!(c.validate().is_ok());
-        let p = c.spec_params();
-        assert_eq!(p.window, 512);
-        assert_eq!(p.min_window, 32);
-        assert_eq!(p.stream_miss_fraction_div, 4);
-        // W = 1 sweeps keep the default floor; the batcher clamps it.
-        c.sim_window = 1;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn default_sim_window_is_the_cache_crate_default() {
-        assert_eq!(
-            IcgmmConfig::default().sim_window,
-            icgmm_cache::DEFAULT_SPEC_WINDOW
-        );
     }
 
     #[test]

@@ -24,11 +24,11 @@ pub struct TrainedModel {
 
 /// Online policy engine driving the cache simulator.
 ///
-/// Scoring goes through the mixture's flat [`GmmScorer`] kernel: the
-/// streaming path (`score_current`) uses its allocation-free single-point
-/// log-sum-exp (vectorised across the K components of the one miss, like
-/// the paper's pipeline), and the windowed path (`score_window`) pushes a
-/// whole window through `score_batch` (vectorised across points) —
+/// Scoring goes through the mixture's flat [`GmmScorer`] kernel: replay
+/// (`score_current`) uses its allocation-free single-point log-sum-exp
+/// (vectorised across the K components of the one miss, like the paper's
+/// pipeline); `score_window` pushes a whole window through `score_batch`
+/// (vectorised across points) for callers that already hold one —
 /// bit-identical results, one summation order.
 #[derive(Clone, Debug)]
 pub struct GmmPolicyEngine {
@@ -206,49 +206,6 @@ impl ScoreSource for GmmPolicyEngine {
 
     fn observe_gap(&mut self, n: u64) {
         self.transformer.advance(n);
-    }
-
-    /// Sharded counterpart of the batched `score_window`: `gaps[i]`
-    /// foreign-shard requests tick the Algorithm 1 clock before
-    /// `records[i]` is observed, and the whole window still goes through
-    /// one batched kernel call.
-    fn score_window_gapped(&mut self, records: &[TraceRecord], gaps: &[u64], out: &mut [f64]) {
-        assert_eq!(records.len(), out.len(), "one score slot per record");
-        assert_eq!(records.len(), gaps.len(), "one gap per record");
-        if records.len() <= Self::SCALAR_MAX {
-            for ((record, &gap), o) in records.iter().zip(gaps).zip(out.iter_mut()) {
-                self.transformer.advance(gap);
-                self.observe(record);
-                *o = self.score_current();
-            }
-            return;
-        }
-        self.window_z.clear();
-        self.window_z.reserve(records.len());
-        for (record, &gap) in records.iter().zip(gaps) {
-            self.transformer.advance(gap);
-            let ts = self.transformer.next();
-            self.current = [record.page().raw() as f64, ts as f64];
-            self.window_z.push(self.scaler.transform(self.current));
-        }
-        self.scores_computed += records.len() as u64;
-        match &self.fixed {
-            Some(fx) => fx.score_batch(&self.window_z, out),
-            None => self.scorer.score_batch(&self.window_z, out),
-        }
-    }
-
-    /// Never: the single-point kernel vectorises across components and
-    /// costs about what the batched kernel does per score (≈ 0.55 vs
-    /// ≈ 0.40 µs at K = 256, where it used to be 1.8 vs 0.40), so there
-    /// is no gap for miss-window speculation to win back — it spends
-    /// ≈ 240 ns per *request* on shadow classification and scores up to
-    /// 2.7× more positions than misses consume. The fixed-point datapath's
-    /// `score_batch` is a scalar loop to begin with. Every replay engine
-    /// therefore streams this source (identical results, less machinery);
-    /// wrap it in [`icgmm_cache::PreferBatching`] to speculate anyway.
-    fn prefers_batching(&self) -> bool {
-        false
     }
 }
 

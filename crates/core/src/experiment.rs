@@ -25,23 +25,6 @@ pub struct ExperimentResult {
     pub dirty_evictions: u64,
     /// Total evaluated requests.
     pub requests: u64,
-    /// Miss-window speculation divergences (0 for score-free modes).
-    pub spec_divergences: u64,
-    /// …of which: real eviction victim differed from the shadow's
-    /// policy-aware prediction.
-    pub spec_victim_divergences: u64,
-    /// …of which: hit/miss misclassifications (predicted hit that missed
-    /// + predicted miss that hit), the residue of tolerated phantoms.
-    pub spec_class_divergences: u64,
-    /// …of which: admission bypasses tolerated as shadow phantoms.
-    pub spec_admission_bypasses: u64,
-    /// Miss runs the batcher split because a stored-score victim decision
-    /// depended on a score still being prefetched (0 for score-free
-    /// modes; a cost signal, not a divergence).
-    pub spec_run_splits: u64,
-    /// Fraction of policy-engine scores served by the batched kernel
-    /// (0 for score-free modes).
-    pub batched_score_fraction: f64,
     /// Fault-injection and degradation counters (all-zero without an
     /// armed [`crate::IcgmmConfig::fault`] plan).
     pub fault: icgmm_cache::FaultStats,
@@ -60,12 +43,6 @@ impl ExperimentResult {
             bypasses: run.sim.stats.bypasses(),
             dirty_evictions: run.sim.stats.dirty_evictions,
             requests: run.sim.stats.accesses(),
-            spec_divergences: run.spec.map(|s| s.divergences()).unwrap_or(0),
-            spec_victim_divergences: run.spec.map(|s| s.victim_divergences).unwrap_or(0),
-            spec_class_divergences: run.spec.map(|s| s.class_divergences()).unwrap_or(0),
-            spec_admission_bypasses: run.spec.map(|s| s.admission_divergences).unwrap_or(0),
-            spec_run_splits: run.spec.map(|s| s.run_splits).unwrap_or(0),
-            batched_score_fraction: run.spec.map(|s| s.batched_fraction()).unwrap_or(0.0),
             fault: run.sim.fault,
             adapt: run.sim.adapt,
         }
@@ -306,12 +283,6 @@ mod tests {
                 bypasses: 0,
                 dirty_evictions: 0,
                 requests: 100,
-                spec_divergences: 0,
-                spec_victim_divergences: 0,
-                spec_class_divergences: 0,
-                spec_admission_bypasses: 0,
-                spec_run_splits: 0,
-                batched_score_fraction: 0.0,
                 fault: icgmm_cache::FaultStats::default(),
                 adapt: icgmm_cache::AdaptStats::default(),
             },
@@ -323,12 +294,6 @@ mod tests {
                 bypasses: 5,
                 dirty_evictions: 0,
                 requests: 100,
-                spec_divergences: 0,
-                spec_victim_divergences: 0,
-                spec_class_divergences: 0,
-                spec_admission_bypasses: 0,
-                spec_run_splits: 0,
-                batched_score_fraction: 0.0,
                 fault: icgmm_cache::FaultStats::default(),
                 adapt: icgmm_cache::AdaptStats::default(),
             },
@@ -340,12 +305,6 @@ mod tests {
                 bypasses: 9,
                 dirty_evictions: 0,
                 requests: 100,
-                spec_divergences: 0,
-                spec_victim_divergences: 0,
-                spec_class_divergences: 0,
-                spec_admission_bypasses: 0,
-                spec_run_splits: 0,
-                batched_score_fraction: 0.0,
                 fault: icgmm_cache::FaultStats::default(),
                 adapt: icgmm_cache::AdaptStats::default(),
             },

@@ -18,18 +18,16 @@
 //! ## Determinism
 //!
 //! Checks fire immediately before the first observed record whose global
-//! position reaches the next `check_interval` boundary. The windowed
-//! entry points segment their batched kernel calls at those boundaries,
-//! so swap points depend only on global positions — never on how a caller
-//! chunks windows. Consequences, all property-enforced in
+//! position reaches the next `check_interval` boundary, so swap points
+//! depend only on global positions. Consequences, all property-enforced in
 //! `tests/adapt_equivalence.rs`:
 //!
 //! * an adaptive run is a pure function of `(trace seed, adapt seed)` at
 //!   every shard count (shards partition the record stream, so the
 //!   per-shard buffers — and therefore the refits — legitimately differ
-//!   *across* shard counts, never across reruns or routings);
+//!   *across* shard counts, never across reruns);
 //! * serving and offline sharded replay stay bit-identical at equal
-//!   shard counts, whatever windows ingestion happens to cut;
+//!   shard counts;
 //! * with the drift trigger held off (`drift_drop = ∞`) the scored
 //!   values are bit-identical to a static-scorer run.
 //!
@@ -64,8 +62,8 @@ fn salt(seed: u64, shard: u64, stream: u64) -> u64 {
 
 /// A [`GmmPolicyEngine`] wrapped with the drift-triggered online refit
 /// loop. Implements [`ScoreSource`] with the exact same observation
-/// contract, so it drops into every replay path (streaming, windowed,
-/// sharded, served) the plain engine does.
+/// contract, so it drops into every replay front-end (offline, sharded,
+/// served) the plain engine does.
 #[derive(Debug)]
 pub struct AdaptiveEngine {
     engine: GmmPolicyEngine,
@@ -259,30 +257,6 @@ impl ScoreSource for AdaptiveEngine {
         self.engine.score_current()
     }
 
-    /// Windowed scoring, segmented at check boundaries: each segment goes
-    /// through the wrapped engine's batched kernel, and a boundary inside
-    /// the window fires the check exactly where the streaming path would —
-    /// scores are bit-identical to per-record `observe`/`score_current`
-    /// whatever windows the caller cuts.
-    fn score_window(&mut self, records: &[TraceRecord], out: &mut [f64]) {
-        assert_eq!(records.len(), out.len(), "one score slot per record");
-        let mut start = 0usize;
-        for i in 0..records.len() {
-            let p = self.pos + (i - start) as u64;
-            if p >= self.next_check {
-                self.engine
-                    .score_window(&records[start..i], &mut out[start..i]);
-                self.pos = p;
-                self.checkpoint();
-                start = i;
-            }
-            self.buffer(records[i].page().raw(), p);
-        }
-        self.engine
-            .score_window(&records[start..], &mut out[start..]);
-        self.pos += (records.len() - start) as u64;
-    }
-
     fn shardable(&self) -> bool {
         self.engine.shardable()
     }
@@ -290,39 +264,6 @@ impl ScoreSource for AdaptiveEngine {
     fn observe_gap(&mut self, n: u64) {
         self.engine.observe_gap(n);
         self.pos += n;
-    }
-
-    /// Sharded windowed scoring with the same boundary segmentation;
-    /// `gaps[i]` foreign-shard requests advance the global position before
-    /// `records[i]`, so checks fire at the same global boundaries as the
-    /// shard's streaming replay.
-    fn score_window_gapped(&mut self, records: &[TraceRecord], gaps: &[u64], out: &mut [f64]) {
-        assert_eq!(records.len(), out.len(), "one score slot per record");
-        assert_eq!(records.len(), gaps.len(), "one gap per record");
-        let mut start = 0usize;
-        let mut p = self.pos;
-        for i in 0..records.len() {
-            p += gaps[i];
-            if p >= self.next_check {
-                self.engine.score_window_gapped(
-                    &records[start..i],
-                    &gaps[start..i],
-                    &mut out[start..i],
-                );
-                self.pos = p;
-                self.checkpoint();
-                start = i;
-            }
-            self.buffer(records[i].page().raw(), p);
-            p += 1;
-        }
-        self.engine
-            .score_window_gapped(&records[start..], &gaps[start..], &mut out[start..]);
-        self.pos = p;
-    }
-
-    fn prefers_batching(&self) -> bool {
-        self.engine.prefers_batching()
     }
 }
 
@@ -390,7 +331,7 @@ mod tests {
     #[test]
     fn held_off_trigger_scores_bit_identically_to_the_plain_engine() {
         // drift_drop = ∞: checks run, buffers fill, refits never fire —
-        // every score must equal the static engine's, streamed or batched.
+        // every score must equal the static engine's.
         let plan = AdaptPlan {
             check_interval: 64,
             drift_drop: f64::INFINITY,
@@ -420,7 +361,7 @@ mod tests {
     fn window_chunking_does_not_move_check_boundaries() {
         // The same record stream pushed as one big window, per-record
         // observes, and ragged chunks must produce identical stats and
-        // identical scores — segmentation makes checks position-pure.
+        // identical scores — checks are position-pure.
         let plan = AdaptPlan {
             check_interval: 100,
             drift_drop: 0.05,
@@ -531,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn gapped_windows_track_global_positions() {
+    fn gapped_observations_track_global_positions() {
         // Two-shard split of one global stream: each shard sees half the
         // records with gaps, and check boundaries land at global
         // positions — the shard observing records past a boundary checks
@@ -545,9 +486,12 @@ mod tests {
         let mut eng = adaptive(plan, 0);
         // This "shard" owns the even positions.
         let own: Vec<TraceRecord> = records.iter().step_by(2).copied().collect();
-        let gaps: Vec<u64> = (0..own.len()).map(|i| u64::from(i > 0)).collect();
-        let mut out = vec![0.0; own.len()];
-        eng.score_window_gapped(&own, &gaps, &mut out);
+        for (i, r) in own.iter().enumerate() {
+            if i > 0 {
+                eng.observe_gap(1);
+            }
+            eng.observe(r);
+        }
         // 500 own records over 999 global positions: boundaries at
         // 200/400/600/800 all fire (the final position, 998, < 1000).
         assert_eq!(eng.stats().checks, 4);

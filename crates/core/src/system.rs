@@ -10,11 +10,10 @@ use crate::engine::{GmmPolicyEngine, TrainedModel};
 use crate::error::IcgmmError;
 use crate::online::AdaptiveEngine;
 use icgmm_cache::{
-    resolve_shard_routing, AdaptPlan, AdaptSink, AdaptStats, AdmissionPolicy, AlwaysAdmit,
-    BeladyPolicy, EvictionPolicy, FailoverAdmission, FailoverEviction, FaultPlan, FaultSink,
-    FaultStats, FaultyScore, FifoPolicy, GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy,
-    RandomPolicy, ScoreSource, ScorerHealth, ShardCtx, ShardPolicies, ShardRouting,
-    ShardedSimulator, SimReport, SpecStats, ThresholdAdmit,
+    AdaptPlan, AdaptSink, AdaptStats, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy,
+    FailoverAdmission, FailoverEviction, FaultPlan, FaultSink, FaultStats, FaultyScore, FifoPolicy,
+    GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy, RandomPolicy, ScoreSource, ScorerHealth,
+    ShardCtx, ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_gmm::{calibrate_threshold, EmReport, EmTrainer, StandardScaler};
 use icgmm_hw::{DataflowConfig, DataflowReport};
@@ -48,17 +47,13 @@ pub struct RunReport {
     pub mode: PolicyMode,
     /// Simulator output (miss rates, latency).
     pub sim: SimReport,
-    /// Policy-engine inferences performed (0 for score-free modes).
-    ///
-    /// Streaming replay — what every mode runs, see [`Icgmm::run`] —
-    /// performs exactly one per scored miss. (A speculating replay would
-    /// count its *speculated* inferences here: the batched kernel also
-    /// scores predicted misses that turn out to hit.)
+    /// Policy-engine inferences performed: exactly one per scored miss
+    /// (0 for score-free modes).
     pub gmm_inferences: u64,
-    /// Miss-window speculation telemetry; `None` whenever the replay
-    /// streamed, which since the single-point scorer caught up with the
-    /// batched one is every mode.
-    pub spec: Option<SpecStats>,
+    /// Benchmark façade — read by `icgmm_bench`; deleted by the benchmark
+    /// PR that retires the `cache.batch.*` probes. Always `None`.
+    #[doc(hidden)]
+    pub spec: Option<icgmm_cache::SpecStats>,
 }
 
 impl RunReport {
@@ -357,12 +352,8 @@ impl Icgmm {
     /// latency model — the paper's Fig. 6 / Table 1 measurement.
     ///
     /// This is the one-shard geometry of [`Icgmm::run_sharded`], replayed
-    /// inline on the calling thread. Routing follows
-    /// [`ScoreSource::prefers_batching`]: the GMM policy engine scores a
-    /// single miss about as cheaply as a batched one, so it — like the
-    /// score-free modes — streams, and [`RunReport::spec`] is `None` (a
-    /// source that does prefer batching would lookahead-classify
-    /// `sim_window` requests; bit-identical either way). The
+    /// inline on the calling thread: one single-point policy-engine
+    /// inference per miss, as in the paper's Algorithm 1 datapath. The
     /// [`FaultPlan`] therefore applies as to any shard: an armed
     /// `shard_panic_per_mille` point is caught, the trace re-replayed once
     /// with it disarmed, and the event counted in
@@ -444,22 +435,15 @@ impl Icgmm {
         let asm = self.assemble(trace, mode, shards, self.cfg.fault, self.cfg.adapt)?;
         let (warmup, measured) = asm.phases();
         let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
-        let engine = ShardedSimulator::with_params(shards, self.cfg.spec_params());
-        let engine = engine.with_faults(asm.fault);
+        let engine = ShardedSimulator::new(shards).with_faults(asm.fault);
         let rep = engine.run(warmup, measured, self.cfg.cache, &make_shard, latency, None)?;
         let mut sim = rep.sim;
         asm.finish(&mut sim.fault, &mut sim.adapt);
-        // Score-free modes never batch and never consume a score.
-        let gmm_inferences = if rep.batched {
-            rep.spec.scores_computed()
-        } else {
-            rep.scores_consumed
-        };
         Ok(RunReport {
             mode,
             sim,
-            gmm_inferences,
-            spec: rep.batched.then_some(rep.spec),
+            gmm_inferences: rep.scores_consumed,
+            spec: None,
         })
     }
 
@@ -481,8 +465,7 @@ impl Icgmm {
     /// The configuration's [`FaultPlan`] plugs in unchanged: shard-worker
     /// panics are supervisor-recovered mid-service, scorer faults ride
     /// each worker's [`FaultyScore`] wrapper with the health monitor and
-    /// failover policies. (The speculation breaker guards batched
-    /// workers only — none run here, the engine streams.)
+    /// failover policies.
     ///
     /// # Errors
     ///
@@ -512,7 +495,6 @@ impl Icgmm {
             clients: self.cfg.serve_clients,
             queue_depth: self.cfg.serve_queue_depth,
             completion_depth: self.cfg.serve_completion_depth,
-            params: self.cfg.spec_params(),
             fault: asm.fault,
             ..ServeConfig::default()
         })?;
@@ -525,14 +507,8 @@ impl Icgmm {
     /// Runs one mode through the cycle-approximate dataflow hardware model
     /// instead of the analytic latency constants.
     ///
-    /// Host replay follows the same routing as [`Icgmm::run`]
-    /// ([`ScoreSource::prefers_batching`]): the GMM policy engine and the
-    /// score-free modes stream; a source that prefers batching would ride
-    /// the speculative miss-window batcher with this configuration's
-    /// `sim_window`/`sim_window_floor`/`sim_stream_miss_div` knobs. The
-    /// modeled timing is bit-identical either way;
-    /// [`DataflowReport::spec`] carries the speculation telemetry of
-    /// batched runs.
+    /// Host replay is the same streaming loop as [`Icgmm::run`]; the
+    /// hardware model charges its timeline from the replay-event stream.
     ///
     /// The dataflow front-end replays the **frozen** model: it is the one
     /// caller that hands the assembly an empty [`AdaptPlan`], so an armed
@@ -550,9 +526,9 @@ impl Icgmm {
         config: &DataflowConfig,
     ) -> Result<DataflowReport, IcgmmError> {
         // This configuration's fault plan rides along unless the dataflow
-        // config armed its own: device faults and the breaker act inside
-        // the hardware model, scorer faults and policy failover come from
-        // the assembly, and everything lands in the report's fault block.
+        // config armed its own: device faults act inside the hardware
+        // model, scorer faults and policy failover come from the assembly,
+        // and everything lands in the report's fault block.
         let mut config = config.clone();
         if config.fault.is_empty() {
             config.fault = self.cfg.fault;
@@ -565,20 +541,11 @@ impl Icgmm {
             warmup: warmup.into(),
             measured: measured.into(),
         });
-        let batched = resolve_shard_routing(ShardRouting::Auto, &pol);
         let (adm, ev) = (pol.admission.as_mut(), pol.eviction.as_mut());
         let score = pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource);
         let cache = self.cfg.cache;
-        let mut report = if batched {
-            let params = self.cfg.spec_params();
-            icgmm_hw::run_dataflow_batched_with_warmup(
-                warmup, measured, cache, adm, ev, score, &config, params,
-            )?
-        } else {
-            icgmm_hw::run_dataflow_streaming_with_warmup(
-                warmup, measured, cache, adm, ev, score, &config,
-            )?
-        };
+        let mut report =
+            icgmm_hw::run_dataflow_with_warmup(warmup, measured, cache, adm, ev, score, &config)?;
         asm.finish(&mut report.fault, &mut AdaptStats::default());
         Ok(report)
     }
@@ -669,66 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_window_does_not_change_results() {
-        // The speculation depth is a host-side knob of the miss-window
-        // batcher. The engine streams at every K (see
-        // `GmmPolicyEngine::prefers_batching`), so the knob must be inert:
-        // bit-identical SimReports and no speculation telemetry.
-        let mut small = small_cfg();
-        let mut wide = small_cfg();
-        small.em.k = 64;
-        wide.em.k = 64;
-        small.sim_window = 1;
-        wide.sim_window = 4096;
-        let trace = WorkloadKind::Memtier.default_workload().generate(40_000, 9);
-        let mut sys_small = Icgmm::new(small).unwrap();
-        let mut sys_wide = Icgmm::new(wide).unwrap();
-        sys_small.fit(&trace).unwrap();
-        sys_wide.fit(&trace).unwrap();
-        for mode in [PolicyMode::Lru, PolicyMode::GmmCachingEviction] {
-            let a = sys_small.run(&trace, mode).unwrap();
-            let b = sys_wide.run(&trace, mode).unwrap();
-            assert_eq!(a.sim, b.sim, "{mode}");
-            assert!(a.spec.is_none() && b.spec.is_none(), "{mode}");
-            assert_eq!(a.gmm_inferences, b.gmm_inferences, "{mode}");
-        }
-    }
-
-    #[test]
-    fn dataflow_sim_window_does_not_change_results() {
-        // The dataflow front-end routes like `run`: the engine streams at
-        // every K, so the speculation depth must leave the whole report —
-        // stats, all timing fields, and the absent telemetry — identical.
-        let mut narrow = small_cfg();
-        let mut wide = small_cfg();
-        narrow.em.k = 64;
-        wide.em.k = 64;
-        narrow.sim_window = 1;
-        wide.sim_window = 4096;
-        let trace = WorkloadKind::Memtier
-            .default_workload()
-            .generate(30_000, 11);
-        let mut sys_narrow = Icgmm::new(narrow).unwrap();
-        sys_narrow.fit(&trace).unwrap();
-        let mut sys_wide = Icgmm::new(wide).unwrap();
-        sys_wide.set_model(sys_narrow.model().expect("fitted").clone());
-        let cfg = DataflowConfig::default();
-        let a = sys_narrow
-            .run_dataflow(&trace, PolicyMode::GmmCachingEviction, &cfg)
-            .unwrap();
-        let b = sys_wide
-            .run_dataflow(&trace, PolicyMode::GmmCachingEviction, &cfg)
-            .unwrap();
-        assert!(a.spec.is_none(), "the engine must stream at every K");
-        assert_eq!(a, b, "sim_window must not change the dataflow report");
-        // Score-free modes keep the streaming engine too.
-        let lru = sys_narrow
-            .run_dataflow(&trace, PolicyMode::Lru, &cfg)
-            .unwrap();
-        assert!(lru.spec.is_none());
-    }
-
-    #[test]
     fn run_sharded_is_bit_identical_to_run_for_every_mode_and_shard_count() {
         let mut base = small_cfg();
         base.em.k = 64;
@@ -760,10 +667,8 @@ mod tests {
                     "{mode} diverged at {shards} shards"
                 );
                 if shards == 1 {
-                    // One shard replays the whole trace through the same
-                    // engine: telemetry and inference counts are exact.
-                    assert_eq!(reference.spec, sharded.spec, "{mode}");
-                    assert_eq!(reference.gmm_inferences, sharded.gmm_inferences, "{mode}");
+                    // One shard *is* `run`: the whole report is equal.
+                    assert_eq!(reference, sharded, "{mode}");
                 }
                 if mode.uses_gmm() {
                     assert!(sharded.gmm_inferences > 0, "{mode} at {shards} shards");

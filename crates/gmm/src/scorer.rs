@@ -514,9 +514,8 @@ impl GmmScorer {
         // One K×chunk term buffer per call (not per point): pass 2 reads
         // the pass-1 terms back instead of recomputing every quadratic
         // form. Reused across all chunks of the batch, and sized to the
-        // batch when it is smaller than one chunk — the miss-window
-        // batcher issues many short windows on hit-heavy traces, and a
-        // full K×CHUNK zeroing per call would dwarf the scoring itself.
+        // batch when it is smaller than one chunk — a full K×CHUNK
+        // zeroing per short call would dwarf the scoring itself.
         let mut lbuf = vec![0.0f64; self.k() * CHUNK.min(xs.len())];
         for (xc, oc) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
             self.log_density_chunk(xc, oc, &mut lbuf);

@@ -17,17 +17,11 @@
 //! * overlap of inference with SSD access ([`run_dataflow`]).
 //!
 //! Host replay and modeled time are decoupled: [`run_dataflow`] /
-//! [`run_dataflow_with_warmup`] route score sources that report
-//! [`icgmm_cache::ScoreSource::prefers_batching`] through the speculative
-//! miss-window batcher and every other source (the GMM policy engine
-//! included — its single-point kernel costs about what the batched one
-//! does) through the streaming loop, while the *modeled* timeline stays
-//! strictly per-miss either way: each miss is
-//! charged one GMM inference overlapped (or not) with its own SSD access,
-//! with FIFO backpressure and SSD queueing, so every timing field of the
-//! [`DataflowReport`] is bit-identical to the streaming reference
-//! ([`run_dataflow_streaming_with_warmup`]). See the `system` module docs
-//! for the mechanism (the cache crate's replay-event stream).
+//! [`run_dataflow_with_warmup`] compute the outcomes with the cache
+//! crate's one streaming replay loop and charge the *modeled* timeline
+//! from its replay-event stream, strictly per miss: each miss pays one
+//! GMM inference overlapped (or not) with its own SSD access, with FIFO
+//! backpressure and SSD queueing. See the `system` module docs.
 //!
 //! ## Example
 //!
@@ -63,7 +57,4 @@ pub use gmm_engine::{GmmEngine, GmmEngineModel};
 pub use kernel::{run_until_done, Kernel, KernelStats};
 pub use resources::{table2, GmmResourceModel, ResourceEstimate};
 pub use ssd::{SsdEmulator, SsdProfile, SsdStats};
-pub use system::{
-    run_dataflow, run_dataflow_batched_with_warmup, run_dataflow_streaming_with_warmup,
-    run_dataflow_with_warmup, DataflowConfig, DataflowReport,
-};
+pub use system::{run_dataflow, run_dataflow_with_warmup, DataflowConfig, DataflowReport};

@@ -19,23 +19,13 @@
 //!
 //! # Host replay vs modeled time
 //!
-//! Since the batched-dataflow rebuild, the timing model is a
-//! [`icgmm_cache::ReplayObserver`] ([`DataflowTimer`], private) hanging off
-//! the cache crate's replay-event stream, so *how the host computes the
-//! outcomes* and *what the modeled hardware charges for them* are
-//! independent: a score source that prefers batching
-//! ([`icgmm_cache::ScoreSource::prefers_batching`]) replays through the
-//! speculative miss-window batcher ([`icgmm_cache::WindowedSimulator`]),
-//! every other source — the GMM policy engine included, now that its
-//! single-point kernel costs about what the batched one does per score —
-//! through the streaming loop, while the modeled timeline stays strictly
-//! per-miss: every miss still pays one GMM inference overlapped (or not)
-//! with its own SSD access, FIFO backpressure and SSD queueing included,
-//! exactly as the synchronous pipeline would. The two replay engines feed
-//! the identical per-record event stream, so the [`DataflowReport`] —
-//! stats *and* every timing field — is bit-identical between them
-//! (property-enforced in `tests/dataflow_equivalence.rs`); only host
-//! wall-clock and the [`DataflowReport::spec`] telemetry differ.
+//! The timing model is a [`icgmm_cache::ReplayObserver`]
+//! ([`DataflowTimer`], private) hanging off the cache crate's
+//! replay-event stream: the host computes the outcomes with the one
+//! streaming replay loop (a single-point score per miss, exactly the
+//! paper's Algorithm 1 datapath), and the observer charges each miss one
+//! GMM inference overlapped (or not) with its own SSD access, FIFO
+//! backpressure and SSD queueing included.
 
 use crate::cache_engine::CacheEngineModel;
 use crate::clock::ClockDomain;
@@ -44,7 +34,7 @@ use crate::ssd::{SsdEmulator, SsdProfile, SsdStats};
 use icgmm_cache::{
     simulate_streaming_observed_with_warmup, AccessOutcome, AdmissionPolicy, CacheConfig,
     CacheConfigError, CacheStats, EvictionPolicy, FaultPlan, FaultStats, LatencyModel, ReplayEvent,
-    ReplayObserver, ScoreSource, SetAssocCache, SpecParams, SpecStats, WindowedSimulator,
+    ReplayObserver, ScoreSource, SetAssocCache,
 };
 use icgmm_trace::{Op, TraceRecord};
 use serde::{Deserialize, Serialize};
@@ -68,8 +58,7 @@ pub struct DataflowConfig {
     /// Deterministic fault-injection plan. The empty default leaves every
     /// code path — and the report — bit-identical to a fault-free build;
     /// arming device faults makes SSD commands fail/retry/spike on the
-    /// modeled timeline, and arming the speculation circuit breaker demotes
-    /// the batched host replay to streaming under divergence storms.
+    /// modeled timeline.
     pub fault: FaultPlan,
 }
 
@@ -110,14 +99,9 @@ pub struct DataflowReport {
     /// Time saved by overlapping policy inference with SSD access compared
     /// to a sequential design, µs.
     pub overlap_saved_us: f64,
-    /// Host-replay speculation telemetry when the run rode the batched
-    /// replay engine (`None` on the streaming engine). Pure host-side
-    /// diagnostics: the modeled timing above is bit-identical either way.
-    pub spec: Option<SpecStats>,
     /// Fault-injection and degradation counters (all-zero without an armed
     /// [`DataflowConfig::fault`] plan): device failures/retries/spikes/
-    /// timeouts charged to the modeled timeline, plus circuit-breaker
-    /// telemetry from the batched host replay.
+    /// timeouts charged to the modeled timeline.
     pub fault: FaultStats,
 }
 
@@ -133,13 +117,8 @@ impl DataflowReport {
 }
 
 /// Per-record timing accounting of the dataflow model, driven by the
-/// replay-event stream: the replay engine (streaming or speculative
-/// batched) decides how scores are computed on the *host*, while this
-/// observer keeps the *modeled* timeline strictly per-miss — each miss
-/// pays one GMM inference overlapped (or not) with its own SSD access, so
-/// batched host inference is attributed to the miss that consumed the
-/// score and `overlap_saved_us` is computed exactly as the streaming loop
-/// always did.
+/// replay-event stream: each miss pays one GMM inference overlapped (or
+/// not) with its own SSD access.
 struct DataflowTimer {
     warmup_len: usize,
     cycle_us: f64,
@@ -240,7 +219,7 @@ impl DataflowTimer {
         }
     }
 
-    fn into_report(self, stats: CacheStats, n: usize, spec: Option<SpecStats>) -> DataflowReport {
+    fn into_report(self, stats: CacheStats, n: usize) -> DataflowReport {
         DataflowReport {
             stats,
             makespan_us: self.prev_finish,
@@ -257,7 +236,6 @@ impl DataflowTimer {
             gmm_busy_us: self.gmm_busy_us,
             loader_stalls: self.loader_stalls,
             overlap_saved_us: self.overlap_saved_us,
-            spec,
             fault: *self.ssd.fault_stats(),
             ssd: self.ssd.stats(),
         }
@@ -280,7 +258,7 @@ impl ReplayObserver for DataflowTimer {
     }
 }
 
-/// The latency model handed to the functional replay engines for their
+/// The latency model handed to the functional replay for its
 /// (discarded) [`icgmm_cache::SimReport`] accounting — the dataflow model
 /// computes its own timing through [`DataflowTimer`].
 fn accounting_latency() -> LatencyModel {
@@ -290,11 +268,7 @@ fn accounting_latency() -> LatencyModel {
 /// Runs the dataflow system over a trace.
 ///
 /// `score` follows the same contract as the analytic simulator: observed on
-/// every request, queried only on misses. Sources whose
-/// [`ScoreSource::prefers_batching`] returns `true` ride the speculative
-/// miss-window batcher for host replay (at [`SpecParams::default`]); all
-/// others take the streaming loop. The report — stats and every timing
-/// field — is bit-identical either way.
+/// every request, queried only on misses.
 ///
 /// # Errors
 ///
@@ -313,53 +287,14 @@ pub fn run_dataflow(
 /// [`run_dataflow`] preceded by an untimed warm-up phase: the cache, the
 /// policies and the score source see `warmup` (state effects only); timing
 /// and statistics cover `measured` (mirrors the analytic simulator's
-/// `simulate_with_warmup`). Routes between the streaming and batched
-/// replay engines by [`ScoreSource::prefers_batching`], like
-/// [`run_dataflow`].
+/// `simulate_with_warmup`). The streaming functional loop (one synchronous
+/// score per miss) drives the per-miss timing model.
 ///
 /// # Errors
 ///
 /// Returns [`CacheConfigError`] for invalid cache geometry.
 #[allow(clippy::too_many_arguments)]
 pub fn run_dataflow_with_warmup(
-    warmup: &[TraceRecord],
-    measured: &[TraceRecord],
-    cache_cfg: CacheConfig,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
-    score: Option<&mut dyn ScoreSource>,
-    config: &DataflowConfig,
-) -> Result<DataflowReport, CacheConfigError> {
-    if score.as_ref().is_some_and(|s| s.prefers_batching()) {
-        run_dataflow_batched_with_warmup(
-            warmup,
-            measured,
-            cache_cfg,
-            admission,
-            eviction,
-            score,
-            config,
-            SpecParams::default(),
-        )
-    } else {
-        run_dataflow_streaming_with_warmup(
-            warmup, measured, cache_cfg, admission, eviction, score, config,
-        )
-    }
-}
-
-/// The reference dataflow replay: the streaming functional loop (one
-/// synchronous score per miss) driving the per-miss timing model.
-///
-/// Kept public as the ground truth the batched dataflow replay is
-/// property-tested against, and for measuring its host-side speedup (the
-/// `dataflow` criterion group).
-///
-/// # Errors
-///
-/// Returns [`CacheConfigError`] for invalid cache geometry.
-#[allow(clippy::too_many_arguments)]
-pub fn run_dataflow_streaming_with_warmup(
     warmup: &[TraceRecord],
     measured: &[TraceRecord],
     cache_cfg: CacheConfig,
@@ -381,69 +316,13 @@ pub fn run_dataflow_streaming_with_warmup(
         None,
         &mut timer,
     );
-    Ok(timer.into_report(sim.stats, measured.len(), None))
-}
-
-/// Dataflow replay over the speculative miss-window batcher: host-side
-/// scoring rides the batched [`ScoreSource::score_window`] kernel
-/// (`params` are the batcher's tuning knobs) while the modeled timeline
-/// stays per-miss — bit-identical stats and timing to
-/// [`run_dataflow_streaming_with_warmup`], with
-/// [`DataflowReport::spec`] carrying the speculation telemetry.
-///
-/// Without a score source — or with one that does not
-/// [`ScoreSource::prefers_batching`] — there is nothing worth batching:
-/// the batcher delegates to the streaming loop internally and the
-/// report's `spec` stays `None` (the run never speculated).
-///
-/// # Errors
-///
-/// Returns [`CacheConfigError`] for invalid cache geometry.
-#[allow(clippy::too_many_arguments)]
-pub fn run_dataflow_batched_with_warmup(
-    warmup: &[TraceRecord],
-    measured: &[TraceRecord],
-    cache_cfg: CacheConfig,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
-    score: Option<&mut dyn ScoreSource>,
-    config: &DataflowConfig,
-    params: SpecParams,
-) -> Result<DataflowReport, CacheConfigError> {
-    let mut cache = SetAssocCache::new(cache_cfg)?;
-    let mut timer = DataflowTimer::new(config, warmup.len());
-    let mut wsim = WindowedSimulator::with_params(params);
-    if config.fault.breaker_armed() {
-        wsim.set_breaker(
-            config.fault.breaker_storm_windows,
-            config.fault.breaker_cooldown_records,
-        );
-    }
-    let speculates = score.as_ref().is_some_and(|s| s.prefers_batching());
-    let sim = wsim.run_observed(
-        warmup,
-        measured,
-        &mut cache,
-        admission,
-        eviction,
-        score,
-        &accounting_latency(),
-        None,
-        &mut timer,
-    );
-    let spec = speculates.then(|| *wsim.spec_stats());
-    let breaker = *wsim.fault_stats();
-    let mut report = timer.into_report(sim.stats, measured.len(), spec);
-    report.fault.merge(&breaker);
-    Ok(report)
+    Ok(timer.into_report(sim.stats, measured.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icgmm_cache::{
-        AlwaysAdmit, FnScore, LatencyModel, LruPolicy, PreferBatching, SetAssocCache,
-    };
+    use icgmm_cache::{AlwaysAdmit, LatencyModel, LruPolicy, SetAssocCache};
 
     fn small_cfg() -> CacheConfig {
         CacheConfig {
@@ -464,14 +343,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    /// A deterministic score source that opts into the batched replay
-    /// engine (a bare `FnScore` keeps the streaming default).
-    fn batchy_score() -> impl ScoreSource {
-        PreferBatching(FnScore::new(|page, seq| {
-            ((page * 37 + seq) % 100) as f64 / 100.0
-        }))
     }
 
     #[test]
@@ -605,66 +476,5 @@ mod tests {
             &DataflowConfig::default()
         )
         .is_err());
-    }
-
-    #[test]
-    fn batching_sources_route_to_the_batched_engine_bit_identically() {
-        // The default entry point must pick the batched replay for a
-        // `prefers_batching` source and still produce the streaming
-        // engine's exact report — timing fields included.
-        let trace = mixed_trace(3_000);
-        let cfg = small_cfg();
-        let config = DataflowConfig::default();
-
-        let mut lru1 = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        let mut s1 = batchy_score();
-        let streaming = run_dataflow_streaming_with_warmup(
-            &trace[..500],
-            &trace[500..],
-            cfg,
-            &mut AlwaysAdmit,
-            &mut lru1,
-            Some(&mut s1),
-            &config,
-        )
-        .unwrap();
-        assert!(streaming.spec.is_none());
-
-        let mut lru2 = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        let mut s2 = batchy_score();
-        let routed = run_dataflow_with_warmup(
-            &trace[..500],
-            &trace[500..],
-            cfg,
-            &mut AlwaysAdmit,
-            &mut lru2,
-            Some(&mut s2),
-            &config,
-        )
-        .unwrap();
-        let spec = routed.spec.expect("prefers_batching must route batched");
-        assert!(spec.windows > 0, "{spec:?}");
-
-        let mut stripped = routed.clone();
-        stripped.spec = None;
-        assert_eq!(streaming, stripped);
-    }
-
-    #[test]
-    fn streaming_sources_keep_the_streaming_engine() {
-        let trace = mixed_trace(1_000);
-        let cfg = small_cfg();
-        let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        let mut s = FnScore::new(|page, _| (page % 7) as f64);
-        let df = run_dataflow(
-            &trace,
-            cfg,
-            &mut AlwaysAdmit,
-            &mut lru,
-            Some(&mut s),
-            &DataflowConfig::default(),
-        )
-        .unwrap();
-        assert!(df.spec.is_none(), "FnScore must not route batched");
     }
 }

@@ -4,14 +4,9 @@
 //! is a deterministic function of `(plan seed, trace)`, and an empty
 //! plan leaves the report bit-identical to today's model.
 
-use icgmm_cache::{FaultPlan, ScoreSource, SpecParams};
-use icgmm_hw::{
-    run_dataflow_batched_with_warmup, run_dataflow_streaming_with_warmup, DataflowConfig,
-    DataflowReport,
-};
-use icgmm_testutil::{
-    admission_for, conflict_trace, eviction_for, small_cfg, speculating_score_for, zipf_trace,
-};
+use icgmm_cache::FaultPlan;
+use icgmm_hw::{run_dataflow_with_warmup, DataflowConfig, DataflowReport};
+use icgmm_testutil::{admission_for, eviction_for, small_cfg, zipf_trace};
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 
@@ -24,7 +19,7 @@ fn run_streaming(plan: FaultPlan, trace: &[TraceRecord], warmup_len: usize) -> D
     let (warm, meas) = trace.split_at(warmup_len);
     let mut ev = eviction_for("lru", cfg, trace);
     let mut ad = admission_for("always");
-    run_dataflow_streaming_with_warmup(warm, meas, cfg, ad.as_mut(), ev.as_mut(), None, &df_cfg)
+    run_dataflow_with_warmup(warm, meas, cfg, ad.as_mut(), ev.as_mut(), None, &df_cfg)
         .expect("valid geometry")
 }
 
@@ -85,52 +80,4 @@ proptest! {
         let again = run_streaming(plan, &trace, n / 4);
         prop_assert_eq!(&armed, &again, "device faults must be deterministic");
     }
-}
-
-/// A device-armed *and* breaker-armed plan flows through the batched
-/// dataflow path: breaker telemetry merges into the report's fault block
-/// alongside the device counters, and the whole report reproduces from
-/// its seeds.
-#[test]
-fn batched_dataflow_merges_device_and_breaker_fault_stats() {
-    let trace = conflict_trace(4_000, 512, 17);
-    let run = || {
-        let cfg = small_cfg();
-        let df_cfg = DataflowConfig {
-            fault: FaultPlan {
-                seed: 29,
-                device_fail_per_mille: 120,
-                device_spike_per_mille: 80,
-                breaker_storm_windows: 1,
-                breaker_cooldown_records: 96,
-                ..FaultPlan::empty()
-            },
-            ..Default::default()
-        };
-        let (warm, meas) = trace.split_at(1_000);
-        let mut ev = eviction_for("gmm-score", cfg, &trace);
-        let mut ad = admission_for("threshold");
-        let mut sc = speculating_score_for("fn");
-        run_dataflow_batched_with_warmup(
-            warm,
-            meas,
-            cfg,
-            ad.as_mut(),
-            ev.as_mut(),
-            sc.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
-            &df_cfg,
-            SpecParams::with_window(128),
-        )
-        .expect("valid geometry")
-    };
-    let report = run();
-    assert!(report.fault.device_failures + report.fault.device_spikes > 0);
-    assert!(report.fault.device_fault_us > 0.0);
-    assert!(
-        report.fault.breaker_trips > 0,
-        "storm never tripped the breaker"
-    );
-    assert!(report.fault.breaker_streamed > 0);
-    let again = run();
-    assert_eq!(report, again, "fault-armed dataflow must be deterministic");
 }

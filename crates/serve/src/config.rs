@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use icgmm_cache::{FaultPlan, ShardRouting, SpecParams};
+use icgmm_cache::FaultPlan;
 use serde::{Deserialize, Serialize};
 
 /// What a client does when its shard's ingestion queue is full.
@@ -22,9 +22,9 @@ pub enum SubmitMode {
 
 /// Configuration of a [`crate::CacheServer`].
 ///
-/// The shard partitioning, speculation parameters and routing mirror
-/// [`icgmm_cache::ShardedSimulator`] exactly — a served trace re-accounts
-/// bit-identically to the offline sharded replay of the same inputs.
+/// The shard partitioning mirrors [`icgmm_cache::ShardedSimulator`]
+/// exactly — a served trace re-accounts bit-identically to the offline
+/// sharded replay of the same inputs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServeConfig {
     /// Shard (worker thread) count, `>= 1`. Sets are partitioned
@@ -39,18 +39,9 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Full-queue behavior (see [`SubmitMode`]).
     pub submit: SubmitMode,
-    /// How scored shard workers replay (see [`ShardRouting`]). Workers
-    /// fall back to [`ShardRouting::Streaming`] whenever the fault plan
-    /// arms scorer faults or the health monitor: those fault decisions
-    /// are window-boundary-sensitive, and serving windows cut at
-    /// ingestion boundaries rather than the offline batcher's.
-    pub routing: ShardRouting,
-    /// Speculation parameters for batched workers (window size doubles as
-    /// the per-chunk ingestion drain bound).
-    pub params: SpecParams,
     /// Deterministic fault plan: shard-worker panic points (supervisor-
-    /// recovered), scorer faults, the health monitor and the speculation
-    /// breaker all plug in unchanged from the offline engine.
+    /// recovered), scorer faults and the health monitor all plug in
+    /// unchanged from the offline engine.
     pub fault: FaultPlan,
     /// Graceful-shutdown point: stop accepting after this many requests
     /// (warm-up + measured, trace order), then drain and join. The report
@@ -76,8 +67,6 @@ impl Default for ServeConfig {
             clients: 1,
             queue_depth: 256,
             submit: SubmitMode::Block,
-            routing: ShardRouting::Auto,
-            params: SpecParams::default(),
             fault: FaultPlan::default(),
             stop_after: None,
             completion_depth: 8,

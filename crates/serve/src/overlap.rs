@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 
 /// Overlap telemetry of one serving session (field-wise merge of the
 /// per-worker completion queues; supervisor-recovered shards contribute
-/// zero, like [`icgmm_cache::SpecStats`]).
+/// zero).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct OverlapStats {
     /// Modeled backend (SSD) operations retired through the completion

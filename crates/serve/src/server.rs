@@ -1,23 +1,17 @@
 //! The concurrent cache service: clients → bounded per-shard ingestion
-//! queues → shard workers deciding per request (or, for a source that
-//! prefers batching, per speculated chunk) → a sequence-
-//! number merge re-accounting outcomes in global order, incrementally.
+//! queues → shard workers deciding per request → a sequence-number merge
+//! re-accounting outcomes in global order, incrementally.
 //!
 //! # Why the served stream re-accounts bit-identically
 //!
-//! Three offline invariants compose:
+//! Two offline invariants compose:
 //!
 //! 1. **Set partitioning** ([`icgmm_cache::ShardedSimulator`]'s argument): each shard
 //!    worker sees exactly the subsequence of requests whose sets it owns,
 //!    in trace order, so every per-record outcome equals the
 //!    single-threaded replay's outcome at the same global position —
 //!    regardless of *when* each request physically arrives.
-//! 2. **Chunked continuation** (the batcher's `run_observed_from`
-//!    property): replaying a shard's subsequence in arbitrarily ragged
-//!    ingestion chunks produces the same outcomes as one uninterrupted
-//!    replay, because the sequence clock and shadow policy state carry
-//!    across chunk boundaries.
-//! 3. **Streaming merge** ([`StreamingMerge`]): pushing outcomes through
+//! 2. **Streaming merge** ([`StreamingMerge`]): pushing outcomes through
 //!    the accounting in ascending global order reproduces the
 //!    single-threaded report bit-for-bit, and panics on any lost,
 //!    duplicated or reordered outcome rather than skewing silently.
@@ -65,23 +59,9 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::thread;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded_with_spin, Receiver, Sender, TryRecvError, TrySendError};
-
-/// Rounds of [`thread::yield_now`] a *multi-shard* batched worker spends
-/// waiting for its ingestion queue to refill before replaying a partial
-/// chunk (see the drain loop in `run_worker`). Above one shard a shard
-/// sees only every S-th record on interleaved traffic, so even with
-/// per-shard client buffers a speculation window's worth of records
-/// spans several batches in flight; yielding hands the clients the
-/// scheduler quanta to deliver the rest — measurably fuller chunks. With
-/// a single shard the entire trace funnels into one buffer: the queue
-/// refills in full batches whenever the client runs at all, an empty
-/// queue means the client is parked or done, and burning yields only
-/// adds context switches.
-const DRY_YIELDS: u32 = 8;
+use crossbeam::channel::{bounded_with_spin, Receiver, Sender, TrySendError};
 
 /// Transport batching factor: up to this many records ride one channel
 /// message, on both the ingestion and the outcome path. A bounded-queue
@@ -104,24 +84,11 @@ const SUBMIT_BATCH: usize = 64;
 /// the one runnable client between batches.
 const CHANNEL_SPIN: usize = 16;
 
-/// Cap on how many queued records a scored worker drains into one replay
-/// chunk. The batcher re-evaluates its dense/sparse scoring mode and its
-/// adaptive depth once per *window*, and a window never outgrows the
-/// chunk that feeds it — so a worker that greedily drained a whole
-/// speculation window (4096 records; on a busy host the dry-yield loop
-/// readily accumulates that much) replays hit-interleaved traffic as one
-/// giant sparse window, issuing a tiny `score_window` call per ~2-record
-/// miss run and paying the per-call overhead thousands of times. Capped
-/// chunks keep the mode probe sampling: after one sparse chunk the miss
-/// fraction flips dense and every later chunk scores in one batched call.
-/// Outcomes are chunking-invariant (the batcher's window-boundary
-/// invariance), so this is a pure throughput knob.
-const DRAIN_CHUNK: usize = 256;
 use icgmm_cache::{
-    resolve_shard_routing, shard_contract, shard_gap_before, simulate_streaming_observed_records,
-    streaming_step, CacheConfig, FaultStats, GapScore, LatencyModel, RecordsRef, ReplayEvent,
-    ReplayObserver, ScoreSource, SeqOutcome, SetAssocCache, ShardCtx, ShardPartition,
-    ShardPolicies, SimReport, SpecParams, SpecStats, StreamingMerge, WindowedSimulator,
+    shard_contract, shard_gap_before, simulate_streaming_observed_records, streaming_step,
+    CacheConfig, FaultStats, GapScore, LatencyModel, RecordsRef, ReplayEvent, ReplayObserver,
+    ScoreSource, SeqOutcome, SetAssocCache, ShardCtx, ShardPartition, ShardPolicies, SimReport,
+    StreamingMerge,
 };
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
@@ -150,13 +117,8 @@ struct IngestMsg {
 /// What a shard worker hands back at join time.
 struct WorkerDone {
     hist: LatencyHistogram,
-    spec: SpecStats,
-    fault: FaultStats,
     scored: u64,
     overlap: OverlapStats,
-    /// Whether this worker rode the speculative batcher (resolved on the
-    /// worker from its own policies, mirroring the offline engine).
-    batched: bool,
     /// Policy names for the merged report (policies are built worker-side
     /// now, so the names travel back with the results).
     ev_name: String,
@@ -181,15 +143,8 @@ pub struct CacheServer {
 pub struct ServeReport {
     /// The merged simulation report — equal to the offline replay's.
     pub sim: SimReport,
-    /// Field-wise sum of per-worker speculation telemetry. Serving
-    /// windows cut at ingestion-chunk boundaries, so these counters
-    /// describe the serving run itself (offline batched replay cuts at
-    /// its own window boundaries); recovered shards contribute zero.
-    pub spec: SpecStats,
-    /// Whether scored workers rode the speculative miss-window batcher.
-    pub batched: bool,
-    /// Replay events that consumed a score — engine- and
-    /// chunking-invariant, hence equal to the offline replay's count.
+    /// Replay events that consumed a score — equal to the offline
+    /// replay's count.
     pub scores_consumed: u64,
     /// Requests served (warm-up + measured, after `stop_after`).
     pub requests: u64,
@@ -225,14 +180,8 @@ impl CacheServer {
     ///
     /// [`ServeError::Config`] for zero shard/client/queue geometry or an
     /// inconsistent fault plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cfg.params` is invalid (same contract as
-    /// [`WindowedSimulator::with_params`]).
     pub fn new(cfg: ServeConfig) -> Result<Self, ServeError> {
         cfg.validate()?;
-        let _ = WindowedSimulator::with_params(cfg.params);
         Ok(CacheServer { cfg })
     }
 
@@ -301,19 +250,10 @@ impl CacheServer {
 
         // Per-shard policies are built *inside* each worker (parallel
         // construction, shared verbatim with the offline engine — same
-        // `shard_contract` refusals, same `resolve_shard_routing`).
-        // Routing is forced to streaming under scorer/monitor faults:
-        // those decisions depend on window boundaries, and serving
-        // windows cut at ingestion boundaries.
-        let routing = self.cfg.routing;
-        let force_streaming = plan.scorer_armed() || plan.monitor_armed();
-
+        // `shard_contract` refusals).
         let panic_at: Vec<Option<u64>> = (0..s)
             .map(|shard| plan.shard_panic_point(shard, part.positions(shard).len()))
             .collect();
-        let breaker = plan
-            .breaker_armed()
-            .then_some((plan.breaker_storm_windows, plan.breaker_cooldown_records));
 
         // Channels: one bounded ingestion queue and one bounded outcome
         // queue per shard, carrying batches of up to `batch` records per
@@ -339,8 +279,6 @@ impl CacheServer {
             out_rx.push(orx);
         }
 
-        let params = self.cfg.params;
-        let dry_budget = if s > 1 { DRY_YIELDS } else { 0 };
         let lat = *latency;
         let shed = self.cfg.submit == SubmitMode::Shed;
         let warmup_len = warmup.len() as u64;
@@ -389,10 +327,8 @@ impl CacheServer {
                         // merger, which fails the session.
                         shard_contract(s, &pol)
                             .map_err(|message| ServeError::Contract { shard, message })?;
-                        let batched = resolve_shard_routing(routing, &pol) && !force_streaming;
                         Ok(run_worker(
-                            rx, tx, pol, cache_cfg, params, batched, lat, at, breaker, warmup_len,
-                            batch, dry_budget, infl, comp_depth,
+                            rx, tx, pol, cache_cfg, lat, at, warmup_len, batch, infl, comp_depth,
                         ))
                     })
                 })
@@ -505,10 +441,8 @@ impl CacheServer {
                 sheds += h.join().expect("clients never panic");
             }
             let mut hist = LatencyHistogram::new();
-            let mut spec = SpecStats::default();
             let mut overlap = OverlapStats::default();
             let mut scores_consumed = 0u64;
-            let mut batched = false;
             let mut names = recovered_names;
             for (shard, h) in worker_handles.into_iter().enumerate() {
                 match h.join() {
@@ -517,17 +451,13 @@ impl CacheServer {
                     }
                     Ok(Ok(done)) => {
                         hist.merge(&done.hist);
-                        spec.merge(&done.spec);
-                        fault.merge(&done.fault);
                         overlap.merge(&done.overlap);
                         scores_consumed += done.scored;
-                        batched |= done.batched;
                         names.get_or_insert((done.ev_name, done.adm_name));
                     }
                     Err(payload) => match recovered_scored[shard] {
                         // Recovered: the offline re-replay's scored count
-                        // stands in for the dead worker's partial one
-                        // (score consumption is engine-invariant).
+                        // stands in for the dead worker's partial one.
                         Some(scored) => scores_consumed += scored,
                         None => {
                             if merge_err.is_none() {
@@ -546,19 +476,10 @@ impl CacheServer {
             let (ev_name, adm_name) = names
                 .expect("every served run joins a live worker or recovers one supervisor-side");
             let sim = merge.finish(measured.len(), &ev_name, &adm_name);
-            Ok((
-                sim,
-                spec,
-                scores_consumed,
-                sheds,
-                hist,
-                wall,
-                overlap,
-                batched,
-            ))
+            Ok((sim, scores_consumed, sheds, hist, wall, overlap))
         })
         .expect("serve scope joins every handle");
-        let (mut sim, spec, scores_consumed, sheds, hist, wall, overlap, batched) = served?;
+        let (mut sim, scores_consumed, sheds, hist, wall, overlap) = served?;
         sim.fault = fault;
 
         let wall_us = wall.as_secs_f64() * 1e6;
@@ -569,8 +490,6 @@ impl CacheServer {
         };
         Ok(ServeReport {
             sim,
-            spec,
-            batched,
             scores_consumed,
             requests: n as u64,
             sheds,
@@ -871,46 +790,20 @@ impl RecState {
     }
 }
 
-/// Observer adapter for the batched worker path: forwards each replayed
-/// event of the current ingestion chunk through [`RecState::publish`].
-struct ChunkRecorder<'a> {
-    state: &'a mut RecState,
-    msgs: &'a [IngestMsg],
-    idx: usize,
-}
-
-impl ReplayObserver for ChunkRecorder<'_> {
-    fn on_record(&mut self, ev: &ReplayEvent<'_>) {
-        debug_assert_eq!(ev.seq, self.state.seen, "batched worker lost its seq clock");
-        let msg = self.msgs[self.idx];
-        self.idx += 1;
-        self.state.publish(&msg, *ev.outcome, ev.score.is_some());
-    }
-}
-
-/// One shard worker: drain the ingestion queue, decide, publish.
-///
-/// Streaming workers run the canonical [`streaming_step`] per request;
-/// batched workers drain up to a window of queued requests and push the
-/// chunk through the speculative batcher's continuation entry point
-/// ([`WindowedSimulator::run_observed_from`]), whose chunked replay is
-/// property-proven bit-identical to one uninterrupted run. Either way the
-/// shard-local sequence clock (`seen`) runs continuously, so policy
-/// recency stamps and Belady positions match the offline replay exactly.
+/// One shard worker: drain the ingestion queue, decide each request with
+/// the canonical [`streaming_step`], publish. The shard-local sequence
+/// clock (`seen`) runs continuously, so policy recency stamps and Belady
+/// positions match the offline replay exactly.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     rx: Receiver<Vec<IngestMsg>>,
     tx: Sender<Vec<SeqOutcome>>,
     mut pol: ShardPolicies,
     cache_cfg: CacheConfig,
-    params: SpecParams,
-    batched: bool,
     latency: LatencyModel,
     panic_at: Option<u64>,
-    breaker: Option<(u32, u32)>,
     warmup_len: u64,
     batch: usize,
-    dry_budget: u32,
     inflight: &AtomicI64,
     comp_depth: usize,
 ) -> WorkerDone {
@@ -929,125 +822,47 @@ fn run_worker(
         warmup_len,
         comp: CompletionQueue::new(comp_depth, latency),
     };
-    let mut spec = SpecStats::default();
-    let mut fault = FaultStats::default();
-
-    let batched_score = if batched { pol.score.take() } else { None };
-    if let Some(mut score) = batched_score {
-        let mut wsim = WindowedSimulator::with_params(params);
-        if let Some((storm, cooldown)) = breaker {
-            wsim.set_breaker(storm, cooldown);
-        }
-        let chunk_cap = params.window.min(DRAIN_CHUNK);
-        let mut msgs: Vec<IngestMsg> = Vec::with_capacity(chunk_cap);
-        let mut records: Vec<TraceRecord> = Vec::with_capacity(chunk_cap);
-        let mut chunk_gaps: Vec<u64> = Vec::with_capacity(chunk_cap);
-        loop {
-            msgs.clear();
-            // Flush decided outcomes before a potential park (see
-            // RecState::flush); a no-op when the buffer is empty.
-            state.flush();
-            match rx.recv() {
-                Ok(m) => {
-                    inflight.fetch_sub(m.len() as i64, Ordering::Relaxed);
-                    msgs.extend(m);
-                }
-                Err(_) => break,
-            }
-            // Drain up to a full speculation window. When the queue runs
-            // dry mid-drain, yield a few times before settling for a
-            // partial chunk: on few-core hosts each yield hands the
-            // clients a scheduler quantum to refill the queue, and fuller
-            // chunks keep the batcher's dense-scoring segments from
-            // fragmenting (outcomes are chunking-invariant — this trades
-            // microseconds of admission latency for batching throughput).
-            let mut dry_yields = 0u32;
-            while msgs.len() < chunk_cap {
-                match rx.try_recv() {
-                    Ok(m) => {
-                        inflight.fetch_sub(m.len() as i64, Ordering::Relaxed);
-                        msgs.extend(m);
-                    }
-                    Err(TryRecvError::Empty) if dry_yields < dry_budget => {
-                        dry_yields += 1;
-                        thread::yield_now();
-                    }
-                    Err(_) => break,
+    loop {
+        // Flush decided outcomes before a potential park (see
+        // RecState::flush); a no-op when the buffer is empty.
+        state.flush();
+        let Ok(msgs) = rx.recv() else { break };
+        inflight.fetch_sub(msgs.len() as i64, Ordering::Relaxed);
+        for msg in msgs {
+            if msg.gap > 0 {
+                if let Some(sc) = pol.score.as_deref_mut() {
+                    sc.observe_gap(msg.gap);
                 }
             }
-            records.clear();
-            records.extend(msgs.iter().map(|m| m.record));
-            chunk_gaps.clear();
-            chunk_gaps.extend(msgs.iter().map(|m| m.gap));
-            let seq_base = state.seen;
-            let mut rec = ChunkRecorder {
-                state: &mut state,
-                msgs: &msgs,
-                idx: 0,
-            };
-            let mut gap_score = GapScore::new(score.as_mut(), &chunk_gaps);
-            let _ = wsim.run_observed_from(
-                seq_base,
-                &records,
+            let mut sref = pol
+                .score
+                .as_deref_mut()
+                .map(|sc| sc as &mut dyn ScoreSource);
+            let (outcome, score_val) = streaming_step(
+                &msg.record,
+                state.seen,
                 &mut cache,
                 pol.admission.as_mut(),
                 pol.eviction.as_mut(),
-                Some(&mut gap_score),
-                &latency,
-                &mut rec,
+                &mut sref,
             );
-            // The batcher's telemetry resets per call; accumulate.
-            spec.merge(wsim.spec_stats());
-            fault.merge(wsim.fault_stats());
-        }
-    } else {
-        let mut score = pol.score;
-        loop {
-            state.flush();
-            let msgs = match rx.recv() {
-                Ok(m) => {
-                    inflight.fetch_sub(m.len() as i64, Ordering::Relaxed);
-                    m
-                }
-                Err(_) => break,
-            };
-            for msg in msgs {
-                if msg.gap > 0 {
-                    if let Some(sc) = score.as_deref_mut() {
-                        sc.observe_gap(msg.gap);
-                    }
-                }
-                let mut sref = score.as_deref_mut().map(|sc| sc as &mut dyn ScoreSource);
-                let (outcome, score_val) = streaming_step(
-                    &msg.record,
-                    state.seen,
-                    &mut cache,
-                    pol.admission.as_mut(),
-                    pol.eviction.as_mut(),
-                    &mut sref,
-                );
-                state.publish(&msg, outcome, score_val.is_some());
-            }
+            state.publish(&msg, outcome, score_val.is_some());
         }
     }
     state.flush();
     WorkerDone {
         hist: state.hist,
-        spec,
-        fault,
         scored: state.scored,
         overlap: state.comp.finish(),
-        batched,
         ev_name,
         adm_name,
     }
 }
 
 /// Supervisor fallback for a dead shard: deterministically re-replay its
-/// subtrace on the calling thread (streaming engine, panic disarmed) and
+/// subtrace on the calling thread (panic disarmed) and
 /// return every outcome stamped with its global position, plus the full
-/// scored count. Score consumption is engine-invariant, so the streaming
-/// replay stands in for a batched worker exactly. Runs over the same
+/// scored count. Runs over the same
 /// zero-copy indexed views the worker used: each outcome's global
 /// position is its index entry, and the scorer clock's gaps derive from
 /// consecutive entries.

@@ -5,30 +5,13 @@
 //! seeded-shutdown and backpressure properties, and transparent recovery
 //! from armed worker panics.
 
-use icgmm_cache::{
-    FaultPlan, FnScore, LatencyModel, ShardPolicies, ShardRouting, ShardedSimulator, SimReport,
-    SpecParams,
-};
+use icgmm_cache::{FaultPlan, FnScore, LatencyModel, ShardPolicies, ShardedSimulator, SimReport};
 use icgmm_serve::{CacheServer, ServeConfig, ServeError, ServeReport, SubmitMode};
-use icgmm_testutil::{
-    admission_for, eviction_for, score_for, small_cfg, speculating_score_for, zipf_trace,
-};
+use icgmm_testutil::{admission_for, eviction_for, score_for, small_cfg, zipf_trace};
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// The testutil score grid plus `"fn-speculating"`: the `fn` source
-/// wrapped to prefer batching, which routes serving workers (and the
-/// offline reference's shards) through the speculative batcher — the
-/// only way to reach the batched worker now that no production source
-/// prefers batching.
-fn grid_score(name: &str) -> Option<Box<dyn icgmm_cache::ScoreSource + Send>> {
-    match name {
-        "fn-speculating" => speculating_score_for("fn"),
-        other => score_for(other),
-    }
-}
 
 /// Serves the trace through a [`CacheServer`] over the grid fixtures.
 fn serve(
@@ -57,7 +40,7 @@ fn serve(
             ShardPolicies {
                 admission: admission_for(admission),
                 eviction: eviction_for(eviction, cache_cfg, &recs),
-                score: grid_score(score),
+                score: score_for(score),
             }
         },
         &lat,
@@ -65,13 +48,9 @@ fn serve(
     )
 }
 
-/// The offline reference: [`ShardedSimulator`] over the same inputs,
-/// routing and speculation parameters.
-#[allow(clippy::too_many_arguments)]
+/// The offline reference: [`ShardedSimulator`] over the same inputs.
 fn offline(
     shards: usize,
-    routing: ShardRouting,
-    window: usize,
     eviction: &str,
     admission: &str,
     score: &str,
@@ -81,8 +60,7 @@ fn offline(
     let cache_cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();
     let (warm, meas) = trace.split_at(warmup_len);
-    let rep = ShardedSimulator::with_params(shards, SpecParams::with_window(window))
-        .with_routing(routing)
+    let rep = ShardedSimulator::new(shards)
         .run(
             warm,
             meas,
@@ -97,7 +75,7 @@ fn offline(
                 ShardPolicies {
                     admission: admission_for(admission),
                     eviction: eviction_for(eviction, cache_cfg, &recs),
-                    score: grid_score(score),
+                    score: score_for(score),
                 }
             },
             &lat,
@@ -109,28 +87,25 @@ fn offline(
 
 proptest! {
     /// Served report == offline sharded replay, bit for bit, across
-    /// {score-free LRU, Belady oracle, scored GMM-threshold streaming and
-    /// speculating} × every shard count × varying client counts, queue depths and submit
-    /// modes over random Zipf traces.
+    /// {score-free LRU, Belady oracle, scored GMM-threshold} × every shard
+    /// count × varying client counts, queue depths and submit modes over
+    /// random Zipf traces.
     #[test]
     fn served_stream_matches_offline_replay(
-        params in (0u64..1_000_000, 300usize..1000, 24u64..160, 60u64..140, 0u8..45, 1usize..700)
+        params in (0u64..1_000_000, 300usize..1000, 24u64..160, 60u64..140, 0u8..45)
     ) {
-        let (seed, n, pages, skew_pct, write_pct, window) = params;
+        let (seed, n, pages, skew_pct, write_pct) = params;
         let trace = zipf_trace(seed, n, pages, skew_pct as f64 / 100.0, write_pct);
         let warmup_len = (seed as usize) % (n / 2);
         let grid = [
             ("lru", "always", "none"),
             ("belady", "always", "none"),
             ("gmm-score", "threshold", "fn"),
-            ("gmm-score", "threshold", "fn-speculating"),
         ];
         for (i, (eviction, admission, score)) in grid.into_iter().enumerate() {
             for shards in SHARD_COUNTS {
-                let (reference, ref_scores) = offline(
-                    shards, ShardRouting::Auto, window,
-                    eviction, admission, score, &trace, warmup_len,
-                );
+                let (reference, ref_scores) =
+                    offline(shards, eviction, admission, score, &trace, warmup_len);
                 // Vary the serving-only knobs with the case seed: they
                 // must never show up in the merged report.
                 let clients = 1 + (seed as usize + shards + i) % 3;
@@ -148,7 +123,6 @@ proptest! {
                         queue_depth,
                         submit,
                         completion_depth,
-                        params: SpecParams::with_window(window),
                         ..ServeConfig::default()
                     },
                     eviction, admission, score, &trace, warmup_len,
@@ -160,7 +134,6 @@ proptest! {
                 );
                 prop_assert_eq!(rep.scores_consumed, ref_scores);
                 prop_assert_eq!(rep.requests as usize, n);
-                prop_assert_eq!(rep.batched, score == "fn-speculating");
                 if submit == SubmitMode::Block {
                     prop_assert_eq!(rep.sheds, 0);
                 }
@@ -191,9 +164,9 @@ proptest! {
     /// no lost or duplicated outcome (the merge asserts contiguity).
     #[test]
     fn seeded_shutdown_prefixes_match_truncated_replay(
-        params in (0u64..1_000_000, 200usize..700, 24u64..96, 1usize..400)
+        params in (0u64..1_000_000, 200usize..700, 24u64..96)
     ) {
-        let (seed, n, pages, window) = params;
+        let (seed, n, pages) = params;
         let trace = zipf_trace(seed, n, pages, 0.3, 20);
         let warmup_len = (seed as usize) % (n / 2);
         for (eviction, admission, score) in
@@ -209,17 +182,14 @@ proptest! {
                 };
                 let cut = (k as usize).min(n);
                 let cut_warm = warmup_len.min(cut);
-                let (reference, _) = offline(
-                    2, ShardRouting::Auto, window, eviction, admission, score,
-                    &trace[..cut], cut_warm,
-                );
+                let (reference, _) =
+                    offline(2, eviction, admission, score, &trace[..cut], cut_warm);
                 let rep = serve(
                     ServeConfig {
                         shards: 2,
                         clients: 2,
                         queue_depth: 8,
                         stop_after: Some(k),
-                        params: SpecParams::with_window(window),
                         ..ServeConfig::default()
                     },
                     eviction, admission, score, &trace, warmup_len,
@@ -248,17 +218,11 @@ proptest! {
             shard_panic_per_mille: 1000, // every shard dies once
             ..FaultPlan::default()
         };
-        // Panic-only plans keep the batched routing, so the speculating
-        // entry kills batched workers mid-chunk (the supervisor's
-        // streaming re-replay then stands in for them).
-        for (eviction, admission, score) in [
-            ("lru", "always", "none"),
-            ("gmm-score", "threshold", "fn"),
-            ("gmm-score", "threshold", "fn-speculating"),
-        ] {
-            let (reference, ref_scores) = offline(
-                4, ShardRouting::Auto, 128, eviction, admission, score, &trace, warmup_len,
-            );
+        for (eviction, admission, score) in
+            [("lru", "always", "none"), ("gmm-score", "threshold", "fn")]
+        {
+            let (reference, ref_scores) =
+                offline(4, eviction, admission, score, &trace, warmup_len);
             let rep = serve(
                 ServeConfig {
                     shards: 4,
@@ -368,23 +332,13 @@ fn interleaved_scan_ordered_flush_is_deadlock_free_and_exact() {
     for shards in [4usize, 8] {
         for clients in [1usize, 2, 3] {
             for queue_depth in [1usize, 2, 7] {
-                let (reference, _) = offline(
-                    shards,
-                    ShardRouting::Auto,
-                    128,
-                    "lru",
-                    "always",
-                    "none",
-                    &scan,
-                    warmup_len,
-                );
+                let (reference, _) = offline(shards, "lru", "always", "none", &scan, warmup_len);
                 let rep = serve(
                     ServeConfig {
                         shards,
                         clients,
                         queue_depth,
                         submit: SubmitMode::Block,
-                        params: SpecParams::with_window(128),
                         ..ServeConfig::default()
                     },
                     "lru",
@@ -460,16 +414,7 @@ fn blocking_backpressure_serves_exactly() {
         75,
     )
     .expect("serving succeeds");
-    let (reference, _) = offline(
-        2,
-        ShardRouting::Auto,
-        256,
-        "gmm-score",
-        "threshold",
-        "fn",
-        &trace,
-        75,
-    );
+    let (reference, _) = offline(2, "gmm-score", "threshold", "fn", &trace, 75);
     assert_eq!(rep.sim, reference);
     assert_eq!(rep.sheds, 0);
 }

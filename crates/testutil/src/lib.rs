@@ -1,16 +1,16 @@
 //! Shared fixtures for the workspace's differential test suites.
 //!
-//! Every bit-identity suite in this repository — streaming vs speculative
-//! batching (`crates/cache/tests/batch_equivalence.rs`), streaming vs
-//! batched dataflow replay (`crates/hw/tests/dataflow_equivalence.rs`),
-//! single-threaded vs sharded replay
-//! (`crates/cache/tests/shard_equivalence.rs`,
-//! `tests/shard_differential.rs`) and the real-engine integration tests
-//! (`tests/batch_sim.rs`, `tests/dataflow_batch.rs`) — exercises the same
-//! grid: Zipf-skewed traces over a conflict-heavy small cache × the
-//! eviction policies × the admission policies × the score-source shapes.
-//! These builders are that grid's single source of truth; suites differ
-//! only in which replay engines they pit against each other.
+//! Every bit-identity suite in this repository — dataflow vs analytic
+//! replay (`crates/hw/tests/dataflow_equivalence.rs`), single-threaded vs
+//! sharded replay (`crates/cache/tests/shard_equivalence.rs`,
+//! `tests/shard_differential.rs`), served vs offline replay
+//! (`crates/serve/tests/serve_equivalence.rs`) and the real-engine
+//! integration tests (`tests/end_to_end.rs`,
+//! `tests/hardware_consistency.rs`) — exercises the same grid:
+//! Zipf-skewed traces over a conflict-heavy small cache × the eviction
+//! policies × the admission policies × the score-source shapes. These
+//! builders are that grid's single source of truth; suites differ only in
+//! which front-ends they pit against each other.
 //!
 //! A dev-dependency-only crate: it never appears in a production
 //! dependency graph (the dev-dependency cycle back into `icgmm-cache` is
@@ -19,8 +19,8 @@
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
     AdmissionPolicy, AlwaysAdmit, BeladyPolicy, CacheConfig, ConstantScore, EvictionPolicy,
-    FifoPolicy, FnScore, GmmScorePolicy, LfuPolicy, LruPolicy, PreferBatching, RandomPolicy,
-    ScoreSource, ThresholdAdmit,
+    FifoPolicy, FnScore, GmmScorePolicy, LfuPolicy, LruPolicy, RandomPolicy, ScoreSource,
+    ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_trace::{PreprocessConfig, TraceRecord, Zipf};
@@ -42,7 +42,7 @@ pub const SCORES: [&str; 3] = ["none", "constant", "fn"];
 
 /// The conflict-heavy small cache the equivalence suites run against:
 /// 32 blocks, 4-way — small enough that Zipf traces conflict constantly,
-/// the regime where speculation (and shard merging) is hard.
+/// the regime where shard merging is hard.
 pub fn small_cfg() -> CacheConfig {
     CacheConfig {
         capacity_bytes: 32 * 4096,
@@ -124,7 +124,7 @@ pub fn admission_for(name: &str) -> Box<dyn AdmissionPolicy + Send> {
 ///
 /// `"fn"` produces deterministic per-`(page, seq)` pseudo-random scores:
 /// roughly half fall under the 0.5 admission threshold, so the threshold
-/// policy bypasses constantly and speculation must keep recovering.
+/// policy bypasses constantly.
 pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
     match name {
         "none" => None,
@@ -137,14 +137,6 @@ pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
         }))),
         other => panic!("unknown score {other}"),
     }
-}
-
-/// [`score_for`], wrapped in [`PreferBatching`] so that every replay
-/// engine speculates over it. No production source prefers batching any
-/// more, so the suites that pit the speculative batcher against the
-/// streaming loop build their batched side from this.
-pub fn speculating_score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
-    score_for(name).map(|s| Box::new(PreferBatching(s)) as Box<dyn ScoreSource + Send>)
 }
 
 /// A hand-built K-component mixture (no EM) so real-engine integration
@@ -171,8 +163,7 @@ pub fn hand_model(k: usize) -> TrainedModel {
 }
 
 /// A real [`GmmPolicyEngine`] over [`hand_model`] (`fixed` selects the
-/// FPGA-style fixed-point datapath). Like every engine it streams; wrap it
-/// in [`PreferBatching`] to replay it through the speculative batcher.
+/// FPGA-style fixed-point datapath).
 pub fn hand_engine(k: usize, fixed: bool) -> GmmPolicyEngine {
     let cfg = PreprocessConfig {
         len_window: 16,
@@ -199,11 +190,6 @@ mod tests {
         assert!(score_for("none").is_none());
         assert!(score_for("constant").is_some());
         assert!(score_for("fn").is_some());
-        assert!(speculating_score_for("none").is_none());
-        for name in ["constant", "fn"] {
-            assert!(!score_for(name).unwrap().prefers_batching());
-            assert!(speculating_score_for(name).unwrap().prefers_batching());
-        }
         assert!(SHARDABLE_EVICTIONS.iter().all(|e| EVICTIONS.contains(e)));
     }
 
@@ -222,15 +208,14 @@ mod tests {
 
     #[test]
     fn hand_engine_scores_and_streams_at_every_k() {
-        let mut e = hand_engine(64, false);
-        assert!(e.shardable());
-        e.observe(&TraceRecord::read(0x5000));
-        assert!(e.score_current().is_finite());
-        // The single-point kernel costs about what the batched one does,
-        // so no engine asks for speculation — f64 or fixed-point.
+        // Both datapaths score a streamed observation at every K.
         for k in [8, 64, 256] {
-            assert!(!hand_engine(k, false).prefers_batching());
-            assert!(!hand_engine(k, true).prefers_batching());
+            for fixed in [false, true] {
+                let mut e = hand_engine(k, fixed);
+                assert!(e.shardable());
+                e.observe(&TraceRecord::read(0x5000));
+                assert!(e.score_current().is_finite(), "k={k} fixed={fixed}");
+            }
         }
     }
 }

@@ -38,11 +38,7 @@ fn rotating_trace(n: usize, seed: u64) -> Trace {
     .generate(n, seed)
 }
 
-/// A config that trains in milliseconds (K = 64). The engine streams at
-/// every K, so these runs drive the adaptive engine's per-record path;
-/// its segmented-window path is covered by the `online.rs` unit tests
-/// (`window_chunking_does_not_move_check_boundaries`,
-/// `gapped_windows_track_global_positions`).
+/// A config that trains in milliseconds (K = 64).
 fn adapt_cfg() -> IcgmmConfig {
     IcgmmConfig {
         cache: CacheConfig {

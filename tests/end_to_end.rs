@@ -2,7 +2,10 @@
 //! pipeline, exercised the way the benchmark harness uses it.
 
 use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
-use icgmm_cache::CacheConfig;
+use icgmm_cache::{
+    simulate_streaming_with_warmup, CacheConfig, GmmScorePolicy, ScoreSource, SetAssocCache,
+    ThresholdAdmit,
+};
 use icgmm_gmm::EmConfig;
 use icgmm_trace::synth::{StreamWorkload, Workload, WorkloadKind};
 use icgmm_trace::PreprocessConfig;
@@ -200,4 +203,56 @@ fn preprocessing_respects_paper_defaults_end_to_end() {
     // 20% warm-up + 10% tail trimmed ⇒ 70% measured.
     let run = sys.run(&trace, PolicyMode::Lru).expect("run succeeds");
     assert_eq!(run.sim.stats.accesses(), 7_000);
+}
+
+#[test]
+fn system_default_path_matches_explicit_streaming_replay() {
+    // `Icgmm::run` must agree with a hand-driven streaming replay of the
+    // same trained model and policies: the assembly behind the front-end
+    // adds nothing to the loop — one inference per scored miss.
+    let cfg = IcgmmConfig {
+        cache: CacheConfig {
+            capacity_bytes: 128 * 4096,
+            block_bytes: 4096,
+            ways: 8,
+        },
+        em: EmConfig {
+            k: 64,
+            max_iters: 8,
+            ..Default::default()
+        },
+        preprocess: PreprocessConfig {
+            len_window: 32,
+            len_access_shot: 1_000,
+            ..Default::default()
+        },
+        max_train_cells: 5_000,
+        ..Default::default()
+    };
+    let trace = WorkloadKind::Memtier
+        .default_workload()
+        .generate(30_000, 17);
+    let mut sys = Icgmm::new(cfg).unwrap();
+    sys.fit(&trace).unwrap();
+    let run = sys.run(&trace, PolicyMode::GmmCachingEviction).unwrap();
+
+    // Hand-driven streaming reference with an identical engine stack.
+    let (start, end) = cfg.preprocess.kept_range(trace.len());
+    let (warm, meas) = (&trace.records()[..start], &trace.records()[start..end]);
+    let mut cache = SetAssocCache::new(cfg.cache).unwrap();
+    let mut ev = GmmScorePolicy::new(cfg.cache.num_sets(), cfg.cache.ways);
+    let mut ad = ThresholdAdmit::new(sys.model().unwrap().threshold);
+    let mut eng = sys.policy_engine().unwrap();
+    let streaming = simulate_streaming_with_warmup(
+        warm,
+        meas,
+        &mut cache,
+        &mut ad,
+        &mut ev,
+        Some(&mut eng as &mut dyn ScoreSource),
+        &cfg.latency,
+        None,
+    );
+    assert_eq!(run.sim, streaming);
+    assert_eq!(run.gmm_inferences, eng.scores_computed());
 }

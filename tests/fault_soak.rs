@@ -22,9 +22,7 @@ fn tenant_trace(n: usize, seed: u64) -> icgmm_trace::Trace {
     .generate(n, seed)
 }
 
-/// Fast-training config at K = 64. The engine streams at every K, so the
-/// speculation breaker rung never engages here (it is exercised with
-/// speculating sources in `crates/cache/tests/fault_injection.rs`).
+/// Fast-training config at K = 64.
 fn soak_cfg(fault: FaultPlan, shards: usize) -> IcgmmConfig {
     IcgmmConfig {
         cache: CacheConfig {
@@ -81,14 +79,10 @@ fn chaos_soak_sharded_replay_never_aborts_and_reproduces() {
 fn chaos_soak_single_threaded_replay_reproduces() {
     let trace = tenant_trace(30_000, 42);
     let plan = FaultPlan {
-        // Aggressive scorer corruption so the monitor rung engages; the
-        // hair-trigger breaker stays armed and must stay idle (streaming
-        // replay has no speculation to demote).
+        // Aggressive scorer corruption so the monitor rung engages.
         scorer_nan_per_mille: 200,
         scorer_outage_per_mille: 5,
         scorer_outage_len: 64,
-        breaker_storm_windows: 1,
-        breaker_cooldown_records: 256,
         scorer_demote_after: 4,
         scorer_promote_after: 16,
         ..FaultPlan::chaos(77)
@@ -107,7 +101,6 @@ fn chaos_soak_single_threaded_replay_reproduces() {
         a.sim.fault.degraded_admits > 0,
         "always-admit fallback never used"
     );
-    assert_eq!(a.sim.fault.breaker_trips, 0, "streaming replay tripped");
 
     let b = sys.run(&trace, PolicyMode::GmmCachingEviction).unwrap();
     assert_eq!(a, b, "fault-armed replay must reproduce from its seeds");

@@ -2,12 +2,15 @@
 //! and to the paper's published hardware numbers.
 
 use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
+use icgmm_cache::{CacheConfig, GmmScorePolicy, ScoreSource, ThresholdAdmit};
 use icgmm_gmm::EmConfig;
 use icgmm_hw::{
-    table2, CacheEngineModel, DataflowConfig, GmmEngineModel, GmmResourceModel, SsdProfile,
+    run_dataflow_with_warmup, table2, CacheEngineModel, DataflowConfig, GmmEngineModel,
+    GmmResourceModel, SsdProfile,
 };
 use icgmm_lstm::{LstmArch, LstmCostModel};
 use icgmm_trace::synth::WorkloadKind;
+use icgmm_trace::PreprocessConfig;
 
 fn test_config() -> IcgmmConfig {
     IcgmmConfig {
@@ -142,4 +145,56 @@ fn fixed_point_and_f64_policies_agree_on_outcome() {
         a.miss_rate_pct(),
         b.miss_rate_pct()
     );
+}
+
+#[test]
+fn system_dataflow_default_matches_explicit_streaming_replay() {
+    // `Icgmm::run_dataflow` must equal a hand-driven dataflow replay of
+    // the same trained model and policies — timing fields included.
+    let cfg = IcgmmConfig {
+        cache: CacheConfig {
+            capacity_bytes: 128 * 4096,
+            block_bytes: 4096,
+            ways: 8,
+        },
+        em: EmConfig {
+            k: 64,
+            max_iters: 8,
+            ..Default::default()
+        },
+        preprocess: PreprocessConfig {
+            len_window: 32,
+            len_access_shot: 1_000,
+            ..Default::default()
+        },
+        max_train_cells: 5_000,
+        ..Default::default()
+    };
+    let trace = WorkloadKind::Memtier
+        .default_workload()
+        .generate(30_000, 17);
+    let mut sys = Icgmm::new(cfg).unwrap();
+    sys.fit(&trace).unwrap();
+    let df_cfg = DataflowConfig::default();
+    let run = sys
+        .run_dataflow(&trace, PolicyMode::GmmCachingEviction, &df_cfg)
+        .unwrap();
+
+    // Hand-driven dataflow reference with an identical stack.
+    let (start, end) = cfg.preprocess.kept_range(trace.len());
+    let (warm, meas) = (&trace.records()[..start], &trace.records()[start..end]);
+    let mut ev = GmmScorePolicy::new(cfg.cache.num_sets(), cfg.cache.ways);
+    let mut ad = ThresholdAdmit::new(sys.model().unwrap().threshold);
+    let mut eng = sys.policy_engine().unwrap();
+    let streaming = run_dataflow_with_warmup(
+        warm,
+        meas,
+        cfg.cache,
+        &mut ad,
+        &mut ev,
+        Some(&mut eng as &mut dyn ScoreSource),
+        &df_cfg,
+    )
+    .unwrap();
+    assert_eq!(streaming, run);
 }

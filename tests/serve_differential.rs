@@ -22,8 +22,7 @@ fn tenant_trace(n: usize, seed: u64) -> icgmm_trace::Trace {
     .generate(n, seed)
 }
 
-/// A config that trains in milliseconds (K = 64; the engine streams at
-/// every K, so serving workers run the per-request streaming step).
+/// A config that trains in milliseconds (K = 64).
 fn serve_cfg() -> IcgmmConfig {
     IcgmmConfig {
         cache: CacheConfig {
@@ -91,11 +90,10 @@ fn served_reports_match_offline_replay_real_engine() {
             assert!(served.wall_us > 0.0);
             assert!(served.admission_p50_us <= served.admission_p99_us);
             if mode == PolicyMode::GmmCachingEviction {
-                assert!(!served.batched, "the engine must stream at every K");
                 assert!(served.scores_consumed > 0);
                 assert_eq!(
                     served.scores_consumed, sharded.gmm_inferences,
-                    "streaming computes exactly what the replay consumes"
+                    "serving computes exactly what the replay consumes"
                 );
             }
         }

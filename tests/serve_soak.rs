@@ -59,10 +59,6 @@ fn chaos_soak_serving_never_aborts_and_reproduces() {
     // Zero aborts: armed worker panics are recovered by the supervisor
     // mid-service, so the chaos serve returns Ok.
     let a = sys.serve(&trace, PolicyMode::GmmCachingEviction).unwrap();
-    assert!(
-        !a.batched,
-        "armed scorer faults must route serving workers to streaming"
-    );
     assert!(a.sim.fault.injected() > 0, "chaos plan injected nothing");
     assert!(
         a.sim.fault.shard_panics > 0,
@@ -76,7 +72,7 @@ fn chaos_soak_serving_never_aborts_and_reproduces() {
     assert!(a.requests > 0);
     assert!(a.requests_per_sec > 0.0);
 
-    // Queue timing, chunk boundaries and scheduling vary run to run; the
+    // Queue timing and scheduling vary run to run; the
     // semantic half of the report must not.
     let b = sys.serve(&trace, PolicyMode::GmmCachingEviction).unwrap();
     assert_eq!(a.sim, b.sim, "served chaos replay must reproduce");
@@ -94,7 +90,6 @@ fn worker_panics_leave_served_results_untouched_real_engine() {
     let clean = clean_sys
         .serve(&trace, PolicyMode::GmmCachingEviction)
         .unwrap();
-    assert!(!clean.batched, "the engine streams at every K");
     assert_eq!(clean.sim.fault.shard_panics, 0);
 
     // Kill every worker once, mid-service.
