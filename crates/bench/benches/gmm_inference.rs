@@ -7,11 +7,16 @@
 //!   per-component `ln π_k`, array-of-structs walk), kept here as the
 //!   regression baseline the ≥5× batched-speedup target is measured
 //!   against;
-//! * `scalar_k256` — `Gmm::density` via the allocation-free SoA scalar
-//!   path;
-//! * `batched_k256` / `parallel_k256` — `GmmScorer::score_batch` and its
-//!   crossbeam-parallel variant, reported per point via
-//!   `Throughput::Elements`;
+//! * `scalar_k256` — `Gmm::density` via the allocation-free SoA kernel on
+//!   a *dense* synthetic mixture (every component overlaps its
+//!   neighbours, about half the lane groups hold a term above the cut);
+//! * `scalar_sparse_k256` — the same call on a mixture whose components
+//!   have σ ≈ 1 % of the span, scattered in no particular order: the
+//!   regime fitted (page, time) models are in, where the near-set skip
+//!   must pay (CI gates it at ≥ 1.2× the dense case's rate);
+//! * `batched_k256` / `parallel_k256` — `GmmScorer::score_batch` (a loop
+//!   over the same kernel) and its crossbeam-parallel variant, reported
+//!   per point via `Throughput::Elements`;
 //! * `f64` / `fixed` — the historical scalar comparison across K.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -26,6 +31,26 @@ fn build_gmm(k: usize) -> Gmm {
             Gaussian2::new(
                 [t * 10.0 - 5.0, (t * std::f64::consts::TAU).sin()],
                 Mat2::new(0.05 + t * 0.1, 0.01, 0.08),
+            )
+            .expect("valid component")
+        })
+        .collect();
+    Gmm::new(vec![1.0 / k as f64; k], comps).expect("valid mixture")
+}
+
+/// K components with σ = 0.1 on both axes over the same 10-wide span as
+/// [`build_gmm`], placed by two irrational strides so neither axis is
+/// sorted in component order.
+fn build_sparse_gmm(k: usize) -> Gmm {
+    let comps: Vec<Gaussian2> = (0..k)
+        .map(|i| {
+            let (u, v) = (
+                i as f64 * 0.618_033_988_749_895,
+                i as f64 * std::f64::consts::SQRT_2,
+            );
+            Gaussian2::new(
+                [u.fract() * 10.0 - 5.0, v.fract() * 4.0 - 2.0],
+                Mat2::new(0.01, 0.002, 0.01),
             )
             .expect("valid component")
         })
@@ -86,6 +111,14 @@ fn bench_scalar_vs_batched(c: &mut Criterion) {
         b.iter(|| {
             for x in &points {
                 black_box(gmm.density(black_box(*x)));
+            }
+        })
+    });
+    let sparse = build_sparse_gmm(K);
+    group.bench_function("scalar_sparse_k256", |b| {
+        b.iter(|| {
+            for x in &points {
+                black_box(sparse.density(black_box(*x)));
             }
         })
     });

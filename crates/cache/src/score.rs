@@ -23,11 +23,12 @@ pub trait ScoreSource {
     ///
     /// The contract matches the per-record path exactly: `out[i]` must
     /// equal what `observe(records[i]); score_current()` would have
-    /// produced at that position. The default implementation is that loop;
-    /// batch-capable sources (the GMM policy engine) override it to collect
-    /// the window's feature pairs and push them through their batched
-    /// kernel in one call. Replay itself scores per miss and never calls
-    /// this; it serves callers that already hold a window of records.
+    /// produced at that position. The default implementation is that loop
+    /// (the GMM policy engine uses it: its scorer has one kernel, so a
+    /// window has nothing faster to call); a source with a genuinely
+    /// batched datapath may override it. Replay itself scores per miss and
+    /// never calls this; it serves callers that already hold a window of
+    /// records.
     ///
     /// # Panics
     ///

@@ -3,7 +3,7 @@
 
 use icgmm_cache::ScoreSource;
 use icgmm_gmm::fixed::FixedGmm;
-use icgmm_gmm::{Gmm, GmmError, GmmScorer, StandardScaler, Vec2};
+use icgmm_gmm::{Gmm, GmmError, GmmScorer, StandardScaler};
 use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
 use serde::{Deserialize, Serialize};
 
@@ -24,12 +24,11 @@ pub struct TrainedModel {
 
 /// Online policy engine driving the cache simulator.
 ///
-/// Scoring goes through the mixture's flat [`GmmScorer`] kernel: replay
-/// (`score_current`) uses its allocation-free single-point log-sum-exp
-/// (vectorised across the K components of the one miss, like the paper's
-/// pipeline); `score_window` pushes a whole window through `score_batch`
-/// (vectorised across points) for callers that already hold one —
-/// bit-identical results, one summation order.
+/// Scoring goes through the mixture's flat [`GmmScorer`] kernel: its
+/// allocation-free single-point log-sum-exp, vectorised across the K
+/// components of the one miss like the paper's pipeline. `score_window`
+/// is the [`ScoreSource`] default (observe, then `score_current`, per
+/// record) — there is one kernel, so a window has nothing faster to call.
 #[derive(Clone, Debug)]
 pub struct GmmPolicyEngine {
     scaler: StandardScaler,
@@ -38,21 +37,9 @@ pub struct GmmPolicyEngine {
     transformer: TimestampTransformer,
     current: [f64; 2],
     scores_computed: u64,
-    /// Reusable standardized-feature buffer for `score_window`.
-    window_z: Vec<Vec2>,
 }
 
 impl GmmPolicyEngine {
-    /// Windows at or below this many points take the single-point kernel:
-    /// the batched kernel vectorises across *points*, so a window shorter
-    /// than one 8-lane vector runs its scalar remainder loop and pays a
-    /// term-scratch allocation on top. Measured per score (ns, single →
-    /// batched): K = 32: 168 → 186 at 6 points, 164 → 104 at 8; K = 64:
-    /// 179 → 241 at 6, 181 → 136 at 8; K = 256: 649 → 1 466 at 6,
-    /// 664 → 754 at 8, parity from 16. Single-point and batched scoring
-    /// are bit-identical, so the routing is invisible.
-    const SCALAR_MAX: usize = 7;
-
     /// Builds the engine.
     ///
     /// With `fixed_point = true`, scores are produced by the FPGA-style
@@ -78,7 +65,6 @@ impl GmmPolicyEngine {
             transformer: TimestampTransformer::from_config(preprocess),
             current: [0.0, 0.0],
             scores_computed: 0,
-            window_z: Vec::new(),
         })
     }
 
@@ -154,44 +140,6 @@ impl ScoreSource for GmmPolicyEngine {
         match &self.fixed {
             Some(fx) => fx.score(z),
             None => self.scorer.score(z),
-        }
-    }
-
-    /// Batched override: advance the Algorithm 1 clock over the window,
-    /// standardize every `(page, timestamp)` pair into a reused buffer,
-    /// and score them in one `score_batch` call instead of per-miss
-    /// round-trips. Results are bit-identical to the streaming path
-    /// (asserted in this module's tests).
-    ///
-    /// Windows shorter than one vector of points take the single-point
-    /// kernel instead (see `SCALAR_MAX`). Single-point and batched scoring
-    /// are bit-identical (property-tested in the gmm crate), so the
-    /// routing is invisible.
-    fn score_window(&mut self, records: &[TraceRecord], out: &mut [f64]) {
-        assert_eq!(records.len(), out.len(), "one score slot per record");
-        if records.len() <= Self::SCALAR_MAX {
-            for (record, o) in records.iter().zip(out.iter_mut()) {
-                self.observe(record);
-                *o = self.score_current();
-            }
-            return;
-        }
-        self.window_z.clear();
-        self.window_z.reserve(records.len());
-        for record in records {
-            let ts = self.transformer.next();
-            self.current = [record.page().raw() as f64, ts as f64];
-            self.window_z.push(self.scaler.transform(self.current));
-        }
-        self.scores_computed += records.len() as u64;
-        debug_assert_eq!(
-            self.window_z.len(),
-            out.len(),
-            "standardized window must line up with the output slice"
-        );
-        match &self.fixed {
-            Some(fx) => fx.score_batch(&self.window_z, out),
-            None => self.scorer.score_batch(&self.window_z, out),
         }
     }
 

@@ -191,10 +191,9 @@ impl AdaptiveEngine {
     fn run_check(&mut self) {
         self.stats.checks += 1;
         if !self.ring.is_empty() {
-            // The likelihood window goes through the SoA batch kernel:
-            // the check rides the same fast path as replay scoring, so
-            // arming adaptation taxes a run by well under the window's
-            // worth of scalar evaluations per interval.
+            // The likelihood window is scored by the kernel replay itself
+            // scores with, so a check costs one window's worth of miss
+            // scores per interval.
             let mut zs = std::mem::take(&mut self.features);
             self.fill_features(self.ring.samples(), &mut zs);
             let ld = &mut self.log_densities;

@@ -222,24 +222,18 @@ pub(crate) fn total_weight(xs: &[Vec2], ws: &[f64]) -> Result<f64, GmmError> {
     Ok(total)
 }
 
-/// Unit terms at or below this carry no responsibility. The kernel clamps
-/// far components to a *normal* ~3e-308; scaled by `w / Σ` and a moment
-/// they would go subnormal, and subnormal arithmetic takes a microcode
-/// assist per operation (measured: 30 ns per term instead of 3). A
-/// responsibility below 1e-280 is nothing next to the 1e-10 starvation
-/// floor, so the select below zeroes it — the branch-free counterpart of
-/// skipping `r == 0`.
-const TERM_FLOOR: f64 = 1e-280;
-
-/// E-step over a slice, accumulating sufficient statistics into `stats`.
+/// E-step over a slice, accumulating sufficient statistics into `stats`
+/// **in the scorer's slot order** ([`e_step`] un-permutes once per call).
 ///
 /// Each sample's unit terms come from the scoring kernel
-/// ([`GmmScorer::unit_terms_into`] — vectorised across components, one
-/// summation order shared with inference); the responsibility-weighted
-/// moments then land in the SoA columns in one branch-free unit-stride
-/// loop the compiler vectorises across components. `terms` is a
-/// per-worker scratch of length K, so the loop allocates nothing.
-/// Samples no component reaches (non-finite input) are skipped.
+/// ([`GmmScorer::unit_terms_into`]); the responsibility-weighted moments
+/// then land in the SoA columns in one branch-free unit-stride loop the
+/// compiler vectorises across components. The loop stays dense on
+/// purpose — skipping all-zero lane groups here measured slower than six
+/// multiply-adds on zeros — and needs no select against subnormal
+/// products: a unit term is exactly 0 or ≥ e⁻⁴⁴, so `r` and its moments
+/// stay normal. `terms` is a per-worker scratch of length K; samples no
+/// component reaches (non-finite input) are skipped.
 fn accumulate(
     scorer: &GmmScorer,
     xs: &[Vec2],
@@ -266,17 +260,24 @@ fn accumulate(
         let (x0, x1) = (x[0], x[1]);
         let (xx, xy, yy) = (x0 * x0, x0 * x1, x1 * x1);
         for j in 0..k {
-            let r = if terms[j] > TERM_FLOOR {
-                terms[j] * scale
-            } else {
-                0.0
-            };
+            let r = terms[j] * scale;
             nk[j] += r;
             sx0[j] += r * x0;
             sx1[j] += r * x1;
             sxx[j] += r * xx;
             sxy[j] += r * xy;
             syy[j] += r * yy;
+        }
+    }
+}
+
+/// Moves slot-ordered statistics into component order (`order[slot]` is
+/// the component at `slot`); `scratch` is the idle K-length term scratch.
+fn to_component_order(stats: &mut SuffStats, order: &[usize], scratch: &mut [f64]) {
+    for col in stats.columns_mut() {
+        scratch.copy_from_slice(col);
+        for (&component, &v) in order.iter().zip(scratch.iter()) {
+            col[component] = v;
         }
     }
 }
@@ -443,7 +444,9 @@ const PARALLEL_ESTEP_MIN: usize = 4_096;
 /// One E-step: the sufficient statistics of `xs` (weights `ws`, empty ⇒
 /// one per sample) under `scorer`, split across `threads` workers when
 /// the batch is large enough to pay for them. Samples no component
-/// reaches (non-finite input) contribute nothing.
+/// reaches (non-finite input) contribute nothing. The workers accumulate
+/// in the scorer's slot order; the columns returned are in component
+/// order, un-permuted once here.
 ///
 /// # Panics
 ///
@@ -455,10 +458,11 @@ pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64], threads: usize) -> Su
     );
     let k = scorer.k();
     let threads = threads.max(1);
+    let mut stats = SuffStats::zeros(k);
+    let mut terms = vec![0.0f64; k];
     if threads == 1 || xs.len() < PARALLEL_ESTEP_MIN {
-        let mut stats = SuffStats::zeros(k);
-        let mut terms = vec![0.0f64; k];
         accumulate(scorer, xs, ws, 0, &mut stats, &mut terms);
+        to_component_order(&mut stats, scorer.slot_components(), &mut terms);
         return stats;
     }
     let chunk = xs.len().div_ceil(threads);
@@ -484,10 +488,10 @@ pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64], threads: usize) -> Su
         }
     })
     .expect("crossbeam scope failed");
-    let mut stats = SuffStats::zeros(k);
     for p in &partials {
         stats.merge(p);
     }
+    to_component_order(&mut stats, scorer.slot_components(), &mut terms);
     stats
 }
 

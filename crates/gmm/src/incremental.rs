@@ -13,8 +13,8 @@
 //!
 //! The E-step is the batch trainer's [`crate::em::e_step`] — the scoring
 //! kernel itself ([`crate::GmmScorer::unit_terms_into`]), vectorised
-//! across components, so a K = 256 refit costs about two batch-scoring
-//! passes over the buffer — and the M-step is byte-for-byte the batch
+//! across components, so a K = 256 refit costs about one and a half
+//! scoring passes over the buffer — and the M-step is byte-for-byte the batch
 //! trainer's [`crate::em::m_step`], so a refit is deterministic from the
 //! trainer's construction seed and the batch contents.
 

@@ -10,7 +10,7 @@
 //! * [`Gaussian2`]/[`Mat2`] — exact 2-D Gaussian components;
 //! * [`Gmm`] — the mixture: density/score, responsibilities, sampling;
 //! * [`GmmScorer`] — the allocation-free structure-of-arrays scoring
-//!   kernel behind every hot path (scalar, batched and parallel);
+//!   kernel behind every hot path (single points, batches, the E-step);
 //! * [`EmTrainer`]/[`EmConfig`] — weighted EM with k-means++ init and a
 //!   crossbeam-parallel E-step ([`e_step`] → [`SuffStats`]) that runs on
 //!   the scoring kernel itself, vectorised across components;

@@ -132,8 +132,8 @@ impl Gmm {
         self.density(x)
     }
 
-    /// Batched scores through the cached [`GmmScorer`] — bit-identical to
-    /// calling [`Gmm::score`] per point, several times faster per point.
+    /// [`Gmm::score`] for every point of `xs`, through the cached
+    /// [`GmmScorer`].
     ///
     /// # Panics
     ///

@@ -1,4 +1,4 @@
-//! Allocation-free structure-of-arrays (SoA) batch-scoring kernel — the
+//! Allocation-free structure-of-arrays (SoA) scoring kernel — the
 //! software mirror of the paper's FPGA scoring pipeline (§4.1).
 //!
 //! # Why this module exists
@@ -11,90 +11,104 @@
 //! on-chip weight buffer; the software analogue is [`GmmScorer`], which
 //! flattens the mixture into parallel flat arrays
 //!
-//! * `coef[k] = ln π_k + log_norm_k` (the per-component constant, with
-//!   `log_norm_k = −ln 2π − ½ ln |Σ_k|`),
-//! * `mx/my[k] = μ_k`, and
-//! * `ixx/ixy/iyy[k] = Σ_k⁻¹`,
+//! * `coef[s] = ln π + log_norm` (the per-component constant, with
+//!   `log_norm = −ln 2π − ½ ln |Σ|`),
+//! * `mx/my[s] = μ`, and
+//! * `hxx/hxy/hyy[s] = −½ Σ⁻¹` (cross factor folded in),
 //!
 //! exactly the quantities the FPGA keeps in its weight buffer. Scoring
 //! walks these arrays sequentially — cache-line-dense and trivially
 //! vectorizable — instead of hopping through an array-of-structs
-//! `Vec<Gaussian2>` (72 bytes/component of which 40 are used); the
-//! single-point path never allocates (one stack block), the batch path
-//! allocates one term scratch per call.
+//! `Vec<Gaussian2>` (72 bytes/component of which 40 are used), and never
+//! allocates: one point's terms are staged in a stack block.
 //!
 //! # The kernel
 //!
 //! Per point, the mixture log-density is a log-sum-exp over the
-//! per-component joint log-densities `l_k = coef_k − ½ (x−μ_k)ᵀ Σ_k⁻¹
-//! (x−μ_k)`. Every kernel uses the same two-pass max-trick formulation
-//! with one canonical, ISA-independent summation order: pass 1 finds
-//! `m = max_k l_k` (order-free), pass 2 accumulates `exp(l_k − m)` into
-//! partial sum `k % 8`, and the eight partials are combined by one fixed
-//! tree `((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))` — so single-point, batched
-//! and parallel results are **bit-identical** at every K and batch size
-//! (property-tested in `tests/scorer_properties.rs`). Pass 2 evaluates
-//! `exp` through [`exp_unit`], a branch-free ~2-ulp Cody–Waite + Cephes
-//! polynomial that the compiler can vectorize right inside the loop (a
-//! libm call cannot be), with inputs clamped at [`EXP_CLAMP`] so
-//! fully-underflowed terms cost a harmless ~3e-308 instead of a denormal
-//! stall.
+//! per-component joint log-densities `l_j = coef_j − ½ (x−μ_j)ᵀ Σ_j⁻¹
+//! (x−μ_j)`, in two passes with one canonical, ISA-independent summation
+//! order. Pass 1 maps the SoA columns to the `l_j` and finds
+//! `m = max_j l_j` (order-free). Pass 2 sums the **unit terms**
 //!
-//! The lane-strided order is what lets *both* shapes vectorise: the
-//! batched kernel runs its loops across the **points** of a chunk (one
-//! component per outer iteration, partial `k % 8` picked per component),
-//! the single-point kernel runs them across the **components** of one
-//! point (eight adjacent components fill the eight partials at once) —
-//! the software analogue of the paper's pipeline streaming the K terms of
-//! one miss through the datapath. A serial `s += exp(..)` over components
-//! is an ordered reduction the compiler may not reassociate, which is why
-//! the single-point path used to cost ~4.5× the batched one per score; it
-//! now costs about the same (see `gmm_inference/{scalar,batched}_k256`).
+//! ```text
+//! u_j = exp_unit(l_j − m)   when l_j − m > TERM_CUT (= −44)
+//!     = 0.0 exactly         otherwise (far, zero-weight or NaN terms)
+//! ```
 //!
-//! The EM E-step runs on the same machinery: [`GmmScorer::unit_terms_into`]
-//! writes one point's `exp(l_k − m)` terms through those very loops and
-//! returns `m` and the lane-strided sum, so training, online refits and
-//! [`GmmScorer::responsibilities_into`] share the scoring kernel's order —
-//! their log-likelihood of a point *is* [`GmmScorer::log_density`], bit
-//! for bit.
+//! slot `s` into partial sum `s % 8`, and combines the eight partials by
+//! one fixed tree `((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))`. [`exp_unit`] is a
+//! branch-free ~2-ulp Cody–Waite + Cephes polynomial the compiler
+//! vectorizes right inside the loop (a libm call cannot be).
 //!
-//! The single-point path stages one point's terms in a 2 KiB stack block
-//! (K ≤ 256 fits whole; larger mixtures go block by block and recompute
-//! the cheap quadratic forms in pass 2); the batch path stages one
-//! chunk's terms in a `K × 64` scratch row reused across the whole batch,
-//! keeping the working set at the SoA arrays (10 KiB at K = 256 —
-//! L1-resident, like the paper's 8-BRAM weight buffer) plus that one
-//! scratch.
+//! **The cut and its bound.** A term more than 44 below the leading one
+//! is under `e⁻⁴⁴ ≈ 7.8e-20 ≈ 2⁻⁶³·⁵` of it and cannot move the f64 sum it
+//! would be added to, so the definition drops it: against the unmasked
+//! sum, `|Δ ln G| ≤ (K−1)·e⁻⁴⁴` (2.0e-17 at K = 256, under ½ ulp of the
+//! leading `exp(0) = 1`). On the fitted models of the paper workloads
+//! 93–97 % of the terms of a miss are below the cut — a trained mixture
+//! over (page, time) is spatially sparse.
 //!
-//! [`GmmScorer::score_batch_parallel`] splits a batch across scoped worker
-//! threads (the same crossbeam pattern as the EM E-step) for offline bulk
-//! scoring such as admission-threshold calibration.
+//! **Near-set skip, and why it is exact.** Pass 2 tests each 8-slot lane
+//! group for any term above the cut and runs `exp_unit` plus the lane add
+//! only on groups that have one. Adding `+0.0` to a non-negative partial
+//! is the identity, so skipping a group and evaluating-then-masking it
+//! agree bit for bit: which groups were skipped is invisible in the
+//! result. Where most groups are active the branch per group only costs,
+//! so a block whose sampled terms are mostly above the cut takes the
+//! straight-line masked loop instead (see [`unit_terms_block`]) — a
+//! choice read off the input, with the same bits either way.
 //!
-//! The tables live behind an [`Arc`](std::sync::Arc): the mixture is
-//! immutable once flattened, so every consumer — shard workers, serving
-//! threads, the per-iteration E-step — shares one weight buffer, and
-//! `scorer.clone()` is an atomic refcount bump rather than six `Vec`
-//! copies (the hardware analogue: all scoring pipelines read the same
-//! BRAM weight buffer; nobody duplicates it per lane).
+//! **Slot order.** The scorer owns its layout: the constructors push the
+//! components into the columns in ascending mean page coordinate
+//! (`total_cmp`, stable) and keep the slot → component map beside the
+//! columns, so every generation — cold fit, each EM iteration, each
+//! online refit swap, a model loaded from disk — is spatially ordered
+//! without its producer knowing, and the terms above the cut cluster
+//! into few lane groups (≈ 3/4 to 4/5 of the groups skipped on the paper
+//! workloads, against 55–76 % in fit order). Low-order bits of a score
+//! therefore depend on the slot order (the lane a component sums into),
+//! which is a pure function of the mixture; [`Gmm`], persisted models and
+//! [`crate::SuffStats`] keep component order.
+//!
+//! **One kernel.** Every entry point — single points, batches, the
+//! parallel split, [`GmmScorer::unit_terms_into`] and
+//! [`GmmScorer::responsibilities_into`] — runs these two passes, so
+//! single ≡ batched ≡ parallel ≡ the E-step's `lse`, bit for bit, by
+//! construction. (A second kernel vectorised across the *points* of a
+//! 64-point chunk existed while the single-point one could not vectorise;
+//! with the near-set skip the single-point kernel is the faster of the two
+//! on every fitted model, and the chunked kernel and its `K × 64` scratch
+//! were deleted.)
+//!
+//! The terms of one point are staged in a 2 KiB stack block (K ≤ 256 fits
+//! whole; larger mixtures go block by block and recompute the cheap
+//! quadratic forms in pass 2), keeping the working set at the SoA arrays
+//! (12 KiB at K = 256 — L1-resident, like the paper's 8-BRAM weight
+//! buffer) plus that block. The tables live behind an
+//! [`Arc`](std::sync::Arc): the mixture is immutable once flattened, so
+//! shard workers, serving threads and the per-iteration E-step share one
+//! weight buffer and `scorer.clone()` is a refcount bump (the hardware
+//! analogue: all scoring pipelines read the same BRAM; nobody duplicates
+//! it per lane).
 
 use crate::error::GmmError;
 use crate::gaussian::{Gaussian2, Mat2, Vec2, LN_2PI};
 use crate::model::Gmm;
 
-/// Pass-2 clamp: inputs below this are pinned before the polynomial
-/// `exp`, so the smallest term is a *normal* ~3.3e-308 (no denormal
-/// stalls) that vanishes against the leading `exp(0) = 1` term.
-pub const EXP_CLAMP: f64 = -708.0;
+/// The near-set cut: a mixture term contributes `exp_unit(l − m)` when
+/// `l − m > TERM_CUT` and exactly `0.0` otherwise (module docs: the bound,
+/// and why exact zeros make skipping invisible). Every surviving term is
+/// a normal number ≥ e⁻⁴⁴ ≈ 7.8e-20, far from the subnormal range.
+pub const TERM_CUT: f64 = -44.0;
 
-/// `exp(x)` for `x ∈ [EXP_CLAMP, 0]`, accurate to ~2 ulp — a Cody–Waite
+/// `exp(x)` for `x ∈ [TERM_CUT, 0]`, accurate to ~2 ulp — a Cody–Waite
 /// range reduction (`x = n·ln2 + r`, `|r| ≤ ln2/2`) followed by the
 /// Cephes `exp` rational approximation and an exponent-bits scale.
 ///
 /// Two reasons not to call libm here: this straight-line form (round,
 /// polynomial, one division, integer scale) auto-vectorizes inside the
-/// batch kernel where a libm call cannot, and being our own code it is
-/// bit-stable across libc versions, which the scalar/batched
-/// bit-agreement guarantee relies on.
+/// pass-2 loops where a libm call cannot, and being our own code it is
+/// bit-stable across libc versions, which pinned training relies on.
 #[inline(always)]
 fn exp_unit(x: f64) -> f64 {
     const LOG2E: f64 = std::f64::consts::LOG2_E;
@@ -115,23 +129,23 @@ fn exp_unit(x: f64) -> f64 {
     // the float→int conversion that scalarizes on pre-AVX-512 targets.
     const MAGIC: f64 = 4_503_599_627_370_496.0 + 1_023.0;
 
-    debug_assert!((EXP_CLAMP..=0.5).contains(&x));
+    debug_assert!((TERM_CUT..=0.5).contains(&x));
     let n = (x * LOG2E).round_ties_even();
     let r = fmadd(n, -LN2_LO, fmadd(n, -LN2_HI, x));
     let rr = r * r;
     let p = r * fmadd(rr, fmadd(rr, P0, P1), P2);
     let q = fmadd(rr, fmadd(rr, fmadd(rr, Q0, Q1), Q2), Q3);
     let e = fmadd(2.0, p / (q - p), 1.0);
-    // 2^n via exponent bits; n ∈ [−1022, 1] on the clamped domain.
+    // 2^n via exponent bits; n ∈ [−64, 1] on the cut domain.
     let scale = f64::from_bits((n + MAGIC).to_bits() << 52);
     e * scale
 }
 
 /// Fused multiply-add where the target has an FMA unit, plain
 /// multiply-then-add elsewhere (calling `f64::mul_add` without hardware
-/// FMA falls back to a slow correctly-rounded libm routine). Every kernel
-/// goes through this one helper, which (with the shared summation order)
-/// is what keeps them bit-identical on every target.
+/// FMA falls back to a slow correctly-rounded libm routine). The whole
+/// kernel goes through this one helper, so a target's scores depend on
+/// whether it has FMA and on nothing else about its ISA.
 #[inline(always)]
 fn fmadd(a: f64, b: f64, c: f64) -> f64 {
     #[cfg(target_feature = "fma")]
@@ -144,24 +158,21 @@ fn fmadd(a: f64, b: f64, c: f64) -> f64 {
     }
 }
 
-/// Points per stack-resident batch chunk.
-const CHUNK: usize = 64;
-
-/// Partial sums of the canonical pass-2 order: component `j` accumulates
-/// into partial `j % LANES` (see the module docs).
+/// Partial sums of the canonical pass-2 order: slot `s` accumulates into
+/// partial `s % LANES` (see the module docs). Also the width of the lane
+/// groups the near-set skip tests.
 const LANES: usize = 8;
 
-/// Terms per stack block of the single-point kernel (2 KiB; one block
-/// holds the paper's K = 256). Must be a multiple of [`LANES`].
+/// Terms per stack block of the kernel (2 KiB; one block holds the
+/// paper's K = 256). Must be a multiple of [`LANES`].
 const BLOCK: usize = 256;
 
 const _: () = assert!(
     BLOCK.is_multiple_of(LANES),
-    "block positions must keep `j % LANES`"
+    "block positions must keep `s % LANES`"
 );
 
-/// The one fixed combine of the [`LANES`] pass-2 partial sums, shared by
-/// every kernel.
+/// The one fixed combine of the [`LANES`] pass-2 partial sums.
 #[inline(always)]
 fn lane_tree(s: &[f64; LANES]) -> f64 {
     ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
@@ -172,13 +183,13 @@ fn lane_tree(s: &[f64; LANES]) -> f64 {
 /// compiler keeps `acc` in vector registers.
 #[inline(always)]
 fn fold_lanes(acc: &mut [f64; LANES], terms: &[f64], f: impl Fn(f64, f64) -> f64) {
-    let mut groups = terms.chunks_exact(LANES);
-    for g in &mut groups {
+    let (groups, tail) = terms.as_chunks::<LANES>();
+    for g in groups {
         for (a, &t) in acc.iter_mut().zip(g) {
             *a = f(*a, t);
         }
     }
-    for (a, &t) in acc.iter_mut().zip(groups.remainder()) {
+    for (a, &t) in acc.iter_mut().zip(tail) {
         *a = f(*a, t);
     }
 }
@@ -192,6 +203,76 @@ fn nan_skipping_max(m: f64, l: f64) -> f64 {
     } else {
         m
     }
+}
+
+/// The unit term of a component with log term `l` under maximum `m` —
+/// the one definition every path sums (module docs, "The kernel").
+/// Evaluate-then-select, so a loop over it stays branch-free; `max` also
+/// parks a NaN difference on `exp_unit`'s domain before the select
+/// discards it.
+#[inline(always)]
+fn unit_term(l: f64, m: f64) -> f64 {
+    let t = l - m;
+    let e = exp_unit(t.max(TERM_CUT));
+    if t > TERM_CUT {
+        e
+    } else {
+        0.0
+    }
+}
+
+/// Whether any term of a lane group is above the cut (no short-circuit:
+/// eight compares and an or-reduce vectorize, an early exit does not).
+#[inline(always)]
+fn any_above_cut(group: &[f64; LANES], m: f64) -> bool {
+    group.iter().fold(false, |any, &l| any | (l - m > TERM_CUT))
+}
+
+/// Pass 2, straight-line, over `terms` starting at a lane-group boundary:
+/// two plain loops the compiler vectorises, with the divisions of
+/// neighbouring groups in flight together.
+#[inline(always)]
+fn unit_terms_dense(terms: &mut [f64], m: f64, s: &mut [f64; LANES]) {
+    for e in terms.iter_mut() {
+        *e = unit_term(*e, m);
+    }
+    fold_lanes(s, terms, |a, e| a + e);
+}
+
+/// Pass 2 over one block: replaces each `l_j` in `terms` by its unit term
+/// and adds it to lane `position % LANES` of `s`, skipping (zero-filling)
+/// lane groups with no term above the cut.
+///
+/// The branch per group costs more than it saves once most groups are
+/// active (≈ 1.2–1.3× the straight-line loop with every group active),
+/// so every 16th term of the block is sampled to pick the loop first:
+/// more than half of the sample above the cut and the block takes
+/// [`unit_terms_dense`] whole. The choice only ever moves time.
+///
+/// The skipping loop keeps evaluate and accumulate as two loops per
+/// group: fused, LLVM's SLP pass shreds the eight lanes into 2-wide
+/// pieces (measured 2.2× on an all-active E-step).
+#[inline(always)]
+fn unit_terms_block(terms: &mut [f64], m: f64, s: &mut [f64; LANES]) {
+    let sample = terms.iter().step_by(2 * LANES);
+    let above = sample.filter(|&&l| l - m > TERM_CUT).count();
+    if 2 * above > terms.len().div_ceil(2 * LANES) {
+        return unit_terms_dense(terms, m, s);
+    }
+    let (groups, tail) = terms.as_chunks_mut::<LANES>();
+    for g in groups.iter_mut() {
+        if any_above_cut(g, m) {
+            for e in g.iter_mut() {
+                *e = unit_term(*e, m);
+            }
+            for (a, e) in s.iter_mut().zip(g.iter()) {
+                *a += *e;
+            }
+        } else {
+            *g = [0.0; LANES];
+        }
+    }
+    unit_terms_dense(tail, m, s);
 }
 
 /// Minimum batch size for which spawning scoring workers pays off.
@@ -219,21 +300,19 @@ const PARALLEL_MIN: usize = 4_096;
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct GmmScorer {
-    /// The flattened tables, shared by reference: every scorer handed to a
-    /// shard worker or serving thread reads the *same* weight buffer, so
-    /// cloning a scorer is one atomic refcount bump — zero table bytes
-    /// copied (the allocator test in `tests/` pins this to 0 heap bytes).
-    /// The tables are immutable after construction, which is what makes
-    /// the sharing sound.
+    /// The flattened tables, immutable after construction and shared by
+    /// reference: cloning a scorer is one atomic refcount bump (the
+    /// allocator test in `tests/` pins it to 0 heap bytes).
     tables: std::sync::Arc<ScorerTables>,
 }
 
 /// The six K-length SoA columns of a flattened mixture — the software
-/// weight buffer. Built mutably by the constructors, then frozen behind
-/// the [`GmmScorer`]'s `Arc`.
+/// weight buffer — in **slot order** (ascending mean page coordinate),
+/// with the slot → component map beside them. Built mutably by the
+/// constructors, then frozen behind the [`GmmScorer`]'s `Arc`.
 #[derive(Debug, PartialEq)]
 struct ScorerTables {
-    /// `ln π_k + log_norm_k`; `−∞` for zero-weight components.
+    /// `ln π + log_norm`; `−∞` for zero-weight components.
     coef: Vec<f64>,
     mx: Vec<f64>,
     my: Vec<f64>,
@@ -244,10 +323,18 @@ struct ScorerTables {
     hxx: Vec<f64>,
     hxy: Vec<f64>,
     hyy: Vec<f64>,
+    /// `order[slot]` is the component stored at `slot`.
+    order: Vec<usize>,
 }
 
 impl ScorerTables {
-    fn with_capacity(k: usize) -> Self {
+    /// Empty columns plus the slot order for `k` components: ascending
+    /// `mean_page(component)`, ties in component order (stable sort), a
+    /// NaN mean reaching the scorer mid-EM ordered by `total_cmp` instead
+    /// of panicking the sort.
+    fn with_layout(k: usize, mean_page: impl Fn(usize) -> f64) -> Self {
+        let mut order: Vec<usize> = (0..k).collect();
+        order.sort_by(|&a, &b| mean_page(a).total_cmp(&mean_page(b)));
         ScorerTables {
             coef: Vec::with_capacity(k),
             mx: Vec::with_capacity(k),
@@ -255,6 +342,7 @@ impl ScorerTables {
             hxx: Vec::with_capacity(k),
             hxy: Vec::with_capacity(k),
             hyy: Vec::with_capacity(k),
+            order,
         }
     }
 
@@ -273,9 +361,7 @@ impl ScorerTables {
     }
 }
 
-/// The shared per-component term `coef + hxx·dx² + hxy·dx·dy + hyy·dy²`,
-/// used by the single-point, batched and E-step paths alike
-/// (bit-agreement).
+/// The per-component term `coef + hxx·dx² + hxy·dx·dy + hyy·dy²`.
 #[inline(always)]
 fn log_term_raw(coef: f64, hxx: f64, hxy: f64, hyy: f64, dx: f64, dy: f64) -> f64 {
     fmadd(hxx, dx * dx, fmadd(hxy, dx * dy, fmadd(hyy, dy * dy, coef)))
@@ -289,11 +375,10 @@ impl GmmScorer {
 
     /// Flattens weights + components (inverses already cached).
     pub(crate) fn from_components(weights: &[f64], components: &[Gaussian2]) -> Self {
-        let k = weights.len();
-        let mut t = ScorerTables::with_capacity(k);
-        for (w, c) in weights.iter().zip(components) {
-            let inv = c.inv_cov();
-            t.push_component(*w, c.log_norm(), c.mean(), inv);
+        let mut t = ScorerTables::with_layout(weights.len(), |c| components[c].mean()[0]);
+        for slot in 0..weights.len() {
+            let (w, c) = (weights[t.order[slot]], &components[t.order[slot]]);
+            t.push_component(w, c.log_norm(), c.mean(), c.inv_cov());
         }
         GmmScorer {
             tables: std::sync::Arc::new(t),
@@ -306,20 +391,26 @@ impl GmmScorer {
     /// # Errors
     ///
     /// Returns [`GmmError::SingularCovariance`] naming the first component
-    /// whose covariance is not positive definite.
+    /// (lowest index — every covariance is checked before the layout
+    /// reorders anything) whose covariance is not positive definite.
     pub(crate) fn from_params(
         weights: &[f64],
         means: &[Vec2],
         covs: &[Mat2],
     ) -> Result<Self, GmmError> {
-        let k = weights.len();
-        let mut t = ScorerTables::with_capacity(k);
-        for i in 0..k {
-            let inv = covs[i]
-                .inverse()
-                .ok_or(GmmError::SingularCovariance { component: i })?;
-            let log_norm = -LN_2PI - 0.5 * covs[i].det().ln();
-            t.push_component(weights[i], log_norm, means[i], inv);
+        let invs = covs
+            .iter()
+            .enumerate()
+            .map(|(component, cov)| {
+                cov.inverse()
+                    .ok_or(GmmError::SingularCovariance { component })
+            })
+            .collect::<Result<Vec<Mat2>, GmmError>>()?;
+        let mut t = ScorerTables::with_layout(weights.len(), |c| means[c][0]);
+        for slot in 0..weights.len() {
+            let c = t.order[slot];
+            let log_norm = -LN_2PI - 0.5 * covs[c].det().ln();
+            t.push_component(weights[c], log_norm, means[c], invs[c]);
         }
         Ok(GmmScorer {
             tables: std::sync::Arc::new(t),
@@ -331,8 +422,15 @@ impl GmmScorer {
         self.tables.coef.len()
     }
 
-    /// Writes `l_j` for components `start..start + out.len()` into `out`
-    /// — a plain map over the SoA columns, so the compiler vectorises it
+    /// The layout: `slot_components()[slot]` is the component whose terms
+    /// [`GmmScorer::unit_terms_into`] writes at `slot`. For the E-step,
+    /// which accumulates in slot order and un-permutes once per call.
+    pub(crate) fn slot_components(&self) -> &[usize] {
+        &self.tables.order
+    }
+
+    /// Writes `l` for slots `start..start + out.len()` into `out` — a
+    /// plain map over the SoA columns, so the compiler vectorises it
     /// across components.
     #[inline(always)]
     fn log_terms_block(&self, x: Vec2, start: usize, out: &mut [f64]) {
@@ -345,44 +443,59 @@ impl GmmScorer {
         }
     }
 
-    /// Log mixture density `ln G(x)` — allocation-free single-point path,
-    /// vectorised across **components**: the terms of one point are staged
-    /// in a [`BLOCK`]-term stack block and both log-sum-exp passes run as
-    /// plain loops over it. Pass 2 sums in the canonical lane-strided
-    /// order (see the module docs), so the result is bit-identical to
-    /// [`GmmScorer::log_density_batch`] and to the `lse`
-    /// [`GmmScorer::responsibilities_into`] returns, at every K.
-    ///
-    /// Returns `−∞` when every component term underflows to `−∞` (only
-    /// possible for non-finite input or an all-zero-weight mixture, which
-    /// the [`Gmm`] constructor forbids).
-    pub fn log_density(&self, x: Vec2) -> f64 {
-        let k = self.k();
-        let mut buf = [0.0f64; BLOCK];
+    /// The kernel: both log-sum-exp passes for one point, returning
+    /// `(m, Σ)` with `ln G(x) = m + ln Σ`. The terms are staged
+    /// `stage.len()` slots at a time — the whole mixture when it fits,
+    /// block by block otherwise (pass 2 then recomputes the cheap quadratic
+    /// forms) — and `sink(first_slot, terms)` sees each block's unit terms.
+    /// When `m` is not finite (no component reaches `x`) pass 2 does not
+    /// run and `Σ` is `0.0`.
+    #[inline(always)]
+    fn log_sum_exp(
+        &self,
+        x: Vec2,
+        stage: &mut [f64],
+        mut sink: impl FnMut(usize, &[f64]),
+    ) -> (f64, f64) {
+        let (k, block) = (self.k(), stage.len());
+        debug_assert!(block >= k || block.is_multiple_of(LANES));
         let mut m = [f64::NEG_INFINITY; LANES];
-        for start in (0..k).step_by(BLOCK) {
-            let terms = &mut buf[..BLOCK.min(k - start)];
+        for start in (0..k).step_by(block) {
+            let terms = &mut stage[..block.min(k - start)];
             self.log_terms_block(x, start, terms);
             fold_lanes(&mut m, terms, nan_skipping_max);
         }
         let m = m.iter().copied().fold(f64::NEG_INFINITY, nan_skipping_max);
         if !m.is_finite() {
-            return m;
+            return (m, 0.0);
         }
         let mut s = [0.0f64; LANES];
-        for start in (0..k).step_by(BLOCK) {
-            let terms = &mut buf[..BLOCK.min(k - start)];
-            // A mixture that fits one block still holds its pass-1 terms;
-            // a larger one recomputes the (cheap) quadratic forms.
-            if k > BLOCK {
+        for start in (0..k).step_by(block) {
+            let terms = &mut stage[..block.min(k - start)];
+            if k > block {
                 self.log_terms_block(x, start, terms);
             }
-            for e in terms.iter_mut() {
-                *e = exp_unit((*e - m).max(EXP_CLAMP));
-            }
-            fold_lanes(&mut s, terms, |a, e| a + e);
+            unit_terms_block(terms, m, &mut s);
+            sink(start, terms);
         }
-        m + lane_tree(&s).ln()
+        (m, lane_tree(&s))
+    }
+
+    /// Log mixture density `ln G(x)` — allocation-free (the terms are
+    /// staged in a [`BLOCK`]-term stack block). Every other entry point
+    /// and the E-step's `lse` are this kernel and agree with it bit for bit.
+    ///
+    /// Returns `−∞` when every component term underflows to `−∞` (only
+    /// possible for non-finite input or an all-zero-weight mixture, which
+    /// the [`Gmm`] constructor forbids).
+    pub fn log_density(&self, x: Vec2) -> f64 {
+        let mut buf = [0.0f64; BLOCK];
+        let (m, sum) = self.log_sum_exp(x, &mut buf[..BLOCK.min(self.k())], |_, _| {});
+        if m.is_finite() {
+            m + sum.ln()
+        } else {
+            m
+        }
     }
 
     /// Mixture density `G(x)` — the paper's access-frequency score.
@@ -395,46 +508,43 @@ impl GmmScorer {
         self.density(x)
     }
 
-    /// The E-step primitive: writes the unit terms `exp(l_j − m)` of `x`
-    /// into `out` (`l_j = ln π_j + ln N_j(x)`, `m = max_j l_j`) and returns
-    /// `(m, Σ_j out[j])`, so `ln G(x) = m + ln Σ` and the responsibilities
-    /// are `out[j] / Σ`. Same loops and the same lane-strided sum as
-    /// [`GmmScorer::log_density`] — `m + Σ.ln()` equals it bit for bit.
+    /// The E-step primitive: writes the unit terms of `x` into `out` **in
+    /// slot order** — the scorer's own layout, not component order — and
+    /// returns `(m, Σ out)`, so `ln G(x) = m + ln Σ` (bit for bit
+    /// [`GmmScorer::log_density`]) and the responsibilities are
+    /// `out[slot] / Σ`; [`GmmScorer::responsibilities_into`] gives them
+    /// per component.
     ///
     /// When `m` is not finite (non-finite input: no component reaches
-    /// `x`) the sum is `0.0` and `out` is left holding the raw `l_j`.
+    /// `x`) the sum is `0.0` and `out` is left holding the raw log terms.
     ///
     /// # Panics
     ///
     /// Panics when `out.len() != self.k()`.
     pub fn unit_terms_into(&self, x: Vec2, out: &mut [f64]) -> (f64, f64) {
         assert_eq!(out.len(), self.k(), "scratch length must equal K");
-        self.log_terms_block(x, 0, out);
-        let mut m = [f64::NEG_INFINITY; LANES];
-        fold_lanes(&mut m, out, nan_skipping_max);
-        let m = m.iter().copied().fold(f64::NEG_INFINITY, nan_skipping_max);
-        if !m.is_finite() {
-            return (m, 0.0);
-        }
-        for e in out.iter_mut() {
-            *e = exp_unit((*e - m).max(EXP_CLAMP));
-        }
-        let mut s = [0.0f64; LANES];
-        fold_lanes(&mut s, out, |a, e| a + e);
-        (m, lane_tree(&s))
+        self.log_sum_exp(x, out, |_, _| {})
     }
 
-    /// Writes the posterior responsibilities `p(j | x)` into `out` and
-    /// returns `ln G(x)` — bit-identical to [`GmmScorer::log_density`].
-    /// When the log-density is `−∞` (no component reaches `x`), `out` is
-    /// left holding the raw `−∞`/NaN terms and the caller decides the
-    /// fallback (the [`Gmm`] wrapper substitutes π).
+    /// Writes the posterior responsibilities `p(j | x)` into `out`, in
+    /// component order, and returns `ln G(x)` — bit-identical to
+    /// [`GmmScorer::log_density`]. When the log-density is `−∞` (no
+    /// component reaches `x`) `out` is left untouched and the caller
+    /// decides the fallback (the [`Gmm`] wrapper substitutes π).
     ///
     /// # Panics
     ///
     /// Panics when `out.len() != self.k()`.
     pub fn responsibilities_into(&self, x: Vec2, out: &mut [f64]) -> f64 {
-        let (m, sum) = self.unit_terms_into(x, out);
+        assert_eq!(out.len(), self.k(), "scratch length must equal K");
+        let order = self.slot_components();
+        let mut buf = [0.0f64; BLOCK];
+        let stage = &mut buf[..BLOCK.min(order.len())];
+        let (m, sum) = self.log_sum_exp(x, stage, |start, terms| {
+            for (&component, &u) in order[start..].iter().zip(terms) {
+                out[component] = u;
+            }
+        });
         if !m.is_finite() {
             return m;
         }
@@ -445,101 +555,37 @@ impl GmmScorer {
         m + sum.ln()
     }
 
-    /// One ≤[`CHUNK`]-point tile of the batched kernel. Identical
-    /// floating-point operations and pass-2 order (partial `j % LANES`,
-    /// then [`lane_tree`]) as [`GmmScorer::log_density`], so results
-    /// bit-agree with the single-point path.
-    fn log_density_chunk(&self, xs: &[Vec2], out: &mut [f64], lbuf: &mut [f64]) {
-        debug_assert!(xs.len() <= CHUNK && xs.len() == out.len());
-        debug_assert_eq!(lbuf.len() % self.k(), 0);
-        // Row stride of the term buffer: CHUNK normally, smaller when the
-        // whole batch is shorter than one chunk (the buffer is sized to
-        // the batch in that case).
-        let stride = lbuf.len() / self.k();
-        debug_assert!(xs.len() <= stride);
-        let n = xs.len();
-        // Deinterleave the `[x, y]` pairs once so both passes read unit-
-        // stride lanes instead of shuffling strided loads per component.
-        let mut px = [0.0f64; CHUNK];
-        let mut py = [0.0f64; CHUNK];
-        for (b, x) in xs.iter().enumerate() {
-            px[b] = x[0];
-            py[b] = x[1];
-        }
-        let (px, py) = (&px[..n], &py[..n]);
-        let t = &*self.tables;
-        let mut m = [f64::NEG_INFINITY; CHUNK];
-        for j in 0..self.k() {
-            let (cj, mxj, myj) = (t.coef[j], t.mx[j], t.my[j]);
-            let (hxxj, hxyj, hyyj) = (t.hxx[j], t.hxy[j], t.hyy[j]);
-            let row = &mut lbuf[j * stride..j * stride + n];
-            for b in 0..n {
-                let dx = px[b] - mxj;
-                let dy = py[b] - myj;
-                let l = log_term_raw(cj, hxxj, hxyj, hyyj, dx, dy);
-                row[b] = l;
-                if l > m[b] {
-                    m[b] = l;
-                }
-            }
-        }
-        let mut s = [[0.0f64; CHUNK]; LANES];
-        for j in 0..self.k() {
-            let row = &lbuf[j * stride..j * stride + n];
-            let sl = &mut s[j % LANES];
-            for b in 0..n {
-                let t = row[b] - m[b];
-                sl[b] += exp_unit(t.max(EXP_CLAMP));
-            }
-        }
-        for b in 0..n {
-            out[b] = if m[b].is_finite() {
-                m[b] + lane_tree(&std::array::from_fn(|l| s[l][b])).ln()
-            } else {
-                m[b]
-            };
-        }
-    }
-
-    /// Batched `ln G(x)` over `xs` into `out`, processed in cache-friendly
-    /// chunks of [`CHUNK`] points. Bit-identical to calling
-    /// [`GmmScorer::log_density`] per point, with the per-call overhead
-    /// and parameter re-streaming amortized across the chunk.
+    /// `ln G(x)` for every point of `xs` into `out` — a loop over
+    /// [`GmmScorer::log_density`].
     ///
     /// # Panics
     ///
     /// Panics when `xs.len() != out.len()`.
     pub fn log_density_batch(&self, xs: &[Vec2], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "output length must match input");
-        // One K×chunk term buffer per call (not per point): pass 2 reads
-        // the pass-1 terms back instead of recomputing every quadratic
-        // form. Reused across all chunks of the batch, and sized to the
-        // batch when it is smaller than one chunk — a full K×CHUNK
-        // zeroing per short call would dwarf the scoring itself.
-        let mut lbuf = vec![0.0f64; self.k() * CHUNK.min(xs.len())];
-        for (xc, oc) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            self.log_density_chunk(xc, oc, &mut lbuf);
+        for (x, o) in xs.iter().zip(out.iter_mut()) {
+            *o = self.log_density(*x);
         }
     }
 
-    /// Batched density `G(x)` — the batch analogue of
+    /// Density `G(x)` for every point of `xs` — a loop over
     /// [`GmmScorer::score`].
     ///
     /// # Panics
     ///
     /// Panics when `xs.len() != out.len()`.
     pub fn score_batch(&self, xs: &[Vec2], out: &mut [f64]) {
-        self.log_density_batch(xs, out);
-        for o in out.iter_mut() {
-            *o = o.exp();
+        assert_eq!(xs.len(), out.len(), "output length must match input");
+        for (x, o) in xs.iter().zip(out.iter_mut()) {
+            *o = self.score(*x);
         }
     }
 
     /// [`GmmScorer::score_batch`] split across scoped worker threads —
     /// the same crossbeam pattern (and thread cap) as the parallel EM
-    /// E-step. `threads = 0` selects the available parallelism; small
-    /// batches fall back to the serial kernel. Results are bit-identical
-    /// to the serial path (chunks are independent).
+    /// E-step. `threads = 0` selects the available parallelism; batches
+    /// under [`PARALLEL_MIN`] points are scored on the caller. Points are
+    /// scored independently, so where the batch is split is invisible.
     ///
     /// # Panics
     ///
@@ -557,11 +603,9 @@ impl GmmScorer {
         if threads <= 1 || xs.len() < PARALLEL_MIN {
             return self.score_batch(xs, out);
         }
-        // Round the per-worker span to whole chunks so the tile boundaries
-        // (and therefore the bit-exact results) match the serial kernel.
-        let chunk = xs.len().div_ceil(threads).next_multiple_of(CHUNK);
+        let span = xs.len().div_ceil(threads);
         crossbeam::thread::scope(|scope| {
-            for (xc, oc) in xs.chunks(chunk).zip(out.chunks_mut(chunk)) {
+            for (xc, oc) in xs.chunks(span).zip(out.chunks_mut(span)) {
                 scope.spawn(move |_| self.score_batch(xc, oc));
             }
         })
@@ -634,7 +678,6 @@ mod tests {
         for k in [1, 2, 3, 64, 256] {
             let gmm = spread_gmm(k);
             let scorer = GmmScorer::from_gmm(&gmm);
-            // Sizes straddling the chunk boundary.
             for n in [0usize, 1, 63, 64, 65, 200] {
                 let xs = probe_points(n);
                 let mut batch = vec![0.0; n];
@@ -695,6 +738,8 @@ mod tests {
 
     #[test]
     fn unit_terms_match_component_log_pdfs() {
+        // `spread_gmm` means ascend in page, so slot order is component
+        // order and `out[j]` can be read as component `j`.
         let gmm = spread_gmm(4);
         let scorer = GmmScorer::from_gmm(&gmm);
         let mut out = vec![0.0; 4];
@@ -749,13 +794,39 @@ mod tests {
 
     #[test]
     fn from_params_rejects_singular_covariance() {
+        let singular = Mat2::new(1.0, 2.0, 1.0);
         let err = GmmScorer::from_params(
             &[0.5, 0.5],
             &[[0.0, 0.0], [1.0, 1.0]],
-            &[Mat2::scaled_identity(1.0), Mat2::new(1.0, 2.0, 1.0)],
+            &[Mat2::scaled_identity(1.0), singular],
         )
         .unwrap_err();
         assert_eq!(err, GmmError::SingularCovariance { component: 1 });
+        // Two singular components: the error names the lower *component*,
+        // though the layout would visit component 2 (mean page −5) first.
+        let err = GmmScorer::from_params(
+            &[0.4, 0.3, 0.3],
+            &[[0.0, 0.0], [1.0, 1.0], [-5.0, 0.0]],
+            &[Mat2::scaled_identity(1.0), singular, singular],
+        )
+        .unwrap_err();
+        assert_eq!(err, GmmError::SingularCovariance { component: 1 });
+    }
+
+    #[test]
+    fn layout_is_by_mean_page_and_survives_a_nan_mean() {
+        let means = [[3.0, 0.0], [-1.0, 9.0], [3.0, -2.0], [0.5, 0.0]];
+        let covs = [Mat2::scaled_identity(1.0); 4];
+        let scorer = GmmScorer::from_params(&[0.25; 4], &means, &covs).unwrap();
+        // Ascending mean page; the tie (components 0 and 2) keeps
+        // component order.
+        assert_eq!(scorer.slot_components(), [1, 3, 0, 2]);
+        // A NaN mean reaching the scorer mid-EM is ordered, not a panic.
+        let mut poisoned = means;
+        poisoned[3][0] = f64::NAN;
+        let scorer = GmmScorer::from_params(&[0.25; 4], &poisoned, &covs).unwrap();
+        assert_eq!(scorer.slot_components(), [1, 0, 2, 3]);
+        assert!(scorer.log_density([0.0, 0.0]).is_finite());
     }
 
     #[test]

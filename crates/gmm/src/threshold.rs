@@ -67,8 +67,8 @@ pub fn calibrate_threshold(gmm: &Gmm, xs: &[[f64; 2]], ws: &[f64], cfg: &Thresho
     if cfg.quantile <= 0.0 {
         return 0.0; // admit everything
     }
-    // Calibration scores every training cell (up to millions): use the
-    // parallel batched kernel instead of point-at-a-time scoring.
+    // Calibration scores every training cell (up to millions): split the
+    // batch across worker threads.
     let mut scores = vec![0.0; xs.len()];
     gmm.scorer().score_batch_parallel(xs, &mut scores, 0);
     weighted_quantile(&scores, ws, cfg.quantile.min(1.0))

@@ -12,12 +12,15 @@
 //!   partial sums and the 256-term block, weighted and unweighted, with
 //!   zero-weight components, far points and non-finite points;
 //! * a fixed-seed K = 16 fit ends on the same mean log-likelihood as the
-//!   reference loop iterated from the same start.
+//!   reference loop iterated from the same start;
+//! * the order a mixture lists its components in is invisible: a shuffled
+//!   copy yields bit-identical statistics once un-shuffled (the scorer
+//!   lays both out by mean page and accumulates in that slot order).
 
 #[path = "support/fixtures.rs"]
 mod fixtures;
 
-use fixtures::mixture;
+use fixtures::{fmadd, mixture, shuffled};
 use icgmm_gmm::{e_step, EmConfig, EmTrainer, Gaussian2, Gmm, GmmScorer, Mat2, SuffStats, Vec2};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,18 +35,9 @@ struct RefStats {
     loglik: f64,
 }
 
-/// The kernel's multiply-add: fused exactly where the library fuses, so
-/// the reference sees the same per-component log terms and the comparison
-/// isolates the `exp`, the sum order and the accumulation.
-fn fmadd(a: f64, b: f64, c: f64) -> f64 {
-    if cfg!(target_feature = "fma") {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
-}
-
-/// The E-step loop as it stood before it moved onto the scoring kernel.
+/// The E-step loop as it stood before it moved onto the scoring kernel
+/// (`fmadd` fuses exactly where the kernel does, so the comparison
+/// isolates the `exp`, the sum order and the accumulation).
 fn reference_e_step(gmm: &Gmm, xs: &[Vec2], ws: &[f64]) -> RefStats {
     let k = gmm.k();
     // (coef, mean, −½Σ⁻¹ₓₓ, −Σ⁻¹ₓᵧ, −½Σ⁻¹ᵧᵧ) — how the scorer flattens a
@@ -194,6 +188,39 @@ fn parallel_estep_matches_the_scalar_reference() {
     for threads in [2, 3] {
         let got = e_step(&scorer, &xs, &ws, threads);
         assert_stats_agree(&got, &want, &format!("threads={threads}"));
+    }
+}
+
+#[test]
+fn estep_statistics_do_not_depend_on_component_order() {
+    // Every K serially, and one batch large enough to really be split.
+    let cases = KS.map(|k| (k, 300, 1)).into_iter().chain([(9, 4_300, 3)]);
+    for (k, n, threads) in cases {
+        let gmm = mixture(k, 0x0DE4);
+        let (mixed, perm) = shuffled(&gmm, k as u64);
+        let xs = samples(n, 3 * k as u64);
+        let ws: Vec<f64> = (0..xs.len()).map(|i| 0.5 + (i % 5) as f64).collect();
+        let want = e_step(&GmmScorer::from_gmm(&gmm), &xs, &ws, threads);
+        let got = e_step(&GmmScorer::from_gmm(&mixed), &xs, &ws, threads);
+        assert_eq!(got.loglik.to_bits(), want.loglik.to_bits(), "K={k}");
+        let columns = [
+            (&got.nk, &want.nk),
+            (&got.sx0, &want.sx0),
+            (&got.sx1, &want.sx1),
+            (&got.sxx, &want.sxx),
+            (&got.sxy, &want.sxy),
+            (&got.syy, &want.syy),
+        ];
+        for (c, (got, want)) in columns.into_iter().enumerate() {
+            for (i, &j) in perm.iter().enumerate() {
+                assert_eq!(
+                    got[i].to_bits(),
+                    want[j].to_bits(),
+                    "K={k} threads={threads} column {c}: shuffled component {i} is \
+                     component {j}"
+                );
+            }
+        }
     }
 }
 
