@@ -12,6 +12,14 @@
 //! GMM (or an LSTM) policy engine all drive the *same* simulator — that is
 //! what makes the paper's Fig. 6 and Table 1 comparisons apples-to-apples.
 //!
+//! Entry points, all over one replay loop: [`simulate`] /
+//! [`simulate_streaming_with_warmup`] (one cache, one thread),
+//! [`simulate_streaming_observed_with_warmup`] (plus a [`ReplayObserver`]),
+//! [`ShardedSimulator::run`] (set-partitioned, bit-identical at every
+//! shard count) and, for front-ends that feed shards themselves,
+//! [`streaming_step`] plus [`ShardSupervisor`] — where a shard's policies
+//! are built and checked and a dead shard is recovered.
+//!
 //! ## Example
 //!
 //! ```
@@ -74,13 +82,12 @@ pub use policy::{
 };
 pub use score::{ConstantScore, FnScore, ScoreSource};
 pub use shard::{
-    shard_contract, shard_gap_before, GapScore, ShardCtx, ShardPartition, ShardPolicies,
-    ShardRunError, ShardedReport, ShardedSimulator,
+    shard_gap_before, ShardCtx, ShardPartition, ShardPolicies, ShardRunError, ShardSupervisor,
+    ShardedReport, ShardedSimulator,
 };
 pub use sim::{
-    simulate, simulate_streaming_observed_records, simulate_streaming_observed_with_warmup,
-    simulate_streaming_with_warmup, simulate_with_warmup, streaming_step, ReplayEvent,
-    ReplayObserver, SimReport,
+    simulate, simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup,
+    streaming_step, ReplayEvent, ReplayObserver, SimReport,
 };
 pub use stats::{CacheStats, MissSeries};
 pub use view::{RecordsIter, RecordsRef};

@@ -87,8 +87,7 @@ impl<'a> StreamingMerge<'a> {
     /// Finalizes into a [`SimReport`] (policy names travel by string —
     /// the policy instances themselves live in the shard workers).
     pub fn finish(self, measured_len: usize, eviction: &str, admission: &str) -> SimReport {
-        self.acct
-            .into_report_named(measured_len, eviction, admission)
+        self.acct.into_report(measured_len, eviction, admission)
     }
 }
 

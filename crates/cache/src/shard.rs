@@ -56,15 +56,17 @@
 //! parallel, instead of serially on the calling thread; the supervisor
 //! re-runs it on the calling thread only when recovering a dead shard.
 //! The shard-determinism contract checks run on the worker too and
-//! surface as [`ShardRunError::Contract`].
+//! surface as [`ShardRunError::Contract`]. All of this — the life of a
+//! shard — is [`ShardSupervisor`]; [`ShardedSimulator::run`] is its
+//! offline client at every shard count, `icgmm-serve` its live one.
 //!
 //! # One shard runs inline
 //!
 //! At `S = 1` the shard *is* the whole trace, so
 //! [`ShardedSimulator::run`] replays it on the calling thread through the
 //! same per-shard function the workers use: plain slice views instead of
-//! a [`ShardPartition`], no scoped thread, no [`GapScore`] (every gap is
-//! zero), no per-record outcome buffer and no merge — the shard's own
+//! a [`ShardPartition`], no scoped thread, no gap fast-forward (every gap
+//! is zero), no per-record outcome buffer and no merge — the shard's own
 //! [`SimReport`] already went through the `Accounting` the merge would
 //! replay it through, in the same order. The supervisor's
 //! catch-and-re-replay of a panicked shard stays. This is what lets the
@@ -87,8 +89,8 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::thread;
 
-/// Error from [`ShardedSimulator::run`].
-#[derive(Clone, Debug, PartialEq)]
+/// Error from [`ShardedSimulator::run`] and [`ShardSupervisor`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardRunError {
     /// Invalid cache geometry.
     Config(CacheConfigError),
@@ -114,7 +116,8 @@ pub enum ShardRunError {
         message: String,
     },
     /// The policies `make_shard` built cannot reproduce the
-    /// single-threaded replay above one shard (see [`shard_contract`]).
+    /// single-threaded replay above one shard (see
+    /// [`ShardSupervisor::policies`]).
     Contract {
         /// Index of the first shard (in shard order) that was refused.
         shard: usize,
@@ -201,7 +204,9 @@ impl ShardPartition {
     ///
     /// # Errors
     ///
-    /// Returns [`ShardRunError::TraceTooLong`] when the trace does not fit
+    /// Returns [`ShardRunError::Config`] for invalid cache geometry (the
+    /// set mapping would divide by zero) and
+    /// [`ShardRunError::TraceTooLong`] when the trace does not fit
     /// `u32` positions (4 billion records would mean a >64 GiB trace —
     /// far beyond any in-memory replay this engine targets). The check
     /// runs before any routing: silent `as u32` truncation would route
@@ -213,6 +218,7 @@ impl ShardPartition {
         warmup: &[TraceRecord],
         measured: &[TraceRecord],
     ) -> Result<Self, ShardRunError> {
+        cache_cfg.validate()?;
         if shards == 0 {
             return Err(ShardRunError::ZeroShards);
         }
@@ -320,17 +326,11 @@ pub struct ShardPolicies {
     pub score: Option<Box<dyn ScoreSource + Send>>,
 }
 
-/// The shard-determinism contract (see the module docs), shared by the
-/// offline engine and the serving front-end so the two can never drift in
-/// what they refuse. Checked on each worker right after `make_shard`; both
-/// engines turn a violation into a typed [`ShardRunError::Contract`].
-///
-/// # Errors
-///
-/// The refusal message (stable "not shard-deterministic" / "shardable"
-/// wording the contract tests match on) when `shards > 1` and the
-/// policies cannot reproduce the single-threaded replay.
-pub fn shard_contract(shards: usize, p: &ShardPolicies) -> Result<(), String> {
+/// The shard-determinism contract (see the module docs): the refusal
+/// message (stable "not shard-deterministic" / "shardable" wording the
+/// contract tests match on) when `shards > 1` and the policies cannot
+/// reproduce the single-threaded replay.
+fn shard_contract(shards: usize, p: &ShardPolicies) -> Result<(), String> {
     if shards <= 1 {
         return Ok(());
     }
@@ -358,8 +358,8 @@ pub fn shard_contract(shards: usize, p: &ShardPolicies) -> Result<(), String> {
 #[derive(Clone, Debug)]
 pub struct ShardedReport {
     /// The merged report — bit-identical to
-    /// [`crate::simulate_with_warmup`] over the same inputs, for every
-    /// shard count.
+    /// [`crate::simulate_streaming_with_warmup`] over the same inputs, for
+    /// every shard count.
     pub sim: SimReport,
     /// Replay events that consumed a score — i.e. scored misses, warm-up
     /// included: the policy engine's inference count.
@@ -370,22 +370,24 @@ pub struct ShardedReport {
 }
 
 /// The sharded replay engine. Holds only configuration (shard count,
-/// fault plan); per-run state lives on the worker threads.
+/// fault plan); per-run state lives in a [`ShardSupervisor`] and on the
+/// worker threads.
 #[derive(Clone, Debug)]
 pub struct ShardedSimulator {
     shards: usize,
-    fault: Option<FaultPlan>,
+    fault: FaultPlan,
 }
 
 /// [`OutcomeStream`] over one replayed shard's buffered outcomes: each
 /// outcome's global position *is* its shard-index entry, and the record
 /// itself is looked up in the caller's original slices — no per-shard
-/// copies, no gap prefix sums.
+/// copies, no gap prefix sums. `idx` may start past a prefix that was
+/// already delivered (a served shard whose worker died mid-stream).
 struct ReplayedShardStream<'a> {
     warmup: &'a [TraceRecord],
     measured: &'a [TraceRecord],
     index: &'a [u32],
-    outcomes: &'a [AccessOutcome],
+    outcomes: Vec<AccessOutcome>,
     idx: usize,
 }
 
@@ -410,10 +412,10 @@ impl OutcomeStream for ReplayedShardStream<'_> {
     }
 }
 
-/// Outcome of one shard worker.
+/// Outcome of one shard's offline replay.
 struct ShardOutcome {
-    /// Per-record outcomes for the merge (`None` for the inline shard).
-    outcomes: Option<Vec<AccessOutcome>>,
+    /// Per-record outcomes for the merge (none for the inline shard).
+    outcomes: Vec<AccessOutcome>,
     scored: u64,
     report: SimReport,
 }
@@ -432,14 +434,7 @@ struct OutcomeRecorder {
 
 impl ReplayObserver for OutcomeRecorder {
     fn on_record(&mut self, ev: &ReplayEvent<'_>) {
-        if self.panic_at == Some(self.seen) {
-            // resume_unwind skips the panic hook: an armed panic is an
-            // expected, supervisor-recovered event, not stderr noise.
-            resume_unwind(Box::new(format!(
-                "fault-plan armed panic at shard-local record {}",
-                self.seen
-            )));
-        }
+        ShardSupervisor::die_if_armed(self.panic_at, self.seen);
         self.seen += 1;
         if let Some(outcomes) = self.outcomes.as_mut() {
             outcomes.push(*ev.outcome);
@@ -454,26 +449,10 @@ impl ReplayObserver for OutcomeRecorder {
 /// [`shard_gap_before`] — is fast-forwarded through the inner source's
 /// [`ScoreSource::observe_gap`]. A single linear cursor suffices because
 /// the replay loop observes each record exactly once, in trace order.
-///
-/// Public for the serving front-end, whose supervisor re-replays a dead
-/// shard's subtrace with the identical clock discipline.
-pub struct GapScore<'a> {
+struct GapScore<'a> {
     inner: &'a mut dyn ScoreSource,
     index: &'a [u32],
     cursor: usize,
-}
-
-impl<'a> GapScore<'a> {
-    /// Wraps `inner` with gaps derived from an ascending shard index list
-    /// (`index[j]` is the global position of the `j`-th shard record):
-    /// zero stored gap state, one subtraction per record.
-    pub fn from_index(inner: &'a mut dyn ScoreSource, index: &'a [u32]) -> Self {
-        GapScore {
-            inner,
-            index,
-            cursor: 0,
-        }
-    }
 }
 
 impl ScoreSource for GapScore<'_> {
@@ -491,6 +470,237 @@ impl ScoreSource for GapScore<'_> {
     }
 }
 
+/// The life of a shard, for one run: build its policies, check the
+/// shard-determinism contract, replay its subtrace with the fault plan's
+/// panic point armed — and, when the shard's worker dies, re-replay it
+/// once on the supervising thread, count the event, and fail typed if the
+/// death reproduces. The offline engine and the serving front-end (whose
+/// *live* workers replay from a queue instead of a view) are both clients
+/// of this one type, so what they refuse, arm, recover and report cannot
+/// drift apart. Plain shared data: workers call [`Self::policies`] and
+/// [`Self::panic_point`], the supervising thread [`Self::recover`].
+pub struct ShardSupervisor<'a> {
+    cache_cfg: CacheConfig,
+    latency: LatencyModel,
+    make_shard: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
+    fault: FaultPlan,
+    /// `None` is the inline whole-trace shard of [`ShardedSimulator::run`]
+    /// at `S = 1`: plain slice views, no gaps, nothing to merge.
+    part: Option<&'a ShardPartition>,
+    warmup: &'a [TraceRecord],
+    measured: &'a [TraceRecord],
+    /// Miss-series window of the inline shard, whose own accounting is
+    /// final; partitioned shards get their series from the merge.
+    inline_series: Option<u64>,
+}
+
+impl<'a> ShardSupervisor<'a> {
+    /// A supervisor for one run of `part`'s shards over `warmup` ⧺
+    /// `measured` (the slices and the `cache_cfg` that `part` was built
+    /// from — [`ShardPartition::build`] validated the geometry).
+    /// `make_shard` runs on whichever thread asks for a shard's policies;
+    /// `fault` arms the per-shard panic points (an empty plan arms none).
+    pub fn new(
+        cache_cfg: CacheConfig,
+        latency: &LatencyModel,
+        make_shard: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
+        fault: FaultPlan,
+        part: &'a ShardPartition,
+        warmup: &'a [TraceRecord],
+        measured: &'a [TraceRecord],
+    ) -> Self {
+        ShardSupervisor {
+            cache_cfg,
+            latency: *latency,
+            make_shard,
+            fault,
+            part: Some(part),
+            warmup,
+            measured,
+            inline_series: None,
+        }
+    }
+
+    /// Shard `shard`'s replay inputs: its per-phase views and, for a
+    /// partitioned shard, the ascending position list behind them.
+    fn views(&self, shard: usize) -> (RecordsRef<'a>, RecordsRef<'a>, Option<&'a [u32]>) {
+        match self.part {
+            Some(part) => {
+                let (warm, meas) = part.views(shard, self.warmup, self.measured);
+                (warm, meas, Some(part.positions(shard)))
+            }
+            None => (self.warmup.into(), self.measured.into(), None),
+        }
+    }
+
+    /// Builds shard `shard`'s policies (`make_shard` over its views) and
+    /// checks the shard-determinism contract — the one construction site,
+    /// for offline workers, live serving workers and recoveries alike.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardRunError::Contract`] when the policies cannot reproduce the
+    /// single-threaded replay above one shard.
+    pub fn policies(&self, shard: usize) -> Result<ShardPolicies, ShardRunError> {
+        let (warmup, measured, _) = self.views(shard);
+        let shards = self.part.map_or(1, ShardPartition::shards);
+        let pol = (self.make_shard)(&ShardCtx {
+            shard,
+            shards,
+            warmup,
+            measured,
+        });
+        shard_contract(shards, &pol)
+            .map_err(|message| ShardRunError::Contract { shard, message })?;
+        Ok(pol)
+    }
+
+    /// The shard-local record index at which the fault plan arms a panic
+    /// for `shard`'s first replay, if it does.
+    pub fn panic_point(&self, shard: usize) -> Option<u64> {
+        let (warm, meas, _) = self.views(shard);
+        self.fault.shard_panic_point(shard, warm.len() + meas.len())
+    }
+
+    /// The armed panic itself: dies when `seen`, the count of records this
+    /// shard has replayed, is the armed point. Called per record — after
+    /// the scorer observed it, before its outcome escapes — by the offline
+    /// recorder and the live serving worker alike.
+    #[inline]
+    pub fn die_if_armed(panic_at: Option<u64>, seen: u64) {
+        if panic_at == Some(seen) {
+            // resume_unwind skips the panic hook: an armed panic is an
+            // expected, supervisor-recovered event, not stderr noise.
+            resume_unwind(Box::new(format!(
+                "fault-plan armed panic at shard-local record {seen}"
+            )));
+        }
+    }
+
+    /// One shard's whole offline job, wherever it runs: policies, contract
+    /// and the streaming loop with an [`OutcomeRecorder`] on its event
+    /// stream — fully independent of every other shard (own cache, own
+    /// policies, own scorer clone). `armed` is the first attempt; a
+    /// re-replay runs with the panic point disarmed.
+    fn replay(&self, shard: usize, armed: bool) -> Result<ShardOutcome, ShardRunError> {
+        let mut pol = self.policies(shard)?;
+        // `index` is what a partitioned shard has and the inline one lacks:
+        // the source of the scorer clock's foreign-record gaps, and the
+        // reason to buffer outcomes for the merge.
+        let (warm, meas, index) = self.views(shard);
+        let mut cache = SetAssocCache::new(self.cache_cfg).expect("geometry validated");
+        let mut recorder = OutcomeRecorder {
+            outcomes: index.map(|ix| Vec::with_capacity(ix.len())),
+            scored: 0,
+            panic_at: armed.then(|| self.panic_point(shard)).flatten(),
+            seen: 0,
+        };
+        let mut gap_score;
+        let score: Option<&mut dyn ScoreSource> = match (pol.score.as_mut(), index) {
+            (Some(score), Some(index)) => {
+                gap_score = GapScore {
+                    inner: score.as_mut(),
+                    index,
+                    cursor: 0,
+                };
+                Some(&mut gap_score)
+            }
+            (Some(score), None) => Some(score.as_mut()),
+            (None, _) => None,
+        };
+        // A score-free inline shard with no panic point has nothing to
+        // record; it runs unobserved, exactly the plain streaming loop.
+        let observed = index.is_some() || recorder.panic_at.is_some() || score.is_some();
+        let report = crate::sim::simulate_streaming_impl(
+            warm,
+            meas,
+            &mut cache,
+            pol.admission.as_mut(),
+            pol.eviction.as_mut(),
+            score,
+            &self.latency,
+            self.inline_series.filter(|_| index.is_none()),
+            observed.then_some(&mut recorder as &mut dyn ReplayObserver),
+        );
+        Ok(ShardOutcome {
+            outcomes: recorder.outcomes.unwrap_or_default(),
+            scored: recorder.scored,
+            report,
+        })
+    }
+
+    /// Graceful degradation for one shard, given what joining its first
+    /// attempt returned. A panicked attempt left no shared state behind,
+    /// so the same shard — fresh policies, panic point disarmed — is
+    /// replayed on the calling thread. The replay is deterministic, so the
+    /// outcome is bit-identical to a run where nothing died; a second
+    /// panic means the failure reproduces (a genuine bug, not an injected
+    /// fault) and is returned as an error carrying both payloads.
+    fn supervise(
+        &self,
+        shard: usize,
+        first: thread::Result<Result<ShardOutcome, ShardRunError>>,
+        fault: &mut FaultStats,
+    ) -> Result<ShardOutcome, ShardRunError> {
+        let worker = match first {
+            Ok(done) => return done,
+            Err(payload) => payload,
+        };
+        fault.shard_panics += 1;
+        match catch_unwind(AssertUnwindSafe(|| self.replay(shard, false))) {
+            Ok(done) => {
+                let outcome = done?;
+                fault.shard_recoveries += 1;
+                Ok(outcome)
+            }
+            Err(p) => Err(ShardRunError::ShardFailed {
+                shard,
+                message: format!(
+                    "worker panicked ({}); supervisor re-replay panicked too ({})",
+                    panic_message(worker),
+                    panic_message(p)
+                ),
+            }),
+        }
+    }
+
+    /// Recovers shard `shard` after its live worker died with panic
+    /// payload `worker`, having delivered the outcomes of its first
+    /// `delivered` records: the death and the recovery are counted in
+    /// `fault`, and the shard is re-replayed offline on the calling thread.
+    /// Returns the re-replayed outcomes *past the delivered prefix*, the
+    /// shard's full scored count (it replaces the dead worker's partial
+    /// one) and the shard's own report (for the policy names).
+    ///
+    /// # Errors
+    ///
+    /// [`ShardRunError::ShardFailed`], carrying both panic payloads, when
+    /// the re-replay dies too.
+    pub fn recover(
+        &self,
+        shard: usize,
+        worker: Box<dyn Any + Send>,
+        delivered: usize,
+        fault: &mut FaultStats,
+    ) -> Result<(impl OutcomeStream + 'a, u64, SimReport), ShardRunError> {
+        let mut o = self.supervise(shard, Err(worker), fault)?;
+        Ok((self.stream(shard, &mut o, delivered), o.scored, o.report))
+    }
+
+    /// A replayed shard's buffered outcomes as a merge input, starting at
+    /// its `from`-th record.
+    fn stream(&self, shard: usize, o: &mut ShardOutcome, from: usize) -> ReplayedShardStream<'a> {
+        let part = self.part.expect("only partitioned shards are merged");
+        ReplayedShardStream {
+            warmup: self.warmup,
+            measured: self.measured,
+            index: part.positions(shard),
+            outcomes: std::mem::take(&mut o.outcomes),
+            idx: from,
+        }
+    }
+}
+
 impl ShardedSimulator {
     /// Creates a sharded simulator over `shards` set-partitioned shards.
     /// A zero shard count is refused by [`ShardedSimulator::run`] with a
@@ -498,7 +708,7 @@ impl ShardedSimulator {
     pub fn new(shards: usize) -> Self {
         ShardedSimulator {
             shards,
-            fault: None,
+            fault: FaultPlan::empty(),
         }
     }
 
@@ -508,18 +718,8 @@ impl ShardedSimulator {
     /// [`crate::FaultyScore`] from `make_shard`. An empty plan is
     /// equivalent to never calling this.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.fault = if plan.is_empty() { None } else { Some(plan) };
+        self.fault = plan;
         self
-    }
-
-    /// The shard count `S`.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Which shard owns `record` under `cache_cfg`'s set mapping.
-    pub fn shard_of(&self, cache_cfg: &CacheConfig, record: &TraceRecord) -> usize {
-        cache_cfg.set_of(record.page()) % self.shards
     }
 
     /// Replays `warmup` + `measured` sharded by set index and returns the
@@ -529,11 +729,11 @@ impl ShardedSimulator {
     /// `make_shard` is called once per shard *on that shard's worker
     /// thread* (hence `Fn + Sync` — policy construction, including Belady
     /// oracle builds over the shard subtrace, runs in parallel); the
-    /// supervisor calls it again on the calling thread only when
+    /// [`ShardSupervisor`] calls it again on the calling thread only when
     /// recovering a dead shard. Every shard runs the streaming loop of
-    /// [`crate::simulate_with_warmup`]; one shard replays inline on the
-    /// calling thread (see the module docs), so a one-shard run does
-    /// exactly the single-threaded work.
+    /// [`crate::simulate_streaming_with_warmup`]; one shard replays inline
+    /// on the calling thread (see the module docs), so a one-shard run
+    /// does exactly the single-threaded work.
     ///
     /// # Errors
     ///
@@ -558,82 +758,41 @@ impl ShardedSimulator {
         series_window: Option<u64>,
     ) -> Result<ShardedReport, ShardRunError> {
         cache_cfg.validate()?;
-        let s = self.shards;
-        let lat = *latency;
-
-        // Fault arming: a per-shard panic point (the shard-worker fault
-        // class).
-        let panic_point = |shard: usize, len: usize| {
-            self.fault
-                .as_ref()
-                .and_then(|p| p.shard_panic_point(shard, len))
+        // Zero-copy fan-out: 4 bytes of routing per record, gaps and
+        // global merge positions derived from the index entries. One
+        // shard is the whole trace and needs none.
+        let part = match self.shards {
+            1 => None,
+            s => Some(ShardPartition::build(s, &cache_cfg, warmup, measured)?),
         };
-
-        // One shard's whole job, wherever it runs: build its policies
-        // (make_shard), check the shard-determinism contract and replay —
-        // fully independent of every other shard (own cache, own
-        // policies, own scorer clone). `index` is the shard's
-        // position list; `None` is the inline whole-trace shard, whose own
-        // accounting is final (so it alone collects the miss series).
-        let replay = |shard: usize,
-                      warm: RecordsRef<'_>,
-                      meas: RecordsRef<'_>,
-                      index: Option<&[u32]>,
-                      panic_at: Option<u64>|
-         -> Result<ShardOutcome, ShardRunError> {
-            let pol = make_shard(&ShardCtx {
-                shard,
-                shards: s,
-                warmup: warm,
-                measured: meas,
-            });
-            shard_contract(s, &pol)
-                .map_err(|message| ShardRunError::Contract { shard, message })?;
-            let series = series_window.filter(|_| index.is_none());
-            Ok(run_shard(
-                warm, meas, index, cache_cfg, &lat, pol, panic_at, series,
-            ))
+        let sup = &ShardSupervisor {
+            cache_cfg,
+            latency: *latency,
+            make_shard,
+            fault: self.fault,
+            part: part.as_ref(),
+            warmup,
+            measured,
+            inline_series: series_window,
         };
 
         let mut fault = FaultStats::default();
-        let (mut sim, outcomes) = if s == 1 {
-            let warm = RecordsRef::from_slice(warmup);
-            let meas = RecordsRef::from_slice(measured);
-            let at = panic_point(0, warmup.len() + measured.len());
-            let first = catch_unwind(AssertUnwindSafe(|| replay(0, warm, meas, None, at)));
-            let o = supervise(0, first, || replay(0, warm, meas, None, None), &mut fault)?;
-            (o.report.clone(), vec![o])
-        } else {
-            // Zero-copy fan-out: 4 bytes of routing per record, gaps and
-            // global merge positions derived from the index entries.
-            let part = ShardPartition::build(s, &cache_cfg, warmup, measured)?;
-            let (part_ref, replay_ref) = (&part, &replay);
-
+        let (mut sim, outcomes) = if let Some(part) = &part {
             // Replay shards on scoped threads; join order — shard-index
             // order — is the only ordering that matters. Worker panics
             // are captured at join, never propagated.
             let joined: Vec<thread::Result<Result<ShardOutcome, ShardRunError>>> =
                 crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..s)
-                        .map(|shard| {
-                            scope.spawn(move |_| {
-                                let (warm, meas) = part_ref.views(shard, warmup, measured);
-                                let index = part_ref.positions(shard);
-                                let at = panic_point(shard, index.len());
-                                replay_ref(shard, warm, meas, Some(index), at)
-                            })
-                        })
+                    let handles: Vec<_> = (0..part.shards())
+                        .map(|shard| scope.spawn(move |_| sup.replay(shard, true)))
                         .collect();
                     handles.into_iter().map(|h| h.join()).collect()
                 })
                 .expect("scope completes once every handle is joined");
 
-            let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(s);
+            let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(joined.len());
             for (shard, first) in joined.into_iter().enumerate() {
-                let (warm, meas) = part.views(shard, warmup, measured);
-                let index = Some(part.positions(shard));
-                let retry = || replay(shard, warm, meas, index, None);
-                outcomes.push(supervise(shard, first, retry, &mut fault)?);
+                outcomes.push(sup.supervise(shard, first, &mut fault)?);
             }
 
             // Merge by re-accounting in global sequence order through the
@@ -643,15 +802,11 @@ impl ShardedSimulator {
             // on any lost or duplicated outcome. Each outcome's global
             // position is its shard-index entry — no gap prefix sums, no
             // trace re-walk.
-            let mut merge = StreamingMerge::new(warmup.len(), &lat, series_window);
-            let mut streams: Vec<ReplayedShardStream<'_>> = (0..s)
-                .map(|shard| ReplayedShardStream {
-                    warmup,
-                    measured,
-                    index: part.positions(shard),
-                    outcomes: outcomes[shard].outcomes.as_deref().unwrap_or_default(),
-                    idx: 0,
-                })
+            let mut merge = StreamingMerge::new(warmup.len(), latency, series_window);
+            let mut streams: Vec<ReplayedShardStream<'_>> = outcomes
+                .iter_mut()
+                .enumerate()
+                .map(|(shard, o)| sup.stream(shard, o, 0))
                 .collect();
             let mut dyn_streams: Vec<&mut dyn OutcomeStream> = streams
                 .iter_mut()
@@ -669,6 +824,10 @@ impl ShardedSimulator {
                 &outcomes[0].report.admission,
             );
             (sim, outcomes)
+        } else {
+            let first = catch_unwind(AssertUnwindSafe(|| sup.replay(0, true)));
+            let o = sup.supervise(0, first, &mut fault)?;
+            (o.report.clone(), vec![o])
         };
 
         let scores_consumed = outcomes.iter().map(|o| o.scored).sum();
@@ -685,94 +844,6 @@ impl ShardedSimulator {
             scores_consumed,
             per_shard: outcomes.into_iter().map(|o| o.report).collect(),
         })
-    }
-}
-
-/// Graceful degradation for one shard. A panicked attempt left no shared
-/// state behind, so the supervisor runs `retry` — the same shard, fresh
-/// policies, panic point disarmed — on the calling thread. The replay is
-/// deterministic, so the report is bit-identical to a run where the first
-/// attempt never died; a second panic means the failure reproduces (a
-/// genuine bug, not an injected fault) and is returned as an error.
-fn supervise(
-    shard: usize,
-    first: thread::Result<Result<ShardOutcome, ShardRunError>>,
-    retry: impl FnOnce() -> Result<ShardOutcome, ShardRunError>,
-    fault: &mut FaultStats,
-) -> Result<ShardOutcome, ShardRunError> {
-    let worker_msg = match first {
-        Ok(done) => return done,
-        Err(p) => panic_message(p),
-    };
-    fault.shard_panics += 1;
-    match catch_unwind(AssertUnwindSafe(retry)) {
-        Ok(done) => {
-            let outcome = done?;
-            fault.shard_recoveries += 1;
-            Ok(outcome)
-        }
-        Err(p) => Err(ShardRunError::ShardFailed {
-            shard,
-            message: format!(
-                "worker panicked ({worker_msg}); supervisor re-replay panicked too ({})",
-                panic_message(p)
-            ),
-        }),
-    }
-}
-
-/// One shard's replay: the streaming loop with an [`OutcomeRecorder`] on
-/// the replay-event stream. `index` is the shard's full ascending position
-/// list (warm-up ⧺ measured) behind its indexed views: the source of the
-/// scorer clock's foreign-record gaps, and the reason to buffer outcomes
-/// for the merge. `None` means the views are the whole trace — no gaps to
-/// fast-forward, nothing to merge. `panic_at` arms the fault-injection
-/// panic point.
-#[allow(clippy::too_many_arguments)]
-fn run_shard(
-    warm: RecordsRef<'_>,
-    meas: RecordsRef<'_>,
-    index: Option<&[u32]>,
-    cache_cfg: CacheConfig,
-    latency: &LatencyModel,
-    mut pol: ShardPolicies,
-    panic_at: Option<u64>,
-    series_window: Option<u64>,
-) -> ShardOutcome {
-    let mut cache = SetAssocCache::new(cache_cfg).expect("geometry validated by run()");
-    let mut recorder = OutcomeRecorder {
-        outcomes: index.map(|ix| Vec::with_capacity(ix.len())),
-        scored: 0,
-        panic_at,
-        seen: 0,
-    };
-    let mut gap_score;
-    let score: Option<&mut dyn ScoreSource> = match (pol.score.as_mut(), index) {
-        (Some(score), Some(index)) => {
-            gap_score = GapScore::from_index(score.as_mut(), index);
-            Some(&mut gap_score)
-        }
-        (Some(score), None) => Some(score.as_mut()),
-        (None, _) => None,
-    };
-    // A score-free inline shard with no panic point has nothing to
-    // record; it runs unobserved, exactly the plain streaming loop.
-    let observed = index.is_some() || panic_at.is_some() || score.is_some();
-    let report = crate::sim::simulate_streaming_impl(
-        warm,
-        meas,
-        &mut cache,
-        pol.admission.as_mut(),
-        pol.eviction.as_mut(),
-        score,
-        latency,
-        series_window,
-        observed.then_some(&mut recorder as &mut dyn ReplayObserver),
-    );
-    ShardOutcome {
-        outcomes: recorder.outcomes,
-        scored: recorder.scored,
-        report,
     }
 }
 

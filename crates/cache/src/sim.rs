@@ -4,9 +4,10 @@
 //!
 //! # One replay loop
 //!
-//! Every entry point — [`simulate`], [`simulate_with_warmup`], the
-//! observed variants, the sharded engine's workers and (through
-//! [`streaming_step`]) the serving workers — runs the same loop: observe
+//! Every entry point — [`simulate`], [`simulate_streaming_with_warmup`],
+//! [`simulate_streaming_observed_with_warmup`], the sharded engine's
+//! workers and (through [`streaming_step`]) the serving workers — runs the
+//! same loop: observe
 //! each request, score each miss synchronously (one single-point
 //! policy-engine inference, as in the paper's Algorithm 1 datapath),
 //! access the cache. There is no routing decision anywhere.
@@ -101,7 +102,7 @@ pub fn simulate(
     latency: &LatencyModel,
     series_window: Option<u64>,
 ) -> SimReport {
-    simulate_with_warmup(
+    simulate_streaming_with_warmup(
         &[],
         records,
         cache,
@@ -113,40 +114,14 @@ pub fn simulate(
     )
 }
 
-/// [`simulate`] preceded by a warm-up phase.
+/// [`simulate`] preceded by a warm-up phase: the streaming replay loop,
+/// one request at a time, misses scored synchronously.
 ///
 /// The paper trims the first 20 % of each trace from *measurement*, but the
 /// cache, the policies and the Algorithm 1 clock still experience those
 /// requests (the program was running). `warmup` is replayed through the
 /// full access path with statistics discarded; `measured` follows with
 /// statistics recorded. Sequence numbers are continuous across phases.
-///
-/// This *is* [`simulate_streaming_with_warmup`] under its short name.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_with_warmup(
-    warmup: &[TraceRecord],
-    measured: &[TraceRecord],
-    cache: &mut SetAssocCache,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
-    score: Option<&mut dyn ScoreSource>,
-    latency: &LatencyModel,
-    series_window: Option<u64>,
-) -> SimReport {
-    simulate_streaming_with_warmup(
-        warmup,
-        measured,
-        cache,
-        admission,
-        eviction,
-        score,
-        latency,
-        series_window,
-    )
-}
-
-/// The streaming replay loop: one request at a time, misses scored
-/// synchronously.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_streaming_with_warmup(
     warmup: &[TraceRecord],
@@ -200,36 +175,10 @@ pub fn simulate_streaming_observed_with_warmup(
     )
 }
 
-/// [`simulate_streaming_observed_with_warmup`] over [`RecordsRef`] views —
-/// the zero-copy entry point the sharded engines replay their indexed
-/// subtraces through. The loop itself is representation-agnostic, so an
-/// indexed view replays bit-identically to the equivalent copied slice.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_streaming_observed_records(
-    warmup: RecordsRef<'_>,
-    measured: RecordsRef<'_>,
-    cache: &mut SetAssocCache,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
-    score: Option<&mut dyn ScoreSource>,
-    latency: &LatencyModel,
-    series_window: Option<u64>,
-    observer: &mut dyn ReplayObserver,
-) -> SimReport {
-    simulate_streaming_impl(
-        warmup,
-        measured,
-        cache,
-        admission,
-        eviction,
-        score,
-        latency,
-        series_window,
-        Some(observer),
-    )
-}
-
-/// The streaming loop behind every public entry point.
+/// The streaming loop behind every public entry point, over
+/// [`RecordsRef`] views: the loop is representation-agnostic, so the
+/// sharded engine's zero-copy indexed subtraces replay bit-identically to
+/// the equivalent copied slices.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_streaming_impl(
     warmup: RecordsRef<'_>,
@@ -250,7 +199,7 @@ pub(crate) fn simulate_streaming_impl(
         acct.record(seq, r, &outcome, score_val);
     }
 
-    acct.into_report(measured.len(), eviction, admission)
+    acct.into_report(measured.len(), eviction.name(), admission.name())
 }
 
 /// The canonical replay step — observe, score the miss synchronously,
@@ -337,20 +286,10 @@ impl<'a, 'o> Accounting<'a, 'o> {
         }
     }
 
-    /// Finalizes the run into a [`SimReport`].
+    /// Finalizes the run into a [`SimReport`]. The policies go by name:
+    /// in the sharded merge they were moved into the shard workers and
+    /// only their names travel back.
     pub(crate) fn into_report(
-        self,
-        measured_len: usize,
-        eviction: &dyn EvictionPolicy,
-        admission: &dyn AdmissionPolicy,
-    ) -> SimReport {
-        self.into_report_named(measured_len, eviction.name(), admission.name())
-    }
-
-    /// [`Accounting::into_report`] with the policy names passed directly —
-    /// for the sharded merge, where the policies themselves were moved
-    /// into the shard workers and only their names travel back.
-    pub(crate) fn into_report_named(
         self,
         measured_len: usize,
         eviction: &str,
@@ -528,7 +467,7 @@ mod tests {
             .collect();
         let mut c = small_cache();
         let mut lru = LruPolicy::new(8, 2);
-        let rep = simulate_with_warmup(
+        let rep = simulate_streaming_with_warmup(
             &hot,
             &measured,
             &mut c,

@@ -185,25 +185,6 @@ fn armed_shard_panics_recover_with_identical_accounting() {
     }
 }
 
-/// An eviction policy that panics on its first victim choice — in the
-/// worker *and* in the supervisor's re-replay.
-struct PoisonPolicy(LruPolicy);
-
-impl EvictionPolicy for PoisonPolicy {
-    fn name(&self) -> &str {
-        "poison"
-    }
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        self.0.on_hit(set, way, ctx);
-    }
-    fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        self.0.on_insert(set, way, ctx);
-    }
-    fn choose_victim(&mut self, _set: usize, _ways: usize, _ctx: &AccessCtx) -> usize {
-        panic!("poisoned victim choice");
-    }
-}
-
 /// Satellite: a panic the fault plan did *not* arm (a genuine policy bug
 /// that recurs on re-replay) surfaces as the typed
 /// [`ShardRunError::ShardFailed`] instead of aborting the process.
@@ -220,7 +201,7 @@ fn unrecoverable_worker_panics_surface_as_typed_errors() {
             cfg,
             &|_ctx| ShardPolicies {
                 admission: admission_for("always"),
-                eviction: Box::new(PoisonPolicy(LruPolicy::new(cfg.num_sets(), cfg.ways))),
+                eviction: eviction_for("poison", cfg, &[]),
                 score: None,
             },
             &lat,

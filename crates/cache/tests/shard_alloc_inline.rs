@@ -12,7 +12,7 @@
 mod support;
 
 use icgmm_cache::{
-    simulate_with_warmup, LatencyModel, SetAssocCache, ShardPolicies, ShardedSimulator,
+    simulate_streaming_with_warmup, LatencyModel, SetAssocCache, ShardPolicies, ShardedSimulator,
 };
 use icgmm_testutil::{admission_for, eviction_for, score_for, small_cfg};
 use icgmm_trace::TraceRecord;
@@ -40,7 +40,7 @@ fn one_shard_replay_allocates_nothing_per_record() {
             let mut adm = admission_for(admission);
             let mut ev = eviction_for(eviction, cfg, &[]);
             let mut sc = score_for(score);
-            simulate_with_warmup(
+            simulate_streaming_with_warmup(
                 warmup,
                 measured,
                 &mut cache,

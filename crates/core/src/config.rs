@@ -119,15 +119,6 @@ pub struct IcgmmConfig {
     /// percentiles); large depths amortize hand-off cost. Results are
     /// bit-identical at any value.
     pub serve_queue_depth: usize,
-    /// Depth of each serving shard worker's simulated backend-completion
-    /// queue ([`crate::Icgmm::serve`]): how many modeled SSD accesses may
-    /// be in flight before the next admission decision stalls on the
-    /// oldest completion (retired in sequence order). Depth 1 serializes
-    /// consecutive misses exactly like the inline latency charge; deeper
-    /// queues overlap decisions with in-flight modeled misses and report
-    /// the saving in the serve report's overlap telemetry. Results are
-    /// bit-identical at any value — the queue is pure telemetry.
-    pub serve_completion_depth: usize,
     /// Deterministic fault-injection plan spanning the whole replay stack:
     /// scorer faults (non-finite scores, engine outages), device faults
     /// (SSD failures, retries, tail-latency spikes on the modeled
@@ -161,7 +152,6 @@ impl Default for IcgmmConfig {
             sim_shards: 1,
             serve_clients: 1,
             serve_queue_depth: 256,
-            serve_completion_depth: 8,
             fault: FaultPlan::empty(),
             adapt: AdaptPlan::empty(),
         }
@@ -205,11 +195,6 @@ impl IcgmmConfig {
         }
         if self.serve_queue_depth == 0 {
             return Err(IcgmmError::Config("serve_queue_depth must be >= 1".into()));
-        }
-        if self.serve_completion_depth == 0 {
-            return Err(IcgmmError::Config(
-                "serve_completion_depth must be >= 1".into(),
-            ));
         }
         self.fault.validate().map_err(IcgmmError::Config)?;
         self.adapt.validate().map_err(IcgmmError::Config)?;
@@ -283,9 +268,6 @@ mod tests {
         c.serve_queue_depth = 0;
         assert!(c.validate().is_err());
         c = IcgmmConfig::default();
-        c.serve_completion_depth = 0;
-        assert!(c.validate().is_err());
-        c = IcgmmConfig::default();
         c.fault.scorer_nan_per_mille = 1001;
         assert!(c.validate().is_err());
         c = IcgmmConfig::default();
@@ -299,7 +281,6 @@ mod tests {
         let c = IcgmmConfig::default();
         assert_eq!(c.serve_clients, 1);
         assert_eq!(c.serve_queue_depth, 256);
-        assert_eq!(c.serve_completion_depth, 8);
         assert!(c.validate().is_ok());
     }
 

@@ -91,14 +91,6 @@ impl GmmPolicyEngine {
         self.scores_computed = 0;
     }
 
-    /// Copies the Algorithm 1 clock state (and last observation) from
-    /// another engine — used by adaptive retraining to swap in fresh model
-    /// parameters mid-run without disturbing the timestamp stream.
-    pub fn sync_clock_from(&mut self, other: &GmmPolicyEngine) {
-        self.transformer = other.transformer.clone();
-        self.current = other.current;
-    }
-
     /// Publishes a new scorer generation: replaces the mixture tables
     /// behind every subsequent score. The tables live in an
     /// `Arc<ScorerTables>` inside [`GmmScorer`], so this is a pointer

@@ -81,13 +81,7 @@ impl From<icgmm_serve::ServeError> for IcgmmError {
     fn from(e: icgmm_serve::ServeError) -> Self {
         match e {
             icgmm_serve::ServeError::Config(msg) => IcgmmError::Config(msg),
-            icgmm_serve::ServeError::TraceTooLong { records } => {
-                IcgmmError::TraceTooLong { records }
-            }
-            icgmm_serve::ServeError::ShardFailed { shard, message } => {
-                IcgmmError::ShardFailed { shard, message }
-            }
-            icgmm_serve::ServeError::Contract { message, .. } => IcgmmError::Config(message),
+            icgmm_serve::ServeError::Shard(e) => e.into(),
         }
     }
 }
@@ -143,7 +137,8 @@ mod tests {
         let e: IcgmmError = icgmm_cache::ShardRunError::TraceTooLong { records }.into();
         assert!(matches!(e, IcgmmError::TraceTooLong { records: r } if r == records));
         assert!(e.to_string().contains("trace too long"));
-        let e: IcgmmError = icgmm_serve::ServeError::TraceTooLong { records }.into();
+        let served = icgmm_cache::ShardRunError::TraceTooLong { records };
+        let e: IcgmmError = icgmm_serve::ServeError::Shard(served).into();
         assert!(matches!(e, IcgmmError::TraceTooLong { records: r } if r == records));
     }
 }

@@ -407,21 +407,7 @@ impl Icgmm {
     /// eviction draws victims from one global RNG stream, which
     /// set-partitioned replay cannot reproduce.
     pub fn run_sharded(&self, trace: &Trace, mode: PolicyMode) -> Result<RunReport, IcgmmError> {
-        self.run_sharded_with_latency(trace, mode, &self.cfg.latency)
-    }
-
-    /// [`Icgmm::run_sharded`] with an explicit latency model (SSD sweeps).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Icgmm::run_sharded`].
-    pub fn run_sharded_with_latency(
-        &self,
-        trace: &Trace,
-        mode: PolicyMode,
-        latency: &LatencyModel,
-    ) -> Result<RunReport, IcgmmError> {
-        self.replay(trace, mode, latency, self.cfg.sim_shards)
+        self.replay(trace, mode, &self.cfg.latency, self.cfg.sim_shards)
     }
 
     /// The offline replay: [`Icgmm::run`] at one shard, else `run_sharded`.
@@ -469,24 +455,12 @@ impl Icgmm {
     ///
     /// # Errors
     ///
-    /// As for [`Icgmm::run_sharded`] (including the `Random`-above-one-
-    /// shard rejection), plus [`IcgmmError::ShardFailed`] when a shard
-    /// worker dies *and* the supervisor's re-replay dies too.
+    /// As for [`Icgmm::run_sharded`] — serving runs on the same shard
+    /// lifecycle ([`icgmm_cache::ShardSupervisor`]), so the
+    /// `Random`-above-one-shard rejection, invalid geometry and
+    /// [`IcgmmError::ShardFailed`] (a worker dies *and* the supervisor's
+    /// re-replay dies too) are the same typed errors.
     pub fn serve(&self, trace: &Trace, mode: PolicyMode) -> Result<ServeReport, IcgmmError> {
-        self.serve_with_latency(trace, mode, &self.cfg.latency)
-    }
-
-    /// [`Icgmm::serve`] with an explicit latency model (SSD sweeps).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Icgmm::serve`].
-    pub fn serve_with_latency(
-        &self,
-        trace: &Trace,
-        mode: PolicyMode,
-        latency: &LatencyModel,
-    ) -> Result<ServeReport, IcgmmError> {
         let shards = self.cfg.sim_shards;
         let asm = self.assemble(trace, mode, shards, self.cfg.fault, self.cfg.adapt)?;
         let (warmup, measured) = asm.phases();
@@ -494,12 +468,12 @@ impl Icgmm {
             shards,
             clients: self.cfg.serve_clients,
             queue_depth: self.cfg.serve_queue_depth,
-            completion_depth: self.cfg.serve_completion_depth,
             fault: asm.fault,
             ..ServeConfig::default()
         })?;
         let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
-        let mut rep = server.serve(warmup, measured, self.cfg.cache, &make_shard, latency, None)?;
+        let (cache, latency) = (self.cfg.cache, &self.cfg.latency);
+        let mut rep = server.serve(warmup, measured, cache, &make_shard, latency, None)?;
         asm.finish(&mut rep.sim.fault, &mut rep.sim.adapt);
         Ok(rep)
     }

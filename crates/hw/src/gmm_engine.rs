@@ -12,8 +12,6 @@
 //! FIFO hand-off), which is the calibrated default here.
 
 use crate::clock::{ClockDomain, Cycles};
-use icgmm_gmm::fixed::FixedGmm;
-use icgmm_gmm::{Gmm, GmmError, Vec2};
 use serde::{Deserialize, Serialize};
 
 /// Timing parameters of the GMM processing element.
@@ -73,83 +71,9 @@ impl Default for GmmEngineModel {
     }
 }
 
-/// A functional + timed GMM engine: the fixed-point datapath plus the
-/// pipeline timing model.
-#[derive(Clone, Debug)]
-pub struct GmmEngine {
-    model: GmmEngineModel,
-    datapath: FixedGmm,
-    inferences: u64,
-}
-
-impl GmmEngine {
-    /// Quantizes `gmm` onto the fixed-point datapath with timing from
-    /// `model` (the model's `k` is overridden by the mixture's actual K).
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization failures from [`FixedGmm::from_gmm`].
-    pub fn new(gmm: &Gmm, mut model: GmmEngineModel) -> Result<Self, GmmError> {
-        model.k = gmm.k();
-        Ok(GmmEngine {
-            model,
-            datapath: FixedGmm::from_gmm(gmm)?,
-            inferences: 0,
-        })
-    }
-
-    /// Timing model.
-    pub fn model(&self) -> &GmmEngineModel {
-        &self.model
-    }
-
-    /// Scores a (already standardized) feature pair on the fixed-point
-    /// datapath, counting the inference.
-    pub fn score(&mut self, x: Vec2) -> f64 {
-        self.inferences += 1;
-        self.datapath.score(x)
-    }
-
-    /// Scores a window of feature pairs back-to-back, the way the real
-    /// pipeline ingests one Gaussian per cycle with II = 1 and overlaps
-    /// consecutive inferences: functionally bit-identical to calling
-    /// [`GmmEngine::score`] per point, and each point still counts as one
-    /// inference for busy-time accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `xs.len() != out.len()`.
-    pub fn score_batch(&mut self, xs: &[Vec2], out: &mut [f64]) {
-        self.inferences += xs.len() as u64;
-        self.datapath.score_batch(xs, out);
-    }
-
-    /// Busy time of a back-to-back window, µs: the pipeline fills once and
-    /// then retires one inference every `II · K` cycles, so a batch costs
-    /// `depth + n · II · K` cycles rather than `n` full latencies.
-    pub fn batch_busy_us(&self, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let cycles = self.model.pipeline_depth + n as u64 * self.model.ii * self.model.k as u64;
-        self.model.clock.cycles_to_us(Cycles(cycles))
-    }
-
-    /// Number of inferences performed.
-    pub fn inferences(&self) -> u64 {
-        self.inferences
-    }
-
-    /// Total busy time implied by the inference count, µs.
-    pub fn busy_us(&self) -> f64 {
-        self.inferences as f64 * self.model.latency_us()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icgmm_gmm::{Gaussian2, Mat2};
 
     #[test]
     fn paper_latency_is_three_us() {
@@ -177,48 +101,5 @@ mod tests {
         let m = GmmEngineModel::paper_k256();
         // One inference every 256 cycles at 233 MHz ≈ 910 k inferences/s.
         assert!((m.throughput_per_sec() - 233e6 / 256.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn batch_scoring_matches_scalar_and_counts_inferences() {
-        let gmm = Gmm::new(
-            vec![0.5, 0.5],
-            vec![
-                Gaussian2::new([-1.0, 0.0], Mat2::scaled_identity(0.5)).unwrap(),
-                Gaussian2::new([1.5, 0.5], Mat2::scaled_identity(0.8)).unwrap(),
-            ],
-        )
-        .unwrap();
-        let mut scalar = GmmEngine::new(&gmm, GmmEngineModel::paper_k256()).unwrap();
-        let mut batched = GmmEngine::new(&gmm, GmmEngineModel::paper_k256()).unwrap();
-        let xs: Vec<[f64; 2]> = (0..40).map(|i| [i as f64 * 0.2 - 4.0, 0.3]).collect();
-        let mut out = vec![0.0; xs.len()];
-        batched.score_batch(&xs, &mut out);
-        for (x, o) in xs.iter().zip(&out) {
-            assert_eq!(o.to_bits(), scalar.score(*x).to_bits());
-        }
-        assert_eq!(batched.inferences(), xs.len() as u64);
-        // Pipelining: a back-to-back window is far cheaper than n full
-        // latencies, but never cheaper than n initiation intervals.
-        let overlapped = batched.batch_busy_us(xs.len());
-        assert!(overlapped < batched.busy_us());
-        assert!(overlapped > 0.0);
-        assert_eq!(batched.batch_busy_us(0), 0.0);
-    }
-
-    #[test]
-    fn engine_counts_and_scores() {
-        let gmm = Gmm::new(
-            vec![1.0],
-            vec![Gaussian2::new([0.0, 0.0], Mat2::scaled_identity(1.0)).unwrap()],
-        )
-        .unwrap();
-        let mut e = GmmEngine::new(&gmm, GmmEngineModel::paper_k256()).unwrap();
-        assert_eq!(e.model().k, 1);
-        let near = e.score([0.0, 0.0]);
-        let far = e.score([5.0, 5.0]);
-        assert!(near > far);
-        assert_eq!(e.inferences(), 2);
-        assert!(e.busy_us() > 0.0);
     }
 }

@@ -1,11 +1,11 @@
 //! # icgmm-hw
 //!
 //! Cycle-approximate hardware model of the ICGMM FPGA prototype (DAC
-//! 2024, Fig. 5): the dataflow architecture of free-running kernels
-//! connected by bounded FIFOs, the pipelined GMM policy engine, the cache
-//! control engine with parallel tag compare, the SSD access-latency
-//! emulator, and an FPGA resource model calibrated against the paper's
-//! Table 2.
+//! 2024, Fig. 5): the timing of its dataflow architecture (the trace FIFO
+//! as a finish-time ring, see the `system` module), the pipelined GMM
+//! policy engine, the cache control engine with parallel tag compare, the
+//! SSD access-latency emulator, and an FPGA resource model calibrated
+//! against the paper's Table 2.
 //!
 //! The paper's latency numbers come from an emulator *inside* the FPGA
 //! (§4.2); this crate reproduces the same measurement methodology in
@@ -43,18 +43,14 @@
 
 mod cache_engine;
 mod clock;
-mod fifo;
 mod gmm_engine;
-mod kernel;
 mod resources;
 mod ssd;
 mod system;
 
 pub use cache_engine::CacheEngineModel;
 pub use clock::{ClockDomain, Cycles};
-pub use fifo::{BoundedFifo, FifoStats};
-pub use gmm_engine::{GmmEngine, GmmEngineModel};
-pub use kernel::{run_until_done, Kernel, KernelStats};
+pub use gmm_engine::GmmEngineModel;
 pub use resources::{table2, GmmResourceModel, ResourceEstimate};
 pub use ssd::{SsdEmulator, SsdProfile, SsdStats};
 pub use system::{run_dataflow, run_dataflow_with_warmup, DataflowConfig, DataflowReport};

@@ -287,7 +287,7 @@ pub fn run_dataflow(
 /// [`run_dataflow`] preceded by an untimed warm-up phase: the cache, the
 /// policies and the score source see `warmup` (state effects only); timing
 /// and statistics cover `measured` (mirrors the analytic simulator's
-/// `simulate_with_warmup`). The streaming functional loop (one synchronous
+/// `simulate_streaming_with_warmup`). The streaming functional loop (one synchronous
 /// score per miss) drives the per-miss timing model.
 ///
 /// # Errors

@@ -6,7 +6,7 @@
 //! the whole `DataflowReport`, every timing field included, reproduces
 //! bit for bit.
 
-use icgmm_cache::{simulate_with_warmup, LatencyModel, ScoreSource, SetAssocCache};
+use icgmm_cache::{simulate_streaming_with_warmup, LatencyModel, ScoreSource, SetAssocCache};
 use icgmm_hw::{run_dataflow_with_warmup, DataflowConfig, DataflowReport};
 use icgmm_testutil::{
     admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, EVICTIONS, SCORES,
@@ -68,7 +68,7 @@ proptest! {
                     let mut ev = eviction_for(eviction, cfg, &trace);
                     let mut ad = admission_for(admission);
                     let mut sc = score_for(score);
-                    let analytic = simulate_with_warmup(
+                    let analytic = simulate_streaming_with_warmup(
                         warm,
                         meas,
                         &mut cache,

@@ -1,8 +1,10 @@
-//! Serving configuration and error types.
+//! Serving configuration and error types. The error type adds only the
+//! serving configuration's own refusals; everything a shard can fail with
+//! is the offline engine's [`ShardRunError`], passed through.
 
 use std::fmt;
 
-use icgmm_cache::FaultPlan;
+use icgmm_cache::{FaultPlan, ShardRunError};
 use serde::{Deserialize, Serialize};
 
 /// What a client does when its shard's ingestion queue is full.
@@ -48,16 +50,6 @@ pub struct ServeConfig {
     /// equals an offline replay of the truncated trace. `None` serves
     /// everything.
     pub stop_after: Option<u64>,
-    /// Depth of each worker's simulated backend-completion queue, `>= 1`:
-    /// how many modeled SSD accesses may be in flight before the next
-    /// admission decision stalls on the oldest completion. Depth 1
-    /// serializes consecutive misses exactly like the inline charge (the
-    /// PR 7 behavior — only hit decisions can hide under the lone
-    /// in-flight op); deeper queues overlap admission decisions with
-    /// in-flight modeled misses and report the saving in
-    /// [`crate::OverlapStats`]. Pure telemetry — replay outcomes never
-    /// depend on it.
-    pub completion_depth: usize,
 }
 
 impl Default for ServeConfig {
@@ -69,7 +61,6 @@ impl Default for ServeConfig {
             submit: SubmitMode::Block,
             fault: FaultPlan::default(),
             stop_after: None,
-            completion_depth: 8,
         }
     }
 }
@@ -86,9 +77,6 @@ impl ServeConfig {
         if self.queue_depth == 0 {
             return Err(ServeError::Config("queue depth must be >= 1".into()));
         }
-        if self.completion_depth == 0 {
-            return Err(ServeError::Config("completion depth must be >= 1".into()));
-        }
         self.fault.validate().map_err(ServeError::Config)?;
         Ok(())
     }
@@ -97,49 +85,29 @@ impl ServeConfig {
 /// Serving failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// Invalid [`ServeConfig`] or cache geometry.
+    /// Invalid [`ServeConfig`].
     Config(String),
-    /// The trace does not fit the shard fan-out's `u32` position index
-    /// (mirrors [`icgmm_cache::ShardRunError::TraceTooLong`]).
-    TraceTooLong {
-        /// Total records (warm-up + measured) the caller presented.
-        records: usize,
-    },
-    /// A shard worker died *and* the supervisor's offline re-replay of
-    /// its subtrace died too — the one non-recoverable fault class (a
+    /// The shard lifecycle failed, exactly as it can offline — the
+    /// serving front-end runs on [`icgmm_cache::ShardSupervisor`] and
+    /// passes its errors through: invalid cache geometry, a trace too long
+    /// for the `u32` position index, a shard-contract refusal, or a shard
+    /// whose worker died *and* whose supervisor re-replay died too (a
     /// lone worker panic is recovered transparently).
-    ShardFailed {
-        /// Index of the failed shard.
-        shard: usize,
-        /// Panic payload description.
-        message: String,
-    },
-    /// The policies `make_shard` built cannot reproduce the
-    /// single-threaded replay above one shard (mirrors
-    /// [`icgmm_cache::ShardRunError::Contract`]).
-    Contract {
-        /// Index of the refused shard.
-        shard: usize,
-        /// The refusal, naming the offending policy or score source.
-        message: String,
-    },
+    Shard(ShardRunError),
 }
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Config(msg) => write!(f, "invalid serve configuration: {msg}"),
-            ServeError::TraceTooLong { records } => write!(
-                f,
-                "trace too long for u32 index-based fan-out ({records} records)"
-            ),
-            ServeError::ShardFailed { shard, message } => {
-                write!(f, "shard {shard} failed beyond recovery: {message}")
-            }
-            ServeError::Contract { shard, message } => {
-                write!(f, "shard {shard} refused: {message}")
-            }
+            ServeError::Shard(e) => e.fmt(f),
         }
+    }
+}
+
+impl From<ShardRunError> for ServeError {
+    fn from(e: ShardRunError) -> Self {
+        ServeError::Shard(e)
     }
 }
 
@@ -169,10 +137,6 @@ mod tests {
                 queue_depth: 0,
                 ..ServeConfig::default()
             },
-            ServeConfig {
-                completion_depth: 0,
-                ..ServeConfig::default()
-            },
         ] {
             assert!(matches!(cfg.validate(), Err(ServeError::Config(_))));
         }
@@ -180,11 +144,9 @@ mod tests {
 
     #[test]
     fn errors_display_their_context() {
-        let e = ServeError::ShardFailed {
-            shard: 3,
-            message: "boom".into(),
-        };
-        assert!(e.to_string().contains("shard 3"));
+        // A shard-lifecycle error displays as the offline engine's own.
+        let e = ServeError::from(ShardRunError::ZeroShards);
+        assert_eq!(e.to_string(), ShardRunError::ZeroShards.to_string());
         assert!(ServeError::Config("x".into())
             .to_string()
             .contains("invalid"));

@@ -18,10 +18,13 @@
 //! measure: explicit backpressure (bounded queues; blocking or
 //! shed-counting submission, [`SubmitMode`]), graceful shutdown
 //! ([`ServeConfig::stop_after`] — drain and join, report equal to the
-//! truncated offline replay), transparent worker-death recovery (the
-//! supervisor re-replays a dead shard's subtrace offline), and a timing
-//! surface: requests/sec at saturation plus log-bucketed p50/p99
-//! admission-decision latencies ([`ServeReport`]).
+//! truncated offline replay) and a timing surface: requests/sec at
+//! saturation plus log-bucketed p50/p99 admission-decision latencies
+//! ([`ServeReport`]). What happens *to a shard* — its policies, the shard
+//! contract, armed panic points, the recovery of a dead worker by offline
+//! re-replay — is not this crate's: it is [`icgmm_cache::ShardSupervisor`],
+//! the offline engine's own lifecycle, and its errors pass through as
+//! [`ServeError::Shard`].
 //!
 //! ## Example
 //!

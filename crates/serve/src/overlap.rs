@@ -20,7 +20,8 @@
 //!   lands `backend_us` after the issue point (at the decision's start
 //!   when [`LatencyModel::overlap_policy_with_ssd`] holds, after it
 //!   otherwise);
-//! * at most `depth` backend operations may be in flight; issuing into a
+//! * at most `depth` backend operations may be in flight (a served
+//!   worker's queue is always `COMPLETION_DEPTH` = 8 deep); issuing into a
 //!   full queue first **retires the oldest completion in sequence-number
 //!   order** (completions re-join the decided stream by `seq`, never out
 //!   of order) and stalls the decision clock until that slot frees;
@@ -52,7 +53,7 @@ pub struct OverlapStats {
     /// queue — one per measured miss, inserted or bypassed.
     pub backend_completions: u64,
     /// High-water mark of in-flight modeled completions (max across
-    /// workers; bounded by the configured completion depth).
+    /// workers; bounded by the fixed completion depth, 8).
     pub backend_inflight_peak: u64,
     /// Modeled time the run would cost charging each miss inline, µs
     /// (summed across workers — per-worker timelines, not wall-clock).
@@ -103,6 +104,11 @@ fn service_split(lat: &LatencyModel, op: Op, outcome: &AccessOutcome) -> (f64, f
         }
     }
 }
+
+/// Depth of every serving worker's [`CompletionQueue`]: modeled SSD
+/// accesses in flight before the next decision stalls on the oldest. A
+/// constant — only tests ever ran another value; the queue is telemetry.
+pub(crate) const COMPLETION_DEPTH: usize = 8;
 
 /// One shard worker's simulated completion queue (see the module docs).
 #[derive(Clone, Debug)]

@@ -20,6 +20,9 @@
 //! latency, shed counts) — never *results*. The equivalence suite pits
 //! every served report against [`icgmm_cache::ShardedSimulator::run`] to hold the
 //! line.
+//! This module owns transport, the live worker loop, the live merge walk
+//! and timing; the life of a shard around them (policies, contract, armed
+//! panic point, recovery) is the offline engine's [`ShardSupervisor`].
 //!
 //! # Deadlock freedom with bounded queues everywhere
 //!
@@ -57,11 +60,11 @@
 //! ([`RecState::flush`]).
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 
-use crossbeam::channel::{bounded_with_spin, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::thread::ScopedJoinHandle;
 
 /// Transport batching factor: up to this many records ride one channel
 /// message, on both the ingestion and the outcome path. A bounded-queue
@@ -72,30 +75,21 @@ use crossbeam::channel::{bounded_with_spin, Receiver, Sender, TrySendError};
 /// per-shard batch size is `min(SUBMIT_BATCH, queue_depth)` and the slot
 /// count `queue_depth / batch`, so a queue never holds more records than
 /// configured (`queue_depth: 1` degenerates to per-record hand-off,
-/// which the backpressure tests rely on).
+/// which the backpressure tests rely on). Measured on `serving` (ISSUE
+/// 17): a batch of 1 costs 1.3–2.1× the session time at every geometry.
 const SUBMIT_BATCH: usize = 64;
 
-/// Spin budget of the serving transport's channels (a shim extension —
-/// see `bounded_with_spin`). Every message carries up to
-/// [`SUBMIT_BATCH`] records, so a park/wake round-trip is amortised to
-/// noise — while the generous spin default, tuned for the sharded
-/// replay engine's per-record hand-off, actively hurts here: on
-/// few-core hosts several idle workers yielding in lock-step starve
-/// the one runnable client between batches.
-const CHANNEL_SPIN: usize = 16;
-
 use icgmm_cache::{
-    shard_contract, shard_gap_before, simulate_streaming_observed_records, streaming_step,
-    CacheConfig, FaultStats, GapScore, LatencyModel, RecordsRef, ReplayEvent, ReplayObserver,
-    ScoreSource, SeqOutcome, SetAssocCache, ShardCtx, ShardPartition, ShardPolicies, SimReport,
-    StreamingMerge,
+    shard_gap_before, streaming_step, CacheConfig, FaultStats, LatencyModel, OutcomeStream,
+    ScoreSource, SeqOutcome, SetAssocCache, ShardCtx, ShardPartition, ShardPolicies, ShardRunError,
+    ShardSupervisor, SimReport, StreamingMerge,
 };
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{ServeConfig, ServeError, SubmitMode};
 use crate::hist::LatencyHistogram;
-use crate::overlap::{CompletionQueue, OverlapStats};
+use crate::overlap::{CompletionQueue, OverlapStats, COMPLETION_DEPTH};
 
 /// One request in flight from a client to its shard worker.
 #[derive(Clone, Copy)]
@@ -114,15 +108,16 @@ struct IngestMsg {
     t_submit: Instant,
 }
 
-/// What a shard worker hands back at join time.
+/// What a shard worker hands back at join time — and, summed over the
+/// shards, what the session reports.
+#[derive(Default)]
 struct WorkerDone {
     hist: LatencyHistogram,
     scored: u64,
     overlap: OverlapStats,
-    /// Policy names for the merged report (policies are built worker-side
-    /// now, so the names travel back with the results).
-    ev_name: String,
-    adm_name: String,
+    /// Eviction and admission policy names for the merged report
+    /// (policies are built worker-side, so the names travel back).
+    names: Option<(String, String)>,
 }
 
 /// The serving front-end. Construction validates the configuration;
@@ -193,18 +188,20 @@ impl CacheServer {
     /// Serves `warmup` + `measured` to completion and returns the merged
     /// report. `make_shard` is called once per shard *on that shard's
     /// worker thread* (hence `Fn + Sync`), exactly as in
-    /// [`icgmm_cache::ShardedSimulator::run`]; the same shard-determinism
-    /// contracts are checked above one shard. A lost or duplicated
-    /// outcome trips the merge's ordering assertion — a service bug, not
-    /// an input error.
+    /// [`icgmm_cache::ShardedSimulator::run`] — through the same
+    /// [`ShardSupervisor`], so the same shard-determinism contracts are
+    /// checked above one shard and a dead worker is recovered the same
+    /// way. A lost or duplicated outcome trips the merge's ordering
+    /// assertion — a service bug, not an input error.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Config`] for invalid cache geometry;
-    /// [`ServeError::Contract`] when running more than one shard with a
+    /// [`ServeError::Shard`] with the offline engine's own
+    /// [`ShardRunError`]: `Config` for invalid cache geometry,
+    /// `TraceTooLong`, `Contract` when running more than one shard with a
     /// non-shard-deterministic eviction policy or a non-shardable score
-    /// source; [`ServeError::ShardFailed`] when a worker dies and the
-    /// supervisor's offline re-replay of its subtrace dies too.
+    /// source, `ShardFailed` when a worker dies and the supervisor's
+    /// offline re-replay of its subtrace dies too.
     pub fn serve(
         &self,
         warmup: &[TraceRecord],
@@ -214,12 +211,8 @@ impl CacheServer {
         latency: &LatencyModel,
         series_window: Option<u64>,
     ) -> Result<ServeReport, ServeError> {
-        cache_cfg
-            .validate()
-            .map_err(|e| ServeError::Config(e.to_string()))?;
         let s = self.cfg.shards;
         let clients = self.cfg.clients.min(s);
-        let plan = self.cfg.fault;
 
         // Graceful shutdown = stop accepting: truncate at the cutoff and
         // serve the prefix to completion. Drain-and-join then happens
@@ -235,25 +228,20 @@ impl CacheServer {
         let n = warmup.len() + measured.len();
 
         // Zero-copy fan-out — the identical [`ShardPartition`] the
-        // offline sharded replay builds: per-shard ascending `u32`
-        // position lists (~4 B/record of routing), no per-shard record
-        // copies, no stored gap or seq vectors. Clients walk the
-        // partition directly (k-way merge over their owned shards'
-        // lists), workers replay indexed views over the caller's slices,
-        // and the merger recomputes each record's owner on the fly.
-        let part = ShardPartition::build(s, &cache_cfg, warmup, measured).map_err(|e| match e {
-            icgmm_cache::ShardRunError::TraceTooLong { records } => {
-                ServeError::TraceTooLong { records }
-            }
-            other => ServeError::Config(other.to_string()),
-        })?;
-
-        // Per-shard policies are built *inside* each worker (parallel
-        // construction, shared verbatim with the offline engine — same
-        // `shard_contract` refusals).
-        let panic_at: Vec<Option<u64>> = (0..s)
-            .map(|shard| plan.shard_panic_point(shard, part.positions(shard).len()))
-            .collect();
+        // offline sharded replay builds (it validates the geometry):
+        // per-shard ascending `u32` position lists (~4 B/record of
+        // routing), no per-shard record copies, no stored gap or seq
+        // vectors. Clients walk the partition directly (k-way merge over
+        // their owned shards' lists), workers are handed policies built
+        // over indexed views of the caller's slices, and the merger
+        // recomputes each record's owner on the fly.
+        let part = &ShardPartition::build(s, &cache_cfg, warmup, measured)?;
+        // The shard lifecycle is the offline engine's: policies built
+        // *inside* each worker and checked against the shard contract,
+        // the fault plan's panic points, and the recovery of a dead shard.
+        let plan = self.cfg.fault;
+        let sup =
+            &ShardSupervisor::new(cache_cfg, latency, make_shard, plan, part, warmup, measured);
 
         // Channels: one bounded ingestion queue and one bounded outcome
         // queue per shard, carrying batches of up to `batch` records per
@@ -271,18 +259,16 @@ impl CacheServer {
             .map(|_| (0..s).map(|_| None).collect())
             .collect();
         for shard in 0..s {
-            let (itx, irx) = bounded_with_spin::<Vec<IngestMsg>>(slots, CHANNEL_SPIN);
-            let (otx, orx) = bounded_with_spin::<Vec<SeqOutcome>>(slots, CHANNEL_SPIN);
+            let (itx, irx) = bounded::<Vec<IngestMsg>>(slots);
+            let (otx, orx) = bounded::<Vec<SeqOutcome>>(slots);
             client_senders[shard % clients][shard] = Some(itx);
             ingest_rx.push(Some(irx));
             out_tx.push(Some(otx));
             out_rx.push(orx);
         }
 
-        let lat = *latency;
         let shed = self.cfg.submit == SubmitMode::Shed;
         let warmup_len = warmup.len() as u64;
-        let comp_depth = self.cfg.completion_depth;
         // Advisory in-flight record count per ingestion queue (adds by
         // the owning client after a successful send, subs by the worker
         // after a receive): record-granular observed occupancy for shed
@@ -291,46 +277,34 @@ impl CacheServer {
         // drain a message before its sender's add lands.
         let inflight: Vec<AtomicI64> = (0..s).map(|_| AtomicI64::new(0)).collect();
 
-        let mut fault = FaultStats::default();
-        // Outcomes recovered by the supervisor for dead shards, minus the
-        // prefix the worker already delivered; and each recovered shard's
-        // full scored count (replacing the dead worker's partial one).
-        let mut replacement: Vec<VecDeque<SeqOutcome>> = (0..s).map(|_| VecDeque::new()).collect();
-        let mut recovered_scored: Vec<Option<u64>> = vec![None; s];
+        let (mut total, mut fault) = (WorkerDone::default(), FaultStats::default());
+        // Outcomes merged per shard so far: all of them came from the
+        // live worker until it died, so this is also the prefix a
+        // recovery may skip.
         let mut delivered: Vec<usize> = vec![0; s];
         // Outcome batches received from live workers, not yet merged.
         let mut pending: Vec<VecDeque<SeqOutcome>> = (0..s).map(|_| VecDeque::new()).collect();
 
         let start = Instant::now();
-        let part_ref = &part;
         let served = crossbeam::thread::scope(|scope| {
-            let worker_handles: Vec<_> = (0..s)
+            let mut workers: Vec<Option<ScopedJoinHandle<'_, _>>> = (0..s)
                 .map(|shard| {
                     let rx = ingest_rx[shard].take().expect("one worker per shard");
                     let tx = out_tx[shard].take().expect("one worker per shard");
-                    let at = panic_at[shard];
                     let infl = &inflight[shard];
-                    scope.spawn(move |_| {
+                    Some(scope.spawn(move |_| {
                         // Worker-side policy construction: Belady oracle
                         // builds and scorer clones run in parallel across
-                        // shards, off the calling thread.
-                        let (warm, meas) = part_ref.views(shard, warmup, measured);
-                        let ctx = ShardCtx {
-                            shard,
-                            shards: s,
-                            warmup: warm,
-                            measured: meas,
-                        };
-                        let pol = make_shard(&ctx);
-                        // A refused worker returns before touching its
-                        // queues; the dropped channel ends wake the
-                        // merger, which fails the session.
-                        shard_contract(s, &pol)
-                            .map_err(|message| ServeError::Contract { shard, message })?;
+                        // shards, off the calling thread. A refused
+                        // worker returns before touching its queues; the
+                        // dropped channel ends wake the merger, which
+                        // fails the session.
+                        let pol = sup.policies(shard)?;
+                        let at = sup.panic_point(shard);
                         Ok(run_worker(
-                            rx, tx, pol, cache_cfg, lat, at, warmup_len, batch, infl, comp_depth,
+                            rx, tx, pol, cache_cfg, *latency, at, warmup_len, batch, infl,
                         ))
-                    })
+                    }))
                 })
                 .collect();
             let infl_all: &[AtomicI64] = &inflight;
@@ -340,7 +314,7 @@ impl CacheServer {
                 .map(|(client, senders)| {
                     scope.spawn(move |_| {
                         run_client(
-                            part_ref, client, clients, warmup, measured, senders, shed, batch,
+                            part, client, clients, warmup, measured, senders, shed, batch,
                             infl_all, depth,
                         )
                     })
@@ -350,86 +324,47 @@ impl CacheServer {
             // The merger runs here, on the calling thread: pull each
             // global position's outcome from its owning shard and
             // re-account it immediately — O(shards) live outcomes.
-            let mut merge = StreamingMerge::new(warmup.len(), &lat, series_window);
-            let mut merge_err: Option<ServeError> = None;
-            let mut recovered_names: Option<(String, String)> = None;
-            'merge: for r in warmup.iter().chain(measured) {
-                let shard = cache_cfg.set_of(r.page()) % s;
-                let out = loop {
-                    if let Some(o) = replacement[shard].pop_front() {
-                        break o;
-                    }
-                    if let Some(o) = pending[shard].pop_front() {
-                        break o;
-                    }
-                    match out_rx[shard].recv() {
-                        Ok(outs) => pending[shard].extend(outs),
-                        Err(_) => {
-                            // The worker died before delivering this
-                            // outcome. Graceful degradation, exactly as
-                            // offline: re-replay the shard's subtrace on
-                            // this thread (panic point disarmed, fresh
-                            // policies) and keep serving from the
-                            // replayed outcomes past the delivered
-                            // prefix.
-                            fault.shard_panics += 1;
-                            let (warm, meas) = part_ref.views(shard, warmup, measured);
-                            let ctx = ShardCtx {
-                                shard,
-                                shards: s,
-                                warmup: warm,
-                                measured: meas,
-                            };
-                            let pol = make_shard(&ctx);
-                            // A refused worker looks dead from here; the
-                            // refusal reproduces deterministically.
-                            if let Err(message) = shard_contract(s, &pol) {
-                                merge_err = Some(ServeError::Contract { shard, message });
-                                break 'merge;
-                            }
-                            recovered_names.get_or_insert_with(|| {
-                                (
-                                    pol.eviction.name().to_string(),
-                                    pol.admission.name().to_string(),
-                                )
-                            });
-                            let replay = catch_unwind(AssertUnwindSafe(|| {
-                                replay_shard_offline(
-                                    warm,
-                                    meas,
-                                    part_ref.positions(shard),
-                                    cache_cfg,
-                                    &lat,
-                                    pol,
-                                )
-                            }));
-                            match replay {
-                                Ok((outs, scored)) => {
-                                    fault.shard_recoveries += 1;
-                                    recovered_scored[shard] = Some(scored);
-                                    replacement[shard] =
-                                        outs.into_iter().skip(delivered[shard]).collect();
-                                    break replacement[shard]
-                                        .pop_front()
-                                        .expect("re-replay covers every undelivered record");
-                                }
-                                Err(p) => {
-                                    merge_err = Some(ServeError::ShardFailed {
-                                        shard,
-                                        message: format!(
-                                            "worker died; supervisor re-replay panicked too ({})",
-                                            panic_payload(p)
-                                        ),
-                                    });
-                                    break 'merge;
-                                }
+            let mut merge = StreamingMerge::new(warmup.len(), latency, series_window);
+            // Re-replayed outcome streams of shards whose worker died.
+            let mut recovered: Vec<Option<Box<dyn OutcomeStream + '_>>> =
+                (0..s).map(|_| None).collect();
+            let mut walk = || -> Result<(), ShardRunError> {
+                for r in warmup.iter().chain(measured) {
+                    let shard = cache_cfg.set_of(r.page()) % s;
+                    let out = loop {
+                        if let Some(o) = pending[shard].pop_front() {
+                            break o;
+                        }
+                        if let Some(stream) = recovered[shard].as_mut() {
+                            break stream
+                                .next_outcome()
+                                .expect("re-replay covers every undelivered record");
+                        }
+                        match out_rx[shard].recv() {
+                            Ok(outs) => pending[shard].extend(outs),
+                            Err(_) => {
+                                // The worker is gone with this outcome
+                                // undelivered. Graceful degradation,
+                                // exactly as offline: the supervisor
+                                // re-replays the shard and serving goes on
+                                // from its outcomes past the delivered
+                                // prefix.
+                                let worker = workers[shard].take().expect("a worker dies once");
+                                let done = delivered[shard];
+                                let stream =
+                                    settle(sup, shard, worker, done, &mut total, &mut fault)?;
+                                recovered[shard] = Some(stream.expect(
+                                    "a live worker exits only once every outcome is delivered",
+                                ));
                             }
                         }
-                    }
-                };
-                delivered[shard] += 1;
-                merge.push(&out);
-            }
+                    };
+                    delivered[shard] += 1;
+                    merge.push(&out);
+                }
+                Ok(())
+            };
+            let mut failed = walk().err();
             let wall = start.elapsed();
 
             // Unblock any worker still parked on a full outcome queue
@@ -440,46 +375,31 @@ impl CacheServer {
             for h in client_handles {
                 sheds += h.join().expect("clients never panic");
             }
-            let mut hist = LatencyHistogram::new();
-            let mut overlap = OverlapStats::default();
-            let mut scores_consumed = 0u64;
-            let mut names = recovered_names;
-            for (shard, h) in worker_handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(Err(refused)) => {
-                        merge_err.get_or_insert(refused);
-                    }
-                    Ok(Ok(done)) => {
-                        hist.merge(&done.hist);
-                        overlap.merge(&done.overlap);
-                        scores_consumed += done.scored;
-                        names.get_or_insert((done.ev_name, done.adm_name));
-                    }
-                    Err(payload) => match recovered_scored[shard] {
-                        // Recovered: the offline re-replay's scored count
-                        // stands in for the dead worker's partial one.
-                        Some(scored) => scores_consumed += scored,
-                        None => {
-                            if merge_err.is_none() {
-                                merge_err = Some(ServeError::ShardFailed {
-                                    shard,
-                                    message: panic_payload(payload),
-                                });
-                            }
-                        }
-                    },
+            for (shard, worker) in workers.into_iter().enumerate() {
+                let Some(worker) = worker else { continue };
+                if failed.is_some() {
+                    // The session already failed: join, recover nothing.
+                    let _ = worker.join();
+                } else {
+                    let done = delivered[shard];
+                    failed = settle(sup, shard, worker, done, &mut total, &mut fault).err();
                 }
             }
-            if let Some(e) = merge_err {
+            if let Some(e) = failed {
                 return Err(e);
             }
-            let (ev_name, adm_name) = names
-                .expect("every served run joins a live worker or recovers one supervisor-side");
-            let sim = merge.finish(measured.len(), &ev_name, &adm_name);
-            Ok((sim, scores_consumed, sheds, hist, wall, overlap))
+            let (ev_name, adm_name) = total
+                .names
+                .take()
+                .expect("every shard's worker was joined or recovered");
+            Ok((
+                merge.finish(measured.len(), &ev_name, &adm_name),
+                sheds,
+                wall,
+            ))
         })
         .expect("serve scope joins every handle");
-        let (mut sim, scores_consumed, sheds, hist, wall, overlap) = served?;
+        let (mut sim, sheds, wall) = served?;
         sim.fault = fault;
 
         let wall_us = wall.as_secs_f64() * 1e6;
@@ -490,18 +410,51 @@ impl CacheServer {
         };
         Ok(ServeReport {
             sim,
-            scores_consumed,
+            scores_consumed: total.scored,
             requests: n as u64,
             sheds,
             shards: s,
             clients,
             wall_us,
             requests_per_sec,
-            admission_p50_us: hist.quantile_us(0.50),
-            admission_p99_us: hist.quantile_us(0.99),
-            overlap,
+            admission_p50_us: total.hist.quantile_us(0.50),
+            admission_p99_us: total.hist.quantile_us(0.99),
+            overlap: total.overlap,
         })
     }
+}
+
+/// Joins shard `shard`'s worker and adds what it leaves behind to `total`.
+/// A dead one is recovered by the supervisor: the re-replay's scored count
+/// stands in for the worker's partial one (its timing telemetry died with
+/// it) and the outcomes past the `delivered` prefix are returned for the
+/// merger.
+fn settle<'a>(
+    sup: &ShardSupervisor<'a>,
+    shard: usize,
+    worker: ScopedJoinHandle<'_, Result<WorkerDone, ShardRunError>>,
+    delivered: usize,
+    total: &mut WorkerDone,
+    fault: &mut FaultStats,
+) -> Result<Option<Box<dyn OutcomeStream + 'a>>, ShardRunError> {
+    let (done, stream) = match worker.join() {
+        Ok(done) => (done?, None),
+        Err(payload) => {
+            let (stream, scored, report) = sup.recover(shard, payload, delivered, fault)?;
+            let names = Some((report.eviction, report.admission));
+            let done = WorkerDone {
+                scored,
+                names,
+                ..WorkerDone::default()
+            };
+            (done, Some(Box::new(stream) as Box<dyn OutcomeStream + 'a>))
+        }
+    };
+    total.hist.merge(&done.hist);
+    total.overlap.merge(&done.overlap);
+    total.scored += done.scored;
+    total.names = total.names.take().or(done.names);
+    Ok(stream)
 }
 
 /// One client thread: submit the owned shards' requests in ascending
@@ -734,20 +687,14 @@ struct RecState {
 }
 
 impl RecState {
-    /// Publishes one decided record: panic-point check first (mirroring
-    /// the offline `OutcomeRecorder` — the scorer has observed the record
-    /// but no outcome escapes), then histogram + outcome buffering. An
-    /// armed panic drops the buffer with the worker — exactly the "died
-    /// before delivering" prefix the supervisor's re-replay covers.
+    /// Publishes one decided record: panic-point check first (the same
+    /// one, at the same point, as the offline replay's recorder — the
+    /// scorer has observed the record but no outcome escapes), then
+    /// histogram + outcome buffering. An armed panic drops the buffer with
+    /// the worker — exactly the "died before delivering" prefix the
+    /// supervisor's re-replay covers.
     fn publish(&mut self, msg: &IngestMsg, outcome: icgmm_cache::AccessOutcome, scored: bool) {
-        if self.panic_at == Some(self.seen) {
-            // resume_unwind skips the panic hook: an armed panic is an
-            // expected, supervisor-recovered event, not stderr noise.
-            resume_unwind(Box::new(format!(
-                "fault-plan armed panic at shard-local record {}",
-                self.seen
-            )));
-        }
+        ShardSupervisor::die_if_armed(self.panic_at, self.seen);
         self.seen += 1;
         self.scored += u64::from(scored);
         if msg.seq >= self.warmup_len {
@@ -805,11 +752,9 @@ fn run_worker(
     warmup_len: u64,
     batch: usize,
     inflight: &AtomicI64,
-    comp_depth: usize,
 ) -> WorkerDone {
     let mut cache = SetAssocCache::new(cache_cfg).expect("geometry validated by serve()");
-    let ev_name = pol.eviction.name().to_string();
-    let adm_name = pol.admission.name().to_string();
+    let names = (pol.eviction.name().into(), pol.admission.name().into());
     let mut state = RecState {
         seen: 0,
         scored: 0,
@@ -820,7 +765,7 @@ fn run_worker(
         lat_pending: Vec::with_capacity(batch),
         obatch: batch,
         warmup_len,
-        comp: CompletionQueue::new(comp_depth, latency),
+        comp: CompletionQueue::new(COMPLETION_DEPTH, latency),
     };
     loop {
         // Flush decided outcomes before a potential park (see
@@ -854,94 +799,13 @@ fn run_worker(
         hist: state.hist,
         scored: state.scored,
         overlap: state.comp.finish(),
-        ev_name,
-        adm_name,
-    }
-}
-
-/// Supervisor fallback for a dead shard: deterministically re-replay its
-/// subtrace on the calling thread (panic disarmed) and
-/// return every outcome stamped with its global position, plus the full
-/// scored count. Runs over the same
-/// zero-copy indexed views the worker used: each outcome's global
-/// position is its index entry, and the scorer clock's gaps derive from
-/// consecutive entries.
-fn replay_shard_offline(
-    warm: RecordsRef<'_>,
-    meas: RecordsRef<'_>,
-    index: &[u32],
-    cache_cfg: CacheConfig,
-    latency: &LatencyModel,
-    mut pol: ShardPolicies,
-) -> (Vec<SeqOutcome>, u64) {
-    struct Collect<'a> {
-        index: &'a [u32],
-        outs: Vec<SeqOutcome>,
-        scored: u64,
-    }
-    impl ReplayObserver for Collect<'_> {
-        fn on_record(&mut self, ev: &ReplayEvent<'_>) {
-            self.outs.push(SeqOutcome {
-                seq: self.index[self.outs.len()] as u64,
-                record: *ev.record,
-                outcome: *ev.outcome,
-            });
-            self.scored += u64::from(ev.score.is_some());
-        }
-    }
-    let mut cache = SetAssocCache::new(cache_cfg).expect("geometry validated by serve()");
-    let mut collect = Collect {
-        index,
-        outs: Vec::with_capacity(index.len()),
-        scored: 0,
-    };
-    match pol.score.as_mut() {
-        Some(score) => {
-            let mut gap_score = GapScore::from_index(score.as_mut(), index);
-            simulate_streaming_observed_records(
-                warm,
-                meas,
-                &mut cache,
-                pol.admission.as_mut(),
-                pol.eviction.as_mut(),
-                Some(&mut gap_score),
-                latency,
-                None,
-                &mut collect,
-            );
-        }
-        None => {
-            simulate_streaming_observed_records(
-                warm,
-                meas,
-                &mut cache,
-                pol.admission.as_mut(),
-                pol.eviction.as_mut(),
-                None,
-                latency,
-                None,
-                &mut collect,
-            );
-        }
-    }
-    (collect.outs, collect.scored)
-}
-
-/// Human-readable panic payload (mirrors the offline engine's handling).
-fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
-    match p.downcast::<String>() {
-        Ok(s) => *s,
-        Err(p) => match p.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "non-string panic payload".to_string(),
-        },
+        names: Some(names),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
 
     /// A full queue sheds only the overflow at the observed free record
     /// capacity — never the whole batch (the PR 7 over-count).

@@ -5,13 +5,19 @@
 //! seeded-shutdown and backpressure properties, and transparent recovery
 //! from armed worker panics.
 
-use icgmm_cache::{FaultPlan, FnScore, LatencyModel, ShardPolicies, ShardedSimulator, SimReport};
+use icgmm_cache::{
+    FaultPlan, FnScore, LatencyModel, ShardPolicies, ShardRunError, ShardedSimulator, SimReport,
+};
 use icgmm_serve::{CacheServer, ServeConfig, ServeError, ServeReport, SubmitMode};
 use icgmm_testutil::{admission_for, eviction_for, score_for, small_cfg, zipf_trace};
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Depth of every serving worker's simulated completion queue (fixed in
+/// `icgmm-serve`; the in-flight peak can never exceed it).
+const COMPLETION_DEPTH: u64 = 8;
 
 /// Serves the trace through a [`CacheServer`] over the grid fixtures.
 fn serve(
@@ -57,10 +63,32 @@ fn offline(
     trace: &[TraceRecord],
     warmup_len: usize,
 ) -> (SimReport, u64) {
+    offline_with(
+        FaultPlan::empty(),
+        shards,
+        eviction,
+        admission,
+        score,
+        trace,
+        warmup_len,
+    )
+}
+
+/// [`offline`] with a fault plan armed (shard-worker panic points).
+fn offline_with(
+    plan: FaultPlan,
+    shards: usize,
+    eviction: &str,
+    admission: &str,
+    score: &str,
+    trace: &[TraceRecord],
+    warmup_len: usize,
+) -> (SimReport, u64) {
     let cache_cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();
     let (warm, meas) = trace.split_at(warmup_len);
     let rep = ShardedSimulator::new(shards)
+        .with_faults(plan)
         .run(
             warm,
             meas,
@@ -110,7 +138,6 @@ proptest! {
                 // must never show up in the merged report.
                 let clients = 1 + (seed as usize + shards + i) % 3;
                 let queue_depth = [1, 2, 7, 64][(seed as usize + shards) % 4];
-                let completion_depth = [1, 2, 8, 32][(seed as usize + shards + i) % 4];
                 let submit = if (seed + shards as u64).is_multiple_of(2) {
                     SubmitMode::Block
                 } else {
@@ -122,7 +149,6 @@ proptest! {
                         clients,
                         queue_depth,
                         submit,
-                        completion_depth,
                         ..ServeConfig::default()
                     },
                     eviction, admission, score, &trace, warmup_len,
@@ -138,16 +164,16 @@ proptest! {
                     prop_assert_eq!(rep.sheds, 0);
                 }
                 // Overlap telemetry invariants: one completion per
-                // measured miss, in-flight bounded by the configured
+                // measured miss, in-flight bounded by the fixed queue
                 // depth, and the overlapped makespan never exceeds the
                 // inline total (savings are never negative).
                 prop_assert_eq!(rep.overlap.backend_completions, rep.sim.stats.misses());
-                prop_assert!(rep.overlap.backend_inflight_peak <= completion_depth as u64);
+                prop_assert!(rep.overlap.backend_inflight_peak <= COMPLETION_DEPTH);
                 prop_assert!(rep.overlap.overlap_saved_us >= 0.0);
                 prop_assert!(
                     rep.overlap.modeled_overlapped_us <= rep.overlap.modeled_inline_us
                 );
-                if completion_depth > 1 && rep.sim.stats.misses() > 1 {
+                if rep.sim.stats.misses() > 1 {
                     prop_assert!(
                         rep.overlap.overlap_saved_us > 0.0,
                         "consecutive misses under a deep completion queue must overlap"
@@ -205,7 +231,9 @@ proptest! {
 
     /// Armed shard-worker panics are recovered transparently: the report
     /// is still bit-identical to the undisturbed offline replay, and the
-    /// fault telemetry shows every panic matched by a recovery.
+    /// fault telemetry shows every panic matched by a recovery — the same
+    /// panics and recoveries, fault block included, as the offline engine
+    /// under the same armed plan (one lifecycle behind both).
     #[test]
     fn worker_deaths_are_recovered_bit_identically(
         params in (0u64..1_000_000, 200usize..600, 24u64..96)
@@ -239,6 +267,10 @@ proptest! {
             prop_assert_eq!(rep.scores_consumed, ref_scores);
             prop_assert!(rep.sim.fault.shard_panics > 0, "plan must fire");
             prop_assert_eq!(rep.sim.fault.shard_panics, rep.sim.fault.shard_recoveries);
+            let (armed, armed_scores) =
+                offline_with(plan, 4, eviction, admission, score, &trace, warmup_len);
+            prop_assert_eq!(&rep.sim, &armed, "served vs offline under the same armed plan");
+            prop_assert_eq!(rep.scores_consumed, armed_scores);
         }
     }
 }
@@ -369,29 +401,26 @@ fn single_shard_inline_model_matches_accounted_total() {
         [("lru", "always", "none"), ("gmm-score", "threshold", "fn")]
     {
         let trace = zipf_trace(23, 900, 64, 0.35, 30);
-        for completion_depth in [1usize, 4, 16] {
-            let rep = serve(
-                ServeConfig {
-                    shards: 1,
-                    clients: 1,
-                    queue_depth: 32,
-                    completion_depth,
-                    ..ServeConfig::default()
-                },
-                eviction,
-                admission,
-                score,
-                &trace,
-                200,
-            )
-            .expect("serving succeeds");
-            assert_eq!(
-                rep.overlap.modeled_inline_us, rep.sim.total_us,
-                "inline completion model drifted from the accounting \
-                 ({eviction}/{admission}/{score}, depth {completion_depth})"
-            );
-            assert!(rep.overlap.modeled_overlapped_us <= rep.overlap.modeled_inline_us);
-        }
+        let rep = serve(
+            ServeConfig {
+                shards: 1,
+                clients: 1,
+                queue_depth: 32,
+                ..ServeConfig::default()
+            },
+            eviction,
+            admission,
+            score,
+            &trace,
+            200,
+        )
+        .expect("serving succeeds");
+        assert_eq!(
+            rep.overlap.modeled_inline_us, rep.sim.total_us,
+            "inline completion model drifted from the accounting \
+             ({eviction}/{admission}/{score})"
+        );
+        assert!(rep.overlap.modeled_overlapped_us <= rep.overlap.modeled_inline_us);
     }
 }
 
@@ -439,9 +468,43 @@ fn random_eviction_is_refused_above_one_shard() {
     )
     .expect_err("random eviction must be refused above one shard");
     match err {
-        ServeError::Contract { message, .. } => {
+        ServeError::Shard(ShardRunError::Contract { message, .. }) => {
             assert!(message.contains("not shard-deterministic"), "{message}");
         }
         other => panic!("expected a contract refusal, got {other:?}"),
+    }
+}
+
+/// A panic the fault plan did *not* arm — a genuine policy bug that
+/// recurs on re-replay — surfaces from a served session as the offline
+/// engine's own typed [`ShardRunError::ShardFailed`], carrying the
+/// worker's payload and the re-replay's, and the session still shuts down
+/// cleanly (every client and worker joins, or this test hangs).
+#[test]
+fn unrecoverable_worker_panics_surface_as_typed_errors() {
+    let trace = zipf_trace(13, 600, 256, 0.2, 10);
+    let err = serve(
+        ServeConfig {
+            shards: 2,
+            clients: 2,
+            queue_depth: 4,
+            ..ServeConfig::default()
+        },
+        "poison",
+        "always",
+        "none",
+        &trace,
+        100,
+    )
+    .expect_err("a recurring panic must become an error");
+    match err {
+        ServeError::Shard(ShardRunError::ShardFailed { message, .. }) => {
+            assert!(
+                message.contains("worker panicked (poisoned victim choice)")
+                    && message.contains("re-replay panicked too (poisoned victim choice)"),
+                "both payloads must be reported, got: {message}"
+            );
+        }
+        other => panic!("expected ShardFailed, got {other:?}"),
     }
 }

@@ -18,9 +18,9 @@
 
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
-    AdmissionPolicy, AlwaysAdmit, BeladyPolicy, CacheConfig, ConstantScore, EvictionPolicy,
-    FifoPolicy, FnScore, GmmScorePolicy, LfuPolicy, LruPolicy, RandomPolicy, ScoreSource,
-    ThresholdAdmit,
+    AccessCtx, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, CacheConfig, ConstantScore,
+    EvictionPolicy, FifoPolicy, FnScore, GmmScorePolicy, LfuPolicy, LruPolicy, RandomPolicy,
+    ScoreSource, ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_trace::{PreprocessConfig, TraceRecord, Zipf};
@@ -89,10 +89,31 @@ pub fn conflict_trace(n: usize, pages: u64, seed: u64) -> Vec<TraceRecord> {
         .collect()
 }
 
+/// An eviction policy that panics on its first victim choice — in a shard
+/// worker *and* in the supervisor's re-replay: the genuine, recurring
+/// policy bug the fault-recovery suites feed the engines.
+struct PoisonPolicy(LruPolicy);
+
+impl EvictionPolicy for PoisonPolicy {
+    fn name(&self) -> &str {
+        "poison"
+    }
+    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
+        self.0.on_hit(set, way, ctx);
+    }
+    fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
+        self.0.on_insert(set, way, ctx);
+    }
+    fn choose_victim(&mut self, _set: usize, _ways: usize, _ctx: &AccessCtx) -> usize {
+        panic!("poisoned victim choice");
+    }
+}
+
 /// Builds the named eviction policy sized for `cfg`. Belady's oracle is
 /// built from `records` — pass exactly the record sequence the policy
 /// will replay (its positions are the sequence numbers the simulator
-/// presents).
+/// presents). `"poison"` (outside the [`EVICTIONS`] grid) panics on its
+/// first victim choice.
 pub fn eviction_for(
     name: &str,
     cfg: CacheConfig,
@@ -106,6 +127,7 @@ pub fn eviction_for(
         "belady" => Box::new(BeladyPolicy::from_records(records, sets, ways)),
         "gmm-score" => Box::new(GmmScorePolicy::new(sets, ways)),
         "random" => Box::new(RandomPolicy::new(0xDECADE)),
+        "poison" => Box::new(PoisonPolicy(LruPolicy::new(sets, ways))),
         other => panic!("unknown eviction {other}"),
     }
 }

@@ -3,7 +3,9 @@
 //! Two surfaces are used by the workspace: `crossbeam::thread::scope` /
 //! `Scope::spawn` (the parallel EM E-step, batch scoring, the sharded
 //! replay workers and the serving front-end) and `crossbeam::channel`
-//! bounded queues (the serving ingestion/outcome paths). Since Rust 1.63
+//! bounded queues (the serving ingestion/outcome paths — their only
+//! user: the sharded replay engine hands nothing across threads per
+//! record, it fans indices out and joins). Since Rust 1.63
 //! the standard library has scoped threads, so the thread half is a thin
 //! adapter reproducing crossbeam's call shape — `scope(|s| ...)` returning
 //! a `Result`, and spawn closures receiving a `&Scope` argument — over
@@ -106,9 +108,6 @@ pub mod channel {
         not_full: Condvar,
         /// Signalled when a message arrives or all senders disconnect.
         not_empty: Condvar,
-        /// Rounds of `yield_now` a blocking operation on this channel
-        /// spends polling before parking (see [`SPIN_YIELDS`]).
-        spins: usize,
     }
 
     /// Error returned by [`Sender::send`]: every receiver disconnected.
@@ -154,17 +153,14 @@ pub mod channel {
         Disconnected,
     }
 
-    /// Default rounds of `yield_now` a blocking operation spends polling
-    /// before parking on the condvar. The right budget depends on the
-    /// message granularity, so it is per-channel
-    /// ([`bounded_with_spin`]): fine-grained hand-off (one record per
-    /// message, the sharded replay engine's shape) wants a generous
-    /// budget — a park/wake round-trip per message would serialise the
-    /// pipeline into a context switch per record — while batched
-    /// transport (64 records per message) amortises the park and is
-    /// instead hurt by long spins on few-core hosts, where several idle
-    /// consumers yielding in lock-step starve the one runnable producer.
-    const SPIN_YIELDS: usize = 1024;
+    /// Rounds of `yield_now` a blocking operation spends polling before
+    /// parking on the condvar (shim behaviour, not a crossbeam API). The
+    /// one production user is the serving transport (up to 64 records per
+    /// message), which has always run at 16. Measured on `serving` on the
+    /// 2-vCPU container (ISSUE 17): parking at once (0) is ≈ 15–20 %
+    /// slower at one worker; 1 024 read ≈ 15 % *faster* there and level
+    /// when pinned to one core — re-tuning is a perf change of its own.
+    const SPIN_YIELDS: usize = 16;
 
     /// Sending half of a bounded channel. Cloning adds a sender.
     pub struct Sender<T> {
@@ -179,16 +175,6 @@ pub mod channel {
     /// Creates a bounded MPMC channel holding at most `cap` messages.
     /// Zero-capacity rendezvous channels are not supported by the shim.
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        bounded_with_spin(cap, SPIN_YIELDS)
-    }
-
-    /// [`bounded`] with an explicit spin budget (shim extension, not a
-    /// crossbeam API): rounds of `yield_now` a blocking `send`/`recv` on
-    /// this channel polls before parking. Batched transports pass a
-    /// small budget (the park is amortised over the whole message and
-    /// long spins starve few-core producers); fine-grained transports
-    /// keep the generous default.
-    pub fn bounded_with_spin<T>(cap: usize, spins: usize) -> (Sender<T>, Receiver<T>) {
         assert!(cap >= 1, "shim bounded channel requires capacity >= 1");
         let inner = Arc::new(Inner {
             shared: Mutex::new(Shared {
@@ -201,7 +187,6 @@ pub mod channel {
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
-            spins,
         });
         (
             Sender {
@@ -216,7 +201,7 @@ pub mod channel {
         /// has disconnected.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
             let mut msg = msg;
-            for _ in 0..self.inner.spins {
+            for _ in 0..SPIN_YIELDS {
                 match self.try_send(msg) {
                     Ok(()) => return Ok(()),
                     Err(TrySendError::Disconnected(m)) => return Err(SendError(m)),
@@ -293,7 +278,7 @@ pub mod channel {
         /// Blocks until a message arrives. Buffered messages are still
         /// delivered after the last sender disconnects.
         pub fn recv(&self) -> Result<T, RecvError> {
-            for _ in 0..self.inner.spins {
+            for _ in 0..SPIN_YIELDS {
                 match self.try_recv() {
                     Ok(msg) => return Ok(msg),
                     Err(TryRecvError::Disconnected) => return Err(RecvError),
