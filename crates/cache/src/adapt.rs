@@ -348,7 +348,10 @@ impl RecentRing {
         } else {
             self.buf[self.next] = s;
         }
-        self.next = (self.next + 1) % self.cap.max(1);
+        self.next += 1;
+        if self.next >= self.cap {
+            self.next = 0;
+        }
     }
 
     /// The buffered samples in storage order (deterministic; evaluation

@@ -6,13 +6,30 @@
 //! policy-driven victim selection. Data payloads are not simulated — only
 //! tags, dirty bits and policy metadata, exactly what the FPGA keeps in its
 //! on-board tag/score buffer.
+//!
+//! # Layout and the one compare
+//!
+//! A set is a *row*: `ways` consecutive `u64` tags (8 ways = one 64-byte
+//! line) and, in a parallel array, one flag byte per block (valid, dirty).
+//! A request decodes `page → (set, tag)` once through the cache's
+//! [`SetMap`] and compares the tag against **every** way of the row, with
+//! no early exit — a fixed-trip loop the compiler vectorises, the software
+//! shape of the hardware's one-cycle parallel compare. Reducing the
+//! per-way matches to "the" hit way is exact because a page occupies at
+//! most one valid way of its set: insertion is the only writer of tags and
+//! runs only after the compare found none. [`SetAssocCache::lookup`],
+//! [`SetAssocCache::contains`] and the access path share that compare, and
+//! an access performs it exactly once: the miss score is taken lazily
+//! ([`SetAssocCache::access_scored`]), after the compare and on a miss
+//! only, so callers never look a page up first to decide whether to score.
 
-use crate::config::{CacheConfig, CacheConfigError};
+use crate::config::{CacheConfig, CacheConfigError, SetMap};
 use crate::policy::{AccessCtx, AdmissionPolicy, EvictionPolicy};
 use icgmm_trace::{Op, PageIndex, TraceRecord};
 use serde::{Deserialize, Serialize};
 
-/// One tag-store entry.
+/// One tag-store entry, as [`SetAssocCache::block`] reports it (the store
+/// itself keeps tags and flags in flat rows).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlockState {
     /// Tag (page index divided by the set count).
@@ -79,8 +96,15 @@ impl AccessOutcome {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    blocks: Vec<BlockState>,
+    map: SetMap,
+    /// `tags[set * ways + way]`; 0 where the flag byte is not valid.
+    tags: Vec<u64>,
+    /// `VALID` / `DIRTY` bits, parallel to `tags`.
+    flags: Vec<u8>,
 }
+
+const VALID: u8 = 1;
+const DIRTY: u8 = 2;
 
 impl SetAssocCache {
     /// Builds an empty cache.
@@ -89,10 +113,12 @@ impl SetAssocCache {
     ///
     /// Returns [`CacheConfigError`] for invalid geometry.
     pub fn new(cfg: CacheConfig) -> Result<Self, CacheConfigError> {
-        cfg.validate()?;
+        let map = SetMap::new(&cfg)?;
         Ok(SetAssocCache {
             cfg,
-            blocks: vec![BlockState::default(); cfg.num_blocks()],
+            map,
+            tags: vec![0; cfg.num_blocks()],
+            flags: vec![0; cfg.num_blocks()],
         })
     }
 
@@ -101,18 +127,30 @@ impl SetAssocCache {
         &self.cfg
     }
 
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.cfg.ways + way
+    /// The one tag compare: the way of `set` holding `tag`, if any. Every
+    /// way is compared (no data-dependent exit) and the matches are summed
+    /// as `way + 1` — 0 on a miss, exact on a hit because at most one way
+    /// can match.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let ways = self.cfg.ways;
+        let row = set * ways..set * ways + ways;
+        let (tags, flags) = (&self.tags[row.clone()], &self.flags[row]);
+        let matches = || (tags.iter().zip(flags)).map(|(&t, &f)| t == tag && f & VALID != 0);
+        debug_assert!(
+            matches().filter(|&m| m).count() <= 1,
+            "page cached twice in set {set}"
+        );
+        let hit: usize = (matches().enumerate())
+            .map(|(w, m)| if m { w + 1 } else { 0 })
+            .sum();
+        hit.checked_sub(1)
     }
 
     /// Parallel tag compare: the way holding `page`, if present.
     pub fn lookup(&self, page: PageIndex) -> Option<usize> {
-        let set = self.cfg.set_of(page);
-        let tag = self.cfg.tag_of(page);
-        (0..self.cfg.ways).find(|&w| {
-            let b = &self.blocks[self.slot(set, w)];
-            b.valid && b.tag == tag
-        })
+        let (set, tag) = self.map.split(page);
+        self.find(set, tag)
     }
 
     /// `true` when `page` is cached.
@@ -122,12 +160,17 @@ impl SetAssocCache {
 
     /// Number of valid blocks.
     pub fn occupancy(&self) -> usize {
-        self.blocks.iter().filter(|b| b.valid).count()
+        self.flags.iter().filter(|&&f| f & VALID != 0).count()
     }
 
-    /// Read-only view of a block (diagnostics and tests).
-    pub fn block(&self, set: usize, way: usize) -> &BlockState {
-        &self.blocks[self.slot(set, way)]
+    /// A block's state (diagnostics and tests).
+    pub fn block(&self, set: usize, way: usize) -> BlockState {
+        let slot = set * self.cfg.ways + way;
+        BlockState {
+            tag: self.tags[slot],
+            valid: self.flags[slot] & VALID != 0,
+            dirty: self.flags[slot] & DIRTY != 0,
+        }
     }
 
     /// Full access path: lookup, hit handling, admission, insertion and
@@ -144,68 +187,74 @@ impl SetAssocCache {
         admission: &mut dyn AdmissionPolicy,
         eviction: &mut dyn EvictionPolicy,
     ) -> AccessOutcome {
-        let page = record.page();
-        if let Some(way) = self.lookup(page) {
-            // Hit: bypass the policy engine entirely.
-            let ctx = AccessCtx {
-                page,
-                op: record.op,
-                seq,
-                score: None,
-            };
-            let set = self.cfg.set_of(page);
-            let slot = self.slot(set, way);
-            if record.op == Op::Write {
-                self.blocks[slot].dirty = true;
-            }
-            eviction.on_hit(set, way, &ctx);
-            return AccessOutcome::Hit { way };
-        }
+        self.access_scored(record, seq, || score, admission, eviction)
+            .0
+    }
 
-        let ctx = AccessCtx {
+    /// [`SetAssocCache::access`] with the miss score taken lazily: `score`
+    /// runs after the tag compare, exactly once on a miss and never on a
+    /// hit (the hardware triggers the policy engine on miss only). Returns
+    /// the outcome and the score the access consumed (`None` on a hit).
+    #[inline]
+    pub fn access_scored(
+        &mut self,
+        record: &TraceRecord,
+        seq: u64,
+        score: impl FnOnce() -> Option<f64>,
+        admission: &mut dyn AdmissionPolicy,
+        eviction: &mut dyn EvictionPolicy,
+    ) -> (AccessOutcome, Option<f64>) {
+        let page = record.page();
+        let (set, tag) = self.map.split(page);
+        let mut ctx = AccessCtx {
             page,
             op: record.op,
             seq,
-            score,
+            score: None,
         };
-        if !admission.should_admit(&ctx) {
-            return AccessOutcome::MissBypassed;
+        if let Some(way) = self.find(set, tag) {
+            // Hit: bypass the policy engine entirely.
+            if record.op == Op::Write {
+                self.flags[set * self.cfg.ways + way] |= DIRTY;
+            }
+            eviction.on_hit(set, way, &ctx);
+            return (AccessOutcome::Hit { way }, None);
         }
-        let (way, evicted) = self.insert(page, record.op, &ctx, eviction);
-        AccessOutcome::MissInserted { way, evicted }
+
+        ctx.score = score();
+        if !admission.should_admit(&ctx) {
+            return (AccessOutcome::MissBypassed, ctx.score);
+        }
+        let (way, evicted) = self.insert(set, tag, &ctx, eviction);
+        (AccessOutcome::MissInserted { way, evicted }, ctx.score)
     }
 
-    /// Inserts `page` (which must not be present), evicting if needed.
+    /// Inserts `tag` (which must not be present) into `set`, evicting if
+    /// needed.
     fn insert(
         &mut self,
-        page: PageIndex,
-        op: Op,
+        set: usize,
+        tag: u64,
         ctx: &AccessCtx,
         eviction: &mut dyn EvictionPolicy,
     ) -> (usize, Option<Eviction>) {
-        let set = self.cfg.set_of(page);
-        let tag = self.cfg.tag_of(page);
+        let ways = self.cfg.ways;
+        let base = set * ways;
         // Prefer an invalid way.
-        let way = (0..self.cfg.ways)
-            .find(|&w| !self.blocks[self.slot(set, w)].valid)
-            .unwrap_or_else(|| eviction.choose_victim(set, self.cfg.ways, ctx));
-        debug_assert!(way < self.cfg.ways, "policy returned way out of range");
-        let slot = self.slot(set, way);
-        let old = self.blocks[slot];
-        let evicted = if old.valid {
-            Some(Eviction {
-                page: self.cfg.page_of(set, old.tag),
-                dirty: old.dirty,
-            })
-        } else {
-            None
-        };
-        self.blocks[slot] = BlockState {
-            tag,
-            valid: true,
-            // Write-allocate: a write miss fetches the page then dirties it.
-            dirty: op == Op::Write,
-        };
+        let way = self.flags[base..base + ways]
+            .iter()
+            .position(|f| f & VALID == 0)
+            .unwrap_or_else(|| eviction.choose_victim(set, ways, ctx));
+        debug_assert!(way < ways, "policy returned way out of range");
+        let slot = base + way;
+        let old = self.flags[slot];
+        let evicted = (old & VALID != 0).then(|| Eviction {
+            page: self.map.page_of(set, self.tags[slot]),
+            dirty: old & DIRTY != 0,
+        });
+        self.tags[slot] = tag;
+        // Write-allocate: a write miss fetches the page then dirties it.
+        self.flags[slot] = VALID | if ctx.op == Op::Write { DIRTY } else { 0 };
         eviction.on_insert(set, way, ctx);
         (way, evicted)
     }
@@ -213,9 +262,8 @@ impl SetAssocCache {
     /// Invalidates everything (keeps policy state; intended for tests and
     /// phase-reset experiments).
     pub fn clear(&mut self) {
-        for b in &mut self.blocks {
-            *b = BlockState::default();
-        }
+        self.tags.fill(0);
+        self.flags.fill(0);
     }
 }
 
@@ -326,6 +374,49 @@ mod tests {
         assert!(c.contains(PageIndex::new(0)));
         assert!(c.contains(PageIndex::new(2)));
         assert_eq!(c.occupancy(), 2);
+    }
+
+    #[test]
+    fn one_compare_for_any_associativity() {
+        // 1, odd, 9 and more than 64 ways (no mask-width cap), on one set
+        // and on a non-power-of-two set count: every resident page is
+        // found at the way it was put in, absent pages are not found.
+        for (sets, ways) in [(1u64, 1usize), (3, 3), (1, 9), (6, 65), (1, 130)] {
+            let cfg = CacheConfig::new(sets * ways as u64 * 4096, 4096, ways).unwrap();
+            let mut c = SetAssocCache::new(cfg).unwrap();
+            let mut lru = LruPolicy::new(cfg.num_sets(), ways);
+            let mut admit = AlwaysAdmit;
+            let blocks = sets * ways as u64;
+            for p in 0..blocks {
+                let out = c.access(&write(p), p, None, &mut admit, &mut lru);
+                let way = (p / sets) as usize;
+                assert_eq!(out, AccessOutcome::MissInserted { way, evicted: None });
+            }
+            assert_eq!(c.occupancy(), blocks as usize);
+            for p in 0..blocks {
+                let (set, way) = ((p % sets) as usize, (p / sets) as usize);
+                assert_eq!(c.lookup(PageIndex::new(p)), Some(way), "{sets}x{ways} {p}");
+                let want = BlockState {
+                    tag: p / sets,
+                    valid: true,
+                    dirty: true,
+                };
+                assert_eq!(c.block(set, way), want);
+                assert!(!c.contains(PageIndex::new(p + blocks)));
+            }
+            // A full set evicts its least-recent way and reports the page.
+            let out = c.access(&read(blocks), blocks, None, &mut admit, &mut lru);
+            let evicted = Some(Eviction {
+                page: PageIndex::new(0),
+                dirty: true,
+            });
+            assert_eq!(out, AccessOutcome::MissInserted { way: 0, evicted });
+            assert_eq!(c.occupancy(), blocks as usize);
+            c.clear();
+            assert_eq!(c.occupancy(), 0);
+            assert_eq!(c.block(0, ways - 1), BlockState::default());
+            assert!((0..=blocks).all(|p| !c.contains(PageIndex::new(p))));
+        }
     }
 
     #[test]

@@ -116,20 +116,70 @@ impl CacheConfig {
     }
 
     /// Set index of a page (modulo mapping, as in the hardware's
-    /// set-index decode).
+    /// set-index decode). Re-derives the geometry on every call — loops
+    /// decode it once with [`SetMap::new`] — and panics on a geometry
+    /// [`CacheConfig::validate`] rejects.
     pub fn set_of(&self, page: PageIndex) -> usize {
-        (page.raw() % self.num_sets() as u64) as usize
+        self.decode().split(page).0
     }
 
     /// Tag of a page (the bits above the set index).
     pub fn tag_of(&self, page: PageIndex) -> u64 {
-        page.raw() / self.num_sets() as u64
+        self.decode().split(page).1
     }
 
     /// Reconstructs a page from `(set, tag)` — inverse of
     /// [`CacheConfig::set_of`]/[`CacheConfig::tag_of`].
     pub fn page_of(&self, set: usize, tag: u64) -> PageIndex {
-        PageIndex::new(tag * self.num_sets() as u64 + set as u64)
+        self.decode().page_of(set, tag)
+    }
+
+    fn decode(&self) -> SetMap {
+        let sets = self.num_sets() as u64;
+        SetMap {
+            sets,
+            shift: sets.is_power_of_two().then(|| sets.trailing_zeros()),
+        }
+    }
+}
+
+/// The set mapping of one geometry, decoded once: `page → (set, tag)` by
+/// shift and mask when the set count is a power of two (every paper
+/// geometry), by one division otherwise — chosen from the set count alone.
+/// Built only from a *validated* [`CacheConfig`], so it never divides by
+/// zero.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SetMap {
+    sets: u64,
+    /// `log2(sets)` when the set count is a power of two.
+    shift: Option<u32>,
+}
+
+impl SetMap {
+    /// Decodes `cfg`'s set mapping.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`CacheConfig::validate`]'s rules.
+    pub fn new(cfg: &CacheConfig) -> Result<Self, CacheConfigError> {
+        cfg.validate()?;
+        Ok(cfg.decode())
+    }
+
+    /// `(set, tag)` of a page: `page mod sets` and `page div sets`.
+    #[inline]
+    pub fn split(&self, page: PageIndex) -> (usize, u64) {
+        let p = page.raw();
+        match self.shift {
+            Some(shift) => ((p & (self.sets - 1)) as usize, p >> shift),
+            None => ((p % self.sets) as usize, p / self.sets),
+        }
+    }
+
+    /// Reconstructs a page from `(set, tag)` — inverse of
+    /// [`SetMap::split`].
+    pub fn page_of(&self, set: usize, tag: u64) -> PageIndex {
+        PageIndex::new(tag * self.sets + set as u64)
     }
 }
 
@@ -187,16 +237,52 @@ mod tests {
         assert!(msg.contains("ways must be >= 1"));
     }
 
+    /// `sets` sets of `ways` 4 KiB blocks.
+    fn geometry(sets: u64, ways: usize) -> CacheConfig {
+        CacheConfig::new(sets * ways as u64 * 4096, 4096, ways).unwrap()
+    }
+
     #[test]
     fn page_mapping_round_trips() {
-        let c = CacheConfig::paper_default();
-        for raw in [0u64, 1, 2047, 2048, 123_456_789] {
-            let p = PageIndex::new(raw);
-            let set = c.set_of(p);
-            let tag = c.tag_of(p);
-            assert!(set < c.num_sets());
-            assert_eq!(c.page_of(set, tag), p);
+        // Power-of-two (shift/mask) and other (division) set counts, pages
+        // up to `u64::MAX`; the config's methods and the decoded map are
+        // the same arithmetic.
+        for sets in [1u64, 2, 3, 6, 12, 1_000, 2_048, 1 << 40] {
+            let c = geometry(sets, 1);
+            let map = SetMap::new(&c).unwrap();
+            let near = |x: u64| [x.wrapping_sub(1), x, x.wrapping_add(1)];
+            let pages = [0, 2_047, 123_456_789, sets, 1 << 63, u64::MAX - sets]
+                .into_iter()
+                .flat_map(near);
+            for raw in pages {
+                let p = PageIndex::new(raw);
+                let (set, tag) = map.split(p);
+                assert_eq!(
+                    (set as u64, tag),
+                    (raw % sets, raw / sets),
+                    "{raw} / {sets}"
+                );
+                assert_eq!(map.page_of(set, tag), p);
+                assert_eq!((c.set_of(p), c.tag_of(p)), (set, tag));
+                assert_eq!(c.page_of(set, tag), p);
+            }
         }
+    }
+
+    #[test]
+    fn set_map_needs_a_validated_geometry() {
+        // Zero sets (7 blocks, 8 ways), zero ways and a zero block size
+        // are typed errors — the mapping never gets to divide by them.
+        for (capacity_bytes, block_bytes, ways) in [(4096 * 7, 4096, 8), (4096, 4096, 0), (0, 0, 1)]
+        {
+            let cfg = CacheConfig {
+                capacity_bytes,
+                block_bytes,
+                ways,
+            };
+            assert_eq!(SetMap::new(&cfg).unwrap_err(), cfg.validate().unwrap_err());
+        }
+        assert!(SetMap::new(&geometry(3, 9)).is_ok());
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use adapt::{
 #[doc(hidden)]
 pub use batch::{SpecParams, SpecStats, WindowedSimulator};
 pub use cache::{AccessOutcome, BlockState, Eviction, SetAssocCache};
-pub use config::{CacheConfig, CacheConfigError};
+pub use config::{CacheConfig, CacheConfigError, SetMap};
 pub use fault::{
     FailoverAdmission, FailoverEviction, FaultPlan, FaultSink, FaultStats, FaultyScore,
     ScorerHealth,

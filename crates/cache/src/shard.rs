@@ -74,7 +74,7 @@
 //! (`tests/shard_alloc_inline.rs` pins the allocation side).
 
 use crate::cache::{AccessOutcome, SetAssocCache};
-use crate::config::{CacheConfig, CacheConfigError};
+use crate::config::{CacheConfig, CacheConfigError, SetMap};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::latency::LatencyModel;
 use crate::merge::{merge_streams, OutcomeStream, SeqOutcome, StreamingMerge};
@@ -82,7 +82,7 @@ use crate::policy::{AdmissionPolicy, EvictionPolicy};
 use crate::score::ScoreSource;
 use crate::sim::{ReplayEvent, ReplayObserver, SimReport};
 use crate::view::RecordsRef;
-use icgmm_trace::TraceRecord;
+use icgmm_trace::{PageIndex, TraceRecord};
 use std::any::Any;
 use std::error::Error;
 use std::fmt;
@@ -177,6 +177,7 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// outcome's global merge position (the entry itself).
 #[derive(Clone, Debug)]
 pub struct ShardPartition {
+    map: SetMap,
     index: Vec<Vec<u32>>,
     warmup_len: usize,
 }
@@ -218,28 +219,40 @@ impl ShardPartition {
         warmup: &[TraceRecord],
         measured: &[TraceRecord],
     ) -> Result<Self, ShardRunError> {
-        cache_cfg.validate()?;
+        let map = SetMap::new(cache_cfg)?;
         if shards == 0 {
             return Err(ShardRunError::ZeroShards);
         }
         let n = warmup.len() + measured.len();
         Self::check_capacity(n)?;
+        let mut part = ShardPartition {
+            map,
+            index: vec![Vec::new(); shards],
+            warmup_len: warmup.len(),
+        };
         // Two passes: count, then fill exact-capacity lists — the routing
         // allocation is precisely Σ len(shard) × 4 bytes, which the
         // tracking-allocator test asserts.
         let mut counts = vec![0usize; shards];
         for r in warmup.iter().chain(measured) {
-            counts[cache_cfg.set_of(r.page()) % shards] += 1;
+            counts[part.shard_of(r.page())] += 1;
         }
-        let mut index: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for (list, &c) in part.index.iter_mut().zip(&counts) {
+            list.reserve_exact(c);
+        }
         for (i, r) in warmup.iter().chain(measured).enumerate() {
             let pos = u32::try_from(i).expect("checked by check_capacity");
-            index[cache_cfg.set_of(r.page()) % shards].push(pos);
+            let shard = part.shard_of(r.page());
+            part.index[shard].push(pos);
         }
-        Ok(ShardPartition {
-            index,
-            warmup_len: warmup.len(),
-        })
+        Ok(part)
+    }
+
+    /// The shard owning `page`: its set index modulo the shard count,
+    /// through the set mapping decoded once in [`ShardPartition::build`].
+    #[inline]
+    pub fn shard_of(&self, page: PageIndex) -> usize {
+        self.map.split(page).0 % self.index.len()
     }
 
     /// The shard count.
@@ -918,6 +931,7 @@ mod tests {
                 };
                 assert_eq!(*r, want);
                 assert_eq!(cfg.set_of(r.page()) % 2, shard, "routing by set");
+                assert_eq!(part.shard_of(r.page()), shard);
             }
         }
         let total: usize = (0..2).map(|s| part.positions(s).len()).sum();

@@ -7,10 +7,13 @@
 //! Every entry point — [`simulate`], [`simulate_streaming_with_warmup`],
 //! [`simulate_streaming_observed_with_warmup`], the sharded engine's
 //! workers and (through [`streaming_step`]) the serving workers — runs the
-//! same loop: observe
-//! each request, score each miss synchronously (one single-point
-//! policy-engine inference, as in the paper's Algorithm 1 datapath),
-//! access the cache. There is no routing decision anywhere.
+//! same loop: observe each request, access the cache, and score the
+//! request synchronously if it missed (one single-point policy-engine
+//! inference, as in the paper's Algorithm 1 datapath). A request costs
+//! **one tag compare**: the access path decides hit or miss itself and
+//! asks for the score only after a miss
+//! ([`SetAssocCache::access_scored`]), so nothing looks the page up a
+//! second time. There is no routing decision anywhere.
 //!
 //! The loop exposes a **replay-event stream**: a [`ReplayObserver`] passed
 //! to [`simulate_streaming_observed_with_warmup`] receives every record's
@@ -202,12 +205,14 @@ pub(crate) fn simulate_streaming_impl(
     acct.into_report(measured.len(), eviction.name(), admission.name())
 }
 
-/// The canonical replay step — observe, score the miss synchronously,
-/// access. One implementation shared by the offline loop and the serving
-/// shard workers (which receive their records over a channel instead of a
-/// slice), so the replay semantics cannot drift between them: hits bypass
-/// the policy engine (the hardware triggers the GMM on miss only), and the
-/// score is computed with the Algorithm 1 clock exactly at the record.
+/// The canonical replay step — observe, access, scoring the miss
+/// synchronously. One implementation shared by the offline loop and the
+/// serving shard workers (which receive their records over a channel
+/// instead of a slice), so the replay semantics cannot drift between them:
+/// one tag compare decides hit or miss, hits bypass the policy engine (the
+/// hardware triggers the GMM on miss only), and the score is computed with
+/// the Algorithm 1 clock exactly at the record. Returns the outcome and
+/// the score it consumed.
 #[inline]
 pub fn streaming_step(
     r: &TraceRecord,
@@ -220,13 +225,8 @@ pub fn streaming_step(
     if let Some(s) = score.as_deref_mut() {
         s.observe(r);
     }
-    let score_val = if cache.lookup(r.page()).is_none() {
-        score.as_deref_mut().map(|s| s.score_current())
-    } else {
-        None
-    };
-    let outcome = cache.access(r, seq, score_val, admission, eviction);
-    (outcome, score_val)
+    let score_miss = || score.as_deref_mut().map(|s| s.score_current());
+    cache.access_scored(r, seq, score_miss, admission, eviction)
 }
 
 /// Measurement bookkeeping shared by the streaming loop and the sharded

@@ -12,8 +12,10 @@
 //! 2. feeds it to the [`icgmm_cache::DriftDetector`], and
 //! 3. on a declared drift, refits from the seeded reservoir buffer via
 //!    [`icgmm_gmm::IncrementalEm`] (one E/M pass, not a cold fit) and
-//!    publishes the new mixture with [`GmmPolicyEngine::swap_scorer`] —
-//!    an `Arc` pointer swap, so replay never blocks on training.
+//!    publishes the new mixture with [`GmmPolicyEngine::swap_scorer`].
+//!    Only the publication is cheap (an `Arc` pointer swap): the check and
+//!    the refit before it run inline on the replay thread, which waits for
+//!    them (≈ 1.4 ms per K = 256 refit, 158 of them on `tenants_drift`).
 //!
 //! ## Determinism
 //!

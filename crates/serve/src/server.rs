@@ -330,7 +330,7 @@ impl CacheServer {
                 (0..s).map(|_| None).collect();
             let mut walk = || -> Result<(), ShardRunError> {
                 for r in warmup.iter().chain(measured) {
-                    let shard = cache_cfg.set_of(r.page()) % s;
+                    let shard = part.shard_of(r.page());
                     let out = loop {
                         if let Some(o) = pending[shard].pop_front() {
                             break o;

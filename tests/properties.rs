@@ -91,35 +91,40 @@ proptest! {
     /// associativity, and a just-inserted page is immediately findable.
     #[test]
     fn cache_tag_store_invariants(records in prop::collection::vec(arb_record(), 1..600)) {
-        let cfg = small_cfg();
-        let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        let mut admit = AlwaysAdmit;
-        for (i, r) in records.iter().enumerate() {
-            let out = cache.access(r, i as u64, None, &mut admit, &mut lru);
-            match out {
-                AccessOutcome::Hit { way } => prop_assert!(way < cfg.ways),
-                AccessOutcome::MissInserted { way, .. } => {
-                    prop_assert!(way < cfg.ways);
-                    prop_assert!(cache.contains(r.page()), "inserted page not findable");
-                }
-                AccessOutcome::MissBypassed => unreachable!("AlwaysAdmit never bypasses"),
-            }
-            // No duplicate tags within any set.
-            for set in 0..cfg.num_sets() {
-                let mut tags = vec![];
-                for way in 0..cfg.ways {
-                    let b = cache.block(set, way);
-                    if b.valid {
-                        tags.push(b.tag);
+        // 8 sets × 4 ways, and a non-power-of-two, odd-ways geometry
+        // (6 sets × 3 ways: the division mapping, a row that is not a
+        // whole vector).
+        let odd = CacheConfig { capacity_bytes: 18 * 4096, block_bytes: 4096, ways: 3 };
+        for cfg in [small_cfg(), odd] {
+            let mut cache = SetAssocCache::new(cfg).unwrap();
+            let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
+            let mut admit = AlwaysAdmit;
+            for (i, r) in records.iter().enumerate() {
+                let out = cache.access(r, i as u64, None, &mut admit, &mut lru);
+                match out {
+                    AccessOutcome::Hit { way } => prop_assert!(way < cfg.ways),
+                    AccessOutcome::MissInserted { way, .. } => {
+                        prop_assert!(way < cfg.ways);
+                        prop_assert!(cache.contains(r.page()), "inserted page not findable");
                     }
+                    AccessOutcome::MissBypassed => unreachable!("AlwaysAdmit never bypasses"),
                 }
-                let mut dedup = tags.clone();
-                dedup.sort_unstable();
-                dedup.dedup();
-                prop_assert_eq!(dedup.len(), tags.len(), "duplicate tag in set {}", set);
+                // No duplicate tags within any set.
+                for set in 0..cfg.num_sets() {
+                    let mut tags = vec![];
+                    for way in 0..cfg.ways {
+                        let b = cache.block(set, way);
+                        if b.valid {
+                            tags.push(b.tag);
+                        }
+                    }
+                    let mut dedup = tags.clone();
+                    dedup.sort_unstable();
+                    dedup.dedup();
+                    prop_assert_eq!(dedup.len(), tags.len(), "duplicate tag in set {}", set);
+                }
+                prop_assert!(cache.occupancy() <= cfg.num_blocks());
             }
-            prop_assert!(cache.occupancy() <= cfg.num_blocks());
         }
     }
 
