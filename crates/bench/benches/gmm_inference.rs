@@ -15,7 +15,7 @@
 //!   regime fitted (page, time) models are in, where the near-set skip
 //!   must pay (CI gates it at ≥ 1.2× the dense case's rate);
 //! * `batched_k256` / `parallel_k256` — `GmmScorer::score_batch` (a loop
-//!   over the same kernel) and its crossbeam-parallel variant, reported
+//!   over the same kernel) and its scoped-thread-parallel variant, reported
 //!   per point via `Throughput::Elements`;
 //! * `f64` / `fixed` — the historical scalar comparison across K.
 

@@ -8,10 +8,8 @@
 //!   counts {1, 2, 4, 8} against the unsharded `simulate` loop;
 //! * the multi-tenant pooled workload (16 tenants, Zipf-interleaved) —
 //!   the trace shape sharding exists for; and
-//! * setup-only scenarios: the index fan-out in isolation
-//!   (`fanout_partition8_tenants`) and the Belady occurrence-map build
-//!   serial vs chunked — the costs the zero-copy fan-out and
-//!   worker-side construction moved off the critical path.
+//! * one setup-only scenario: the index fan-out in isolation
+//!   (`fanout_partition8_tenants`).
 //!
 //! CI gates only the S = 1 pair: one shard replays inline on the calling
 //! thread — no fan-out, gap bookkeeping, outcome recording or merge — so
@@ -22,8 +20,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
-    simulate, BeladyPolicy, CacheConfig, LatencyModel, LruPolicy, ScoreSource, SetAssocCache,
-    ShardPartition, ShardPolicies, ShardedSimulator, ThresholdAdmit,
+    simulate, CacheConfig, LatencyModel, LruPolicy, ScoreSource, SetAssocCache, ShardPartition,
+    ShardPolicies, ShardedSimulator, ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
@@ -189,31 +187,6 @@ fn bench_sharded(c: &mut Criterion) {
     // The pre-index fan-out paid per-shard record + gap copies here.
     group.bench_function("fanout_partition8_tenants", |b| {
         b.iter(|| black_box(ShardPartition::build(8, &cfg, &[], black_box(&tenants)).unwrap()))
-    });
-
-    // Oracle setup cost, serial vs chunked build: the Belady occurrence
-    // map is the most expensive policy constructor the worker threads
-    // now amortize. Chunked must win at scale; at this trace size it
-    // must at least not regress (CI archives both for trend tracking).
-    group.bench_function("belady_build_serial_tenants", |b| {
-        b.iter(|| {
-            black_box(BeladyPolicy::from_records_chunked(
-                black_box(&tenants),
-                cfg.num_sets(),
-                cfg.ways,
-                1,
-            ))
-        })
-    });
-    group.bench_function("belady_build_chunked4_tenants", |b| {
-        b.iter(|| {
-            black_box(BeladyPolicy::from_records_chunked(
-                black_box(&tenants),
-                cfg.num_sets(),
-                cfg.ways,
-                4,
-            ))
-        })
     });
 
     group.finish();

@@ -15,9 +15,10 @@
 //! * [`AdaptStats`] — the observability block carried on
 //!   [`crate::SimReport`] (and, through it, `ServeReport` and
 //!   `ExperimentResult`): checks / drifts / refits / swaps counters plus
-//!   the scorer generation and the global position of the last swap.
-//! * [`AdaptSink`] — the shared accumulator per-shard adaptive engines
-//!   flush into, merged in shard order like [`crate::FaultSink`].
+//!   the scorer generation and the global position of the last swap. A
+//!   shard's adaptive engine keeps its own block as a plain field and
+//!   hands it over through [`crate::ScoreSource::telemetry`] once the
+//!   shard has replayed; sharded reports merge the blocks in shard order.
 //! * [`Reservoir`] — a seeded Algorithm-R reservoir over observed
 //!   `(page, position)` samples: the refit training buffer. Replacement
 //!   decisions reuse the stateless fault-roll hash, so the buffer
@@ -29,13 +30,19 @@
 //!   `drift_drop` nats below the baseline, with a post-refit cooldown.
 
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
 
 use crate::fault::fault_roll;
 
 /// Decision stream for reservoir replacement rolls (disjoint from the
 /// fault streams by construction — those use 1..=6).
 const STREAM_RESERVOIR: u64 = 16;
+
+/// Capacity of the refit reservoir buffer, in samples.
+pub const RESERVOIR_CAPACITY: usize = 2_048;
+
+/// EWMA factor of the drift detector's trailing baseline (the weight of
+/// the newest check).
+const BASELINE_ALPHA: f64 = 0.2;
 
 /// A seeded, config-driven online-adaptation plan.
 ///
@@ -54,16 +61,11 @@ pub struct AdaptPlan {
     /// Recent observations evaluated per drift check (the likelihood
     /// window).
     pub recent_window: usize,
-    /// Capacity of the refit reservoir buffer.
-    pub reservoir_capacity: usize,
     /// Drift threshold in nats: a check fires a refit when the windowed
     /// mean log-likelihood falls more than this below the trailing
     /// baseline. `f64::INFINITY` holds the trigger off (buffers fill,
     /// checks run, refits never fire — the held-off equivalence property).
     pub drift_drop: f64,
-    /// EWMA factor for the trailing baseline (weight of the newest
-    /// check), in `(0, 1]`.
-    pub baseline_alpha: f64,
     /// Checks to skip after a refit before the detector can fire again.
     pub cooldown_checks: u32,
     /// Per-refit forgetting factor for the incremental trainer's
@@ -77,9 +79,7 @@ impl Default for AdaptPlan {
             seed: 0,
             check_interval: 0,
             recent_window: 256,
-            reservoir_capacity: 2048,
             drift_drop: 0.5,
-            baseline_alpha: 0.2,
             cooldown_checks: 2,
             decay: 0.6,
         }
@@ -105,9 +105,7 @@ impl AdaptPlan {
             seed,
             check_interval: 1_024,
             recent_window: 256,
-            reservoir_capacity: 2_048,
             drift_drop: 0.5,
-            baseline_alpha: 0.2,
             cooldown_checks: 1,
             decay: 0.3,
         }
@@ -129,22 +127,10 @@ impl AdaptPlan {
         if self.recent_window == 0 {
             return Err("adapt.recent_window must be >= 1 when adaptation is armed".into());
         }
-        if self.reservoir_capacity == 0 {
-            return Err("adapt.reservoir_capacity must be >= 1 when adaptation is armed".into());
-        }
         if self.drift_drop.is_nan() || self.drift_drop <= 0.0 {
             return Err(format!(
                 "adapt.drift_drop must be > 0 (+inf holds the trigger off), got {}",
                 self.drift_drop
-            ));
-        }
-        if !(self.baseline_alpha.is_finite()
-            && self.baseline_alpha > 0.0
-            && self.baseline_alpha <= 1.0)
-        {
-            return Err(format!(
-                "adapt.baseline_alpha must be finite in (0, 1], got {}",
-                self.baseline_alpha
             ));
         }
         if !(self.decay.is_finite() && self.decay > 0.0 && self.decay <= 1.0) {
@@ -203,37 +189,6 @@ impl AdaptStats {
     /// plan must produce.
     pub fn is_clean(&self) -> bool {
         *self == AdaptStats::default()
-    }
-}
-
-/// Shared, thread-safe accumulator for [`AdaptStats`] — handed to each
-/// shard's adaptive engine so one block can aggregate a whole run.
-#[derive(Clone, Debug, Default)]
-pub struct AdaptSink(Arc<Mutex<AdaptStats>>);
-
-impl AdaptSink {
-    /// A fresh, all-zero sink.
-    pub fn new() -> Self {
-        AdaptSink::default()
-    }
-
-    /// Applies `f` to the stats under the lock. Lock poisoning (a panic
-    /// while recording — possible under armed shard panics) is recovered:
-    /// counters are plain numbers and stay internally consistent.
-    pub fn record(&self, f: impl FnOnce(&mut AdaptStats)) {
-        let mut guard = match self.0.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut guard);
-    }
-
-    /// A copy of the accumulated stats.
-    pub fn snapshot(&self) -> AdaptStats {
-        match self.0.lock() {
-            Ok(g) => *g,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
     }
 }
 
@@ -382,7 +337,6 @@ impl RecentRing {
 #[derive(Clone, Debug)]
 pub struct DriftDetector {
     drift_drop: f64,
-    alpha: f64,
     cooldown_checks: u32,
     baseline: Option<f64>,
     cooldown_left: u32,
@@ -393,7 +347,6 @@ impl DriftDetector {
     pub fn new(plan: &AdaptPlan) -> Self {
         DriftDetector {
             drift_drop: plan.drift_drop,
-            alpha: plan.baseline_alpha,
             cooldown_checks: plan.cooldown_checks,
             baseline: None,
             cooldown_left: 0,
@@ -437,7 +390,7 @@ impl DriftDetector {
     fn track(&mut self, mll: f64) {
         self.baseline = Some(match self.baseline {
             None => mll,
-            Some(b) => b + self.alpha * (mll - b),
+            Some(b) => b + BASELINE_ALPHA * (mll - b),
         });
     }
 }
@@ -471,27 +424,11 @@ mod tests {
                 ..armed
             },
             AdaptPlan {
-                reservoir_capacity: 0,
-                ..armed
-            },
-            AdaptPlan {
                 drift_drop: 0.0,
                 ..armed
             },
             AdaptPlan {
                 drift_drop: f64::NAN,
-                ..armed
-            },
-            AdaptPlan {
-                baseline_alpha: 0.0,
-                ..armed
-            },
-            AdaptPlan {
-                baseline_alpha: 1.5,
-                ..armed
-            },
-            AdaptPlan {
-                baseline_alpha: f64::NAN,
                 ..armed
             },
             AdaptPlan {
@@ -552,17 +489,6 @@ mod tests {
         assert_eq!(a.last_swap_pos, 500, "swap position is a max");
         assert!(!a.is_clean());
         assert!(AdaptStats::default().is_clean());
-    }
-
-    #[test]
-    fn sink_accumulates_and_snapshots() {
-        let sink = AdaptSink::new();
-        sink.record(|s| s.checks += 2);
-        let clone = sink.clone();
-        clone.record(|s| s.swaps += 1);
-        let snap = sink.snapshot();
-        assert_eq!(snap.checks, 2);
-        assert_eq!(snap.swaps, 1);
     }
 
     fn obs(i: u64) -> ObsSample {
@@ -648,7 +574,6 @@ mod tests {
     fn detector_fires_on_drop_and_respects_cooldown() {
         let plan = AdaptPlan {
             drift_drop: 1.0,
-            baseline_alpha: 0.5,
             cooldown_checks: 2,
             ..AdaptPlan::drifty(0)
         };

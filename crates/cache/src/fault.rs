@@ -23,17 +23,26 @@
 //! * [`ScorerHealth`] / [`FailoverEviction`] / [`FailoverAdmission`] —
 //!   the gmm-score→LRU and threshold→always-admit rungs of the ladder.
 //!
+//! Counters are plain fields of whoever increments them: the injector
+//! counts its injections, the health monitor — the one object a shard's
+//! three ladder rungs share — counts the ladder's transitions and degraded
+//! decisions, the SSD emulator its device faults, the shard supervisor its
+//! panics and recoveries. Whoever replayed a shard reads them once, after
+//! the shard's last record, through [`ScoreSource::telemetry`]; an attempt
+//! that died takes its counters with it.
+//!
 //! Every injection decision is a pure hash of `(plan seed, stream, trace
 //! position)` — no RNG state, no wall clock — so fault-laden runs are
 //! reproducible from `(plan seed, trace seed)`, independent of thread
 //! interleaving, and (for position-keyed scorer faults) of shard count.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
+use crate::adapt::AdaptStats;
 use crate::policy::{AccessCtx, AdmissionPolicy, EvictionPolicy};
 use crate::score::ScoreSource;
 
@@ -59,6 +68,11 @@ pub(crate) fn fault_roll(seed: u64, stream: u64, a: u64, b: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// Latency multiplier of an SSD tail-latency spike
+/// ([`FaultPlan::device_spike_per_mille`]), read by the `icgmm-hw` device
+/// emulator.
+pub const DEVICE_SPIKE_MULT: f64 = 8.0;
 
 /// `true` when `roll` lands inside a per-mille probability.
 pub(crate) fn roll_hits(roll: u64, per_mille: u16) -> bool {
@@ -87,10 +101,9 @@ pub struct FaultPlan {
     /// Per-mille probability that an SSD command attempt fails and must be
     /// retried with exponential backoff.
     pub device_fail_per_mille: u16,
-    /// Per-mille probability of a tail-latency spike on an SSD command.
+    /// Per-mille probability of a tail-latency spike on an SSD command
+    /// (the command takes [`DEVICE_SPIKE_MULT`] times its nominal latency).
     pub device_spike_per_mille: u16,
-    /// Latency multiplier applied by a tail spike.
-    pub device_spike_mult: f64,
     /// Retries before an SSD command is abandoned as timed out.
     pub device_retry_limit: u32,
     /// Base retry backoff in modeled µs; attempt `k` waits `2^k` times this.
@@ -118,7 +131,6 @@ impl Default for FaultPlan {
             scorer_outage_len: 16,
             device_fail_per_mille: 0,
             device_spike_per_mille: 0,
-            device_spike_mult: 8.0,
             device_retry_limit: 3,
             device_backoff_us: 50.0,
             device_timeout_us: 1_000.0,
@@ -197,12 +209,6 @@ impl FaultPlan {
         if self.scorer_outage_per_mille > 0 && self.scorer_outage_len == 0 {
             return Err("fault.scorer_outage_len must be >= 1 when outages are armed".into());
         }
-        if !self.device_spike_mult.is_finite() || self.device_spike_mult < 1.0 {
-            return Err(format!(
-                "fault.device_spike_mult must be finite and >= 1, got {}",
-                self.device_spike_mult
-            ));
-        }
         if !self.device_backoff_us.is_finite() || self.device_backoff_us < 0.0 {
             return Err(format!(
                 "fault.device_backoff_us must be finite and >= 0, got {}",
@@ -259,9 +265,10 @@ impl FaultPlan {
 
 /// Fault-injection and degradation counters for one run.
 ///
-/// Carried on `SimReport`, `DataflowReport` and `ExperimentResult`; merged
-/// across shards in shard order, so sharded reports are as deterministic
-/// as single-threaded ones.
+/// Carried on `SimReport`, `DataflowReport` and `ExperimentResult`. Every
+/// shard's own report holds the shard's block; a sharded or served report
+/// is their sum in shard order plus the supervisor's panic / recovery
+/// counts, so it is as deterministic as a single-threaded one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Scores flipped to NaN/±Inf by the plan.
@@ -331,37 +338,6 @@ impl FaultStats {
     }
 }
 
-/// Shared, thread-safe accumulator for [`FaultStats`] — cloned into score
-/// wrappers and failover policies so one block can aggregate a whole run.
-#[derive(Clone, Debug, Default)]
-pub struct FaultSink(Arc<Mutex<FaultStats>>);
-
-impl FaultSink {
-    /// A fresh, all-zero sink.
-    pub fn new() -> Self {
-        FaultSink::default()
-    }
-
-    /// Applies `f` to the stats under the lock. Lock poisoning (a panic
-    /// while recording — possible under armed shard panics) is recovered:
-    /// counters are plain numbers and stay internally consistent.
-    pub fn record(&self, f: impl FnOnce(&mut FaultStats)) {
-        let mut guard = match self.0.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut guard);
-    }
-
-    /// A copy of the accumulated stats.
-    pub fn snapshot(&self) -> FaultStats {
-        match self.0.lock() {
-            Ok(g) => *g,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
-    }
-}
-
 /// The scorer health monitor: tracks consecutive non-finite scores and
 /// drives the gmm-score→LRU / threshold→always-admit degradation rungs
 /// with hysteresis (demote after `scorer_demote_after` bad scores,
@@ -369,7 +345,10 @@ impl FaultSink {
 ///
 /// One instance per replay thread (sharded runs build one per shard), so
 /// transitions are a pure function of that thread's score stream and the
-/// run stays deterministic.
+/// run stays deterministic. It is the one object the shard's three rungs
+/// ([`FaultyScore`], [`FailoverEviction`], [`FailoverAdmission`]) share,
+/// so it also keeps the ladder's five counters
+/// ([`ScorerHealth::telemetry`]).
 #[derive(Debug)]
 pub struct ScorerHealth {
     demote_after: u32,
@@ -377,6 +356,11 @@ pub struct ScorerHealth {
     degraded: AtomicBool,
     bad_streak: AtomicU32,
     good_streak: AtomicU32,
+    demotions: AtomicU64,
+    repromotions: AtomicU64,
+    degraded_scores: AtomicU64,
+    degraded_victims: AtomicU64,
+    degraded_admits: AtomicU64,
 }
 
 impl ScorerHealth {
@@ -388,6 +372,11 @@ impl ScorerHealth {
             degraded: AtomicBool::new(false),
             bad_streak: AtomicU32::new(0),
             good_streak: AtomicU32::new(0),
+            demotions: AtomicU64::new(0),
+            repromotions: AtomicU64::new(0),
+            degraded_scores: AtomicU64::new(0),
+            degraded_victims: AtomicU64::new(0),
+            degraded_admits: AtomicU64::new(0),
         })
     }
 
@@ -396,9 +385,19 @@ impl ScorerHealth {
         self.degraded.load(Ordering::Relaxed)
     }
 
+    /// Adds the ladder's counters — transitions, and the scores, victim
+    /// choices and admissions served while degraded — to `fault`.
+    pub fn telemetry(&self, fault: &mut FaultStats) {
+        fault.scorer_demotions += self.demotions.load(Ordering::Relaxed);
+        fault.scorer_repromotions += self.repromotions.load(Ordering::Relaxed);
+        fault.degraded_scores += self.degraded_scores.load(Ordering::Relaxed);
+        fault.degraded_victims += self.degraded_victims.load(Ordering::Relaxed);
+        fault.degraded_admits += self.degraded_admits.load(Ordering::Relaxed);
+    }
+
     /// Feeds one score observation (finite or not) into the monitor,
-    /// recording demotions/re-promotions into `sink`.
-    pub fn observe(&self, finite: bool, sink: &FaultSink) {
+    /// counting demotions and re-promotions.
+    pub fn observe(&self, finite: bool) {
         if self.demote_after == 0 {
             return;
         }
@@ -409,7 +408,7 @@ impl ScorerHealth {
                 if good >= self.promote_after {
                     self.degraded.store(false, Ordering::Relaxed);
                     self.good_streak.store(0, Ordering::Relaxed);
-                    sink.record(|s| s.scorer_repromotions += 1);
+                    self.repromotions.fetch_add(1, Ordering::Relaxed);
                 } else {
                     self.good_streak.store(good, Ordering::Relaxed);
                 }
@@ -421,7 +420,7 @@ impl ScorerHealth {
                 if bad >= self.demote_after {
                     self.degraded.store(true, Ordering::Relaxed);
                     self.bad_streak.store(0, Ordering::Relaxed);
-                    sink.record(|s| s.scorer_demotions += 1);
+                    self.demotions.fetch_add(1, Ordering::Relaxed);
                 } else {
                     self.bad_streak.store(bad, Ordering::Relaxed);
                 }
@@ -441,26 +440,23 @@ pub struct FaultyScore<S: ScoreSource> {
     inner: S,
     plan: FaultPlan,
     health: Option<Arc<ScorerHealth>>,
-    sink: FaultSink,
     clock: u64,
+    nan_injected: u64,
+    outage_scores: u64,
 }
 
 impl<S: ScoreSource> FaultyScore<S> {
     /// Wraps `inner`, injecting per `plan` and (when `health` is given)
     /// feeding every emitted score into the monitor — which also catches
     /// genuine non-finite scores the inner engine produces on its own.
-    pub fn new(
-        inner: S,
-        plan: FaultPlan,
-        health: Option<Arc<ScorerHealth>>,
-        sink: FaultSink,
-    ) -> Self {
+    pub fn new(inner: S, plan: FaultPlan, health: Option<Arc<ScorerHealth>>) -> Self {
         FaultyScore {
             inner,
             plan,
             health,
-            sink,
             clock: 0,
+            nan_injected: 0,
+            outage_scores: 0,
         }
     }
 
@@ -488,11 +484,11 @@ impl<S: ScoreSource> FaultyScore<S> {
     }
 
     /// Applies the plan to the score produced at trace position `seq`.
-    fn corrupt(&self, seq: u64, raw: f64) -> f64 {
+    fn corrupt(&mut self, seq: u64, raw: f64) -> f64 {
         let mut v = raw;
         if self.outage_active(seq) {
             v = f64::NAN;
-            self.sink.record(|s| s.scorer_outage_scores += 1);
+            self.outage_scores += 1;
         } else {
             let roll = fault_roll(self.plan.seed, STREAM_SCORER_NAN, seq, 0);
             if roll_hits(roll, self.plan.scorer_nan_per_mille) {
@@ -501,13 +497,13 @@ impl<S: ScoreSource> FaultyScore<S> {
                     1 => f64::INFINITY,
                     _ => f64::NEG_INFINITY,
                 };
-                self.sink.record(|s| s.scorer_nan_injected += 1);
+                self.nan_injected += 1;
             }
         }
         if let Some(h) = &self.health {
-            h.observe(v.is_finite(), &self.sink);
+            h.observe(v.is_finite());
             if h.is_degraded() {
-                self.sink.record(|s| s.degraded_scores += 1);
+                h.degraded_scores.fetch_add(1, Ordering::Relaxed);
             }
         }
         v
@@ -533,6 +529,15 @@ impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
         self.inner.observe_gap(n);
         self.clock += n;
     }
+
+    fn telemetry(&self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
+        self.inner.telemetry(fault, adapt);
+        fault.scorer_nan_injected += self.nan_injected;
+        fault.scorer_outage_scores += self.outage_scores;
+        if let Some(h) = &self.health {
+            h.telemetry(fault);
+        }
+    }
 }
 
 /// The gmm-score→LRU rung: routes victim choices to a fallback policy
@@ -545,7 +550,6 @@ pub struct FailoverEviction {
     primary: Box<dyn EvictionPolicy + Send>,
     fallback: Box<dyn EvictionPolicy + Send>,
     health: Arc<ScorerHealth>,
-    sink: FaultSink,
     name: String,
 }
 
@@ -555,14 +559,12 @@ impl FailoverEviction {
         primary: Box<dyn EvictionPolicy + Send>,
         fallback: Box<dyn EvictionPolicy + Send>,
         health: Arc<ScorerHealth>,
-        sink: FaultSink,
     ) -> Self {
         let name = format!("failover({}->{})", primary.name(), fallback.name());
         FailoverEviction {
             primary,
             fallback,
             health,
-            sink,
             name,
         }
     }
@@ -585,7 +587,7 @@ impl EvictionPolicy for FailoverEviction {
 
     fn choose_victim(&mut self, set: usize, ways: usize, ctx: &AccessCtx) -> usize {
         if self.health.is_degraded() {
-            self.sink.record(|s| s.degraded_victims += 1);
+            self.health.degraded_victims.fetch_add(1, Ordering::Relaxed);
             self.fallback.choose_victim(set, ways, ctx)
         } else {
             self.primary.choose_victim(set, ways, ctx)
@@ -603,23 +605,17 @@ impl EvictionPolicy for FailoverEviction {
 pub struct FailoverAdmission {
     primary: Box<dyn AdmissionPolicy + Send>,
     health: Arc<ScorerHealth>,
-    sink: FaultSink,
     name: String,
 }
 
 impl FailoverAdmission {
     /// Wraps `primary` with always-admit engaged while `health` is
     /// degraded.
-    pub fn new(
-        primary: Box<dyn AdmissionPolicy + Send>,
-        health: Arc<ScorerHealth>,
-        sink: FaultSink,
-    ) -> Self {
+    pub fn new(primary: Box<dyn AdmissionPolicy + Send>, health: Arc<ScorerHealth>) -> Self {
         let name = format!("failover({}->always)", primary.name());
         FailoverAdmission {
             primary,
             health,
-            sink,
             name,
         }
     }
@@ -632,7 +628,7 @@ impl AdmissionPolicy for FailoverAdmission {
 
     fn should_admit(&mut self, ctx: &AccessCtx) -> bool {
         if self.health.is_degraded() {
-            self.sink.record(|s| s.degraded_admits += 1);
+            self.health.degraded_admits.fetch_add(1, Ordering::Relaxed);
             true
         } else {
             self.primary.should_admit(ctx)
@@ -646,6 +642,13 @@ mod tests {
     use crate::policy::{LruPolicy, ThresholdAdmit};
     use crate::score::ConstantScore;
     use icgmm_trace::Op;
+
+    /// The ladder's counters, read the way a replay reads them.
+    fn ladder(h: &ScorerHealth) -> FaultStats {
+        let mut fault = FaultStats::default();
+        h.telemetry(&mut fault);
+        fault
+    }
 
     #[test]
     fn default_plan_is_empty_and_valid() {
@@ -674,14 +677,6 @@ mod tests {
             FaultPlan {
                 scorer_outage_per_mille: 5,
                 scorer_outage_len: 0,
-                ..FaultPlan::default()
-            },
-            FaultPlan {
-                device_spike_mult: 0.5,
-                ..FaultPlan::default()
-            },
-            FaultPlan {
-                device_spike_mult: f64::NAN,
                 ..FaultPlan::default()
             },
             FaultPlan {
@@ -742,18 +737,8 @@ mod tests {
                 })
                 .collect()
         };
-        let a = run(FaultyScore::new(
-            ConstantScore(0.5),
-            plan,
-            None,
-            FaultSink::new(),
-        ));
-        let b = run(FaultyScore::new(
-            ConstantScore(0.5),
-            plan,
-            None,
-            FaultSink::new(),
-        ));
+        let a = run(FaultyScore::new(ConstantScore(0.5), plan, None));
+        let b = run(FaultyScore::new(ConstantScore(0.5), plan, None));
         assert_eq!(a, b);
         assert!(a.iter().any(|&x| x), "rate 200/1000 over 200 rolls injects");
         assert!(!a.iter().all(|&x| x), "and leaves some scores intact");
@@ -767,8 +752,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let records: Vec<TraceRecord> = (0..64u64).map(|i| TraceRecord::read(i << 12)).collect();
-        let mut streaming =
-            FaultyScore::new(Box::new(ConstantScore(0.5)), plan, None, FaultSink::new());
+        let mut streaming = FaultyScore::new(Box::new(ConstantScore(0.5)), plan, None);
         let expected: Vec<f64> = records
             .iter()
             .map(|r| {
@@ -776,8 +760,7 @@ mod tests {
                 streaming.score_current()
             })
             .collect();
-        let mut windowed =
-            FaultyScore::new(Box::new(ConstantScore(0.5)), plan, None, FaultSink::new());
+        let mut windowed = FaultyScore::new(Box::new(ConstantScore(0.5)), plan, None);
         let mut out = vec![0.0; records.len()];
         windowed.score_window(&records, &mut out);
         for (e, o) in expected.iter().zip(&out) {
@@ -793,20 +776,19 @@ mod tests {
             ..FaultPlan::default()
         };
         let h = ScorerHealth::new(&plan);
-        let sink = FaultSink::new();
-        h.observe(false, &sink);
-        h.observe(false, &sink);
+        h.observe(false);
+        h.observe(false);
         assert!(!h.is_degraded(), "two bad scores are below the threshold");
-        h.observe(false, &sink);
+        h.observe(false);
         assert!(h.is_degraded(), "third consecutive bad score demotes");
-        h.observe(true, &sink);
+        h.observe(true);
         assert!(h.is_degraded(), "one good score is below re-promotion");
-        h.observe(true, &sink);
+        h.observe(true);
         assert!(
             !h.is_degraded(),
             "second consecutive good score re-promotes"
         );
-        let s = sink.snapshot();
+        let s = ladder(&h);
         assert_eq!(s.scorer_demotions, 1);
         assert_eq!(s.scorer_repromotions, 1);
     }
@@ -819,12 +801,10 @@ mod tests {
             ..FaultPlan::default()
         };
         let h = ScorerHealth::new(&plan);
-        let sink = FaultSink::new();
         let mut ev = FailoverEviction::new(
             Box::new(crate::policy::GmmScorePolicy::new(1, 2)),
             Box::new(LruPolicy::new(1, 2)),
             Arc::clone(&h),
-            sink.clone(),
         );
         assert_eq!(ev.name(), "failover(gmm-score->lru)");
         // Way 0 scored high but stale; way 1 scored low but recent.
@@ -841,14 +821,14 @@ mod tests {
             1,
             "healthy: gmm-score evicts the lowest stored score"
         );
-        h.observe(false, &sink);
+        h.observe(false);
         assert!(h.is_degraded());
         assert_eq!(
             ev.choose_victim(0, 2, &ctx(3, 3, 5.0)),
             0,
             "degraded: LRU evicts the least-recently-used way"
         );
-        assert_eq!(sink.snapshot().degraded_victims, 1);
+        assert_eq!(ladder(&h).degraded_victims, 1);
     }
 
     #[test]
@@ -859,12 +839,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let h = ScorerHealth::new(&plan);
-        let sink = FaultSink::new();
-        let mut adm = FailoverAdmission::new(
-            Box::new(ThresholdAdmit::new(0.5)),
-            Arc::clone(&h),
-            sink.clone(),
-        );
+        let mut adm = FailoverAdmission::new(Box::new(ThresholdAdmit::new(0.5)), Arc::clone(&h));
         assert_eq!(adm.name(), "failover(gmm-threshold->always)");
         let low = AccessCtx {
             page: icgmm_trace::PageIndex::new(1),
@@ -873,9 +848,9 @@ mod tests {
             score: Some(0.1),
         };
         assert!(!adm.should_admit(&low), "healthy: threshold bypasses");
-        h.observe(false, &sink);
+        h.observe(false);
         assert!(adm.should_admit(&low), "degraded: always admits");
-        assert_eq!(sink.snapshot().degraded_admits, 1);
+        assert_eq!(ladder(&h).degraded_admits, 1);
     }
 
     #[test]

@@ -64,15 +64,15 @@ mod view;
 pub mod policy;
 
 pub use adapt::{
-    AdaptPlan, AdaptSink, AdaptStats, DriftDetector, ObsSample, RecentRing, Reservoir,
+    AdaptPlan, AdaptStats, DriftDetector, ObsSample, RecentRing, Reservoir, RESERVOIR_CAPACITY,
 };
 #[doc(hidden)]
 pub use batch::{SpecParams, SpecStats, WindowedSimulator};
 pub use cache::{AccessOutcome, BlockState, Eviction, SetAssocCache};
 pub use config::{CacheConfig, CacheConfigError, SetMap};
 pub use fault::{
-    FailoverAdmission, FailoverEviction, FaultPlan, FaultSink, FaultStats, FaultyScore,
-    ScorerHealth,
+    FailoverAdmission, FailoverEviction, FaultPlan, FaultStats, FaultyScore, ScorerHealth,
+    DEVICE_SPIKE_MULT,
 };
 pub use latency::LatencyModel;
 pub use merge::{merge_streams, OutcomeStream, SeqOutcome, StreamingMerge};

@@ -9,11 +9,6 @@ use super::{AccessCtx, EvictionPolicy};
 use icgmm_trace::TraceRecord;
 use std::collections::{HashMap, VecDeque};
 
-/// Record count above which [`BeladyPolicy::from_records`] builds its
-/// occurrence map in parallel chunks. Below this the serial sweep wins
-/// (thread spawn + merge overhead dominates).
-const PARALLEL_BUILD_MIN: usize = 1 << 16;
-
 /// Offline optimal eviction (Belady's MIN).
 #[derive(Clone, Debug, PartialEq)]
 pub struct BeladyPolicy {
@@ -26,9 +21,7 @@ pub struct BeladyPolicy {
 
 impl BeladyPolicy {
     /// Builds the oracle from the exact record sequence that will be
-    /// simulated (positions are 0-based request sequence numbers). Long
-    /// traces build the occurrence map in parallel chunks (deterministic —
-    /// see [`BeladyPolicy::from_records_chunked`]).
+    /// simulated (positions are 0-based request sequence numbers).
     ///
     /// # Panics
     ///
@@ -36,15 +29,6 @@ impl BeladyPolicy {
     /// those before a policy is ever sized, so `choose_victim` always has a
     /// candidate.
     pub fn from_records(records: &[TraceRecord], sets: usize, ways: usize) -> Self {
-        if records.len() >= PARALLEL_BUILD_MIN {
-            let threads = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8);
-            if threads > 1 {
-                return BeladyPolicy::from_records_chunked(records, sets, ways, threads);
-            }
-        }
         BeladyPolicy::from_pages(records.iter().map(|r| r.page().raw()), sets, ways)
     }
 
@@ -65,60 +49,6 @@ impl BeladyPolicy {
         let mut occurrences: HashMap<u64, VecDeque<u64>> = HashMap::new();
         for (i, page) in pages.into_iter().enumerate() {
             occurrences.entry(page).or_default().push_back(i as u64);
-        }
-        BeladyPolicy {
-            occurrences,
-            next_use: vec![u64::MAX; sets * ways],
-            ways,
-        }
-    }
-
-    /// Chunked-parallel oracle build: `chunks` workers each sweep one
-    /// contiguous span of `records` into a local occurrence map, and the
-    /// locals merge *in chunk order* — per-page position lists stay
-    /// ascending and the merged map's content is exactly the serial
-    /// sweep's (hash-map iteration order never leaks into the result, and
-    /// the oracle's decisions read only map content). The unit test
-    /// `chunked_build_matches_serial` and the sharded-replay grid in
-    /// `tests/shard_equivalence.rs` pin this down.
-    pub fn from_records_chunked(
-        records: &[TraceRecord],
-        sets: usize,
-        ways: usize,
-        chunks: usize,
-    ) -> Self {
-        assert!(ways >= 1, "cache geometry must have at least one way");
-        let chunks = chunks.max(1).min(records.len().max(1));
-        let span = records.len().div_ceil(chunks);
-        let locals: Vec<HashMap<u64, VecDeque<u64>>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = records
-                .chunks(span.max(1))
-                .enumerate()
-                .map(|(c, chunk)| {
-                    scope.spawn(move |_| {
-                        let start = (c * span.max(1)) as u64;
-                        let mut local: HashMap<u64, VecDeque<u64>> = HashMap::new();
-                        for (i, r) in chunk.iter().enumerate() {
-                            local
-                                .entry(r.page().raw())
-                                .or_default()
-                                .push_back(start + i as u64);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("oracle chunk sweep does not panic"))
-                .collect()
-        })
-        .expect("scope completes once every handle is joined");
-        let mut occurrences: HashMap<u64, VecDeque<u64>> = HashMap::new();
-        for local in locals {
-            for (page, mut positions) in local {
-                occurrences.entry(page).or_default().append(&mut positions);
-            }
         }
         BeladyPolicy {
             occurrences,
@@ -229,21 +159,5 @@ mod tests {
         let a = BeladyPolicy::from_records(&records, 2, 2);
         let b = BeladyPolicy::from_pages(records.iter().map(|r| r.page().raw()), 2, 2);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn chunked_build_matches_serial() {
-        // A reuse-heavy page sequence spread across chunk boundaries; the
-        // chunk-order merge must reproduce the serial occurrence map
-        // exactly for every chunk count (including chunks > records and
-        // uneven final chunks).
-        let records: Vec<TraceRecord> = (0..257u64)
-            .map(|i| TraceRecord::read(((i * 7) % 23) << 12))
-            .collect();
-        let serial = BeladyPolicy::from_pages(records.iter().map(|r| r.page().raw()), 4, 2);
-        for chunks in [1, 2, 3, 4, 8, 300] {
-            let chunked = BeladyPolicy::from_records_chunked(&records, 4, 2, chunks);
-            assert_eq!(chunked, serial, "chunks = {chunks}");
-        }
     }
 }

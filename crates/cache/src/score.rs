@@ -2,6 +2,8 @@
 //! cache simulator without the cache crate depending on any particular
 //! model (GMM, LSTM, oracle, …).
 
+use crate::adapt::AdaptStats;
+use crate::fault::FaultStats;
 use icgmm_trace::TraceRecord;
 
 /// A streaming score provider.
@@ -69,6 +71,14 @@ pub trait ScoreSource {
         let _ = n;
         unimplemented!("observe_gap on a source that is not shardable");
     }
+
+    /// Adds the opt-in counters this source has kept — its own and those
+    /// of whatever it wraps — to `fault` and `adapt`. Whoever replayed a
+    /// shard calls this once, after the shard's last record; a source that
+    /// injects nothing and adapts nothing has nothing to add.
+    fn telemetry(&self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
+        let _ = (fault, adapt);
+    }
 }
 
 impl<S: ScoreSource + ?Sized> ScoreSource for Box<S> {
@@ -90,6 +100,10 @@ impl<S: ScoreSource + ?Sized> ScoreSource for Box<S> {
 
     fn observe_gap(&mut self, n: u64) {
         (**self).observe_gap(n);
+    }
+
+    fn telemetry(&self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
+        (**self).telemetry(fault, adapt);
     }
 }
 

@@ -73,6 +73,7 @@
 //! single-threaded front-ends *be* the one-shard geometry at no cost
 //! (`tests/shard_alloc_inline.rs` pins the allocation side).
 
+use crate::adapt::AdaptStats;
 use crate::cache::{AccessOutcome, SetAssocCache};
 use crate::config::{CacheConfig, CacheConfigError, SetMap};
 use crate::fault::{FaultPlan, FaultStats};
@@ -378,7 +379,10 @@ pub struct ShardedReport {
     /// included: the policy engine's inference count.
     pub scores_consumed: u64,
     /// Per-shard reports (shard-local warm-up split), for load-balance
-    /// diagnostics. Their merged stats equal [`ShardedReport::sim`]'s.
+    /// diagnostics. Their merged stats equal [`ShardedReport::sim`]'s, and
+    /// so do their merged `fault` / `adapt` blocks — each shard's own
+    /// counters — once the supervisor's `shard_panics` /
+    /// `shard_recoveries` are added.
     pub per_shard: Vec<SimReport>,
 }
 
@@ -593,8 +597,9 @@ impl<'a> ShardSupervisor<'a> {
     /// One shard's whole offline job, wherever it runs: policies, contract
     /// and the streaming loop with an [`OutcomeRecorder`] on its event
     /// stream — fully independent of every other shard (own cache, own
-    /// policies, own scorer clone). `armed` is the first attempt; a
-    /// re-replay runs with the panic point disarmed.
+    /// policies, own scorer clone), down to the report's `fault` / `adapt`
+    /// blocks, which are what this shard's score stack counted. `armed` is
+    /// the first attempt; a re-replay runs with the panic point disarmed.
     fn replay(&self, shard: usize, armed: bool) -> Result<ShardOutcome, ShardRunError> {
         let mut pol = self.policies(shard)?;
         // `index` is what a partitioned shard has and the inline one lacks:
@@ -624,7 +629,7 @@ impl<'a> ShardSupervisor<'a> {
         // A score-free inline shard with no panic point has nothing to
         // record; it runs unobserved, exactly the plain streaming loop.
         let observed = index.is_some() || recorder.panic_at.is_some() || score.is_some();
-        let report = crate::sim::simulate_streaming_impl(
+        let mut report = crate::sim::simulate_streaming_impl(
             warm,
             meas,
             &mut cache,
@@ -635,6 +640,9 @@ impl<'a> ShardSupervisor<'a> {
             self.inline_series.filter(|_| index.is_none()),
             observed.then_some(&mut recorder as &mut dyn ReplayObserver),
         );
+        if let Some(score) = &pol.score {
+            score.telemetry(&mut report.fault, &mut report.adapt);
+        }
         Ok(ShardOutcome {
             outcomes: recorder.outcomes.unwrap_or_default(),
             scored: recorder.scored,
@@ -643,12 +651,13 @@ impl<'a> ShardSupervisor<'a> {
     }
 
     /// Graceful degradation for one shard, given what joining its first
-    /// attempt returned. A panicked attempt left no shared state behind,
-    /// so the same shard — fresh policies, panic point disarmed — is
-    /// replayed on the calling thread. The replay is deterministic, so the
-    /// outcome is bit-identical to a run where nothing died; a second
-    /// panic means the failure reproduces (a genuine bug, not an injected
-    /// fault) and is returned as an error carrying both payloads.
+    /// attempt returned. A panicked attempt left nothing behind — its
+    /// counters died with it — so the same shard, with fresh policies and
+    /// the panic point disarmed, is replayed on the calling thread. The
+    /// replay is deterministic, so the outcome is bit-identical to a run
+    /// where nothing died; a second panic means the failure reproduces (a
+    /// genuine bug, not an injected fault) and is returned as an error
+    /// carrying both payloads.
     fn supervise(
         &self,
         shard: usize,
@@ -683,7 +692,8 @@ impl<'a> ShardSupervisor<'a> {
     /// `fault`, and the shard is re-replayed offline on the calling thread.
     /// Returns the re-replayed outcomes *past the delivered prefix*, the
     /// shard's full scored count (it replaces the dead worker's partial
-    /// one) and the shard's own report (for the policy names).
+    /// one) and the shard's own report (for the policy names and its
+    /// `fault` / `adapt` blocks).
     ///
     /// # Errors
     ///
@@ -794,14 +804,15 @@ impl ShardedSimulator {
             // Replay shards on scoped threads; join order — shard-index
             // order — is the only ordering that matters. Worker panics
             // are captured at join, never propagated.
+            // (`crossbeam` stays in this crate's manifest, unused, until
+            // the benchmark PR prunes it with the lockfile — ROADMAP 1d.)
             let joined: Vec<thread::Result<Result<ShardOutcome, ShardRunError>>> =
-                crossbeam::thread::scope(|scope| {
+                thread::scope(|scope| {
                     let handles: Vec<_> = (0..part.shards())
-                        .map(|shard| scope.spawn(move |_| sup.replay(shard, true)))
+                        .map(|shard| scope.spawn(move || sup.replay(shard, true)))
                         .collect();
                     handles.into_iter().map(|h| h.join()).collect()
-                })
-                .expect("scope completes once every handle is joined");
+                });
 
             let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(joined.len());
             for (shard, first) in joined.into_iter().enumerate() {
@@ -843,8 +854,15 @@ impl ShardedSimulator {
             (o.report.clone(), vec![o])
         };
 
+        // What the shards counted, summed in shard order on top of the
+        // supervisor's own panic / recovery counts.
         let scores_consumed = outcomes.iter().map(|o| o.scored).sum();
-        sim.fault = fault;
+        let mut adapt = AdaptStats::default();
+        for o in &outcomes {
+            fault.merge(&o.report.fault);
+            adapt.merge(&o.report.adapt);
+        }
+        (sim.fault, sim.adapt) = (fault, adapt);
         if cfg!(debug_assertions) {
             let mut merged = crate::stats::CacheStats::default();
             for o in &outcomes {

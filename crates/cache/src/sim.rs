@@ -74,11 +74,13 @@ pub struct SimReport {
     pub eviction: String,
     /// Name of the admission policy used.
     pub admission: String,
-    /// Fault-injection and degradation counters (all-zero on fault-free
-    /// runs; filled in by fault-armed callers).
+    /// Fault-injection and degradation counters: all-zero from the plain
+    /// `simulate*` entry points and on fault-free runs; a shard's report
+    /// holds what its score stack counted
+    /// ([`crate::ScoreSource::telemetry`]), a merged one the shards' sum.
     pub fault: crate::fault::FaultStats,
-    /// Online-adaptation counters (all-zero on static runs; filled in by
-    /// adapt-armed callers).
+    /// Online-adaptation counters (all-zero on static runs), filled in the
+    /// same way.
     pub adapt: crate::adapt::AdaptStats,
 }
 

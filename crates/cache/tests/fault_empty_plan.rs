@@ -11,8 +11,8 @@
 //!   accounting as the bare policies.
 
 use icgmm_cache::{
-    simulate_streaming_with_warmup, FailoverAdmission, FailoverEviction, FaultPlan, FaultSink,
-    FaultyScore, LatencyModel, LruPolicy, ScoreSource, ScorerHealth, ShardPolicies,
+    simulate_streaming_with_warmup, AdaptStats, FailoverAdmission, FailoverEviction, FaultPlan,
+    FaultStats, FaultyScore, LatencyModel, LruPolicy, ScoreSource, ScorerHealth, ShardPolicies,
     ShardedSimulator, SimReport,
 };
 use icgmm_testutil::{
@@ -127,28 +127,24 @@ proptest! {
         );
 
         let plan = FaultPlan::empty();
-        let sink = FaultSink::new();
         let health = ScorerHealth::new(&plan);
         let mut c2 = icgmm_cache::SetAssocCache::new(cfg).unwrap();
         let mut ev2 = FailoverEviction::new(
             eviction_for("gmm-score", cfg, &trace),
             Box::new(LruPolicy::new(sets, ways)),
             health.clone(),
-            sink.clone(),
         );
-        let mut ad2 = FailoverAdmission::new(
-            admission_for("threshold"), health.clone(), sink.clone(),
-        );
-        let mut sc2 = FaultyScore::new(
-            score_for("fn").expect("fn score"), plan, Some(health), sink.clone(),
-        );
+        let mut ad2 = FailoverAdmission::new(admission_for("threshold"), health.clone());
+        let mut sc2 = FaultyScore::new(score_for("fn").expect("fn score"), plan, Some(health));
         let wrapped = simulate_streaming_with_warmup(
             warm, meas, &mut c2, &mut ad2, &mut ev2,
             Some(&mut sc2 as &mut dyn ScoreSource),
             &lat, Some(64),
         );
 
-        prop_assert!(sink.snapshot().is_clean(), "disarmed wrappers recorded faults");
+        let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
+        sc2.telemetry(&mut fault, &mut adapt);
+        prop_assert!(fault.is_clean(), "disarmed wrappers recorded faults");
         prop_assert_eq!(&bare.stats, &wrapped.stats);
         prop_assert_eq!(bare.total_us, wrapped.total_us);
         prop_assert_eq!(bare.avg_us, wrapped.avg_us);

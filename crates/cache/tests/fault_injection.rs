@@ -4,10 +4,10 @@
 //! the replay accounting intact.
 
 use icgmm_cache::{
-    simulate_streaming_with_warmup, AccessCtx, EvictionPolicy, FailoverAdmission, FailoverEviction,
-    FaultPlan, FaultSink, FaultyScore, FnScore, GmmScorePolicy, LatencyModel, LruPolicy,
-    ScoreSource, ScorerHealth, SetAssocCache, ShardPolicies, ShardRunError, ShardedReport,
-    ShardedSimulator, ThresholdAdmit,
+    simulate_streaming_with_warmup, AccessCtx, AdaptStats, EvictionPolicy, FailoverAdmission,
+    FailoverEviction, FaultPlan, FaultStats, FaultyScore, FnScore, GmmScorePolicy, LatencyModel,
+    LruPolicy, ScoreSource, ScorerHealth, SetAssocCache, ShardPolicies, ShardRunError,
+    ShardedReport, ShardedSimulator, ThresholdAdmit,
 };
 use icgmm_testutil::{
     admission_for, conflict_trace, eviction_for, score_for, small_cfg, zipf_trace,
@@ -234,23 +234,15 @@ fn scorer_health_monitor_demotes_serves_degraded_and_repromotes() {
             scorer_promote_after: 4,
             ..FaultPlan::empty()
         };
-        let sink = FaultSink::new();
         let health = ScorerHealth::new(&plan);
         let mut cache = SetAssocCache::new(cfg).unwrap();
         let mut ev = FailoverEviction::new(
             eviction_for("gmm-score", cfg, &trace),
             Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
             health.clone(),
-            sink.clone(),
         );
-        let mut ad =
-            FailoverAdmission::new(admission_for("threshold"), health.clone(), sink.clone());
-        let mut sc = FaultyScore::new(
-            score_for("fn").expect("fn score"),
-            plan,
-            Some(health),
-            sink.clone(),
-        );
+        let mut ad = FailoverAdmission::new(admission_for("threshold"), health.clone());
+        let mut sc = FaultyScore::new(score_for("fn").expect("fn score"), plan, Some(health));
         let report = simulate_streaming_with_warmup(
             warm,
             meas,
@@ -261,7 +253,9 @@ fn scorer_health_monitor_demotes_serves_degraded_and_repromotes() {
             &lat,
             Some(64),
         );
-        (report, sink.snapshot())
+        let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
+        sc.telemetry(&mut fault, &mut adapt);
+        (report, fault)
     };
 
     let (report, fault) = run();

@@ -339,63 +339,6 @@ fn make_shard_runs_on_worker_threads() {
     );
 }
 
-/// Chunked-parallel Belady oracle build == serial build, proven through
-/// the replay: a sharded run whose per-shard oracles are built with
-/// [`BeladyPolicy::from_records_chunked`] is bit-identical to one whose
-/// oracles use the serial [`BeladyPolicy::from_pages`] sweep, at every
-/// shard count (shard subtrace lengths land on arbitrary chunk
-/// boundaries, including chunks > records for near-empty shards).
-#[test]
-fn chunked_belady_oracle_matches_serial_through_the_replay() {
-    use icgmm_cache::BeladyPolicy;
-    let cfg = small_cfg();
-    let trace = mixed_trace(4_000);
-    let (warm, meas) = trace.split_at(800);
-    let lat = LatencyModel::paper_tlc();
-    let run = |chunks: Option<usize>| {
-        ShardedSimulator::new(4)
-            .run(
-                warm,
-                meas,
-                cfg,
-                &|ctx| {
-                    let recs: Vec<TraceRecord> = ctx
-                        .warmup
-                        .iter()
-                        .chain(ctx.measured.iter())
-                        .copied()
-                        .collect();
-                    let eviction: Box<dyn icgmm_cache::EvictionPolicy + Send> = match chunks {
-                        Some(c) => Box::new(BeladyPolicy::from_records_chunked(
-                            &recs,
-                            cfg.num_sets(),
-                            cfg.ways,
-                            c,
-                        )),
-                        None => Box::new(BeladyPolicy::from_pages(
-                            recs.iter().map(|r| r.page().raw()),
-                            cfg.num_sets(),
-                            cfg.ways,
-                        )),
-                    };
-                    ShardPolicies {
-                        admission: Box::new(AlwaysAdmit),
-                        eviction,
-                        score: None,
-                    }
-                },
-                &lat,
-                Some(64),
-            )
-            .unwrap()
-    };
-    let serial = run(None);
-    for chunks in [2usize, 3, 8, 10_000] {
-        let chunked = run(Some(chunks));
-        assert_eq!(serial.sim, chunked.sim, "{chunks} chunks");
-    }
-}
-
 /// Deterministic spot check on an adversarial bypass-storm fixture:
 /// constant admission bypasses inside every shard, still bit-identical
 /// after the merge at every shard count.

@@ -109,16 +109,17 @@ pub fn run_suite(
 
     type Slot = Option<Result<Vec<ExperimentResult>, IcgmmError>>;
     let slots: Mutex<Vec<Slot>> = Mutex::new((0..specs.len()).map(|_| None).collect());
-    crossbeam::thread::scope(|scope| {
+    // (`crossbeam` stays in this crate's manifest, unused, until the
+    // benchmark PR prunes it with the lockfile — ROADMAP item 1d.)
+    std::thread::scope(|scope| {
         for (i, spec) in specs.iter().enumerate() {
             let slots = &slots;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let r = run_benchmark(spec, modes);
                 slots.lock()[i] = Some(r);
             });
         }
-    })
-    .expect("experiment worker panicked");
+    });
 
     let mut all = Vec::new();
     for slot in slots.into_inner() {

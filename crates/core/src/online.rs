@@ -39,7 +39,8 @@
 //! score *ordering* is what drift repair needs.
 
 use icgmm_cache::{
-    AdaptPlan, AdaptSink, AdaptStats, DriftDetector, ObsSample, RecentRing, Reservoir, ScoreSource,
+    AdaptPlan, AdaptStats, DriftDetector, FaultStats, ObsSample, RecentRing, Reservoir,
+    ScoreSource, RESERVOIR_CAPACITY,
 };
 use icgmm_gmm::{EmConfig, Gmm, GmmError, IncrementalEm, Vec2};
 use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
@@ -75,7 +76,6 @@ pub struct AdaptiveEngine {
     reservoir: Reservoir,
     ring: RecentRing,
     detector: DriftDetector,
-    sink: AdaptSink,
     /// Base of the per-generation reservoir seed stream (stream 2 of the
     /// `(adapt seed, shard)` pair; generation g restarts on sub-stream g).
     reservoir_salt: u64,
@@ -112,7 +112,6 @@ impl AdaptiveEngine {
         preprocess: &PreprocessConfig,
         plan: AdaptPlan,
         shard: u64,
-        sink: AdaptSink,
     ) -> Result<Self, GmmError> {
         debug_assert!(!plan.is_empty(), "callers skip wrapping for empty plans");
         let trainer_cfg = EmConfig {
@@ -127,10 +126,9 @@ impl AdaptiveEngine {
             trainer,
             preprocess: *preprocess,
             check_interval: plan.check_interval,
-            reservoir: Reservoir::new(salt(reservoir_salt, 0, 0), plan.reservoir_capacity),
+            reservoir: Reservoir::new(salt(reservoir_salt, 0, 0), RESERVOIR_CAPACITY),
             ring: RecentRing::new(plan.recent_window),
             detector: DriftDetector::new(&plan),
-            sink,
             reservoir_salt,
             stats: AdaptStats::default(),
             pos: 0,
@@ -146,7 +144,8 @@ impl AdaptiveEngine {
         self.engine.scores_computed()
     }
 
-    /// The adaptation telemetry accumulated so far.
+    /// The adaptation telemetry accumulated so far (what
+    /// [`ScoreSource::telemetry`] hands a replay's report).
     pub fn stats(&self) -> AdaptStats {
         self.stats
     }
@@ -209,8 +208,6 @@ impl AdaptiveEngine {
                 self.try_refit();
             }
         }
-        let snapshot = self.stats;
-        self.sink.record(move |acc| *acc = snapshot);
     }
 
     fn try_refit(&mut self) {
@@ -266,6 +263,10 @@ impl ScoreSource for AdaptiveEngine {
         self.engine.observe_gap(n);
         self.pos += n;
     }
+
+    fn telemetry(&self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {
+        adapt.merge(&self.stats);
+    }
 }
 
 #[cfg(test)]
@@ -313,16 +314,7 @@ mod tests {
     fn adaptive(plan: AdaptPlan, shard: u64) -> AdaptiveEngine {
         let (model, em) = trained(4, 7);
         let engine = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
-        AdaptiveEngine::new(
-            engine,
-            &model.gmm,
-            em,
-            &pre(),
-            plan,
-            shard,
-            AdaptSink::new(),
-        )
-        .unwrap()
+        AdaptiveEngine::new(engine, &model.gmm, em, &pre(), plan, shard).unwrap()
     }
 
     fn record(i: u64) -> TraceRecord {
@@ -341,8 +333,7 @@ mod tests {
         let (model, em) = trained(4, 7);
         let mut plain = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
         let engine = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
-        let mut adaptive =
-            AdaptiveEngine::new(engine, &model.gmm, em, &pre(), plan, 0, AdaptSink::new()).unwrap();
+        let mut adaptive = AdaptiveEngine::new(engine, &model.gmm, em, &pre(), plan, 0).unwrap();
         let records: Vec<TraceRecord> = (0..500).map(record).collect();
         let mut a = vec![0.0; records.len()];
         adaptive.score_window(&records, &mut a);
@@ -433,8 +424,11 @@ mod tests {
         assert_eq!(stats.swaps, stats.refits);
         assert_eq!(stats.generation, stats.swaps);
         assert!(stats.last_swap_pos > 0);
-        // The sink carries the same block the engine reports.
-        assert_eq!(eng.sink.snapshot(), stats);
+        // A replay's report gets the same block through the hook.
+        let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
+        eng.telemetry(&mut fault, &mut adapt);
+        assert_eq!(adapt, stats);
+        assert!(fault.is_clean());
     }
 
     #[test]

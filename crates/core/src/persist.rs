@@ -97,18 +97,14 @@ pub fn save_model<W: Write>(model: &TrainedModel, w: W) -> std::io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns [`ModelFileError::Malformed`] on the first structural problem,
-/// or [`ModelFileError::Io`] on reader failure.
+/// Returns [`ModelFileError::Malformed`] on the first structural problem
+/// — a non-finite threshold and anything but blank lines after the last
+/// component included — or [`ModelFileError::Io`] on reader failure.
 pub fn load_model<R: Read>(r: R) -> Result<TrainedModel, ModelFileError> {
-    let reader = BufReader::new(r);
-    let mut lines = reader.lines().enumerate();
+    let mut lines = BufReader::new(r).lines().enumerate();
     let mut next = |expect: &str| -> Result<(usize, String), ModelFileError> {
         match lines.next() {
-            Some((i, Ok(l))) => Ok((i + 1, l)),
-            Some((i, Err(e))) => Err(ModelFileError::Malformed {
-                line: i + 1,
-                what: e.to_string(),
-            }),
+            Some((i, l)) => Ok((i + 1, l?)),
             None => Err(ModelFileError::Malformed {
                 line: 0,
                 what: format!("unexpected end of file, expected {expect}"),
@@ -142,6 +138,11 @@ pub fn load_model<R: Read>(r: R) -> Result<TrainedModel, ModelFileError> {
         StandardScaler::from_parts([sv[0], sv[1]], [sv[2], sv[3]]).map_err(|e| bad(i, &e))?;
     let (i, line) = next("threshold")?;
     let threshold = floats(i, &line, "threshold", 1)?[0];
+    if !threshold.is_finite() {
+        // `score >= NaN` is false for every score: the model would load
+        // and then bypass every read miss.
+        return Err(bad(i, "threshold must be finite"));
+    }
     let (i, line) = next("k")?;
     let k: usize = line
         .strip_prefix("k ")
@@ -151,8 +152,9 @@ pub fn load_model<R: Read>(r: R) -> Result<TrainedModel, ModelFileError> {
         return Err(bad(i, "k must be >= 1"));
     }
 
-    let mut weights = Vec::with_capacity(k);
-    let mut comps = Vec::with_capacity(k);
+    // The vectors grow as lines arrive: `k` is a claim the file has yet
+    // to back up, not a size to allocate.
+    let (mut weights, mut comps) = (Vec::new(), Vec::new());
     for _ in 0..k {
         let (i, line) = next("component")?;
         let v = floats(i, &line, "comp", 6)?;
@@ -160,6 +162,11 @@ pub fn load_model<R: Read>(r: R) -> Result<TrainedModel, ModelFileError> {
         let g = Gaussian2::new([v[1], v[2]], Mat2::new(v[3], v[4], v[5]))
             .map_err(|e| bad(i, &e.to_string()))?;
         comps.push(g);
+    }
+    for (i, line) in lines {
+        if !line?.trim().is_empty() {
+            return Err(bad(i + 1, "unexpected content after the last component"));
+        }
     }
     let gmm = Gmm::new(weights, comps).map_err(|e| ModelFileError::Malformed {
         line: 0,
@@ -239,6 +246,62 @@ mod tests {
             .unwrap()
             .replace("threshold", "threshold x");
         assert!(load_model(text.as_bytes()).is_err());
+    }
+
+    /// Hostile files get a typed error — never a panic, an allocation sized
+    /// by an unread count, or a model that loads and misbehaves.
+    #[test]
+    fn hostile_files_are_typed_errors() {
+        const HEAD: &str = "icgmm-model v1\nscaler 0e0 0e0 1e0 1e0\n";
+        const COMP: &str = "comp 1e0 0e0 0e0 1e0 0e0 1e0\n";
+        let file = |threshold: &str, k: &str, comps: &str| {
+            format!("{HEAD}threshold {threshold}\nk {k}\n{comps}")
+        };
+        // (file, the 1-based line the error names; 0 = end of file or the
+        // mixture as a whole)
+        let cases = [
+            // A component count nobody could allocate: the loader reads
+            // until the lines run out instead of reserving for it.
+            (file("0e0", "18446744073709551615", COMP), 0),
+            (file("0e0", "1000000000000", COMP), 0),
+            (file("NaN", "1", COMP), 3),
+            (file("inf", "1", COMP), 3),
+            (file("0e0", "1", &format!("{COMP}{COMP}")), 6),
+            (file("0e0", "1", &format!("{COMP}\n  \nk 1\n")), 8),
+            // Truncated after `k`, and after the header.
+            (file("0e0", "1", ""), 0),
+            ("icgmm-model v1\n".to_string(), 0),
+            // NaN inside a component: as a mean, a covariance, a weight.
+            (file("0e0", "1", "comp 1e0 NaN 0e0 1e0 0e0 1e0\n"), 5),
+            (file("0e0", "1", "comp 1e0 0e0 0e0 NaN 0e0 1e0\n"), 5),
+            (file("0e0", "1", "comp NaN 0e0 0e0 1e0 0e0 1e0\n"), 0),
+        ];
+        for (text, want) in &cases {
+            match load_model(text.as_bytes()) {
+                Err(ModelFileError::Malformed { line, .. }) => {
+                    assert_eq!(line, *want, "wrong line for {text:?}")
+                }
+                other => panic!("{text:?} must be Malformed, got {other:?}"),
+            }
+        }
+        // Blank lines after the last component are not content.
+        assert!(load_model(file("0e0", "1", &format!("{COMP}\n  \n")).as_bytes()).is_ok());
+
+        // A reader that fails mid-file is an I/O error, not a malformed file.
+        struct FailsAfter<'a>(&'a [u8]);
+        impl Read for FailsAfter<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::Error::other("disk on fire"));
+                }
+                let n = self.0.len().min(buf.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let err = load_model(FailsAfter(file("0e0", "2", COMP).as_bytes())).unwrap_err();
+        assert!(matches!(err, ModelFileError::Io(_)), "{err:?}");
     }
 
     #[test]

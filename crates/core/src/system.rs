@@ -10,10 +10,10 @@ use crate::engine::{GmmPolicyEngine, TrainedModel};
 use crate::error::IcgmmError;
 use crate::online::AdaptiveEngine;
 use icgmm_cache::{
-    AdaptPlan, AdaptSink, AdaptStats, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy,
-    FailoverAdmission, FailoverEviction, FaultPlan, FaultSink, FaultStats, FaultyScore, FifoPolicy,
-    GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy, RandomPolicy, ScoreSource, ScorerHealth,
-    ShardCtx, ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
+    AdaptPlan, AdaptStats, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy,
+    FailoverAdmission, FailoverEviction, FaultPlan, FaultyScore, FifoPolicy, GmmScorePolicy,
+    LatencyModel, LfuPolicy, LruPolicy, RandomPolicy, ScoreSource, ScorerHealth, ShardCtx,
+    ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_gmm::{calibrate_threshold, EmReport, EmTrainer, StandardScaler};
 use icgmm_hw::{DataflowConfig, DataflowReport};
@@ -23,7 +23,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
 /// Summary of one `fit` (offline training) invocation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -70,8 +69,10 @@ impl RunReport {
 
 /// The one replay assembly: what it takes to build any shard's
 /// policy/scorer/fault stack — the mode's engine, the fault and adaptation
-/// plans, the trimmed trace and the per-shard telemetry sinks. Empty plans
-/// install no wrapper, so disabled features stay bit-identical.
+/// plans and the trimmed trace. Empty plans install no wrapper, so
+/// disabled features stay bit-identical. It keeps nothing per shard: a
+/// shard's counters are fields of its own stack, which whoever replays the
+/// shard reads through [`ScoreSource::telemetry`].
 struct Assembly<'a> {
     sys: &'a Icgmm,
     mode: PolicyMode,
@@ -81,10 +82,6 @@ struct Assembly<'a> {
     /// Warm-up ⧺ measured (the trace minus its trimmed tail).
     records: &'a [TraceRecord],
     warmup_len: usize,
-    /// One slot per shard, written by whichever thread builds that shard.
-    /// A supervisor re-replay replaces the aborted attempt's sinks
-    /// wholesale, keeping merged stats equal to an undisturbed run.
-    sinks: Mutex<Vec<(FaultSink, AdaptSink)>>,
 }
 
 impl<'a> Assembly<'a> {
@@ -111,12 +108,7 @@ impl<'a> Assembly<'a> {
             PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
             // The oracle sees exactly this shard's subsequence (its
             // positions are the shard-local sequence numbers the replay
-            // presents). One shard's is the whole trace, whose contiguous
-            // slice takes the chunk-parallel build; indexed views build
-            // straight off the view, never materializing the subtrace.
-            PolicyMode::Belady if ctx.shards == 1 => {
-                Box::new(BeladyPolicy::from_records(self.records, sets, ways))
-            }
+            // presents), built straight off the view.
             PolicyMode::Belady => Box::new(BeladyPolicy::from_pages(
                 ctx.warmup
                     .iter()
@@ -141,7 +133,6 @@ impl<'a> Assembly<'a> {
         };
         // An armed adaptation plan wraps the shard's engine clone in the
         // online refit loop (per-shard buffers, shard-salted seed streams).
-        let (fsink, asink) = (FaultSink::new(), AdaptSink::new());
         let mut score: Option<Box<dyn ScoreSource + Send>> = match &self.engine {
             None => None,
             Some(e) if self.adapt.is_empty() => Some(Box::new(e.clone())),
@@ -149,8 +140,7 @@ impl<'a> Assembly<'a> {
                 let model = self.sys.model.as_ref();
                 let gmm = &model.expect("a GMM engine implies a trained model").gmm;
                 let (em, pre, shard) = (cfg.em, &cfg.preprocess, ctx.shard as u64);
-                let adaptive =
-                    AdaptiveEngine::new(e.clone(), gmm, em, pre, self.adapt, shard, asink.clone());
+                let adaptive = AdaptiveEngine::new(e.clone(), gmm, em, pre, self.adapt, shard);
                 Some(Box::new(
                     adaptive.expect("adapt plan validated by IcgmmConfig"),
                 ))
@@ -162,31 +152,20 @@ impl<'a> Assembly<'a> {
         let plan = self.fault;
         let health = (score.is_some() && plan.monitor_armed()).then(|| ScorerHealth::new(&plan));
         if plan.scorer_armed() || health.is_some() {
-            let wrap = |s| Box::new(FaultyScore::new(s, plan, health.clone(), fsink.clone())) as _;
+            let wrap = |s| Box::new(FaultyScore::new(s, plan, health.clone())) as _;
             score = score.map(wrap);
         }
         if let Some(h) = health.clone().filter(|_| gmm_evicts) {
             let lru = Box::new(LruPolicy::new(sets, ways));
-            eviction = Box::new(FailoverEviction::new(eviction, lru, h, fsink.clone()));
+            eviction = Box::new(FailoverEviction::new(eviction, lru, h));
         }
         if let Some(h) = health.filter(|_| gmm_admits) {
-            admission = Box::new(FailoverAdmission::new(admission, h, fsink.clone()));
+            admission = Box::new(FailoverAdmission::new(admission, h));
         }
-        self.sinks.lock().expect("sink lock never poisoned")[ctx.shard] = (fsink, asink);
         ShardPolicies {
             admission,
             eviction,
             score,
-        }
-    }
-
-    /// Merges the per-shard sinks into a report's telemetry blocks, in
-    /// shard order (deterministic for a given shard count).
-    fn finish(self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
-        let sinks = self.sinks.into_inner();
-        for (fsink, asink) in sinks.expect("no worker holds the sink lock") {
-            fault.merge(&fsink.snapshot());
-            adapt.merge(&asink.snapshot());
         }
     }
 }
@@ -344,7 +323,6 @@ impl Icgmm {
             adapt,
             records: &trace.records()[..end],
             warmup_len: start,
-            sinks: Mutex::new(vec![Default::default(); shards]),
         })
     }
 
@@ -423,11 +401,9 @@ impl Icgmm {
         let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
         let engine = ShardedSimulator::new(shards).with_faults(asm.fault);
         let rep = engine.run(warmup, measured, self.cfg.cache, &make_shard, latency, None)?;
-        let mut sim = rep.sim;
-        asm.finish(&mut sim.fault, &mut sim.adapt);
         Ok(RunReport {
             mode,
-            sim,
+            sim: rep.sim,
             gmm_inferences: rep.scores_consumed,
             spec: None,
         })
@@ -473,9 +449,7 @@ impl Icgmm {
         })?;
         let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
         let (cache, latency) = (self.cfg.cache, &self.cfg.latency);
-        let mut rep = server.serve(warmup, measured, cache, &make_shard, latency, None)?;
-        asm.finish(&mut rep.sim.fault, &mut rep.sim.adapt);
-        Ok(rep)
+        Ok(server.serve(warmup, measured, cache, &make_shard, latency, None)?)
     }
 
     /// Runs one mode through the cycle-approximate dataflow hardware model
@@ -520,7 +494,11 @@ impl Icgmm {
         let cache = self.cfg.cache;
         let mut report =
             icgmm_hw::run_dataflow_with_warmup(warmup, measured, cache, adm, ev, score, &config)?;
-        asm.finish(&mut report.fault, &mut AdaptStats::default());
+        // The device's counters are in the report; the scorer's and the
+        // ladder's are in the stack this front-end still holds.
+        if let Some(score) = &pol.score {
+            score.telemetry(&mut report.fault, &mut AdaptStats::default());
+        }
         Ok(report)
     }
 }

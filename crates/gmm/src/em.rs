@@ -2,7 +2,7 @@
 //!
 //! Full-covariance weighted EM with log-sum-exp responsibilities, k-means++
 //! initialization, covariance regularization, empty-component re-seeding,
-//! and a crossbeam-parallel E-step (the paper trains offline on millions of
+//! and a scoped-thread-parallel E-step (the paper trains offline on millions of
 //! trace cells; the parallel E-step keeps K = 256 practical on a laptop).
 //! The E-step *is* the scoring kernel: each sample's terms come from
 //! [`GmmScorer::unit_terms_into`] — vectorised across components, the
@@ -467,7 +467,9 @@ pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64], threads: usize) -> Su
     }
     let chunk = xs.len().div_ceil(threads);
     let mut partials: Vec<SuffStats> = Vec::with_capacity(threads);
-    crossbeam::thread::scope(|scope| {
+    // (`crossbeam` stays in this crate's manifest, unused, until the
+    // benchmark PR prunes it with the lockfile — ROADMAP item 1d.)
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..threads {
             let lo = t * chunk;
@@ -476,7 +478,7 @@ pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64], threads: usize) -> Su
             }
             let hi = ((t + 1) * chunk).min(xs.len());
             let slice = &xs[lo..hi];
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut stats = SuffStats::zeros(k);
                 let mut terms = vec![0.0f64; k];
                 accumulate(scorer, slice, ws, lo, &mut stats, &mut terms);
@@ -486,8 +488,7 @@ pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64], threads: usize) -> Su
         for h in handles {
             partials.push(h.join().expect("E-step worker panicked"));
         }
-    })
-    .expect("crossbeam scope failed");
+    });
     for p in &partials {
         stats.merge(p);
     }

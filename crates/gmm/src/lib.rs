@@ -12,7 +12,7 @@
 //! * [`GmmScorer`] — the allocation-free structure-of-arrays scoring
 //!   kernel behind every hot path (single points, batches, the E-step);
 //! * [`EmTrainer`]/[`EmConfig`] — weighted EM with k-means++ init and a
-//!   crossbeam-parallel E-step ([`e_step`] → [`SuffStats`]) that runs on
+//!   scoped-thread-parallel E-step ([`e_step`] → [`SuffStats`]) that runs on
 //!   the scoring kernel itself, vectorised across components;
 //! * [`IncrementalEm`] — online refits over decayed sufficient
 //!   statistics: one E/M pass per refit instead of a cold `fit`;

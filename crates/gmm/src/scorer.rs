@@ -582,7 +582,7 @@ impl GmmScorer {
     }
 
     /// [`GmmScorer::score_batch`] split across scoped worker threads —
-    /// the same crossbeam pattern (and thread cap) as the parallel EM
+    /// the same scoped-thread pattern (and thread cap) as the parallel EM
     /// E-step. `threads = 0` selects the available parallelism; batches
     /// under [`PARALLEL_MIN`] points are scored on the caller. Points are
     /// scored independently, so where the batch is split is invisible.
@@ -604,12 +604,11 @@ impl GmmScorer {
             return self.score_batch(xs, out);
         }
         let span = xs.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (xc, oc) in xs.chunks(span).zip(out.chunks_mut(span)) {
-                scope.spawn(move |_| self.score_batch(xc, oc));
+                scope.spawn(move || self.score_batch(xc, oc));
             }
-        })
-        .expect("scoring worker panicked");
+        });
     }
 }
 

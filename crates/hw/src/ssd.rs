@@ -6,7 +6,7 @@
 //! response times", parameterized by device type. We model exactly that: a
 //! single-command device that is busy for the programmed latency.
 
-use icgmm_cache::{FaultPlan, FaultStats};
+use icgmm_cache::{FaultPlan, FaultStats, DEVICE_SPIKE_MULT};
 use icgmm_trace::Op;
 use serde::{Deserialize, Serialize};
 
@@ -176,7 +176,7 @@ fn faulted_service_us(
 ) -> f64 {
     let mut attempt_us = nominal;
     if plan.device_spikes(op_index) {
-        attempt_us *= plan.device_spike_mult;
+        attempt_us *= DEVICE_SPIKE_MULT;
         stats.device_spikes += 1;
     }
     let mut total = 0.0;

@@ -61,10 +61,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::thread::{self, ScopedJoinHandle};
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use crossbeam::thread::ScopedJoinHandle;
 
 /// Transport batching factor: up to this many records ride one channel
 /// message, on both the ingestion and the outcome path. A bounded-queue
@@ -80,9 +80,9 @@ use crossbeam::thread::ScopedJoinHandle;
 const SUBMIT_BATCH: usize = 64;
 
 use icgmm_cache::{
-    shard_gap_before, streaming_step, CacheConfig, FaultStats, LatencyModel, OutcomeStream,
-    ScoreSource, SeqOutcome, SetAssocCache, ShardCtx, ShardPartition, ShardPolicies, ShardRunError,
-    ShardSupervisor, SimReport, StreamingMerge,
+    shard_gap_before, streaming_step, AdaptStats, CacheConfig, FaultStats, LatencyModel,
+    OutcomeStream, ScoreSource, SeqOutcome, SetAssocCache, ShardCtx, ShardPartition, ShardPolicies,
+    ShardRunError, ShardSupervisor, SimReport, StreamingMerge,
 };
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
@@ -118,6 +118,11 @@ struct WorkerDone {
     /// Eviction and admission policy names for the merged report
     /// (policies are built worker-side, so the names travel back).
     names: Option<(String, String)>,
+    /// What the shard's score stack counted ([`ScoreSource::telemetry`],
+    /// read after its last record); the session total also holds the
+    /// supervisor's panic / recovery counts.
+    fault: FaultStats,
+    adapt: AdaptStats,
 }
 
 /// The serving front-end. Construction validates the configuration;
@@ -277,7 +282,7 @@ impl CacheServer {
         // drain a message before its sender's add lands.
         let inflight: Vec<AtomicI64> = (0..s).map(|_| AtomicI64::new(0)).collect();
 
-        let (mut total, mut fault) = (WorkerDone::default(), FaultStats::default());
+        let mut total = WorkerDone::default();
         // Outcomes merged per shard so far: all of them came from the
         // live worker until it died, so this is also the prefix a
         // recovery may skip.
@@ -286,13 +291,13 @@ impl CacheServer {
         let mut pending: Vec<VecDeque<SeqOutcome>> = (0..s).map(|_| VecDeque::new()).collect();
 
         let start = Instant::now();
-        let served = crossbeam::thread::scope(|scope| {
+        let served = thread::scope(|scope| {
             let mut workers: Vec<Option<ScopedJoinHandle<'_, _>>> = (0..s)
                 .map(|shard| {
                     let rx = ingest_rx[shard].take().expect("one worker per shard");
                     let tx = out_tx[shard].take().expect("one worker per shard");
                     let infl = &inflight[shard];
-                    Some(scope.spawn(move |_| {
+                    Some(scope.spawn(move || {
                         // Worker-side policy construction: Belady oracle
                         // builds and scorer clones run in parallel across
                         // shards, off the calling thread. A refused
@@ -312,7 +317,7 @@ impl CacheServer {
                 .into_iter()
                 .enumerate()
                 .map(|(client, senders)| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         run_client(
                             part, client, clients, warmup, measured, senders, shed, batch,
                             infl_all, depth,
@@ -351,8 +356,7 @@ impl CacheServer {
                                 // prefix.
                                 let worker = workers[shard].take().expect("a worker dies once");
                                 let done = delivered[shard];
-                                let stream =
-                                    settle(sup, shard, worker, done, &mut total, &mut fault)?;
+                                let stream = settle(sup, shard, worker, done, &mut total)?;
                                 recovered[shard] = Some(stream.expect(
                                     "a live worker exits only once every outcome is delivered",
                                 ));
@@ -382,7 +386,7 @@ impl CacheServer {
                     let _ = worker.join();
                 } else {
                     let done = delivered[shard];
-                    failed = settle(sup, shard, worker, done, &mut total, &mut fault).err();
+                    failed = settle(sup, shard, worker, done, &mut total).err();
                 }
             }
             if let Some(e) = failed {
@@ -397,10 +401,9 @@ impl CacheServer {
                 sheds,
                 wall,
             ))
-        })
-        .expect("serve scope joins every handle");
+        });
         let (mut sim, sheds, wall) = served?;
-        sim.fault = fault;
+        (sim.fault, sim.adapt) = (total.fault, total.adapt);
 
         let wall_us = wall.as_secs_f64() * 1e6;
         let requests_per_sec = if wall_us > 0.0 {
@@ -425,26 +428,28 @@ impl CacheServer {
 }
 
 /// Joins shard `shard`'s worker and adds what it leaves behind to `total`.
-/// A dead one is recovered by the supervisor: the re-replay's scored count
-/// stands in for the worker's partial one (its timing telemetry died with
-/// it) and the outcomes past the `delivered` prefix are returned for the
-/// merger.
+/// A dead one is recovered by the supervisor (the death and the recovery
+/// counted in `total.fault`): the re-replay's scored count and fault /
+/// adapt blocks stand in for the worker's partial ones (they and its
+/// timing telemetry died with it) and the outcomes past the `delivered`
+/// prefix are returned for the merger.
 fn settle<'a>(
     sup: &ShardSupervisor<'a>,
     shard: usize,
     worker: ScopedJoinHandle<'_, Result<WorkerDone, ShardRunError>>,
     delivered: usize,
     total: &mut WorkerDone,
-    fault: &mut FaultStats,
 ) -> Result<Option<Box<dyn OutcomeStream + 'a>>, ShardRunError> {
     let (done, stream) = match worker.join() {
         Ok(done) => (done?, None),
         Err(payload) => {
-            let (stream, scored, report) = sup.recover(shard, payload, delivered, fault)?;
-            let names = Some((report.eviction, report.admission));
+            let (stream, scored, report) =
+                sup.recover(shard, payload, delivered, &mut total.fault)?;
             let done = WorkerDone {
                 scored,
-                names,
+                names: Some((report.eviction, report.admission)),
+                fault: report.fault,
+                adapt: report.adapt,
                 ..WorkerDone::default()
             };
             (done, Some(Box::new(stream) as Box<dyn OutcomeStream + 'a>))
@@ -454,6 +459,8 @@ fn settle<'a>(
     total.overlap.merge(&done.overlap);
     total.scored += done.scored;
     total.names = total.names.take().or(done.names);
+    total.fault.merge(&done.fault);
+    total.adapt.merge(&done.adapt);
     Ok(stream)
 }
 
@@ -795,12 +802,17 @@ fn run_worker(
         }
     }
     state.flush();
-    WorkerDone {
+    let mut done = WorkerDone {
         hist: state.hist,
         scored: state.scored,
         overlap: state.comp.finish(),
         names: Some(names),
+        ..WorkerDone::default()
+    };
+    if let Some(score) = &pol.score {
+        score.telemetry(&mut done.fault, &mut done.adapt);
     }
+    done
 }
 
 #[cfg(test)]

@@ -1,76 +1,12 @@
 //! Offline shim for `crossbeam`.
 //!
-//! Two surfaces are used by the workspace: `crossbeam::thread::scope` /
-//! `Scope::spawn` (the parallel EM E-step, batch scoring, the sharded
-//! replay workers and the serving front-end) and `crossbeam::channel`
-//! bounded queues (the serving ingestion/outcome paths — their only
-//! user: the sharded replay engine hands nothing across threads per
-//! record, it fans indices out and joins). Since Rust 1.63
-//! the standard library has scoped threads, so the thread half is a thin
-//! adapter reproducing crossbeam's call shape — `scope(|s| ...)` returning
-//! a `Result`, and spawn closures receiving a `&Scope` argument — over
-//! `std::thread::scope`. The channel half is a bounded MPMC queue over
+//! One surface is used by the workspace: `crossbeam::channel` bounded
+//! queues (the serving ingestion/outcome paths — their only user: the
+//! sharded replay engine hands nothing across threads per record, it fans
+//! indices out and joins). It is a bounded MPMC queue over
 //! `std::sync::{Mutex, Condvar}` with crossbeam's disconnect semantics.
-
-/// Scoped-thread API mirroring `crossbeam::thread`.
-pub mod thread {
-    use std::any::Any;
-
-    /// Error payload of a panicked scope (matches `std::thread::Result`).
-    pub type Result<T> = std::result::Result<T, Box<dyn Any + Send + 'static>>;
-
-    /// Handle to a scope in which threads can be spawned (wraps
-    /// [`std::thread::Scope`]).
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Clone for Scope<'scope, 'env> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-
-    impl<'scope, 'env> Copy for Scope<'scope, 'env> {}
-
-    /// Handle to a spawned scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the thread and returns its result (Err on panic).
-        pub fn join(self) -> Result<T> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread. As in crossbeam, the closure receives
-        /// the scope itself so workers could spawn siblings.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let scope = *self;
-            ScopedJoinHandle {
-                inner: self.inner.spawn(move || f(&scope)),
-            }
-        }
-    }
-
-    /// Creates a scope for spawning threads that may borrow from the
-    /// caller's stack. Unlike crossbeam, a panic in an unjoined worker
-    /// propagates as a panic rather than an `Err` (every call site in this
-    /// workspace joins its handles, so the difference is unobservable).
-    pub fn scope<'env, F, R>(f: F) -> Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
+//! Scoped threads are the standard library's (`std::thread::scope`),
+//! called directly wherever the workspace spawns.
 
 /// Bounded MPMC channel API mirroring `crossbeam::channel`.
 ///
@@ -396,24 +332,23 @@ mod tests {
     fn blocked_sender_unblocks_when_space_frees() {
         let (tx, rx) = bounded(1);
         tx.send(0u64).unwrap();
-        crate::thread::scope(|scope| {
-            let h = scope.spawn(|_| tx.send(1u64));
+        std::thread::scope(|scope| {
+            let h = scope.spawn(|| tx.send(1u64));
             // The spawned send blocks on the full queue until this drain.
             assert_eq!(rx.recv(), Ok(0));
             h.join().unwrap().unwrap();
             assert_eq!(rx.recv(), Ok(1));
-        })
-        .unwrap();
+        });
     }
 
     #[test]
     fn blocked_receiver_unblocks_on_send_across_threads() {
         let (tx, rx) = bounded(2);
-        let total: u64 = crate::thread::scope(|scope| {
+        let total: u64 = std::thread::scope(|scope| {
             let producers: Vec<_> = (0..4u64)
                 .map(|i| {
                     let tx = tx.clone();
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for j in 0..16u64 {
                             tx.send(i * 16 + j).unwrap();
                         }
@@ -429,31 +364,7 @@ mod tests {
                 p.join().unwrap();
             }
             sum
-        })
-        .unwrap();
+        });
         assert_eq!(total, (0..64u64).sum());
-    }
-
-    #[test]
-    fn scope_spawn_join_borrows_stack_data() {
-        let data = [1u64, 2, 3, 4];
-        let total: u64 = crate::thread::scope(|scope| {
-            let handles: Vec<_> = data
-                .chunks(2)
-                .map(|c| scope.spawn(move |_| c.iter().sum::<u64>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        })
-        .unwrap();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn worker_panic_surfaces_through_join() {
-        crate::thread::scope(|scope| {
-            let h = scope.spawn(|_| -> () { panic!("boom") });
-            assert!(h.join().is_err());
-        })
-        .unwrap();
     }
 }
