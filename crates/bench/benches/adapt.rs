@@ -20,8 +20,8 @@
 //! CI gates the replay pair (held-off adaptation must stay within noise
 //! of the static path), the refit-vs-cold-fit pair and the
 //! refit-vs-scoring pair;
-//! the miss-rate gates ride the `adapt_gate` binary, which appends its
-//! own records to the same JSON artifact.
+//! the static-vs-adaptive miss rates are asserted by
+//! `tests/adapt_miss_rates.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use icgmm::{AdaptPlan, Icgmm, IcgmmConfig, PolicyMode};

@@ -50,9 +50,8 @@ fn bench_end_to_end(c: &mut Criterion) {
     scoring.bench_function("streaming_8k_window", |b| {
         let mut engine = sys.policy_engine().expect("fitted");
         b.iter(|| {
-            engine.reset();
-            for r in window {
-                engine.observe(black_box(r));
+            for (pos, r) in (0u64..).zip(window) {
+                engine.observe(black_box(r), pos);
                 black_box(engine.score_current());
             }
         })

@@ -4,7 +4,7 @@
 //!
 //! Three scenario families at paper-scale K = 256:
 //!
-//! * the all-miss scan from `sim_batch` (every request scores) at shard
+//! * an all-miss scan (every request scores) at shard
 //!   counts {1, 2, 4, 8} against the unsharded `simulate` loop;
 //! * the multi-tenant pooled workload (16 tenants, Zipf-interleaved) —
 //!   the trace shape sharding exists for; and
@@ -12,7 +12,7 @@
 //!   (`fanout_partition8_tenants`).
 //!
 //! CI gates only the S = 1 pair: one shard replays inline on the calling
-//! thread — no fan-out, gap bookkeeping, outcome recording or merge — so
+//! thread — no fan-out, outcome recording or merge — so
 //! it must sit at parity with the unsharded `simulate` (both sides are
 //! set-up inclusive: a fresh engine clone per replay). Higher shard
 //! counts are archived for trend tracking.

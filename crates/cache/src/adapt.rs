@@ -95,7 +95,7 @@ impl AdaptPlan {
     /// A drift-chasing preset used by the equivalence suites and the
     /// static-vs-adaptive experiment: frequent checks, a sensitive
     /// threshold and a short memory. Tuned on the footprint-migration
-    /// scenario (`adapt_gate`): checks every 1k positions react within
+    /// scenario (`tests/adapt_miss_rates.rs`): checks every 1k positions react within
     /// one reservoir turnover of a phase change, and the 0.3 decay
     /// forgets a stale generation in two refits; halving the interval
     /// again starts refitting on drift-free workloads (over-triggering),

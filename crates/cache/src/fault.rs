@@ -432,15 +432,14 @@ impl ScorerHealth {
 /// A [`ScoreSource`] wrapper that injects plan-rolled scorer faults and
 /// feeds the health monitor.
 ///
-/// The wrapper keeps its own observation clock (advanced exactly like the
-/// inner source's: `observe` +1, `observe_gap` +n), so every injection
-/// decision is keyed on the record's *global trace position* — identical
-/// at every shard count.
+/// Every injection decision is keyed on the observed record's *global
+/// trace position* — identical at every shard count.
 pub struct FaultyScore<S: ScoreSource> {
     inner: S,
     plan: FaultPlan,
     health: Option<Arc<ScorerHealth>>,
-    clock: u64,
+    /// Position of the most recently observed record.
+    pos: u64,
     nan_injected: u64,
     outage_scores: u64,
 }
@@ -454,7 +453,7 @@ impl<S: ScoreSource> FaultyScore<S> {
             inner,
             plan,
             health,
-            clock: 0,
+            pos: 0,
             nan_injected: 0,
             outage_scores: 0,
         }
@@ -511,23 +510,18 @@ impl<S: ScoreSource> FaultyScore<S> {
 }
 
 impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
-    fn observe(&mut self, record: &TraceRecord) {
-        self.inner.observe(record);
-        self.clock += 1;
+    fn observe(&mut self, record: &TraceRecord, pos: u64) {
+        self.inner.observe(record, pos);
+        self.pos = pos;
     }
 
     fn score_current(&mut self) -> f64 {
         let raw = self.inner.score_current();
-        self.corrupt(self.clock.wrapping_sub(1), raw)
+        self.corrupt(self.pos, raw)
     }
 
     fn shardable(&self) -> bool {
         self.inner.shardable()
-    }
-
-    fn observe_gap(&mut self, n: u64) {
-        self.inner.observe_gap(n);
-        self.clock += n;
     }
 
     fn telemetry(&self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
@@ -732,7 +726,7 @@ mod tests {
         let run = |mut s: FaultyScore<ConstantScore>| -> Vec<bool> {
             (0..200u64)
                 .map(|i| {
-                    s.observe(&TraceRecord::read(i << 12));
+                    s.observe(&TraceRecord::read(i << 12), i);
                     !s.score_current().is_finite()
                 })
                 .collect()
@@ -751,21 +745,23 @@ mod tests {
             scorer_nan_per_mille: 300,
             ..FaultPlan::default()
         };
-        let records: Vec<TraceRecord> = (0..64u64).map(|i| TraceRecord::read(i << 12)).collect();
-        let mut streaming = FaultyScore::new(Box::new(ConstantScore(0.5)), plan, None);
-        let expected: Vec<f64> = records
-            .iter()
-            .map(|r| {
-                streaming.observe(r);
-                streaming.score_current()
+        // A shard's clone observes only its own positions and must corrupt
+        // exactly the scores the whole-stream source corrupts there.
+        let record = |pos: u64| TraceRecord::read(pos << 12);
+        let mut whole = FaultyScore::new(Box::new(ConstantScore(0.5)), plan, None);
+        let expected: Vec<f64> = (0..64u64)
+            .map(|pos| {
+                whole.observe(&record(pos), pos);
+                whole.score_current()
             })
             .collect();
-        let mut windowed = FaultyScore::new(Box::new(ConstantScore(0.5)), plan, None);
-        let mut out = vec![0.0; records.len()];
-        windowed.score_window(&records, &mut out);
-        for (e, o) in expected.iter().zip(&out) {
+        let mut shard = FaultyScore::new(Box::new(ConstantScore(0.5)), plan, None);
+        for pos in (1..64u64).step_by(3) {
+            shard.observe(&record(pos), pos);
+            let (e, o) = (expected[pos as usize], shard.score_current());
             assert!(e == o || (e.is_nan() && o.is_nan()), "{e} vs {o}");
         }
+        assert!(expected.iter().any(|e| !e.is_finite()));
     }
 
     #[test]

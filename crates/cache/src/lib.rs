@@ -82,12 +82,12 @@ pub use policy::{
 };
 pub use score::{ConstantScore, FnScore, ScoreSource};
 pub use shard::{
-    shard_gap_before, ShardCtx, ShardPartition, ShardPolicies, ShardRunError, ShardSupervisor,
-    ShardedReport, ShardedSimulator,
+    ShardCtx, ShardPartition, ShardPolicies, ShardRunError, ShardSupervisor, ShardedReport,
+    ShardedSimulator,
 };
 pub use sim::{
     simulate, simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup,
     streaming_step, ReplayEvent, ReplayObserver, SimReport,
 };
 pub use stats::{CacheStats, MissSeries};
-pub use view::{RecordsIter, RecordsRef};
+pub use view::{Positioned, RecordsIter, RecordsRef};

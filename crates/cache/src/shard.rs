@@ -21,13 +21,13 @@
 //!   subsequence) all rank identically. [`crate::RandomPolicy`] — whose
 //!   RNG stream is a global interleaving artifact — reports `false` and is
 //!   refused above one shard.
-//! * **Scores** are functions of the observed record and the global
-//!   Algorithm 1 clock, which counts *every* request. A shard's scorer
-//!   clone keeps that clock in global trace order without seeing foreign
-//!   records: the gaps between its records are fast-forwarded through
-//!   [`ScoreSource::observe_gap`] (sources opt in via
-//!   [`ScoreSource::shardable`]), so every score is bit-identical to the
-//!   single-threaded stream.
+//! * **Scores** are functions of the observed record and its global trace
+//!   position — the Algorithm 1 clock, which counts *every* request. Every
+//!   record carries its position ([`ScoreSource::observe`] takes it: the
+//!   shard's index entry), so a shard's scorer clone never needs to see a
+//!   foreign record, and a source that scores from the record and its
+//!   position alone ([`ScoreSource::shardable`]) scores bit-identically to
+//!   the single-threaded stream.
 //! * **Accounting** is replayed, not summed: shard workers record their
 //!   per-record [`crate::AccessOutcome`]s through the replay-event stream,
 //!   each stamped with its global trace position, and a k-way
@@ -46,12 +46,10 @@
 //! [`ShardPartition`] — per-shard ascending lists of `u32` global trace
 //! positions, ~4 bytes per record — and each worker replays its
 //! subsequence through [`RecordsRef`] *indexed views* over the caller's
-//! original slices. Foreign-record gaps (the scorer clock fast-forward)
-//! are derived on the fly from consecutive index entries, so the old
-//! per-shard record copies and standalone `gaps` vectors (~2× trace +
-//! 8 B/record of peak fan-out memory) are gone entirely; the
-//! tracking-allocator test `tests/shard_alloc.rs` pins the routing cost
-//! down. Policy construction (`make_shard` — including full Belady oracle
+//! original slices. Each index entry is also its record's scorer-clock
+//! position and its outcome's merge position, so nothing else is stored
+//! per record; the tracking-allocator test `tests/shard_alloc.rs` pins the
+//! routing cost down. Policy construction (`make_shard` — including full Belady oracle
 //! passes over the shard subtrace) runs *inside* each worker, in
 //! parallel, instead of serially on the calling thread; the supervisor
 //! re-runs it on the calling thread only when recovering a dead shard.
@@ -65,8 +63,8 @@
 //! At `S = 1` the shard *is* the whole trace, so
 //! [`ShardedSimulator::run`] replays it on the calling thread through the
 //! same per-shard function the workers use: plain slice views instead of
-//! a [`ShardPartition`], no scoped thread, no gap fast-forward (every gap
-//! is zero), no per-record outcome buffer and no merge — the shard's own
+//! a [`ShardPartition`], no scoped thread, no per-record outcome buffer,
+//! no replay observer and no merge — the shard's own
 //! [`SimReport`] already went through the `Accounting` the merge would
 //! replay it through, in the same order. The supervisor's
 //! catch-and-re-replay of a panicked shard stays. This is what lets the
@@ -173,9 +171,9 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// record, built in one two-pass sweep (exact-size allocation, no
 /// re-growth) — replacing the per-shard `TraceRecord` copies of earlier
 /// revisions. Everything else derives from it: per-phase [`RecordsRef`]
-/// indexed views (split at [`ShardPartition::warm_count`]), foreign-record
-/// gaps (differences of consecutive entries, see [`shard_gap_before`]) and each
-/// outcome's global merge position (the entry itself).
+/// indexed views (split at [`ShardPartition::warm_count`]), and each
+/// record's scorer-clock position and outcome merge position (the entry
+/// itself).
 #[derive(Clone, Debug)]
 pub struct ShardPartition {
     map: SetMap,
@@ -288,18 +286,17 @@ impl ShardPartition {
             RecordsRef::indexed(measured, &index[wc..], self.warmup_len as u32),
         )
     }
-}
 
-/// Foreign records preceding the `j`-th entry of an ascending shard index
-/// list: the gap the scorer clock fast-forwards before observing that
-/// record. Derived, not stored — the index list is the single source of
-/// truth for both routing and clock bookkeeping (the serving front-end's
-/// clients call this to stamp per-record gaps onto their transport
-/// batches from the same representation).
-#[inline]
-pub fn shard_gap_before(index: &[u32], j: usize) -> u64 {
-    let prev = if j == 0 { 0 } else { index[j - 1] as u64 + 1 };
-    index[j] as u64 - prev
+    /// The record at global position `pos` of `warmup` ⧺ `measured` —
+    /// what an index entry stands for.
+    #[inline]
+    pub fn record_at(warmup: &[TraceRecord], measured: &[TraceRecord], pos: u32) -> TraceRecord {
+        let pos = pos as usize;
+        match pos.checked_sub(warmup.len()) {
+            None => warmup[pos],
+            Some(i) => measured[i],
+        }
+    }
 }
 
 /// What one shard sees when its policies are built: its index, the shard
@@ -358,11 +355,9 @@ fn shard_contract(shards: usize, p: &ShardPolicies) -> Result<(), String> {
     }
     if let Some(score) = &p.score {
         if !score.shardable() {
-            return Err(
-                "score source cannot keep its clock exact across foreign-shard records \
+            return Err("score source reads more than the record and its position \
                  (ScoreSource::shardable is false); sharded replay would change scores"
-                    .to_string(),
-            );
+                .to_string());
         }
     }
     Ok(())
@@ -398,7 +393,7 @@ pub struct ShardedSimulator {
 /// [`OutcomeStream`] over one replayed shard's buffered outcomes: each
 /// outcome's global position *is* its shard-index entry, and the record
 /// itself is looked up in the caller's original slices — no per-shard
-/// copies, no gap prefix sums. `idx` may start past a prefix that was
+/// copies. `idx` may start past a prefix that was
 /// already delivered (a served shard whose worker died mid-stream).
 struct ReplayedShardStream<'a> {
     warmup: &'a [TraceRecord],
@@ -414,16 +409,11 @@ impl OutcomeStream for ReplayedShardStream<'_> {
         if j >= self.outcomes.len() {
             return None;
         }
-        let pos = self.index[j] as usize;
-        let record = if pos < self.warmup.len() {
-            self.warmup[pos]
-        } else {
-            self.measured[pos - self.warmup.len()]
-        };
+        let pos = self.index[j];
         self.idx += 1;
         Some(SeqOutcome {
-            seq: pos as u64,
-            record,
+            seq: u64::from(pos),
+            record: ShardPartition::record_at(self.warmup, self.measured, pos),
             outcome: self.outcomes[j],
         })
     }
@@ -443,7 +433,6 @@ struct ShardOutcome {
 /// inline one-shard replay has nothing to merge and keeps no buffer.
 struct OutcomeRecorder {
     outcomes: Option<Vec<AccessOutcome>>,
-    scored: u64,
     /// Shard-local record index at which to panic (fault injection).
     panic_at: Option<u64>,
     seen: u64,
@@ -456,34 +445,6 @@ impl ReplayObserver for OutcomeRecorder {
         if let Some(outcomes) = self.outcomes.as_mut() {
             outcomes.push(*ev.outcome);
         }
-        self.scored += u64::from(ev.score.is_some());
-    }
-}
-
-/// Keeps a shard scorer clone's observation clock in *global* trace
-/// order: before each shard record is observed, the foreign-shard gap
-/// preceding it — derived from the shard's ascending index list, see
-/// [`shard_gap_before`] — is fast-forwarded through the inner source's
-/// [`ScoreSource::observe_gap`]. A single linear cursor suffices because
-/// the replay loop observes each record exactly once, in trace order.
-struct GapScore<'a> {
-    inner: &'a mut dyn ScoreSource,
-    index: &'a [u32],
-    cursor: usize,
-}
-
-impl ScoreSource for GapScore<'_> {
-    fn observe(&mut self, record: &TraceRecord) {
-        let gap = shard_gap_before(self.index, self.cursor);
-        if gap > 0 {
-            self.inner.observe_gap(gap);
-        }
-        self.inner.observe(record);
-        self.cursor += 1;
-    }
-
-    fn score_current(&mut self) -> f64 {
-        self.inner.score_current()
     }
 }
 
@@ -502,7 +463,7 @@ pub struct ShardSupervisor<'a> {
     make_shard: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
     fault: FaultPlan,
     /// `None` is the inline whole-trace shard of [`ShardedSimulator::run`]
-    /// at `S = 1`: plain slice views, no gaps, nothing to merge.
+    /// at `S = 1`: plain slice views, nothing to merge.
     part: Option<&'a ShardPartition>,
     warmup: &'a [TraceRecord],
     measured: &'a [TraceRecord],
@@ -603,39 +564,24 @@ impl<'a> ShardSupervisor<'a> {
     fn replay(&self, shard: usize, armed: bool) -> Result<ShardOutcome, ShardRunError> {
         let mut pol = self.policies(shard)?;
         // `index` is what a partitioned shard has and the inline one lacks:
-        // the source of the scorer clock's foreign-record gaps, and the
-        // reason to buffer outcomes for the merge.
+        // the reason to buffer outcomes for the merge.
         let (warm, meas, index) = self.views(shard);
         let mut cache = SetAssocCache::new(self.cache_cfg).expect("geometry validated");
         let mut recorder = OutcomeRecorder {
             outcomes: index.map(|ix| Vec::with_capacity(ix.len())),
-            scored: 0,
             panic_at: armed.then(|| self.panic_point(shard)).flatten(),
             seen: 0,
         };
-        let mut gap_score;
-        let score: Option<&mut dyn ScoreSource> = match (pol.score.as_mut(), index) {
-            (Some(score), Some(index)) => {
-                gap_score = GapScore {
-                    inner: score.as_mut(),
-                    index,
-                    cursor: 0,
-                };
-                Some(&mut gap_score)
-            }
-            (Some(score), None) => Some(score.as_mut()),
-            (None, _) => None,
-        };
-        // A score-free inline shard with no panic point has nothing to
-        // record; it runs unobserved, exactly the plain streaming loop.
-        let observed = index.is_some() || recorder.panic_at.is_some() || score.is_some();
-        let mut report = crate::sim::simulate_streaming_impl(
+        // An inline shard with no panic point has nothing to record; it
+        // runs unobserved, exactly the plain streaming loop.
+        let observed = index.is_some() || recorder.panic_at.is_some();
+        let (mut report, scored) = crate::sim::simulate_streaming_impl(
             warm,
             meas,
             &mut cache,
             pol.admission.as_mut(),
             pol.eviction.as_mut(),
-            score,
+            pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
             &self.latency,
             self.inline_series.filter(|_| index.is_none()),
             observed.then_some(&mut recorder as &mut dyn ReplayObserver),
@@ -645,7 +591,7 @@ impl<'a> ShardSupervisor<'a> {
         }
         Ok(ShardOutcome {
             outcomes: recorder.outcomes.unwrap_or_default(),
-            scored: recorder.scored,
+            scored,
             report,
         })
     }
@@ -781,8 +727,8 @@ impl ShardedSimulator {
         series_window: Option<u64>,
     ) -> Result<ShardedReport, ShardRunError> {
         cache_cfg.validate()?;
-        // Zero-copy fan-out: 4 bytes of routing per record, gaps and
-        // global merge positions derived from the index entries. One
+        // Zero-copy fan-out: 4 bytes of routing per record — its global
+        // position, which the scorer clock and the merge both read. One
         // shard is the whole trace and needs none.
         let part = match self.shards {
             1 => None,
@@ -824,8 +770,7 @@ impl ShardedSimulator {
             // single-threaded loop, hence identical stats, f64 latency
             // totals and miss series — and a panic (not a skewed report)
             // on any lost or duplicated outcome. Each outcome's global
-            // position is its shard-index entry — no gap prefix sums, no
-            // trace re-walk.
+            // position is its shard-index entry — no trace re-walk.
             let mut merge = StreamingMerge::new(warmup.len(), latency, series_window);
             let mut streams: Vec<ReplayedShardStream<'_>> = outcomes
                 .iter_mut()
@@ -914,16 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn gaps_derive_from_index_entries() {
-        // Shard owns global positions 2, 3, 7: gaps 2 (0,1 foreign),
-        // 0 (adjacent), 3 (4,5,6 foreign).
-        let index = [2u32, 3, 7];
-        assert_eq!(shard_gap_before(&index, 0), 2);
-        assert_eq!(shard_gap_before(&index, 1), 0);
-        assert_eq!(shard_gap_before(&index, 2), 3);
-    }
-
-    #[test]
     fn partition_splits_phases_and_preserves_order() {
         let cfg = CacheConfig {
             capacity_bytes: 16 * 4096,
@@ -941,13 +876,7 @@ mod tests {
             assert_eq!(wv.len() + mv.len(), idx.len());
             assert_eq!(wv.len(), part.warm_count(shard));
             for (j, r) in wv.iter().chain(mv.iter()).enumerate() {
-                let pos = idx[j] as usize;
-                let want = if pos < warm.len() {
-                    warm[pos]
-                } else {
-                    meas[pos - warm.len()]
-                };
-                assert_eq!(*r, want);
+                assert_eq!(*r, ShardPartition::record_at(&warm, &meas, idx[j]));
                 assert_eq!(cfg.set_of(r.page()) % 2, shard, "routing by set");
                 assert_eq!(part.shard_of(r.page()), shard);
             }

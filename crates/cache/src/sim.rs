@@ -7,9 +7,10 @@
 //! Every entry point — [`simulate`], [`simulate_streaming_with_warmup`],
 //! [`simulate_streaming_observed_with_warmup`], the sharded engine's
 //! workers and (through [`streaming_step`]) the serving workers — runs the
-//! same loop: observe each request, access the cache, and score the
-//! request synchronously if it missed (one single-point policy-engine
-//! inference, as in the paper's Algorithm 1 datapath). A request costs
+//! same loop: observe each request at its global trace position, access
+//! the cache, and score the request synchronously if it missed (one
+//! single-point policy-engine inference, as in the paper's Algorithm 1
+//! datapath). A request costs
 //! **one tag compare**: the access path decides hit or miss itself and
 //! asks for the score only after a miss
 //! ([`SetAssocCache::access_scored`]), so nothing looks the page up a
@@ -149,6 +150,7 @@ pub fn simulate_streaming_with_warmup(
         series_window,
         None,
     )
+    .0
 }
 
 /// [`simulate_streaming_with_warmup`] with a [`ReplayObserver`] receiving
@@ -178,12 +180,14 @@ pub fn simulate_streaming_observed_with_warmup(
         series_window,
         Some(observer),
     )
+    .0
 }
 
 /// The streaming loop behind every public entry point, over
 /// [`RecordsRef`] views: the loop is representation-agnostic, so the
 /// sharded engine's zero-copy indexed subtraces replay bit-identically to
-/// the equivalent copied slices.
+/// the equivalent copied slices. Returns the report and how many records
+/// consumed a score (scored misses, warm-up included).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_streaming_impl(
     warmup: RecordsRef<'_>,
@@ -195,16 +199,25 @@ pub(crate) fn simulate_streaming_impl(
     latency: &LatencyModel,
     series_window: Option<u64>,
     observer: Option<&mut dyn ReplayObserver>,
-) -> SimReport {
+) -> (SimReport, u64) {
     let mut acct = Accounting::new(warmup.len(), latency, series_window, observer);
+    let mut scored = 0u64;
 
-    for (i, r) in warmup.iter().chain(measured.iter()).enumerate() {
+    // `seq` counts the records this loop replays (what the policies rank
+    // by); `pos` is where each one sits in the whole trace.
+    let records = warmup
+        .positioned(0)
+        .chain(measured.positioned(warmup.len() as u64));
+    for (i, (pos, r)) in records.enumerate() {
         let seq = i as u64;
-        let (outcome, score_val) = streaming_step(r, seq, cache, admission, eviction, &mut score);
+        let (outcome, score_val) =
+            streaming_step(r, seq, pos, cache, admission, eviction, &mut score);
+        scored += u64::from(score_val.is_some());
         acct.record(seq, r, &outcome, score_val);
     }
 
-    acct.into_report(measured.len(), eviction.name(), admission.name())
+    let report = acct.into_report(measured.len(), eviction.name(), admission.name());
+    (report, scored)
 }
 
 /// The canonical replay step — observe, access, scoring the miss
@@ -212,20 +225,24 @@ pub(crate) fn simulate_streaming_impl(
 /// serving shard workers (which receive their records over a channel
 /// instead of a slice), so the replay semantics cannot drift between them:
 /// one tag compare decides hit or miss, hits bypass the policy engine (the
-/// hardware triggers the GMM on miss only), and the score is computed with
-/// the Algorithm 1 clock exactly at the record. Returns the outcome and
-/// the score it consumed.
+/// hardware triggers the GMM on miss only), and the score is computed for
+/// exactly the record's position. `seq` is the replaying shard's own
+/// record count (what the policies rank by), `pos` the record's global
+/// trace position (what the score source clocks by); they coincide when
+/// one shard replays the whole trace. Returns the outcome and the score it
+/// consumed.
 #[inline]
 pub fn streaming_step(
     r: &TraceRecord,
     seq: u64,
+    pos: u64,
     cache: &mut SetAssocCache,
     admission: &mut dyn AdmissionPolicy,
     eviction: &mut dyn EvictionPolicy,
     score: &mut Option<&mut dyn ScoreSource>,
 ) -> (AccessOutcome, Option<f64>) {
     if let Some(s) = score.as_deref_mut() {
-        s.observe(r);
+        s.observe(r, pos);
     }
     let score_miss = || score.as_deref_mut().map(|s| s.score_current());
     cache.access_scored(r, seq, score_miss, admission, eviction)

@@ -101,6 +101,17 @@ impl<'a> RecordsRef<'a> {
         }
     }
 
+    /// Iterates the records with their global trace positions: a slice
+    /// view is contiguous from `first`; an indexed view's entries *are*
+    /// its records' positions (`first` is not consulted).
+    #[inline]
+    pub fn positioned(&self, first: u64) -> Positioned<'a> {
+        Positioned {
+            records: self.iter(),
+            next_in_slice: first,
+        }
+    }
+
     /// Iterates the records in position order.
     #[inline]
     pub fn iter(&self) -> RecordsIter<'a> {
@@ -174,6 +185,37 @@ impl<'a> Iterator for RecordsIter<'a> {
 }
 
 impl ExactSizeIterator for RecordsIter<'_> {}
+
+/// Iterator of [`RecordsRef::positioned`]: `(global position, record)`.
+pub struct Positioned<'a> {
+    records: RecordsIter<'a>,
+    /// Position of the next record of a slice view.
+    next_in_slice: u64,
+}
+
+impl<'a> Iterator for Positioned<'a> {
+    type Item = (u64, &'a TraceRecord);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.records {
+            RecordsIter::Slice(it) => {
+                let r = it.next()?;
+                let pos = self.next_in_slice;
+                self.next_in_slice += 1;
+                Some((pos, r))
+            }
+            RecordsIter::Indexed {
+                backing,
+                index,
+                base,
+            } => {
+                let &i = index.next()?;
+                Some((u64::from(i), &backing[(i - *base) as usize]))
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,14 +7,15 @@
 
 use icgmm_cache::{
     simulate_streaming_with_warmup, AlwaysAdmit, CacheConfig, FnScore, LatencyModel, LruPolicy,
-    RandomPolicy, ScoreSource, SetAssocCache, ShardPolicies, ShardRunError, ShardedSimulator,
-    SimReport, ThresholdAdmit,
+    RandomPolicy, ScoreSource, SetAssocCache, ShardCtx, ShardPolicies, ShardRunError,
+    ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_testutil::{
     admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, SHARDABLE_EVICTIONS,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -115,6 +116,48 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    /// Every record carries its global trace position: over an all-miss
+    /// trace (distinct pages, so every record is scored) the shards'
+    /// position-reading sources see, between them, exactly `0..n` — each
+    /// position once, with its own record's page — at every shard count,
+    /// wherever the warm-up split falls.
+    #[test]
+    fn score_sources_see_each_global_position_once(
+        params in (0u64..1_000_000, 100usize..800)
+    ) {
+        let (seed, n) = params;
+        // An odd multiplier is a bijection on u64: the pages are distinct.
+        let page_at = |pos: u64| (pos + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 12;
+        let trace: Vec<TraceRecord> =
+            (0..n as u64).map(|pos| TraceRecord::read(page_at(pos) << 12)).collect();
+        let (warm, meas) = trace.split_at(seed as usize % n);
+        let cfg = small_cfg();
+        for shards in SHARD_COUNTS {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let make = |_: &ShardCtx<'_>| {
+                let seen = Arc::clone(&seen);
+                ShardPolicies {
+                    admission: Box::new(AlwaysAdmit),
+                    eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+                    score: Some(Box::new(FnScore::new(move |page, pos| {
+                        seen.lock().unwrap().push((pos, page));
+                        0.5
+                    }))),
+                }
+            };
+            let rep = ShardedSimulator::new(shards)
+                .run(warm, meas, cfg, &make, &LatencyModel::paper_tlc(), None)
+                .unwrap();
+            prop_assert_eq!(rep.scores_consumed, n as u64);
+            let mut seen = std::mem::take(&mut *seen.lock().unwrap());
+            seen.sort_unstable();
+            let want: Vec<(u64, u64)> = (0..n as u64).map(|pos| (pos, page_at(pos))).collect();
+            prop_assert_eq!(seen, want, "{} shards (seed {}, n {})", shards, seed, n);
         }
     }
 }

@@ -259,7 +259,7 @@ struct CountingScore {
 }
 
 impl ScoreSource for CountingScore {
-    fn observe(&mut self, _record: &TraceRecord) {
+    fn observe(&mut self, _record: &TraceRecord, _pos: u64) {
         self.observed += 1;
     }
 

@@ -1,4 +1,4 @@
-//! The trained GMM policy engine: scaler + mixture + online Algorithm-1
+//! The trained GMM policy engine: scaler + mixture + Algorithm-1
 //! timestamping, packaged as a [`ScoreSource`] for the cache simulator.
 
 use icgmm_cache::ScoreSource;
@@ -26,16 +26,18 @@ pub struct TrainedModel {
 ///
 /// Scoring goes through the mixture's flat [`GmmScorer`] kernel: its
 /// allocation-free single-point log-sum-exp, vectorised across the K
-/// components of the one miss like the paper's pipeline. `score_window`
-/// is the [`ScoreSource`] default (observe, then `score_current`, per
-/// record) — there is one kernel, so a window has nothing faster to call.
+/// components of the one miss like the paper's pipeline. Observing a
+/// request only notes its page and position; the Algorithm 1 timestamp is
+/// computed when a miss asks for the score, never for a hit.
 #[derive(Clone, Debug)]
 pub struct GmmPolicyEngine {
     scaler: StandardScaler,
     scorer: GmmScorer,
     fixed: Option<FixedGmm>,
     transformer: TimestampTransformer,
-    current: [f64; 2],
+    /// `(page, global trace position)` of the most recently observed
+    /// request.
+    current: (u64, u64),
     scores_computed: u64,
 }
 
@@ -63,7 +65,7 @@ impl GmmPolicyEngine {
             scorer: model.gmm.scorer().clone(),
             fixed,
             transformer: TimestampTransformer::from_config(preprocess),
-            current: [0.0, 0.0],
+            current: (0, 0),
             scores_computed: 0,
         })
     }
@@ -79,23 +81,22 @@ impl GmmPolicyEngine {
         }
     }
 
+    /// Algorithm 1 timestamp of the request at global trace position `pos`.
+    pub(crate) fn timestamp_at(&self, pos: u64) -> u64 {
+        self.transformer.at(pos)
+    }
+
     /// Number of policy-engine inferences so far (each would take ~3 µs on
     /// the FPGA; the dataflow model uses this for busy-time accounting).
     pub fn scores_computed(&self) -> u64 {
         self.scores_computed
     }
 
-    /// Resets the online timestamp clock (new trace replay).
-    pub fn reset(&mut self) {
-        self.transformer.reset();
-        self.scores_computed = 0;
-    }
-
     /// Publishes a new scorer generation: replaces the mixture tables
     /// behind every subsequent score. The tables live in an
     /// `Arc<ScorerTables>` inside [`GmmScorer`], so this is a pointer
-    /// swap — the clock, the scaler, the inference counter and any other
-    /// engine clone are untouched, and in-flight replay never blocks on
+    /// swap — the scaler, the inference counter and any other engine
+    /// clone are untouched, and in-flight replay never blocks on
     /// the training that produced the new tables.
     ///
     /// Only the f64 datapath swaps; the online refit loop refuses
@@ -121,31 +122,20 @@ impl GmmPolicyEngine {
 }
 
 impl ScoreSource for GmmPolicyEngine {
-    fn observe(&mut self, record: &TraceRecord) {
-        let ts = self.transformer.next();
-        self.current = [record.page().raw() as f64, ts as f64];
+    fn observe(&mut self, record: &TraceRecord, pos: u64) {
+        self.current = (record.page().raw(), pos);
     }
 
     fn score_current(&mut self) -> f64 {
-        let z = self.scaler.transform(self.current);
-        self.scores_computed += 1;
-        match &self.fixed {
-            Some(fx) => fx.score(z),
-            None => self.scorer.score(z),
-        }
+        let (page, pos) = self.current;
+        self.score_at(page, self.timestamp_at(pos))
     }
 
-    /// Algorithm 1 is a pure function of the observation count, and the
-    /// scored features are the observed record's own page plus that
-    /// count-derived timestamp — nothing from earlier records' content.
-    /// Set-partitioned shards can therefore skip foreign records with an
-    /// O(1) clock fast-forward and stay bit-identical.
+    /// The scored features are the observed record's own page and the
+    /// Algorithm 1 timestamp of its position — nothing from earlier
+    /// records.
     fn shardable(&self) -> bool {
         true
-    }
-
-    fn observe_gap(&mut self, n: u64) {
-        self.transformer.advance(n);
     }
 }
 
@@ -180,9 +170,9 @@ mod tests {
     #[test]
     fn hot_pages_outscore_cold_pages() {
         let mut e = GmmPolicyEngine::new(&model(), &cfg(), false).unwrap();
-        e.observe(&TraceRecord::read(1000 << 12));
+        e.observe(&TraceRecord::read(1000 << 12), 0);
         let hot = e.score_current();
-        e.observe(&TraceRecord::read(500_000 << 12));
+        e.observe(&TraceRecord::read(500_000 << 12), 1);
         let cold = e.score_current();
         assert!(hot > cold, "hot {hot} <= cold {cold}");
         assert_eq!(e.scores_computed(), 2);
@@ -193,10 +183,10 @@ mod tests {
         let m = model();
         let mut f64e = GmmPolicyEngine::new(&m, &cfg(), false).unwrap();
         let mut fxe = GmmPolicyEngine::new(&m, &cfg(), true).unwrap();
-        for page in [990u64, 1000, 1010, 2000, 100_000] {
+        for (pos, page) in (0u64..).zip([990u64, 1000, 1010, 2000, 100_000]) {
             let r = TraceRecord::read(page << 12);
-            f64e.observe(&r);
-            fxe.observe(&r);
+            f64e.observe(&r, pos);
+            fxe.observe(&r, pos);
             let a = f64e.score_current();
             let b = fxe.score_current();
             assert!(
@@ -209,17 +199,15 @@ mod tests {
     #[test]
     fn timestamps_advance_with_observations() {
         let mut e = GmmPolicyEngine::new(&model(), &cfg(), false).unwrap();
-        // len_window = 2: first two observations share window 0, third is 1.
-        e.observe(&TraceRecord::read(0));
-        assert_eq!(e.current[1], 0.0);
-        e.observe(&TraceRecord::read(0));
-        assert_eq!(e.current[1], 0.0);
-        e.observe(&TraceRecord::read(0));
-        assert_eq!(e.current[1], 1.0);
-        e.reset();
-        e.observe(&TraceRecord::read(0));
-        assert_eq!(e.current[1], 0.0);
-        assert_eq!(e.scores_computed(), 0);
+        // len_window = 2: positions 0 and 1 share window 0, position 2 is
+        // window 1 — the streamed score is `score_at` that timestamp.
+        let r = TraceRecord::read(1000 << 12);
+        for (pos, ts) in [(0u64, 0u64), (1, 0), (2, 1), (199, 99), (200, 0)] {
+            e.observe(&r, pos);
+            let streamed = e.score_current();
+            assert_eq!(streamed, e.score_at(1000, ts), "position {pos}");
+        }
+        assert_eq!(e.scores_computed(), 10);
     }
 
     #[test]
@@ -233,25 +221,19 @@ mod tests {
                 .collect();
             let mut out = vec![0.0; records.len()];
             windowed.score_window(&records, &mut out);
-            for (r, o) in records.iter().zip(&out) {
-                streaming.observe(r);
+            for (pos, (r, o)) in records.iter().zip(&out).enumerate() {
+                streaming.observe(r, pos as u64);
                 let s = streaming.score_current();
                 assert_eq!(o.to_bits(), s.to_bits(), "fixed_point={fixed_point}");
             }
             assert_eq!(windowed.scores_computed(), streaming.scores_computed());
-            // The Algorithm 1 clock advanced identically: the next
-            // observation scores the same on both engines.
-            let next = TraceRecord::read(1000 << 12);
-            streaming.observe(&next);
-            windowed.observe(&next);
-            assert_eq!(streaming.score_current(), windowed.score_current());
         }
     }
 
     #[test]
     fn score_at_matches_stream_path() {
         let mut e = GmmPolicyEngine::new(&model(), &cfg(), false).unwrap();
-        e.observe(&TraceRecord::read(1000 << 12));
+        e.observe(&TraceRecord::read(1000 << 12), 0);
         let streamed = e.score_current();
         let mut e2 = GmmPolicyEngine::new(&model(), &cfg(), false).unwrap();
         let direct = e2.score_at(1000, 0);

@@ -8,7 +8,7 @@
 //!
 //! 1. evaluates the windowed mean log-likelihood of the most recent
 //!    observations under the live scorer (a direct table read — the
-//!    engine's Algorithm 1 clock and inference counters are untouched),
+//!    engine's inference counters are untouched),
 //! 2. feeds it to the [`icgmm_cache::DriftDetector`], and
 //! 3. on a declared drift, refits from the seeded reservoir buffer via
 //!    [`icgmm_gmm::IncrementalEm`] (one E/M pass, not a cold fit) and
@@ -19,10 +19,12 @@
 //!
 //! ## Determinism
 //!
-//! Checks fire immediately before the first observed record whose global
-//! position reaches the next `check_interval` boundary, so swap points
-//! depend only on global positions. Consequences, all property-enforced in
-//! `tests/adapt_equivalence.rs`:
+//! Every record carries its global trace position, and the engine keeps
+//! no clock of its own: checks fire immediately before the first observed
+//! record whose position reaches the next `check_interval` boundary, and a
+//! buffered sample's timestamp is Algorithm 1 of the position it was
+//! observed at. Swap points therefore depend only on global positions.
+//! Consequences, all property-enforced in `tests/adapt_equivalence.rs`:
 //!
 //! * an adaptive run is a pure function of `(trace seed, adapt seed)` at
 //!   every shard count (shards partition the record stream, so the
@@ -43,7 +45,7 @@ use icgmm_cache::{
     ScoreSource, RESERVOIR_CAPACITY,
 };
 use icgmm_gmm::{EmConfig, Gmm, GmmError, IncrementalEm, Vec2};
-use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
+use icgmm_trace::TraceRecord;
 
 use crate::engine::GmmPolicyEngine;
 
@@ -71,7 +73,6 @@ fn salt(seed: u64, shard: u64, stream: u64) -> u64 {
 pub struct AdaptiveEngine {
     engine: GmmPolicyEngine,
     trainer: IncrementalEm,
-    preprocess: PreprocessConfig,
     check_interval: u64,
     reservoir: Reservoir,
     ring: RecentRing,
@@ -80,10 +81,8 @@ pub struct AdaptiveEngine {
     /// `(adapt seed, shard)` pair; generation g restarts on sub-stream g).
     reservoir_salt: u64,
     stats: AdaptStats,
-    /// Global trace position (own observations + foreign-shard gaps) of
-    /// the *next* record to observe.
-    pos: u64,
-    /// Next check boundary; checks fire while `pos >= next_check`.
+    /// Next check boundary: checks fire before observing a record whose
+    /// global position has reached it.
     next_check: u64,
     /// Feature / log-density scratch of the drift check and the refit,
     /// kept across checks so neither allocates per firing.
@@ -109,7 +108,6 @@ impl AdaptiveEngine {
         engine: GmmPolicyEngine,
         gmm: &Gmm,
         em: EmConfig,
-        preprocess: &PreprocessConfig,
         plan: AdaptPlan,
         shard: u64,
     ) -> Result<Self, GmmError> {
@@ -124,14 +122,12 @@ impl AdaptiveEngine {
         Ok(AdaptiveEngine {
             engine,
             trainer,
-            preprocess: *preprocess,
             check_interval: plan.check_interval,
             reservoir: Reservoir::new(salt(reservoir_salt, 0, 0), RESERVOIR_CAPACITY),
             ring: RecentRing::new(plan.recent_window),
             detector: DriftDetector::new(&plan),
             reservoir_salt,
             stats: AdaptStats::default(),
-            pos: 0,
             next_check: plan.check_interval,
             features: Vec::new(),
             log_densities: Vec::new(),
@@ -155,14 +151,11 @@ impl AdaptiveEngine {
         &self.engine
     }
 
-    /// Standardized feature vector of one buffered sample: Algorithm 1 is
-    /// a pure function of the observation count, so the timestamp at any
-    /// global position is reconstructed with an O(1) clock fast-forward —
-    /// no raw-feature buffering, no disturbance of the live clock.
+    /// Standardized feature vector of one buffered sample: its timestamp
+    /// is Algorithm 1 of the position it was observed at — no raw-feature
+    /// buffering.
     fn feature(&self, s: &ObsSample) -> Vec2 {
-        let mut t = TimestampTransformer::from_config(&self.preprocess);
-        t.advance(s.pos);
-        let ts = t.next();
+        let ts = self.engine.timestamp_at(s.pos);
         self.engine.scaler().transform([s.page as f64, ts as f64])
     }
 
@@ -180,16 +173,16 @@ impl AdaptiveEngine {
     }
 
     /// Fires every check whose boundary `pos` has reached. Called before
-    /// observing a record, so swap points land between records at
-    /// deterministic global positions.
-    fn checkpoint(&mut self) {
-        while self.pos >= self.next_check {
-            self.run_check();
+    /// observing the record at `pos`, so swap points land between records
+    /// at deterministic global positions.
+    fn checkpoint(&mut self, pos: u64) {
+        while pos >= self.next_check {
+            self.run_check(pos);
             self.next_check += self.check_interval;
         }
     }
 
-    fn run_check(&mut self) {
+    fn run_check(&mut self, pos: u64) {
         self.stats.checks += 1;
         if !self.ring.is_empty() {
             // The likelihood window is scored by the kernel replay itself
@@ -205,12 +198,12 @@ impl AdaptiveEngine {
             self.features = zs;
             if self.detector.observe(mll) {
                 self.stats.drifts += 1;
-                self.try_refit();
+                self.try_refit(pos);
             }
         }
     }
 
-    fn try_refit(&mut self) {
+    fn try_refit(&mut self, pos: u64) {
         if self.reservoir.len() < MIN_REFIT_SAMPLES {
             self.stats.refit_failures += 1;
             return;
@@ -225,7 +218,7 @@ impl AdaptiveEngine {
                 self.stats.refits += 1;
                 self.stats.swaps += 1;
                 self.stats.generation += 1;
-                self.stats.last_swap_pos = self.pos;
+                self.stats.last_swap_pos = pos;
                 // Restart sampling for the new generation: the next refit
                 // trains on post-swap observations only, so consecutive
                 // refits chase the *current* phase instead of a uniform
@@ -244,11 +237,10 @@ impl AdaptiveEngine {
 }
 
 impl ScoreSource for AdaptiveEngine {
-    fn observe(&mut self, record: &TraceRecord) {
-        self.checkpoint();
-        self.buffer(record.page().raw(), self.pos);
-        self.engine.observe(record);
-        self.pos += 1;
+    fn observe(&mut self, record: &TraceRecord, pos: u64) {
+        self.checkpoint(pos);
+        self.buffer(record.page().raw(), pos);
+        self.engine.observe(record, pos);
     }
 
     fn score_current(&mut self) -> f64 {
@@ -257,11 +249,6 @@ impl ScoreSource for AdaptiveEngine {
 
     fn shardable(&self) -> bool {
         self.engine.shardable()
-    }
-
-    fn observe_gap(&mut self, n: u64) {
-        self.engine.observe_gap(n);
-        self.pos += n;
     }
 
     fn telemetry(&self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {
@@ -274,6 +261,7 @@ mod tests {
     use super::*;
     use crate::engine::TrainedModel;
     use icgmm_gmm::{EmTrainer, StandardScaler};
+    use icgmm_trace::PreprocessConfig;
 
     fn trained(k: usize, seed: u64) -> (TrainedModel, EmConfig) {
         let xs: Vec<Vec2> = (0..512)
@@ -314,7 +302,7 @@ mod tests {
     fn adaptive(plan: AdaptPlan, shard: u64) -> AdaptiveEngine {
         let (model, em) = trained(4, 7);
         let engine = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
-        AdaptiveEngine::new(engine, &model.gmm, em, &pre(), plan, shard).unwrap()
+        AdaptiveEngine::new(engine, &model.gmm, em, plan, shard).unwrap()
     }
 
     fn record(i: u64) -> TraceRecord {
@@ -333,13 +321,12 @@ mod tests {
         let (model, em) = trained(4, 7);
         let mut plain = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
         let engine = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
-        let mut adaptive = AdaptiveEngine::new(engine, &model.gmm, em, &pre(), plan, 0).unwrap();
+        let mut adaptive = AdaptiveEngine::new(engine, &model.gmm, em, plan, 0).unwrap();
         let records: Vec<TraceRecord> = (0..500).map(record).collect();
-        let mut a = vec![0.0; records.len()];
-        adaptive.score_window(&records, &mut a);
-        for (r, got) in records.iter().zip(&a) {
-            plain.observe(r);
-            let want = plain.score_current();
+        for (pos, r) in (0u64..).zip(&records) {
+            plain.observe(r, pos);
+            adaptive.observe(r, pos);
+            let (want, got) = (plain.score_current(), adaptive.score_current());
             assert_eq!(want.to_bits(), got.to_bits());
         }
         let stats = adaptive.stats();
@@ -351,9 +338,10 @@ mod tests {
 
     #[test]
     fn window_chunking_does_not_move_check_boundaries() {
-        // The same record stream pushed as one big window, per-record
-        // observes, and ragged chunks must produce identical stats and
-        // identical scores — checks are position-pure.
+        // The same record stream scored at every record, at none of the
+        // records of every other chunk (hits observe without scoring), and
+        // in ragged chunks must produce identical stats and identical
+        // scores wherever two runs both scored — checks are position-pure.
         let plan = AdaptPlan {
             check_interval: 100,
             drift_drop: 0.05,
@@ -373,15 +361,15 @@ mod tests {
         let run = |chunks: &[usize]| {
             let mut eng = adaptive(plan, 0);
             let mut scores = Vec::with_capacity(records.len());
-            let mut at = 0usize;
-            let mut ci = 0usize;
+            let (mut at, mut ci) = (0usize, 0usize);
             while at < records.len() {
                 let take = chunks[ci % chunks.len()].min(records.len() - at);
-                ci += 1;
-                let mut out = vec![0.0; take];
-                eng.score_window(&records[at..at + take], &mut out);
-                scores.extend(out);
+                for (pos, r) in records.iter().enumerate().skip(at).take(take) {
+                    eng.observe(r, pos as u64);
+                    scores.push((ci % 2 == 0).then(|| eng.score_current().to_bits()));
+                }
                 at += take;
+                ci += 1;
             }
             (scores, eng.stats())
         };
@@ -389,11 +377,11 @@ mod tests {
         let (s2, t2) = run(&[1]);
         let (s3, t3) = run(&[7, 64, 3, 255]);
         assert!(t1.checks > 0);
-        assert_eq!(t1, t2, "per-record vs one-window stats diverged");
+        assert_eq!(t1, t2, "scoring every other record moved a check boundary");
         assert_eq!(t1, t3, "ragged chunking moved a check boundary");
         for i in 0..records.len() {
-            assert_eq!(s1[i].to_bits(), s2[i].to_bits(), "score {i}");
-            assert_eq!(s1[i].to_bits(), s3[i].to_bits(), "score {i}");
+            assert!(s2[i].is_none_or(|s| s1[i] == Some(s)), "score {i}");
+            assert!(s3[i].is_none_or(|s| s1[i] == Some(s)), "score {i}");
         }
     }
 
@@ -410,11 +398,14 @@ mod tests {
         // Stable phase matching the training distribution, then a hard
         // phase change into a far-away page region.
         for i in 0..400 {
-            eng.observe(&record(i));
+            eng.observe(&record(i), i);
             let _ = eng.score_current();
         }
         for i in 0..2_000u64 {
-            eng.observe(&TraceRecord::read((500_000 + (i * 31) % 2_048) << 12));
+            eng.observe(
+                &TraceRecord::read((500_000 + (i * 31) % 2_048) << 12),
+                400 + i,
+            );
             let _ = eng.score_current();
         }
         let stats = eng.stats();
@@ -450,8 +441,13 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut out = vec![0.0; records.len()];
-            eng.score_window(&records, &mut out);
+            let out: Vec<f64> = (0u64..)
+                .zip(&records)
+                .map(|(pos, r)| {
+                    eng.observe(r, pos);
+                    eng.score_current()
+                })
+                .collect();
             (out, eng.stats())
         };
         let (s1, t1) = run(0);
@@ -469,9 +465,9 @@ mod tests {
     #[test]
     fn gapped_observations_track_global_positions() {
         // Two-shard split of one global stream: each shard sees half the
-        // records with gaps, and check boundaries land at global
-        // positions — the shard observing records past a boundary checks
-        // there, whatever its local record count.
+        // records, each at its global position, and check boundaries land
+        // at global positions — the shard observing records past a
+        // boundary checks there, whatever its local record count.
         let plan = AdaptPlan {
             check_interval: 200,
             drift_drop: f64::INFINITY,
@@ -480,12 +476,8 @@ mod tests {
         let records: Vec<TraceRecord> = (0..1_000).map(record).collect();
         let mut eng = adaptive(plan, 0);
         // This "shard" owns the even positions.
-        let own: Vec<TraceRecord> = records.iter().step_by(2).copied().collect();
-        for (i, r) in own.iter().enumerate() {
-            if i > 0 {
-                eng.observe_gap(1);
-            }
-            eng.observe(r);
+        for (pos, r) in records.iter().enumerate().step_by(2) {
+            eng.observe(r, pos as u64);
         }
         // 500 own records over 999 global positions: boundaries at
         // 200/400/600/800 all fire (the final position, 998, < 1000).

@@ -139,8 +139,8 @@ impl<'a> Assembly<'a> {
             Some(e) => {
                 let model = self.sys.model.as_ref();
                 let gmm = &model.expect("a GMM engine implies a trained model").gmm;
-                let (em, pre, shard) = (cfg.em, &cfg.preprocess, ctx.shard as u64);
-                let adaptive = AdaptiveEngine::new(e.clone(), gmm, em, pre, self.adapt, shard);
+                let shard = ctx.shard as u64;
+                let adaptive = AdaptiveEngine::new(e.clone(), gmm, cfg.em, self.adapt, shard);
                 Some(Box::new(
                     adaptive.expect("adapt plan validated by IcgmmConfig"),
                 ))
@@ -367,9 +367,9 @@ impl Icgmm {
     /// threads and deterministically merged.
     ///
     /// Each shard owns the sets congruent to its index, with its own
-    /// policy state and its own policy-engine clone kept on the *global*
-    /// Algorithm 1 clock (foreign-shard
-    /// requests fast-forward the clock in O(1)), so the merged
+    /// policy state and its own policy-engine clone on the *global*
+    /// Algorithm 1 clock (every record carries its trace position), so the
+    /// merged
     /// [`RunReport::sim`] is **bit-identical** to [`Icgmm::run`]'s for
     /// every shard count — enforced by the differential suite in
     /// `tests/shard_differential.rs` and the property grid in

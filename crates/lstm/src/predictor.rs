@@ -48,8 +48,8 @@ impl LstmScoreSource {
         }
     }
 
-    fn features(&mut self, record: &TraceRecord) -> Vec<f32> {
-        let ts = self.transformer.next();
+    fn features(&self, record: &TraceRecord, pos: u64) -> Vec<f32> {
+        let ts = self.transformer.at(pos);
         let p = (record.page().raw() as f64 - self.page_center) / self.page_scale;
         let t = ts as f64 / self.time_scale;
         vec![p as f32, t as f32]
@@ -57,8 +57,8 @@ impl LstmScoreSource {
 }
 
 impl ScoreSource for LstmScoreSource {
-    fn observe(&mut self, record: &TraceRecord) {
-        let f = self.features(record);
+    fn observe(&mut self, record: &TraceRecord, pos: u64) {
+        let f = self.features(record, pos);
         let cap = self.net.arch().seq_len;
         if self.window.len() == cap {
             self.window.pop_front();
@@ -106,7 +106,7 @@ mod tests {
     fn window_is_bounded_by_seq_len() {
         let mut s = source();
         for i in 0..20u64 {
-            s.observe(&TraceRecord::read(i << 12));
+            s.observe(&TraceRecord::read(i << 12), i);
         }
         assert_eq!(s.window.len(), 4);
         assert!(s.score_current().is_finite());
@@ -117,8 +117,8 @@ mod tests {
         let mut a = source();
         let mut b = source();
         for i in 0..4u64 {
-            a.observe(&TraceRecord::read(i << 12));
-            b.observe(&TraceRecord::read((5000 + i) << 12));
+            a.observe(&TraceRecord::read(i << 12), i);
+            b.observe(&TraceRecord::read((5000 + i) << 12), i);
         }
         assert_ne!(a.score_current(), b.score_current());
     }

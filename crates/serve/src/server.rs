@@ -80,9 +80,9 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 const SUBMIT_BATCH: usize = 64;
 
 use icgmm_cache::{
-    shard_gap_before, streaming_step, AdaptStats, CacheConfig, FaultStats, LatencyModel,
-    OutcomeStream, ScoreSource, SeqOutcome, SetAssocCache, ShardCtx, ShardPartition, ShardPolicies,
-    ShardRunError, ShardSupervisor, SimReport, StreamingMerge,
+    streaming_step, AdaptStats, CacheConfig, FaultStats, LatencyModel, OutcomeStream, ScoreSource,
+    SeqOutcome, SetAssocCache, ShardCtx, ShardPartition, ShardPolicies, ShardRunError,
+    ShardSupervisor, SimReport, StreamingMerge,
 };
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
@@ -97,9 +97,6 @@ struct IngestMsg {
     /// Global trace position (warm-up + measured, 0-based).
     seq: u64,
     record: TraceRecord,
-    /// Foreign-shard records since this shard's previous record — the
-    /// scorer clock fast-forward, exactly as in the offline replay.
-    gap: u64,
     /// Transport-entry instant for the admission-latency histogram:
     /// stamped once per flush-run when the batch leaves its client
     /// buffer, *before* any full-queue wait. Client-buffer dwell is a
@@ -235,11 +232,11 @@ impl CacheServer {
         // Zero-copy fan-out — the identical [`ShardPartition`] the
         // offline sharded replay builds (it validates the geometry):
         // per-shard ascending `u32` position lists (~4 B/record of
-        // routing), no per-shard record copies, no stored gap or seq
-        // vectors. Clients walk the partition directly (k-way merge over
-        // their owned shards' lists), workers are handed policies built
-        // over indexed views of the caller's slices, and the merger
-        // recomputes each record's owner on the fly.
+        // routing), no per-shard record copies, no stored seq vectors.
+        // Clients walk the partition directly (k-way merge over their
+        // owned shards' lists), workers are handed policies built over
+        // indexed views of the caller's slices, and the merger recomputes
+        // each record's owner on the fly.
         let part = &ShardPartition::build(s, &cache_cfg, warmup, measured)?;
         // The shard lifecycle is the offline engine's: policies built
         // *inside* each worker and checked against the shard contract,
@@ -472,14 +469,13 @@ fn settle<'a>(
 /// The client owns no routed copy of the trace: it walks its owned
 /// shards' [`ShardPartition`] index lists directly (a k-way merge over
 /// ascending position lists reproduces ascending global order), reads
-/// each record out of the caller's original slices, and derives the
-/// per-record scorer-clock gap from consecutive index entries
-/// ([`shard_gap_before`] — exact, because the client owns *every* record
-/// of its shards). Deadlock freedom rests on the ordered-flush protocol
-/// in [`flush_shard`] (see the module docs); the tail drains the
-/// remaining open batches in ascending watermark order for the same
-/// reason. Returns the shed count. Sends to a dead shard error out and
-/// are ignored — the supervisor's re-replay covers those records.
+/// each record out of the caller's original slices, and stamps it with
+/// its global position — all the worker's scorer clock needs. Deadlock
+/// freedom rests on the ordered-flush protocol in [`flush_shard`] (see
+/// the module docs); the tail drains the remaining open batches in
+/// ascending watermark order for the same reason. Returns the shed
+/// count. Sends to a dead shard error out and are ignored — the
+/// supervisor's re-replay covers those records.
 #[allow(clippy::too_many_arguments)]
 fn run_client(
     part: &ShardPartition,
@@ -517,18 +513,10 @@ fn run_client(
         }
         let Some((slot, pos)) = next else { break };
         let shard = owned[slot];
-        let j = cursors[slot];
         cursors[slot] += 1;
-        let p = pos as usize;
-        let record = if p < warmup.len() {
-            warmup[p]
-        } else {
-            measured[p - warmup.len()]
-        };
         bufs[shard].push(IngestMsg {
-            seq: pos as u64,
-            record,
-            gap: shard_gap_before(part.positions(shard), j),
+            seq: u64::from(pos),
+            record: ShardPartition::record_at(warmup, measured, pos),
             t_submit: epoch,
         });
         if bufs[shard].len() >= batch {
@@ -576,47 +564,35 @@ fn flush_shard(
     if bufs[shard].is_empty() {
         return;
     }
-    let mut msgs = std::mem::replace(&mut bufs[shard], Vec::with_capacity(batch));
-    let tx = senders[shard].as_ref().expect("client owns this shard");
-    stamp_flush_run(&mut msgs);
-    let n = msgs.len();
-    match tx.try_send(msgs) {
-        Ok(()) => {
-            inflight[shard].fetch_add(n as i64, Ordering::Relaxed);
+    let sender = |t: usize| senders[t].as_ref().expect("client owns this shard");
+    let msgs = std::mem::replace(&mut bufs[shard], Vec::with_capacity(batch));
+    let head = msgs[0].seq;
+    let sweep = |sheds: &mut u64| {
+        let mut earlier: Vec<usize> = (0..bufs.len())
+            .filter(|&t| !bufs[t].is_empty() && bufs[t][0].seq < head)
+            .collect();
+        earlier.sort_unstable_by_key(|&t| bufs[t][0].seq);
+        for t in earlier {
+            let em = std::mem::replace(&mut bufs[t], Vec::with_capacity(batch));
+            ship(sender(t), em, shed, sheds, &inflight[t], depth, |_| {});
         }
-        Err(TrySendError::Disconnected(_)) => {}
-        Err(TrySendError::Full(m)) => {
-            if shed {
-                *sheds += records_shed(n, free_records(&inflight[shard], depth));
-            }
-            // About to block: ordered flush of every earlier open batch.
-            let head = m[0].seq;
-            let mut earlier: Vec<usize> = (0..bufs.len())
-                .filter(|&t| t != shard && !bufs[t].is_empty() && bufs[t][0].seq < head)
-                .collect();
-            earlier.sort_unstable_by_key(|&t| bufs[t][0].seq);
-            for t in earlier {
-                let em = std::mem::replace(&mut bufs[t], Vec::with_capacity(batch));
-                ship(
-                    senders[t].as_ref().expect("client owns this shard"),
-                    em,
-                    shed,
-                    sheds,
-                    &inflight[t],
-                    depth,
-                );
-            }
-            if tx.send(m).is_ok() {
-                inflight[shard].fetch_add(n as i64, Ordering::Relaxed);
-            }
-        }
-    }
+    };
+    ship(
+        sender(shard),
+        msgs,
+        shed,
+        sheds,
+        &inflight[shard],
+        depth,
+        sweep,
+    );
 }
 
-/// Ships one already-taken batch: stamp, try-send, and on a full queue
-/// count the observed shed and fall back to a blocking send. Only called
-/// from the ordered-flush sweep, in ascending watermark order — which is
-/// exactly what makes its blocking send deadlock-safe.
+/// The one send path: stamp, try-send, and on a full queue count the
+/// observed shed, run `before_block`, then fall back to a blocking send.
+/// What makes that blocking send deadlock-safe is the caller's:
+/// [`flush_shard`] passes the ordered-flush sweep, and the sweep itself —
+/// already shipping in ascending watermark order — nothing.
 fn ship(
     tx: &Sender<Vec<IngestMsg>>,
     mut msgs: Vec<IngestMsg>,
@@ -624,6 +600,7 @@ fn ship(
     sheds: &mut u64,
     inflight: &AtomicI64,
     depth: usize,
+    before_block: impl FnOnce(&mut u64),
 ) {
     stamp_flush_run(&mut msgs);
     let n = msgs.len();
@@ -636,6 +613,7 @@ fn ship(
             if shed {
                 *sheds += records_shed(n, free_records(inflight, depth));
             }
+            before_block(sheds);
             if tx.send(m).is_ok() {
                 inflight.fetch_add(n as i64, Ordering::Relaxed);
             }
@@ -781,11 +759,6 @@ fn run_worker(
         let Ok(msgs) = rx.recv() else { break };
         inflight.fetch_sub(msgs.len() as i64, Ordering::Relaxed);
         for msg in msgs {
-            if msg.gap > 0 {
-                if let Some(sc) = pol.score.as_deref_mut() {
-                    sc.observe_gap(msg.gap);
-                }
-            }
             let mut sref = pol
                 .score
                 .as_deref_mut()
@@ -793,6 +766,7 @@ fn run_worker(
             let (outcome, score_val) = streaming_step(
                 &msg.record,
                 state.seen,
+                msg.seq,
                 &mut cache,
                 pol.admission.as_mut(),
                 pol.eviction.as_mut(),
@@ -853,7 +827,6 @@ mod tests {
                 .map(|i| IngestMsg {
                     seq: i as u64,
                     record: rec,
-                    gap: 0,
                     t_submit: Instant::now(),
                 })
                 .collect::<Vec<_>>()
@@ -861,7 +834,7 @@ mod tests {
         // Occupy the single slot with 40 records: 24 records of headroom
         // remain at the configured 64-record depth.
         let mut sheds = 0u64;
-        ship(&tx, mk(40), true, &mut sheds, &infl, depth);
+        ship(&tx, mk(40), true, &mut sheds, &infl, depth, |_| {});
         assert_eq!(sheds, 0);
         assert_eq!(infl.load(Ordering::Relaxed), 40);
         // The next 64-record batch finds the queue full. The Full arm of

@@ -144,17 +144,17 @@ pub fn admission_for(name: &str) -> Box<dyn AdmissionPolicy + Send> {
 
 /// Builds the named score source.
 ///
-/// `"fn"` produces deterministic per-`(page, seq)` pseudo-random scores:
+/// `"fn"` produces deterministic per-`(page, position)` pseudo-random scores:
 /// roughly half fall under the 0.5 admission threshold, so the threshold
 /// policy bypasses constantly.
 pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
     match name {
         "none" => None,
         "constant" => Some(Box::new(ConstantScore(0.75))),
-        "fn" => Some(Box::new(FnScore::new(|page, seq| {
+        "fn" => Some(Box::new(FnScore::new(|page, pos| {
             let h = (page ^ 0x9E37_79B9)
                 .wrapping_mul(0x2545_F491_4F6C_DD1D)
-                .wrapping_add(seq);
+                .wrapping_add(pos);
             (h >> 32) as f64 / u32::MAX as f64
         }))),
         other => panic!("unknown score {other}"),
@@ -235,7 +235,7 @@ mod tests {
             for fixed in [false, true] {
                 let mut e = hand_engine(k, fixed);
                 assert!(e.shardable());
-                e.observe(&TraceRecord::read(0x5000));
+                e.observe(&TraceRecord::read(0x5000), 0);
                 assert!(e.score_current().is_finite(), "k={k} fixed={fixed}");
             }
         }

@@ -9,7 +9,7 @@
 //!   which time windows (a page × time heat map), which shows that access
 //!   frequency is uneven in time.
 
-use crate::preprocess::{PreprocessConfig, TimestampTransformer};
+use crate::preprocess::{timestamped, PreprocessConfig};
 use crate::record::TraceRecord;
 use serde::{Deserialize, Serialize};
 
@@ -245,13 +245,11 @@ impl TemporalHeatmap {
 
 /// Per-window distinct-page counts — a cheap proxy for working-set drift.
 pub fn working_set_series(records: &[TraceRecord], cfg: &PreprocessConfig) -> Vec<usize> {
-    let mut t = TimestampTransformer::from_config(cfg);
     let mut out = Vec::new();
     let mut current_ts = 0u64;
     let mut set = std::collections::HashSet::new();
     let mut first = true;
-    for r in records {
-        let ts = t.next();
+    for (ts, r) in timestamped(records, cfg) {
         if first {
             current_ts = ts;
             first = false;

@@ -20,7 +20,8 @@ pub enum ParseTraceError {
     Malformed {
         /// 1-based line number.
         line: usize,
-        /// The offending text.
+        /// The offending text, cut to 80 characters (plus `…`) — a hostile
+        /// line must not be copied whole into the error.
         text: String,
     },
 }
@@ -49,6 +50,27 @@ impl From<std::io::Error> for ParseTraceError {
     fn from(e: std::io::Error) -> Self {
         ParseTraceError::Io(e)
     }
+}
+
+/// Most characters of an offending line [`ParseTraceError::Malformed`]
+/// echoes.
+const MALFORMED_ECHO_CHARS: usize = 80;
+
+/// Parses an address field: hex digits after `0x` / `0X`, decimal digits
+/// otherwise. The integer parsers accept a leading `+`; an address has no
+/// sign, so a field that does not start with a digit is refused first.
+fn parse_paddr(field: &str) -> Option<u64> {
+    let (digits, radix) = match field
+        .strip_prefix("0x")
+        .or_else(|| field.strip_prefix("0X"))
+    {
+        Some(hex) => (hex, 16),
+        None => (field, 10),
+    };
+    if !digits.starts_with(|c: char| c.is_digit(radix)) {
+        return None;
+    }
+    u64::from_str_radix(digits, radix).ok()
 }
 
 /// Writes a trace in text form. A `&mut` reference may be passed for `w`.
@@ -80,9 +102,12 @@ pub fn read_text<R: Read>(r: R) -> Result<Trace, ParseTraceError> {
         if s.is_empty() || s.starts_with('#') {
             continue;
         }
-        let malformed = || ParseTraceError::Malformed {
-            line: i + 1,
-            text: s.to_string(),
+        let malformed = || {
+            let mut text: String = s.chars().take(MALFORMED_ECHO_CHARS).collect();
+            if text.len() < s.len() {
+                text.push('…');
+            }
+            ParseTraceError::Malformed { line: i + 1, text }
         };
         let (op_s, addr_s) = s.split_once(char::is_whitespace).ok_or_else(malformed)?;
         let op = match op_s {
@@ -90,15 +115,7 @@ pub fn read_text<R: Read>(r: R) -> Result<Trace, ParseTraceError> {
             "W" | "w" => Op::Write,
             _ => return Err(malformed()),
         };
-        let addr_s = addr_s.trim();
-        let paddr = if let Some(hex) = addr_s
-            .strip_prefix("0x")
-            .or_else(|| addr_s.strip_prefix("0X"))
-        {
-            u64::from_str_radix(hex, 16).map_err(|_| malformed())?
-        } else {
-            addr_s.parse::<u64>().map_err(|_| malformed())?
-        };
+        let paddr = parse_paddr(addr_s.trim()).ok_or_else(malformed)?;
         trace.push(TraceRecord::new(op, paddr));
     }
     Ok(trace)
@@ -153,6 +170,50 @@ mod tests {
         assert!(read_text("R zzz".as_bytes()).is_err());
         assert!(read_text("R 0xzz".as_bytes()).is_err());
         assert!(read_text("R".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn hostile_text_is_a_typed_error() {
+        // (text, the 1-based line the error names)
+        let cases = [
+            // The integer parsers take a leading `+`; an address has no sign.
+            ("R 0x+10", 1),
+            ("R +16", 1),
+            ("R -16", 1),
+            ("R 0x-10", 1),
+            // A bare prefix, a missing address, one past u64::MAX in both radices.
+            ("R 0x", 1),
+            ("R 0x10\nW \n", 2),
+            ("W", 1),
+            ("R 0x10000000000000000", 1),
+            ("# ok\nR 18446744073709551616", 2),
+            ("R 0x10 0x20", 1),
+        ];
+        for (text, want) in cases {
+            match read_text(text.as_bytes()) {
+                Err(ParseTraceError::Malformed { line, .. }) => {
+                    assert_eq!(line, want, "wrong line for {text:?}")
+                }
+                other => panic!("{text:?} must be Malformed, got {other:?}"),
+            }
+        }
+        // The largest address still parses, in both radices.
+        let max = read_text("R 0xffffffffffffffff\nW 18446744073709551615".as_bytes()).unwrap();
+        assert!(max.records().iter().all(|r| r.paddr == u64::MAX));
+
+        // The echo of an offending line is capped, on a character boundary.
+        let long = format!("R {}", "é".repeat(10_000));
+        match read_text(long.as_bytes()) {
+            Err(ParseTraceError::Malformed { text, .. }) => {
+                assert_eq!(text.chars().count(), MALFORMED_ECHO_CHARS + 1);
+                assert!(text.ends_with('…'), "{text}");
+            }
+            other => panic!("must be Malformed, got {other:?}"),
+        }
+
+        // Bytes that are not UTF-8 are a reader failure, not a record.
+        let err = read_text(&b"R 0x10\nR \xff\xfe\n"[..]).unwrap_err();
+        assert!(matches!(err, ParseTraceError::Io(_)), "{err:?}");
     }
 
     #[test]

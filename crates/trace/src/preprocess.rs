@@ -93,26 +93,26 @@ pub fn trim<'a>(trace: &'a Trace, cfg: &PreprocessConfig) -> &'a [TraceRecord] {
     &trace.records()[start..end]
 }
 
-/// Online implementation of the paper's Algorithm 1.
+/// The paper's Algorithm 1 as what it is: a pure function of a request's
+/// position in the trace.
 ///
-/// Call [`TimestampTransformer::next`] once per request, in trace order; it
-/// returns the transformed timestamp assigned to that request. The same
-/// transformer is used during training (offline pass) and at run time inside
-/// the policy engine (the algorithm is causal: it depends only on the number
-/// of requests seen so far).
+/// Lines 3–11 of the algorithm keep an `index` / `timestamp` counter pair,
+/// but the pair depends on nothing except how many requests came before,
+/// so the timestamp of the request at 0-based position `pos` has the closed
+/// form `(pos / len_window) mod len_access_shot`. Training (offline pass)
+/// and the run-time policy engine evaluate the same function, whoever holds
+/// the position.
 ///
 /// ```
 /// use icgmm_trace::TimestampTransformer;
-/// let mut t = TimestampTransformer::new(2, 3); // 2 requests/window, 3 windows/shot
-/// let ts: Vec<u64> = (0..10).map(|_| t.next()).collect();
+/// let t = TimestampTransformer::new(2, 3); // 2 requests/window, 3 windows/shot
+/// let ts: Vec<u64> = (0..10).map(|pos| t.at(pos)).collect();
 /// assert_eq!(ts, [0, 0, 1, 1, 2, 2, 0, 0, 1, 1]);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimestampTransformer {
     len_window: u32,
     len_access_shot: u32,
-    timestamp: u64,
-    index: u32,
 }
 
 impl TimestampTransformer {
@@ -127,8 +127,6 @@ impl TimestampTransformer {
         TimestampTransformer {
             len_window,
             len_access_shot,
-            timestamp: 0,
-            index: 0,
         }
     }
 
@@ -137,63 +135,31 @@ impl TimestampTransformer {
         TimestampTransformer::new(cfg.len_window, cfg.len_access_shot)
     }
 
-    /// Advances the transformer by one request and returns that request's
-    /// timestamp (Algorithm 1, lines 3–11).
-    #[allow(clippy::should_implement_trait)] // not an Iterator: never ends
-    pub fn next(&mut self) -> u64 {
-        if self.index >= self.len_window {
-            self.timestamp += 1;
-            self.index = 0;
-        }
-        if self.timestamp >= u64::from(self.len_access_shot) {
-            self.timestamp = 0;
-        }
-        self.index += 1;
-        self.timestamp
-    }
-
-    /// Advances the clock over `n` requests in one step, exactly as if
-    /// [`TimestampTransformer::next`] had been called `n` times with the
-    /// returned timestamps discarded.
-    ///
-    /// Algorithm 1 is a pure function of the *count* of requests observed
-    /// so far, so skipped requests need no content — this is what lets a
-    /// set-partitioned replay shard keep its clock in global trace order
-    /// while observing only its own records (`icgmm-cache`'s sharded
-    /// simulator): gaps of foreign-shard requests fast-forward in O(1)
-    /// arithmetic instead of O(gap) calls.
-    pub fn advance(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let w = u64::from(self.len_window);
-        let shot = u64::from(self.len_access_shot);
-        // State after m >= 1 calls: index = ((m-1) mod w) + 1,
-        // timestamp = floor((m-1) / w) mod shot. `index == 0` is the
-        // fresh state (m = 0).
-        let (ticks, carry_base) = if self.index == 0 {
-            (n - 1, 0)
-        } else {
-            (u64::from(self.index) - 1 + n, self.timestamp * w)
-        };
-        // `carry_base` folds the current timestamp into the tick count so
-        // one mod/div pair lands both fields (timestamp wraps modulo the
-        // shot, index modulo the window).
-        let total = carry_base + ticks;
-        self.index = (ticks % w) as u32 + 1;
-        self.timestamp = (total / w) % shot;
-    }
-
-    /// Resets to the initial state.
-    pub fn reset(&mut self) {
-        self.timestamp = 0;
-        self.index = 0;
+    /// Timestamp of the request at 0-based trace position `pos`.
+    #[inline]
+    pub fn at(&self, pos: u64) -> u64 {
+        (pos / u64::from(self.len_window)) % u64::from(self.len_access_shot)
     }
 
     /// Largest timestamp this transformer can emit.
     pub fn max_timestamp(&self) -> u64 {
         u64::from(self.len_access_shot) - 1
     }
+}
+
+/// `records` paired with their timestamps, `records[0]` at position 0.
+/// Walks whole windows, so a sequential pass pays Algorithm 1's division
+/// once per window, not once per record.
+pub(crate) fn timestamped<'a>(
+    records: &'a [TraceRecord],
+    cfg: &PreprocessConfig,
+) -> impl Iterator<Item = (u64, &'a TraceRecord)> {
+    let t = TimestampTransformer::from_config(cfg);
+    let w = cfg.len_window as usize;
+    records.chunks(w).enumerate().flat_map(move |(i, window)| {
+        let ts = t.at((i * w) as u64);
+        window.iter().map(move |r| (ts, r))
+    })
 }
 
 /// A `(page index, timestamp)` pair with a multiplicity weight — the GMM
@@ -211,10 +177,8 @@ pub struct WeightedSample {
 /// Extracts per-request GMM input features `[page_index, timestamp]` from a
 /// (pre-trimmed) record slice.
 pub fn extract_features(records: &[TraceRecord], cfg: &PreprocessConfig) -> Vec<[f64; 2]> {
-    let mut t = TimestampTransformer::from_config(cfg);
-    records
-        .iter()
-        .map(|r| [r.page().raw() as f64, t.next() as f64])
+    timestamped(records, cfg)
+        .map(|(ts, r)| [r.page().raw() as f64, ts as f64])
         .collect()
 }
 
@@ -244,10 +208,8 @@ pub fn extract_weighted_cells_range(
     end: usize,
 ) -> Vec<WeightedSample> {
     assert!(start <= end && end <= records.len(), "invalid cell range");
-    let mut t = TimestampTransformer::from_config(cfg);
     let mut cells: HashMap<(u64, u64), u64> = HashMap::new();
-    for (i, r) in records[..end].iter().enumerate() {
-        let ts = t.next();
+    for (i, (ts, r)) in timestamped(&records[..end], cfg).enumerate() {
         if i >= start {
             *cells.entry((r.page().raw(), ts)).or_insert(0) += 1;
         }
@@ -322,66 +284,18 @@ mod tests {
 
     #[test]
     fn algorithm1_window_grouping() {
-        let mut tr = TimestampTransformer::new(32, 10_000);
-        // First 32 requests share timestamp 0.
-        for _ in 0..32 {
-            assert_eq!(tr.next(), 0);
-        }
-        // Next 32 share timestamp 1.
-        for _ in 0..32 {
-            assert_eq!(tr.next(), 1);
-        }
+        let tr = TimestampTransformer::new(32, 10_000);
+        // First 32 requests share timestamp 0, the next 32 timestamp 1.
+        assert!((0..32).all(|pos| tr.at(pos) == 0));
+        assert!((32..64).all(|pos| tr.at(pos) == 1));
     }
 
     #[test]
     fn algorithm1_shot_wraps() {
-        let mut tr = TimestampTransformer::new(1, 4);
-        let ts: Vec<u64> = (0..9).map(|_| tr.next()).collect();
+        let tr = TimestampTransformer::new(1, 4);
+        let ts: Vec<u64> = (0..9).map(|pos| tr.at(pos)).collect();
         assert_eq!(ts, [0, 1, 2, 3, 0, 1, 2, 3, 0]);
         assert_eq!(tr.max_timestamp(), 3);
-    }
-
-    #[test]
-    fn advance_matches_repeated_next() {
-        // Every (window, shot) shape × interleaving of advance(n) with
-        // next() must land in exactly the state repeated next() reaches.
-        for (w, shot) in [(1u32, 1u32), (2, 3), (32, 10_000), (7, 5), (3, 1)] {
-            let mut stepped = TimestampTransformer::new(w, shot);
-            let mut jumped = TimestampTransformer::new(w, shot);
-            let mut consumed = 0u64;
-            for n in [0u64, 1, 2, 5, 31, 32, 33, 1000, 7] {
-                for _ in 0..n {
-                    stepped.next();
-                }
-                jumped.advance(n);
-                consumed += n;
-                assert_eq!(
-                    stepped.next(),
-                    jumped.next(),
-                    "w={w} shot={shot} after {consumed} requests"
-                );
-                consumed += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn advance_from_fresh_state() {
-        let mut t = TimestampTransformer::new(2, 3);
-        t.advance(4); // as if requests 1..=4 were observed: ts = 0,0,1,1
-        assert_eq!(t.next(), 2); // request 5
-    }
-
-    #[test]
-    fn transformer_reset_restores_initial_state() {
-        let mut tr = TimestampTransformer::new(2, 5);
-        for _ in 0..7 {
-            tr.next();
-        }
-        tr.reset();
-        assert_eq!(tr.next(), 0);
-        assert_eq!(tr.next(), 0);
-        assert_eq!(tr.next(), 1);
     }
 
     #[test]

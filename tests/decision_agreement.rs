@@ -43,7 +43,8 @@ use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
 struct SeedScore {
     model: TrainedModel,
     transformer: TimestampTransformer,
-    current: [f64; 2],
+    /// `(page, global trace position)` of the observed request.
+    current: (u64, u64),
 }
 
 impl SeedScore {
@@ -51,19 +52,20 @@ impl SeedScore {
         SeedScore {
             model: model.clone(),
             transformer: TimestampTransformer::from_config(preprocess),
-            current: [0.0, 0.0],
+            current: (0, 0),
         }
     }
 }
 
 impl ScoreSource for SeedScore {
-    fn observe(&mut self, record: &TraceRecord) {
-        let ts = self.transformer.next();
-        self.current = [record.page().raw() as f64, ts as f64];
+    fn observe(&mut self, record: &TraceRecord, pos: u64) {
+        self.current = (record.page().raw(), pos);
     }
 
     fn score_current(&mut self) -> f64 {
-        let z = self.model.scaler.transform(self.current);
+        let (page, pos) = self.current;
+        let ts = self.transformer.at(pos);
+        let z = self.model.scaler.transform([page as f64, ts as f64]);
         let gmm = &self.model.gmm;
         let logs: Vec<f64> = gmm
             .weights()

@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) over the core invariants of the
 //! reproduction: cache coherence of the tag store, GMM distribution
-//! axioms, Algorithm 1 bounds, fixed-point fidelity and policy sanity.
+//! axioms, Algorithm 1 bounds and its counter-pair oracle, fixed-point fidelity and policy sanity.
 
 use icgmm_cache::{
     simulate, AccessOutcome, AlwaysAdmit, CacheConfig, FifoPolicy, GmmScorePolicy, LatencyModel,
@@ -41,6 +41,40 @@ fn random_mixture(k: usize, seed: u64) -> Gmm {
         *w /= total;
     }
     Gmm::new(weights, comps).expect("valid mixture")
+}
+
+/// The seed's transcription of the paper's Algorithm 1, lines 3–11: an
+/// `index` / `timestamp` counter pair stepped once per request, in trace
+/// order — the reference `TimestampTransformer::at` is held to.
+struct Algorithm1Counters {
+    len_window: u32,
+    len_access_shot: u32,
+    timestamp: u64,
+    index: u32,
+}
+
+impl Algorithm1Counters {
+    fn new(len_window: u32, len_access_shot: u32) -> Self {
+        Algorithm1Counters {
+            len_window,
+            len_access_shot,
+            timestamp: 0,
+            index: 0,
+        }
+    }
+
+    /// Steps by one request and returns that request's timestamp.
+    fn next(&mut self) -> u64 {
+        if self.index >= self.len_window {
+            self.timestamp += 1;
+            self.index = 0;
+        }
+        if self.timestamp >= u64::from(self.len_access_shot) {
+            self.timestamp = 0;
+        }
+        self.index += 1;
+        self.timestamp
+    }
 }
 
 /// The seed's original scalar scoring path — per-call `Vec`, per-component
@@ -227,21 +261,40 @@ proptest! {
     fn algorithm1_bounds(
         len_window in 1u32..64,
         len_shot in 1u32..64,
-        n in 1usize..2000,
+        n in 1u64..2000,
     ) {
-        let mut t = TimestampTransformer::new(len_window, len_shot);
-        let mut last = None;
-        for i in 0..n {
-            let ts = t.next();
+        let t = TimestampTransformer::new(len_window, len_shot);
+        for pos in 0..n {
+            let ts = t.at(pos);
             prop_assert!(ts < u64::from(len_shot), "ts {} out of range", ts);
-            if let Some((prev_i, prev_ts)) = last {
-                let _: usize = prev_i;
-                // Within one window the timestamp cannot change.
-                if i / (len_window as usize) == prev_i / (len_window as usize) {
-                    prop_assert_eq!(ts, prev_ts);
-                }
+            // Within one window the timestamp cannot change.
+            let window_start = pos - pos % u64::from(len_window);
+            prop_assert_eq!(ts, t.at(window_start));
+        }
+    }
+
+    /// Algorithm 1: the closed form is the counter pair's output — stepped
+    /// from position 0, and (the counters are back in their initial state
+    /// every `len_window × len_access_shot` requests) at positions up to
+    /// `u64::MAX`; `len_window = 1` and the paper's 32 × 10 000 included.
+    #[test]
+    fn algorithm1_closed_form_matches_the_counters(
+        len_window in 1u32..64,
+        len_shot in 1u32..64,
+        n in 1u64..2000,
+        back in 0u64..1_000_000,
+    ) {
+        for (w, shot) in [(len_window, len_shot), (1, len_shot), (32, 10_000)] {
+            let t = TimestampTransformer::new(w, shot);
+            let mut counters = Algorithm1Counters::new(w, shot);
+            for pos in 0..n {
+                prop_assert_eq!(t.at(pos), counters.next(), "w {} shot {} pos {}", w, shot, pos);
             }
-            last = Some((i, ts));
+            let far = u64::MAX - back;
+            let phase = far % (u64::from(w) * u64::from(shot));
+            let mut counters = Algorithm1Counters::new(w, shot);
+            let ts = (0..=phase).map(|_| counters.next()).last();
+            prop_assert_eq!(Some(t.at(far)), ts, "w {} shot {} pos {}", w, shot, far);
         }
     }
 

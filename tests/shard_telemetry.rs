@@ -147,14 +147,7 @@ fn make_shard(cfg: &IcgmmConfig, ctx: &ShardCtx<'_>) -> ShardPolicies {
     let (sets, ways) = (cfg.cache.num_sets(), cfg.cache.ways);
     let engine = GmmPolicyEngine::new(model, &cfg.preprocess, false).unwrap();
     let shard = ctx.shard as u64;
-    let adaptive = AdaptiveEngine::new(
-        engine,
-        &model.gmm,
-        cfg.em,
-        &cfg.preprocess,
-        cfg.adapt,
-        shard,
-    );
+    let adaptive = AdaptiveEngine::new(engine, &model.gmm, cfg.em, cfg.adapt, shard);
     let health = ScorerHealth::new(&cfg.fault);
     ShardPolicies {
         admission: Box::new(FailoverAdmission::new(
