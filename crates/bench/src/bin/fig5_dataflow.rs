@@ -1,10 +1,10 @@
-//! Evidence for the **Fig. 5 / §4.3 dataflow architecture claims**: GMM
-//! inference fully overlaps SSD accesses, trace prefetch hides HBM loads,
-//! and the free-running policy engine never blocks the cache engine.
+//! Evidence for the **Fig. 5 / §4.3 dataflow architecture claim**: GMM
+//! inference fully overlaps SSD accesses, so the free-running policy
+//! engine never blocks the cache engine.
 //!
 //! Runs the cycle-approximate dataflow model on one miss-heavy benchmark
-//! with overlap on and off, and reports per-module busy time, FIFO stalls
-//! and the latency the overlap buys back.
+//! with overlap on and off, and reports per-module busy time and the
+//! latency the overlap buys back — the inference latency, once per miss.
 //!
 //! Usage: `cargo run -p icgmm-bench --release --bin fig5_dataflow [--quick]`
 
@@ -74,11 +74,6 @@ fn main() {
             "overlap saved (s)".into(),
             f(with.overlap_saved_us / 1e6, 3),
             f(without.overlap_saved_us / 1e6, 3),
-        ],
-        vec![
-            "loader stalls".into(),
-            with.loader_stalls.to_string(),
-            without.loader_stalls.to_string(),
         ],
     ];
     println!(

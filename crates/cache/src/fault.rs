@@ -26,8 +26,8 @@
 //! Counters are plain fields of whoever increments them: the injector
 //! counts its injections, the health monitor — the one object a shard's
 //! three ladder rungs share — counts the ladder's transitions and degraded
-//! decisions, the SSD emulator its device faults, the shard supervisor its
-//! panics and recoveries. Whoever replayed a shard reads them once, after
+//! decisions, `icgmm-hw`'s device-fault observer its device faults, the
+//! shard supervisor its panics and recoveries. Whoever replayed a shard reads them once, after
 //! the shard's last record, through [`ScoreSource::telemetry`]; an attempt
 //! that died takes its counters with it.
 //!

@@ -1,14 +1,19 @@
 //! Analytic access-latency model (paper §5.3, "average memory access
-//! latency reduction").
+//! latency reduction"): what one request costs in modeled µs, as a
+//! function of its `(op, outcome)` and nothing else.
 //!
 //! On-board measurements in the paper: DRAM-cache hit ≈ 1 µs end-to-end;
 //! GMM inference 3 µs, fully overlapped with the SSD access it accompanies;
 //! TLC SSD read 75 µs, program (write) 900 µs; a miss that evicts a dirty
 //! block pays read + write-back (75 + 900 = 975 µs).
 //!
-//! This model charges those constants per request. The cycle-level dataflow
-//! model in `icgmm-hw` reproduces the same numbers from FIFO/kernel timing;
-//! an integration test checks the two agree.
+//! The paper's emulator "pauses the dataflow for a set duration" per SSD
+//! command (§4.2): one request in flight, nothing queues, and a request's
+//! time never depends on its neighbours. So every consumer of modeled time
+//! calls this module — the replay's accounting, `icgmm-serve`'s completion
+//! queue, and `icgmm-hw`, whose `DataflowConfig::latency` derives a model
+//! from its cycle-level engines and whose device faults re-cost a miss's
+//! SSD commands through [`LatencyModel::split_with`].
 
 use crate::cache::AccessOutcome;
 use icgmm_trace::Op;
@@ -19,6 +24,11 @@ use serde::{Deserialize, Serialize};
 pub struct LatencyModel {
     /// DRAM-cache hit service time.
     pub hit_us: f64,
+    /// Cache-engine time a miss spends before the SSD access and the
+    /// inference start (lookup + tag/score update). 0 in the presets — the
+    /// paper's measured constants fold it in; the model `icgmm-hw` derives
+    /// from its cycle counts sets it.
+    pub miss_overhead_us: f64,
     /// SSD page read.
     pub ssd_read_us: f64,
     /// SSD page program (write).
@@ -35,6 +45,7 @@ impl LatencyModel {
     pub fn paper_tlc() -> Self {
         LatencyModel {
             hit_us: 1.0,
+            miss_overhead_us: 0.0,
             ssd_read_us: 75.0,
             ssd_write_us: 900.0,
             policy_engine_us: 3.0,
@@ -61,42 +72,96 @@ impl LatencyModel {
         }
     }
 
-    /// Latency charged to one request with the given outcome.
-    ///
-    /// * Hit → `hit_us`; the GMM is not consulted.
-    /// * Inserted miss → SSD page fetch, plus write-back if the victim was
-    ///   dirty; GMM latency is added only when overlap is disabled.
-    /// * Bypassed miss → direct SSD read or write (no allocation), again
-    ///   with GMM latency hidden when overlapped.
-    pub fn request_us(&self, op: Op, outcome: &AccessOutcome) -> f64 {
-        let policy_extra = |base: f64| {
-            if self.overlap_policy_with_ssd {
-                // The engine runs concurrently with the SSD access; it is
-                // never the critical path while inference < SSD latency.
-                base.max(self.policy_engine_us)
-            } else {
-                base + self.policy_engine_us
-            }
-        };
+    /// `(decision_us, backend_us)` of one request: what occupies the engine
+    /// (hit service, or policy inference on a miss) and the SSD time of the
+    /// commands it issues — `None` for a hit — each command's nominal time
+    /// passed through `device` in issue order. An inserted miss fetches
+    /// the page (also on write-allocate), then writes a dirty victim back;
+    /// a bypassed miss sends its own read or write straight to the device.
+    /// The one place `(op, outcome)` turns into microseconds.
+    #[inline]
+    pub fn split_with(
+        &self,
+        op: Op,
+        outcome: &AccessOutcome,
+        mut device: impl FnMut(f64) -> f64,
+    ) -> (f64, Option<f64>) {
         match outcome {
-            AccessOutcome::Hit { .. } => self.hit_us,
+            AccessOutcome::Hit { .. } => (self.hit_us, None),
             AccessOutcome::MissInserted { evicted, .. } => {
-                let mut t = self.ssd_read_us; // fetch the page (also on write-allocate)
-                if let Some(e) = evicted {
-                    if e.dirty {
-                        t += self.ssd_write_us;
-                    }
+                let mut backend = device(self.ssd_read_us);
+                if evicted.is_some_and(|e| e.dirty) {
+                    backend += device(self.ssd_write_us);
                 }
-                policy_extra(t)
+                (self.policy_engine_us, Some(backend))
             }
             AccessOutcome::MissBypassed => {
-                let t = match op {
+                let backend = device(match op {
                     Op::Read => self.ssd_read_us,
                     Op::Write => self.ssd_write_us,
-                };
-                policy_extra(t)
+                });
+                (self.policy_engine_us, Some(backend))
             }
         }
+    }
+
+    /// [`LatencyModel::split_with`] on the nominal device.
+    #[inline]
+    pub fn split(&self, op: Op, outcome: &AccessOutcome) -> (f64, Option<f64>) {
+        self.split_with(op, outcome, |us| us)
+    }
+
+    /// Latency of a miss whose SSD commands take `backend_us`: the engine
+    /// overhead, then inference and SSD access side by side (the slower is
+    /// the critical path) or, with overlap disabled, one after the other.
+    #[inline]
+    pub fn miss_us(&self, backend_us: f64) -> f64 {
+        self.miss_overhead_us
+            + if self.overlap_policy_with_ssd {
+                backend_us.max(self.policy_engine_us)
+            } else {
+                backend_us + self.policy_engine_us
+            }
+    }
+
+    /// Inference time that overlap hides behind a miss's `backend_us` of
+    /// SSD work, compared with the sequential design.
+    pub fn hidden_us(&self, backend_us: f64) -> f64 {
+        if self.overlap_policy_with_ssd {
+            backend_us.min(self.policy_engine_us)
+        } else {
+            0.0
+        }
+    }
+
+    /// Latency charged to one request: `hit_us` for a hit (the GMM is not
+    /// consulted), [`LatencyModel::miss_us`] of its SSD commands otherwise.
+    #[inline]
+    pub fn request_us(&self, op: Op, outcome: &AccessOutcome) -> f64 {
+        match self.split(op, outcome) {
+            (hit_us, None) => hit_us,
+            (_, Some(backend_us)) => self.miss_us(backend_us),
+        }
+    }
+
+    /// Rejects constants that would poison every modeled average.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that is not finite and non-negative.
+    pub fn validate(&self) -> Result<(), String> {
+        for (what, us) in [
+            ("latency.hit_us", self.hit_us),
+            ("latency.miss_overhead_us", self.miss_overhead_us),
+            ("latency.ssd_read_us", self.ssd_read_us),
+            ("latency.ssd_write_us", self.ssd_write_us),
+            ("latency.policy_engine_us", self.policy_engine_us),
+        ] {
+            if !(us.is_finite() && us >= 0.0) {
+                return Err(format!("{what} must be finite and >= 0, got {us}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -187,6 +252,73 @@ mod tests {
             evicted: None,
         };
         assert_eq!(m.request_us(Op::Read, &miss), 3.0);
+    }
+
+    /// The split recombines to `request_us` under both overlap settings,
+    /// engine overhead included, and hands `device` the commands of a
+    /// miss in issue order: fetch, then the dirty write-back.
+    #[test]
+    fn split_recombines_to_request_us() {
+        for overlap in [true, false] {
+            let m = LatencyModel {
+                miss_overhead_us: 0.25,
+                overlap_policy_with_ssd: overlap,
+                ..LatencyModel::paper_tlc()
+            };
+            let inserted = |evicted| AccessOutcome::MissInserted { way: 0, evicted };
+            for (op, outcome, commands) in [
+                (Op::Write, AccessOutcome::Hit { way: 1 }, vec![]),
+                (Op::Write, inserted(None), vec![75.0]),
+                (Op::Read, inserted(ev(false)), vec![75.0]),
+                (Op::Read, inserted(ev(true)), vec![75.0, 900.0]),
+                (Op::Read, AccessOutcome::MissBypassed, vec![75.0]),
+                (Op::Write, AccessOutcome::MissBypassed, vec![900.0]),
+            ] {
+                let mut seen = Vec::new();
+                let (decision, backend) = m.split_with(op, &outcome, |us| {
+                    seen.push(us);
+                    us
+                });
+                assert_eq!(seen, commands, "{op:?} {outcome:?}");
+                assert_eq!((decision, backend), m.split(op, &outcome));
+                let recombined = match backend {
+                    None => decision,
+                    Some(b) if overlap => 0.25 + b.max(decision),
+                    Some(b) => 0.25 + b + decision,
+                };
+                assert_eq!(recombined, m.request_us(op, &outcome), "{op:?} {outcome:?}");
+                assert_eq!(
+                    backend.map_or(0.0, |b| m.hidden_us(b)),
+                    if overlap && backend.is_some() {
+                        3.0
+                    } else {
+                        0.0
+                    }
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_each_hostile_constant() {
+        assert!(LatencyModel::paper_tlc().validate().is_ok());
+        let set: [fn(&mut LatencyModel, f64); 5] = [
+            |m, v| m.hit_us = v,
+            |m, v| m.miss_overhead_us = v,
+            |m, v| m.ssd_read_us = v,
+            |m, v| m.ssd_write_us = v,
+            |m, v| m.policy_engine_us = v,
+        ];
+        for (field, set) in set.iter().enumerate() {
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                let mut m = LatencyModel::paper_tlc();
+                set(&mut m, bad);
+                assert!(m.validate().is_err(), "field {field} = {bad} accepted");
+            }
+            let mut m = LatencyModel::paper_tlc();
+            set(&mut m, 0.0);
+            assert!(m.validate().is_ok(), "field {field} = 0 rejected");
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! The loop exposes a **replay-event stream**: a [`ReplayObserver`] passed
 //! to [`simulate_streaming_observed_with_warmup`] receives every record's
 //! real outcome in trace order, with the score it consumed, so consumers
-//! that attach their own semantics to the replay (the `icgmm-hw`
-//! cycle-approximate dataflow timing model, the sharded engine's outcome
-//! buffers) never duplicate it.
+//! that attach their own semantics to the replay (the sharded engine's
+//! outcome buffers, `icgmm-hw`'s device-fault rolls) never duplicate it.
+//! Modeled time is not one of them: a request's cost is a function of its
+//! own outcome ([`LatencyModel::request_us`]), accounted inline.
 
 use crate::cache::{AccessOutcome, SetAssocCache};
 use crate::latency::LatencyModel;
@@ -53,7 +54,7 @@ pub struct ReplayEvent<'a> {
 ///
 /// This is the seam between *host replay* (how the simulator computes
 /// outcomes) and *modeled semantics* (what each outcome means): anything
-/// built on it — the `icgmm-hw` cycle-approximate dataflow timing, custom
+/// built on it — `icgmm-hw`'s per-command device faults, custom
 /// telemetry — rides the one replay loop instead of copying it.
 pub trait ReplayObserver {
     /// One record replayed (trace order, exactly once per record).
@@ -155,8 +156,8 @@ pub fn simulate_streaming_with_warmup(
 
 /// [`simulate_streaming_with_warmup`] with a [`ReplayObserver`] receiving
 /// the per-record event stream (warm-up events included, flagged by
-/// `seq`). This is how the `icgmm-hw` dataflow model drives its timing
-/// accounting off the functional replay without duplicating the loop.
+/// `seq`). This is how the `icgmm-hw` dataflow model rolls device faults
+/// per SSD command off the functional replay without duplicating the loop.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_streaming_observed_with_warmup(
     warmup: &[TraceRecord],

@@ -196,6 +196,7 @@ impl IcgmmConfig {
         if self.serve_queue_depth == 0 {
             return Err(IcgmmError::Config("serve_queue_depth must be >= 1".into()));
         }
+        self.latency.validate().map_err(IcgmmError::Config)?;
         self.fault.validate().map_err(IcgmmError::Config)?;
         self.adapt.validate().map_err(IcgmmError::Config)?;
         if !self.adapt.is_empty() {
@@ -273,6 +274,9 @@ mod tests {
         c = IcgmmConfig::default();
         c.adapt.check_interval = 1_000;
         c.adapt.decay = 0.0;
+        assert!(c.validate().is_err());
+        c = IcgmmConfig::default();
+        c.latency.ssd_write_us = f64::NAN;
         assert!(c.validate().is_err());
     }
 

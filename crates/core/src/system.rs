@@ -452,27 +452,35 @@ impl Icgmm {
         Ok(server.serve(warmup, measured, cache, &make_shard, latency, None)?)
     }
 
-    /// Runs one mode through the cycle-approximate dataflow hardware model
-    /// instead of the analytic latency constants.
+    /// Runs one mode under the latency model the cycle-level hardware
+    /// engines amount to ([`DataflowConfig::latency`]) instead of the
+    /// analytic constants, and reports the SSD traffic, engine busy time
+    /// and overlap saving that go with it.
     ///
-    /// Host replay is the same streaming loop as [`Icgmm::run`]; the
-    /// hardware model charges its timeline from the replay-event stream.
+    /// Host replay is the same streaming loop as [`Icgmm::run`]; setting
+    /// `IcgmmConfig::latency = DataflowConfig::default().latency()` gives
+    /// [`Icgmm::run`], [`Icgmm::run_sharded`] and [`Icgmm::serve`] the same
+    /// modeled time, `avg_us` equal to this report's `avg_request_us`.
     ///
-    /// The dataflow front-end replays the **frozen** model: it is the one
-    /// caller that hands the assembly an empty [`AdaptPlan`], so an armed
+    /// This front-end replays the **frozen** model: it is the one caller
+    /// that hands the assembly an empty [`AdaptPlan`], so an armed
     /// `IcgmmConfig::adapt` is ignored and the report's stats equal
-    /// [`Icgmm::run`]'s with the plan cleared (refits under the modeled
-    /// global FIFO/SSD queue are not modeled).
+    /// [`Icgmm::run`]'s with the plan cleared — the repository benchmark
+    /// checks exactly that equality, so only a benchmark PR may change it.
+    /// For modeled dataflow time under live refits use the route above.
     ///
     /// # Errors
     ///
-    /// As for [`Icgmm::run`].
+    /// As for [`Icgmm::run`], plus [`IcgmmError::Config`] when `config`'s
+    /// engines derive a latency that is not finite and non-negative (a
+    /// 0 MHz clock, a NaN SSD profile).
     pub fn run_dataflow(
         &self,
         trace: &Trace,
         mode: PolicyMode,
         config: &DataflowConfig,
     ) -> Result<DataflowReport, IcgmmError> {
+        config.latency().validate().map_err(IcgmmError::Config)?;
         // This configuration's fault plan rides along unless the dataflow
         // config armed its own: device faults act inside the hardware
         // model, scorer faults and policy failover come from the assembly,
@@ -671,6 +679,34 @@ mod tests {
         assert_eq!(a.sim.stats, d.stats, "functional divergence");
         let rel = (d.avg_request_us - a.avg_us()).abs() / a.avg_us().max(1e-9);
         assert!(rel < 0.05, "latency divergence {rel}");
+    }
+
+    #[test]
+    fn hostile_latency_constants_are_config_errors() {
+        let trace = WorkloadKind::Memtier.default_workload().generate(2_000, 4);
+        let sys = Icgmm::new(small_cfg()).unwrap();
+        let mut stopped_clock = DataflowConfig::default();
+        stopped_clock.cache_engine.clock.mhz = 0.0;
+        let mut nan_engine = DataflowConfig::default();
+        nan_engine.gmm_engine.clock.mhz = f64::NAN;
+        let mut negative_ssd = DataflowConfig::default();
+        negative_ssd.ssd.read_us = -75.0;
+        let mut infinite_ssd = DataflowConfig::default();
+        infinite_ssd.ssd.write_us = f64::INFINITY;
+        for (what, df) in [
+            ("0 MHz cache engine", stopped_clock),
+            ("NaN MHz GMM engine", nan_engine),
+            ("negative SSD read", negative_ssd),
+            ("infinite SSD write", infinite_ssd),
+        ] {
+            assert!(
+                matches!(
+                    sys.run_dataflow(&trace, PolicyMode::Lru, &df),
+                    Err(IcgmmError::Config(_))
+                ),
+                "{what} accepted"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! # icgmm-hw
 //!
 //! Cycle-approximate hardware model of the ICGMM FPGA prototype (DAC
-//! 2024, Fig. 5): the timing of its dataflow architecture (the trace FIFO
-//! as a finish-time ring, see the `system` module), the pipelined GMM
-//! policy engine, the cache control engine with parallel tag compare, the
-//! SSD access-latency emulator, and an FPGA resource model calibrated
-//! against the paper's Table 2.
+//! 2024, Fig. 5): the pipelined GMM policy engine, the cache control
+//! engine with parallel tag compare, the SSD access-latency emulator, the
+//! per-request time of the dataflow architecture they form (see the
+//! `system` module), and an FPGA resource model calibrated against the
+//! paper's Table 2.
 //!
 //! The paper's latency numbers come from an emulator *inside* the FPGA
 //! (§4.2); this crate reproduces the same measurement methodology in
@@ -16,12 +16,14 @@
 //! * TLC SSD 75/900 µs ([`SsdProfile::tlc`]),
 //! * overlap of inference with SSD access ([`run_dataflow`]).
 //!
-//! Host replay and modeled time are decoupled: [`run_dataflow`] /
-//! [`run_dataflow_with_warmup`] compute the outcomes with the cache
-//! crate's one streaming replay loop and charge the *modeled* timeline
-//! from its replay-event stream, strictly per miss: each miss pays one
-//! GMM inference overlapped (or not) with its own SSD access, with FIFO
-//! backpressure and SSD queueing. See the `system` module docs.
+//! The emulator pauses the dataflow for each SSD command, so one request
+//! is in flight at a time and its modeled time is a function of its own
+//! outcome: [`DataflowConfig::latency`] turns the engines' cycle counts
+//! into an [`icgmm_cache::LatencyModel`], and [`run_dataflow`] /
+//! [`run_dataflow_with_warmup`] are the cache crate's one streaming replay
+//! loop under that model — each miss pays the engine's lookup + update and
+//! then one GMM inference overlapped (or not) with its own SSD access.
+//! See the `system` module docs for why no queue is modeled.
 //!
 //! ## Example
 //!
@@ -52,5 +54,5 @@ pub use cache_engine::CacheEngineModel;
 pub use clock::{ClockDomain, Cycles};
 pub use gmm_engine::GmmEngineModel;
 pub use resources::{table2, GmmResourceModel, ResourceEstimate};
-pub use ssd::{SsdEmulator, SsdProfile, SsdStats};
+pub use ssd::{faulted_service_us, SsdProfile, SsdStats};
 pub use system::{run_dataflow, run_dataflow_with_warmup, DataflowConfig, DataflowReport};

@@ -4,9 +4,11 @@
 //! The analytic [`LatencyModel`] charges each miss its full modeled
 //! service time — policy-engine inference plus the SSD page access —
 //! *inline*, as if the shard worker sat on the backend until the page
-//! arrived. A real device front-end does not: it issues the backend
-//! access into a bounded completion queue and keeps deciding admissions
-//! for later requests while earlier misses are still in flight.
+//! arrived (the paper's emulator does exactly that, which is why the
+//! dataflow timeline in `icgmm-hw` is the same per-request function). A
+//! real device front-end does not: it issues the backend access into a
+//! bounded completion queue and keeps deciding admissions for later
+//! requests while earlier misses are still in flight.
 //!
 //! [`CompletionQueue`] models exactly that, per shard worker, on a
 //! modeled-microsecond timeline that is entirely decoupled from host
@@ -14,7 +16,8 @@
 //!
 //! * every decided request advances the worker's *decision clock* by its
 //!   decision cost (DRAM-cache hit service for hits, policy-engine
-//!   inference for misses);
+//!   inference for misses — the decision / backend split is
+//!   [`LatencyModel::split`], the function `request_us` recombines);
 //! * a miss additionally *issues* a backend operation — SSD read, plus
 //!   the dirty-victim write-back when one is evicted — whose completion
 //!   lands `backend_us` after the issue point (at the decision's start
@@ -78,33 +81,6 @@ impl OverlapStats {
     }
 }
 
-/// Splits one decided request's modeled service into its decision cost
-/// (what occupies the worker) and its backend cost (what the completion
-/// queue can overlap). Recombining under the [`LatencyModel`]'s overlap
-/// flag reproduces [`LatencyModel::request_us`] exactly — the consistency
-/// test below holds the two models together.
-fn service_split(lat: &LatencyModel, op: Op, outcome: &AccessOutcome) -> (f64, f64) {
-    match outcome {
-        AccessOutcome::Hit { .. } => (lat.hit_us, 0.0),
-        AccessOutcome::MissInserted { evicted, .. } => {
-            let mut backend = lat.ssd_read_us;
-            if let Some(e) = evicted {
-                if e.dirty {
-                    backend += lat.ssd_write_us;
-                }
-            }
-            (lat.policy_engine_us, backend)
-        }
-        AccessOutcome::MissBypassed => {
-            let backend = match op {
-                Op::Read => lat.ssd_read_us,
-                Op::Write => lat.ssd_write_us,
-            };
-            (lat.policy_engine_us, backend)
-        }
-    }
-}
-
 /// Depth of every serving worker's [`CompletionQueue`]: modeled SSD
 /// accesses in flight before the next decision stalls on the oldest. A
 /// constant — only tests ever ran another value; the queue is telemetry.
@@ -146,12 +122,12 @@ impl CompletionQueue {
     /// Feeds one decided request through the model.
     pub(crate) fn on_decided(&mut self, op: Op, outcome: &AccessOutcome) {
         self.inline_us += self.lat.request_us(op, outcome);
-        let (decision, backend) = service_split(&self.lat, op, outcome);
-        if backend == 0.0 {
+        let (decision, backend) = self.lat.split(op, outcome);
+        let Some(backend) = backend else {
             // Hits retire synchronously on the decision timeline.
             self.now_us += decision;
             return;
-        }
+        };
         if self.inflight.len() == self.depth {
             // Queue full: retire the oldest completion in seq order and
             // stall the decision clock until its slot frees.
@@ -159,8 +135,9 @@ impl CompletionQueue {
             self.retired_us = self.retired_us.max(head);
             self.now_us = self.now_us.max(self.retired_us);
         }
-        let issue = self.now_us;
-        self.now_us += decision;
+        // The engine's miss overhead precedes inference and SSD access alike.
+        let issue = self.now_us + self.lat.miss_overhead_us;
+        self.now_us = issue + decision;
         let engine_done = if self.lat.overlap_policy_with_ssd {
             // Inference runs concurrently with the SSD access; the
             // backend op issues at the decision's start.
@@ -204,39 +181,6 @@ mod tests {
                 page: PageIndex::new(0),
                 dirty,
             }),
-        }
-    }
-
-    /// The split recombines to `request_us` under both overlap settings:
-    /// the completion model and the inline model describe one service.
-    #[test]
-    fn split_recombines_to_request_us() {
-        for overlap in [true, false] {
-            let lat = LatencyModel {
-                overlap_policy_with_ssd: overlap,
-                ..LatencyModel::paper_tlc()
-            };
-            for op in [Op::Read, Op::Write] {
-                for outcome in [
-                    AccessOutcome::Hit { way: 1 },
-                    miss(None),
-                    miss(Some(false)),
-                    miss(Some(true)),
-                    AccessOutcome::MissBypassed,
-                ] {
-                    let (decision, backend) = service_split(&lat, op, &outcome);
-                    let recombined = match &outcome {
-                        AccessOutcome::Hit { .. } => decision,
-                        _ if overlap => backend.max(decision),
-                        _ => backend + decision,
-                    };
-                    assert_eq!(
-                        recombined,
-                        lat.request_us(op, &outcome),
-                        "{op:?} {outcome:?}"
-                    );
-                }
-            }
         }
     }
 

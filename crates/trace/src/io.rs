@@ -24,6 +24,14 @@ pub enum ParseTraceError {
         /// line must not be copied whole into the error.
         text: String,
     },
+    /// A line longer than [`MAX_LINE_BYTES`]; refused before it is read
+    /// whole.
+    LineTooLong {
+        /// 1-based line number.
+        line: usize,
+        /// The cap, in bytes.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ParseTraceError {
@@ -33,6 +41,9 @@ impl fmt::Display for ParseTraceError {
             ParseTraceError::Malformed { line, text } => {
                 write!(f, "malformed trace record at line {line}: {text:?}")
             }
+            ParseTraceError::LineTooLong { line, limit } => {
+                write!(f, "trace line {line} is longer than {limit} bytes")
+            }
         }
     }
 }
@@ -41,7 +52,7 @@ impl Error for ParseTraceError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ParseTraceError::Io(e) => Some(e),
-            ParseTraceError::Malformed { .. } => None,
+            ParseTraceError::Malformed { .. } | ParseTraceError::LineTooLong { .. } => None,
         }
     }
 }
@@ -55,6 +66,10 @@ impl From<std::io::Error> for ParseTraceError {
 /// Most characters of an offending line [`ParseTraceError::Malformed`]
 /// echoes.
 const MALFORMED_ECHO_CHARS: usize = 80;
+
+/// Longest line [`read_text`] accepts, in bytes, line terminator included
+/// (a record is under 40).
+pub const MAX_LINE_BYTES: usize = 4096;
 
 /// Parses an address field: hex digits after `0x` / `0X`, decimal digits
 /// otherwise. The integer parsers accept a leading `+`; an address has no
@@ -87,17 +102,35 @@ pub fn write_text<W: Write>(trace: &Trace, w: W) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads a text trace. A `&mut` reference may be passed for `r`.
+/// Reads a text trace. A `&mut` reference may be passed for `r`. At most
+/// [`MAX_LINE_BYTES`] + 1 bytes of input are buffered at a time, whatever
+/// the input holds.
 ///
 /// # Errors
 ///
-/// Returns [`ParseTraceError::Malformed`] on the first bad line, or
-/// [`ParseTraceError::Io`] on reader failure.
+/// Returns [`ParseTraceError::Malformed`] on the first bad line,
+/// [`ParseTraceError::LineTooLong`] on the first over-long one, or
+/// [`ParseTraceError::Io`] on reader failure (bytes that are not UTF-8
+/// included).
 pub fn read_text<R: Read>(r: R) -> Result<Trace, ParseTraceError> {
-    let reader = BufReader::new(r);
+    let mut reader = BufReader::new(r);
     let mut trace = Trace::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
+    let mut buf = Vec::new();
+    for i in 0.. {
+        buf.clear();
+        // One byte past the cap tells an over-long line from a full one.
+        let mut bounded = reader.by_ref().take(MAX_LINE_BYTES as u64 + 1);
+        if bounded.read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        if buf.len() > MAX_LINE_BYTES {
+            return Err(ParseTraceError::LineTooLong {
+                line: i + 1,
+                limit: MAX_LINE_BYTES,
+            });
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let s = line.trim();
         if s.is_empty() || s.starts_with('#') {
             continue;
@@ -202,7 +235,7 @@ mod tests {
         assert!(max.records().iter().all(|r| r.paddr == u64::MAX));
 
         // The echo of an offending line is capped, on a character boundary.
-        let long = format!("R {}", "é".repeat(10_000));
+        let long = format!("R {}", "é".repeat(1_000));
         match read_text(long.as_bytes()) {
             Err(ParseTraceError::Malformed { text, .. }) => {
                 assert_eq!(text.chars().count(), MALFORMED_ECHO_CHARS + 1);
@@ -210,6 +243,27 @@ mod tests {
             }
             other => panic!("must be Malformed, got {other:?}"),
         }
+
+        // A line over the cap is refused by number without being read
+        // whole: after two good lines, as the last line with no newline at
+        // all (multi-megabyte), and one byte over; a full line still parses.
+        let pad = |bytes: usize| format!("R 0x10{}\n", " ".repeat(bytes - "R 0x10\n".len()));
+        for (text, want) in [
+            (
+                format!("R 0x10\n# ok\nR 0x{}\nR 0x20\n", "0".repeat(MAX_LINE_BYTES)),
+                3,
+            ),
+            (format!("R 0x10\nW {}", "7".repeat(4 << 20)), 2),
+            (pad(MAX_LINE_BYTES + 1), 1),
+        ] {
+            match read_text(text.as_bytes()) {
+                Err(ParseTraceError::LineTooLong { line, limit }) => {
+                    assert_eq!((line, limit), (want, MAX_LINE_BYTES));
+                }
+                other => panic!("line {want} must be LineTooLong, got {other:?}"),
+            }
+        }
+        assert_eq!(read_text(pad(MAX_LINE_BYTES).as_bytes()).unwrap().len(), 1);
 
         // Bytes that are not UTF-8 are a reader failure, not a record.
         let err = read_text(&b"R 0x10\nR \xff\xfe\n"[..]).unwrap_err();

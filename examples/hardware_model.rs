@@ -70,13 +70,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
         )?;
         println!(
-            "\ndataflow ({}):\n  avg request {:.2} µs | makespan {:.2} s | SSD util {:.2} | overlap saved {:.3} s | loader stalls {}",
+            "\ndataflow ({}):\n  avg request {:.2} µs | makespan {:.2} s | SSD util {:.2} | overlap saved {:.3} s",
             if overlap { "free-running, overlapped" } else { "sequential" },
             report.avg_request_us,
             report.makespan_us / 1e6,
             report.ssd_utilization(),
-            report.overlap_saved_us / 1e6,
-            report.loader_stalls
+            report.overlap_saved_us / 1e6
         );
     }
     println!("\nThe overlapped design hides the full 3 µs inference behind every");

@@ -231,6 +231,62 @@ fn dataflow_ignores_an_armed_plan_and_replays_the_frozen_model() {
     assert_eq!(dataflow.stats, static_run.sim.stats);
 }
 
+/// Modeled dataflow time is a latency model like any other, so it rides
+/// every front-end — live refits included, the combination `run_dataflow`
+/// cannot express: with `latency = DataflowConfig::default().latency()`
+/// and an armed plan, `run` ≡ `run_sharded` ≡ `serve` at one shard and
+/// `run_sharded` ≡ `serve` at four, each average above the analytic one
+/// by the engine's miss overhead per miss; with the plan cleared, `run`'s
+/// average *is* `run_dataflow`'s.
+#[test]
+fn dataflow_latency_rides_every_front_end_under_live_refits() {
+    let (trace, _) = fixture();
+    let mode = PolicyMode::GmmCachingEviction;
+    let df_cfg = icgmm::hw::DataflowConfig::default();
+    let prefix = Trace::from_records(trace.records()[..trace.len() / 3].to_vec());
+    let mut frozen = Icgmm::new(adapt_cfg()).unwrap();
+    frozen.fit(&prefix).unwrap();
+    let system = |adapt: AdaptPlan, latency, shards: usize| {
+        let mut sys = Icgmm::new(IcgmmConfig {
+            adapt,
+            latency,
+            sim_shards: shards,
+            serve_clients: 2,
+            ..adapt_cfg()
+        })
+        .unwrap();
+        sys.set_model(frozen.model().expect("fitted").clone());
+        sys
+    };
+
+    for shards in [1, 4] {
+        let sys = system(AdaptPlan::drifty(3), df_cfg.latency(), shards);
+        let sharded = sys.run_sharded(trace, mode).unwrap();
+        assert!(sharded.sim.adapt.swaps > 0, "the plan must be live");
+        assert_eq!(sys.serve(trace, mode).unwrap().sim, sharded.sim);
+        if shards == 1 {
+            assert_eq!(sys.run(trace, mode).unwrap(), sharded);
+        }
+        let analytic = system(AdaptPlan::drifty(3), adapt_cfg().latency, shards)
+            .run_sharded(trace, mode)
+            .unwrap();
+        assert_eq!(analytic.sim.stats, sharded.sim.stats);
+        let stats = &sharded.sim.stats;
+        let overhead = stats.misses() as f64 * df_cfg.latency().miss_overhead_us;
+        assert!(
+            (sharded.avg_us() - analytic.avg_us() - overhead / stats.accesses() as f64).abs()
+                < 1e-9
+        );
+    }
+
+    let sys = system(AdaptPlan::empty(), df_cfg.latency(), 1);
+    let dataflow = sys.run_dataflow(trace, mode, &df_cfg).unwrap();
+    let run = sys.run(trace, mode).unwrap();
+    assert_eq!(run.sim.stats, dataflow.stats);
+    assert_eq!(run.avg_us(), dataflow.avg_request_us);
+    assert_eq!(run.sim.total_us, dataflow.makespan_us);
+}
+
 proptest! {
     /// An adaptive run is a pure function of `(trace seed, adapt seed)`
     /// at every shard count: repeat runs are identical down to the

@@ -82,10 +82,15 @@ fn dataflow_model_matches_analytic_model_end_to_end() {
             analytic.sim.stats, dataflow.stats,
             "{mode}: functional behaviour diverged between models"
         );
-        let rel = (dataflow.avg_request_us - analytic.avg_us()).abs() / analytic.avg_us();
+        // The paper's SSD constants fold the engine's lookup + tag update
+        // in; the cycle-level model charges them per miss — nothing else
+        // separates the two averages.
+        let overhead_us = dataflow.stats.misses() as f64
+            * CacheEngineModel::paper_default().miss_overhead_us()
+            / dataflow.stats.accesses() as f64;
         assert!(
-            rel < 0.05,
-            "{mode}: dataflow {:.3} µs vs analytic {:.3} µs",
+            (dataflow.avg_request_us - analytic.avg_us() - overhead_us).abs() < 1e-9,
+            "{mode}: dataflow {} µs vs analytic {} µs + {overhead_us}",
             dataflow.avg_request_us,
             analytic.avg_us()
         );
@@ -116,9 +121,10 @@ fn disabling_overlap_costs_exactly_the_policy_latency_per_miss() {
         (without.avg_request_us - with.avg_request_us) * with.stats.accesses() as f64;
     let expected_gap = misses * GmmEngineModel::paper_k256().latency_us();
     assert!(
-        (measured_gap - expected_gap).abs() < expected_gap * 0.12 + 1.0,
-        "total gap {measured_gap:.0} µs vs expected {expected_gap:.0} µs"
+        (measured_gap - expected_gap).abs() < expected_gap * 1e-9,
+        "total gap {measured_gap} µs vs expected {expected_gap} µs"
     );
+    assert!((with.overlap_saved_us - expected_gap).abs() < expected_gap * 1e-12);
 }
 
 #[test]
