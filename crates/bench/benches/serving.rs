@@ -13,10 +13,10 @@
 //! the unsharded replay. That single-worker
 //! geometry replays the identical decision sequence through the identical
 //! streaming step, so the ratio isolates the service machinery itself — queue
-//! hand-off, per-request admission timestamping, sequence-numbered
-//! outcome streaming and the incremental merge (≈ 200 ns per request on
-//! the 2-vCPU container, against a ≈ 290 ns/record tenant replay: the pair
-//! reads 0.4–0.9×; CI gates it at 0.3× / 0.4×). The wide geometries
+//! hand-off, the arrival check and per-batch admission timestamping (the
+//! worker counts what it decides; nothing streams back. CI gates the pair
+//! at 0.3× / 0.4×, thresholds set while a serial merger still re-accounted
+//! every outcome on the calling thread). The wide geometries
 //! (4 shards × 2 clients, 8 shards × 4 clients) exercise the per-shard
 //! client transport buffers on interleaved traffic — a scan routes
 //! consecutive records to consecutive shards, so without buffering every

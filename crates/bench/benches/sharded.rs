@@ -12,7 +12,7 @@
 //!   (`fanout_partition8_tenants`).
 //!
 //! CI gates only the S = 1 pair: one shard replays inline on the calling
-//! thread — no fan-out, outcome recording or merge — so
+//! thread — no fan-out, no thread, no observer — so
 //! it must sit at parity with the unsharded `simulate` (both sides are
 //! set-up inclusive: a fresh engine clone per replay). Higher shard
 //! counts are archived for trend tracking.

@@ -303,7 +303,7 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Accumulates `other` into `self` (used by the sharded merge and by
+    /// Accumulates `other` into `self` (used by the sharded sum and by
     /// callers combining scorer and device stats into one block).
     pub fn merge(&mut self, other: &FaultStats) {
         self.scorer_nan_injected += other.scorer_nan_injected;

@@ -1,6 +1,8 @@
 //! Analytic access-latency model (paper §5.3, "average memory access
 //! latency reduction"): what one request costs in modeled µs, as a
-//! function of its `(op, outcome)` and nothing else.
+//! function of its `(op, outcome)` and nothing else — and therefore what a
+//! run costs, as a function of its outcome *counts*
+//! ([`LatencyModel::total_us`]).
 //!
 //! On-board measurements in the paper: DRAM-cache hit ≈ 1 µs end-to-end;
 //! GMM inference 3 µs, fully overlapped with the SSD access it accompanies;
@@ -10,12 +12,15 @@
 //! The paper's emulator "pauses the dataflow for a set duration" per SSD
 //! command (§4.2): one request in flight, nothing queues, and a request's
 //! time never depends on its neighbours. So every consumer of modeled time
-//! calls this module — the replay's accounting, `icgmm-serve`'s completion
-//! queue, and `icgmm-hw`, whose `DataflowConfig::latency` derives a model
-//! from its cycle-level engines and whose device faults re-cost a miss's
-//! SSD commands through [`LatencyModel::split_with`].
+//! calls this module — every report's `total_us` (a sum over
+//! [`CacheStats`], which is why shards merge by adding counters),
+//! `icgmm-serve`'s completion queue, and `icgmm-hw`, whose
+//! `DataflowConfig::latency` derives a model from its cycle-level engines
+//! and whose device faults re-cost a miss's SSD commands through
+//! [`LatencyModel::split_with`].
 
 use crate::cache::AccessOutcome;
+use crate::stats::CacheStats;
 use icgmm_trace::Op;
 use serde::{Deserialize, Serialize};
 
@@ -142,6 +147,23 @@ impl LatencyModel {
             (hit_us, None) => hit_us,
             (_, Some(backend_us)) => self.miss_us(backend_us),
         }
+    }
+
+    /// Modeled time of a whole run, from its counters: requests of one
+    /// `(op, outcome)` shape cost the same ([`LatencyModel::request_us`]),
+    /// so the total is counts × costs — hits, misses waiting on one page
+    /// read (clean insertions, bypassed reads), on a fetch plus a dirty
+    /// write-back, on one bypassed write. No order enters; under integer-µs
+    /// constants (every preset) it is bit-equal to adding the requests up
+    /// one by one.
+    pub fn total_us(&self, stats: &CacheStats) -> f64 {
+        let (read_us, write_us) = (self.ssd_read_us, self.ssd_write_us);
+        let insertions = stats.read_insertions + stats.write_insertions;
+        let one_read = insertions - stats.dirty_evictions + stats.read_bypasses;
+        stats.hits() as f64 * self.hit_us
+            + one_read as f64 * self.miss_us(read_us)
+            + stats.dirty_evictions as f64 * self.miss_us(read_us + write_us)
+            + stats.write_bypasses as f64 * self.miss_us(write_us)
     }
 
     /// Rejects constants that would poison every modeled average.
@@ -297,6 +319,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The closed form over the counters is the per-request function
+    /// added up: bit-equal under the integer presets, whatever the order.
+    #[test]
+    fn total_us_is_the_sum_of_request_us() {
+        let inserted = |evicted| AccessOutcome::MissInserted { way: 0, evicted };
+        let zoo = [
+            (Op::Read, AccessOutcome::Hit { way: 1 }),
+            (Op::Write, AccessOutcome::Hit { way: 0 }),
+            (Op::Write, inserted(None)),
+            (Op::Read, inserted(ev(false))),
+            (Op::Read, inserted(ev(true))),
+            (Op::Write, inserted(ev(true))),
+            (Op::Read, AccessOutcome::MissBypassed),
+            (Op::Write, AccessOutcome::MissBypassed),
+        ];
+        for m in [
+            LatencyModel::paper_tlc(),
+            LatencyModel::low_latency_ssd(),
+            LatencyModel::qlc_ssd(),
+        ] {
+            let mut stats = CacheStats::default();
+            let mut sum = 0.0;
+            for i in 0..1_000usize {
+                let (op, outcome) = zoo[(i * 7 + i / 13) % zoo.len()];
+                stats.record(op, &outcome);
+                sum += m.request_us(op, &outcome);
+            }
+            assert_eq!(m.total_us(&stats), sum);
+        }
+        assert_eq!(
+            LatencyModel::paper_tlc().total_us(&CacheStats::default()),
+            0.0
+        );
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! [`ShardedSimulator::run`] (set-partitioned, bit-identical at every
 //! shard count) and, for front-ends that feed shards themselves,
 //! [`streaming_step`] plus [`ShardSupervisor`] — where a shard's policies
-//! are built and checked and a dead shard is recovered.
+//! are built and checked, a dead shard is recovered and the shards'
+//! reports are added up. A report is counters; its modeled time is
+//! [`LatencyModel::total_us`] of them ([`SimReport::from_counts`]).
 //!
 //! ## Example
 //!
@@ -75,6 +77,7 @@ pub use fault::{
     DEVICE_SPIKE_MULT,
 };
 pub use latency::LatencyModel;
+#[doc(hidden)]
 pub use merge::{merge_streams, OutcomeStream, SeqOutcome, StreamingMerge};
 pub use policy::{
     AccessCtx, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy, FifoPolicy,

@@ -1,21 +1,19 @@
-//! Streaming global-order merge: re-accounts per-shard outcome streams
-//! through the single-threaded [`Accounting`] in global trace order,
-//! holding only one pending outcome per stream — O(shards) memory instead
-//! of the buffer-everything merge it replaces.
+//! Benchmark façade — `icgmm_bench` times this k-way merge
+//! (`cache.merge.ns_per_outcome`) and checks that it "re-accounts the LRU
+//! run exactly"; nothing in the workspace calls it, and the benchmark PR
+//! deletes it (ROADMAP item 2a).
 //!
-//! # Why re-accounting in sequence order is exact
-//!
-//! The sharded replay argument (see [`crate::ShardedSimulator`]) proves
-//! each shard produces, per record, exactly the outcome the
-//! single-threaded replay produces at the same global position. Stamping
-//! each outcome with that position (`seq`) and pushing them through
-//! [`StreamingMerge`] in ascending-`seq` order therefore presents the
-//! identical operation sequence to the identical [`Accounting`] the
-//! streaming loop uses: integer counters, the order-sensitive `f64`
-//! latency total and the windowed miss series all agree bit-for-bit. The
-//! merge enforces the precondition — `seq` values must arrive contiguously
-//! from zero — so a lost, duplicated or reordered outcome is an immediate
-//! panic rather than a silently skewed report.
+//! It is the merge the sharded engines ran before accounting became a sum:
+//! per-shard outcome streams, each stamped with its global trace position,
+//! pushed in ascending order through the replay loop's own accounting. A
+//! report never depended on that order beyond the running `f64` sum it
+//! used to keep — the counters are integers, and `total_us` is now derived
+//! from them ([`crate::LatencyModel::total_us`]) — so today the shards'
+//! [`crate::CacheStats`] are simply added. What the façade still does as
+//! before: it demands contiguous `seq` values from zero, so a lost,
+//! duplicated or reordered outcome is an immediate panic rather than a
+//! skewed report (the live paths check the same thing where records
+//! arrive, and check conservation of the access count at join).
 
 use crate::cache::AccessOutcome;
 use crate::latency::LatencyModel;
@@ -34,9 +32,7 @@ pub struct SeqOutcome {
 }
 
 /// A source of [`SeqOutcome`]s in strictly increasing `seq` order —
-/// one per shard. `next_outcome` may block (a serving worker's outcome
-/// queue) or return instantly (a replayed shard's buffer); `None` means
-/// the stream is exhausted.
+/// one per shard; `None` means the stream is exhausted.
 pub trait OutcomeStream {
     /// The next outcome, or `None` once the stream is done.
     fn next_outcome(&mut self) -> Option<SeqOutcome>;
@@ -46,7 +42,8 @@ pub trait OutcomeStream {
 /// run, in global `seq` order, then [`StreamingMerge::finish`] it into
 /// the same [`SimReport`] the single-threaded replay would produce.
 pub struct StreamingMerge<'a> {
-    acct: Accounting<'a, 'static>,
+    acct: Accounting<'static>,
+    latency: &'a LatencyModel,
     next_seq: u64,
 }
 
@@ -56,7 +53,8 @@ impl<'a> StreamingMerge<'a> {
     /// like the streaming loop).
     pub fn new(warmup_len: usize, latency: &'a LatencyModel, series_window: Option<u64>) -> Self {
         StreamingMerge {
-            acct: Accounting::new(warmup_len, latency, series_window, None),
+            acct: Accounting::new(warmup_len as u64, series_window, None),
+            latency,
             next_seq: 0,
         }
     }
@@ -75,7 +73,8 @@ impl<'a> StreamingMerge<'a> {
             out.seq, self.next_seq
         );
         self.next_seq += 1;
-        self.acct.record(out.seq, &out.record, &out.outcome, None);
+        self.acct
+            .record(out.seq, out.seq, &out.record, &out.outcome);
     }
 
     /// How many outcomes have been merged so far (equals the next
@@ -86,8 +85,17 @@ impl<'a> StreamingMerge<'a> {
 
     /// Finalizes into a [`SimReport`] (policy names travel by string —
     /// the policy instances themselves live in the shard workers).
+    /// `measured_len` is what the pushed outcomes past the warm-up must
+    /// number; the report averages over what it counted.
     pub fn finish(self, measured_len: usize, eviction: &str, admission: &str) -> SimReport {
-        self.acct.into_report(measured_len, eviction, admission)
+        debug_assert_eq!(self.acct.stats.accesses(), measured_len as u64);
+        SimReport::from_counts(
+            self.acct.stats,
+            self.acct.series,
+            self.latency,
+            eviction,
+            admission,
+        )
     }
 }
 

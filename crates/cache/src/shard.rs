@@ -28,17 +28,16 @@
 //!   foreign record, and a source that scores from the record and its
 //!   position alone ([`ScoreSource::shardable`]) scores bit-identically to
 //!   the single-threaded stream.
-//! * **Accounting** is replayed, not summed: shard workers record their
-//!   per-record [`crate::AccessOutcome`]s through the replay-event stream,
-//!   each stamped with its global trace position, and a k-way
-//!   [`StreamingMerge`] re-accounts them in ascending-sequence order
-//!   through the same `Accounting` the single-threaded loop uses —
-//!   holding one pending outcome per shard. Integer counters,
-//!   the order-sensitive `f64` latency total and the windowed miss series
-//!   all see the identical operation sequence, so the merged
-//!   [`SimReport`] is bit-identical for *every* shard count — the
-//!   property `tests/shard_equivalence.rs` enforces across the policy ×
-//!   admission × score grid.
+//! * **Accounting is a sum** (argued in `sim.rs`'s module docs): a report
+//!   is integer counters — [`CacheStats`], and a [`crate::MissSeries`]
+//!   bucketed by each record's *global* position, its shard-index entry —
+//!   with modeled time derived from them once. Each shard counts its own
+//!   records; the run's report is the shards' counters added up and costed
+//!   once ([`ShardSupervisor::merge`], which checks conservation), so it
+//!   is bit-identical at every shard count *by arithmetic*, under every
+//!   latency model, with no outcome buffered and no record revisited.
+//!   `tests/shard_equivalence.rs` holds it against an in-order
+//!   per-request oracle across the policy × admission × score grid.
 //!
 //! # Zero-copy fan-out and parallel setup
 //!
@@ -46,40 +45,37 @@
 //! [`ShardPartition`] — per-shard ascending lists of `u32` global trace
 //! positions, ~4 bytes per record — and each worker replays its
 //! subsequence through [`RecordsRef`] *indexed views* over the caller's
-//! original slices. Each index entry is also its record's scorer-clock
-//! position and its outcome's merge position, so nothing else is stored
-//! per record; the tracking-allocator test `tests/shard_alloc.rs` pins the
-//! routing cost down. Policy construction (`make_shard` — including full Belady oracle
-//! passes over the shard subtrace) runs *inside* each worker, in
-//! parallel, instead of serially on the calling thread; the supervisor
-//! re-runs it on the calling thread only when recovering a dead shard.
-//! The shard-determinism contract checks run on the worker too and
-//! surface as [`ShardRunError::Contract`]. All of this — the life of a
-//! shard — is [`ShardSupervisor`]; [`ShardedSimulator::run`] is its
-//! offline client at every shard count, `icgmm-serve` its live one.
+//! original slices. An index entry is also its record's scorer-clock and
+//! miss-series position, so nothing else is stored per record
+//! (`tests/shard_alloc.rs` pins the routing cost, and the whole run's).
+//! Policy construction (`make_shard` — including full Belady oracle
+//! passes over the shard subtrace) and the shard-determinism contract
+//! checks run *inside* each worker, in parallel; the supervisor re-runs
+//! them on the calling thread only when recovering a dead shard. All of
+//! this — the life of a shard — is [`ShardSupervisor`];
+//! [`ShardedSimulator::run`] is its offline client at every shard count,
+//! `icgmm-serve` its live one.
 //!
 //! # One shard runs inline
 //!
 //! At `S = 1` the shard *is* the whole trace, so
 //! [`ShardedSimulator::run`] replays it on the calling thread through the
 //! same per-shard function the workers use: plain slice views instead of
-//! a [`ShardPartition`], no scoped thread, no per-record outcome buffer,
-//! no replay observer and no merge — the shard's own
-//! [`SimReport`] already went through the `Accounting` the merge would
-//! replay it through, in the same order. The supervisor's
-//! catch-and-re-replay of a panicked shard stays. This is what lets the
-//! single-threaded front-ends *be* the one-shard geometry at no cost
-//! (`tests/shard_alloc_inline.rs` pins the allocation side).
+//! a [`ShardPartition`], no scoped thread and — unless a panic point is
+//! armed — no replay observer; its report goes through the same sum, of
+//! one term. The supervisor's catch-and-re-replay of a panicked shard
+//! stays. This is what lets the single-threaded front-ends *be* the
+//! one-shard geometry at no cost (`tests/shard_alloc_inline.rs`).
 
 use crate::adapt::AdaptStats;
-use crate::cache::{AccessOutcome, SetAssocCache};
+use crate::cache::SetAssocCache;
 use crate::config::{CacheConfig, CacheConfigError, SetMap};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::latency::LatencyModel;
-use crate::merge::{merge_streams, OutcomeStream, SeqOutcome, StreamingMerge};
 use crate::policy::{AdmissionPolicy, EvictionPolicy};
 use crate::score::ScoreSource;
 use crate::sim::{ReplayEvent, ReplayObserver, SimReport};
+use crate::stats::{CacheStats, MissSeries};
 use crate::view::RecordsRef;
 use icgmm_trace::{PageIndex, TraceRecord};
 use std::any::Any;
@@ -95,6 +91,9 @@ pub enum ShardRunError {
     Config(CacheConfigError),
     /// A shard count of zero: there is nothing to partition the sets over.
     ZeroShards,
+    /// `series_window = Some(0)`: a miss-rate series needs at least one
+    /// request per point. Refused before any shard is started.
+    ZeroSeriesWindow,
     /// The trace does not fit the `u32` index-based fan-out: a record's
     /// global position would truncate. Raised by
     /// [`ShardPartition::build`] *before* any routing happens — a trace
@@ -130,6 +129,7 @@ impl fmt::Display for ShardRunError {
         match self {
             ShardRunError::Config(e) => e.fmt(f),
             ShardRunError::ZeroShards => write!(f, "shard count must be >= 1"),
+            ShardRunError::ZeroSeriesWindow => write!(f, "series_window must be >= 1"),
             ShardRunError::TraceTooLong { records } => write!(
                 f,
                 "trace too long for u32 index-based fan-out ({records} records, max {})",
@@ -172,8 +172,7 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// re-growth) — replacing the per-shard `TraceRecord` copies of earlier
 /// revisions. Everything else derives from it: per-phase [`RecordsRef`]
 /// indexed views (split at [`ShardPartition::warm_count`]), and each
-/// record's scorer-clock position and outcome merge position (the entry
-/// itself).
+/// record's scorer-clock and miss-series position (the entry itself).
 #[derive(Clone, Debug)]
 pub struct ShardPartition {
     map: SetMap,
@@ -210,7 +209,7 @@ impl ShardPartition {
     /// `u32` positions (4 billion records would mean a >64 GiB trace —
     /// far beyond any in-memory replay this engine targets). The check
     /// runs before any routing: silent `as u32` truncation would route
-    /// late records to wrong shards and corrupt the merge.
+    /// late records to wrong shards and corrupt the replay.
     /// [`ShardRunError::ZeroShards`] when `shards == 0`.
     pub fn build(
         shards: usize,
@@ -373,11 +372,11 @@ pub struct ShardedReport {
     /// Replay events that consumed a score — i.e. scored misses, warm-up
     /// included: the policy engine's inference count.
     pub scores_consumed: u64,
-    /// Per-shard reports (shard-local warm-up split), for load-balance
-    /// diagnostics. Their merged stats equal [`ShardedReport::sim`]'s, and
-    /// so do their merged `fault` / `adapt` blocks — each shard's own
-    /// counters — once the supervisor's `shard_panics` /
-    /// `shard_recoveries` are added.
+    /// Per-shard reports, for load-balance diagnostics — the terms of the
+    /// sum: [`ShardedReport::sim`]'s `stats`, `miss_series` (a shard's
+    /// holds its share of every window) and `fault` / `adapt` blocks are
+    /// theirs added up, plus the supervisor's `shard_panics` /
+    /// `shard_recoveries`.
     pub per_shard: Vec<SimReport>,
 }
 
@@ -390,61 +389,17 @@ pub struct ShardedSimulator {
     fault: FaultPlan,
 }
 
-/// [`OutcomeStream`] over one replayed shard's buffered outcomes: each
-/// outcome's global position *is* its shard-index entry, and the record
-/// itself is looked up in the caller's original slices — no per-shard
-/// copies. `idx` may start past a prefix that was
-/// already delivered (a served shard whose worker died mid-stream).
-struct ReplayedShardStream<'a> {
-    warmup: &'a [TraceRecord],
-    measured: &'a [TraceRecord],
-    index: &'a [u32],
-    outcomes: Vec<AccessOutcome>,
-    idx: usize,
-}
+/// What one shard's replay hands back: its own report — what it counted —
+/// and how many of its records consumed a score.
+type ShardDone = (SimReport, u64);
 
-impl OutcomeStream for ReplayedShardStream<'_> {
-    fn next_outcome(&mut self) -> Option<SeqOutcome> {
-        let j = self.idx;
-        if j >= self.outcomes.len() {
-            return None;
-        }
-        let pos = self.index[j];
-        self.idx += 1;
-        Some(SeqOutcome {
-            seq: u64::from(pos),
-            record: ShardPartition::record_at(self.warmup, self.measured, pos),
-            outcome: self.outcomes[j],
-        })
-    }
-}
+/// The [`FaultPlan`]'s armed panic point on a shard's replay-event stream:
+/// dies at the shard-local record index it holds.
+struct PanicPoint(Option<u64>);
 
-/// Outcome of one shard's offline replay.
-struct ShardOutcome {
-    /// Per-record outcomes for the merge (none for the inline shard).
-    outcomes: Vec<AccessOutcome>,
-    scored: u64,
-    report: SimReport,
-}
-
-/// Observer that records every replayed outcome (warm-up included) in
-/// shard order, for the global re-accounting merge — and, when a
-/// [`FaultPlan`] armed a panic point for this shard, dies there. The
-/// inline one-shard replay has nothing to merge and keeps no buffer.
-struct OutcomeRecorder {
-    outcomes: Option<Vec<AccessOutcome>>,
-    /// Shard-local record index at which to panic (fault injection).
-    panic_at: Option<u64>,
-    seen: u64,
-}
-
-impl ReplayObserver for OutcomeRecorder {
+impl ReplayObserver for PanicPoint {
     fn on_record(&mut self, ev: &ReplayEvent<'_>) {
-        ShardSupervisor::die_if_armed(self.panic_at, self.seen);
-        self.seen += 1;
-        if let Some(outcomes) = self.outcomes.as_mut() {
-            outcomes.push(*ev.outcome);
-        }
+        ShardSupervisor::die_if_armed(self.0, ev.seq);
     }
 }
 
@@ -452,62 +407,68 @@ impl ReplayObserver for OutcomeRecorder {
 /// shard-determinism contract, replay its subtrace with the fault plan's
 /// panic point armed — and, when the shard's worker dies, re-replay it
 /// once on the supervising thread, count the event, and fail typed if the
-/// death reproduces. The offline engine and the serving front-end (whose
-/// *live* workers replay from a queue instead of a view) are both clients
-/// of this one type, so what they refuse, arm, recover and report cannot
-/// drift apart. Plain shared data: workers call [`Self::policies`] and
-/// [`Self::panic_point`], the supervising thread [`Self::recover`].
+/// death reproduces — then add the shards' reports up. The offline engine
+/// and the serving front-end (whose *live* workers replay from a queue
+/// instead of a view) are both clients of this one type, so what they
+/// refuse, arm, recover, sum and report cannot drift apart. Plain shared
+/// data: workers call [`Self::policies`] and [`Self::panic_point`], the
+/// supervising thread [`Self::recover`] and [`Self::merge`].
 pub struct ShardSupervisor<'a> {
     cache_cfg: CacheConfig,
     latency: LatencyModel,
     make_shard: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
     fault: FaultPlan,
-    /// `None` is the inline whole-trace shard of [`ShardedSimulator::run`]
-    /// at `S = 1`: plain slice views, nothing to merge.
+    /// `None` is the inline whole-trace shard: plain slice views.
     part: Option<&'a ShardPartition>,
     warmup: &'a [TraceRecord],
     measured: &'a [TraceRecord],
-    /// Miss-series window of the inline shard, whose own accounting is
-    /// final; partitioned shards get their series from the merge.
-    inline_series: Option<u64>,
+    series_window: Option<u64>,
 }
 
 impl<'a> ShardSupervisor<'a> {
     /// A supervisor for one run of `part`'s shards over `warmup` ⧺
     /// `measured` (the slices and the `cache_cfg` that `part` was built
-    /// from — [`ShardPartition::build`] validated the geometry).
-    /// `make_shard` runs on whichever thread asks for a shard's policies;
-    /// `fault` arms the per-shard panic points (an empty plan arms none).
+    /// from — [`ShardPartition::build`] validated the geometry); `part:
+    /// None` is the one whole-trace shard [`ShardedSimulator::run`] replays
+    /// inline at `S = 1`. `make_shard` runs on whichever thread asks for a
+    /// shard's policies; `fault` arms the per-shard panic points;
+    /// `series_window`, when set, has every shard keep its share of a
+    /// per-window miss series.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardRunError::ZeroSeriesWindow`] for `series_window = Some(0)`.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         cache_cfg: CacheConfig,
         latency: &LatencyModel,
         make_shard: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
         fault: FaultPlan,
-        part: &'a ShardPartition,
+        part: Option<&'a ShardPartition>,
         warmup: &'a [TraceRecord],
         measured: &'a [TraceRecord],
-    ) -> Self {
-        ShardSupervisor {
+        series_window: Option<u64>,
+    ) -> Result<Self, ShardRunError> {
+        if series_window == Some(0) {
+            return Err(ShardRunError::ZeroSeriesWindow);
+        }
+        Ok(ShardSupervisor {
             cache_cfg,
             latency: *latency,
             make_shard,
             fault,
-            part: Some(part),
+            part,
             warmup,
             measured,
-            inline_series: None,
-        }
+            series_window,
+        })
     }
 
-    /// Shard `shard`'s replay inputs: its per-phase views and, for a
-    /// partitioned shard, the ascending position list behind them.
-    fn views(&self, shard: usize) -> (RecordsRef<'a>, RecordsRef<'a>, Option<&'a [u32]>) {
+    /// Shard `shard`'s replay inputs: its per-phase views.
+    fn views(&self, shard: usize) -> (RecordsRef<'a>, RecordsRef<'a>) {
         match self.part {
-            Some(part) => {
-                let (warm, meas) = part.views(shard, self.warmup, self.measured);
-                (warm, meas, Some(part.positions(shard)))
-            }
-            None => (self.warmup.into(), self.measured.into(), None),
+            Some(part) => part.views(shard, self.warmup, self.measured),
+            None => (self.warmup.into(), self.measured.into()),
         }
     }
 
@@ -520,7 +481,7 @@ impl<'a> ShardSupervisor<'a> {
     /// [`ShardRunError::Contract`] when the policies cannot reproduce the
     /// single-threaded replay above one shard.
     pub fn policies(&self, shard: usize) -> Result<ShardPolicies, ShardRunError> {
-        let (warmup, measured, _) = self.views(shard);
+        let (warmup, measured) = self.views(shard);
         let shards = self.part.map_or(1, ShardPartition::shards);
         let pol = (self.make_shard)(&ShardCtx {
             shard,
@@ -536,14 +497,14 @@ impl<'a> ShardSupervisor<'a> {
     /// The shard-local record index at which the fault plan arms a panic
     /// for `shard`'s first replay, if it does.
     pub fn panic_point(&self, shard: usize) -> Option<u64> {
-        let (warm, meas, _) = self.views(shard);
+        let (warm, meas) = self.views(shard);
         self.fault.shard_panic_point(shard, warm.len() + meas.len())
     }
 
     /// The armed panic itself: dies when `seen`, the count of records this
     /// shard has replayed, is the armed point. Called per record — after
-    /// the scorer observed it, before its outcome escapes — by the offline
-    /// recorder and the live serving worker alike.
+    /// the scorer observed it, before its outcome is counted — by the
+    /// offline replay's observer and the live serving worker alike.
     #[inline]
     pub fn die_if_armed(panic_at: Option<u64>, seen: u64) {
         if panic_at == Some(seen) {
@@ -556,44 +517,34 @@ impl<'a> ShardSupervisor<'a> {
     }
 
     /// One shard's whole offline job, wherever it runs: policies, contract
-    /// and the streaming loop with an [`OutcomeRecorder`] on its event
-    /// stream — fully independent of every other shard (own cache, own
-    /// policies, own scorer clone), down to the report's `fault` / `adapt`
-    /// blocks, which are what this shard's score stack counted. `armed` is
-    /// the first attempt; a re-replay runs with the panic point disarmed.
-    fn replay(&self, shard: usize, armed: bool) -> Result<ShardOutcome, ShardRunError> {
+    /// and the streaming loop — independent of every other shard (own
+    /// cache, policies, scorer clone and counters), down to the report's
+    /// `fault` / `adapt` blocks, which are what this shard's score stack
+    /// counted. `armed` is the first attempt, with the plan's
+    /// [`PanicPoint`] on its event stream; a re-replay, or a shard with no
+    /// point, runs unobserved.
+    fn replay(&self, shard: usize, armed: bool) -> Result<ShardDone, ShardRunError> {
         let mut pol = self.policies(shard)?;
-        // `index` is what a partitioned shard has and the inline one lacks:
-        // the reason to buffer outcomes for the merge.
-        let (warm, meas, index) = self.views(shard);
+        let (warm, meas) = self.views(shard);
         let mut cache = SetAssocCache::new(self.cache_cfg).expect("geometry validated");
-        let mut recorder = OutcomeRecorder {
-            outcomes: index.map(|ix| Vec::with_capacity(ix.len())),
-            panic_at: armed.then(|| self.panic_point(shard)).flatten(),
-            seen: 0,
-        };
-        // An inline shard with no panic point has nothing to record; it
-        // runs unobserved, exactly the plain streaming loop.
-        let observed = index.is_some() || recorder.panic_at.is_some();
+        let mut point = PanicPoint(armed.then(|| self.panic_point(shard)).flatten());
+        let observed = point.0.is_some();
         let (mut report, scored) = crate::sim::simulate_streaming_impl(
             warm,
             meas,
+            self.warmup.len() as u64,
             &mut cache,
             pol.admission.as_mut(),
             pol.eviction.as_mut(),
             pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
             &self.latency,
-            self.inline_series.filter(|_| index.is_none()),
-            observed.then_some(&mut recorder as &mut dyn ReplayObserver),
+            self.series_window,
+            observed.then_some(&mut point as &mut dyn ReplayObserver),
         );
         if let Some(score) = &pol.score {
             score.telemetry(&mut report.fault, &mut report.adapt);
         }
-        Ok(ShardOutcome {
-            outcomes: recorder.outcomes.unwrap_or_default(),
-            scored,
-            report,
-        })
+        Ok((report, scored))
     }
 
     /// Graceful degradation for one shard, given what joining its first
@@ -607,9 +558,9 @@ impl<'a> ShardSupervisor<'a> {
     fn supervise(
         &self,
         shard: usize,
-        first: thread::Result<Result<ShardOutcome, ShardRunError>>,
+        first: thread::Result<Result<ShardDone, ShardRunError>>,
         fault: &mut FaultStats,
-    ) -> Result<ShardOutcome, ShardRunError> {
+    ) -> Result<ShardDone, ShardRunError> {
         let worker = match first {
             Ok(done) => return done,
             Err(payload) => payload,
@@ -617,9 +568,9 @@ impl<'a> ShardSupervisor<'a> {
         fault.shard_panics += 1;
         match catch_unwind(AssertUnwindSafe(|| self.replay(shard, false))) {
             Ok(done) => {
-                let outcome = done?;
+                let done = done?;
                 fault.shard_recoveries += 1;
-                Ok(outcome)
+                Ok(done)
             }
             Err(p) => Err(ShardRunError::ShardFailed {
                 shard,
@@ -633,13 +584,10 @@ impl<'a> ShardSupervisor<'a> {
     }
 
     /// Recovers shard `shard` after its live worker died with panic
-    /// payload `worker`, having delivered the outcomes of its first
-    /// `delivered` records: the death and the recovery are counted in
-    /// `fault`, and the shard is re-replayed offline on the calling thread.
-    /// Returns the re-replayed outcomes *past the delivered prefix*, the
-    /// shard's full scored count (it replaces the dead worker's partial
-    /// one) and the shard's own report (for the policy names and its
-    /// `fault` / `adapt` blocks).
+    /// payload `worker`: the death and the recovery are counted in `fault`,
+    /// and the whole shard is re-replayed offline on the calling thread.
+    /// Returns the shard's report and scored count, which stand in for
+    /// everything the dead worker had counted.
     ///
     /// # Errors
     ///
@@ -649,23 +597,55 @@ impl<'a> ShardSupervisor<'a> {
         &self,
         shard: usize,
         worker: Box<dyn Any + Send>,
-        delivered: usize,
         fault: &mut FaultStats,
-    ) -> Result<(impl OutcomeStream + 'a, u64, SimReport), ShardRunError> {
-        let mut o = self.supervise(shard, Err(worker), fault)?;
-        Ok((self.stream(shard, &mut o, delivered), o.scored, o.report))
+    ) -> Result<(SimReport, u64), ShardRunError> {
+        self.supervise(shard, Err(worker), fault)
     }
 
-    /// A replayed shard's buffered outcomes as a merge input, starting at
-    /// its `from`-th record.
-    fn stream(&self, shard: usize, o: &mut ShardOutcome, from: usize) -> ReplayedShardStream<'a> {
-        let part = self.part.expect("only partitioned shards are merged");
-        ReplayedShardStream {
-            warmup: self.warmup,
-            measured: self.measured,
-            index: part.positions(shard),
-            outcomes: std::mem::take(&mut o.outcomes),
-            idx: from,
+    /// The run's report from its shards' `(report, scored count)`s, in
+    /// shard order: counters, series, `fault` / `adapt` blocks and scored
+    /// counts added up (on top of `fault`, the supervisor's own panic /
+    /// recovery counts), modeled time derived from the summed counters —
+    /// the single-threaded report, by the module docs' argument.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shards' accesses do not add up to the measured
+    /// records: one was lost, duplicated or counted in the wrong phase on
+    /// its way to a shard — a transport bug, not to be papered over by a
+    /// plausible-looking report.
+    pub fn merge(&self, shards: Vec<(SimReport, u64)>, mut fault: FaultStats) -> ShardedReport {
+        let mut stats = CacheStats::default();
+        let mut series = self.series_window.map(MissSeries::new);
+        let mut adapt = AdaptStats::default();
+        let mut scores_consumed = 0;
+        for (report, scored) in &shards {
+            stats.merge(&report.stats);
+            if let (Some(sum), Some(part)) = (series.as_mut(), &report.miss_series) {
+                sum.merge(part);
+            }
+            fault.merge(&report.fault);
+            adapt.merge(&report.adapt);
+            scores_consumed += scored;
+        }
+        assert_eq!(
+            stats.accesses(),
+            self.measured.len() as u64,
+            "the shards' accesses do not add up to the measured records"
+        );
+        let (first, _) = shards.first().expect("at least one shard");
+        let mut sim = SimReport::from_counts(
+            stats,
+            series,
+            &self.latency,
+            &first.eviction,
+            &first.admission,
+        );
+        (sim.fault, sim.adapt) = (fault, adapt);
+        ShardedReport {
+            sim,
+            scores_consumed,
+            per_shard: shards.into_iter().map(|(report, _)| report).collect(),
         }
     }
 }
@@ -692,8 +672,7 @@ impl ShardedSimulator {
     }
 
     /// Replays `warmup` + `measured` sharded by set index and returns the
-    /// deterministically merged report (see the module docs for the
-    /// bit-identity argument).
+    /// summed report (see the module docs for the bit-identity argument).
     ///
     /// `make_shard` is called once per shard *on that shard's worker
     /// thread* (hence `Fn + Sync` — policy construction, including Belady
@@ -708,6 +687,7 @@ impl ShardedSimulator {
     ///
     /// Returns [`ShardRunError::Config`] for invalid cache geometry,
     /// [`ShardRunError::ZeroShards`] for a zero shard count,
+    /// [`ShardRunError::ZeroSeriesWindow`] for `series_window = Some(0)`,
     /// [`ShardRunError::Contract`] when running more than one shard with
     /// an eviction policy that is not
     /// [`EvictionPolicy::shard_deterministic`] or a score source that is
@@ -715,7 +695,7 @@ impl ShardedSimulator {
     /// when a shard worker panics *and* the supervisor's re-replay of that
     /// shard panics too (a lone worker panic — injected or genuine — is
     /// recovered transparently: the supervisor re-replays the shard's
-    /// subtrace on the calling thread and the merged report is
+    /// subtrace on the calling thread and the summed report is
     /// bit-identical to an undisturbed run).
     pub fn run(
         &self,
@@ -728,98 +708,43 @@ impl ShardedSimulator {
     ) -> Result<ShardedReport, ShardRunError> {
         cache_cfg.validate()?;
         // Zero-copy fan-out: 4 bytes of routing per record — its global
-        // position, which the scorer clock and the merge both read. One
-        // shard is the whole trace and needs none.
+        // position, which the scorer clock and the miss series both read.
+        // One shard is the whole trace and needs none.
         let part = match self.shards {
             1 => None,
             s => Some(ShardPartition::build(s, &cache_cfg, warmup, measured)?),
         };
-        let sup = &ShardSupervisor {
+        let sup = &ShardSupervisor::new(
             cache_cfg,
-            latency: *latency,
+            latency,
             make_shard,
-            fault: self.fault,
-            part: part.as_ref(),
+            self.fault,
+            part.as_ref(),
             warmup,
             measured,
-            inline_series: series_window,
-        };
+            series_window,
+        )?;
 
+        // Replay shards on scoped threads; join order — shard-index order
+        // — is the only ordering there is. Worker panics are captured at
+        // join, never propagated.
+        // (`crossbeam` stays in this crate's manifest, unused, until the
+        // benchmark PR prunes it with the lockfile — ROADMAP 1d.)
+        let joined: Vec<thread::Result<Result<ShardDone, ShardRunError>>> = match &part {
+            Some(part) => thread::scope(|scope| {
+                let handles: Vec<_> = (0..part.shards())
+                    .map(|shard| scope.spawn(move || sup.replay(shard, true)))
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            }),
+            None => vec![catch_unwind(AssertUnwindSafe(|| sup.replay(0, true)))],
+        };
         let mut fault = FaultStats::default();
-        let (mut sim, outcomes) = if let Some(part) = &part {
-            // Replay shards on scoped threads; join order — shard-index
-            // order — is the only ordering that matters. Worker panics
-            // are captured at join, never propagated.
-            // (`crossbeam` stays in this crate's manifest, unused, until
-            // the benchmark PR prunes it with the lockfile — ROADMAP 1d.)
-            let joined: Vec<thread::Result<Result<ShardOutcome, ShardRunError>>> =
-                thread::scope(|scope| {
-                    let handles: Vec<_> = (0..part.shards())
-                        .map(|shard| scope.spawn(move || sup.replay(shard, true)))
-                        .collect();
-                    handles.into_iter().map(|h| h.join()).collect()
-                });
-
-            let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(joined.len());
-            for (shard, first) in joined.into_iter().enumerate() {
-                outcomes.push(sup.supervise(shard, first, &mut fault)?);
-            }
-
-            // Merge by re-accounting in global sequence order through the
-            // streaming k-way merge: identical operation sequence to the
-            // single-threaded loop, hence identical stats, f64 latency
-            // totals and miss series — and a panic (not a skewed report)
-            // on any lost or duplicated outcome. Each outcome's global
-            // position is its shard-index entry — no trace re-walk.
-            let mut merge = StreamingMerge::new(warmup.len(), latency, series_window);
-            let mut streams: Vec<ReplayedShardStream<'_>> = outcomes
-                .iter_mut()
-                .enumerate()
-                .map(|(shard, o)| sup.stream(shard, o, 0))
-                .collect();
-            let mut dyn_streams: Vec<&mut dyn OutcomeStream> = streams
-                .iter_mut()
-                .map(|st| st as &mut dyn OutcomeStream)
-                .collect();
-            let merged = merge_streams(&mut dyn_streams, &mut merge);
-            assert_eq!(
-                merged as usize,
-                warmup.len() + measured.len(),
-                "sharded replay merged fewer outcomes than the trace holds"
-            );
-            let sim = merge.finish(
-                measured.len(),
-                &outcomes[0].report.eviction,
-                &outcomes[0].report.admission,
-            );
-            (sim, outcomes)
-        } else {
-            let first = catch_unwind(AssertUnwindSafe(|| sup.replay(0, true)));
-            let o = sup.supervise(0, first, &mut fault)?;
-            (o.report.clone(), vec![o])
-        };
-
-        // What the shards counted, summed in shard order on top of the
-        // supervisor's own panic / recovery counts.
-        let scores_consumed = outcomes.iter().map(|o| o.scored).sum();
-        let mut adapt = AdaptStats::default();
-        for o in &outcomes {
-            fault.merge(&o.report.fault);
-            adapt.merge(&o.report.adapt);
+        let mut shards = Vec::with_capacity(joined.len());
+        for (shard, first) in joined.into_iter().enumerate() {
+            shards.push(sup.supervise(shard, first, &mut fault)?);
         }
-        (sim.fault, sim.adapt) = (fault, adapt);
-        if cfg!(debug_assertions) {
-            let mut merged = crate::stats::CacheStats::default();
-            for o in &outcomes {
-                merged.merge(&o.report.stats);
-            }
-            debug_assert_eq!(merged, sim.stats, "per-shard stats disagree with the merge");
-        }
-        Ok(ShardedReport {
-            sim,
-            scores_consumed,
-            per_shard: outcomes.into_iter().map(|o| o.report).collect(),
-        })
+        Ok(sup.merge(shards, fault))
     }
 }
 
@@ -856,6 +781,16 @@ mod tests {
         assert!(ShardRunError::ZeroShards
             .to_string()
             .contains("shard count"));
+        // A zero miss-series window is the caller's bad argument, refused
+        // before any shard starts — not a `ShardFailed` blaming shard 0 for
+        // the panic it would cause in every replay.
+        for shards in [1usize, 2] {
+            let run = ShardedSimulator::new(shards).run(&[], &trace, cfg, &make, &lat, Some(0));
+            assert_eq!(run.err(), Some(ShardRunError::ZeroSeriesWindow));
+        }
+        assert!(ShardRunError::ZeroSeriesWindow
+            .to_string()
+            .contains("series_window"));
     }
 
     #[test]

@@ -18,11 +18,21 @@
 //!
 //! The loop exposes a **replay-event stream**: a [`ReplayObserver`] passed
 //! to [`simulate_streaming_observed_with_warmup`] receives every record's
-//! real outcome in trace order, with the score it consumed, so consumers
-//! that attach their own semantics to the replay (the sharded engine's
-//! outcome buffers, `icgmm-hw`'s device-fault rolls) never duplicate it.
-//! Modeled time is not one of them: a request's cost is a function of its
-//! own outcome ([`LatencyModel::request_us`]), accounted inline.
+//! real outcome in trace order, so consumers
+//! that attach their own semantics to the replay (`icgmm-hw`'s device-fault
+//! rolls, a shard's armed panic point) never duplicate it.
+//!
+//! # Accounting is a sum
+//!
+//! The loop counts; it does not keep time. A measured request bumps the
+//! integer [`CacheStats`] (and, when a series is asked for, the
+//! [`MissSeries`] window its trace position falls in), and the report's
+//! `total_us` / `avg_us` are derived once, at the end, from those counters
+//! ([`SimReport::from_counts`] → [`LatencyModel::total_us`]): a request's
+//! cost is a function of its own `(op, outcome)`, so a run's cost is a
+//! function of how many requests had each shape. Nothing in a report
+//! depends on the order its requests were accounted in, which is what lets
+//! shards merge by adding counters.
 
 use crate::cache::{AccessOutcome, SetAssocCache};
 use crate::latency::LatencyModel;
@@ -46,8 +56,6 @@ pub struct ReplayEvent<'a> {
     pub record: &'a TraceRecord,
     /// The cache outcome.
     pub outcome: &'a AccessOutcome,
-    /// Score consumed by the access (misses of scored runs), if any.
-    pub score: Option<f64>,
 }
 
 /// Consumer of the replay event stream.
@@ -66,9 +74,11 @@ pub trait ReplayObserver {
 pub struct SimReport {
     /// Hit/miss/bypass/eviction counters.
     pub stats: CacheStats,
-    /// Sum of per-request latency, in µs.
+    /// Sum of per-request latency, in µs: [`LatencyModel::total_us`] of
+    /// `stats`.
     pub total_us: f64,
-    /// Average per-request latency, in µs (the paper's Table 1 metric).
+    /// Average per-request latency, in µs (the paper's Table 1 metric):
+    /// `total_us` over `stats.accesses()`, 0 for an empty run.
     pub avg_us: f64,
     /// Optional per-window miss-rate series.
     pub miss_series: Option<MissSeries>,
@@ -87,6 +97,34 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// The report of a run that counted `stats` (and `miss_series`) under
+    /// `latency` — the one place modeled time is computed, for a replay, a
+    /// shard, a serving worker and the sum of shards alike. `fault` /
+    /// `adapt` start all-zero.
+    pub fn from_counts(
+        stats: CacheStats,
+        miss_series: Option<MissSeries>,
+        latency: &LatencyModel,
+        eviction: &str,
+        admission: &str,
+    ) -> Self {
+        let total_us = latency.total_us(&stats);
+        let avg_us = match stats.accesses() {
+            0 => 0.0,
+            n => total_us / n as f64,
+        };
+        SimReport {
+            stats,
+            total_us,
+            avg_us,
+            miss_series,
+            eviction: eviction.to_string(),
+            admission: admission.to_string(),
+            fault: crate::fault::FaultStats::default(),
+            adapt: crate::adapt::AdaptStats::default(),
+        }
+    }
+
     /// Miss rate in percent (Fig. 6 units).
     pub fn miss_rate_pct(&self) -> f64 {
         self.stats.miss_rate() * 100.0
@@ -143,6 +181,7 @@ pub fn simulate_streaming_with_warmup(
     simulate_streaming_impl(
         RecordsRef::from_slice(warmup),
         RecordsRef::from_slice(measured),
+        warmup.len() as u64,
         cache,
         admission,
         eviction,
@@ -173,6 +212,7 @@ pub fn simulate_streaming_observed_with_warmup(
     simulate_streaming_impl(
         RecordsRef::from_slice(warmup),
         RecordsRef::from_slice(measured),
+        warmup.len() as u64,
         cache,
         admission,
         eviction,
@@ -187,12 +227,15 @@ pub fn simulate_streaming_observed_with_warmup(
 /// The streaming loop behind every public entry point, over
 /// [`RecordsRef`] views: the loop is representation-agnostic, so the
 /// sharded engine's zero-copy indexed subtraces replay bit-identically to
-/// the equivalent copied slices. Returns the report and how many records
-/// consumed a score (scored misses, warm-up included).
+/// the equivalent copied slices. `measured_from` is the global trace
+/// position the measured phase starts at — the whole trace's warm-up
+/// length, however few warm-up records this view holds. Returns the report
+/// and how many records consumed a score (scored misses, warm-up included).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_streaming_impl(
     warmup: RecordsRef<'_>,
     measured: RecordsRef<'_>,
+    measured_from: u64,
     cache: &mut SetAssocCache,
     admission: &mut dyn AdmissionPolicy,
     eviction: &mut dyn EvictionPolicy,
@@ -201,23 +244,24 @@ pub(crate) fn simulate_streaming_impl(
     series_window: Option<u64>,
     observer: Option<&mut dyn ReplayObserver>,
 ) -> (SimReport, u64) {
-    let mut acct = Accounting::new(warmup.len(), latency, series_window, observer);
+    let mut acct = Accounting::new(measured_from, series_window, observer);
     let mut scored = 0u64;
 
     // `seq` counts the records this loop replays (what the policies rank
     // by); `pos` is where each one sits in the whole trace.
     let records = warmup
         .positioned(0)
-        .chain(measured.positioned(warmup.len() as u64));
+        .chain(measured.positioned(measured_from));
     for (i, (pos, r)) in records.enumerate() {
         let seq = i as u64;
         let (outcome, score_val) =
             streaming_step(r, seq, pos, cache, admission, eviction, &mut score);
         scored += u64::from(score_val.is_some());
-        acct.record(seq, r, &outcome, score_val);
+        acct.record(seq, pos, r, &outcome);
     }
 
-    let report = acct.into_report(measured.len(), eviction.name(), admission.name());
+    let (eviction, admission) = (eviction.name(), admission.name());
+    let report = SimReport::from_counts(acct.stats, acct.series, latency, eviction, admission);
     (report, scored)
 }
 
@@ -249,86 +293,50 @@ pub fn streaming_step(
     cache.access_scored(r, seq, score_miss, admission, eviction)
 }
 
-/// Measurement bookkeeping shared by the streaming loop and the sharded
-/// merge — one implementation, so the two cannot drift apart in what they
-/// account.
-pub(crate) struct Accounting<'a, 'o> {
-    warmup_len: usize,
-    stats: CacheStats,
-    series: Option<MissSeries>,
-    total_us: f64,
-    latency: &'a LatencyModel,
+/// Measurement bookkeeping of the streaming loop (and of `merge.rs`'s
+/// benchmark façade): integer counters only, turned into a report — and
+/// into modeled time — once, at the end ([`SimReport::from_counts`]).
+pub(crate) struct Accounting<'o> {
+    measured_from: u64,
+    pub(crate) stats: CacheStats,
+    pub(crate) series: Option<MissSeries>,
     observer: Option<&'o mut dyn ReplayObserver>,
 }
 
-impl<'a, 'o> Accounting<'a, 'o> {
+impl<'o> Accounting<'o> {
+    /// `measured_from` is the global trace position of the first measured
+    /// record: everything before it is warm-up.
     pub(crate) fn new(
-        warmup_len: usize,
-        latency: &'a LatencyModel,
+        measured_from: u64,
         series_window: Option<u64>,
         observer: Option<&'o mut dyn ReplayObserver>,
     ) -> Self {
         Accounting {
-            warmup_len,
+            measured_from,
             stats: CacheStats::default(),
             series: series_window.map(MissSeries::new),
-            total_us: 0.0,
-            latency,
             observer,
         }
     }
 
-    /// Accounts one replayed request (`i` is the absolute request index;
-    /// warm-up requests have full side effects and an observer event, but
-    /// no statistics).
-    pub(crate) fn record(
-        &mut self,
-        i: u64,
-        r: &TraceRecord,
-        outcome: &crate::AccessOutcome,
-        score: Option<f64>,
-    ) {
+    /// Accounts one replayed request: the `seq`-th this replay saw, at
+    /// global trace position `pos`. Warm-up requests have full side effects
+    /// and an observer event, but no statistics.
+    #[inline]
+    pub(crate) fn record(&mut self, seq: u64, pos: u64, r: &TraceRecord, outcome: &AccessOutcome) {
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_record(&ReplayEvent {
-                seq: i,
+                seq,
                 record: r,
                 outcome,
-                score,
             });
         }
-        if (i as usize) < self.warmup_len {
+        let Some(measured_pos) = pos.checked_sub(self.measured_from) else {
             return;
-        }
-        self.stats.record(r.op, outcome);
-        self.total_us += self.latency.request_us(r.op, outcome);
-        if let Some(ms) = self.series.as_mut() {
-            ms.record(!outcome.is_hit());
-        }
-    }
-
-    /// Finalizes the run into a [`SimReport`]. The policies go by name:
-    /// in the sharded merge they were moved into the shard workers and
-    /// only their names travel back.
-    pub(crate) fn into_report(
-        self,
-        measured_len: usize,
-        eviction: &str,
-        admission: &str,
-    ) -> SimReport {
-        let avg_us = if measured_len == 0 {
-            0.0
-        } else {
-            self.total_us / measured_len as f64
         };
-        SimReport {
-            stats: self.stats,
-            total_us: self.total_us,
-            avg_us,
-            miss_series: self.series,
-            eviction: eviction.to_string(),
-            admission: admission.to_string(),
-            fault: crate::fault::FaultStats::default(),
-            adapt: crate::adapt::AdaptStats::default(),
+        self.stats.record(r.op, outcome);
+        if let Some(ms) = self.series.as_mut() {
+            ms.record(measured_pos, !outcome.is_hit());
         }
     }
 }
@@ -473,8 +481,8 @@ mod tests {
             Some(100),
         );
         let series = rep.miss_series.unwrap();
-        assert_eq!(series.rates.len(), 10);
-        assert!(series.rates.iter().all(|r| (0.0..=1.0).contains(r)));
+        assert_eq!(series.rates().len(), 10);
+        assert!(series.rates().iter().all(|r| (0.0..=1.0).contains(r)));
     }
 
     #[test]

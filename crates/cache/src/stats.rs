@@ -132,14 +132,16 @@ impl CacheStats {
     }
 }
 
-/// Per-window miss-rate time series (for drift/phase diagnostics).
+/// Per-window miss-rate time series (for drift/phase diagnostics), kept as
+/// integer counts bucketed by measured trace position — so, like
+/// [`CacheStats`], the series of a set-partitioned run is the shards'
+/// series added up ([`MissSeries::merge`]), whatever the shard count.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MissSeries {
     window: u64,
-    in_window: u64,
-    misses_in_window: u64,
-    /// Miss rate of each completed window.
-    pub rates: Vec<f64>,
+    /// `[accesses, misses]` of each window of `window` consecutive measured
+    /// positions that has been touched; a run's last one may be partial.
+    counts: Vec<[u64; 2]>,
 }
 
 impl MissSeries {
@@ -152,22 +154,46 @@ impl MissSeries {
         assert!(window > 0, "window must be >= 1");
         MissSeries {
             window,
-            ..Default::default()
+            counts: Vec::new(),
         }
     }
 
-    /// Records one access (`miss = true` for any kind of miss).
-    pub fn record(&mut self, miss: bool) {
-        self.in_window += 1;
-        if miss {
-            self.misses_in_window += 1;
+    /// Records the access at measured position `pos` (0-based over the
+    /// whole measured phase, not over one shard's share of it;
+    /// `miss = true` for any kind of miss).
+    #[inline]
+    pub fn record(&mut self, pos: u64, miss: bool) {
+        let w = (pos / self.window) as usize;
+        if w >= self.counts.len() {
+            self.counts.resize(w + 1, [0; 2]);
         }
-        if self.in_window == self.window {
-            self.rates
-                .push(self.misses_in_window as f64 / self.window as f64);
-            self.in_window = 0;
-            self.misses_in_window = 0;
+        self.counts[w][0] += 1;
+        self.counts[w][1] += u64::from(miss);
+    }
+
+    /// Adds another series over the same windows into this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the window lengths differ.
+    pub fn merge(&mut self, other: &MissSeries) {
+        assert_eq!(self.window, other.window, "series windows differ");
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), [0; 2]);
         }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            a[0] += b[0];
+            a[1] += b[1];
+        }
+    }
+
+    /// Miss rate of each completed window, in trace order.
+    pub fn rates(&self) -> Vec<f64> {
+        self.counts
+            .iter()
+            .take_while(|c| c[0] == self.window)
+            .map(|c| c[1] as f64 / self.window as f64)
+            .collect()
     }
 }
 
@@ -242,11 +268,32 @@ mod tests {
     fn miss_series_windows() {
         let mut m = MissSeries::new(4);
         for i in 0..8 {
-            m.record(i % 2 == 0); // 50% misses
+            m.record(i, i % 2 == 0); // 50% misses
         }
-        assert_eq!(m.rates, vec![0.5, 0.5]);
-        m.record(true); // partial window not yet emitted
-        assert_eq!(m.rates.len(), 2);
+        assert_eq!(m.rates(), vec![0.5, 0.5]);
+        m.record(8, true); // partial window not yet emitted
+        assert_eq!(m.rates().len(), 2);
+    }
+
+    /// Positions dealt out to three "shards" (one of them never reaching
+    /// the last window) add up to the series recorded in one pass.
+    #[test]
+    fn miss_series_merge_is_the_one_pass_series() {
+        let miss = |pos: u64| pos % 3 == 1 || pos % 7 == 2;
+        let mut whole = MissSeries::new(5);
+        let mut parts = [MissSeries::new(5), MissSeries::new(5), MissSeries::new(5)];
+        for pos in 0..23u64 {
+            whole.record(pos, miss(pos));
+            let shard = if pos >= 20 { 0 } else { (pos % 3) as usize };
+            parts[shard].record(pos, miss(pos));
+        }
+        let mut merged = MissSeries::new(5);
+        for part in parts.iter().rev() {
+            merged.merge(part);
+        }
+        assert_eq!(merged, whole);
+        assert_eq!(whole.rates().len(), 4);
+        assert!(parts[1].rates().is_empty(), "a shard's windows are partial");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use icgmm_cache::{
     ShardedSimulator, SimReport,
 };
 use icgmm_testutil::{
-    admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, SCORES,
+    admission_for, eviction_for, latency_for, score_for, small_cfg, zipf_trace, ADMISSIONS, SCORES,
     SHARDABLE_EVICTIONS,
 };
 use icgmm_trace::TraceRecord;
@@ -24,6 +24,7 @@ use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+#[allow(clippy::too_many_arguments)]
 fn run_sharded(
     fault: Option<FaultPlan>,
     shards: usize,
@@ -32,9 +33,9 @@ fn run_sharded(
     score: &str,
     trace: &[TraceRecord],
     warmup_len: usize,
+    lat: &LatencyModel,
 ) -> SimReport {
     let cfg = small_cfg();
-    let lat = LatencyModel::paper_tlc();
     let (warm, meas) = trace.split_at(warmup_len);
     let mut sim = ShardedSimulator::new(shards);
     if let Some(p) = fault {
@@ -57,7 +58,7 @@ fn run_sharded(
                 score: score_for(score),
             }
         },
-        &lat,
+        lat,
         Some(64),
     )
     .expect("valid geometry")
@@ -67,7 +68,8 @@ fn run_sharded(
 proptest! {
     /// `with_faults(FaultPlan::empty())` is invisible: for every grid
     /// combination and shard count, the armed-but-empty engine's report is
-    /// bit-identical to the plain engine's, and its fault block is clean.
+    /// bit-identical to the plain engine's, and its fault block is clean —
+    /// the latency model drawn from {`paper_tlc`, the cycle-derived one}.
     #[test]
     fn empty_plan_sharded_replay_is_bit_identical(
         params in (0u64..1_000_000, 400usize..1000, 24u64..160, 60u64..140, 0u8..45)
@@ -75,16 +77,17 @@ proptest! {
         let (seed, n, pages, skew_pct, write_pct) = params;
         let trace = zipf_trace(seed, n, pages, skew_pct as f64 / 100.0, write_pct);
         let warmup_len = (seed as usize) % (n / 2);
+        let lat = &latency_for(seed);
         for eviction in SHARDABLE_EVICTIONS {
             for admission in ADMISSIONS {
                 for score in SCORES {
                     for shards in SHARD_COUNTS {
                         let plain = run_sharded(
-                            None, shards, eviction, admission, score, &trace, warmup_len,
+                            None, shards, eviction, admission, score, &trace, warmup_len, lat,
                         );
                         let armed = run_sharded(
                             Some(FaultPlan::empty()),
-                            shards, eviction, admission, score, &trace, warmup_len,
+                            shards, eviction, admission, score, &trace, warmup_len, lat,
                         );
                         prop_assert!(armed.fault.is_clean());
                         prop_assert_eq!(
@@ -111,7 +114,7 @@ proptest! {
     ) {
         let (seed, n, pages) = params;
         let cfg = small_cfg();
-        let lat = LatencyModel::paper_tlc();
+        let lat = latency_for(seed);
         let trace = zipf_trace(seed, n, pages, 0.9, 20);
         let (warm, meas) = trace.split_at(n / 4);
         let (sets, ways) = (cfg.num_sets(), cfg.ways);

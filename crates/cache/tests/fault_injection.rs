@@ -155,7 +155,7 @@ proptest! {
 }
 
 /// An armed panic point fires in every shard worker (1000‰), the
-/// supervisor re-replays each lost shard, and the merged accounting is
+/// supervisor re-replays each lost shard, and the summed accounting is
 /// identical to an undisturbed run — the only trace the faults leave is
 /// the panic/recovery counters. One shard replays inline on the calling
 /// thread (the geometry `Icgmm::run` is) and recovers the same way.

@@ -13,12 +13,23 @@
 //! fails loudly rather than silently doubling the serving path's
 //! memory traffic.
 //!
+//! The same goes for the run behind the fan-out. A shard counts; it keeps
+//! nothing per record — no outcome buffer for a merge to re-walk (what
+//! made an S = 8 run of this fixture allocate 28.3 B/record, measured at
+//! the last commit that replayed accounting in global order: 4 B of index
+//! plus a 24-byte `AccessOutcome` for every record; 4.24 B/record now).
+//! The whole-run bound below holds a sharded replay to the index entries
+//! plus per-shard constants.
+//!
 //! One `#[test]` per binary: the byte counter is process-global, and a
 //! sibling test running concurrently would perturb the delta.
 
 mod support;
 
-use icgmm_cache::{CacheConfig, ShardPartition};
+use icgmm_cache::{
+    AlwaysAdmit, CacheConfig, LatencyModel, LruPolicy, ShardPartition, ShardPolicies,
+    ShardedSimulator,
+};
 use icgmm_trace::TraceRecord;
 use support::allocated_by;
 
@@ -67,5 +78,37 @@ fn fanout_routing_state_is_four_bytes_per_record() {
         bytes < record_copy_bytes / 2,
         "fan-out allocated {bytes} B, within 2x of full record copies \
          ({record_copy_bytes} B) — the zero-copy representation regressed"
+    );
+
+    // The whole run, next to its routing: an S = 8 LRU replay of the same
+    // fixture allocates the index entries (4 B/record) plus what does not
+    // grow with the trace — eight small caches, their policy state, thread
+    // bookkeeping, the reports — and nothing per record on top.
+    let (report, run_bytes) = allocated_by(|| {
+        ShardedSimulator::new(SHARDS)
+            .run(
+                warmup,
+                measured,
+                cfg,
+                &|_ctx| ShardPolicies {
+                    admission: Box::new(AlwaysAdmit),
+                    eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+                    score: None,
+                },
+                &LatencyModel::paper_tlc(),
+                None,
+            )
+            .unwrap()
+    });
+    assert_eq!(report.sim.stats.accesses() as usize, measured.len());
+    assert!(
+        run_bytes < 8 * N,
+        "an {SHARDS}-shard replay allocated {run_bytes} B over {N} records \
+         ({:.1} B/record) — something is buffered per record again",
+        run_bytes as f64 / N as f64
+    );
+    println!(
+        "sharded run: {run_bytes} B, {:.2} B/record",
+        run_bytes as f64 / N as f64
     );
 }

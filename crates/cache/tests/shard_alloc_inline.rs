@@ -2,8 +2,8 @@
 //!
 //! `ShardedSimulator::new(1)` is what the single-threaded front-ends run
 //! on, so it must not pay fan-out machinery it cannot use: no
-//! `ShardPartition` index list (~4 B/record) and no per-record outcome
-//! buffer for a merge that has nothing to merge (~40 B/record). This test
+//! `ShardPartition` index list (~4 B/record), and — like every shard
+//! count — nothing buffered per record. This test
 //! pins its allocation footprint to the plain simulator's plus a small
 //! constant, so a regression back to `O(records)` buffering fails loudly.
 //!

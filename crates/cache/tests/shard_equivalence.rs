@@ -1,23 +1,36 @@
-//! Differential property suite for the sharded replay engine: the merged
+//! Differential property suite for the sharded replay engine: the summed
 //! [`ShardedSimulator`] report is **bit-identical** to the single-threaded
 //! simulator for every shard count in {1, 2, 4, 8}, across the eviction ×
 //! admission × score grid (minus `random`, whose global RNG stream is not
 //! shard-reproducible and which the engine refuses above one shard), with
-//! random warm-up splits.
+//! random warm-up splits — under the paper's integer-µs latency constants
+//! and under the non-integer model `icgmm-hw` derives, where an
+//! order-sensitive total would differ between shard counts.
+//!
+//! Both sides of that comparison derive `total_us` from their counters, so
+//! a second property holds them against an oracle that does not: modeled
+//! time added up request by request in trace order, and the miss series
+//! kept by a sequential window counter (what the replay loop did before
+//! accounting became a sum).
 
 use icgmm_cache::{
-    simulate_streaming_with_warmup, AlwaysAdmit, CacheConfig, FnScore, LatencyModel, LruPolicy,
-    RandomPolicy, ScoreSource, SetAssocCache, ShardCtx, ShardPolicies, ShardRunError,
-    ShardedSimulator, SimReport, ThresholdAdmit,
+    simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, AlwaysAdmit,
+    CacheConfig, FnScore, LatencyModel, LruPolicy, RandomPolicy, ReplayEvent, ReplayObserver,
+    ScoreSource, SetAssocCache, ShardCtx, ShardPolicies, ShardRunError, ShardedSimulator,
+    SimReport, ThresholdAdmit,
 };
 use icgmm_testutil::{
-    admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, SHARDABLE_EVICTIONS,
+    admission_for, eviction_for, latency_for, score_for, small_cfg, zipf_trace, ADMISSIONS,
+    SHARDABLE_EVICTIONS,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// The miss-series window every grid run asks for.
+const WINDOW: u64 = 64;
 
 /// One sharded run over the grid fixtures.
 fn run_sharded(
@@ -27,9 +40,9 @@ fn run_sharded(
     score: &str,
     trace: &[TraceRecord],
     warmup_len: usize,
+    lat: &LatencyModel,
 ) -> SimReport {
     let cfg = small_cfg();
-    let lat = LatencyModel::paper_tlc();
     let (warm, meas) = trace.split_at(warmup_len);
     ShardedSimulator::new(shards)
         .run(
@@ -52,8 +65,8 @@ fn run_sharded(
                     score: score_for(score),
                 }
             },
-            &lat,
-            Some(64),
+            lat,
+            Some(WINDOW),
         )
         .expect("valid geometry")
         .sim
@@ -66,32 +79,105 @@ fn reference(
     score: &str,
     trace: &[TraceRecord],
     warmup_len: usize,
+    lat: &LatencyModel,
+) -> SimReport {
+    reference_observed(eviction, admission, score, trace, warmup_len, lat, None)
+}
+
+/// [`reference`], optionally with an observer on its event stream.
+fn reference_observed(
+    eviction: &str,
+    admission: &str,
+    score: &str,
+    trace: &[TraceRecord],
+    warmup_len: usize,
+    lat: &LatencyModel,
+    observer: Option<&mut dyn ReplayObserver>,
 ) -> SimReport {
     let cfg = small_cfg();
-    let lat = LatencyModel::paper_tlc();
     let (warm, meas) = trace.split_at(warmup_len);
 
     let mut c = SetAssocCache::new(cfg).unwrap();
     let mut ev = eviction_for(eviction, cfg, trace);
     let mut ad = admission_for(admission);
     let mut sc = score_for(score);
-    simulate_streaming_with_warmup(
-        warm,
-        meas,
-        &mut c,
-        ad.as_mut(),
-        ev.as_mut(),
-        sc.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
-        &lat,
-        Some(64),
-    )
+    let (c, ad, ev) = (&mut c, ad.as_mut(), ev.as_mut());
+    let sc = sc.as_deref_mut().map(|s| s as &mut dyn ScoreSource);
+    match observer {
+        None => simulate_streaming_with_warmup(warm, meas, c, ad, ev, sc, lat, Some(WINDOW)),
+        Some(obs) => simulate_streaming_observed_with_warmup(
+            warm,
+            meas,
+            c,
+            ad,
+            ev,
+            sc,
+            lat,
+            Some(WINDOW),
+            obs,
+        ),
+    }
+}
+
+/// The oracle that can see order: what the replay loop kept before
+/// accounting became a sum — modeled time as a running `f64` sum of
+/// [`LatencyModel::request_us`] in trace order, and the miss series as a
+/// sequential window counter emitting a rate every [`WINDOW`] measured
+/// requests.
+struct InOrderOracle {
+    lat: LatencyModel,
+    warmup_len: u64,
+    total_us: f64,
+    in_window: u64,
+    misses_in_window: u64,
+    rates: Vec<f64>,
+}
+
+impl ReplayObserver for InOrderOracle {
+    fn on_record(&mut self, ev: &ReplayEvent<'_>) {
+        if ev.seq < self.warmup_len {
+            return;
+        }
+        self.total_us += self.lat.request_us(ev.record.op, ev.outcome);
+        self.in_window += 1;
+        self.misses_in_window += u64::from(!ev.outcome.is_hit());
+        if self.in_window == WINDOW {
+            self.rates
+                .push(self.misses_in_window as f64 / WINDOW as f64);
+            (self.in_window, self.misses_in_window) = (0, 0);
+        }
+    }
+}
+
+/// The latency models the oracle property sweeps: the three integer-µs
+/// presets (bit-equality demanded), the cycle-derived dataflow model, and
+/// a finite non-integer model drawn from the seed, overlap on or off.
+fn oracle_models(seed: u64) -> Vec<(LatencyModel, bool)> {
+    let unit = |shift: u32| ((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) % 4_096) as f64;
+    let random = LatencyModel {
+        hit_us: 0.05 + unit(8) / 1_000.0,
+        miss_overhead_us: unit(20) / 7_000.0,
+        ssd_read_us: 0.5 + unit(32) / 19.0,
+        ssd_write_us: 1.0 + unit(44) / 1.7,
+        policy_engine_us: 0.3 + unit(52) / 45.0,
+        overlap_policy_with_ssd: seed.is_multiple_of(2),
+    };
+    assert!(random.validate().is_ok());
+    vec![
+        (LatencyModel::paper_tlc(), true),
+        (LatencyModel::low_latency_ssd(), true),
+        (LatencyModel::qlc_ssd(), true),
+        (latency_for(1), false),
+        (random, false),
+    ]
 }
 
 proptest! {
     /// Sharded replay == single-threaded replay, bit for bit (stats,
     /// `total_us`, `avg_us`, miss series), for every shard count ×
     /// eviction × admission × score combination over random Zipf traces
-    /// with random warm-up splits.
+    /// with random warm-up splits, the latency model drawn from
+    /// {`paper_tlc`, the cycle-derived one}.
     #[test]
     fn sharded_replay_matches_single_threaded(
         params in (0u64..1_000_000, 300usize..1200, 24u64..160, (60u64..140), 0u8..45)
@@ -100,19 +186,87 @@ proptest! {
         let skew = skew_pct as f64 / 100.0;
         let trace = zipf_trace(seed, n, pages, skew, write_pct);
         let warmup_len = (seed as usize) % (n / 2);
+        let lat = &latency_for(seed);
         for eviction in SHARDABLE_EVICTIONS {
             for admission in ADMISSIONS {
                 for score in ["none", "constant", "fn"] {
-                    let reference = reference(eviction, admission, score, &trace, warmup_len);
+                    let reference = reference(eviction, admission, score, &trace, warmup_len, lat);
                     for shards in SHARD_COUNTS {
-                        let sim =
-                            run_sharded(shards, eviction, admission, score, &trace, warmup_len);
+                        let sim = run_sharded(
+                            shards, eviction, admission, score, &trace, warmup_len, lat,
+                        );
                         prop_assert_eq!(
                             &reference,
                             &sim,
                             "{}/{}/{} diverged at {} shards (seed {}, n {})",
                             eviction, admission, score, shards, seed, n
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The counted report against the in-order oracle, for every shard
+    /// count × eviction × admission × score combination × latency model:
+    /// integer stats and the miss series equal, `total_us` bit-equal under
+    /// the three integer presets — whatever order the shards counted in —
+    /// and within `n · 2⁻⁵²` relative under the non-integer models, where
+    /// the *oracle's* running sum rounds once per request and the closed
+    /// form does not.
+    #[test]
+    fn counted_reports_equal_the_in_order_oracle(
+        params in (0u64..1_000_000, 300usize..900, 24u64..160, (60u64..140), 0u8..45)
+    ) {
+        let (seed, n, pages, skew_pct, write_pct) = params;
+        let trace = zipf_trace(seed, n, pages, skew_pct as f64 / 100.0, write_pct);
+        let warmup_len = (seed as usize) % (n / 2);
+        let measured = (n - warmup_len) as f64;
+        // Every eviction × admission × score cell per case, each under one
+        // of the five models — which one rotates with the cell and the
+        // seed, so every (cell, model) pair comes up across cases.
+        let models = oracle_models(seed);
+        let mut cell = seed as usize;
+        for eviction in SHARDABLE_EVICTIONS {
+            for admission in ADMISSIONS {
+                for score in ["none", "constant", "fn"] {
+                    cell += 1;
+                    let (lat, exact) = models[cell % models.len()];
+                    let mut oracle = InOrderOracle {
+                        lat,
+                        warmup_len: warmup_len as u64,
+                        total_us: 0.0,
+                        in_window: 0,
+                        misses_in_window: 0,
+                        rates: Vec::new(),
+                    };
+                    let inline = reference_observed(
+                        eviction, admission, score, &trace, warmup_len, &lat, Some(&mut oracle),
+                    );
+                    for shards in SHARD_COUNTS {
+                        let sim = run_sharded(
+                            shards, eviction, admission, score, &trace, warmup_len, &lat,
+                        );
+                        let what = format!(
+                            "{eviction}/{admission}/{score} at {shards} shards under {lat:?} \
+                             (seed {seed}, n {n})"
+                        );
+                        prop_assert_eq!(&sim, &inline, "{}", &what);
+                        let series = sim.miss_series.as_ref().expect("a series was asked for");
+                        prop_assert_eq!(&series.rates(), &oracle.rates, "{}", &what);
+                        if exact {
+                            prop_assert_eq!(sim.total_us, oracle.total_us, "{}", &what);
+                        } else {
+                            let bound = measured * f64::EPSILON * oracle.total_us;
+                            prop_assert!(
+                                (sim.total_us - oracle.total_us).abs() <= bound,
+                                "{}: total_us {} vs in-order {}",
+                                &what, sim.total_us, oracle.total_us
+                            );
+                        }
+                        prop_assert_eq!(sim.avg_us, sim.total_us / measured, "{}", &what);
                     }
                 }
             }
@@ -173,9 +327,10 @@ proptest! {
         let (seed, n, pages) = params;
         let trace = zipf_trace(seed, n, pages, 0.9, 20);
         let warmup_len = n / 5;
+        let lat = &latency_for(seed);
         for shards in [2usize, 8] {
-            let a = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, warmup_len);
-            let b = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, warmup_len);
+            let a = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, warmup_len, lat);
+            let b = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, warmup_len, lat);
             prop_assert_eq!(&a, &b, "report not deterministic at {} shards", shards);
         }
     }
@@ -384,7 +539,7 @@ fn make_shard_runs_on_worker_threads() {
 
 /// Deterministic spot check on an adversarial bypass-storm fixture:
 /// constant admission bypasses inside every shard, still bit-identical
-/// after the merge at every shard count.
+/// after the sum at every shard count, under both latency models.
 #[test]
 fn divergence_heavy_trace_merges_bit_identical() {
     let trace = {
@@ -406,10 +561,12 @@ fn divergence_heavy_trace_merges_bit_identical() {
         }
         t
     };
-    let reference = reference("gmm-score", "threshold", "fn", &trace, 1_000);
-    assert!(reference.stats.bypasses() > 0, "the fixture must bypass");
-    for shards in SHARD_COUNTS {
-        let sim = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, 1_000);
-        assert_eq!(reference, sim, "{shards} shards");
+    for lat in [latency_for(0), latency_for(1)] {
+        let reference = reference("gmm-score", "threshold", "fn", &trace, 1_000, &lat);
+        assert!(reference.stats.bypasses() > 0, "the fixture must bypass");
+        for shards in SHARD_COUNTS {
+            let sim = run_sharded(shards, "gmm-score", "threshold", "fn", &trace, 1_000, &lat);
+            assert_eq!(reference, sim, "{shards} shards");
+        }
     }
 }

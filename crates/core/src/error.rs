@@ -90,7 +90,8 @@ impl From<icgmm_cache::ShardRunError> for IcgmmError {
     fn from(e: icgmm_cache::ShardRunError) -> Self {
         match e {
             icgmm_cache::ShardRunError::Config(c) => IcgmmError::Cache(c),
-            e @ icgmm_cache::ShardRunError::ZeroShards => IcgmmError::Config(e.to_string()),
+            e @ (icgmm_cache::ShardRunError::ZeroShards
+            | icgmm_cache::ShardRunError::ZeroSeriesWindow) => IcgmmError::Config(e.to_string()),
             icgmm_cache::ShardRunError::TraceTooLong { records } => {
                 IcgmmError::TraceTooLong { records }
             }

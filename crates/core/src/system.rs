@@ -364,14 +364,14 @@ impl Icgmm {
 
     /// [`Icgmm::run`] with the cache partitioned by set index into the
     /// configuration's `sim_shards` independent shards, replayed on scoped
-    /// threads and deterministically merged.
+    /// threads, their counters added up.
     ///
     /// Each shard owns the sets congruent to its index, with its own
     /// policy state and its own policy-engine clone on the *global*
-    /// Algorithm 1 clock (every record carries its trace position), so the
-    /// merged
-    /// [`RunReport::sim`] is **bit-identical** to [`Icgmm::run`]'s for
-    /// every shard count — enforced by the differential suite in
+    /// Algorithm 1 clock (every record carries its trace position), and a
+    /// report is counters with modeled time derived from them, so the
+    /// summed [`RunReport::sim`] is **bit-identical** to [`Icgmm::run`]'s
+    /// for every shard count, under every latency model — enforced by the differential suite in
     /// `tests/shard_differential.rs` and the property grid in
     /// `crates/cache/tests/shard_equivalence.rs`. `gmm_inferences` counts
     /// the inferences the sharded replay actually performed — one per
@@ -412,9 +412,8 @@ impl Icgmm {
     /// Serves the (trimmed) trace through the concurrent
     /// [`icgmm_serve::CacheServer`]: `serve_clients` submitter threads
     /// feed `sim_shards` shard workers through bounded ingestion queues of
-    /// depth `serve_queue_depth`, the workers decide per request, and a
-    /// sequence-number merge re-accounts the outcome stream in
-    /// global trace order — incrementally, in O(shards) memory.
+    /// depth `serve_queue_depth`, the workers decide — and count — per
+    /// request, and the report is their counters added up at join.
     ///
     /// The semantic half of the returned [`ServeReport`] (`sim`,
     /// `scores_consumed`) is **bit-identical** to [`Icgmm::run_sharded`]

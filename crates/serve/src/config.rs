@@ -25,7 +25,7 @@ pub enum SubmitMode {
 /// Configuration of a [`crate::CacheServer`].
 ///
 /// The shard partitioning mirrors [`icgmm_cache::ShardedSimulator`]
-/// exactly — a served trace re-accounts bit-identically to the offline
+/// exactly — a served trace reports bit-identically to the offline
 /// sharded replay of the same inputs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServeConfig {
@@ -36,7 +36,7 @@ pub struct ServeConfig {
     /// client `s % min(clients, shards)`; clients beyond the shard count
     /// would own nothing and are capped away.
     pub clients: usize,
-    /// Bound of every ingestion and outcome queue, `>= 1`. Small depths
+    /// Bound of every ingestion queue, in records, `>= 1`. Small depths
     /// exercise backpressure; large depths amortize hand-off cost.
     pub queue_depth: usize,
     /// Full-queue behavior (see [`SubmitMode`]).

@@ -9,24 +9,18 @@
 //!
 //! # Rounding direction, end to end
 //!
-//! Every approximation in the admission-latency pipeline rounds the
-//! *same way — up*, so reported percentiles are honest upper bounds:
+//! Every approximation in the admission-latency pipeline rounds *up*, so
+//! reported percentiles are honest upper bounds:
 //!
-//! * **Submit stamps** are taken once per flush-run, when a batch leaves
-//!   its client's per-shard buffer for the transport (before any
-//!   full-queue wait). Sharing one clock read across the batch starts
-//!   every record's clock at the earliest record's instant, which can
-//!   only lengthen the others' measured latency. Client-buffer dwell is
-//!   deliberately *excluded*: with per-shard buffers a record can sit
-//!   buffered for an unbounded stretch of foreign-shard traffic, which
-//!   is a transport-batching artifact, not admission queueing — while
-//!   blocking backpressure (stamped before the wait) is real queueing
-//!   and *is* included.
-//! * **Flush stamps** on the worker side are likewise shared: every
-//!   outcome of a flushed batch is charged the flush instant of the
-//!   batch's *last* record, rounding each earlier record's latency up.
+//! * **Submit stamps** are taken once per batch, when it leaves its
+//!   client's per-shard buffer (before any full-queue wait): every record
+//!   starts at the batch's earliest instant. Client-buffer dwell — a
+//!   transport-batching artifact — is excluded; blocking backpressure,
+//!   stamped before the wait, is real queueing and included.
+//! * **Decided stamps** are taken once per received batch, after its last
+//!   record was decided, and charged to every measured record in it.
 //! * **Buckets** absorb up to ~6 % relative error, and quantiles report
-//!   the holding bucket's upper bound — again never under-stating.
+//!   the holding bucket's upper bound.
 
 use serde::{Deserialize, Serialize};
 

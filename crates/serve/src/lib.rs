@@ -3,12 +3,12 @@
 //! Concurrent cache *service* over the ICGMM reproduction's sharded
 //! replay engine: N client threads submit trace requests into bounded
 //! per-shard ingestion queues, shard workers decide hit/miss/admit/evict
-//! as requests arrive, and a sequence-number merge re-accounts the
-//! outcome stream in global trace order — incrementally, in O(shards)
-//! memory.
+//! as requests arrive and count what they decide, and the session's report
+//! is the workers' counters added up at join — nothing is kept per
+//! request.
 //!
 //! The service inherits the offline engine's headline property: the
-//! merged [`ServeReport::sim`] is **bit-identical** to
+//! summed [`ServeReport::sim`] is **bit-identical** to
 //! [`icgmm_cache::ShardedSimulator::run`] (and hence to the
 //! single-threaded replay) over the same inputs, for every shard count,
 //! client count, queue depth and ingestion interleaving. Concurrency
@@ -22,7 +22,8 @@
 //! saturation plus log-bucketed p50/p99 admission-decision latencies
 //! ([`ServeReport`]). What happens *to a shard* — its policies, the shard
 //! contract, armed panic points, the recovery of a dead worker by offline
-//! re-replay — is not this crate's: it is [`icgmm_cache::ShardSupervisor`],
+//! re-replay, the sum of the shards' reports — is not this crate's: it is
+//! [`icgmm_cache::ShardSupervisor`],
 //! the offline engine's own lifecycle, and its errors pass through as
 //! [`ServeError::Shard`].
 //!

@@ -31,9 +31,10 @@
 //! * the run's overlapped makespan is the later of the decision clock and
 //!   the last in-order retirement.
 //!
-//! The difference between the inline total and the overlapped makespan is
-//! the modeled time the completion queue saved — [`OverlapStats::
-//! overlap_saved_us`]. At `depth == 1` the queue degenerates to the
+//! The difference between the inline total — the worker's own
+//! `SimReport::total_us`, handed to [`CompletionQueue::finish`] — and the
+//! overlapped makespan is the modeled time the completion queue saved —
+//! [`OverlapStats::overlap_saved_us`]. At `depth == 1` the queue degenerates to the
 //! inline model exactly (a new backend access waits out the previous
 //! one), which the unit tests pin down.
 //!
@@ -99,7 +100,6 @@ pub(crate) struct CompletionQueue {
     /// In-sequence-order retirement frontier: a completion retires at
     /// `max(its completion time, every earlier completion's retirement)`.
     retired_us: f64,
-    inline_us: f64,
     completions: u64,
     peak: usize,
 }
@@ -113,7 +113,6 @@ impl CompletionQueue {
             inflight: VecDeque::with_capacity(depth),
             now_us: 0.0,
             retired_us: 0.0,
-            inline_us: 0.0,
             completions: 0,
             peak: 0,
         }
@@ -121,7 +120,6 @@ impl CompletionQueue {
 
     /// Feeds one decided request through the model.
     pub(crate) fn on_decided(&mut self, op: Op, outcome: &AccessOutcome) {
-        self.inline_us += self.lat.request_us(op, outcome);
         let (decision, backend) = self.lat.split(op, outcome);
         let Some(backend) = backend else {
             // Hits retire synchronously on the decision timeline.
@@ -151,8 +149,10 @@ impl CompletionQueue {
     }
 
     /// Drains the queue (in-order retirement of everything still in
-    /// flight) and returns the session telemetry.
-    pub(crate) fn finish(self) -> OverlapStats {
+    /// flight) and returns the session telemetry. `inline_us` is what the
+    /// same requests cost charged inline: the `total_us` of the report
+    /// that counted them.
+    pub(crate) fn finish(self, inline_us: f64) -> OverlapStats {
         let mut retired = self.retired_us;
         for c in self.inflight {
             retired = retired.max(c);
@@ -161,9 +161,9 @@ impl CompletionQueue {
         OverlapStats {
             backend_completions: self.completions,
             backend_inflight_peak: self.peak as u64,
-            modeled_inline_us: self.inline_us,
+            modeled_inline_us: inline_us,
             modeled_overlapped_us: overlapped,
-            overlap_saved_us: self.inline_us - overlapped,
+            overlap_saved_us: inline_us - overlapped,
         }
     }
 }
@@ -171,8 +171,28 @@ impl CompletionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icgmm_cache::Eviction;
+    use icgmm_cache::{CacheStats, Eviction};
     use icgmm_trace::PageIndex;
+
+    /// A queue and the counters of what it was fed — as a serving worker
+    /// holds them — so `finish` can hand over the inline total.
+    struct Fed(CompletionQueue, CacheStats);
+
+    impl Fed {
+        fn new(depth: usize, lat: LatencyModel) -> Self {
+            Fed(CompletionQueue::new(depth, lat), CacheStats::default())
+        }
+
+        fn on_decided(&mut self, op: Op, outcome: &AccessOutcome) {
+            self.0.on_decided(op, outcome);
+            self.1.record(op, outcome);
+        }
+
+        fn finish(self) -> OverlapStats {
+            let inline_us = self.0.lat.total_us(&self.1);
+            self.0.finish(inline_us)
+        }
+    }
 
     fn miss(dirty_victim: Option<bool>) -> AccessOutcome {
         AccessOutcome::MissInserted {
@@ -194,7 +214,7 @@ mod tests {
                 overlap_policy_with_ssd: overlap,
                 ..LatencyModel::paper_tlc()
             };
-            let mut q = CompletionQueue::new(1, lat);
+            let mut q = Fed::new(1, lat);
             for i in 0..100u64 {
                 let outcome = match i % 3 {
                     0 => miss(None),
@@ -217,7 +237,7 @@ mod tests {
     #[test]
     fn depth_one_mixed_stream_hides_only_hit_time() {
         let lat = LatencyModel::paper_tlc();
-        let mut q = CompletionQueue::new(1, lat);
+        let mut q = Fed::new(1, lat);
         let mut hits = 0u64;
         for i in 0..99u64 {
             if i % 3 == 0 {
@@ -241,7 +261,7 @@ mod tests {
     fn deep_queue_overlaps_the_miss_stream() {
         let lat = LatencyModel::paper_tlc();
         let n = 1000u64;
-        let mut q = CompletionQueue::new(8, lat);
+        let mut q = Fed::new(8, lat);
         for _ in 0..n {
             q.on_decided(Op::Read, &miss(None));
         }
@@ -257,7 +277,7 @@ mod tests {
     /// Hits never enter the completion queue and never create savings.
     #[test]
     fn hit_only_stream_has_no_backend_traffic() {
-        let mut q = CompletionQueue::new(16, LatencyModel::paper_tlc());
+        let mut q = Fed::new(16, LatencyModel::paper_tlc());
         for _ in 0..50 {
             q.on_decided(Op::Read, &AccessOutcome::Hit { way: 2 });
         }
@@ -275,7 +295,7 @@ mod tests {
     #[test]
     fn makespan_brackets_and_in_order_retirement() {
         let lat = LatencyModel::paper_tlc();
-        let mut q = CompletionQueue::new(4, lat);
+        let mut q = Fed::new(4, lat);
         // Dirty write-back (975 µs service) followed by short reads: the
         // reads *complete* before the write-back but must retire after it.
         q.on_decided(Op::Read, &miss(Some(true)));

@@ -1,7 +1,8 @@
 //! Differential property suite for the serving front-end: a served trace
-//! re-accounts **bit-identically** to the offline sharded replay (and
-//! hence to the single-threaded simulator) for every shard count in
-//! {1, 2, 4, 8} × client count × queue depth × submit mode — plus the
+//! reports **bit-identically** to the offline sharded replay (and hence to
+//! the single-threaded simulator) for every shard count in {1, 2, 4, 8} ×
+//! client count × queue depth × submit mode, under the paper's integer-µs
+//! latency constants and the non-integer cycle-derived model — plus the
 //! seeded-shutdown and backpressure properties, and transparent recovery
 //! from armed worker panics.
 
@@ -9,7 +10,7 @@ use icgmm_cache::{
     FaultPlan, FnScore, LatencyModel, ShardPolicies, ShardRunError, ShardedSimulator, SimReport,
 };
 use icgmm_serve::{CacheServer, ServeConfig, ServeError, ServeReport, SubmitMode};
-use icgmm_testutil::{admission_for, eviction_for, score_for, small_cfg, zipf_trace};
+use icgmm_testutil::{admission_for, eviction_for, latency_for, score_for, small_cfg, zipf_trace};
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 
@@ -19,7 +20,8 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// `icgmm-serve`; the in-flight peak can never exceed it).
 const COMPLETION_DEPTH: u64 = 8;
 
-/// Serves the trace through a [`CacheServer`] over the grid fixtures.
+/// Serves the trace through a [`CacheServer`] over the grid fixtures,
+/// under the paper's latency constants.
 fn serve(
     cfg: ServeConfig,
     eviction: &str,
@@ -28,8 +30,21 @@ fn serve(
     trace: &[TraceRecord],
     warmup_len: usize,
 ) -> Result<ServeReport, ServeError> {
-    let cache_cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();
+    serve_under(&lat, cfg, eviction, admission, score, trace, warmup_len)
+}
+
+/// [`serve`] under an explicit latency model.
+fn serve_under(
+    lat: &LatencyModel,
+    cfg: ServeConfig,
+    eviction: &str,
+    admission: &str,
+    score: &str,
+    trace: &[TraceRecord],
+    warmup_len: usize,
+) -> Result<ServeReport, ServeError> {
+    let cache_cfg = small_cfg();
     let (warm, meas) = trace.split_at(warmup_len);
     CacheServer::new(cfg)?.serve(
         warm,
@@ -49,7 +64,7 @@ fn serve(
                 score: score_for(score),
             }
         },
-        &lat,
+        lat,
         Some(64),
     )
 }
@@ -63,20 +78,18 @@ fn offline(
     trace: &[TraceRecord],
     warmup_len: usize,
 ) -> (SimReport, u64) {
+    let (plan, lat) = (FaultPlan::empty(), LatencyModel::paper_tlc());
     offline_with(
-        FaultPlan::empty(),
-        shards,
-        eviction,
-        admission,
-        score,
-        trace,
-        warmup_len,
+        plan, &lat, shards, eviction, admission, score, trace, warmup_len,
     )
 }
 
-/// [`offline`] with a fault plan armed (shard-worker panic points).
+/// [`offline`] with a fault plan armed (shard-worker panic points), under
+/// an explicit latency model.
+#[allow(clippy::too_many_arguments)]
 fn offline_with(
     plan: FaultPlan,
+    lat: &LatencyModel,
     shards: usize,
     eviction: &str,
     admission: &str,
@@ -85,7 +98,6 @@ fn offline_with(
     warmup_len: usize,
 ) -> (SimReport, u64) {
     let cache_cfg = small_cfg();
-    let lat = LatencyModel::paper_tlc();
     let (warm, meas) = trace.split_at(warmup_len);
     let rep = ShardedSimulator::new(shards)
         .with_faults(plan)
@@ -106,7 +118,7 @@ fn offline_with(
                     score: score_for(score),
                 }
             },
-            &lat,
+            lat,
             Some(64),
         )
         .expect("valid geometry");
@@ -117,7 +129,8 @@ proptest! {
     /// Served report == offline sharded replay, bit for bit, across
     /// {score-free LRU, Belady oracle, scored GMM-threshold} × every shard
     /// count × varying client counts, queue depths and submit modes over
-    /// random Zipf traces.
+    /// random Zipf traces, the latency model drawn from {`paper_tlc`, the
+    /// cycle-derived one}.
     #[test]
     fn served_stream_matches_offline_replay(
         params in (0u64..1_000_000, 300usize..1000, 24u64..160, 60u64..140, 0u8..45)
@@ -125,6 +138,7 @@ proptest! {
         let (seed, n, pages, skew_pct, write_pct) = params;
         let trace = zipf_trace(seed, n, pages, skew_pct as f64 / 100.0, write_pct);
         let warmup_len = (seed as usize) % (n / 2);
+        let lat = &latency_for(seed);
         let grid = [
             ("lru", "always", "none"),
             ("belady", "always", "none"),
@@ -132,8 +146,9 @@ proptest! {
         ];
         for (i, (eviction, admission, score)) in grid.into_iter().enumerate() {
             for shards in SHARD_COUNTS {
-                let (reference, ref_scores) =
-                    offline(shards, eviction, admission, score, &trace, warmup_len);
+                let (reference, ref_scores) = offline_with(
+                    FaultPlan::empty(), lat, shards, eviction, admission, score, &trace, warmup_len,
+                );
                 // Vary the serving-only knobs with the case seed: they
                 // must never show up in the merged report.
                 let clients = 1 + (seed as usize + shards + i) % 3;
@@ -143,7 +158,8 @@ proptest! {
                 } else {
                     SubmitMode::Shed
                 };
-                let rep = serve(
+                let rep = serve_under(
+                    lat,
                     ServeConfig {
                         shards,
                         clients,
@@ -185,9 +201,10 @@ proptest! {
 
     /// Seeded graceful shutdown: stopping intake after K requests (K at
     /// random points, including 0, mid-warm-up and past the end) serves
-    /// exactly the first K records — the report re-accounts
-    /// bit-identically to the offline replay of the truncated trace, with
-    /// no lost or duplicated outcome (the merge asserts contiguity).
+    /// exactly the first K records — the report is bit-identical to the
+    /// offline replay of the truncated trace, with no lost or duplicated
+    /// record (every worker checks its arrivals against the truncated
+    /// partition, and the session checks the access count at join).
     #[test]
     fn seeded_shutdown_prefixes_match_truncated_replay(
         params in (0u64..1_000_000, 200usize..700, 24u64..96)
@@ -246,12 +263,15 @@ proptest! {
             shard_panic_per_mille: 1000, // every shard dies once
             ..FaultPlan::default()
         };
+        let lat = &latency_for(seed);
         for (eviction, admission, score) in
             [("lru", "always", "none"), ("gmm-score", "threshold", "fn")]
         {
-            let (reference, ref_scores) =
-                offline(4, eviction, admission, score, &trace, warmup_len);
-            let rep = serve(
+            let (reference, ref_scores) = offline_with(
+                FaultPlan::empty(), lat, 4, eviction, admission, score, &trace, warmup_len,
+            );
+            let rep = serve_under(
+                lat,
                 ServeConfig {
                     shards: 4,
                     clients: 2,
@@ -268,7 +288,7 @@ proptest! {
             prop_assert!(rep.sim.fault.shard_panics > 0, "plan must fire");
             prop_assert_eq!(rep.sim.fault.shard_panics, rep.sim.fault.shard_recoveries);
             let (armed, armed_scores) =
-                offline_with(plan, 4, eviction, admission, score, &trace, warmup_len);
+                offline_with(plan, lat, 4, eviction, admission, score, &trace, warmup_len);
             prop_assert_eq!(&rep.sim, &armed, "served vs offline under the same armed plan");
             prop_assert_eq!(rep.scores_consumed, armed_scores);
         }
@@ -349,13 +369,15 @@ fn backpressure_sheds_are_counted_and_harmless() {
     assert!(rep.admission_p50_us <= rep.admission_p99_us);
 }
 
-/// Wide-geometry interleave stress for the ordered-flush transport: a
+/// Wide-geometry interleave stress for the per-shard transport buffers: a
 /// sequential scan routes consecutive records to consecutive shards, so
 /// every per-shard client buffer is non-empty almost always and tiny
-/// queue depths force constant blocking sends — the exact regime where a
-/// mis-ordered flush would deadlock (this test hanging) or corrupt the
-/// merge (a panic). More shards than clients makes each client juggle
-/// several buffers at once.
+/// queue depths force constant blocking sends — the regime where, while a
+/// merger consumed outcomes in global order, a mis-ordered flush would
+/// deadlock (this test hanging). Nothing waits on global order any more;
+/// the test stays as the transport's stress, and a lost or misrouted
+/// record would fail the workers' arrival check (a panic). More shards
+/// than clients makes each client juggle several buffers at once.
 #[test]
 fn interleaved_scan_ordered_flush_is_deadlock_free_and_exact() {
     let n = 2000u64;
@@ -390,11 +412,10 @@ fn interleaved_scan_ordered_flush_is_deadlock_free_and_exact() {
     }
 }
 
-/// At one shard the worker decides every measured record in global order,
-/// so the completion queue's inline accumulator adds exactly the same
-/// `f64` values in the same order as the merge's accounting: the modeled
-/// inline total is bit-identical to `sim.total_us`, pinning the
-/// decision/backend split to the inline latency model.
+/// At one shard the worker's counters are the session's, so the inline
+/// total its completion queue is handed — the `total_us` of the worker's
+/// own report — is bit-identical to `sim.total_us`: the overlap saving is
+/// measured against the very number the report carries.
 #[test]
 fn single_shard_inline_model_matches_accounted_total() {
     for (eviction, admission, score) in

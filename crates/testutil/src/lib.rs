@@ -19,8 +19,8 @@
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
     AccessCtx, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, CacheConfig, ConstantScore,
-    EvictionPolicy, FifoPolicy, FnScore, GmmScorePolicy, LfuPolicy, LruPolicy, RandomPolicy,
-    ScoreSource, ThresholdAdmit,
+    EvictionPolicy, FifoPolicy, FnScore, GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy,
+    RandomPolicy, ScoreSource, ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_trace::{PreprocessConfig, TraceRecord, Zipf};
@@ -48,6 +48,19 @@ pub fn small_cfg() -> CacheConfig {
         capacity_bytes: 32 * 4096,
         block_bytes: 4096,
         ways: 4,
+    }
+}
+
+/// The latency model a differential case runs under, drawn from its seed:
+/// the paper's integer-µs constants (under which modeled time adds up
+/// exactly in any order) on even seeds, the non-integer model `icgmm-hw`
+/// derives from its engines' cycle counts (under which an order-sensitive
+/// total would differ between front-ends) on odd ones.
+pub fn latency_for(seed: u64) -> LatencyModel {
+    if seed.is_multiple_of(2) {
+        LatencyModel::paper_tlc()
+    } else {
+        icgmm::hw::DataflowConfig::default().latency()
     }
 }
 
@@ -213,6 +226,14 @@ mod tests {
         assert!(score_for("constant").is_some());
         assert!(score_for("fn").is_some());
         assert!(SHARDABLE_EVICTIONS.iter().all(|e| EVICTIONS.contains(e)));
+    }
+
+    #[test]
+    fn latency_grid_has_an_integer_and_a_non_integer_model() {
+        assert_eq!(latency_for(4), LatencyModel::paper_tlc());
+        let derived = latency_for(7);
+        assert!(derived.validate().is_ok());
+        assert!(derived.miss_overhead_us.fract() != 0.0);
     }
 
     #[test]

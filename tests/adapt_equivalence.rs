@@ -3,7 +3,7 @@
 //! (`drift_drop = +inf`) replays bit-identically to the static scorer at
 //! every shard count and GMM policy mode; adaptive runs are a pure
 //! function of `(trace seed, adapt seed)` per shard count; and the
-//! serving front-end re-accounts adaptive replay exactly like the
+//! serving front-end reports adaptive replay exactly like the
 //! offline sharded engine.
 
 use std::sync::OnceLock;

@@ -1,6 +1,6 @@
 //! End-to-end differential tests for the serving front-end:
 //! `Icgmm::serve` driven by the *real* trained GMM policy engine over the
-//! multi-tenant synthetic workload re-accounts bit-identically to both
+//! multi-tenant synthetic workload reports bit-identically to both
 //! the single-threaded `Icgmm::run` and the offline sharded
 //! `Icgmm::run_sharded`, for every serving geometry (shards × clients ×
 //! queue depth) — concurrency buys throughput, never decisions.
