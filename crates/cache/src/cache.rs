@@ -195,6 +195,12 @@ impl SetAssocCache {
     /// runs after the tag compare, exactly once on a miss and never on a
     /// hit (the hardware triggers the policy engine on miss only). Returns
     /// the outcome and the score the access consumed (`None` on a hit).
+    ///
+    /// An untrusted score is no score: this is the one place a miss's
+    /// score enters [`AccessCtx`], and a non-finite one enters as `None` —
+    /// the policies decide that request the way they would without a
+    /// policy engine (admit it, evict by recency) and never store it. The
+    /// returned score is still the raw one, so callers count the inference.
     #[inline]
     pub fn access_scored(
         &mut self,
@@ -221,12 +227,13 @@ impl SetAssocCache {
             return (AccessOutcome::Hit { way }, None);
         }
 
-        ctx.score = score();
+        let raw = score();
+        ctx.score = raw.filter(|s| s.is_finite());
         if !admission.should_admit(&ctx) {
-            return (AccessOutcome::MissBypassed, ctx.score);
+            return (AccessOutcome::MissBypassed, raw);
         }
         let (way, evicted) = self.insert(set, tag, &ctx, eviction);
-        (AccessOutcome::MissInserted { way, evicted }, ctx.score)
+        (AccessOutcome::MissInserted { way, evicted }, raw)
     }
 
     /// Inserts `tag` (which must not be present) into `set`, evicting if

@@ -18,32 +18,45 @@
 //!   `DataflowReport` and `ExperimentResult`: injected / retried /
 //!   degraded / recovered counters plus modeled time lost to faults.
 //! * [`FaultyScore`] — a [`ScoreSource`] wrapper that corrupts scores at
-//!   plan-rolled positions (NaN/±Inf flips, outage windows) and feeds the
-//!   scorer health monitor.
-//! * [`ScorerHealth`] / [`FailoverEviction`] / [`FailoverAdmission`] —
-//!   the gmm-score→LRU and threshold→always-admit rungs of the ladder.
+//!   plan-rolled positions (NaN/±Inf flips, outage windows) and owns the
+//!   scorer health monitor, [`ScorerHealth`].
+//!
+//! # The ladder is "no score"
+//!
+//! A score that cannot be trusted is not a score, and a miss without a
+//! score is something every policy already decides: threshold admission
+//! admits it, gmm-score eviction picks its victim by recency and stores
+//! score 0 for the block ([`AccessCtx::score`](crate::AccessCtx::score) is
+//! `None`). So degradation is a value, not a second policy stack, and it
+//! has two rungs:
+//!
+//! * **per request** — a non-finite score never reaches a policy
+//!   ([`crate::SetAssocCache::access_scored`] hands it on as `None`),
+//!   whether a plan injected it or the engine produced it, and whether or
+//!   not a monitor is armed. That request is decided the way LRU would.
+//! * **per streak** — the monitor, once armed, stops trusting *finite*
+//!   scores too after `scorer_demote_after` consecutive bad ones: while it
+//!   is degraded [`FaultyScore`] answers every miss with no score (NaN),
+//!   still scoring underneath, and trusts the engine again after
+//!   `scorer_promote_after` consecutive good ones.
 //!
 //! Counters are plain fields of whoever increments them: the injector
-//! counts its injections, the health monitor — the one object a shard's
-//! three ladder rungs share — counts the ladder's transitions and degraded
-//! decisions, `icgmm-hw`'s device-fault observer its device faults, the
-//! shard supervisor its panics and recoveries. Whoever replayed a shard reads them once, after
-//! the shard's last record, through [`ScoreSource::telemetry`]; an attempt
-//! that died takes its counters with it.
+//! counts its injections, its monitor the ladder's transitions and the
+//! scores it withheld, `icgmm-hw`'s device-fault observer its device
+//! faults, the shard supervisor its panics and recoveries. Whoever replayed
+//! a shard reads them once, after the shard's last record, through
+//! [`ScoreSource::telemetry`]; an attempt that died takes its counters
+//! with it.
 //!
 //! Every injection decision is a pure hash of `(plan seed, stream, trace
 //! position)` — no RNG state, no wall clock — so fault-laden runs are
 //! reproducible from `(plan seed, trace seed)`, independent of thread
 //! interleaving, and (for position-keyed scorer faults) of shard count.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
 use crate::adapt::AdaptStats;
-use crate::policy::{AccessCtx, AdmissionPolicy, EvictionPolicy};
 use crate::score::ScoreSource;
 
 /// Decision streams, so the same position can roll independently for each
@@ -74,6 +87,11 @@ pub(crate) fn fault_roll(seed: u64, stream: u64, a: u64, b: u64) -> u64 {
 /// emulator.
 pub const DEVICE_SPIKE_MULT: f64 = 8.0;
 
+/// Longest scorer outage a plan may ask for ([`FaultPlan::scorer_outage_len`]):
+/// every scored miss rolls once per position of the window behind it, so
+/// the length is a per-score cost and has to be bounded.
+const MAX_SCORER_OUTAGE_LEN: u32 = 65_536;
+
 /// `true` when `roll` lands inside a per-mille probability.
 pub(crate) fn roll_hits(roll: u64, per_mille: u16) -> bool {
     per_mille > 0 && roll % 1000 < per_mille as u64
@@ -96,7 +114,7 @@ pub struct FaultPlan {
     /// outage; every score requested within [`FaultPlan::scorer_outage_len`]
     /// positions of an outage start returns NaN (engine unavailable).
     pub scorer_outage_per_mille: u16,
-    /// Length of a scorer outage, in trace positions.
+    /// Length of a scorer outage, in trace positions (at most 65 536).
     pub scorer_outage_len: u32,
     /// Per-mille probability that an SSD command attempt fails and must be
     /// retried with exponential backoff.
@@ -115,8 +133,9 @@ pub struct FaultPlan {
     /// panics mid-replay at a plan-chosen record.
     pub shard_panic_per_mille: u16,
     /// Consecutive non-finite scores before the scorer health monitor
-    /// demotes gmm-score eviction to LRU and threshold admission to
-    /// always-admit. Zero disarms the monitor.
+    /// stops trusting the engine — every miss then goes unscored
+    /// (always admitted, evicted by recency). Zero disarms the monitor;
+    /// a single non-finite score is withheld from the policies either way.
     pub scorer_demote_after: u32,
     /// Consecutive finite scores (while degraded) before re-promotion.
     pub scorer_promote_after: u32,
@@ -148,7 +167,7 @@ impl FaultPlan {
     }
 
     /// A mixed-fault chaos preset used by the soak suites: every fault
-    /// class armed at soak-friendly rates, every ladder rung armed.
+    /// class armed at soak-friendly rates, the health monitor armed.
     pub fn chaos(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -164,7 +183,7 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan injects nothing and arms no ladder rung — the
+    /// Whether the plan injects nothing and arms no monitor — the
     /// "today's engines, untouched" configuration.
     pub fn is_empty(&self) -> bool {
         !self.scorer_armed() && !self.device_armed() && !self.shard_armed() && !self.monitor_armed()
@@ -185,7 +204,7 @@ impl FaultPlan {
         self.shard_panic_per_mille > 0
     }
 
-    /// Scorer health monitor (gmm-score→LRU, threshold→always) armed?
+    /// Scorer health monitor (distrust the engine after a bad streak) armed?
     pub fn monitor_armed(&self) -> bool {
         self.scorer_demote_after > 0
     }
@@ -208,6 +227,12 @@ impl FaultPlan {
         }
         if self.scorer_outage_per_mille > 0 && self.scorer_outage_len == 0 {
             return Err("fault.scorer_outage_len must be >= 1 when outages are armed".into());
+        }
+        if self.scorer_outage_len > MAX_SCORER_OUTAGE_LEN {
+            return Err(format!(
+                "fault.scorer_outage_len must be <= {MAX_SCORER_OUTAGE_LEN}, got {}",
+                self.scorer_outage_len
+            ));
         }
         if !self.device_backoff_us.is_finite() || self.device_backoff_us < 0.0 {
             return Err(format!(
@@ -290,16 +315,15 @@ pub struct FaultStats {
     pub shard_panics: u64,
     /// Panicked shards successfully re-replayed by the supervisor.
     pub shard_recoveries: u64,
-    /// Scorer health-monitor demotions (gmm-score→LRU, threshold→always).
+    /// Scorer health-monitor demotions (the engine stops being trusted).
     pub scorer_demotions: u64,
-    /// Scorer health-monitor re-promotions back to the primary policies.
+    /// Scorer health-monitor re-promotions (the engine is trusted again).
     pub scorer_repromotions: u64,
-    /// Scores served while the scorer was degraded.
+    /// Misses decided without a score because the monitor was degraded —
+    /// each one admitted and its victim chosen by recency. Non-finite
+    /// scores withheld outside a degraded stretch are the injection
+    /// counters above.
     pub degraded_scores: u64,
-    /// Victim choices delegated to the fallback (LRU) while degraded.
-    pub degraded_victims: u64,
-    /// Admissions forced to always-admit while degraded.
-    pub degraded_admits: u64,
 }
 
 impl FaultStats {
@@ -318,8 +342,6 @@ impl FaultStats {
         self.scorer_demotions += other.scorer_demotions;
         self.scorer_repromotions += other.scorer_repromotions;
         self.degraded_scores += other.degraded_scores;
-        self.degraded_victims += other.degraded_victims;
-        self.degraded_admits += other.degraded_admits;
     }
 
     /// Total faults injected (scorer + device + shard), before degradation.
@@ -331,7 +353,7 @@ impl FaultStats {
             + self.shard_panics
     }
 
-    /// `true` when no fault was injected and no rung engaged — the block an
+    /// `true` when no fault was injected and nothing degraded — the block an
     /// empty plan must produce.
     pub fn is_clean(&self) -> bool {
         *self == FaultStats::default()
@@ -339,105 +361,101 @@ impl FaultStats {
 }
 
 /// The scorer health monitor: tracks consecutive non-finite scores and
-/// drives the gmm-score→LRU / threshold→always-admit degradation rungs
-/// with hysteresis (demote after `scorer_demote_after` bad scores,
-/// re-promote after `scorer_promote_after` good ones).
+/// decides, with hysteresis, whether the engine is trusted at all (demote
+/// after `scorer_demote_after` bad scores, re-promote after
+/// `scorer_promote_after` good ones). A disarmed monitor
+/// (`scorer_demote_after == 0`) never degrades.
 ///
-/// One instance per replay thread (sharded runs build one per shard), so
-/// transitions are a pure function of that thread's score stream and the
-/// run stays deterministic. It is the one object the shard's three rungs
-/// ([`FaultyScore`], [`FailoverEviction`], [`FailoverAdmission`]) share,
-/// so it also keeps the ladder's five counters
-/// ([`ScorerHealth::telemetry`]).
+/// A plain value owned by the one [`FaultyScore`] of a replay thread
+/// (sharded runs build one per shard), so transitions are a pure function
+/// of that thread's score stream and the run stays deterministic. It keeps
+/// the ladder's three counters ([`ScorerHealth::telemetry`]).
 #[derive(Debug)]
 pub struct ScorerHealth {
     demote_after: u32,
     promote_after: u32,
-    degraded: AtomicBool,
-    bad_streak: AtomicU32,
-    good_streak: AtomicU32,
-    demotions: AtomicU64,
-    repromotions: AtomicU64,
-    degraded_scores: AtomicU64,
-    degraded_victims: AtomicU64,
-    degraded_admits: AtomicU64,
+    degraded: bool,
+    /// Length of the current run of bad scores (healthy) or good ones
+    /// (degraded).
+    streak: u32,
+    demotions: u64,
+    repromotions: u64,
+    degraded_scores: u64,
 }
 
 impl ScorerHealth {
-    /// A monitor armed per `plan` (disarmed monitors never degrade).
-    pub fn new(plan: &FaultPlan) -> Arc<Self> {
-        Arc::new(ScorerHealth {
+    /// A monitor armed per `plan`.
+    pub fn new(plan: &FaultPlan) -> Self {
+        ScorerHealth {
             demote_after: plan.scorer_demote_after,
-            promote_after: plan.scorer_promote_after.max(1),
-            degraded: AtomicBool::new(false),
-            bad_streak: AtomicU32::new(0),
-            good_streak: AtomicU32::new(0),
-            demotions: AtomicU64::new(0),
-            repromotions: AtomicU64::new(0),
-            degraded_scores: AtomicU64::new(0),
-            degraded_victims: AtomicU64::new(0),
-            degraded_admits: AtomicU64::new(0),
-        })
+            promote_after: plan.scorer_promote_after,
+            degraded: false,
+            streak: 0,
+            demotions: 0,
+            repromotions: 0,
+            degraded_scores: 0,
+        }
     }
 
-    /// Whether the ladder is currently in its degraded rung.
+    /// Whether the engine is currently not trusted.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
+        self.degraded
     }
 
-    /// Adds the ladder's counters — transitions, and the scores, victim
-    /// choices and admissions served while degraded — to `fault`.
+    /// Adds the ladder's counters — transitions, and the scores withheld
+    /// while degraded — to `fault`.
     pub fn telemetry(&self, fault: &mut FaultStats) {
-        fault.scorer_demotions += self.demotions.load(Ordering::Relaxed);
-        fault.scorer_repromotions += self.repromotions.load(Ordering::Relaxed);
-        fault.degraded_scores += self.degraded_scores.load(Ordering::Relaxed);
-        fault.degraded_victims += self.degraded_victims.load(Ordering::Relaxed);
-        fault.degraded_admits += self.degraded_admits.load(Ordering::Relaxed);
+        fault.scorer_demotions += self.demotions;
+        fault.scorer_repromotions += self.repromotions;
+        fault.degraded_scores += self.degraded_scores;
     }
 
     /// Feeds one score observation (finite or not) into the monitor,
-    /// counting demotions and re-promotions.
-    pub fn observe(&self, finite: bool) {
+    /// counting demotions, re-promotions and — when the monitor is
+    /// degraded once it has seen the score — the score as withheld.
+    pub fn observe(&mut self, finite: bool) {
         if self.demote_after == 0 {
             return;
         }
-        if finite {
-            self.bad_streak.store(0, Ordering::Relaxed);
-            if self.is_degraded() {
-                let good = self.good_streak.load(Ordering::Relaxed) + 1;
-                if good >= self.promote_after {
-                    self.degraded.store(false, Ordering::Relaxed);
-                    self.good_streak.store(0, Ordering::Relaxed);
-                    self.repromotions.fetch_add(1, Ordering::Relaxed);
+        // Healthy, a bad score extends the streak; degraded, a good one.
+        if finite == self.degraded {
+            self.streak += 1;
+            let limit = if self.degraded {
+                self.promote_after
+            } else {
+                self.demote_after
+            };
+            if self.streak >= limit {
+                self.degraded = !self.degraded;
+                self.streak = 0;
+                if self.degraded {
+                    self.demotions += 1;
                 } else {
-                    self.good_streak.store(good, Ordering::Relaxed);
+                    self.repromotions += 1;
                 }
             }
         } else {
-            self.good_streak.store(0, Ordering::Relaxed);
-            if !self.is_degraded() {
-                let bad = self.bad_streak.load(Ordering::Relaxed) + 1;
-                if bad >= self.demote_after {
-                    self.degraded.store(true, Ordering::Relaxed);
-                    self.bad_streak.store(0, Ordering::Relaxed);
-                    self.demotions.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.bad_streak.store(bad, Ordering::Relaxed);
-                }
-            }
+            self.streak = 0;
         }
+        self.degraded_scores += u64::from(self.degraded);
     }
 }
 
 /// A [`ScoreSource`] wrapper that injects plan-rolled scorer faults and
-/// feeds the health monitor.
+/// runs the health monitor over what comes out — which also catches
+/// genuine non-finite scores the inner engine produces on its own.
+///
+/// While the monitor is degraded the wrapper answers every miss with no
+/// score (NaN, which the cache hands the policies as
+/// [`AccessCtx::score`](crate::AccessCtx::score)` = None`); it still
+/// scores underneath, so the re-promotion streak runs.
 ///
 /// Every injection decision is keyed on the observed record's *global
 /// trace position* — identical at every shard count.
 pub struct FaultyScore<S: ScoreSource> {
     inner: S,
     plan: FaultPlan,
-    health: Option<Arc<ScorerHealth>>,
+    health: ScorerHealth,
     /// Position of the most recently observed record.
     pos: u64,
     nan_injected: u64,
@@ -445,14 +463,12 @@ pub struct FaultyScore<S: ScoreSource> {
 }
 
 impl<S: ScoreSource> FaultyScore<S> {
-    /// Wraps `inner`, injecting per `plan` and (when `health` is given)
-    /// feeding every emitted score into the monitor — which also catches
-    /// genuine non-finite scores the inner engine produces on its own.
-    pub fn new(inner: S, plan: FaultPlan, health: Option<Arc<ScorerHealth>>) -> Self {
+    /// Wraps `inner`, injecting and monitoring per `plan`.
+    pub fn new(inner: S, plan: FaultPlan) -> Self {
         FaultyScore {
             inner,
             plan,
-            health,
+            health: ScorerHealth::new(&plan),
             pos: 0,
             nan_injected: 0,
             outage_scores: 0,
@@ -499,11 +515,9 @@ impl<S: ScoreSource> FaultyScore<S> {
                 self.nan_injected += 1;
             }
         }
-        if let Some(h) = &self.health {
-            h.observe(v.is_finite());
-            if h.is_degraded() {
-                h.degraded_scores.fetch_add(1, Ordering::Relaxed);
-            }
+        self.health.observe(v.is_finite());
+        if self.health.is_degraded() {
+            return f64::NAN;
         }
         v
     }
@@ -528,114 +542,14 @@ impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
         self.inner.telemetry(fault, adapt);
         fault.scorer_nan_injected += self.nan_injected;
         fault.scorer_outage_scores += self.outage_scores;
-        if let Some(h) = &self.health {
-            h.telemetry(fault);
-        }
-    }
-}
-
-/// The gmm-score→LRU rung: routes victim choices to a fallback policy
-/// while the scorer is degraded.
-///
-/// Both policies' replacement metadata is kept warm on every hit and
-/// insert, so a mid-run demotion hands the fallback a fully-populated
-/// view instead of cold state.
-pub struct FailoverEviction {
-    primary: Box<dyn EvictionPolicy + Send>,
-    fallback: Box<dyn EvictionPolicy + Send>,
-    health: Arc<ScorerHealth>,
-    name: String,
-}
-
-impl FailoverEviction {
-    /// Wraps `primary` with `fallback` engaged while `health` is degraded.
-    pub fn new(
-        primary: Box<dyn EvictionPolicy + Send>,
-        fallback: Box<dyn EvictionPolicy + Send>,
-        health: Arc<ScorerHealth>,
-    ) -> Self {
-        let name = format!("failover({}->{})", primary.name(), fallback.name());
-        FailoverEviction {
-            primary,
-            fallback,
-            health,
-            name,
-        }
-    }
-}
-
-impl EvictionPolicy for FailoverEviction {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        self.primary.on_hit(set, way, ctx);
-        self.fallback.on_hit(set, way, ctx);
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        self.primary.on_insert(set, way, ctx);
-        self.fallback.on_insert(set, way, ctx);
-    }
-
-    fn choose_victim(&mut self, set: usize, ways: usize, ctx: &AccessCtx) -> usize {
-        if self.health.is_degraded() {
-            self.health.degraded_victims.fetch_add(1, Ordering::Relaxed);
-            self.fallback.choose_victim(set, ways, ctx)
-        } else {
-            self.primary.choose_victim(set, ways, ctx)
-        }
-    }
-
-    fn shard_deterministic(&self) -> bool {
-        self.primary.shard_deterministic() && self.fallback.shard_deterministic()
-    }
-}
-
-/// The threshold→always-admit rung: admits every miss while the scorer is
-/// degraded (a cache that cannot trust its scores must not bypass on
-/// them), delegating to the primary filter otherwise.
-pub struct FailoverAdmission {
-    primary: Box<dyn AdmissionPolicy + Send>,
-    health: Arc<ScorerHealth>,
-    name: String,
-}
-
-impl FailoverAdmission {
-    /// Wraps `primary` with always-admit engaged while `health` is
-    /// degraded.
-    pub fn new(primary: Box<dyn AdmissionPolicy + Send>, health: Arc<ScorerHealth>) -> Self {
-        let name = format!("failover({}->always)", primary.name());
-        FailoverAdmission {
-            primary,
-            health,
-            name,
-        }
-    }
-}
-
-impl AdmissionPolicy for FailoverAdmission {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn should_admit(&mut self, ctx: &AccessCtx) -> bool {
-        if self.health.is_degraded() {
-            self.health.degraded_admits.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            self.primary.should_admit(ctx)
-        }
+        self.health.telemetry(fault);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{LruPolicy, ThresholdAdmit};
     use crate::score::ConstantScore;
-    use icgmm_trace::Op;
 
     /// The ladder's counters, read the way a replay reads them.
     fn ladder(h: &ScorerHealth) -> FaultStats {
@@ -674,6 +588,11 @@ mod tests {
                 ..FaultPlan::default()
             },
             FaultPlan {
+                scorer_outage_per_mille: 1,
+                scorer_outage_len: u32::MAX,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
                 device_backoff_us: -1.0,
                 ..FaultPlan::default()
             },
@@ -690,6 +609,14 @@ mod tests {
         for p in bad {
             assert!(p.validate().is_err(), "{p:?} should be invalid");
         }
+        // The outage bound names its knob; the bound itself is accepted.
+        let long = |len| FaultPlan {
+            scorer_outage_len: len,
+            ..FaultPlan::chaos(1)
+        };
+        let err = long(MAX_SCORER_OUTAGE_LEN + 1).validate().unwrap_err();
+        assert!(err.contains("fault.scorer_outage_len"), "{err}");
+        assert!(long(MAX_SCORER_OUTAGE_LEN).validate().is_ok());
     }
 
     #[test]
@@ -731,8 +658,8 @@ mod tests {
                 })
                 .collect()
         };
-        let a = run(FaultyScore::new(ConstantScore(0.5), plan, None));
-        let b = run(FaultyScore::new(ConstantScore(0.5), plan, None));
+        let a = run(FaultyScore::new(ConstantScore(0.5), plan));
+        let b = run(FaultyScore::new(ConstantScore(0.5), plan));
         assert_eq!(a, b);
         assert!(a.iter().any(|&x| x), "rate 200/1000 over 200 rolls injects");
         assert!(!a.iter().all(|&x| x), "and leaves some scores intact");
@@ -748,14 +675,14 @@ mod tests {
         // A shard's clone observes only its own positions and must corrupt
         // exactly the scores the whole-stream source corrupts there.
         let record = |pos: u64| TraceRecord::read(pos << 12);
-        let mut whole = FaultyScore::new(Box::new(ConstantScore(0.5)), plan, None);
+        let mut whole = FaultyScore::new(Box::new(ConstantScore(0.5)), plan);
         let expected: Vec<f64> = (0..64u64)
             .map(|pos| {
                 whole.observe(&record(pos), pos);
                 whole.score_current()
             })
             .collect();
-        let mut shard = FaultyScore::new(Box::new(ConstantScore(0.5)), plan, None);
+        let mut shard = FaultyScore::new(Box::new(ConstantScore(0.5)), plan);
         for pos in (1..64u64).step_by(3) {
             shard.observe(&record(pos), pos);
             let (e, o) = (expected[pos as usize], shard.score_current());
@@ -771,7 +698,7 @@ mod tests {
             scorer_promote_after: 2,
             ..FaultPlan::default()
         };
-        let h = ScorerHealth::new(&plan);
+        let mut h = ScorerHealth::new(&plan);
         h.observe(false);
         h.observe(false);
         assert!(!h.is_degraded(), "two bad scores are below the threshold");
@@ -787,66 +714,68 @@ mod tests {
         let s = ladder(&h);
         assert_eq!(s.scorer_demotions, 1);
         assert_eq!(s.scorer_repromotions, 1);
+        assert_eq!(s.degraded_scores, 2, "the demoting score and the next");
     }
 
     #[test]
-    fn failover_eviction_routes_by_health() {
+    fn a_broken_streak_starts_over_and_a_disarmed_monitor_never_degrades() {
         let plan = FaultPlan {
-            scorer_demote_after: 1,
-            scorer_promote_after: 1,
+            scorer_demote_after: 2,
+            scorer_promote_after: 2,
             ..FaultPlan::default()
         };
-        let h = ScorerHealth::new(&plan);
-        let mut ev = FailoverEviction::new(
-            Box::new(crate::policy::GmmScorePolicy::new(1, 2)),
-            Box::new(LruPolicy::new(1, 2)),
-            Arc::clone(&h),
-        );
-        assert_eq!(ev.name(), "failover(gmm-score->lru)");
-        // Way 0 scored high but stale; way 1 scored low but recent.
-        let ctx = |page: u64, seq: u64, score: f64| AccessCtx {
-            page: icgmm_trace::PageIndex::new(page),
-            op: Op::Read,
-            seq,
-            score: Some(score),
-        };
-        ev.on_insert(0, 0, &ctx(1, 0, 9.0));
-        ev.on_insert(0, 1, &ctx(2, 1, 1.0));
-        assert_eq!(
-            ev.choose_victim(0, 2, &ctx(3, 2, 5.0)),
-            1,
-            "healthy: gmm-score evicts the lowest stored score"
-        );
+        let mut h = ScorerHealth::new(&plan);
+        for finite in [false, true, false, true] {
+            h.observe(finite);
+            assert!(!h.is_degraded(), "isolated bad scores never make a streak");
+        }
         h.observe(false);
-        assert!(h.is_degraded());
-        assert_eq!(
-            ev.choose_victim(0, 2, &ctx(3, 3, 5.0)),
-            0,
-            "degraded: LRU evicts the least-recently-used way"
-        );
-        assert_eq!(ladder(&h).degraded_victims, 1);
+        h.observe(false);
+        for finite in [true, false, true] {
+            h.observe(finite);
+            assert!(h.is_degraded(), "isolated good scores never re-promote");
+        }
+        h.observe(true);
+        assert!(!h.is_degraded());
+
+        let mut off = ScorerHealth::new(&FaultPlan::default());
+        (0..100).for_each(|_| off.observe(false));
+        assert!(!off.is_degraded());
+        assert!(ladder(&off).is_clean());
     }
 
+    /// While degraded the wrapper answers "no score" — finite scores
+    /// included — but keeps scoring underneath, so the streak of good
+    /// scores it withholds is what re-promotes it.
     #[test]
-    fn failover_admission_always_admits_while_degraded() {
+    fn degraded_faulty_score_withholds_finite_scores_until_repromoted() {
         let plan = FaultPlan {
-            scorer_demote_after: 1,
-            scorer_promote_after: 1,
+            scorer_demote_after: 2,
+            scorer_promote_after: 3,
             ..FaultPlan::default()
         };
-        let h = ScorerHealth::new(&plan);
-        let mut adm = FailoverAdmission::new(Box::new(ThresholdAdmit::new(0.5)), Arc::clone(&h));
-        assert_eq!(adm.name(), "failover(gmm-threshold->always)");
-        let low = AccessCtx {
-            page: icgmm_trace::PageIndex::new(1),
-            op: Op::Read,
-            seq: 0,
-            score: Some(0.1),
-        };
-        assert!(!adm.should_admit(&low), "healthy: threshold bypasses");
-        h.observe(false);
-        assert!(adm.should_admit(&low), "degraded: always admits");
-        assert_eq!(ladder(&h).degraded_admits, 1);
+        // Positions 0 and 1 score NaN on their own; the engine is fine after.
+        let inner = crate::score::FnScore::new(|_, pos| if pos < 2 { f64::NAN } else { 0.5 });
+        let mut s = FaultyScore::new(inner, plan);
+        let scores: Vec<f64> = (0..8u64)
+            .map(|pos| {
+                s.observe(&TraceRecord::read(pos << 12), pos);
+                s.score_current()
+            })
+            .collect();
+        let withheld: Vec<bool> = scores.iter().map(|v| v.is_nan()).collect();
+        // 0, 1: bad (1 demotes). 2, 3: good but withheld. 4: third good
+        // score re-promotes and is served.
+        assert_eq!(
+            withheld,
+            [true, true, true, true, false, false, false, false]
+        );
+        let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
+        s.telemetry(&mut fault, &mut adapt);
+        assert_eq!(fault.scorer_demotions, 1);
+        assert_eq!(fault.scorer_repromotions, 1);
+        assert_eq!(fault.degraded_scores, 3, "positions 1, 2 and 3");
+        assert_eq!(fault.injected(), 0, "the plan injected nothing");
     }
 
     #[test]

@@ -72,10 +72,7 @@ pub use adapt::{
 pub use batch::{SpecParams, SpecStats, WindowedSimulator};
 pub use cache::{AccessOutcome, BlockState, Eviction, SetAssocCache};
 pub use config::{CacheConfig, CacheConfigError, SetMap};
-pub use fault::{
-    FailoverAdmission, FailoverEviction, FaultPlan, FaultStats, FaultyScore, ScorerHealth,
-    DEVICE_SPIKE_MULT,
-};
+pub use fault::{FaultPlan, FaultStats, FaultyScore, ScorerHealth, DEVICE_SPIKE_MULT};
 pub use latency::LatencyModel;
 #[doc(hidden)]
 pub use merge::{merge_streams, OutcomeStream, SeqOutcome, StreamingMerge};

@@ -6,13 +6,20 @@
 //! score. Hits do **not** recompute the score (they bypass the policy
 //! engine), but an optional multiplicative `hit_bonus` can nudge stored
 //! scores upward on reuse for ablation studies (default 0 = paper-faithful).
+//!
+//! A miss that arrives without a score ([`AccessCtx::score`] is `None`: no
+//! policy engine, or one whose score is not to be trusted) has nothing to
+//! rank against the stored scores, so its victim is the least recently
+//! used block — the recency stamps are the ones the tie-break already
+//! keeps — and the block it inserts stores score 0, first out once scores
+//! return. A policy that never sees a score is LRU.
 
 use super::{AccessCtx, EvictionPolicy};
 
 /// Lexicographic strict-`<` scan over `(stored score, recency)` keys: the
 /// way with the lowest score wins, equal scores fall back to the least
-/// recent. A NaN score never compares below anything, so the scan never
-/// selects a NaN-scored way past way 0.
+/// recent. Stored scores are finite (a non-finite score never reaches a
+/// policy — [`crate::SetAssocCache::access_scored`]).
 fn min_by_score_then_recency(keys: impl Iterator<Item = (f64, u64)>) -> usize {
     let mut victim = 0;
     let mut best = (f64::INFINITY, u64::MAX);
@@ -87,13 +94,17 @@ impl EvictionPolicy for GmmScorePolicy {
         self.last[s] = ctx.seq + 1;
     }
 
-    fn choose_victim(&mut self, set: usize, ways: usize, _ctx: &AccessCtx) -> usize {
+    fn choose_victim(&mut self, set: usize, ways: usize, ctx: &AccessCtx) -> usize {
         // Victim selection runs on every conflict miss: scan the set's
         // score/recency slots as two contiguous strips rather than
         // re-deriving the slot index per way.
         let base = set * self.ways;
         let scores = &self.score[base..base + ways];
         let lasts = &self.last[base..base + ways];
+        if ctx.score.is_none() {
+            // An unscored miss ranks by recency alone.
+            return min_by_score_then_recency(lasts.iter().map(|l| (0.0, *l)));
+        }
         min_by_score_then_recency(scores.iter().zip(lasts).map(|(s, l)| (*s, *l)))
     }
 }
@@ -146,6 +157,18 @@ mod tests {
         p.on_insert(0, 0, &ctx(0, Some(0.4)));
         p.on_hit(0, 0, &ctx(1, None));
         assert!((p.stored_score(0, 0) - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unscored_miss_evicts_by_recency_whatever_is_stored() {
+        let mut p = GmmScorePolicy::new(1, 3);
+        p.on_insert(0, 0, &ctx(0, Some(0.2)));
+        p.on_insert(0, 1, &ctx(1, Some(0.9)));
+        p.on_insert(0, 2, &ctx(2, Some(0.5)));
+        p.on_hit(0, 0, &ctx(3, None));
+        // Scored, the lowest stored score goes; unscored, the least recent.
+        assert_eq!(p.choose_victim(0, 3, &ctx(4, Some(0.7))), 0);
+        assert_eq!(p.choose_victim(0, 3, &ctx(4, None)), 1);
     }
 
     #[test]

@@ -33,8 +33,10 @@ pub struct AccessCtx {
     /// Zero-based request sequence number.
     pub seq: u64,
     /// Policy-engine score of the requested page; `None` on hits (the
-    /// hardware does not invoke the GMM on a hit) and when running a
-    /// score-free policy such as plain LRU.
+    /// hardware does not invoke the GMM on a hit), without a policy engine
+    /// (a score-free policy such as plain LRU), and when the engine's score
+    /// is not to be trusted (non-finite, or withheld by a degraded
+    /// [`crate::FaultyScore`]). A `Some` score is always finite.
     pub score: Option<f64>,
 }
 
@@ -134,8 +136,8 @@ impl AdmissionPolicy for ThresholdAdmit {
         }
         match ctx.score {
             Some(s) => s >= self.threshold,
-            // No score available (policy engine disabled): behave like a
-            // normal cache.
+            // No score available (no policy engine, or one that cannot
+            // be trusted right now): behave like a normal cache.
             None => true,
         }
     }

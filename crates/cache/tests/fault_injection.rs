@@ -1,58 +1,105 @@
 //! Fault-armed behaviour of the replay stack: injected faults are
-//! deterministic functions of `(plan seed, trace seed)`, every rung of
-//! the degradation ladder fires and is counted, and recovery paths keep
-//! the replay accounting intact.
+//! deterministic functions of `(plan seed, trace seed)`, an untrusted
+//! score reaches the policies as no score — per request and per streak,
+//! counted — and recovery paths keep the replay accounting intact.
 
 use icgmm_cache::{
-    simulate_streaming_with_warmup, AccessCtx, AdaptStats, EvictionPolicy, FailoverAdmission,
-    FailoverEviction, FaultPlan, FaultStats, FaultyScore, FnScore, GmmScorePolicy, LatencyModel,
-    LruPolicy, ScoreSource, ScorerHealth, SetAssocCache, ShardPolicies, ShardRunError,
-    ShardedReport, ShardedSimulator, ThresholdAdmit,
+    simulate_streaming_with_warmup, AccessCtx, AccessOutcome, AdaptStats, AdmissionPolicy,
+    EvictionPolicy, FaultPlan, FaultStats, FaultyScore, FnScore, GmmScorePolicy, LatencyModel,
+    ScoreSource, SetAssocCache, ShardPolicies, ShardRunError, ShardedReport, ShardedSimulator,
+    ThresholdAdmit,
 };
 use icgmm_testutil::{
     admission_for, conflict_trace, eviction_for, score_for, small_cfg, zipf_trace,
 };
-use icgmm_trace::{Op, PageIndex, TraceRecord};
+use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 
-fn ctx(seq: u64, score: Option<f64>) -> AccessCtx {
-    AccessCtx {
-        page: PageIndex::new(0),
-        op: Op::Read,
-        seq,
-        score,
+/// A policy pair that writes down every score the cache shows it.
+#[derive(Default)]
+struct Recording {
+    admit: Vec<Option<f64>>,
+    victim: Vec<Option<f64>>,
+    insert: Vec<Option<f64>>,
+}
+
+impl AdmissionPolicy for Recording {
+    fn name(&self) -> &str {
+        "recording"
+    }
+    fn should_admit(&mut self, ctx: &AccessCtx) -> bool {
+        self.admit.push(ctx.score);
+        true
     }
 }
 
-/// Satellite: non-finite scores flow through [`GmmScorePolicy`] without
-/// corrupting victim selection. The strict `<` scan means a NaN-keyed way
-/// can never displace a finite-keyed one, and an all-NaN set falls back
-/// to way 0.
+impl EvictionPolicy for Recording {
+    fn name(&self) -> &str {
+        "recording"
+    }
+    fn on_hit(&mut self, _set: usize, _way: usize, ctx: &AccessCtx) {
+        assert_eq!(ctx.score, None, "hits bypass the policy engine");
+    }
+    fn on_insert(&mut self, _set: usize, _way: usize, ctx: &AccessCtx) {
+        self.insert.push(ctx.score);
+    }
+    fn choose_victim(&mut self, _set: usize, _ways: usize, ctx: &AccessCtx) -> usize {
+        self.victim.push(ctx.score);
+        0
+    }
+}
+
+/// A non-finite score never reaches a policy — so none is ever stored and
+/// none can pin a block: `access_scored` shows `should_admit`,
+/// `choose_victim` and `on_insert` `None` in its place, and still returns
+/// the raw value, so the inference is counted.
 #[test]
 fn non_finite_stored_scores_never_corrupt_victim_selection() {
-    let mut p = GmmScorePolicy::new(1, 4);
-    for (way, s) in [f64::NAN, 0.5, 0.2, f64::NAN].into_iter().enumerate() {
-        p.on_insert(0, way, &ctx(way as u64, Some(s)));
+    // One set, one way: every miss after the first also picks a victim.
+    let cfg = icgmm_cache::CacheConfig::new(4096, 4096, 1).unwrap();
+    let mut cache = SetAssocCache::new(cfg).unwrap();
+    let (mut adm, mut ev) = (Recording::default(), Recording::default());
+    let raws = [0.25, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.5];
+    for (seq, raw) in raws.into_iter().enumerate() {
+        let r = TraceRecord::read((seq as u64) << 12);
+        let (outcome, consumed) =
+            cache.access_scored(&r, seq as u64, || Some(raw), &mut adm, &mut ev);
+        assert!(!outcome.is_hit());
+        let consumed = consumed.expect("a miss consumes its score");
+        assert!(consumed == raw || (consumed.is_nan() && raw.is_nan()));
     }
-    // Lowest *finite* score wins; the NaN ways are skipped by strict `<`.
-    assert_eq!(p.choose_victim(0, 4, &ctx(10, None)), 2);
+    let seen = [Some(0.25), None, None, None, Some(-3.5)];
+    assert_eq!(adm.admit, seen);
+    assert_eq!(ev.insert, seen);
+    assert_eq!(ev.victim, seen[1..], "the first miss fills the empty way");
 
-    // +Inf loses to any finite score; -Inf beats everything.
-    let mut p = GmmScorePolicy::new(1, 4);
-    for (way, s) in [f64::INFINITY, 9.0, f64::NEG_INFINITY, 3.0]
-        .into_iter()
-        .enumerate()
-    {
-        p.on_insert(0, way, &ctx(way as u64, Some(s)));
-    }
-    assert_eq!(p.choose_victim(0, 4, &ctx(10, None)), 2);
-
-    // All-NaN set: the scan never advances past the initial candidate.
-    let mut p = GmmScorePolicy::new(1, 4);
-    for way in 0..4 {
-        p.on_insert(0, way, &ctx(way as u64, Some(f64::NAN)));
-    }
-    assert_eq!(p.choose_victim(0, 4, &ctx(10, None)), 0);
+    // Under real policies such a miss is admitted by the threshold
+    // filter, evicts by recency and stores score 0.
+    let cfg = icgmm_cache::CacheConfig::new(2 * 4096, 4096, 2).unwrap();
+    let mut cache = SetAssocCache::new(cfg).unwrap();
+    let mut ev = GmmScorePolicy::new(1, 2);
+    let mut adm = ThresholdAdmit::new(0.5);
+    let mut miss = |ev: &mut GmmScorePolicy, page: u64, raw: f64| {
+        let r = TraceRecord::read(page << 12);
+        match cache.access_scored(&r, page, || Some(raw), &mut adm, ev).0 {
+            AccessOutcome::MissInserted { way, .. } => way,
+            other => panic!("expected an admitted miss, got {other:?}"),
+        }
+    };
+    miss(&mut ev, 0, 0.6); // way 0: lower score, least recent
+    miss(&mut ev, 1, 0.9); // way 1: higher score, most recent
+    miss(&mut ev, 2, 0.7); // scored: the lowest score (way 0) goes
+    assert_eq!(miss(&mut ev, 3, f64::NAN), 1, "unscored: the least recent");
+    assert_eq!(
+        ev.stored_score(0, 1),
+        0.0,
+        "and nothing non-finite is stored"
+    );
+    assert_eq!(
+        miss(&mut ev, 4, 0.8),
+        1,
+        "scores are back: unscored block first"
+    );
 }
 
 /// A score source that deterministically emits NaN / ±Inf alongside
@@ -216,10 +263,10 @@ fn unrecoverable_worker_panics_surface_as_typed_errors() {
     }
 }
 
-/// Monitor rungs: a scorer spewing non-finite values demotes gmm-score
-/// eviction to LRU and threshold admission to always-admit after the
-/// configured streak, serves degraded decisions (counted), and
-/// re-promotes once the scorer recovers — all deterministically.
+/// The monitor: a scorer spewing non-finite values is distrusted after
+/// the configured streak, misses go unscored while it is (counted), and it
+/// is trusted again once the scorer recovers — all deterministically, and
+/// no non-finite score is ever stored along the way.
 #[test]
 fn scorer_health_monitor_demotes_serves_degraded_and_repromotes() {
     let run = || {
@@ -234,25 +281,21 @@ fn scorer_health_monitor_demotes_serves_degraded_and_repromotes() {
             scorer_promote_after: 4,
             ..FaultPlan::empty()
         };
-        let health = ScorerHealth::new(&plan);
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut ev = FailoverEviction::new(
-            eviction_for("gmm-score", cfg, &trace),
-            Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
-            health.clone(),
-        );
-        let mut ad = FailoverAdmission::new(admission_for("threshold"), health.clone());
-        let mut sc = FaultyScore::new(score_for("fn").expect("fn score"), plan, Some(health));
+        let mut ev = GmmScorePolicy::new(cfg.num_sets(), cfg.ways);
+        let mut ad = admission_for("threshold");
+        let mut sc = FaultyScore::new(score_for("fn").expect("fn score"), plan);
         let report = simulate_streaming_with_warmup(
             warm,
             meas,
             &mut cache,
-            &mut ad,
+            ad.as_mut(),
             &mut ev,
             Some(&mut sc as &mut dyn ScoreSource),
             &lat,
             Some(64),
         );
+        assert_stored_scores_finite(&ev, cfg);
         let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
         sc.telemetry(&mut fault, &mut adapt);
         (report, fault)
@@ -262,18 +305,65 @@ fn scorer_health_monitor_demotes_serves_degraded_and_repromotes() {
     assert!(fault.scorer_nan_injected > 0, "plan injected nothing");
     assert!(fault.scorer_demotions >= 1, "monitor never demoted");
     assert!(fault.scorer_repromotions >= 1, "monitor never re-promoted");
-    assert!(fault.degraded_scores > 0, "no degraded scores served");
     assert!(
-        fault.degraded_victims > 0,
-        "LRU fallback never chose a victim"
-    );
-    assert!(
-        fault.degraded_admits > 0,
-        "always-admit fallback never admitted"
+        fault.degraded_scores >= 3 * fault.scorer_repromotions,
+        "a degraded stretch withholds at least the re-promotion streak: {fault:?}"
     );
     assert_eq!(report.stats.accesses(), 2_500);
 
     let (report2, fault2) = run();
     assert_eq!(report, report2, "degraded replay must be deterministic");
     assert_eq!(fault, fault2, "degradation counters must be deterministic");
+}
+
+fn assert_stored_scores_finite(ev: &GmmScorePolicy, cfg: icgmm_cache::CacheConfig) {
+    for set in 0..cfg.num_sets() {
+        for way in 0..cfg.ways {
+            let s = ev.stored_score(set, way);
+            assert!(s.is_finite(), "stored score {s} at ({set}, {way})");
+        }
+    }
+}
+
+proptest! {
+    /// After any replay under any scorer-fault plan — over an engine that
+    /// emits NaN / ±Inf on its own, too — no stored score is non-finite.
+    #[test]
+    fn no_stored_score_is_ever_non_finite(
+        params in (0u64..1_000_000, 400usize..1000, 24u64..120),
+        plan in (0u64..1_000_000, 0u16..1001, 0u16..41, 1u32..97, 0u32..6, 1u32..24),
+        poisoned_engine in any::<bool>(),
+    ) {
+        let (seed, n, pages) = params;
+        let (plan_seed, nan_pm, outage_pm, outage_len, demote, promote) = plan;
+        let plan = FaultPlan {
+            seed: plan_seed,
+            scorer_nan_per_mille: nan_pm,
+            scorer_outage_per_mille: outage_pm,
+            scorer_outage_len: outage_len,
+            scorer_demote_after: demote,
+            scorer_promote_after: promote,
+            ..FaultPlan::empty()
+        };
+        prop_assert!(plan.validate().is_ok());
+        let cfg = small_cfg();
+        let trace = zipf_trace(seed, n, pages, 0.9, 20);
+        let (warm, meas) = trace.split_at(n / 4);
+        let inner: Box<dyn ScoreSource + Send> = if poisoned_engine {
+            Box::new(non_finite_score())
+        } else {
+            score_for("fn").expect("fn score")
+        };
+        let mut cache = SetAssocCache::new(cfg).unwrap();
+        let mut ev = GmmScorePolicy::with_hit_bonus(cfg.num_sets(), cfg.ways, 0.25);
+        let mut ad = admission_for("threshold");
+        let mut sc = FaultyScore::new(inner, plan);
+        let report = simulate_streaming_with_warmup(
+            warm, meas, &mut cache, ad.as_mut(), &mut ev,
+            Some(&mut sc as &mut dyn ScoreSource),
+            &LatencyModel::paper_tlc(), None,
+        );
+        prop_assert_eq!(report.stats.accesses(), meas.len() as u64);
+        assert_stored_scores_finite(&ev, cfg);
+    }
 }

@@ -11,17 +11,18 @@
 //! a second property holds them against an oracle that does not: modeled
 //! time added up request by request in trace order, and the miss series
 //! kept by a sequential window counter (what the replay loop did before
-//! accounting became a sum).
+//! accounting became a sum). A third uses the oracle "no score" makes
+//! available: a scorer that is never trusted is LRU, at every shard count.
 
 use icgmm_cache::{
     simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, AlwaysAdmit,
     CacheConfig, FnScore, LatencyModel, LruPolicy, RandomPolicy, ReplayEvent, ReplayObserver,
-    ScoreSource, SetAssocCache, ShardCtx, ShardPolicies, ShardRunError, ShardedSimulator,
-    SimReport, ThresholdAdmit,
+    ScoreSource, SetAssocCache, ShardCtx, ShardPolicies, ShardRunError, ShardedReport,
+    ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_testutil::{
-    admission_for, eviction_for, latency_for, score_for, small_cfg, zipf_trace, ADMISSIONS,
-    SHARDABLE_EVICTIONS,
+    admission_for, conflict_trace, eviction_for, latency_for, score_for, small_cfg, zipf_trace,
+    ADMISSIONS, GMM_STACKS, SHARDABLE_EVICTIONS, UNTRUSTED_SCORES,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -32,7 +33,7 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// The miss-series window every grid run asks for.
 const WINDOW: u64 = 64;
 
-/// One sharded run over the grid fixtures.
+/// One sharded run over the grid fixtures: the summed report.
 fn run_sharded(
     shards: usize,
     eviction: &str,
@@ -42,6 +43,19 @@ fn run_sharded(
     warmup_len: usize,
     lat: &LatencyModel,
 ) -> SimReport {
+    run_sharded_full(shards, eviction, admission, score, trace, warmup_len, lat).sim
+}
+
+/// [`run_sharded`] with the engine's whole report.
+fn run_sharded_full(
+    shards: usize,
+    eviction: &str,
+    admission: &str,
+    score: &str,
+    trace: &[TraceRecord],
+    warmup_len: usize,
+    lat: &LatencyModel,
+) -> ShardedReport {
     let cfg = small_cfg();
     let (warm, meas) = trace.split_at(warmup_len);
     ShardedSimulator::new(shards)
@@ -69,7 +83,6 @@ fn run_sharded(
             Some(WINDOW),
         )
         .expect("valid geometry")
-        .sim
 }
 
 /// The single-threaded reference: the streaming loop.
@@ -267,6 +280,54 @@ proptest! {
                             );
                         }
                         prop_assert_eq!(sim.avg_us, sim.total_us / measured, "{}", &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// A scorer that is never trusted *is* LRU: under an engine that only
+    /// says NaN, and under a healthy one behind a permanent outage, each of
+    /// the paper's three GMM stacks counts, costs and windows its misses
+    /// exactly as `LruPolicy` + `AlwaysAdmit` does with no engine at all —
+    /// over Zipf and conflict traces, at 1, 2 and 4 shards — while every
+    /// miss still counts as one inference.
+    #[test]
+    fn an_untrusted_scorer_is_lru(
+        params in (0u64..1_000_000, 300usize..1200, 24u64..160, (60u64..140), 0u8..45)
+    ) {
+        let (seed, n, pages, skew_pct, write_pct) = params;
+        let warmup_len = (seed as usize) % (n / 2);
+        let lat = &latency_for(seed);
+        for trace in [
+            zipf_trace(seed, n, pages, skew_pct as f64 / 100.0, write_pct),
+            conflict_trace(n, pages * 4, seed),
+        ] {
+            let lru = reference("lru", "always", "none", &trace, warmup_len, lat);
+            // One inference per miss, warm-up included: what LRU consumes
+            // of an engine it ignores.
+            let misses = run_sharded_full(1, "lru", "always", "constant", &trace, warmup_len, lat)
+                .scores_consumed;
+            for score in UNTRUSTED_SCORES {
+                for (eviction, admission) in GMM_STACKS {
+                    for shards in [1usize, 2, 4] {
+                        let rep = run_sharded_full(
+                            shards, eviction, admission, score, &trace, warmup_len, lat,
+                        );
+                        let what = format!(
+                            "{eviction}/{admission}/{score} at {shards} shards (seed {seed}, n {n})"
+                        );
+                        prop_assert_eq!(&rep.sim.stats, &lru.stats, "{}", &what);
+                        prop_assert_eq!(rep.sim.total_us, lru.total_us, "{}", &what);
+                        prop_assert_eq!(&rep.sim.miss_series, &lru.miss_series, "{}", &what);
+                        prop_assert_eq!(rep.scores_consumed, misses, "{}", &what);
+                        prop_assert_eq!(
+                            rep.sim.fault.scorer_outage_scores,
+                            if score == "outage" { rep.scores_consumed } else { 0 },
+                            "{}", &what
+                        );
                     }
                 }
             }

@@ -272,6 +272,9 @@ mod tests {
         c.fault.scorer_nan_per_mille = 1001;
         assert!(c.validate().is_err());
         c = IcgmmConfig::default();
+        c.fault.scorer_outage_len = u32::MAX;
+        assert!(c.validate().is_err());
+        c = IcgmmConfig::default();
         c.adapt.check_interval = 1_000;
         c.adapt.decay = 0.0;
         assert!(c.validate().is_err());

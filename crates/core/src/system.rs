@@ -10,10 +10,9 @@ use crate::engine::{GmmPolicyEngine, TrainedModel};
 use crate::error::IcgmmError;
 use crate::online::AdaptiveEngine;
 use icgmm_cache::{
-    AdaptPlan, AdaptStats, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy,
-    FailoverAdmission, FailoverEviction, FaultPlan, FaultyScore, FifoPolicy, GmmScorePolicy,
-    LatencyModel, LfuPolicy, LruPolicy, RandomPolicy, ScoreSource, ScorerHealth, ShardCtx,
-    ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
+    AdaptPlan, AdaptStats, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy, FaultPlan,
+    FaultyScore, FifoPolicy, GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy, RandomPolicy,
+    ScoreSource, ShardCtx, ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_gmm::{calibrate_threshold, EmReport, EmTrainer, StandardScaler};
 use icgmm_hw::{DataflowConfig, DataflowReport};
@@ -102,7 +101,7 @@ impl<'a> Assembly<'a> {
             PolicyMode::GmmCachingEviction => (true, true),
             _ => (false, false),
         };
-        let mut eviction: Box<dyn EvictionPolicy + Send> = match self.mode {
+        let eviction: Box<dyn EvictionPolicy + Send> = match self.mode {
             PolicyMode::Fifo => Box::new(FifoPolicy::new(sets, ways)),
             PolicyMode::Random => Box::new(RandomPolicy::new(cfg.em.seed)),
             PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
@@ -123,7 +122,7 @@ impl<'a> Assembly<'a> {
             _ if gmm_evicts => Box::new(GmmScorePolicy::new(sets, ways)),
             _ => Box::new(LruPolicy::new(sets, ways)),
         };
-        let mut admission: Box<dyn AdmissionPolicy + Send> = if gmm_admits {
+        let admission: Box<dyn AdmissionPolicy + Send> = if gmm_admits {
             Box::new(ThresholdAdmit {
                 threshold: self.sys.model.as_ref().map_or(0.0, |m| m.threshold),
                 admit_writes_always: cfg.admit_writes_always,
@@ -146,21 +145,13 @@ impl<'a> Assembly<'a> {
                 ))
             }
         };
-        // An armed fault plan passes the scores through the injector,
-        // feeding the shard's own health monitor (degradation transitions
-        // stay per-shard deterministic) and the policies' fallbacks.
+        // An armed fault plan passes the scores through the injector and
+        // its health monitor (per shard, so degradation transitions stay
+        // deterministic). The policies are never wrapped: a score that is
+        // not to be trusted reaches them as no score.
         let plan = self.fault;
-        let health = (score.is_some() && plan.monitor_armed()).then(|| ScorerHealth::new(&plan));
-        if plan.scorer_armed() || health.is_some() {
-            let wrap = |s| Box::new(FaultyScore::new(s, plan, health.clone())) as _;
-            score = score.map(wrap);
-        }
-        if let Some(h) = health.clone().filter(|_| gmm_evicts) {
-            let lru = Box::new(LruPolicy::new(sets, ways));
-            eviction = Box::new(FailoverEviction::new(eviction, lru, h));
-        }
-        if let Some(h) = health.filter(|_| gmm_admits) {
-            admission = Box::new(FailoverAdmission::new(admission, h));
+        if plan.scorer_armed() || plan.monitor_armed() {
+            score = score.map(|s| Box::new(FaultyScore::new(s, plan)) as _);
         }
         ShardPolicies {
             admission,
@@ -425,8 +416,7 @@ impl Icgmm {
     ///
     /// The configuration's [`FaultPlan`] plugs in unchanged: shard-worker
     /// panics are supervisor-recovered mid-service, scorer faults ride
-    /// each worker's [`FaultyScore`] wrapper with the health monitor and
-    /// failover policies.
+    /// each worker's [`FaultyScore`] wrapper and its health monitor.
     ///
     /// # Errors
     ///
@@ -482,7 +472,7 @@ impl Icgmm {
         config.latency().validate().map_err(IcgmmError::Config)?;
         // This configuration's fault plan rides along unless the dataflow
         // config armed its own: device faults act inside the hardware
-        // model, scorer faults and policy failover come from the assembly,
+        // model, scorer faults and their monitor come from the assembly,
         // and everything lands in the report's fault block.
         let mut config = config.clone();
         if config.fault.is_empty() {
@@ -501,8 +491,8 @@ impl Icgmm {
         let cache = self.cfg.cache;
         let mut report =
             icgmm_hw::run_dataflow_with_warmup(warmup, measured, cache, adm, ev, score, &config)?;
-        // The device's counters are in the report; the scorer's and the
-        // ladder's are in the stack this front-end still holds.
+        // The device's counters are in the report; the scorer's and its
+        // monitor's are in the stack this front-end still holds.
         if let Some(score) = &pol.score {
             score.telemetry(&mut report.fault, &mut AdaptStats::default());
         }

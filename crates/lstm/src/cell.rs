@@ -1,5 +1,4 @@
-//! One LSTM cell (a single layer's recurrence) with forward and backward
-//! passes.
+//! One LSTM cell (a single layer's recurrence), forward only.
 
 use crate::tensor::{sigmoid, Matrix};
 use rand::Rng;
@@ -9,11 +8,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LstmCell {
     /// Input weights, `4h × input`.
-    pub(crate) wx: Matrix,
+    wx: Matrix,
     /// Recurrent weights, `4h × h`.
-    pub(crate) wh: Matrix,
+    wh: Matrix,
     /// Bias, length `4h`.
-    pub(crate) b: Vec<f32>,
+    b: Vec<f32>,
     hidden: usize,
     input: usize,
 }
@@ -33,39 +32,6 @@ impl CellState {
         CellState {
             h: vec![0.0; hidden],
             c: vec![0.0; hidden],
-        }
-    }
-}
-
-/// Values captured during forward that backward needs.
-#[derive(Clone, Debug)]
-pub struct CellCache {
-    x: Vec<f32>,
-    h_prev: Vec<f32>,
-    c_prev: Vec<f32>,
-    /// Post-activation gates `[i, f, g, o]`, each of length h.
-    gates: Vec<f32>,
-    c: Vec<f32>,
-}
-
-/// Parameter gradients of one cell.
-#[derive(Clone, Debug)]
-pub struct CellGrads {
-    /// d/dWx.
-    pub wx: Matrix,
-    /// d/dWh.
-    pub wh: Matrix,
-    /// d/db.
-    pub b: Vec<f32>,
-}
-
-impl CellGrads {
-    /// Zero gradients matching `cell`.
-    pub fn zeros(cell: &LstmCell) -> Self {
-        CellGrads {
-            wx: Matrix::zeros(cell.wx.rows(), cell.wx.cols()),
-            wh: Matrix::zeros(cell.wh.rows(), cell.wh.cols()),
-            b: vec![0.0; cell.b.len()],
         }
     }
 }
@@ -102,12 +68,12 @@ impl LstmCell {
         self.wx.len() + self.wh.len() + self.b.len()
     }
 
-    /// One timestep. Returns the new state and (optionally cheap) cache.
+    /// One timestep: the state after feeding `x` in `state`.
     ///
     /// # Panics
     ///
     /// Panics if `x` or the state sizes disagree with the cell dimensions.
-    pub fn forward(&self, x: &[f32], state: &CellState) -> (CellState, CellCache) {
+    pub fn forward(&self, x: &[f32], state: &CellState) -> CellState {
         assert_eq!(x.len(), self.input, "input size mismatch");
         assert_eq!(state.h.len(), self.hidden, "state size mismatch");
         let h = self.hidden;
@@ -115,78 +81,14 @@ impl LstmCell {
         self.wx.matvec_acc(x, &mut z);
         self.wh.matvec_acc(&state.h, &mut z);
 
-        let mut gates = vec![0.0f32; 4 * h];
+        let mut next = CellState::zeros(h);
         for j in 0..h {
-            gates[j] = sigmoid(z[j]); // i
-            gates[h + j] = sigmoid(z[h + j]); // f
-            gates[2 * h + j] = z[2 * h + j].tanh(); // g
-            gates[3 * h + j] = sigmoid(z[3 * h + j]); // o
+            let (i, f) = (sigmoid(z[j]), sigmoid(z[h + j]));
+            let (g, o) = (z[2 * h + j].tanh(), sigmoid(z[3 * h + j]));
+            next.c[j] = f * state.c[j] + i * g;
+            next.h[j] = o * next.c[j].tanh();
         }
-        let mut c = vec![0.0f32; h];
-        let mut h_out = vec![0.0f32; h];
-        for j in 0..h {
-            c[j] = gates[h + j] * state.c[j] + gates[j] * gates[2 * h + j];
-            h_out[j] = gates[3 * h + j] * c[j].tanh();
-        }
-        let cache = CellCache {
-            x: x.to_vec(),
-            h_prev: state.h.clone(),
-            c_prev: state.c.clone(),
-            gates,
-            c: c.clone(),
-        };
-        (CellState { h: h_out, c }, cache)
-    }
-
-    /// Backward through one timestep.
-    ///
-    /// `dh`/`dc` are the gradients flowing into this step's outputs;
-    /// returns `(dx, dh_prev, dc_prev)` and accumulates into `grads`.
-    pub fn backward(
-        &self,
-        cache: &CellCache,
-        dh: &[f32],
-        dc_in: &[f32],
-        grads: &mut CellGrads,
-    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let h = self.hidden;
-        let g = &cache.gates;
-        let mut dz = vec![0.0f32; 4 * h];
-        let mut dc_prev = vec![0.0f32; h];
-        for j in 0..h {
-            let (gi, gf, gg, go) = (g[j], g[h + j], g[2 * h + j], g[3 * h + j]);
-            let tc = cache.c[j].tanh();
-            let do_ = dh[j] * tc;
-            let dc = dc_in[j] + dh[j] * go * (1.0 - tc * tc);
-            let di = dc * gg;
-            let df = dc * cache.c_prev[j];
-            let dg = dc * gi;
-            dc_prev[j] = dc * gf;
-            dz[j] = di * gi * (1.0 - gi);
-            dz[h + j] = df * gf * (1.0 - gf);
-            dz[2 * h + j] = dg * (1.0 - gg * gg);
-            dz[3 * h + j] = do_ * go * (1.0 - go);
-        }
-        grads.wx.outer_acc(&dz, &cache.x);
-        grads.wh.outer_acc(&dz, &cache.h_prev);
-        for (gb, d) in grads.b.iter_mut().zip(&dz) {
-            *gb += d;
-        }
-        let mut dx = vec![0.0f32; self.input];
-        self.wx.t_matvec_acc(&dz, &mut dx);
-        let mut dh_prev = vec![0.0f32; h];
-        self.wh.t_matvec_acc(&dz, &mut dh_prev);
-        (dx, dh_prev, dc_prev)
-    }
-
-    /// Applies a gradient step `θ -= lr · g` (plain SGD; Adam lives in
-    /// [`crate::train`]).
-    pub fn apply_sgd(&mut self, grads: &CellGrads, lr: f32) {
-        self.wx.axpy(-lr, &grads.wx);
-        self.wh.axpy(-lr, &grads.wh);
-        for (b, g) in self.b.iter_mut().zip(&grads.b) {
-            *b -= lr * g;
-        }
+        next
     }
 }
 
@@ -201,11 +103,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let cell = LstmCell::new(2, 4, &mut rng);
         let s0 = CellState::zeros(4);
-        let (s1, _) = cell.forward(&[0.5, -0.2], &s0);
+        let s1 = cell.forward(&[0.5, -0.2], &s0);
         assert_eq!(s1.h.len(), 4);
         assert_eq!(s1.c.len(), 4);
-        let (s1b, _) = cell.forward(&[0.5, -0.2], &s0);
-        assert_eq!(s1, s1b);
+        assert_eq!(s1, cell.forward(&[0.5, -0.2], &s0));
+        assert_eq!((cell.input(), cell.hidden()), (2, 4));
         assert_eq!(cell.param_count(), 4 * 4 * 2 + 4 * 4 * 4 + 16);
     }
 
@@ -216,80 +118,8 @@ mod tests {
         let mut s = CellState::zeros(8);
         for t in 0..100 {
             let x = [(t as f32).sin() * 10.0, (t as f32).cos() * 10.0];
-            let (ns, _) = cell.forward(&x, &s);
-            s = ns;
+            s = cell.forward(&x, &s);
             assert!(s.h.iter().all(|v| v.abs() <= 1.0), "h out of range");
-        }
-    }
-
-    /// Finite-difference gradient check — the canonical LSTM correctness
-    /// test. Checks dWx, dWh, db and dx on a tiny cell.
-    #[test]
-    fn gradients_match_finite_differences() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut cell = LstmCell::new(2, 3, &mut rng);
-        let s0 = CellState::zeros(3);
-        let x = [0.3f32, -0.7];
-
-        // Loss = sum(h).
-        let loss = |cell: &LstmCell| {
-            let (s1, _) = cell.forward(&x, &s0);
-            s1.h.iter().sum::<f32>()
-        };
-        let (s1, cache) = cell.forward(&x, &s0);
-        let dh = vec![1.0f32; 3];
-        let dc = vec![0.0f32; 3];
-        let mut grads = CellGrads::zeros(&cell);
-        let (dx, _, _) = cell.backward(&cache, &dh, &dc, &mut grads);
-        let _ = s1;
-
-        let eps = 1e-3f32;
-        // Check a scattering of Wx entries.
-        for (r, c) in [(0, 0), (3, 1), (7, 0), (11, 1)] {
-            let orig = cell.wx.at(r, c);
-            *cell.wx.at_mut(r, c) = orig + eps;
-            let up = loss(&cell);
-            *cell.wx.at_mut(r, c) = orig - eps;
-            let down = loss(&cell);
-            *cell.wx.at_mut(r, c) = orig;
-            let fd = (up - down) / (2.0 * eps);
-            let an = grads.wx.at(r, c);
-            assert!(
-                (fd - an).abs() < 2e-2 * fd.abs().max(1.0),
-                "dWx[{r},{c}]: fd {fd} vs analytic {an}"
-            );
-        }
-        // Check bias entries.
-        for j in [0usize, 4, 8] {
-            let orig = cell.b[j];
-            cell.b[j] = orig + eps;
-            let up = loss(&cell);
-            cell.b[j] = orig - eps;
-            let down = loss(&cell);
-            cell.b[j] = orig;
-            let fd = (up - down) / (2.0 * eps);
-            assert!(
-                (fd - grads.b[j]).abs() < 2e-2 * fd.abs().max(1.0),
-                "db[{j}]: fd {fd} vs {}",
-                grads.b[j]
-            );
-        }
-        // Check dx via perturbing the input.
-        for j in 0..2 {
-            let mut xp = x;
-            xp[j] += eps;
-            let (sp, _) = cell.forward(&xp, &s0);
-            let up: f32 = sp.h.iter().sum();
-            let mut xm = x;
-            xm[j] -= eps;
-            let (sm, _) = cell.forward(&xm, &s0);
-            let down: f32 = sm.h.iter().sum();
-            let fd = (up - down) / (2.0 * eps);
-            assert!(
-                (fd - dx[j]).abs() < 2e-2 * fd.abs().max(1.0),
-                "dx[{j}]: fd {fd} vs {}",
-                dx[j]
-            );
         }
     }
 }

@@ -1,10 +1,12 @@
 //! # icgmm-lstm
 //!
-//! The LSTM baseline policy engine of the ICGMM paper's Table 2, built from
-//! scratch: a stacked LSTM (3 layers × hidden 128, input sequence 32 — the
-//! paper's baseline), truncated-BPTT training, a [`ScoreSource`] adapter so
-//! the LSTM can drive the same cache simulator as the GMM, and an FPGA
-//! cost model calibrated against Table 2.
+//! What the ICGMM paper's Table 2 reads of its LSTM baseline: the shape
+//! arithmetic of a stacked LSTM ([`LstmArch`]: 3 layers × hidden 128, input
+//! sequence 32), a forward pass to time on the host ([`LstmNetwork`]), and
+//! an FPGA cost model calibrated against the table's LSTM row
+//! ([`LstmCostModel`]). The paper compares the two engines on inference
+//! latency and area only — never on miss rate — so there is no trainer and
+//! no cache adapter here.
 //!
 //! The point of this crate is the *comparison*: the GMM scores a page from
 //! its current `(page, time)` coordinates alone, while an LSTM must buffer
@@ -27,8 +29,6 @@
 //! let cost = LstmCostModel::paper_calibrated().estimate(&LstmArch::paper_baseline());
 //! assert!(cost.latency_us > 40_000.0); // ~46.3 ms
 //! ```
-//!
-//! [`ScoreSource`]: icgmm_cache::ScoreSource
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,13 +36,9 @@
 mod cell;
 mod cost;
 mod network;
-mod predictor;
 mod tensor;
-mod train;
 
-pub use cell::{CellGrads, CellState, LstmCell};
+pub use cell::{CellState, LstmCell};
 pub use cost::{FpgaCost, LstmCostModel};
-pub use network::{ForwardCache, LstmArch, LstmNetwork};
-pub use predictor::LstmScoreSource;
+pub use network::{LstmArch, LstmNetwork};
 pub use tensor::{sigmoid, Matrix};
-pub use train::{synthetic_dataset, train, TrainConfig, TrainExample, TrainReport};

@@ -1,8 +1,8 @@
 //! Minimal dense linear algebra for the LSTM baseline (row-major f32).
 //!
 //! Deliberately dependency-free: the LSTM exists only as the paper's
-//! Table 2 comparison baseline, and a ~100-line matrix type keeps the MAC
-//! count transparent for the FPGA cost model.
+//! Table 2 comparison baseline, and a matrix type that is one product
+//! keeps the MAC count transparent for the FPGA cost model.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -38,36 +38,6 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices.
-    pub fn at(&self, r: usize, c: usize) -> f32 {
-        assert!(r < self.rows && c < self.cols, "index out of range");
-        self.data[r * self.cols + c]
-    }
-
-    /// Mutable element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices.
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        assert!(r < self.rows && c < self.cols, "index out of range");
-        &mut self.data[r * self.cols + c]
-    }
-
     /// Raw data slice.
     pub fn data(&self) -> &[f32] {
         &self.data
@@ -88,62 +58,6 @@ impl Matrix {
             }
             *o += acc;
         }
-    }
-
-    /// `out += Mᵀ · y` (used for input/hidden gradients).
-    ///
-    /// # Panics
-    ///
-    /// Panics when dimensions disagree.
-    pub fn t_matvec_acc(&self, y: &[f32], out: &mut [f32]) {
-        assert_eq!(y.len(), self.rows, "t_matvec: y length");
-        assert_eq!(out.len(), self.cols, "t_matvec: out length");
-        for (row, yr) in self.data.chunks_exact(self.cols).zip(y.iter()) {
-            for (o, a) in out.iter_mut().zip(row) {
-                *o += yr * a;
-            }
-        }
-    }
-
-    /// Rank-1 update `M += y ⊗ x` (gradient accumulation).
-    ///
-    /// # Panics
-    ///
-    /// Panics when dimensions disagree.
-    pub fn outer_acc(&mut self, y: &[f32], x: &[f32]) {
-        assert_eq!(y.len(), self.rows, "outer: y length");
-        assert_eq!(x.len(), self.cols, "outer: x length");
-        for (row, yr) in self.data.chunks_exact_mut(self.cols).zip(y.iter()) {
-            for (m, a) in row.iter_mut().zip(x) {
-                *m += yr * a;
-            }
-        }
-    }
-
-    /// In-place SGD/Adam-style update helper: `M -= lr * G` element-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes disagree.
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "axpy: shape mismatch"
-        );
-        for (m, g) in self.data.iter_mut().zip(&other.data) {
-            *m += alpha * g;
-        }
-    }
-
-    /// Sets every element to zero (reusing the allocation).
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// Mutable raw data (for optimizers).
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
     }
 
     /// Number of parameters.
@@ -171,36 +85,13 @@ mod tests {
     #[test]
     fn matvec_matches_manual() {
         let mut m = Matrix::zeros(2, 3);
-        // [[1,2,3],[4,5,6]]
-        for (i, v) in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0].iter().enumerate() {
-            m.data_mut()[i] = *v;
-        }
+        m.data.copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let mut out = vec![0.0; 2];
         m.matvec_acc(&[1.0, 0.5, -1.0], &mut out);
         assert_eq!(out, vec![1.0 + 1.0 - 3.0, 4.0 + 2.5 - 6.0]);
-    }
-
-    #[test]
-    fn transpose_matvec_matches_manual() {
-        let mut m = Matrix::zeros(2, 2);
-        for (i, v) in [1.0, 2.0, 3.0, 4.0].iter().enumerate() {
-            m.data_mut()[i] = *v;
-        }
-        let mut out = vec![0.0; 2];
-        m.t_matvec_acc(&[1.0, 1.0], &mut out);
-        assert_eq!(out, vec![4.0, 6.0]); // column sums
-    }
-
-    #[test]
-    fn outer_accumulates() {
-        let mut m = Matrix::zeros(2, 2);
-        m.outer_acc(&[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(m.at(0, 0), 3.0);
-        assert_eq!(m.at(0, 1), 4.0);
-        assert_eq!(m.at(1, 0), 6.0);
-        assert_eq!(m.at(1, 1), 8.0);
-        m.outer_acc(&[1.0, 0.0], &[1.0, 1.0]);
-        assert_eq!(m.at(0, 0), 4.0);
+        // It accumulates: a second product lands on top of the first.
+        m.matvec_acc(&[1.0, 0.0, 0.0], &mut out);
+        assert_eq!(out, vec![0.0, 4.5]);
     }
 
     #[test]

@@ -137,6 +137,13 @@ mod tests {
                 queue_depth: 0,
                 ..ServeConfig::default()
             },
+            ServeConfig {
+                fault: FaultPlan {
+                    scorer_outage_len: u32::MAX,
+                    ..FaultPlan::default()
+                },
+                ..ServeConfig::default()
+            },
         ] {
             assert!(matches!(cfg.validate(), Err(ServeError::Config(_))));
         }

@@ -2,15 +2,19 @@
 //! reports **bit-identically** to the offline sharded replay (and hence to
 //! the single-threaded simulator) for every shard count in {1, 2, 4, 8} ×
 //! client count × queue depth × submit mode, under the paper's integer-µs
-//! latency constants and the non-integer cycle-derived model — plus the
-//! seeded-shutdown and backpressure properties, and transparent recovery
-//! from armed worker panics.
+//! latency constants and the non-integer cycle-derived model — plus
+//! "a never-trusted scorer serves as LRU", the seeded-shutdown and
+//! backpressure properties, and transparent recovery from armed worker
+//! panics.
 
 use icgmm_cache::{
     FaultPlan, FnScore, LatencyModel, ShardPolicies, ShardRunError, ShardedSimulator, SimReport,
 };
 use icgmm_serve::{CacheServer, ServeConfig, ServeError, ServeReport, SubmitMode};
-use icgmm_testutil::{admission_for, eviction_for, latency_for, score_for, small_cfg, zipf_trace};
+use icgmm_testutil::{
+    admission_for, conflict_trace, eviction_for, latency_for, score_for, small_cfg, zipf_trace,
+    GMM_STACKS, UNTRUSTED_SCORES,
+};
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 
@@ -194,6 +198,50 @@ proptest! {
                         rep.overlap.overlap_saved_us > 0.0,
                         "consecutive misses under a deep completion queue must overlap"
                     );
+                }
+            }
+        }
+    }
+
+    /// A scorer that is never trusted *is* LRU, served: under an engine
+    /// that only says NaN and under a permanent outage, each of the paper's
+    /// three GMM stacks serves the counts, modeled time and miss series of
+    /// the offline score-free `LruPolicy` + `AlwaysAdmit` replay, at 1, 2
+    /// and 4 shards over Zipf and conflict traces.
+    #[test]
+    fn an_untrusted_scorer_serves_as_lru(
+        params in (0u64..1_000_000, 300usize..1000, 24u64..160, 60u64..140, 0u8..45)
+    ) {
+        let (seed, n, pages, skew_pct, write_pct) = params;
+        let warmup_len = (seed as usize) % (n / 2);
+        let lat = &latency_for(seed);
+        for trace in [
+            zipf_trace(seed, n, pages, skew_pct as f64 / 100.0, write_pct),
+            conflict_trace(n, pages * 4, seed),
+        ] {
+            let (lru, _) = offline_with(
+                FaultPlan::empty(), lat, 1, "lru", "always", "none", &trace, warmup_len,
+            );
+            for (i, score) in UNTRUSTED_SCORES.into_iter().enumerate() {
+                for (eviction, admission) in GMM_STACKS {
+                    for shards in [1usize, 2, 4] {
+                        let cfg = ServeConfig {
+                            shards,
+                            clients: 1 + (seed as usize + shards + i) % 3,
+                            queue_depth: [1, 2, 7, 64][(seed as usize + shards) % 4],
+                            ..ServeConfig::default()
+                        };
+                        let rep = serve_under(
+                            lat, cfg, eviction, admission, score, &trace, warmup_len,
+                        ).expect("serving succeeds");
+                        let what = format!(
+                            "{eviction}/{admission}/{score} at {shards} shards (seed {seed}, n {n})"
+                        );
+                        prop_assert_eq!(&rep.sim.stats, &lru.stats, "{}", &what);
+                        prop_assert_eq!(rep.sim.total_us, lru.total_us, "{}", &what);
+                        prop_assert_eq!(&rep.sim.miss_series, &lru.miss_series, "{}", &what);
+                        prop_assert!(rep.scores_consumed >= lru.stats.misses(), "{}", &what);
+                    }
                 }
             }
         }

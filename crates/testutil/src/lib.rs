@@ -19,8 +19,8 @@
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
     AccessCtx, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, CacheConfig, ConstantScore,
-    EvictionPolicy, FifoPolicy, FnScore, GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy,
-    RandomPolicy, ScoreSource, ThresholdAdmit,
+    EvictionPolicy, FaultPlan, FaultyScore, FifoPolicy, FnScore, GmmScorePolicy, LatencyModel,
+    LfuPolicy, LruPolicy, RandomPolicy, ScoreSource, ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_trace::{PreprocessConfig, TraceRecord, Zipf};
@@ -39,6 +39,19 @@ pub const ADMISSIONS: [&str; 2] = ["always", "threshold"];
 
 /// The score-source shapes.
 pub const SCORES: [&str; 3] = ["none", "constant", "fn"];
+
+/// Score sources that are never to be trusted (outside the [`SCORES`]
+/// grid): an engine that only ever says NaN, and a healthy one behind a
+/// permanent outage. Under either, every policy stack is LRU.
+pub const UNTRUSTED_SCORES: [&str; 2] = ["nan", "outage"];
+
+/// The paper's three GMM stacks as `(eviction, admission)` names:
+/// eviction-only, caching-only, caching + eviction.
+pub const GMM_STACKS: [(&str, &str); 3] = [
+    ("gmm-score", "always"),
+    ("lru", "threshold"),
+    ("gmm-score", "threshold"),
+];
 
 /// The conflict-heavy small cache the equivalence suites run against:
 /// 32 blocks, 4-way — small enough that Zipf traces conflict constantly,
@@ -159,7 +172,8 @@ pub fn admission_for(name: &str) -> Box<dyn AdmissionPolicy + Send> {
 ///
 /// `"fn"` produces deterministic per-`(page, position)` pseudo-random scores:
 /// roughly half fall under the 0.5 admission threshold, so the threshold
-/// policy bypasses constantly.
+/// policy bypasses constantly. `"nan"` and `"outage"` are the
+/// [`UNTRUSTED_SCORES`].
 pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
     match name {
         "none" => None,
@@ -170,6 +184,14 @@ pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
                 .wrapping_add(pos);
             (h >> 32) as f64 / u32::MAX as f64
         }))),
+        "nan" => Some(Box::new(FnScore::new(|_, _| f64::NAN))),
+        "outage" => {
+            let plan = FaultPlan {
+                scorer_outage_per_mille: 1000,
+                ..FaultPlan::empty()
+            };
+            Some(Box::new(FaultyScore::new(score_for("fn")?, plan)))
+        }
         other => panic!("unknown score {other}"),
     }
 }
@@ -225,6 +247,11 @@ mod tests {
         assert!(score_for("none").is_none());
         assert!(score_for("constant").is_some());
         assert!(score_for("fn").is_some());
+        for name in UNTRUSTED_SCORES {
+            let mut s = score_for(name).expect("a source");
+            s.observe(&TraceRecord::read(0x5000), 3);
+            assert!(s.score_current().is_nan(), "{name}");
+        }
         assert!(SHARDABLE_EVICTIONS.iter().all(|e| EVICTIONS.contains(e)));
     }
 

@@ -4,12 +4,15 @@
 //! zero aborts, and both the replay accounting and every fault counter
 //! reproduce bit-for-bit from `(plan seed, trace seed)`.
 
+use icgmm::benchmarks::BenchmarkSpec;
 use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
 use icgmm_cache::{CacheConfig, FaultPlan};
 use icgmm_gmm::EmConfig;
 use icgmm_hw::DataflowConfig;
-use icgmm_trace::synth::{MultiTenantWorkload, Workload};
-use icgmm_trace::PreprocessConfig;
+use icgmm_trace::synth::{
+    DlrmWorkload, MultiTenantWorkload, StreamWorkload, Workload, WorkloadKind,
+};
+use icgmm_trace::{PreprocessConfig, Trace};
 
 /// Cross-tenant cache pressure keeps miss (and therefore scoring/SSD)
 /// traffic high enough for every armed fault class to actually fire.
@@ -79,7 +82,7 @@ fn chaos_soak_sharded_replay_never_aborts_and_reproduces() {
 fn chaos_soak_single_threaded_replay_reproduces() {
     let trace = tenant_trace(30_000, 42);
     let plan = FaultPlan {
-        // Aggressive scorer corruption so the monitor rung engages.
+        // Aggressive scorer corruption so the monitor engages.
         scorer_nan_per_mille: 200,
         scorer_outage_per_mille: 5,
         scorer_outage_len: 64,
@@ -92,14 +95,10 @@ fn chaos_soak_single_threaded_replay_reproduces() {
 
     let a = sys.run(&trace, PolicyMode::GmmCachingEviction).unwrap();
     assert!(a.sim.fault.scorer_nan_injected > 0, "no scores corrupted");
+    assert!(a.sim.fault.scorer_demotions > 0, "monitor never engaged");
     assert!(
-        a.sim.fault.scorer_demotions > 0,
-        "monitor rung never engaged"
-    );
-    assert!(a.sim.fault.degraded_victims > 0, "LRU fallback never used");
-    assert!(
-        a.sim.fault.degraded_admits > 0,
-        "always-admit fallback never used"
+        a.sim.fault.degraded_scores > 0,
+        "no miss went unscored while degraded"
     );
 
     let b = sys.run(&trace, PolicyMode::GmmCachingEviction).unwrap();
@@ -130,4 +129,108 @@ fn config_fault_plan_propagates_into_the_dataflow_model() {
         .run_dataflow(&trace, PolicyMode::Lru, &DataflowConfig::default())
         .unwrap();
     assert_eq!(a, b, "device-fault timing must be deterministic");
+}
+
+/// `stream` and `dlrm` at [`BenchmarkSpec::quick_suite`]'s budget and seeds
+/// (200 k requests), shrunk to match — footprint and cache divided by
+/// `scale`, K = 64 fitted on 20 k cells — so that 30 ‰ of corrupted scores
+/// reach the same share of the cache's blocks as at the paper's scale.
+fn scaled(kind: WorkloadKind, scale: u64) -> (Trace, IcgmmConfig) {
+    let spec = BenchmarkSpec::quick_suite()
+        .into_iter()
+        .find(|s| s.kind == kind)
+        .expect("the suite covers every kind");
+    let workload: Box<dyn Workload> = match kind {
+        WorkloadKind::Stream => {
+            let d = StreamWorkload::default();
+            Box::new(StreamWorkload {
+                array_pages: d.array_pages / scale,
+                hot_pages: d.hot_pages / scale,
+                ..d
+            })
+        }
+        WorkloadKind::Dlrm => {
+            let d = DlrmWorkload::default();
+            Box::new(DlrmWorkload {
+                rows_per_table: d.rows_per_table / scale,
+                mlp_pages: d.mlp_pages / scale,
+                phase_len_samples: d.phase_len_samples / scale as usize,
+                ..d
+            })
+        }
+        other => panic!("no scaled form of {other}"),
+    };
+    let paper = spec.config();
+    let cfg = IcgmmConfig {
+        cache: CacheConfig {
+            capacity_bytes: paper.cache.capacity_bytes / scale,
+            ..paper.cache
+        },
+        em: EmConfig { k: 64, ..paper.em },
+        max_train_cells: 20_000,
+        ..paper
+    };
+    (workload.generate(spec.requests, spec.seed), cfg)
+}
+
+/// Corrupted scores cost what they touch and no more. With 3 % of scores
+/// flipped to NaN / ±Inf and no monitor armed, gmm-eviction keeps at least
+/// three quarters of its miss-rate gain over LRU (a corrupted score decides
+/// one request by recency; stored, it pinned a block for the rest of the
+/// run, and the pins piled up); under the chaos preset's scorer faults,
+/// where the monitor distrusts the engine almost throughout, the run
+/// stays within 0.1 pt of LRU.
+///
+/// Measured (miss %: LRU, clean, flips, chaos):
+/// `stream` ÷ 4 — 14.42, 12.93, 13.13 (13 % of the gain lost), 14.42;
+/// `dlrm` ÷ 8 — 40.27, 33.68, 33.79 (2 %), 40.27. With non-finite scores
+/// stored as they came (the parent of the change that added this test):
+/// `stream` 13.97 (70 % lost) and 14.59 under chaos, `dlrm` 38.01 (66 %
+/// lost) and 39.88.
+#[test]
+fn corrupted_scores_cost_a_fraction_of_the_gain_and_chaos_is_lru() {
+    for (name, scale) in [(WorkloadKind::Stream, 4), (WorkloadKind::Dlrm, 8)] {
+        let (trace, cfg) = scaled(name, scale);
+        let mut sys = Icgmm::new(cfg).unwrap();
+        sys.fit(&trace).unwrap();
+        let model = sys.model().expect("fitted").clone();
+        let miss_pct = |fault: FaultPlan, mode: PolicyMode| {
+            let mut sys = Icgmm::new(IcgmmConfig { fault, ..cfg }).unwrap();
+            sys.set_model(model.clone());
+            sys.run(&trace, mode).unwrap().miss_rate_pct()
+        };
+        let flips = FaultPlan {
+            seed: 1,
+            scorer_nan_per_mille: 30,
+            ..FaultPlan::empty()
+        };
+        let chaos_scorer = FaultPlan {
+            device_fail_per_mille: 0,
+            device_spike_per_mille: 0,
+            shard_panic_per_mille: 0,
+            ..FaultPlan::chaos(1)
+        };
+        let lru = miss_pct(FaultPlan::empty(), PolicyMode::Lru);
+        let clean = miss_pct(FaultPlan::empty(), PolicyMode::GmmEvictionOnly);
+        let flipped = miss_pct(flips, PolicyMode::GmmEvictionOnly);
+        let chaos = miss_pct(chaos_scorer, PolicyMode::GmmEvictionOnly);
+        println!(
+            "{name} / {scale}: lru {lru:.2} clean {clean:.2} flips {flipped:.2} chaos {chaos:.2}"
+        );
+
+        let gain = lru - clean;
+        assert!(
+            gain > 0.5,
+            "{name}: no gain to lose ({lru:.2} → {clean:.2})"
+        );
+        assert!(
+            flipped - clean <= gain / 4.0,
+            "{name}: 30 ‰ flips lost {:.0} % of the gain ({clean:.2} → {flipped:.2}, LRU {lru:.2})",
+            100.0 * (flipped - clean) / gain
+        );
+        assert!(
+            (chaos - lru).abs() <= 0.1,
+            "{name}: chaos {chaos:.2} is not LRU's {lru:.2}"
+        );
+    }
 }

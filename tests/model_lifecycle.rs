@@ -1,18 +1,10 @@
 //! Model lifecycle integration tests: save/load round-trips through the
-//! text format, deployment into a fresh system, and the LSTM baseline
-//! driving the same cache simulator as the GMM.
+//! text format and deployment into a fresh system.
 
 use icgmm::persist::{load_model, save_model};
 use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
-use icgmm_cache::{
-    simulate, AlwaysAdmit, CacheConfig, GmmScorePolicy, LatencyModel, LruPolicy, SetAssocCache,
-};
 use icgmm_gmm::EmConfig;
-use icgmm_lstm::{train, LstmArch, LstmNetwork, LstmScoreSource, TrainConfig, TrainExample};
 use icgmm_trace::synth::WorkloadKind;
-use icgmm_trace::TraceRecord;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn test_config() -> IcgmmConfig {
     IcgmmConfig {
@@ -66,75 +58,4 @@ fn model_file_is_humanly_inspectable() {
     // One `comp` line per mixture component.
     let comps = text.lines().filter(|l| l.starts_with("comp ")).count();
     assert_eq!(comps, sys.model().expect("trained").gmm.k());
-}
-
-/// The LSTM baseline plugs into the same simulator through `ScoreSource` —
-/// the structural requirement behind the paper's Table 2 comparison.
-#[test]
-fn lstm_score_source_drives_the_cache() {
-    let arch = LstmArch {
-        layers: 1,
-        hidden: 8,
-        input: 2,
-        seq_len: 8,
-    };
-    let mut rng = StdRng::seed_from_u64(43);
-    let mut net = LstmNetwork::new(arch, &mut rng);
-    // Teach the tiny LSTM to emit higher scores after low-page histories.
-    let data: Vec<TrainExample> = (0..40)
-        .map(|i| {
-            let hot = i % 2 == 0;
-            TrainExample {
-                seq: (0..arch.seq_len)
-                    .map(|_| vec![if hot { -0.5 } else { 0.5 }, 0.0])
-                    .collect(),
-                target: if hot { 1.0 } else { 0.0 },
-            }
-        })
-        .collect();
-    train(
-        &mut net,
-        &data,
-        &TrainConfig {
-            epochs: 10,
-            ..Default::default()
-        },
-    );
-
-    let mut source = LstmScoreSource::new(net, 512.0, 512.0, 2, 100);
-    let records: Vec<TraceRecord> = (0..2_000u64)
-        .map(|i| TraceRecord::read(((i * 37) % 1024) << 12))
-        .collect();
-    let cfg = CacheConfig {
-        capacity_bytes: 64 * 4096,
-        block_bytes: 4096,
-        ways: 4,
-    };
-    let mut cache = SetAssocCache::new(cfg).expect("geometry");
-    let mut ev = GmmScorePolicy::new(cfg.num_sets(), cfg.ways);
-    let report = simulate(
-        &records,
-        &mut cache,
-        &mut AlwaysAdmit,
-        &mut ev,
-        Some(&mut source),
-        &LatencyModel::paper_tlc(),
-        None,
-    );
-    assert_eq!(report.stats.accesses(), 2_000);
-    assert!(report.stats.hits() > 0, "LSTM-driven cache never hit");
-
-    // Sanity: an LRU run over the same records is comparable in magnitude.
-    let mut cache2 = SetAssocCache::new(cfg).expect("geometry");
-    let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-    let baseline = simulate(
-        &records,
-        &mut cache2,
-        &mut AlwaysAdmit,
-        &mut lru,
-        None,
-        &LatencyModel::paper_tlc(),
-        None,
-    );
-    assert!(report.stats.miss_rate() <= baseline.stats.miss_rate() + 0.5);
 }

@@ -16,9 +16,8 @@ use icgmm::{
     TrainedModel,
 };
 use icgmm_cache::{
-    CacheConfig, FailoverAdmission, FailoverEviction, FaultPlan, FaultStats, FaultyScore,
-    GmmScorePolicy, LruPolicy, ScorerHealth, ShardCtx, ShardPolicies, ShardedSimulator, SimReport,
-    ThresholdAdmit,
+    CacheConfig, FaultPlan, FaultStats, FaultyScore, GmmScorePolicy, ShardCtx, ShardPolicies,
+    ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_gmm::EmConfig;
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
@@ -110,7 +109,7 @@ fn assert_only_the_supervisor_noticed(armed: &SimReport, clean: &SimReport, shar
     assert_eq!(&scrubbed, clean, "a dead attempt left counters behind");
     assert!(clean.fault.scorer_nan_injected > 0, "{:?}", clean.fault);
     assert!(clean.fault.scorer_demotions > 0, "{:?}", clean.fault);
-    assert!(clean.fault.degraded_victims > 0, "{:?}", clean.fault);
+    assert!(clean.fault.degraded_scores > 0, "{:?}", clean.fault);
     assert!(clean.adapt.checks > 0, "{:?}", clean.adapt);
     assert!(clean.adapt.refits > 0, "{:?}", clean.adapt);
 }
@@ -148,25 +147,13 @@ fn make_shard(cfg: &IcgmmConfig, ctx: &ShardCtx<'_>) -> ShardPolicies {
     let engine = GmmPolicyEngine::new(model, &cfg.preprocess, false).unwrap();
     let shard = ctx.shard as u64;
     let adaptive = AdaptiveEngine::new(engine, &model.gmm, cfg.em, cfg.adapt, shard);
-    let health = ScorerHealth::new(&cfg.fault);
     ShardPolicies {
-        admission: Box::new(FailoverAdmission::new(
-            Box::new(ThresholdAdmit {
-                threshold: model.threshold,
-                admit_writes_always: cfg.admit_writes_always,
-            }),
-            health.clone(),
-        )),
-        eviction: Box::new(FailoverEviction::new(
-            Box::new(GmmScorePolicy::new(sets, ways)),
-            Box::new(LruPolicy::new(sets, ways)),
-            health.clone(),
-        )),
-        score: Some(Box::new(FaultyScore::new(
-            adaptive.unwrap(),
-            cfg.fault,
-            Some(health),
-        ))),
+        admission: Box::new(ThresholdAdmit {
+            threshold: model.threshold,
+            admit_writes_always: cfg.admit_writes_always,
+        }),
+        eviction: Box::new(GmmScorePolicy::new(sets, ways)),
+        score: Some(Box::new(FaultyScore::new(adaptive.unwrap(), cfg.fault))),
     }
 }
 
