@@ -101,8 +101,8 @@ fn serve_once(
 ) -> icgmm_serve::ServeReport {
     server
         .serve(
-            &[],
             trace,
+            0,
             cfg,
             &|_ctx| ShardPolicies {
                 admission: Box::new(ThresholdAdmit::new(f64::NEG_INFINITY)),

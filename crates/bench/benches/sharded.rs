@@ -121,8 +121,8 @@ fn bench_sharded(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     sim.run(
-                        &[],
                         black_box(&scan),
+                        0,
                         cfg,
                         &|_ctx| ShardPolicies {
                             admission: Box::new(ThresholdAdmit::new(f64::NEG_INFINITY)),
@@ -164,8 +164,8 @@ fn bench_sharded(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     sim.run(
-                        &[],
                         black_box(&tenants),
+                        0,
                         cfg,
                         &|_ctx| ShardPolicies {
                             admission: Box::new(ThresholdAdmit::new(f64::NEG_INFINITY)),

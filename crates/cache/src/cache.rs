@@ -201,7 +201,12 @@ impl SetAssocCache {
     /// the policies decide that request the way they would without a
     /// policy engine (admit it, evict by recency) and never store it. The
     /// returned score is still the raw one, so callers count the inference.
-    #[inline]
+    ///
+    /// Always inlined, like `streaming_step` and the loop's accounting:
+    /// with the replay loop compiled for more than one record walk, LLVM
+    /// otherwise outlines this body and the LRU replay reads 15–20 %
+    /// slower (ROADMAP, "Cache simulator").
+    #[inline(always)]
     pub fn access_scored(
         &mut self,
         record: &TraceRecord,

@@ -19,7 +19,10 @@
 //! shard count) and, for front-ends that feed shards themselves,
 //! [`streaming_step`] plus [`ShardSupervisor`] — where a shard's policies
 //! are built and checked, a dead shard is recovered and the shards'
-//! reports are added up. A report is counters; its modeled time is
+//! reports are added up. The sharded entry points take the whole trace
+//! (warm-up ⧺ measured) as one slice plus `measured_from`; a shard is
+//! that slice and, above one shard, its [`ShardPartition`] list
+//! ([`ShardCtx`]). A report is counters; its modeled time is
 //! [`LatencyModel::total_us`] of them ([`SimReport::from_counts`]).
 //!
 //! ## Example
@@ -61,7 +64,6 @@ mod score;
 mod shard;
 mod sim;
 mod stats;
-mod view;
 
 pub mod policy;
 
@@ -90,4 +92,3 @@ pub use sim::{
     streaming_step, ReplayEvent, ReplayObserver, SimReport,
 };
 pub use stats::{CacheStats, MissSeries};
-pub use view::{Positioned, RecordsIter, RecordsRef};

@@ -34,8 +34,9 @@ impl BeladyPolicy {
 
     /// Builds the oracle from a page sequence without materializing
     /// records — the zero-copy entry for sharded replay, where the shard
-    /// subtrace exists only as an indexed view
-    /// (`ctx.warmup.iter().chain(ctx.measured.iter())`).
+    /// subtrace exists only as a position list over the trace
+    /// (`ctx.records().map(|r| r.page().raw())`, see
+    /// [`crate::ShardCtx::records`]).
     ///
     /// # Panics
     ///

@@ -41,13 +41,16 @@
 //!
 //! # Zero-copy fan-out and parallel setup
 //!
-//! The fan-out never copies the trace. One routing pass builds a
+//! A replay's input is one slice — the whole trace, warm-up ⧺ measured —
+//! and `measured_from`, the position measurement starts at; a shard is
+//! that slice plus, above one shard, its position list ([`ShardCtx`]). The
+//! fan-out never copies the trace. One routing pass builds a
 //! [`ShardPartition`] — per-shard ascending lists of `u32` global trace
-//! positions, ~4 bytes per record — and each worker replays its
-//! subsequence through [`RecordsRef`] *indexed views* over the caller's
-//! original slices. An index entry is also its record's scorer-clock and
-//! miss-series position, so nothing else is stored per record
-//! (`tests/shard_alloc.rs` pins the routing cost, and the whole run's).
+//! positions, ~4 bytes per record — and each worker walks its list over
+//! the caller's slice. An entry is its record's index, scorer-clock
+//! position and miss-series position at once, so nothing else is stored
+//! per record (`tests/shard_alloc.rs` pins the routing cost, and the whole
+//! run's), and only the counting reads `measured_from`.
 //! Policy construction (`make_shard` — including full Belady oracle
 //! passes over the shard subtrace) and the shard-determinism contract
 //! checks run *inside* each worker, in parallel; the supervisor re-runs
@@ -60,7 +63,7 @@
 //!
 //! At `S = 1` the shard *is* the whole trace, so
 //! [`ShardedSimulator::run`] replays it on the calling thread through the
-//! same per-shard function the workers use: plain slice views instead of
+//! same per-shard function the workers use: the whole slice instead of
 //! a [`ShardPartition`], no scoped thread and — unless a panic point is
 //! armed — no replay observer; its report goes through the same sum, of
 //! one term. The supervisor's catch-and-re-replay of a panicked shard
@@ -76,7 +79,6 @@ use crate::policy::{AdmissionPolicy, EvictionPolicy};
 use crate::score::ScoreSource;
 use crate::sim::{ReplayEvent, ReplayObserver, SimReport};
 use crate::stats::{CacheStats, MissSeries};
-use crate::view::RecordsRef;
 use icgmm_trace::{PageIndex, TraceRecord};
 use std::any::Any;
 use std::error::Error;
@@ -84,7 +86,9 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::thread;
 
-/// Error from [`ShardedSimulator::run`] and [`ShardSupervisor`].
+/// Error from [`ShardedSimulator::run`] and [`ShardSupervisor`] — and,
+/// for geometry and the warm-up boundary, from `icgmm_hw::run_dataflow`,
+/// which refuses the same `(records, measured_from)` inputs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardRunError {
     /// Invalid cache geometry.
@@ -100,6 +104,15 @@ pub enum ShardRunError {
     /// this long must fail loudly, not route records to the wrong shard.
     TraceTooLong {
         /// Total records (warm-up + measured) the caller presented.
+        records: usize,
+    },
+    /// `measured_from` lies past the end of the trace, so measurement has
+    /// no position to start at. Refused before any shard is started, not
+    /// clamped.
+    MeasuredPastEnd {
+        /// The requested first measured position.
+        measured_from: usize,
+        /// Records the caller presented.
         records: usize,
     },
     /// A shard worker panicked *and* the supervisor's re-replay of that
@@ -135,6 +148,13 @@ impl fmt::Display for ShardRunError {
                 "trace too long for u32 index-based fan-out ({records} records, max {})",
                 u32::MAX as u64 + 1
             ),
+            ShardRunError::MeasuredPastEnd {
+                measured_from,
+                records,
+            } => write!(
+                f,
+                "measured_from {measured_from} is past the end of the trace ({records} records)"
+            ),
             ShardRunError::ShardFailed { shard, message } => {
                 write!(f, "shard {shard} failed: {message}")
             }
@@ -165,19 +185,17 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// The index-based fan-out: for each shard, the ascending list of global
-/// trace positions (over warm-up ⧺ measured) whose sets it owns.
+/// trace positions whose sets it owns.
 ///
 /// This is the entire routing cost of a sharded replay — ~4 bytes per
 /// record, built in one two-pass sweep (exact-size allocation, no
 /// re-growth) — replacing the per-shard `TraceRecord` copies of earlier
-/// revisions. Everything else derives from it: per-phase [`RecordsRef`]
-/// indexed views (split at [`ShardPartition::warm_count`]), and each
-/// record's scorer-clock and miss-series position (the entry itself).
+/// revisions. An entry is everything a record needs: its index into the
+/// trace, its scorer-clock position and its miss-series position.
 #[derive(Clone, Debug)]
 pub struct ShardPartition {
     map: SetMap,
     index: Vec<Vec<u32>>,
-    warmup_len: usize,
 }
 
 impl ShardPartition {
@@ -199,7 +217,9 @@ impl ShardPartition {
     }
 
     /// Routes every record of `warmup` ⧺ `measured` to its owning shard
-    /// (`set mod shards`) and records only its global position.
+    /// (`set mod shards`) and records only its global position. Routing
+    /// ignores where the warm-up ends: a caller holding the trace as one
+    /// slice passes `&[]` and the slice.
     ///
     /// # Errors
     ///
@@ -226,7 +246,6 @@ impl ShardPartition {
         let mut part = ShardPartition {
             map,
             index: vec![Vec::new(); shards],
-            warmup_len: warmup.len(),
         };
         // Two passes: count, then fill exact-capacity lists — the routing
         // allocation is precisely Σ len(shard) × 4 bytes, which the
@@ -262,60 +281,55 @@ impl ShardPartition {
     pub fn positions(&self, shard: usize) -> &[u32] {
         &self.index[shard]
     }
-
-    /// How many of shard `shard`'s records fall in the warm-up phase
-    /// (its index entries are ascending, so this is a binary search).
-    pub fn warm_count(&self, shard: usize) -> usize {
-        self.index[shard].partition_point(|&i| (i as usize) < self.warmup_len)
-    }
-
-    /// Per-phase indexed views of shard `shard`'s subsequence over the
-    /// caller's original slices — the worker-side replay inputs.
-    pub fn views<'a>(
-        &'a self,
-        shard: usize,
-        warmup: &'a [TraceRecord],
-        measured: &'a [TraceRecord],
-    ) -> (RecordsRef<'a>, RecordsRef<'a>) {
-        debug_assert_eq!(warmup.len(), self.warmup_len);
-        let index = self.positions(shard);
-        let wc = self.warm_count(shard);
-        (
-            RecordsRef::indexed(warmup, &index[..wc], 0),
-            RecordsRef::indexed(measured, &index[wc..], self.warmup_len as u32),
-        )
-    }
-
-    /// The record at global position `pos` of `warmup` ⧺ `measured` —
-    /// what an index entry stands for.
-    #[inline]
-    pub fn record_at(warmup: &[TraceRecord], measured: &[TraceRecord], pos: u32) -> TraceRecord {
-        let pos = pos as usize;
-        match pos.checked_sub(warmup.len()) {
-            None => warmup[pos],
-            Some(i) => measured[i],
-        }
-    }
 }
 
-/// What one shard sees when its policies are built: its index, the shard
-/// count, and zero-copy views of the warm-up and measured subsequences
-/// whose sets it owns (in trace order). Belady-style oracles must be
-/// constructed from exactly these records — their positions are the
-/// shard-local sequence numbers the replay will present. Use
-/// [`BeladyPolicy::from_pages`](crate::BeladyPolicy::from_pages) over
-/// `ctx.warmup.iter().chain(ctx.measured.iter())` to build one without
-/// materializing the subtrace.
-#[derive(Debug)]
+/// One shard of a replay: its index, the shard count and the records it
+/// replays — the whole trace, or above one shard the positions its
+/// [`ShardPartition`] list names, in trace order. `make_shard` receives
+/// it; Belady-style oracles must be built from exactly
+/// [`ShardCtx::records`], whose order is the shard-local sequence numbers
+/// the replay will present
+/// ([`BeladyPolicy::from_pages`](crate::BeladyPolicy::from_pages) over
+/// `ctx.records().map(|r| r.page().raw())` builds one without
+/// materializing the subtrace).
+#[derive(Clone, Copy, Debug)]
 pub struct ShardCtx<'a> {
     /// This shard's index in `0..shards`.
     pub shard: usize,
     /// Total shard count.
     pub shards: usize,
-    /// This shard's view of the warm-up phase.
-    pub warmup: RecordsRef<'a>,
-    /// This shard's view of the measured phase.
-    pub measured: RecordsRef<'a>,
+    /// The whole trace (warm-up ⧺ measured).
+    trace: &'a [TraceRecord],
+    /// The positions this shard owns; `None` is the whole trace.
+    positions: Option<&'a [u32]>,
+}
+
+impl<'a> ShardCtx<'a> {
+    /// The one shard of an unsharded replay: all of `trace`.
+    pub fn whole(trace: &'a [TraceRecord]) -> Self {
+        ShardCtx {
+            shard: 0,
+            shards: 1,
+            trace,
+            positions: None,
+        }
+    }
+
+    /// The records this shard replays, in order.
+    pub fn records(self) -> impl ExactSizeIterator<Item = &'a TraceRecord> {
+        self.walk().map(|(_, r)| r)
+    }
+
+    /// [`ShardCtx::records`] with their global trace positions: what the
+    /// replay loop walks.
+    fn walk(self) -> impl ExactSizeIterator<Item = (u64, &'a TraceRecord)> {
+        let (trace, positions) = (self.trace, self.positions);
+        let n = positions.map_or(trace.len(), <[u32]>::len);
+        (0..n).map(move |i| {
+            let pos = positions.map_or(i, |p| p[i] as usize);
+            (pos as u64, &trace[pos])
+        })
+    }
 }
 
 /// The per-shard replay state a [`ShardedSimulator`] caller provides:
@@ -366,8 +380,9 @@ fn shard_contract(shards: usize, p: &ShardPolicies) -> Result<(), String> {
 #[derive(Clone, Debug)]
 pub struct ShardedReport {
     /// The merged report — bit-identical to
-    /// [`crate::simulate_streaming_with_warmup`] over the same inputs, for
-    /// every shard count.
+    /// [`crate::simulate_streaming_with_warmup`] over
+    /// `records[..measured_from]` and `records[measured_from..]`, for every
+    /// shard count.
     pub sim: SimReport,
     /// Replay events that consumed a score — i.e. scored misses, warm-up
     /// included: the policy engine's inference count.
@@ -409,7 +424,7 @@ impl ReplayObserver for PanicPoint {
 /// once on the supervising thread, count the event, and fail typed if the
 /// death reproduces — then add the shards' reports up. The offline engine
 /// and the serving front-end (whose *live* workers replay from a queue
-/// instead of a view) are both clients of this one type, so what they
+/// instead of a slice) are both clients of this one type, so what they
 /// refuse, arm, recover, sum and report cannot drift apart. Plain shared
 /// data: workers call [`Self::policies`] and [`Self::panic_point`], the
 /// supervising thread [`Self::recover`] and [`Self::merge`].
@@ -418,26 +433,29 @@ pub struct ShardSupervisor<'a> {
     latency: LatencyModel,
     make_shard: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
     fault: FaultPlan,
-    /// `None` is the inline whole-trace shard: plain slice views.
+    /// `None` is the inline whole-trace shard.
     part: Option<&'a ShardPartition>,
-    warmup: &'a [TraceRecord],
-    measured: &'a [TraceRecord],
+    records: &'a [TraceRecord],
+    measured_from: usize,
     series_window: Option<u64>,
 }
 
 impl<'a> ShardSupervisor<'a> {
-    /// A supervisor for one run of `part`'s shards over `warmup` ⧺
-    /// `measured` (the slices and the `cache_cfg` that `part` was built
-    /// from — [`ShardPartition::build`] validated the geometry); `part:
-    /// None` is the one whole-trace shard [`ShardedSimulator::run`] replays
-    /// inline at `S = 1`. `make_shard` runs on whichever thread asks for a
+    /// A supervisor for one run of `part`'s shards over `records` (warm-up
+    /// ⧺ measured, measured from position `measured_from` on — the slice
+    /// and the `cache_cfg` that `part` was built from:
+    /// [`ShardPartition::build`] validated the geometry); `part: None` is
+    /// the one whole-trace shard [`ShardedSimulator::run`] replays inline
+    /// at `S = 1`. `make_shard` runs on whichever thread asks for a
     /// shard's policies; `fault` arms the per-shard panic points;
     /// `series_window`, when set, has every shard keep its share of a
     /// per-window miss series.
     ///
     /// # Errors
     ///
-    /// [`ShardRunError::ZeroSeriesWindow`] for `series_window = Some(0)`.
+    /// [`ShardRunError::ZeroSeriesWindow`] for `series_window = Some(0)`,
+    /// [`ShardRunError::MeasuredPastEnd`] for `measured_from >
+    /// records.len()`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cache_cfg: CacheConfig,
@@ -445,12 +463,18 @@ impl<'a> ShardSupervisor<'a> {
         make_shard: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
         fault: FaultPlan,
         part: Option<&'a ShardPartition>,
-        warmup: &'a [TraceRecord],
-        measured: &'a [TraceRecord],
+        records: &'a [TraceRecord],
+        measured_from: usize,
         series_window: Option<u64>,
     ) -> Result<Self, ShardRunError> {
         if series_window == Some(0) {
             return Err(ShardRunError::ZeroSeriesWindow);
+        }
+        if measured_from > records.len() {
+            return Err(ShardRunError::MeasuredPastEnd {
+                measured_from,
+                records: records.len(),
+            });
         }
         Ok(ShardSupervisor {
             cache_cfg,
@@ -458,38 +482,35 @@ impl<'a> ShardSupervisor<'a> {
             make_shard,
             fault,
             part,
-            warmup,
-            measured,
+            records,
+            measured_from,
             series_window,
         })
     }
 
-    /// Shard `shard`'s replay inputs: its per-phase views.
-    fn views(&self, shard: usize) -> (RecordsRef<'a>, RecordsRef<'a>) {
-        match self.part {
-            Some(part) => part.views(shard, self.warmup, self.measured),
-            None => (self.warmup.into(), self.measured.into()),
+    /// Shard `shard`: the trace and, above one shard, its position list.
+    fn ctx(&self, shard: usize) -> ShardCtx<'a> {
+        ShardCtx {
+            shard,
+            shards: self.part.map_or(1, ShardPartition::shards),
+            trace: self.records,
+            positions: self.part.map(|part| part.positions(shard)),
         }
     }
 
-    /// Builds shard `shard`'s policies (`make_shard` over its views) and
-    /// checks the shard-determinism contract — the one construction site,
-    /// for offline workers, live serving workers and recoveries alike.
+    /// Builds shard `shard`'s policies (`make_shard` over its
+    /// [`ShardCtx`]) and checks the shard-determinism contract — the one
+    /// construction site, for offline workers, live serving workers and
+    /// recoveries alike.
     ///
     /// # Errors
     ///
     /// [`ShardRunError::Contract`] when the policies cannot reproduce the
     /// single-threaded replay above one shard.
     pub fn policies(&self, shard: usize) -> Result<ShardPolicies, ShardRunError> {
-        let (warmup, measured) = self.views(shard);
-        let shards = self.part.map_or(1, ShardPartition::shards);
-        let pol = (self.make_shard)(&ShardCtx {
-            shard,
-            shards,
-            warmup,
-            measured,
-        });
-        shard_contract(shards, &pol)
+        let ctx = self.ctx(shard);
+        let pol = (self.make_shard)(&ctx);
+        shard_contract(ctx.shards, &pol)
             .map_err(|message| ShardRunError::Contract { shard, message })?;
         Ok(pol)
     }
@@ -497,8 +518,8 @@ impl<'a> ShardSupervisor<'a> {
     /// The shard-local record index at which the fault plan arms a panic
     /// for `shard`'s first replay, if it does.
     pub fn panic_point(&self, shard: usize) -> Option<u64> {
-        let (warm, meas) = self.views(shard);
-        self.fault.shard_panic_point(shard, warm.len() + meas.len())
+        let len = self.ctx(shard).records().len();
+        self.fault.shard_panic_point(shard, len)
     }
 
     /// The armed panic itself: dies when `seen`, the count of records this
@@ -525,14 +546,12 @@ impl<'a> ShardSupervisor<'a> {
     /// point, runs unobserved.
     fn replay(&self, shard: usize, armed: bool) -> Result<ShardDone, ShardRunError> {
         let mut pol = self.policies(shard)?;
-        let (warm, meas) = self.views(shard);
         let mut cache = SetAssocCache::new(self.cache_cfg).expect("geometry validated");
         let mut point = PanicPoint(armed.then(|| self.panic_point(shard)).flatten());
         let observed = point.0.is_some();
         let (mut report, scored) = crate::sim::simulate_streaming_impl(
-            warm,
-            meas,
-            self.warmup.len() as u64,
+            self.ctx(shard).walk(),
+            self.measured_from as u64,
             &mut cache,
             pol.admission.as_mut(),
             pol.eviction.as_mut(),
@@ -630,7 +649,7 @@ impl<'a> ShardSupervisor<'a> {
         }
         assert_eq!(
             stats.accesses(),
-            self.measured.len() as u64,
+            (self.records.len() - self.measured_from) as u64,
             "the shards' accesses do not add up to the measured records"
         );
         let (first, _) = shards.first().expect("at least one shard");
@@ -671,8 +690,9 @@ impl ShardedSimulator {
         self
     }
 
-    /// Replays `warmup` + `measured` sharded by set index and returns the
-    /// summed report (see the module docs for the bit-identity argument).
+    /// Replays `records` (warm-up ⧺ measured) sharded by set index,
+    /// measuring from position `measured_from` on, and returns the summed
+    /// report (see the module docs for the bit-identity argument).
     ///
     /// `make_shard` is called once per shard *on that shard's worker
     /// thread* (hence `Fn + Sync` — policy construction, including Belady
@@ -688,7 +708,9 @@ impl ShardedSimulator {
     /// Returns [`ShardRunError::Config`] for invalid cache geometry,
     /// [`ShardRunError::ZeroShards`] for a zero shard count,
     /// [`ShardRunError::ZeroSeriesWindow`] for `series_window = Some(0)`,
-    /// [`ShardRunError::Contract`] when running more than one shard with
+    /// [`ShardRunError::MeasuredPastEnd`] for `measured_from >
+    /// records.len()`, [`ShardRunError::Contract`] when running more than
+    /// one shard with
     /// an eviction policy that is not
     /// [`EvictionPolicy::shard_deterministic`] or a score source that is
     /// not [`ScoreSource::shardable`], and [`ShardRunError::ShardFailed`]
@@ -699,8 +721,8 @@ impl ShardedSimulator {
     /// bit-identical to an undisturbed run).
     pub fn run(
         &self,
-        warmup: &[TraceRecord],
-        measured: &[TraceRecord],
+        records: &[TraceRecord],
+        measured_from: usize,
         cache_cfg: CacheConfig,
         make_shard: &(dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
         latency: &LatencyModel,
@@ -712,7 +734,7 @@ impl ShardedSimulator {
         // One shard is the whole trace and needs none.
         let part = match self.shards {
             1 => None,
-            s => Some(ShardPartition::build(s, &cache_cfg, warmup, measured)?),
+            s => Some(ShardPartition::build(s, &cache_cfg, &[], records)?),
         };
         let sup = &ShardSupervisor::new(
             cache_cfg,
@@ -720,8 +742,8 @@ impl ShardedSimulator {
             make_shard,
             self.fault,
             part.as_ref(),
-            warmup,
-            measured,
+            records,
+            measured_from,
             series_window,
         )?;
 
@@ -772,7 +794,7 @@ mod tests {
         };
         let trace = [TraceRecord::read(0)];
         let lat = LatencyModel::paper_tlc();
-        let run = ShardedSimulator::new(0).run(&[], &trace, cfg, &make, &lat, None);
+        let run = ShardedSimulator::new(0).run(&trace, 0, cfg, &make, &lat, None);
         assert_eq!(run.err(), Some(ShardRunError::ZeroShards));
         assert_eq!(
             ShardPartition::build(0, &cfg, &[], &trace).err(),
@@ -785,7 +807,7 @@ mod tests {
         // before any shard starts — not a `ShardFailed` blaming shard 0 for
         // the panic it would cause in every replay.
         for shards in [1usize, 2] {
-            let run = ShardedSimulator::new(shards).run(&[], &trace, cfg, &make, &lat, Some(0));
+            let run = ShardedSimulator::new(shards).run(&trace, 0, cfg, &make, &lat, Some(0));
             assert_eq!(run.err(), Some(ShardRunError::ZeroSeriesWindow));
         }
         assert!(ShardRunError::ZeroSeriesWindow
@@ -801,23 +823,38 @@ mod tests {
             ways: 2,
         };
         // 8 sets, pages p map to set p % 8; 2 shards → shard = set % 2.
-        let warm: Vec<TraceRecord> = (0..6u64).map(|p| TraceRecord::read(p << 12)).collect();
-        let meas: Vec<TraceRecord> = (6..16u64).map(|p| TraceRecord::read(p << 12)).collect();
-        let part = ShardPartition::build(2, &cfg, &warm, &meas).unwrap();
-        for shard in 0..2 {
-            let idx = part.positions(shard);
-            assert!(idx.windows(2).all(|w| w[0] < w[1]), "ascending order");
-            let (wv, mv) = part.views(shard, &warm, &meas);
-            assert_eq!(wv.len() + mv.len(), idx.len());
-            assert_eq!(wv.len(), part.warm_count(shard));
-            for (j, r) in wv.iter().chain(mv.iter()).enumerate() {
-                assert_eq!(*r, ShardPartition::record_at(&warm, &meas, idx[j]));
-                assert_eq!(cfg.set_of(r.page()) % 2, shard, "routing by set");
-                assert_eq!(part.shard_of(r.page()), shard);
+        let trace: Vec<TraceRecord> = (0..16u64).map(|p| TraceRecord::read(p << 12)).collect();
+        let whole = ShardPartition::build(2, &cfg, &[], &trace).unwrap();
+        for split in [0, 6, 16] {
+            // Where the warm-up ends does not move a record.
+            let (warm, meas) = trace.split_at(split);
+            let part = ShardPartition::build(2, &cfg, warm, meas).unwrap();
+            for shard in 0..2 {
+                assert_eq!(
+                    part.positions(shard),
+                    whole.positions(shard),
+                    "split {split}"
+                );
             }
         }
-        let total: usize = (0..2).map(|s| part.positions(s).len()).sum();
-        assert_eq!(total, warm.len() + meas.len());
+        for shard in 0..2 {
+            let idx = whole.positions(shard);
+            assert!(idx.windows(2).all(|w| w[0] < w[1]), "ascending order");
+            let ctx = ShardCtx {
+                shard,
+                shards: 2,
+                trace: &trace,
+                positions: Some(idx),
+            };
+            assert_eq!(ctx.records().len(), idx.len());
+            for ((pos, r), &i) in ctx.walk().zip(idx) {
+                assert_eq!((pos, r), (u64::from(i), &trace[i as usize]));
+                assert_eq!(cfg.set_of(r.page()) % 2, shard, "routing by set");
+                assert_eq!(whole.shard_of(r.page()), shard);
+            }
+        }
+        let total: usize = (0..2).map(|s| whole.positions(s).len()).sum();
+        assert_eq!(total, trace.len());
     }
 
     #[test]

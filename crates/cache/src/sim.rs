@@ -22,6 +22,17 @@
 //! that attach their own semantics to the replay (`icgmm-hw`'s device-fault
 //! rolls, a shard's armed panic point) never duplicate it.
 //!
+//! # One input shape
+//!
+//! The paper trims the first 20 % of a trace from measurement while the
+//! cache, the policies and the Algorithm 1 clock still live through it
+//! (§3.1), so a replay's input is the whole trace — warm-up ⧺ measured,
+//! one contiguous slice — plus `measured_from`, the position measurement
+//! starts at. The loop walks `(global position, &record)` pairs: a slice's
+//! own indices, or a shard's [`crate::ShardPartition`] list over the same
+//! slice. Only the counting reads the boundary. The two-slice entry points
+//! feed the same loop the slices chained.
+//!
 //! # Accounting is a sum
 //!
 //! The loop counts; it does not keep time. A measured request bumps the
@@ -39,7 +50,6 @@ use crate::latency::LatencyModel;
 use crate::policy::{AdmissionPolicy, EvictionPolicy};
 use crate::score::ScoreSource;
 use crate::stats::{CacheStats, MissSeries};
-use crate::view::RecordsRef;
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
@@ -166,7 +176,9 @@ pub fn simulate(
 /// cache, the policies and the Algorithm 1 clock still experience those
 /// requests (the program was running). `warmup` is replayed through the
 /// full access path with statistics discarded; `measured` follows with
-/// statistics recorded. Sequence numbers are continuous across phases.
+/// statistics recorded. Sequence numbers are continuous across phases:
+/// this is the one loop over `warmup` ⧺ `measured` with measurement from
+/// `warmup.len()` on.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_streaming_with_warmup(
     warmup: &[TraceRecord],
@@ -179,8 +191,7 @@ pub fn simulate_streaming_with_warmup(
     series_window: Option<u64>,
 ) -> SimReport {
     simulate_streaming_impl(
-        RecordsRef::from_slice(warmup),
-        RecordsRef::from_slice(measured),
+        (0..).zip(warmup.iter().chain(measured)),
         warmup.len() as u64,
         cache,
         admission,
@@ -210,8 +221,7 @@ pub fn simulate_streaming_observed_with_warmup(
     observer: &mut dyn ReplayObserver,
 ) -> SimReport {
     simulate_streaming_impl(
-        RecordsRef::from_slice(warmup),
-        RecordsRef::from_slice(measured),
+        (0..).zip(warmup.iter().chain(measured)),
         warmup.len() as u64,
         cache,
         admission,
@@ -224,17 +234,16 @@ pub fn simulate_streaming_observed_with_warmup(
     .0
 }
 
-/// The streaming loop behind every public entry point, over
-/// [`RecordsRef`] views: the loop is representation-agnostic, so the
-/// sharded engine's zero-copy indexed subtraces replay bit-identically to
-/// the equivalent copied slices. `measured_from` is the global trace
-/// position the measured phase starts at — the whole trace's warm-up
-/// length, however few warm-up records this view holds. Returns the report
-/// and how many records consumed a score (scored misses, warm-up included).
+/// The streaming loop behind every entry point. `records` walks the
+/// replayed records with their global trace positions, ascending — a
+/// slice's own indices, or a shard's partition list over the whole trace
+/// — and `measured_from` is the position measurement starts at (the whole
+/// trace's warm-up length, however few warm-up records this walk holds).
+/// Returns the report and how many records consumed a score (scored
+/// misses, warm-up included).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_streaming_impl(
-    warmup: RecordsRef<'_>,
-    measured: RecordsRef<'_>,
+pub(crate) fn simulate_streaming_impl<'r>(
+    records: impl Iterator<Item = (u64, &'r TraceRecord)>,
     measured_from: u64,
     cache: &mut SetAssocCache,
     admission: &mut dyn AdmissionPolicy,
@@ -249,11 +258,7 @@ pub(crate) fn simulate_streaming_impl(
 
     // `seq` counts the records this loop replays (what the policies rank
     // by); `pos` is where each one sits in the whole trace.
-    let records = warmup
-        .positioned(0)
-        .chain(measured.positioned(measured_from));
-    for (i, (pos, r)) in records.enumerate() {
-        let seq = i as u64;
+    for (seq, (pos, r)) in (0..).zip(records) {
         let (outcome, score_val) =
             streaming_step(r, seq, pos, cache, admission, eviction, &mut score);
         scored += u64::from(score_val.is_some());
@@ -275,8 +280,8 @@ pub(crate) fn simulate_streaming_impl(
 /// record count (what the policies rank by), `pos` the record's global
 /// trace position (what the score source clocks by); they coincide when
 /// one shard replays the whole trace. Returns the outcome and the score it
-/// consumed.
-#[inline]
+/// consumed. Always inlined (see [`SetAssocCache::access_scored`]).
+#[inline(always)]
 pub fn streaming_step(
     r: &TraceRecord,
     seq: u64,
@@ -321,8 +326,9 @@ impl<'o> Accounting<'o> {
 
     /// Accounts one replayed request: the `seq`-th this replay saw, at
     /// global trace position `pos`. Warm-up requests have full side effects
-    /// and an observer event, but no statistics.
-    #[inline]
+    /// and an observer event, but no statistics. Always inlined (see
+    /// [`SetAssocCache::access_scored`]).
+    #[inline(always)]
     pub(crate) fn record(&mut self, seq: u64, pos: u64, r: &TraceRecord, outcome: &AccessOutcome) {
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_record(&ReplayEvent {

@@ -34,22 +34,16 @@ fn run_sharded(
     lat: &LatencyModel,
 ) -> SimReport {
     let cfg = small_cfg();
-    let (warm, meas) = trace.split_at(warmup_len);
     let mut sim = ShardedSimulator::new(shards);
     if let Some(p) = fault {
         sim = sim.with_faults(p);
     }
     sim.run(
-        warm,
-        meas,
+        trace,
+        warmup_len,
         cfg,
         &|ctx| {
-            let recs: Vec<TraceRecord> = ctx
-                .warmup
-                .iter()
-                .chain(ctx.measured.iter())
-                .copied()
-                .collect();
+            let recs: Vec<TraceRecord> = ctx.records().copied().collect();
             ShardPolicies {
                 admission: admission_for(admission),
                 eviction: eviction_for(eviction, cfg, &recs),

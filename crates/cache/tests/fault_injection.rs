@@ -154,20 +154,14 @@ proptest! {
 fn sharded_run(plan: FaultPlan, shards: usize, trace: &[TraceRecord]) -> ShardedReport {
     let cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();
-    let (warm, meas) = trace.split_at(trace.len() / 4);
     ShardedSimulator::new(shards)
         .with_faults(plan)
         .run(
-            warm,
-            meas,
+            trace,
+            trace.len() / 4,
             cfg,
             &|ctx| {
-                let recs: Vec<TraceRecord> = ctx
-                    .warmup
-                    .iter()
-                    .chain(ctx.measured.iter())
-                    .copied()
-                    .collect();
+                let recs: Vec<TraceRecord> = ctx.records().copied().collect();
                 ShardPolicies {
                     admission: admission_for("threshold"),
                     eviction: eviction_for("gmm-score", cfg, &recs),
@@ -240,11 +234,10 @@ fn unrecoverable_worker_panics_surface_as_typed_errors() {
     let cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();
     let trace = conflict_trace(600, 256, 3);
-    let (warm, meas) = trace.split_at(100);
     let err = ShardedSimulator::new(2)
         .run(
-            warm,
-            meas,
+            &trace,
+            100,
             cfg,
             &|_ctx| ShardPolicies {
                 admission: admission_for("always"),

@@ -87,8 +87,8 @@ fn fanout_routing_state_is_four_bytes_per_record() {
     let (report, run_bytes) = allocated_by(|| {
         ShardedSimulator::new(SHARDS)
             .run(
-                warmup,
-                measured,
+                &trace,
+                N / 4,
                 cfg,
                 &|_ctx| ShardPolicies {
                     admission: Box::new(AlwaysAdmit),

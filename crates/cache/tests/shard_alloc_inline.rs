@@ -54,8 +54,8 @@ fn one_shard_replay_allocates_nothing_per_record() {
         let (sharded, sharded_bytes) = allocated_by(|| {
             ShardedSimulator::new(1)
                 .run(
-                    warmup,
-                    measured,
+                    &trace,
+                    N / 4,
                     cfg,
                     &|_ctx| ShardPolicies {
                         admission: admission_for(admission),

@@ -13,16 +13,22 @@
 //! kept by a sequential window counter (what the replay loop did before
 //! accounting became a sum). A third uses the oracle "no score" makes
 //! available: a scorer that is never trusted is LRU, at every shard count.
+//!
+//! The input shape is one slice and one boundary: wherever `measured_from`
+//! falls in `[0, n]`, the sharded replay of `(records, measured_from)`
+//! equals the frozen two-slice replay of the same split, each shard's
+//! `ShardCtx::records` is exactly what it replays, and a boundary past the
+//! end is a typed refusal.
 
 use icgmm_cache::{
     simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, AlwaysAdmit,
-    CacheConfig, FnScore, LatencyModel, LruPolicy, RandomPolicy, ReplayEvent, ReplayObserver,
-    ScoreSource, SetAssocCache, ShardCtx, ShardPolicies, ShardRunError, ShardedReport,
-    ShardedSimulator, SimReport, ThresholdAdmit,
+    CacheConfig, FaultPlan, FnScore, LatencyModel, LruPolicy, RandomPolicy, ReplayEvent,
+    ReplayObserver, ScoreSource, SetAssocCache, ShardCtx, ShardPartition, ShardPolicies,
+    ShardRunError, ShardSupervisor, ShardedReport, ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_testutil::{
     admission_for, conflict_trace, eviction_for, latency_for, score_for, small_cfg, zipf_trace,
-    ADMISSIONS, GMM_STACKS, SHARDABLE_EVICTIONS, UNTRUSTED_SCORES,
+    CountingScore, ADMISSIONS, GMM_STACKS, SHARDABLE_EVICTIONS, UNTRUSTED_SCORES,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -57,22 +63,16 @@ fn run_sharded_full(
     lat: &LatencyModel,
 ) -> ShardedReport {
     let cfg = small_cfg();
-    let (warm, meas) = trace.split_at(warmup_len);
     ShardedSimulator::new(shards)
         .run(
-            warm,
-            meas,
+            trace,
+            warmup_len,
             cfg,
             &|ctx| {
                 // Belady's oracle must see this shard's subsequence. The
-                // fixture API takes a slice, so gather the indexed views
-                // (test-only copy; the engine itself never materializes).
-                let recs: Vec<TraceRecord> = ctx
-                    .warmup
-                    .iter()
-                    .chain(ctx.measured.iter())
-                    .copied()
-                    .collect();
+                // fixture API takes a slice, so gather it (test-only copy;
+                // the engine itself never materializes).
+                let recs: Vec<TraceRecord> = ctx.records().copied().collect();
                 ShardPolicies {
                     admission: admission_for(admission),
                     eviction: eviction_for(eviction, cfg, &recs),
@@ -350,7 +350,7 @@ proptest! {
         let page_at = |pos: u64| (pos + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 12;
         let trace: Vec<TraceRecord> =
             (0..n as u64).map(|pos| TraceRecord::read(page_at(pos) << 12)).collect();
-        let (warm, meas) = trace.split_at(seed as usize % n);
+        let measured_from = seed as usize % n;
         let cfg = small_cfg();
         for shards in SHARD_COUNTS {
             let seen = Arc::new(Mutex::new(Vec::new()));
@@ -366,13 +366,120 @@ proptest! {
                 }
             };
             let rep = ShardedSimulator::new(shards)
-                .run(warm, meas, cfg, &make, &LatencyModel::paper_tlc(), None)
+                .run(&trace, measured_from, cfg, &make, &LatencyModel::paper_tlc(), None)
                 .unwrap();
             prop_assert_eq!(rep.scores_consumed, n as u64);
             let mut seen = std::mem::take(&mut *seen.lock().unwrap());
             seen.sort_unstable();
             let want: Vec<(u64, u64)> = (0..n as u64).map(|pos| (pos, page_at(pos))).collect();
             prop_assert_eq!(seen, want, "{} shards (seed {}, n {})", shards, seed, n);
+        }
+    }
+}
+
+/// A shardable score source that logs every `(position, record)` its
+/// shard observes — i.e. every record the shard replays, in order.
+struct Tap(Arc<Mutex<Vec<(u64, TraceRecord)>>>);
+
+impl ScoreSource for Tap {
+    fn observe(&mut self, record: &TraceRecord, pos: u64) {
+        self.0.lock().unwrap().push((pos, *record));
+    }
+
+    fn score_current(&mut self) -> f64 {
+        0.5
+    }
+
+    fn shardable(&self) -> bool {
+        true
+    }
+}
+
+proptest! {
+    /// The boundary is one number: for split points `m` across `[0, n]`,
+    /// both ends included, the sharded replay of `(records, m)` at 1, 2 and
+    /// 4 shards reports — and consumes scores — bit-identically to the
+    /// frozen two-slice replay of `records[..m]`, `records[m..]`, across the
+    /// eviction × admission grid with and without a score source.
+    #[test]
+    fn any_split_point_matches_the_frozen_two_slice_replay(
+        params in (0u64..1_000_000, 0usize..600, 24u64..160)
+    ) {
+        let (seed, n, pages) = params;
+        let trace = zipf_trace(seed, n, pages, 0.9, 20);
+        let lat = &latency_for(seed);
+        let cfg = small_cfg();
+        for m in [0, n, seed as usize % (n + 1)] {
+            for eviction in SHARDABLE_EVICTIONS {
+                for admission in ADMISSIONS {
+                    for score in ["none", "fn"] {
+                        let mut c = SetAssocCache::new(cfg).unwrap();
+                        let mut ev = eviction_for(eviction, cfg, &trace);
+                        let mut ad = admission_for(admission);
+                        let mut sc = score_for(score).map(|s| CountingScore(s, 0));
+                        let reference = simulate_streaming_with_warmup(
+                            &trace[..m], &trace[m..], &mut c, ad.as_mut(), ev.as_mut(),
+                            sc.as_mut().map(|s| s as &mut dyn ScoreSource), lat, Some(WINDOW),
+                        );
+                        let consumed = sc.map_or(0, |s| s.1);
+                        for shards in [1usize, 2, 4] {
+                            let rep = run_sharded_full(
+                                shards, eviction, admission, score, &trace, m, lat,
+                            );
+                            let what = format!(
+                                "{eviction}/{admission}/{score} split at {m} of {n}, {shards} shards"
+                            );
+                            prop_assert_eq!(&rep.sim, &reference, "{}", &what);
+                            prop_assert_eq!(rep.scores_consumed, consumed, "{}", &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `ShardCtx::records` is exactly what its shard replays: the records
+    /// `make_shard` is shown equal, in order, the records the shard's score
+    /// source then observes, and between them the shards observe every
+    /// position of the trace once, each with its own record.
+    #[test]
+    fn shard_ctx_records_are_what_the_shard_replays(
+        params in (0u64..1_000_000, 0usize..400, 24u64..160)
+    ) {
+        let (seed, n, pages) = params;
+        let trace = zipf_trace(seed, n, pages, 0.9, 20);
+        let cfg = small_cfg();
+        for shards in SHARD_COUNTS {
+            let built = Mutex::new(Vec::new());
+            let make = |ctx: &ShardCtx<'_>| {
+                let seen = Arc::new(Mutex::new(Vec::new()));
+                let shown: Vec<TraceRecord> = ctx.records().copied().collect();
+                built.lock().unwrap().push((ctx.shard, shown, Arc::clone(&seen)));
+                ShardPolicies {
+                    admission: Box::new(AlwaysAdmit),
+                    eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+                    score: Some(Box::new(Tap(seen))),
+                }
+            };
+            let measured_from = seed as usize % (n + 1);
+            let lat = LatencyModel::paper_tlc();
+            ShardedSimulator::new(shards)
+                .run(&trace, measured_from, cfg, &make, &lat, None)
+                .unwrap();
+            let built = built.into_inner().unwrap();
+            prop_assert_eq!(built.len(), shards);
+            let mut positions = Vec::new();
+            for (shard, shown, seen) in &built {
+                let seen = seen.lock().unwrap();
+                let replayed: Vec<TraceRecord> = seen.iter().map(|&(_, r)| r).collect();
+                prop_assert_eq!(shown, &replayed, "shard {} of {}", shard, shards);
+                for &(pos, r) in seen.iter() {
+                    prop_assert_eq!(r, trace[pos as usize]);
+                    positions.push(pos);
+                }
+            }
+            positions.sort_unstable();
+            prop_assert_eq!(positions, (0..n as u64).collect::<Vec<_>>());
         }
     }
 }
@@ -447,7 +554,7 @@ fn auto_routed_sharded_report_is_bit_identical_to_streaming_reference() {
     for shards in [1usize, 2, 3, 4, 8] {
         let sim = ShardedSimulator::new(shards);
         let rep = sim
-            .run(warm, meas, cfg, &|_ctx| lru_policies(cfg), &lat, Some(128))
+            .run(&trace, 700, cfg, &|_ctx| lru_policies(cfg), &lat, Some(128))
             .unwrap();
         assert_eq!(reference, rep.sim, "{shards} shards");
         assert_eq!(rep.per_shard.len(), shards);
@@ -461,8 +568,8 @@ fn scores_consumed_counts_scored_misses() {
     let sim = ShardedSimulator::new(4);
     let rep = sim
         .run(
-            &[],
             &trace,
+            0,
             cfg,
             &|_ctx| lru_policies(cfg),
             &LatencyModel::paper_tlc(),
@@ -486,8 +593,8 @@ fn empty_shards_are_tolerated() {
     let sim = ShardedSimulator::new(6);
     let rep = sim
         .run(
-            &[],
             &trace,
+            0,
             cfg,
             &|_ctx| ShardPolicies {
                 admission: Box::new(AlwaysAdmit),
@@ -508,8 +615,8 @@ fn random_eviction_is_refused_above_one_shard() {
     let trace = mixed_trace(100);
     let err = ShardedSimulator::new(2)
         .run(
-            &[],
             &trace,
+            0,
             cfg,
             &|_ctx| ShardPolicies {
                 admission: Box::new(AlwaysAdmit),
@@ -534,8 +641,8 @@ fn random_eviction_is_fine_at_one_shard() {
     let trace = mixed_trace(500);
     let rep = ShardedSimulator::new(1)
         .run(
-            &[],
             &trace,
+            0,
             cfg,
             &|_ctx| ShardPolicies {
                 admission: Box::new(AlwaysAdmit),
@@ -560,6 +667,49 @@ fn random_eviction_is_fine_at_one_shard() {
     assert_eq!(reference, rep.sim);
 }
 
+/// A boundary past the end of the trace is a typed refusal — at every
+/// shard count and at the supervisor itself — before any shard is built;
+/// the end itself is a valid boundary (everything is warm-up).
+#[test]
+fn a_boundary_past_the_end_is_a_typed_error() {
+    let cfg = small_cfg();
+    let trace = mixed_trace(100);
+    let lat = LatencyModel::paper_tlc();
+    let refused =
+        |_: &ShardCtx<'_>| -> ShardPolicies { panic!("no shard may be built for a refused run") };
+    for measured_from in [101, usize::MAX] {
+        let want = Some(ShardRunError::MeasuredPastEnd {
+            measured_from,
+            records: 100,
+        });
+        for shards in [1usize, 2, 4] {
+            let run =
+                ShardedSimulator::new(shards).run(&trace, measured_from, cfg, &refused, &lat, None);
+            assert_eq!(run.err(), want, "{shards} shards");
+        }
+        let part = ShardPartition::build(2, &cfg, &[], &trace).unwrap();
+        for part in [None, Some(&part)] {
+            let plan = FaultPlan::empty();
+            let sup =
+                ShardSupervisor::new(cfg, &lat, &refused, plan, part, &trace, measured_from, None);
+            assert_eq!(sup.err(), want);
+        }
+    }
+    let msg = ShardRunError::MeasuredPastEnd {
+        measured_from: 101,
+        records: 100,
+    }
+    .to_string();
+    assert!(
+        msg.contains("measured_from 101") && msg.contains("100 records"),
+        "{msg}"
+    );
+    let all_warm = ShardedSimulator::new(2)
+        .run(&trace, 100, cfg, &|_ctx| lru_policies(cfg), &lat, None)
+        .unwrap();
+    assert_eq!(all_warm.sim.stats.accesses(), 0);
+}
+
 /// Policy construction runs on the shard workers, not the calling
 /// thread — the parallel-setup half of the zero-copy fan-out. (The
 /// bit-identity of the resulting reports is what the whole grid above
@@ -572,8 +722,8 @@ fn make_shard_runs_on_worker_threads() {
     let seen = std::sync::Mutex::new(Vec::new());
     let rep = ShardedSimulator::new(4)
         .run(
-            &[],
             &trace,
+            0,
             cfg,
             &|ctx| {
                 seen.lock()

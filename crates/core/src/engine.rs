@@ -49,12 +49,22 @@ impl GmmPolicyEngine {
     ///
     /// # Errors
     ///
-    /// Propagates quantization failures when `fixed_point` is requested.
+    /// [`GmmError::InvalidParam`] naming `len_window` or `len_access_shot`
+    /// when either is zero (Algorithm 1 has no timestamp then); quantization
+    /// failures when `fixed_point` is requested.
     pub fn new(
         model: &TrainedModel,
         preprocess: &PreprocessConfig,
         fixed_point: bool,
     ) -> Result<Self, GmmError> {
+        for (field, len) in [
+            ("len_window", preprocess.len_window),
+            ("len_access_shot", preprocess.len_access_shot),
+        ] {
+            if len == 0 {
+                return Err(GmmError::InvalidParam(format!("{field} must be >= 1")));
+            }
+        }
         let fixed = if fixed_point {
             Some(FixedGmm::from_gmm(&model.gmm)?)
         } else {
@@ -227,6 +237,24 @@ mod tests {
                 assert_eq!(o.to_bits(), s.to_bits(), "fixed_point={fixed_point}");
             }
             assert_eq!(windowed.scores_computed(), streaming.scores_computed());
+        }
+    }
+
+    #[test]
+    fn zero_algorithm1_windows_are_typed_errors() {
+        let zero_window = PreprocessConfig {
+            len_window: 0,
+            ..cfg()
+        };
+        let zero_shot = PreprocessConfig {
+            len_access_shot: 0,
+            ..cfg()
+        };
+        for (field, preprocess) in [("len_window", zero_window), ("len_access_shot", zero_shot)] {
+            match GmmPolicyEngine::new(&model(), &preprocess, false) {
+                Err(GmmError::InvalidParam(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field} = 0: expected InvalidParam, got {other:?}"),
+            }
         }
     }
 

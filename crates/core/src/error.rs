@@ -91,7 +91,10 @@ impl From<icgmm_cache::ShardRunError> for IcgmmError {
         match e {
             icgmm_cache::ShardRunError::Config(c) => IcgmmError::Cache(c),
             e @ (icgmm_cache::ShardRunError::ZeroShards
-            | icgmm_cache::ShardRunError::ZeroSeriesWindow) => IcgmmError::Config(e.to_string()),
+            | icgmm_cache::ShardRunError::ZeroSeriesWindow
+            | icgmm_cache::ShardRunError::MeasuredPastEnd { .. }) => {
+                IcgmmError::Config(e.to_string())
+            }
             icgmm_cache::ShardRunError::TraceTooLong { records } => {
                 IcgmmError::TraceTooLong { records }
             }

@@ -1,11 +1,10 @@
-//! Suite runner: benchmarks × policy modes, optionally in parallel.
+//! Experiment runner: one benchmark × policy modes, and the
+//! static-vs-adaptive axis.
 
 use crate::benchmarks::BenchmarkSpec;
 use crate::config::PolicyMode;
 use crate::error::IcgmmError;
 use crate::system::{Icgmm, RunReport};
-
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// One `(benchmark, mode)` measurement.
@@ -49,21 +48,10 @@ impl ExperimentResult {
     }
 }
 
-/// Runs one benchmark through the given modes (generating and fitting
-/// once, then simulating each mode) with the spec's default configuration.
-///
-/// # Errors
-///
-/// Propagates configuration/training errors.
-pub fn run_benchmark(
-    spec: &BenchmarkSpec,
-    modes: &[PolicyMode],
-) -> Result<Vec<ExperimentResult>, IcgmmError> {
-    run_benchmark_with(spec, spec.config(), modes)
-}
-
-/// [`run_benchmark`] with an explicit configuration (cache-size sweeps,
-/// reduced-K quick runs, fixed-point ablations).
+/// Runs one benchmark through the given modes under `config`
+/// (`spec.config()` is its default; cache-size sweeps, reduced-K quick
+/// runs and fixed-point ablations pass their own), generating and fitting
+/// once, then simulating each mode.
 ///
 /// # Errors
 ///
@@ -85,47 +73,6 @@ pub fn run_benchmark_with(
         out.push(ExperimentResult::from_run(workload.name(), &run));
     }
     Ok(out)
-}
-
-/// Runs the whole suite, one worker thread per benchmark when `parallel`.
-///
-/// Results are returned in suite order regardless of completion order.
-///
-/// # Errors
-///
-/// Returns the first benchmark error encountered.
-pub fn run_suite(
-    specs: &[BenchmarkSpec],
-    modes: &[PolicyMode],
-    parallel: bool,
-) -> Result<Vec<ExperimentResult>, IcgmmError> {
-    if !parallel || specs.len() <= 1 {
-        let mut all = Vec::new();
-        for s in specs {
-            all.extend(run_benchmark(s, modes)?);
-        }
-        return Ok(all);
-    }
-
-    type Slot = Option<Result<Vec<ExperimentResult>, IcgmmError>>;
-    let slots: Mutex<Vec<Slot>> = Mutex::new((0..specs.len()).map(|_| None).collect());
-    // (`crossbeam` stays in this crate's manifest, unused, until the
-    // benchmark PR prunes it with the lockfile — ROADMAP item 1d.)
-    std::thread::scope(|scope| {
-        for (i, spec) in specs.iter().enumerate() {
-            let slots = &slots;
-            scope.spawn(move || {
-                let r = run_benchmark(spec, modes);
-                slots.lock()[i] = Some(r);
-            });
-        }
-    });
-
-    let mut all = Vec::new();
-    for slot in slots.into_inner() {
-        all.extend(slot.expect("all slots filled")?);
-    }
-    Ok(all)
 }
 
 /// One static-vs-adaptive measurement: the same trace, the same offline
@@ -254,23 +201,11 @@ mod tests {
         // Score-free modes skip training entirely — fast at any K.
         let mut spec = tiny_spec(WorkloadKind::Memtier);
         spec.requests = 10_000;
-        let results = run_benchmark(&spec, &[PolicyMode::Lru, PolicyMode::Fifo]).unwrap();
+        let modes = [PolicyMode::Lru, PolicyMode::Fifo];
+        let results = run_benchmark_with(&spec, spec.config(), &modes).unwrap();
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(|r| r.benchmark == "memtier"));
         assert!(results.iter().all(|r| r.requests > 0));
-    }
-
-    #[test]
-    fn suite_order_is_stable_under_parallelism() {
-        let specs = vec![
-            tiny_spec(WorkloadKind::Stream),
-            tiny_spec(WorkloadKind::Parsec),
-        ];
-        let serial = run_suite(&specs, &[PolicyMode::Lru], false).unwrap();
-        let parallel = run_suite(&specs, &[PolicyMode::Lru], true).unwrap();
-        assert_eq!(serial, parallel);
-        assert_eq!(serial[0].benchmark, "stream");
-        assert_eq!(serial[1].benchmark, "parsec");
     }
 
     #[test]

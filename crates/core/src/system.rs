@@ -80,16 +80,12 @@ struct Assembly<'a> {
     adapt: AdaptPlan,
     /// Warm-up ⧺ measured (the trace minus its trimmed tail).
     records: &'a [TraceRecord],
-    warmup_len: usize,
+    /// Where the measured middle starts: the warm-up before it is replayed
+    /// through cache, policies and the Algorithm 1 clock, not counted.
+    measured_from: usize,
 }
 
-impl<'a> Assembly<'a> {
-    /// The warm-up prefix (replayed through cache, policies and the
-    /// Algorithm 1 clock, excluded from statistics) and the measured middle.
-    fn phases(&self) -> (&'a [TraceRecord], &'a [TraceRecord]) {
-        self.records.split_at(self.warmup_len)
-    }
-
+impl Assembly<'_> {
     /// Builds one shard's policies, scorer clone and fault/adapt wrappers.
     /// Runs on that shard's replay thread.
     fn shard(&self, ctx: &ShardCtx<'_>) -> ShardPolicies {
@@ -107,12 +103,9 @@ impl<'a> Assembly<'a> {
             PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
             // The oracle sees exactly this shard's subsequence (its
             // positions are the shard-local sequence numbers the replay
-            // presents), built straight off the view.
+            // presents), built straight off the trace.
             PolicyMode::Belady => Box::new(BeladyPolicy::from_pages(
-                ctx.warmup
-                    .iter()
-                    .chain(ctx.measured.iter())
-                    .map(|r| r.page().raw()),
+                ctx.records().map(|r| r.page().raw()),
                 sets,
                 ways,
             )),
@@ -289,7 +282,7 @@ impl Icgmm {
     }
 
     /// The shared prologue of every replay front-end: refuse what cannot
-    /// be replayed, build the mode's engine, cut the trace into phases.
+    /// be replayed, build the mode's engine, trim the trace's tail.
     fn assemble<'a>(
         &'a self,
         trace: &'a Trace,
@@ -313,7 +306,7 @@ impl Icgmm {
             fault,
             adapt,
             records: &trace.records()[..end],
-            warmup_len: start,
+            measured_from: start,
         })
     }
 
@@ -388,10 +381,10 @@ impl Icgmm {
         shards: usize,
     ) -> Result<RunReport, IcgmmError> {
         let asm = self.assemble(trace, mode, shards, self.cfg.fault, self.cfg.adapt)?;
-        let (warmup, measured) = asm.phases();
         let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
         let engine = ShardedSimulator::new(shards).with_faults(asm.fault);
-        let rep = engine.run(warmup, measured, self.cfg.cache, &make_shard, latency, None)?;
+        let (records, from) = (asm.records, asm.measured_from);
+        let rep = engine.run(records, from, self.cfg.cache, &make_shard, latency, None)?;
         Ok(RunReport {
             mode,
             sim: rep.sim,
@@ -428,7 +421,6 @@ impl Icgmm {
     pub fn serve(&self, trace: &Trace, mode: PolicyMode) -> Result<ServeReport, IcgmmError> {
         let shards = self.cfg.sim_shards;
         let asm = self.assemble(trace, mode, shards, self.cfg.fault, self.cfg.adapt)?;
-        let (warmup, measured) = asm.phases();
         let server = CacheServer::new(ServeConfig {
             shards,
             clients: self.cfg.serve_clients,
@@ -438,7 +430,8 @@ impl Icgmm {
         })?;
         let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
         let (cache, latency) = (self.cfg.cache, &self.cfg.latency);
-        Ok(server.serve(warmup, measured, cache, &make_shard, latency, None)?)
+        let (records, from) = (asm.records, asm.measured_from);
+        Ok(server.serve(records, from, cache, &make_shard, latency, None)?)
     }
 
     /// Runs one mode under the latency model the cycle-level hardware
@@ -479,18 +472,12 @@ impl Icgmm {
             config.fault = self.cfg.fault;
         }
         let asm = self.assemble(trace, mode, 1, config.fault, AdaptPlan::empty())?;
-        let (warmup, measured) = asm.phases();
-        let mut pol = asm.shard(&ShardCtx {
-            shard: 0,
-            shards: 1,
-            warmup: warmup.into(),
-            measured: measured.into(),
-        });
+        let (records, from) = (asm.records, asm.measured_from);
+        let mut pol = asm.shard(&ShardCtx::whole(records));
         let (adm, ev) = (pol.admission.as_mut(), pol.eviction.as_mut());
         let score = pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource);
         let cache = self.cfg.cache;
-        let mut report =
-            icgmm_hw::run_dataflow_with_warmup(warmup, measured, cache, adm, ev, score, &config)?;
+        let mut report = icgmm_hw::run_dataflow(records, from, cache, adm, ev, score, &config)?;
         // The device's counters are in the report; the scorer's and its
         // monitor's are in the stack this front-end still holds.
         if let Some(score) = &pol.score {

@@ -19,10 +19,11 @@
 //! The emulator pauses the dataflow for each SSD command, so one request
 //! is in flight at a time and its modeled time is a function of its own
 //! outcome: [`DataflowConfig::latency`] turns the engines' cycle counts
-//! into an [`icgmm_cache::LatencyModel`], and [`run_dataflow`] /
-//! [`run_dataflow_with_warmup`] are the cache crate's one streaming replay
-//! loop under that model — each miss pays the engine's lookup + update and
-//! then one GMM inference overlapped (or not) with its own SSD access.
+//! into an [`icgmm_cache::LatencyModel`], and [`run_dataflow`] — over the
+//! whole trace plus `measured_from`, like every replay — is the cache
+//! crate's one streaming replay loop under that model: each miss pays the
+//! engine's lookup + update and then one GMM inference overlapped (or not)
+//! with its own SSD access.
 //! See the `system` module docs for why no queue is modeled.
 //!
 //! ## Example
@@ -35,9 +36,9 @@
 //! let cfg = CacheConfig { capacity_bytes: 8 * 4096, block_bytes: 4096, ways: 2 };
 //! let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
 //! let trace: Vec<TraceRecord> = (0..64u64).map(|i| TraceRecord::read((i % 4) << 12)).collect();
-//! let report = run_dataflow(&trace, cfg, &mut AlwaysAdmit, &mut lru, None, &DataflowConfig::default())?;
+//! let report = run_dataflow(&trace, 0, cfg, &mut AlwaysAdmit, &mut lru, None, &DataflowConfig::default())?;
 //! assert_eq!(report.stats.misses(), 4);
-//! # Ok::<(), icgmm_cache::CacheConfigError>(())
+//! # Ok::<(), icgmm_cache::ShardRunError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,4 +56,4 @@ pub use clock::{ClockDomain, Cycles};
 pub use gmm_engine::GmmEngineModel;
 pub use resources::{table2, GmmResourceModel, ResourceEstimate};
 pub use ssd::{faulted_service_us, SsdProfile, SsdStats};
-pub use system::{run_dataflow, run_dataflow_with_warmup, DataflowConfig, DataflowReport};
+pub use system::{run_dataflow, DataflowConfig, DataflowReport};

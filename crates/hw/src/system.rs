@@ -44,8 +44,8 @@ use crate::gmm_engine::GmmEngineModel;
 use crate::ssd::{faulted_service_us, SsdProfile, SsdStats};
 use icgmm_cache::{
     simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, AdmissionPolicy,
-    CacheConfig, CacheConfigError, CacheStats, EvictionPolicy, FaultPlan, FaultStats, LatencyModel,
-    ReplayEvent, ReplayObserver, ScoreSource, SetAssocCache, SimReport,
+    CacheConfig, CacheStats, EvictionPolicy, FaultPlan, FaultStats, LatencyModel, ReplayEvent,
+    ReplayObserver, ScoreSource, SetAssocCache, ShardRunError, SimReport,
 };
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
@@ -193,7 +193,7 @@ struct FaultCharge {
 /// its command index, and accumulates what the slower backend adds to the
 /// miss under the run's [`LatencyModel`].
 struct DeviceFaults<'a> {
-    warmup_len: usize,
+    measured_from: usize,
     latency: &'a LatencyModel,
     plan: FaultPlan,
     commands: u64,
@@ -203,7 +203,7 @@ struct DeviceFaults<'a> {
 impl ReplayObserver for DeviceFaults<'_> {
     fn on_record(&mut self, ev: &ReplayEvent<'_>) {
         // Warm-up requests have state effects only: no time is charged.
-        if (ev.seq as usize) < self.warmup_len {
+        if (ev.seq as usize) < self.measured_from {
             return;
         }
         let lat = self.latency;
@@ -220,47 +220,37 @@ impl ReplayObserver for DeviceFaults<'_> {
     }
 }
 
-/// Runs the dataflow system over a trace.
+/// Runs the dataflow system over `records` (warm-up ⧺ measured): the
+/// cache, the policies and the score source see every record, timing and
+/// statistics cover those from position `measured_from` on. This *is*
+/// [`simulate_streaming_with_warmup`] under [`DataflowConfig::latency`].
 ///
 /// `score` follows the same contract as the analytic simulator: observed on
 /// every request, queried only on misses.
 ///
 /// # Errors
 ///
-/// Returns [`CacheConfigError`] for invalid cache geometry.
+/// [`ShardRunError::Config`] for invalid cache geometry,
+/// [`ShardRunError::MeasuredPastEnd`] for `measured_from > records.len()`
+/// — the sharded engine's refusals of the same inputs.
 pub fn run_dataflow(
     records: &[TraceRecord],
+    measured_from: usize,
     cache_cfg: CacheConfig,
     admission: &mut dyn AdmissionPolicy,
     eviction: &mut dyn EvictionPolicy,
     score: Option<&mut dyn ScoreSource>,
     config: &DataflowConfig,
-) -> Result<DataflowReport, CacheConfigError> {
-    run_dataflow_with_warmup(&[], records, cache_cfg, admission, eviction, score, config)
-}
-
-/// [`run_dataflow`] preceded by an untimed warm-up phase: the cache, the
-/// policies and the score source see `warmup` (state effects only); timing
-/// and statistics cover `measured`. This *is*
-/// [`simulate_streaming_with_warmup`] under [`DataflowConfig::latency`].
-///
-/// # Errors
-///
-/// Returns [`CacheConfigError`] for invalid cache geometry.
-#[allow(clippy::too_many_arguments)]
-pub fn run_dataflow_with_warmup(
-    warmup: &[TraceRecord],
-    measured: &[TraceRecord],
-    cache_cfg: CacheConfig,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
-    score: Option<&mut dyn ScoreSource>,
-    config: &DataflowConfig,
-) -> Result<DataflowReport, CacheConfigError> {
+) -> Result<DataflowReport, ShardRunError> {
+    let past_end = ShardRunError::MeasuredPastEnd {
+        measured_from,
+        records: records.len(),
+    };
+    let (warmup, measured) = records.split_at_checked(measured_from).ok_or(past_end)?;
     let mut cache = SetAssocCache::new(cache_cfg)?;
     let latency = config.latency();
     let mut faults = config.fault.device_armed().then(|| DeviceFaults {
-        warmup_len: warmup.len(),
+        measured_from,
         latency: &latency,
         plan: config.fault,
         commands: 0,
@@ -325,6 +315,7 @@ mod tests {
         let mut lru2 = LruPolicy::new(cfg.num_sets(), cfg.ways);
         let df = run_dataflow(
             &trace,
+            0,
             cfg,
             &mut AlwaysAdmit,
             &mut lru2,
@@ -356,6 +347,7 @@ mod tests {
             let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
             run_dataflow(
                 &trace,
+                0,
                 cfg,
                 &mut AlwaysAdmit,
                 &mut lru,
@@ -392,6 +384,7 @@ mod tests {
         let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
         let df = run_dataflow(
             &trace,
+            0,
             cfg,
             &mut AlwaysAdmit,
             &mut lru,
@@ -409,6 +402,7 @@ mod tests {
         let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
         let df = run_dataflow(
             &[],
+            0,
             cfg,
             &mut AlwaysAdmit,
             &mut lru,
@@ -428,15 +422,28 @@ mod tests {
             block_bytes: 4096,
             ways: 2,
         };
-        let mut lru = LruPolicy::new(1, 2);
-        assert!(run_dataflow(
-            &[],
-            bad,
-            &mut AlwaysAdmit,
-            &mut lru,
-            None,
-            &DataflowConfig::default()
-        )
-        .is_err());
+        let trace = [TraceRecord::read(0)];
+        let run = |cfg, measured_from| {
+            let mut lru = LruPolicy::new(8, 2);
+            let df = DataflowConfig::default();
+            run_dataflow(
+                &trace,
+                measured_from,
+                cfg,
+                &mut AlwaysAdmit,
+                &mut lru,
+                None,
+                &df,
+            )
+            .err()
+        };
+        assert!(matches!(run(bad, 0), Some(ShardRunError::Config(_))));
+        // A warm-up boundary past the end: the sharded engine's refusal.
+        let past_end = ShardRunError::MeasuredPastEnd {
+            measured_from: 2,
+            records: 1,
+        };
+        assert_eq!(run(small_cfg(), 2), Some(past_end));
+        assert_eq!(run(small_cfg(), 1), None, "the end itself is a boundary");
     }
 }

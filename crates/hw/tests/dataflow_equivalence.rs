@@ -15,8 +15,8 @@ use icgmm_cache::{
     FaultPlan, FaultStats, ReplayEvent, ReplayObserver, ScoreSource, SetAssocCache, SimReport,
 };
 use icgmm_hw::{
-    faulted_service_us, run_dataflow_with_warmup, DataflowConfig, DataflowReport, GmmEngineModel,
-    SsdProfile, SsdStats,
+    faulted_service_us, run_dataflow, DataflowConfig, DataflowReport, GmmEngineModel, SsdProfile,
+    SsdStats,
 };
 use icgmm_testutil::{
     admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, EVICTIONS, SCORES,
@@ -195,13 +195,12 @@ struct Case<'a> {
 impl Case<'_> {
     fn run_dataflow(&self) -> DataflowReport {
         let cfg = small_cfg();
-        let (warm, meas) = self.trace.split_at(self.warmup_len);
         let mut ev = eviction_for(self.eviction, cfg, self.trace);
         let mut ad = admission_for(self.admission);
         let mut sc = score_for(self.score);
-        run_dataflow_with_warmup(
-            warm,
-            meas,
+        run_dataflow(
+            self.trace,
+            self.warmup_len,
             cfg,
             ad.as_mut(),
             ev.as_mut(),

@@ -5,7 +5,7 @@
 //! plan leaves the report bit-identical to today's model.
 
 use icgmm_cache::FaultPlan;
-use icgmm_hw::{run_dataflow_with_warmup, DataflowConfig, DataflowReport};
+use icgmm_hw::{run_dataflow, DataflowConfig, DataflowReport};
 use icgmm_testutil::{admission_for, eviction_for, small_cfg, zipf_trace};
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -16,11 +16,18 @@ fn run_streaming(plan: FaultPlan, trace: &[TraceRecord], warmup_len: usize) -> D
         fault: plan,
         ..Default::default()
     };
-    let (warm, meas) = trace.split_at(warmup_len);
     let mut ev = eviction_for("lru", cfg, trace);
     let mut ad = admission_for("always");
-    run_dataflow_with_warmup(warm, meas, cfg, ad.as_mut(), ev.as_mut(), None, &df_cfg)
-        .expect("valid geometry")
+    run_dataflow(
+        trace,
+        warmup_len,
+        cfg,
+        ad.as_mut(),
+        ev.as_mut(),
+        None,
+        &df_cfg,
+    )
+    .expect("valid geometry")
 }
 
 proptest! {

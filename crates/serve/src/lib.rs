@@ -44,9 +44,10 @@
 //!     queue_depth: 64,
 //!     ..ServeConfig::default()
 //! })?;
+//! // The whole trace, measured from its 1 024th record on.
 //! let report = server.serve(
-//!     &[],
 //!     &trace,
+//!     1024,
 //!     cfg,
 //!     &mut |_ctx| ShardPolicies {
 //!         admission: Box::new(AlwaysAdmit),
@@ -57,6 +58,7 @@
 //!     None,
 //! )?;
 //! assert_eq!(report.requests, 4096);
+//! assert_eq!(report.sim.stats.accesses(), 4096 - 1024);
 //! assert!(report.requests_per_sec > 0.0);
 //! # Ok::<(), icgmm_serve::ServeError>(())
 //! ```

@@ -153,8 +153,9 @@ impl CacheServer {
         &self.cfg
     }
 
-    /// Serves `warmup` + `measured` to completion and returns the
-    /// session's report. `make_shard` is called once per shard *on that
+    /// Serves `records` (warm-up ⧺ measured, measured from position
+    /// `measured_from` on) to completion and returns the session's
+    /// report. `make_shard` is called once per shard *on that
     /// shard's worker thread* (hence `Fn + Sync`), exactly as in
     /// [`icgmm_cache::ShardedSimulator::run`] — through the same
     /// [`ShardSupervisor`], so the shard contracts, the recovery of a dead
@@ -166,9 +167,10 @@ impl CacheServer {
     /// [`ServeError::Shard`] with the offline engine's own
     /// [`ShardRunError`]: `Config` for invalid cache geometry,
     /// `TraceTooLong`, `ZeroSeriesWindow` for `series_window = Some(0)`,
-    /// `Contract` when running more than one shard with a
-    /// non-shard-deterministic eviction policy or a non-shardable score
-    /// source, `ShardFailed` when a worker dies and the supervisor's
+    /// `MeasuredPastEnd` for `measured_from > records.len()` (whatever
+    /// `stop_after` says), `Contract` when running more than one shard
+    /// with a non-shard-deterministic eviction policy or a non-shardable
+    /// score source, `ShardFailed` when a worker dies and the supervisor's
     /// offline re-replay of its subtrace dies too.
     ///
     /// # Panics
@@ -177,8 +179,8 @@ impl CacheServer {
     /// a record (see the module docs) — a service bug, not an input error.
     pub fn serve(
         &self,
-        warmup: &[TraceRecord],
-        measured: &[TraceRecord],
+        records: &[TraceRecord],
+        measured_from: usize,
         cache_cfg: CacheConfig,
         make_shard: &(dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
         latency: &LatencyModel,
@@ -187,17 +189,25 @@ impl CacheServer {
         let s = self.cfg.shards;
         let clients = self.cfg.clients.min(s);
 
+        // The boundary is checked against what the caller presented, before
+        // the cut below could hide a bad one.
+        let total = records.len();
+        if measured_from > total {
+            let past_end = ShardRunError::MeasuredPastEnd {
+                measured_from,
+                records: total,
+            };
+            return Err(past_end.into());
+        }
         // Graceful shutdown = stop accepting: truncate at the cutoff and
         // serve the prefix to completion; the report equals an offline
-        // replay of the truncated trace. A cutoff beyond `usize` is beyond
-        // any slice: it serves everything.
-        let total = warmup.len() + measured.len();
+        // replay of the truncated trace, measured from the boundary or the
+        // cut, whichever comes first. A cutoff beyond `usize` is beyond any
+        // slice: it serves everything.
         let cut = self.cfg.stop_after.map_or(total, |k| {
             usize::try_from(k).map_or(total, |k| k.min(total))
         });
-        let warmup = &warmup[..warmup.len().min(cut)];
-        let measured = &measured[..cut - warmup.len()];
-        let n = warmup.len() + measured.len();
+        let (records, measured_from) = (&records[..cut], measured_from.min(cut));
 
         // Zero-copy fan-out — the identical [`ShardPartition`] the offline
         // sharded replay builds (it validates the geometry): clients walk
@@ -205,7 +215,7 @@ impl CacheServer {
         // their own. The shard lifecycle is the offline engine's too; the
         // supervisor refuses a zero series window here, before any thread
         // exists.
-        let part = &ShardPartition::build(s, &cache_cfg, warmup, measured)?;
+        let part = &ShardPartition::build(s, &cache_cfg, &[], records)?;
         let plan = self.cfg.fault;
         let sup = &ShardSupervisor::new(
             cache_cfg,
@@ -213,8 +223,8 @@ impl CacheServer {
             make_shard,
             plan,
             Some(part),
-            warmup,
-            measured,
+            records,
+            measured_from,
             series_window,
         )?;
 
@@ -236,7 +246,7 @@ impl CacheServer {
 
         let shed = self.cfg.submit == SubmitMode::Shed;
         // `usize` → `u64` never narrows on a supported target.
-        let warmup_len = warmup.len() as u64;
+        let measured_from = measured_from as u64;
         // Advisory in-flight record count per queue (the client adds after
         // a send, the worker subtracts after a receive): record-granular
         // occupancy for shed accounting. i64 because the two race benignly
@@ -269,7 +279,7 @@ impl CacheServer {
                             cache_cfg,
                             *latency,
                             sup.panic_point(shard),
-                            warmup_len,
+                            measured_from,
                             series_window,
                             infl,
                         ))
@@ -281,7 +291,7 @@ impl CacheServer {
                 .into_iter()
                 .map(|owned| {
                     scope.spawn(move || {
-                        run_client(part, warmup, measured, owned, shed, batch, infl_all, depth)
+                        run_client(part, records, owned, shed, batch, infl_all, depth)
                     })
                 })
                 .collect();
@@ -325,6 +335,7 @@ impl CacheServer {
         let merged = sup.merge(shards, fault);
 
         let wall_us = wall.as_secs_f64() * 1e6;
+        let n = records.len();
         let requests_per_sec = if wall_us > 0.0 {
             n as f64 / wall.as_secs_f64()
         } else {
@@ -392,7 +403,7 @@ fn recover(
 /// The client owns no routed copy of the trace: it walks its owned
 /// shards' [`ShardPartition`] index lists directly (a k-way merge over
 /// ascending lists reproduces ascending global order), reads each record
-/// out of the caller's slices and stamps it with its global position. A
+/// out of the caller's slice and stamps it with its global position. A
 /// batch ships when it fills, the leftovers at the end, in any order:
 /// nothing downstream waits for one shard's records before another's.
 /// Returns the shed count. Sends to a dead shard error out and are
@@ -400,8 +411,7 @@ fn recover(
 #[allow(clippy::too_many_arguments)]
 fn run_client(
     part: &ShardPartition,
-    warmup: &[TraceRecord],
-    measured: &[TraceRecord],
+    records: &[TraceRecord],
     owned: Vec<(usize, Sender<Batch>)>,
     shed: bool,
     batch: usize,
@@ -432,7 +442,7 @@ fn run_client(
         cursors[slot] += 1;
         bufs[slot].push(IngestMsg {
             seq: u64::from(pos),
-            record: ShardPartition::record_at(warmup, measured, pos),
+            record: records[pos as usize],
         });
         if bufs[slot].len() >= batch {
             let full = std::mem::replace(&mut bufs[slot], Vec::with_capacity(batch));
@@ -511,7 +521,7 @@ fn run_worker(
     cache_cfg: CacheConfig,
     latency: LatencyModel,
     panic_at: Option<u64>,
-    warmup_len: u64,
+    measured_from: u64,
     series_window: Option<u64>,
     inflight: &AtomicI64,
 ) -> WorkerDone {
@@ -547,7 +557,7 @@ fn run_worker(
             ShardSupervisor::die_if_armed(panic_at, seen);
             seen += 1;
             scored += u64::from(score_val.is_some());
-            let Some(pos) = msg.seq.checked_sub(warmup_len) else {
+            let Some(pos) = msg.seq.checked_sub(measured_from) else {
                 continue;
             };
             stats.record(msg.record.op, &outcome);
@@ -667,7 +677,7 @@ mod tests {
             })
             .unwrap();
             let lat = LatencyModel::paper_tlc();
-            let err = server.serve(&[], &trace, cfg, &make, &lat, Some(0)).err();
+            let err = server.serve(&trace, 0, cfg, &make, &lat, Some(0)).err();
             assert_eq!(
                 err,
                 Some(ServeError::Shard(ShardRunError::ZeroSeriesWindow))
@@ -729,7 +739,7 @@ mod tests {
         let lat = LatencyModel::paper_tlc();
         let plan = icgmm_cache::FaultPlan::empty();
         let sup =
-            ShardSupervisor::new(cfg, &lat, &make, plan, Some(&part), &[], &trace, None).unwrap();
+            ShardSupervisor::new(cfg, &lat, &make, plan, Some(&part), &trace, 0, None).unwrap();
         let payload = transport_violation(part.positions(1), 0, None).expect("short stream");
         let _ = recover(&sup, 1, Box::new(payload), &mut FaultStats::default());
     }

@@ -5,15 +5,19 @@
 //! latency constants and the non-integer cycle-derived model — plus
 //! "a never-trusted scorer serves as LRU", the seeded-shutdown and
 //! backpressure properties, and transparent recovery from armed worker
-//! panics.
+//! panics. The input is one slice and one boundary: wherever
+//! `measured_from` falls in `[0, n]`, a served session equals the frozen
+//! two-slice replay of the same split, and a boundary past the end is a
+//! typed refusal.
 
 use icgmm_cache::{
-    FaultPlan, FnScore, LatencyModel, ShardPolicies, ShardRunError, ShardedSimulator, SimReport,
+    simulate_streaming_with_warmup, FaultPlan, FnScore, LatencyModel, ScoreSource, SetAssocCache,
+    ShardCtx, ShardPolicies, ShardRunError, ShardedSimulator, SimReport,
 };
 use icgmm_serve::{CacheServer, ServeConfig, ServeError, ServeReport, SubmitMode};
 use icgmm_testutil::{
     admission_for, conflict_trace, eviction_for, latency_for, score_for, small_cfg, zipf_trace,
-    GMM_STACKS, UNTRUSTED_SCORES,
+    CountingScore, GMM_STACKS, UNTRUSTED_SCORES,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -49,19 +53,13 @@ fn serve_under(
     warmup_len: usize,
 ) -> Result<ServeReport, ServeError> {
     let cache_cfg = small_cfg();
-    let (warm, meas) = trace.split_at(warmup_len);
     CacheServer::new(cfg)?.serve(
-        warm,
-        meas,
+        trace,
+        warmup_len,
         cache_cfg,
         &|ctx| {
             // Belady's oracle must see this shard's subsequence.
-            let recs: Vec<TraceRecord> = ctx
-                .warmup
-                .iter()
-                .chain(ctx.measured.iter())
-                .copied()
-                .collect();
+            let recs: Vec<TraceRecord> = ctx.records().copied().collect();
             ShardPolicies {
                 admission: admission_for(admission),
                 eviction: eviction_for(eviction, cache_cfg, &recs),
@@ -102,20 +100,14 @@ fn offline_with(
     warmup_len: usize,
 ) -> (SimReport, u64) {
     let cache_cfg = small_cfg();
-    let (warm, meas) = trace.split_at(warmup_len);
     let rep = ShardedSimulator::new(shards)
         .with_faults(plan)
         .run(
-            warm,
-            meas,
+            trace,
+            warmup_len,
             cache_cfg,
             &|ctx| {
-                let recs: Vec<TraceRecord> = ctx
-                    .warmup
-                    .iter()
-                    .chain(ctx.measured.iter())
-                    .copied()
-                    .collect();
+                let recs: Vec<TraceRecord> = ctx.records().copied().collect();
                 ShardPolicies {
                     admission: admission_for(admission),
                     eviction: eviction_for(eviction, cache_cfg, &recs),
@@ -247,6 +239,48 @@ proptest! {
         }
     }
 
+    /// The boundary is one number: for split points `m` across `[0, n]`,
+    /// both ends included, serving `(records, m)` at 1, 2 and 4 shards
+    /// reports — and consumes scores — bit-identically to the frozen
+    /// two-slice replay of `records[..m]`, `records[m..]`.
+    #[test]
+    fn any_split_point_serves_as_the_frozen_two_slice_replay(
+        params in (0u64..1_000_000, 0usize..600, 24u64..160)
+    ) {
+        let (seed, n, pages) = params;
+        let trace = zipf_trace(seed, n, pages, 0.9, 20);
+        let lat = &latency_for(seed);
+        let cfg = small_cfg();
+        for m in [0, n, seed as usize % (n + 1)] {
+            for (eviction, admission, score) in
+                [("belady", "always", "none"), ("gmm-score", "threshold", "fn")]
+            {
+                let mut c = SetAssocCache::new(cfg).unwrap();
+                let mut ev = eviction_for(eviction, cfg, &trace);
+                let mut ad = admission_for(admission);
+                let mut sc = score_for(score).map(|s| CountingScore(s, 0));
+                let reference = simulate_streaming_with_warmup(
+                    &trace[..m], &trace[m..], &mut c, ad.as_mut(), ev.as_mut(),
+                    sc.as_mut().map(|s| s as &mut dyn ScoreSource), lat, Some(64),
+                );
+                let consumed = sc.map_or(0, |s| s.1);
+                for shards in [1usize, 2, 4] {
+                    let serve_cfg = ServeConfig {
+                        shards,
+                        clients: 1 + (seed as usize + shards) % 3,
+                        queue_depth: [1, 2, 7, 64][(seed as usize + shards) % 4],
+                        ..ServeConfig::default()
+                    };
+                    let rep = serve_under(lat, serve_cfg, eviction, admission, score, &trace, m)
+                        .expect("serving succeeds");
+                    let what = format!("{eviction}/{score} split at {m} of {n}, {shards} shards");
+                    prop_assert_eq!(&rep.sim, &reference, "{}", &what);
+                    prop_assert_eq!(rep.scores_consumed, consumed, "{}", &what);
+                }
+            }
+        }
+    }
+
     /// Seeded graceful shutdown: stopping intake after K requests (K at
     /// random points, including 0, mid-warm-up and past the end) serves
     /// exactly the first K records — the report is bit-identical to the
@@ -353,7 +387,6 @@ fn backpressure_sheds_are_counted_and_harmless() {
     let warmup_len = 100;
     let cache_cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();
-    let (warm, meas) = trace.split_at(warmup_len);
 
     // ~50 µs of busy work per observation: the client outruns the worker
     // by construction, so the depth-1 queue is full almost always.
@@ -370,8 +403,8 @@ fn backpressure_sheds_are_counted_and_harmless() {
     let reference = {
         let rep = ShardedSimulator::new(1)
             .run(
-                warm,
-                meas,
+                &trace,
+                warmup_len,
                 cache_cfg,
                 &|_ctx| ShardPolicies {
                     admission: admission_for("threshold"),
@@ -394,8 +427,8 @@ fn backpressure_sheds_are_counted_and_harmless() {
     })
     .unwrap()
     .serve(
-        warm,
-        meas,
+        &trace,
+        warmup_len,
         cache_cfg,
         &|_ctx| ShardPolicies {
             admission: admission_for("threshold"),
@@ -515,6 +548,40 @@ fn blocking_backpressure_serves_exactly() {
     let (reference, _) = offline(2, "gmm-score", "threshold", "fn", &trace, 75);
     assert_eq!(rep.sim, reference);
     assert_eq!(rep.sheds, 0);
+}
+
+/// A boundary past the end of the trace is the offline engine's typed
+/// refusal, raised before any worker exists — whatever `stop_after` cuts,
+/// it is never clamped into range.
+#[test]
+fn a_boundary_past_the_end_is_a_typed_error() {
+    let trace = zipf_trace(3, 200, 32, 0.2, 15);
+    let refused = |_: &ShardCtx<'_>| -> ShardPolicies {
+        panic!("no shard may be built for a refused session")
+    };
+    for shards in [1usize, 2, 4] {
+        for stop_after in [None, Some(50)] {
+            let server = CacheServer::new(ServeConfig {
+                shards,
+                stop_after,
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            let lat = LatencyModel::paper_tlc();
+            let err = server
+                .serve(&trace, 201, small_cfg(), &refused, &lat, None)
+                .err();
+            let want = ShardRunError::MeasuredPastEnd {
+                measured_from: 201,
+                records: 200,
+            };
+            assert_eq!(
+                err,
+                Some(ServeError::Shard(want)),
+                "{shards} shards, {stop_after:?}"
+            );
+        }
+    }
 }
 
 /// The shard-determinism contract is a typed refusal, not a panic, and

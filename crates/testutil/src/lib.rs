@@ -196,6 +196,22 @@ pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
     }
 }
 
+/// A score source that counts the scores it hands out: the inference
+/// count of a replay that reports none of its own (the two-slice
+/// `simulate_streaming_with_warmup`), to hold `scores_consumed` against.
+pub struct CountingScore(pub Box<dyn ScoreSource + Send>, pub u64);
+
+impl ScoreSource for CountingScore {
+    fn observe(&mut self, record: &TraceRecord, pos: u64) {
+        self.0.observe(record, pos);
+    }
+
+    fn score_current(&mut self) -> f64 {
+        self.1 += 1;
+        self.0.score_current()
+    }
+}
+
 /// A hand-built K-component mixture (no EM) so real-engine integration
 /// tests are fast and deterministic.
 pub fn hand_model(k: usize) -> TrainedModel {

@@ -5,8 +5,8 @@ use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
 use icgmm_cache::{CacheConfig, GmmScorePolicy, ScoreSource, ThresholdAdmit};
 use icgmm_gmm::EmConfig;
 use icgmm_hw::{
-    run_dataflow_with_warmup, table2, CacheEngineModel, DataflowConfig, GmmEngineModel,
-    GmmResourceModel, SsdProfile,
+    run_dataflow, table2, CacheEngineModel, DataflowConfig, GmmEngineModel, GmmResourceModel,
+    SsdProfile,
 };
 use icgmm_lstm::{LstmArch, LstmCostModel};
 use icgmm_trace::synth::WorkloadKind;
@@ -188,13 +188,12 @@ fn system_dataflow_default_matches_explicit_streaming_replay() {
 
     // Hand-driven dataflow reference with an identical stack.
     let (start, end) = cfg.preprocess.kept_range(trace.len());
-    let (warm, meas) = (&trace.records()[..start], &trace.records()[start..end]);
     let mut ev = GmmScorePolicy::new(cfg.cache.num_sets(), cfg.cache.ways);
     let mut ad = ThresholdAdmit::new(sys.model().unwrap().threshold);
     let mut eng = sys.policy_engine().unwrap();
-    let streaming = run_dataflow_with_warmup(
-        warm,
-        meas,
+    let streaming = run_dataflow(
+        &trace.records()[..end],
+        start,
         cfg.cache,
         &mut ad,
         &mut ev,

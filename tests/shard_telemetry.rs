@@ -163,12 +163,11 @@ fn per_shard_blocks_are_real_and_add_up_to_the_merged_report() {
     for shards in [1usize, 4] {
         let cfg = cfg(FaultPlan::chaos(1234), shards);
         let (start, end) = cfg.preprocess.kept_range(trace.len());
-        let (warmup, measured) = trace.records()[..end].split_at(start);
         let rep = ShardedSimulator::new(shards)
             .with_faults(cfg.fault)
             .run(
-                warmup,
-                measured,
+                &trace.records()[..end],
+                start,
                 cfg.cache,
                 &|ctx| make_shard(&cfg, ctx),
                 &cfg.latency,
