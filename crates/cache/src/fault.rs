@@ -42,16 +42,19 @@
 //!
 //! Counters are plain fields of whoever increments them: the injector
 //! counts its injections, its monitor the ladder's transitions and the
-//! scores it withheld, `icgmm-hw`'s device-fault observer its device
-//! faults, the shard supervisor its panics and recoveries. Whoever replayed
-//! a shard reads them once, after the shard's last record, through
-//! [`ScoreSource::telemetry`]; an attempt that died takes its counters
-//! with it.
+//! scores it withheld, the shard supervisor its panics and recoveries, and
+//! the replay loop's accounting step the device faults of every measured
+//! miss ([`FaultPlan::device_command_us`]) — for whichever front-end fed
+//! it the record: `run`, `run_sharded`, `serve` and `run_dataflow` alike.
+//! Whoever replayed a shard reads them once, after the shard's last
+//! record ([`ScoreSource::telemetry`] for the score stack's); an attempt
+//! that died takes its counters with it.
 //!
 //! Every injection decision is a pure hash of `(plan seed, stream, trace
 //! position)` — no RNG state, no wall clock — so fault-laden runs are
 //! reproducible from `(plan seed, trace seed)`, independent of thread
-//! interleaving, and (for position-keyed scorer faults) of shard count.
+//! interleaving and of shard count. (A device fault is keyed by its
+//! request's position and the command's index within the request.)
 
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
@@ -83,14 +86,18 @@ pub(crate) fn fault_roll(seed: u64, stream: u64, a: u64, b: u64) -> u64 {
 }
 
 /// Latency multiplier of an SSD tail-latency spike
-/// ([`FaultPlan::device_spike_per_mille`]), read by the `icgmm-hw` device
-/// emulator.
-pub const DEVICE_SPIKE_MULT: f64 = 8.0;
+/// ([`FaultPlan::device_spike_per_mille`]).
+const DEVICE_SPIKE_MULT: f64 = 8.0;
 
 /// Longest scorer outage a plan may ask for ([`FaultPlan::scorer_outage_len`]):
 /// every scored miss rolls once per position of the window behind it, so
 /// the length is a per-score cost and has to be bounded.
 const MAX_SCORER_OUTAGE_LEN: u32 = 65_536;
+
+/// Most retries a plan may ask for ([`FaultPlan::device_retry_limit`]):
+/// every SSD command may walk the whole ladder, so the limit is a
+/// per-miss cost, and the backoff doubles per attempt.
+const MAX_DEVICE_RETRY_LIMIT: u32 = 16;
 
 /// `true` when `roll` lands inside a per-mille probability.
 pub(crate) fn roll_hits(roll: u64, per_mille: u16) -> bool {
@@ -120,9 +127,9 @@ pub struct FaultPlan {
     /// retried with exponential backoff.
     pub device_fail_per_mille: u16,
     /// Per-mille probability of a tail-latency spike on an SSD command
-    /// (the command takes [`DEVICE_SPIKE_MULT`] times its nominal latency).
+    /// (the command takes 8 times its nominal latency).
     pub device_spike_per_mille: u16,
-    /// Retries before an SSD command is abandoned as timed out.
+    /// Retries before an SSD command is abandoned as timed out (at most 16).
     pub device_retry_limit: u32,
     /// Base retry backoff in modeled µs; attempt `k` waits `2^k` times this.
     pub device_backoff_us: f64,
@@ -234,6 +241,12 @@ impl FaultPlan {
                 self.scorer_outage_len
             ));
         }
+        if self.device_retry_limit > MAX_DEVICE_RETRY_LIMIT {
+            return Err(format!(
+                "fault.device_retry_limit must be <= {MAX_DEVICE_RETRY_LIMIT}, got {}",
+                self.device_retry_limit
+            ));
+        }
         if !self.device_backoff_us.is_finite() || self.device_backoff_us < 0.0 {
             return Err(format!(
                 "fault.device_backoff_us must be finite and >= 0, got {}",
@@ -268,23 +281,50 @@ impl FaultPlan {
         Some(fault_roll(self.seed, STREAM_SHARD_PANIC_AT, shard as u64, 0) % shard_records as u64)
     }
 
-    /// Whether the SSD command numbered `op_index` fails on `attempt`
-    /// (each attempt rolls independently, so retries can succeed). Used by
-    /// the `icgmm-hw` device emulator.
-    pub fn device_attempt_fails(&self, op_index: u64, attempt: u32) -> bool {
-        roll_hits(
-            fault_roll(self.seed, STREAM_DEVICE_FAIL, op_index, attempt as u64),
-            self.device_fail_per_mille,
-        )
-    }
-
-    /// Whether the SSD command numbered `op_index` suffers a tail-latency
-    /// spike. Used by the `icgmm-hw` device emulator.
-    pub fn device_spikes(&self, op_index: u64) -> bool {
-        roll_hits(
-            fault_roll(self.seed, STREAM_DEVICE_SPIKE, op_index, 0),
-            self.device_spike_per_mille,
-        )
+    /// Service time of SSD command `cmd` — 0 for the fetch or the bypassed
+    /// access, 1 for the dirty write-back — of the request at trace
+    /// position `pos`, whose nominal latency is `nominal`: a spike roll
+    /// scales the attempt latency once, then each failed attempt (each
+    /// rolls independently, so retries can succeed) adds its exponential
+    /// backoff until one succeeds or the retry limit turns into the
+    /// host-side timeout. Counts what it injects in `stats`, the time
+    /// beyond `nominal` in [`FaultStats::device_fault_us`]. Every roll is a
+    /// pure hash of `(plan seed, pos, cmd)`, so a command's faulted time is
+    /// the same at every shard count and on every front-end.
+    pub fn device_command_us(
+        &self,
+        pos: u64,
+        cmd: u64,
+        nominal: f64,
+        stats: &mut FaultStats,
+    ) -> f64 {
+        let key = 2 * pos + cmd;
+        let mut attempt_us = nominal;
+        let spike = fault_roll(self.seed, STREAM_DEVICE_SPIKE, key, 0);
+        if roll_hits(spike, self.device_spike_per_mille) {
+            attempt_us *= DEVICE_SPIKE_MULT;
+            stats.device_spikes += 1;
+        }
+        let mut total = 0.0;
+        let mut attempt: u32 = 0;
+        loop {
+            total += attempt_us;
+            let fail = fault_roll(self.seed, STREAM_DEVICE_FAIL, key, u64::from(attempt));
+            if !roll_hits(fail, self.device_fail_per_mille) {
+                break;
+            }
+            stats.device_failures += 1;
+            if attempt >= self.device_retry_limit {
+                stats.device_timeouts += 1;
+                total += self.device_timeout_us;
+                break;
+            }
+            total += self.device_backoff_us * f64::powi(2.0, attempt as i32);
+            stats.device_retries += 1;
+            attempt += 1;
+        }
+        stats.device_fault_us += total - nominal;
+        total
     }
 }
 
@@ -311,6 +351,14 @@ pub struct FaultStats {
     /// Modeled µs charged beyond nominal device latency (spikes, retries,
     /// backoff, timeouts).
     pub device_fault_us: f64,
+    /// Modeled request µs the device faults added: over the faulted
+    /// misses, inference ∥ SSD (or one after the other, without overlap)
+    /// under the faulted SSD time minus under the nominal one. `SimReport::
+    /// total_us` is `LatencyModel::total_us` of the stats plus this. It is
+    /// its own sum, not a difference of totals: it leaves out the engine
+    /// overhead, so it is integer-valued under integer device constants and
+    /// adds up to the same value at every shard count.
+    pub device_request_us: f64,
     /// Shard workers that panicked.
     pub shard_panics: u64,
     /// Panicked shards successfully re-replayed by the supervisor.
@@ -337,6 +385,7 @@ impl FaultStats {
         self.device_timeouts += other.device_timeouts;
         self.device_spikes += other.device_spikes;
         self.device_fault_us += other.device_fault_us;
+        self.device_request_us += other.device_request_us;
         self.shard_panics += other.shard_panics;
         self.shard_recoveries += other.shard_recoveries;
         self.scorer_demotions += other.scorer_demotions;
@@ -593,6 +642,11 @@ mod tests {
                 ..FaultPlan::default()
             },
             FaultPlan {
+                device_fail_per_mille: 1000,
+                device_retry_limit: u32::MAX,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
                 device_backoff_us: -1.0,
                 ..FaultPlan::default()
             },
@@ -617,6 +671,14 @@ mod tests {
         let err = long(MAX_SCORER_OUTAGE_LEN + 1).validate().unwrap_err();
         assert!(err.contains("fault.scorer_outage_len"), "{err}");
         assert!(long(MAX_SCORER_OUTAGE_LEN).validate().is_ok());
+        // So does the retry bound.
+        let retries = |limit| FaultPlan {
+            device_retry_limit: limit,
+            ..FaultPlan::chaos(1)
+        };
+        let err = retries(MAX_DEVICE_RETRY_LIMIT + 1).validate().unwrap_err();
+        assert!(err.contains("fault.device_retry_limit"), "{err}");
+        assert!(retries(MAX_DEVICE_RETRY_LIMIT).validate().is_ok());
     }
 
     #[test]
@@ -793,9 +855,11 @@ mod tests {
             shard_recoveries: 30,
             degraded_scores: 40,
             device_fault_us: 2.5,
+            device_request_us: 2.0,
             ..FaultStats::default()
         };
         a.merge(&b);
+        assert_eq!(a.device_request_us, 2.0);
         assert_eq!(a.scorer_nan_injected, 11);
         assert_eq!(a.device_retries, 22);
         assert_eq!(a.shard_panics, 3);

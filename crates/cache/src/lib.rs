@@ -17,13 +17,14 @@
 //! [`simulate_streaming_observed_with_warmup`] (plus a [`ReplayObserver`]),
 //! [`ShardedSimulator::run`] (set-partitioned, bit-identical at every
 //! shard count) and, for front-ends that feed shards themselves,
-//! [`streaming_step`] plus [`ShardSupervisor`] — where a shard's policies
-//! are built and checked, a dead shard is recovered and the shards'
-//! reports are added up. The sharded entry points take the whole trace
-//! (warm-up ⧺ measured) as one slice plus `measured_from`; a shard is
-//! that slice and, above one shard, its [`ShardPartition`] list
+//! [`streaming_step`] and [`Accounting`] plus [`ShardSupervisor`] — where
+//! a shard's policies are built and checked, a dead shard is recovered and
+//! the shards' reports are added up. The sharded entry points take the
+//! whole trace (warm-up ⧺ measured) as one slice plus `measured_from`; a
+//! shard is that slice and, above one shard, its [`ShardPartition`] list
 //! ([`ShardCtx`]). A report is counters; its modeled time is
-//! [`LatencyModel::total_us`] of them ([`SimReport::from_counts`]).
+//! [`LatencyModel::total_us`] of them plus what an armed plan's device
+//! faults added ([`SimReport::from_counts`]).
 //!
 //! ## Example
 //!
@@ -74,7 +75,7 @@ pub use adapt::{
 pub use batch::{SpecParams, SpecStats, WindowedSimulator};
 pub use cache::{AccessOutcome, BlockState, Eviction, SetAssocCache};
 pub use config::{CacheConfig, CacheConfigError, SetMap};
-pub use fault::{FaultPlan, FaultStats, FaultyScore, ScorerHealth, DEVICE_SPIKE_MULT};
+pub use fault::{FaultPlan, FaultStats, FaultyScore, ScorerHealth};
 pub use latency::LatencyModel;
 #[doc(hidden)]
 pub use merge::{merge_streams, OutcomeStream, SeqOutcome, StreamingMerge};
@@ -89,6 +90,6 @@ pub use shard::{
 };
 pub use sim::{
     simulate, simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup,
-    streaming_step, ReplayEvent, ReplayObserver, SimReport,
+    streaming_step, Accounting, ReplayEvent, ReplayObserver, SimReport,
 };
 pub use stats::{CacheStats, MissSeries};

@@ -16,6 +16,7 @@
 //! arrive, and check conservation of the access count at join).
 
 use crate::cache::AccessOutcome;
+use crate::fault::FaultPlan;
 use crate::latency::LatencyModel;
 use crate::sim::{Accounting, SimReport};
 use icgmm_trace::TraceRecord;
@@ -42,8 +43,7 @@ pub trait OutcomeStream {
 /// run, in global `seq` order, then [`StreamingMerge::finish`] it into
 /// the same [`SimReport`] the single-threaded replay would produce.
 pub struct StreamingMerge<'a> {
-    acct: Accounting<'static>,
-    latency: &'a LatencyModel,
+    acct: Accounting<'a>,
     next_seq: u64,
 }
 
@@ -52,9 +52,9 @@ impl<'a> StreamingMerge<'a> {
     /// (accounted for side effects but excluded from statistics, exactly
     /// like the streaming loop).
     pub fn new(warmup_len: usize, latency: &'a LatencyModel, series_window: Option<u64>) -> Self {
+        let plan = FaultPlan::empty();
         StreamingMerge {
-            acct: Accounting::new(warmup_len as u64, series_window, None),
-            latency,
+            acct: Accounting::new(warmup_len as u64, series_window, &plan, latency),
             next_seq: 0,
         }
     }
@@ -89,13 +89,7 @@ impl<'a> StreamingMerge<'a> {
     /// number; the report averages over what it counted.
     pub fn finish(self, measured_len: usize, eviction: &str, admission: &str) -> SimReport {
         debug_assert_eq!(self.acct.stats.accesses(), measured_len as u64);
-        SimReport::from_counts(
-            self.acct.stats,
-            self.acct.series,
-            self.latency,
-            eviction,
-            admission,
-        )
+        self.acct.finish(eviction, admission)
     }
 }
 

@@ -37,7 +37,10 @@
 //!   is bit-identical at every shard count *by arithmetic*, under every
 //!   latency model, with no outcome buffered and no record revisited.
 //!   `tests/shard_equivalence.rs` holds it against an in-order
-//!   per-request oracle across the policy × admission × score grid.
+//!   per-request oracle across the policy × admission × score grid. Device
+//!   faults ride the [`FaultPlan`] the supervisor carries: each shard's
+//!   accounting rolls its own measured misses by global position and counts
+//!   what they added, one more sum (exact under integer device constants).
 //!
 //! # Zero-copy fan-out and parallel setup
 //!
@@ -77,7 +80,7 @@ use crate::fault::{FaultPlan, FaultStats};
 use crate::latency::LatencyModel;
 use crate::policy::{AdmissionPolicy, EvictionPolicy};
 use crate::score::ScoreSource;
-use crate::sim::{ReplayEvent, ReplayObserver, SimReport};
+use crate::sim::{Accounting, ReplayEvent, ReplayObserver, SimReport};
 use crate::stats::{CacheStats, MissSeries};
 use icgmm_trace::{PageIndex, TraceRecord};
 use std::any::Any;
@@ -86,9 +89,8 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::thread;
 
-/// Error from [`ShardedSimulator::run`] and [`ShardSupervisor`] — and,
-/// for geometry and the warm-up boundary, from `icgmm_hw::run_dataflow`,
-/// which refuses the same `(records, measured_from)` inputs.
+/// Error from [`ShardedSimulator::run`] and [`ShardSupervisor`] — every
+/// replay front-end's refusals of its inputs, and its shard failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardRunError {
     /// Invalid cache geometry.
@@ -305,16 +307,6 @@ pub struct ShardCtx<'a> {
 }
 
 impl<'a> ShardCtx<'a> {
-    /// The one shard of an unsharded replay: all of `trace`.
-    pub fn whole(trace: &'a [TraceRecord]) -> Self {
-        ShardCtx {
-            shard: 0,
-            shards: 1,
-            trace,
-            positions: None,
-        }
-    }
-
     /// The records this shard replays, in order.
     pub fn records(self) -> impl ExactSizeIterator<Item = &'a TraceRecord> {
         self.walk().map(|(_, r)| r)
@@ -426,8 +418,9 @@ impl ReplayObserver for PanicPoint {
 /// and the serving front-end (whose *live* workers replay from a queue
 /// instead of a slice) are both clients of this one type, so what they
 /// refuse, arm, recover, sum and report cannot drift apart. Plain shared
-/// data: workers call [`Self::policies`] and [`Self::panic_point`], the
-/// supervising thread [`Self::recover`] and [`Self::merge`].
+/// data: workers call [`Self::policies`], [`Self::panic_point`] and
+/// [`Self::accounting`], the supervising thread [`Self::recover`] and
+/// [`Self::merge`].
 pub struct ShardSupervisor<'a> {
     cache_cfg: CacheConfig,
     latency: LatencyModel,
@@ -447,7 +440,8 @@ impl<'a> ShardSupervisor<'a> {
     /// [`ShardPartition::build`] validated the geometry); `part: None` is
     /// the one whole-trace shard [`ShardedSimulator::run`] replays inline
     /// at `S = 1`. `make_shard` runs on whichever thread asks for a
-    /// shard's policies; `fault` arms the per-shard panic points;
+    /// shard's policies; `fault` arms the per-shard panic points and
+    /// device faults;
     /// `series_window`, when set, has every shard keep its share of a
     /// per-window miss series.
     ///
@@ -537,28 +531,36 @@ impl<'a> ShardSupervisor<'a> {
         }
     }
 
+    /// A shard's accounting step, offline and live alike: measured from the
+    /// run's boundary, keeping its share of the series, charging the plan's
+    /// device faults under the run's latency model.
+    pub fn accounting(&self) -> Accounting<'_> {
+        let from = self.measured_from as u64;
+        Accounting::new(from, self.series_window, &self.fault, &self.latency)
+    }
+
     /// One shard's whole offline job, wherever it runs: policies, contract
     /// and the streaming loop — independent of every other shard (own
     /// cache, policies, scorer clone and counters), down to the report's
-    /// `fault` / `adapt` blocks, which are what this shard's score stack
-    /// counted. `armed` is the first attempt, with the plan's
-    /// [`PanicPoint`] on its event stream; a re-replay, or a shard with no
-    /// point, runs unobserved.
+    /// `fault` / `adapt` blocks, which are what this shard counted.
+    /// `armed` is the first attempt, with the plan's [`PanicPoint`] on its
+    /// event stream; a re-replay, or a shard with no point, runs
+    /// unobserved.
     fn replay(&self, shard: usize, armed: bool) -> Result<ShardDone, ShardRunError> {
         let mut pol = self.policies(shard)?;
         let mut cache = SetAssocCache::new(self.cache_cfg).expect("geometry validated");
         let mut point = PanicPoint(armed.then(|| self.panic_point(shard)).flatten());
-        let observed = point.0.is_some();
+        let mut acct = self.accounting();
+        if point.0.is_some() {
+            acct.observer = Some(&mut point);
+        }
         let (mut report, scored) = crate::sim::simulate_streaming_impl(
             self.ctx(shard).walk(),
-            self.measured_from as u64,
             &mut cache,
             pol.admission.as_mut(),
             pol.eviction.as_mut(),
             pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
-            &self.latency,
-            self.series_window,
-            observed.then_some(&mut point as &mut dyn ReplayObserver),
+            acct,
         );
         if let Some(score) = &pol.score {
             score.telemetry(&mut report.fault, &mut report.adapt);
@@ -653,14 +655,10 @@ impl<'a> ShardSupervisor<'a> {
             "the shards' accesses do not add up to the measured records"
         );
         let (first, _) = shards.first().expect("at least one shard");
-        let mut sim = SimReport::from_counts(
-            stats,
-            series,
-            &self.latency,
-            &first.eviction,
-            &first.admission,
-        );
-        (sim.fault, sim.adapt) = (fault, adapt);
+        let (eviction, admission) = (&first.eviction, &first.admission);
+        let mut sim =
+            SimReport::from_counts(stats, series, fault, &self.latency, eviction, admission);
+        sim.adapt = adapt;
         ShardedReport {
             sim,
             scores_consumed,
@@ -681,8 +679,10 @@ impl ShardedSimulator {
     }
 
     /// Arms a [`FaultPlan`] for this simulator's runs: per-shard panic
-    /// points (recovered by the supervisor). Scorer faults are the
-    /// caller's concern — wrap the per-shard scorer clones in
+    /// points (recovered by the supervisor) and device faults (each
+    /// measured miss's SSD commands rolled by position, what they add
+    /// counted in the report's fault block and `total_us`). Scorer faults
+    /// are the caller's concern — wrap the per-shard scorer clones in
     /// [`crate::FaultyScore`] from `make_shard`. An empty plan is
     /// equivalent to never calling this.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {

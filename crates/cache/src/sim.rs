@@ -18,9 +18,9 @@
 //!
 //! The loop exposes a **replay-event stream**: a [`ReplayObserver`] passed
 //! to [`simulate_streaming_observed_with_warmup`] receives every record's
-//! real outcome in trace order, so consumers
-//! that attach their own semantics to the replay (`icgmm-hw`'s device-fault
-//! rolls, a shard's armed panic point) never duplicate it.
+//! real outcome in trace order, so consumers that attach their own
+//! semantics to the replay (a shard's armed panic point, a test's
+//! reference timeline) never duplicate it.
 //!
 //! # One input shape
 //!
@@ -44,8 +44,16 @@
 //! function of how many requests had each shape. Nothing in a report
 //! depends on the order its requests were accounted in, which is what lets
 //! shards merge by adding counters.
+//!
+//! Device faults are the one per-request addend: with a plan that arms
+//! them, [`Accounting::record`] rolls each measured miss's SSD commands at
+//! `(position, command)` ([`crate::FaultPlan::device_command_us`]) and
+//! counts what the slower device added to the request in
+//! [`crate::FaultStats::device_request_us`] — a counter like the others,
+//! added to `total_us` once.
 
 use crate::cache::{AccessOutcome, SetAssocCache};
+use crate::fault::{FaultPlan, FaultStats};
 use crate::latency::LatencyModel;
 use crate::policy::{AdmissionPolicy, EvictionPolicy};
 use crate::score::ScoreSource;
@@ -72,8 +80,8 @@ pub struct ReplayEvent<'a> {
 ///
 /// This is the seam between *host replay* (how the simulator computes
 /// outcomes) and *modeled semantics* (what each outcome means): anything
-/// built on it — `icgmm-hw`'s per-command device faults, custom
-/// telemetry — rides the one replay loop instead of copying it.
+/// built on it — a shard's armed panic point, custom telemetry — rides the
+/// one replay loop instead of copying it.
 pub trait ReplayObserver {
     /// One record replayed (trace order, exactly once per record).
     fn on_record(&mut self, ev: &ReplayEvent<'_>);
@@ -85,7 +93,8 @@ pub struct SimReport {
     /// Hit/miss/bypass/eviction counters.
     pub stats: CacheStats,
     /// Sum of per-request latency, in µs: [`LatencyModel::total_us`] of
-    /// `stats`.
+    /// `stats` plus what device faults added
+    /// ([`crate::FaultStats::device_request_us`]).
     pub total_us: f64,
     /// Average per-request latency, in µs (the paper's Table 1 metric):
     /// `total_us` over `stats.accesses()`, 0 for an empty run.
@@ -98,27 +107,28 @@ pub struct SimReport {
     pub admission: String,
     /// Fault-injection and degradation counters: all-zero from the plain
     /// `simulate*` entry points and on fault-free runs; a shard's report
-    /// holds what its score stack counted
+    /// holds its device faults and what its score stack counted
     /// ([`crate::ScoreSource::telemetry`]), a merged one the shards' sum.
-    pub fault: crate::fault::FaultStats,
+    pub fault: FaultStats,
     /// Online-adaptation counters (all-zero on static runs), filled in the
     /// same way.
     pub adapt: crate::adapt::AdaptStats,
 }
 
 impl SimReport {
-    /// The report of a run that counted `stats` (and `miss_series`) under
-    /// `latency` — the one place modeled time is computed, for a replay, a
-    /// shard, a serving worker and the sum of shards alike. `fault` /
-    /// `adapt` start all-zero.
+    /// The report of a run that counted `stats` (and `miss_series`, and
+    /// `fault`) under `latency` — the one place modeled time is computed,
+    /// for a replay, a shard, a serving worker and the sum of shards alike.
+    /// `adapt` starts all-zero.
     pub fn from_counts(
         stats: CacheStats,
         miss_series: Option<MissSeries>,
+        fault: FaultStats,
         latency: &LatencyModel,
         eviction: &str,
         admission: &str,
     ) -> Self {
-        let total_us = latency.total_us(&stats);
+        let total_us = latency.total_us(&stats) + fault.device_request_us;
         let avg_us = match stats.accesses() {
             0 => 0.0,
             n => total_us / n as f64,
@@ -130,7 +140,7 @@ impl SimReport {
             miss_series,
             eviction: eviction.to_string(),
             admission: admission.to_string(),
-            fault: crate::fault::FaultStats::default(),
+            fault,
             adapt: crate::adapt::AdaptStats::default(),
         }
     }
@@ -190,24 +200,16 @@ pub fn simulate_streaming_with_warmup(
     latency: &LatencyModel,
     series_window: Option<u64>,
 ) -> SimReport {
-    simulate_streaming_impl(
-        (0..).zip(warmup.iter().chain(measured)),
-        warmup.len() as u64,
-        cache,
-        admission,
-        eviction,
-        score,
-        latency,
-        series_window,
-        None,
-    )
-    .0
+    let plan = FaultPlan::empty();
+    let acct = Accounting::new(warmup.len() as u64, series_window, &plan, latency);
+    let records = (0..).zip(warmup.iter().chain(measured));
+    simulate_streaming_impl(records, cache, admission, eviction, score, acct).0
 }
 
 /// [`simulate_streaming_with_warmup`] with a [`ReplayObserver`] receiving
 /// the per-record event stream (warm-up events included, flagged by
-/// `seq`). This is how the `icgmm-hw` dataflow model rolls device faults
-/// per SSD command off the functional replay without duplicating the loop.
+/// `seq`): a per-record model riding the functional replay without
+/// duplicating the loop.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_streaming_observed_with_warmup(
     warmup: &[TraceRecord],
@@ -220,40 +222,28 @@ pub fn simulate_streaming_observed_with_warmup(
     series_window: Option<u64>,
     observer: &mut dyn ReplayObserver,
 ) -> SimReport {
-    simulate_streaming_impl(
-        (0..).zip(warmup.iter().chain(measured)),
-        warmup.len() as u64,
-        cache,
-        admission,
-        eviction,
-        score,
-        latency,
-        series_window,
-        Some(observer),
-    )
-    .0
+    let plan = FaultPlan::empty();
+    let mut acct = Accounting::new(warmup.len() as u64, series_window, &plan, latency);
+    acct.observer = Some(observer);
+    let records = (0..).zip(warmup.iter().chain(measured));
+    simulate_streaming_impl(records, cache, admission, eviction, score, acct).0
 }
 
 /// The streaming loop behind every entry point. `records` walks the
 /// replayed records with their global trace positions, ascending — a
 /// slice's own indices, or a shard's partition list over the whole trace
-/// — and `measured_from` is the position measurement starts at (the whole
-/// trace's warm-up length, however few warm-up records this walk holds).
-/// Returns the report and how many records consumed a score (scored
-/// misses, warm-up included).
-#[allow(clippy::too_many_arguments)]
+/// — and `acct` counts them (it holds the position measurement starts at:
+/// the whole trace's warm-up length, however few warm-up records this walk
+/// holds). Returns the report and how many records consumed a score
+/// (scored misses, warm-up included).
 pub(crate) fn simulate_streaming_impl<'r>(
     records: impl Iterator<Item = (u64, &'r TraceRecord)>,
-    measured_from: u64,
     cache: &mut SetAssocCache,
     admission: &mut dyn AdmissionPolicy,
     eviction: &mut dyn EvictionPolicy,
     mut score: Option<&mut dyn ScoreSource>,
-    latency: &LatencyModel,
-    series_window: Option<u64>,
-    observer: Option<&mut dyn ReplayObserver>,
+    mut acct: Accounting<'_>,
 ) -> (SimReport, u64) {
-    let mut acct = Accounting::new(measured_from, series_window, observer);
     let mut scored = 0u64;
 
     // `seq` counts the records this loop replays (what the policies rank
@@ -265,9 +255,7 @@ pub(crate) fn simulate_streaming_impl<'r>(
         acct.record(seq, pos, r, &outcome);
     }
 
-    let (eviction, admission) = (eviction.name(), admission.name());
-    let report = SimReport::from_counts(acct.stats, acct.series, latency, eviction, admission);
-    (report, scored)
+    (acct.finish(eviction.name(), admission.name()), scored)
 }
 
 /// The canonical replay step — observe, access, scoring the miss
@@ -298,38 +286,51 @@ pub fn streaming_step(
     cache.access_scored(r, seq, score_miss, admission, eviction)
 }
 
-/// Measurement bookkeeping of the streaming loop (and of `merge.rs`'s
-/// benchmark façade): integer counters only, turned into a report — and
-/// into modeled time — once, at the end ([`SimReport::from_counts`]).
-pub(crate) struct Accounting<'o> {
+/// Measurement bookkeeping — the one accounting step of the streaming loop
+/// and of the serving workers (and of `merge.rs`'s benchmark façade):
+/// integer counters, plus the device faults of an armed plan, turned into
+/// a report — and into modeled time — once, at the end
+/// ([`SimReport::from_counts`]).
+pub struct Accounting<'a> {
     measured_from: u64,
+    latency: &'a LatencyModel,
     pub(crate) stats: CacheStats,
-    pub(crate) series: Option<MissSeries>,
-    observer: Option<&'o mut dyn ReplayObserver>,
+    series: Option<MissSeries>,
+    /// The plan, when it arms device faults: rolled on every measured miss.
+    device: Option<FaultPlan>,
+    fault: FaultStats,
+    pub(crate) observer: Option<&'a mut dyn ReplayObserver>,
 }
 
-impl<'o> Accounting<'o> {
+impl<'a> Accounting<'a> {
     /// `measured_from` is the global trace position of the first measured
-    /// record: everything before it is warm-up.
-    pub(crate) fn new(
+    /// record: everything before it is warm-up. `series_window`, when set,
+    /// keeps a per-window miss series; `fault`'s device faults, when
+    /// armed, are charged to the measured misses under `latency`.
+    pub fn new(
         measured_from: u64,
         series_window: Option<u64>,
-        observer: Option<&'o mut dyn ReplayObserver>,
+        fault: &FaultPlan,
+        latency: &'a LatencyModel,
     ) -> Self {
         Accounting {
             measured_from,
+            latency,
             stats: CacheStats::default(),
             series: series_window.map(MissSeries::new),
-            observer,
+            device: fault.device_armed().then_some(*fault),
+            fault: FaultStats::default(),
+            observer: None,
         }
     }
 
     /// Accounts one replayed request: the `seq`-th this replay saw, at
     /// global trace position `pos`. Warm-up requests have full side effects
-    /// and an observer event, but no statistics. Always inlined (see
+    /// and an observer event, but no statistics. Returns whether the
+    /// request was measured. Always inlined (see
     /// [`SetAssocCache::access_scored`]).
     #[inline(always)]
-    pub(crate) fn record(&mut self, seq: u64, pos: u64, r: &TraceRecord, outcome: &AccessOutcome) {
+    pub fn record(&mut self, seq: u64, pos: u64, r: &TraceRecord, outcome: &AccessOutcome) -> bool {
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_record(&ReplayEvent {
                 seq,
@@ -338,12 +339,44 @@ impl<'o> Accounting<'o> {
             });
         }
         let Some(measured_pos) = pos.checked_sub(self.measured_from) else {
-            return;
+            return false;
         };
         self.stats.record(r.op, outcome);
         if let Some(ms) = self.series.as_mut() {
             ms.record(measured_pos, !outcome.is_hit());
         }
+        if self.device.is_some() && !outcome.is_hit() {
+            self.charge_device(pos, r, outcome);
+        }
+        true
+    }
+
+    /// Rolls a measured miss's SSD commands in issue order and counts what
+    /// the faulted device added to the request.
+    #[cold]
+    #[inline(never)]
+    fn charge_device(&mut self, pos: u64, r: &TraceRecord, outcome: &AccessOutcome) {
+        let Some(plan) = &self.device else { return };
+        let (lat, fault) = (self.latency, &mut self.fault);
+        let (mut nominal, mut cmd) = (0.0, 0);
+        let (_, faulted) = lat.split_with(r.op, outcome, |us| {
+            nominal += us;
+            cmd += 1;
+            plan.device_command_us(pos, cmd - 1, us, fault)
+        });
+        let faulted = faulted.expect("a miss issues SSD commands");
+        let p = lat.policy_engine_us;
+        fault.device_request_us += if lat.overlap_policy_with_ssd {
+            faulted.max(p) - nominal.max(p)
+        } else {
+            faulted - nominal
+        };
+    }
+
+    /// The report of everything accounted, under the policies' names.
+    pub fn finish(self, eviction: &str, admission: &str) -> SimReport {
+        let (stats, series, fault) = (self.stats, self.series, self.fault);
+        SimReport::from_counts(stats, series, fault, self.latency, eviction, admission)
     }
 }
 

@@ -1,7 +1,8 @@
 //! Fault-armed behaviour of the replay stack: injected faults are
-//! deterministic functions of `(plan seed, trace seed)`, an untrusted
-//! score reaches the policies as no score — per request and per streak,
-//! counted — and recovery paths keep the replay accounting intact.
+//! deterministic functions of `(plan seed, trace seed)` — device faults
+//! of position, the same at every shard count — an untrusted score reaches
+//! the policies as no score — per request and per streak, counted — and
+//! recovery paths keep the replay accounting intact.
 
 use icgmm_cache::{
     simulate_streaming_with_warmup, AccessCtx, AccessOutcome, AdaptStats, AdmissionPolicy,
@@ -192,6 +193,44 @@ proptest! {
             prop_assert_eq!(&a.sim, &b.sim, "non-deterministic at {} shards", shards);
             prop_assert_eq!(a.sim.fault, b.sim.fault);
         }
+    }
+}
+
+proptest! {
+    /// Device faults are a function of position: with a device-armed plan
+    /// (shard panics armed too), the report at 2, 4 and 8 shards is the
+    /// one-shard report once the panic counters are scrubbed. The faults
+    /// are charged (device counters > 0, `total_us` above the unarmed
+    /// run's by exactly what they added to the faulted requests) and touch
+    /// modeled time only (`stats` and the miss series are the unarmed
+    /// run's).
+    #[test]
+    fn device_faults_are_a_function_of_position_at_every_shard_count(
+        params in (0u64..1_000_000, 0u64..1_000_000, 500usize..1200, 24u64..120)
+    ) {
+        let (plan_seed, trace_seed, n, pages) = params;
+        let trace = zipf_trace(trace_seed, n, pages, 0.9, 20);
+        let plan = FaultPlan {
+            device_fail_per_mille: 150,
+            device_spike_per_mille: 100,
+            ..FaultPlan::chaos(plan_seed)
+        };
+        let scrubbed = |shards| {
+            let mut sim = sharded_run(plan, shards, &trace).sim;
+            (sim.fault.shard_panics, sim.fault.shard_recoveries) = (0, 0);
+            sim
+        };
+        let one = scrubbed(1);
+        for shards in [2usize, 4, 8] {
+            prop_assert_eq!(&scrubbed(shards), &one, "diverged at {} shards", shards);
+        }
+        let unarmed = sharded_run(FaultPlan::empty(), 1, &trace).sim;
+        prop_assert!(one.fault.device_failures + one.fault.device_spikes > 0);
+        prop_assert!(one.fault.device_fault_us > 0.0);
+        prop_assert_eq!(&one.stats, &unarmed.stats);
+        prop_assert_eq!(&one.miss_series, &unarmed.miss_series);
+        prop_assert!(one.total_us > unarmed.total_us);
+        prop_assert_eq!(one.total_us, unarmed.total_us + one.fault.device_request_us);
     }
 }
 

@@ -119,13 +119,14 @@ pub struct IcgmmConfig {
     /// percentiles); large depths amortize hand-off cost. Results are
     /// bit-identical at any value.
     pub serve_queue_depth: usize,
-    /// Deterministic fault-injection plan spanning the whole replay stack:
-    /// scorer faults (non-finite scores, engine outages), device faults
-    /// (SSD failures, retries, tail-latency spikes on the modeled
-    /// timeline), shard-worker panics, and the degradation ladder's knobs
-    /// (the scorer health monitor). The empty
-    /// default arms nothing and leaves every run bit-identical to a
-    /// fault-free build.
+    /// Deterministic fault-injection plan spanning the whole replay stack —
+    /// `run`, `run_sharded`, `serve` and `run_dataflow` alike, with the
+    /// same report at every shard count: scorer faults (non-finite scores,
+    /// engine outages), device faults (SSD failures, retries, tail-latency
+    /// spikes, charged to each faulted miss's modeled time), shard-worker
+    /// panics, and the degradation ladder's knobs (the scorer health
+    /// monitor). The empty default arms nothing and leaves every run
+    /// bit-identical to a fault-free build.
     pub fault: FaultPlan,
     /// Online-adaptation plan: per-shard reservoir sampling of the replay
     /// stream, a drift detector over windowed mean log-likelihood, and
@@ -274,6 +275,12 @@ mod tests {
         c = IcgmmConfig::default();
         c.fault.scorer_outage_len = u32::MAX;
         assert!(c.validate().is_err());
+        // Every SSD command would walk ~4·10⁹ attempts: refused, by name.
+        c = IcgmmConfig::default();
+        c.fault.device_fail_per_mille = 1000;
+        c.fault.device_retry_limit = u32::MAX;
+        let err = crate::Icgmm::new(c).unwrap_err().to_string();
+        assert!(err.contains("fault.device_retry_limit"), "{err}");
         c = IcgmmConfig::default();
         c.adapt.check_interval = 1_000;
         c.adapt.decay = 0.0;

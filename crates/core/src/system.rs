@@ -10,9 +10,9 @@ use crate::engine::{GmmPolicyEngine, TrainedModel};
 use crate::error::IcgmmError;
 use crate::online::AdaptiveEngine;
 use icgmm_cache::{
-    AdaptPlan, AdaptStats, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy, FaultPlan,
-    FaultyScore, FifoPolicy, GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy, RandomPolicy,
-    ScoreSource, ShardCtx, ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
+    AdaptPlan, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy, FaultyScore, FifoPolicy,
+    GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy, RandomPolicy, ScoreSource, ShardCtx,
+    ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_gmm::{calibrate_threshold, EmReport, EmTrainer, StandardScaler};
 use icgmm_hw::{DataflowConfig, DataflowReport};
@@ -67,8 +67,9 @@ impl RunReport {
 }
 
 /// The one replay assembly: what it takes to build any shard's
-/// policy/scorer/fault stack — the mode's engine, the fault and adaptation
-/// plans and the trimmed trace. Empty plans install no wrapper, so
+/// policy/scorer/fault stack — the mode's engine, the configuration's
+/// fault plan, an adaptation plan and the trimmed trace. Empty plans
+/// install no wrapper, so
 /// disabled features stay bit-identical. It keeps nothing per shard: a
 /// shard's counters are fields of its own stack, which whoever replays the
 /// shard reads through [`ScoreSource::telemetry`].
@@ -76,7 +77,6 @@ struct Assembly<'a> {
     sys: &'a Icgmm,
     mode: PolicyMode,
     engine: Option<GmmPolicyEngine>,
-    fault: FaultPlan,
     adapt: AdaptPlan,
     /// Warm-up ⧺ measured (the trace minus its trimmed tail).
     records: &'a [TraceRecord],
@@ -142,7 +142,7 @@ impl Assembly<'_> {
         // its health monitor (per shard, so degradation transitions stay
         // deterministic). The policies are never wrapped: a score that is
         // not to be trusted reaches them as no score.
-        let plan = self.fault;
+        let plan = self.sys.cfg.fault;
         if plan.scorer_armed() || plan.monitor_armed() {
             score = score.map(|s| Box::new(FaultyScore::new(s, plan)) as _);
         }
@@ -288,7 +288,6 @@ impl Icgmm {
         trace: &'a Trace,
         mode: PolicyMode,
         shards: usize,
-        fault: FaultPlan,
         adapt: AdaptPlan,
     ) -> Result<Assembly<'a>, IcgmmError> {
         if shards > 1 && mode == PolicyMode::Random {
@@ -303,7 +302,6 @@ impl Icgmm {
             sys: self,
             mode,
             engine,
-            fault,
             adapt,
             records: &trace.records()[..end],
             measured_from: start,
@@ -316,11 +314,12 @@ impl Icgmm {
     /// This is the one-shard geometry of [`Icgmm::run_sharded`], replayed
     /// inline on the calling thread: one single-point policy-engine
     /// inference per miss, as in the paper's Algorithm 1 datapath. The
-    /// [`FaultPlan`] therefore applies as to any shard: an armed
-    /// `shard_panic_per_mille` point is caught, the trace re-replayed once
-    /// with it disarmed, and the event counted in
+    /// [`FaultPlan`](icgmm_cache::FaultPlan) therefore applies as to any
+    /// shard: an armed `shard_panic_per_mille` point is caught, the trace
+    /// re-replayed once with it disarmed, and the event counted in
     /// `FaultStats::{shard_panics, shard_recoveries}`; the functional
-    /// report is bit-identical to an undisturbed run.
+    /// report is bit-identical to an undisturbed run. Armed device faults
+    /// lengthen `total_us`, identically at every shard count.
     ///
     /// # Errors
     ///
@@ -343,7 +342,7 @@ impl Icgmm {
         mode: PolicyMode,
         latency: &LatencyModel,
     ) -> Result<RunReport, IcgmmError> {
-        self.replay(trace, mode, latency, 1)
+        self.replay(trace, mode, latency, 1, self.cfg.adapt)
     }
 
     /// [`Icgmm::run`] with the cache partitioned by set index into the
@@ -369,7 +368,8 @@ impl Icgmm {
     /// eviction draws victims from one global RNG stream, which
     /// set-partitioned replay cannot reproduce.
     pub fn run_sharded(&self, trace: &Trace, mode: PolicyMode) -> Result<RunReport, IcgmmError> {
-        self.replay(trace, mode, &self.cfg.latency, self.cfg.sim_shards)
+        let shards = self.cfg.sim_shards;
+        self.replay(trace, mode, &self.cfg.latency, shards, self.cfg.adapt)
     }
 
     /// The offline replay: [`Icgmm::run`] at one shard, else `run_sharded`.
@@ -379,10 +379,11 @@ impl Icgmm {
         mode: PolicyMode,
         latency: &LatencyModel,
         shards: usize,
+        adapt: AdaptPlan,
     ) -> Result<RunReport, IcgmmError> {
-        let asm = self.assemble(trace, mode, shards, self.cfg.fault, self.cfg.adapt)?;
+        let asm = self.assemble(trace, mode, shards, adapt)?;
         let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
-        let engine = ShardedSimulator::new(shards).with_faults(asm.fault);
+        let engine = ShardedSimulator::new(shards).with_faults(self.cfg.fault);
         let (records, from) = (asm.records, asm.measured_from);
         let rep = engine.run(records, from, self.cfg.cache, &make_shard, latency, None)?;
         Ok(RunReport {
@@ -407,9 +408,10 @@ impl Icgmm {
     /// cannot measure: requests/sec at saturation and p50/p99
     /// admission-decision latencies.
     ///
-    /// The configuration's [`FaultPlan`] plugs in unchanged: shard-worker
-    /// panics are supervisor-recovered mid-service, scorer faults ride
-    /// each worker's [`FaultyScore`] wrapper and its health monitor.
+    /// The configuration's [`FaultPlan`](icgmm_cache::FaultPlan) plugs in
+    /// unchanged: shard-worker panics are supervisor-recovered
+    /// mid-service, device faults ride each worker's accounting, scorer
+    /// faults each worker's [`FaultyScore`] wrapper and its health monitor.
     ///
     /// # Errors
     ///
@@ -420,13 +422,12 @@ impl Icgmm {
     /// re-replay dies too) are the same typed errors.
     pub fn serve(&self, trace: &Trace, mode: PolicyMode) -> Result<ServeReport, IcgmmError> {
         let shards = self.cfg.sim_shards;
-        let asm = self.assemble(trace, mode, shards, self.cfg.fault, self.cfg.adapt)?;
+        let asm = self.assemble(trace, mode, shards, self.cfg.adapt)?;
         let server = CacheServer::new(ServeConfig {
             shards,
             clients: self.cfg.serve_clients,
             queue_depth: self.cfg.serve_queue_depth,
-            fault: asm.fault,
-            ..ServeConfig::default()
+            fault: self.cfg.fault,
         })?;
         let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
         let (cache, latency) = (self.cfg.cache, &self.cfg.latency);
@@ -437,19 +438,23 @@ impl Icgmm {
     /// Runs one mode under the latency model the cycle-level hardware
     /// engines amount to ([`DataflowConfig::latency`]) instead of the
     /// analytic constants, and reports the SSD traffic, engine busy time
-    /// and overlap saving that go with it.
+    /// and overlap saving that go with it ([`DataflowReport::from_sim`]).
     ///
-    /// Host replay is the same streaming loop as [`Icgmm::run`]; setting
+    /// Host replay is [`Icgmm::run`]'s one-shard replay under that model
+    /// (and the frozen model, below), so the configuration's
+    /// [`FaultPlan`](icgmm_cache::FaultPlan) applies as on every front-end:
+    /// device faults lengthen the makespan, scorer faults and recovered
+    /// shard panics land in the report's fault block. Setting
     /// `IcgmmConfig::latency = DataflowConfig::default().latency()` gives
     /// [`Icgmm::run`], [`Icgmm::run_sharded`] and [`Icgmm::serve`] the same
-    /// modeled time, `avg_us` equal to this report's `avg_request_us`.
+    /// modeled time, `total_us` equal to this report's `makespan_us`.
     ///
-    /// This front-end replays the **frozen** model: it is the one caller
-    /// that hands the assembly an empty [`AdaptPlan`], so an armed
-    /// `IcgmmConfig::adapt` is ignored and the report's stats equal
-    /// [`Icgmm::run`]'s with the plan cleared — the repository benchmark
-    /// checks exactly that equality, so only a benchmark PR may change it.
-    /// For modeled dataflow time under live refits use the route above.
+    /// This front-end replays the **frozen** model: it hands the assembly
+    /// an empty [`AdaptPlan`], so an armed `IcgmmConfig::adapt` is ignored
+    /// and the report's stats equal [`Icgmm::run`]'s with the plan cleared
+    /// — the repository benchmark checks exactly that equality, so only a
+    /// benchmark PR may change it. For modeled dataflow time under live
+    /// refits use the route above.
     ///
     /// # Errors
     ///
@@ -462,28 +467,10 @@ impl Icgmm {
         mode: PolicyMode,
         config: &DataflowConfig,
     ) -> Result<DataflowReport, IcgmmError> {
-        config.latency().validate().map_err(IcgmmError::Config)?;
-        // This configuration's fault plan rides along unless the dataflow
-        // config armed its own: device faults act inside the hardware
-        // model, scorer faults and their monitor come from the assembly,
-        // and everything lands in the report's fault block.
-        let mut config = config.clone();
-        if config.fault.is_empty() {
-            config.fault = self.cfg.fault;
-        }
-        let asm = self.assemble(trace, mode, 1, config.fault, AdaptPlan::empty())?;
-        let (records, from) = (asm.records, asm.measured_from);
-        let mut pol = asm.shard(&ShardCtx::whole(records));
-        let (adm, ev) = (pol.admission.as_mut(), pol.eviction.as_mut());
-        let score = pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource);
-        let cache = self.cfg.cache;
-        let mut report = icgmm_hw::run_dataflow(records, from, cache, adm, ev, score, &config)?;
-        // The device's counters are in the report; the scorer's and its
-        // monitor's are in the stack this front-end still holds.
-        if let Some(score) = &pol.score {
-            score.telemetry(&mut report.fault, &mut AdaptStats::default());
-        }
-        Ok(report)
+        let latency = config.latency();
+        latency.validate().map_err(IcgmmError::Config)?;
+        let rep = self.replay(trace, mode, &latency, 1, AdaptPlan::empty())?;
+        Ok(DataflowReport::from_sim(&rep.sim, config))
     }
 }
 

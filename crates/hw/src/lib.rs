@@ -14,31 +14,36 @@
 //! * hit ≈ 1 µs ([`CacheEngineModel::hit_us`]),
 //! * GMM inference ≈ 3 µs at K = 256 ([`GmmEngineModel::latency_us`]),
 //! * TLC SSD 75/900 µs ([`SsdProfile::tlc`]),
-//! * overlap of inference with SSD access ([`run_dataflow`]).
+//! * overlap of inference with SSD access ([`DataflowReport::overlap_saved_us`]).
 //!
 //! The emulator pauses the dataflow for each SSD command, so one request
 //! is in flight at a time and its modeled time is a function of its own
 //! outcome: [`DataflowConfig::latency`] turns the engines' cycle counts
-//! into an [`icgmm_cache::LatencyModel`], and [`run_dataflow`] — over the
-//! whole trace plus `measured_from`, like every replay — is the cache
-//! crate's one streaming replay loop under that model: each miss pays the
-//! engine's lookup + update and then one GMM inference overlapped (or not)
-//! with its own SSD access.
+//! into an [`icgmm_cache::LatencyModel`], any replay of the cache crate's
+//! one streaming loop under that model is a dataflow run — each miss pays
+//! the engine's lookup + update and then one GMM inference overlapped (or
+//! not) with its own SSD access, device faults included — and
+//! [`DataflowReport::from_sim`] reads the SSD traffic, engine busy time
+//! and overlap saving off its counters.
 //! See the `system` module docs for why no queue is modeled.
 //!
 //! ## Example
 //!
 //! ```
-//! use icgmm_hw::{run_dataflow, DataflowConfig};
-//! use icgmm_cache::{AlwaysAdmit, CacheConfig, LruPolicy};
+//! use icgmm_hw::{DataflowConfig, DataflowReport};
+//! use icgmm_cache::{simulate, AlwaysAdmit, CacheConfig, LruPolicy, SetAssocCache};
 //! use icgmm_trace::TraceRecord;
 //!
 //! let cfg = CacheConfig { capacity_bytes: 8 * 4096, block_bytes: 4096, ways: 2 };
+//! let mut cache = SetAssocCache::new(cfg)?;
 //! let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
 //! let trace: Vec<TraceRecord> = (0..64u64).map(|i| TraceRecord::read((i % 4) << 12)).collect();
-//! let report = run_dataflow(&trace, 0, cfg, &mut AlwaysAdmit, &mut lru, None, &DataflowConfig::default())?;
+//! let df = DataflowConfig::default();
+//! let sim = simulate(&trace, &mut cache, &mut AlwaysAdmit, &mut lru, None, &df.latency(), None);
+//! let report = DataflowReport::from_sim(&sim, &df);
 //! assert_eq!(report.stats.misses(), 4);
-//! # Ok::<(), icgmm_cache::ShardRunError>(())
+//! assert_eq!(report.makespan_us, sim.total_us);
+//! # Ok::<(), icgmm_cache::CacheConfigError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,5 +60,5 @@ pub use cache_engine::CacheEngineModel;
 pub use clock::{ClockDomain, Cycles};
 pub use gmm_engine::GmmEngineModel;
 pub use resources::{table2, GmmResourceModel, ResourceEstimate};
-pub use ssd::{faulted_service_us, SsdProfile, SsdStats};
-pub use system::{run_dataflow, DataflowConfig, DataflowReport};
+pub use ssd::{SsdProfile, SsdStats};
+pub use system::{DataflowConfig, DataflowReport};

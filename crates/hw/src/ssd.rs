@@ -7,9 +7,9 @@
 //! means the device never sees a second command while it serves one, so
 //! the emulator has no state to model: it is a latency per command
 //! ([`SsdProfile`]), and with device faults armed a longer one
-//! ([`faulted_service_us`]).
+//! (`icgmm_cache::FaultPlan::device_command_us`, rolled by the replay's
+//! accounting for every front-end).
 
-use icgmm_cache::{FaultPlan, FaultStats, DEVICE_SPIKE_MULT};
 use icgmm_trace::Op;
 use serde::{Deserialize, Serialize};
 
@@ -78,48 +78,10 @@ pub struct SsdStats {
     pub busy_us: f64,
 }
 
-/// Service time of command number `op_index` under an armed `plan`: a
-/// spike roll scales the attempt latency once, then each failed attempt
-/// adds its exponential backoff until one succeeds or the retry limit
-/// turns into the host-side timeout. The time beyond `nominal` is
-/// accounted in [`FaultStats::device_fault_us`]. Every roll is a pure hash
-/// of `(plan seed, op_index)`, so a faulted run is reproducible command
-/// for command.
-pub fn faulted_service_us(
-    plan: &FaultPlan,
-    op_index: u64,
-    nominal: f64,
-    stats: &mut FaultStats,
-) -> f64 {
-    let mut attempt_us = nominal;
-    if plan.device_spikes(op_index) {
-        attempt_us *= DEVICE_SPIKE_MULT;
-        stats.device_spikes += 1;
-    }
-    let mut total = 0.0;
-    let mut attempt: u32 = 0;
-    loop {
-        total += attempt_us;
-        if !plan.device_attempt_fails(op_index, attempt) {
-            break;
-        }
-        stats.device_failures += 1;
-        if attempt >= plan.device_retry_limit {
-            stats.device_timeouts += 1;
-            total += plan.device_timeout_us;
-            break;
-        }
-        total += plan.device_backoff_us * f64::powi(2.0, attempt as i32);
-        stats.device_retries += 1;
-        attempt += 1;
-    }
-    stats.device_fault_us += total - nominal;
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icgmm_cache::{FaultPlan, FaultStats};
 
     #[test]
     fn profiles_match_paper_constants() {
@@ -140,8 +102,9 @@ mod tests {
         };
         let run = || {
             let mut fault = FaultStats::default();
+            // 200 requests, each with a fetch and a write-back.
             let busy: f64 = (0..400)
-                .map(|i| faulted_service_us(&plan, i, 75.0, &mut fault))
+                .map(|i| plan.device_command_us(i / 2, i % 2, 75.0, &mut fault))
                 .sum();
             (busy, fault)
         };
@@ -170,7 +133,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut f = FaultStats::default();
-        let service = faulted_service_us(&plan, 0, 75.0, &mut f);
+        let service = plan.device_command_us(0, 0, 75.0, &mut f);
         assert_eq!(f.device_failures, 3); // attempts 0, 1, 2
         assert_eq!(f.device_retries, 2);
         assert_eq!(f.device_timeouts, 1);

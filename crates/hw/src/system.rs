@@ -29,25 +29,19 @@
 //!
 //! A request's time therefore depends on its own `(op, outcome)` only,
 //! which is what [`icgmm_cache::LatencyModel`] computes:
-//! [`DataflowConfig::latency`] derives one from the engines,
-//! [`run_dataflow`] is the plain streaming replay under it (set it as
-//! `IcgmmConfig::latency` and the sharded, served and adapting front-ends
-//! report dataflow time too), and the report's traffic and overlap figures
-//! are closed forms of the replay's counters. The timeline this replaced
-//! is the oracle of `tests/dataflow_equivalence.rs`. Device faults are the
-//! one per-command effect: only with [`FaultPlan::device_armed`] is a
-//! replay observer installed, to roll each SSD command's faulted service
-//! time by command index and charge what it adds to the miss.
+//! [`DataflowConfig::latency`] derives one from the engines, any replay
+//! under it is a dataflow run (set it as `IcgmmConfig::latency` and the
+//! sharded, served and adapting front-ends report dataflow time too), and
+//! [`DataflowReport::from_sim`] turns its counters into the traffic and
+//! overlap figures, closed form by closed form. A faulted SSD command only
+//! slows its own request too, so device faults are the replay's: its
+//! accounting rolls them per measured miss and counts what they add. The
+//! timeline this replaced is the oracle of `tests/dataflow_equivalence.rs`.
 
 use crate::cache_engine::CacheEngineModel;
 use crate::gmm_engine::GmmEngineModel;
-use crate::ssd::{faulted_service_us, SsdProfile, SsdStats};
-use icgmm_cache::{
-    simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, AdmissionPolicy,
-    CacheConfig, CacheStats, EvictionPolicy, FaultPlan, FaultStats, LatencyModel, ReplayEvent,
-    ReplayObserver, ScoreSource, SetAssocCache, ShardRunError, SimReport,
-};
-use icgmm_trace::TraceRecord;
+use crate::ssd::{SsdProfile, SsdStats};
+use icgmm_cache::{CacheStats, FaultStats, LatencyModel, SimReport};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the dataflow system model.
@@ -62,11 +56,6 @@ pub struct DataflowConfig {
     /// Run policy inference concurrently with the SSD access (the paper's
     /// dataflow architecture); `false` models a sequential design.
     pub overlap_policy_with_ssd: bool,
-    /// Deterministic fault-injection plan. The empty default leaves every
-    /// code path — and the report — bit-identical to a fault-free build;
-    /// arming device faults makes SSD commands fail/retry/spike on the
-    /// modeled timeline.
-    pub fault: FaultPlan,
 }
 
 impl Default for DataflowConfig {
@@ -76,7 +65,6 @@ impl Default for DataflowConfig {
             gmm_engine: GmmEngineModel::paper_k256(),
             ssd: SsdProfile::tlc(),
             overlap_policy_with_ssd: true,
-            fault: FaultPlan::empty(),
         }
     }
 }
@@ -127,9 +115,10 @@ pub struct DataflowReport {
     /// Time saved by overlapping policy inference with SSD access compared
     /// to a sequential design, µs.
     pub overlap_saved_us: f64,
-    /// Fault-injection and degradation counters (all-zero without an armed
-    /// [`DataflowConfig::fault`] plan): device failures/retries/spikes/
-    /// timeouts charged to the modeled timeline.
+    /// The replay's fault-injection and degradation counters (all-zero
+    /// without an armed `IcgmmConfig::fault`): device failures, retries,
+    /// spikes and timeouts charged to the modeled time, scorer faults,
+    /// recovered shard panics.
     pub fault: FaultStats,
 }
 
@@ -143,10 +132,13 @@ impl DataflowReport {
         }
     }
 
-    /// Fills the report from a replay under `latency` — every figure is a
-    /// closed form of the counters — plus whatever armed device faults
-    /// added on top.
-    fn new(sim: &SimReport, latency: &LatencyModel, charged: FaultCharge) -> Self {
+    /// The dataflow report of a replay under `config.latency()` — any
+    /// front-end's, device faults included. Every figure is a closed form
+    /// of its counters: the makespan is `sim.total_us`, traffic and
+    /// overlap count the misses by the SSD work they wait on, plus what
+    /// the device faults in `sim.fault` added.
+    pub fn from_sim(sim: &SimReport, config: &DataflowConfig) -> Self {
+        let latency = config.latency();
         let s = &sim.stats;
         let (read_us, write_us) = (latency.ssd_read_us, latency.ssd_write_us);
         let reads = s.read_insertions + s.write_insertions + s.read_bypasses;
@@ -156,13 +148,19 @@ impl DataflowReport {
         let hidden_us = (reads - s.dirty_evictions) as f64 * latency.hidden_us(read_us)
             + s.dirty_evictions as f64 * latency.hidden_us(read_us + write_us)
             + s.write_bypasses as f64 * latency.hidden_us(write_us);
-        let fault = charged.stats;
+        // A faulted miss hides min(f, p) − min(n, p) more inference behind
+        // its SSD work: (f − n) − (max(f, p) − max(n, p)), summed.
+        let fault = sim.fault;
+        let fault_hidden_us = if latency.overlap_policy_with_ssd {
+            fault.device_fault_us - fault.device_request_us
+        } else {
+            0.0
+        };
         let n = s.accesses();
-        let makespan_us = sim.total_us + charged.extra_us;
-        let avg_request_us = if n == 0 { 0.0 } else { makespan_us / n as f64 };
+        let avg_request_us = if n == 0 { 0.0 } else { sim.total_us / n as f64 };
         DataflowReport {
             stats: *s,
-            makespan_us,
+            makespan_us: sim.total_us,
             avg_request_us,
             avg_queue_us: 63.0 * avg_request_us,
             gmm_busy_us: s.misses() as f64 * latency.policy_engine_us,
@@ -172,107 +170,20 @@ impl DataflowReport {
                 busy_us: reads as f64 * read_us + writes as f64 * write_us + fault.device_fault_us,
             },
             loader_stalls: n.saturating_sub(64),
-            overlap_saved_us: hidden_us + charged.extra_hidden_us,
+            overlap_saved_us: hidden_us + fault_hidden_us,
             fault,
         }
     }
 }
 
-/// What armed device faults added to a run (all-zero without them).
-#[derive(Default)]
-struct FaultCharge {
-    stats: FaultStats,
-    /// Σ miss(faulted backend) − miss(nominal backend), µs.
-    extra_us: f64,
-    /// The same difference of the inference time overlap hides, µs.
-    extra_hidden_us: f64,
-}
-
-/// Device faults on the modeled timeline: walks each measured miss's SSD
-/// commands in issue order, rolls every command's faulted service time by
-/// its command index, and accumulates what the slower backend adds to the
-/// miss under the run's [`LatencyModel`].
-struct DeviceFaults<'a> {
-    measured_from: usize,
-    latency: &'a LatencyModel,
-    plan: FaultPlan,
-    commands: u64,
-    charged: FaultCharge,
-}
-
-impl ReplayObserver for DeviceFaults<'_> {
-    fn on_record(&mut self, ev: &ReplayEvent<'_>) {
-        // Warm-up requests have state effects only: no time is charged.
-        if (ev.seq as usize) < self.measured_from {
-            return;
-        }
-        let lat = self.latency;
-        let mut nominal = 0.0;
-        let (_, faulted) = lat.split_with(ev.record.op, ev.outcome, |us| {
-            nominal += us;
-            self.commands += 1;
-            faulted_service_us(&self.plan, self.commands - 1, us, &mut self.charged.stats)
-        });
-        if let Some(faulted) = faulted {
-            self.charged.extra_us += lat.miss_us(faulted) - lat.miss_us(nominal);
-            self.charged.extra_hidden_us += lat.hidden_us(faulted) - lat.hidden_us(nominal);
-        }
-    }
-}
-
-/// Runs the dataflow system over `records` (warm-up ⧺ measured): the
-/// cache, the policies and the score source see every record, timing and
-/// statistics cover those from position `measured_from` on. This *is*
-/// [`simulate_streaming_with_warmup`] under [`DataflowConfig::latency`].
-///
-/// `score` follows the same contract as the analytic simulator: observed on
-/// every request, queried only on misses.
-///
-/// # Errors
-///
-/// [`ShardRunError::Config`] for invalid cache geometry,
-/// [`ShardRunError::MeasuredPastEnd`] for `measured_from > records.len()`
-/// — the sharded engine's refusals of the same inputs.
-pub fn run_dataflow(
-    records: &[TraceRecord],
-    measured_from: usize,
-    cache_cfg: CacheConfig,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
-    score: Option<&mut dyn ScoreSource>,
-    config: &DataflowConfig,
-) -> Result<DataflowReport, ShardRunError> {
-    let past_end = ShardRunError::MeasuredPastEnd {
-        measured_from,
-        records: records.len(),
-    };
-    let (warmup, measured) = records.split_at_checked(measured_from).ok_or(past_end)?;
-    let mut cache = SetAssocCache::new(cache_cfg)?;
-    let latency = config.latency();
-    let mut faults = config.fault.device_armed().then(|| DeviceFaults {
-        measured_from,
-        latency: &latency,
-        plan: config.fault,
-        commands: 0,
-        charged: FaultCharge::default(),
-    });
-    let cache = &mut cache;
-    let sim = match &mut faults {
-        None => simulate_streaming_with_warmup(
-            warmup, measured, cache, admission, eviction, score, &latency, None,
-        ),
-        Some(faults) => simulate_streaming_observed_with_warmup(
-            warmup, measured, cache, admission, eviction, score, &latency, None, faults,
-        ),
-    };
-    let charged = faults.map(|f| f.charged).unwrap_or_default();
-    Ok(DataflowReport::new(&sim, &latency, charged))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icgmm_cache::{AlwaysAdmit, LatencyModel, LruPolicy, SetAssocCache};
+    use icgmm_cache::{
+        AlwaysAdmit, CacheConfig, LruPolicy, ShardCtx, ShardPolicies, ShardRunError,
+        ShardedSimulator,
+    };
+    use icgmm_trace::TraceRecord;
 
     fn small_cfg() -> CacheConfig {
         CacheConfig {
@@ -280,6 +191,24 @@ mod tests {
             block_bytes: 4096,
             ways: 2,
         }
+    }
+
+    /// The dataflow report of an LRU replay of `trace`, measured from
+    /// `measured_from` on, under `config`'s latency model.
+    fn run_dataflow(
+        trace: &[TraceRecord],
+        measured_from: usize,
+        cfg: CacheConfig,
+        config: &DataflowConfig,
+    ) -> Result<DataflowReport, ShardRunError> {
+        let make = |_: &ShardCtx<'_>| ShardPolicies {
+            admission: Box::new(AlwaysAdmit),
+            eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+            score: None,
+        };
+        let latency = config.latency();
+        let rep = ShardedSimulator::new(1).run(trace, measured_from, cfg, &make, &latency, None)?;
+        Ok(DataflowReport::from_sim(&rep.sim, config))
     }
 
     fn mixed_trace(n: usize) -> Vec<TraceRecord> {
@@ -301,7 +230,7 @@ mod tests {
         let cfg = small_cfg();
 
         let mut lru1 = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        let mut cache = SetAssocCache::new(cfg).unwrap();
+        let mut cache = icgmm_cache::SetAssocCache::new(cfg).unwrap();
         let analytic = icgmm_cache::simulate(
             &trace,
             &mut cache,
@@ -312,17 +241,7 @@ mod tests {
             None,
         );
 
-        let mut lru2 = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        let df = run_dataflow(
-            &trace,
-            0,
-            cfg,
-            &mut AlwaysAdmit,
-            &mut lru2,
-            None,
-            &DataflowConfig::default(),
-        )
-        .unwrap();
+        let df = run_dataflow(&trace, 0, cfg, &DataflowConfig::default()).unwrap();
 
         // Identical functional behaviour, and the dataflow average is the
         // analytic one plus the engine's lookup + tag update per miss (233
@@ -344,20 +263,11 @@ mod tests {
         let trace = mixed_trace(2_000);
         let cfg = small_cfg();
         let run = |overlap: bool| {
-            let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-            run_dataflow(
-                &trace,
-                0,
-                cfg,
-                &mut AlwaysAdmit,
-                &mut lru,
-                None,
-                &DataflowConfig {
-                    overlap_policy_with_ssd: overlap,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
+            let config = DataflowConfig {
+                overlap_policy_with_ssd: overlap,
+                ..Default::default()
+            };
+            run_dataflow(&trace, 0, cfg, &config).unwrap()
         };
         let with = run(true);
         let without = run(false);
@@ -380,36 +290,14 @@ mod tests {
     fn ssd_dominates_makespan_on_miss_heavy_traces() {
         // All-miss streaming trace.
         let trace: Vec<TraceRecord> = (0..500u64).map(|i| TraceRecord::read(i << 12)).collect();
-        let cfg = small_cfg();
-        let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        let df = run_dataflow(
-            &trace,
-            0,
-            cfg,
-            &mut AlwaysAdmit,
-            &mut lru,
-            None,
-            &DataflowConfig::default(),
-        )
-        .unwrap();
+        let df = run_dataflow(&trace, 0, small_cfg(), &DataflowConfig::default()).unwrap();
         assert!(df.ssd_utilization() > 0.95, "{}", df.ssd_utilization());
         assert!(df.makespan_us >= df.ssd.busy_us);
     }
 
     #[test]
     fn empty_trace_reports_zeroes() {
-        let cfg = small_cfg();
-        let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        let df = run_dataflow(
-            &[],
-            0,
-            cfg,
-            &mut AlwaysAdmit,
-            &mut lru,
-            None,
-            &DataflowConfig::default(),
-        )
-        .unwrap();
+        let df = run_dataflow(&[], 0, small_cfg(), &DataflowConfig::default()).unwrap();
         assert_eq!(df.stats.accesses(), 0);
         assert_eq!(df.makespan_us, 0.0);
         assert_eq!(df.avg_request_us, 0.0);
@@ -424,18 +312,7 @@ mod tests {
         };
         let trace = [TraceRecord::read(0)];
         let run = |cfg, measured_from| {
-            let mut lru = LruPolicy::new(8, 2);
-            let df = DataflowConfig::default();
-            run_dataflow(
-                &trace,
-                measured_from,
-                cfg,
-                &mut AlwaysAdmit,
-                &mut lru,
-                None,
-                &df,
-            )
-            .err()
+            run_dataflow(&trace, measured_from, cfg, &DataflowConfig::default()).err()
         };
         assert!(matches!(run(bad, 0), Some(ShardRunError::Config(_))));
         // A warm-up boundary past the end: the sharded engine's refusal.

@@ -1,23 +1,23 @@
 //! Property tests: the dataflow replay (the streaming loop under the
-//! latency model the hardware engines derive) never alters the functional
-//! replay — its `stats` equal the analytic simulator's over random Zipf
-//! traces × eviction policies × admission policies × score-source shapes,
-//! warm-up splits and overlap on/off included — the whole `DataflowReport`,
-//! every timing field included, reproduces bit for bit, and its timing
-//! equals the **reference timeline** below: the loader / finish-time FIFO
-//! ring / in-order engine / busy-until SSD model the closed form replaced,
-//! kept here verbatim as the oracle. The reference also shows *why* the
-//! closed form is exact — its SSD queue never holds anything and its FIFO
-//! is full from record 64 on.
+//! latency model the hardware engines derive, device faults riding its
+//! accounting) never alters the functional replay — its `stats` equal the
+//! analytic simulator's over random Zipf traces × eviction policies ×
+//! admission policies × score-source shapes, warm-up splits and overlap
+//! on/off included — the whole `DataflowReport`, every timing field
+//! included, reproduces bit for bit, and its timing equals the **reference
+//! timeline** below: the loader / finish-time FIFO ring / in-order engine /
+//! busy-until SSD model the closed form replaced, kept here verbatim as the
+//! oracle (only its device-fault roll key moved from a running command
+//! count to the request's position and the command's index in it). The
+//! reference also shows *why* the closed form is exact — its SSD queue
+//! never holds anything and its FIFO is full from record 64 on.
 
 use icgmm_cache::{
     simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, AccessOutcome,
-    FaultPlan, FaultStats, ReplayEvent, ReplayObserver, ScoreSource, SetAssocCache, SimReport,
+    FaultPlan, FaultStats, ReplayEvent, ReplayObserver, ScoreSource, SetAssocCache, ShardCtx,
+    ShardPolicies, ShardedSimulator, SimReport,
 };
-use icgmm_hw::{
-    faulted_service_us, run_dataflow, DataflowConfig, DataflowReport, GmmEngineModel, SsdProfile,
-    SsdStats,
-};
+use icgmm_hw::{DataflowConfig, DataflowReport, GmmEngineModel, SsdProfile, SsdStats};
 use icgmm_testutil::{
     admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, EVICTIONS, SCORES,
 };
@@ -38,24 +38,23 @@ struct RefSsd {
     queue_wait_us: f64,
     fault_plan: Option<FaultPlan>,
     fault: FaultStats,
-    ops: u64,
+    /// Service time of the last command.
+    service_us: f64,
 }
 
 impl RefSsd {
-    /// Issues one command at absolute time `now_us`; returns the command's
-    /// completion time. Commands queue behind an in-flight command.
-    fn access(&mut self, now_us: f64, op: Op) -> f64 {
+    /// Issues command `cmd` of the request at trace position `pos` at
+    /// absolute time `now_us`; returns the command's completion time.
+    /// Commands queue behind an in-flight command.
+    fn access(&mut self, now_us: f64, op: Op, pos: u64, cmd: u64) -> f64 {
         let start = now_us.max(self.busy_until_us);
         self.queue_wait_us += start - now_us;
         let nominal = self.profile.latency_us(op);
         let latency = match self.fault_plan {
             None => nominal,
-            Some(plan) => {
-                let op_index = self.ops;
-                self.ops += 1;
-                faulted_service_us(&plan, op_index, nominal, &mut self.fault)
-            }
+            Some(plan) => plan.device_command_us(pos, cmd, nominal, &mut self.fault),
         };
+        self.service_us = latency;
         self.busy_until_us = start + latency;
         self.stats.busy_us += latency;
         match op {
@@ -91,7 +90,7 @@ struct RefTimeline {
 }
 
 impl RefTimeline {
-    fn new(config: &DataflowConfig, warmup_len: usize) -> Self {
+    fn new(config: &DataflowConfig, plan: FaultPlan, warmup_len: usize) -> Self {
         RefTimeline {
             warmup_len,
             cycle_us: CYCLE_US,
@@ -113,15 +112,16 @@ impl RefTimeline {
                 busy_until_us: 0.0,
                 stats: SsdStats::default(),
                 queue_wait_us: 0.0,
-                fault_plan: config.fault.device_armed().then_some(config.fault),
+                fault_plan: plan.device_armed().then_some(plan),
                 fault: FaultStats::default(),
-                ops: 0,
+                service_us: 0.0,
             },
         }
     }
 
-    /// Advances the modeled timeline by one measured request.
-    fn step(&mut self, op: Op, outcome: &AccessOutcome) {
+    /// Advances the modeled timeline by one measured request, the one at
+    /// trace position `pos`.
+    fn step(&mut self, pos: u64, op: Op, outcome: &AccessOutcome) {
         let i = self.idx;
         self.idx += 1;
 
@@ -141,23 +141,42 @@ impl RefTimeline {
             AccessOutcome::MissInserted { evicted, .. } => {
                 let t0 = start + self.miss_overhead_us;
                 // Page fetch; dirty victims are written back behind it.
-                let mut ssd_done = self.ssd.access(t0, Op::Read);
+                let mut ssd_done = self.ssd.access(t0, Op::Read, pos, 0);
+                let (mut faulted, mut nominal) = (self.ssd.service_us, self.ssd.profile.read_us);
                 if let Some(e) = evicted {
                     if e.dirty {
-                        ssd_done = self.ssd.access(ssd_done, Op::Write);
+                        ssd_done = self.ssd.access(ssd_done, Op::Write, pos, 1);
+                        faulted += self.ssd.service_us;
+                        nominal += self.ssd.profile.write_us;
                     }
                 }
+                self.charge_device(faulted, nominal);
                 self.miss_finish(t0, ssd_done)
             }
             AccessOutcome::MissBypassed => {
                 let t0 = start + self.miss_overhead_us;
-                let ssd_done = self.ssd.access(t0, op);
+                let ssd_done = self.ssd.access(t0, op, pos, 0);
+                self.charge_device(self.ssd.service_us, self.ssd.profile.latency_us(op));
                 self.miss_finish(t0, ssd_done)
             }
         };
         self.latency_sum += finish - start;
         self.prev_finish = finish;
         self.finish_ring[i % self.depth] = finish;
+    }
+
+    /// What the device faults added to a miss whose commands the SSD served
+    /// in `faulted` µs against `nominal`: the critical path with the faulted
+    /// SSD time minus with the nominal one.
+    fn charge_device(&mut self, faulted: f64, nominal: f64) {
+        if self.ssd.fault_plan.is_none() {
+            return;
+        }
+        self.ssd.fault.device_request_us += if self.overlap {
+            faulted.max(self.gmm_us) - nominal.max(self.gmm_us)
+        } else {
+            faulted - nominal
+        };
     }
 
     /// Completes a miss: the GMM inference runs concurrently with the SSD
@@ -177,7 +196,7 @@ impl RefTimeline {
 impl ReplayObserver for RefTimeline {
     fn on_record(&mut self, ev: &ReplayEvent<'_>) {
         if (ev.seq as usize) >= self.warmup_len {
-            self.step(ev.record.op, ev.outcome);
+            self.step(ev.seq, ev.record.op, ev.outcome);
         }
     }
 }
@@ -190,24 +209,25 @@ struct Case<'a> {
     trace: &'a [TraceRecord],
     warmup_len: usize,
     df_cfg: &'a DataflowConfig,
+    plan: FaultPlan,
 }
 
 impl Case<'_> {
+    /// The dataflow report of the one-shard replay under the derived
+    /// latency model with the plan armed — what `Icgmm::run_dataflow` runs.
     fn run_dataflow(&self) -> DataflowReport {
         let cfg = small_cfg();
-        let mut ev = eviction_for(self.eviction, cfg, self.trace);
-        let mut ad = admission_for(self.admission);
-        let mut sc = score_for(self.score);
-        run_dataflow(
-            self.trace,
-            self.warmup_len,
-            cfg,
-            ad.as_mut(),
-            ev.as_mut(),
-            sc.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
-            self.df_cfg,
-        )
-        .expect("valid geometry")
+        let make = |_: &ShardCtx<'_>| ShardPolicies {
+            admission: admission_for(self.admission),
+            eviction: eviction_for(self.eviction, cfg, self.trace),
+            score: score_for(self.score),
+        };
+        let (lat, plan) = (self.df_cfg.latency(), self.plan);
+        let rep = ShardedSimulator::new(1)
+            .with_faults(plan)
+            .run(self.trace, self.warmup_len, cfg, &make, &lat, None)
+            .expect("valid geometry");
+        DataflowReport::from_sim(&rep.sim, self.df_cfg)
     }
 
     /// The analytic replay under the derived latency model — plain, or
@@ -236,12 +256,12 @@ fn close(a: f64, b: f64) -> bool {
     a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
 }
 
-/// The run's engines and device, drawn from the seed's bits: overlap
-/// on/off, device faults armed on half the runs, an inference from the
-/// paper's 3 µs (K = 256) up to 87.7 µs (K = 20 000), and an SSD from
+/// The run's engines, device and fault plan, drawn from the seed's bits:
+/// overlap on/off, device faults armed on half the runs, an inference from
+/// the paper's 3 µs (K = 256) up to 87.7 µs (K = 20 000), and an SSD from
 /// sub-µs to QLC-slow — so about a quarter of the runs have an inference
 /// slower than the page read, faulted and unfaulted alike.
-fn dataflow_cfg(seed: u64) -> DataflowConfig {
+fn dataflow_cfg(seed: u64) -> (DataflowConfig, FaultPlan) {
     let bits = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
     let unit = |shift: u32| ((bits >> shift) % 1_024) as f64 / 1_024.0;
     let fault = if bits & 2 == 0 {
@@ -255,7 +275,7 @@ fn dataflow_cfg(seed: u64) -> DataflowConfig {
             ..FaultPlan::empty()
         }
     };
-    DataflowConfig {
+    let config = DataflowConfig {
         gmm_engine: GmmEngineModel::with_k([256, 4_096, 20_000, 20_000][(bits >> 2 & 3) as usize]),
         ssd: SsdProfile {
             name: "random".into(),
@@ -263,9 +283,9 @@ fn dataflow_cfg(seed: u64) -> DataflowConfig {
             write_us: 1.0 + unit(20) * 2_500.0,
         },
         overlap_policy_with_ssd: bits & 1 == 0,
-        fault,
         ..DataflowConfig::default()
-    }
+    };
+    (config, fault)
 }
 
 proptest! {
@@ -283,19 +303,19 @@ proptest! {
         let trace = zipf_trace(seed, n, pages, skew, write_pct);
         let warmup_len = (seed as usize) % (n / 2);
         let measured = (n - warmup_len) as u64;
-        let df_cfg = dataflow_cfg(seed);
+        let (df_cfg, plan) = dataflow_cfg(seed);
         let lat = df_cfg.latency();
         for eviction in EVICTIONS {
             for admission in ADMISSIONS {
                 for score in SCORES {
                     let case = Case {
-                        eviction, admission, score, trace: &trace, warmup_len, df_cfg: &df_cfg,
+                        eviction, admission, score, trace: &trace, warmup_len, df_cfg: &df_cfg, plan,
                     };
                     let what = format!(
-                        "{eviction}/{admission}/{score} (seed {seed}, n {n}, {df_cfg:?})"
+                        "{eviction}/{admission}/{score} (seed {seed}, n {n}, {df_cfg:?}, {plan:?})"
                     );
                     let dataflow = case.run_dataflow();
-                    let mut reference = RefTimeline::new(&df_cfg, warmup_len);
+                    let mut reference = RefTimeline::new(&df_cfg, plan, warmup_len);
                     let analytic = case.run_analytic(Some(&mut reference));
                     prop_assert_eq!(&dataflow.stats, &analytic.stats, "{}", what);
                     prop_assert_eq!(&dataflow, &case.run_dataflow(), "{}", what);
@@ -330,7 +350,7 @@ proptest! {
 
                     // Unfaulted, the dataflow run *is* the analytic replay
                     // under the derived model.
-                    if !df_cfg.fault.device_armed() {
+                    if !plan.device_armed() {
                         let plain = case.run_analytic(None);
                         prop_assert_eq!(dataflow.avg_request_us, plain.avg_us, "{}", what);
                         prop_assert_eq!(dataflow.makespan_us, plain.total_us, "{}", what);

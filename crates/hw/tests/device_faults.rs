@@ -1,33 +1,31 @@
 //! Device-fault behaviour of the cycle-approximate dataflow model:
 //! injected SSD failures, retries, timeouts and tail spikes perturb only
-//! the *modeled timeline* (never the functional replay), the perturbation
-//! is a deterministic function of `(plan seed, trace)`, and an empty
+//! the *modeled time* (never the functional replay), the perturbation is a
+//! deterministic function of `(plan seed, trace)` — each command rolled at
+//! its request's position and its index within the request — and an empty
 //! plan leaves the report bit-identical to today's model.
 
-use icgmm_cache::FaultPlan;
-use icgmm_hw::{run_dataflow, DataflowConfig, DataflowReport};
+use icgmm_cache::{FaultPlan, ShardCtx, ShardPolicies, ShardedSimulator};
+use icgmm_hw::{DataflowConfig, DataflowReport};
 use icgmm_testutil::{admission_for, eviction_for, small_cfg, zipf_trace};
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 
+/// The dataflow report of an LRU replay with `plan` armed, the replay
+/// `Icgmm::run_dataflow` runs.
 fn run_streaming(plan: FaultPlan, trace: &[TraceRecord], warmup_len: usize) -> DataflowReport {
     let cfg = small_cfg();
-    let df_cfg = DataflowConfig {
-        fault: plan,
-        ..Default::default()
+    let df_cfg = DataflowConfig::default();
+    let make = |_: &ShardCtx<'_>| ShardPolicies {
+        admission: admission_for("always"),
+        eviction: eviction_for("lru", cfg, trace),
+        score: None,
     };
-    let mut ev = eviction_for("lru", cfg, trace);
-    let mut ad = admission_for("always");
-    run_dataflow(
-        trace,
-        warmup_len,
-        cfg,
-        ad.as_mut(),
-        ev.as_mut(),
-        None,
-        &df_cfg,
-    )
-    .expect("valid geometry")
+    let rep = ShardedSimulator::new(1)
+        .with_faults(plan)
+        .run(trace, warmup_len, cfg, &make, &df_cfg.latency(), None)
+        .expect("valid geometry");
+    DataflowReport::from_sim(&rep.sim, &df_cfg)
 }
 
 proptest! {
@@ -49,10 +47,12 @@ proptest! {
 }
 
 proptest! {
-    /// Device faults charge the modeled timeline deterministically: the
+    /// Device faults charge the modeled time deterministically: the
     /// functional replay (stats, loader behaviour, op counts) is
-    /// untouched, the makespan grows by the charged fault time, and two
-    /// runs from the same seeds agree bit-for-bit.
+    /// untouched, the makespan grows by exactly what the faults added to
+    /// the faulted requests, the device's busy time by exactly the faulted
+    /// commands' extra service, and two runs from the same seeds agree
+    /// bit-for-bit.
     #[test]
     fn device_faults_charge_only_the_modeled_timeline(
         params in (0u64..1_000_000, 0u64..1_000_000, 400usize..1000, 200u64..800)
@@ -79,10 +79,16 @@ proptest! {
             "armed rates injected nothing over {} records", n
         );
         prop_assert!(armed.fault.device_fault_us > 0.0);
+        prop_assert!(armed.fault.device_request_us > 0.0);
         prop_assert!(
             armed.makespan_us > plain.makespan_us,
             "charged fault time must extend the makespan"
         );
+        prop_assert_eq!(armed.makespan_us, plain.makespan_us + armed.fault.device_request_us);
+        prop_assert_eq!(armed.ssd.busy_us, plain.ssd.busy_us + armed.fault.device_fault_us);
+        // Under overlap the inference hides behind a slower device no
+        // worse than behind the nominal one.
+        prop_assert!(armed.overlap_saved_us >= plain.overlap_saved_us);
 
         let again = run_streaming(plan, &trace, n / 4);
         prop_assert_eq!(&armed, &again, "device faults must be deterministic");

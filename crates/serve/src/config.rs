@@ -7,21 +7,6 @@ use std::fmt;
 use icgmm_cache::{FaultPlan, ShardRunError};
 use serde::{Deserialize, Serialize};
 
-/// What a client does when its shard's ingestion queue is full.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SubmitMode {
-    /// Block until the queue drains — classic backpressure. No request is
-    /// ever dropped; the wait shows up in the admission-latency
-    /// percentiles instead.
-    #[default]
-    Block,
-    /// Count a shed, then submit anyway (blocking). The service tracks
-    /// how often it *would* have dropped ([`crate::ServeReport::sheds`])
-    /// while still replaying every request, so the merged report stays
-    /// comparable to the offline reference.
-    Shed,
-}
-
 /// Configuration of a [`crate::CacheServer`].
 ///
 /// The shard partitioning mirrors [`icgmm_cache::ShardedSimulator`]
@@ -37,19 +22,14 @@ pub struct ServeConfig {
     /// would own nothing and are capped away.
     pub clients: usize,
     /// Bound of every ingestion queue, in records, `>= 1`. Small depths
-    /// exercise backpressure; large depths amortize hand-off cost.
+    /// exercise backpressure (a client blocks on a full queue; the wait
+    /// lands in the admission-latency percentiles); large depths amortize
+    /// hand-off cost.
     pub queue_depth: usize,
-    /// Full-queue behavior (see [`SubmitMode`]).
-    pub submit: SubmitMode,
     /// Deterministic fault plan: shard-worker panic points (supervisor-
-    /// recovered), scorer faults and the health monitor all plug in
-    /// unchanged from the offline engine.
+    /// recovered), device faults, scorer faults and the health monitor
+    /// all plug in unchanged from the offline engine.
     pub fault: FaultPlan,
-    /// Graceful-shutdown point: stop accepting after this many requests
-    /// (warm-up + measured, trace order), then drain and join. The report
-    /// equals an offline replay of the truncated trace. `None` serves
-    /// everything.
-    pub stop_after: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -58,9 +38,7 @@ impl Default for ServeConfig {
             shards: 1,
             clients: 1,
             queue_depth: 256,
-            submit: SubmitMode::Block,
             fault: FaultPlan::default(),
-            stop_after: None,
         }
     }
 }

@@ -15,16 +15,16 @@
 //! buys throughput and costs latency; it never changes a decision.
 //!
 //! On top of that the service adds what an offline replay cannot
-//! measure: explicit backpressure (bounded queues; blocking or
-//! shed-counting submission, [`SubmitMode`]), graceful shutdown
-//! ([`ServeConfig::stop_after`] — drain and join, report equal to the
-//! truncated offline replay) and a timing surface: requests/sec at
-//! saturation plus log-bucketed p50/p99 admission-decision latencies
-//! ([`ServeReport`]). What happens *to a shard* — its policies, the shard
+//! measure: explicit backpressure (bounded queues a client blocks on, the
+//! wait counted in the admission latency) and a timing surface:
+//! requests/sec at saturation plus log-bucketed p50/p99 admission-decision
+//! latencies ([`ServeReport`]). A caller that wants only a prefix served
+//! passes the prefix. What happens *to a shard* — its policies, the shard
 //! contract, armed panic points, the recovery of a dead worker by offline
-//! re-replay, the sum of the shards' reports — is not this crate's: it is
-//! [`icgmm_cache::ShardSupervisor`],
-//! the offline engine's own lifecycle, and its errors pass through as
+//! re-replay, the accounting step (device faults included), the sum of the
+//! shards' reports — is not this crate's: it is
+//! [`icgmm_cache::ShardSupervisor`] and [`icgmm_cache::Accounting`], the
+//! offline engine's own, and their errors pass through as
 //! [`ServeError::Shard`].
 //!
 //! ## Example
@@ -71,7 +71,7 @@ mod hist;
 mod overlap;
 mod server;
 
-pub use config::{ServeConfig, ServeError, SubmitMode};
+pub use config::{ServeConfig, ServeError};
 pub use hist::LatencyHistogram;
 pub use overlap::OverlapStats;
 pub use server::{CacheServer, ServeReport};

@@ -14,7 +14,7 @@
 //!    the offline sharded replay — in whatever order requests were decided.
 //!
 //! Concurrency therefore only decides *timing* (throughput, admission
-//! latency, shed counts) — never *results*. This module owns transport, the
+//! latency) — never *results*. This module owns transport, the
 //! live worker loop and timing; the life of a shard around them (policies,
 //! contract, armed panic point, recovery, the sum) is [`ShardSupervisor`]'s.
 //!
@@ -32,11 +32,10 @@
 //! it; the calling thread only on joins.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::thread::{self, ScopedJoinHandle};
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 
 /// Transport batching factor: up to this many records ride one channel
 /// message, amortising the hand-off's lock round-trip (per-record messages
@@ -48,14 +47,13 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 const SUBMIT_BATCH: usize = 64;
 
 use icgmm_cache::{
-    streaming_step, CacheConfig, CacheStats, FaultStats, LatencyModel, MissSeries, ScoreSource,
-    SetAssocCache, ShardCtx, ShardPartition, ShardPolicies, ShardRunError, ShardSupervisor,
-    SimReport,
+    streaming_step, Accounting, CacheConfig, FaultStats, LatencyModel, ScoreSource, SetAssocCache,
+    ShardCtx, ShardPartition, ShardPolicies, ShardRunError, ShardSupervisor, SimReport,
 };
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
-use crate::config::{ServeConfig, ServeError, SubmitMode};
+use crate::config::{ServeConfig, ServeError};
 use crate::hist::LatencyHistogram;
 use crate::overlap::{CompletionQueue, OverlapStats, COMPLETION_DEPTH};
 
@@ -96,10 +94,9 @@ pub struct CacheServer {
 /// Result of one serving session.
 ///
 /// The semantic half (`sim`, `scores_consumed`) is bit-identical to the
-/// offline [`icgmm_cache::ShardedSimulator::run`] of the same (possibly
-/// `stop_after`-truncated) inputs; the timing half describes this
-/// particular serving run and is intentionally excluded from equality
-/// comparisons.
+/// offline [`icgmm_cache::ShardedSimulator::run`] of the same inputs; the
+/// timing half describes this particular serving run and is intentionally
+/// excluded from equality comparisons.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServeReport {
     /// The session's simulation report — equal to the offline replay's.
@@ -107,9 +104,12 @@ pub struct ServeReport {
     /// Replay events that consumed a score — equal to the offline
     /// replay's count.
     pub scores_consumed: u64,
-    /// Requests served (warm-up + measured, after `stop_after`).
+    /// Requests served (warm-up + measured).
     pub requests: u64,
-    /// Requests a [`SubmitMode::Shed`] client found a full queue for.
+    /// Benchmark façade — read by `icgmm_bench` (`serve.sheds`); deleted
+    /// by the benchmark PR. A client blocks on a full queue and never
+    /// sheds: always 0.
+    #[doc(hidden)]
     pub sheds: u64,
     /// Shard workers this run used.
     pub shards: usize,
@@ -167,11 +167,11 @@ impl CacheServer {
     /// [`ServeError::Shard`] with the offline engine's own
     /// [`ShardRunError`]: `Config` for invalid cache geometry,
     /// `TraceTooLong`, `ZeroSeriesWindow` for `series_window = Some(0)`,
-    /// `MeasuredPastEnd` for `measured_from > records.len()` (whatever
-    /// `stop_after` says), `Contract` when running more than one shard
-    /// with a non-shard-deterministic eviction policy or a non-shardable
-    /// score source, `ShardFailed` when a worker dies and the supervisor's
-    /// offline re-replay of its subtrace dies too.
+    /// `MeasuredPastEnd` for `measured_from > records.len()`, `Contract`
+    /// when running more than one shard with a non-shard-deterministic
+    /// eviction policy or a non-shardable score source, `ShardFailed` when
+    /// a worker dies and the supervisor's offline re-replay of its subtrace
+    /// dies too.
     ///
     /// # Panics
     ///
@@ -189,39 +189,18 @@ impl CacheServer {
         let s = self.cfg.shards;
         let clients = self.cfg.clients.min(s);
 
-        // The boundary is checked against what the caller presented, before
-        // the cut below could hide a bad one.
-        let total = records.len();
-        if measured_from > total {
-            let past_end = ShardRunError::MeasuredPastEnd {
-                measured_from,
-                records: total,
-            };
-            return Err(past_end.into());
-        }
-        // Graceful shutdown = stop accepting: truncate at the cutoff and
-        // serve the prefix to completion; the report equals an offline
-        // replay of the truncated trace, measured from the boundary or the
-        // cut, whichever comes first. A cutoff beyond `usize` is beyond any
-        // slice: it serves everything.
-        let cut = self.cfg.stop_after.map_or(total, |k| {
-            usize::try_from(k).map_or(total, |k| k.min(total))
-        });
-        let (records, measured_from) = (&records[..cut], measured_from.min(cut));
-
         // Zero-copy fan-out — the identical [`ShardPartition`] the offline
         // sharded replay builds (it validates the geometry): clients walk
         // its position lists, workers check what they receive against
         // their own. The shard lifecycle is the offline engine's too; the
-        // supervisor refuses a zero series window here, before any thread
-        // exists.
+        // supervisor refuses a zero series window and a boundary past the
+        // end here, before any thread exists.
         let part = &ShardPartition::build(s, &cache_cfg, &[], records)?;
-        let plan = self.cfg.fault;
         let sup = &ShardSupervisor::new(
             cache_cfg,
             latency,
             make_shard,
-            plan,
+            self.cfg.fault,
             Some(part),
             records,
             measured_from,
@@ -244,15 +223,6 @@ impl CacheServer {
             ingest_rx.push(rx);
         }
 
-        let shed = self.cfg.submit == SubmitMode::Shed;
-        // `usize` → `u64` never narrows on a supported target.
-        let measured_from = measured_from as u64;
-        // Advisory in-flight record count per queue (the client adds after
-        // a send, the worker subtracts after a receive): record-granular
-        // occupancy for shed accounting. i64 because the two race benignly
-        // — a worker can drain a message before its sender's add lands.
-        let inflight: Vec<AtomicI64> = (0..s).map(|_| AtomicI64::new(0)).collect();
-
         let mut hist = LatencyHistogram::new();
         let mut overlap = OverlapStats::default();
         // The supervisor's own panic / recovery counts.
@@ -264,7 +234,6 @@ impl CacheServer {
                 .into_iter()
                 .enumerate()
                 .map(|(shard, rx)| {
-                    let infl = &inflight[shard];
                     scope.spawn(move || {
                         // Policies are built here, in parallel across
                         // shards. A refused worker returns before touching
@@ -278,30 +247,22 @@ impl CacheServer {
                             pol,
                             cache_cfg,
                             *latency,
+                            sup.accounting(),
                             sup.panic_point(shard),
-                            measured_from,
-                            series_window,
-                            infl,
                         ))
                     })
                 })
                 .collect();
-            let infl_all: &[AtomicI64] = &inflight;
             let client_handles: Vec<_> = client_senders
                 .into_iter()
-                .map(|owned| {
-                    scope.spawn(move || {
-                        run_client(part, records, owned, shed, batch, infl_all, depth)
-                    })
-                })
+                .map(|owned| scope.spawn(move || run_client(part, records, owned, batch)))
                 .collect();
 
             // The calling thread only joins — every handle, even once the
             // session has failed: the scope must not exit with an unjoined
             // panicked thread.
-            let mut sheds = 0u64;
             for h in client_handles {
-                sheds += h.join().expect("clients never panic");
+                h.join().expect("clients never panic");
             }
             let mut shards = Vec::with_capacity(s);
             let mut failed = None;
@@ -327,10 +288,10 @@ impl CacheServer {
             }
             match failed {
                 Some(e) => Err(e),
-                None => Ok((shards, sheds, start.elapsed())),
+                None => Ok((shards, start.elapsed())),
             }
         });
-        let (shards, sheds, wall) = served?;
+        let (shards, wall) = served?;
         // Σ shard accesses = measured records, or this panics.
         let merged = sup.merge(shards, fault);
 
@@ -345,7 +306,7 @@ impl CacheServer {
             sim: merged.sim,
             scores_consumed: merged.scores_consumed,
             requests: n as u64,
-            sheds,
+            sheds: 0,
             shards: s,
             clients,
             wall_us,
@@ -406,25 +367,21 @@ fn recover(
 /// out of the caller's slice and stamps it with its global position. A
 /// batch ships when it fills, the leftovers at the end, in any order:
 /// nothing downstream waits for one shard's records before another's.
-/// Returns the shed count. Sends to a dead shard error out and are
-/// ignored — the supervisor's re-replay covers those records.
-#[allow(clippy::too_many_arguments)]
 fn run_client(
     part: &ShardPartition,
     records: &[TraceRecord],
     owned: Vec<(usize, Sender<Batch>)>,
-    shed: bool,
     batch: usize,
-    inflight: &[AtomicI64],
-    depth: usize,
-) -> u64 {
+) {
     let mut cursors = vec![0usize; owned.len()];
-    let mut sheds = 0u64;
     // One open batch per owned shard.
     let mut bufs: Vec<Vec<IngestMsg>> = owned.iter().map(|_| Vec::new()).collect();
-    let mut flush = |slot: usize, msgs: Vec<IngestMsg>| {
-        let (shard, tx) = &owned[slot];
-        ship(tx, msgs, shed, &mut sheds, &inflight[*shard], depth);
+    // Stamp, then a blocking send — safe because the worker on the other
+    // end blocks on nothing but this queue. A send to a dead shard errors
+    // out and is ignored: the supervisor's re-replay covers its records.
+    let flush = |slot: usize, msgs: Vec<IngestMsg>| {
+        let t_submit = Instant::now();
+        let _ = owned[slot].1.send(Batch { t_submit, msgs });
     };
     loop {
         // Pick the owned shard whose next index entry is the smallest
@@ -454,80 +411,28 @@ fn run_client(
             flush(slot, rest);
         }
     }
-    sheds
-}
-
-/// The one send path: stamp, try-send, and on a full queue count the
-/// observed shed, then fall back to a blocking send — safe because the
-/// worker on the other end blocks on nothing but this queue.
-fn ship(
-    tx: &Sender<Batch>,
-    msgs: Vec<IngestMsg>,
-    shed: bool,
-    sheds: &mut u64,
-    inflight: &AtomicI64,
-    depth: usize,
-) {
-    let n = msgs.len();
-    let batch = Batch {
-        t_submit: Instant::now(),
-        msgs,
-    };
-    match tx.try_send(batch) {
-        Ok(()) => {
-            inflight.fetch_add(n as i64, Ordering::Relaxed);
-        }
-        Err(TrySendError::Disconnected(_)) => {}
-        Err(TrySendError::Full(batch)) => {
-            if shed {
-                *sheds += records_shed(n, free_records(inflight, depth));
-            }
-            if tx.send(batch).is_ok() {
-                inflight.fetch_add(n as i64, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Records of an `len`-record batch a lossy service would actually have
-/// dropped at `free` observed free record slots: the overflow only, not
-/// the whole batch.
-fn records_shed(len: usize, free: usize) -> u64 {
-    len.saturating_sub(free) as u64
-}
-
-/// Observed free record capacity of a queue: configured depth minus the
-/// advisory in-flight count (clamped — the worker's subtract can land
-/// before the sender's add, leaving the counter transiently negative).
-fn free_records(inflight: &AtomicI64, depth: usize) -> usize {
-    let load = inflight.load(Ordering::Relaxed).max(0) as usize;
-    depth.saturating_sub(load)
 }
 
 /// One shard worker: drain the ingestion queue, check each arrival against
 /// `owned` (the shard's position list), decide it with the canonical
-/// [`streaming_step`], count it. The shard-local sequence clock (`seen`)
-/// runs continuously, so recency stamps and Belady positions match the
-/// offline replay. Per record, in that replay's order: the scorer observes
-/// and the cache decides, the armed panic point fires (everything counted
-/// so far dies with the worker — the supervisor re-replays the whole
-/// shard), and only then is a measured record counted: stats, series and
-/// completion model behind the one gate.
-#[allow(clippy::too_many_arguments)]
+/// [`streaming_step`], count it through the offline replay's own
+/// [`Accounting`] (the supervisor's). The shard-local sequence clock (`seen`) runs
+/// continuously, so recency stamps and Belady positions match the offline
+/// replay. Per record, in that replay's order: the scorer observes and the
+/// cache decides, the armed panic point fires (everything counted so far
+/// dies with the worker — the supervisor re-replays the whole shard), and
+/// only then is the record accounted — and, if measured, handed to the
+/// completion model.
 fn run_worker(
     rx: Receiver<Batch>,
     owned: &[u32],
     mut pol: ShardPolicies,
     cache_cfg: CacheConfig,
     latency: LatencyModel,
+    mut acct: Accounting<'_>,
     panic_at: Option<u64>,
-    measured_from: u64,
-    series_window: Option<u64>,
-    inflight: &AtomicI64,
 ) -> WorkerDone {
     let mut cache = SetAssocCache::new(cache_cfg).expect("geometry validated by serve()");
-    let mut stats = CacheStats::default();
-    let mut series = series_window.map(MissSeries::new);
     let mut hist = LatencyHistogram::new();
     let mut comp = CompletionQueue::new(COMPLETION_DEPTH, latency);
     let (mut seen, mut scored) = (0u64, 0u64);
@@ -537,7 +442,6 @@ fn run_worker(
         }
     };
     while let Ok(Batch { t_submit, msgs }) = rx.recv() {
-        inflight.fetch_sub(msgs.len() as i64, Ordering::Relaxed);
         let mut decided = 0u32;
         for msg in &msgs {
             check(seen, Some(msg.seq));
@@ -555,17 +459,12 @@ fn run_worker(
                 &mut sref,
             );
             ShardSupervisor::die_if_armed(panic_at, seen);
-            seen += 1;
             scored += u64::from(score_val.is_some());
-            let Some(pos) = msg.seq.checked_sub(measured_from) else {
-                continue;
-            };
-            stats.record(msg.record.op, &outcome);
-            if let Some(series) = series.as_mut() {
-                series.record(pos, !outcome.is_hit());
+            if acct.record(seen, msg.seq, &msg.record, &outcome) {
+                comp.on_decided(msg.record.op, &outcome);
+                decided += 1;
             }
-            comp.on_decided(msg.record.op, &outcome);
-            decided += 1;
+            seen += 1;
         }
         // Admission latency, submit → decided: one clock read per batch
         // rounds each record's latency up to the last decision, never down.
@@ -575,18 +474,13 @@ fn run_worker(
         }
     }
     check(seen, None);
-    let mut report = SimReport::from_counts(
-        stats,
-        series,
-        &latency,
-        pol.eviction.name(),
-        pol.admission.name(),
-    );
+    let mut report = acct.finish(pol.eviction.name(), pol.admission.name());
     if let Some(score) = &pol.score {
         score.telemetry(&mut report.fault, &mut report.adapt);
     }
     WorkerDone {
-        overlap: comp.finish(report.total_us),
+        // The completion model is nominal-device telemetry.
+        overlap: comp.finish(latency.total_us(&report.stats)),
         report,
         scored,
         hist,
@@ -596,66 +490,6 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A full queue sheds only the overflow at the observed free record
-    /// capacity — never the whole batch (the PR 7 over-count).
-    #[test]
-    fn sheds_count_the_overflow_not_the_batch() {
-        assert_eq!(records_shed(64, 0), 64);
-        assert_eq!(records_shed(64, 10), 54);
-        assert_eq!(records_shed(5, 5), 0);
-        assert_eq!(records_shed(3, 100), 0);
-        assert_eq!(records_shed(0, 0), 0);
-    }
-
-    #[test]
-    fn free_capacity_clamps_transient_negatives() {
-        let infl = AtomicI64::new(-3);
-        assert_eq!(free_records(&infl, 8), 8);
-        infl.store(5, Ordering::Relaxed);
-        assert_eq!(free_records(&infl, 8), 3);
-        infl.store(20, Ordering::Relaxed);
-        assert_eq!(free_records(&infl, 8), 0);
-    }
-
-    /// End-to-end over a real bounded channel: with `free` observed
-    /// records of headroom, a `len`-record batch sheds `len - free`.
-    #[test]
-    fn ship_sheds_only_records_beyond_observed_capacity() {
-        let depth = 64usize;
-        let (tx, rx) = bounded::<Batch>(1);
-        let infl = AtomicI64::new(0);
-        let rec = TraceRecord::read(0);
-        let mk = |n: usize| {
-            (0..n)
-                .map(|i| IngestMsg {
-                    seq: i as u64,
-                    record: rec,
-                })
-                .collect::<Vec<_>>()
-        };
-        // Occupy the single slot with 40 records: 24 records of headroom
-        // remain at the configured 64-record depth.
-        let mut sheds = 0u64;
-        ship(&tx, mk(40), true, &mut sheds, &infl, depth);
-        assert_eq!(sheds, 0);
-        assert_eq!(infl.load(Ordering::Relaxed), 40);
-        // The next 64-record batch finds the queue full. The Full arm of
-        // `ship` charges records_shed(len, observed free): 64 - 24 = 40
-        // would-be drops — not all 64 (the old over-count).
-        let next = Batch {
-            t_submit: Instant::now(),
-            msgs: mk(64),
-        };
-        match tx.try_send(next) {
-            Err(TrySendError::Full(b)) => {
-                sheds += records_shed(b.msgs.len(), free_records(&infl, depth));
-            }
-            _ => panic!("single-slot queue must be full"),
-        }
-        assert_eq!(sheds, 40);
-        assert_eq!(rx.recv().map(|b| b.msgs.len()).ok(), Some(40));
-    }
 
     /// A zero miss-series window is refused as the caller's bad argument,
     /// naming it, before any worker exists to trip over it.

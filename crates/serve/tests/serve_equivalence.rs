@@ -1,20 +1,20 @@
 //! Differential property suite for the serving front-end: a served trace
 //! reports **bit-identically** to the offline sharded replay (and hence to
 //! the single-threaded simulator) for every shard count in {1, 2, 4, 8} ×
-//! client count × queue depth × submit mode, under the paper's integer-µs
-//! latency constants and the non-integer cycle-derived model — plus
-//! "a never-trusted scorer serves as LRU", the seeded-shutdown and
-//! backpressure properties, and transparent recovery from armed worker
+//! client count × queue depth, under the paper's integer-µs latency
+//! constants and the non-integer cycle-derived model, with and without
+//! device faults — plus "a never-trusted scorer serves as LRU", the
+//! backpressure property, and transparent recovery from armed worker
 //! panics. The input is one slice and one boundary: wherever
 //! `measured_from` falls in `[0, n]`, a served session equals the frozen
 //! two-slice replay of the same split, and a boundary past the end is a
 //! typed refusal.
 
 use icgmm_cache::{
-    simulate_streaming_with_warmup, FaultPlan, FnScore, LatencyModel, ScoreSource, SetAssocCache,
-    ShardCtx, ShardPolicies, ShardRunError, ShardedSimulator, SimReport,
+    simulate_streaming_with_warmup, FaultPlan, LatencyModel, ScoreSource, SetAssocCache, ShardCtx,
+    ShardPolicies, ShardRunError, ShardedSimulator, SimReport,
 };
-use icgmm_serve::{CacheServer, ServeConfig, ServeError, ServeReport, SubmitMode};
+use icgmm_serve::{CacheServer, ServeConfig, ServeError, ServeReport};
 use icgmm_testutil::{
     admission_for, conflict_trace, eviction_for, latency_for, score_for, small_cfg, zipf_trace,
     CountingScore, GMM_STACKS, UNTRUSTED_SCORES,
@@ -86,8 +86,8 @@ fn offline(
     )
 }
 
-/// [`offline`] with a fault plan armed (shard-worker panic points), under
-/// an explicit latency model.
+/// [`offline`] with a fault plan armed (shard-worker panic points, device
+/// faults), under an explicit latency model.
 #[allow(clippy::too_many_arguments)]
 fn offline_with(
     plan: FaultPlan,
@@ -124,9 +124,9 @@ fn offline_with(
 proptest! {
     /// Served report == offline sharded replay, bit for bit, across
     /// {score-free LRU, Belady oracle, scored GMM-threshold} × every shard
-    /// count × varying client counts, queue depths and submit modes over
-    /// random Zipf traces, the latency model drawn from {`paper_tlc`, the
-    /// cycle-derived one}.
+    /// count × varying client counts and queue depths over random Zipf
+    /// traces, the latency model drawn from {`paper_tlc`, the cycle-derived
+    /// one} and, independently, device faults armed or not.
     #[test]
     fn served_stream_matches_offline_replay(
         params in (0u64..1_000_000, 300usize..1000, 24u64..160, 60u64..140, 0u8..45)
@@ -135,6 +135,16 @@ proptest! {
         let trace = zipf_trace(seed, n, pages, skew_pct as f64 / 100.0, write_pct);
         let warmup_len = (seed as usize) % (n / 2);
         let lat = &latency_for(seed);
+        let plan = if seed & 2 == 0 {
+            FaultPlan::empty()
+        } else {
+            FaultPlan {
+                seed,
+                device_fail_per_mille: 150,
+                device_spike_per_mille: 100,
+                ..FaultPlan::empty()
+            }
+        };
         let grid = [
             ("lru", "always", "none"),
             ("belady", "always", "none"),
@@ -143,37 +153,32 @@ proptest! {
         for (i, (eviction, admission, score)) in grid.into_iter().enumerate() {
             for shards in SHARD_COUNTS {
                 let (reference, ref_scores) = offline_with(
-                    FaultPlan::empty(), lat, shards, eviction, admission, score, &trace, warmup_len,
+                    plan, lat, shards, eviction, admission, score, &trace, warmup_len,
                 );
                 // Vary the serving-only knobs with the case seed: they
                 // must never show up in the merged report.
                 let clients = 1 + (seed as usize + shards + i) % 3;
                 let queue_depth = [1, 2, 7, 64][(seed as usize + shards) % 4];
-                let submit = if (seed + shards as u64).is_multiple_of(2) {
-                    SubmitMode::Block
-                } else {
-                    SubmitMode::Shed
-                };
                 let rep = serve_under(
                     lat,
                     ServeConfig {
                         shards,
                         clients,
                         queue_depth,
-                        submit,
-                        ..ServeConfig::default()
+                        fault: plan,
                     },
                     eviction, admission, score, &trace, warmup_len,
                 ).expect("serving succeeds");
                 prop_assert_eq!(
                     &rep.sim, &reference,
                     "serving changed the report: {} shards, {} clients, depth {}, {:?}",
-                    shards, clients, queue_depth, submit
+                    shards, clients, queue_depth, plan
                 );
                 prop_assert_eq!(rep.scores_consumed, ref_scores);
                 prop_assert_eq!(rep.requests as usize, n);
-                if submit == SubmitMode::Block {
-                    prop_assert_eq!(rep.sheds, 0);
+                prop_assert_eq!(rep.sheds, 0);
+                if plan.device_armed() && rep.sim.stats.misses() >= 64 {
+                    prop_assert!(rep.sim.fault.device_request_us > 0.0, "the plan must fire");
                 }
                 // Overlap telemetry invariants: one completion per
                 // measured miss, in-flight bounded by the fixed queue
@@ -281,53 +286,6 @@ proptest! {
         }
     }
 
-    /// Seeded graceful shutdown: stopping intake after K requests (K at
-    /// random points, including 0, mid-warm-up and past the end) serves
-    /// exactly the first K records — the report is bit-identical to the
-    /// offline replay of the truncated trace, with no lost or duplicated
-    /// record (every worker checks its arrivals against the truncated
-    /// partition, and the session checks the access count at join).
-    #[test]
-    fn seeded_shutdown_prefixes_match_truncated_replay(
-        params in (0u64..1_000_000, 200usize..700, 24u64..96)
-    ) {
-        let (seed, n, pages) = params;
-        let trace = zipf_trace(seed, n, pages, 0.3, 20);
-        let warmup_len = (seed as usize) % (n / 2);
-        for (eviction, admission, score) in
-            [("lru", "always", "none"), ("gmm-score", "threshold", "fn")]
-        {
-            for i in 0..4u64 {
-                let k = match i {
-                    0 => 0,
-                    1 => (seed.wrapping_mul(31).wrapping_add(i)) % (warmup_len.max(1) as u64),
-                    2 => warmup_len as u64
-                        + (seed.wrapping_mul(37).wrapping_add(i)) % ((n - warmup_len) as u64),
-                    _ => n as u64 + 10, // past the end: serves everything
-                };
-                let cut = (k as usize).min(n);
-                let cut_warm = warmup_len.min(cut);
-                let (reference, _) =
-                    offline(2, eviction, admission, score, &trace[..cut], cut_warm);
-                let rep = serve(
-                    ServeConfig {
-                        shards: 2,
-                        clients: 2,
-                        queue_depth: 8,
-                        stop_after: Some(k),
-                        ..ServeConfig::default()
-                    },
-                    eviction, admission, score, &trace, warmup_len,
-                ).expect("serving succeeds");
-                prop_assert_eq!(rep.requests, cut as u64, "stop_after {}", k);
-                prop_assert_eq!(
-                    &rep.sim, &reference,
-                    "shutdown at {} diverged from the truncated replay", k
-                );
-            }
-        }
-    }
-
     /// Armed shard-worker panics are recovered transparently: the report
     /// is still bit-identical to the undisturbed offline replay, and the
     /// fault telemetry shows every panic matched by a recovery — the same
@@ -359,7 +317,6 @@ proptest! {
                     clients: 2,
                     queue_depth: 4,
                     fault: plan,
-                    ..ServeConfig::default()
                 },
                 eviction, admission, score, &trace, warmup_len,
             ).expect("recovery masks every armed panic");
@@ -375,79 +332,6 @@ proptest! {
             prop_assert_eq!(rep.scores_consumed, armed_scores);
         }
     }
-}
-
-/// Backpressure: a depth-1 queue in front of a deliberately slow scorer
-/// forces the submitter ahead of the worker. In `Shed` mode the report
-/// counts every would-be drop while still serving every request — the
-/// merged report stays bit-identical to the offline reference.
-#[test]
-fn backpressure_sheds_are_counted_and_harmless() {
-    let trace = zipf_trace(7, 400, 48, 0.3, 10);
-    let warmup_len = 100;
-    let cache_cfg = small_cfg();
-    let lat = LatencyModel::paper_tlc();
-
-    // ~50 µs of busy work per observation: the client outruns the worker
-    // by construction, so the depth-1 queue is full almost always.
-    let slow_score = || {
-        Some(Box::new(FnScore::new(|page, seq| {
-            let mut acc = page ^ seq;
-            for i in 0..20_000u64 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-            }
-            (acc % 100) as f64 / 100.0
-        })) as Box<dyn icgmm_cache::ScoreSource + Send>)
-    };
-
-    let reference = {
-        let rep = ShardedSimulator::new(1)
-            .run(
-                &trace,
-                warmup_len,
-                cache_cfg,
-                &|_ctx| ShardPolicies {
-                    admission: admission_for("threshold"),
-                    eviction: eviction_for("lru", cache_cfg, &trace),
-                    score: slow_score(),
-                },
-                &lat,
-                Some(64),
-            )
-            .expect("valid geometry");
-        rep.sim
-    };
-
-    let rep = CacheServer::new(ServeConfig {
-        shards: 1,
-        clients: 1,
-        queue_depth: 1,
-        submit: SubmitMode::Shed,
-        ..ServeConfig::default()
-    })
-    .unwrap()
-    .serve(
-        &trace,
-        warmup_len,
-        cache_cfg,
-        &|_ctx| ShardPolicies {
-            admission: admission_for("threshold"),
-            eviction: eviction_for("lru", cache_cfg, &trace),
-            score: slow_score(),
-        },
-        &lat,
-        Some(64),
-    )
-    .expect("serving succeeds");
-
-    assert_eq!(rep.sim, reference, "sheds must never change outcomes");
-    assert!(
-        rep.sheds > 0,
-        "a depth-1 queue before a ~50 µs/request worker must shed"
-    );
-    assert!(rep.sheds <= rep.requests);
-    assert!(rep.admission_p99_us > 0.0, "histogram must have samples");
-    assert!(rep.admission_p50_us <= rep.admission_p99_us);
 }
 
 /// Wide-geometry interleave stress for the per-shard transport buffers: a
@@ -473,7 +357,6 @@ fn interleaved_scan_ordered_flush_is_deadlock_free_and_exact() {
                         shards,
                         clients,
                         queue_depth,
-                        submit: SubmitMode::Block,
                         ..ServeConfig::default()
                     },
                     "lru",
@@ -526,7 +409,8 @@ fn single_shard_inline_model_matches_accounted_total() {
     }
 }
 
-/// Block mode under the same slow worker: nobody sheds, nothing changes.
+/// Backpressure: behind depth-1 queues the clients block on their
+/// workers constantly — nobody sheds, nothing changes.
 #[test]
 fn blocking_backpressure_serves_exactly() {
     let trace = zipf_trace(11, 300, 32, 0.2, 15);
@@ -535,7 +419,6 @@ fn blocking_backpressure_serves_exactly() {
             shards: 2,
             clients: 2,
             queue_depth: 1,
-            submit: SubmitMode::Block,
             ..ServeConfig::default()
         },
         "gmm-score",
@@ -551,8 +434,7 @@ fn blocking_backpressure_serves_exactly() {
 }
 
 /// A boundary past the end of the trace is the offline engine's typed
-/// refusal, raised before any worker exists — whatever `stop_after` cuts,
-/// it is never clamped into range.
+/// refusal, raised before any worker exists — never clamped into range.
 #[test]
 fn a_boundary_past_the_end_is_a_typed_error() {
     let trace = zipf_trace(3, 200, 32, 0.2, 15);
@@ -560,27 +442,20 @@ fn a_boundary_past_the_end_is_a_typed_error() {
         panic!("no shard may be built for a refused session")
     };
     for shards in [1usize, 2, 4] {
-        for stop_after in [None, Some(50)] {
-            let server = CacheServer::new(ServeConfig {
-                shards,
-                stop_after,
-                ..ServeConfig::default()
-            })
-            .unwrap();
-            let lat = LatencyModel::paper_tlc();
-            let err = server
-                .serve(&trace, 201, small_cfg(), &refused, &lat, None)
-                .err();
-            let want = ShardRunError::MeasuredPastEnd {
-                measured_from: 201,
-                records: 200,
-            };
-            assert_eq!(
-                err,
-                Some(ServeError::Shard(want)),
-                "{shards} shards, {stop_after:?}"
-            );
-        }
+        let server = CacheServer::new(ServeConfig {
+            shards,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let lat = LatencyModel::paper_tlc();
+        let err = server
+            .serve(&trace, 201, small_cfg(), &refused, &lat, None)
+            .err();
+        let want = ShardRunError::MeasuredPastEnd {
+            measured_from: 201,
+            records: 200,
+        };
+        assert_eq!(err, Some(ServeError::Shard(want)), "{shards} shards");
     }
 }
 

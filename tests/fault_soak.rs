@@ -105,6 +105,13 @@ fn chaos_soak_single_threaded_replay_reproduces() {
     assert_eq!(a, b, "fault-armed replay must reproduce from its seeds");
 }
 
+/// The device-fault row: `IcgmmConfig::fault`'s device faults reach every
+/// front-end, as a function of position. Under `latency =
+/// DataflowConfig::default().latency()`, `run`, `run_sharded` at four
+/// shards and `serve` report one `SimReport`, whose `total_us` is
+/// `run_dataflow`'s makespan bit for bit and whose fault block is
+/// `run_dataflow`'s; the stats are the unarmed run's, and the modeled time
+/// is longer.
 #[test]
 fn config_fault_plan_propagates_into_the_dataflow_model() {
     let trace = tenant_trace(20_000, 9);
@@ -113,22 +120,35 @@ fn config_fault_plan_propagates_into_the_dataflow_model() {
         device_spike_per_mille: 60,
         ..FaultPlan::empty()
     };
-    // The DataflowConfig carries no plan of its own; the system-level
-    // IcgmmConfig::fault must reach the SSD emulator.
-    let sys = Icgmm::new(soak_cfg(plan, 1)).unwrap();
-    let a = sys
-        .run_dataflow(&trace, PolicyMode::Lru, &DataflowConfig::default())
-        .unwrap();
+    let df = DataflowConfig::default();
+    let system = |fault, shards| {
+        let cfg = IcgmmConfig {
+            latency: df.latency(),
+            serve_clients: 2,
+            ..soak_cfg(fault, shards)
+        };
+        Icgmm::new(cfg).unwrap()
+    };
+    let sys = system(plan, 1);
+    let a = sys.run_dataflow(&trace, PolicyMode::Lru, &df).unwrap();
     assert!(
         a.fault.device_failures + a.fault.device_spikes > 0,
         "IcgmmConfig::fault never reached the device model"
     );
     assert!(a.fault.device_fault_us > 0.0);
-
-    let b = sys
-        .run_dataflow(&trace, PolicyMode::Lru, &DataflowConfig::default())
-        .unwrap();
+    let b = sys.run_dataflow(&trace, PolicyMode::Lru, &df).unwrap();
     assert_eq!(a, b, "device-fault timing must be deterministic");
+
+    let run = sys.run(&trace, PolicyMode::Lru).unwrap().sim;
+    let four = system(plan, 4);
+    assert_eq!(four.run_sharded(&trace, PolicyMode::Lru).unwrap().sim, run);
+    assert_eq!(four.serve(&trace, PolicyMode::Lru).unwrap().sim, run);
+    assert_eq!(run.total_us, a.makespan_us);
+    assert_eq!((run.stats, run.fault), (a.stats, a.fault));
+    let unarmed = system(FaultPlan::empty(), 1);
+    let unarmed = unarmed.run(&trace, PolicyMode::Lru).unwrap().sim;
+    assert_eq!(unarmed.stats, run.stats);
+    assert!(run.total_us > unarmed.total_us);
 }
 
 /// `stream` and `dlrm` at [`BenchmarkSpec::quick_suite`]'s budget and seeds

@@ -2,10 +2,13 @@
 //! and to the paper's published hardware numbers.
 
 use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
-use icgmm_cache::{CacheConfig, GmmScorePolicy, ScoreSource, ThresholdAdmit};
+use icgmm_cache::{
+    simulate_streaming_with_warmup, CacheConfig, GmmScorePolicy, ScoreSource, SetAssocCache,
+    ThresholdAdmit,
+};
 use icgmm_gmm::EmConfig;
 use icgmm_hw::{
-    run_dataflow, table2, CacheEngineModel, DataflowConfig, GmmEngineModel, GmmResourceModel,
+    table2, CacheEngineModel, DataflowConfig, DataflowReport, GmmEngineModel, GmmResourceModel,
     SsdProfile,
 };
 use icgmm_lstm::{LstmArch, LstmCostModel};
@@ -191,15 +194,18 @@ fn system_dataflow_default_matches_explicit_streaming_replay() {
     let mut ev = GmmScorePolicy::new(cfg.cache.num_sets(), cfg.cache.ways);
     let mut ad = ThresholdAdmit::new(sys.model().unwrap().threshold);
     let mut eng = sys.policy_engine().unwrap();
-    let streaming = run_dataflow(
-        &trace.records()[..end],
-        start,
-        cfg.cache,
+    let mut cache = SetAssocCache::new(cfg.cache).unwrap();
+    let records = trace.records();
+    let replay = simulate_streaming_with_warmup(
+        &records[..start],
+        &records[start..end],
+        &mut cache,
         &mut ad,
         &mut ev,
         Some(&mut eng as &mut dyn ScoreSource),
-        &df_cfg,
-    )
-    .unwrap();
+        &df_cfg.latency(),
+        None,
+    );
+    let streaming = DataflowReport::from_sim(&replay, &df_cfg);
     assert_eq!(streaming, run);
 }

@@ -85,7 +85,7 @@ fn served_reports_match_offline_replay_real_engine() {
             assert!(served.requests > 0);
             assert_eq!(served.shards, shards);
             assert_eq!(served.clients, clients.min(shards));
-            assert_eq!(served.sheds, 0, "Block mode never sheds");
+            assert_eq!(served.sheds, 0, "a client blocks, it never sheds");
             assert!(served.requests_per_sec > 0.0);
             assert!(served.wall_us > 0.0);
             assert!(served.admission_p50_us <= served.admission_p99_us);

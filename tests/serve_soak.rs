@@ -77,7 +77,7 @@ fn chaos_soak_serving_never_aborts_and_reproduces() {
     let b = sys.serve(&trace, PolicyMode::GmmCachingEviction).unwrap();
     assert_eq!(a.sim, b.sim, "served chaos replay must reproduce");
     assert_eq!(a.scores_consumed, b.scores_consumed);
-    assert_eq!(a.sheds, b.sheds, "Block mode sheds nothing, always");
+    assert_eq!(a.sheds, b.sheds, "a client blocks, it never sheds");
 }
 
 #[test]
