@@ -12,7 +12,7 @@
 //! The tightest pair is serving at S = 1 / C = 1 with a deep queue against
 //! the unsharded replay. That single-worker
 //! geometry replays the identical decision sequence through the identical
-//! streaming step, so the ratio isolates the service machinery itself — queue
+//! replay loop, so the ratio isolates the service machinery itself — queue
 //! hand-off, the arrival check and per-batch admission timestamping (the
 //! worker counts what it decides; nothing streams back. CI gates the pair
 //! at 0.3× / 0.4×, thresholds set while a serial merger still re-accounted

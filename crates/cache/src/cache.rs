@@ -202,8 +202,8 @@ impl SetAssocCache {
     /// policy engine (admit it, evict by recency) and never store it. The
     /// returned score is still the raw one, so callers count the inference.
     ///
-    /// Always inlined, like `streaming_step` and the loop's accounting:
-    /// with the replay loop compiled for more than one record walk, LLVM
+    /// Always inlined, like the loop's accounting step: with the replay
+    /// loop compiled for more than one record walk, LLVM
     /// otherwise outlines this body and the LRU replay reads 15–20 %
     /// slower (ROADMAP, "Cache simulator").
     #[inline(always)]

@@ -13,11 +13,11 @@
 //! command (§4.2): one request in flight, nothing queues, and a request's
 //! time never depends on its neighbours. So every consumer of modeled time
 //! calls this module — every report's `total_us` (a sum over
-//! [`CacheStats`], which is why shards merge by adding counters),
-//! `icgmm-serve`'s completion queue, `icgmm-hw`, whose
-//! `DataflowConfig::latency` derives a model from its cycle-level engines,
-//! and the replay's accounting step, which re-costs an armed plan's
-//! faulted misses command by command through [`LatencyModel::split_with`].
+//! [`CacheStats`], which is why shards and serving workers merge by adding
+//! counters), `icgmm-hw`, whose `DataflowConfig::latency` derives a model
+//! from its cycle-level engines, and the replay's accounting step, which
+//! re-costs an armed plan's faulted misses command by command through
+//! [`LatencyModel::split_with`].
 
 use crate::cache::AccessOutcome;
 use crate::stats::CacheStats;

@@ -17,9 +17,10 @@
 //! [`simulate_streaming_observed_with_warmup`] (plus a [`ReplayObserver`]),
 //! [`ShardedSimulator::run`] (set-partitioned, bit-identical at every
 //! shard count) and, for front-ends that feed shards themselves,
-//! [`streaming_step`] and [`Accounting`] plus [`ShardSupervisor`] — where
-//! a shard's policies are built and checked, a dead shard is recovered and
-//! the shards' reports are added up. The sharded entry points take the
+//! [`ShardSupervisor`] — whose [`ShardSupervisor::replay`] runs a shard
+//! over whatever record walk its caller hands it (the serving workers pass
+//! their queue's arrivals), recovers a dead shard and adds the shards'
+//! reports up. The sharded entry points take the
 //! whole trace (warm-up ⧺ measured) as one slice plus `measured_from`; a
 //! shard is that slice and, above one shard, its [`ShardPartition`] list
 //! ([`ShardCtx`]). A report is counters; its modeled time is
@@ -89,7 +90,7 @@ pub use shard::{
     ShardedSimulator,
 };
 pub use sim::{
-    simulate, simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup,
-    streaming_step, Accounting, ReplayEvent, ReplayObserver, SimReport,
+    simulate, simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, ReplayEvent,
+    ReplayObserver, SimReport,
 };
 pub use stats::{CacheStats, MissSeries};

@@ -129,8 +129,8 @@ pub enum ShardRunError {
         message: String,
     },
     /// The policies `make_shard` built cannot reproduce the
-    /// single-threaded replay above one shard (see
-    /// [`ShardSupervisor::policies`]).
+    /// single-threaded replay above one shard (see the module docs;
+    /// checked by [`ShardSupervisor::replay`]).
     Contract {
         /// Index of the first shard (in shard order) that was refused.
         shard: usize,
@@ -401,26 +401,33 @@ pub struct ShardedSimulator {
 type ShardDone = (SimReport, u64);
 
 /// The [`FaultPlan`]'s armed panic point on a shard's replay-event stream:
-/// dies at the shard-local record index it holds.
-struct PanicPoint(Option<u64>);
+/// dies at the shard-local record index it holds — after the scorer
+/// observed that record and the cache decided it, before it is counted.
+struct PanicPoint(u64);
 
 impl ReplayObserver for PanicPoint {
     fn on_record(&mut self, ev: &ReplayEvent<'_>) {
-        ShardSupervisor::die_if_armed(self.0, ev.seq);
+        if ev.seq == self.0 {
+            // resume_unwind skips the panic hook: an armed panic is an
+            // expected, supervisor-recovered event, not stderr noise.
+            resume_unwind(Box::new(format!(
+                "fault-plan armed panic at shard-local record {}",
+                ev.seq
+            )));
+        }
     }
 }
 
 /// The life of a shard, for one run: build its policies, check the
-/// shard-determinism contract, replay its subtrace with the fault plan's
+/// shard-determinism contract, replay its records with the fault plan's
 /// panic point armed — and, when the shard's worker dies, re-replay it
 /// once on the supervising thread, count the event, and fail typed if the
 /// death reproduces — then add the shards' reports up. The offline engine
-/// and the serving front-end (whose *live* workers replay from a queue
+/// and the serving front-end (whose workers feed the replay from a queue
 /// instead of a slice) are both clients of this one type, so what they
-/// refuse, arm, recover, sum and report cannot drift apart. Plain shared
-/// data: workers call [`Self::policies`], [`Self::panic_point`] and
-/// [`Self::accounting`], the supervising thread [`Self::recover`] and
-/// [`Self::merge`].
+/// refuse, arm, replay, recover, sum and report cannot drift apart. Plain
+/// shared data: workers call [`Self::replay`], the supervising thread
+/// [`Self::recover`] and [`Self::merge`].
 pub struct ShardSupervisor<'a> {
     cache_cfg: CacheConfig,
     latency: LatencyModel,
@@ -439,8 +446,8 @@ impl<'a> ShardSupervisor<'a> {
     /// and the `cache_cfg` that `part` was built from:
     /// [`ShardPartition::build`] validated the geometry); `part: None` is
     /// the one whole-trace shard [`ShardedSimulator::run`] replays inline
-    /// at `S = 1`. `make_shard` runs on whichever thread asks for a
-    /// shard's policies; `fault` arms the per-shard panic points and
+    /// at `S = 1`. `make_shard` runs on whichever thread replays a
+    /// shard; `fault` arms the per-shard panic points and
     /// device faults;
     /// `series_window`, when set, has every shard keep its share of a
     /// per-window miss series.
@@ -492,70 +499,52 @@ impl<'a> ShardSupervisor<'a> {
         }
     }
 
-    /// Builds shard `shard`'s policies (`make_shard` over its
-    /// [`ShardCtx`]) and checks the shard-determinism contract — the one
-    /// construction site, for offline workers, live serving workers and
-    /// recoveries alike.
+    /// Shard `shard`'s first attempt, over `walk`: its records with their
+    /// global trace positions, in trace order — exactly the positions its
+    /// [`ShardCtx`] names (offline, the caller's slice walked along the
+    /// shard's [`ShardPartition`] list; served, what the worker's queue
+    /// delivers). Builds the shard's policies (`make_shard` over its
+    /// [`ShardCtx`]), checks the shard-determinism contract and runs the
+    /// streaming loop with the fault plan's panic point armed — independent
+    /// of every other shard (own cache, policies, scorer clone and
+    /// counters), down to the report's `fault` / `adapt` blocks, which are
+    /// what this shard counted. Returns the shard's report and how many of
+    /// its records consumed a score. A refused shard returns before it
+    /// pulls a record from `walk`.
     ///
     /// # Errors
     ///
     /// [`ShardRunError::Contract`] when the policies cannot reproduce the
     /// single-threaded replay above one shard.
-    pub fn policies(&self, shard: usize) -> Result<ShardPolicies, ShardRunError> {
+    pub fn replay<'r>(
+        &self,
+        shard: usize,
+        walk: impl Iterator<Item = (u64, &'r TraceRecord)>,
+    ) -> Result<(SimReport, u64), ShardRunError> {
+        let len = self.ctx(shard).records().len();
+        self.attempt(shard, self.fault.shard_panic_point(shard, len), walk)
+    }
+
+    /// One attempt at shard `shard` (see [`Self::replay`]), dying at
+    /// `panic_at` if set; a re-replay, or a shard with no armed point, runs
+    /// unobserved.
+    fn attempt<'r>(
+        &self,
+        shard: usize,
+        panic_at: Option<u64>,
+        walk: impl Iterator<Item = (u64, &'r TraceRecord)>,
+    ) -> Result<ShardDone, ShardRunError> {
         let ctx = self.ctx(shard);
-        let pol = (self.make_shard)(&ctx);
+        let mut pol = (self.make_shard)(&ctx);
         shard_contract(ctx.shards, &pol)
             .map_err(|message| ShardRunError::Contract { shard, message })?;
-        Ok(pol)
-    }
-
-    /// The shard-local record index at which the fault plan arms a panic
-    /// for `shard`'s first replay, if it does.
-    pub fn panic_point(&self, shard: usize) -> Option<u64> {
-        let len = self.ctx(shard).records().len();
-        self.fault.shard_panic_point(shard, len)
-    }
-
-    /// The armed panic itself: dies when `seen`, the count of records this
-    /// shard has replayed, is the armed point. Called per record — after
-    /// the scorer observed it, before its outcome is counted — by the
-    /// offline replay's observer and the live serving worker alike.
-    #[inline]
-    pub fn die_if_armed(panic_at: Option<u64>, seen: u64) {
-        if panic_at == Some(seen) {
-            // resume_unwind skips the panic hook: an armed panic is an
-            // expected, supervisor-recovered event, not stderr noise.
-            resume_unwind(Box::new(format!(
-                "fault-plan armed panic at shard-local record {seen}"
-            )));
-        }
-    }
-
-    /// A shard's accounting step, offline and live alike: measured from the
-    /// run's boundary, keeping its share of the series, charging the plan's
-    /// device faults under the run's latency model.
-    pub fn accounting(&self) -> Accounting<'_> {
-        let from = self.measured_from as u64;
-        Accounting::new(from, self.series_window, &self.fault, &self.latency)
-    }
-
-    /// One shard's whole offline job, wherever it runs: policies, contract
-    /// and the streaming loop — independent of every other shard (own
-    /// cache, policies, scorer clone and counters), down to the report's
-    /// `fault` / `adapt` blocks, which are what this shard counted.
-    /// `armed` is the first attempt, with the plan's [`PanicPoint`] on its
-    /// event stream; a re-replay, or a shard with no point, runs
-    /// unobserved.
-    fn replay(&self, shard: usize, armed: bool) -> Result<ShardDone, ShardRunError> {
-        let mut pol = self.policies(shard)?;
         let mut cache = SetAssocCache::new(self.cache_cfg).expect("geometry validated");
-        let mut point = PanicPoint(armed.then(|| self.panic_point(shard)).flatten());
-        let mut acct = self.accounting();
-        if point.0.is_some() {
-            acct.observer = Some(&mut point);
-        }
+        let from = self.measured_from as u64;
+        let mut acct = Accounting::new(from, self.series_window, &self.fault, &self.latency);
+        let mut point = panic_at.map(PanicPoint);
+        acct.observer = point.as_mut().map(|p| p as &mut dyn ReplayObserver);
         let (mut report, scored) = crate::sim::simulate_streaming_impl(
-            self.ctx(shard).walk(),
+            walk,
             &mut cache,
             pol.admission.as_mut(),
             pol.eviction.as_mut(),
@@ -587,7 +576,8 @@ impl<'a> ShardSupervisor<'a> {
             Err(payload) => payload,
         };
         fault.shard_panics += 1;
-        match catch_unwind(AssertUnwindSafe(|| self.replay(shard, false))) {
+        let walk = self.ctx(shard).walk();
+        match catch_unwind(AssertUnwindSafe(|| self.attempt(shard, None, walk))) {
             Ok(done) => {
                 let done = done?;
                 fault.shard_recoveries += 1;
@@ -752,14 +742,15 @@ impl ShardedSimulator {
         // join, never propagated.
         // (`crossbeam` stays in this crate's manifest, unused, until the
         // benchmark PR prunes it with the lockfile — ROADMAP 1d.)
+        let replay = |shard| sup.replay(shard, sup.ctx(shard).walk());
         let joined: Vec<thread::Result<Result<ShardDone, ShardRunError>>> = match &part {
             Some(part) => thread::scope(|scope| {
                 let handles: Vec<_> = (0..part.shards())
-                    .map(|shard| scope.spawn(move || sup.replay(shard, true)))
+                    .map(|shard| scope.spawn(move || replay(shard)))
                     .collect();
                 handles.into_iter().map(|h| h.join()).collect()
             }),
-            None => vec![catch_unwind(AssertUnwindSafe(|| sup.replay(0, true)))],
+            None => vec![catch_unwind(AssertUnwindSafe(|| replay(0)))],
         };
         let mut fault = FaultStats::default();
         let mut shards = Vec::with_capacity(joined.len());

@@ -6,7 +6,8 @@
 //!
 //! Every entry point — [`simulate`], [`simulate_streaming_with_warmup`],
 //! [`simulate_streaming_observed_with_warmup`], the sharded engine's
-//! workers and (through [`streaming_step`]) the serving workers — runs the
+//! workers and the serving workers, which feed it from their queues
+//! ([`crate::ShardSupervisor::replay`]) — runs the
 //! same loop: observe each request at its global trace position, access
 //! the cache, and score the request synchronously if it missed (one
 //! single-point policy-engine inference, as in the paper's Algorithm 1
@@ -29,9 +30,10 @@
 //! (§3.1), so a replay's input is the whole trace — warm-up ⧺ measured,
 //! one contiguous slice — plus `measured_from`, the position measurement
 //! starts at. The loop walks `(global position, &record)` pairs: a slice's
-//! own indices, or a shard's [`crate::ShardPartition`] list over the same
-//! slice. Only the counting reads the boundary. The two-slice entry points
-//! feed the same loop the slices chained.
+//! own indices, a shard's [`crate::ShardPartition`] list over the same
+//! slice, or the positions a serving worker's queue delivers. Only the
+//! counting reads the boundary. The two-slice entry points feed the same
+//! loop the slices chained.
 //!
 //! # Accounting is a sum
 //!
@@ -46,7 +48,7 @@
 //! shards merge by adding counters.
 //!
 //! Device faults are the one per-request addend: with a plan that arms
-//! them, [`Accounting::record`] rolls each measured miss's SSD commands at
+//! them, `Accounting::record` rolls each measured miss's SSD commands at
 //! `(position, command)` ([`crate::FaultPlan::device_command_us`]) and
 //! counts what the slower device added to the request in
 //! [`crate::FaultStats::device_request_us`] — a counter like the others,
@@ -231,11 +233,11 @@ pub fn simulate_streaming_observed_with_warmup(
 
 /// The streaming loop behind every entry point. `records` walks the
 /// replayed records with their global trace positions, ascending — a
-/// slice's own indices, or a shard's partition list over the whole trace
-/// — and `acct` counts them (it holds the position measurement starts at:
-/// the whole trace's warm-up length, however few warm-up records this walk
-/// holds). Returns the report and how many records consumed a score
-/// (scored misses, warm-up included).
+/// slice's own indices, a shard's partition list over the whole trace, or
+/// a serving worker's arrivals — and `acct` counts them (it holds the
+/// position measurement starts at: the whole trace's warm-up length,
+/// however few warm-up records this walk holds). Returns the report and
+/// how many records consumed a score (scored misses, warm-up included).
 pub(crate) fn simulate_streaming_impl<'r>(
     records: impl Iterator<Item = (u64, &'r TraceRecord)>,
     cache: &mut SetAssocCache,
@@ -247,10 +249,16 @@ pub(crate) fn simulate_streaming_impl<'r>(
     let mut scored = 0u64;
 
     // `seq` counts the records this loop replays (what the policies rank
-    // by); `pos` is where each one sits in the whole trace.
+    // by); `pos` is where each one sits in the whole trace (what the score
+    // source clocks by). One tag compare decides hit or miss; hits bypass
+    // the policy engine (the hardware triggers the GMM on miss only), and a
+    // miss is scored at exactly its record's position.
     for (seq, (pos, r)) in (0..).zip(records) {
-        let (outcome, score_val) =
-            streaming_step(r, seq, pos, cache, admission, eviction, &mut score);
+        if let Some(s) = score.as_deref_mut() {
+            s.observe(r, pos);
+        }
+        let score_miss = || score.as_deref_mut().map(|s| s.score_current());
+        let (outcome, score_val) = cache.access_scored(r, seq, score_miss, admission, eviction);
         scored += u64::from(score_val.is_some());
         acct.record(seq, pos, r, &outcome);
     }
@@ -258,40 +266,11 @@ pub(crate) fn simulate_streaming_impl<'r>(
     (acct.finish(eviction.name(), admission.name()), scored)
 }
 
-/// The canonical replay step — observe, access, scoring the miss
-/// synchronously. One implementation shared by the offline loop and the
-/// serving shard workers (which receive their records over a channel
-/// instead of a slice), so the replay semantics cannot drift between them:
-/// one tag compare decides hit or miss, hits bypass the policy engine (the
-/// hardware triggers the GMM on miss only), and the score is computed for
-/// exactly the record's position. `seq` is the replaying shard's own
-/// record count (what the policies rank by), `pos` the record's global
-/// trace position (what the score source clocks by); they coincide when
-/// one shard replays the whole trace. Returns the outcome and the score it
-/// consumed. Always inlined (see [`SetAssocCache::access_scored`]).
-#[inline(always)]
-pub fn streaming_step(
-    r: &TraceRecord,
-    seq: u64,
-    pos: u64,
-    cache: &mut SetAssocCache,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
-    score: &mut Option<&mut dyn ScoreSource>,
-) -> (AccessOutcome, Option<f64>) {
-    if let Some(s) = score.as_deref_mut() {
-        s.observe(r, pos);
-    }
-    let score_miss = || score.as_deref_mut().map(|s| s.score_current());
-    cache.access_scored(r, seq, score_miss, admission, eviction)
-}
-
 /// Measurement bookkeeping — the one accounting step of the streaming loop
-/// and of the serving workers (and of `merge.rs`'s benchmark façade):
-/// integer counters, plus the device faults of an armed plan, turned into
-/// a report — and into modeled time — once, at the end
-/// ([`SimReport::from_counts`]).
-pub struct Accounting<'a> {
+/// (and of `merge.rs`'s benchmark façade): integer counters, plus the
+/// device faults of an armed plan, turned into a report — and into modeled
+/// time — once, at the end ([`SimReport::from_counts`]).
+pub(crate) struct Accounting<'a> {
     measured_from: u64,
     latency: &'a LatencyModel,
     pub(crate) stats: CacheStats,
@@ -307,7 +286,7 @@ impl<'a> Accounting<'a> {
     /// record: everything before it is warm-up. `series_window`, when set,
     /// keeps a per-window miss series; `fault`'s device faults, when
     /// armed, are charged to the measured misses under `latency`.
-    pub fn new(
+    pub(crate) fn new(
         measured_from: u64,
         series_window: Option<u64>,
         fault: &FaultPlan,
@@ -326,11 +305,10 @@ impl<'a> Accounting<'a> {
 
     /// Accounts one replayed request: the `seq`-th this replay saw, at
     /// global trace position `pos`. Warm-up requests have full side effects
-    /// and an observer event, but no statistics. Returns whether the
-    /// request was measured. Always inlined (see
+    /// and an observer event, but no statistics. Always inlined (see
     /// [`SetAssocCache::access_scored`]).
     #[inline(always)]
-    pub fn record(&mut self, seq: u64, pos: u64, r: &TraceRecord, outcome: &AccessOutcome) -> bool {
+    pub(crate) fn record(&mut self, seq: u64, pos: u64, r: &TraceRecord, outcome: &AccessOutcome) {
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_record(&ReplayEvent {
                 seq,
@@ -339,7 +317,7 @@ impl<'a> Accounting<'a> {
             });
         }
         let Some(measured_pos) = pos.checked_sub(self.measured_from) else {
-            return false;
+            return;
         };
         self.stats.record(r.op, outcome);
         if let Some(ms) = self.series.as_mut() {
@@ -348,7 +326,6 @@ impl<'a> Accounting<'a> {
         if self.device.is_some() && !outcome.is_hit() {
             self.charge_device(pos, r, outcome);
         }
-        true
     }
 
     /// Rolls a measured miss's SSD commands in issue order and counts what
@@ -374,7 +351,7 @@ impl<'a> Accounting<'a> {
     }
 
     /// The report of everything accounted, under the policies' names.
-    pub fn finish(self, eviction: &str, admission: &str) -> SimReport {
+    pub(crate) fn finish(self, eviction: &str, admission: &str) -> SimReport {
         let (stats, series, fault) = (self.stats, self.series, self.fault);
         SimReport::from_counts(stats, series, fault, self.latency, eviction, admission)
     }

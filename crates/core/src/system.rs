@@ -218,7 +218,7 @@ impl Icgmm {
     /// # Errors
     ///
     /// [`IcgmmError::EmptyTrace`] when nothing survives trimming, or a
-    /// wrapped GMM error from EM.
+    /// wrapped GMM error from EM or the threshold calibration.
     pub fn fit(&mut self, trace: &Trace) -> Result<&FitSummary, IcgmmError> {
         let (start, end) = self.cfg.preprocess.kept_range(trace.len());
         if start >= end {
@@ -249,7 +249,7 @@ impl Icgmm {
 
         let trainer = EmTrainer::new(self.cfg.em)?;
         let (gmm, em_report) = trainer.fit(&xs, &ws)?;
-        let threshold = calibrate_threshold(&gmm, &xs, &ws, &self.cfg.threshold);
+        let threshold = calibrate_threshold(&gmm, &xs, &ws, &self.cfg.threshold)?;
 
         let summary = FitSummary {
             records_used,
@@ -397,8 +397,9 @@ impl Icgmm {
     /// Serves the (trimmed) trace through the concurrent
     /// [`icgmm_serve::CacheServer`]: `serve_clients` submitter threads
     /// feed `sim_shards` shard workers through bounded ingestion queues of
-    /// depth `serve_queue_depth`, the workers decide — and count — per
-    /// request, and the report is their counters added up at join.
+    /// depth `serve_queue_depth`, each worker runs [`Icgmm::run_sharded`]'s
+    /// shard replay over what its queue delivers — deciding and counting
+    /// per request — and the report is their counters added up at join.
     ///
     /// The semantic half of the returned [`ServeReport`] (`sim`,
     /// `scores_consumed`) is **bit-identical** to [`Icgmm::run_sharded`]

@@ -78,8 +78,14 @@ impl LatencyHistogram {
 
     /// Records one latency sample, in nanoseconds.
     pub fn record_ns(&mut self, ns: u64) {
-        self.counts[bucket_of(ns)] += 1;
-        self.total += 1;
+        self.record_ns_n(ns, 1);
+    }
+
+    /// Records `n` samples of the same latency, in nanoseconds — `n` calls
+    /// of [`LatencyHistogram::record_ns`] at once.
+    pub fn record_ns_n(&mut self, ns: u64, n: u64) {
+        self.counts[bucket_of(ns)] += n;
+        self.total += n;
     }
 
     /// Number of recorded samples.
@@ -189,6 +195,32 @@ mod tests {
         assert_eq!(a.samples(), both.samples());
         for q in [0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(a.quantile_ns(q), both.quantile_ns(q));
+        }
+    }
+
+    /// A counted record is that many single records: the same sample count
+    /// and the same quantile at every q.
+    #[test]
+    fn counted_record_equals_repeated_records() {
+        let mut counted = LatencyHistogram::new();
+        let mut single = LatencyHistogram::new();
+        let batches = [
+            (0u64, 3u64),
+            (15, 1),
+            (16, 64),
+            (4_321, 7),
+            (1 << 40, 2),
+            (9, 0),
+        ];
+        for (ns, n) in batches {
+            counted.record_ns_n(ns, n);
+            (0..n).for_each(|_| single.record_ns(ns));
+        }
+        assert_eq!(counted.samples(), 77);
+        assert_eq!(counted.samples(), single.samples());
+        for i in 0..=100 {
+            let q = f64::from(i) / 100.0;
+            assert_eq!(counted.quantile_ns(q), single.quantile_ns(q), "q={q}");
         }
     }
 

@@ -1,11 +1,11 @@
 //! # icgmm-serve
 //!
 //! Concurrent cache *service* over the ICGMM reproduction's sharded
-//! replay engine: N client threads submit trace requests into bounded
-//! per-shard ingestion queues, shard workers decide hit/miss/admit/evict
-//! as requests arrive and count what they decide, and the session's report
-//! is the workers' counters added up at join — nothing is kept per
-//! request.
+//! replay engine: N client threads submit trace positions into bounded
+//! per-shard ingestion queues, each shard worker runs the offline shard
+//! replay over what its queue delivers — deciding hit/miss/admit/evict as
+//! requests arrive and counting what it decides — and the session's report
+//! is the workers' counters added up at join; nothing is kept per request.
 //!
 //! The service inherits the offline engine's headline property: the
 //! summed [`ServeReport::sim`] is **bit-identical** to
@@ -20,12 +20,11 @@
 //! requests/sec at saturation plus log-bucketed p50/p99 admission-decision
 //! latencies ([`ServeReport`]). A caller that wants only a prefix served
 //! passes the prefix. What happens *to a shard* — its policies, the shard
-//! contract, armed panic points, the recovery of a dead worker by offline
-//! re-replay, the accounting step (device faults included), the sum of the
-//! shards' reports — is not this crate's: it is
-//! [`icgmm_cache::ShardSupervisor`] and [`icgmm_cache::Accounting`], the
-//! offline engine's own, and their errors pass through as
-//! [`ServeError::Shard`].
+//! contract, the replay loop and its accounting (device faults included),
+//! armed panic points, the recovery of a dead worker by offline re-replay,
+//! the sum of the shards' reports — is not this crate's: it is
+//! [`icgmm_cache::ShardSupervisor`], the offline engine's own, and its
+//! errors pass through as [`ServeError::Shard`].
 //!
 //! ## Example
 //!
@@ -73,5 +72,6 @@ mod server;
 
 pub use config::{ServeConfig, ServeError};
 pub use hist::LatencyHistogram;
+#[doc(hidden)]
 pub use overlap::OverlapStats;
 pub use server::{CacheServer, ServeReport};

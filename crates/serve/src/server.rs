@@ -1,8 +1,13 @@
 //! The concurrent cache service: clients → bounded per-shard ingestion
-//! queues → shard workers deciding, and counting, per request → the
-//! shards' counters added up at join.
+//! queues → shard workers, each running the offline shard replay over what
+//! its queue delivers → the shards' counters added up at join.
 //!
 //! # Why the served report is the offline one
+//!
+//! A worker runs no loop of its own: it hands [`ShardSupervisor::replay`]
+//! — the function behind every offline shard — a record walk that pulls
+//! batches of positions off its queue ([`Arrivals`]) instead of walking a
+//! position list. Two arguments then carry the rest:
 //!
 //! 1. **Set partitioning** ([`icgmm_cache::ShardedSimulator`]'s argument):
 //!    a shard worker sees exactly the requests whose sets it owns, in trace
@@ -14,9 +19,9 @@
 //!    the offline sharded replay — in whatever order requests were decided.
 //!
 //! Concurrency therefore only decides *timing* (throughput, admission
-//! latency) — never *results*. This module owns transport, the
-//! live worker loop and timing; the life of a shard around them (policies,
-//! contract, armed panic point, recovery, the sum) is [`ShardSupervisor`]'s.
+//! latency) — never *results*. This module owns transport and timing; the
+//! life of a shard (policies, contract, replay, armed panic point,
+//! recovery, the sum) is [`ShardSupervisor`]'s.
 //!
 //! What a sum cannot see is a record that never reached its shard, or
 //! reached the wrong one. So workers check every arrival against their own
@@ -47,41 +52,25 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 const SUBMIT_BATCH: usize = 64;
 
 use icgmm_cache::{
-    streaming_step, Accounting, CacheConfig, FaultStats, LatencyModel, ScoreSource, SetAssocCache,
-    ShardCtx, ShardPartition, ShardPolicies, ShardRunError, ShardSupervisor, SimReport,
+    CacheConfig, FaultStats, LatencyModel, ShardCtx, ShardPartition, ShardPolicies, ShardRunError,
+    ShardSupervisor, SimReport,
 };
 use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{ServeConfig, ServeError};
 use crate::hist::LatencyHistogram;
-use crate::overlap::{CompletionQueue, OverlapStats, COMPLETION_DEPTH};
+use crate::overlap::OverlapStats;
 
-/// One request in flight from a client to its shard worker.
-#[derive(Clone, Copy)]
-struct IngestMsg {
-    /// Global trace position (warm-up + measured, 0-based).
-    seq: u64,
-    record: TraceRecord,
-}
-
-/// One channel message: a client's open batch for one shard.
+/// One channel message: a client's open batch for one shard — the global
+/// trace positions of its requests; the worker reads each record out of
+/// the caller's slice.
 struct Batch {
     /// When the batch left its client's buffer, *before* any full-queue
     /// wait: buffer dwell is a batching artifact and excluded from the
     /// admission latency, backpressure is real queueing and included.
     t_submit: Instant,
-    msgs: Vec<IngestMsg>,
-}
-
-/// What a shard worker hands back at join time.
-struct WorkerDone {
-    /// What the shard counted (`fault` / `adapt`: what its score stack did,
-    /// read after its last record).
-    report: SimReport,
-    scored: u64,
-    hist: LatencyHistogram,
-    overlap: OverlapStats,
+    positions: Vec<u32>,
 }
 
 /// The serving front-end. Construction validates the configuration;
@@ -128,11 +117,10 @@ pub struct ServeReport {
     /// 99th-percentile admission-decision latency, µs (log-bucketed
     /// upper bound: never under-states the tail).
     pub admission_p99_us: f64,
-    /// Simulated backend-completion telemetry: modeled SSD accesses
-    /// retired through each worker's bounded completion queue and the
-    /// modeled time saved by overlapping admission decisions with
-    /// in-flight misses (see [`OverlapStats`]). Telemetry only — `sim`
-    /// never depends on it.
+    /// Benchmark façade — read by `icgmm_bench` (`serve.overlap_saved_us`);
+    /// deleted by the benchmark PR. One request is in flight per shard, so
+    /// nothing overlaps: always 0.
+    #[doc(hidden)]
     pub overlap: OverlapStats,
 }
 
@@ -158,9 +146,10 @@ impl CacheServer {
     /// report. `make_shard` is called once per shard *on that
     /// shard's worker thread* (hence `Fn + Sync`), exactly as in
     /// [`icgmm_cache::ShardedSimulator::run`] — through the same
-    /// [`ShardSupervisor`], so the shard contracts, the recovery of a dead
-    /// worker (its whole shard re-replayed offline, replacing what it had
-    /// counted) and the sum of the workers' reports are the offline ones.
+    /// [`ShardSupervisor`], so the shard contracts, the replay itself, the
+    /// recovery of a dead worker (its whole shard re-replayed offline,
+    /// replacing what it had counted) and the sum of the workers' reports
+    /// are the offline ones.
     ///
     /// # Errors
     ///
@@ -224,7 +213,6 @@ impl CacheServer {
         }
 
         let mut hist = LatencyHistogram::new();
-        let mut overlap = OverlapStats::default();
         // The supervisor's own panic / recovery counts.
         let mut fault = FaultStats::default();
 
@@ -235,27 +223,23 @@ impl CacheServer {
                 .enumerate()
                 .map(|(shard, rx)| {
                     scope.spawn(move || {
-                        // Policies are built here, in parallel across
+                        // The offline shard replay, fed from the queue:
+                        // policies are built here, in parallel across
                         // shards. A refused worker returns before touching
                         // its queue; the dropped receiver turns its
                         // client's sends into no-ops, and the join below
                         // fails the session.
-                        let pol = sup.policies(shard)?;
-                        Ok(run_worker(
-                            rx,
-                            part.positions(shard),
-                            pol,
-                            cache_cfg,
-                            *latency,
-                            sup.accounting(),
-                            sup.panic_point(shard),
-                        ))
+                        let mut hist = LatencyHistogram::new();
+                        let owned = part.positions(shard);
+                        let arrivals = Arrivals::new(rx, owned, records, measured_from, &mut hist);
+                        let done = sup.replay(shard, arrivals)?;
+                        Ok((done, hist))
                     })
                 })
                 .collect();
             let client_handles: Vec<_> = client_senders
                 .into_iter()
-                .map(|owned| scope.spawn(move || run_client(part, records, owned, batch)))
+                .map(|owned| scope.spawn(move || run_client(part, owned, batch)))
                 .collect();
 
             // The calling thread only joins — every handle, even once the
@@ -273,10 +257,9 @@ impl CacheServer {
                     continue;
                 }
                 let done = match joined {
-                    Ok(Ok(done)) => {
-                        hist.merge(&done.hist);
-                        overlap.merge(&done.overlap);
-                        Ok((done.report, done.scored))
+                    Ok(Ok((done, worker_hist))) => {
+                        hist.merge(&worker_hist);
+                        Ok(done)
                     }
                     Ok(Err(refused)) => Err(refused),
                     Err(payload) => recover(sup, shard, payload, &mut fault),
@@ -313,7 +296,7 @@ impl CacheServer {
             requests_per_sec,
             admission_p50_us: hist.quantile_us(0.50),
             admission_p99_us: hist.quantile_us(0.99),
-            overlap,
+            overlap: OverlapStats::default(),
         })
     }
 }
@@ -329,8 +312,8 @@ struct TransportViolation(String);
 /// must end (`got = None`) exactly when the list does. Loss, duplication,
 /// reordering and misrouting all show up as `got` differing from the one
 /// position it can be.
-fn transport_violation(owned: &[u32], seen: usize, got: Option<u64>) -> Option<TransportViolation> {
-    let want = owned.get(seen).map(|&pos| u64::from(pos));
+fn transport_violation(owned: &[u32], seen: usize, got: Option<u32>) -> Option<TransportViolation> {
+    let want = owned.get(seen).copied();
     (got != want).then(|| {
         TransportViolation(format!(
             "record {seen} of {} arrived as position {got:?}, expected {want:?}",
@@ -361,27 +344,25 @@ fn recover(
 /// interleaved traffic every shard still fills ≤[`SUBMIT_BATCH`]-record
 /// batches instead of degenerating to run-length-1 sends.
 ///
-/// The client owns no routed copy of the trace: it walks its owned
-/// shards' [`ShardPartition`] index lists directly (a k-way merge over
-/// ascending lists reproduces ascending global order), reads each record
-/// out of the caller's slice and stamps it with its global position. A
-/// batch ships when it fills, the leftovers at the end, in any order:
-/// nothing downstream waits for one shard's records before another's.
-fn run_client(
-    part: &ShardPartition,
-    records: &[TraceRecord],
-    owned: Vec<(usize, Sender<Batch>)>,
-    batch: usize,
-) {
+/// The client copies no records: it walks its owned shards'
+/// [`ShardPartition`] index lists directly (a k-way merge over ascending
+/// lists reproduces ascending global order) and sends positions — the
+/// worker reads each record out of the caller's slice, as the offline
+/// fan-out does. A batch ships when it fills, the leftovers at the end, in
+/// any order: nothing downstream waits for one shard's records before
+/// another's.
+fn run_client(part: &ShardPartition, owned: Vec<(usize, Sender<Batch>)>, batch: usize) {
     let mut cursors = vec![0usize; owned.len()];
     // One open batch per owned shard.
-    let mut bufs: Vec<Vec<IngestMsg>> = owned.iter().map(|_| Vec::new()).collect();
+    let mut bufs: Vec<Vec<u32>> = owned.iter().map(|_| Vec::new()).collect();
     // Stamp, then a blocking send — safe because the worker on the other
     // end blocks on nothing but this queue. A send to a dead shard errors
     // out and is ignored: the supervisor's re-replay covers its records.
-    let flush = |slot: usize, msgs: Vec<IngestMsg>| {
-        let t_submit = Instant::now();
-        let _ = owned[slot].1.send(Batch { t_submit, msgs });
+    let flush = |slot: usize, positions: Vec<u32>| {
+        let _ = owned[slot].1.send(Batch {
+            t_submit: Instant::now(),
+            positions,
+        });
     };
     loop {
         // Pick the owned shard whose next index entry is the smallest
@@ -397,10 +378,7 @@ fn run_client(
         }
         let Some((slot, pos)) = next else { break };
         cursors[slot] += 1;
-        bufs[slot].push(IngestMsg {
-            seq: u64::from(pos),
-            record: records[pos as usize],
-        });
+        bufs[slot].push(pos);
         if bufs[slot].len() >= batch {
             let full = std::mem::replace(&mut bufs[slot], Vec::with_capacity(batch));
             flush(slot, full);
@@ -413,77 +391,101 @@ fn run_client(
     }
 }
 
-/// One shard worker: drain the ingestion queue, check each arrival against
-/// `owned` (the shard's position list), decide it with the canonical
-/// [`streaming_step`], count it through the offline replay's own
-/// [`Accounting`] (the supervisor's). The shard-local sequence clock (`seen`) runs
-/// continuously, so recency stamps and Belady positions match the offline
-/// replay. Per record, in that replay's order: the scorer observes and the
-/// cache decides, the armed panic point fires (everything counted so far
-/// dies with the worker — the supervisor re-replays the whole shard), and
-/// only then is the record accounted — and, if measured, handed to the
-/// completion model.
-fn run_worker(
+/// A shard worker's record walk — what it hands the offline replay
+/// ([`ShardSupervisor::replay`]) in place of a position list: the batches
+/// its ingestion queue delivers, each position checked against `owned`
+/// (the shard's list) as it arrives and yielded with its record from the
+/// caller's slice. The walk ends when the shard's client hangs up, and the
+/// stream must end exactly where `owned` does.
+///
+/// Admission latency, submit → decided: the replay asks for a record only
+/// after it has decided and counted the one before, so when a batch is
+/// used up all of it is decided, and one clock read — before the next
+/// `recv` — stamps its measured records, rounding each up to the last
+/// decision, never down.
+struct Arrivals<'a> {
     rx: Receiver<Batch>,
-    owned: &[u32],
-    mut pol: ShardPolicies,
-    cache_cfg: CacheConfig,
-    latency: LatencyModel,
-    mut acct: Accounting<'_>,
-    panic_at: Option<u64>,
-) -> WorkerDone {
-    let mut cache = SetAssocCache::new(cache_cfg).expect("geometry validated by serve()");
-    let mut hist = LatencyHistogram::new();
-    let mut comp = CompletionQueue::new(COMPLETION_DEPTH, latency);
-    let (mut seen, mut scored) = (0u64, 0u64);
-    let check = |seen: u64, got: Option<u64>| {
-        if let Some(violation) = transport_violation(owned, seen as usize, got) {
+    owned: &'a [u32],
+    records: &'a [TraceRecord],
+    measured_from: usize,
+    hist: &'a mut LatencyHistogram,
+    batch: std::vec::IntoIter<u32>,
+    t_submit: Instant,
+    /// Records yielded so far.
+    seen: usize,
+    /// Measured records of the current batch, not yet stamped.
+    measured: u64,
+}
+
+impl<'a> Arrivals<'a> {
+    fn new(
+        rx: Receiver<Batch>,
+        owned: &'a [u32],
+        records: &'a [TraceRecord],
+        measured_from: usize,
+        hist: &'a mut LatencyHistogram,
+    ) -> Self {
+        Arrivals {
+            rx,
+            owned,
+            records,
+            measured_from,
+            hist,
+            batch: Vec::new().into_iter(),
+            t_submit: Instant::now(),
+            seen: 0,
+            measured: 0,
+        }
+    }
+
+    /// Panics with a [`TransportViolation`] unless the next arrival is
+    /// `got` (`None`: the end of the stream).
+    fn check(&self, got: Option<u32>) {
+        if let Some(violation) = transport_violation(self.owned, self.seen, got) {
             std::panic::panic_any(violation);
         }
-    };
-    while let Ok(Batch { t_submit, msgs }) = rx.recv() {
-        let mut decided = 0u32;
-        for msg in &msgs {
-            check(seen, Some(msg.seq));
-            let mut sref = pol
-                .score
-                .as_deref_mut()
-                .map(|sc| sc as &mut dyn ScoreSource);
-            let (outcome, score_val) = streaming_step(
-                &msg.record,
-                seen,
-                msg.seq,
-                &mut cache,
-                pol.admission.as_mut(),
-                pol.eviction.as_mut(),
-                &mut sref,
-            );
-            ShardSupervisor::die_if_armed(panic_at, seen);
-            scored += u64::from(score_val.is_some());
-            if acct.record(seen, msg.seq, &msg.record, &outcome) {
-                comp.on_decided(msg.record.op, &outcome);
-                decided += 1;
+    }
+
+    /// The current batch is used up: stamps its measured records, then
+    /// waits for the next batch — `false` once the client has hung up.
+    #[cold]
+    fn refill(&mut self) -> bool {
+        let measured = std::mem::take(&mut self.measured);
+        if measured > 0 {
+            let ns = self.t_submit.elapsed().as_nanos() as u64;
+            self.hist.record_ns_n(ns, measured);
+        }
+        let Ok(Batch {
+            t_submit,
+            positions,
+        }) = self.rx.recv()
+        else {
+            self.check(None);
+            return false;
+        };
+        self.t_submit = t_submit;
+        self.batch = positions.into_iter();
+        true
+    }
+}
+
+impl<'a> Iterator for Arrivals<'a> {
+    type Item = (u64, &'a TraceRecord);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(pos) = self.batch.next() {
+                self.check(Some(pos));
+                self.seen += 1;
+                let pos = pos as usize;
+                self.measured += u64::from(pos >= self.measured_from);
+                return Some((pos as u64, &self.records[pos]));
             }
-            seen += 1;
+            if !self.refill() {
+                return None;
+            }
         }
-        // Admission latency, submit → decided: one clock read per batch
-        // rounds each record's latency up to the last decision, never down.
-        if decided > 0 {
-            let ns = t_submit.elapsed().as_nanos() as u64;
-            (0..decided).for_each(|_| hist.record_ns(ns));
-        }
-    }
-    check(seen, None);
-    let mut report = acct.finish(pol.eviction.name(), pol.admission.name());
-    if let Some(score) = &pol.score {
-        score.telemetry(&mut report.fault, &mut report.adapt);
-    }
-    WorkerDone {
-        // The completion model is nominal-device telemetry.
-        overlap: comp.finish(latency.total_us(&report.stats)),
-        report,
-        scored,
-        hist,
     }
 }
 
@@ -528,8 +530,8 @@ mod tests {
     fn transport_check_catches_loss_duplication_reordering_and_misrouting() {
         let owned = [3u32, 4, 9, 12];
         // First violating arrival index of a whole stream, if any.
-        let first_violation = |stream: &[u64]| {
-            let arrivals = stream.iter().map(|&seq| Some(seq)).chain([None]);
+        let first_violation = |stream: &[u32]| {
+            let arrivals = stream.iter().map(|&pos| Some(pos)).chain([None]);
             arrivals
                 .enumerate()
                 .find_map(|(seen, got)| transport_violation(&owned, seen, got).map(|_| seen))
@@ -553,6 +555,47 @@ mod tests {
             "{}",
             v.0
         );
+    }
+
+    /// A queue of `batches`, hung up once they are received.
+    fn fed(batches: &[&[u32]]) -> Receiver<Batch> {
+        let (tx, rx) = bounded(batches.len().max(1));
+        for positions in batches {
+            let t_submit = Instant::now();
+            let positions = positions.to_vec();
+            tx.send(Batch {
+                t_submit,
+                positions,
+            })
+            .unwrap();
+        }
+        rx
+    }
+
+    /// A worker's walk over three batches — all warm-up, straddling the
+    /// boundary at 6, all measured — yields exactly its owned positions in
+    /// order, each with its record from the caller's slice, and stamps the
+    /// four measured ones; a hole panics with the transport payload.
+    #[test]
+    fn arrivals_walk_the_owned_positions_and_stamp_the_measured_ones() {
+        let records: Vec<TraceRecord> = (0..16u64).map(|p| TraceRecord::read(p << 12)).collect();
+        let owned = [1u32, 2, 4, 5, 7, 8, 11, 12];
+        let rx = fed(&[&[1, 2, 4], &[5, 7, 8], &[11, 12]]);
+        let mut hist = LatencyHistogram::new();
+        let walked: Vec<_> = Arrivals::new(rx, &owned, &records, 6, &mut hist).collect();
+        let want: Vec<_> = owned
+            .iter()
+            .map(|&pos| (u64::from(pos), &records[pos as usize]))
+            .collect();
+        assert_eq!(walked, want);
+        assert_eq!(hist.samples(), 4);
+
+        let mut hist = LatencyHistogram::new();
+        let rx = fed(&[&[1, 4]]);
+        let walk = Arrivals::new(rx, &owned, &records, 6, &mut hist);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| walk.count()));
+        let payload = died.expect_err("a hole: 2 lost");
+        assert!(payload.downcast::<TransportViolation>().is_ok());
     }
 
     /// A violation is a service bug: it fails the session on the calling
