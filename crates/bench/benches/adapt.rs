@@ -14,8 +14,10 @@
 //! * full replay overhead: the multi-tenant trace through the static
 //!   engine (`replay_static_k64`) vs the same trace through an armed
 //!   adaptive wrapper whose trigger is held off
-//!   (`replay_heldoff_k64`) — buffering, position bookkeeping and drift
-//!   checks with zero refits, i.e. the pure tax of arming the loop.
+//!   (`replay_heldoff_k64`) — a refit producer thread buffering and
+//!   checking beside the replay, zero refits, and the replay taking its
+//!   decisions at each boundary, i.e. the wall-clock tax of arming the
+//!   loop.
 //!
 //! CI gates the replay pair (held-off adaptation must stay within noise
 //! of the static path), the refit-vs-cold-fit pair and the

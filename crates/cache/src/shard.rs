@@ -186,6 +186,24 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
+/// The routing rule of a sharded replay: a page belongs to the shard its
+/// set index is congruent to. [`ShardPartition::build`] routes by it, and
+/// so does [`ShardCtx::routed`] — one function, so a walk that finds a
+/// shard's records without the partition's list finds exactly them.
+#[derive(Clone, Copy, Debug)]
+struct ShardRoute {
+    map: SetMap,
+    shards: usize,
+}
+
+impl ShardRoute {
+    /// `set mod shards`, through the set mapping decoded once.
+    #[inline]
+    fn shard_of(self, page: PageIndex) -> usize {
+        self.map.split(page).0 % self.shards
+    }
+}
+
 /// The index-based fan-out: for each shard, the ascending list of global
 /// trace positions whose sets it owns.
 ///
@@ -196,7 +214,7 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// trace, its scorer-clock position and its miss-series position.
 #[derive(Clone, Debug)]
 pub struct ShardPartition {
-    map: SetMap,
+    route: ShardRoute,
     index: Vec<Vec<u32>>,
 }
 
@@ -246,7 +264,7 @@ impl ShardPartition {
         let n = warmup.len() + measured.len();
         Self::check_capacity(n)?;
         let mut part = ShardPartition {
-            map,
+            route: ShardRoute { map, shards },
             index: vec![Vec::new(); shards],
         };
         // Two passes: count, then fill exact-capacity lists — the routing
@@ -271,7 +289,7 @@ impl ShardPartition {
     /// through the set mapping decoded once in [`ShardPartition::build`].
     #[inline]
     pub fn shard_of(&self, page: PageIndex) -> usize {
-        self.map.split(page).0 % self.index.len()
+        self.route.shard_of(page)
     }
 
     /// The shard count.
@@ -304,6 +322,8 @@ pub struct ShardCtx<'a> {
     trace: &'a [TraceRecord],
     /// The positions this shard owns; `None` is the whole trace.
     positions: Option<&'a [u32]>,
+    /// The rule that routed them; `None` is the whole trace.
+    route: Option<ShardRoute>,
 }
 
 impl<'a> ShardCtx<'a> {
@@ -321,6 +341,20 @@ impl<'a> ShardCtx<'a> {
             let pos = positions.map_or(i, |p| p[i] as usize);
             (pos as u64, &trace[pos])
         })
+    }
+
+    /// The same walk over `records` — the slice the supervisor replays —
+    /// found by the routing rule instead of read off the partition's list.
+    /// It borrows nothing of the ctx, so it may outlive the partition: a
+    /// shard's adaptation producer walks it on a thread of its own.
+    pub fn routed<'t>(
+        &self,
+        records: &'t [TraceRecord],
+    ) -> impl Iterator<Item = (u64, &'t TraceRecord)> + Send + 't {
+        let (route, shard) = (self.route, self.shard);
+        (0u64..)
+            .zip(records)
+            .filter(move |(_, r)| route.is_none_or(|route| route.shard_of(r.page()) == shard))
     }
 }
 
@@ -496,6 +530,7 @@ impl<'a> ShardSupervisor<'a> {
             shards: self.part.map_or(1, ShardPartition::shards),
             trace: self.records,
             positions: self.part.map(|part| part.positions(shard)),
+            route: self.part.map(|part| part.route),
         }
     }
 
@@ -836,8 +871,10 @@ mod tests {
                 shards: 2,
                 trace: &trace,
                 positions: Some(idx),
+                route: Some(whole.route),
             };
             assert_eq!(ctx.records().len(), idx.len());
+            assert!(ctx.routed(&trace).eq(ctx.walk()), "the rule finds the list");
             for ((pos, r), &i) in ctx.walk().zip(idx) {
                 assert_eq!((pos, r), (u64::from(i), &trace[i as usize]));
                 assert_eq!(cfg.set_of(r.page()) % 2, shard, "routing by set");
@@ -846,6 +883,15 @@ mod tests {
         }
         let total: usize = (0..2).map(|s| whole.positions(s).len()).sum();
         assert_eq!(total, trace.len());
+        let inline = ShardCtx {
+            shard: 0,
+            shards: 1,
+            trace: &trace,
+            positions: None,
+            route: None,
+        };
+        assert!(inline.routed(&trace).eq(inline.walk()), "one shard is all");
+        assert_eq!(inline.walk().len(), trace.len());
     }
 
     #[test]

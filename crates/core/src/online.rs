@@ -1,10 +1,10 @@
-//! Online GMM adaptation under workload drift: the [`AdaptiveEngine`].
+//! Online GMM adaptation under workload drift: the [`AdaptiveEngine`] and
+//! the refit producer that runs ahead of it.
 //!
 //! This is the GMM-aware half of the online refit loop (the model-agnostic
 //! substrate — plan, telemetry, reservoir, ring, detector — lives in
-//! `icgmm_cache::adapt`). An [`AdaptiveEngine`] wraps a
-//! [`GmmPolicyEngine`] and, at fixed *global trace positions* (multiples
-//! of [`icgmm_cache::AdaptPlan::check_interval`]):
+//! `icgmm_cache::adapt`). At fixed *global trace positions* (multiples of
+//! [`icgmm_cache::AdaptPlan::check_interval`]) the loop:
 //!
 //! 1. evaluates the windowed mean log-likelihood of the most recent
 //!    observations under the live scorer (a direct table read — the
@@ -12,20 +12,39 @@
 //! 2. feeds it to the [`icgmm_cache::DriftDetector`], and
 //! 3. on a declared drift, refits from the seeded reservoir buffer via
 //!    [`icgmm_gmm::IncrementalEm`] (one E/M pass, not a cold fit) and
-//!    publishes the new mixture with [`GmmPolicyEngine::swap_scorer`].
-//!    Only the publication is cheap (an `Arc` pointer swap): the check and
-//!    the refit before it run inline on the replay thread, which waits for
-//!    them (≈ 1.4 ms per K = 256 refit, 158 of them on `tenants_drift`).
+//!    publishes the new mixture.
+//!
+//! ## Training runs off the datapath
+//!
+//! As on the paper's engine, whose weight buffer is loaded and never
+//! trained in place, the loop reads no cache outcome: its buffers see
+//! every record of a shard, hits included, and a miss's score feeds
+//! nothing back. So it runs on a thread of its own — a *producer*
+//! ([`AdaptiveEngine::spawn`]) walking the shard's `(position, record)`
+//! stream straight off the trace, which sends one decision per check
+//! boundary: its cumulative [`AdaptStats`] and, when the check published a
+//! generation, that generation's scorer. The [`AdaptiveEngine`] the replay
+//! observes through *follows*: crossing a boundary it takes that decision
+//! (a scorer swap is an `Arc` pointer swap), and it blocks only when the
+//! producer has not decided the boundary yet. Drift checks and refits
+//! (≈ 1.4 ms each at K = 256, 158 on `tenants_drift`) stall the replay
+//! only when they fall behind it.
 //!
 //! ## Determinism
 //!
-//! Every record carries its global trace position, and the engine keeps
-//! no clock of its own: checks fire immediately before the first observed
-//! record whose position reaches the next `check_interval` boundary, and a
+//! Every record carries its global trace position, and neither half keeps
+//! a clock of its own: a check fires immediately before the first record
+//! whose position reaches the next `check_interval` boundary, and a
 //! buffered sample's timestamp is Algorithm 1 of the position it was
-//! observed at. Swap points therefore depend only on global positions.
-//! Consequences, all property-enforced in `tests/adapt_equivalence.rs`:
+//! observed at. The producer walks exactly the positions the replay
+//! observes (the shard's routing rule over the same slice), so the
+//! follower swaps at the same boundaries, to the same generations, however
+//! far ahead the producer ran. Consequences, all property-enforced in
+//! `tests/adapt_equivalence.rs`:
 //!
+//! * an adaptive run equals the inline loop's (kept there as the oracle)
+//!   at every shard count, offline and served, recovered shard panics
+//!   included;
 //! * an adaptive run is a pure function of `(trace seed, adapt seed)` at
 //!   every shard count (shards partition the record stream, so the
 //!   per-shard buffers — and therefore the refits — legitimately differ
@@ -40,11 +59,15 @@
 //! would couple admission decisions to the reservoir contents — the
 //! score *ordering* is what drift repair needs.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
+use std::thread::Scope;
+
 use icgmm_cache::{
     AdaptPlan, AdaptStats, DriftDetector, FaultStats, ObsSample, RecentRing, Reservoir,
     ScoreSource, RESERVOIR_CAPACITY,
 };
-use icgmm_gmm::{EmConfig, Gmm, GmmError, IncrementalEm, Vec2};
+use icgmm_gmm::{EmConfig, Gmm, GmmError, GmmScorer, IncrementalEm, Vec2};
 use icgmm_trace::TraceRecord;
 
 use crate::engine::GmmPolicyEngine;
@@ -52,6 +75,15 @@ use crate::engine::GmmPolicyEngine;
 /// Fewest reservoir samples worth refitting from; smaller buffers count a
 /// refit failure and keep the live generation.
 const MIN_REFIT_SAMPLES: usize = 8;
+
+/// Check boundaries the producer may decide ahead of the replay — the
+/// bound of the hand-off. A memory decision, not a tuning knob: a queued
+/// decision can hold a generation the follower has not swapped in yet, and
+/// the producer thread's allocator arena keeps what it held. On
+/// `tenants_drift` (2-vCPU Xeon, seed 1, the inline loop at 12.4 cu) depths
+/// 8 / 256 / 1 024 read `replay_cost_x` 9.1 / 8.1 / 8.1 cu for 0.5 / 1.4 /
+/// 10.3 MiB more peak RSS.
+const HANDOFF_DEPTH: usize = 256;
 
 /// Stateless per-shard stream derivation, so the trainer and reservoir
 /// draw from disjoint, reproducible streams of one `(adapt seed, shard)`
@@ -65,12 +97,18 @@ fn salt(seed: u64, shard: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A [`GmmPolicyEngine`] wrapped with the drift-triggered online refit
-/// loop. Implements [`ScoreSource`] with the exact same observation
-/// contract, so it drops into every replay front-end (offline, sharded,
-/// served) the plain engine does.
-#[derive(Debug)]
-pub struct AdaptiveEngine {
+/// What the producer decided at one check boundary.
+struct Decision {
+    /// Its counters once the check ran (cumulative).
+    stats: AdaptStats,
+    /// The generation the check published, when it refitted.
+    scorer: Option<GmmScorer>,
+}
+
+/// The refit loop of one shard: drift checks, the reservoir and the
+/// trainer, run over the shard's record stream on a thread of its own.
+struct Producer {
+    /// The live generation (what checks score with) and the feature map.
     engine: GmmPolicyEngine,
     trainer: IncrementalEm,
     check_interval: u64,
@@ -81,7 +119,7 @@ pub struct AdaptiveEngine {
     /// `(adapt seed, shard)` pair; generation g restarts on sub-stream g).
     reservoir_salt: u64,
     stats: AdaptStats,
-    /// Next check boundary: checks fire before observing a record whose
+    /// Next check boundary: checks fire before buffering a record whose
     /// global position has reached it.
     next_check: u64,
     /// Feature / log-density scratch of the drift check and the refit,
@@ -90,28 +128,15 @@ pub struct AdaptiveEngine {
     log_densities: Vec<f64>,
 }
 
-impl AdaptiveEngine {
-    /// Wraps `engine` with the refit loop described by `plan`.
-    ///
-    /// `gmm` seeds the incremental trainer (the offline-trained mixture —
-    /// generation 0); `em` supplies the M-step hyper-parameters. The
-    /// trainer is pinned to one E-step thread so refits are deterministic
-    /// whatever the host's parallelism. `shard` salts the plan seed so
-    /// each shard's reservoir and re-seed stream are independent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IncrementalEm::new`] validation failures (`plan` and
-    /// the `reg_covar > 0` requirement are also checked earlier, by
-    /// [`crate::IcgmmConfig::validate`]).
-    pub fn new(
+impl Producer {
+    /// See [`AdaptiveEngine::spawn`].
+    fn new(
         engine: GmmPolicyEngine,
         gmm: &Gmm,
         em: EmConfig,
         plan: AdaptPlan,
         shard: u64,
     ) -> Result<Self, GmmError> {
-        debug_assert!(!plan.is_empty(), "callers skip wrapping for empty plans");
         let trainer_cfg = EmConfig {
             seed: salt(plan.seed, shard, 1),
             threads: 1,
@@ -119,7 +144,7 @@ impl AdaptiveEngine {
         };
         let trainer = IncrementalEm::new(gmm, trainer_cfg, plan.decay)?;
         let reservoir_salt = salt(plan.seed, shard, 2);
-        Ok(AdaptiveEngine {
+        Ok(Producer {
             engine,
             trainer,
             check_interval: plan.check_interval,
@@ -134,21 +159,20 @@ impl AdaptiveEngine {
         })
     }
 
-    /// Policy-engine inferences performed so far (drift-check likelihood
-    /// evaluations are counted separately, in [`AdaptStats::evals`]).
-    pub fn scores_computed(&self) -> u64 {
-        self.engine.scores_computed()
-    }
-
-    /// The adaptation telemetry accumulated so far (what
-    /// [`ScoreSource::telemetry`] hands a replay's report).
-    pub fn stats(&self) -> AdaptStats {
-        self.stats
-    }
-
-    /// The wrapped engine (live scorer generation included).
-    pub fn inner(&self) -> &GmmPolicyEngine {
-        &self.engine
+    /// Walks the shard's records, deciding every boundary before buffering
+    /// the record that reaches it, until the walk ends or the follower is
+    /// gone (its replay attempt died or was refused).
+    fn run<'r>(
+        mut self,
+        walk: impl Iterator<Item = (u64, &'r TraceRecord)>,
+        decisions: &SyncSender<Decision>,
+    ) {
+        for (pos, record) in walk {
+            if self.checkpoint(pos, decisions).is_err() {
+                return;
+            }
+            self.buffer(record.page().raw(), pos);
+        }
     }
 
     /// Standardized feature vector of one buffered sample: its timestamp
@@ -172,41 +196,51 @@ impl AdaptiveEngine {
         self.ring.push(s);
     }
 
-    /// Fires every check whose boundary `pos` has reached. Called before
-    /// observing the record at `pos`, so swap points land between records
-    /// at deterministic global positions.
-    fn checkpoint(&mut self, pos: u64) {
+    /// Decides every check whose boundary `pos` has reached and hands each
+    /// decision over, blocking while the hand-off is full. Fails once the
+    /// follower hung up.
+    fn checkpoint(
+        &mut self,
+        pos: u64,
+        decisions: &SyncSender<Decision>,
+    ) -> Result<(), SendError<Decision>> {
         while pos >= self.next_check {
-            self.run_check(pos);
+            let scorer = self.run_check(pos);
             self.next_check += self.check_interval;
+            let stats = self.stats;
+            decisions.send(Decision { stats, scorer })?;
         }
+        Ok(())
     }
 
-    fn run_check(&mut self, pos: u64) {
+    /// One drift check; the generation it published, if it refitted.
+    fn run_check(&mut self, pos: u64) -> Option<GmmScorer> {
         self.stats.checks += 1;
-        if !self.ring.is_empty() {
-            // The likelihood window is scored by the kernel replay itself
-            // scores with, so a check costs one window's worth of miss
-            // scores per interval.
-            let mut zs = std::mem::take(&mut self.features);
-            self.fill_features(self.ring.samples(), &mut zs);
-            let ld = &mut self.log_densities;
-            ld.resize(zs.len(), 0.0);
-            self.engine.scorer().log_density_batch(&zs, ld);
-            self.stats.evals += ld.len() as u64;
-            let mll = ld.iter().sum::<f64>() / ld.len() as f64;
-            self.features = zs;
-            if self.detector.observe(mll) {
-                self.stats.drifts += 1;
-                self.try_refit(pos);
-            }
+        if self.ring.is_empty() {
+            return None;
         }
+        // The likelihood window is scored by the kernel replay itself
+        // scores with, so a check costs one window's worth of miss scores
+        // per interval.
+        let mut zs = std::mem::take(&mut self.features);
+        self.fill_features(self.ring.samples(), &mut zs);
+        let ld = &mut self.log_densities;
+        ld.resize(zs.len(), 0.0);
+        self.engine.scorer().log_density_batch(&zs, ld);
+        self.stats.evals += ld.len() as u64;
+        let mll = ld.iter().sum::<f64>() / ld.len() as f64;
+        self.features = zs;
+        if !self.detector.observe(mll) {
+            return None;
+        }
+        self.stats.drifts += 1;
+        self.try_refit(pos)
     }
 
-    fn try_refit(&mut self, pos: u64) {
+    fn try_refit(&mut self, pos: u64) -> Option<GmmScorer> {
         if self.reservoir.len() < MIN_REFIT_SAMPLES {
             self.stats.refit_failures += 1;
-            return;
+            return None;
         }
         let mut xs = std::mem::take(&mut self.features);
         self.fill_features(self.reservoir.samples(), &mut xs);
@@ -214,7 +248,8 @@ impl AdaptiveEngine {
         self.features = xs;
         match refit {
             Ok(gmm) => {
-                self.engine.swap_scorer(gmm.scorer().clone());
+                let scorer = gmm.scorer().clone();
+                self.engine.swap_scorer(scorer.clone());
                 self.stats.refits += 1;
                 self.stats.swaps += 1;
                 self.stats.generation += 1;
@@ -226,20 +261,121 @@ impl AdaptiveEngine {
                 // uniformity within one).
                 self.reservoir
                     .restart(salt(self.reservoir_salt, self.stats.generation, 0));
+                Some(scorer)
             }
             Err(_) => {
                 // Degenerate buffer or singular refit: the previous
                 // generation stays live — graceful degradation, counted.
                 self.stats.refit_failures += 1;
+                None
             }
+        }
+    }
+}
+
+/// A [`GmmPolicyEngine`] following the drift-triggered online refit loop
+/// that runs ahead of it on its own thread (see the module docs).
+/// Implements [`ScoreSource`] with the exact same observation contract, so
+/// it drops into every replay front-end (offline, sharded, served) the
+/// plain engine does.
+#[derive(Debug)]
+pub struct AdaptiveEngine {
+    engine: GmmPolicyEngine,
+    decisions: Receiver<Decision>,
+    check_interval: u64,
+    /// Next check boundary: its decision is taken before observing a
+    /// record whose global position has reached it.
+    next_check: u64,
+    /// The counters of the last decision taken.
+    stats: AdaptStats,
+}
+
+impl AdaptiveEngine {
+    /// Wraps `engine` with the refit loop described by `plan` and spawns
+    /// the loop's producer into `scope`, over `walk`: the records this
+    /// engine will observe, with their global positions, in order — a
+    /// shard's [`icgmm_cache::ShardCtx::routed`] walk over the slice its
+    /// replay walks.
+    ///
+    /// `gmm` seeds the incremental trainer (the offline-trained mixture —
+    /// generation 0); `em` supplies the M-step hyper-parameters. The
+    /// trainer is pinned to one E-step thread so refits are deterministic
+    /// whatever the host's parallelism. `shard` salts the plan seed so
+    /// each shard's reservoir and re-seed stream are independent.
+    ///
+    /// The producer exits when its walk ends or when this engine is
+    /// dropped. A panic on the producer is caught there and reaches the
+    /// replay as a panic in [`ScoreSource::observe`] at the first boundary
+    /// the producer did not decide — the shard's death, which the shard
+    /// supervisor recovers or reports — never through `scope`; so does a
+    /// walk that ends before the replay's does. Drop the engine, or observe
+    /// its whole walk, before `scope` ends: a live engine that stopped
+    /// observing leaves its producer blocked on a full hand-off.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`IncrementalEm::new`] validation failures (`plan` and
+    /// the `reg_covar > 0` requirement are also checked earlier, by
+    /// [`crate::IcgmmConfig::validate`]); nothing is spawned then.
+    pub fn spawn<'scope, 'r: 'scope>(
+        scope: &'scope Scope<'scope, '_>,
+        engine: GmmPolicyEngine,
+        gmm: &Gmm,
+        em: EmConfig,
+        plan: AdaptPlan,
+        shard: u64,
+        walk: impl Iterator<Item = (u64, &'r TraceRecord)> + Send + 'scope,
+    ) -> Result<Self, GmmError> {
+        debug_assert!(!plan.is_empty(), "callers skip wrapping for empty plans");
+        let producer = Producer::new(engine.clone(), gmm, em, plan, shard)?;
+        let (handoff, decisions) = sync_channel(HANDOFF_DEPTH);
+        scope.spawn(move || {
+            // Dropping `handoff` on the way out, however the producer
+            // ended, is what tells the follower; a panic stops here.
+            let _ = catch_unwind(AssertUnwindSafe(|| producer.run(walk, &handoff)));
+        });
+        Ok(AdaptiveEngine {
+            engine,
+            decisions,
+            check_interval: plan.check_interval,
+            next_check: plan.check_interval,
+            stats: AdaptStats::default(),
+        })
+    }
+
+    /// The adaptation telemetry of the decisions taken so far (what
+    /// [`ScoreSource::telemetry`] hands a replay's report).
+    pub fn stats(&self) -> AdaptStats {
+        self.stats
+    }
+
+    /// Takes the decision of every boundary `pos` has reached, waiting for
+    /// the producer where it has not decided one yet — and panics, as the
+    /// shard's death, where the producer is gone before deciding one (it
+    /// panicked, or its walk ended short of this engine's).
+    #[cold]
+    fn follow(&mut self, pos: u64) {
+        while pos >= self.next_check {
+            let Ok(Decision { stats, scorer }) = self.decisions.recv() else {
+                panic!(
+                    "the adaptation producer is gone before deciding the check at position {}",
+                    self.next_check
+                );
+            };
+            self.stats = stats;
+            if let Some(scorer) = scorer {
+                self.engine.swap_scorer(scorer);
+            }
+            self.next_check += self.check_interval;
         }
     }
 }
 
 impl ScoreSource for AdaptiveEngine {
     fn observe(&mut self, record: &TraceRecord, pos: u64) {
-        self.checkpoint(pos);
-        self.buffer(record.page().raw(), pos);
+        if pos >= self.next_check {
+            self.follow(pos);
+        }
         self.engine.observe(record, pos);
     }
 
@@ -262,6 +398,7 @@ mod tests {
     use crate::engine::TrainedModel;
     use icgmm_gmm::{EmTrainer, StandardScaler};
     use icgmm_trace::PreprocessConfig;
+    use std::thread;
 
     fn trained(k: usize, seed: u64) -> (TrainedModel, EmConfig) {
         let xs: Vec<Vec2> = (0..512)
@@ -299,10 +436,22 @@ mod tests {
         }
     }
 
-    fn adaptive(plan: AdaptPlan, shard: u64) -> AdaptiveEngine {
+    /// An engine whose producer walks `walk` — the records the test will
+    /// observe, with their positions.
+    fn adaptive<'s, 'r: 's>(
+        scope: &'s Scope<'s, '_>,
+        plan: AdaptPlan,
+        shard: u64,
+        walk: impl Iterator<Item = (u64, &'r TraceRecord)> + Send + 's,
+    ) -> AdaptiveEngine {
         let (model, em) = trained(4, 7);
         let engine = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
-        AdaptiveEngine::new(engine, &model.gmm, em, plan, shard).unwrap()
+        AdaptiveEngine::spawn(scope, engine, &model.gmm, em, plan, shard, walk).unwrap()
+    }
+
+    /// The whole of `records`, at positions `0..`.
+    fn all(records: &[TraceRecord]) -> impl Iterator<Item = (u64, &TraceRecord)> + Send {
+        (0u64..).zip(records)
     }
 
     fn record(i: u64) -> TraceRecord {
@@ -318,18 +467,19 @@ mod tests {
             drift_drop: f64::INFINITY,
             ..AdaptPlan::drifty(3)
         };
-        let (model, em) = trained(4, 7);
+        let (model, _) = trained(4, 7);
         let mut plain = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
-        let engine = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
-        let mut adaptive = AdaptiveEngine::new(engine, &model.gmm, em, plan, 0).unwrap();
         let records: Vec<TraceRecord> = (0..500).map(record).collect();
-        for (pos, r) in (0u64..).zip(&records) {
-            plain.observe(r, pos);
-            adaptive.observe(r, pos);
-            let (want, got) = (plain.score_current(), adaptive.score_current());
-            assert_eq!(want.to_bits(), got.to_bits());
-        }
-        let stats = adaptive.stats();
+        let stats = thread::scope(|s| {
+            let mut adaptive = adaptive(s, plan, 0, all(&records));
+            for (pos, r) in (0u64..).zip(&records) {
+                plain.observe(r, pos);
+                adaptive.observe(r, pos);
+                let (want, got) = (plain.score_current(), adaptive.score_current());
+                assert_eq!(want.to_bits(), got.to_bits());
+            }
+            adaptive.stats()
+        });
         assert!(stats.checks > 0, "checks must have run");
         assert_eq!(stats.swaps, 0, "held-off trigger must never swap");
         assert_eq!(stats.refits, 0);
@@ -359,19 +509,21 @@ mod tests {
             })
             .collect();
         let run = |chunks: &[usize]| {
-            let mut eng = adaptive(plan, 0);
-            let mut scores = Vec::with_capacity(records.len());
-            let (mut at, mut ci) = (0usize, 0usize);
-            while at < records.len() {
-                let take = chunks[ci % chunks.len()].min(records.len() - at);
-                for (pos, r) in records.iter().enumerate().skip(at).take(take) {
-                    eng.observe(r, pos as u64);
-                    scores.push((ci % 2 == 0).then(|| eng.score_current().to_bits()));
+            thread::scope(|s| {
+                let mut eng = adaptive(s, plan, 0, all(&records));
+                let mut scores = Vec::with_capacity(records.len());
+                let (mut at, mut ci) = (0usize, 0usize);
+                while at < records.len() {
+                    let take = chunks[ci % chunks.len()].min(records.len() - at);
+                    for (pos, r) in records.iter().enumerate().skip(at).take(take) {
+                        eng.observe(r, pos as u64);
+                        scores.push((ci % 2 == 0).then(|| eng.score_current().to_bits()));
+                    }
+                    at += take;
+                    ci += 1;
                 }
-                at += take;
-                ci += 1;
-            }
-            (scores, eng.stats())
+                (scores, eng.stats())
+            })
         };
         let (s1, t1) = run(&[records.len()]);
         let (s2, t2) = run(&[1]);
@@ -394,32 +546,31 @@ mod tests {
             recent_window: 64,
             ..AdaptPlan::drifty(5)
         };
-        let mut eng = adaptive(plan, 0);
         // Stable phase matching the training distribution, then a hard
         // phase change into a far-away page region.
-        for i in 0..400 {
-            eng.observe(&record(i), i);
-            let _ = eng.score_current();
-        }
-        for i in 0..2_000u64 {
-            eng.observe(
-                &TraceRecord::read((500_000 + (i * 31) % 2_048) << 12),
-                400 + i,
-            );
-            let _ = eng.score_current();
-        }
-        let stats = eng.stats();
-        assert!(stats.checks >= 20);
-        assert!(stats.drifts > 0, "phase change must register as drift");
-        assert!(stats.swaps > 0, "drift must publish a new generation");
-        assert_eq!(stats.swaps, stats.refits);
-        assert_eq!(stats.generation, stats.swaps);
-        assert!(stats.last_swap_pos > 0);
-        // A replay's report gets the same block through the hook.
-        let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
-        eng.telemetry(&mut fault, &mut adapt);
-        assert_eq!(adapt, stats);
-        assert!(fault.is_clean());
+        let records: Vec<TraceRecord> = (0..400)
+            .map(record)
+            .chain((0..2_000u64).map(|i| TraceRecord::read((500_000 + (i * 31) % 2_048) << 12)))
+            .collect();
+        thread::scope(|s| {
+            let mut eng = adaptive(s, plan, 0, all(&records));
+            for (pos, r) in all(&records) {
+                eng.observe(r, pos);
+                let _ = eng.score_current();
+            }
+            let stats = eng.stats();
+            assert!(stats.checks >= 20);
+            assert!(stats.drifts > 0, "phase change must register as drift");
+            assert!(stats.swaps > 0, "drift must publish a new generation");
+            assert_eq!(stats.swaps, stats.refits);
+            assert_eq!(stats.generation, stats.swaps);
+            assert!(stats.last_swap_pos > 0);
+            // A replay's report gets the same block through the hook.
+            let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
+            eng.telemetry(&mut fault, &mut adapt);
+            assert_eq!(adapt, stats);
+            assert!(fault.is_clean());
+        });
     }
 
     #[test]
@@ -430,25 +581,26 @@ mod tests {
             cooldown_checks: 0,
             ..AdaptPlan::drifty(21)
         };
+        let records: Vec<TraceRecord> = (0..1_500)
+            .map(|i| {
+                if i < 700 {
+                    record(i)
+                } else {
+                    TraceRecord::read((300_000 + (i * 11) % 1_024) << 12)
+                }
+            })
+            .collect();
         let run = |shard: u64| {
-            let mut eng = adaptive(plan, shard);
-            let records: Vec<TraceRecord> = (0..1_500)
-                .map(|i| {
-                    if i < 700 {
-                        record(i)
-                    } else {
-                        TraceRecord::read((300_000 + (i * 11) % 1_024) << 12)
-                    }
-                })
-                .collect();
-            let out: Vec<f64> = (0u64..)
-                .zip(&records)
-                .map(|(pos, r)| {
-                    eng.observe(r, pos);
-                    eng.score_current()
-                })
-                .collect();
-            (out, eng.stats())
+            thread::scope(|s| {
+                let mut eng = adaptive(s, plan, shard, all(&records));
+                let out: Vec<f64> = all(&records)
+                    .map(|(pos, r)| {
+                        eng.observe(r, pos);
+                        eng.score_current()
+                    })
+                    .collect();
+                (out, eng.stats())
+            })
         };
         let (s1, t1) = run(0);
         let (s2, t2) = run(0);
@@ -474,13 +626,71 @@ mod tests {
             ..AdaptPlan::drifty(2)
         };
         let records: Vec<TraceRecord> = (0..1_000).map(record).collect();
-        let mut eng = adaptive(plan, 0);
         // This "shard" owns the even positions.
-        for (pos, r) in records.iter().enumerate().step_by(2) {
-            eng.observe(r, pos as u64);
-        }
+        let evens = || all(&records).step_by(2);
+        let stats = thread::scope(|s| {
+            let mut eng = adaptive(s, plan, 0, evens());
+            for (pos, r) in evens() {
+                eng.observe(r, pos);
+            }
+            eng.stats()
+        });
         // 500 own records over 999 global positions: boundaries at
         // 200/400/600/800 all fire (the final position, 998, < 1000).
-        assert_eq!(eng.stats().checks, 4);
+        assert_eq!(stats.checks, 4);
+    }
+
+    #[test]
+    fn a_dropped_follower_releases_its_producer() {
+        // Far more boundaries than the hand-off holds: a producer that
+        // kept going after its follower was dropped would block the scope
+        // forever on a full queue.
+        let plan = AdaptPlan {
+            check_interval: 8,
+            drift_drop: f64::INFINITY,
+            ..AdaptPlan::drifty(4)
+        };
+        let records: Vec<TraceRecord> = (0..(HANDOFF_DEPTH as u64 * 64)).map(record).collect();
+        thread::scope(|s| {
+            let mut eng = adaptive(s, plan, 0, all(&records));
+            for (pos, r) in all(&records).take(100) {
+                eng.observe(r, pos);
+            }
+            assert_eq!(eng.stats().checks, 12);
+        });
+    }
+
+    #[test]
+    fn a_producer_panic_is_the_followers_panic_and_never_the_scopes() {
+        // The walk dies under the producer at position 350: boundaries
+        // 100–300 were decided and reach the follower; 400 never is, and
+        // observing past it panics on the replay's side, while the scope
+        // itself returns normally.
+        let plan = AdaptPlan {
+            check_interval: 100,
+            drift_drop: f64::INFINITY,
+            ..AdaptPlan::drifty(6)
+        };
+        let records: Vec<TraceRecord> = (0..1_000).map(record).collect();
+        let hostile = all(&records).inspect(|&(pos, _)| assert!(pos < 350, "hostile walk"));
+        let (checks, died) = thread::scope(|s| {
+            let mut eng = adaptive(s, plan, 0, hostile);
+            for (pos, r) in all(&records).take(400) {
+                eng.observe(r, pos);
+            }
+            let checks = eng.stats().checks;
+            let died = catch_unwind(AssertUnwindSafe(|| {
+                for (pos, r) in all(&records).skip(400) {
+                    eng.observe(r, pos);
+                }
+            }));
+            (checks, died)
+        });
+        assert_eq!(checks, 3);
+        let payload = died.expect_err("the follower must not outlive its producer");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(msg.contains("check at position 400"), "{msg}");
     }
 }

@@ -4,6 +4,8 @@
 //! The four replay front-ends (`run`, `run_sharded`, `serve`,
 //! `run_dataflow`) build their per-shard policy/scorer/fault stack through
 //! one private `Assembly` and differ only in the engine they hand it to.
+//! Each replays inside one `std::thread::scope`, into which an armed
+//! adaptation plan spawns every shard's refit producer.
 
 use crate::config::{IcgmmConfig, PolicyMode};
 use crate::engine::{GmmPolicyEngine, TrainedModel};
@@ -22,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::thread::{self, Scope};
 
 /// Summary of one `fit` (offline training) invocation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -69,7 +72,7 @@ impl RunReport {
 /// The one replay assembly: what it takes to build any shard's
 /// policy/scorer/fault stack — the mode's engine, the configuration's
 /// fault plan, an adaptation plan and the trimmed trace. Empty plans
-/// install no wrapper, so
+/// install no wrapper — and an empty adaptation plan spawns no thread — so
 /// disabled features stay bit-identical. It keeps nothing per shard: a
 /// shard's counters are fields of its own stack, which whoever replays the
 /// shard reads through [`ScoreSource::telemetry`].
@@ -85,10 +88,14 @@ struct Assembly<'a> {
     measured_from: usize,
 }
 
-impl Assembly<'_> {
-    /// Builds one shard's policies, scorer clone and fault/adapt wrappers.
-    /// Runs on that shard's replay thread.
-    fn shard(&self, ctx: &ShardCtx<'_>) -> ShardPolicies {
+impl<'a> Assembly<'a> {
+    /// Builds one shard's policies, scorer clone and fault/adapt wrappers,
+    /// spawning the shard's refit producer into `scope` when the adaptation
+    /// plan is armed. Runs on whichever thread replays the shard.
+    fn shard<'scope>(&self, ctx: &ShardCtx<'_>, scope: &'scope Scope<'scope, '_>) -> ShardPolicies
+    where
+        'a: 'scope,
+    {
         let cfg = &self.sys.cfg;
         let (sets, ways) = (cfg.cache.num_sets(), cfg.cache.ways);
         let (gmm_admits, gmm_evicts) = match self.mode {
@@ -123,16 +130,18 @@ impl Assembly<'_> {
         } else {
             Box::new(AlwaysAdmit)
         };
-        // An armed adaptation plan wraps the shard's engine clone in the
-        // online refit loop (per-shard buffers, shard-salted seed streams).
+        // An armed adaptation plan has the shard's engine clone follow the
+        // online refit loop, which runs ahead on its own thread over the
+        // shard's records (per-shard buffers, shard-salted seed streams).
         let mut score: Option<Box<dyn ScoreSource + Send>> = match &self.engine {
             None => None,
             Some(e) if self.adapt.is_empty() => Some(Box::new(e.clone())),
             Some(e) => {
                 let model = self.sys.model.as_ref();
                 let gmm = &model.expect("a GMM engine implies a trained model").gmm;
-                let shard = ctx.shard as u64;
-                let adaptive = AdaptiveEngine::new(e.clone(), gmm, cfg.em, self.adapt, shard);
+                let (shard, walk) = (ctx.shard as u64, ctx.routed(self.records));
+                let adaptive =
+                    AdaptiveEngine::spawn(scope, e.clone(), gmm, cfg.em, self.adapt, shard, walk);
                 Some(Box::new(
                     adaptive.expect("adapt plan validated by IcgmmConfig"),
                 ))
@@ -382,10 +391,12 @@ impl Icgmm {
         adapt: AdaptPlan,
     ) -> Result<RunReport, IcgmmError> {
         let asm = self.assemble(trace, mode, shards, adapt)?;
-        let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
         let engine = ShardedSimulator::new(shards).with_faults(self.cfg.fault);
         let (records, from) = (asm.records, asm.measured_from);
-        let rep = engine.run(records, from, self.cfg.cache, &make_shard, latency, None)?;
+        let rep = thread::scope(|scope| {
+            let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx, scope);
+            engine.run(records, from, self.cfg.cache, &make_shard, latency, None)
+        })?;
         Ok(RunReport {
             mode,
             sim: rep.sim,
@@ -430,10 +441,13 @@ impl Icgmm {
             queue_depth: self.cfg.serve_queue_depth,
             fault: self.cfg.fault,
         })?;
-        let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx);
         let (cache, latency) = (self.cfg.cache, &self.cfg.latency);
         let (records, from) = (asm.records, asm.measured_from);
-        Ok(server.serve(records, from, cache, &make_shard, latency, None)?)
+        let served = thread::scope(|scope| {
+            let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx, scope);
+            server.serve(records, from, cache, &make_shard, latency, None)
+        });
+        Ok(served?)
     }
 
     /// Runs one mode under the latency model the cycle-level hardware

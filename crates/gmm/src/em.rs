@@ -192,19 +192,19 @@ impl SuffStats {
 ///
 /// # Errors
 ///
-/// [`GmmError::InvalidParam`] for a NaN, infinite or negative weight —
+/// [`GmmError::InvalidParam`] for a weight list that is neither empty nor
+/// one per sample, and for a NaN, infinite or negative weight —
 /// `total <= 0.0` is false for NaN, so an unchecked one would surface
 /// iterations later as a misleading singular covariance —
 /// and [`GmmError::EmptyInput`] for no samples or zero total weight.
-///
-/// # Panics
-///
-/// Panics if `ws` is non-empty and `ws.len() != xs.len()`.
 pub(crate) fn total_weight(xs: &[Vec2], ws: &[f64]) -> Result<f64, GmmError> {
-    assert!(
-        ws.is_empty() || ws.len() == xs.len(),
-        "weights must be empty or match samples"
-    );
+    if !ws.is_empty() && ws.len() != xs.len() {
+        return Err(GmmError::InvalidParam(format!(
+            "{} weights for {} samples; weights must be empty or one per sample",
+            ws.len(),
+            xs.len()
+        )));
+    }
     if let Some(i) = ws.iter().position(|w| !(w.is_finite() && *w >= 0.0)) {
         return Err(GmmError::InvalidParam(format!(
             "sample weight {i} is {}; weights must be finite and >= 0",
@@ -303,12 +303,9 @@ impl EmTrainer {
     /// # Errors
     ///
     /// Returns [`GmmError::EmptyInput`] for empty/zero-weight data,
-    /// [`GmmError::InvalidParam`] for a non-finite or negative weight, and
+    /// [`GmmError::InvalidParam`] for a non-finite or negative weight or a
+    /// weight list that is neither empty nor one per sample, and
     /// propagates covariance failures (which regularization makes rare).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ws` is non-empty and `ws.len() != xs.len()`.
     pub fn fit(&self, xs: &[Vec2], ws: &[f64]) -> Result<(Gmm, EmReport), GmmError> {
         let total_w = total_weight(xs, ws)?;
         let k = self.cfg.k.min(xs.len());

@@ -101,13 +101,10 @@ impl IncrementalEm {
     /// # Errors
     ///
     /// Returns [`GmmError::EmptyInput`] for an empty/zero-weight batch,
-    /// [`GmmError::InvalidParam`] for a non-finite or negative weight
-    /// (the persisted statistics are untouched), and propagates covariance
+    /// [`GmmError::InvalidParam`] for a non-finite or negative weight or a
+    /// weight list that is neither empty nor one per sample (the persisted
+    /// statistics are untouched either way), and propagates covariance
     /// failures from rebuilding the mixture.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ws` is non-empty and `ws.len() != xs.len()`.
     pub fn refit(&mut self, xs: &[Vec2], ws: &[f64]) -> Result<Gmm, GmmError> {
         let batch_w = total_weight(xs, ws)?;
         let threads = if self.cfg.threads == 0 {
@@ -249,6 +246,19 @@ mod tests {
                 "weight {bad}"
             );
         }
+        assert_eq!(inc.refits(), 0);
+        // A weight list that is neither empty nor one per sample is a typed
+        // error, not a panic — one short, one long, one for an empty batch.
+        for ws in [&[1.0, 1.0][..], &[1.0; 4][..]] {
+            match inc.refit(&batch, ws) {
+                Err(GmmError::InvalidParam(msg)) => assert!(msg.contains("weights"), "{msg}"),
+                other => panic!("{} weights: expected InvalidParam, got {other:?}", ws.len()),
+            }
+        }
+        assert!(matches!(
+            inc.refit(&[], &[1.0]),
+            Err(GmmError::InvalidParam(_))
+        ));
         assert_eq!(inc.refits(), 0);
         // The rejected batches left no trace: the next refit equals a
         // fresh trainer's first.

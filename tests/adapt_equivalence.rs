@@ -1,20 +1,168 @@
 //! End-to-end equivalence and determinism properties for online
-//! adaptation: an armed plan whose drift trigger is held off
+//! adaptation: the refit loop running ahead of the replay on its own
+//! thread reports exactly what the inline loop it replaced reports (kept
+//! here as the oracle); an armed plan whose drift trigger is held off
 //! (`drift_drop = +inf`) replays bit-identically to the static scorer at
 //! every shard count and GMM policy mode; adaptive runs are a pure
 //! function of `(trace seed, adapt seed)` per shard count; and the
 //! serving front-end reports adaptive replay exactly like the
 //! offline sharded engine.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use icgmm::experiment::run_static_vs_adaptive;
-use icgmm::{AdaptPlan, Icgmm, IcgmmConfig, PolicyMode, TrainedModel};
-use icgmm_cache::CacheConfig;
+use icgmm::serve::{CacheServer, ServeConfig};
+use icgmm::{AdaptPlan, GmmPolicyEngine, Icgmm, IcgmmConfig, PolicyMode, TrainedModel};
+use icgmm_cache::{
+    CacheConfig, FaultPlan, GmmScorePolicy, ShardCtx, ShardPolicies, ShardedSimulator,
+    ThresholdAdmit,
+};
 use icgmm_gmm::EmConfig;
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
 use icgmm_trace::{PreprocessConfig, Trace};
 use proptest::prelude::*;
+
+/// The adaptation loop as it ran before it moved off the replay thread:
+/// `observe` runs every drift check — and every refit — itself, before
+/// the record that reaches the check's boundary. A copy of the loop in
+/// `crates/core/src/online.rs`, not a caller of it: the oracle the
+/// pipelined engine is held to.
+mod inline_oracle {
+    use icgmm::GmmPolicyEngine;
+    use icgmm_cache::{
+        AdaptPlan, AdaptStats, DriftDetector, FaultStats, ObsSample, RecentRing, Reservoir,
+        ScoreSource, RESERVOIR_CAPACITY,
+    };
+    use icgmm_gmm::{EmConfig, Gmm, IncrementalEm, Vec2};
+    use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
+
+    const MIN_REFIT_SAMPLES: usize = 8;
+
+    fn salt(seed: u64, shard: u64, stream: u64) -> u64 {
+        let mut z = seed
+            .wrapping_add(shard.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(stream.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    pub struct InlineAdaptive {
+        engine: GmmPolicyEngine,
+        clock: TimestampTransformer,
+        trainer: IncrementalEm,
+        check_interval: u64,
+        reservoir: Reservoir,
+        ring: RecentRing,
+        detector: DriftDetector,
+        reservoir_salt: u64,
+        stats: AdaptStats,
+        next_check: u64,
+    }
+
+    impl InlineAdaptive {
+        pub fn new(
+            engine: GmmPolicyEngine,
+            gmm: &Gmm,
+            em: EmConfig,
+            plan: AdaptPlan,
+            preprocess: &PreprocessConfig,
+            shard: u64,
+        ) -> Self {
+            let trainer_cfg = EmConfig {
+                seed: salt(plan.seed, shard, 1),
+                threads: 1,
+                ..em
+            };
+            let reservoir_salt = salt(plan.seed, shard, 2);
+            InlineAdaptive {
+                engine,
+                clock: TimestampTransformer::from_config(preprocess),
+                trainer: IncrementalEm::new(gmm, trainer_cfg, plan.decay).unwrap(),
+                check_interval: plan.check_interval,
+                reservoir: Reservoir::new(salt(reservoir_salt, 0, 0), RESERVOIR_CAPACITY),
+                ring: RecentRing::new(plan.recent_window),
+                detector: DriftDetector::new(&plan),
+                reservoir_salt,
+                stats: AdaptStats::default(),
+                next_check: plan.check_interval,
+            }
+        }
+
+        fn features(&self, samples: &[ObsSample]) -> Vec<Vec2> {
+            let feature = |s: &ObsSample| {
+                let ts = self.clock.at(s.pos);
+                self.engine.scaler().transform([s.page as f64, ts as f64])
+            };
+            samples.iter().map(feature).collect()
+        }
+
+        fn run_check(&mut self, pos: u64) {
+            self.stats.checks += 1;
+            if self.ring.is_empty() {
+                return;
+            }
+            let zs = self.features(self.ring.samples());
+            let mut ld = vec![0.0; zs.len()];
+            self.engine.scorer().log_density_batch(&zs, &mut ld);
+            self.stats.evals += ld.len() as u64;
+            let mll = ld.iter().sum::<f64>() / ld.len() as f64;
+            if self.detector.observe(mll) {
+                self.stats.drifts += 1;
+                self.try_refit(pos);
+            }
+        }
+
+        fn try_refit(&mut self, pos: u64) {
+            if self.reservoir.len() < MIN_REFIT_SAMPLES {
+                self.stats.refit_failures += 1;
+                return;
+            }
+            let xs = self.features(self.reservoir.samples());
+            match self.trainer.refit(&xs, &[]) {
+                Ok(gmm) => {
+                    self.engine.swap_scorer(gmm.scorer().clone());
+                    self.stats.refits += 1;
+                    self.stats.swaps += 1;
+                    self.stats.generation += 1;
+                    self.stats.last_swap_pos = pos;
+                    self.reservoir
+                        .restart(salt(self.reservoir_salt, self.stats.generation, 0));
+                }
+                Err(_) => self.stats.refit_failures += 1,
+            }
+        }
+    }
+
+    impl ScoreSource for InlineAdaptive {
+        fn observe(&mut self, record: &TraceRecord, pos: u64) {
+            while pos >= self.next_check {
+                self.run_check(pos);
+                self.next_check += self.check_interval;
+            }
+            let s = ObsSample {
+                page: record.page().raw(),
+                pos,
+            };
+            self.reservoir.offer(s);
+            self.ring.push(s);
+            self.engine.observe(record, pos);
+        }
+
+        fn score_current(&mut self) -> f64 {
+            self.engine.score_current()
+        }
+
+        fn shardable(&self) -> bool {
+            self.engine.shardable()
+        }
+
+        fn telemetry(&self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {
+            adapt.merge(&self.stats);
+        }
+    }
+}
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -72,6 +220,35 @@ fn fixture() -> &'static (Trace, TrainedModel) {
         let model = sys.model().expect("fitted").clone();
         (trace, model)
     })
+}
+
+/// A model fitted on the first third of the fixture trace only, so the
+/// detector has drift to chase (on the whole-trace model it rarely fires).
+fn prefix_model() -> &'static TrainedModel {
+    static MODEL: OnceLock<TrainedModel> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let (trace, _) = fixture();
+        let prefix = Trace::from_records(trace.records()[..trace.len() / 3].to_vec());
+        let mut sys = Icgmm::new(adapt_cfg()).unwrap();
+        sys.fit(&prefix).unwrap();
+        sys.model().expect("fitted").clone()
+    })
+}
+
+/// The stack `Icgmm` assembles for `gmm-caching-eviction` under a plan that
+/// arms no scorer fault, with the inline loop in place of the pipelined one.
+fn oracle_stack(cfg: &IcgmmConfig, model: &TrainedModel, shard: u64) -> ShardPolicies {
+    let engine = GmmPolicyEngine::new(model, &cfg.preprocess, false).unwrap();
+    let (em, plan, pre) = (cfg.em, cfg.adapt, &cfg.preprocess);
+    let inline = inline_oracle::InlineAdaptive::new(engine, &model.gmm, em, plan, pre, shard);
+    ShardPolicies {
+        admission: Box::new(ThresholdAdmit {
+            threshold: model.threshold,
+            admit_writes_always: cfg.admit_writes_always,
+        }),
+        eviction: Box::new(GmmScorePolicy::new(cfg.cache.num_sets(), cfg.cache.ways)),
+        score: Some(Box::new(inline)),
+    }
 }
 
 fn system_with(plan: AdaptPlan, shards: usize) -> Icgmm {
@@ -288,6 +465,66 @@ fn dataflow_latency_rides_every_front_end_under_live_refits() {
 }
 
 proptest! {
+    /// The pipelined loop is the inline loop moved off the replay thread:
+    /// against the oracle it reports the same `SimReport` — adaptation
+    /// block included — and the same inference count, at 1, 2 and 4
+    /// shards, offline and served, with every shard's first attempt dying
+    /// or none. A dead attempt's producer must exit when its receiver
+    /// drops and the recovery spawns a fresh one; a producer that kept
+    /// going would leave the run hanging on a full hand-off. The seed is
+    /// drawn; the twelve grid points take turns, so each is run at any
+    /// case count of 12 or more.
+    #[test]
+    fn pipelined_adaptation_equals_the_inline_oracle(adapt_seed in any::<u64>()) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let point = CASE.fetch_add(1, Ordering::Relaxed) % 12;
+        let (shards, served, panics) = ([1usize, 2, 4][point % 3], point / 3 % 2 == 1, point >= 6);
+        let (trace, _) = fixture();
+        let model = prefix_model();
+        let fault = FaultPlan {
+            seed: adapt_seed ^ 0x5EED,
+            shard_panic_per_mille: if panics { 1000 } else { 0 },
+            ..FaultPlan::empty()
+        };
+        let (clients, queue_depth) = (2, 8);
+        let cfg = IcgmmConfig {
+            adapt: AdaptPlan::drifty(adapt_seed),
+            fault,
+            sim_shards: shards,
+            serve_clients: clients,
+            serve_queue_depth: queue_depth,
+            ..adapt_cfg()
+        };
+        let mut sys = Icgmm::new(cfg).unwrap();
+        sys.set_model(model.clone());
+        let mode = PolicyMode::GmmCachingEviction;
+        let (start, end) = cfg.preprocess.kept_range(trace.len());
+        let records = &trace.records()[..end];
+        let oracle_shard = |ctx: &ShardCtx<'_>| oracle_stack(&cfg, model, ctx.shard as u64);
+        let ((sim, scores), (want, want_scores)) = if served {
+            let got = sys.serve(trace, mode).unwrap();
+            let server = CacheServer::new(ServeConfig { shards, clients, queue_depth, fault });
+            let want = server
+                .unwrap()
+                .serve(records, start, cfg.cache, &oracle_shard, &cfg.latency, None)
+                .unwrap();
+            ((got.sim, got.scores_consumed), (want.sim, want.scores_consumed))
+        } else {
+            let got = sys.run_sharded(trace, mode).unwrap();
+            let want = ShardedSimulator::new(shards)
+                .with_faults(fault)
+                .run(records, start, cfg.cache, &oracle_shard, &cfg.latency, None)
+                .unwrap();
+            ((got.sim, got.gmm_inferences), (want.sim, want.scores_consumed))
+        };
+        prop_assert!(want.adapt.refits > 0, "the oracle must refit: {:?}", want.adapt);
+        let died = if panics { shards as u64 } else { 0 };
+        prop_assert_eq!(want.fault.shard_recoveries, died);
+        prop_assert_eq!(&sim.adapt, &want.adapt, "{} shards, served {}", shards, served);
+        prop_assert_eq!(&sim, &want, "{} shards, served {}", shards, served);
+        prop_assert_eq!(scores, want_scores);
+    }
+
     /// An adaptive run is a pure function of `(trace seed, adapt seed)`
     /// at every shard count: repeat runs are identical down to the
     /// adaptation counters, and the serving path agrees with offline

@@ -10,6 +10,7 @@
 //!   numbers, and they add up to the merged report's.
 
 use std::sync::OnceLock;
+use std::thread::{self, Scope};
 
 use icgmm::{
     AdaptPlan, AdaptStats, AdaptiveEngine, GmmPolicyEngine, Icgmm, IcgmmConfig, PolicyMode,
@@ -21,7 +22,7 @@ use icgmm_cache::{
 };
 use icgmm_gmm::EmConfig;
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
-use icgmm_trace::{PreprocessConfig, Trace};
+use icgmm_trace::{PreprocessConfig, Trace, TraceRecord};
 
 const MODE: PolicyMode = PolicyMode::GmmCachingEviction;
 
@@ -140,13 +141,20 @@ fn a_dead_worker_takes_its_counters_with_it_mid_service() {
 }
 
 /// The stack `Icgmm` assembles per shard, built by hand so the engine's
-/// `ShardedReport` (which `RunReport` does not carry) can be inspected.
-fn make_shard(cfg: &IcgmmConfig, ctx: &ShardCtx<'_>) -> ShardPolicies {
+/// `ShardedReport` (which `RunReport` does not carry) can be inspected: the
+/// shard's refit producer walks `records` — the replayed slice — into
+/// `scope`.
+fn make_shard<'s>(
+    cfg: &IcgmmConfig,
+    ctx: &ShardCtx<'_>,
+    scope: &'s Scope<'s, '_>,
+    records: &'s [TraceRecord],
+) -> ShardPolicies {
     let (_, model) = fixture();
     let (sets, ways) = (cfg.cache.num_sets(), cfg.cache.ways);
     let engine = GmmPolicyEngine::new(model, &cfg.preprocess, false).unwrap();
-    let shard = ctx.shard as u64;
-    let adaptive = AdaptiveEngine::new(engine, &model.gmm, cfg.em, cfg.adapt, shard);
+    let (shard, walk) = (ctx.shard as u64, ctx.routed(records));
+    let adaptive = AdaptiveEngine::spawn(scope, engine, &model.gmm, cfg.em, cfg.adapt, shard, walk);
     ShardPolicies {
         admission: Box::new(ThresholdAdmit {
             threshold: model.threshold,
@@ -163,17 +171,18 @@ fn per_shard_blocks_are_real_and_add_up_to_the_merged_report() {
     for shards in [1usize, 4] {
         let cfg = cfg(FaultPlan::chaos(1234), shards);
         let (start, end) = cfg.preprocess.kept_range(trace.len());
-        let rep = ShardedSimulator::new(shards)
-            .with_faults(cfg.fault)
-            .run(
-                &trace.records()[..end],
+        let records = &trace.records()[..end];
+        let rep = thread::scope(|scope| {
+            ShardedSimulator::new(shards).with_faults(cfg.fault).run(
+                records,
                 start,
                 cfg.cache,
-                &|ctx| make_shard(&cfg, ctx),
+                &|ctx| make_shard(&cfg, ctx, scope, records),
                 &cfg.latency,
                 None,
             )
-            .unwrap();
+        })
+        .unwrap();
 
         let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
         for shard in &rep.per_shard {
