@@ -51,8 +51,7 @@ fn bench_end_to_end(c: &mut Criterion) {
         let mut engine = sys.policy_engine().expect("fitted");
         b.iter(|| {
             for (pos, r) in (0u64..).zip(window) {
-                engine.observe(black_box(r), pos);
-                black_box(engine.score_current());
+                black_box(engine.score(black_box(r), pos));
             }
         })
     });

@@ -20,7 +20,9 @@ fn main() {
     // Modeled FPGA numbers.
     let gmm_res = GmmResourceModel::paper_k256().estimate();
     let gmm_lat = GmmEngineModel::paper_k256().latency_us();
-    let lstm_cost = LstmCostModel::paper_calibrated().estimate(&LstmArch::paper_baseline());
+    let lstm_cost = LstmCostModel::paper_calibrated()
+        .estimate(&LstmArch::paper_baseline())
+        .expect("the calibrated model is valid");
 
     let rows = vec![
         vec![

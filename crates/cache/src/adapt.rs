@@ -6,12 +6,12 @@
 //! and serving layers need to carry and merge:
 //!
 //! * [`AdaptPlan`] — a seeded, `Copy` description of the online loop:
-//!   how often to check for drift, how much history to buffer, and how
-//!   aggressively to forget. An empty plan (the default) checks nothing
-//!   and buffers nothing; callers skip all wrapping in that case, so
-//!   adaptation-off runs take exactly the static code paths and stay
-//!   bit-identical to them — the same by-construction discipline as
-//!   [`crate::FaultPlan`].
+//!   how often to check for drift, how far the likelihood must fall to
+//!   count as drift, and how aggressively to forget. An empty plan (the
+//!   default) checks nothing and buffers nothing; callers skip all
+//!   wrapping in that case, so adaptation-off runs take exactly the
+//!   static code paths and stay bit-identical to them — the same
+//!   by-construction discipline as [`crate::FaultPlan`].
 //! * [`AdaptStats`] — the observability block carried on
 //!   [`crate::SimReport`] (and, through it, `ServeReport` and
 //!   `ExperimentResult`): checks / drifts / refits / swaps counters plus
@@ -23,11 +23,12 @@
 //!   `(page, position)` samples: the refit training buffer. Replacement
 //!   decisions reuse the stateless fault-roll hash, so the buffer
 //!   contents are a pure function of `(seed, observation sequence)`.
-//! * [`RecentRing`] — a fixed-capacity ring of the most recent samples:
-//!   the drift-evaluation window.
+//! * [`RecentRing`] — a ring of the 256 most recent samples: the
+//!   drift-evaluation window.
 //! * [`DriftDetector`] — a trailing EWMA baseline over the windowed mean
 //!   log-likelihood, firing when the current window drops more than
-//!   `drift_drop` nats below the baseline, with a post-refit cooldown.
+//!   `drift_drop` nats below the baseline; the check after a firing
+//!   re-seeds the baseline against the new model.
 
 use serde::{Deserialize, Serialize};
 
@@ -44,6 +45,9 @@ pub const RESERVOIR_CAPACITY: usize = 2_048;
 /// the newest check).
 const BASELINE_ALPHA: f64 = 0.2;
 
+/// Recent observations evaluated per drift check (the likelihood window).
+const RECENT_WINDOW: usize = 256;
+
 /// A seeded, config-driven online-adaptation plan.
 ///
 /// The default plan is *empty*: `check_interval == 0` disables the whole
@@ -58,16 +62,11 @@ pub struct AdaptPlan {
     /// Global trace positions between drift checks; `0` disables
     /// adaptation entirely.
     pub check_interval: u64,
-    /// Recent observations evaluated per drift check (the likelihood
-    /// window).
-    pub recent_window: usize,
     /// Drift threshold in nats: a check fires a refit when the windowed
     /// mean log-likelihood falls more than this below the trailing
     /// baseline. `f64::INFINITY` holds the trigger off (buffers fill,
     /// checks run, refits never fire — the held-off equivalence property).
     pub drift_drop: f64,
-    /// Checks to skip after a refit before the detector can fire again.
-    pub cooldown_checks: u32,
     /// Per-refit forgetting factor for the incremental trainer's
     /// sufficient statistics, in `(0, 1]`.
     pub decay: f64,
@@ -78,9 +77,7 @@ impl Default for AdaptPlan {
         AdaptPlan {
             seed: 0,
             check_interval: 0,
-            recent_window: 256,
             drift_drop: 0.5,
-            cooldown_checks: 2,
             decay: 0.6,
         }
     }
@@ -104,9 +101,7 @@ impl AdaptPlan {
         AdaptPlan {
             seed,
             check_interval: 1_024,
-            recent_window: 256,
             drift_drop: 0.5,
-            cooldown_checks: 1,
             decay: 0.3,
         }
     }
@@ -123,9 +118,6 @@ impl AdaptPlan {
     pub fn validate(&self) -> Result<(), String> {
         if self.is_empty() {
             return Ok(());
-        }
-        if self.recent_window == 0 {
-            return Err("adapt.recent_window must be >= 1 when adaptation is armed".into());
         }
         if self.drift_drop.is_nan() || self.drift_drop <= 0.0 {
             return Err(format!(
@@ -278,7 +270,7 @@ impl Reservoir {
 }
 
 /// Fixed-capacity ring of the most recent [`ObsSample`]s — the drift
-/// check's likelihood window.
+/// check's likelihood window, the last 256 samples.
 #[derive(Clone, Debug)]
 pub struct RecentRing {
     cap: usize,
@@ -286,13 +278,19 @@ pub struct RecentRing {
     buf: Vec<ObsSample>,
 }
 
+impl Default for RecentRing {
+    fn default() -> Self {
+        RecentRing::with_capacity(RECENT_WINDOW)
+    }
+}
+
 impl RecentRing {
     /// An empty ring holding the last `cap` samples.
-    pub fn new(cap: usize) -> Self {
+    fn with_capacity(cap: usize) -> Self {
         RecentRing {
             cap,
             next: 0,
-            buf: Vec::with_capacity(cap.min(4_096)),
+            buf: Vec::with_capacity(cap),
         }
     }
 
@@ -330,16 +328,12 @@ impl RecentRing {
 ///
 /// The first check seeds the baseline; later checks fire when the
 /// windowed mean log-likelihood drops more than `drift_drop` nats below
-/// it. A firing (or an external refit notification) resets the baseline —
-/// the next check re-seeds it against the *new* model — and starts a
-/// cooldown of `cooldown_checks` checks during which the detector only
-/// tracks.
+/// it. A firing resets the baseline, so the next check — the first one
+/// scored by the refitted model — re-seeds it and cannot fire.
 #[derive(Clone, Debug)]
 pub struct DriftDetector {
     drift_drop: f64,
-    cooldown_checks: u32,
     baseline: Option<f64>,
-    cooldown_left: u32,
 }
 
 impl DriftDetector {
@@ -347,9 +341,7 @@ impl DriftDetector {
     pub fn new(plan: &AdaptPlan) -> Self {
         DriftDetector {
             drift_drop: plan.drift_drop,
-            cooldown_checks: plan.cooldown_checks,
             baseline: None,
-            cooldown_left: 0,
         }
     }
 
@@ -358,40 +350,16 @@ impl DriftDetector {
     /// never returns `true` — the comparison `inf > inf` used for a
     /// `-inf` likelihood against a finite baseline is false too.
     pub fn observe(&mut self, mll: f64) -> bool {
-        if self.cooldown_left > 0 {
-            self.cooldown_left -= 1;
-            self.track(mll);
+        let Some(b) = self.baseline else {
+            self.baseline = Some(mll);
             return false;
+        };
+        if b - mll > self.drift_drop {
+            self.baseline = None;
+            return true;
         }
-        match self.baseline {
-            None => {
-                self.baseline = Some(mll);
-                false
-            }
-            Some(b) => {
-                if b - mll > self.drift_drop {
-                    self.fired();
-                    true
-                } else {
-                    self.track(mll);
-                    false
-                }
-            }
-        }
-    }
-
-    /// Notes that the model changed under the detector (a refit was
-    /// published): reset the baseline and start the cooldown.
-    pub fn fired(&mut self) {
-        self.baseline = None;
-        self.cooldown_left = self.cooldown_checks;
-    }
-
-    fn track(&mut self, mll: f64) {
-        self.baseline = Some(match self.baseline {
-            None => mll,
-            Some(b) => b + BASELINE_ALPHA * (mll - b),
-        });
+        self.baseline = Some(b + BASELINE_ALPHA * (mll - b));
+        false
     }
 }
 
@@ -419,10 +387,6 @@ mod tests {
     fn validate_rejects_each_bad_knob_only_when_armed() {
         let armed = AdaptPlan::drifty(0);
         let bad = [
-            AdaptPlan {
-                recent_window: 0,
-                ..armed
-            },
             AdaptPlan {
                 drift_drop: 0.0,
                 ..armed
@@ -558,7 +522,7 @@ mod tests {
 
     #[test]
     fn recent_ring_overwrites_oldest() {
-        let mut ring = RecentRing::new(4);
+        let mut ring = RecentRing::with_capacity(4);
         assert!(ring.is_empty());
         for i in 0..6 {
             ring.push(obs(i));
@@ -571,20 +535,18 @@ mod tests {
     }
 
     #[test]
-    fn detector_fires_on_drop_and_respects_cooldown() {
+    fn detector_fires_on_drop_and_reseeds_after_firing() {
         let plan = AdaptPlan {
             drift_drop: 1.0,
-            cooldown_checks: 2,
             ..AdaptPlan::drifty(0)
         };
         let mut d = DriftDetector::new(&plan);
         assert!(!d.observe(-2.0), "first check seeds the baseline");
         assert!(!d.observe(-2.5), "within threshold: tracks");
         assert!(d.observe(-5.0), "drop > 1 nat below baseline fires");
-        // Cooldown: the next two checks track but cannot fire.
+        // The next check re-seeds the baseline, however far it fell.
         assert!(!d.observe(-9.0));
-        assert!(!d.observe(-9.0));
-        // Baseline has re-seeded near -9; a similar value does not fire...
+        // Baseline has re-seeded at -9; a similar value does not fire...
         assert!(!d.observe(-9.2));
         // ...but a fresh collapse does.
         assert!(d.observe(-30.0));

@@ -17,9 +17,11 @@
 //! * [`FaultStats`] — the observability block carried on `SimReport`,
 //!   `DataflowReport` and `ExperimentResult`: injected / retried /
 //!   degraded / recovered counters plus modeled time lost to faults.
-//! * [`FaultyScore`] — a [`ScoreSource`] wrapper that corrupts scores at
-//!   plan-rolled positions (NaN/±Inf flips, outage windows) and owns the
-//!   scorer health monitor, [`ScorerHealth`].
+//! * [`FaultyScore`] — a [`ScoreSource`] wrapper that corrupts the scores
+//!   of misses at plan-rolled positions (NaN/±Inf flips, outage windows)
+//!   and owns the scorer health monitor, [`ScorerHealth`]. Each miss is
+//!   scored with its own position, so the wrapper keeps no clock and sees
+//!   no hit.
 //!
 //! # The ladder is "no score"
 //!
@@ -499,14 +501,12 @@ impl ScorerHealth {
 /// [`AccessCtx::score`](crate::AccessCtx::score)` = None`); it still
 /// scores underneath, so the re-promotion streak runs.
 ///
-/// Every injection decision is keyed on the observed record's *global
-/// trace position* — identical at every shard count.
+/// Every injection decision is keyed on the scored miss's *global trace
+/// position* — identical at every shard count.
 pub struct FaultyScore<S: ScoreSource> {
     inner: S,
     plan: FaultPlan,
     health: ScorerHealth,
-    /// Position of the most recently observed record.
-    pos: u64,
     nan_injected: u64,
     outage_scores: u64,
 }
@@ -518,7 +518,6 @@ impl<S: ScoreSource> FaultyScore<S> {
             inner,
             plan,
             health: ScorerHealth::new(&plan),
-            pos: 0,
             nan_injected: 0,
             outage_scores: 0,
         }
@@ -573,21 +572,16 @@ impl<S: ScoreSource> FaultyScore<S> {
 }
 
 impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
-    fn observe(&mut self, record: &TraceRecord, pos: u64) {
-        self.inner.observe(record, pos);
-        self.pos = pos;
-    }
-
-    fn score_current(&mut self) -> f64 {
-        let raw = self.inner.score_current();
-        self.corrupt(self.pos, raw)
+    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
+        let raw = self.inner.score(record, pos);
+        self.corrupt(pos, raw)
     }
 
     fn shardable(&self) -> bool {
         self.inner.shardable()
     }
 
-    fn telemetry(&self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
+    fn telemetry(&mut self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
         self.inner.telemetry(fault, adapt);
         fault.scorer_nan_injected += self.nan_injected;
         fault.scorer_outage_scores += self.outage_scores;
@@ -714,10 +708,7 @@ mod tests {
         };
         let run = |mut s: FaultyScore<ConstantScore>| -> Vec<bool> {
             (0..200u64)
-                .map(|i| {
-                    s.observe(&TraceRecord::read(i << 12), i);
-                    !s.score_current().is_finite()
-                })
+                .map(|i| !s.score(&TraceRecord::read(i << 12), i).is_finite())
                 .collect()
         };
         let a = run(FaultyScore::new(ConstantScore(0.5), plan));
@@ -734,20 +725,16 @@ mod tests {
             scorer_nan_per_mille: 300,
             ..FaultPlan::default()
         };
-        // A shard's clone observes only its own positions and must corrupt
+        // A shard's clone scores only its own positions and must corrupt
         // exactly the scores the whole-stream source corrupts there.
         let record = |pos: u64| TraceRecord::read(pos << 12);
         let mut whole = FaultyScore::new(Box::new(ConstantScore(0.5)), plan);
         let expected: Vec<f64> = (0..64u64)
-            .map(|pos| {
-                whole.observe(&record(pos), pos);
-                whole.score_current()
-            })
+            .map(|pos| whole.score(&record(pos), pos))
             .collect();
         let mut shard = FaultyScore::new(Box::new(ConstantScore(0.5)), plan);
         for pos in (1..64u64).step_by(3) {
-            shard.observe(&record(pos), pos);
-            let (e, o) = (expected[pos as usize], shard.score_current());
+            let (e, o) = (expected[pos as usize], shard.score(&record(pos), pos));
             assert!(e == o || (e.is_nan() && o.is_nan()), "{e} vs {o}");
         }
         assert!(expected.iter().any(|e| !e.is_finite()));
@@ -820,10 +807,7 @@ mod tests {
         let inner = crate::score::FnScore::new(|_, pos| if pos < 2 { f64::NAN } else { 0.5 });
         let mut s = FaultyScore::new(inner, plan);
         let scores: Vec<f64> = (0..8u64)
-            .map(|pos| {
-                s.observe(&TraceRecord::read(pos << 12), pos);
-                s.score_current()
-            })
+            .map(|pos| s.score(&TraceRecord::read(pos << 12), pos))
             .collect();
         let withheld: Vec<bool> = scores.iter().map(|v| v.is_nan()).collect();
         // 0, 1: bad (1 demotes). 2, 3: good but withheld. 4: third good

@@ -6,27 +6,24 @@ use crate::adapt::AdaptStats;
 use crate::fault::FaultStats;
 use icgmm_trace::TraceRecord;
 
-/// A streaming score provider.
+/// A per-miss score provider.
 ///
-/// The simulator calls [`ScoreSource::observe`] for **every** request in
-/// trace order, with the request's global position in the trace — the
-/// paper's Algorithm 1 timestamp is a function of that position, which
-/// counts all requests, hits included — and calls
-/// [`ScoreSource::score_current`] only on misses, mirroring the hardware,
-/// where hits bypass the policy engine.
+/// The simulator calls [`ScoreSource::score`] only on misses, mirroring
+/// the hardware, where hits bypass the policy engine — with the missed
+/// record and its global position in the trace: the paper's Algorithm 1
+/// timestamp is a closed form of that position, which counts all
+/// requests, hits included, so a score needs nothing from the records
+/// that hit before it.
 pub trait ScoreSource {
-    /// Observes the request at 0-based global trace position `pos`
+    /// Score of `record`, the miss at 0-based global trace position `pos`
     /// (warm-up included). Positions ascend; a shard's source sees only
-    /// its own records' positions, so they need not be contiguous.
-    fn observe(&mut self, record: &TraceRecord, pos: u64);
-
-    /// Score of the most recently observed request's page.
-    fn score_current(&mut self) -> f64;
+    /// its own misses' positions, so they need not be contiguous.
+    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64;
 
     /// Benchmark façade — called by `icgmm_bench`'s window probe and
-    /// deleted by the benchmark PR that retires it: observes and scores
-    /// `records` as positions `0..records.len()`, one score per record
-    /// into `out`. Replay scores per miss and never calls this.
+    /// deleted by the benchmark PR that retires it: scores `records` as
+    /// positions `0..records.len()`, one score per record into `out`.
+    /// Replay scores per miss and never calls this.
     ///
     /// # Panics
     ///
@@ -35,16 +32,15 @@ pub trait ScoreSource {
     fn score_window(&mut self, records: &[TraceRecord], out: &mut [f64]) {
         assert_eq!(records.len(), out.len(), "one score slot per record");
         for (pos, (r, o)) in records.iter().zip(out.iter_mut()).enumerate() {
-            self.observe(r, pos as u64);
-            *o = self.score_current();
+            *o = self.score(r, pos as u64);
         }
     }
 
-    /// Whether this source scores from the observed record and its
-    /// position alone — never from the content of earlier records.
+    /// Whether this source scores from the missed record and its position
+    /// alone — never from the content of earlier records.
     ///
     /// Such a source can be replayed shard by shard: a shard's clone is
-    /// handed only its own records, each with its global position, and
+    /// handed only its own misses, each with its global position, and
     /// every score stays bit-identical to the single-threaded replay. The
     /// GMM policy engine qualifies (the scored features are the record's
     /// own page and the Algorithm 1 timestamp of its position); a
@@ -57,27 +53,25 @@ pub trait ScoreSource {
 
     /// Adds the opt-in counters this source has kept — its own and those
     /// of whatever it wraps — to `fault` and `adapt`. Whoever replayed a
-    /// shard calls this once, after the shard's last record; a source that
+    /// shard calls this once, after the shard's last record: a source may
+    /// finish there what the shard's hits never asked it for (an adaptive
+    /// engine takes the check decisions past its last miss). A source that
     /// injects nothing and adapts nothing has nothing to add.
-    fn telemetry(&self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
+    fn telemetry(&mut self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
         let _ = (fault, adapt);
     }
 }
 
 impl<S: ScoreSource + ?Sized> ScoreSource for Box<S> {
-    fn observe(&mut self, record: &TraceRecord, pos: u64) {
-        (**self).observe(record, pos);
-    }
-
-    fn score_current(&mut self) -> f64 {
-        (**self).score_current()
+    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
+        (**self).score(record, pos)
     }
 
     fn shardable(&self) -> bool {
         (**self).shardable()
     }
 
-    fn telemetry(&self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
+    fn telemetry(&mut self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
         (**self).telemetry(fault, adapt);
     }
 }
@@ -87,9 +81,7 @@ impl<S: ScoreSource + ?Sized> ScoreSource for Box<S> {
 pub struct ConstantScore(pub f64);
 
 impl ScoreSource for ConstantScore {
-    fn observe(&mut self, _record: &TraceRecord, _pos: u64) {}
-
-    fn score_current(&mut self) -> f64 {
+    fn score(&mut self, _record: &TraceRecord, _pos: u64) -> f64 {
         self.0
     }
 
@@ -101,26 +93,18 @@ impl ScoreSource for ConstantScore {
 /// A score source backed by a closure over `(page, pos)` — handy in tests
 /// and ablations.
 #[derive(Debug)]
-pub struct FnScore<F> {
-    f: F,
-    page: u64,
-    pos: u64,
-}
+pub struct FnScore<F>(F);
 
 impl<F: FnMut(u64, u64) -> f64> FnScore<F> {
     /// Wraps a `(page_raw, global position) -> score` closure.
     pub fn new(f: F) -> Self {
-        FnScore { f, page: 0, pos: 0 }
+        FnScore(f)
     }
 }
 
 impl<F: FnMut(u64, u64) -> f64> ScoreSource for FnScore<F> {
-    fn observe(&mut self, record: &TraceRecord, pos: u64) {
-        (self.page, self.pos) = (record.page().raw(), pos);
-    }
-
-    fn score_current(&mut self) -> f64 {
-        (self.f)(self.page, self.pos)
+    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
+        (self.0)(record.page().raw(), pos)
     }
 
     fn shardable(&self) -> bool {
@@ -135,20 +119,16 @@ mod tests {
     #[test]
     fn constant_score_is_constant() {
         let mut s = ConstantScore(0.7);
-        s.observe(&TraceRecord::read(0x1000), 0);
-        assert_eq!(s.score_current(), 0.7);
-        s.observe(&TraceRecord::write(0x9000), 1);
-        assert_eq!(s.score_current(), 0.7);
+        assert_eq!(s.score(&TraceRecord::read(0x1000), 0), 0.7);
+        assert_eq!(s.score(&TraceRecord::write(0x9000), 1), 0.7);
     }
 
     #[test]
     fn fn_score_sees_page_and_seq() {
         let mut s = FnScore::new(|page, pos| page as f64 + pos as f64 / 10.0);
-        s.observe(&TraceRecord::read(2 << 12), 0);
-        assert_eq!(s.score_current(), 2.0);
+        assert_eq!(s.score(&TraceRecord::read(2 << 12), 0), 2.0);
         // Positions are whatever the caller says: a shard skips foreign ones.
-        s.observe(&TraceRecord::read(5 << 12), 4);
-        assert!((s.score_current() - 5.4).abs() < 1e-12);
+        assert!((s.score(&TraceRecord::read(5 << 12), 4) - 5.4).abs() < 1e-12);
     }
 
     #[test]
@@ -159,8 +139,7 @@ mod tests {
         let mut out = vec![0.0; records.len()];
         windowed.score_window(&records, &mut out);
         for (pos, (r, o)) in records.iter().zip(&out).enumerate() {
-            streaming.observe(r, pos as u64);
-            assert_eq!(*o, streaming.score_current());
+            assert_eq!(*o, streaming.score(r, pos as u64));
         }
     }
 

@@ -21,13 +21,14 @@
 //!   subsequence) all rank identically. [`crate::RandomPolicy`] — whose
 //!   RNG stream is a global interleaving artifact — reports `false` and is
 //!   refused above one shard.
-//! * **Scores** are functions of the observed record and its global trace
-//!   position — the Algorithm 1 clock, which counts *every* request. Every
-//!   record carries its position ([`ScoreSource::observe`] takes it: the
-//!   shard's index entry), so a shard's scorer clone never needs to see a
-//!   foreign record, and a source that scores from the record and its
-//!   position alone ([`ScoreSource::shardable`]) scores bit-identically to
-//!   the single-threaded stream.
+//! * **Scores** are functions of the missed record and its global trace
+//!   position — the Algorithm 1 clock, which counts *every* request, is a
+//!   closed form of it. A miss is scored with its position
+//!   ([`ScoreSource::score`] takes it: the shard's index entry), so a
+//!   shard's scorer clone never needs to see a foreign record, or even its
+//!   own hits, and a source that scores from the record and its position
+//!   alone ([`ScoreSource::shardable`]) scores bit-identically to the
+//!   single-threaded stream.
 //! * **Accounting is a sum** (argued in `sim.rs`'s module docs): a report
 //!   is integer counters — [`CacheStats`], and a [`crate::MissSeries`]
 //!   bucketed by each record's *global* position, its shard-index entry —
@@ -435,8 +436,9 @@ pub struct ShardedSimulator {
 type ShardDone = (SimReport, u64);
 
 /// The [`FaultPlan`]'s armed panic point on a shard's replay-event stream:
-/// dies at the shard-local record index it holds — after the scorer
-/// observed that record and the cache decided it, before it is counted.
+/// dies at the shard-local record index it holds — after the cache decided
+/// that record (and, on a miss, the scorer scored it), before it is
+/// counted.
 struct PanicPoint(u64);
 
 impl ReplayObserver for PanicPoint {
@@ -586,7 +588,7 @@ impl<'a> ShardSupervisor<'a> {
             pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
             acct,
         );
-        if let Some(score) = &pol.score {
+        if let Some(score) = &mut pol.score {
             score.telemetry(&mut report.fault, &mut report.adapt);
         }
         Ok((report, scored))
@@ -776,7 +778,7 @@ impl ShardedSimulator {
         // — is the only ordering there is. Worker panics are captured at
         // join, never propagated.
         // (`crossbeam` stays in this crate's manifest, unused, until the
-        // benchmark PR prunes it with the lockfile — ROADMAP 1d.)
+        // benchmark PR prunes it with the lockfile — ROADMAP 2d.)
         let replay = |shard| sup.replay(shard, sup.ctx(shard).walk());
         let joined: Vec<thread::Result<Result<ShardDone, ShardRunError>>> = match &part {
             Some(part) => thread::scope(|scope| {

@@ -8,14 +8,15 @@
 //! [`simulate_streaming_observed_with_warmup`], the sharded engine's
 //! workers and the serving workers, which feed it from their queues
 //! ([`crate::ShardSupervisor::replay`]) — runs the
-//! same loop: observe each request at its global trace position, access
-//! the cache, and score the request synchronously if it missed (one
+//! same loop: access the cache with each request, and score the request
+//! synchronously at its global trace position if it missed (one
 //! single-point policy-engine inference, as in the paper's Algorithm 1
 //! datapath). A request costs
 //! **one tag compare**: the access path decides hit or miss itself and
 //! asks for the score only after a miss
 //! ([`SetAssocCache::access_scored`]), so nothing looks the page up a
-//! second time. There is no routing decision anywhere.
+//! second time, and a hit never reaches the score stack. There is no
+//! routing decision anywhere.
 //!
 //! The loop exposes a **replay-event stream**: a [`ReplayObserver`] passed
 //! to [`simulate_streaming_observed_with_warmup`] receives every record's
@@ -155,9 +156,9 @@ impl SimReport {
 
 /// Runs `records` through the cache with the given policies.
 ///
-/// `score` (when provided) is consulted on every request via
-/// [`ScoreSource::observe`] and asked for a score only on misses. Pass
-/// `None` to run score-free baselines (LRU/FIFO/…).
+/// `score` (when provided) is asked for a score on misses only
+/// ([`ScoreSource::score`]). Pass `None` to run score-free baselines
+/// (LRU/FIFO/…).
 ///
 /// `series_window`, when set, collects a per-window miss-rate series.
 pub fn simulate(
@@ -254,10 +255,7 @@ pub(crate) fn simulate_streaming_impl<'r>(
     // the policy engine (the hardware triggers the GMM on miss only), and a
     // miss is scored at exactly its record's position.
     for (seq, (pos, r)) in (0..).zip(records) {
-        if let Some(s) = score.as_deref_mut() {
-            s.observe(r, pos);
-        }
-        let score_miss = || score.as_deref_mut().map(|s| s.score_current());
+        let score_miss = || score.as_deref_mut().map(|s| s.score(r, pos));
         let (outcome, score_val) = cache.access_scored(r, seq, score_miss, admission, eviction);
         scored += u64::from(score_val.is_some());
         acct.record(seq, pos, r, &outcome);

@@ -378,15 +378,13 @@ proptest! {
 }
 
 /// A shardable score source that logs every `(position, record)` its
-/// shard observes — i.e. every record the shard replays, in order.
+/// shard asks it to score — under an admit-nothing policy every record
+/// misses, so that is every record the shard replays, in order.
 struct Tap(Arc<Mutex<Vec<(u64, TraceRecord)>>>);
 
 impl ScoreSource for Tap {
-    fn observe(&mut self, record: &TraceRecord, pos: u64) {
+    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
         self.0.lock().unwrap().push((pos, *record));
-    }
-
-    fn score_current(&mut self) -> f64 {
         0.5
     }
 
@@ -440,8 +438,9 @@ proptest! {
 
     /// `ShardCtx::records` is exactly what its shard replays: the records
     /// `make_shard` is shown equal, in order, the records the shard's score
-    /// source then observes, and between them the shards observe every
-    /// position of the trace once, each with its own record.
+    /// source is then asked to score (nothing is admitted, so every record
+    /// misses), and between them the shards score every position of the
+    /// trace once, each with its own record.
     #[test]
     fn shard_ctx_records_are_what_the_shard_replays(
         params in (0u64..1_000_000, 0usize..400, 24u64..160)
@@ -455,8 +454,12 @@ proptest! {
                 let seen = Arc::new(Mutex::new(Vec::new()));
                 let shown: Vec<TraceRecord> = ctx.records().copied().collect();
                 built.lock().unwrap().push((ctx.shard, shown, Arc::clone(&seen)));
+                let admit_nothing = ThresholdAdmit {
+                    threshold: f64::INFINITY,
+                    admit_writes_always: false,
+                };
                 ShardPolicies {
-                    admission: Box::new(AlwaysAdmit),
+                    admission: Box::new(admit_nothing),
                     eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
                     score: Some(Box::new(Tap(seen))),
                 }

@@ -17,8 +17,9 @@
 //! policy engine's inference count.
 
 use icgmm_cache::{
-    simulate, AccessCtx, AccessOutcome, AdmissionPolicy, BlockState, CacheConfig, Eviction,
-    EvictionPolicy, LatencyModel, ScoreSource, SetAssocCache,
+    simulate_streaming_observed_with_warmup, AccessCtx, AccessOutcome, AdmissionPolicy, BlockState,
+    CacheConfig, Eviction, EvictionPolicy, LatencyModel, ReplayEvent, ReplayObserver, ScoreSource,
+    SetAssocCache,
 };
 use icgmm_testutil::{admission_for, eviction_for, ADMISSIONS, EVICTIONS};
 use icgmm_trace::{Op, PageIndex, TraceRecord};
@@ -251,35 +252,44 @@ proptest! {
     }
 }
 
-/// A score source that counts what the replay loop asks of it.
+/// A score source that logs the `(position, record)` pairs the replay
+/// loop asks it to score.
 #[derive(Default)]
 struct CountingScore {
-    observed: u64,
-    scored: u64,
+    asked: Vec<(u64, TraceRecord)>,
 }
 
 impl ScoreSource for CountingScore {
-    fn observe(&mut self, _record: &TraceRecord, _pos: u64) {
-        self.observed += 1;
-    }
-
-    fn score_current(&mut self) -> f64 {
-        self.scored += 1;
-        (mix(self.observed) >> 11) as f64 / (1u64 << 53) as f64
+    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
+        self.asked.push((pos, *record));
+        (mix(pos) >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
-/// The replay step scores misses only: over a whole `simulate` run the
-/// source is observed once per request and asked for exactly as many
-/// scores as there were misses (so `gmm_inferences` cannot move).
+/// The records a replay decided as misses, with their positions.
+#[derive(Default)]
+struct Misses(Vec<(u64, TraceRecord)>);
+
+impl ReplayObserver for Misses {
+    fn on_record(&mut self, ev: &ReplayEvent<'_>) {
+        if !ev.outcome.is_hit() {
+            self.0.push((ev.seq, *ev.record));
+        }
+    }
+}
+
+/// The replay step scores misses only: over a whole run the source is
+/// asked for one score per miss — with that miss's own record and
+/// position — and for none on a hit (so `gmm_inferences` cannot move).
 #[test]
 fn replay_asks_for_one_score_per_miss() {
     let cfg = geometry(6, 3);
     let records = conflict_stream(11, 4_000, cfg, 20);
     for admission in ADMISSIONS {
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut src = CountingScore::default();
-        let report = simulate(
+        let (mut src, mut misses) = (CountingScore::default(), Misses::default());
+        let report = simulate_streaming_observed_with_warmup(
+            &[],
             &records,
             &mut cache,
             admission_for(admission).as_mut(),
@@ -287,9 +297,10 @@ fn replay_asks_for_one_score_per_miss() {
             Some(&mut src),
             &LatencyModel::paper_tlc(),
             None,
+            &mut misses,
         );
-        assert_eq!(src.observed, records.len() as u64);
-        assert_eq!(src.scored, report.stats.misses());
+        assert_eq!(src.asked, misses.0, "{admission}");
+        assert_eq!(src.asked.len() as u64, report.stats.misses());
         assert!(report.stats.hits() > 0 && report.stats.misses() > 0);
     }
 }

@@ -1,5 +1,7 @@
 //! The trained GMM policy engine: scaler + mixture + Algorithm-1
-//! timestamping, packaged as a [`ScoreSource`] for the cache simulator.
+//! timestamping, packaged as a [`ScoreSource`] for the cache simulator,
+//! which asks it about misses only. A score is a function of the miss: its
+//! page and the Algorithm 1 timestamp of its trace position.
 
 use icgmm_cache::ScoreSource;
 use icgmm_gmm::fixed::FixedGmm;
@@ -26,18 +28,16 @@ pub struct TrainedModel {
 ///
 /// Scoring goes through the mixture's flat [`GmmScorer`] kernel: its
 /// allocation-free single-point log-sum-exp, vectorised across the K
-/// components of the one miss like the paper's pipeline. Observing a
-/// request only notes its page and position; the Algorithm 1 timestamp is
-/// computed when a miss asks for the score, never for a hit.
+/// components of the one miss like the paper's pipeline. The engine is
+/// asked only for misses, and the Algorithm 1 timestamp is a closed form
+/// of the miss's trace position, so a hit costs it nothing and it keeps
+/// no per-request state.
 #[derive(Clone, Debug)]
 pub struct GmmPolicyEngine {
     scaler: StandardScaler,
     scorer: GmmScorer,
     fixed: Option<FixedGmm>,
     transformer: TimestampTransformer,
-    /// `(page, global trace position)` of the most recently observed
-    /// request.
-    current: (u64, u64),
     scores_computed: u64,
 }
 
@@ -75,7 +75,6 @@ impl GmmPolicyEngine {
             scorer: model.gmm.scorer().clone(),
             fixed,
             transformer: TimestampTransformer::from_config(preprocess),
-            current: (0, 0),
             scores_computed: 0,
         })
     }
@@ -96,8 +95,10 @@ impl GmmPolicyEngine {
         self.transformer.at(pos)
     }
 
-    /// Number of policy-engine inferences so far (each would take ~3 µs on
-    /// the FPGA; the dataflow model uses this for busy-time accounting).
+    /// Number of policy-engine inferences this engine computed so far —
+    /// each would take ~3 µs on the FPGA. (The dataflow model does not
+    /// read it: `DataflowReport::from_sim` charges GMM busy time as misses
+    /// × `policy_engine_us`.)
     pub fn scores_computed(&self) -> u64 {
         self.scores_computed
     }
@@ -132,16 +133,11 @@ impl GmmPolicyEngine {
 }
 
 impl ScoreSource for GmmPolicyEngine {
-    fn observe(&mut self, record: &TraceRecord, pos: u64) {
-        self.current = (record.page().raw(), pos);
+    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
+        self.score_at(record.page().raw(), self.timestamp_at(pos))
     }
 
-    fn score_current(&mut self) -> f64 {
-        let (page, pos) = self.current;
-        self.score_at(page, self.timestamp_at(pos))
-    }
-
-    /// The scored features are the observed record's own page and the
+    /// The scored features are the missed record's own page and the
     /// Algorithm 1 timestamp of its position — nothing from earlier
     /// records.
     fn shardable(&self) -> bool {
@@ -180,10 +176,8 @@ mod tests {
     #[test]
     fn hot_pages_outscore_cold_pages() {
         let mut e = GmmPolicyEngine::new(&model(), &cfg(), false).unwrap();
-        e.observe(&TraceRecord::read(1000 << 12), 0);
-        let hot = e.score_current();
-        e.observe(&TraceRecord::read(500_000 << 12), 1);
-        let cold = e.score_current();
+        let hot = e.score(&TraceRecord::read(1000 << 12), 0);
+        let cold = e.score(&TraceRecord::read(500_000 << 12), 1);
         assert!(hot > cold, "hot {hot} <= cold {cold}");
         assert_eq!(e.scores_computed(), 2);
     }
@@ -195,10 +189,7 @@ mod tests {
         let mut fxe = GmmPolicyEngine::new(&m, &cfg(), true).unwrap();
         for (pos, page) in (0u64..).zip([990u64, 1000, 1010, 2000, 100_000]) {
             let r = TraceRecord::read(page << 12);
-            f64e.observe(&r, pos);
-            fxe.observe(&r, pos);
-            let a = f64e.score_current();
-            let b = fxe.score_current();
+            let (a, b) = (f64e.score(&r, pos), fxe.score(&r, pos));
             assert!(
                 (a - b).abs() < a.max(1e-6) * 0.02 + 1e-6,
                 "page {page}: f64 {a} vs fixed {b}"
@@ -213,8 +204,7 @@ mod tests {
         // window 1 — the streamed score is `score_at` that timestamp.
         let r = TraceRecord::read(1000 << 12);
         for (pos, ts) in [(0u64, 0u64), (1, 0), (2, 1), (199, 99), (200, 0)] {
-            e.observe(&r, pos);
-            let streamed = e.score_current();
+            let streamed = e.score(&r, pos);
             assert_eq!(streamed, e.score_at(1000, ts), "position {pos}");
         }
         assert_eq!(e.scores_computed(), 10);
@@ -232,8 +222,7 @@ mod tests {
             let mut out = vec![0.0; records.len()];
             windowed.score_window(&records, &mut out);
             for (pos, (r, o)) in records.iter().zip(&out).enumerate() {
-                streaming.observe(r, pos as u64);
-                let s = streaming.score_current();
+                let s = streaming.score(r, pos as u64);
                 assert_eq!(o.to_bits(), s.to_bits(), "fixed_point={fixed_point}");
             }
             assert_eq!(windowed.scores_computed(), streaming.scores_computed());
@@ -261,8 +250,7 @@ mod tests {
     #[test]
     fn score_at_matches_stream_path() {
         let mut e = GmmPolicyEngine::new(&model(), &cfg(), false).unwrap();
-        e.observe(&TraceRecord::read(1000 << 12), 0);
-        let streamed = e.score_current();
+        let streamed = e.score(&TraceRecord::read(1000 << 12), 0);
         let mut e2 = GmmPolicyEngine::new(&model(), &cfg(), false).unwrap();
         let direct = e2.score_at(1000, 0);
         assert_eq!(streamed, direct);

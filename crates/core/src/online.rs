@@ -22,13 +22,17 @@
 //! nothing back. So it runs on a thread of its own — a *producer*
 //! ([`AdaptiveEngine::spawn`]) walking the shard's `(position, record)`
 //! stream straight off the trace, which sends one decision per check
-//! boundary: its cumulative [`AdaptStats`] and, when the check published a
-//! generation, that generation's scorer. The [`AdaptiveEngine`] the replay
-//! observes through *follows*: crossing a boundary it takes that decision
-//! (a scorer swap is an `Arc` pointer swap), and it blocks only when the
-//! producer has not decided the boundary yet. Drift checks and refits
-//! (≈ 1.4 ms each at K = 256, 158 on `tenants_drift`) stall the replay
-//! only when they fall behind it.
+//! boundary — its cumulative [`AdaptStats`] and, when the check published
+//! a generation, that generation's scorer — and, after its last record,
+//! the end of its walk. The [`AdaptiveEngine`] the replay scores misses
+//! through *follows*: before scoring a miss it takes the decision of every
+//! boundary at or below the miss's position (a scorer swap is an `Arc`
+//! pointer swap), and it blocks only when the producer has not decided one
+//! of them yet. Hits never reach it, so the decisions of boundaries
+//! crossed only by hits are taken at [`ScoreSource::telemetry`], after the
+//! shard's last record, up to the end-of-walk message. Drift checks and
+//! refits (≈ 1.4 ms each at K = 256, 158 on `tenants_drift`) stall the
+//! replay only when they fall behind it.
 //!
 //! ## Determinism
 //!
@@ -36,11 +40,11 @@
 //! a clock of its own: a check fires immediately before the first record
 //! whose position reaches the next `check_interval` boundary, and a
 //! buffered sample's timestamp is Algorithm 1 of the position it was
-//! observed at. The producer walks exactly the positions the replay
-//! observes (the shard's routing rule over the same slice), so the
-//! follower swaps at the same boundaries, to the same generations, however
-//! far ahead the producer ran. Consequences, all property-enforced in
-//! `tests/adapt_equivalence.rs`:
+//! buffered at. The producer walks exactly the positions the replay walks
+//! (the shard's routing rule over the same slice), so each miss is scored
+//! by the generation live at its position, and the shard reports every
+//! boundary its walk reached, however far ahead the producer ran.
+//! Consequences, all property-enforced in `tests/adapt_equivalence.rs`:
 //!
 //! * an adaptive run equals the inline loop's (kept there as the oracle)
 //!   at every shard count, offline and served, recovered shard panics
@@ -97,12 +101,17 @@ fn salt(seed: u64, shard: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What the producer decided at one check boundary.
-struct Decision {
-    /// Its counters once the check ran (cumulative).
-    stats: AdaptStats,
-    /// The generation the check published, when it refitted.
-    scorer: Option<GmmScorer>,
+/// What the producer hands the follower.
+enum Handoff {
+    /// What it decided at one check boundary: its counters once the check
+    /// ran (cumulative), and the generation the check published, when it
+    /// refitted.
+    Decision {
+        stats: AdaptStats,
+        scorer: Option<GmmScorer>,
+    },
+    /// Its walk ended: every boundary the walk reached is decided.
+    WalkEnd,
 }
 
 /// The refit loop of one shard: drift checks, the reservoir and the
@@ -149,7 +158,7 @@ impl Producer {
             trainer,
             check_interval: plan.check_interval,
             reservoir: Reservoir::new(salt(reservoir_salt, 0, 0), RESERVOIR_CAPACITY),
-            ring: RecentRing::new(plan.recent_window),
+            ring: RecentRing::default(),
             detector: DriftDetector::new(&plan),
             reservoir_salt,
             stats: AdaptStats::default(),
@@ -160,23 +169,24 @@ impl Producer {
     }
 
     /// Walks the shard's records, deciding every boundary before buffering
-    /// the record that reaches it, until the walk ends or the follower is
-    /// gone (its replay attempt died or was refused).
+    /// the record that reaches it, then says the walk ended — unless the
+    /// follower is gone first (its replay attempt died or was refused).
     fn run<'r>(
         mut self,
         walk: impl Iterator<Item = (u64, &'r TraceRecord)>,
-        decisions: &SyncSender<Decision>,
+        handoff: &SyncSender<Handoff>,
     ) {
         for (pos, record) in walk {
-            if self.checkpoint(pos, decisions).is_err() {
+            if self.checkpoint(pos, handoff).is_err() {
                 return;
             }
             self.buffer(record.page().raw(), pos);
         }
+        let _ = handoff.send(Handoff::WalkEnd);
     }
 
     /// Standardized feature vector of one buffered sample: its timestamp
-    /// is Algorithm 1 of the position it was observed at — no raw-feature
+    /// is Algorithm 1 of the position it was buffered at — no raw-feature
     /// buffering.
     fn feature(&self, s: &ObsSample) -> Vec2 {
         let ts = self.engine.timestamp_at(s.pos);
@@ -202,13 +212,13 @@ impl Producer {
     fn checkpoint(
         &mut self,
         pos: u64,
-        decisions: &SyncSender<Decision>,
-    ) -> Result<(), SendError<Decision>> {
+        handoff: &SyncSender<Handoff>,
+    ) -> Result<(), SendError<Handoff>> {
         while pos >= self.next_check {
             let scorer = self.run_check(pos);
             self.next_check += self.check_interval;
             let stats = self.stats;
-            decisions.send(Decision { stats, scorer })?;
+            handoff.send(Handoff::Decision { stats, scorer })?;
         }
         Ok(())
     }
@@ -275,16 +285,16 @@ impl Producer {
 
 /// A [`GmmPolicyEngine`] following the drift-triggered online refit loop
 /// that runs ahead of it on its own thread (see the module docs).
-/// Implements [`ScoreSource`] with the exact same observation contract, so
-/// it drops into every replay front-end (offline, sharded, served) the
-/// plain engine does.
+/// Implements [`ScoreSource`] with the plain engine's contract, so it
+/// drops into every replay front-end (offline, sharded, served) the plain
+/// engine does.
 #[derive(Debug)]
 pub struct AdaptiveEngine {
     engine: GmmPolicyEngine,
-    decisions: Receiver<Decision>,
+    decisions: Receiver<Handoff>,
     check_interval: u64,
-    /// Next check boundary: its decision is taken before observing a
-    /// record whose global position has reached it.
+    /// Next check boundary: its decision is taken before scoring a miss
+    /// whose global position has reached it.
     next_check: u64,
     /// The counters of the last decision taken.
     stats: AdaptStats,
@@ -292,10 +302,11 @@ pub struct AdaptiveEngine {
 
 impl AdaptiveEngine {
     /// Wraps `engine` with the refit loop described by `plan` and spawns
-    /// the loop's producer into `scope`, over `walk`: the records this
-    /// engine will observe, with their global positions, in order — a
-    /// shard's [`icgmm_cache::ShardCtx::routed`] walk over the slice its
-    /// replay walks.
+    /// the loop's producer into `scope`, over `walk`: every record of the
+    /// replay this engine scores misses for, hits included, with its
+    /// global position, in order — a shard's
+    /// [`icgmm_cache::ShardCtx::routed`] walk over the slice its replay
+    /// walks.
     ///
     /// `gmm` seeds the incremental trainer (the offline-trained mixture —
     /// generation 0); `em` supplies the M-step hyper-parameters. The
@@ -305,12 +316,13 @@ impl AdaptiveEngine {
     ///
     /// The producer exits when its walk ends or when this engine is
     /// dropped. A panic on the producer is caught there and reaches the
-    /// replay as a panic in [`ScoreSource::observe`] at the first boundary
-    /// the producer did not decide — the shard's death, which the shard
-    /// supervisor recovers or reports — never through `scope`; so does a
-    /// walk that ends before the replay's does. Drop the engine, or observe
-    /// its whole walk, before `scope` ends: a live engine that stopped
-    /// observing leaves its producer blocked on a full hand-off.
+    /// replay as a panic in [`ScoreSource::score`] or
+    /// [`ScoreSource::telemetry`] at the first boundary the producer did
+    /// not decide — the shard's death, which the shard supervisor recovers
+    /// or reports — never through `scope`; so does a walk that ends before
+    /// a miss the replay scores. Drop the engine, or take its telemetry,
+    /// before `scope` ends: a live engine that stopped following leaves its
+    /// producer blocked on a full hand-off.
     ///
     /// # Errors
     ///
@@ -343,51 +355,54 @@ impl AdaptiveEngine {
         })
     }
 
-    /// The adaptation telemetry of the decisions taken so far (what
-    /// [`ScoreSource::telemetry`] hands a replay's report).
-    pub fn stats(&self) -> AdaptStats {
-        self.stats
+    /// Takes the producer's next message, waiting for it: applies a
+    /// decision and returns `true`, or returns `false` at the end of its
+    /// walk.
+    #[cold]
+    fn take(&mut self) -> bool {
+        match self.decisions.recv() {
+            Ok(Handoff::Decision { stats, scorer }) => {
+                self.stats = stats;
+                if let Some(scorer) = scorer {
+                    self.engine.swap_scorer(scorer);
+                }
+                self.next_check += self.check_interval;
+                true
+            }
+            Ok(Handoff::WalkEnd) => false,
+            Err(_) => self.gone(),
+        }
     }
 
-    /// Takes the decision of every boundary `pos` has reached, waiting for
-    /// the producer where it has not decided one yet — and panics, as the
-    /// shard's death, where the producer is gone before deciding one (it
-    /// panicked, or its walk ended short of this engine's).
-    #[cold]
-    fn follow(&mut self, pos: u64) {
-        while pos >= self.next_check {
-            let Ok(Decision { stats, scorer }) = self.decisions.recv() else {
-                panic!(
-                    "the adaptation producer is gone before deciding the check at position {}",
-                    self.next_check
-                );
-            };
-            self.stats = stats;
-            if let Some(scorer) = scorer {
-                self.engine.swap_scorer(scorer);
-            }
-            self.next_check += self.check_interval;
-        }
+    /// The shard's death: the producer is gone before deciding the next
+    /// boundary — it panicked, or its walk ended short of the replay's.
+    fn gone(&self) -> ! {
+        panic!(
+            "the adaptation producer is gone before deciding the check at position {}",
+            self.next_check
+        );
     }
 }
 
 impl ScoreSource for AdaptiveEngine {
-    fn observe(&mut self, record: &TraceRecord, pos: u64) {
-        if pos >= self.next_check {
-            self.follow(pos);
+    /// Takes the decision of every boundary at or below `pos` first.
+    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
+        while pos >= self.next_check {
+            if !self.take() {
+                self.gone();
+            }
         }
-        self.engine.observe(record, pos);
-    }
-
-    fn score_current(&mut self) -> f64 {
-        self.engine.score_current()
+        self.engine.score(record, pos)
     }
 
     fn shardable(&self) -> bool {
         self.engine.shardable()
     }
 
-    fn telemetry(&self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {
+    /// Takes the decisions of the boundaries past the last miss — crossed
+    /// by hits only — up to the end of the producer's walk, then reports.
+    fn telemetry(&mut self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {
+        while self.take() {}
         adapt.merge(&self.stats);
     }
 }
@@ -436,8 +451,8 @@ mod tests {
         }
     }
 
-    /// An engine whose producer walks `walk` — the records the test will
-    /// observe, with their positions.
+    /// An engine whose producer walks `walk` — the records the test's
+    /// replay walks, with their positions.
     fn adaptive<'s, 'r: 's>(
         scope: &'s Scope<'s, '_>,
         plan: AdaptPlan,
@@ -458,6 +473,28 @@ mod tests {
         TraceRecord::read(((i * 13) % 4_096) << 12)
     }
 
+    /// What a replay's report gets from the engine after its last record.
+    fn telemetry(eng: &mut AdaptiveEngine) -> AdaptStats {
+        let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
+        eng.telemetry(&mut fault, &mut adapt);
+        assert!(fault.is_clean());
+        adapt
+    }
+
+    /// A stable phase matching the training distribution, then (from
+    /// position 450) a disjoint page range that drives drift.
+    fn phase_change() -> Vec<TraceRecord> {
+        (0..900)
+            .map(|i| {
+                if i < 450 {
+                    record(i)
+                } else {
+                    TraceRecord::read((200_000 + (i * 17) % 4_096) << 12)
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn held_off_trigger_scores_bit_identically_to_the_plain_engine() {
         // drift_drop = ∞: checks run, buffers fill, refits never fire —
@@ -472,13 +509,11 @@ mod tests {
         let records: Vec<TraceRecord> = (0..500).map(record).collect();
         let stats = thread::scope(|s| {
             let mut adaptive = adaptive(s, plan, 0, all(&records));
-            for (pos, r) in (0u64..).zip(&records) {
-                plain.observe(r, pos);
-                adaptive.observe(r, pos);
-                let (want, got) = (plain.score_current(), adaptive.score_current());
+            for (pos, r) in all(&records) {
+                let (want, got) = (plain.score(r, pos), adaptive.score(r, pos));
                 assert_eq!(want.to_bits(), got.to_bits());
             }
-            adaptive.stats()
+            telemetry(&mut adaptive)
         });
         assert!(stats.checks > 0, "checks must have run");
         assert_eq!(stats.swaps, 0, "held-off trigger must never swap");
@@ -488,26 +523,17 @@ mod tests {
 
     #[test]
     fn window_chunking_does_not_move_check_boundaries() {
-        // The same record stream scored at every record, at none of the
-        // records of every other chunk (hits observe without scoring), and
-        // in ragged chunks must produce identical stats and identical
-        // scores wherever two runs both scored — checks are position-pure.
+        // The same record stream scored at every record, at the records of
+        // every other chunk only (the rest hit and are never scored), and
+        // in ragged chunks must produce identical stats after telemetry and
+        // identical scores wherever two runs both scored — checks are
+        // position-pure.
         let plan = AdaptPlan {
             check_interval: 100,
             drift_drop: 0.05,
-            cooldown_checks: 0,
             ..AdaptPlan::drifty(11)
         };
-        let records: Vec<TraceRecord> = (0..900)
-            .map(|i| {
-                if i < 450 {
-                    record(i)
-                } else {
-                    // Phase change: disjoint page range drives drift.
-                    TraceRecord::read((200_000 + (i * 17) % 4_096) << 12)
-                }
-            })
-            .collect();
+        let records = phase_change();
         let run = |chunks: &[usize]| {
             thread::scope(|s| {
                 let mut eng = adaptive(s, plan, 0, all(&records));
@@ -515,20 +541,20 @@ mod tests {
                 let (mut at, mut ci) = (0usize, 0usize);
                 while at < records.len() {
                     let take = chunks[ci % chunks.len()].min(records.len() - at);
-                    for (pos, r) in records.iter().enumerate().skip(at).take(take) {
-                        eng.observe(r, pos as u64);
-                        scores.push((ci % 2 == 0).then(|| eng.score_current().to_bits()));
+                    for (pos, r) in all(&records).skip(at).take(take) {
+                        scores.push((ci % 2 == 0).then(|| eng.score(r, pos).to_bits()));
                     }
                     at += take;
                     ci += 1;
                 }
-                (scores, eng.stats())
+                (scores, telemetry(&mut eng))
             })
         };
         let (s1, t1) = run(&[records.len()]);
         let (s2, t2) = run(&[1]);
         let (s3, t3) = run(&[7, 64, 3, 255]);
         assert!(t1.checks > 0);
+        assert!(t1.swaps > 0, "the phase change must be chased");
         assert_eq!(t1, t2, "scoring every other record moved a check boundary");
         assert_eq!(t1, t3, "ragged chunking moved a check boundary");
         for i in 0..records.len() {
@@ -538,12 +564,40 @@ mod tests {
     }
 
     #[test]
+    fn boundaries_crossed_only_by_hits_are_reported_at_telemetry() {
+        // The last miss is at position 299; the boundaries 300–800 — the
+        // phase change's refits among them — are crossed by hits only, and
+        // the report still holds every one up to the walk's last position.
+        let plan = AdaptPlan {
+            check_interval: 100,
+            drift_drop: 0.05,
+            ..AdaptPlan::drifty(11)
+        };
+        let records = phase_change();
+        let run = |last_miss: u64| {
+            thread::scope(|s| {
+                let mut eng = adaptive(s, plan, 0, all(&records));
+                for (pos, r) in all(&records).take_while(|&(pos, _)| pos <= last_miss) {
+                    eng.score(r, pos);
+                }
+                assert_eq!(eng.stats.checks, last_miss / 100, "taken while scoring");
+                telemetry(&mut eng)
+            })
+        };
+        let (early, every) = (run(299), run(899));
+        assert_eq!(early.checks, 8, "boundaries 100..=800");
+        assert!(
+            early.last_swap_pos > 299,
+            "refits past the last miss are reported"
+        );
+        assert_eq!(early, every);
+    }
+
+    #[test]
     fn drift_triggers_refit_and_publishes_generations() {
         let plan = AdaptPlan {
             check_interval: 100,
             drift_drop: 0.05,
-            cooldown_checks: 0,
-            recent_window: 64,
             ..AdaptPlan::drifty(5)
         };
         // Stable phase matching the training distribution, then a hard
@@ -555,21 +609,16 @@ mod tests {
         thread::scope(|s| {
             let mut eng = adaptive(s, plan, 0, all(&records));
             for (pos, r) in all(&records) {
-                eng.observe(r, pos);
-                let _ = eng.score_current();
+                eng.score(r, pos);
             }
-            let stats = eng.stats();
+            // A replay's report gets the block through the hook.
+            let stats = telemetry(&mut eng);
             assert!(stats.checks >= 20);
             assert!(stats.drifts > 0, "phase change must register as drift");
             assert!(stats.swaps > 0, "drift must publish a new generation");
             assert_eq!(stats.swaps, stats.refits);
             assert_eq!(stats.generation, stats.swaps);
             assert!(stats.last_swap_pos > 0);
-            // A replay's report gets the same block through the hook.
-            let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
-            eng.telemetry(&mut fault, &mut adapt);
-            assert_eq!(adapt, stats);
-            assert!(fault.is_clean());
         });
     }
 
@@ -578,7 +627,6 @@ mod tests {
         let plan = AdaptPlan {
             check_interval: 128,
             drift_drop: 0.05,
-            cooldown_checks: 0,
             ..AdaptPlan::drifty(21)
         };
         let records: Vec<TraceRecord> = (0..1_500)
@@ -593,13 +641,8 @@ mod tests {
         let run = |shard: u64| {
             thread::scope(|s| {
                 let mut eng = adaptive(s, plan, shard, all(&records));
-                let out: Vec<f64> = all(&records)
-                    .map(|(pos, r)| {
-                        eng.observe(r, pos);
-                        eng.score_current()
-                    })
-                    .collect();
-                (out, eng.stats())
+                let out: Vec<f64> = all(&records).map(|(pos, r)| eng.score(r, pos)).collect();
+                (out, telemetry(&mut eng))
             })
         };
         let (s1, t1) = run(0);
@@ -618,8 +661,8 @@ mod tests {
     fn gapped_observations_track_global_positions() {
         // Two-shard split of one global stream: each shard sees half the
         // records, each at its global position, and check boundaries land
-        // at global positions — the shard observing records past a
-        // boundary checks there, whatever its local record count.
+        // at global positions — the shard scoring records past a boundary
+        // checks there, whatever its local record count.
         let plan = AdaptPlan {
             check_interval: 200,
             drift_drop: f64::INFINITY,
@@ -631,9 +674,9 @@ mod tests {
         let stats = thread::scope(|s| {
             let mut eng = adaptive(s, plan, 0, evens());
             for (pos, r) in evens() {
-                eng.observe(r, pos);
+                eng.score(r, pos);
             }
-            eng.stats()
+            telemetry(&mut eng)
         });
         // 500 own records over 999 global positions: boundaries at
         // 200/400/600/800 all fire (the final position, 998, < 1000).
@@ -654,9 +697,9 @@ mod tests {
         thread::scope(|s| {
             let mut eng = adaptive(s, plan, 0, all(&records));
             for (pos, r) in all(&records).take(100) {
-                eng.observe(r, pos);
+                eng.score(r, pos);
             }
-            assert_eq!(eng.stats().checks, 12);
+            assert_eq!(eng.stats.checks, 12);
         });
     }
 
@@ -664,7 +707,7 @@ mod tests {
     fn a_producer_panic_is_the_followers_panic_and_never_the_scopes() {
         // The walk dies under the producer at position 350: boundaries
         // 100–300 were decided and reach the follower; 400 never is, and
-        // observing past it panics on the replay's side, while the scope
+        // scoring past it panics on the replay's side, while the scope
         // itself returns normally.
         let plan = AdaptPlan {
             check_interval: 100,
@@ -676,12 +719,12 @@ mod tests {
         let (checks, died) = thread::scope(|s| {
             let mut eng = adaptive(s, plan, 0, hostile);
             for (pos, r) in all(&records).take(400) {
-                eng.observe(r, pos);
+                eng.score(r, pos);
             }
-            let checks = eng.stats().checks;
+            let checks = eng.stats.checks;
             let died = catch_unwind(AssertUnwindSafe(|| {
                 for (pos, r) in all(&records).skip(400) {
-                    eng.observe(r, pos);
+                    eng.score(r, pos);
                 }
             }));
             (checks, died)
@@ -692,5 +735,34 @@ mod tests {
             .downcast_ref::<String>()
             .expect("a formatted message");
         assert!(msg.contains("check at position 400"), "{msg}");
+    }
+
+    #[test]
+    fn a_producer_dead_after_the_last_miss_panics_at_telemetry() {
+        // The last miss is at position 299; the walk dies under the
+        // producer at 650, after it decided boundary 600. The replay's
+        // telemetry takes 300–600 and then names 700, the boundary nobody
+        // decided — a shard's death, not a short report.
+        let plan = AdaptPlan {
+            check_interval: 100,
+            drift_drop: f64::INFINITY,
+            ..AdaptPlan::drifty(6)
+        };
+        let records: Vec<TraceRecord> = (0..1_000).map(record).collect();
+        let hostile = all(&records).inspect(|&(pos, _)| assert!(pos < 650, "hostile walk"));
+        let (checks, died) = thread::scope(|s| {
+            let mut eng = adaptive(s, plan, 0, hostile);
+            for (pos, r) in all(&records).take(300) {
+                eng.score(r, pos);
+            }
+            let died = catch_unwind(AssertUnwindSafe(|| telemetry(&mut eng)));
+            (eng.stats.checks, died)
+        });
+        assert_eq!(checks, 6, "every decided boundary was taken");
+        let payload = died.expect_err("a dead producer must not pass for a finished walk");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(msg.contains("check at position 700"), "{msg}");
     }
 }

@@ -72,12 +72,20 @@ impl LstmCostModel {
 
     /// Estimates the Table 2 row for an architecture.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `efficiency` or `clock_mhz` are not positive.
-    pub fn estimate(&self, arch: &LstmArch) -> FpgaCost {
-        assert!(self.efficiency > 0.0, "efficiency must be positive");
-        assert!(self.clock_mhz > 0.0, "clock must be positive");
+    /// Names the first of `efficiency`, `clock_mhz` and `dsp_budget` that
+    /// is not finite and positive — the latency divides by their product.
+    pub fn estimate(&self, arch: &LstmArch) -> Result<FpgaCost, String> {
+        for (what, v) in [
+            ("lstm.efficiency", self.efficiency),
+            ("lstm.clock_mhz", self.clock_mhz),
+            ("lstm.dsp_budget", f64::from(self.dsp_budget)),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("{what} must be finite and > 0, got {v}"));
+            }
+        }
         let param_bytes = arch.param_count() as u64 * u64::from(self.bytes_per_param);
         // Activations: h and c per layer, plus the seq_len input buffer.
         let act_bytes = (2 * arch.layers * arch.hidden
@@ -93,13 +101,13 @@ impl LstmCostModel {
         let peak_macs_per_us = f64::from(self.dsp_budget) * self.clock_mhz;
         let latency_us = macs / (peak_macs_per_us * self.efficiency);
 
-        FpgaCost {
+        Ok(FpgaCost {
             bram_36k: bram as u32,
             dsp: self.dsp_budget,
             lut: self.lut_base + self.lut_per_dsp * self.dsp_budget,
             ff: self.ff_base + self.ff_per_dsp * self.dsp_budget,
             latency_us,
-        }
+        })
     }
 }
 
@@ -115,7 +123,9 @@ mod tests {
 
     #[test]
     fn paper_baseline_reproduces_table2_row() {
-        let cost = LstmCostModel::paper_calibrated().estimate(&LstmArch::paper_baseline());
+        let cost = LstmCostModel::paper_calibrated()
+            .estimate(&LstmArch::paper_baseline())
+            .unwrap();
         // Latency within 10% of 46.3 ms.
         assert!(
             (cost.latency_us - 46_300.0).abs() < 4_600.0,
@@ -147,7 +157,7 @@ mod tests {
             efficiency: 1.0,
             ..LstmCostModel::paper_calibrated()
         };
-        let cost = ideal.estimate(&LstmArch::paper_baseline());
+        let cost = ideal.estimate(&LstmArch::paper_baseline()).unwrap();
         // The GMM engine finishes in 3 µs; a perfect LSTM still needs >100×.
         assert!(cost.latency_us > 3.0 * 100.0, "{}", cost.latency_us);
     }
@@ -155,24 +165,39 @@ mod tests {
     #[test]
     fn smaller_models_cost_less() {
         let model = LstmCostModel::paper_calibrated();
-        let big = model.estimate(&LstmArch::paper_baseline());
-        let small = model.estimate(&LstmArch {
-            layers: 1,
-            hidden: 32,
-            input: 2,
-            seq_len: 8,
-        });
+        let big = model.estimate(&LstmArch::paper_baseline()).unwrap();
+        let small = model
+            .estimate(&LstmArch {
+                layers: 1,
+                hidden: 32,
+                input: 2,
+                seq_len: 8,
+            })
+            .unwrap();
         assert!(small.bram_36k < big.bram_36k);
         assert!(small.latency_us < big.latency_us);
     }
 
     #[test]
-    #[should_panic(expected = "efficiency")]
-    fn zero_efficiency_panics() {
-        let bad = LstmCostModel {
-            efficiency: 0.0,
-            ..LstmCostModel::paper_calibrated()
-        };
-        let _ = bad.estimate(&LstmArch::paper_baseline());
+    fn estimate_names_each_rate_that_is_not_positive() {
+        // (the field named, efficiency, clock_mhz, dsp_budget)
+        let bad = [
+            ("lstm.efficiency", 0.0, 233.0, 145),
+            ("lstm.efficiency", -0.5, 233.0, 145),
+            ("lstm.efficiency", f64::NAN, 233.0, 145),
+            ("lstm.clock_mhz", 0.0067, 0.0, 145),
+            ("lstm.clock_mhz", 0.0067, f64::INFINITY, 145),
+            ("lstm.dsp_budget", 0.0067, 233.0, 0),
+        ];
+        for (field, efficiency, clock_mhz, dsp_budget) in bad {
+            let model = LstmCostModel {
+                efficiency,
+                clock_mhz,
+                dsp_budget,
+                ..LstmCostModel::paper_calibrated()
+            };
+            let err = model.estimate(&LstmArch::paper_baseline()).unwrap_err();
+            assert!(err.contains(field), "{model:?}: {err}");
+        }
     }
 }

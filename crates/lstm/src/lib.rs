@@ -26,8 +26,9 @@
 //! assert!(net.forward(&seq).is_finite());
 //!
 //! // The paper's Table 2 row for the full-size baseline:
-//! let cost = LstmCostModel::paper_calibrated().estimate(&LstmArch::paper_baseline());
+//! let cost = LstmCostModel::paper_calibrated().estimate(&LstmArch::paper_baseline())?;
 //! assert!(cost.latency_us > 40_000.0); // ~46.3 ms
+//! # Ok::<(), String>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -202,13 +202,9 @@ pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
 pub struct CountingScore(pub Box<dyn ScoreSource + Send>, pub u64);
 
 impl ScoreSource for CountingScore {
-    fn observe(&mut self, record: &TraceRecord, pos: u64) {
-        self.0.observe(record, pos);
-    }
-
-    fn score_current(&mut self) -> f64 {
+    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
         self.1 += 1;
-        self.0.score_current()
+        self.0.score(record, pos)
     }
 }
 
@@ -265,8 +261,7 @@ mod tests {
         assert!(score_for("fn").is_some());
         for name in UNTRUSTED_SCORES {
             let mut s = score_for(name).expect("a source");
-            s.observe(&TraceRecord::read(0x5000), 3);
-            assert!(s.score_current().is_nan(), "{name}");
+            assert!(s.score(&TraceRecord::read(0x5000), 3).is_nan(), "{name}");
         }
         assert!(SHARDABLE_EVICTIONS.iter().all(|e| EVICTIONS.contains(e)));
     }
@@ -294,13 +289,13 @@ mod tests {
 
     #[test]
     fn hand_engine_scores_and_streams_at_every_k() {
-        // Both datapaths score a streamed observation at every K.
+        // Both datapaths score a miss at every K.
         for k in [8, 64, 256] {
             for fixed in [false, true] {
                 let mut e = hand_engine(k, fixed);
                 assert!(e.shardable());
-                e.observe(&TraceRecord::read(0x5000), 0);
-                assert!(e.score_current().is_finite(), "k={k} fixed={fixed}");
+                let score = e.score(&TraceRecord::read(0x5000), 0);
+                assert!(score.is_finite(), "k={k} fixed={fixed}");
             }
         }
     }

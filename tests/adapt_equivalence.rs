@@ -20,14 +20,15 @@ use icgmm_cache::{
 };
 use icgmm_gmm::EmConfig;
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
-use icgmm_trace::{PreprocessConfig, Trace};
+use icgmm_trace::{PreprocessConfig, Trace, TraceRecord};
 use proptest::prelude::*;
 
 /// The adaptation loop as it ran before it moved off the replay thread:
-/// `observe` runs every drift check — and every refit — itself, before
-/// the record that reaches the check's boundary. A copy of the loop in
-/// `crates/core/src/online.rs`, not a caller of it: the oracle the
-/// pipelined engine is held to.
+/// `score` and `telemetry` advance the shard's `ShardCtx::routed` walk on
+/// the replay thread, running every drift check — and every refit —
+/// before buffering the record that reaches the check's boundary. A copy
+/// of the loop in `crates/core/src/online.rs`, not a caller of it: the
+/// single-threaded oracle the pipelined engine is held to.
 mod inline_oracle {
     use icgmm::GmmPolicyEngine;
     use icgmm_cache::{
@@ -38,6 +39,9 @@ mod inline_oracle {
     use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
 
     const MIN_REFIT_SAMPLES: usize = 8;
+
+    /// A shard's records with their global positions, in order.
+    pub type Walk = Box<dyn Iterator<Item = (u64, &'static TraceRecord)> + Send>;
 
     fn salt(seed: u64, shard: u64, stream: u64) -> u64 {
         let mut z = seed
@@ -59,6 +63,8 @@ mod inline_oracle {
         reservoir_salt: u64,
         stats: AdaptStats,
         next_check: u64,
+        /// What is left of the shard's walk.
+        walk: Walk,
     }
 
     impl InlineAdaptive {
@@ -69,6 +75,7 @@ mod inline_oracle {
             plan: AdaptPlan,
             preprocess: &PreprocessConfig,
             shard: u64,
+            walk: Walk,
         ) -> Self {
             let trainer_cfg = EmConfig {
                 seed: salt(plan.seed, shard, 1),
@@ -82,11 +89,32 @@ mod inline_oracle {
                 trainer: IncrementalEm::new(gmm, trainer_cfg, plan.decay).unwrap(),
                 check_interval: plan.check_interval,
                 reservoir: Reservoir::new(salt(reservoir_salt, 0, 0), RESERVOIR_CAPACITY),
-                ring: RecentRing::new(plan.recent_window),
+                ring: RecentRing::default(),
                 detector: DriftDetector::new(&plan),
                 reservoir_salt,
                 stats: AdaptStats::default(),
                 next_check: plan.check_interval,
+                walk,
+            }
+        }
+
+        /// Runs the checks and buffers the records of the walk through
+        /// position `until`.
+        fn catch_up(&mut self, until: u64) {
+            while let Some((pos, record)) = self.walk.next() {
+                while pos >= self.next_check {
+                    self.run_check(pos);
+                    self.next_check += self.check_interval;
+                }
+                let s = ObsSample {
+                    page: record.page().raw(),
+                    pos,
+                };
+                self.reservoir.offer(s);
+                self.ring.push(s);
+                if pos >= until {
+                    return;
+                }
             }
         }
 
@@ -136,29 +164,17 @@ mod inline_oracle {
     }
 
     impl ScoreSource for InlineAdaptive {
-        fn observe(&mut self, record: &TraceRecord, pos: u64) {
-            while pos >= self.next_check {
-                self.run_check(pos);
-                self.next_check += self.check_interval;
-            }
-            let s = ObsSample {
-                page: record.page().raw(),
-                pos,
-            };
-            self.reservoir.offer(s);
-            self.ring.push(s);
-            self.engine.observe(record, pos);
-        }
-
-        fn score_current(&mut self) -> f64 {
-            self.engine.score_current()
+        fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
+            self.catch_up(pos);
+            self.engine.score(record, pos)
         }
 
         fn shardable(&self) -> bool {
             self.engine.shardable()
         }
 
-        fn telemetry(&self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {
+        fn telemetry(&mut self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {
+            self.catch_up(u64::MAX);
             adapt.merge(&self.stats);
         }
     }
@@ -236,11 +252,18 @@ fn prefix_model() -> &'static TrainedModel {
 }
 
 /// The stack `Icgmm` assembles for `gmm-caching-eviction` under a plan that
-/// arms no scorer fault, with the inline loop in place of the pipelined one.
-fn oracle_stack(cfg: &IcgmmConfig, model: &TrainedModel, shard: u64) -> ShardPolicies {
+/// arms no scorer fault, with the inline loop in place of the pipelined one,
+/// walking `ctx`'s records of `records` (the replayed slice).
+fn oracle_stack(
+    cfg: &IcgmmConfig,
+    model: &TrainedModel,
+    ctx: &ShardCtx<'_>,
+    records: &'static [TraceRecord],
+) -> ShardPolicies {
     let engine = GmmPolicyEngine::new(model, &cfg.preprocess, false).unwrap();
-    let (em, plan, pre) = (cfg.em, cfg.adapt, &cfg.preprocess);
-    let inline = inline_oracle::InlineAdaptive::new(engine, &model.gmm, em, plan, pre, shard);
+    let (em, plan, pre, shard) = (cfg.em, cfg.adapt, &cfg.preprocess, ctx.shard as u64);
+    let walk = Box::new(ctx.routed(records));
+    let inline = inline_oracle::InlineAdaptive::new(engine, &model.gmm, em, plan, pre, shard, walk);
     ShardPolicies {
         admission: Box::new(ThresholdAdmit {
             threshold: model.threshold,
@@ -500,7 +523,7 @@ proptest! {
         let mode = PolicyMode::GmmCachingEviction;
         let (start, end) = cfg.preprocess.kept_range(trace.len());
         let records = &trace.records()[..end];
-        let oracle_shard = |ctx: &ShardCtx<'_>| oracle_stack(&cfg, model, ctx.shard as u64);
+        let oracle_shard = |ctx: &ShardCtx<'_>| oracle_stack(&cfg, model, ctx, records);
         let ((sim, scores), (want, want_scores)) = if served {
             let got = sys.serve(trace, mode).unwrap();
             let server = CacheServer::new(ServeConfig { shards, clients, queue_depth, fault });

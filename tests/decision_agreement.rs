@@ -43,8 +43,6 @@ use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
 struct SeedScore {
     model: TrainedModel,
     transformer: TimestampTransformer,
-    /// `(page, global trace position)` of the observed request.
-    current: (u64, u64),
 }
 
 impl SeedScore {
@@ -52,19 +50,14 @@ impl SeedScore {
         SeedScore {
             model: model.clone(),
             transformer: TimestampTransformer::from_config(preprocess),
-            current: (0, 0),
         }
     }
 }
 
 impl ScoreSource for SeedScore {
-    fn observe(&mut self, record: &TraceRecord, pos: u64) {
-        self.current = (record.page().raw(), pos);
-    }
-
-    fn score_current(&mut self) -> f64 {
-        let (page, pos) = self.current;
+    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
         let ts = self.transformer.at(pos);
+        let page = record.page().raw();
         let z = self.model.scaler.transform([page as f64, ts as f64]);
         let gmm = &self.model.gmm;
         let logs: Vec<f64> = gmm

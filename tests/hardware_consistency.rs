@@ -44,6 +44,7 @@ fn table2_gap_exceeds_ten_thousand_x() {
     let gmm_us = GmmEngineModel::paper_k256().latency_us();
     let lstm_us = LstmCostModel::paper_calibrated()
         .estimate(&LstmArch::paper_baseline())
+        .unwrap()
         .latency_us;
     let gain = lstm_us / gmm_us;
     assert!(gain > 10_000.0, "latency gain only {gain:.0}x");
@@ -61,7 +62,9 @@ fn resource_models_reproduce_table2_rows() {
     assert_eq!(gmm.dsp, table2::GMM.dsp);
     assert!((i64::from(gmm.bram_36k) - i64::from(table2::GMM.bram_36k)).abs() <= 2);
 
-    let lstm = LstmCostModel::paper_calibrated().estimate(&LstmArch::paper_baseline());
+    let lstm = LstmCostModel::paper_calibrated()
+        .estimate(&LstmArch::paper_baseline())
+        .unwrap();
     assert_eq!(lstm.dsp, table2::LSTM.dsp);
     // BRAM ratio is the paper's headline "~2% of on-chip memory".
     let ratio = f64::from(gmm.bram_36k) / f64::from(lstm.bram_36k);
