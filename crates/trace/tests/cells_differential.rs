@@ -1,0 +1,164 @@
+//! Differential suite for training-cell extraction.
+//!
+//! `extract_weighted_cells_range` sorts one `(page, timestamp)` key per
+//! kept record and run-length counts the sorted keys. The oracle here is
+//! the extraction it replaced — a `HashMap` from key to count, drained and
+//! sorted by `(page as f64, time as f64)` with `partial_cmp` — with the
+//! Algorithm 1 clock spelled out as the paper's `index` / `timestamp`
+//! counter pair, so the two share no code. Over random traces (page 0 and
+//! the highest page a record can name, heavy and light duplication), the
+//! window / shot grid {1, 2, 32} × {1, 3, 10 000} and the ranges empty,
+//! `0..len`, `len..len` and a random middle, the two must return the same
+//! cells in the same order, bit for bit.
+
+use icgmm_trace::synth::WorkloadKind;
+use icgmm_trace::{
+    extract_weighted_cells, extract_weighted_cells_range, PreprocessConfig, TraceRecord,
+    WeightedSample,
+};
+use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// The `HashMap` extraction the sort replaced, with Algorithm 1 as counters.
+fn oracle(
+    records: &[TraceRecord],
+    cfg: &PreprocessConfig,
+    start: usize,
+    end: usize,
+) -> Vec<WeightedSample> {
+    let mut cells: HashMap<(u64, u64), u64> = HashMap::new();
+    let (mut index, mut timestamp) = (0u32, 0u64);
+    for (i, r) in records[..end].iter().enumerate() {
+        if i >= start {
+            *cells.entry((r.page().raw(), timestamp)).or_insert(0) += 1;
+        }
+        index += 1;
+        if index >= cfg.len_window {
+            index = 0;
+            timestamp += 1;
+            if timestamp >= u64::from(cfg.len_access_shot) {
+                timestamp = 0;
+            }
+        }
+    }
+    let mut out: Vec<WeightedSample> = cells
+        .into_iter()
+        .map(|((p, ts), w)| WeightedSample {
+            page: p as f64,
+            time: ts as f64,
+            weight: w as f64,
+        })
+        .collect();
+    out.sort_by(|a, b| {
+        (a.page, a.time)
+            .partial_cmp(&(b.page, b.time))
+            .expect("page/time are finite")
+    });
+    out
+}
+
+/// Cells as bit patterns, so `==` is bit identity (and order).
+fn bits(cells: &[WeightedSample]) -> Vec<[u64; 3]> {
+    cells
+        .iter()
+        .map(|c| [c.page.to_bits(), c.time.to_bits(), c.weight.to_bits()])
+        .collect()
+}
+
+const WINDOWS: [u32; 3] = [1, 2, 32];
+const SHOTS: [u32; 3] = [1, 3, 10_000];
+
+/// One byte address per `(kind, raw)` draw: the top page, page 0, a page
+/// from a small pool (heavy duplication) or anywhere (light duplication).
+fn paddr(kind: u64, raw: u64, pool: u64) -> u64 {
+    match kind % 4 {
+        0 => u64::MAX,
+        1 => raw % 4096,
+        2 => ((raw % pool) << 12) | (raw >> 52),
+        _ => raw,
+    }
+}
+
+proptest! {
+    #[test]
+    fn sorted_runs_equal_the_hash_map_oracle(
+        draws in prop::collection::vec((0u64..4, any::<u64>()), 0..2_500),
+        pool in 1u64..64,
+        window in 0usize..3,
+        shot in 0usize..3,
+        cut in (any::<u64>(), any::<u64>()),
+    ) {
+        let records: Vec<TraceRecord> = draws
+            .iter()
+            .map(|&(kind, raw)| {
+                let addr = paddr(kind, raw, pool);
+                if raw & 1 == 0 { TraceRecord::read(addr) } else { TraceRecord::write(addr) }
+            })
+            .collect();
+        let cfg = PreprocessConfig {
+            len_window: WINDOWS[window],
+            len_access_shot: SHOTS[shot],
+            ..Default::default()
+        };
+        let n = records.len();
+        let (a, b) = (cut.0 as usize % (n + 1), cut.1 as usize % (n + 1));
+        for (start, end) in [(0, 0), (0, n), (n, n), (a.min(b), a.max(b))] {
+            let got = extract_weighted_cells_range(&records, &cfg, start, end);
+            let want = oracle(&records, &cfg, start, end);
+            prop_assert_eq!(
+                bits(&got),
+                bits(&want),
+                "window {}, shot {}, range {}..{} of {}",
+                cfg.len_window, cfg.len_access_shot, start, end, n
+            );
+        }
+    }
+}
+
+#[test]
+fn top_and_bottom_pages_are_exact_and_ordered() {
+    let records = [
+        TraceRecord::read(u64::MAX),
+        TraceRecord::write(0),
+        TraceRecord::read(u64::MAX - 4095),
+        TraceRecord::read(4095),
+    ];
+    let cfg = PreprocessConfig {
+        len_window: 2,
+        len_access_shot: 3,
+        ..Default::default()
+    };
+    let cells = extract_weighted_cells(&records, &cfg);
+    let top = ((1u64 << 52) - 1) as f64;
+    let got: Vec<(f64, f64, f64)> = cells.iter().map(|c| (c.page, c.time, c.weight)).collect();
+    assert_eq!(
+        got,
+        [
+            (0.0, 0.0, 1.0),
+            (0.0, 1.0, 1.0),
+            (top, 0.0, 1.0),
+            (top, 1.0, 1.0)
+        ]
+    );
+    assert_eq!(bits(&cells), bits(&oracle(&records, &cfg, 0, 4)));
+}
+
+#[test]
+fn generated_workloads_equal_the_oracle_over_their_kept_range() {
+    // Default Algorithm 1 lengths over 40 000 requests: the clock wraps
+    // past its 10 000-window shot only with one request per window, so run
+    // both.
+    for kind in WorkloadKind::all() {
+        let trace = kind.default_workload().generate(40_000, 7);
+        for len_window in [1, 32] {
+            let cfg = PreprocessConfig {
+                len_window,
+                ..Default::default()
+            };
+            let (start, end) = cfg.kept_range(trace.len());
+            let got = extract_weighted_cells_range(trace.records(), &cfg, start, end);
+            let want = oracle(trace.records(), &cfg, start, end);
+            assert_eq!(bits(&got), bits(&want), "{kind}, len_window {len_window}");
+        }
+    }
+}
