@@ -14,6 +14,11 @@
 //!   have σ ≈ 1 % of the span, scattered in no particular order: the
 //!   regime fitted (page, time) models are in, where the near-set skip
 //!   must pay (CI gates it at ≥ 1.2× the dense case's rate);
+//! * `window_sparse_k256` — the sparse mixture scored through one
+//!   [`TimeSlice`] over the same pages in runs of 32 that share one time
+//!   coordinate, as the misses of an Algorithm 1 window do: each run's
+//!   second point builds the time halves and the other 30 keep them (CI
+//!   gates it against `scalar_sparse_k256` in the same run);
 //! * `batched_k256` / `parallel_k256` — `GmmScorer::score_batch` (a loop
 //!   over the same kernel) and its scoped-thread-parallel variant, reported
 //!   per point via `Throughput::Elements`;
@@ -21,7 +26,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use icgmm_gmm::fixed::FixedGmm;
-use icgmm_gmm::{Gaussian2, Gmm, GmmScorer, Mat2};
+use icgmm_gmm::{Gaussian2, Gmm, GmmScorer, Mat2, TimeSlice};
 use std::hint::black_box;
 
 fn build_gmm(k: usize) -> Gmm {
@@ -119,6 +124,22 @@ fn bench_scalar_vs_batched(c: &mut Criterion) {
         b.iter(|| {
             for x in &points {
                 black_box(sparse.density(black_box(*x)));
+            }
+        })
+    });
+    let sparse_scorer = sparse.scorer();
+    let windowed: Vec<[f64; 2]> = (0..BATCH)
+        .map(|i| [points[i][0], points[i / 32 * 32][1]])
+        .collect();
+    let mut slice = TimeSlice::default();
+    group.bench_function("window_sparse_k256", |b| {
+        b.iter(|| {
+            for x in &windowed {
+                black_box(
+                    sparse_scorer
+                        .log_density_in(black_box(*x), &mut slice)
+                        .exp(),
+                );
             }
         })
     });

@@ -5,7 +5,7 @@
 
 use icgmm_cache::ScoreSource;
 use icgmm_gmm::fixed::FixedGmm;
-use icgmm_gmm::{Gmm, GmmError, GmmScorer, StandardScaler};
+use icgmm_gmm::{Gmm, GmmError, GmmScorer, StandardScaler, TimeSlice};
 use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
 use serde::{Deserialize, Serialize};
 
@@ -27,15 +27,18 @@ pub struct TrainedModel {
 /// Online policy engine driving the cache simulator.
 ///
 /// Scoring goes through the mixture's flat [`GmmScorer`] kernel: its
-/// allocation-free single-point log-sum-exp, vectorised across the K
-/// components of the one miss like the paper's pipeline. The engine is
-/// asked only for misses, and the Algorithm 1 timestamp is a closed form
-/// of the miss's trace position, so a hit costs it nothing and it keeps
-/// no per-request state.
+/// single-point log-sum-exp, vectorised across the K components of the one
+/// miss like the paper's pipeline. The engine is asked only for misses,
+/// and the Algorithm 1 timestamp is a closed form of the miss's trace
+/// position, so a hit costs it nothing. The one thing it keeps between
+/// misses is a [`TimeSlice`]: the time halves of the last timestamp it
+/// scored, which the next misses of the same Algorithm 1 window reuse
+/// (their scores are bit-identical to a stateless score either way).
 #[derive(Clone, Debug)]
 pub struct GmmPolicyEngine {
     scaler: StandardScaler,
     scorer: GmmScorer,
+    slice: TimeSlice,
     fixed: Option<FixedGmm>,
     transformer: TimestampTransformer,
     scores_computed: u64,
@@ -73,6 +76,7 @@ impl GmmPolicyEngine {
         Ok(GmmPolicyEngine {
             scaler: model.scaler,
             scorer: model.gmm.scorer().clone(),
+            slice: TimeSlice::default(),
             fixed,
             transformer: TimestampTransformer::from_config(preprocess),
             scores_computed: 0,
@@ -86,7 +90,7 @@ impl GmmPolicyEngine {
         self.scores_computed += 1;
         match &self.fixed {
             Some(fx) => fx.score(z),
-            None => self.scorer.score(z),
+            None => self.scorer.log_density_in(z, &mut self.slice).exp(),
         }
     }
 
@@ -108,7 +112,8 @@ impl GmmPolicyEngine {
     /// `Arc<ScorerTables>` inside [`GmmScorer`], so this is a pointer
     /// swap — the scaler, the inference counter and any other engine
     /// clone are untouched, and in-flight replay never blocks on
-    /// the training that produced the new tables.
+    /// the training that produced the new tables. The time slice is keyed
+    /// by the tables too, so the next score starts it afresh.
     ///
     /// Only the f64 datapath swaps; the online refit loop refuses
     /// fixed-point engines at configuration time
@@ -227,6 +232,52 @@ mod tests {
             }
             assert_eq!(windowed.scores_computed(), streaming.scores_computed());
         }
+    }
+
+    /// Five components apart in time as well as page, so both halves of a
+    /// score matter; `shift` moves them for a second generation.
+    fn timed_model(shift: f64) -> TrainedModel {
+        let comps = (0..5)
+            .map(|j| {
+                let mean = [j as f64 - 2.0 + shift, (j as f64 * 0.7 + shift).sin()];
+                Gaussian2::new(mean, Mat2::new(0.5, 0.1, 0.3)).unwrap()
+            })
+            .collect();
+        TrainedModel {
+            gmm: Gmm::new(vec![0.2; 5], comps).unwrap(),
+            ..model()
+        }
+    }
+
+    #[test]
+    fn misses_of_one_window_share_a_time_slice_across_a_swap() {
+        // Four misses in each 32-record window share its timestamp: the
+        // engine's time slice keys it at the first, builds its halves at
+        // the second and keeps them for the rest. The generation swaps
+        // between the second and third miss of window 2. Every score
+        // equals a fresh engine's `score_at` under the generation live at
+        // its position.
+        let pre = PreprocessConfig {
+            len_window: 32,
+            ..cfg()
+        };
+        let (a, b) = (timed_model(0.0), timed_model(0.5));
+        let swap_at = 2 * 32 + 17;
+        let mut e = GmmPolicyEngine::new(&a, &pre, false).unwrap();
+        for window in 0..6u64 {
+            for pos in [0, 5, 17, 31].map(|offset| window * 32 + offset) {
+                if pos == swap_at {
+                    e.swap_scorer(b.gmm.scorer().clone());
+                }
+                let live = if pos < swap_at { &a } else { &b };
+                let page = 900 + (pos * 37) % 300;
+                let got = e.score(&TraceRecord::read(page << 12), pos);
+                let mut fresh = GmmPolicyEngine::new(live, &pre, false).unwrap();
+                let want = fresh.score_at(page, window);
+                assert_eq!(got.to_bits(), want.to_bits(), "position {pos}");
+            }
+        }
+        assert_eq!(e.scores_computed(), 24);
     }
 
     #[test]

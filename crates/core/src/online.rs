@@ -30,9 +30,10 @@
 //! pointer swap), and it blocks only when the producer has not decided one
 //! of them yet. Hits never reach it, so the decisions of boundaries
 //! crossed only by hits are taken at [`ScoreSource::telemetry`], after the
-//! shard's last record, up to the end-of-walk message. Drift checks and
-//! refits (≈ 1.4 ms each at K = 256, 158 on `tenants_drift`) stall the
-//! replay only when they fall behind it.
+//! shard's last record, up to the end-of-walk message. Drift checks (256
+//! scores of the recent ring each, through the producer's own
+//! [`icgmm_gmm::TimeSlice`]) and refits (≈ 1.4 ms each at K = 256, 158 on
+//! `tenants_drift`) stall the replay only when they fall behind it.
 //!
 //! ## Determinism
 //!
@@ -71,7 +72,7 @@ use icgmm_cache::{
     AdaptPlan, AdaptStats, DriftDetector, FaultStats, ObsSample, RecentRing, Reservoir,
     ScoreSource, RESERVOIR_CAPACITY,
 };
-use icgmm_gmm::{EmConfig, Gmm, GmmError, GmmScorer, IncrementalEm, Vec2};
+use icgmm_gmm::{EmConfig, Gmm, GmmError, GmmScorer, IncrementalEm, TimeSlice, Vec2};
 use icgmm_trace::TraceRecord;
 
 use crate::engine::GmmPolicyEngine;
@@ -131,10 +132,12 @@ struct Producer {
     /// Next check boundary: checks fire before buffering a record whose
     /// global position has reached it.
     next_check: u64,
-    /// Feature / log-density scratch of the drift check and the refit,
-    /// kept across checks so neither allocates per firing.
+    /// Feature scratch of the drift check and the refit, kept across
+    /// checks so neither allocates per firing.
     features: Vec<Vec2>,
-    log_densities: Vec<f64>,
+    /// The drift check's time slice: the ring holds runs of samples from
+    /// one Algorithm 1 window, which share the time halves of a score.
+    slice: TimeSlice,
 }
 
 impl Producer {
@@ -164,7 +167,7 @@ impl Producer {
             stats: AdaptStats::default(),
             next_check: plan.check_interval,
             features: Vec::new(),
-            log_densities: Vec::new(),
+            slice: TimeSlice::default(),
         })
     }
 
@@ -230,15 +233,18 @@ impl Producer {
             return None;
         }
         // The likelihood window is scored by the kernel replay itself
-        // scores with, so a check costs one window's worth of miss scores
-        // per interval.
+        // scores with, through the producer's own time slice: the ring's
+        // 256 samples come in runs from one Algorithm 1 window each, so
+        // most scores pay the page halves only — the same bits, summed in
+        // the same order, as `log_density_batch` over the ring.
         let mut zs = std::mem::take(&mut self.features);
         self.fill_features(self.ring.samples(), &mut zs);
-        let ld = &mut self.log_densities;
-        ld.resize(zs.len(), 0.0);
-        self.engine.scorer().log_density_batch(&zs, ld);
-        self.stats.evals += ld.len() as u64;
-        let mll = ld.iter().sum::<f64>() / ld.len() as f64;
+        let scorer = self.engine.scorer();
+        let lls = zs
+            .iter()
+            .map(|z| scorer.log_density_in(*z, &mut self.slice));
+        let mll = lls.sum::<f64>() / zs.len() as f64;
+        self.stats.evals += zs.len() as u64;
         self.features = zs;
         if !self.detector.observe(mll) {
             return None;

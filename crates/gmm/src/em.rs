@@ -465,7 +465,7 @@ pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64], threads: usize) -> Su
     let chunk = xs.len().div_ceil(threads);
     let mut partials: Vec<SuffStats> = Vec::with_capacity(threads);
     // (`crossbeam` stays in this crate's manifest, unused, until the
-    // benchmark PR prunes it with the lockfile — ROADMAP item 1d.)
+    // benchmark PR prunes it with the lockfile — ROADMAP item 2d.)
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..threads {

@@ -28,7 +28,16 @@
 //! per-component joint log-densities `l_j = coef_j − ½ (x−μ_j)ᵀ Σ_j⁻¹
 //! (x−μ_j)`, in two passes with one canonical, ISA-independent summation
 //! order. Pass 1 maps the SoA columns to the `l_j` and finds
-//! `m = max_j l_j` (order-free). Pass 2 sums the **unit terms**
+//! `m = max_j l_j` (order-free). Each `l_j` is composed of two halves:
+//!
+//! ```text
+//! time half  (dy_j, c_j) = (y − my_j, fmadd(hyy_j, dy_j², coef_j))
+//! page half  l_j         = fmadd(hxx_j, dx_j², fmadd(hxy_j, dx_j·dy_j, c_j))
+//! ```
+//!
+//! The time half depends on the point's time coordinate alone — on the
+//! Algorithm 1 timestamp, which the misses of one 32-record window share.
+//! Pass 2 sums the **unit terms**
 //!
 //! ```text
 //! u_j = exp_unit(l_j − m)   when l_j − m > TERM_CUT (= −44)
@@ -71,25 +80,37 @@
 //! [`crate::SuffStats`] keep component order.
 //!
 //! **One kernel.** Every entry point — single points, batches, the
-//! parallel split, [`GmmScorer::unit_terms_into`] and
-//! [`GmmScorer::responsibilities_into`] — runs these two passes, so
-//! single ≡ batched ≡ parallel ≡ the E-step's `lse`, bit for bit, by
-//! construction. (A second kernel vectorised across the *points* of a
-//! 64-point chunk existed while the single-point one could not vectorise;
-//! with the near-set skip the single-point kernel is the faster of the two
-//! on every fitted model, and the chunked kernel and its `K × 64` scratch
-//! were deleted.)
+//! parallel split, [`GmmScorer::log_density_in`],
+//! [`GmmScorer::unit_terms_into`] and
+//! [`GmmScorer::responsibilities_into`] — runs these two passes over the
+//! same two halves in the same nesting, so single ≡ batched ≡ parallel ≡
+//! sliced ≡ the E-step's `lse`, bit for bit, by construction. (A second
+//! kernel vectorised across the *points* of a 64-point chunk existed while
+//! the single-point one could not vectorise; with the near-set skip the
+//! single-point kernel is the faster of the two on every fitted model, and
+//! the chunked kernel and its `K × 64` scratch were deleted.)
+//!
+//! **Who keeps a time half.** A caller that scores runs of points with one
+//! `y` owns a [`TimeSlice`], which keeps the time halves between them (see
+//! its docs for when it builds them). Two callers hold one: the policy
+//! engine (`icgmm`'s `GmmPolicyEngine` — every miss of `run`,
+//! `run_sharded`, `serve` and `run_dataflow`) and the online refit
+//! producer's drift check. The E-step and the threshold calibration score
+//! shuffled training cells, one timestamp per point, and
+//! [`GmmScorer::log_density`] is stateless; they compose both halves.
 //!
 //! The terms of one point are staged in a 2 KiB stack block (K ≤ 256 fits
 //! whole; larger mixtures go block by block and recompute the cheap
 //! quadratic forms in pass 2), keeping the working set at the SoA arrays
 //! (12 KiB at K = 256 — L1-resident, like the paper's 8-BRAM weight
 //! buffer) plus that block. The tables live behind an
-//! [`Arc`](std::sync::Arc): the mixture is immutable once flattened, so
+//! [`Arc`]: the mixture is immutable once flattened, so
 //! shard workers, serving threads and the per-iteration E-step share one
 //! weight buffer and `scorer.clone()` is a refcount bump (the hardware
 //! analogue: all scoring pipelines read the same BRAM; nobody duplicates
 //! it per lane).
+
+use std::sync::Arc;
 
 use crate::error::GmmError;
 use crate::gaussian::{Gaussian2, Mat2, Vec2, LN_2PI};
@@ -303,7 +324,7 @@ pub struct GmmScorer {
     /// The flattened tables, immutable after construction and shared by
     /// reference: cloning a scorer is one atomic refcount bump (the
     /// allocator test in `tests/` pins it to 0 heap bytes).
-    tables: std::sync::Arc<ScorerTables>,
+    tables: Arc<ScorerTables>,
 }
 
 /// The six K-length SoA columns of a flattened mixture — the software
@@ -361,10 +382,79 @@ impl ScorerTables {
     }
 }
 
-/// The per-component term `coef + hxx·dx² + hxy·dx·dy + hyy·dy²`.
+/// The time half of a component's term at time coordinate `y`:
+/// `(dy, c) = (y − my, coef + hyy·dy²)` — a function of `y` alone, so the
+/// misses that share an Algorithm 1 timestamp share it.
 #[inline(always)]
-fn log_term_raw(coef: f64, hxx: f64, hxy: f64, hyy: f64, dx: f64, dy: f64) -> f64 {
-    fmadd(hxx, dx * dx, fmadd(hxy, dx * dy, fmadd(hyy, dy * dy, coef)))
+fn time_half(coef: f64, my: f64, hyy: f64, y: f64) -> (f64, f64) {
+    let dy = y - my;
+    (dy, fmadd(hyy, dy * dy, coef))
+}
+
+/// The page half, completing the term from its time half:
+/// `page_half(.., time_half(..))` is `coef + hyy·dy² + hxy·dx·dy + hxx·dx²`,
+/// the same `fmadd`s in the same nesting on every path.
+#[inline(always)]
+fn page_half(hxx: f64, hxy: f64, dx: f64, dy: f64, c: f64) -> f64 {
+    fmadd(hxx, dx * dx, fmadd(hxy, dx * dy, c))
+}
+
+/// Caller-owned scratch for scoring runs of points that share a time
+/// coordinate, so [`GmmScorer::log_density_in`] pays neither the time
+/// halves nor the stateless path's stage memset while `y` repeats: the
+/// `c_j` of one `(y, tables)` and a stage of its own, 4 KiB at K = 256.
+/// (`dy_j` is one subtraction, which the page-half loop — bound by its
+/// loads and stores — redoes for free; storing it would cost the build one
+/// more store per term.)
+///
+/// The key is the bits of `y` and a clone of the tables' `Arc` — never
+/// their address, which a dropped generation can hand to the next one.
+/// The first score at a new key composes both halves as the stateless
+/// path does and only records the key; the second builds the halves inside
+/// its pass 1, and later ones compute page halves only — so a `y` scored
+/// once costs no more than [`GmmScorer::log_density`]. Another `y`,
+/// generation or `K` is a new key; nothing about a slice is asserted.
+#[derive(Clone, Debug, Default)]
+pub struct TimeSlice {
+    /// The tables of the last score through the slice, and its `y` bits.
+    tables: Option<Arc<ScorerTables>>,
+    y: u64,
+    /// Whether `c` holds the halves of that key yet.
+    built: bool,
+    c: Vec<f64>,
+    stage: Vec<f64>,
+}
+
+/// Where a score's time halves come from: composed term by term, or a
+/// [`TimeSlice`]'s — written by pass 1 when it builds them, read after.
+enum Halves<'s> {
+    Composed,
+    Build { c: &'s mut [f64] },
+    Kept { c: &'s [f64] },
+}
+
+impl TimeSlice {
+    /// The halves a score at `y` under `tables` uses (see the type docs),
+    /// and the stage it runs in.
+    fn halves(&mut self, tables: &Arc<ScorerTables>, y: f64) -> (Halves<'_>, &mut [f64]) {
+        let (y, k) = (y.to_bits(), tables.coef.len());
+        let same_tables = self.tables.as_ref().is_some_and(|t| Arc::ptr_eq(t, tables));
+        if !same_tables {
+            self.tables = Some(Arc::clone(tables));
+            self.stage.resize(BLOCK.min(k), 0.0);
+        }
+        let stage = &mut self.stage[..];
+        if !same_tables || self.y != y {
+            (self.y, self.built) = (y, false);
+            return (Halves::Composed, stage);
+        }
+        if self.built {
+            return (Halves::Kept { c: &self.c }, stage);
+        }
+        self.built = true;
+        self.c.resize(k, 0.0);
+        (Halves::Build { c: &mut self.c }, stage)
+    }
 }
 
 impl GmmScorer {
@@ -381,7 +471,7 @@ impl GmmScorer {
             t.push_component(w, c.log_norm(), c.mean(), c.inv_cov());
         }
         GmmScorer {
-            tables: std::sync::Arc::new(t),
+            tables: Arc::new(t),
         }
     }
 
@@ -413,7 +503,7 @@ impl GmmScorer {
             t.push_component(weights[c], log_norm, means[c], invs[c]);
         }
         Ok(GmmScorer {
-            tables: std::sync::Arc::new(t),
+            tables: Arc::new(t),
         })
     }
 
@@ -431,15 +521,35 @@ impl GmmScorer {
 
     /// Writes `l` for slots `start..start + out.len()` into `out` — a
     /// plain map over the SoA columns, so the compiler vectorises it
-    /// across components.
+    /// across components — taking each slot's time half from `halves`
+    /// (and storing it there first when they are being rebuilt).
     #[inline(always)]
-    fn log_terms_block(&self, x: Vec2, start: usize, out: &mut [f64]) {
+    fn log_terms_block(&self, x: Vec2, start: usize, out: &mut [f64], halves: &mut Halves) {
         let t = &*self.tables;
         let r = start..start + out.len();
         let (coef, mx, my) = (&t.coef[r.clone()], &t.mx[r.clone()], &t.my[r.clone()]);
-        let (hxx, hxy, hyy) = (&t.hxx[r.clone()], &t.hxy[r.clone()], &t.hyy[r]);
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = log_term_raw(coef[j], hxx[j], hxy[j], hyy[j], x[0] - mx[j], x[1] - my[j]);
+        let (hxx, hxy, hyy) = (&t.hxx[r.clone()], &t.hxy[r.clone()], &t.hyy[r.clone()]);
+        match halves {
+            Halves::Composed => {
+                for (j, o) in out.iter_mut().enumerate() {
+                    let (dy, c) = time_half(coef[j], my[j], hyy[j], x[1]);
+                    *o = page_half(hxx[j], hxy[j], x[0] - mx[j], dy, c);
+                }
+            }
+            Halves::Build { c: cs } => {
+                let cs = &mut cs[r];
+                for (j, o) in out.iter_mut().enumerate() {
+                    let (dy, c) = time_half(coef[j], my[j], hyy[j], x[1]);
+                    cs[j] = c;
+                    *o = page_half(hxx[j], hxy[j], x[0] - mx[j], dy, c);
+                }
+            }
+            Halves::Kept { c: cs } => {
+                let cs = &cs[r];
+                for (j, o) in out.iter_mut().enumerate() {
+                    *o = page_half(hxx[j], hxy[j], x[0] - mx[j], x[1] - my[j], cs[j]);
+                }
+            }
         }
     }
 
@@ -448,12 +558,14 @@ impl GmmScorer {
     /// `stage.len()` slots at a time — the whole mixture when it fits,
     /// block by block otherwise (pass 2 then recomputes the cheap quadratic
     /// forms) — and `sink(first_slot, terms)` sees each block's unit terms.
-    /// When `m` is not finite (no component reaches `x`) pass 2 does not
-    /// run and `Σ` is `0.0`.
+    /// Halves being built are built by pass 1 and kept for pass 2. When `m`
+    /// is not finite (no component reaches `x`) pass 2 does not run and `Σ`
+    /// is `0.0`.
     #[inline(always)]
     fn log_sum_exp(
         &self,
         x: Vec2,
+        mut halves: Halves,
         stage: &mut [f64],
         mut sink: impl FnMut(usize, &[f64]),
     ) -> (f64, f64) {
@@ -462,18 +574,21 @@ impl GmmScorer {
         let mut m = [f64::NEG_INFINITY; LANES];
         for start in (0..k).step_by(block) {
             let terms = &mut stage[..block.min(k - start)];
-            self.log_terms_block(x, start, terms);
+            self.log_terms_block(x, start, terms, &mut halves);
             fold_lanes(&mut m, terms, nan_skipping_max);
         }
         let m = m.iter().copied().fold(f64::NEG_INFINITY, nan_skipping_max);
         if !m.is_finite() {
             return (m, 0.0);
         }
+        if let Halves::Build { c } = halves {
+            halves = Halves::Kept { c };
+        }
         let mut s = [0.0f64; LANES];
         for start in (0..k).step_by(block) {
             let terms = &mut stage[..block.min(k - start)];
             if k > block {
-                self.log_terms_block(x, start, terms);
+                self.log_terms_block(x, start, terms, &mut halves);
             }
             unit_terms_block(terms, m, &mut s);
             sink(start, terms);
@@ -490,7 +605,23 @@ impl GmmScorer {
     /// the [`Gmm`] constructor forbids).
     pub fn log_density(&self, x: Vec2) -> f64 {
         let mut buf = [0.0f64; BLOCK];
-        let (m, sum) = self.log_sum_exp(x, &mut buf[..BLOCK.min(self.k())], |_, _| {});
+        let stage = &mut buf[..BLOCK.min(self.k())];
+        let (m, sum) = self.log_sum_exp(x, Halves::Composed, stage, |_, _| {});
+        if m.is_finite() {
+            m + sum.ln()
+        } else {
+            m
+        }
+    }
+
+    /// [`GmmScorer::log_density`] through a [`TimeSlice`], bit for bit:
+    /// once the slice holds the time halves of `x[1]` under this scorer's
+    /// tables, only the page halves are computed (see [`TimeSlice`] for
+    /// when it builds them). Allocates only when a build has to grow the
+    /// slice.
+    pub fn log_density_in(&self, x: Vec2, slice: &mut TimeSlice) -> f64 {
+        let (halves, stage) = slice.halves(&self.tables, x[1]);
+        let (m, sum) = self.log_sum_exp(x, halves, stage, |_, _| {});
         if m.is_finite() {
             m + sum.ln()
         } else {
@@ -520,10 +651,12 @@ impl GmmScorer {
     ///
     /// # Panics
     ///
-    /// Panics when `out.len() != self.k()`.
+    /// Panics when `out.len() != self.k()` — unreachable from `Icgmm`'s
+    /// public API: the one in-tree caller, the E-step, sizes its scratch
+    /// from [`GmmScorer::k`].
     pub fn unit_terms_into(&self, x: Vec2, out: &mut [f64]) -> (f64, f64) {
         assert_eq!(out.len(), self.k(), "scratch length must equal K");
-        self.log_sum_exp(x, out, |_, _| {})
+        self.log_sum_exp(x, Halves::Composed, out, |_, _| {})
     }
 
     /// Writes the posterior responsibilities `p(j | x)` into `out`, in
@@ -534,13 +667,15 @@ impl GmmScorer {
     ///
     /// # Panics
     ///
-    /// Panics when `out.len() != self.k()`.
+    /// Panics when `out.len() != self.k()` — unreachable from `Icgmm`'s
+    /// public API: the one in-tree caller, [`Gmm::responsibilities`], sizes
+    /// `out` from [`Gmm::k`].
     pub fn responsibilities_into(&self, x: Vec2, out: &mut [f64]) -> f64 {
         assert_eq!(out.len(), self.k(), "scratch length must equal K");
         let order = self.slot_components();
         let mut buf = [0.0f64; BLOCK];
         let stage = &mut buf[..BLOCK.min(order.len())];
-        let (m, sum) = self.log_sum_exp(x, stage, |start, terms| {
+        let (m, sum) = self.log_sum_exp(x, Halves::Composed, stage, |start, terms| {
             for (&component, &u) in order[start..].iter().zip(terms) {
                 out[component] = u;
             }
@@ -772,7 +907,7 @@ mod tests {
         // The clone aliases the same flattened tables — no table bytes
         // were copied (the integration allocator test pins the byte count
         // to zero; this asserts the sharing itself).
-        assert!(std::sync::Arc::ptr_eq(&scorer.tables, &copy.tables));
+        assert!(Arc::ptr_eq(&scorer.tables, &copy.tables));
         assert_eq!(scorer, copy);
         let x = [0.7, -0.3];
         assert_eq!(

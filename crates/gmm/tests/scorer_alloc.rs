@@ -1,6 +1,7 @@
 //! Allocation accounting for scorer hand-off and single-point scoring:
 //! cloning a [`GmmScorer`] and calling [`GmmScorer::log_density`] must
-//! each allocate **zero** heap bytes.
+//! each allocate **zero** heap bytes, and so must scoring through a warm
+//! [`TimeSlice`](icgmm_gmm::TimeSlice).
 //!
 //! The flattened SoA tables (six K-length `f64` columns — 12 KiB at the
 //! paper's K = 256) live behind an `Arc`, so handing a scorer to each
@@ -14,7 +15,7 @@
 
 mod support;
 
-use icgmm_gmm::{Gaussian2, Gmm, GmmScorer, Mat2};
+use icgmm_gmm::{Gaussian2, Gmm, GmmScorer, Mat2, TimeSlice};
 use support::allocated_by;
 
 fn spread_gmm(k: usize) -> Gmm {
@@ -70,6 +71,23 @@ fn scorer_clone_allocates_zero_table_bytes() {
             score_bytes,
             0,
             "log_density at K = {} allocated {score_bytes} B",
+            scorer.k()
+        );
+        // A time slice allocates the first time it meets a K (its stage)
+        // and the first time it builds halves for it; after that, new
+        // time coordinates and kept halves are free.
+        let mut slice = TimeSlice::default();
+        scorer.log_density_in(x, &mut slice);
+        scorer.log_density_in(x, &mut slice);
+        let (_, slice_bytes) = allocated_by(|| {
+            for y in [x[1], 0.5, 0.5, 0.5] {
+                scorer.log_density_in([x[0], y], &mut slice);
+            }
+        });
+        assert_eq!(
+            slice_bytes,
+            0,
+            "log_density_in at K = {} allocated {slice_bytes} B",
             scorer.k()
         );
     }

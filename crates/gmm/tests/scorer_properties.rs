@@ -10,9 +10,11 @@
 //!   skipping loop), zero-weight (`−∞`-coef) components, far points and
 //!   non-finite inputs;
 //! * `log_density_batch` ≡ `score_batch` ≡ `score_batch_parallel` ≡
-//!   `unit_terms_into`'s `m + ln Σ` ≡ `responsibilities_into`'s `lse` ≡
-//!   `log_density`, bit for bit — they are all the same two passes, so
-//!   training and inference agree on every point's log-likelihood;
+//!   `log_density_in` through a [`TimeSlice`] ≡ `unit_terms_into`'s
+//!   `m + ln Σ` ≡ `responsibilities_into`'s `lse` ≡ `log_density`, bit for
+//!   bit — they are all the same two passes, so training and inference
+//!   agree on every point's log-likelihood, whether the time halves were
+//!   rebuilt, reused, or carried over from another scorer;
 //! * the stated bound: masking moves `ln G` by at most `(K−1)·e⁻⁴⁴`
 //!   against an unmasked libm log-sum-exp, on a mixture built to sit
 //!   right at the cut;
@@ -23,7 +25,7 @@ mod fixtures;
 
 use fixtures::{fmadd, mixture, mixture_in, shuffled};
 use icgmm_gmm::scorer::TERM_CUT;
-use icgmm_gmm::{Gaussian2, Gmm, GmmScorer, Mat2, Vec2};
+use icgmm_gmm::{Gaussian2, Gmm, GmmScorer, Mat2, TimeSlice, Vec2};
 use proptest::prelude::*;
 
 /// Component counts around every structural boundary of the kernel:
@@ -50,7 +52,34 @@ fn points(n: usize, seed: u64) -> Vec<Vec2> {
     fixtures::points(n, seed, &ODD)
 }
 
+/// `log_density_in` through one slice equals `log_density`: the points as
+/// given (a new key per `y`), sorted by `y` (runs of equal `y`, the
+/// non-finite ones included, build and reuse halves) and in runs of four
+/// sharing the first one's `y` (keyed, built, then kept twice).
+fn assert_slice_agrees(scorer: &GmmScorer, xs: &[Vec2], ctx: &str) {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a[1].total_cmp(&b[1]));
+    let runs: Vec<Vec2> = (0..xs.len())
+        .map(|i| [xs[i][0], xs[i / 4 * 4][1]])
+        .collect();
+    let mut slice = TimeSlice::default();
+    for (feed, pts) in [
+        ("as given", xs),
+        ("sorted by y", &sorted),
+        ("in runs", &runs),
+    ] {
+        for x in pts {
+            assert_eq!(
+                scorer.log_density_in(*x, &mut slice).to_bits(),
+                scorer.log_density(*x).to_bits(),
+                "{ctx} ({feed}): slice vs single at {x:?}"
+            );
+        }
+    }
+}
+
 fn assert_all_paths_agree(scorer: &GmmScorer, xs: &[Vec2], threads: usize, ctx: &str) {
+    assert_slice_agrees(scorer, xs, ctx);
     let mut logs = vec![0.0; xs.len()];
     scorer.log_density_batch(xs, &mut logs);
     let mut batch = vec![0.0; xs.len()];
@@ -97,6 +126,29 @@ fn parallel_split_keeps_the_order_on_large_batches() {
         for threads in [2usize, 3] {
             assert_all_paths_agree(&scorer, &xs, threads, &format!("K={k} threads={threads}"));
         }
+    }
+}
+
+#[test]
+fn a_slice_carried_to_another_scorer_is_rebuilt() {
+    // A's halves are built and kept at `y`; B is built after A's tables
+    // are dropped, at A's K or another, so a slice keyed by the tables'
+    // address could find B's tables where A's were and keep A's halves.
+    // The slice holds A's tables instead, and scores B as B.
+    let mut slice = TimeSlice::default();
+    let x = [0.25, -1.5];
+    for (round, k) in (0u64..).zip([256usize, 256, 257, 9, 1024, 256]) {
+        let a = GmmScorer::from_gmm(&mixture(k, 2 * round));
+        let on_a = a.log_density(x);
+        for _ in 0..3 {
+            let got = a.log_density_in(x, &mut slice);
+            assert_eq!(got.to_bits(), on_a.to_bits(), "K={k}: A");
+        }
+        drop(a);
+        let b = GmmScorer::from_gmm(&mixture(k, 2 * round + 1));
+        let on_b = b.log_density_in(x, &mut slice);
+        assert_eq!(on_b.to_bits(), b.log_density(x).to_bits(), "K={k}: B");
+        assert_ne!(on_a.to_bits(), on_b.to_bits(), "K={k}: A and B must differ");
     }
 }
 
@@ -352,8 +404,8 @@ proptest! {
         assert_matches_reference(&gmm, &xs, &format!("K={k} seed={seed} dense={dense}"));
     }
 
-    /// Random mixtures and points: the three scoring paths and the E-step
-    /// `lse` agree bit for bit.
+    /// Random mixtures and points: the scoring paths (the time slice
+    /// included) and the E-step `lse` agree bit for bit.
     #[test]
     fn paths_agree_on_random_mixtures(
         k_idx in 0usize..KS.len(),
