@@ -2,14 +2,12 @@
 //! the scaling story behind `BENCH_shard.json` and CI's no-regression
 //! gate.
 //!
-//! Three scenario families at paper-scale K = 256:
+//! Two scenario families at paper-scale K = 256:
 //!
 //! * an all-miss scan (every request scores) at shard
-//!   counts {1, 2, 4, 8} against the unsharded `simulate` loop;
+//!   counts {1, 2, 4, 8} against the unsharded `simulate` loop; and
 //! * the multi-tenant pooled workload (16 tenants, Zipf-interleaved) —
-//!   the trace shape sharding exists for; and
-//! * one setup-only scenario: the index fan-out in isolation
-//!   (`fanout_partition8_tenants`).
+//!   the trace shape sharding exists for.
 //!
 //! CI gates only the S = 1 pair: one shard replays inline on the calling
 //! thread — no fan-out, no thread, no observer — so
@@ -20,8 +18,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
-    simulate, CacheConfig, LatencyModel, LruPolicy, ScoreSource, SetAssocCache, ShardPartition,
-    ShardPolicies, ShardedSimulator, ThresholdAdmit,
+    simulate, CacheConfig, LatencyModel, LruPolicy, ScoreSource, SetAssocCache, ShardPolicies,
+    ShardedSimulator, ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
@@ -180,14 +178,6 @@ fn bench_sharded(c: &mut Criterion) {
             })
         });
     }
-
-    // The fan-out in isolation: routing REQUESTS records into 8 shards'
-    // u32 index lists — the ~4 B/record representation every consumer
-    // (offline replay, serving clients, supervisor recovery) now walks.
-    // The pre-index fan-out paid per-shard record + gap copies here.
-    group.bench_function("fanout_partition8_tenants", |b| {
-        b.iter(|| black_box(ShardPartition::build(8, &cfg, &[], black_box(&tenants)).unwrap()))
-    });
 
     group.finish();
 }

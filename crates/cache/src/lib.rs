@@ -20,11 +20,11 @@
 //! [`ShardSupervisor`] — whose [`ShardSupervisor::replay`] runs a shard
 //! over whatever record walk its caller hands it (the serving workers pass
 //! their queue's arrivals), recovers a dead shard and adds the shards'
-//! reports up. The sharded entry points take the
-//! whole trace (warm-up ⧺ measured) as one slice plus `measured_from`; a
-//! shard is that slice and, above one shard, its [`ShardPartition`] list
-//! ([`ShardCtx`]). A report is counters; its modeled time is
-//! [`LatencyModel::total_us`] of them plus what an armed plan's device
+//! reports up. The sharded entry points take the whole trace (warm-up ⧺
+//! measured) as one slice plus `measured_from`; a shard is that slice
+//! walked through, above one shard, its [`ShardPartition`] — the routing
+//! rule `set mod S` ([`ShardCtx`]). A report is counters; its modeled time
+//! is [`LatencyModel::total_us`] of them plus what an armed plan's device
 //! faults added ([`SimReport::from_counts`]).
 //!
 //! ## Example

@@ -34,7 +34,7 @@ impl BeladyPolicy {
 
     /// Builds the oracle from a page sequence without materializing
     /// records — the zero-copy entry for sharded replay, where the shard
-    /// subtrace exists only as a position list over the trace
+    /// subtrace exists only as a walk over the trace
     /// (`ctx.records().map(|r| r.page().raw())`, see
     /// [`crate::ShardCtx::records`]).
     ///

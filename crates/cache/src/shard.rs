@@ -24,16 +24,16 @@
 //! * **Scores** are functions of the missed record and its global trace
 //!   position — the Algorithm 1 clock, which counts *every* request, is a
 //!   closed form of it. A miss is scored with its position
-//!   ([`ScoreSource::score`] takes it: the shard's index entry), so a
+//!   ([`ScoreSource::score`] takes it: the shard's walk carries it), so a
 //!   shard's scorer clone never needs to see a foreign record, or even its
 //!   own hits, and a source that scores from the record and its position
 //!   alone ([`ScoreSource::shardable`]) scores bit-identically to the
 //!   single-threaded stream.
 //! * **Accounting is a sum** (argued in `sim.rs`'s module docs): a report
 //!   is integer counters — [`CacheStats`], and a [`crate::MissSeries`]
-//!   bucketed by each record's *global* position, its shard-index entry —
-//!   with modeled time derived from them once. Each shard counts its own
-//!   records; the run's report is the shards' counters added up and costed
+//!   bucketed by each record's *global* position — with modeled time
+//!   derived from them once. Each shard counts its own records; the
+//!   run's report is the shards' counters added up and costed
 //!   once ([`ShardSupervisor::merge`], which checks conservation), so it
 //!   is bit-identical at every shard count *by arithmetic*, under every
 //!   latency model, with no outcome buffered and no record revisited.
@@ -47,14 +47,14 @@
 //!
 //! A replay's input is one slice — the whole trace, warm-up ⧺ measured —
 //! and `measured_from`, the position measurement starts at; a shard is
-//! that slice plus, above one shard, its position list ([`ShardCtx`]). The
-//! fan-out never copies the trace. One routing pass builds a
-//! [`ShardPartition`] — per-shard ascending lists of `u32` global trace
-//! positions, ~4 bytes per record — and each worker walks its list over
-//! the caller's slice. An entry is its record's index, scorer-clock
-//! position and miss-series position at once, so nothing else is stored
-//! per record (`tests/shard_alloc.rs` pins the routing cost, and the whole
-//! run's), and only the counting reads `measured_from`.
+//! that slice plus, above one shard, its routing rule ([`ShardCtx`]). The
+//! fan-out never copies the trace and stores nothing per record: a
+//! [`ShardPartition`] *is* the rule `set mod S`, and each worker walks
+//! the caller's slice through it ([`ShardCtx::walk`]), keeping the records
+//! its sets own with their global positions — each record's index,
+//! scorer-clock position and miss-series position at once.
+//! `tests/shard_alloc.rs` pins the routing cost at zero bytes, and the
+//! whole run's; only the counting reads `measured_from`.
 //! Policy construction (`make_shard` — including full Belady oracle
 //! passes over the shard subtrace) and the shard-determinism contract
 //! checks run *inside* each worker, in parallel; the supervisor re-runs
@@ -67,8 +67,8 @@
 //!
 //! At `S = 1` the shard *is* the whole trace, so
 //! [`ShardedSimulator::run`] replays it on the calling thread through the
-//! same per-shard function the workers use: the whole slice instead of
-//! a [`ShardPartition`], no scoped thread and — unless a panic point is
+//! same per-shard function the workers use: the whole slice with no
+//! routing, no scoped thread and — unless a panic point is
 //! armed — no replay observer; its report goes through the same sum, of
 //! one term. The supervisor's catch-and-re-replay of a panicked shard
 //! stays. This is what lets the single-threaded front-ends *be* the
@@ -101,14 +101,6 @@ pub enum ShardRunError {
     /// `series_window = Some(0)`: a miss-rate series needs at least one
     /// request per point. Refused before any shard is started.
     ZeroSeriesWindow,
-    /// The trace does not fit the `u32` index-based fan-out: a record's
-    /// global position would truncate. Raised by
-    /// [`ShardPartition::build`] *before* any routing happens — a trace
-    /// this long must fail loudly, not route records to the wrong shard.
-    TraceTooLong {
-        /// Total records (warm-up + measured) the caller presented.
-        records: usize,
-    },
     /// `measured_from` lies past the end of the trace, so measurement has
     /// no position to start at. Refused before any shard is started, not
     /// clamped.
@@ -146,11 +138,6 @@ impl fmt::Display for ShardRunError {
             ShardRunError::Config(e) => e.fmt(f),
             ShardRunError::ZeroShards => write!(f, "shard count must be >= 1"),
             ShardRunError::ZeroSeriesWindow => write!(f, "series_window must be >= 1"),
-            ShardRunError::TraceTooLong { records } => write!(
-                f,
-                "trace too long for u32 index-based fan-out ({records} records, max {})",
-                u32::MAX as u64 + 1
-            ),
             ShardRunError::MeasuredPastEnd {
                 measured_from,
                 records,
@@ -188,125 +175,70 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// The routing rule of a sharded replay: a page belongs to the shard its
-/// set index is congruent to. [`ShardPartition::build`] routes by it, and
-/// so does [`ShardCtx::routed`] — one function, so a walk that finds a
-/// shard's records without the partition's list finds exactly them.
+/// set index is congruent to (`set mod shards`). This is all a partition
+/// is — two words, `Copy`, nothing per record — so every consumer finds a
+/// shard's records by walking the trace through it: the offline replay,
+/// the supervisor's re-replay, Belady's oracle ([`ShardCtx::records`]),
+/// the refit producer ([`ShardCtx::routed`]) and serve's clients and
+/// workers.
 #[derive(Clone, Copy, Debug)]
-struct ShardRoute {
+pub struct ShardPartition {
     map: SetMap,
     shards: usize,
 }
 
-impl ShardRoute {
-    /// `set mod shards`, through the set mapping decoded once.
-    #[inline]
-    fn shard_of(self, page: PageIndex) -> usize {
-        self.map.split(page).0 % self.shards
-    }
-}
-
-/// The index-based fan-out: for each shard, the ascending list of global
-/// trace positions whose sets it owns.
-///
-/// This is the entire routing cost of a sharded replay — ~4 bytes per
-/// record, built in one two-pass sweep (exact-size allocation, no
-/// re-growth) — replacing the per-shard `TraceRecord` copies of earlier
-/// revisions. An entry is everything a record needs: its index into the
-/// trace, its scorer-clock position and its miss-series position.
-#[derive(Clone, Debug)]
-pub struct ShardPartition {
-    route: ShardRoute,
-    index: Vec<Vec<u32>>,
-}
-
 impl ShardPartition {
-    /// Whether a trace of `records` total records (warm-up + measured)
-    /// fits the `u32` position index: every global position `0..records`
-    /// must be representable, so the limit is `u32::MAX as usize + 1`
-    /// records. Pure guard arithmetic — no allocation — so the boundary is
-    /// unit-testable without materializing 4 Gi records.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardRunError::TraceTooLong`] past the limit.
-    pub fn check_capacity(records: usize) -> Result<(), ShardRunError> {
-        // The largest stored position is `records - 1`; it must fit u32.
-        if records > 0 && u32::try_from(records - 1).is_err() {
-            return Err(ShardRunError::TraceTooLong { records });
-        }
-        Ok(())
-    }
-
-    /// Routes every record of `warmup` ⧺ `measured` to its owning shard
-    /// (`set mod shards`) and records only its global position. Routing
-    /// ignores where the warm-up ends: a caller holding the trace as one
-    /// slice passes `&[]` and the slice.
+    /// The rule for `shards` shards over `cache_cfg`'s sets.
     ///
     /// # Errors
     ///
     /// Returns [`ShardRunError::Config`] for invalid cache geometry (the
-    /// set mapping would divide by zero) and
-    /// [`ShardRunError::TraceTooLong`] when the trace does not fit
-    /// `u32` positions (4 billion records would mean a >64 GiB trace —
-    /// far beyond any in-memory replay this engine targets). The check
-    /// runs before any routing: silent `as u32` truncation would route
-    /// late records to wrong shards and corrupt the replay.
-    /// [`ShardRunError::ZeroShards`] when `shards == 0`.
-    pub fn build(
-        shards: usize,
-        cache_cfg: &CacheConfig,
-        warmup: &[TraceRecord],
-        measured: &[TraceRecord],
-    ) -> Result<Self, ShardRunError> {
+    /// set mapping would divide by zero) and [`ShardRunError::ZeroShards`]
+    /// when `shards == 0`.
+    pub fn new(shards: usize, cache_cfg: &CacheConfig) -> Result<Self, ShardRunError> {
         let map = SetMap::new(cache_cfg)?;
         if shards == 0 {
             return Err(ShardRunError::ZeroShards);
         }
-        let n = warmup.len() + measured.len();
-        Self::check_capacity(n)?;
-        let mut part = ShardPartition {
-            route: ShardRoute { map, shards },
-            index: vec![Vec::new(); shards],
-        };
-        // Two passes: count, then fill exact-capacity lists — the routing
-        // allocation is precisely Σ len(shard) × 4 bytes, which the
-        // tracking-allocator test asserts.
-        let mut counts = vec![0usize; shards];
-        for r in warmup.iter().chain(measured) {
-            counts[part.shard_of(r.page())] += 1;
-        }
-        for (list, &c) in part.index.iter_mut().zip(&counts) {
-            list.reserve_exact(c);
-        }
-        for (i, r) in warmup.iter().chain(measured).enumerate() {
-            let pos = u32::try_from(i).expect("checked by check_capacity");
-            let shard = part.shard_of(r.page());
-            part.index[shard].push(pos);
-        }
-        Ok(part)
+        Ok(ShardPartition { map, shards })
     }
 
-    /// The shard owning `page`: its set index modulo the shard count,
-    /// through the set mapping decoded once in [`ShardPartition::build`].
+    /// Benchmark façade — timed by `icgmm_bench`
+    /// (`cache.shard.partition_ns_per_rec`); deleted by the benchmark PR.
+    /// [`ShardPartition::new`]: the rule reads no record.
+    #[doc(hidden)]
+    pub fn build(
+        shards: usize,
+        cache_cfg: &CacheConfig,
+        _warmup: &[TraceRecord],
+        _measured: &[TraceRecord],
+    ) -> Result<Self, ShardRunError> {
+        Self::new(shards, cache_cfg)
+    }
+
+    /// The shard owning `page`: its set index modulo the shard count (by
+    /// mask for a power of two — every shard walks the whole trace through
+    /// this), through the set mapping decoded once in
+    /// [`ShardPartition::new`].
     #[inline]
     pub fn shard_of(&self, page: PageIndex) -> usize {
-        self.route.shard_of(page)
+        let set = self.map.split(page).0;
+        if self.shards.is_power_of_two() {
+            set & (self.shards - 1)
+        } else {
+            set % self.shards
+        }
     }
 
     /// The shard count.
     pub fn shards(&self) -> usize {
-        self.index.len()
-    }
-
-    /// The ascending global positions shard `shard` owns.
-    pub fn positions(&self, shard: usize) -> &[u32] {
-        &self.index[shard]
+        self.shards
     }
 }
 
 /// One shard of a replay: its index, the shard count and the records it
-/// replays — the whole trace, or above one shard the positions its
-/// [`ShardPartition`] list names, in trace order. `make_shard` receives
+/// replays — the whole trace, or above one shard the records its
+/// [`ShardPartition`] routes to it, in trace order. `make_shard` receives
 /// it; Belady-style oracles must be built from exactly
 /// [`ShardCtx::records`], whose order is the shard-local sequence numbers
 /// the replay will present
@@ -321,41 +253,98 @@ pub struct ShardCtx<'a> {
     pub shards: usize,
     /// The whole trace (warm-up ⧺ measured).
     trace: &'a [TraceRecord],
-    /// The positions this shard owns; `None` is the whole trace.
-    positions: Option<&'a [u32]>,
-    /// The rule that routed them; `None` is the whole trace.
-    route: Option<ShardRoute>,
+    /// The rule that routes this shard's records; `None` is the one
+    /// whole-trace shard.
+    part: Option<ShardPartition>,
 }
 
 impl<'a> ShardCtx<'a> {
     /// The records this shard replays, in order.
-    pub fn records(self) -> impl ExactSizeIterator<Item = &'a TraceRecord> {
+    pub fn records(self) -> impl Iterator<Item = &'a TraceRecord> {
         self.walk().map(|(_, r)| r)
     }
 
     /// [`ShardCtx::records`] with their global trace positions: what the
-    /// replay loop walks.
-    fn walk(self) -> impl ExactSizeIterator<Item = (u64, &'a TraceRecord)> {
-        let (trace, positions) = (self.trace, self.positions);
-        let n = positions.map_or(trace.len(), <[u32]>::len);
-        (0..n).map(move |i| {
-            let pos = positions.map_or(i, |p| p[i] as usize);
-            (pos as u64, &trace[pos])
-        })
+    /// replay loop walks, and what a serve worker checks its arrivals
+    /// against.
+    pub fn walk(self) -> impl Iterator<Item = (u64, &'a TraceRecord)> + Send + 'a {
+        self.routed(self.trace)
     }
 
-    /// The same walk over `records` — the slice the supervisor replays —
-    /// found by the routing rule instead of read off the partition's list.
-    /// It borrows nothing of the ctx, so it may outlive the partition: a
-    /// shard's adaptation producer walks it on a thread of its own.
+    /// The same walk over `records` — the slice the supervisor replays.
+    /// It borrows nothing of the ctx, so it may outlive it: a shard's
+    /// adaptation producer walks it on a thread of its own.
     pub fn routed<'t>(
         &self,
         records: &'t [TraceRecord],
     ) -> impl Iterator<Item = (u64, &'t TraceRecord)> + Send + 't {
-        let (route, shard) = (self.route, self.shard);
-        (0u64..)
-            .zip(records)
-            .filter(move |(_, r)| route.is_none_or(|route| route.shard_of(r.page()) == shard))
+        Walk {
+            trace: records,
+            next: 0,
+            rule: self.part.map(|part| (part, self.shard)),
+            members: 0,
+            base: 0,
+        }
+    }
+}
+
+/// [`ShardCtx::routed`]'s iterator. One shard takes every record untested;
+/// above one, `next_routed` applies the rule 64 records at a time into a
+/// bit mask — `members`, bit `i` for each of this shard's records at
+/// `base + i` not yet yielded. Both are measured choices (1.2 M `memtier`
+/// records): a branch per record mispredicts on about every other one at
+/// two shards (≈ 5.3 ns per trace record and shard, against ≈ 3.2), and
+/// the search inlined into the replay loop, as a `filter`, cost the
+/// one-shard replay — which never searches — ≈ 5 % (LRU, 10.4 → 10.9
+/// ns/record).
+struct Walk<'t> {
+    trace: &'t [TraceRecord],
+    /// The first position not yet looked at.
+    next: usize,
+    /// The partition and this shard; `None` keeps every record.
+    rule: Option<(ShardPartition, usize)>,
+    members: u64,
+    base: usize,
+}
+
+impl<'t> Iterator for Walk<'t> {
+    type Item = (u64, &'t TraceRecord);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        match self.rule {
+            None => {
+                let r = self.trace.get(self.next)?;
+                self.next += 1;
+                Some(((self.next - 1) as u64, r))
+            }
+            Some((part, shard)) => self.next_routed(part, shard),
+        }
+    }
+}
+
+impl<'t> Walk<'t> {
+    #[inline(never)]
+    fn next_routed(
+        &mut self,
+        part: ShardPartition,
+        shard: usize,
+    ) -> Option<(u64, &'t TraceRecord)> {
+        while self.members == 0 {
+            let rest = &self.trace[self.next..];
+            let block = &rest[..rest.len().min(64)];
+            if block.is_empty() {
+                return None;
+            }
+            self.base = self.next;
+            self.next += block.len();
+            self.members = block.iter().enumerate().fold(0, |m, (i, r)| {
+                m | u64::from(part.shard_of(r.page()) == shard) << i
+            });
+        }
+        let pos = self.base + self.members.trailing_zeros() as usize;
+        self.members &= self.members - 1;
+        Some((pos as u64, &self.trace[pos]))
     }
 }
 
@@ -469,8 +458,7 @@ pub struct ShardSupervisor<'a> {
     latency: LatencyModel,
     make_shard: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
     fault: FaultPlan,
-    /// `None` is the inline whole-trace shard.
-    part: Option<&'a ShardPartition>,
+    part: ShardPartition,
     records: &'a [TraceRecord],
     measured_from: usize,
     series_window: Option<u64>,
@@ -478,12 +466,10 @@ pub struct ShardSupervisor<'a> {
 
 impl<'a> ShardSupervisor<'a> {
     /// A supervisor for one run of `part`'s shards over `records` (warm-up
-    /// ⧺ measured, measured from position `measured_from` on — the slice
-    /// and the `cache_cfg` that `part` was built from:
-    /// [`ShardPartition::build`] validated the geometry); `part: None` is
-    /// the one whole-trace shard [`ShardedSimulator::run`] replays inline
-    /// at `S = 1`. `make_shard` runs on whichever thread replays a
-    /// shard; `fault` arms the per-shard panic points and
+    /// ⧺ measured, measured from position `measured_from` on; `part` was
+    /// built for `cache_cfg`: [`ShardPartition::new`] validated the
+    /// geometry); one shard is the whole trace, walked with no routing.
+    /// `make_shard` runs on whichever thread replays a shard; `fault` arms the per-shard panic points and
     /// device faults;
     /// `series_window`, when set, has every shard keep its share of a
     /// per-window miss series.
@@ -499,7 +485,7 @@ impl<'a> ShardSupervisor<'a> {
         latency: &LatencyModel,
         make_shard: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
         fault: FaultPlan,
-        part: Option<&'a ShardPartition>,
+        part: ShardPartition,
         records: &'a [TraceRecord],
         measured_from: usize,
         series_window: Option<u64>,
@@ -525,22 +511,23 @@ impl<'a> ShardSupervisor<'a> {
         })
     }
 
-    /// Shard `shard`: the trace and, above one shard, its position list.
-    fn ctx(&self, shard: usize) -> ShardCtx<'a> {
+    /// Shard `shard`: the trace and, above one shard, the rule that routes
+    /// its records.
+    pub fn ctx(&self, shard: usize) -> ShardCtx<'a> {
+        let shards = self.part.shards();
         ShardCtx {
             shard,
-            shards: self.part.map_or(1, ShardPartition::shards),
+            shards,
             trace: self.records,
-            positions: self.part.map(|part| part.positions(shard)),
-            route: self.part.map(|part| part.route),
+            part: (shards > 1).then_some(self.part),
         }
     }
 
     /// Shard `shard`'s first attempt, over `walk`: its records with their
-    /// global trace positions, in trace order — exactly the positions its
-    /// [`ShardCtx`] names (offline, the caller's slice walked along the
-    /// shard's [`ShardPartition`] list; served, what the worker's queue
-    /// delivers). Builds the shard's policies (`make_shard` over its
+    /// global trace positions, in trace order — exactly its
+    /// [`ShardCtx::walk`] (offline, that walk itself; served, what the
+    /// worker's queue delivers, checked against it). Builds the shard's
+    /// policies (`make_shard` over its
     /// [`ShardCtx`]), checks the shard-determinism contract and runs the
     /// streaming loop with the fault plan's panic point armed — independent
     /// of every other shard (own cache, policies, scorer clone and
@@ -558,7 +545,14 @@ impl<'a> ShardSupervisor<'a> {
         shard: usize,
         walk: impl Iterator<Item = (u64, &'r TraceRecord)>,
     ) -> Result<(SimReport, u64), ShardRunError> {
-        let len = self.ctx(shard).records().len();
+        // Arming a panic point needs the shard's length — one more walk,
+        // which only an armed plan pays.
+        let armed = self.fault.shard_panic_per_mille > 0;
+        let len = if armed {
+            self.ctx(shard).records().count()
+        } else {
+            0
+        };
         self.attempt(shard, self.fault.shard_panic_point(shard, len), walk)
     }
 
@@ -755,20 +749,15 @@ impl ShardedSimulator {
         latency: &LatencyModel,
         series_window: Option<u64>,
     ) -> Result<ShardedReport, ShardRunError> {
-        cache_cfg.validate()?;
-        // Zero-copy fan-out: 4 bytes of routing per record — its global
-        // position, which the scorer clock and the miss series both read.
-        // One shard is the whole trace and needs none.
-        let part = match self.shards {
-            1 => None,
-            s => Some(ShardPartition::build(s, &cache_cfg, &[], records)?),
-        };
+        // Zero-copy fan-out: each shard walks the caller's slice through
+        // the routing rule; nothing is stored per record.
+        let part = ShardPartition::new(self.shards, &cache_cfg)?;
         let sup = &ShardSupervisor::new(
             cache_cfg,
             latency,
             make_shard,
             self.fault,
-            part.as_ref(),
+            part,
             records,
             measured_from,
             series_window,
@@ -780,14 +769,14 @@ impl ShardedSimulator {
         // (`crossbeam` stays in this crate's manifest, unused, until the
         // benchmark PR prunes it with the lockfile — ROADMAP 2d.)
         let replay = |shard| sup.replay(shard, sup.ctx(shard).walk());
-        let joined: Vec<thread::Result<Result<ShardDone, ShardRunError>>> = match &part {
-            Some(part) => thread::scope(|scope| {
-                let handles: Vec<_> = (0..part.shards())
+        let joined: Vec<thread::Result<Result<ShardDone, ShardRunError>>> = match part.shards() {
+            1 => vec![catch_unwind(AssertUnwindSafe(|| replay(0)))],
+            s => thread::scope(|scope| {
+                let handles: Vec<_> = (0..s)
                     .map(|shard| scope.spawn(move || replay(shard)))
                     .collect();
                 handles.into_iter().map(|h| h.join()).collect()
             }),
-            None => vec![catch_unwind(AssertUnwindSafe(|| replay(0)))],
         };
         let mut fault = FaultStats::default();
         let mut shards = Vec::with_capacity(joined.len());
@@ -825,7 +814,7 @@ mod tests {
         let run = ShardedSimulator::new(0).run(&trace, 0, cfg, &make, &lat, None);
         assert_eq!(run.err(), Some(ShardRunError::ZeroShards));
         assert_eq!(
-            ShardPartition::build(0, &cfg, &[], &trace).err(),
+            ShardPartition::new(0, &cfg).err(),
             Some(ShardRunError::ZeroShards)
         );
         assert!(ShardRunError::ZeroShards
@@ -843,79 +832,48 @@ mod tests {
             .contains("series_window"));
     }
 
-    #[test]
-    fn partition_splits_phases_and_preserves_order() {
-        let cfg = CacheConfig {
-            capacity_bytes: 16 * 4096,
-            block_bytes: 4096,
-            ways: 2,
-        };
-        // 8 sets, pages p map to set p % 8; 2 shards → shard = set % 2.
-        let trace: Vec<TraceRecord> = (0..16u64).map(|p| TraceRecord::read(p << 12)).collect();
-        let whole = ShardPartition::build(2, &cfg, &[], &trace).unwrap();
-        for split in [0, 6, 16] {
-            // Where the warm-up ends does not move a record.
-            let (warm, meas) = trace.split_at(split);
-            let part = ShardPartition::build(2, &cfg, warm, meas).unwrap();
-            for shard in 0..2 {
-                assert_eq!(
-                    part.positions(shard),
-                    whole.positions(shard),
-                    "split {split}"
-                );
-            }
-        }
-        for shard in 0..2 {
-            let idx = whole.positions(shard);
-            assert!(idx.windows(2).all(|w| w[0] < w[1]), "ascending order");
-            let ctx = ShardCtx {
-                shard,
-                shards: 2,
-                trace: &trace,
-                positions: Some(idx),
-                route: Some(whole.route),
+    proptest::proptest! {
+        /// The one walk. Over random geometries (set counts power of two
+        /// and not) and S ∈ {1, 2, 3, 8}, the shards' walks cover every
+        /// trace position exactly once, each shard's in ascending order
+        /// and only over the sets it owns; `routed(trace)` is `walk()`,
+        /// and one shard walks the whole trace.
+        #[test]
+        fn every_position_walks_once_in_order(
+            sets in 1u64..40,
+            ways in 1usize..5,
+            s in 0usize..4,
+            pages in proptest::collection::vec(0u64..512, 0..600),
+        ) {
+            let shards = [1, 2, 3, 8][s];
+            let cfg = CacheConfig {
+                capacity_bytes: sets * ways as u64 * 4096,
+                block_bytes: 4096,
+                ways,
             };
-            assert_eq!(ctx.records().len(), idx.len());
-            assert!(ctx.routed(&trace).eq(ctx.walk()), "the rule finds the list");
-            for ((pos, r), &i) in ctx.walk().zip(idx) {
-                assert_eq!((pos, r), (u64::from(i), &trace[i as usize]));
-                assert_eq!(cfg.set_of(r.page()) % 2, shard, "routing by set");
-                assert_eq!(whole.shard_of(r.page()), shard);
+            let trace: Vec<TraceRecord> = pages.iter().map(|p| TraceRecord::read(p << 12)).collect();
+            let part = ShardPartition::new(shards, &cfg).unwrap();
+            let make = |_: &ShardCtx<'_>| -> ShardPolicies { unreachable!("no shard is built") };
+            let plan = FaultPlan::empty();
+            let lat = LatencyModel::paper_tlc();
+            let sup = ShardSupervisor::new(cfg, &lat, &make, plan, part, &trace, 0, None).unwrap();
+            let mut walked = vec![0u32; trace.len()];
+            for shard in 0..shards {
+                let ctx = sup.ctx(shard);
+                proptest::prop_assert_eq!(ctx.shards, shards);
+                proptest::prop_assert!(ctx.routed(&trace).eq(ctx.walk()), "routed ≠ walk");
+                proptest::prop_assert!(ctx.records().eq(ctx.walk().map(|(_, r)| r)));
+                let mut last = None;
+                for (pos, r) in ctx.walk() {
+                    proptest::prop_assert!(last < Some(pos), "{pos} after {last:?}");
+                    last = Some(pos);
+                    proptest::prop_assert!(std::ptr::eq(r, &trace[pos as usize]));
+                    proptest::prop_assert_eq!(cfg.set_of(r.page()) % shards, shard);
+                    proptest::prop_assert_eq!(part.shard_of(r.page()), shard);
+                    walked[pos as usize] += 1;
+                }
             }
+            proptest::prop_assert!(walked.iter().all(|&n| n == 1), "{walked:?}");
         }
-        let total: usize = (0..2).map(|s| whole.positions(s).len()).sum();
-        assert_eq!(total, trace.len());
-        let inline = ShardCtx {
-            shard: 0,
-            shards: 1,
-            trace: &trace,
-            positions: None,
-            route: None,
-        };
-        assert!(inline.routed(&trace).eq(inline.walk()), "one shard is all");
-        assert_eq!(inline.walk().len(), trace.len());
-    }
-
-    #[test]
-    fn capacity_guard_boundaries() {
-        // Pure arithmetic — the limit is checked without allocating the
-        // 4 Gi records it describes. Positions are 0-based, so exactly
-        // u32::MAX + 1 records (last position u32::MAX) still fit.
-        let max = u32::MAX as usize + 1;
-        assert_eq!(ShardPartition::check_capacity(0), Ok(()));
-        assert_eq!(ShardPartition::check_capacity(1), Ok(()));
-        assert_eq!(ShardPartition::check_capacity(max), Ok(()));
-        assert_eq!(
-            ShardPartition::check_capacity(max + 1),
-            Err(ShardRunError::TraceTooLong { records: max + 1 })
-        );
-        assert_eq!(
-            ShardPartition::check_capacity(usize::MAX),
-            Err(ShardRunError::TraceTooLong {
-                records: usize::MAX
-            })
-        );
-        let msg = ShardRunError::TraceTooLong { records: max + 1 }.to_string();
-        assert!(msg.contains("trace too long"), "{msg}");
     }
 }

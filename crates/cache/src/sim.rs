@@ -30,11 +30,11 @@
 //! cache, the policies and the Algorithm 1 clock still live through it
 //! (§3.1), so a replay's input is the whole trace — warm-up ⧺ measured,
 //! one contiguous slice — plus `measured_from`, the position measurement
-//! starts at. The loop walks `(global position, &record)` pairs: a slice's
-//! own indices, a shard's [`crate::ShardPartition`] list over the same
-//! slice, or the positions a serving worker's queue delivers. Only the
-//! counting reads the boundary. The two-slice entry points feed the same
-//! loop the slices chained.
+//! starts at. The loop walks `(global position, &record)` pairs: the
+//! slice's records a shard's routing rule keeps ([`crate::ShardCtx::walk`];
+//! all of them at one shard), or the positions a serving worker's queue
+//! delivers. Only the counting reads the boundary. The two-slice entry
+//! points feed the same loop the slices chained.
 //!
 //! # Accounting is a sum
 //!
@@ -234,8 +234,8 @@ pub fn simulate_streaming_observed_with_warmup(
 
 /// The streaming loop behind every entry point. `records` walks the
 /// replayed records with their global trace positions, ascending — a
-/// slice's own indices, a shard's partition list over the whole trace, or
-/// a serving worker's arrivals — and `acct` counts them (it holds the
+/// slice's own indices, a shard's routed walk over the whole trace, or a
+/// serving worker's arrivals — and `acct` counts them (it holds the
 /// position measurement starts at: the whole trace's warm-up length,
 /// however few warm-up records this walk holds). Returns the report and
 /// how many records consumed a score (scored misses, warm-up included).

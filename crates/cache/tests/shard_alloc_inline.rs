@@ -1,9 +1,9 @@
 //! Allocation accounting for the inline one-shard geometry.
 //!
 //! `ShardedSimulator::new(1)` is what the single-threaded front-ends run
-//! on, so it must not pay fan-out machinery it cannot use: no
-//! `ShardPartition` index list (~4 B/record), and — like every shard
-//! count — nothing buffered per record. This test
+//! on, so it must not pay fan-out machinery it cannot use: no routing (the
+//! one shard walks the whole slice), and — like every shard count —
+//! nothing buffered per record. This test
 //! pins its allocation footprint to the plain simulator's plus a small
 //! constant, so a regression back to `O(records)` buffering fails loudly.
 //!
@@ -23,7 +23,7 @@ fn one_shard_replay_allocates_nothing_per_record() {
     const N: usize = 200_000;
     // What one report, one policy set and the result vectors may cost on
     // top of the plain simulator — three orders of magnitude below the
-    // 800 kB an index list alone would add.
+    // 800 kB a per-record `u32` of routing would add.
     const SLACK: usize = 4096;
     let cfg = small_cfg();
     let lat = LatencyModel::paper_tlc();

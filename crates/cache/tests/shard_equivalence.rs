@@ -690,8 +690,8 @@ fn a_boundary_past_the_end_is_a_typed_error() {
                 ShardedSimulator::new(shards).run(&trace, measured_from, cfg, &refused, &lat, None);
             assert_eq!(run.err(), want, "{shards} shards");
         }
-        let part = ShardPartition::build(2, &cfg, &[], &trace).unwrap();
-        for part in [None, Some(&part)] {
+        for shards in [1usize, 2] {
+            let part = ShardPartition::new(shards, &cfg).unwrap();
             let plan = FaultPlan::empty();
             let sup =
                 ShardSupervisor::new(cfg, &lat, &refused, plan, part, &trace, measured_from, None);

@@ -16,13 +16,6 @@ pub enum IcgmmError {
     NotFitted,
     /// The trace was empty after preprocessing.
     EmptyTrace,
-    /// The trace does not fit the sharded fan-out's `u32` position index
-    /// (≥ 2³² records): routing would silently truncate, so the run is
-    /// refused instead.
-    TraceTooLong {
-        /// Total records (warm-up + measured) the caller presented.
-        records: usize,
-    },
     /// A replay shard failed beyond recovery: its worker panicked and the
     /// supervisor's single-threaded re-replay of the same subtrace panicked
     /// too (armed fault-plan panics recover and never reach this).
@@ -44,10 +37,6 @@ impl fmt::Display for IcgmmError {
                 f.write_str("policy engine not trained: call fit() before a GMM mode")
             }
             IcgmmError::EmptyTrace => f.write_str("trace is empty after preprocessing"),
-            IcgmmError::TraceTooLong { records } => write!(
-                f,
-                "trace too long for u32 index-based sharded fan-out ({records} records)"
-            ),
             IcgmmError::ShardFailed { shard, message } => {
                 write!(f, "replay shard {shard} failed: {message}")
             }
@@ -95,9 +84,6 @@ impl From<icgmm_cache::ShardRunError> for IcgmmError {
             | icgmm_cache::ShardRunError::MeasuredPastEnd { .. }) => {
                 IcgmmError::Config(e.to_string())
             }
-            icgmm_cache::ShardRunError::TraceTooLong { records } => {
-                IcgmmError::TraceTooLong { records }
-            }
             icgmm_cache::ShardRunError::ShardFailed { shard, message } => {
                 IcgmmError::ShardFailed { shard, message }
             }
@@ -133,16 +119,5 @@ mod tests {
         }
         .into();
         assert!(matches!(e, IcgmmError::ShardFailed { shard: 7, .. }));
-    }
-
-    #[test]
-    fn trace_too_long_converts_from_both_layers() {
-        let records = u32::MAX as usize + 2;
-        let e: IcgmmError = icgmm_cache::ShardRunError::TraceTooLong { records }.into();
-        assert!(matches!(e, IcgmmError::TraceTooLong { records: r } if r == records));
-        assert!(e.to_string().contains("trace too long"));
-        let served = icgmm_cache::ShardRunError::TraceTooLong { records };
-        let e: IcgmmError = icgmm_serve::ServeError::Shard(served).into();
-        assert!(matches!(e, IcgmmError::TraceTooLong { records: r } if r == records));
     }
 }

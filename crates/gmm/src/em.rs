@@ -16,7 +16,7 @@
 
 use crate::error::GmmError;
 use crate::gaussian::{Gaussian2, Mat2, Vec2};
-use crate::init::{init_params, InitMethod};
+use crate::init::init_params;
 use crate::model::Gmm;
 use crate::scorer::GmmScorer;
 use rand::rngs::StdRng;
@@ -36,8 +36,6 @@ pub struct EmConfig {
     pub reg_covar: f64,
     /// RNG seed (initialization and empty-component re-seeding).
     pub seed: u64,
-    /// Initialization strategy.
-    pub init: InitMethod,
     /// E-step worker threads; `0` selects the available parallelism.
     pub threads: usize,
 }
@@ -50,7 +48,6 @@ impl Default for EmConfig {
             tol: 1e-4,
             reg_covar: 1e-6,
             seed: 0x0D0C_5EED,
-            init: InitMethod::default(),
             threads: 0,
         }
     }
@@ -310,14 +307,8 @@ impl EmTrainer {
         let total_w = total_weight(xs, ws)?;
         let k = self.cfg.k.min(xs.len());
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let (mut weights, mut means, mut covs) = init_params(
-            xs,
-            ws,
-            k,
-            self.cfg.init,
-            self.cfg.reg_covar.max(1e-9),
-            &mut rng,
-        );
+        let (mut weights, mut means, mut covs) =
+            init_params(xs, ws, k, self.cfg.reg_covar.max(1e-9), &mut rng);
 
         let threads = if self.cfg.threads == 0 {
             std::thread::available_parallelism()

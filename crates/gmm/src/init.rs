@@ -1,37 +1,19 @@
 //! Parameter initialization for EM: weighted k-means++ seeding with a short
-//! Lloyd refinement, or plain random data points.
+//! Lloyd refinement.
 
 use crate::gaussian::{Mat2, Vec2};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
-/// How EM initializes means, covariances and weights.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum InitMethod {
-    /// Weighted k-means++ seeding followed by `lloyd_iters` Lloyd steps.
-    /// This is the default; it makes K=256 EM converge in a handful of
-    /// iterations on trace data.
-    KmeansPlusPlus {
-        /// Number of Lloyd refinement iterations after seeding.
-        lloyd_iters: usize,
-    },
-    /// Means drawn uniformly (weight-proportionally) from the data;
-    /// covariances set to the global data covariance.
-    RandomPoints,
-}
+/// Lloyd refinement steps after k-means++ seeding: enough to make K = 256
+/// EM converge in a handful of iterations on trace data.
+const LLOYD_ITERS: usize = 3;
 
-impl Default for InitMethod {
-    fn default() -> Self {
-        InitMethod::KmeansPlusPlus { lloyd_iters: 3 }
-    }
-}
-
-/// Initial `(weights, means, covariances)` for EM.
+/// Initial `(weights, means, covariances)` for EM: weighted k-means++
+/// seeding, [`LLOYD_ITERS`] Lloyd steps, then a hard assignment.
 pub(crate) fn init_params<R: Rng + ?Sized>(
     xs: &[Vec2],
     ws: &[f64],
     k: usize,
-    method: InitMethod,
     reg_covar: f64,
     rng: &mut R,
 ) -> (Vec<f64>, Vec<Vec2>, Vec<Mat2>) {
@@ -39,18 +21,10 @@ pub(crate) fn init_params<R: Rng + ?Sized>(
     let w_at = |i: usize| if ws.is_empty() { 1.0 } else { ws[i] };
     let global = global_cov(xs, ws);
 
-    let means = match method {
-        InitMethod::RandomPoints => (0..k)
-            .map(|_| xs[weighted_index(xs.len(), ws, rng)])
-            .collect::<Vec<_>>(),
-        InitMethod::KmeansPlusPlus { lloyd_iters } => {
-            let mut means = kmeanspp_seed(xs, ws, k, rng);
-            for _ in 0..lloyd_iters {
-                lloyd_step(xs, ws, &mut means, rng);
-            }
-            means
-        }
-    };
+    let mut means = kmeanspp_seed(xs, ws, k, rng);
+    for _ in 0..LLOYD_ITERS {
+        lloyd_step(xs, ws, &mut means, rng);
+    }
 
     // Cluster-responsibility hard assignment for weights and covariances.
     let mut nk = vec![0.0f64; k];
@@ -248,7 +222,7 @@ mod tests {
     fn kmeanspp_finds_both_clusters() {
         let xs = two_cluster_data();
         let mut rng = StdRng::seed_from_u64(1);
-        let (w, m, c) = init_params(&xs, &[], 2, InitMethod::default(), 1e-6, &mut rng);
+        let (w, m, c) = init_params(&xs, &[], 2, 1e-6, &mut rng);
         assert_eq!(w.len(), 2);
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // One mean near each cluster centre.
@@ -259,20 +233,10 @@ mod tests {
     }
 
     #[test]
-    fn random_points_init_is_valid() {
-        let xs = two_cluster_data();
-        let mut rng = StdRng::seed_from_u64(2);
-        let (w, m, c) = init_params(&xs, &[], 8, InitMethod::RandomPoints, 1e-6, &mut rng);
-        assert_eq!(m.len(), 8);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(c.iter().all(|c| c.is_spd()));
-    }
-
-    #[test]
     fn more_components_than_points_is_survivable() {
         let xs = vec![[0.0, 0.0], [1.0, 1.0]];
         let mut rng = StdRng::seed_from_u64(3);
-        let (w, m, c) = init_params(&xs, &[], 5, InitMethod::default(), 1e-6, &mut rng);
+        let (w, m, c) = init_params(&xs, &[], 5, 1e-6, &mut rng);
         assert_eq!(m.len(), 5);
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(c.iter().all(|c| c.is_spd()));

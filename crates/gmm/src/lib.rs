@@ -63,7 +63,6 @@ pub use em::{e_step, EmConfig, EmReport, EmTrainer, SuffStats};
 pub use error::GmmError;
 pub use gaussian::{Gaussian2, Mat2, Vec2};
 pub use incremental::IncrementalEm;
-pub use init::InitMethod;
 pub use model::Gmm;
 pub use scaler::StandardScaler;
 pub use scorer::{GmmScorer, TimeSlice};

@@ -6,8 +6,8 @@
 //!
 //! A worker runs no loop of its own: it hands [`ShardSupervisor::replay`]
 //! — the function behind every offline shard — a record walk that pulls
-//! batches of positions off its queue ([`Arrivals`]) instead of walking a
-//! position list. Two arguments then carry the rest:
+//! batches of positions off its queue ([`Arrivals`]) instead of walking
+//! the caller's slice itself. Two arguments then carry the rest:
 //!
 //! 1. **Set partitioning** ([`icgmm_cache::ShardedSimulator`]'s argument):
 //!    a shard worker sees exactly the requests whose sets it owns, in trace
@@ -24,11 +24,11 @@
 //! recovery, the sum) is [`ShardSupervisor`]'s.
 //!
 //! What a sum cannot see is a record that never reached its shard, or
-//! reached the wrong one. So workers check every arrival against their own
-//! position list ([`transport_violation`]) and the sum checks conservation
-//! of the access count. Either failing is a bug in this module and panics
-//! the session; it is *not* handed to the supervisor's recovery, whose
-//! re-replay would hide it.
+//! reached the wrong one. So workers check every arrival against the next
+//! position of their own shard's offline walk ([`transport_violation`])
+//! and the sum checks conservation of the access count. Either failing is
+//! a bug in this module and panics the session; it is *not* handed to the
+//! supervisor's recovery, whose re-replay would hide it.
 //!
 //! # Deadlock freedom
 //!
@@ -70,7 +70,7 @@ struct Batch {
     /// wait: buffer dwell is a batching artifact and excluded from the
     /// admission latency, backpressure is real queueing and included.
     t_submit: Instant,
-    positions: Vec<u32>,
+    positions: Vec<u64>,
 }
 
 /// The serving front-end. Construction validates the configuration;
@@ -155,7 +155,7 @@ impl CacheServer {
     ///
     /// [`ServeError::Shard`] with the offline engine's own
     /// [`ShardRunError`]: `Config` for invalid cache geometry,
-    /// `TraceTooLong`, `ZeroSeriesWindow` for `series_window = Some(0)`,
+    /// `ZeroSeriesWindow` for `series_window = Some(0)`,
     /// `MeasuredPastEnd` for `measured_from > records.len()`, `Contract`
     /// when running more than one shard with a non-shard-deterministic
     /// eviction policy or a non-shardable score source, `ShardFailed` when
@@ -178,19 +178,19 @@ impl CacheServer {
         let s = self.cfg.shards;
         let clients = self.cfg.clients.min(s);
 
-        // Zero-copy fan-out — the identical [`ShardPartition`] the offline
-        // sharded replay builds (it validates the geometry): clients walk
-        // its position lists, workers check what they receive against
-        // their own. The shard lifecycle is the offline engine's too; the
-        // supervisor refuses a zero series window and a boundary past the
-        // end here, before any thread exists.
-        let part = &ShardPartition::build(s, &cache_cfg, &[], records)?;
+        // Zero-copy fan-out — the routing rule the offline sharded replay
+        // walks by (it validates the geometry): clients route the caller's
+        // slice by it, workers check what they receive against their
+        // shard's own walk. The shard lifecycle is the offline engine's
+        // too; the supervisor refuses a zero series window and a boundary
+        // past the end here, before any thread exists.
+        let part = ShardPartition::new(s, &cache_cfg)?;
         let sup = &ShardSupervisor::new(
             cache_cfg,
             latency,
             make_shard,
             self.cfg.fault,
-            Some(part),
+            part,
             records,
             measured_from,
             series_window,
@@ -203,12 +203,13 @@ impl CacheServer {
         let batch = depth.clamp(1, SUBMIT_BATCH);
         let slots = (depth / batch).max(1);
         let mut ingest_rx: Vec<Receiver<Batch>> = Vec::with_capacity(s);
-        // Client `c` owns — submits for — the shards congruent to `c`.
-        let mut client_senders: Vec<Vec<(usize, Sender<Batch>)>> =
+        // Client `c` owns — submits for — the shards congruent to `c`,
+        // shard `c + k · clients` in its slot `k`.
+        let mut client_senders: Vec<Vec<Sender<Batch>>> =
             (0..clients).map(|_| Vec::new()).collect();
         for shard in 0..s {
             let (tx, rx) = bounded::<Batch>(slots);
-            client_senders[shard % clients].push((shard, tx));
+            client_senders[shard % clients].push(tx);
             ingest_rx.push(rx);
         }
 
@@ -230,8 +231,8 @@ impl CacheServer {
                         // client's sends into no-ops, and the join below
                         // fails the session.
                         let mut hist = LatencyHistogram::new();
-                        let owned = part.positions(shard);
-                        let arrivals = Arrivals::new(rx, owned, records, measured_from, &mut hist);
+                        let walk = sup.ctx(shard).walk();
+                        let arrivals = Arrivals::new(rx, walk, measured_from, &mut hist);
                         let done = sup.replay(shard, arrivals)?;
                         Ok((done, hist))
                     })
@@ -239,7 +240,10 @@ impl CacheServer {
                 .collect();
             let client_handles: Vec<_> = client_senders
                 .into_iter()
-                .map(|owned| scope.spawn(move || run_client(part, owned, batch)))
+                .enumerate()
+                .map(|(client, owned)| {
+                    scope.spawn(move || run_client(part, records, (client, clients), owned, batch))
+                })
                 .collect();
 
             // The calling thread only joins — every handle, even once the
@@ -307,17 +311,19 @@ impl CacheServer {
 struct TransportViolation(String);
 
 /// The transport contract, checked where records arrive: the `seen`-th
-/// record a shard's worker receives must carry the `seen`-th global
-/// position the partition routed to that shard (`owned`), and the stream
-/// must end (`got = None`) exactly when the list does. Loss, duplication,
+/// record a shard's worker receives must carry the position of the
+/// `seen`-th record of the shard's own walk (`want`), and the stream must
+/// end (`got = None`) exactly when the walk does. Loss, duplication,
 /// reordering and misrouting all show up as `got` differing from the one
 /// position it can be.
-fn transport_violation(owned: &[u32], seen: usize, got: Option<u32>) -> Option<TransportViolation> {
-    let want = owned.get(seen).copied();
+fn transport_violation(
+    seen: usize,
+    got: Option<u64>,
+    want: Option<u64>,
+) -> Option<TransportViolation> {
     (got != want).then(|| {
         TransportViolation(format!(
-            "record {seen} of {} arrived as position {got:?}, expected {want:?}",
-            owned.len()
+            "record {seen} arrived as position {got:?}, expected {want:?}"
         ))
     })
 }
@@ -344,40 +350,37 @@ fn recover(
 /// interleaved traffic every shard still fills ≤[`SUBMIT_BATCH`]-record
 /// batches instead of degenerating to run-length-1 sends.
 ///
-/// The client copies no records: it walks its owned shards'
-/// [`ShardPartition`] index lists directly (a k-way merge over ascending
-/// lists reproduces ascending global order) and sends positions — the
-/// worker reads each record out of the caller's slice, as the offline
-/// fan-out does. A batch ships when it fills, the leftovers at the end, in
-/// any order: nothing downstream waits for one shard's records before
-/// another's.
-fn run_client(part: &ShardPartition, owned: Vec<(usize, Sender<Batch>)>, batch: usize) {
-    let mut cursors = vec![0usize; owned.len()];
+/// The client copies no records: it walks the caller's slice once, routes
+/// each record by `part` and buffers the positions of the shards it owns
+/// (client `client` of `clients` owns shard `client + k · clients` in
+/// `owned[k]`); the worker takes each record from its shard's own walk
+/// over the same slice. A batch ships when it fills, the leftovers at the
+/// end, in any order: nothing downstream waits for one shard's records
+/// before another's.
+fn run_client(
+    part: ShardPartition,
+    records: &[TraceRecord],
+    (client, clients): (usize, usize),
+    owned: Vec<Sender<Batch>>,
+    batch: usize,
+) {
     // One open batch per owned shard.
-    let mut bufs: Vec<Vec<u32>> = owned.iter().map(|_| Vec::new()).collect();
+    let mut bufs: Vec<Vec<u64>> = owned.iter().map(|_| Vec::with_capacity(batch)).collect();
     // Stamp, then a blocking send — safe because the worker on the other
     // end blocks on nothing but this queue. A send to a dead shard errors
     // out and is ignored: the supervisor's re-replay covers its records.
-    let flush = |slot: usize, positions: Vec<u32>| {
-        let _ = owned[slot].1.send(Batch {
+    let flush = |slot: usize, positions: Vec<u64>| {
+        let _ = owned[slot].send(Batch {
             t_submit: Instant::now(),
             positions,
         });
     };
-    loop {
-        // Pick the owned shard whose next index entry is the smallest
-        // global position — the k-way merge step (k = owned shards,
-        // typically shards / clients).
-        let mut next: Option<(usize, u32)> = None;
-        for (slot, (shard, _)) in owned.iter().enumerate() {
-            if let Some(&pos) = part.positions(*shard).get(cursors[slot]) {
-                if next.is_none_or(|(_, best)| pos < best) {
-                    next = Some((slot, pos));
-                }
-            }
+    for (pos, r) in (0u64..).zip(records) {
+        let shard = part.shard_of(r.page());
+        if shard % clients != client {
+            continue;
         }
-        let Some((slot, pos)) = next else { break };
-        cursors[slot] += 1;
+        let slot = shard / clients;
         bufs[slot].push(pos);
         if bufs[slot].len() >= batch {
             let full = std::mem::replace(&mut bufs[slot], Vec::with_capacity(batch));
@@ -392,24 +395,24 @@ fn run_client(part: &ShardPartition, owned: Vec<(usize, Sender<Batch>)>, batch: 
 }
 
 /// A shard worker's record walk — what it hands the offline replay
-/// ([`ShardSupervisor::replay`]) in place of a position list: the batches
-/// its ingestion queue delivers, each position checked against `owned`
-/// (the shard's list) as it arrives and yielded with its record from the
-/// caller's slice. The walk ends when the shard's client hangs up, and the
-/// stream must end exactly where `owned` does.
+/// ([`ShardSupervisor::replay`]) in place of the shard's own walk: the
+/// batches its ingestion queue delivers, each position checked as it
+/// arrives against the next record of `walk` (the shard's
+/// [`ShardCtx::walk`]) and yielded with that record. The walk ends when
+/// the shard's client hangs up, and the stream must end exactly where
+/// `walk` does.
 ///
 /// Admission latency, submit → decided: the replay asks for a record only
 /// after it has decided and counted the one before, so when a batch is
 /// used up all of it is decided, and one clock read — before the next
 /// `recv` — stamps its measured records, rounding each up to the last
 /// decision, never down.
-struct Arrivals<'a> {
+struct Arrivals<'a, W> {
     rx: Receiver<Batch>,
-    owned: &'a [u32],
-    records: &'a [TraceRecord],
-    measured_from: usize,
+    walk: W,
+    measured_from: u64,
     hist: &'a mut LatencyHistogram,
-    batch: std::vec::IntoIter<u32>,
+    batch: std::vec::IntoIter<u64>,
     t_submit: Instant,
     /// Records yielded so far.
     seen: usize,
@@ -417,19 +420,17 @@ struct Arrivals<'a> {
     measured: u64,
 }
 
-impl<'a> Arrivals<'a> {
+impl<'a, 'r, W: Iterator<Item = (u64, &'r TraceRecord)>> Arrivals<'a, W> {
     fn new(
         rx: Receiver<Batch>,
-        owned: &'a [u32],
-        records: &'a [TraceRecord],
+        walk: W,
         measured_from: usize,
         hist: &'a mut LatencyHistogram,
     ) -> Self {
         Arrivals {
             rx,
-            owned,
-            records,
-            measured_from,
+            walk,
+            measured_from: measured_from as u64,
             hist,
             batch: Vec::new().into_iter(),
             t_submit: Instant::now(),
@@ -438,12 +439,16 @@ impl<'a> Arrivals<'a> {
         }
     }
 
-    /// Panics with a [`TransportViolation`] unless the next arrival is
-    /// `got` (`None`: the end of the stream).
-    fn check(&self, got: Option<u32>) {
-        if let Some(violation) = transport_violation(self.owned, self.seen, got) {
+    /// The next record of the shard's walk, which the next arrival `got`
+    /// (`None`: the end of the stream) must carry the position of — or a
+    /// panic with a [`TransportViolation`].
+    #[inline]
+    fn expect(&mut self, got: Option<u64>) -> Option<(u64, &'r TraceRecord)> {
+        let want = self.walk.next();
+        if let Some(violation) = transport_violation(self.seen, got, want.map(|(pos, _)| pos)) {
             std::panic::panic_any(violation);
         }
+        want
     }
 
     /// The current batch is used up: stamps its measured records, then
@@ -460,7 +465,7 @@ impl<'a> Arrivals<'a> {
             positions,
         }) = self.rx.recv()
         else {
-            self.check(None);
+            self.expect(None);
             return false;
         };
         self.t_submit = t_submit;
@@ -469,18 +474,17 @@ impl<'a> Arrivals<'a> {
     }
 }
 
-impl<'a> Iterator for Arrivals<'a> {
-    type Item = (u64, &'a TraceRecord);
+impl<'r, W: Iterator<Item = (u64, &'r TraceRecord)>> Iterator for Arrivals<'_, W> {
+    type Item = (u64, &'r TraceRecord);
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             if let Some(pos) = self.batch.next() {
-                self.check(Some(pos));
+                let arrived = self.expect(Some(pos));
                 self.seen += 1;
-                let pos = pos as usize;
                 self.measured += u64::from(pos >= self.measured_from);
-                return Some((pos as u64, &self.records[pos]));
+                return arrived;
             }
             if !self.refill() {
                 return None;
@@ -522,43 +526,39 @@ mod tests {
         }
     }
 
-    /// The transport check on a shard owning positions 3, 4, 9, 12: the
-    /// in-order stream passes; a hole, a duplicate, a swap, a foreign
-    /// shard's record, an over-long and a short stream each fail at the
-    /// first arrival that is not the one position it can be.
-    #[test]
-    fn transport_check_catches_loss_duplication_reordering_and_misrouting() {
-        let owned = [3u32, 4, 9, 12];
-        // First violating arrival index of a whole stream, if any.
-        let first_violation = |stream: &[u32]| {
-            let arrivals = stream.iter().map(|&pos| Some(pos)).chain([None]);
-            arrivals
-                .enumerate()
-                .find_map(|(seen, got)| transport_violation(&owned, seen, got).map(|_| seen))
-        };
-        assert_eq!(first_violation(&[3, 4, 9, 12]), None);
-        assert_eq!(first_violation(&[3, 9, 12]), Some(1), "hole: 4 lost");
-        assert_eq!(first_violation(&[3, 4, 4, 9, 12]), Some(2), "duplicate");
-        assert_eq!(first_violation(&[3, 9, 4, 12]), Some(1), "swap");
-        assert_eq!(
-            first_violation(&[3, 4, 5, 9, 12]),
-            Some(2),
-            "foreign shard's 5"
-        );
-        assert_eq!(first_violation(&[3, 4, 9, 12, 13]), Some(4), "one too many");
-        assert_eq!(first_violation(&[3, 4, 9]), Some(3), "tail lost");
-        assert_eq!(first_violation(&[]), Some(0), "nothing arrived");
-        assert_eq!(transport_violation(&[], 0, None), None, "an empty shard");
-        let v = transport_violation(&owned, 1, Some(9)).expect("a hole");
-        assert!(
-            v.0.contains("Some(9)") && v.0.contains("Some(4)"),
-            "{}",
-            v.0
-        );
+    /// Eight sets, two shards: shard 1 owns the odd sets.
+    const CFG: CacheConfig = CacheConfig {
+        capacity_bytes: 16 * 4096,
+        block_bytes: 4096,
+        ways: 2,
+    };
+
+    /// Sixteen records of which shard 1 owns exactly the positions
+    /// `owned`: page 1 (set 1) there, page 0 (set 0) everywhere else.
+    fn trace_owning(owned: &[u64]) -> Vec<TraceRecord> {
+        (0..16u64)
+            .map(|pos| TraceRecord::read(u64::from(owned.contains(&pos)) << 12))
+            .collect()
+    }
+
+    /// A two-shard supervisor over `trace`, whose shard walks the
+    /// transport is checked against.
+    fn supervisor<'a>(
+        trace: &'a [TraceRecord],
+        make: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
+    ) -> ShardSupervisor<'a> {
+        let part = ShardPartition::new(2, &CFG).unwrap();
+        let (lat, plan) = (LatencyModel::paper_tlc(), icgmm_cache::FaultPlan::empty());
+        ShardSupervisor::new(CFG, &lat, make, plan, part, trace, 0, None).unwrap()
+    }
+
+    /// Never called: the tests below only walk shards.
+    fn no_shard(_: &ShardCtx<'_>) -> ShardPolicies {
+        panic!("the supervisor must not be asked to build a shard")
     }
 
     /// A queue of `batches`, hung up once they are received.
-    fn fed(batches: &[&[u32]]) -> Receiver<Batch> {
+    fn fed(batches: &[&[u64]]) -> Receiver<Batch> {
         let (tx, rx) = bounded(batches.len().max(1));
         for positions in batches {
             let t_submit = Instant::now();
@@ -572,27 +572,84 @@ mod tests {
         rx
     }
 
+    /// The transport check on a shard whose walk is positions 3, 4, 9,
+    /// 12: the in-order stream passes; a hole, a duplicate, a swap, a
+    /// foreign shard's record, an over-long and a short stream each fail
+    /// at the first arrival that is not the one position it can be.
+    #[test]
+    fn transport_check_catches_loss_duplication_reordering_and_misrouting() {
+        let trace = trace_owning(&[3, 4, 9, 12]);
+        let sup = supervisor(&trace, &no_shard);
+        // First violating arrival index of a whole stream, if any: how many
+        // records the worker's walk yielded before it died.
+        let first_violation = |sup: &ShardSupervisor<'_>, stream: &[u64]| {
+            let mut hist = LatencyHistogram::new();
+            let mut yielded = 0;
+            let arrivals = Arrivals::new(fed(&[stream]), sup.ctx(1).walk(), 0, &mut hist);
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                arrivals.for_each(|_| yielded += 1)
+            }));
+            died.err().map(|payload| {
+                assert!(payload.downcast::<TransportViolation>().is_ok());
+                yielded
+            })
+        };
+        assert_eq!(first_violation(&sup, &[3, 4, 9, 12]), None);
+        assert_eq!(first_violation(&sup, &[3, 9, 12]), Some(1), "hole: 4 lost");
+        assert_eq!(
+            first_violation(&sup, &[3, 4, 4, 9, 12]),
+            Some(2),
+            "duplicate"
+        );
+        assert_eq!(first_violation(&sup, &[3, 9, 4, 12]), Some(1), "swap");
+        assert_eq!(
+            first_violation(&sup, &[3, 4, 5, 9, 12]),
+            Some(2),
+            "foreign shard's 5"
+        );
+        assert_eq!(
+            first_violation(&sup, &[3, 4, 9, 12, 13]),
+            Some(4),
+            "one too many"
+        );
+        assert_eq!(first_violation(&sup, &[3, 4, 9]), Some(3), "tail lost");
+        assert_eq!(first_violation(&sup, &[]), Some(0), "nothing arrived");
+        let empty = trace_owning(&[]);
+        assert_eq!(
+            first_violation(&supervisor(&empty, &no_shard), &[]),
+            None,
+            "an empty shard"
+        );
+        let v = transport_violation(1, Some(9), Some(4)).expect("a hole");
+        assert!(
+            v.0.contains("Some(9)") && v.0.contains("Some(4)"),
+            "{}",
+            v.0
+        );
+    }
+
     /// A worker's walk over three batches — all warm-up, straddling the
-    /// boundary at 6, all measured — yields exactly its owned positions in
-    /// order, each with its record from the caller's slice, and stamps the
+    /// boundary at 6, all measured — yields exactly its shard's walk, each
+    /// position with its record from the caller's slice, and stamps the
     /// four measured ones; a hole panics with the transport payload.
     #[test]
     fn arrivals_walk_the_owned_positions_and_stamp_the_measured_ones() {
-        let records: Vec<TraceRecord> = (0..16u64).map(|p| TraceRecord::read(p << 12)).collect();
-        let owned = [1u32, 2, 4, 5, 7, 8, 11, 12];
+        let owned = [1u64, 2, 4, 5, 7, 8, 11, 12];
+        let records = trace_owning(&owned);
+        let sup = supervisor(&records, &no_shard);
         let rx = fed(&[&[1, 2, 4], &[5, 7, 8], &[11, 12]]);
         let mut hist = LatencyHistogram::new();
-        let walked: Vec<_> = Arrivals::new(rx, &owned, &records, 6, &mut hist).collect();
+        let walked: Vec<_> = Arrivals::new(rx, sup.ctx(1).walk(), 6, &mut hist).collect();
         let want: Vec<_> = owned
             .iter()
-            .map(|&pos| (u64::from(pos), &records[pos as usize]))
+            .map(|&pos| (pos, &records[pos as usize]))
             .collect();
         assert_eq!(walked, want);
         assert_eq!(hist.samples(), 4);
 
         let mut hist = LatencyHistogram::new();
         let rx = fed(&[&[1, 4]]);
-        let walk = Arrivals::new(rx, &owned, &records, 6, &mut hist);
+        let walk = Arrivals::new(rx, sup.ctx(1).walk(), 6, &mut hist);
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| walk.count()));
         let payload = died.expect_err("a hole: 2 lost");
         assert!(payload.downcast::<TransportViolation>().is_ok());
@@ -603,21 +660,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "serve transport bug on shard 1")]
     fn a_transport_violation_is_not_recovered() {
-        let cfg = CacheConfig {
-            capacity_bytes: 16 * 4096,
-            block_bytes: 4096,
-            ways: 2,
-        };
-        let trace = [TraceRecord::read(0), TraceRecord::read(1 << 12)];
-        let part = ShardPartition::build(2, &cfg, &[], &trace).unwrap();
-        let make = |_: &ShardCtx<'_>| -> ShardPolicies {
-            panic!("the supervisor must not be asked to re-replay")
-        };
-        let lat = LatencyModel::paper_tlc();
-        let plan = icgmm_cache::FaultPlan::empty();
-        let sup =
-            ShardSupervisor::new(cfg, &lat, &make, plan, Some(&part), &trace, 0, None).unwrap();
-        let payload = transport_violation(part.positions(1), 0, None).expect("short stream");
+        let trace = trace_owning(&[1]);
+        let sup = supervisor(&trace, &no_shard);
+        let want = sup.ctx(1).walk().next().map(|(pos, _)| pos);
+        let payload = transport_violation(0, None, want).expect("short stream");
         let _ = recover(&sup, 1, Box::new(payload), &mut FaultStats::default());
     }
 }

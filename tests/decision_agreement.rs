@@ -12,22 +12,27 @@
 //! So the quick-suite `dlrm`, `memtier` and `hashmap` traces are replayed
 //! twice through the one streaming loop — once scored by the engine, once
 //! by a test-only [`ScoreSource`] holding the seed's formulation (every
-//! component in component order, libm `exp`, plain running sum). Under
-//! the suite's own configuration the two replays must make the same
-//! admit/bypass decision at every miss, pick the same victim at every
-//! eviction, and end on identical
-//! [`SimReport::stats`](icgmm_cache::SimReport).
+//! component in component order, libm `exp`, plain running sum) — under
+//! the suite's own configuration and again with the cache scaled down
+//! (2 MiB; the paper's 64 MiB never fills on a 60 k-request trace) until
+//! thousands of victims are chosen.
 //!
-//! The paper's 64 MiB cache never fills on a 60 k-request trace, so the
-//! same comparison runs again with the cache scaled down (2 MiB) until
-//! thousands of victims are chosen. There a knife edge exists that no
-//! non-bit-identical scorer can avoid: the admission threshold is a
-//! quantile of the *kernel's own* scores of the training cells, so a
-//! request landing on that very cell scores exactly the threshold under
-//! the kernel and one ulp to either side under anything else. One such
-//! request flips on `dlrm` (1 of 35 k misses, and 1 of 9.6 k victims in
-//! its wake); the test prints the agreement and the first diverging
-//! record and holds it to [`KNIFE_EDGE_PER_MILLE`].
+//! One knife edge exists that no non-bit-identical scorer can avoid: the
+//! admission threshold is a quantile of the *kernel's own* scores of the
+//! training cells, so a request landing on that very cell scores exactly
+//! the threshold under the kernel and a few ulps to either side under
+//! anything else. Which side depends on the build: with FMA, one such
+//! request flips on `dlrm` at 2 MiB (record 41 061); compiled for plain
+//! x86-64 (`fmadd` unfused), one flips on `memtier` too, at both sizes
+//! (record 38 558, 5 ulps below under the seed scorer). So at both sizes every
+//! admit/bypass disagreement must be such a tie — the kernel's score
+//! equal to `model.threshold` bit for bit — and each is printed; at most
+//! [`KNIFE_EDGE_PER_MILLE`] of the misses may be ties. Any other flipped
+//! admission fails, wherever it is. Victims must agree exactly at 64 MiB
+//! and to [`KNIFE_EDGE_PER_MILLE`] at 2 MiB (1 of 9.6 k moves in `dlrm`'s
+//! tie's wake), and the stats must be identical unless a tie or a moved
+//! victim explains the difference, which then stays under 0.01 points of
+//! miss rate.
 
 use icgmm::benchmarks::BenchmarkSpec;
 use icgmm::{Icgmm, PolicyMode, TrainedModel};
@@ -124,8 +129,9 @@ fn replay(
     (report, decisions)
 }
 
-/// Disagreements tolerated per thousand decisions where the cache is
-/// small enough for knife-edge ties to be reached (see the module docs).
+/// Disagreements tolerated per thousand decisions: knife-edge ties among
+/// the misses, moved victims among the evictions of the 2 MiB leg (see the
+/// module docs).
 const KNIFE_EDGE_PER_MILLE: u64 = 1;
 
 #[test]
@@ -152,6 +158,7 @@ fn kernel_and_seed_scorer_make_the_same_cache_decisions() {
         cfg.cache.capacity_bytes = capacity.unwrap_or(cfg.cache.capacity_bytes);
         let mut sys = Icgmm::new(cfg).expect("valid config");
         sys.fit(&trace).expect("training succeeds");
+        let ctx = format!("{kind} ({} MiB cache)", cfg.cache.capacity_bytes >> 20);
 
         let mut engine = sys.policy_engine().expect("fitted");
         let mut seed = SeedScore::new(sys.model().expect("fitted"), &cfg.preprocess);
@@ -164,14 +171,31 @@ fn kernel_and_seed_scorer_make_the_same_cache_decisions() {
             .expect("replays");
         assert_eq!(kernel.stats, run.sim.stats, "{kind}: harness ≠ Icgmm::run");
 
-        let (mut misses, mut same_admit, mut evictions, mut same_victim) = (0u64, 0u64, 0u64, 0u64);
-        for (a, b) in by_kernel.0.iter().zip(&by_seed.0) {
+        // A score is a function of the missed record and its position, so
+        // a fresh engine re-scores any miss bit for bit.
+        let threshold = sys.model().expect("fitted").threshold;
+        let mut probe = sys.policy_engine().expect("fitted");
+        let (mut misses, mut ties, mut evictions, mut same_victim) = (0u64, 0u64, 0u64, 0u64);
+        for (i, (a, b)) in by_kernel.0.iter().zip(&by_seed.0).enumerate() {
             if a.is_hit() && b.is_hit() {
                 continue;
             }
             misses += 1;
             let bypassed = |o: &AccessOutcome| matches!(o, AccessOutcome::MissBypassed);
-            same_admit += u64::from(a.is_hit() == b.is_hit() && bypassed(a) == bypassed(b));
+            if a.is_hit() != b.is_hit() || bypassed(a) != bypassed(b) {
+                let score = (!a.is_hit()).then(|| probe.score(&trace.records()[i], i as u64));
+                assert!(
+                    score.is_some_and(|s| s.to_bits() == threshold.to_bits()),
+                    "{ctx}: record {i}'s admission moved off the knife edge: kernel {a:?} \
+                     (score {score:?}), seed {b:?}, threshold {threshold:?}"
+                );
+                println!(
+                    "{ctx}: knife-edge tie at record {i}: the kernel scores exactly the threshold \
+                     {threshold:?} ({:#018x}); kernel {a:?}, seed {b:?}",
+                    threshold.to_bits()
+                );
+                ties += 1;
+            }
             if let (
                 AccessOutcome::MissInserted { evicted: va, .. },
                 AccessOutcome::MissInserted { evicted: vb, .. },
@@ -184,37 +208,31 @@ fn kernel_and_seed_scorer_make_the_same_cache_decisions() {
             }
         }
         let pct = |same: u64, of: u64| 100.0 * same as f64 / of.max(1) as f64;
-        let ctx = format!("{kind} ({} MiB cache)", cfg.cache.capacity_bytes >> 20);
         println!(
-            "{ctx}: {misses} misses, admit agreement {:.4} %; {evictions} evictions, victim \
-             agreement {:.4} %",
-            pct(same_admit, misses),
+            "{ctx}: {misses} misses, admit agreement {:.4} % ({ties} knife-edge ties); \
+             {evictions} evictions, victim agreement {:.4} %",
+            pct(misses - ties, misses),
             pct(same_victim, evictions)
         );
-        if let Some(i) = (0..by_kernel.0.len()).find(|&i| by_kernel.0[i] != by_seed.0[i]) {
-            println!(
-                "{ctx}: first divergence at record {i}: kernel {:?}, seed {:?}",
-                by_kernel.0[i], by_seed.0[i]
-            );
-        }
         assert!(misses > 1_000, "{ctx}: only {misses} misses replayed");
+        let slack = |of: u64| of * KNIFE_EDGE_PER_MILLE / 1_000;
+        assert!(
+            ties <= slack(misses),
+            "{ctx}: {ties} knife-edge ties in {misses} misses"
+        );
         if capacity.is_none() {
-            assert_eq!(same_admit, misses, "{ctx}: an admit decision moved");
             assert_eq!(same_victim, evictions, "{ctx}: a victim moved");
-            assert_eq!(kernel.stats, reference.stats, "{ctx}");
         } else {
             assert!(evictions > 100, "{ctx}: only {evictions} evictions");
-            let slack = |of: u64| of * KNIFE_EDGE_PER_MILLE / 1_000;
-            assert!(
-                misses - same_admit <= slack(misses),
-                "{ctx}: {} admit decisions moved",
-                misses - same_admit
-            );
             assert!(
                 evictions - same_victim <= slack(evictions),
                 "{ctx}: {} victims moved",
                 evictions - same_victim
             );
+        }
+        if ties == 0 && same_victim == evictions {
+            assert_eq!(kernel.stats, reference.stats, "{ctx}");
+        } else {
             let moved = (kernel.miss_rate_pct() - reference.miss_rate_pct()).abs();
             assert!(moved < 0.01, "{ctx}: miss rate moved by {moved} pts");
         }
