@@ -26,8 +26,8 @@
 mod support;
 
 use icgmm_cache::{
-    AlwaysAdmit, CacheConfig, FaultPlan, LatencyModel, LruPolicy, ShardCtx, ShardPartition,
-    ShardPolicies, ShardSupervisor, ShardedSimulator,
+    AlwaysAdmit, CacheConfig, FaultPlan, LatencyModel, LruPolicy, ShardCtx, ShardPolicies,
+    ShardSupervisor, ShardedSimulator,
 };
 use icgmm_trace::TraceRecord;
 use support::allocated_by;
@@ -52,18 +52,18 @@ fn fanout_routing_allocates_nothing() {
         score: None,
     };
 
-    // Routing: the rule, and every shard's walk over the whole trace.
-    let ((part, routed), bytes) = allocated_by(|| {
-        let part = ShardPartition::new(SHARDS, &cfg).unwrap();
-        let sup = ShardSupervisor::new(cfg, &lat, &make, FaultPlan::empty(), part, &trace, 0, None)
-            .unwrap();
+    // Routing: the supervisor building the rule, and every shard's walk
+    // over the whole trace.
+    let ((shards, routed), bytes) = allocated_by(|| {
+        let plan = FaultPlan::empty();
+        let sup = ShardSupervisor::new(cfg, &lat, &make, plan, SHARDS, &trace, 0, None).unwrap();
         let routed: Vec<usize> = (0..SHARDS).map(|s| sup.ctx(s).walk().count()).collect();
-        (part, routed)
+        (sup.partition().shards(), routed)
     });
     // Every record is routed exactly once, and every shard owns some.
     assert_eq!(routed.iter().sum::<usize>(), N);
     assert!(routed.iter().all(|&n| n > 0), "{routed:?}");
-    assert_eq!(part.shards(), SHARDS);
+    assert_eq!(shards, SHARDS);
     // The only allocation is the test's own `routed` vector.
     let counts_bytes = SHARDS * std::mem::size_of::<usize>();
     assert!(

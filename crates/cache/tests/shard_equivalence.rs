@@ -23,8 +23,8 @@
 use icgmm_cache::{
     simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, AlwaysAdmit,
     CacheConfig, FaultPlan, FnScore, LatencyModel, LruPolicy, RandomPolicy, ReplayEvent,
-    ReplayObserver, ScoreSource, SetAssocCache, ShardCtx, ShardPartition, ShardPolicies,
-    ShardRunError, ShardSupervisor, ShardedReport, ShardedSimulator, SimReport, ThresholdAdmit,
+    ReplayObserver, ScoreSource, SetAssocCache, ShardCtx, ShardPolicies, ShardRunError,
+    ShardSupervisor, ShardedReport, ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_testutil::{
     admission_for, conflict_trace, eviction_for, latency_for, score_for, small_cfg, zipf_trace,
@@ -691,10 +691,17 @@ fn a_boundary_past_the_end_is_a_typed_error() {
             assert_eq!(run.err(), want, "{shards} shards");
         }
         for shards in [1usize, 2] {
-            let part = ShardPartition::new(shards, &cfg).unwrap();
             let plan = FaultPlan::empty();
-            let sup =
-                ShardSupervisor::new(cfg, &lat, &refused, plan, part, &trace, measured_from, None);
+            let sup = ShardSupervisor::new(
+                cfg,
+                &lat,
+                &refused,
+                plan,
+                shards,
+                &trace,
+                measured_from,
+                None,
+            );
             assert_eq!(sup.err(), want);
         }
     }

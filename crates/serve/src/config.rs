@@ -67,10 +67,11 @@ pub enum ServeError {
     Config(String),
     /// The shard lifecycle failed, exactly as it can offline — the
     /// serving front-end runs on [`icgmm_cache::ShardSupervisor`] and
-    /// passes its errors through: invalid cache geometry, a trace too long
-    /// for the `u32` position index, a shard-contract refusal, or a shard
-    /// whose worker died *and* whose supervisor re-replay died too (a
-    /// lone worker panic is recovered transparently).
+    /// passes its errors through: invalid cache geometry, a zero series
+    /// window, a measurement boundary past the end, a shard-contract
+    /// refusal, or a shard whose worker died *and* whose supervisor
+    /// re-replay died too (a lone worker panic is recovered
+    /// transparently).
     Shard(ShardRunError),
 }
 

@@ -178,23 +178,24 @@ impl CacheServer {
         let s = self.cfg.shards;
         let clients = self.cfg.clients.min(s);
 
-        // Zero-copy fan-out — the routing rule the offline sharded replay
-        // walks by (it validates the geometry): clients route the caller's
-        // slice by it, workers check what they receive against their
-        // shard's own walk. The shard lifecycle is the offline engine's
-        // too; the supervisor refuses a zero series window and a boundary
-        // past the end here, before any thread exists.
-        let part = ShardPartition::new(s, &cache_cfg)?;
+        // Zero-copy fan-out — the supervisor builds the routing rule the
+        // offline sharded replay walks by (refusing bad geometry and a
+        // zero shard count): clients route the caller's slice by it,
+        // workers check what they receive against their shard's own walk.
+        // The shard lifecycle is the offline engine's too; the supervisor
+        // refuses a zero series window and a boundary past the end here,
+        // before any thread exists.
         let sup = &ShardSupervisor::new(
             cache_cfg,
             latency,
             make_shard,
             self.cfg.fault,
-            part,
+            s,
             records,
             measured_from,
             series_window,
         )?;
+        let part = sup.partition();
 
         // One bounded ingestion queue per shard; `slots × batch ≤
         // queue_depth` keeps the bound counted in records. Each half has
@@ -547,9 +548,8 @@ mod tests {
         trace: &'a [TraceRecord],
         make: &'a (dyn Fn(&ShardCtx<'_>) -> ShardPolicies + Sync),
     ) -> ShardSupervisor<'a> {
-        let part = ShardPartition::new(2, &CFG).unwrap();
         let (lat, plan) = (LatencyModel::paper_tlc(), icgmm_cache::FaultPlan::empty());
-        ShardSupervisor::new(CFG, &lat, make, plan, part, trace, 0, None).unwrap()
+        ShardSupervisor::new(CFG, &lat, make, plan, 2, trace, 0, None).unwrap()
     }
 
     /// Never called: the tests below only walk shards.
