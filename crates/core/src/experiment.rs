@@ -1,7 +1,5 @@
-//! Experiment runner: one benchmark × policy modes, and the
-//! static-vs-adaptive axis.
+//! The static-vs-adaptive experiment axis.
 
-use crate::benchmarks::BenchmarkSpec;
 use crate::config::PolicyMode;
 use crate::error::IcgmmError;
 use crate::system::{Icgmm, RunReport};
@@ -46,33 +44,6 @@ impl ExperimentResult {
             adapt: run.sim.adapt,
         }
     }
-}
-
-/// Runs one benchmark through the given modes under `config`
-/// (`spec.config()` is its default; cache-size sweeps, reduced-K quick
-/// runs and fixed-point ablations pass their own), generating and fitting
-/// once, then simulating each mode.
-///
-/// # Errors
-///
-/// Propagates configuration/training errors.
-pub fn run_benchmark_with(
-    spec: &BenchmarkSpec,
-    config: crate::IcgmmConfig,
-    modes: &[PolicyMode],
-) -> Result<Vec<ExperimentResult>, IcgmmError> {
-    let workload = spec.workload();
-    let trace = workload.generate(spec.requests, spec.seed);
-    let mut sys = Icgmm::new(config)?;
-    if modes.iter().any(|m| m.uses_gmm()) {
-        sys.fit(&trace)?;
-    }
-    let mut out = Vec::with_capacity(modes.len());
-    for &mode in modes {
-        let run = sys.run(&trace, mode)?;
-        out.push(ExperimentResult::from_run(workload.name(), &run));
-    }
-    Ok(out)
 }
 
 /// One static-vs-adaptive measurement: the same trace, the same offline
@@ -144,126 +115,4 @@ pub fn run_static_vs_adaptive(
         static_run: ExperimentResult::from_run(name, &static_run),
         adaptive_run: ExperimentResult::from_run(name, &adaptive_run),
     })
-}
-
-/// Extracts the result for `(benchmark, mode)` from a result set.
-pub fn find<'a>(
-    results: &'a [ExperimentResult],
-    benchmark: &str,
-    mode: PolicyMode,
-) -> Option<&'a ExperimentResult> {
-    results
-        .iter()
-        .find(|r| r.benchmark == benchmark && r.mode == mode)
-}
-
-/// The best (lowest-miss) GMM mode result for a benchmark, mirroring the
-/// paper's Fig. 6 "pick the best strategy" presentation.
-pub fn best_gmm<'a>(
-    results: &'a [ExperimentResult],
-    benchmark: &str,
-) -> Option<&'a ExperimentResult> {
-    results
-        .iter()
-        .filter(|r| r.benchmark == benchmark && r.mode.uses_gmm())
-        .min_by(|a, b| a.miss_pct.partial_cmp(&b.miss_pct).expect("finite rates"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use icgmm_trace::synth::WorkloadKind;
-
-    fn tiny_spec(kind: WorkloadKind) -> BenchmarkSpec {
-        BenchmarkSpec {
-            kind,
-            requests: 20_000,
-            seed: 5,
-            admission_quantile: 0.2,
-        }
-    }
-
-    /// Small EM settings so tests stay fast in debug builds.
-    fn tiny_config() -> crate::IcgmmConfig {
-        crate::IcgmmConfig {
-            em: icgmm_gmm::EmConfig {
-                k: 8,
-                max_iters: 10,
-                ..Default::default()
-            },
-            max_train_cells: 5_000,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn run_benchmark_produces_one_row_per_mode() {
-        // Score-free modes skip training entirely — fast at any K.
-        let mut spec = tiny_spec(WorkloadKind::Memtier);
-        spec.requests = 10_000;
-        let modes = [PolicyMode::Lru, PolicyMode::Fifo];
-        let results = run_benchmark_with(&spec, spec.config(), &modes).unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(results.iter().all(|r| r.benchmark == "memtier"));
-        assert!(results.iter().all(|r| r.requests > 0));
-    }
-
-    #[test]
-    fn find_and_best_gmm_helpers() {
-        let results = vec![
-            ExperimentResult {
-                benchmark: "x".into(),
-                mode: PolicyMode::Lru,
-                miss_pct: 5.0,
-                avg_us: 4.0,
-                bypasses: 0,
-                dirty_evictions: 0,
-                requests: 100,
-                fault: icgmm_cache::FaultStats::default(),
-                adapt: icgmm_cache::AdaptStats::default(),
-            },
-            ExperimentResult {
-                benchmark: "x".into(),
-                mode: PolicyMode::GmmCachingOnly,
-                miss_pct: 4.0,
-                avg_us: 3.5,
-                bypasses: 5,
-                dirty_evictions: 0,
-                requests: 100,
-                fault: icgmm_cache::FaultStats::default(),
-                adapt: icgmm_cache::AdaptStats::default(),
-            },
-            ExperimentResult {
-                benchmark: "x".into(),
-                mode: PolicyMode::GmmCachingEviction,
-                miss_pct: 3.0,
-                avg_us: 3.0,
-                bypasses: 9,
-                dirty_evictions: 0,
-                requests: 100,
-                fault: icgmm_cache::FaultStats::default(),
-                adapt: icgmm_cache::AdaptStats::default(),
-            },
-        ];
-        assert_eq!(find(&results, "x", PolicyMode::Lru).unwrap().miss_pct, 5.0);
-        assert!(find(&results, "y", PolicyMode::Lru).is_none());
-        assert_eq!(
-            best_gmm(&results, "x").unwrap().mode,
-            PolicyMode::GmmCachingEviction
-        );
-    }
-
-    #[test]
-    fn gmm_modes_in_suite_trigger_training() {
-        let mut spec = tiny_spec(WorkloadKind::Memtier);
-        spec.requests = 10_000;
-        let results = run_benchmark_with(
-            &spec,
-            tiny_config(),
-            &[PolicyMode::Lru, PolicyMode::GmmEvictionOnly],
-        )
-        .unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[1].mode, PolicyMode::GmmEvictionOnly);
-    }
 }

@@ -14,8 +14,9 @@
 //!
 //! This crate is the facade: [`Icgmm`] wires together the trace substrate
 //! (`icgmm-trace`), the mixture model (`icgmm-gmm`), the cache simulator
-//! (`icgmm-cache`) and the hardware timing model (`icgmm-hw`), and
-//! [`benchmarks`]/[`experiment`] reproduce the paper's evaluation suite.
+//! (`icgmm-cache`) and the hardware timing model (`icgmm-hw`);
+//! [`benchmarks`] holds the paper's evaluation suite with its published
+//! numbers, and [`experiment`] the static-vs-adaptive axis.
 //!
 //! ## Quickstart
 //!

@@ -62,15 +62,6 @@ pub fn f(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 
-/// Formats a percentage delta `new` vs `old` as `-12.3%` (negative =
-/// improvement for latency/miss metrics).
-pub fn delta_pct(old: f64, new: f64) -> String {
-    if old == 0.0 {
-        return "n/a".into();
-    }
-    format!("{:+.2}%", (new - old) / old * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,8 +92,5 @@ mod tests {
     #[test]
     fn numeric_helpers() {
         assert_eq!(f(1.2345, 2), "1.23");
-        assert_eq!(delta_pct(2.0, 1.0), "-50.00%");
-        assert_eq!(delta_pct(0.0, 1.0), "n/a");
-        assert!(delta_pct(1.0, 1.1).starts_with('+'));
     }
 }

@@ -65,12 +65,6 @@ impl CacheEngineModel {
     pub fn miss_overhead_us(&self) -> f64 {
         self.clock.cycles_to_us(self.miss_overhead_cycles())
     }
-
-    /// What sequential tag comparison would cost instead of the parallel
-    /// compare (the paper's motivation for partitioning the tag buffer).
-    pub fn sequential_compare_cycles(&self, ways: usize) -> Cycles {
-        Cycles(self.decode_cycles + self.tag_fetch_cycles + ways as u64)
-    }
 }
 
 impl Default for CacheEngineModel {
@@ -88,15 +82,6 @@ mod tests {
         let m = CacheEngineModel::paper_default();
         assert_eq!(m.hit_cycles(), Cycles(233));
         assert!((m.hit_us() - 1.0).abs() < 0.01, "{}", m.hit_us());
-    }
-
-    #[test]
-    fn parallel_compare_beats_sequential() {
-        let m = CacheEngineModel::paper_default();
-        let par = m.lookup_cycles();
-        let seq = m.sequential_compare_cycles(8);
-        assert!(par < seq);
-        assert_eq!((seq - par).0, 7); // 8 ways sequential vs 1 parallel
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl ClockDomain {
     pub fn cycles_to_us(&self, c: Cycles) -> f64 {
         c.0 as f64 / self.mhz
     }
-
-    /// Converts microseconds to cycles (rounding up — hardware cannot
-    /// finish mid-cycle).
-    pub fn us_to_cycles(&self, us: f64) -> Cycles {
-        Cycles((us * self.mhz).ceil() as u64)
-    }
 }
 
 impl Default for ClockDomain {
@@ -103,9 +97,9 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         let clk = ClockDomain::paper_233mhz();
-        let c = clk.us_to_cycles(75.0); // SSD read
-        assert_eq!(c, Cycles(17_475));
-        assert!((clk.cycles_to_us(c) - 75.0).abs() < 1e-9);
+        // 75 µs (an SSD read) is a whole number of 233 MHz cycles.
+        assert!((clk.cycles_to_us(Cycles(17_475)) - 75.0).abs() < 1e-9);
+        assert_eq!(clk.cycles_to_us(Cycles::ZERO), 0.0);
     }
 
     #[test]

@@ -56,13 +56,6 @@ impl GmmEngineModel {
     pub fn latency_us(&self) -> f64 {
         self.clock.cycles_to_us(self.latency_cycles())
     }
-
-    /// Throughput once the pipeline is full, in inferences per second
-    /// (back-to-back scores are II·K cycles apart).
-    pub fn throughput_per_sec(&self) -> f64 {
-        let cycles_per = (self.k as u64 * self.ii).max(1);
-        self.clock.mhz * 1e6 / cycles_per as f64
-    }
 }
 
 impl Default for GmmEngineModel {
@@ -94,12 +87,5 @@ mod tests {
             (k1024.latency_cycles() - k256.latency_cycles()).0,
             (1024 - 256)
         );
-    }
-
-    #[test]
-    fn throughput_reflects_pipelining() {
-        let m = GmmEngineModel::paper_k256();
-        // One inference every 256 cycles at 233 MHz ≈ 910 k inferences/s.
-        assert!((m.throughput_per_sec() - 233e6 / 256.0).abs() < 1.0);
     }
 }

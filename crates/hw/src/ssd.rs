@@ -34,24 +34,6 @@ impl SsdProfile {
         }
     }
 
-    /// A low-latency (Z-NAND class) device: 10 µs / 100 µs.
-    pub fn low_latency() -> Self {
-        SsdProfile {
-            name: "z-nand".into(),
-            read_us: 10.0,
-            write_us: 100.0,
-        }
-    }
-
-    /// A QLC device: 150 µs / 2200 µs.
-    pub fn qlc() -> Self {
-        SsdProfile {
-            name: "qlc".into(),
-            read_us: 150.0,
-            write_us: 2200.0,
-        }
-    }
-
     /// Latency of one operation.
     pub fn latency_us(&self, op: Op) -> f64 {
         match op {
@@ -88,8 +70,6 @@ mod tests {
         let tlc = SsdProfile::tlc();
         assert_eq!(tlc.latency_us(Op::Read), 75.0);
         assert_eq!(tlc.latency_us(Op::Write), 900.0);
-        assert!(SsdProfile::low_latency().read_us < tlc.read_us);
-        assert!(SsdProfile::qlc().write_us > tlc.write_us);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
 use icgmm_cache::{
-    simulate_streaming_with_warmup, CacheConfig, GmmScorePolicy, ScoreSource, SetAssocCache,
-    ThresholdAdmit,
+    simulate_streaming_with_warmup, CacheConfig, GmmScorePolicy, LatencyModel, ScoreSource,
+    SetAssocCache, SimReport, ThresholdAdmit,
 };
 use icgmm_gmm::EmConfig;
 use icgmm_hw::{
@@ -131,6 +131,54 @@ fn disabling_overlap_costs_exactly_the_policy_latency_per_miss() {
         "total gap {measured_gap} µs vs expected {expected_gap} µs"
     );
     assert!((with.overlap_saved_us - expected_gap).abs() < expected_gap * 1e-12);
+}
+
+/// Modeled time is `LatencyModel::total_us` of a run's counters, so one
+/// replay's counters re-costed under another latency model equal a replay
+/// under that model, bit for bit — which is why Table 1 and Fig. 5 are
+/// costings of Fig. 6's runs, not replays of their own. The fault plan is
+/// empty: an armed device fault adds `FaultStats::device_request_us`,
+/// which was rolled under the replay's own latency model, so a faulted
+/// run's counters do not re-cost.
+#[test]
+fn recosting_a_runs_counters_equals_replaying_under_the_model() {
+    let trace = WorkloadKind::Stream.default_workload().generate(60_000, 34);
+    let mut sys = Icgmm::new(test_config()).expect("valid config");
+    assert!(sys.config().fault.is_empty());
+    sys.fit(&trace).expect("training succeeds");
+    let mode = PolicyMode::GmmCachingEviction;
+    let run = sys.run(&trace, mode).expect("analytic run");
+    let recost = |latency: &LatencyModel| {
+        let s = &run.sim;
+        SimReport::from_counts(
+            s.stats,
+            s.miss_series.clone(),
+            s.fault,
+            latency,
+            &s.eviction,
+            &s.admission,
+        )
+    };
+
+    for overlap_policy_with_ssd in [true, false] {
+        let df = DataflowConfig {
+            overlap_policy_with_ssd,
+            ..Default::default()
+        };
+        let replayed = sys.run_dataflow(&trace, mode, &df).expect("dataflow run");
+        let recosted = DataflowReport::from_sim(&recost(&df.latency()), &df);
+        assert_eq!(
+            recosted.makespan_us.to_bits(),
+            replayed.makespan_us.to_bits()
+        );
+        assert_eq!(recosted, replayed, "overlap {overlap_policy_with_ssd}");
+    }
+
+    let qlc = LatencyModel::qlc_ssd();
+    let replayed = sys.run_with_latency(&trace, mode, &qlc).expect("qlc run");
+    let recosted = recost(&qlc);
+    assert_eq!(recosted.total_us.to_bits(), replayed.sim.total_us.to_bits());
+    assert_eq!(recosted, replayed.sim);
 }
 
 #[test]
