@@ -14,9 +14,10 @@
 //!   case, so empty-plan runs take exactly the fault-free code paths and
 //!   stay bit-identical to them (property-enforced by
 //!   `tests/fault_empty_plan.rs`).
-//! * [`FaultStats`] — the observability block carried on `SimReport`,
-//!   `DataflowReport` and `ExperimentResult`: injected / retried /
-//!   degraded / recovered counters plus modeled time lost to faults.
+//! * [`FaultStats`] — the observability block carried on `SimReport`
+//!   (and, through it, `RunReport` and `ServeReport`) and
+//!   `DataflowReport`: injected / retried / degraded / recovered counters
+//!   plus modeled time lost to faults.
 //! * [`FaultyScore`] — a [`ScoreSource`] wrapper that corrupts the scores
 //!   of misses at plan-rolled positions (NaN/±Inf flips, outage windows)
 //!   and owns the scorer health monitor, [`ScorerHealth`]. Each miss is
@@ -332,10 +333,11 @@ impl FaultPlan {
 
 /// Fault-injection and degradation counters for one run.
 ///
-/// Carried on `SimReport`, `DataflowReport` and `ExperimentResult`. Every
-/// shard's own report holds the shard's block; a sharded or served report
-/// is their sum in shard order plus the supervisor's panic / recovery
-/// counts, so it is as deterministic as a single-threaded one.
+/// Carried on `SimReport` (and, through it, `RunReport` and `ServeReport`)
+/// and `DataflowReport`. Every shard's own report holds the shard's
+/// block; a sharded or served report is their sum in shard order plus the
+/// supervisor's panic / recovery counts, so it is as deterministic as a
+/// single-threaded one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Scores flipped to NaN/±Inf by the plan.
@@ -502,7 +504,9 @@ impl ScorerHealth {
 /// scores underneath, so the re-promotion streak runs.
 ///
 /// Every injection decision is keyed on the scored miss's *global trace
-/// position* — identical at every shard count.
+/// position* — identical at every shard count. The armed monitor is not:
+/// its streaks run over its own shard's misses, so a monitored run is
+/// deterministic for a given shard count but differs between them.
 pub struct FaultyScore<S: ScoreSource> {
     inner: S,
     plan: FaultPlan,
@@ -575,10 +579,6 @@ impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
     fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
         let raw = self.inner.score(record, pos);
         self.corrupt(pos, raw)
-    }
-
-    fn shardable(&self) -> bool {
-        self.inner.shardable()
     }
 
     fn telemetry(&mut self, fault: &mut FaultStats, adapt: &mut AdaptStats) {

@@ -70,7 +70,8 @@ mod stats;
 pub mod policy;
 
 pub use adapt::{
-    AdaptPlan, AdaptStats, DriftDetector, ObsSample, RecentRing, Reservoir, RESERVOIR_CAPACITY,
+    AdaptPlan, AdaptStats, DriftDetector, ObsSample, RecentRing, Reservoir, REFIT_DECAY,
+    RESERVOIR_CAPACITY,
 };
 #[doc(hidden)]
 pub use batch::{SpecParams, SpecStats, WindowedSimulator};

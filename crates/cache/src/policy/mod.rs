@@ -56,24 +56,6 @@ pub trait EvictionPolicy {
 
     /// Chooses the victim way in a full `set` (all `ways` valid).
     fn choose_victim(&mut self, set: usize, ways: usize, ctx: &AccessCtx) -> usize;
-
-    /// Whether this policy's decisions depend only on the *relative order*
-    /// of the events it sees within each set — never on cross-set
-    /// interleaving, global call counts, or absolute sequence values.
-    ///
-    /// Set-partitioned replay ([`crate::ShardedSimulator`]) hands each
-    /// shard the subsequence of requests touching its sets, with
-    /// shard-local sequence numbers that are order-isomorphic to the
-    /// global ones; a policy meeting this contract then makes bit-identical
-    /// decisions in any shard count. Every deterministic policy in this
-    /// crate qualifies (LRU/FIFO/LFU stamps and counts, gmm-score's stored
-    /// scores, Belady's positions when built from the same shard
-    /// subsequence). [`RandomPolicy`] does not — its RNG stream is a
-    /// global interleaving artifact — and overrides this to `false`, which
-    /// makes the sharded simulator refuse it above one shard.
-    fn shard_deterministic(&self) -> bool {
-        true
-    }
 }
 
 /// Decides whether a missed page is inserted or bypassed.

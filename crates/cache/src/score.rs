@@ -14,6 +14,14 @@ use icgmm_trace::TraceRecord;
 /// timestamp is a closed form of that position, which counts all
 /// requests, hits included, so a score needs nothing from the records
 /// that hit before it.
+///
+/// A source's score must be a function of the missed record, its
+/// position, and state fixed before the replay. That is what lets a
+/// sharded replay hand each shard's clone only its own misses and stay
+/// bit-identical to the single-threaded replay. An armed adaptation plan
+/// or scorer health monitor keeps per-shard state instead (the refit
+/// reservoir, the degradation ladder): such runs are deterministic for a
+/// given shard count, but differ between shard counts.
 pub trait ScoreSource {
     /// Score of `record`, the miss at 0-based global trace position `pos`
     /// (warm-up included). Positions ascend; a shard's source sees only
@@ -36,21 +44,6 @@ pub trait ScoreSource {
         }
     }
 
-    /// Whether this source scores from the missed record and its position
-    /// alone — never from the content of earlier records.
-    ///
-    /// Such a source can be replayed shard by shard: a shard's clone is
-    /// handed only its own misses, each with its global position, and
-    /// every score stays bit-identical to the single-threaded replay. The
-    /// GMM policy engine qualifies (the scored features are the record's
-    /// own page and the Algorithm 1 timestamp of its position); a
-    /// history-based source (e.g. an LSTM over a window of recent records)
-    /// does not, and must keep the default `false` —
-    /// [`crate::ShardedSimulator`] refuses to shard it.
-    fn shardable(&self) -> bool {
-        false
-    }
-
     /// Adds the opt-in counters this source has kept — its own and those
     /// of whatever it wraps — to `fault` and `adapt`. Whoever replayed a
     /// shard calls this once, after the shard's last record: a source may
@@ -67,10 +60,6 @@ impl<S: ScoreSource + ?Sized> ScoreSource for Box<S> {
         (**self).score(record, pos)
     }
 
-    fn shardable(&self) -> bool {
-        (**self).shardable()
-    }
-
     fn telemetry(&mut self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
         (**self).telemetry(fault, adapt);
     }
@@ -83,10 +72,6 @@ pub struct ConstantScore(pub f64);
 impl ScoreSource for ConstantScore {
     fn score(&mut self, _record: &TraceRecord, _pos: u64) -> f64 {
         self.0
-    }
-
-    fn shardable(&self) -> bool {
-        true
     }
 }
 
@@ -105,10 +90,6 @@ impl<F: FnMut(u64, u64) -> f64> FnScore<F> {
 impl<F: FnMut(u64, u64) -> f64> ScoreSource for FnScore<F> {
     fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
         (self.0)(record.page().raw(), pos)
-    }
-
-    fn shardable(&self) -> bool {
-        true
     }
 }
 

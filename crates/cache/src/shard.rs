@@ -11,24 +11,23 @@
 //! subsequences whose replays cannot interact — each shard replays its
 //! subsequence against its own tag store and its own policy state and
 //! produces, per record, exactly the outcome the single-threaded replay
-//! produces at the same global position. Three contracts make the "cannot
-//! interact" claim airtight:
+//! produces at the same global position. Three properties make the
+//! "cannot interact" claim airtight:
 //!
-//! * **Policies** must rank by the relative order of the events they see
-//!   within each set ([`EvictionPolicy::shard_deterministic`]): shard-local
-//!   sequence numbers are order-isomorphic to the global ones, so stamps,
-//!   counts, stored scores and Belady positions (built from the same shard
-//!   subsequence) all rank identically. [`crate::RandomPolicy`] — whose
-//!   RNG stream is a global interleaving artifact — reports `false` and is
-//!   refused above one shard.
+//! * **Policies** decide from the events they see within each set:
+//!   shard-local sequence numbers are order-isomorphic to the global ones,
+//!   so stamps, counts, stored scores and Belady positions (built from the
+//!   same shard subsequence) all rank identically, and
+//!   [`crate::RandomPolicy`] rolls the `k`-th victim of each set from the
+//!   set and `k` alone.
 //! * **Scores** are functions of the missed record and its global trace
 //!   position — the Algorithm 1 clock, which counts *every* request, is a
 //!   closed form of it. A miss is scored with its position
 //!   ([`ScoreSource::score`] takes it: the shard's walk carries it), so a
 //!   shard's scorer clone never needs to see a foreign record, or even its
-//!   own hits, and a source that scores from the record and its position
-//!   alone ([`ScoreSource::shardable`]) scores bit-identically to the
-//!   single-threaded stream.
+//!   own hits, and scores bit-identically to the single-threaded stream
+//!   (the trait's precondition; an armed adaptation plan or health monitor
+//!   keeps per-shard state and is deterministic per shard count only).
 //! * **Accounting is a sum** (argued in `sim.rs`'s module docs): a report
 //!   is integer counters — [`CacheStats`], and a [`crate::MissSeries`]
 //!   bucketed by each record's *global* position — with modeled time
@@ -56,12 +55,11 @@
 //! `tests/shard_alloc.rs` pins the routing cost at zero bytes, and the
 //! whole run's; only the counting reads `measured_from`.
 //! Policy construction (`make_shard` — including full Belady oracle
-//! passes over the shard subtrace) and the shard-determinism contract
-//! checks run *inside* each worker, in parallel; the supervisor re-runs
-//! them on the calling thread only when recovering a dead shard. All of
-//! this — the life of a shard — is [`ShardSupervisor`];
-//! [`ShardedSimulator::run`] is its offline client at every shard count,
-//! `icgmm-serve` its live one.
+//! passes over the shard subtrace) runs *inside* each worker, in
+//! parallel; the supervisor re-runs it on the calling thread only when
+//! recovering a dead shard. All of this — the life of a shard — is
+//! [`ShardSupervisor`]; [`ShardedSimulator::run`] is its offline client at
+//! every shard count, `icgmm-serve` its live one.
 //!
 //! # One shard runs inline
 //!
@@ -121,15 +119,6 @@ pub enum ShardRunError {
         /// The panic payloads, worker first, then the supervisor replay.
         message: String,
     },
-    /// The policies `make_shard` built cannot reproduce the
-    /// single-threaded replay above one shard (see the module docs;
-    /// checked by [`ShardSupervisor::replay`]).
-    Contract {
-        /// Index of the first shard (in shard order) that was refused.
-        shard: usize,
-        /// The refusal, naming the offending policy or score source.
-        message: String,
-    },
 }
 
 impl fmt::Display for ShardRunError {
@@ -147,9 +136,6 @@ impl fmt::Display for ShardRunError {
             ),
             ShardRunError::ShardFailed { shard, message } => {
                 write!(f, "shard {shard} failed: {message}")
-            }
-            ShardRunError::Contract { shard, message } => {
-                write!(f, "shard {shard} refused: {message}")
             }
         }
     }
@@ -358,11 +344,9 @@ impl<'t> Walk<'t> {
 /// fresh policy instances and (for scored runs) a scorer clone. Everything
 /// crosses a thread boundary, hence the `Send` bounds.
 ///
-/// Admission policies must be stateless or per-set-deterministic in the
-/// same sense as [`EvictionPolicy::shard_deterministic`] (both in-crate
-/// admissions are stateless); eviction policies are checked through that
-/// method. Score sources must report [`ScoreSource::shardable`] when
-/// running above one shard.
+/// Policies decide from the request's own set (see the module docs), and
+/// the scorer meets [`ScoreSource`]'s precondition, so every shard count
+/// replays bit-identically.
 pub struct ShardPolicies {
     /// Admission policy instance for this shard.
     pub admission: Box<dyn AdmissionPolicy + Send>,
@@ -370,32 +354,6 @@ pub struct ShardPolicies {
     pub eviction: Box<dyn EvictionPolicy + Send>,
     /// Scorer clone for this shard (`None` for score-free baselines).
     pub score: Option<Box<dyn ScoreSource + Send>>,
-}
-
-/// The shard-determinism contract (see the module docs): the refusal
-/// message (stable "not shard-deterministic" / "shardable" wording the
-/// contract tests match on) when `shards > 1` and the policies cannot
-/// reproduce the single-threaded replay.
-fn shard_contract(shards: usize, p: &ShardPolicies) -> Result<(), String> {
-    if shards <= 1 {
-        return Ok(());
-    }
-    if !p.eviction.shard_deterministic() {
-        return Err(format!(
-            "eviction policy {:?} is not shard-deterministic: its decisions depend on \
-             cross-set interleaving, so set-partitioned replay cannot reproduce the \
-             single-threaded run above one shard",
-            p.eviction.name()
-        ));
-    }
-    if let Some(score) = &p.score {
-        if !score.shardable() {
-            return Err("score source reads more than the record and its position \
-                 (ScoreSource::shardable is false); sharded replay would change scores"
-                .to_string());
-        }
-    }
-    Ok(())
 }
 
 /// Result of one sharded replay.
@@ -449,11 +407,11 @@ impl ReplayObserver for PanicPoint {
     }
 }
 
-/// The life of a shard, for one run: build its policies, check the
-/// shard-determinism contract, replay its records with the fault plan's
-/// panic point armed — and, when the shard's worker dies, re-replay it
-/// once on the supervising thread, count the event, and fail typed if the
-/// death reproduces — then add the shards' reports up. The offline engine
+/// The life of a shard, for one run: build its policies, replay its
+/// records with the fault plan's panic point armed — and, when the
+/// shard's worker dies, re-replay it once on the supervising thread,
+/// count the event, and fail typed if the death reproduces — then add the
+/// shards' reports up. The offline engine
 /// and the serving front-end (whose workers feed the replay from a queue
 /// instead of a slice) are both clients of this one type, so what they
 /// refuse, arm, replay, recover, sum and report cannot drift apart. Plain
@@ -537,24 +495,17 @@ impl<'a> ShardSupervisor<'a> {
     /// global trace positions, in trace order — exactly its
     /// [`ShardCtx::walk`] (offline, that walk itself; served, what the
     /// worker's queue delivers, checked against it). Builds the shard's
-    /// policies (`make_shard` over its
-    /// [`ShardCtx`]), checks the shard-determinism contract and runs the
+    /// policies (`make_shard` over its [`ShardCtx`]) and runs the
     /// streaming loop with the fault plan's panic point armed — independent
     /// of every other shard (own cache, policies, scorer clone and
     /// counters), down to the report's `fault` / `adapt` blocks, which are
     /// what this shard counted. Returns the shard's report and how many of
-    /// its records consumed a score. A refused shard returns before it
-    /// pulls a record from `walk`.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardRunError::Contract`] when the policies cannot reproduce the
-    /// single-threaded replay above one shard.
+    /// its records consumed a score.
     pub fn replay<'r>(
         &self,
         shard: usize,
         walk: impl Iterator<Item = (u64, &'r TraceRecord)>,
-    ) -> Result<(SimReport, u64), ShardRunError> {
+    ) -> (SimReport, u64) {
         // Arming a panic point needs the shard's length — one more walk,
         // which only an armed plan pays.
         let armed = self.fault.shard_panic_per_mille > 0;
@@ -574,11 +525,8 @@ impl<'a> ShardSupervisor<'a> {
         shard: usize,
         panic_at: Option<u64>,
         walk: impl Iterator<Item = (u64, &'r TraceRecord)>,
-    ) -> Result<ShardDone, ShardRunError> {
-        let ctx = self.ctx(shard);
-        let mut pol = (self.make_shard)(&ctx);
-        shard_contract(ctx.shards(), &pol)
-            .map_err(|message| ShardRunError::Contract { shard, message })?;
+    ) -> ShardDone {
+        let mut pol = (self.make_shard)(&self.ctx(shard));
         let mut cache = SetAssocCache::new(self.cache_cfg).expect("geometry validated");
         let from = self.measured_from as u64;
         let mut acct = Accounting::new(from, self.series_window, &self.fault, &self.latency);
@@ -595,7 +543,7 @@ impl<'a> ShardSupervisor<'a> {
         if let Some(score) = &mut pol.score {
             score.telemetry(&mut report.fault, &mut report.adapt);
         }
-        Ok((report, scored))
+        (report, scored)
     }
 
     /// Graceful degradation for one shard, given what joining its first
@@ -609,18 +557,17 @@ impl<'a> ShardSupervisor<'a> {
     fn supervise(
         &self,
         shard: usize,
-        first: thread::Result<Result<ShardDone, ShardRunError>>,
+        first: thread::Result<ShardDone>,
         fault: &mut FaultStats,
     ) -> Result<ShardDone, ShardRunError> {
         let worker = match first {
-            Ok(done) => return done,
+            Ok(done) => return Ok(done),
             Err(payload) => payload,
         };
         fault.shard_panics += 1;
         let walk = self.ctx(shard).walk();
         match catch_unwind(AssertUnwindSafe(|| self.attempt(shard, None, walk))) {
             Ok(done) => {
-                let done = done?;
                 fault.shard_recoveries += 1;
                 Ok(done)
             }
@@ -740,13 +687,9 @@ impl ShardedSimulator {
     /// [`ShardRunError::ZeroShards`] for a zero shard count,
     /// [`ShardRunError::ZeroSeriesWindow`] for `series_window = Some(0)`,
     /// [`ShardRunError::MeasuredPastEnd`] for `measured_from >
-    /// records.len()`, [`ShardRunError::Contract`] when running more than
-    /// one shard with
-    /// an eviction policy that is not
-    /// [`EvictionPolicy::shard_deterministic`] or a score source that is
-    /// not [`ScoreSource::shardable`], and [`ShardRunError::ShardFailed`]
-    /// when a shard worker panics *and* the supervisor's re-replay of that
-    /// shard panics too (a lone worker panic — injected or genuine — is
+    /// records.len()`, and [`ShardRunError::ShardFailed`] when a shard
+    /// worker panics *and* the supervisor's re-replay of that shard panics
+    /// too (a lone worker panic — injected or genuine — is
     /// recovered transparently: the supervisor re-replays the shard's
     /// subtrace on the calling thread and the summed report is
     /// bit-identical to an undisturbed run).
@@ -778,7 +721,7 @@ impl ShardedSimulator {
         // (`crossbeam` stays in this crate's manifest, unused, until the
         // benchmark PR prunes it with the lockfile — ROADMAP 2d.)
         let replay = |shard| sup.replay(shard, sup.ctx(shard).walk());
-        let joined: Vec<thread::Result<Result<ShardDone, ShardRunError>>> = match self.shards {
+        let joined: Vec<thread::Result<ShardDone>> = match self.shards {
             1 => vec![catch_unwind(AssertUnwindSafe(|| replay(0)))],
             s => thread::scope(|scope| {
                 let handles: Vec<_> = (0..s)

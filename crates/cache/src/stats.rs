@@ -90,33 +90,6 @@ impl CacheStats {
         }
     }
 
-    /// Hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            1.0 - self.miss_rate()
-        }
-    }
-
-    /// Miss rate of reads only.
-    pub fn read_miss_rate(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            (self.reads - self.read_hits) as f64 / self.reads as f64
-        }
-    }
-
-    /// Miss rate of writes only.
-    pub fn write_miss_rate(&self) -> f64 {
-        if self.writes == 0 {
-            0.0
-        } else {
-            (self.writes - self.write_hits) as f64 / self.writes as f64
-        }
-    }
-
     /// Merges another counter set into this one.
     pub fn merge(&mut self, other: &CacheStats) {
         self.reads += other.reads;
@@ -228,9 +201,6 @@ mod tests {
         assert_eq!(s.hits(), 2);
         assert_eq!(s.misses(), 2);
         assert_eq!(s.miss_rate(), 0.5);
-        assert_eq!(s.hit_rate(), 0.5);
-        assert_eq!(s.read_miss_rate(), 0.5);
-        assert_eq!(s.write_miss_rate(), 0.5);
         assert_eq!(s.dirty_evictions, 1);
         assert_eq!(s.clean_evictions, 0);
     }
@@ -248,9 +218,6 @@ mod tests {
     fn empty_stats_have_zero_rates() {
         let s = CacheStats::default();
         assert_eq!(s.miss_rate(), 0.0);
-        assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.read_miss_rate(), 0.0);
-        assert_eq!(s.write_miss_rate(), 0.0);
     }
 
     #[test]

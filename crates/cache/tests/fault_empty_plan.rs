@@ -14,8 +14,8 @@ use icgmm_cache::{
     ScoreSource, ShardPolicies, ShardedSimulator, SimReport,
 };
 use icgmm_testutil::{
-    admission_for, eviction_for, latency_for, score_for, small_cfg, zipf_trace, ADMISSIONS, SCORES,
-    SHARDABLE_EVICTIONS,
+    admission_for, eviction_for, latency_for, score_for, small_cfg, zipf_trace, ADMISSIONS,
+    EVICTIONS, SCORES,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -70,7 +70,7 @@ proptest! {
         let trace = zipf_trace(seed, n, pages, skew_pct as f64 / 100.0, write_pct);
         let warmup_len = (seed as usize) % (n / 2);
         let lat = &latency_for(seed);
-        for eviction in SHARDABLE_EVICTIONS {
+        for eviction in EVICTIONS {
             for admission in ADMISSIONS {
                 for score in SCORES {
                     for shards in SHARD_COUNTS {

@@ -1,11 +1,10 @@
 //! Differential property suite for the sharded replay engine: the summed
 //! [`ShardedSimulator`] report is **bit-identical** to the single-threaded
 //! simulator for every shard count in {1, 2, 4, 8}, across the eviction ×
-//! admission × score grid (minus `random`, whose global RNG stream is not
-//! shard-reproducible and which the engine refuses above one shard), with
-//! random warm-up splits — under the paper's integer-µs latency constants
-//! and under the non-integer model `icgmm-hw` derives, where an
-//! order-sensitive total would differ between shard counts.
+//! admission × score grid, with random warm-up splits — under the paper's
+//! integer-µs latency constants and under the non-integer model `icgmm-hw`
+//! derives, where an order-sensitive total would differ between shard
+//! counts.
 //!
 //! Both sides of that comparison derive `total_us` from their counters, so
 //! a second property holds them against an oracle that does not: modeled
@@ -28,7 +27,7 @@ use icgmm_cache::{
 };
 use icgmm_testutil::{
     admission_for, conflict_trace, eviction_for, latency_for, score_for, small_cfg, zipf_trace,
-    CountingScore, ADMISSIONS, GMM_STACKS, SHARDABLE_EVICTIONS, UNTRUSTED_SCORES,
+    CountingScore, ADMISSIONS, EVICTIONS, GMM_STACKS, UNTRUSTED_SCORES,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -200,7 +199,7 @@ proptest! {
         let trace = zipf_trace(seed, n, pages, skew, write_pct);
         let warmup_len = (seed as usize) % (n / 2);
         let lat = &latency_for(seed);
-        for eviction in SHARDABLE_EVICTIONS {
+        for eviction in EVICTIONS {
             for admission in ADMISSIONS {
                 for score in ["none", "constant", "fn"] {
                     let reference = reference(eviction, admission, score, &trace, warmup_len, lat);
@@ -242,7 +241,7 @@ proptest! {
         // seed, so every (cell, model) pair comes up across cases.
         let models = oracle_models(seed);
         let mut cell = seed as usize;
-        for eviction in SHARDABLE_EVICTIONS {
+        for eviction in EVICTIONS {
             for admission in ADMISSIONS {
                 for score in ["none", "constant", "fn"] {
                     cell += 1;
@@ -377,7 +376,7 @@ proptest! {
     }
 }
 
-/// A shardable score source that logs every `(position, record)` its
+/// A score source that logs every `(position, record)` its
 /// shard asks it to score — under an admit-nothing policy every record
 /// misses, so that is every record the shard replays, in order.
 struct Tap(Arc<Mutex<Vec<(u64, TraceRecord)>>>);
@@ -386,10 +385,6 @@ impl ScoreSource for Tap {
     fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
         self.0.lock().unwrap().push((pos, *record));
         0.5
-    }
-
-    fn shardable(&self) -> bool {
-        true
     }
 }
 
@@ -408,7 +403,7 @@ proptest! {
         let lat = &latency_for(seed);
         let cfg = small_cfg();
         for m in [0, n, seed as usize % (n + 1)] {
-            for eviction in SHARDABLE_EVICTIONS {
+            for eviction in EVICTIONS {
                 for admission in ADMISSIONS {
                     for score in ["none", "fn"] {
                         let mut c = SetAssocCache::new(cfg).unwrap();
@@ -613,32 +608,6 @@ fn empty_shards_are_tolerated() {
 }
 
 #[test]
-fn random_eviction_is_refused_above_one_shard() {
-    let cfg = small_cfg();
-    let trace = mixed_trace(100);
-    let err = ShardedSimulator::new(2)
-        .run(
-            &trace,
-            0,
-            cfg,
-            &|_ctx| ShardPolicies {
-                admission: Box::new(AlwaysAdmit),
-                eviction: Box::new(RandomPolicy::new(7)),
-                score: None,
-            },
-            &LatencyModel::paper_tlc(),
-            None,
-        )
-        .expect_err("random eviction must be refused above one shard");
-    match err {
-        ShardRunError::Contract { shard: 0, message } => {
-            assert!(message.contains("not shard-deterministic"), "{message}");
-        }
-        other => panic!("expected a contract refusal from shard 0, got {other:?}"),
-    }
-}
-
-#[test]
 fn random_eviction_is_fine_at_one_shard() {
     let cfg = small_cfg();
     let trace = mixed_trace(500);
@@ -649,7 +618,7 @@ fn random_eviction_is_fine_at_one_shard() {
             cfg,
             &|_ctx| ShardPolicies {
                 admission: Box::new(AlwaysAdmit),
-                eviction: Box::new(RandomPolicy::new(7)),
+                eviction: Box::new(RandomPolicy::new(7, cfg.num_sets())),
                 score: None,
             },
             &LatencyModel::paper_tlc(),
@@ -662,7 +631,7 @@ fn random_eviction_is_fine_at_one_shard() {
         &trace,
         &mut c,
         &mut AlwaysAdmit,
-        &mut RandomPolicy::new(7),
+        &mut RandomPolicy::new(7, cfg.num_sets()),
         None,
         &LatencyModel::paper_tlc(),
         None,

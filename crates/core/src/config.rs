@@ -282,10 +282,6 @@ mod tests {
         let err = crate::Icgmm::new(c).unwrap_err().to_string();
         assert!(err.contains("fault.device_retry_limit"), "{err}");
         c = IcgmmConfig::default();
-        c.adapt.check_interval = 1_000;
-        c.adapt.decay = 0.0;
-        assert!(c.validate().is_err());
-        c = IcgmmConfig::default();
         c.latency.ssd_write_us = f64::NAN;
         assert!(c.validate().is_err());
     }

@@ -141,13 +141,6 @@ impl ScoreSource for GmmPolicyEngine {
     fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
         self.score_at(record.page().raw(), self.timestamp_at(pos))
     }
-
-    /// The scored features are the missed record's own page and the
-    /// Algorithm 1 timestamp of its position — nothing from earlier
-    /// records.
-    fn shardable(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

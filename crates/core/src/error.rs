@@ -87,7 +87,6 @@ impl From<icgmm_cache::ShardRunError> for IcgmmError {
             icgmm_cache::ShardRunError::ShardFailed { shard, message } => {
                 IcgmmError::ShardFailed { shard, message }
             }
-            icgmm_cache::ShardRunError::Contract { message, .. } => IcgmmError::Config(message),
         }
     }
 }

@@ -5,63 +5,22 @@ use crate::error::IcgmmError;
 use crate::system::{Icgmm, RunReport};
 use serde::{Deserialize, Serialize};
 
-/// One `(benchmark, mode)` measurement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentResult {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Policy mode.
-    pub mode: PolicyMode,
-    /// Miss rate, %.
-    pub miss_pct: f64,
-    /// Average access latency, µs.
-    pub avg_us: f64,
-    /// Bypassed misses.
-    pub bypasses: u64,
-    /// Dirty evictions (each costs a 900 µs write-back on TLC).
-    pub dirty_evictions: u64,
-    /// Total evaluated requests.
-    pub requests: u64,
-    /// Fault-injection and degradation counters (all-zero without an
-    /// armed [`crate::IcgmmConfig::fault`] plan).
-    pub fault: icgmm_cache::FaultStats,
-    /// Online-adaptation counters (all-zero without an armed
-    /// [`crate::IcgmmConfig::adapt`] plan).
-    pub adapt: icgmm_cache::AdaptStats,
-}
-
-impl ExperimentResult {
-    fn from_run(benchmark: &str, run: &RunReport) -> Self {
-        ExperimentResult {
-            benchmark: benchmark.to_string(),
-            mode: run.mode,
-            miss_pct: run.miss_rate_pct(),
-            avg_us: run.avg_us(),
-            bypasses: run.sim.stats.bypasses(),
-            dirty_evictions: run.sim.stats.dirty_evictions,
-            requests: run.sim.stats.accesses(),
-            fault: run.sim.fault,
-            adapt: run.sim.adapt,
-        }
-    }
-}
-
 /// One static-vs-adaptive measurement: the same trace, the same offline
 /// model, replayed once with the scorer frozen at generation 0 and once
 /// with the online refit loop armed.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AdaptComparison {
     /// The static-scorer arm.
-    pub static_run: ExperimentResult,
+    pub static_run: RunReport,
     /// The adaptive arm ([`crate::IcgmmConfig::adapt`] armed).
-    pub adaptive_run: ExperimentResult,
+    pub adaptive_run: RunReport,
 }
 
 impl AdaptComparison {
     /// Miss-rate improvement of the adaptive arm, in percentage points
     /// (positive = adaptation won).
     pub fn miss_improvement_pts(&self) -> f64 {
-        self.static_run.miss_pct - self.adaptive_run.miss_pct
+        self.static_run.miss_rate_pct() - self.adaptive_run.miss_rate_pct()
     }
 }
 
@@ -78,7 +37,6 @@ impl AdaptComparison {
 /// [`IcgmmError::Config`] when `config.adapt` is empty (there would be no
 /// adaptive arm) and the usual training/replay errors.
 pub fn run_static_vs_adaptive(
-    name: &str,
     trace: &icgmm_trace::Trace,
     config: crate::IcgmmConfig,
     mode: PolicyMode,
@@ -105,14 +63,10 @@ pub fn run_static_vs_adaptive(
 
     let mut static_sys = Icgmm::new(static_config)?;
     static_sys.set_model(model.clone());
-    let static_run = static_sys.run(trace, mode)?;
-
     let mut adaptive_sys = Icgmm::new(config)?;
     adaptive_sys.set_model(model);
-    let adaptive_run = adaptive_sys.run(trace, mode)?;
-
     Ok(AdaptComparison {
-        static_run: ExperimentResult::from_run(name, &static_run),
-        adaptive_run: ExperimentResult::from_run(name, &adaptive_run),
+        static_run: static_sys.run(trace, mode)?,
+        adaptive_run: adaptive_sys.run(trace, mode)?,
     })
 }

@@ -70,7 +70,7 @@ use std::thread::Scope;
 
 use icgmm_cache::{
     AdaptPlan, AdaptStats, DriftDetector, FaultStats, ObsSample, RecentRing, Reservoir,
-    ScoreSource, RESERVOIR_CAPACITY,
+    ScoreSource, REFIT_DECAY, RESERVOIR_CAPACITY,
 };
 use icgmm_gmm::{EmConfig, Gmm, GmmError, GmmScorer, IncrementalEm, TimeSlice, Vec2};
 use icgmm_trace::TraceRecord;
@@ -154,7 +154,7 @@ impl Producer {
             threads: 1,
             ..em
         };
-        let trainer = IncrementalEm::new(gmm, trainer_cfg, plan.decay)?;
+        let trainer = IncrementalEm::new(gmm, trainer_cfg, REFIT_DECAY)?;
         let reservoir_salt = salt(plan.seed, shard, 2);
         Ok(Producer {
             engine,
@@ -291,9 +291,10 @@ impl Producer {
 
 /// A [`GmmPolicyEngine`] following the drift-triggered online refit loop
 /// that runs ahead of it on its own thread (see the module docs).
-/// Implements [`ScoreSource`] with the plain engine's contract, so it
-/// drops into every replay front-end (offline, sharded, served) the plain
-/// engine does.
+/// Implements [`ScoreSource`], so it drops into every replay front-end
+/// (offline, sharded, served) the plain engine does. Its refits learn
+/// from its own shard's records only: an adaptive run is deterministic
+/// for a given shard count but differs between shard counts.
 #[derive(Debug)]
 pub struct AdaptiveEngine {
     engine: GmmPolicyEngine,
@@ -399,10 +400,6 @@ impl ScoreSource for AdaptiveEngine {
             }
         }
         self.engine.score(record, pos)
-    }
-
-    fn shardable(&self) -> bool {
-        self.engine.shardable()
     }
 
     /// Takes the decisions of the boundaries past the last miss — crossed

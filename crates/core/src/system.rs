@@ -106,7 +106,7 @@ impl<'a> Assembly<'a> {
         };
         let eviction: Box<dyn EvictionPolicy + Send> = match self.mode {
             PolicyMode::Fifo => Box::new(FifoPolicy::new(sets, ways)),
-            PolicyMode::Random => Box::new(RandomPolicy::new(cfg.em.seed)),
+            PolicyMode::Random => Box::new(RandomPolicy::new(cfg.em.seed, sets)),
             PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
             // The oracle sees exactly this shard's subsequence (its
             // positions are the shard-local sequence numbers the replay
@@ -290,21 +290,14 @@ impl Icgmm {
         )?)
     }
 
-    /// The shared prologue of every replay front-end: refuse what cannot
-    /// be replayed, build the mode's engine, trim the trace's tail.
+    /// The shared prologue of every replay front-end: build the mode's
+    /// engine, trim the trace's tail.
     fn assemble<'a>(
         &'a self,
         trace: &'a Trace,
         mode: PolicyMode,
-        shards: usize,
         adapt: AdaptPlan,
     ) -> Result<Assembly<'a>, IcgmmError> {
-        if shards > 1 && mode == PolicyMode::Random {
-            return Err(IcgmmError::Config(format!(
-                "random eviction is not shard-deterministic; replay it at sim_shards = 1 \
-                 (requested {shards})"
-            )));
-        }
         let engine = mode.uses_gmm().then(|| self.policy_engine()).transpose()?;
         let (start, end) = self.cfg.preprocess.kept_range(trace.len());
         Ok(Assembly {
@@ -372,10 +365,7 @@ impl Icgmm {
     ///
     /// # Errors
     ///
-    /// As for [`Icgmm::run`], plus [`IcgmmError::Config`] when more than
-    /// one shard is requested with [`PolicyMode::Random`] — random
-    /// eviction draws victims from one global RNG stream, which
-    /// set-partitioned replay cannot reproduce.
+    /// As for [`Icgmm::run`].
     pub fn run_sharded(&self, trace: &Trace, mode: PolicyMode) -> Result<RunReport, IcgmmError> {
         let shards = self.cfg.sim_shards;
         self.replay(trace, mode, &self.cfg.latency, shards, self.cfg.adapt)
@@ -390,7 +380,7 @@ impl Icgmm {
         shards: usize,
         adapt: AdaptPlan,
     ) -> Result<RunReport, IcgmmError> {
-        let asm = self.assemble(trace, mode, shards, adapt)?;
+        let asm = self.assemble(trace, mode, adapt)?;
         let engine = ShardedSimulator::new(shards).with_faults(self.cfg.fault);
         let (records, from) = (asm.records, asm.measured_from);
         let rep = thread::scope(|scope| {
@@ -428,13 +418,12 @@ impl Icgmm {
     /// # Errors
     ///
     /// As for [`Icgmm::run_sharded`] — serving runs on the same shard
-    /// lifecycle ([`icgmm_cache::ShardSupervisor`]), so the
-    /// `Random`-above-one-shard rejection, invalid geometry and
-    /// [`IcgmmError::ShardFailed`] (a worker dies *and* the supervisor's
-    /// re-replay dies too) are the same typed errors.
+    /// lifecycle ([`icgmm_cache::ShardSupervisor`]), so invalid geometry
+    /// and [`IcgmmError::ShardFailed`] (a worker dies *and* the
+    /// supervisor's re-replay dies too) are the same typed errors.
     pub fn serve(&self, trace: &Trace, mode: PolicyMode) -> Result<ServeReport, IcgmmError> {
         let shards = self.cfg.sim_shards;
-        let asm = self.assemble(trace, mode, shards, self.cfg.adapt)?;
+        let asm = self.assemble(trace, mode, self.cfg.adapt)?;
         let server = CacheServer::new(ServeConfig {
             shards,
             clients: self.cfg.serve_clients,
@@ -588,6 +577,7 @@ mod tests {
             PolicyMode::Fifo,
             PolicyMode::Lfu,
             PolicyMode::Belady,
+            PolicyMode::Random,
             PolicyMode::GmmCachingOnly,
             PolicyMode::GmmEvictionOnly,
             PolicyMode::GmmCachingEviction,
@@ -613,23 +603,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn run_sharded_rejects_random_above_one_shard() {
-        let mut cfg = small_cfg();
-        cfg.sim_shards = 2;
-        let sys = Icgmm::new(cfg).unwrap();
-        let trace = WorkloadKind::Memtier.default_workload().generate(5_000, 1);
-        assert!(matches!(
-            sys.run_sharded(&trace, PolicyMode::Random),
-            Err(IcgmmError::Config(_))
-        ));
-        // At one shard Random replays exactly like `run`.
-        let sys1 = Icgmm::new(small_cfg()).unwrap();
-        let a = sys1.run(&trace, PolicyMode::Random).unwrap();
-        let b = sys1.run_sharded(&trace, PolicyMode::Random).unwrap();
-        assert_eq!(a.sim, b.sim);
     }
 
     #[test]

@@ -68,10 +68,9 @@ pub enum ServeError {
     /// The shard lifecycle failed, exactly as it can offline — the
     /// serving front-end runs on [`icgmm_cache::ShardSupervisor`] and
     /// passes its errors through: invalid cache geometry, a zero series
-    /// window, a measurement boundary past the end, a shard-contract
-    /// refusal, or a shard whose worker died *and* whose supervisor
-    /// re-replay died too (a lone worker panic is recovered
-    /// transparently).
+    /// window, a measurement boundary past the end, or a shard whose
+    /// worker died *and* whose supervisor re-replay died too (a lone
+    /// worker panic is recovered transparently).
     Shard(ShardRunError),
 }
 

@@ -19,8 +19,8 @@
 //! wait counted in the admission latency) and a timing surface:
 //! requests/sec at saturation plus log-bucketed p50/p99 admission-decision
 //! latencies ([`ServeReport`]). A caller that wants only a prefix served
-//! passes the prefix. What happens *to a shard* — its policies, the shard
-//! contract, the replay loop and its accounting (device faults included),
+//! passes the prefix. What happens *to a shard* — its policies, the
+//! replay loop and its accounting (device faults included),
 //! armed panic points, the recovery of a dead worker by offline re-replay,
 //! the sum of the shards' reports — is not this crate's: it is
 //! [`icgmm_cache::ShardSupervisor`], the offline engine's own, and its

@@ -20,7 +20,7 @@
 //!
 //! Concurrency therefore only decides *timing* (throughput, admission
 //! latency) — never *results*. This module owns transport and timing; the
-//! life of a shard (policies, contract, replay, armed panic point,
+//! life of a shard (policies, replay, armed panic point,
 //! recovery, the sum) is [`ShardSupervisor`]'s.
 //!
 //! What a sum cannot see is a record that never reached its shard, or
@@ -146,7 +146,7 @@ impl CacheServer {
     /// report. `make_shard` is called once per shard *on that
     /// shard's worker thread* (hence `Fn + Sync`), exactly as in
     /// [`icgmm_cache::ShardedSimulator::run`] — through the same
-    /// [`ShardSupervisor`], so the shard contracts, the replay itself, the
+    /// [`ShardSupervisor`], so the shard policies, the replay itself, the
     /// recovery of a dead worker (its whole shard re-replayed offline,
     /// replacing what it had counted) and the sum of the workers' reports
     /// are the offline ones.
@@ -156,11 +156,9 @@ impl CacheServer {
     /// [`ServeError::Shard`] with the offline engine's own
     /// [`ShardRunError`]: `Config` for invalid cache geometry,
     /// `ZeroSeriesWindow` for `series_window = Some(0)`,
-    /// `MeasuredPastEnd` for `measured_from > records.len()`, `Contract`
-    /// when running more than one shard with a non-shard-deterministic
-    /// eviction policy or a non-shardable score source, `ShardFailed` when
-    /// a worker dies and the supervisor's offline re-replay of its subtrace
-    /// dies too.
+    /// `MeasuredPastEnd` for `measured_from > records.len()`, `ShardFailed`
+    /// when a worker dies and the supervisor's offline re-replay of its
+    /// subtrace dies too.
     ///
     /// # Panics
     ///
@@ -227,15 +225,12 @@ impl CacheServer {
                     scope.spawn(move || {
                         // The offline shard replay, fed from the queue:
                         // policies are built here, in parallel across
-                        // shards. A refused worker returns before touching
-                        // its queue; the dropped receiver turns its
-                        // client's sends into no-ops, and the join below
-                        // fails the session.
+                        // shards.
                         let mut hist = LatencyHistogram::new();
                         let walk = sup.ctx(shard).walk();
                         let arrivals = Arrivals::new(rx, walk, measured_from, &mut hist);
-                        let done = sup.replay(shard, arrivals)?;
-                        Ok((done, hist))
+                        let done = sup.replay(shard, arrivals);
+                        (done, hist)
                     })
                 })
                 .collect();
@@ -262,11 +257,10 @@ impl CacheServer {
                     continue;
                 }
                 let done = match joined {
-                    Ok(Ok((done, worker_hist))) => {
+                    Ok((done, worker_hist)) => {
                         hist.merge(&worker_hist);
                         Ok(done)
                     }
-                    Ok(Err(refused)) => Err(refused),
                     Err(payload) => recover(sup, shard, payload, &mut fault),
                 };
                 match done {

@@ -16,23 +16,17 @@
 //! dependency graph (the dev-dependency cycle back into `icgmm-cache` is
 //! the standard Cargo pattern for shared test support).
 
-use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
     AccessCtx, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, CacheConfig, ConstantScore,
     EvictionPolicy, FaultPlan, FaultyScore, FifoPolicy, FnScore, GmmScorePolicy, LatencyModel,
     LfuPolicy, LruPolicy, RandomPolicy, ScoreSource, ThresholdAdmit,
 };
-use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
-use icgmm_trace::{PreprocessConfig, TraceRecord, Zipf};
+use icgmm_trace::{TraceRecord, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The eviction-policy grid every differential suite sweeps.
 pub const EVICTIONS: [&str; 6] = ["lru", "fifo", "lfu", "belady", "gmm-score", "random"];
-
-/// [`EVICTIONS`] minus the policies whose victims are not reproducible
-/// under set-partitioned replay (`random`) — the sharded suites' grid.
-pub const SHARDABLE_EVICTIONS: [&str; 5] = ["lru", "fifo", "lfu", "belady", "gmm-score"];
 
 /// The admission-policy grid.
 pub const ADMISSIONS: [&str; 2] = ["always", "threshold"];
@@ -152,7 +146,7 @@ pub fn eviction_for(
         "lfu" => Box::new(LfuPolicy::new(sets, ways)),
         "belady" => Box::new(BeladyPolicy::from_records(records, sets, ways)),
         "gmm-score" => Box::new(GmmScorePolicy::new(sets, ways)),
-        "random" => Box::new(RandomPolicy::new(0xDECADE)),
+        "random" => Box::new(RandomPolicy::new(0xDECADE, sets)),
         "poison" => Box::new(PoisonPolicy(LruPolicy::new(sets, ways))),
         other => panic!("unknown eviction {other}"),
     }
@@ -208,40 +202,6 @@ impl ScoreSource for CountingScore {
     }
 }
 
-/// A hand-built K-component mixture (no EM) so real-engine integration
-/// tests are fast and deterministic.
-pub fn hand_model(k: usize) -> TrainedModel {
-    let mut comps = Vec::with_capacity(k);
-    for i in 0..k {
-        let t = i as f64 / k as f64;
-        comps.push(
-            Gaussian2::new(
-                [t * 8.0 - 4.0, (t * std::f64::consts::TAU).cos() * 2.0],
-                Mat2::new(0.3 + t, 0.05, 0.4 + t * 0.5),
-            )
-            .expect("valid component"),
-        );
-    }
-    let gmm = Gmm::new(vec![1.0 / k as f64; k], comps).expect("valid mixture");
-    let scaler = StandardScaler::fit(&[[0.0, 0.0], [4096.0, 512.0]], &[1.0, 1.0]);
-    TrainedModel {
-        scaler,
-        gmm,
-        threshold: -6.0,
-    }
-}
-
-/// A real [`GmmPolicyEngine`] over [`hand_model`] (`fixed` selects the
-/// FPGA-style fixed-point datapath).
-pub fn hand_engine(k: usize, fixed: bool) -> GmmPolicyEngine {
-    let cfg = PreprocessConfig {
-        len_window: 16,
-        len_access_shot: 1_000,
-        ..Default::default()
-    };
-    GmmPolicyEngine::new(&hand_model(k), &cfg, fixed).expect("engine builds")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,7 +223,6 @@ mod tests {
             let mut s = score_for(name).expect("a source");
             assert!(s.score(&TraceRecord::read(0x5000), 3).is_nan(), "{name}");
         }
-        assert!(SHARDABLE_EVICTIONS.iter().all(|e| EVICTIONS.contains(e)));
     }
 
     #[test]
@@ -285,18 +244,5 @@ mod tests {
             zipf_trace(7, 300, 64, 0.9, 10),
             zipf_trace(8, 300, 64, 0.9, 10)
         );
-    }
-
-    #[test]
-    fn hand_engine_scores_and_streams_at_every_k() {
-        // Both datapaths score a miss at every K.
-        for k in [8, 64, 256] {
-            for fixed in [false, true] {
-                let mut e = hand_engine(k, fixed);
-                assert!(e.shardable());
-                let score = e.score(&TraceRecord::read(0x5000), 0);
-                assert!(score.is_finite(), "k={k} fixed={fixed}");
-            }
-        }
     }
 }

@@ -140,11 +140,6 @@ impl TimestampTransformer {
     pub fn at(&self, pos: u64) -> u64 {
         (pos / u64::from(self.len_window)) % u64::from(self.len_access_shot)
     }
-
-    /// Largest timestamp this transformer can emit.
-    pub fn max_timestamp(&self) -> u64 {
-        u64::from(self.len_access_shot) - 1
-    }
 }
 
 /// `records` paired with their timestamps, `records[0]` at position 0.
@@ -327,7 +322,6 @@ mod tests {
         let tr = TimestampTransformer::new(1, 4);
         let ts: Vec<u64> = (0..9).map(|pos| tr.at(pos)).collect();
         assert_eq!(ts, [0, 1, 2, 3, 0, 1, 2, 3, 0]);
-        assert_eq!(tr.max_timestamp(), 3);
     }
 
     #[test]

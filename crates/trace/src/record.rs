@@ -61,7 +61,6 @@ impl fmt::Display for Op {
 /// use icgmm_trace::PageIndex;
 /// let pi = PageIndex::from_paddr(0x1234_5678);
 /// assert_eq!(pi.raw(), 0x1234_5678 >> 12);
-/// assert_eq!(pi.base_paddr(), (0x1234_5678 >> 12) << 12);
 /// ```
 #[derive(
     Copy, Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
@@ -82,11 +81,6 @@ impl PageIndex {
     /// The raw page number.
     pub fn raw(self) -> u64 {
         self.0
-    }
-
-    /// The physical address of the first byte of this page.
-    pub fn base_paddr(self) -> u64 {
-        self.0 << PAGE_SHIFT
     }
 }
 
@@ -155,14 +149,6 @@ mod tests {
         assert_eq!(PageIndex::from_paddr(4095).raw(), 0);
         assert_eq!(PageIndex::from_paddr(4096).raw(), 1);
         assert_eq!(PageIndex::from_paddr(u64::MAX).raw(), u64::MAX >> 12);
-    }
-
-    #[test]
-    fn page_base_is_aligned() {
-        let pi = PageIndex::from_paddr(0xdead_beef);
-        assert_eq!(pi.base_paddr() % PAGE_SIZE, 0);
-        assert!(pi.base_paddr() <= 0xdead_beef);
-        assert!(0xdead_beef < pi.base_paddr() + PAGE_SIZE);
     }
 
     #[test]

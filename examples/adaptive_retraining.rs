@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         adapt: AdaptPlan::drifty(7),
         ..cfg
     };
-    let cmp = run_static_vs_adaptive("memtier-rotating", &trace, armed, mode, 140_000)?;
+    let cmp = run_static_vs_adaptive(&trace, armed, mode, 140_000)?;
 
     // Oracle: trained on the *whole* trace — with the timestamp feature it
     // effectively knows the rotation schedule in advance (train == test).
@@ -60,15 +60,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 row("lru", lru.miss_rate_pct(), lru.avg_us(), "-".into()),
                 row(
                     "gmm (frozen at deploy)",
-                    frozen.miss_pct,
-                    frozen.avg_us,
+                    frozen.miss_rate_pct(),
+                    frozen.avg_us(),
                     "0".into()
                 ),
                 row(
                     "gmm (adaptive)",
-                    adaptive.miss_pct,
-                    adaptive.avg_us,
-                    adaptive.adapt.refits.to_string(),
+                    adaptive.miss_rate_pct(),
+                    adaptive.avg_us(),
+                    adaptive.sim.adapt.refits.to_string(),
                 ),
                 row(
                     "gmm (oracle, full trace)",
@@ -81,9 +81,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "adaptive arm: {} drift checks, {} drifts, {} scorer swaps; {:+.2} miss pts vs frozen",
-        adaptive.adapt.checks,
-        adaptive.adapt.drifts,
-        adaptive.adapt.swaps,
+        adaptive.sim.adapt.checks,
+        adaptive.sim.adapt.drifts,
+        adaptive.sim.adapt.swaps,
         cmp.miss_improvement_pts()
     );
     println!("Finding: the refit loop chases the rotation from a deployment-time");

@@ -33,7 +33,7 @@ mod inline_oracle {
     use icgmm::GmmPolicyEngine;
     use icgmm_cache::{
         AdaptPlan, AdaptStats, DriftDetector, FaultStats, ObsSample, RecentRing, Reservoir,
-        ScoreSource, RESERVOIR_CAPACITY,
+        ScoreSource, REFIT_DECAY, RESERVOIR_CAPACITY,
     };
     use icgmm_gmm::{EmConfig, Gmm, IncrementalEm, Vec2};
     use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
@@ -86,7 +86,7 @@ mod inline_oracle {
             InlineAdaptive {
                 engine,
                 clock: TimestampTransformer::from_config(preprocess),
-                trainer: IncrementalEm::new(gmm, trainer_cfg, plan.decay).unwrap(),
+                trainer: IncrementalEm::new(gmm, trainer_cfg, REFIT_DECAY).unwrap(),
                 check_interval: plan.check_interval,
                 reservoir: Reservoir::new(salt(reservoir_salt, 0, 0), RESERVOIR_CAPACITY),
                 ring: RecentRing::default(),
@@ -167,10 +167,6 @@ mod inline_oracle {
         fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
             self.catch_up(pos);
             self.engine.score(record, pos)
-        }
-
-        fn shardable(&self) -> bool {
-            self.engine.shardable()
         }
 
         fn telemetry(&mut self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {
@@ -381,24 +377,21 @@ fn static_vs_adaptive_repairs_drift_on_the_rotating_workload() {
     let (trace, _) = fixture();
     let mut cfg = adapt_cfg();
     cfg.adapt = AdaptPlan::drifty(3);
-    let cmp = run_static_vs_adaptive(
-        "adapt-it",
-        trace,
-        cfg,
-        PolicyMode::GmmCachingEviction,
-        trace.len() / 3,
-    )
-    .unwrap();
+    let cmp = run_static_vs_adaptive(trace, cfg, PolicyMode::GmmCachingEviction, trace.len() / 3)
+        .unwrap();
     assert!(
-        cmp.static_run.adapt.is_clean(),
+        cmp.static_run.sim.adapt.is_clean(),
         "the static arm never adapts"
     );
     assert!(
-        cmp.adaptive_run.adapt.swaps > 0,
+        cmp.adaptive_run.sim.adapt.swaps > 0,
         "the rotating workload must trip the detector: {:?}",
-        cmp.adaptive_run.adapt
+        cmp.adaptive_run.sim.adapt
     );
-    assert_eq!(cmp.adaptive_run.adapt.swaps, cmp.adaptive_run.adapt.refits);
+    assert_eq!(
+        cmp.adaptive_run.sim.adapt.swaps,
+        cmp.adaptive_run.sim.adapt.refits
+    );
     assert!(cmp.miss_improvement_pts().is_finite());
 }
 

@@ -79,21 +79,23 @@ fn adaptation_repairs_drift_and_holds_on_the_control() {
     ];
     for (name, second_base_page, least) in scenarios {
         let t = two_pools(second_base_page);
-        let cmp =
-            run_static_vs_adaptive(name, &t, cfg(), PolicyMode::GmmCachingEviction, t.len() / 2)
-                .expect("scenario runs");
+        let cmp = run_static_vs_adaptive(&t, cfg(), PolicyMode::GmmCachingEviction, t.len() / 2)
+            .expect("scenario runs");
         let (stat, adapt) = (&cmp.static_run, &cmp.adaptive_run);
         println!(
             "{name:<6} static {:.2}% -> adaptive {:.2}% miss ({:+.2} pts, {} refits / {} checks / {} drifts)",
-            stat.miss_pct,
-            adapt.miss_pct,
+            stat.miss_rate_pct(),
+            adapt.miss_rate_pct(),
             cmp.miss_improvement_pts(),
-            adapt.adapt.refits,
-            adapt.adapt.checks,
-            adapt.adapt.drifts,
+            adapt.sim.adapt.refits,
+            adapt.sim.adapt.checks,
+            adapt.sim.adapt.drifts,
         );
-        assert_eq!(stat.adapt.refits, 0, "{name}: the static arm never refits");
-        let ratio = stat.miss_pct / adapt.miss_pct;
+        assert_eq!(
+            stat.sim.adapt.refits, 0,
+            "{name}: the static arm never refits"
+        );
+        let ratio = stat.miss_rate_pct() / adapt.miss_rate_pct();
         assert!(
             ratio >= least,
             "{name}: static / adaptive = {ratio:.3} < {least}"

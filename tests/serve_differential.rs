@@ -119,16 +119,19 @@ fn serving_is_deterministic_across_repeat_runs() {
 }
 
 #[test]
-fn serving_rejects_random_above_one_shard() {
+fn served_random_equals_run_at_every_shard_count() {
     let trace = tenant_trace(5_000, 3);
-    let mut cfg = serve_cfg();
-    cfg.sim_shards = 2;
-    let sys = Icgmm::new(cfg).unwrap();
-    assert!(sys.serve(&trace, PolicyMode::Random).is_err());
-    let mut cfg1 = serve_cfg();
-    cfg1.sim_shards = 1;
-    let sys1 = Icgmm::new(cfg1).unwrap();
-    let served = sys1.serve(&trace, PolicyMode::Random).unwrap();
-    let reference = sys1.run(&trace, PolicyMode::Random).unwrap();
-    assert_eq!(served.sim, reference.sim, "one-shard random must agree");
+    let reference = Icgmm::new(serve_cfg())
+        .unwrap()
+        .run(&trace, PolicyMode::Random)
+        .unwrap();
+    for shards in [1, 2, 4] {
+        let mut cfg = serve_cfg();
+        cfg.sim_shards = shards;
+        let served = Icgmm::new(cfg)
+            .unwrap()
+            .serve(&trace, PolicyMode::Random)
+            .unwrap();
+        assert_eq!(served.sim, reference.sim, "random at {shards} shards");
+    }
 }
