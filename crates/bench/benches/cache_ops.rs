@@ -56,7 +56,7 @@ fn floor_lru(records: &[TraceRecord], lat: &LatencyModel) -> (u64, u64, f64) {
         let page = r.page().raw();
         let (set, tag) = ((page % SETS) as usize, page / SETS);
         let (tags, stamps, dirty) = (&mut tags[set], &mut stamps[set], &mut dirty[set]);
-        let write = r.op.is_write();
+        let write = r.op().is_write();
         let way = match (0..WAYS).find(|&w| stamps[w] != 0 && tags[w] == tag) {
             Some(way) => {
                 hits += 1;

@@ -254,13 +254,13 @@ impl SetAssocCache {
         let (set, tag) = self.map.split(page);
         let mut ctx = AccessCtx {
             page,
-            op: record.op,
+            op: record.op(),
             seq,
             score: None,
         };
         if let Some(way) = self.find(set, tag) {
             // Hit: bypass the policy engine entirely.
-            if record.op == Op::Write {
+            if record.op() == Op::Write {
                 self.flags[set * self.cfg.ways + way] |= DIRTY;
             }
             eviction.on_hit(set, way, &ctx);

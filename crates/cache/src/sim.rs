@@ -317,7 +317,7 @@ impl<'a> Accounting<'a> {
         let Some(measured_pos) = pos.checked_sub(self.measured_from) else {
             return;
         };
-        self.stats.record(r.op, outcome);
+        self.stats.record(r.op(), outcome);
         if let Some(ms) = self.series.as_mut() {
             ms.record(measured_pos, !outcome.is_hit());
         }
@@ -334,7 +334,7 @@ impl<'a> Accounting<'a> {
         let Some(plan) = &self.device else { return };
         let (lat, fault) = (self.latency, &mut self.fault);
         let (mut nominal, mut cmd) = (0.0, 0);
-        let (_, faulted) = lat.split_with(r.op, outcome, |us| {
+        let (_, faulted) = lat.split_with(r.op(), outcome, |us| {
             nominal += us;
             cmd += 1;
             plan.device_command_us(pos, cmd - 1, us, fault)

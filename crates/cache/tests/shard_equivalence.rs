@@ -150,7 +150,7 @@ impl ReplayObserver for InOrderOracle {
         if ev.seq < self.warmup_len {
             return;
         }
-        self.total_us += self.lat.request_us(ev.record.op, ev.outcome);
+        self.total_us += self.lat.request_us(ev.record.op(), ev.outcome);
         self.in_window += 1;
         self.misses_in_window += u64::from(!ev.outcome.is_hit());
         if self.in_window == WINDOW {
@@ -346,7 +346,7 @@ proptest! {
     ) {
         let (seed, n) = params;
         // An odd multiplier is a bijection on u64: the pages are distinct.
-        let page_at = |pos: u64| (pos + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 12;
+        let page_at = |pos: u64| (pos + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 13;
         let trace: Vec<TraceRecord> =
             (0..n as u64).map(|pos| TraceRecord::read(page_at(pos) << 12)).collect();
         let measured_from = seed as usize % n;

@@ -22,7 +22,7 @@ use icgmm_cache::{
     SetAssocCache,
 };
 use icgmm_testutil::{admission_for, eviction_for, ADMISSIONS, EVICTIONS};
-use icgmm_trace::{Op, PageIndex, TraceRecord};
+use icgmm_trace::{Op, PageIndex, TraceRecord, MAX_PADDR};
 use proptest::prelude::*;
 
 /// The parent revision's tag store: array of `BlockState`, early-exit scan.
@@ -77,12 +77,12 @@ impl RefCache {
         let set = self.set_of(page);
         let mut ctx = AccessCtx {
             page,
-            op: record.op,
+            op: record.op(),
             seq,
             score: None,
         };
         if let Some(way) = self.lookup(page) {
-            if record.op == Op::Write {
+            if record.op() == Op::Write {
                 self.blocks[set * self.ways + way].dirty = true;
             }
             eviction.on_hit(set, way, &ctx);
@@ -103,7 +103,7 @@ impl RefCache {
         self.blocks[set * self.ways + way] = BlockState {
             tag: page.raw() / self.sets,
             valid: true,
-            dirty: record.op == Op::Write,
+            dirty: record.op() == Op::Write,
         };
         eviction.on_insert(set, way, &ctx);
         AccessOutcome::MissInserted { way, evicted }
@@ -114,7 +114,7 @@ const SETS: [u64; 6] = [1, 2, 3, 6, 12, 2_048];
 const WAYS: [usize; 8] = [1, 2, 3, 8, 9, 16, 65, 100];
 
 /// The highest page a record can name (`paddr >> 12`).
-const TOP_PAGE: u64 = u64::MAX >> 12;
+const TOP_PAGE: u64 = MAX_PADDR >> 12;
 
 fn geometry(sets: u64, ways: usize) -> CacheConfig {
     CacheConfig::new(sets * ways as u64 * 4096, 4096, ways).expect("valid geometry")
@@ -195,11 +195,14 @@ proptest! {
                     }
                 }
                 // Lookups agree on cached pages, their near neighbours and
-                // pages beyond what a record can name.
+                // pages beyond what a record can name: just above
+                // [`TOP_PAGE`] and at the top of the page space.
                 for (i, r) in records.iter().enumerate().take(64) {
-                    let far = PageIndex::new(u64::MAX - mix(seed ^ i as u64) % 4_096);
+                    let off = mix(seed ^ i as u64) % 4_096;
+                    let beyond = PageIndex::new(TOP_PAGE + 1 + off);
+                    let far = PageIndex::new(u64::MAX - off);
                     let near = PageIndex::new(r.page().raw() ^ 1);
-                    for p in [r.page(), near, far] {
+                    for p in [r.page(), near, beyond, far] {
                         prop_assert_eq!(flat.lookup(p), oracle.lookup(p), "lookup {:?}", p);
                     }
                 }

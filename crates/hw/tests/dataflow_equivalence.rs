@@ -196,7 +196,7 @@ impl RefTimeline {
 impl ReplayObserver for RefTimeline {
     fn on_record(&mut self, ev: &ReplayEvent<'_>) {
         if (ev.seq as usize) >= self.warmup_len {
-            self.step(ev.seq, ev.record.op, ev.outcome);
+            self.step(ev.seq, ev.record.op(), ev.outcome);
         }
     }
 }

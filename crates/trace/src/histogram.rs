@@ -30,7 +30,8 @@ impl SpatialHistogram {
     ///
     /// # Panics
     ///
-    /// Panics if `buckets == 0`.
+    /// If `buckets == 0`; the callers (`fig2`, `trace_explorer`) pass
+    /// constants.
     pub fn from_records(records: &[TraceRecord], buckets: usize) -> Self {
         assert!(buckets > 0, "buckets must be >= 1");
         if records.is_empty() {
@@ -131,7 +132,8 @@ impl TemporalHeatmap {
     ///
     /// # Panics
     ///
-    /// Panics if `rows == 0` or `cols == 0`.
+    /// If `rows`, `cols` or `cfg.len_window` is 0; the callers (`fig2`,
+    /// `trace_explorer`) pass constants and the default config.
     pub fn from_records(
         records: &[TraceRecord],
         cfg: &PreprocessConfig,
@@ -184,7 +186,7 @@ impl TemporalHeatmap {
     ///
     /// # Panics
     ///
-    /// Panics when out of range.
+    /// When out of range; every caller walks `0..rows` × `0..cols`.
     pub fn at(&self, row: usize, col: usize) -> u64 {
         assert!(
             row < self.rows && col < self.cols,

@@ -5,7 +5,7 @@
 //! the open-source collection tool the paper uses, so externally collected
 //! traces can be fed to the simulator.
 
-use crate::record::{Op, TraceRecord};
+use crate::record::{Op, TraceRecord, MAX_PADDR};
 use crate::trace::Trace;
 use std::error::Error;
 use std::fmt;
@@ -71,9 +71,10 @@ const MALFORMED_ECHO_CHARS: usize = 80;
 /// (a record is under 40).
 pub const MAX_LINE_BYTES: usize = 4096;
 
-/// Parses an address field: hex digits after `0x` / `0X`, decimal digits
-/// otherwise. The integer parsers accept a leading `+`; an address has no
-/// sign, so a field that does not start with a digit is refused first.
+/// Parses an address field of at most [`MAX_PADDR`]: hex digits after
+/// `0x` / `0X`, decimal digits otherwise. The integer parsers accept a
+/// leading `+`; an address has no sign, so a field that does not start
+/// with a digit is refused first.
 fn parse_paddr(field: &str) -> Option<u64> {
     let (digits, radix) = match field
         .strip_prefix("0x")
@@ -85,7 +86,9 @@ fn parse_paddr(field: &str) -> Option<u64> {
     if !digits.starts_with(|c: char| c.is_digit(radix)) {
         return None;
     }
-    u64::from_str_radix(digits, radix).ok()
+    u64::from_str_radix(digits, radix)
+        .ok()
+        .filter(|&paddr| paddr <= MAX_PADDR)
 }
 
 /// Writes a trace in text form. A `&mut` reference may be passed for `w`.
@@ -97,7 +100,7 @@ pub fn write_text<W: Write>(trace: &Trace, w: W) -> std::io::Result<()> {
     let mut w = BufWriter::new(w);
     writeln!(w, "# icgmm trace v1: <R|W> <hex paddr>")?;
     for r in trace {
-        writeln!(w, "{} {:#x}", r.op, r.paddr)?;
+        writeln!(w, "{} {:#x}", r.op(), r.paddr())?;
     }
     w.flush()
 }
@@ -108,10 +111,10 @@ pub fn write_text<W: Write>(trace: &Trace, w: W) -> std::io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseTraceError::Malformed`] on the first bad line,
-/// [`ParseTraceError::LineTooLong`] on the first over-long one, or
-/// [`ParseTraceError::Io`] on reader failure (bytes that are not UTF-8
-/// included).
+/// Returns [`ParseTraceError::Malformed`] on the first bad line (an
+/// address above [`MAX_PADDR`] is one), [`ParseTraceError::LineTooLong`]
+/// on the first over-long one, or [`ParseTraceError::Io`] on reader
+/// failure (bytes that are not UTF-8 included).
 pub fn read_text<R: Read>(r: R) -> Result<Trace, ParseTraceError> {
     let mut reader = BufReader::new(r);
     let mut trace = Trace::new();
@@ -180,9 +183,9 @@ mod tests {
         let text = "# header\n\nR 0x10\n  \nW 32\n";
         let t = read_text(text.as_bytes()).unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.records()[0].paddr, 0x10);
-        assert_eq!(t.records()[1].paddr, 32); // decimal accepted
-        assert_eq!(t.records()[1].op, Op::Write);
+        assert_eq!(t.records()[0].paddr(), 0x10);
+        assert_eq!(t.records()[1].paddr(), 32); // decimal accepted
+        assert_eq!(t.records()[1].op(), Op::Write);
     }
 
     #[test]
@@ -220,6 +223,11 @@ mod tests {
             ("W", 1),
             ("R 0x10000000000000000", 1),
             ("# ok\nR 18446744073709551616", 2),
+            // One past MAX_PADDR and u64::MAX: bit 63 is the write flag.
+            ("R 0x8000000000000000", 1),
+            ("R 0x10\nW 9223372036854775808", 2),
+            ("R 0x10\n# ok\nW 0xffffffffffffffff", 3),
+            ("W 18446744073709551615", 1),
             ("R 0x10 0x20", 1),
         ];
         for (text, want) in cases {
@@ -231,8 +239,9 @@ mod tests {
             }
         }
         // The largest address still parses, in both radices.
-        let max = read_text("R 0xffffffffffffffff\nW 18446744073709551615".as_bytes()).unwrap();
-        assert!(max.records().iter().all(|r| r.paddr == u64::MAX));
+        let max = read_text("R 0x7fffffffffffffff\nW 9223372036854775807".as_bytes()).unwrap();
+        let got: Vec<(Op, u64)> = max.iter().map(|r| (r.op(), r.paddr())).collect();
+        assert_eq!(got, [(Op::Read, MAX_PADDR), (Op::Write, MAX_PADDR)]);
 
         // The echo of an offending line is capped, on a character boundary.
         let long = format!("R {}", "é".repeat(1_000));

@@ -49,6 +49,6 @@ pub use preprocess::{
     extract_features, extract_weighted_cells, extract_weighted_cells_range, trim, PreprocessConfig,
     TimestampTransformer, WeightedSample,
 };
-pub use record::{Op, PageIndex, TraceRecord, HOST_ACCESS_BYTES, PAGE_SHIFT, PAGE_SIZE};
+pub use record::{Op, PageIndex, TraceRecord, HOST_ACCESS_BYTES, MAX_PADDR, PAGE_SHIFT, PAGE_SIZE};
 pub use trace::{Trace, TraceStats};
 pub use zipf::{Zipf, ZipfError};

@@ -86,7 +86,7 @@ impl PreprocessConfig {
 /// let t: Trace = (0..100u64).map(|i| TraceRecord::read(i * 64)).collect();
 /// let kept = icgmm_trace::trim(&t, &PreprocessConfig::default());
 /// assert_eq!(kept.len(), 70);
-/// assert_eq!(kept[0].paddr, 20 * 64);
+/// assert_eq!(kept[0].paddr(), 20 * 64);
 /// ```
 pub fn trim<'a>(trace: &'a Trace, cfg: &PreprocessConfig) -> &'a [TraceRecord] {
     let (start, end) = cfg.kept_range(trace.len());
@@ -120,7 +120,8 @@ impl TimestampTransformer {
     ///
     /// # Panics
     ///
-    /// Panics if either length is zero.
+    /// If either length is zero. `GmmPolicyEngine::new` refuses zero
+    /// lengths before it builds one, and `Icgmm::new` before training.
     pub fn new(len_window: u32, len_access_shot: u32) -> Self {
         assert!(len_window > 0, "len_window must be >= 1");
         assert!(len_access_shot > 0, "len_access_shot must be >= 1");
@@ -199,7 +200,7 @@ pub fn extract_weighted_cells(
 ///
 /// When `start > end`, `end > records.len()` or an Algorithm 1 length is
 /// zero. `Icgmm::fit` reaches none: `Icgmm::new` validates the lengths, and
-/// `fit` returns `EmptyTrace` unless `kept_range` gives `start < end`.
+/// the range is `kept_range`'s, which keeps `start <= end <= len`.
 pub fn extract_weighted_cells_range(
     records: &[TraceRecord],
     cfg: &PreprocessConfig,
@@ -207,7 +208,7 @@ pub fn extract_weighted_cells_range(
     end: usize,
 ) -> Vec<WeightedSample> {
     assert!(start <= end && end <= records.len(), "invalid cell range");
-    // Integer key order is `f64` order: pages < 2⁵², timestamps < 2³².
+    // Integer key order is `f64` order: pages < 2⁵¹, timestamps < 2³².
     let mut keys = Vec::with_capacity(end - start);
     for (ts, r) in timestamped(&records[..end], cfg).skip(start) {
         keys.push((r.page().raw(), ts));

@@ -13,6 +13,10 @@ use std::fmt;
 /// granularity and therefore the DRAM-cache block size (paper §2.1).
 pub const PAGE_SHIFT: u32 = 12;
 
+/// Largest physical address a [`TraceRecord`] holds: bit 63 of its word
+/// is the write flag.
+pub const MAX_PADDR: u64 = (1 << 63) - 1;
+
 /// SSD page size in bytes (4 KiB).
 pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 
@@ -96,25 +100,31 @@ impl From<u64> for PageIndex {
     }
 }
 
-/// One host memory request observed at the CXL device.
+/// One host memory request observed at the CXL device, packed into one
+/// word: the physical byte address in bits 0–62 and the write flag in bit
+/// 63, so an in-memory trace costs 8 bytes per record.
 ///
 /// ```
 /// use icgmm_trace::{Op, TraceRecord};
-/// let r = TraceRecord::new(Op::Read, 0x8000);
-/// assert_eq!(r.page().raw(), 8);
+/// let r = TraceRecord::new(Op::Write, 0x8000);
+/// assert_eq!((r.op(), r.paddr(), r.page().raw()), (Op::Write, 0x8000, 8));
 /// ```
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct TraceRecord {
-    /// Read or write.
-    pub op: Op,
-    /// Physical byte address in the expanded memory space.
-    pub paddr: u64,
-}
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct TraceRecord(u64);
+
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 8);
 
 impl TraceRecord {
     /// Creates a record.
+    ///
+    /// # Panics
+    ///
+    /// If `paddr` exceeds [`MAX_PADDR`], rather than mask bit 63 off. No
+    /// physical address needs it (x86-64 uses 52 bits): `io::read_text`
+    /// refuses one as malformed, and the generators draw far below it.
     pub fn new(op: Op, paddr: u64) -> Self {
-        TraceRecord { op, paddr }
+        assert!(paddr <= MAX_PADDR, "address {paddr:#x} exceeds MAX_PADDR");
+        TraceRecord(paddr | u64::from(op.is_write()) << 63)
     }
 
     /// Convenience constructor for a read.
@@ -127,15 +137,37 @@ impl TraceRecord {
         TraceRecord::new(Op::Write, paddr)
     }
 
+    /// Read or write.
+    #[inline]
+    pub fn op(&self) -> Op {
+        [Op::Read, Op::Write][(self.0 >> 63) as usize]
+    }
+
+    /// Physical byte address in the expanded memory space.
+    #[inline]
+    pub fn paddr(&self) -> u64 {
+        self.0 & MAX_PADDR
+    }
+
     /// The 4 KiB page this request falls in.
+    #[inline]
     pub fn page(&self) -> PageIndex {
-        PageIndex::from_paddr(self.paddr)
+        PageIndex::from_paddr(self.paddr())
+    }
+}
+
+impl fmt::Debug for TraceRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceRecord")
+            .field("op", &self.op())
+            .field("paddr", &self.paddr())
+            .finish()
     }
 }
 
 impl fmt::Display for TraceRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {:#x}", self.op, self.paddr)
+        write!(f, "{} {:#x}", self.op(), self.paddr())
     }
 }
 
@@ -155,7 +187,46 @@ mod tests {
     fn record_page_matches_manual_shift() {
         let r = TraceRecord::write(0x12_3456);
         assert_eq!(r.page().raw(), 0x12_3456 >> 12);
-        assert!(r.op.is_write());
+        assert!(r.op().is_write());
+    }
+
+    #[test]
+    fn the_word_holds_what_went_in() {
+        use crate::{io, Trace};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(36);
+        let edges = [0, 1, 4095, 4096, 1 << 52, MAX_PADDR];
+        let paddrs: Vec<u64> = edges
+            .into_iter()
+            .chain((0..64).map(|_| rng.gen::<u64>() & MAX_PADDR))
+            .collect();
+        let mut records = Vec::new();
+        for &paddr in &paddrs {
+            for op in [Op::Read, Op::Write] {
+                let r = TraceRecord::new(op, paddr);
+                assert_eq!((r.op(), r.paddr()), (op, paddr));
+                assert_eq!(r.page(), PageIndex::from_paddr(paddr));
+                records.push(r);
+            }
+        }
+        let trace = Trace::from_records(records);
+        let mut text = Vec::new();
+        io::write_text(&trace, &mut text).unwrap();
+        assert_eq!(io::read_text(text.as_slice()).unwrap(), trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_PADDR")]
+    fn an_address_past_max_paddr_panics() {
+        let _ = TraceRecord::read(1 << 63);
+    }
+
+    #[test]
+    fn debug_prints_the_fields() {
+        let r = TraceRecord::write(0x2a);
+        assert_eq!(format!("{r:?}"), "TraceRecord { op: Write, paddr: 42 }");
+        let pretty = "TraceRecord {\n    op: Read,\n    paddr: 4096,\n}";
+        assert_eq!(format!("{:#?}", TraceRecord::read(4096)), pretty);
     }
 
     #[test]

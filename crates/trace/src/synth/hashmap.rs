@@ -173,7 +173,7 @@ mod tests {
             .iter()
             .filter(|r| {
                 let p = r.page().raw();
-                !r.op.is_write()
+                !r.op().is_write()
                     && p >= w.bucket_base_page
                     && p < w.bucket_base_page + w.bucket_pages()
             })
@@ -192,7 +192,7 @@ mod tests {
         assert!(best_run >= 16, "no rehash scan found (best run {best_run})");
         let reloc_writes = t
             .iter()
-            .filter(|r| r.op.is_write() && r.page().raw() >= w.relocation_base())
+            .filter(|r| r.op().is_write() && r.page().raw() >= w.relocation_base())
             .count();
         assert!(reloc_writes > 0, "rehash produced no relocation writes");
     }

@@ -176,7 +176,7 @@ mod tests {
             .iter()
             .filter(|r| {
                 let p = r.page().raw();
-                p >= a_base && p < a_base + w.array_pages && !r.op.is_write()
+                p >= a_base && p < a_base + w.array_pages && !r.op().is_write()
             })
             .map(|r| r.page().raw())
             .collect();
@@ -225,6 +225,6 @@ mod tests {
         let t = w.generate(40, 4);
         let c_base = w.array_base(2);
         assert_eq!(t.records()[32].page().raw(), c_base);
-        assert!(!t.records()[32].op.is_write());
+        assert!(!t.records()[32].op().is_write());
     }
 }

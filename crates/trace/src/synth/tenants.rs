@@ -175,7 +175,7 @@ mod tests {
         };
         let t = w.generate(2_000, 3);
         for r in t.iter() {
-            let page = r.paddr >> PAGE_SHIFT;
+            let page = r.paddr() >> PAGE_SHIFT;
             assert!(
                 (w.base_page..w.base_page + 4 * 100).contains(&page),
                 "page {page:#x} outside the pool"
@@ -193,7 +193,7 @@ mod tests {
         let t = w.generate(20_000, 5);
         let mut per_tenant: HashMap<u64, usize> = HashMap::new();
         for r in t.iter() {
-            let page = r.paddr >> PAGE_SHIFT;
+            let page = r.paddr() >> PAGE_SHIFT;
             *per_tenant
                 .entry((page - w.base_page) / w.pages_per_tenant)
                 .or_default() += 1;
@@ -214,7 +214,7 @@ mod tests {
             ..Default::default()
         };
         let t = w.generate(20_000, 11);
-        let writes = t.iter().filter(|r| r.op.is_write()).count();
+        let writes = t.iter().filter(|r| r.op().is_write()).count();
         let frac = writes as f64 / t.len() as f64;
         assert!((frac - 0.30).abs() < 0.02, "write fraction {frac}");
     }
@@ -235,7 +235,7 @@ mod tests {
         let hot = |records: &[crate::record::TraceRecord]| -> u64 {
             let mut counts: HashMap<u64, usize> = HashMap::new();
             for r in records {
-                *counts.entry(r.paddr >> PAGE_SHIFT).or_default() += 1;
+                *counts.entry(r.paddr() >> PAGE_SHIFT).or_default() += 1;
             }
             counts.into_iter().max_by_key(|&(_, c)| c).unwrap().0
         };

@@ -131,7 +131,7 @@ impl TraceStats {
         let mut min_page = u64::MAX;
         let mut max_page = 0u64;
         for r in records {
-            if r.op == Op::Write {
+            if r.op() == Op::Write {
                 writes += 1;
             }
             let p = r.page();

@@ -14,7 +14,7 @@
 use icgmm_trace::synth::WorkloadKind;
 use icgmm_trace::{
     extract_weighted_cells, extract_weighted_cells_range, PreprocessConfig, TraceRecord,
-    WeightedSample,
+    WeightedSample, MAX_PADDR,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -72,10 +72,10 @@ const SHOTS: [u32; 3] = [1, 3, 10_000];
 /// from a small pool (heavy duplication) or anywhere (light duplication).
 fn paddr(kind: u64, raw: u64, pool: u64) -> u64 {
     match kind % 4 {
-        0 => u64::MAX,
+        0 => MAX_PADDR,
         1 => raw % 4096,
         2 => ((raw % pool) << 12) | (raw >> 52),
-        _ => raw,
+        _ => raw & MAX_PADDR,
     }
 }
 
@@ -118,9 +118,9 @@ proptest! {
 #[test]
 fn top_and_bottom_pages_are_exact_and_ordered() {
     let records = [
-        TraceRecord::read(u64::MAX),
+        TraceRecord::read(MAX_PADDR),
         TraceRecord::write(0),
-        TraceRecord::read(u64::MAX - 4095),
+        TraceRecord::read(MAX_PADDR - 4095),
         TraceRecord::read(4095),
     ];
     let cfg = PreprocessConfig {
@@ -129,7 +129,7 @@ fn top_and_bottom_pages_are_exact_and_ordered() {
         ..Default::default()
     };
     let cells = extract_weighted_cells(&records, &cfg);
-    let top = ((1u64 << 52) - 1) as f64;
+    let top = ((1u64 << 51) - 1) as f64;
     let got: Vec<(f64, f64, f64)> = cells.iter().map(|c| (c.page, c.time, c.weight)).collect();
     assert_eq!(
         got,

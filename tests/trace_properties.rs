@@ -138,6 +138,6 @@ fn read_write_ops_survive_the_full_pipeline() {
     write_text(&trace, &mut buf).unwrap();
     let back = read_text(buf.as_slice()).unwrap();
     let kept = trim(&back, &PreprocessConfig::default());
-    let writes = kept.iter().filter(|r| r.op == Op::Write).count();
+    let writes = kept.iter().filter(|r| r.op() == Op::Write).count();
     assert!(writes > 0 && writes < kept.len());
 }
