@@ -2,14 +2,12 @@
 //! evidence that the harness can replay paper-scale traces in seconds),
 //! next to a hand-specialised LRU loop over the same trace. CI gates the
 //! pair (`ci.yml` has the threshold and the rounds behind it): what the
-//! generic simulator pays for runtime geometry, trait-object policies,
-//! per-request outcomes and accounting stays bounded against the floor.
+//! generic simulator pays for runtime geometry, the policy enum's
+//! dispatch, per-request outcomes and accounting stays bounded against
+//! the floor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use icgmm_cache::{
-    simulate, AlwaysAdmit, CacheConfig, EvictionPolicy, FifoPolicy, GmmScorePolicy, LatencyModel,
-    LfuPolicy, LruPolicy, SetAssocCache,
-};
+use icgmm_cache::{simulate, CacheConfig, GmmScorePolicy, LatencyModel, Policy, SetAssocCache};
 use icgmm_trace::synth::WorkloadKind;
 use icgmm_trace::TraceRecord;
 use std::hint::black_box;
@@ -19,18 +17,17 @@ fn bench_policy(
     label: &str,
     records: &[TraceRecord],
     cfg: CacheConfig,
-    mk: impl Fn() -> Box<dyn EvictionPolicy>,
+    mk: impl Fn() -> Policy,
 ) {
     let lat = LatencyModel::paper_tlc();
     group.bench_function(BenchmarkId::new("simulate_100k", label), |b| {
         b.iter(|| {
             let mut cache = SetAssocCache::new(cfg).expect("geometry");
-            let mut ev = mk();
+            let mut policy = mk();
             black_box(simulate(
                 black_box(records),
                 &mut cache,
-                &mut AlwaysAdmit,
-                ev.as_mut(),
+                &mut policy,
                 None,
                 &lat,
                 None,
@@ -41,7 +38,7 @@ fn bench_policy(
 
 /// The floor under `simulate_100k/lru`: the paper geometry fixed at
 /// compile time (2 048 × 8, so the set mapping is a mask and a shift), LRU
-/// stamps inline, no trait objects, no outcome values — only `simulate`'s
+/// stamps inline, no policy dispatch, no outcome values — only `simulate`'s
 /// hit count, miss count and latency sum. A stamp is the last use + 1 and
 /// 0 means "never filled", so the least-recent way of a set is its first
 /// empty way for as long as it has one.
@@ -96,17 +93,9 @@ fn bench_cache(c: &mut Criterion) {
     let ways = cfg.ways;
 
     let lat = LatencyModel::paper_tlc();
-    let mut lru = LruPolicy::new(sets, ways);
+    let mut lru = Policy::lru(sets, ways);
     let mut cache = SetAssocCache::new(cfg).expect("geometry");
-    let want = simulate(
-        records,
-        &mut cache,
-        &mut AlwaysAdmit,
-        &mut lru,
-        None,
-        &lat,
-        None,
-    );
+    let want = simulate(records, &mut cache, &mut lru, None, &lat, None);
     assert_eq!(
         floor_lru(records, &lat),
         (want.stats.hits(), want.stats.misses(), want.total_us),
@@ -115,17 +104,9 @@ fn bench_cache(c: &mut Criterion) {
     group.bench_function("floor_lru_100k", |b| {
         b.iter(|| black_box(floor_lru(black_box(records), &lat)))
     });
-    bench_policy(&mut group, "lru", records, cfg, || {
-        Box::new(LruPolicy::new(sets, ways))
-    });
-    bench_policy(&mut group, "fifo", records, cfg, || {
-        Box::new(FifoPolicy::new(sets, ways))
-    });
-    bench_policy(&mut group, "lfu", records, cfg, || {
-        Box::new(LfuPolicy::new(sets, ways))
-    });
+    bench_policy(&mut group, "lru", records, cfg, || Policy::lru(sets, ways));
     bench_policy(&mut group, "gmm-score-evict", records, cfg, || {
-        Box::new(GmmScorePolicy::new(sets, ways))
+        Policy::new(None, GmmScorePolicy::new(sets, ways))
     });
     group.finish();
 }

@@ -27,8 +27,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
-    simulate, CacheConfig, LatencyModel, LruPolicy, ScoreSource, SetAssocCache, ShardPolicies,
-    ThresholdAdmit,
+    simulate, CacheConfig, LatencyModel, LruPolicy, Policy, ScoreSource, SetAssocCache,
+    ShardPolicies, ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_serve::{CacheServer, ServeConfig};
@@ -105,8 +105,10 @@ fn serve_once(
             0,
             cfg,
             &|_ctx| ShardPolicies {
-                admission: Box::new(ThresholdAdmit::new(f64::NEG_INFINITY)),
-                eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+                policy: Policy::new(
+                    Some(ThresholdAdmit::new(f64::NEG_INFINITY)),
+                    LruPolicy::new(cfg.num_sets(), cfg.ways),
+                ),
                 score: Some(Box::new(eng.clone())),
             },
             lat,
@@ -164,13 +166,14 @@ fn bench_serving(c: &mut Criterion) {
                 // baseline amortized away.
                 let mut e = eng.clone();
                 let mut cache = SetAssocCache::new(cfg).expect("valid geometry");
-                let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-                let mut adm = ThresholdAdmit::new(f64::NEG_INFINITY);
+                let mut policy = Policy::new(
+                    Some(ThresholdAdmit::new(f64::NEG_INFINITY)),
+                    LruPolicy::new(cfg.num_sets(), cfg.ways),
+                );
                 black_box(simulate(
                     black_box(trace),
                     &mut cache,
-                    &mut adm,
-                    &mut lru,
+                    &mut policy,
                     Some(&mut e as &mut dyn ScoreSource),
                     &lat,
                     None,

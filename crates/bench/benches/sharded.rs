@@ -18,8 +18,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use icgmm::{GmmPolicyEngine, TrainedModel};
 use icgmm_cache::{
-    simulate, CacheConfig, LatencyModel, LruPolicy, ScoreSource, SetAssocCache, ShardPolicies,
-    ShardedSimulator, ThresholdAdmit,
+    simulate, CacheConfig, LatencyModel, LruPolicy, Policy, ScoreSource, SetAssocCache,
+    ShardPolicies, ShardedSimulator, ThresholdAdmit,
 };
 use icgmm_gmm::{Gaussian2, Gmm, Mat2, StandardScaler};
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
@@ -99,13 +99,14 @@ fn bench_sharded(c: &mut Criterion) {
             // replay.
             let mut e = eng.clone();
             let mut cache = SetAssocCache::new(cfg).expect("valid geometry");
-            let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-            let mut adm = ThresholdAdmit::new(f64::NEG_INFINITY);
+            let mut policy = Policy::new(
+                Some(ThresholdAdmit::new(f64::NEG_INFINITY)),
+                LruPolicy::new(cfg.num_sets(), cfg.ways),
+            );
             black_box(simulate(
                 black_box(&scan),
                 &mut cache,
-                &mut adm,
-                &mut lru,
+                &mut policy,
                 Some(&mut e as &mut dyn ScoreSource),
                 &lat,
                 None,
@@ -123,8 +124,10 @@ fn bench_sharded(c: &mut Criterion) {
                         0,
                         cfg,
                         &|_ctx| ShardPolicies {
-                            admission: Box::new(ThresholdAdmit::new(f64::NEG_INFINITY)),
-                            eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+                            policy: Policy::new(
+                                Some(ThresholdAdmit::new(f64::NEG_INFINITY)),
+                                LruPolicy::new(cfg.num_sets(), cfg.ways),
+                            ),
                             score: Some(Box::new(eng.clone())),
                         },
                         &lat,
@@ -142,13 +145,14 @@ fn bench_sharded(c: &mut Criterion) {
             // replay.
             let mut e = eng.clone();
             let mut cache = SetAssocCache::new(cfg).expect("valid geometry");
-            let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-            let mut adm = ThresholdAdmit::new(f64::NEG_INFINITY);
+            let mut policy = Policy::new(
+                Some(ThresholdAdmit::new(f64::NEG_INFINITY)),
+                LruPolicy::new(cfg.num_sets(), cfg.ways),
+            );
             black_box(simulate(
                 black_box(&tenants),
                 &mut cache,
-                &mut adm,
-                &mut lru,
+                &mut policy,
                 Some(&mut e as &mut dyn ScoreSource),
                 &lat,
                 None,
@@ -166,8 +170,10 @@ fn bench_sharded(c: &mut Criterion) {
                         0,
                         cfg,
                         &|_ctx| ShardPolicies {
-                            admission: Box::new(ThresholdAdmit::new(f64::NEG_INFINITY)),
-                            eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+                            policy: Policy::new(
+                                Some(ThresholdAdmit::new(f64::NEG_INFINITY)),
+                                LruPolicy::new(cfg.num_sets(), cfg.ways),
+                            ),
                             score: Some(Box::new(eng.clone())),
                         },
                         &lat,

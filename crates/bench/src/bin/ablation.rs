@@ -5,8 +5,7 @@
 //! 3. `len_access_shot` (Algorithm 1 periodicity),
 //! 4. SSD device class (TLC vs Z-NAND vs QLC),
 //! 5. cache size sweep,
-//! 6. fixed-point vs f64 inference,
-//! 7. eviction hit-bonus (recency blended back into stored scores).
+//! 6. fixed-point vs f64 inference.
 //!
 //! One benchmark per ablation keeps the run minutes-scale; `--quick`
 //! shrinks it further.
@@ -175,25 +174,4 @@ fn main() {
         )
     );
     println!("Expected: quantization changes policy decisions marginally (<0.5% miss).");
-
-    // 7. Eviction hit-bonus: blend recency back into the stored score.
-    banner("ablation 7 — eviction hit-bonus (dlrm, gmm-eviction)");
-    let (_, base_cfg, trace) = spec_for(scale, WorkloadKind::Dlrm);
-    let mut rows = Vec::new();
-    for bonus in [0.0, 0.05, 0.25, 1.0] {
-        let cfg = IcgmmConfig {
-            eviction_hit_bonus: bonus,
-            ..base_cfg
-        };
-        let (miss, avg) = run_pair(cfg, &trace, PolicyMode::GmmEvictionOnly);
-        rows.push(vec![f(bonus, 2), f(miss, 2), f(avg, 2)]);
-        eprintln!("[ablation] hit-bonus {bonus} done");
-    }
-    println!(
-        "{}",
-        format_table(&["hit bonus", "miss %", "avg µs"], &rows)
-    );
-    println!("bonus = 0 is the paper's stored-score design; positive values test");
-    println!("whether mixing recency back in helps (it should matter little when");
-    println!("the GMM already separates hot from cold).");
 }

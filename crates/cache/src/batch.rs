@@ -9,7 +9,7 @@
 
 use crate::cache::SetAssocCache;
 use crate::latency::LatencyModel;
-use crate::policy::{AdmissionPolicy, EvictionPolicy};
+use crate::policy::{Evict, ThresholdAdmit};
 use crate::score::ScoreSource;
 use crate::sim::{simulate_streaming_with_warmup, SimReport};
 use icgmm_trace::TraceRecord;
@@ -69,17 +69,21 @@ impl WindowedSimulator {
 
     /// The streaming replay, argument for argument.
     #[allow(clippy::too_many_arguments)]
-    pub fn run(
+    pub fn run<A, E>(
         &mut self,
         warmup: &[TraceRecord],
         measured: &[TraceRecord],
         cache: &mut SetAssocCache,
-        admission: &mut dyn AdmissionPolicy,
-        eviction: &mut dyn EvictionPolicy,
+        admission: &mut A,
+        eviction: &mut E,
         score: Option<&mut dyn ScoreSource>,
         latency: &LatencyModel,
         series_window: Option<u64>,
-    ) -> SimReport {
+    ) -> SimReport
+    where
+        A: Clone + Into<Option<ThresholdAdmit>>,
+        E: Clone + Into<Evict>,
+    {
         simulate_streaming_with_warmup(
             warmup,
             measured,

@@ -30,7 +30,7 @@
 //! (ROADMAP, "Cache simulator").
 
 use crate::config::{CacheConfig, CacheConfigError, SetMap};
-use crate::policy::{AccessCtx, AdmissionPolicy, EvictionPolicy};
+use crate::policy::{AccessCtx, Policy};
 use icgmm_trace::{Op, PageIndex, TraceRecord};
 use serde::{Deserialize, Serialize};
 
@@ -85,17 +85,16 @@ impl AccessOutcome {
 /// The set-associative tag store.
 ///
 /// ```
-/// use icgmm_cache::{AlwaysAdmit, CacheConfig, LruPolicy, SetAssocCache};
+/// use icgmm_cache::{CacheConfig, Policy, SetAssocCache};
 /// use icgmm_trace::TraceRecord;
 ///
 /// let cfg = CacheConfig { capacity_bytes: 4096 * 8, block_bytes: 4096, ways: 2 };
 /// let mut cache = SetAssocCache::new(cfg)?;
-/// let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-/// let mut admit = AlwaysAdmit;
+/// let mut lru = Policy::lru(cfg.num_sets(), cfg.ways);
 /// let r = TraceRecord::read(0x5000);
-/// let first = cache.access(&r, 0, None, &mut admit, &mut lru);
+/// let first = cache.access(&r, 0, None, &mut lru);
 /// assert!(!first.is_hit());
-/// let second = cache.access(&r, 1, None, &mut admit, &mut lru);
+/// let second = cache.access(&r, 1, None, &mut lru);
 /// assert!(second.is_hit());
 /// # Ok::<(), icgmm_cache::CacheConfigError>(())
 /// ```
@@ -219,11 +218,9 @@ impl SetAssocCache {
         record: &TraceRecord,
         seq: u64,
         score: Option<f64>,
-        admission: &mut dyn AdmissionPolicy,
-        eviction: &mut dyn EvictionPolicy,
+        policy: &mut Policy,
     ) -> AccessOutcome {
-        self.access_scored(record, seq, || score, admission, eviction)
-            .0
+        self.access_scored(record, seq, || score, policy).0
     }
 
     /// [`SetAssocCache::access`] with the miss score taken lazily: `score`
@@ -233,7 +230,7 @@ impl SetAssocCache {
     ///
     /// An untrusted score is no score: this is the one place a miss's
     /// score enters [`AccessCtx`], and a non-finite one enters as `None` —
-    /// the policies decide that request the way they would without a
+    /// the policy decides that request the way it would without a
     /// policy engine (admit it, evict by recency) and never store it. The
     /// returned score is still the raw one, so callers count the inference.
     ///
@@ -247,8 +244,7 @@ impl SetAssocCache {
         record: &TraceRecord,
         seq: u64,
         score: impl FnOnce() -> Option<f64>,
-        admission: &mut dyn AdmissionPolicy,
-        eviction: &mut dyn EvictionPolicy,
+        policy: &mut Policy,
     ) -> (AccessOutcome, Option<f64>) {
         let page = record.page();
         let (set, tag) = self.map.split(page);
@@ -263,16 +259,16 @@ impl SetAssocCache {
             if record.op() == Op::Write {
                 self.flags[set * self.cfg.ways + way] |= DIRTY;
             }
-            eviction.on_hit(set, way, &ctx);
+            policy.on_hit(set, way, &ctx);
             return (AccessOutcome::Hit { way }, None);
         }
 
         let raw = score();
         ctx.score = raw.filter(|s| s.is_finite());
-        if !admission.should_admit(&ctx) {
+        if !policy.admits(&ctx) {
             return (AccessOutcome::MissBypassed, raw);
         }
-        let (way, evicted) = self.insert(set, tag, &ctx, eviction);
+        let (way, evicted) = self.insert(set, tag, &ctx, policy);
         (AccessOutcome::MissInserted { way, evicted }, raw)
     }
 
@@ -283,7 +279,7 @@ impl SetAssocCache {
         set: usize,
         tag: u64,
         ctx: &AccessCtx,
-        eviction: &mut dyn EvictionPolicy,
+        policy: &mut Policy,
     ) -> (usize, Option<Eviction>) {
         let ways = self.cfg.ways;
         let base = set * ways;
@@ -291,7 +287,7 @@ impl SetAssocCache {
         let way = self.flags[base..base + ways]
             .iter()
             .position(|f| f & VALID == 0)
-            .unwrap_or_else(|| eviction.choose_victim(set, ways, ctx));
+            .unwrap_or_else(|| policy.choose_victim(set, ways, ctx));
         debug_assert!(way < ways, "policy returned way out of range");
         let slot = base + way;
         let old = self.flags[slot];
@@ -302,7 +298,7 @@ impl SetAssocCache {
         self.tags_mut()[slot] = tag;
         // Write-allocate: a write miss fetches the page then dirties it.
         self.flags[slot] = VALID | if ctx.op == Op::Write { DIRTY } else { 0 };
-        eviction.on_insert(set, way, ctx);
+        policy.on_insert(set, way, ctx);
         (way, evicted)
     }
 
@@ -317,9 +313,9 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{AlwaysAdmit, LruPolicy, ThresholdAdmit};
+    use crate::policy::{LruPolicy, Policy, ThresholdAdmit};
 
-    fn tiny() -> (SetAssocCache, LruPolicy) {
+    fn tiny() -> (SetAssocCache, Policy) {
         // 2 sets × 2 ways.
         let cfg = CacheConfig {
             capacity_bytes: 4 * 4096,
@@ -327,7 +323,7 @@ mod tests {
             ways: 2,
         };
         let c = SetAssocCache::new(cfg).unwrap();
-        let p = LruPolicy::new(cfg.num_sets(), cfg.ways);
+        let p = Policy::lru(cfg.num_sets(), cfg.ways);
         (c, p)
     }
 
@@ -342,22 +338,20 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let (mut c, mut lru) = tiny();
-        let mut admit = AlwaysAdmit;
-        assert!(!c.access(&read(4), 0, None, &mut admit, &mut lru).is_hit());
-        assert!(c.access(&read(4), 1, None, &mut admit, &mut lru).is_hit());
+        assert!(!c.access(&read(4), 0, None, &mut lru).is_hit());
+        assert!(c.access(&read(4), 1, None, &mut lru).is_hit());
         assert_eq!(c.occupancy(), 1);
     }
 
     #[test]
     fn lru_eviction_in_a_full_set() {
         let (mut c, mut lru) = tiny();
-        let mut admit = AlwaysAdmit;
         // Pages 0, 2, 4 all map to set 0 (2 sets).
-        c.access(&read(0), 0, None, &mut admit, &mut lru);
-        c.access(&read(2), 1, None, &mut admit, &mut lru);
+        c.access(&read(0), 0, None, &mut lru);
+        c.access(&read(2), 1, None, &mut lru);
         // Touch page 0 so page 2 is LRU.
-        c.access(&read(0), 2, None, &mut admit, &mut lru);
-        let out = c.access(&read(4), 3, None, &mut admit, &mut lru);
+        c.access(&read(0), 2, None, &mut lru);
+        let out = c.access(&read(4), 3, None, &mut lru);
         match out {
             AccessOutcome::MissInserted {
                 evicted: Some(e), ..
@@ -374,11 +368,10 @@ mod tests {
     #[test]
     fn write_allocate_sets_dirty_and_writeback_reports_it() {
         let (mut c, mut lru) = tiny();
-        let mut admit = AlwaysAdmit;
-        c.access(&write(0), 0, None, &mut admit, &mut lru);
-        c.access(&read(2), 1, None, &mut admit, &mut lru);
-        c.access(&read(2), 2, None, &mut admit, &mut lru); // page 0 is LRU
-        let out = c.access(&read(4), 3, None, &mut admit, &mut lru);
+        c.access(&write(0), 0, None, &mut lru);
+        c.access(&read(2), 1, None, &mut lru);
+        c.access(&read(2), 2, None, &mut lru); // page 0 is LRU
+        let out = c.access(&read(4), 3, None, &mut lru);
         match out {
             AccessOutcome::MissInserted {
                 evicted: Some(e), ..
@@ -393,20 +386,19 @@ mod tests {
     #[test]
     fn write_hit_dirties_a_clean_block() {
         let (mut c, mut lru) = tiny();
-        let mut admit = AlwaysAdmit;
-        c.access(&read(4), 0, None, &mut admit, &mut lru);
+        c.access(&read(4), 0, None, &mut lru);
         let set = c.config().set_of(PageIndex::new(4));
         let way = c.lookup(PageIndex::new(4)).unwrap();
         assert!(!c.block(set, way).dirty);
-        c.access(&write(4), 1, None, &mut admit, &mut lru);
+        c.access(&write(4), 1, None, &mut lru);
         assert!(c.block(set, way).dirty);
     }
 
     #[test]
     fn bypass_leaves_cache_untouched() {
-        let (mut c, mut lru) = tiny();
-        let mut admit = ThresholdAdmit::new(0.5);
-        let out = c.access(&read(6), 0, Some(0.1), &mut admit, &mut lru);
+        let (mut c, _) = tiny();
+        let mut filtered = Policy::new(Some(ThresholdAdmit::new(0.5)), LruPolicy::new(2, 2));
+        let out = c.access(&read(6), 0, Some(0.1), &mut filtered);
         assert_eq!(out, AccessOutcome::MissBypassed);
         assert_eq!(c.occupancy(), 0);
         assert!(!c.contains(PageIndex::new(6)));
@@ -415,9 +407,8 @@ mod tests {
     #[test]
     fn distinct_tags_same_set_coexist() {
         let (mut c, mut lru) = tiny();
-        let mut admit = AlwaysAdmit;
-        c.access(&read(0), 0, None, &mut admit, &mut lru);
-        c.access(&read(2), 1, None, &mut admit, &mut lru);
+        c.access(&read(0), 0, None, &mut lru);
+        c.access(&read(2), 1, None, &mut lru);
         assert!(c.contains(PageIndex::new(0)));
         assert!(c.contains(PageIndex::new(2)));
         assert_eq!(c.occupancy(), 2);
@@ -431,11 +422,10 @@ mod tests {
         for (sets, ways) in [(1u64, 1usize), (3, 3), (1, 9), (6, 65), (1, 130)] {
             let cfg = CacheConfig::new(sets * ways as u64 * 4096, 4096, ways).unwrap();
             let mut c = SetAssocCache::new(cfg).unwrap();
-            let mut lru = LruPolicy::new(cfg.num_sets(), ways);
-            let mut admit = AlwaysAdmit;
+            let mut lru = Policy::lru(cfg.num_sets(), ways);
             let blocks = sets * ways as u64;
             for p in 0..blocks {
-                let out = c.access(&write(p), p, None, &mut admit, &mut lru);
+                let out = c.access(&write(p), p, None, &mut lru);
                 let way = (p / sets) as usize;
                 assert_eq!(out, AccessOutcome::MissInserted { way, evicted: None });
             }
@@ -452,7 +442,7 @@ mod tests {
                 assert!(!c.contains(PageIndex::new(p + blocks)));
             }
             // A full set evicts its least-recent way and reports the page.
-            let out = c.access(&read(blocks), blocks, None, &mut admit, &mut lru);
+            let out = c.access(&read(blocks), blocks, None, &mut lru);
             let evicted = Some(Eviction {
                 page: PageIndex::new(0),
                 dirty: true,
@@ -477,9 +467,9 @@ mod tests {
             let mut c = SetAssocCache::new(cfg).unwrap();
             assert_eq!(c.tags().as_ptr() as usize % 64, 0, "{sets} sets");
             assert_eq!(c.tags().len(), cfg.num_blocks());
-            let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
+            let mut lru = Policy::lru(cfg.num_sets(), cfg.ways);
             for p in 0..sets * 8 {
-                c.access(&write(p), p, None, &mut AlwaysAdmit, &mut lru);
+                c.access(&write(p), p, None, &mut lru);
             }
             assert!((0..sets * 8).all(|p| c.contains(PageIndex::new(p))));
             assert_eq!(c.occupancy(), cfg.num_blocks());
@@ -489,8 +479,7 @@ mod tests {
     #[test]
     fn clear_empties_the_cache() {
         let (mut c, mut lru) = tiny();
-        let mut admit = AlwaysAdmit;
-        c.access(&read(0), 0, None, &mut admit, &mut lru);
+        c.access(&read(0), 0, None, &mut lru);
         c.clear();
         assert_eq!(c.occupancy(), 0);
         assert!(!c.contains(PageIndex::new(0)));

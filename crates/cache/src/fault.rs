@@ -145,7 +145,7 @@ pub struct FaultPlan {
     /// Consecutive non-finite scores before the scorer health monitor
     /// stops trusting the engine — every miss then goes unscored
     /// (always admitted, evicted by recency). Zero disarms the monitor;
-    /// a single non-finite score is withheld from the policies either way.
+    /// a single non-finite score is withheld from the policy either way.
     pub scorer_demote_after: u32,
     /// Consecutive finite scores (while degraded) before re-promotion.
     pub scorer_promote_after: u32,
@@ -499,7 +499,7 @@ impl ScorerHealth {
 /// genuine non-finite scores the inner engine produces on its own.
 ///
 /// While the monitor is degraded the wrapper answers every miss with no
-/// score (NaN, which the cache hands the policies as
+/// score (NaN, which the cache hands the policy as
 /// [`AccessCtx::score`](crate::AccessCtx::score)` = None`); it still
 /// scores underneath, so the re-promotion streak runs.
 ///

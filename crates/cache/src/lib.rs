@@ -3,20 +3,19 @@
 //! Set-associative DRAM-cache simulator for the ICGMM reproduction
 //! (DAC 2024). Models the device-side DRAM cache fronting a CXL-attached
 //! SSD: 4 KiB blocks (the SSD access granularity), write-allocate with
-//! write-back dirty tracking, pluggable admission and eviction policies,
-//! and the paper's latency constants (1 µs hit, 75 µs SSD read, 900 µs SSD
-//! program, 3 µs overlapped GMM inference).
+//! write-back dirty tracking, one policy engine ([`Policy`]: an optional
+//! threshold admission filter and LRU, stored-GMM-score or Belady
+//! eviction), and the paper's latency constants (1 µs hit, 75 µs SSD
+//! read, 900 µs SSD program, 3 µs overlapped GMM inference).
 //!
 //! The crate is model-agnostic: GMM scores arrive through the
-//! [`ScoreSource`] trait, so LRU/FIFO/LFU/Random/Belady baselines and the
-//! GMM (or an LSTM) policy engine all drive the *same* simulator — that is
-//! what makes the paper's Fig. 6 and Table 1 comparisons apples-to-apples.
+//! [`ScoreSource`] trait, so the LRU baseline, Belady's MIN and the
+//! paper's three GMM modes all drive the *same* simulator — that is what
+//! makes the paper's Fig. 6 and Table 1 comparisons apples-to-apples.
 //!
-//! Entry points, all over one replay loop: [`simulate`] /
-//! [`simulate_streaming_with_warmup`] (one cache, one thread),
-//! [`simulate_streaming_observed_with_warmup`] (plus a [`ReplayObserver`]),
-//! [`ShardedSimulator::run`] (set-partitioned, bit-identical at every
-//! shard count) and, for front-ends that feed shards themselves,
+//! Entry points, all over one replay loop: [`simulate`] (one cache, one
+//! thread), [`ShardedSimulator::run`] (set-partitioned, bit-identical at
+//! every shard count) and, for front-ends that feed shards themselves,
 //! [`ShardSupervisor`] — whose [`ShardSupervisor::replay`] runs a shard
 //! over whatever record walk its caller hands it (the serving workers pass
 //! their queue's arrivals), recovers a dead shard and adds the shards'
@@ -30,19 +29,16 @@
 //! ## Example
 //!
 //! ```
-//! use icgmm_cache::{
-//!     simulate, AlwaysAdmit, CacheConfig, LatencyModel, LruPolicy, SetAssocCache,
-//! };
+//! use icgmm_cache::{simulate, CacheConfig, LatencyModel, Policy, SetAssocCache};
 //! use icgmm_trace::TraceRecord;
 //!
 //! let cfg = CacheConfig::paper_default();
 //! let mut cache = SetAssocCache::new(cfg)?;
-//! let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
+//! let mut lru = Policy::lru(cfg.num_sets(), cfg.ways);
 //! let trace: Vec<TraceRecord> = (0..100u64).map(|i| TraceRecord::read((i % 10) << 12)).collect();
 //! let report = simulate(
 //!     &trace,
 //!     &mut cache,
-//!     &mut AlwaysAdmit,
 //!     &mut lru,
 //!     None,
 //!     &LatencyModel::paper_tlc(),
@@ -81,17 +77,17 @@ pub use fault::{FaultPlan, FaultStats, FaultyScore, ScorerHealth};
 pub use latency::LatencyModel;
 #[doc(hidden)]
 pub use merge::{merge_streams, OutcomeStream, SeqOutcome, StreamingMerge};
+#[doc(hidden)]
+pub use policy::AlwaysAdmit;
 pub use policy::{
-    AccessCtx, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy, FifoPolicy,
-    GmmScorePolicy, LfuPolicy, LruPolicy, RandomPolicy, ThresholdAdmit,
+    AccessCtx, BeladyPolicy, Evict, GmmScorePolicy, LruPolicy, Policy, ThresholdAdmit,
 };
 pub use score::{ConstantScore, FnScore, ScoreSource};
 pub use shard::{
     ShardCtx, ShardPartition, ShardPolicies, ShardRunError, ShardSupervisor, ShardedReport,
     ShardedSimulator,
 };
-pub use sim::{
-    simulate, simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, ReplayEvent,
-    ReplayObserver, SimReport,
-};
+pub use sim::{simulate, ReplayEvent, ReplayObserver, SimReport};
+#[doc(hidden)]
+pub use sim::{simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup};
 pub use stats::{CacheStats, MissSeries};

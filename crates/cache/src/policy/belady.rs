@@ -5,7 +5,7 @@
 //! The oracle is built from the full trace ahead of time and evicts the
 //! block whose next use lies farthest in the future.
 
-use super::{AccessCtx, EvictionPolicy};
+use super::AccessCtx;
 use icgmm_trace::TraceRecord;
 use std::collections::{HashMap, VecDeque};
 
@@ -76,26 +76,16 @@ impl BeladyPolicy {
     fn slot(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
     }
-}
 
-impl EvictionPolicy for BeladyPolicy {
-    fn name(&self) -> &str {
-        "belady"
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
+    /// A hit or an insert at `(set, way)`: the block's next use is the
+    /// page's next occurrence after this request.
+    pub(crate) fn touch(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
         let nu = self.next_use_after(ctx.page.raw(), ctx.seq);
         let s = self.slot(set, way);
         self.next_use[s] = nu;
     }
 
-    fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        let nu = self.next_use_after(ctx.page.raw(), ctx.seq);
-        let s = self.slot(set, way);
-        self.next_use[s] = nu;
-    }
-
-    fn choose_victim(&mut self, set: usize, ways: usize, _ctx: &AccessCtx) -> usize {
+    pub(crate) fn choose_victim(&self, set: usize, ways: usize) -> usize {
         (0..ways)
             .max_by_key(|&w| self.next_use[self.slot(set, w)])
             .expect("set has at least one way")
@@ -125,10 +115,10 @@ mod tests {
             .map(|&p| TraceRecord::read(p << 12))
             .collect();
         let mut b = BeladyPolicy::from_records(&records, 1, 3);
-        b.on_insert(0, 0, &ctx(0, 0)); // A next at 3
-        b.on_insert(0, 1, &ctx(1, 1)); // B next at 4
-        b.on_insert(0, 2, &ctx(2, 2)); // C never
-        assert_eq!(b.choose_victim(0, 3, &ctx(3, 5)), 2);
+        b.touch(0, 0, &ctx(0, 0)); // A next at 3
+        b.touch(0, 1, &ctx(1, 1)); // B next at 4
+        b.touch(0, 2, &ctx(2, 2)); // C never
+        assert_eq!(b.choose_victim(0, 3), 2);
     }
 
     #[test]
@@ -139,9 +129,9 @@ mod tests {
             .map(|&p| TraceRecord::read(p << 12))
             .collect();
         let mut b = BeladyPolicy::from_records(&records, 1, 2);
-        b.on_insert(0, 0, &ctx(0, 0));
+        b.touch(0, 0, &ctx(0, 0));
         assert_eq!(b.next_use[0], 1);
-        b.on_hit(0, 0, &ctx(0, 1));
+        b.touch(0, 0, &ctx(0, 1));
         assert_eq!(b.next_use[0], u64::MAX);
     }
 

@@ -4,8 +4,7 @@
 //! inserted (the hardware keeps it in the cache-tag/score table buffer of
 //! Fig. 5); on a full set, the victim is the block with the lowest stored
 //! score. Hits do **not** recompute the score (they bypass the policy
-//! engine), but an optional multiplicative `hit_bonus` can nudge stored
-//! scores upward on reuse for ablation studies (default 0 = paper-faithful).
+//! engine); they only refresh the block's recency, which breaks ties.
 //!
 //! A miss that arrives without a score ([`AccessCtx::score`] is `None`: no
 //! policy engine, or one whose score is not to be trusted) has nothing to
@@ -14,7 +13,7 @@
 //! keeps — and the block it inserts stores score 0, first out once scores
 //! return. A policy that never sees a score is LRU.
 
-use super::{AccessCtx, EvictionPolicy};
+use super::AccessCtx;
 
 /// Lexicographic strict-`<` scan over `(stored score, recency)` keys: the
 /// way with the lowest score wins, equal scores fall back to the least
@@ -38,28 +37,15 @@ pub struct GmmScorePolicy {
     score: Vec<f64>,
     last: Vec<u64>,
     ways: usize,
-    hit_bonus: f64,
 }
 
 impl GmmScorePolicy {
-    /// Creates the policy for `sets × ways` blocks (paper behaviour:
-    /// no hit bonus).
+    /// Creates the policy for `sets × ways` blocks.
     pub fn new(sets: usize, ways: usize) -> Self {
         GmmScorePolicy {
             score: vec![0.0; sets * ways],
             last: vec![0; sets * ways],
             ways,
-            hit_bonus: 0.0,
-        }
-    }
-
-    /// Creates the policy with a multiplicative hit bonus: on every hit the
-    /// stored score becomes `score × (1 + bonus)`. Used by the ablation
-    /// benches; `bonus = 0` reproduces the paper.
-    pub fn with_hit_bonus(sets: usize, ways: usize, bonus: f64) -> Self {
-        GmmScorePolicy {
-            hit_bonus: bonus,
-            ..GmmScorePolicy::new(sets, ways)
         }
     }
 
@@ -71,22 +57,14 @@ impl GmmScorePolicy {
     pub fn stored_score(&self, set: usize, way: usize) -> f64 {
         self.score[self.slot(set, way)]
     }
-}
 
-impl EvictionPolicy for GmmScorePolicy {
-    fn name(&self) -> &str {
-        "gmm-score"
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
+    /// A hit refreshes the block's recency; its stored score stays.
+    pub(crate) fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
         let s = self.slot(set, way);
         self.last[s] = ctx.seq + 1;
-        if self.hit_bonus > 0.0 {
-            self.score[s] *= 1.0 + self.hit_bonus;
-        }
     }
 
-    fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
+    pub(crate) fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
         let s = self.slot(set, way);
         // A block inserted without a score (e.g. policy engine disabled for
         // a stretch) gets score 0 and is first in line for eviction.
@@ -94,7 +72,7 @@ impl EvictionPolicy for GmmScorePolicy {
         self.last[s] = ctx.seq + 1;
     }
 
-    fn choose_victim(&mut self, set: usize, ways: usize, ctx: &AccessCtx) -> usize {
+    pub(crate) fn choose_victim(&self, set: usize, ways: usize, ctx: &AccessCtx) -> usize {
         // Victim selection runs on every conflict miss: scan the set's
         // score/recency slots as two contiguous strips rather than
         // re-deriving the slot index per way.
@@ -149,14 +127,6 @@ mod tests {
         p.on_insert(0, 0, &ctx(0, Some(0.4)));
         p.on_hit(0, 0, &ctx(1, None));
         assert_eq!(p.stored_score(0, 0), 0.4);
-    }
-
-    #[test]
-    fn hit_bonus_raises_score() {
-        let mut p = GmmScorePolicy::with_hit_bonus(1, 1, 0.5);
-        p.on_insert(0, 0, &ctx(0, Some(0.4)));
-        p.on_hit(0, 0, &ctx(1, None));
-        assert!((p.stored_score(0, 0) - 0.6).abs() < 1e-12);
     }
 
     #[test]

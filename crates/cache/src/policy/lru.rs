@@ -1,6 +1,6 @@
 //! Least-Recently-Used eviction — the paper's baseline policy.
 
-use super::{AccessCtx, EvictionPolicy};
+use super::AccessCtx;
 
 /// Classic LRU: each block remembers the sequence number of its last touch;
 /// the victim is the block with the smallest one.
@@ -29,24 +29,14 @@ impl LruPolicy {
     fn slot(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
     }
-}
 
-impl EvictionPolicy for LruPolicy {
-    fn name(&self) -> &str {
-        "lru"
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
+    /// A hit or an insert at `(set, way)`: the block is now the most recent.
+    pub(crate) fn touch(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
         let s = self.slot(set, way);
         self.last_used[s] = ctx.seq + 1; // +1 so seq 0 differs from "never"
     }
 
-    fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        let s = self.slot(set, way);
-        self.last_used[s] = ctx.seq + 1;
-    }
-
-    fn choose_victim(&mut self, set: usize, ways: usize, _ctx: &AccessCtx) -> usize {
+    pub(crate) fn choose_victim(&self, set: usize, ways: usize) -> usize {
         (0..ways)
             .min_by_key(|&w| self.last_used[self.slot(set, w)])
             .expect("set has at least one way")
@@ -56,6 +46,7 @@ impl EvictionPolicy for LruPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Policy;
     use icgmm_trace::{Op, PageIndex};
 
     fn ctx(seq: u64) -> AccessCtx {
@@ -69,7 +60,7 @@ mod tests {
 
     #[test]
     fn victim_is_least_recent() {
-        let mut p = LruPolicy::new(1, 4);
+        let mut p = Policy::lru(1, 4);
         for (way, seq) in [(0, 10), (1, 5), (2, 20), (3, 7)] {
             p.on_insert(0, way, &ctx(seq));
         }
@@ -81,7 +72,7 @@ mod tests {
 
     #[test]
     fn sets_are_independent() {
-        let mut p = LruPolicy::new(2, 2);
+        let mut p = Policy::lru(2, 2);
         p.on_insert(0, 0, &ctx(100));
         p.on_insert(0, 1, &ctx(200));
         p.on_insert(1, 0, &ctx(1));
@@ -94,7 +85,7 @@ mod tests {
 
     #[test]
     fn name_is_lru() {
-        assert_eq!(LruPolicy::new(1, 1).name(), "lru");
+        assert_eq!(Policy::lru(1, 1).eviction_name(), "lru");
     }
 
     #[test]

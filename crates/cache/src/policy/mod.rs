@@ -1,29 +1,28 @@
-//! Admission and eviction policy traits plus the standard implementations.
+//! The policy engine: admission and eviction as one type.
 //!
-//! The cache simulator is policy-agnostic: [`EvictionPolicy`] chooses
-//! victims and maintains per-block replacement metadata, while
-//! [`AdmissionPolicy`] decides whether a missed page enters the cache at
-//! all. GMM scores reach the policies through [`AccessCtx::score`], which
-//! the simulator fills in on misses only (hits bypass the policy engine,
+//! The paper's hardware has one policy engine over one tag/score table
+//! (Fig. 5); [`Policy`] is its software shape. It holds an optional
+//! admission filter ([`ThresholdAdmit`] — the paper's smart caching;
+//! `None` admits every miss) and one eviction rule ([`Evict`]: LRU, the
+//! paper's baseline; the stored GMM score, its smart eviction; Belady's
+//! MIN, the in-tree bound) with that rule's per-block state, and decides
+//! admission, the hit update, the insert and the victim. The paper's four
+//! modes (Fig. 6) are {LRU, GMM score} × {no filter, threshold}. GMM
+//! scores reach the policy through [`AccessCtx::score`], which the
+//! simulator fills in on misses only (hits bypass the policy engine,
 //! exactly as in the paper's Fig. 4).
 
 mod belady;
-mod fifo;
 mod gmm;
-mod lfu;
 mod lru;
-mod random;
 
 pub use belady::BeladyPolicy;
-pub use fifo::FifoPolicy;
 pub use gmm::GmmScorePolicy;
-pub use lfu::LfuPolicy;
 pub use lru::LruPolicy;
-pub use random::RandomPolicy;
 
 use icgmm_trace::{Op, PageIndex};
 
-/// Per-request context handed to policies.
+/// Per-request context handed to the policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AccessCtx {
     /// The requested page.
@@ -40,45 +39,125 @@ pub struct AccessCtx {
     pub score: Option<f64>,
 }
 
-/// Chooses victims and maintains per-block replacement state.
-///
-/// Implementations are sized for a specific geometry at construction and
-/// are driven by the cache through the three callbacks.
-pub trait EvictionPolicy {
-    /// Short policy name for reports.
-    fn name(&self) -> &str;
-
-    /// The requested page hit in `set` at `way`.
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx);
-
-    /// A page was inserted into `set` at `way`.
-    fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx);
-
-    /// Chooses the victim way in a full `set` (all `ways` valid).
-    fn choose_victim(&mut self, set: usize, ways: usize, ctx: &AccessCtx) -> usize;
+/// The eviction rule of a [`Policy`], with its per-block state. Every
+/// rule ranks the blocks of the request's own set only.
+#[derive(Clone, Debug)]
+pub enum Evict {
+    /// Least recently used (the paper's baseline).
+    Lru(LruPolicy),
+    /// Lowest stored GMM score, recency breaking ties (§3.2).
+    GmmScore(GmmScorePolicy),
+    /// Farthest next use (Belady's MIN, the clairvoyant bound).
+    Belady(BeladyPolicy),
 }
 
-/// Decides whether a missed page is inserted or bypassed.
-pub trait AdmissionPolicy {
-    /// Short policy name for reports.
-    fn name(&self) -> &str;
+impl From<LruPolicy> for Evict {
+    fn from(p: LruPolicy) -> Self {
+        Evict::Lru(p)
+    }
+}
+
+impl From<GmmScorePolicy> for Evict {
+    fn from(p: GmmScorePolicy) -> Self {
+        Evict::GmmScore(p)
+    }
+}
+
+impl From<BeladyPolicy> for Evict {
+    fn from(p: BeladyPolicy) -> Self {
+        Evict::Belady(p)
+    }
+}
+
+/// One cache's policy engine: what enters the cache and what leaves it.
+#[derive(Clone, Debug)]
+pub struct Policy {
+    /// The admission filter; `None` admits every miss (write-allocate).
+    pub admit: Option<ThresholdAdmit>,
+    /// The eviction rule.
+    pub evict: Evict,
+}
+
+impl Policy {
+    /// A policy of `admit` and `evict`.
+    pub fn new(admit: Option<ThresholdAdmit>, evict: impl Into<Evict>) -> Self {
+        Policy {
+            admit,
+            evict: evict.into(),
+        }
+    }
+
+    /// Plain LRU over `sets × ways` blocks, admitting every miss — the
+    /// paper's baseline.
+    pub fn lru(sets: usize, ways: usize) -> Self {
+        Policy::new(None, LruPolicy::new(sets, ways))
+    }
 
     /// `true` to insert the missed page, `false` to bypass the cache.
-    fn should_admit(&mut self, ctx: &AccessCtx) -> bool;
+    #[inline]
+    pub fn admits(&self, ctx: &AccessCtx) -> bool {
+        self.admit.as_ref().is_none_or(|t| t.admits(ctx))
+    }
+
+    /// The requested page hit in `set` at `way`.
+    #[inline]
+    pub fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
+        match &mut self.evict {
+            Evict::Lru(p) => p.touch(set, way, ctx),
+            Evict::GmmScore(p) => p.on_hit(set, way, ctx),
+            Evict::Belady(p) => p.touch(set, way, ctx),
+        }
+    }
+
+    /// A page was inserted into `set` at `way`.
+    #[inline]
+    pub fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
+        match &mut self.evict {
+            Evict::Lru(p) => p.touch(set, way, ctx),
+            Evict::GmmScore(p) => p.on_insert(set, way, ctx),
+            Evict::Belady(p) => p.touch(set, way, ctx),
+        }
+    }
+
+    /// The victim way in a full `set` (all `ways` valid).
+    #[inline]
+    pub fn choose_victim(&mut self, set: usize, ways: usize, ctx: &AccessCtx) -> usize {
+        match &mut self.evict {
+            Evict::Lru(p) => p.choose_victim(set, ways),
+            Evict::GmmScore(p) => p.choose_victim(set, ways, ctx),
+            Evict::Belady(p) => p.choose_victim(set, ways),
+        }
+    }
+
+    /// The eviction rule's name in reports: `"lru"`, `"gmm-score"` or
+    /// `"belady"`.
+    pub fn eviction_name(&self) -> &'static str {
+        match self.evict {
+            Evict::Lru(_) => "lru",
+            Evict::GmmScore(_) => "gmm-score",
+            Evict::Belady(_) => "belady",
+        }
+    }
+
+    /// The admission rule's name in reports: `"always"` or
+    /// `"gmm-threshold"`.
+    pub fn admission_name(&self) -> &'static str {
+        match self.admit {
+            None => "always",
+            Some(_) => "gmm-threshold",
+        }
+    }
 }
 
-/// Admits every miss (the classic write-allocate cache; the paper's LRU
-/// baseline and its "GMM eviction-only" mode use this).
+/// Benchmark façade — named by `icgmm_bench`, which passes it where a
+/// [`Policy`] has `admit: None`; deleted by the benchmark PR.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AlwaysAdmit;
 
-impl AdmissionPolicy for AlwaysAdmit {
-    fn name(&self) -> &str {
-        "always"
-    }
-
-    fn should_admit(&mut self, _ctx: &AccessCtx) -> bool {
-        true
+impl From<AlwaysAdmit> for Option<ThresholdAdmit> {
+    fn from(_: AlwaysAdmit) -> Self {
+        None
     }
 }
 
@@ -105,14 +184,10 @@ impl ThresholdAdmit {
             admit_writes_always: true,
         }
     }
-}
 
-impl AdmissionPolicy for ThresholdAdmit {
-    fn name(&self) -> &str {
-        "gmm-threshold"
-    }
-
-    fn should_admit(&mut self, ctx: &AccessCtx) -> bool {
+    /// `true` to insert the missed page.
+    #[inline]
+    pub fn admits(&self, ctx: &AccessCtx) -> bool {
         if self.admit_writes_always && ctx.op.is_write() {
             return true;
         }
@@ -141,28 +216,31 @@ mod tests {
 
     #[test]
     fn always_admit_admits() {
-        let mut a = AlwaysAdmit;
-        assert!(a.should_admit(&ctx(Op::Read, None)));
-        assert!(a.should_admit(&ctx(Op::Write, Some(-1.0))));
-        assert_eq!(a.name(), "always");
+        let p = Policy::new(AlwaysAdmit.into(), LruPolicy::new(1, 1));
+        assert!(p.admits(&ctx(Op::Read, None)));
+        assert!(p.admits(&ctx(Op::Write, Some(-1.0))));
+        assert_eq!(p.admission_name(), "always");
     }
 
     #[test]
     fn threshold_respects_score() {
-        let mut a = ThresholdAdmit::new(0.5);
-        assert!(a.should_admit(&ctx(Op::Read, Some(0.5))));
-        assert!(a.should_admit(&ctx(Op::Read, Some(0.9))));
-        assert!(!a.should_admit(&ctx(Op::Read, Some(0.1))));
+        let a = ThresholdAdmit::new(0.5);
+        assert!(a.admits(&ctx(Op::Read, Some(0.5))));
+        assert!(a.admits(&ctx(Op::Read, Some(0.9))));
+        assert!(!a.admits(&ctx(Op::Read, Some(0.1))));
         // Missing score ⇒ admit.
-        assert!(a.should_admit(&ctx(Op::Read, None)));
+        assert!(a.admits(&ctx(Op::Read, None)));
+        let p = Policy::new(Some(a), GmmScorePolicy::new(1, 1));
+        assert!(!p.admits(&ctx(Op::Read, Some(0.1))));
+        assert_eq!(p.admission_name(), "gmm-threshold");
     }
 
     #[test]
     fn writes_exempt_by_default_but_configurable() {
         let mut a = ThresholdAdmit::new(0.5);
-        assert!(a.should_admit(&ctx(Op::Write, Some(0.0))));
+        assert!(a.admits(&ctx(Op::Write, Some(0.0))));
         a.admit_writes_always = false;
-        assert!(!a.should_admit(&ctx(Op::Write, Some(0.0))));
-        assert!(a.should_admit(&ctx(Op::Write, Some(0.8))));
+        assert!(!a.admits(&ctx(Op::Write, Some(0.0))));
+        assert!(a.admits(&ctx(Op::Write, Some(0.8))));
     }
 }

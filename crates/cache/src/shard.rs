@@ -14,12 +14,10 @@
 //! produces at the same global position. Three properties make the
 //! "cannot interact" claim airtight:
 //!
-//! * **Policies** decide from the events they see within each set:
+//! * **The policy** decides from the events it sees within each set:
 //!   shard-local sequence numbers are order-isomorphic to the global ones,
-//!   so stamps, counts, stored scores and Belady positions (built from the
-//!   same shard subsequence) all rank identically, and
-//!   [`crate::RandomPolicy`] rolls the `k`-th victim of each set from the
-//!   set and `k` alone.
+//!   so recency stamps, stored scores and Belady positions (built from the
+//!   same shard subsequence) all rank identically.
 //! * **Scores** are functions of the missed record and its global trace
 //!   position — the Algorithm 1 clock, which counts *every* request, is a
 //!   closed form of it. A miss is scored with its position
@@ -37,7 +35,7 @@
 //!   is bit-identical at every shard count *by arithmetic*, under every
 //!   latency model, with no outcome buffered and no record revisited.
 //!   `tests/shard_equivalence.rs` holds it against an in-order
-//!   per-request oracle across the policy × admission × score grid. Device
+//!   per-request oracle across the eviction × admission × score grid. Device
 //!   faults ride the [`FaultPlan`] the supervisor carries: each shard's
 //!   accounting rolls its own measured misses by global position and counts
 //!   what they added, one more sum (exact under integer device constants).
@@ -54,8 +52,8 @@
 //! scorer-clock position and miss-series position at once.
 //! `tests/shard_alloc.rs` pins the routing cost at zero bytes, and the
 //! whole run's; only the counting reads `measured_from`.
-//! Policy construction (`make_shard` — including full Belady oracle
-//! passes over the shard subtrace) runs *inside* each worker, in
+//! Policy construction (`make_shard` — including a full Belady oracle
+//! pass over the shard subtrace) runs *inside* each worker, in
 //! parallel; the supervisor re-runs it on the calling thread only when
 //! recovering a dead shard. All of this — the life of a shard — is
 //! [`ShardSupervisor`]; [`ShardedSimulator::run`] is its offline client at
@@ -77,7 +75,7 @@ use crate::cache::SetAssocCache;
 use crate::config::{CacheConfig, CacheConfigError, SetMap};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::latency::LatencyModel;
-use crate::policy::{AdmissionPolicy, EvictionPolicy};
+use crate::policy::Policy;
 use crate::score::ScoreSource;
 use crate::sim::{Accounting, ReplayEvent, ReplayObserver, SimReport};
 use crate::stats::{CacheStats, MissSeries};
@@ -340,18 +338,16 @@ impl<'t> Walk<'t> {
     }
 }
 
-/// The per-shard replay state a [`ShardedSimulator`] caller provides:
-/// fresh policy instances and (for scored runs) a scorer clone. Everything
-/// crosses a thread boundary, hence the `Send` bounds.
+/// The per-shard replay state a [`ShardedSimulator`] caller provides: a
+/// fresh policy and (for scored runs) a scorer clone. Everything crosses a
+/// thread boundary, hence the `Send` bound.
 ///
-/// Policies decide from the request's own set (see the module docs), and
-/// the scorer meets [`ScoreSource`]'s precondition, so every shard count
-/// replays bit-identically.
+/// The policy decides from the request's own set (see the module docs),
+/// and the scorer meets [`ScoreSource`]'s precondition, so every shard
+/// count replays bit-identically.
 pub struct ShardPolicies {
-    /// Admission policy instance for this shard.
-    pub admission: Box<dyn AdmissionPolicy + Send>,
-    /// Eviction policy instance for this shard.
-    pub eviction: Box<dyn EvictionPolicy + Send>,
+    /// This shard's policy.
+    pub policy: Policy,
     /// Scorer clone for this shard (`None` for score-free baselines).
     pub score: Option<Box<dyn ScoreSource + Send>>,
 }
@@ -407,7 +403,7 @@ impl ReplayObserver for PanicPoint {
     }
 }
 
-/// The life of a shard, for one run: build its policies, replay its
+/// The life of a shard, for one run: build its policy, replay its
 /// records with the fault plan's panic point armed — and, when the
 /// shard's worker dies, re-replay it once on the supervising thread,
 /// count the event, and fail typed if the death reproduces — then add the
@@ -495,9 +491,9 @@ impl<'a> ShardSupervisor<'a> {
     /// global trace positions, in trace order — exactly its
     /// [`ShardCtx::walk`] (offline, that walk itself; served, what the
     /// worker's queue delivers, checked against it). Builds the shard's
-    /// policies (`make_shard` over its [`ShardCtx`]) and runs the
+    /// policy (`make_shard` over its [`ShardCtx`]) and runs the
     /// streaming loop with the fault plan's panic point armed — independent
-    /// of every other shard (own cache, policies, scorer clone and
+    /// of every other shard (own cache, policy, scorer clone and
     /// counters), down to the report's `fault` / `adapt` blocks, which are
     /// what this shard counted. Returns the shard's report and how many of
     /// its records consumed a score.
@@ -535,8 +531,7 @@ impl<'a> ShardSupervisor<'a> {
         let (mut report, scored) = crate::sim::simulate_streaming_impl(
             walk,
             &mut cache,
-            pol.admission.as_mut(),
-            pol.eviction.as_mut(),
+            &mut pol.policy,
             pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
             acct,
         );
@@ -548,7 +543,7 @@ impl<'a> ShardSupervisor<'a> {
 
     /// Graceful degradation for one shard, given what joining its first
     /// attempt returned. A panicked attempt left nothing behind — its
-    /// counters died with it — so the same shard, with fresh policies and
+    /// counters died with it — so the same shard, with a fresh policy and
     /// the panic point disarmed, is replayed on the calling thread. The
     /// replay is deterministic, so the outcome is bit-identical to a run
     /// where nothing died; a second panic means the failure reproduces (a
@@ -673,8 +668,8 @@ impl ShardedSimulator {
     /// report (see the module docs for the bit-identity argument).
     ///
     /// `make_shard` is called once per shard *on that shard's worker
-    /// thread* (hence `Fn + Sync` — policy construction, including Belady
-    /// oracle builds over the shard subtrace, runs in parallel); the
+    /// thread* (hence `Fn + Sync` — policy construction, including a Belady
+    /// oracle build over the shard subtrace, runs in parallel); the
     /// [`ShardSupervisor`] calls it again on the calling thread only when
     /// recovering a dead shard. Every shard runs the streaming loop of
     /// [`crate::simulate_streaming_with_warmup`]; one shard replays inline
@@ -750,15 +745,13 @@ mod tests {
 
     #[test]
     fn zero_shards_is_a_typed_error_not_a_panic() {
-        use crate::policy::{AlwaysAdmit, LruPolicy};
         let cfg = CacheConfig {
             capacity_bytes: 16 * 4096,
             block_bytes: 4096,
             ways: 2,
         };
         let make = |_: &ShardCtx<'_>| ShardPolicies {
-            admission: Box::new(AlwaysAdmit),
-            eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+            policy: Policy::lru(cfg.num_sets(), cfg.ways),
             score: None,
         };
         let trace = [TraceRecord::read(0)];

@@ -1,6 +1,7 @@
-//! Trace-driven cache simulation: the glue that turns a trace, a policy
-//! pair, an optional score source and a latency model into miss rates and
-//! average access latency (the quantities of the paper's Fig. 6/Table 1).
+//! Trace-driven cache simulation: the glue that turns a trace, a
+//! [`Policy`], an optional score source and a latency model into miss
+//! rates and average access latency (the quantities of the paper's
+//! Fig. 6/Table 1).
 //!
 //! # One replay loop
 //!
@@ -27,7 +28,7 @@
 //! # One input shape
 //!
 //! The paper trims the first 20 % of a trace from measurement while the
-//! cache, the policies and the Algorithm 1 clock still live through it
+//! cache, the policy and the Algorithm 1 clock still live through it
 //! (§3.1), so a replay's input is the whole trace — warm-up ⧺ measured,
 //! one contiguous slice — plus `measured_from`, the position measurement
 //! starts at. The loop walks `(global position, &record)` pairs: the
@@ -58,7 +59,7 @@
 use crate::cache::{AccessOutcome, SetAssocCache};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::latency::LatencyModel;
-use crate::policy::{AdmissionPolicy, EvictionPolicy};
+use crate::policy::{Evict, Policy, ThresholdAdmit};
 use crate::score::ScoreSource;
 use crate::stats::{CacheStats, MissSeries};
 use icgmm_trace::TraceRecord;
@@ -104,9 +105,9 @@ pub struct SimReport {
     pub avg_us: f64,
     /// Optional per-window miss-rate series.
     pub miss_series: Option<MissSeries>,
-    /// Name of the eviction policy used.
+    /// Name of the eviction rule used ([`Policy::eviction_name`]).
     pub eviction: String,
-    /// Name of the admission policy used.
+    /// Name of the admission rule used ([`Policy::admission_name`]).
     pub admission: String,
     /// Fault-injection and degradation counters: all-zero from the plain
     /// `simulate*` entry points and on fault-free runs; a shard's report
@@ -154,82 +155,110 @@ impl SimReport {
     }
 }
 
-/// Runs `records` through the cache with the given policies.
+/// Runs `records` through the cache under `policy`.
 ///
 /// `score` (when provided) is asked for a score on misses only
 /// ([`ScoreSource::score`]). Pass `None` to run score-free baselines
-/// (LRU/FIFO/…).
+/// (LRU, Belady's MIN).
 ///
 /// `series_window`, when set, collects a per-window miss-rate series.
 pub fn simulate(
     records: &[TraceRecord],
     cache: &mut SetAssocCache,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
+    policy: &mut Policy,
     score: Option<&mut dyn ScoreSource>,
     latency: &LatencyModel,
     series_window: Option<u64>,
 ) -> SimReport {
-    simulate_streaming_with_warmup(
-        &[],
-        records,
-        cache,
-        admission,
-        eviction,
-        score,
-        latency,
-        series_window,
-    )
+    let plan = FaultPlan::empty();
+    let acct = Accounting::new(0, series_window, &plan, latency);
+    replay_chained(&[], records, cache, policy, score, acct)
 }
 
-/// [`simulate`] preceded by a warm-up phase: the streaming replay loop,
-/// one request at a time, misses scored synchronously.
+/// The streaming loop over `warmup` ⧺ `measured`, numbered from 0.
+fn replay_chained(
+    warmup: &[TraceRecord],
+    measured: &[TraceRecord],
+    cache: &mut SetAssocCache,
+    policy: &mut Policy,
+    score: Option<&mut dyn ScoreSource>,
+    acct: Accounting<'_>,
+) -> SimReport {
+    let records = (0..).zip(warmup.iter().chain(measured));
+    simulate_streaming_impl(records, cache, policy, score, acct).0
+}
+
+/// The [`Policy`] a benchmark façade's two policy arguments describe — a
+/// copy, so the caller's values are left as they were.
+pub(crate) fn facade_policy<A, E>(admission: &A, eviction: &E) -> Policy
+where
+    A: Clone + Into<Option<ThresholdAdmit>>,
+    E: Clone + Into<Evict>,
+{
+    Policy::new(admission.clone().into(), eviction.clone())
+}
+
+/// Benchmark façade — called by `icgmm_bench` with a [`ThresholdAdmit`] /
+/// [`crate::AlwaysAdmit`] and a [`crate::GmmScorePolicy`] /
+/// [`crate::LruPolicy`]; deleted by the benchmark PR (ROADMAP item 2a).
+/// [`simulate`] preceded by a warm-up phase, under a copy of the policy
+/// the two arguments describe.
 ///
 /// The paper trims the first 20 % of each trace from *measurement*, but the
-/// cache, the policies and the Algorithm 1 clock still experience those
+/// cache, the policy and the Algorithm 1 clock still experience those
 /// requests (the program was running). `warmup` is replayed through the
 /// full access path with statistics discarded; `measured` follows with
 /// statistics recorded. Sequence numbers are continuous across phases:
 /// this is the one loop over `warmup` ⧺ `measured` with measurement from
 /// `warmup.len()` on.
+#[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_streaming_with_warmup(
+pub fn simulate_streaming_with_warmup<A, E>(
     warmup: &[TraceRecord],
     measured: &[TraceRecord],
     cache: &mut SetAssocCache,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
+    admission: &mut A,
+    eviction: &mut E,
     score: Option<&mut dyn ScoreSource>,
     latency: &LatencyModel,
     series_window: Option<u64>,
-) -> SimReport {
+) -> SimReport
+where
+    A: Clone + Into<Option<ThresholdAdmit>>,
+    E: Clone + Into<Evict>,
+{
     let plan = FaultPlan::empty();
     let acct = Accounting::new(warmup.len() as u64, series_window, &plan, latency);
-    let records = (0..).zip(warmup.iter().chain(measured));
-    simulate_streaming_impl(records, cache, admission, eviction, score, acct).0
+    let mut policy = facade_policy(admission, eviction);
+    replay_chained(warmup, measured, cache, &mut policy, score, acct)
 }
 
-/// [`simulate_streaming_with_warmup`] with a [`ReplayObserver`] receiving
-/// the per-record event stream (warm-up events included, flagged by
-/// `seq`): a per-record model riding the functional replay without
-/// duplicating the loop.
+/// Benchmark façade, as [`simulate_streaming_with_warmup`] — with a
+/// [`ReplayObserver`] receiving the per-record event stream (warm-up
+/// events included, flagged by `seq`): a per-record model riding the
+/// functional replay without duplicating the loop.
+#[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_streaming_observed_with_warmup(
+pub fn simulate_streaming_observed_with_warmup<A, E>(
     warmup: &[TraceRecord],
     measured: &[TraceRecord],
     cache: &mut SetAssocCache,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
+    admission: &mut A,
+    eviction: &mut E,
     score: Option<&mut dyn ScoreSource>,
     latency: &LatencyModel,
     series_window: Option<u64>,
     observer: &mut dyn ReplayObserver,
-) -> SimReport {
+) -> SimReport
+where
+    A: Clone + Into<Option<ThresholdAdmit>>,
+    E: Clone + Into<Evict>,
+{
     let plan = FaultPlan::empty();
     let mut acct = Accounting::new(warmup.len() as u64, series_window, &plan, latency);
     acct.observer = Some(observer);
-    let records = (0..).zip(warmup.iter().chain(measured));
-    simulate_streaming_impl(records, cache, admission, eviction, score, acct).0
+    let mut policy = facade_policy(admission, eviction);
+    replay_chained(warmup, measured, cache, &mut policy, score, acct)
 }
 
 /// The streaming loop behind every entry point. `records` walks the
@@ -242,26 +271,28 @@ pub fn simulate_streaming_observed_with_warmup(
 pub(crate) fn simulate_streaming_impl<'r>(
     records: impl Iterator<Item = (u64, &'r TraceRecord)>,
     cache: &mut SetAssocCache,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
+    policy: &mut Policy,
     mut score: Option<&mut dyn ScoreSource>,
     mut acct: Accounting<'_>,
 ) -> (SimReport, u64) {
     let mut scored = 0u64;
 
-    // `seq` counts the records this loop replays (what the policies rank
+    // `seq` counts the records this loop replays (what the policy ranks
     // by); `pos` is where each one sits in the whole trace (what the score
     // source clocks by). One tag compare decides hit or miss; hits bypass
     // the policy engine (the hardware triggers the GMM on miss only), and a
     // miss is scored at exactly its record's position.
     for (seq, (pos, r)) in (0..).zip(records) {
         let score_miss = || score.as_deref_mut().map(|s| s.score(r, pos));
-        let (outcome, score_val) = cache.access_scored(r, seq, score_miss, admission, eviction);
+        let (outcome, score_val) = cache.access_scored(r, seq, score_miss, policy);
         scored += u64::from(score_val.is_some());
         acct.record(seq, pos, r, &outcome);
     }
 
-    (acct.finish(eviction.name(), admission.name()), scored)
+    (
+        acct.finish(policy.eviction_name(), policy.admission_name()),
+        scored,
+    )
 }
 
 /// Measurement bookkeeping — the one accounting step of the streaming loop
@@ -348,7 +379,7 @@ impl<'a> Accounting<'a> {
         };
     }
 
-    /// The report of everything accounted, under the policies' names.
+    /// The report of everything accounted, under the policy's names.
     pub(crate) fn finish(self, eviction: &str, admission: &str) -> SimReport {
         let (stats, series, fault) = (self.stats, self.series, self.fault);
         SimReport::from_counts(stats, series, fault, self.latency, eviction, admission)
@@ -395,31 +426,14 @@ mod tests {
         let lat = LatencyModel::paper_tlc();
 
         let mut c1 = small_cache();
-        let mut lru1 = LruPolicy::new(8, 2);
-        let base = simulate(
-            &trace,
-            &mut c1,
-            &mut AlwaysAdmit,
-            &mut lru1,
-            None,
-            &lat,
-            None,
-        );
+        let mut lru1 = Policy::lru(8, 2);
+        let base = simulate(&trace, &mut c1, &mut lru1, None, &lat, None);
 
         // Oracle-ish score: hot pages score 1, cold scan pages 0.
         let mut src = FnScore::new(|page, _| if page < 8 { 1.0 } else { 0.0 });
         let mut c2 = small_cache();
-        let mut lru2 = LruPolicy::new(8, 2);
-        let mut admit = ThresholdAdmit::new(0.5);
-        let smart = simulate(
-            &trace,
-            &mut c2,
-            &mut admit,
-            &mut lru2,
-            Some(&mut src),
-            &lat,
-            None,
-        );
+        let mut filtered = Policy::new(Some(ThresholdAdmit::new(0.5)), LruPolicy::new(8, 2));
+        let smart = simulate(&trace, &mut c2, &mut filtered, Some(&mut src), &lat, None);
 
         assert!(
             smart.stats.miss_rate() < base.stats.miss_rate(),
@@ -437,11 +451,10 @@ mod tests {
     fn perfect_locality_is_all_hits_after_warmup() {
         let trace: Vec<TraceRecord> = (0..1000).map(|_| TraceRecord::read(0x3000)).collect();
         let mut c = small_cache();
-        let mut lru = LruPolicy::new(8, 2);
+        let mut lru = Policy::lru(8, 2);
         let rep = simulate(
             &trace,
             &mut c,
-            &mut AlwaysAdmit,
             &mut lru,
             None,
             &LatencyModel::paper_tlc(),
@@ -464,11 +477,10 @@ mod tests {
             }
         }
         let mut c = small_cache();
-        let mut lru = LruPolicy::new(8, 2);
+        let mut lru = Policy::lru(8, 2);
         let rep = simulate(
             &trace,
             &mut c,
-            &mut AlwaysAdmit,
             &mut lru,
             None,
             &LatencyModel::paper_tlc(),
@@ -484,11 +496,10 @@ mod tests {
     fn miss_series_is_collected_when_requested() {
         let trace = scan_polluted_trace(1_000);
         let mut c = small_cache();
-        let mut lru = LruPolicy::new(8, 2);
+        let mut lru = Policy::lru(8, 2);
         let rep = simulate(
             &trace,
             &mut c,
-            &mut AlwaysAdmit,
             &mut lru,
             None,
             &LatencyModel::paper_tlc(),
@@ -527,11 +538,10 @@ mod tests {
     #[test]
     fn empty_trace_is_a_noop() {
         let mut c = small_cache();
-        let mut lru = LruPolicy::new(8, 2);
+        let mut lru = Policy::lru(8, 2);
         let rep = simulate(
             &[],
             &mut c,
-            &mut AlwaysAdmit,
             &mut lru,
             None,
             &LatencyModel::paper_tlc(),

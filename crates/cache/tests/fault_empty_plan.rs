@@ -14,8 +14,7 @@ use icgmm_cache::{
     ScoreSource, ShardPolicies, ShardedSimulator, SimReport,
 };
 use icgmm_testutil::{
-    admission_for, eviction_for, latency_for, score_for, small_cfg, zipf_trace, ADMISSIONS,
-    EVICTIONS, SCORES,
+    latency_for, policy_for, score_for, small_cfg, zipf_trace, ADMISSIONS, EVICTIONS, SCORES,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -45,8 +44,7 @@ fn run_sharded(
         &|ctx| {
             let recs: Vec<TraceRecord> = ctx.records().copied().collect();
             ShardPolicies {
-                admission: admission_for(admission),
-                eviction: eviction_for(eviction, cfg, &recs),
+                policy: policy_for(eviction, admission, cfg, &recs),
                 score: score_for(score),
             }
         },
@@ -111,10 +109,9 @@ proptest! {
 
         let replay = |score: &mut dyn ScoreSource| {
             let mut cache = icgmm_cache::SetAssocCache::new(cfg).unwrap();
-            let mut ev = eviction_for("gmm-score", cfg, &trace);
-            let mut ad = admission_for("threshold");
+            let mut pol = policy_for("gmm-score", "threshold", cfg, &trace);
             simulate_streaming_with_warmup(
-                warm, meas, &mut cache, ad.as_mut(), ev.as_mut(), Some(score), &lat, Some(64),
+                warm, meas, &mut cache, &mut pol.admit, &mut pol.evict, Some(score), &lat, Some(64),
             )
         };
         let bare = replay(&mut score_for("fn").expect("fn score"));

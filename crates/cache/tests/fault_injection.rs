@@ -5,102 +5,87 @@
 //! recovery paths keep the replay accounting intact.
 
 use icgmm_cache::{
-    simulate_streaming_with_warmup, AccessCtx, AccessOutcome, AdaptStats, AdmissionPolicy,
-    EvictionPolicy, FaultPlan, FaultStats, FaultyScore, FnScore, GmmScorePolicy, LatencyModel,
-    ScoreSource, SetAssocCache, ShardPolicies, ShardRunError, ShardedReport, ShardedSimulator,
-    ThresholdAdmit,
+    simulate, simulate_streaming_with_warmup, AccessOutcome, AdaptStats, Evict, FaultPlan,
+    FaultStats, FaultyScore, FnScore, GmmScorePolicy, LatencyModel, Policy, ScoreSource,
+    SetAssocCache, ShardPolicies, ShardRunError, ShardedReport, ShardedSimulator, ThresholdAdmit,
 };
-use icgmm_testutil::{
-    admission_for, conflict_trace, eviction_for, score_for, small_cfg, zipf_trace,
-};
+use icgmm_testutil::{conflict_trace, policy_for, score_for, small_cfg, zipf_trace};
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 
-/// A policy pair that writes down every score the cache shows it.
-#[derive(Default)]
-struct Recording {
-    admit: Vec<Option<f64>>,
-    victim: Vec<Option<f64>>,
-    insert: Vec<Option<f64>>,
-}
-
-impl AdmissionPolicy for Recording {
-    fn name(&self) -> &str {
-        "recording"
-    }
-    fn should_admit(&mut self, ctx: &AccessCtx) -> bool {
-        self.admit.push(ctx.score);
-        true
+/// The GMM arm's stored score at `(set, way)`.
+fn stored(policy: &Policy, set: usize, way: usize) -> f64 {
+    match &policy.evict {
+        Evict::GmmScore(p) => p.stored_score(set, way),
+        other => panic!("not the GMM arm: {other:?}"),
     }
 }
 
-impl EvictionPolicy for Recording {
-    fn name(&self) -> &str {
-        "recording"
-    }
-    fn on_hit(&mut self, _set: usize, _way: usize, ctx: &AccessCtx) {
-        assert_eq!(ctx.score, None, "hits bypass the policy engine");
-    }
-    fn on_insert(&mut self, _set: usize, _way: usize, ctx: &AccessCtx) {
-        self.insert.push(ctx.score);
-    }
-    fn choose_victim(&mut self, _set: usize, _ways: usize, ctx: &AccessCtx) -> usize {
-        self.victim.push(ctx.score);
-        0
-    }
-}
-
-/// A non-finite score never reaches a policy — so none is ever stored and
-/// none can pin a block: `access_scored` shows `should_admit`,
-/// `choose_victim` and `on_insert` `None` in its place, and still returns
+/// A non-finite score never reaches the policy — so none is ever stored
+/// and none can pin a block: `access_scored` shows the admission filter,
+/// the victim choice and the insert `None` in its place, and still returns
 /// the raw value, so the inference is counted.
 #[test]
 fn non_finite_stored_scores_never_corrupt_victim_selection() {
     // One set, one way: every miss after the first also picks a victim.
+    // A threshold of 0 that exempts no write bypasses a score below it —
+    // -3.5 and, had they arrived as scores, NaN and -∞ — and admits a
+    // missing one.
     let cfg = icgmm_cache::CacheConfig::new(4096, 4096, 1).unwrap();
     let mut cache = SetAssocCache::new(cfg).unwrap();
-    let (mut adm, mut ev) = (Recording::default(), Recording::default());
+    let filter = ThresholdAdmit {
+        threshold: 0.0,
+        admit_writes_always: false,
+    };
+    let mut policy = Policy::new(Some(filter), GmmScorePolicy::new(1, 1));
     let raws = [0.25, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.5];
+    let mut admitted = Vec::new();
     for (seq, raw) in raws.into_iter().enumerate() {
         let r = TraceRecord::read((seq as u64) << 12);
-        let (outcome, consumed) =
-            cache.access_scored(&r, seq as u64, || Some(raw), &mut adm, &mut ev);
+        let (outcome, consumed) = cache.access_scored(&r, seq as u64, || Some(raw), &mut policy);
         assert!(!outcome.is_hit());
         let consumed = consumed.expect("a miss consumes its score");
         assert!(consumed == raw || (consumed.is_nan() && raw.is_nan()));
-    }
-    let seen = [Some(0.25), None, None, None, Some(-3.5)];
-    assert_eq!(adm.admit, seen);
-    assert_eq!(ev.insert, seen);
-    assert_eq!(ev.victim, seen[1..], "the first miss fills the empty way");
-
-    // Under real policies such a miss is admitted by the threshold
-    // filter, evicts by recency and stores score 0.
-    let cfg = icgmm_cache::CacheConfig::new(2 * 4096, 4096, 2).unwrap();
-    let mut cache = SetAssocCache::new(cfg).unwrap();
-    let mut ev = GmmScorePolicy::new(1, 2);
-    let mut adm = ThresholdAdmit::new(0.5);
-    let mut miss = |ev: &mut GmmScorePolicy, page: u64, raw: f64| {
-        let r = TraceRecord::read(page << 12);
-        match cache.access_scored(&r, page, || Some(raw), &mut adm, ev).0 {
-            AccessOutcome::MissInserted { way, .. } => way,
-            other => panic!("expected an admitted miss, got {other:?}"),
+        if let AccessOutcome::MissInserted { evicted, .. } = outcome {
+            assert_eq!(
+                evicted.is_some(),
+                seq > 0,
+                "the first miss fills the empty way"
+            );
+            admitted.push(stored(&policy, 0, 0));
         }
-    };
-    miss(&mut ev, 0, 0.6); // way 0: lower score, least recent
-    miss(&mut ev, 1, 0.9); // way 1: higher score, most recent
-    miss(&mut ev, 2, 0.7); // scored: the lowest score (way 0) goes
-    assert_eq!(miss(&mut ev, 3, f64::NAN), 1, "unscored: the least recent");
-    assert_eq!(
-        ev.stored_score(0, 1),
-        0.0,
-        "and nothing non-finite is stored"
-    );
-    assert_eq!(
-        miss(&mut ev, 4, 0.8),
-        1,
-        "scores are back: unscored block first"
-    );
+    }
+    // Admitted as unscored misses, stored as score 0; -3.5 bypassed.
+    assert_eq!(admitted, [0.25, 0.0, 0.0, 0.0]);
+
+    // An unscored miss is admitted by the threshold filter, evicts by
+    // recency and stores score 0 — for NaN, +∞ and -∞ alike.
+    for raw in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let cfg = icgmm_cache::CacheConfig::new(2 * 4096, 4096, 2).unwrap();
+        let mut cache = SetAssocCache::new(cfg).unwrap();
+        let mut policy = Policy::new(Some(ThresholdAdmit::new(0.5)), GmmScorePolicy::new(1, 2));
+        let mut miss = |policy: &mut Policy, page: u64, raw: f64| {
+            let r = TraceRecord::read(page << 12);
+            match cache.access_scored(&r, page, || Some(raw), policy).0 {
+                AccessOutcome::MissInserted { way, .. } => way,
+                other => panic!("expected an admitted miss, got {other:?}"),
+            }
+        };
+        miss(&mut policy, 0, 0.6); // way 0: lower score, least recent
+        miss(&mut policy, 1, 0.9); // way 1: higher score, most recent
+        miss(&mut policy, 2, 0.7); // scored: the lowest score (way 0) goes
+        assert_eq!(
+            miss(&mut policy, 3, raw),
+            1,
+            "unscored {raw}: the least recent"
+        );
+        assert_eq!(stored(&policy, 0, 1), 0.0, "nothing non-finite is stored");
+        assert_eq!(
+            miss(&mut policy, 4, 0.8),
+            1,
+            "scores are back: unscored block first"
+        );
+    }
 }
 
 /// A score source that deterministically emits NaN / ±Inf alongside
@@ -164,8 +149,7 @@ fn sharded_run(plan: FaultPlan, shards: usize, trace: &[TraceRecord]) -> Sharded
             &|ctx| {
                 let recs: Vec<TraceRecord> = ctx.records().copied().collect();
                 ShardPolicies {
-                    admission: admission_for("threshold"),
-                    eviction: eviction_for("gmm-score", cfg, &recs),
+                    policy: policy_for("gmm-score", "threshold", cfg, &recs),
                     score: score_for("fn"),
                 }
             },
@@ -265,8 +249,8 @@ fn armed_shard_panics_recover_with_identical_accounting() {
     }
 }
 
-/// Satellite: a panic the fault plan did *not* arm (a genuine policy bug
-/// that recurs on re-replay) surfaces as the typed
+/// Satellite: a panic the fault plan did *not* arm (a genuine bug in the
+/// score stack that recurs on re-replay) surfaces as the typed
 /// [`ShardRunError::ShardFailed`] instead of aborting the process.
 #[test]
 fn unrecoverable_worker_panics_surface_as_typed_errors() {
@@ -279,9 +263,8 @@ fn unrecoverable_worker_panics_surface_as_typed_errors() {
             100,
             cfg,
             &|_ctx| ShardPolicies {
-                admission: admission_for("always"),
-                eviction: eviction_for("poison", cfg, &[]),
-                score: None,
+                policy: Policy::lru(cfg.num_sets(), cfg.ways),
+                score: score_for("poison"),
             },
             &lat,
             None,
@@ -289,7 +272,7 @@ fn unrecoverable_worker_panics_surface_as_typed_errors() {
         .expect_err("a recurring panic must become an error");
     match err {
         ShardRunError::ShardFailed { message, .. } => {
-            assert!(message.contains("poisoned victim choice"), "got: {message}");
+            assert!(message.contains("poisoned score"), "got: {message}");
         }
         other => panic!("expected ShardFailed, got {other:?}"),
     }
@@ -305,7 +288,6 @@ fn scorer_health_monitor_demotes_serves_degraded_and_repromotes() {
         let cfg = small_cfg();
         let lat = LatencyModel::paper_tlc();
         let trace = conflict_trace(3_000, 512, 23);
-        let (warm, meas) = trace.split_at(500);
         let plan = FaultPlan {
             seed: 41,
             scorer_nan_per_mille: 350,
@@ -314,20 +296,17 @@ fn scorer_health_monitor_demotes_serves_degraded_and_repromotes() {
             ..FaultPlan::empty()
         };
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut ev = GmmScorePolicy::new(cfg.num_sets(), cfg.ways);
-        let mut ad = admission_for("threshold");
+        let mut policy = policy_for("gmm-score", "threshold", cfg, &trace);
         let mut sc = FaultyScore::new(score_for("fn").expect("fn score"), plan);
-        let report = simulate_streaming_with_warmup(
-            warm,
-            meas,
+        let report = simulate(
+            &trace,
             &mut cache,
-            ad.as_mut(),
-            &mut ev,
+            &mut policy,
             Some(&mut sc as &mut dyn ScoreSource),
             &lat,
             Some(64),
         );
-        assert_stored_scores_finite(&ev, cfg);
+        assert_stored_scores_finite(&policy, cfg);
         let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
         sc.telemetry(&mut fault, &mut adapt);
         (report, fault)
@@ -341,17 +320,17 @@ fn scorer_health_monitor_demotes_serves_degraded_and_repromotes() {
         fault.degraded_scores >= 3 * fault.scorer_repromotions,
         "a degraded stretch withholds at least the re-promotion streak: {fault:?}"
     );
-    assert_eq!(report.stats.accesses(), 2_500);
+    assert_eq!(report.stats.accesses(), 3_000);
 
     let (report2, fault2) = run();
     assert_eq!(report, report2, "degraded replay must be deterministic");
     assert_eq!(fault, fault2, "degradation counters must be deterministic");
 }
 
-fn assert_stored_scores_finite(ev: &GmmScorePolicy, cfg: icgmm_cache::CacheConfig) {
+fn assert_stored_scores_finite(policy: &Policy, cfg: icgmm_cache::CacheConfig) {
     for set in 0..cfg.num_sets() {
         for way in 0..cfg.ways {
-            let s = ev.stored_score(set, way);
+            let s = stored(policy, set, way);
             assert!(s.is_finite(), "stored score {s} at ({set}, {way})");
         }
     }
@@ -380,22 +359,20 @@ proptest! {
         prop_assert!(plan.validate().is_ok());
         let cfg = small_cfg();
         let trace = zipf_trace(seed, n, pages, 0.9, 20);
-        let (warm, meas) = trace.split_at(n / 4);
         let inner: Box<dyn ScoreSource + Send> = if poisoned_engine {
             Box::new(non_finite_score())
         } else {
             score_for("fn").expect("fn score")
         };
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut ev = GmmScorePolicy::with_hit_bonus(cfg.num_sets(), cfg.ways, 0.25);
-        let mut ad = admission_for("threshold");
+        let mut policy = policy_for("gmm-score", "threshold", cfg, &trace);
         let mut sc = FaultyScore::new(inner, plan);
-        let report = simulate_streaming_with_warmup(
-            warm, meas, &mut cache, ad.as_mut(), &mut ev,
+        let report = simulate(
+            &trace, &mut cache, &mut policy,
             Some(&mut sc as &mut dyn ScoreSource),
             &LatencyModel::paper_tlc(), None,
         );
-        prop_assert_eq!(report.stats.accesses(), meas.len() as u64);
-        assert_stored_scores_finite(&ev, cfg);
+        prop_assert_eq!(report.stats.accesses(), n as u64);
+        assert_stored_scores_finite(&policy, cfg);
     }
 }

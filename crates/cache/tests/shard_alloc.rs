@@ -26,8 +26,8 @@
 mod support;
 
 use icgmm_cache::{
-    AlwaysAdmit, CacheConfig, FaultPlan, LatencyModel, LruPolicy, ShardCtx, ShardPolicies,
-    ShardSupervisor, ShardedSimulator,
+    CacheConfig, FaultPlan, LatencyModel, Policy, ShardCtx, ShardPolicies, ShardSupervisor,
+    ShardedSimulator,
 };
 use icgmm_trace::TraceRecord;
 use support::allocated_by;
@@ -47,8 +47,7 @@ fn fanout_routing_allocates_nothing() {
         .collect();
     let lat = LatencyModel::paper_tlc();
     let make = |_: &ShardCtx<'_>| ShardPolicies {
-        admission: Box::new(AlwaysAdmit),
-        eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+        policy: Policy::lru(cfg.num_sets(), cfg.ways),
         score: None,
     };
 

@@ -14,7 +14,7 @@ mod support;
 use icgmm_cache::{
     simulate_streaming_with_warmup, LatencyModel, SetAssocCache, ShardPolicies, ShardedSimulator,
 };
-use icgmm_testutil::{admission_for, eviction_for, score_for, small_cfg};
+use icgmm_testutil::{policy_for, score_for, small_cfg};
 use icgmm_trace::TraceRecord;
 use support::allocated_by;
 
@@ -35,17 +35,18 @@ fn one_shard_replay_allocates_nothing_per_record() {
     for (eviction, admission, score) in
         [("lru", "always", "none"), ("gmm-score", "threshold", "fn")]
     {
+        // The two-slice replay copies the policy it is handed: the copy is
+        // its one policy allocation, as the shard's is.
+        let mut pol = policy_for(eviction, admission, cfg, &[]);
         let (plain, plain_bytes) = allocated_by(|| {
             let mut cache = SetAssocCache::new(cfg).unwrap();
-            let mut adm = admission_for(admission);
-            let mut ev = eviction_for(eviction, cfg, &[]);
             let mut sc = score_for(score);
             simulate_streaming_with_warmup(
                 warmup,
                 measured,
                 &mut cache,
-                adm.as_mut(),
-                ev.as_mut(),
+                &mut pol.admit,
+                &mut pol.evict,
                 sc.as_deref_mut().map(|s| s as _),
                 &lat,
                 None,
@@ -58,8 +59,7 @@ fn one_shard_replay_allocates_nothing_per_record() {
                     N / 4,
                     cfg,
                     &|_ctx| ShardPolicies {
-                        admission: admission_for(admission),
-                        eviction: eviction_for(eviction, cfg, &[]),
+                        policy: policy_for(eviction, admission, cfg, &[]),
                         score: score_for(score),
                     },
                     &lat,

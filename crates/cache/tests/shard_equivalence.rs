@@ -20,14 +20,14 @@
 //! end is a typed refusal.
 
 use icgmm_cache::{
-    simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, AlwaysAdmit,
-    CacheConfig, FaultPlan, FnScore, LatencyModel, LruPolicy, RandomPolicy, ReplayEvent,
-    ReplayObserver, ScoreSource, SetAssocCache, ShardCtx, ShardPolicies, ShardRunError,
-    ShardSupervisor, ShardedReport, ShardedSimulator, SimReport, ThresholdAdmit,
+    simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, CacheConfig,
+    FaultPlan, FnScore, LatencyModel, LruPolicy, Policy, ReplayEvent, ReplayObserver, ScoreSource,
+    SetAssocCache, ShardCtx, ShardPolicies, ShardRunError, ShardSupervisor, ShardedReport,
+    ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_testutil::{
-    admission_for, conflict_trace, eviction_for, latency_for, score_for, small_cfg, zipf_trace,
-    CountingScore, ADMISSIONS, EVICTIONS, GMM_STACKS, UNTRUSTED_SCORES,
+    conflict_trace, latency_for, policy_for, score_for, small_cfg, zipf_trace, CountingScore,
+    ADMISSIONS, EVICTIONS, GMM_STACKS, UNTRUSTED_SCORES,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -73,8 +73,7 @@ fn run_sharded_full(
                 // the engine itself never materializes).
                 let recs: Vec<TraceRecord> = ctx.records().copied().collect();
                 ShardPolicies {
-                    admission: admission_for(admission),
-                    eviction: eviction_for(eviction, cfg, &recs),
+                    policy: policy_for(eviction, admission, cfg, &recs),
                     score: score_for(score),
                 }
             },
@@ -110,10 +109,9 @@ fn reference_observed(
     let (warm, meas) = trace.split_at(warmup_len);
 
     let mut c = SetAssocCache::new(cfg).unwrap();
-    let mut ev = eviction_for(eviction, cfg, trace);
-    let mut ad = admission_for(admission);
+    let mut pol = policy_for(eviction, admission, cfg, trace);
     let mut sc = score_for(score);
-    let (c, ad, ev) = (&mut c, ad.as_mut(), ev.as_mut());
+    let (c, ad, ev) = (&mut c, &mut pol.admit, &mut pol.evict);
     let sc = sc.as_deref_mut().map(|s| s as &mut dyn ScoreSource);
     match observer {
         None => simulate_streaming_with_warmup(warm, meas, c, ad, ev, sc, lat, Some(WINDOW)),
@@ -290,7 +288,7 @@ proptest! {
     /// A scorer that is never trusted *is* LRU: under an engine that only
     /// says NaN, and under a healthy one behind a permanent outage, each of
     /// the paper's three GMM stacks counts, costs and windows its misses
-    /// exactly as `LruPolicy` + `AlwaysAdmit` does with no engine at all —
+    /// exactly as score-free LRU does with no engine at all —
     /// over Zipf and conflict traces, at 1, 2 and 4 shards — while every
     /// miss still counts as one inference.
     #[test]
@@ -356,8 +354,7 @@ proptest! {
             let make = |_: &ShardCtx<'_>| {
                 let seen = Arc::clone(&seen);
                 ShardPolicies {
-                    admission: Box::new(AlwaysAdmit),
-                    eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+                    policy: Policy::lru(cfg.num_sets(), cfg.ways),
                     score: Some(Box::new(FnScore::new(move |page, pos| {
                         seen.lock().unwrap().push((pos, page));
                         0.5
@@ -407,11 +404,10 @@ proptest! {
                 for admission in ADMISSIONS {
                     for score in ["none", "fn"] {
                         let mut c = SetAssocCache::new(cfg).unwrap();
-                        let mut ev = eviction_for(eviction, cfg, &trace);
-                        let mut ad = admission_for(admission);
+                        let mut pol = policy_for(eviction, admission, cfg, &trace);
                         let mut sc = score_for(score).map(|s| CountingScore(s, 0));
                         let reference = simulate_streaming_with_warmup(
-                            &trace[..m], &trace[m..], &mut c, ad.as_mut(), ev.as_mut(),
+                            &trace[..m], &trace[m..], &mut c, &mut pol.admit, &mut pol.evict,
                             sc.as_mut().map(|s| s as &mut dyn ScoreSource), lat, Some(WINDOW),
                         );
                         let consumed = sc.map_or(0, |s| s.1);
@@ -454,8 +450,7 @@ proptest! {
                     admit_writes_always: false,
                 };
                 ShardPolicies {
-                    admission: Box::new(admit_nothing),
-                    eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+                    policy: Policy::new(Some(admit_nothing), LruPolicy::new(cfg.num_sets(), cfg.ways)),
                     score: Some(Box::new(Tap(seen))),
                 }
             };
@@ -520,9 +515,9 @@ fn mixed_trace(n: usize) -> Vec<TraceRecord> {
 }
 
 fn lru_policies(cfg: CacheConfig) -> ShardPolicies {
+    let evict = LruPolicy::new(cfg.num_sets(), cfg.ways);
     ShardPolicies {
-        admission: Box::new(ThresholdAdmit::new(0.4)),
-        eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+        policy: Policy::new(Some(ThresholdAdmit::new(0.4)), evict),
         score: Some(Box::new(FnScore::new(|page, seq| {
             ((page * 37 + seq) % 101) as f64 / 101.0
         }))),
@@ -542,8 +537,8 @@ fn auto_routed_sharded_report_is_bit_identical_to_streaming_reference() {
         warm,
         meas,
         &mut c,
-        pol.admission.as_mut(),
-        pol.eviction.as_mut(),
+        &mut pol.policy.admit,
+        &mut pol.policy.evict,
         pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource),
         &lat,
         Some(128),
@@ -595,8 +590,7 @@ fn empty_shards_are_tolerated() {
             0,
             cfg,
             &|_ctx| ShardPolicies {
-                admission: Box::new(AlwaysAdmit),
-                eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+                policy: Policy::lru(cfg.num_sets(), cfg.ways),
                 score: None,
             },
             &LatencyModel::paper_tlc(),
@@ -605,38 +599,6 @@ fn empty_shards_are_tolerated() {
         .unwrap();
     assert_eq!(rep.sim.stats.accesses(), 200);
     assert_eq!(rep.per_shard[2].stats.accesses(), 0);
-}
-
-#[test]
-fn random_eviction_is_fine_at_one_shard() {
-    let cfg = small_cfg();
-    let trace = mixed_trace(500);
-    let rep = ShardedSimulator::new(1)
-        .run(
-            &trace,
-            0,
-            cfg,
-            &|_ctx| ShardPolicies {
-                admission: Box::new(AlwaysAdmit),
-                eviction: Box::new(RandomPolicy::new(7, cfg.num_sets())),
-                score: None,
-            },
-            &LatencyModel::paper_tlc(),
-            None,
-        )
-        .unwrap();
-    let mut c = SetAssocCache::new(cfg).unwrap();
-    let reference = simulate_streaming_with_warmup(
-        &[],
-        &trace,
-        &mut c,
-        &mut AlwaysAdmit,
-        &mut RandomPolicy::new(7, cfg.num_sets()),
-        None,
-        &LatencyModel::paper_tlc(),
-        None,
-    );
-    assert_eq!(reference, rep.sim);
 }
 
 /// A boundary past the end of the trace is a typed refusal — at every
@@ -709,8 +671,7 @@ fn make_shard_runs_on_worker_threads() {
                     .unwrap()
                     .push((ctx.shard, std::thread::current().id()));
                 ShardPolicies {
-                    admission: Box::new(AlwaysAdmit),
-                    eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+                    policy: Policy::lru(cfg.num_sets(), cfg.ways),
                     score: None,
                 }
             },

@@ -17,11 +17,10 @@
 //! policy engine's inference count.
 
 use icgmm_cache::{
-    simulate_streaming_observed_with_warmup, AccessCtx, AccessOutcome, AdmissionPolicy, BlockState,
-    CacheConfig, Eviction, EvictionPolicy, LatencyModel, ReplayEvent, ReplayObserver, ScoreSource,
-    SetAssocCache,
+    simulate_streaming_observed_with_warmup, AccessCtx, AccessOutcome, BlockState, CacheConfig,
+    Eviction, LatencyModel, Policy, ReplayEvent, ReplayObserver, ScoreSource, SetAssocCache,
 };
-use icgmm_testutil::{admission_for, eviction_for, ADMISSIONS, EVICTIONS};
+use icgmm_testutil::{policy_for, ADMISSIONS, EVICTIONS};
 use icgmm_trace::{Op, PageIndex, TraceRecord, MAX_PADDR};
 use proptest::prelude::*;
 
@@ -70,8 +69,7 @@ impl RefCache {
         record: &TraceRecord,
         seq: u64,
         score: Option<f64>,
-        admission: &mut dyn AdmissionPolicy,
-        eviction: &mut dyn EvictionPolicy,
+        policy: &mut Policy,
     ) -> AccessOutcome {
         let page = record.page();
         let set = self.set_of(page);
@@ -85,16 +83,16 @@ impl RefCache {
             if record.op() == Op::Write {
                 self.blocks[set * self.ways + way].dirty = true;
             }
-            eviction.on_hit(set, way, &ctx);
+            policy.on_hit(set, way, &ctx);
             return AccessOutcome::Hit { way };
         }
         ctx.score = score;
-        if !admission.should_admit(&ctx) {
+        if !policy.admits(&ctx) {
             return AccessOutcome::MissBypassed;
         }
         let way = (0..self.ways)
             .find(|&w| !self.block(set, w).valid)
-            .unwrap_or_else(|| eviction.choose_victim(set, self.ways, &ctx));
+            .unwrap_or_else(|| policy.choose_victim(set, self.ways, &ctx));
         let old = self.block(set, way);
         let evicted = old.valid.then(|| Eviction {
             page: PageIndex::new(old.tag * self.sets + set as u64),
@@ -105,7 +103,7 @@ impl RefCache {
             valid: true,
             dirty: record.op() == Op::Write,
         };
-        eviction.on_insert(set, way, &ctx);
+        policy.on_insert(set, way, &ctx);
         AccessOutcome::MissInserted { way, evicted }
     }
 }
@@ -174,14 +172,13 @@ proptest! {
             for admission in ADMISSIONS {
                 let mut flat = SetAssocCache::new(cfg).unwrap();
                 let mut oracle = RefCache::new(cfg);
-                let (mut ev_a, mut ev_b) =
-                    (eviction_for(eviction, cfg, &records), eviction_for(eviction, cfg, &records));
-                let (mut ad_a, mut ad_b) = (admission_for(admission), admission_for(admission));
+                let policy = || policy_for(eviction, admission, cfg, &records);
+                let (mut pol_a, mut pol_b) = (policy(), policy());
                 for (i, r) in records.iter().enumerate() {
                     let seq = i as u64;
                     let score = Some(score_at(r, seq));
-                    let got = flat.access(r, seq, score, ad_a.as_mut(), ev_a.as_mut());
-                    let want = oracle.access(r, seq, score, ad_b.as_mut(), ev_b.as_mut());
+                    let got = flat.access(r, seq, score, &mut pol_a);
+                    let want = oracle.access(r, seq, score, &mut pol_b);
                     prop_assert_eq!(
                         got, want,
                         "{}×{} {}/{} record {} {:?}", SETS[si], WAYS[wi], eviction, admission, i, r
@@ -228,14 +225,13 @@ proptest! {
         for admission in ADMISSIONS {
             let mut eager = SetAssocCache::new(cfg).unwrap();
             let mut lazy = SetAssocCache::new(cfg).unwrap();
-            let (mut ev_a, mut ev_b) =
-                (eviction_for("gmm-score", cfg, &records), eviction_for("gmm-score", cfg, &records));
-            let (mut ad_a, mut ad_b) = (admission_for(admission), admission_for(admission));
+            let policy = || policy_for("gmm-score", admission, cfg, &records);
+            let (mut pol_a, mut pol_b) = (policy(), policy());
             let (mut calls, mut misses) = (0u64, 0u64);
             for (i, r) in records.iter().enumerate() {
                 let seq = i as u64;
                 let score = Some(score_at(r, seq));
-                let want = eager.access(r, seq, score, ad_a.as_mut(), ev_a.as_mut());
+                let want = eager.access(r, seq, score, &mut pol_a);
                 let (got, consumed) = lazy.access_scored(
                     r,
                     seq,
@@ -243,8 +239,7 @@ proptest! {
                         calls += 1;
                         score
                     },
-                    ad_b.as_mut(),
-                    ev_b.as_mut(),
+                    &mut pol_b,
                 );
                 prop_assert_eq!(got, want);
                 misses += u64::from(!got.is_hit());
@@ -291,12 +286,13 @@ fn replay_asks_for_one_score_per_miss() {
     for admission in ADMISSIONS {
         let mut cache = SetAssocCache::new(cfg).unwrap();
         let (mut src, mut misses) = (CountingScore::default(), Misses::default());
+        let mut pol = policy_for("gmm-score", admission, cfg, &records);
         let report = simulate_streaming_observed_with_warmup(
             &[],
             &records,
             &mut cache,
-            admission_for(admission).as_mut(),
-            eviction_for("gmm-score", cfg, &records).as_mut(),
+            &mut pol.admit,
+            &mut pol.evict,
             Some(&mut src),
             &LatencyModel::paper_tlc(),
             None,

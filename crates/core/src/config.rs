@@ -9,19 +9,13 @@ use std::fmt;
 
 /// Which cache policy drives the run.
 ///
-/// The first five are score-free baselines; the three `Gmm*` modes are the
+/// `Lru` and `Belady` are score-free; the three `Gmm*` modes are the
 /// paper's smart caching/eviction strategies (Fig. 6 compares `Lru` against
 /// all three).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyMode {
     /// Classic LRU (the paper's baseline).
     Lru,
-    /// FIFO eviction.
-    Fifo,
-    /// Random eviction.
-    Random,
-    /// LFU eviction.
-    Lfu,
     /// Belady's offline-optimal eviction (upper bound, not in the paper).
     Belady,
     /// GMM admission filter + LRU eviction ("GMM caching-only").
@@ -58,9 +52,6 @@ impl fmt::Display for PolicyMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             PolicyMode::Lru => "lru",
-            PolicyMode::Fifo => "fifo",
-            PolicyMode::Random => "random",
-            PolicyMode::Lfu => "lfu",
             PolicyMode::Belady => "belady",
             PolicyMode::GmmCachingOnly => "gmm-caching",
             PolicyMode::GmmEvictionOnly => "gmm-eviction",
@@ -95,11 +86,6 @@ pub struct IcgmmConfig {
     /// Writes are admitted regardless of score (see the cache crate's
     /// `ThresholdAdmit` docs for the rationale).
     pub admit_writes_always: bool,
-    /// Multiplicative bump applied to a block's stored score on every hit
-    /// (`score ×= 1 + bonus`). The paper stores scores once at insertion
-    /// (`0.0`, the default); positive values blend recency back in and are
-    /// swept by the ablation bench.
-    pub eviction_hit_bonus: f64,
     /// Shard count of [`crate::Icgmm::run_sharded`]: the set-associative
     /// cache is partitioned by set index into this many independent shards
     /// replayed on scoped threads (each with its own policy state and
@@ -149,7 +135,6 @@ impl Default for IcgmmConfig {
             max_train_cells: 120_000,
             fixed_point_inference: false,
             admit_writes_always: true,
-            eviction_hit_bonus: 0.0,
             sim_shards: 1,
             serve_clients: 1,
             serve_queue_depth: 256,
@@ -179,11 +164,6 @@ impl IcgmmConfig {
         if !(0.0..1.0).contains(&self.threshold.quantile) {
             return Err(IcgmmError::Config(
                 "threshold quantile must be in [0, 1)".into(),
-            ));
-        }
-        if !(self.eviction_hit_bonus.is_finite() && self.eviction_hit_bonus >= 0.0) {
-            return Err(IcgmmError::Config(
-                "eviction_hit_bonus must be finite and >= 0".into(),
             ));
         }
         if self.sim_shards == 0 {

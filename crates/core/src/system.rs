@@ -12,9 +12,8 @@ use crate::engine::{GmmPolicyEngine, TrainedModel};
 use crate::error::IcgmmError;
 use crate::online::AdaptiveEngine;
 use icgmm_cache::{
-    AdaptPlan, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy, FaultyScore, FifoPolicy,
-    GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy, RandomPolicy, ScoreSource, ShardCtx,
-    ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
+    AdaptPlan, BeladyPolicy, FaultyScore, GmmScorePolicy, LatencyModel, LruPolicy, Policy,
+    ScoreSource, ShardCtx, ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_gmm::{calibrate_threshold, EmReport, EmTrainer, StandardScaler};
 use icgmm_hw::{DataflowConfig, DataflowReport};
@@ -84,12 +83,12 @@ struct Assembly<'a> {
     /// Warm-up ⧺ measured (the trace minus its trimmed tail).
     records: &'a [TraceRecord],
     /// Where the measured middle starts: the warm-up before it is replayed
-    /// through cache, policies and the Algorithm 1 clock, not counted.
+    /// through cache, policy and the Algorithm 1 clock, not counted.
     measured_from: usize,
 }
 
 impl<'a> Assembly<'a> {
-    /// Builds one shard's policies, scorer clone and fault/adapt wrappers,
+    /// Builds one shard's policy, scorer clone and fault/adapt wrappers,
     /// spawning the shard's refit producer into `scope` when the adaptation
     /// plan is armed. Runs on whichever thread replays the shard.
     fn shard<'scope>(&self, ctx: &ShardCtx<'_>, scope: &'scope Scope<'scope, '_>) -> ShardPolicies
@@ -98,37 +97,23 @@ impl<'a> Assembly<'a> {
     {
         let cfg = &self.sys.cfg;
         let (sets, ways) = (cfg.cache.num_sets(), cfg.cache.ways);
-        let (gmm_admits, gmm_evicts) = match self.mode {
-            PolicyMode::GmmCachingOnly => (true, false),
-            PolicyMode::GmmEvictionOnly => (false, true),
-            PolicyMode::GmmCachingEviction => (true, true),
-            _ => (false, false),
-        };
-        let eviction: Box<dyn EvictionPolicy + Send> = match self.mode {
-            PolicyMode::Fifo => Box::new(FifoPolicy::new(sets, ways)),
-            PolicyMode::Random => Box::new(RandomPolicy::new(cfg.em.seed, sets)),
-            PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
+        let threshold = Some(ThresholdAdmit {
+            threshold: self.sys.model.as_ref().map_or(0.0, |m| m.threshold),
+            admit_writes_always: cfg.admit_writes_always,
+        });
+        let gmm = || GmmScorePolicy::new(sets, ways);
+        let policy = match self.mode {
+            PolicyMode::Lru => Policy::lru(sets, ways),
             // The oracle sees exactly this shard's subsequence (its
             // positions are the shard-local sequence numbers the replay
             // presents), built straight off the trace.
-            PolicyMode::Belady => Box::new(BeladyPolicy::from_pages(
-                ctx.records().map(|r| r.page().raw()),
-                sets,
-                ways,
-            )),
-            _ if gmm_evicts && cfg.eviction_hit_bonus > 0.0 => Box::new(
-                GmmScorePolicy::with_hit_bonus(sets, ways, cfg.eviction_hit_bonus),
+            PolicyMode::Belady => Policy::new(
+                None,
+                BeladyPolicy::from_pages(ctx.records().map(|r| r.page().raw()), sets, ways),
             ),
-            _ if gmm_evicts => Box::new(GmmScorePolicy::new(sets, ways)),
-            _ => Box::new(LruPolicy::new(sets, ways)),
-        };
-        let admission: Box<dyn AdmissionPolicy + Send> = if gmm_admits {
-            Box::new(ThresholdAdmit {
-                threshold: self.sys.model.as_ref().map_or(0.0, |m| m.threshold),
-                admit_writes_always: cfg.admit_writes_always,
-            })
-        } else {
-            Box::new(AlwaysAdmit)
+            PolicyMode::GmmCachingOnly => Policy::new(threshold, LruPolicy::new(sets, ways)),
+            PolicyMode::GmmEvictionOnly => Policy::new(None, gmm()),
+            PolicyMode::GmmCachingEviction => Policy::new(threshold, gmm()),
         };
         // An armed adaptation plan has the shard's engine clone follow the
         // online refit loop, which runs ahead on its own thread over the
@@ -149,17 +134,13 @@ impl<'a> Assembly<'a> {
         };
         // An armed fault plan passes the scores through the injector and
         // its health monitor (per shard, so degradation transitions stay
-        // deterministic). The policies are never wrapped: a score that is
-        // not to be trusted reaches them as no score.
+        // deterministic). The policy is never wrapped: a score that is not
+        // to be trusted reaches it as no score.
         let plan = self.sys.cfg.fault;
         if plan.scorer_armed() || plan.monitor_armed() {
             score = score.map(|s| Box::new(FaultyScore::new(s, plan)) as _);
         }
-        ShardPolicies {
-            admission,
-            eviction,
-            score,
-        }
+        ShardPolicies { policy, score }
     }
 }
 
@@ -547,11 +528,7 @@ mod tests {
         let trace = WorkloadKind::Memtier.default_workload().generate(50_000, 3);
         sys.fit(&trace).unwrap();
         let belady = sys.run(&trace, PolicyMode::Belady).unwrap();
-        for mode in [
-            PolicyMode::Lru,
-            PolicyMode::Fifo,
-            PolicyMode::GmmEvictionOnly,
-        ] {
+        for mode in [PolicyMode::Lru, PolicyMode::GmmEvictionOnly] {
             let rep = sys.run(&trace, mode).unwrap();
             assert!(
                 belady.miss_rate_pct() <= rep.miss_rate_pct() + 1e-9,
@@ -574,10 +551,7 @@ mod tests {
         let model = reference_sys.model().expect("fitted").clone();
         let modes = [
             PolicyMode::Lru,
-            PolicyMode::Fifo,
-            PolicyMode::Lfu,
             PolicyMode::Belady,
-            PolicyMode::Random,
             PolicyMode::GmmCachingOnly,
             PolicyMode::GmmEvictionOnly,
             PolicyMode::GmmCachingEviction,

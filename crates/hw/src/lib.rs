@@ -31,15 +31,15 @@
 //!
 //! ```
 //! use icgmm_hw::{DataflowConfig, DataflowReport};
-//! use icgmm_cache::{simulate, AlwaysAdmit, CacheConfig, LruPolicy, SetAssocCache};
+//! use icgmm_cache::{simulate, CacheConfig, Policy, SetAssocCache};
 //! use icgmm_trace::TraceRecord;
 //!
 //! let cfg = CacheConfig { capacity_bytes: 8 * 4096, block_bytes: 4096, ways: 2 };
 //! let mut cache = SetAssocCache::new(cfg)?;
-//! let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
+//! let mut lru = Policy::lru(cfg.num_sets(), cfg.ways);
 //! let trace: Vec<TraceRecord> = (0..64u64).map(|i| TraceRecord::read((i % 4) << 12)).collect();
 //! let df = DataflowConfig::default();
-//! let sim = simulate(&trace, &mut cache, &mut AlwaysAdmit, &mut lru, None, &df.latency(), None);
+//! let sim = simulate(&trace, &mut cache, &mut lru, None, &df.latency(), None);
 //! let report = DataflowReport::from_sim(&sim, &df);
 //! assert_eq!(report.stats.misses(), 4);
 //! assert_eq!(report.makespan_us, sim.total_us);

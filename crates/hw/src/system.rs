@@ -180,8 +180,7 @@ impl DataflowReport {
 mod tests {
     use super::*;
     use icgmm_cache::{
-        AlwaysAdmit, CacheConfig, LruPolicy, ShardCtx, ShardPolicies, ShardRunError,
-        ShardedSimulator,
+        CacheConfig, Policy, ShardCtx, ShardPolicies, ShardRunError, ShardedSimulator,
     };
     use icgmm_trace::TraceRecord;
 
@@ -202,8 +201,7 @@ mod tests {
         config: &DataflowConfig,
     ) -> Result<DataflowReport, ShardRunError> {
         let make = |_: &ShardCtx<'_>| ShardPolicies {
-            admission: Box::new(AlwaysAdmit),
-            eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+            policy: Policy::lru(cfg.num_sets(), cfg.ways),
             score: None,
         };
         let latency = config.latency();
@@ -229,12 +227,11 @@ mod tests {
         let trace = mixed_trace(2_000);
         let cfg = small_cfg();
 
-        let mut lru1 = LruPolicy::new(cfg.num_sets(), cfg.ways);
+        let mut lru1 = Policy::lru(cfg.num_sets(), cfg.ways);
         let mut cache = icgmm_cache::SetAssocCache::new(cfg).unwrap();
         let analytic = icgmm_cache::simulate(
             &trace,
             &mut cache,
-            &mut AlwaysAdmit,
             &mut lru1,
             None,
             &LatencyModel::paper_tlc(),

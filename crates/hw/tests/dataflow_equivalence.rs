@@ -18,9 +18,7 @@ use icgmm_cache::{
     ShardPolicies, ShardedSimulator, SimReport,
 };
 use icgmm_hw::{DataflowConfig, DataflowReport, GmmEngineModel, SsdProfile, SsdStats};
-use icgmm_testutil::{
-    admission_for, eviction_for, score_for, small_cfg, zipf_trace, ADMISSIONS, EVICTIONS, SCORES,
-};
+use icgmm_testutil::{policy_for, score_for, small_cfg, zipf_trace, ADMISSIONS, EVICTIONS, SCORES};
 use icgmm_trace::{Op, TraceRecord};
 use proptest::prelude::*;
 
@@ -218,8 +216,7 @@ impl Case<'_> {
     fn run_dataflow(&self) -> DataflowReport {
         let cfg = small_cfg();
         let make = |_: &ShardCtx<'_>| ShardPolicies {
-            admission: admission_for(self.admission),
-            eviction: eviction_for(self.eviction, cfg, self.trace),
+            policy: policy_for(self.eviction, self.admission, cfg, self.trace),
             score: score_for(self.score),
         };
         let (lat, plan) = (self.df_cfg.latency(), self.plan);
@@ -236,10 +233,9 @@ impl Case<'_> {
         let cfg = small_cfg();
         let (warm, meas) = self.trace.split_at(self.warmup_len);
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut ev = eviction_for(self.eviction, cfg, self.trace);
-        let mut ad = admission_for(self.admission);
+        let mut pol = policy_for(self.eviction, self.admission, cfg, self.trace);
         let mut sc = score_for(self.score);
-        let (ad, ev) = (ad.as_mut(), ev.as_mut());
+        let (ad, ev) = (&mut pol.admit, &mut pol.evict);
         let sc = sc.as_deref_mut().map(|s| s as &mut dyn ScoreSource);
         let lat = self.df_cfg.latency();
         match timeline {

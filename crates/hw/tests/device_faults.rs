@@ -7,7 +7,7 @@
 
 use icgmm_cache::{FaultPlan, ShardCtx, ShardPolicies, ShardedSimulator};
 use icgmm_hw::{DataflowConfig, DataflowReport};
-use icgmm_testutil::{admission_for, eviction_for, small_cfg, zipf_trace};
+use icgmm_testutil::{policy_for, small_cfg, zipf_trace};
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
 
@@ -17,8 +17,7 @@ fn run_streaming(plan: FaultPlan, trace: &[TraceRecord], warmup_len: usize) -> D
     let cfg = small_cfg();
     let df_cfg = DataflowConfig::default();
     let make = |_: &ShardCtx<'_>| ShardPolicies {
-        admission: admission_for("always"),
-        eviction: eviction_for("lru", cfg, trace),
+        policy: policy_for("lru", "always", cfg, trace),
         score: None,
     };
     let rep = ShardedSimulator::new(1)

@@ -19,7 +19,7 @@
 //! wait counted in the admission latency) and a timing surface:
 //! requests/sec at saturation plus log-bucketed p50/p99 admission-decision
 //! latencies ([`ServeReport`]). A caller that wants only a prefix served
-//! passes the prefix. What happens *to a shard* — its policies, the
+//! passes the prefix. What happens *to a shard* — its policy, the
 //! replay loop and its accounting (device faults included),
 //! armed panic points, the recovery of a dead worker by offline re-replay,
 //! the sum of the shards' reports — is not this crate's: it is
@@ -29,9 +29,7 @@
 //! ## Example
 //!
 //! ```
-//! use icgmm_cache::{
-//!     AlwaysAdmit, CacheConfig, LatencyModel, LruPolicy, ShardPolicies,
-//! };
+//! use icgmm_cache::{CacheConfig, LatencyModel, Policy, ShardPolicies};
 //! use icgmm_serve::{CacheServer, ServeConfig};
 //! use icgmm_trace::TraceRecord;
 //!
@@ -49,8 +47,7 @@
 //!     1024,
 //!     cfg,
 //!     &mut |_ctx| ShardPolicies {
-//!         admission: Box::new(AlwaysAdmit),
-//!         eviction: Box::new(LruPolicy::new(cfg.num_sets(), cfg.ways)),
+//!         policy: Policy::lru(cfg.num_sets(), cfg.ways),
 //!         score: None,
 //!     },
 //!     &LatencyModel::paper_tlc(),

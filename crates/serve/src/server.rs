@@ -20,7 +20,7 @@
 //!
 //! Concurrency therefore only decides *timing* (throughput, admission
 //! latency) — never *results*. This module owns transport and timing; the
-//! life of a shard (policies, replay, armed panic point,
+//! life of a shard (policy, replay, armed panic point,
 //! recovery, the sum) is [`ShardSupervisor`]'s.
 //!
 //! What a sum cannot see is a record that never reached its shard, or
@@ -146,7 +146,7 @@ impl CacheServer {
     /// report. `make_shard` is called once per shard *on that
     /// shard's worker thread* (hence `Fn + Sync`), exactly as in
     /// [`icgmm_cache::ShardedSimulator::run`] — through the same
-    /// [`ShardSupervisor`], so the shard policies, the replay itself, the
+    /// [`ShardSupervisor`], so the shard policy, the replay itself, the
     /// recovery of a dead worker (its whole shard re-replayed offline,
     /// replacing what it had counted) and the sum of the workers' reports
     /// are the offline ones.
@@ -224,7 +224,7 @@ impl CacheServer {
                 .map(|(shard, rx)| {
                     scope.spawn(move || {
                         // The offline shard replay, fed from the queue:
-                        // policies are built here, in parallel across
+                        // the policy is built here, in parallel across
                         // shards.
                         let mut hist = LatencyHistogram::new();
                         let walk = sup.ctx(shard).walk();

@@ -16,8 +16,8 @@ use icgmm_cache::{
 };
 use icgmm_serve::{CacheServer, ServeConfig, ServeError, ServeReport};
 use icgmm_testutil::{
-    admission_for, conflict_trace, eviction_for, latency_for, score_for, small_cfg, zipf_trace,
-    CountingScore, GMM_STACKS, UNTRUSTED_SCORES,
+    conflict_trace, latency_for, policy_for, score_for, small_cfg, zipf_trace, CountingScore,
+    GMM_STACKS, UNTRUSTED_SCORES,
 };
 use icgmm_trace::TraceRecord;
 use proptest::prelude::*;
@@ -57,8 +57,7 @@ fn serve_under(
             // Belady's oracle must see this shard's subsequence.
             let recs: Vec<TraceRecord> = ctx.records().copied().collect();
             ShardPolicies {
-                admission: admission_for(admission),
-                eviction: eviction_for(eviction, cache_cfg, &recs),
+                policy: policy_for(eviction, admission, cache_cfg, &recs),
                 score: score_for(score),
             }
         },
@@ -105,8 +104,7 @@ fn offline_with(
             &|ctx| {
                 let recs: Vec<TraceRecord> = ctx.records().copied().collect();
                 ShardPolicies {
-                    admission: admission_for(admission),
-                    eviction: eviction_for(eviction, cache_cfg, &recs),
+                    policy: policy_for(eviction, admission, cache_cfg, &recs),
                     score: score_for(score),
                 }
             },
@@ -144,7 +142,6 @@ proptest! {
         let grid = [
             ("lru", "always", "none"),
             ("belady", "always", "none"),
-            ("random", "always", "none"),
             ("gmm-score", "threshold", "fn"),
         ];
         for (i, (eviction, admission, score)) in grid.into_iter().enumerate() {
@@ -184,7 +181,7 @@ proptest! {
     /// A scorer that is never trusted *is* LRU, served: under an engine
     /// that only says NaN and under a permanent outage, each of the paper's
     /// three GMM stacks serves the counts, modeled time and miss series of
-    /// the offline score-free `LruPolicy` + `AlwaysAdmit` replay, at 1, 2
+    /// the offline score-free LRU replay, at 1, 2
     /// and 4 shards over Zipf and conflict traces.
     #[test]
     fn an_untrusted_scorer_serves_as_lru(
@@ -242,11 +239,10 @@ proptest! {
                 [("belady", "always", "none"), ("gmm-score", "threshold", "fn")]
             {
                 let mut c = SetAssocCache::new(cfg).unwrap();
-                let mut ev = eviction_for(eviction, cfg, &trace);
-                let mut ad = admission_for(admission);
+                let mut pol = policy_for(eviction, admission, cfg, &trace);
                 let mut sc = score_for(score).map(|s| CountingScore(s, 0));
                 let reference = simulate_streaming_with_warmup(
-                    &trace[..m], &trace[m..], &mut c, ad.as_mut(), ev.as_mut(),
+                    &trace[..m], &trace[m..], &mut c, &mut pol.admit, &mut pol.evict,
                     sc.as_mut().map(|s| s as &mut dyn ScoreSource), lat, Some(64),
                 );
                 let consumed = sc.map_or(0, |s| s.1);
@@ -422,9 +418,9 @@ fn unrecoverable_worker_panics_surface_as_typed_errors() {
             queue_depth: 4,
             ..ServeConfig::default()
         },
-        "poison",
+        "lru",
         "always",
-        "none",
+        "poison",
         &trace,
         100,
     )
@@ -432,8 +428,8 @@ fn unrecoverable_worker_panics_surface_as_typed_errors() {
     match err {
         ServeError::Shard(ShardRunError::ShardFailed { message, .. }) => {
             assert!(
-                message.contains("worker panicked (poisoned victim choice)")
-                    && message.contains("re-replay panicked too (poisoned victim choice)"),
+                message.contains("worker panicked (poisoned score)")
+                    && message.contains("re-replay panicked too (poisoned score)"),
                 "both payloads must be reported, got: {message}"
             );
         }

@@ -8,7 +8,7 @@
 //! integration tests (`tests/end_to_end.rs`,
 //! `tests/hardware_consistency.rs`) — exercises the same grid:
 //! Zipf-skewed traces over a conflict-heavy small cache × the eviction
-//! policies × the admission policies × the score-source shapes. These
+//! rules × the admission filters × the score-source shapes. These
 //! builders are that grid's single source of truth; suites differ only in
 //! which front-ends they pit against each other.
 //!
@@ -17,18 +17,17 @@
 //! the standard Cargo pattern for shared test support).
 
 use icgmm_cache::{
-    AccessCtx, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, CacheConfig, ConstantScore,
-    EvictionPolicy, FaultPlan, FaultyScore, FifoPolicy, FnScore, GmmScorePolicy, LatencyModel,
-    LfuPolicy, LruPolicy, RandomPolicy, ScoreSource, ThresholdAdmit,
+    BeladyPolicy, CacheConfig, ConstantScore, Evict, FaultPlan, FaultyScore, FnScore,
+    GmmScorePolicy, LatencyModel, LruPolicy, Policy, ScoreSource, ThresholdAdmit,
 };
 use icgmm_trace::{TraceRecord, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The eviction-policy grid every differential suite sweeps.
-pub const EVICTIONS: [&str; 6] = ["lru", "fifo", "lfu", "belady", "gmm-score", "random"];
+/// The eviction-rule grid every differential suite sweeps.
+pub const EVICTIONS: [&str; 3] = ["lru", "belady", "gmm-score"];
 
-/// The admission-policy grid.
+/// The admission-filter grid.
 pub const ADMISSIONS: [&str; 2] = ["always", "threshold"];
 
 /// The score-source shapes.
@@ -109,56 +108,40 @@ pub fn conflict_trace(n: usize, pages: u64, seed: u64) -> Vec<TraceRecord> {
         .collect()
 }
 
-/// An eviction policy that panics on its first victim choice — in a shard
-/// worker *and* in the supervisor's re-replay: the genuine, recurring
-/// policy bug the fault-recovery suites feed the engines.
-struct PoisonPolicy(LruPolicy);
-
-impl EvictionPolicy for PoisonPolicy {
-    fn name(&self) -> &str {
-        "poison"
-    }
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        self.0.on_hit(set, way, ctx);
-    }
-    fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        self.0.on_insert(set, way, ctx);
-    }
-    fn choose_victim(&mut self, _set: usize, _ways: usize, _ctx: &AccessCtx) -> usize {
-        panic!("poisoned victim choice");
-    }
-}
-
-/// Builds the named eviction policy sized for `cfg`. Belady's oracle is
-/// built from `records` — pass exactly the record sequence the policy
-/// will replay (its positions are the sequence numbers the simulator
-/// presents). `"poison"` (outside the [`EVICTIONS`] grid) panics on its
-/// first victim choice.
-pub fn eviction_for(
-    name: &str,
+/// Builds the policy of the named eviction rule and admission filter,
+/// sized for `cfg` (`"threshold"` admits on score ≥ 0.5, which the `fn`
+/// score source straddles constantly). Belady's oracle is built from
+/// `records` — pass exactly the record sequence the policy will replay
+/// (its positions are the sequence numbers the simulator presents).
+pub fn policy_for(
+    eviction: &str,
+    admission: &str,
     cfg: CacheConfig,
     records: &[TraceRecord],
-) -> Box<dyn EvictionPolicy + Send> {
+) -> Policy {
     let (sets, ways) = (cfg.num_sets(), cfg.ways);
-    match name {
-        "lru" => Box::new(LruPolicy::new(sets, ways)),
-        "fifo" => Box::new(FifoPolicy::new(sets, ways)),
-        "lfu" => Box::new(LfuPolicy::new(sets, ways)),
-        "belady" => Box::new(BeladyPolicy::from_records(records, sets, ways)),
-        "gmm-score" => Box::new(GmmScorePolicy::new(sets, ways)),
-        "random" => Box::new(RandomPolicy::new(0xDECADE, sets)),
-        "poison" => Box::new(PoisonPolicy(LruPolicy::new(sets, ways))),
+    let evict: Evict = match eviction {
+        "lru" => LruPolicy::new(sets, ways).into(),
+        "belady" => BeladyPolicy::from_records(records, sets, ways).into(),
+        "gmm-score" => GmmScorePolicy::new(sets, ways).into(),
         other => panic!("unknown eviction {other}"),
-    }
+    };
+    let admit = match admission {
+        "always" => None,
+        "threshold" => Some(ThresholdAdmit::new(0.5)),
+        other => panic!("unknown admission {other}"),
+    };
+    Policy::new(admit, evict)
 }
 
-/// Builds the named admission policy (`threshold` admits on score ≥ 0.5,
-/// which the `fn` score source straddles constantly).
-pub fn admission_for(name: &str) -> Box<dyn AdmissionPolicy + Send> {
-    match name {
-        "always" => Box::new(AlwaysAdmit),
-        "threshold" => Box::new(ThresholdAdmit::new(0.5)),
-        other => panic!("unknown admission {other}"),
+/// A score source that panics on every score — in a shard worker *and* in
+/// the supervisor's re-replay: the genuine, recurring bug the
+/// fault-recovery suites feed the engines.
+struct PoisonScore;
+
+impl ScoreSource for PoisonScore {
+    fn score(&mut self, _record: &TraceRecord, _pos: u64) -> f64 {
+        panic!("poisoned score");
     }
 }
 
@@ -167,7 +150,8 @@ pub fn admission_for(name: &str) -> Box<dyn AdmissionPolicy + Send> {
 /// `"fn"` produces deterministic per-`(page, position)` pseudo-random scores:
 /// roughly half fall under the 0.5 admission threshold, so the threshold
 /// policy bypasses constantly. `"nan"` and `"outage"` are the
-/// [`UNTRUSTED_SCORES`].
+/// [`UNTRUSTED_SCORES`]; `"poison"` (outside every grid) panics on the
+/// first miss.
 pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
     match name {
         "none" => None,
@@ -186,6 +170,7 @@ pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
             };
             Some(Box::new(FaultyScore::new(score_for("fn")?, plan)))
         }
+        "poison" => Some(Box::new(PoisonScore)),
         other => panic!("unknown score {other}"),
     }
 }
@@ -211,10 +196,11 @@ mod tests {
         let cfg = small_cfg();
         let trace = zipf_trace(1, 200, 64, 0.9, 20);
         for e in EVICTIONS {
-            assert_eq!(eviction_for(e, cfg, &trace).name(), e);
-        }
-        for a in ADMISSIONS {
-            let _ = admission_for(a);
+            for (a, name) in ADMISSIONS.into_iter().zip(["always", "gmm-threshold"]) {
+                let policy = policy_for(e, a, cfg, &trace);
+                assert_eq!(policy.eviction_name(), e);
+                assert_eq!(policy.admission_name(), name);
+            }
         }
         assert!(score_for("none").is_none());
         assert!(score_for("constant").is_some());

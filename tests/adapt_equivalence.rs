@@ -15,7 +15,7 @@ use icgmm::experiment::run_static_vs_adaptive;
 use icgmm::serve::{CacheServer, ServeConfig};
 use icgmm::{AdaptPlan, GmmPolicyEngine, Icgmm, IcgmmConfig, PolicyMode, TrainedModel};
 use icgmm_cache::{
-    CacheConfig, FaultPlan, GmmScorePolicy, ShardCtx, ShardPolicies, ShardedSimulator,
+    CacheConfig, FaultPlan, GmmScorePolicy, Policy, ShardCtx, ShardPolicies, ShardedSimulator,
     ThresholdAdmit,
 };
 use icgmm_gmm::EmConfig;
@@ -260,12 +260,13 @@ fn oracle_stack(
     let (em, plan, pre, shard) = (cfg.em, cfg.adapt, &cfg.preprocess, ctx.shard as u64);
     let walk = Box::new(ctx.routed(records));
     let inline = inline_oracle::InlineAdaptive::new(engine, &model.gmm, em, plan, pre, shard, walk);
+    let threshold = ThresholdAdmit {
+        threshold: model.threshold,
+        admit_writes_always: cfg.admit_writes_always,
+    };
+    let evict = GmmScorePolicy::new(cfg.cache.num_sets(), cfg.cache.ways);
     ShardPolicies {
-        admission: Box::new(ThresholdAdmit {
-            threshold: model.threshold,
-            admit_writes_always: cfg.admit_writes_always,
-        }),
-        eviction: Box::new(GmmScorePolicy::new(cfg.cache.num_sets(), cfg.cache.ways)),
+        policy: Policy::new(Some(threshold), evict),
         score: Some(Box::new(inline)),
     }
 }

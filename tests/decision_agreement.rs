@@ -116,7 +116,7 @@ fn replay(
         threshold: model.threshold,
         admit_writes_always: cfg.admit_writes_always,
     };
-    let mut eviction = GmmScorePolicy::with_hit_bonus(sets, ways, cfg.eviction_hit_bonus);
+    let mut eviction = GmmScorePolicy::new(sets, ways);
     let mut decisions = Decisions::default();
     let report = simulate_streaming_observed_with_warmup(
         warmup,

@@ -3,8 +3,8 @@
 //! axioms, Algorithm 1 bounds and its counter-pair oracle, fixed-point fidelity and policy sanity.
 
 use icgmm_cache::{
-    simulate, AccessOutcome, AlwaysAdmit, CacheConfig, FifoPolicy, GmmScorePolicy, LatencyModel,
-    LfuPolicy, LruPolicy, SetAssocCache, ThresholdAdmit,
+    simulate, AccessOutcome, BeladyPolicy, CacheConfig, FnScore, GmmScorePolicy, LatencyModel,
+    LruPolicy, Policy, SetAssocCache, ThresholdAdmit,
 };
 use icgmm_gmm::fixed::{ExpLut, Fixed, FixedGmm};
 use icgmm_gmm::{EmConfig, EmTrainer, Gaussian2, Gmm, GmmScorer, Mat2, StandardScaler};
@@ -131,17 +131,16 @@ proptest! {
         let odd = CacheConfig { capacity_bytes: 18 * 4096, block_bytes: 4096, ways: 3 };
         for cfg in [small_cfg(), odd] {
             let mut cache = SetAssocCache::new(cfg).unwrap();
-            let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-            let mut admit = AlwaysAdmit;
+            let mut lru = Policy::lru(cfg.num_sets(), cfg.ways);
             for (i, r) in records.iter().enumerate() {
-                let out = cache.access(r, i as u64, None, &mut admit, &mut lru);
+                let out = cache.access(r, i as u64, None, &mut lru);
                 match out {
                     AccessOutcome::Hit { way } => prop_assert!(way < cfg.ways),
                     AccessOutcome::MissInserted { way, .. } => {
                         prop_assert!(way < cfg.ways);
                         prop_assert!(cache.contains(r.page()), "inserted page not findable");
                     }
-                    AccessOutcome::MissBypassed => unreachable!("AlwaysAdmit never bypasses"),
+                    AccessOutcome::MissBypassed => unreachable!("LRU admits every miss"),
                 }
                 // No duplicate tags within any set.
                 for set in 0..cfg.num_sets() {
@@ -167,12 +166,12 @@ proptest! {
     fn bypass_never_mutates_state(records in prop::collection::vec(arb_record(), 1..300)) {
         let cfg = small_cfg();
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut lru = LruPolicy::new(cfg.num_sets(), cfg.ways);
-        // Threshold 1.0 with score 0.0 ⇒ every read miss bypasses.
-        let mut admit = ThresholdAdmit { threshold: 1.0, admit_writes_always: false };
+        // Threshold 1.0 with score 0.0 ⇒ every miss bypasses.
+        let admit = ThresholdAdmit { threshold: 1.0, admit_writes_always: false };
+        let mut filtered = Policy::new(Some(admit), LruPolicy::new(cfg.num_sets(), cfg.ways));
         for (i, r) in records.iter().enumerate() {
             let before = cache.occupancy();
-            let out = cache.access(r, i as u64, Some(0.0), &mut admit, &mut lru);
+            let out = cache.access(r, i as u64, Some(0.0), &mut filtered);
             match out {
                 AccessOutcome::MissBypassed => prop_assert_eq!(cache.occupancy(), before),
                 AccessOutcome::Hit { .. } => {}
@@ -190,13 +189,12 @@ proptest! {
         // One-set cache: 4 ways over pages that all collide.
         let cfg = CacheConfig { capacity_bytes: 4 * 4096, block_bytes: 4096, ways: 4 };
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut lru = LruPolicy::new(1, 4);
-        let mut admit = AlwaysAdmit;
+        let mut lru = Policy::lru(1, 4);
         let mut seq = 0u64;
         let mut touched: Vec<u64> = vec![];
         for &p in &touch_order {
             let r = TraceRecord::read(p << 12);
-            cache.access(&r, seq, None, &mut admit, &mut lru);
+            cache.access(&r, seq, None, &mut lru);
             seq += 1;
             touched.retain(|&q| q != p);
             touched.push(p);
@@ -206,7 +204,7 @@ proptest! {
         if touched.len() >= 4 {
             let resident: Vec<u64> = touched.iter().rev().take(4).copied().collect();
             let expected_victim = *resident.last().unwrap();
-            let out = cache.access(&TraceRecord::read(99 << 12), seq, None, &mut admit, &mut lru);
+            let out = cache.access(&TraceRecord::read(99 << 12), seq, None, &mut lru);
             if let AccessOutcome::MissInserted { evicted: Some(e), .. } = out {
                 prop_assert_eq!(e.page.raw(), expected_victim);
             } else {
@@ -350,19 +348,21 @@ proptest! {
     }
 
     /// Simulation accounting: hits + insertions + bypasses == accesses, and
-    /// the latency model never reports less than the hit time per request.
+    /// the latency model never reports less than the hit time per request
+    /// — under the paper's caching + eviction stack, whose hashed scores
+    /// straddle the admission threshold so reads bypass constantly.
     #[test]
     fn simulation_accounting_is_conserved(records in prop::collection::vec(arb_record(), 1..500)) {
         let cfg = small_cfg();
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut ev = LfuPolicy::new(cfg.num_sets(), cfg.ways);
-        let mut admit = AlwaysAdmit;
+        let evict = GmmScorePolicy::new(cfg.num_sets(), cfg.ways);
+        let mut policy = Policy::new(Some(ThresholdAdmit::new(0.5)), evict);
+        let mut score = FnScore::new(|page, pos| ((page * 37 + pos) % 101) as f64 / 100.0);
         let report = simulate(
             &records,
             &mut cache,
-            &mut admit,
-            &mut ev,
-            None,
+            &mut policy,
+            Some(&mut score),
             &LatencyModel::paper_tlc(),
             None,
         );
@@ -381,24 +381,20 @@ proptest! {
         );
     }
 
-    /// FIFO and GMM-score policies always return in-range victims and never
-    /// corrupt the cache across random traces.
+    /// The Belady and GMM-score arms always return in-range victims and
+    /// never corrupt the cache across random traces.
     #[test]
     fn alternative_policies_stay_coherent(records in prop::collection::vec(arb_record(), 1..400)) {
         let cfg = small_cfg();
-        for which in 0..2 {
+        let (sets, ways) = (cfg.num_sets(), cfg.ways);
+        let arms = [
+            Policy::new(None, BeladyPolicy::from_records(&records, sets, ways)),
+            Policy::new(None, GmmScorePolicy::new(sets, ways)),
+        ];
+        for mut policy in arms {
             let mut cache = SetAssocCache::new(cfg).unwrap();
-            let mut admit = AlwaysAdmit;
-            let report = match which {
-                0 => {
-                    let mut ev = FifoPolicy::new(cfg.num_sets(), cfg.ways);
-                    simulate(&records, &mut cache, &mut admit, &mut ev, None, &LatencyModel::paper_tlc(), None)
-                }
-                _ => {
-                    let mut ev = GmmScorePolicy::new(cfg.num_sets(), cfg.ways);
-                    simulate(&records, &mut cache, &mut admit, &mut ev, None, &LatencyModel::paper_tlc(), None)
-                }
-            };
+            let report =
+                simulate(&records, &mut cache, &mut policy, None, &LatencyModel::paper_tlc(), None);
             prop_assert_eq!(report.stats.accesses() as usize, records.len());
             // Every distinct page that was accessed at least... the last
             // accessed page must be resident (it was just touched/inserted).
@@ -498,12 +494,11 @@ proptest! {
             pages.iter().map(|&p| TraceRecord::read(p << 12)).collect();
         let cfg = small_cfg();
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut ev = LruPolicy::new(cfg.num_sets(), cfg.ways);
+        let mut lru = Policy::lru(cfg.num_sets(), cfg.ways);
         let report = simulate(
             &records,
             &mut cache,
-            &mut AlwaysAdmit,
-            &mut ev,
+            &mut lru,
             None,
             &LatencyModel::paper_tlc(),
             None,

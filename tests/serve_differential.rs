@@ -117,21 +117,3 @@ fn serving_is_deterministic_across_repeat_runs() {
     assert_eq!(a.requests, b.requests);
     assert_eq!(a.sheds, b.sheds);
 }
-
-#[test]
-fn served_random_equals_run_at_every_shard_count() {
-    let trace = tenant_trace(5_000, 3);
-    let reference = Icgmm::new(serve_cfg())
-        .unwrap()
-        .run(&trace, PolicyMode::Random)
-        .unwrap();
-    for shards in [1, 2, 4] {
-        let mut cfg = serve_cfg();
-        cfg.sim_shards = shards;
-        let served = Icgmm::new(cfg)
-            .unwrap()
-            .serve(&trace, PolicyMode::Random)
-            .unwrap();
-        assert_eq!(served.sim, reference.sim, "random at {shards} shards");
-    }
-}

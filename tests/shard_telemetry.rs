@@ -17,8 +17,8 @@ use icgmm::{
     TrainedModel,
 };
 use icgmm_cache::{
-    CacheConfig, FaultPlan, FaultStats, FaultyScore, GmmScorePolicy, ShardCtx, ShardPolicies,
-    ShardedSimulator, SimReport, ThresholdAdmit,
+    CacheConfig, FaultPlan, FaultStats, FaultyScore, GmmScorePolicy, Policy, ShardCtx,
+    ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_gmm::EmConfig;
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
@@ -156,11 +156,13 @@ fn make_shard<'s>(
     let (shard, walk) = (ctx.shard as u64, ctx.routed(records));
     let adaptive = AdaptiveEngine::spawn(scope, engine, &model.gmm, cfg.em, cfg.adapt, shard, walk);
     ShardPolicies {
-        admission: Box::new(ThresholdAdmit {
-            threshold: model.threshold,
-            admit_writes_always: cfg.admit_writes_always,
-        }),
-        eviction: Box::new(GmmScorePolicy::new(sets, ways)),
+        policy: Policy::new(
+            Some(ThresholdAdmit {
+                threshold: model.threshold,
+                admit_writes_always: cfg.admit_writes_always,
+            }),
+            GmmScorePolicy::new(sets, ways),
+        ),
         score: Some(Box::new(FaultyScore::new(adaptive.unwrap(), cfg.fault))),
     }
 }
