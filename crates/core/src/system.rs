@@ -18,7 +18,7 @@ use icgmm_cache::{
 use icgmm_gmm::{calibrate_threshold, EmReport, EmTrainer, StandardScaler};
 use icgmm_hw::{DataflowConfig, DataflowReport};
 use icgmm_serve::{CacheServer, ServeConfig, ServeReport};
-use icgmm_trace::{extract_weighted_cells_range, Trace, TraceRecord};
+use icgmm_trace::{training_cells, Trace, TraceRecord};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -216,24 +216,24 @@ impl Icgmm {
         }
         // The Algorithm 1 clock runs from the start of the trace; only the
         // kept middle contributes training cells (paper §3.1).
-        let cells = extract_weighted_cells_range(trace.records(), &self.cfg.preprocess, start, end);
+        let mut cells = training_cells(trace, &self.cfg.preprocess);
         let records_used = end - start;
         let cells_total = cells.len();
 
-        // Uniform subsample of cells (weights ride along, so weighted EM on
-        // the subsample estimates the same mixture).
-        let mut rng = StdRng::seed_from_u64(self.cfg.em.seed ^ 0x5EED_CE11);
-        let sampled: Vec<&icgmm_trace::WeightedSample> = if cells.len() > self.cfg.max_train_cells {
-            let mut idx: Vec<usize> = (0..cells.len()).collect();
-            idx.shuffle(&mut rng);
-            idx.truncate(self.cfg.max_train_cells);
-            idx.into_iter().map(|i| &cells[i]).collect()
-        } else {
-            cells.iter().collect()
-        };
+        // Uniform subsample (weights ride along, so weighted EM on it
+        // estimates the same mixture). Fisher–Yates swaps the same positions
+        // whatever it shuffles: an index shuffle picks these cells, in order.
+        if cells.len() > self.cfg.max_train_cells {
+            let mut rng = StdRng::seed_from_u64(self.cfg.em.seed ^ 0x5EED_CE11);
+            cells.shuffle(&mut rng);
+            cells.truncate(self.cfg.max_train_cells);
+        }
 
-        let mut xs: Vec<[f64; 2]> = sampled.iter().map(|c| [c.page, c.time]).collect();
-        let ws: Vec<f64> = sampled.iter().map(|c| c.weight).collect();
+        let (mut xs, ws): (Vec<[f64; 2]>, Vec<f64>) = cells
+            .iter()
+            .map(|c| ([c.page as f64, f64::from(c.time)], f64::from(c.weight)))
+            .unzip();
+        drop(cells);
         let scaler = StandardScaler::fit(&xs, &ws);
         scaler.transform_all(&mut xs);
 

@@ -22,15 +22,15 @@
 //!
 //! ```
 //! use icgmm_trace::synth::{Workload, WorkloadKind};
-//! use icgmm_trace::{extract_weighted_cells, trim, PreprocessConfig};
+//! use icgmm_trace::{training_cells, trim, PreprocessConfig};
 //!
 //! // Generate a small parsec-like trace and prepare GMM training cells.
 //! let workload = WorkloadKind::Parsec.default_workload();
 //! let trace = workload.generate(10_000, 42);
 //! let cfg = PreprocessConfig::default();
-//! let kept = trim(&trace, &cfg);
-//! let cells = extract_weighted_cells(kept, &cfg);
-//! assert!(!cells.is_empty());
+//! let cells = training_cells(&trace, &cfg);
+//! let mass: u64 = cells.iter().map(|c| u64::from(c.weight)).sum();
+//! assert_eq!(mass, trim(&trace, &cfg).len() as u64);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,8 +46,8 @@ pub mod io;
 pub mod synth;
 
 pub use preprocess::{
-    extract_features, extract_weighted_cells, extract_weighted_cells_range, trim, PreprocessConfig,
-    TimestampTransformer, WeightedSample,
+    extract_weighted_cells_range, training_cells, trim, PreprocessConfig, TimestampTransformer,
+    TrainingCell, WeightedSample,
 };
 pub use record::{Op, PageIndex, TraceRecord, HOST_ACCESS_BYTES, MAX_PADDR, PAGE_SHIFT, PAGE_SIZE};
 pub use trace::{Trace, TraceStats};

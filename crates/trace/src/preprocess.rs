@@ -158,49 +158,74 @@ pub(crate) fn timestamped<'a>(
     })
 }
 
-/// A `(page index, timestamp)` pair with a multiplicity weight — the GMM
-/// training representation of one or more identical trace cells.
+/// One GMM training cell: a `(page index, timestamp)` pair and how many
+/// kept requests fell on it, in 16 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TrainingCell {
+    /// Page index (feature *P*).
+    pub page: u64,
+    /// Transformed timestamp (feature *T*).
+    pub time: u32,
+    /// Number of requests that mapped to this `(page, window)` cell.
+    pub weight: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<TrainingCell>() == 16);
+
+/// The `(page, timestamp)` cells of a trace's kept range (paper §3.1),
+/// sorted; the trimmed warm-up advances the Algorithm 1 clock but adds no
+/// cell. Weighted EM over them equals EM over the requests, on 1.06–2.5×
+/// fewer points (kept 70 %): `tenants_drift` 420 000 requests → 395 506
+/// cells, `dlrm` 840 000 → 537 397, `memtier` → 342 507, `hashmap` →
+/// 333 088. Built in their own sort buffer (a weight-1 cell per kept
+/// record, sorted, runs merged in place): 16 bytes per kept record. A run
+/// past `u32::MAX` continues in a same-key cell.
+pub fn training_cells(trace: &Trace, cfg: &PreprocessConfig) -> Vec<TrainingCell> {
+    let (start, end) = cfg.kept_range(trace.len());
+    cells_from(&trace.records()[..end], cfg, start)
+}
+
+fn cells_from(records: &[TraceRecord], cfg: &PreprocessConfig, start: usize) -> Vec<TrainingCell> {
+    let mut cells = Vec::with_capacity(records.len().saturating_sub(start));
+    // `ts < len_access_shot: u32`, so `time` is lossless.
+    cells.extend(
+        timestamped(records, cfg)
+            .skip(start)
+            .map(|(ts, r)| TrainingCell {
+                page: r.page().raw(),
+                time: ts as u32,
+                weight: 1,
+            }),
+    );
+    cells.sort_unstable_by_key(|c| (c.page, c.time));
+    merge_runs(&mut cells);
+    cells
+}
+
+/// Folds each run of equal keys in a sorted buffer into its first cell,
+/// starting a new cell wherever the weight would overflow.
+fn merge_runs(cells: &mut Vec<TrainingCell>) {
+    cells.dedup_by(|next, kept| match kept.weight.checked_add(next.weight) {
+        Some(w) if (next.page, next.time) == (kept.page, kept.time) => {
+            kept.weight = w;
+            true
+        }
+        _ => false,
+    });
+}
+
+/// A [`TrainingCell`] in `f64`s, kept for the benchmark harness.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WeightedSample {
-    /// Page index (feature *P*).
     pub page: f64,
-    /// Transformed timestamp (feature *T*).
     pub time: f64,
-    /// Number of requests that mapped to this `(page, window)` cell.
     pub weight: f64,
 }
 
-/// Extracts per-request GMM input features `[page_index, timestamp]` from a
-/// (pre-trimmed) record slice.
-pub fn extract_features(records: &[TraceRecord], cfg: &PreprocessConfig) -> Vec<[f64; 2]> {
-    timestamped(records, cfg)
-        .map(|(ts, r)| [r.page().raw() as f64, ts as f64])
-        .collect()
-}
-
-/// Deduplicates per-request features into weighted `(page, timestamp)`
-/// cells, sorted by page, then timestamp. Weighted EM over them equals EM
-/// over the per-request multiset, on 1.06–2.5× fewer points (benchmark
-/// workloads, kept 70 %): `tenants_drift` 420 000 requests → 395 506 cells,
-/// `dlrm` 840 000 → 537 397, `memtier` → 342 507, `hashmap` → 333 088.
-pub fn extract_weighted_cells(
-    records: &[TraceRecord],
-    cfg: &PreprocessConfig,
-) -> Vec<WeightedSample> {
-    extract_weighted_cells_range(records, cfg, 0, records.len())
-}
-
-/// [`extract_weighted_cells`] over `records[start..end]` with the
-/// Algorithm 1 clock running from `records[0]` — how training must see a
-/// trimmed trace: the warm-up prefix advances the timestamp (the paper's
-/// algorithm counts every request from program start) but contributes no
-/// training cells.
-///
-/// # Panics
-///
-/// When `start > end`, `end > records.len()` or an Algorithm 1 length is
-/// zero. `Icgmm::fit` reaches none: `Icgmm::new` validates the lengths, and
-/// the range is `kept_range`'s, which keeps `start <= end <= len`.
+/// The cells of `records[start..end]` (the clock running from `records[0]`)
+/// in `f64`s, kept for the benchmark harness. Panics on a bad range.
+#[doc(hidden)]
 pub fn extract_weighted_cells_range(
     records: &[TraceRecord],
     cfg: &PreprocessConfig,
@@ -208,17 +233,12 @@ pub fn extract_weighted_cells_range(
     end: usize,
 ) -> Vec<WeightedSample> {
     assert!(start <= end && end <= records.len(), "invalid cell range");
-    // Integer key order is `f64` order: pages < 2⁵¹, timestamps < 2³².
-    let mut keys = Vec::with_capacity(end - start);
-    for (ts, r) in timestamped(&records[..end], cfg).skip(start) {
-        keys.push((r.page().raw(), ts));
-    }
-    keys.sort_unstable();
-    keys.chunk_by(|a, b| a == b)
-        .map(|run| WeightedSample {
-            page: run[0].0 as f64,
-            time: run[0].1 as f64,
-            weight: run.len() as f64,
+    cells_from(&records[..end], cfg, start)
+        .into_iter()
+        .map(|c| WeightedSample {
+            page: c.page as f64,
+            time: f64::from(c.time),
+            weight: f64::from(c.weight),
         })
         .collect()
 }
@@ -331,55 +351,53 @@ mod tests {
         let _ = TimestampTransformer::new(0, 1);
     }
 
+    /// No trimming, `len_window` requests per window, 100 windows per shot.
+    fn untrimmed(len_window: u32) -> PreprocessConfig {
+        PreprocessConfig {
+            warmup_frac: 0.0,
+            tail_frac: 0.0,
+            len_window,
+            len_access_shot: 100,
+        }
+    }
+
+    fn cell(page: u64, time: u32, weight: u32) -> TrainingCell {
+        TrainingCell { page, time, weight }
+    }
+
     #[test]
     fn features_pair_page_and_time() {
         let t: Trace = (0..6u64).map(|i| TraceRecord::read(i << 12)).collect();
-        let cfg = PreprocessConfig {
-            len_window: 2,
-            len_access_shot: 100,
-            ..Default::default()
-        };
-        let f = extract_features(t.records(), &cfg);
-        assert_eq!(f.len(), 6);
-        assert_eq!(f[0], [0.0, 0.0]);
-        assert_eq!(f[1], [1.0, 0.0]);
-        assert_eq!(f[2], [2.0, 1.0]);
-        assert_eq!(f[5], [5.0, 2.0]);
+        let cells = training_cells(&t, &untrimmed(2));
+        assert_eq!(cells.len(), 6);
+        assert_eq!(cells[0], cell(0, 0, 1));
+        assert_eq!(cells[1], cell(1, 0, 1));
+        assert_eq!(cells[2], cell(2, 1, 1));
+        assert_eq!(cells[5], cell(5, 2, 1));
     }
 
     #[test]
     fn weighted_cells_preserve_total_mass() {
         // Repeated accesses to one page in one window collapse to one cell.
         let t: Trace = (0..8u64).map(|_| TraceRecord::read(0x5000)).collect();
-        let cfg = PreprocessConfig {
-            len_window: 4,
-            len_access_shot: 100,
-            ..Default::default()
-        };
-        let cells = extract_weighted_cells(t.records(), &cfg);
-        assert_eq!(cells.len(), 2); // windows 0 and 1
-        let total: f64 = cells.iter().map(|c| c.weight).sum();
-        assert_eq!(total, 8.0);
-        assert!(cells.iter().all(|c| c.page == 5.0));
+        let cells = training_cells(&t, &untrimmed(4));
+        assert_eq!(cells, [cell(5, 0, 4), cell(5, 1, 4)]); // windows 0 and 1
     }
 
     #[test]
     fn range_extraction_keeps_the_clock_but_skips_prefix_cells() {
-        // Pages 0..6, window = 2. Full extraction sees windows 0,0,1,1,2,2;
-        // range (2, 6) must keep those timestamps but drop the prefix.
-        let t: Trace = (0..6u64).map(|i| TraceRecord::read(i << 12)).collect();
+        // Pages 0..10, window = 2, the default trim keeps records 2..9:
+        // their timestamps must count the prefix, its cells must not show.
+        let t: Trace = (0..10u64).map(|i| TraceRecord::read(i << 12)).collect();
         let cfg = PreprocessConfig {
             len_window: 2,
             len_access_shot: 100,
             ..Default::default()
         };
-        let cells = extract_weighted_cells_range(t.records(), &cfg, 2, 6);
-        assert_eq!(cells.len(), 4);
+        let cells = training_cells(&t, &cfg);
+        let want: Vec<TrainingCell> = (2..9).map(|p| cell(p, p as u32 / 2, 1)).collect();
         // Page 2 was in window 1 (not 0): the clock ran over the prefix.
-        assert!(cells.iter().any(|c| c.page == 2.0 && c.time == 1.0));
-        assert!(cells.iter().all(|c| c.page >= 2.0));
-        let total: f64 = cells.iter().map(|c| c.weight).sum();
-        assert_eq!(total, 4.0);
+        assert_eq!(cells, want);
     }
 
     #[test]
@@ -396,13 +414,33 @@ mod tests {
             TraceRecord::read(0x1000),
             TraceRecord::read(0x2000),
         ]);
-        let cfg = PreprocessConfig {
-            len_window: 1,
-            len_access_shot: 10,
-            ..Default::default()
-        };
-        let cells = extract_weighted_cells(t.records(), &cfg);
-        let pages: Vec<f64> = cells.iter().map(|c| c.page).collect();
-        assert_eq!(pages, vec![1.0, 2.0, 3.0]);
+        let cells = training_cells(&t, &untrimmed(1));
+        assert_eq!(cells, [cell(1, 1, 1), cell(2, 2, 1), cell(3, 0, 1)]);
+    }
+
+    #[test]
+    fn a_run_past_u32_max_splits_and_keeps_its_mass() {
+        let big = u32::MAX - 1;
+        let mut cells = vec![
+            cell(7, 3, big),
+            cell(7, 3, 1),
+            cell(7, 3, 2),
+            cell(7, 3, 2),
+            cell(8, 0, big),
+            cell(8, 0, 2),
+        ];
+        merge_runs(&mut cells);
+        // `big + 1` fits; `+ 2` would wrap, so a same-key cell starts.
+        assert_eq!(
+            cells,
+            [
+                cell(7, 3, u32::MAX),
+                cell(7, 3, 4),
+                cell(8, 0, big),
+                cell(8, 0, 2)
+            ]
+        );
+        let mass: u64 = cells.iter().map(|c| u64::from(c.weight)).sum();
+        assert_eq!(mass, 2 * u64::from(big) + 7);
     }
 }

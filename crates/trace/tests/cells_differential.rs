@@ -1,20 +1,22 @@
 //! Differential suite for training-cell extraction.
 //!
-//! `extract_weighted_cells_range` sorts one `(page, timestamp)` key per
-//! kept record and run-length counts the sorted keys. The oracle here is
-//! the extraction it replaced — a `HashMap` from key to count, drained and
-//! sorted by `(page as f64, time as f64)` with `partial_cmp` — with the
-//! Algorithm 1 clock spelled out as the paper's `index` / `timestamp`
-//! counter pair, so the two share no code. Over random traces (page 0 and
+//! `training_cells` pushes one weight-1 `(page, timestamp)` cell per kept
+//! record into one buffer, sorts it and merges runs of equal keys in place;
+//! `extract_weighted_cells_range` is its `f64` form over an explicit range.
+//! The oracle here is the extraction they replaced — a `HashMap` from key
+//! to count, drained and sorted by `(page as f64, time as f64)` with
+//! `partial_cmp` — with the Algorithm 1 clock spelled out as the paper's
+//! `index` / `timestamp` counter pair, so they share no code. Over random traces (page 0 and
 //! the highest page a record can name, heavy and light duplication), the
 //! window / shot grid {1, 2, 32} × {1, 3, 10 000} and the ranges empty,
-//! `0..len`, `len..len` and a random middle, the two must return the same
+//! `0..len`, `len..len` and a random middle (for `training_cells`, the
+//! `kept_range` of random trim fractions), both must return the oracle's
 //! cells in the same order, bit for bit.
 
 use icgmm_trace::synth::WorkloadKind;
 use icgmm_trace::{
-    extract_weighted_cells, extract_weighted_cells_range, PreprocessConfig, TraceRecord,
-    WeightedSample, MAX_PADDR,
+    extract_weighted_cells_range, training_cells, PreprocessConfig, Trace, TraceRecord,
+    TrainingCell, WeightedSample, MAX_PADDR,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -62,6 +64,23 @@ fn bits(cells: &[WeightedSample]) -> Vec<[u64; 3]> {
     cells
         .iter()
         .map(|c| [c.page.to_bits(), c.time.to_bits(), c.weight.to_bits()])
+        .collect()
+}
+
+/// Compact cells as the `f64` bit patterns the trainer sees; exact, since
+/// pages are `< 2⁵¹` and times and weights are `u32`.
+fn compact_bits(cells: &[TrainingCell]) -> Vec<[u64; 3]> {
+    cells
+        .iter()
+        .map(|c| {
+            let page = c.page as f64;
+            assert_eq!(page as u64, c.page, "page {} is not exact in f64", c.page);
+            [
+                page.to_bits(),
+                f64::from(c.time).to_bits(),
+                f64::from(c.weight).to_bits(),
+            ]
+        })
         .collect()
 }
 
@@ -113,6 +132,41 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn compact_cells_equal_the_hash_map_oracle(
+        draws in prop::collection::vec((0u64..4, any::<u64>()), 0..2_500),
+        pool in 1u64..64,
+        window in 0usize..3,
+        shot in 0usize..3,
+        fracs in (0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        let trace: Trace = draws
+            .iter()
+            .map(|&(kind, raw)| {
+                let addr = paddr(kind, raw, pool);
+                if raw & 1 == 0 { TraceRecord::read(addr) } else { TraceRecord::write(addr) }
+            })
+            .collect();
+        // Untrimmed, the default trim, and a random (possibly empty) cut.
+        for (warmup_frac, tail_frac) in [(0.0, 0.0), (0.2, 0.1), fracs] {
+            let cfg = PreprocessConfig {
+                warmup_frac,
+                tail_frac,
+                len_window: WINDOWS[window],
+                len_access_shot: SHOTS[shot],
+            };
+            let (start, end) = cfg.kept_range(trace.len());
+            let got = training_cells(&trace, &cfg);
+            let want = oracle(trace.records(), &cfg, start, end);
+            prop_assert_eq!(
+                compact_bits(&got),
+                bits(&want),
+                "window {}, shot {}, range {}..{} of {}",
+                cfg.len_window, cfg.len_access_shot, start, end, trace.len()
+            );
+        }
+    }
 }
 
 #[test]
@@ -124,23 +178,21 @@ fn top_and_bottom_pages_are_exact_and_ordered() {
         TraceRecord::read(4095),
     ];
     let cfg = PreprocessConfig {
+        warmup_frac: 0.0,
+        tail_frac: 0.0,
         len_window: 2,
         len_access_shot: 3,
-        ..Default::default()
     };
-    let cells = extract_weighted_cells(&records, &cfg);
-    let top = ((1u64 << 51) - 1) as f64;
-    let got: Vec<(f64, f64, f64)> = cells.iter().map(|c| (c.page, c.time, c.weight)).collect();
+    let cells = training_cells(&Trace::from_records(records.to_vec()), &cfg);
+    let top = MAX_PADDR >> 12;
+    let got: Vec<(u64, u32, u32)> = cells.iter().map(|c| (c.page, c.time, c.weight)).collect();
+    assert_eq!(got, [(0, 0, 1), (0, 1, 1), (top, 0, 1), (top, 1, 1)]);
+    let want = oracle(&records, &cfg, 0, 4);
+    assert_eq!(compact_bits(&cells), bits(&want));
     assert_eq!(
-        got,
-        [
-            (0.0, 0.0, 1.0),
-            (0.0, 1.0, 1.0),
-            (top, 0.0, 1.0),
-            (top, 1.0, 1.0)
-        ]
+        bits(&extract_weighted_cells_range(&records, &cfg, 0, 4)),
+        bits(&want)
     );
-    assert_eq!(bits(&cells), bits(&oracle(&records, &cfg, 0, 4)));
 }
 
 #[test]
@@ -156,8 +208,14 @@ fn generated_workloads_equal_the_oracle_over_their_kept_range() {
                 ..Default::default()
             };
             let (start, end) = cfg.kept_range(trace.len());
-            let got = extract_weighted_cells_range(trace.records(), &cfg, start, end);
             let want = oracle(trace.records(), &cfg, start, end);
+            let got = training_cells(&trace, &cfg);
+            assert_eq!(
+                compact_bits(&got),
+                bits(&want),
+                "{kind}, len_window {len_window}"
+            );
+            let got = extract_weighted_cells_range(trace.records(), &cfg, start, end);
             assert_eq!(bits(&got), bits(&want), "{kind}, len_window {len_window}");
         }
     }

@@ -1,10 +1,15 @@
 //! Model lifecycle integration tests: save/load round-trips through the
-//! text format and deployment into a fresh system.
+//! text format, deployment into a fresh system, and `fit` against the
+//! `f64`-cell, index-shuffle subsample it replaced.
 
 use icgmm::persist::{load_model, save_model};
-use icgmm::{Icgmm, IcgmmConfig, PolicyMode};
-use icgmm_gmm::EmConfig;
+use icgmm::{FitSummary, Icgmm, IcgmmConfig, PolicyMode, TrainedModel};
+use icgmm_gmm::{calibrate_threshold, EmConfig, EmTrainer, StandardScaler};
 use icgmm_trace::synth::WorkloadKind;
+use icgmm_trace::{extract_weighted_cells_range, Trace, WeightedSample};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 fn test_config() -> IcgmmConfig {
     IcgmmConfig {
@@ -58,4 +63,79 @@ fn model_file_is_humanly_inspectable() {
     // One `comp` line per mixture component.
     let comps = text.lines().filter(|l| l.starts_with("comp ")).count();
     assert_eq!(comps, sys.model().expect("trained").gmm.k());
+}
+
+/// `fit` as it was before its cells were compact: `f64` cells, a shuffled
+/// index over all of them truncated to `max_train_cells`, then the same
+/// scaler, EM and calibration. The `f64` cells are the façade's, which
+/// `crates/trace/tests/cells_differential.rs` holds to a `HashMap` oracle.
+fn index_shuffle_fit(trace: &Trace, cfg: &IcgmmConfig) -> (TrainedModel, FitSummary) {
+    let (start, end) = cfg.preprocess.kept_range(trace.len());
+    let cells = extract_weighted_cells_range(trace.records(), &cfg.preprocess, start, end);
+    let mut rng = StdRng::seed_from_u64(cfg.em.seed ^ 0x5EED_CE11);
+    let sampled: Vec<&WeightedSample> = if cells.len() > cfg.max_train_cells {
+        let mut idx: Vec<usize> = (0..cells.len()).collect();
+        idx.shuffle(&mut rng);
+        idx.truncate(cfg.max_train_cells);
+        idx.into_iter().map(|i| &cells[i]).collect()
+    } else {
+        cells.iter().collect()
+    };
+    let mut xs: Vec<[f64; 2]> = sampled.iter().map(|c| [c.page, c.time]).collect();
+    let ws: Vec<f64> = sampled.iter().map(|c| c.weight).collect();
+    let scaler = StandardScaler::fit(&xs, &ws);
+    scaler.transform_all(&mut xs);
+    let (gmm, em) = EmTrainer::new(cfg.em).unwrap().fit(&xs, &ws).unwrap();
+    let threshold = calibrate_threshold(&gmm, &xs, &ws, &cfg.threshold).unwrap();
+    let summary = FitSummary {
+        records_used: end - start,
+        cells_total: cells.len(),
+        cells_trained: xs.len(),
+        em,
+        threshold,
+    };
+    (
+        TrainedModel {
+            scaler,
+            gmm,
+            threshold,
+        },
+        summary,
+    )
+}
+
+/// A model and summary as text that differs whenever a bit does (`{:?}`
+/// prints every finite `f64` in its shortest round-trip form).
+fn fingerprint(model: &TrainedModel, fit: &FitSummary) -> String {
+    format!(
+        "{:?} {:?} {:?} {:x} {fit:?}",
+        model.scaler,
+        model.gmm.weights(),
+        model.gmm.components(),
+        model.threshold.to_bits()
+    )
+}
+
+#[test]
+fn fit_equals_the_index_shuffle_subsample_bit_for_bit() {
+    let trace = WorkloadKind::Memtier
+        .default_workload()
+        .generate(20_000, 43);
+    for seed in [1, 2] {
+        for (max_train_cells, subsampled) in [(2_000, true), (1_000_000, false)] {
+            let mut cfg = test_config();
+            cfg.em.seed = seed;
+            cfg.max_train_cells = max_train_cells;
+            let mut sys = Icgmm::new(cfg).expect("valid config");
+            let fit = sys.fit(&trace).expect("training succeeds").clone();
+            let (want_model, want_fit) = index_shuffle_fit(&trace, &cfg);
+            assert_eq!(fit.cells_trained, fit.cells_total.min(max_train_cells));
+            assert_eq!(fit.cells_total > max_train_cells, subsampled, "{fit:?}");
+            assert_eq!(
+                fingerprint(sys.model().expect("trained"), &fit),
+                fingerprint(&want_model, &want_fit),
+                "seed {seed}, max_train_cells {max_train_cells}"
+            );
+        }
+    }
 }

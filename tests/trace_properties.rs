@@ -5,7 +5,7 @@
 use icgmm_trace::histogram::{SpatialHistogram, TemporalHeatmap};
 use icgmm_trace::io::{read_text, write_text};
 use icgmm_trace::synth::WorkloadKind;
-use icgmm_trace::{extract_weighted_cells, trim, Op, PreprocessConfig, Trace, TraceRecord, Zipf};
+use icgmm_trace::{training_cells, trim, Op, PreprocessConfig, Trace, TraceRecord, Zipf};
 use proptest::prelude::*;
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
@@ -55,8 +55,8 @@ proptest! {
         }
     }
 
-    /// Weighted-cell extraction conserves request mass and never invents
-    /// pages.
+    /// Training-cell extraction conserves the kept range's request mass
+    /// and never invents pages.
     #[test]
     fn cell_extraction_conserves_mass(trace in arb_trace()) {
         let cfg = PreprocessConfig {
@@ -64,14 +64,15 @@ proptest! {
             len_access_shot: 64,
             ..Default::default()
         };
-        let cells = extract_weighted_cells(trace.records(), &cfg);
-        let total: f64 = cells.iter().map(|c| c.weight).sum();
-        prop_assert_eq!(total as usize, trace.len());
+        let cells = training_cells(&trace, &cfg);
+        let kept = trim(&trace, &cfg);
+        let total: u64 = cells.iter().map(|c| u64::from(c.weight)).sum();
+        prop_assert_eq!(total as usize, kept.len());
         let pages: std::collections::HashSet<u64> =
-            trace.iter().map(|r| r.page().raw()).collect();
+            kept.iter().map(|r| r.page().raw()).collect();
         for c in &cells {
-            prop_assert!(pages.contains(&(c.page as u64)), "invented page {}", c.page);
-            prop_assert!(c.time < 64.0);
+            prop_assert!(pages.contains(&c.page), "invented page {}", c.page);
+            prop_assert!(c.time < 64);
         }
     }
 
