@@ -153,6 +153,8 @@ pub(crate) fn timestamped<'a>(
     let t = TimestampTransformer::from_config(cfg);
     let w = cfg.len_window as usize;
     records.chunks(w).enumerate().flat_map(move |(i, window)| {
+        // `i * w` is the position of `window[0]`, below `records.len()`,
+        // so neither the product nor the widening to `u64` loses bits.
         let ts = t.at((i * w) as u64);
         window.iter().map(move |r| (ts, r))
     })
@@ -175,42 +177,109 @@ const _: () = assert!(std::mem::size_of::<TrainingCell>() == 16);
 /// The `(page, timestamp)` cells of a trace's kept range (paper §3.1),
 /// sorted; the trimmed warm-up advances the Algorithm 1 clock but adds no
 /// cell. Weighted EM over them equals EM over the requests, on 1.06–2.5×
-/// fewer points (kept 70 %): `tenants_drift` 420 000 requests → 395 506
-/// cells, `dlrm` 840 000 → 537 397, `memtier` → 342 507, `hashmap` →
-/// 333 088. Built in their own sort buffer (a weight-1 cell per kept
-/// record, sorted, runs merged in place): 16 bytes per kept record. A run
-/// past `u32::MAX` continues in a same-key cell.
+/// fewer points (kept 70 %). On the repository benchmark's seed-0 traces
+/// (1.2 M requests; `tenants_drift` fits on its first 600 000):
+/// `tenants_drift` 420 000 kept requests → 395 506 cells, `dlrm_miss`
+/// 840 000 → 537 466, `memtier_hit` → 342 946, `hashmap_write` → 333 262.
+///
+/// Built one Algorithm 1 timestamp class at a time: class `t` is every
+/// kept window whose timestamp is `t`. A class's pages are sorted in a
+/// fixed 32 KiB scratch, one cell per distinct page; a class larger than
+/// the scratch leaves one partial cell per page per scratch-full. A
+/// counting pass sizes the output exactly, and one sort of the cells with
+/// their runs merged folds the partial cells together, so the cells cost
+/// 16 bytes each, not per kept record. A run past `u32::MAX` fills its
+/// cell to `u32::MAX` and continues in a same-key cell.
 pub fn training_cells(trace: &Trace, cfg: &PreprocessConfig) -> Vec<TrainingCell> {
     let (start, end) = cfg.kept_range(trace.len());
     cells_from(&trace.records()[..end], cfg, start)
 }
 
+/// Pages sorted at once while a timestamp class is folded into cells.
+const CLASS_SCRATCH: usize = 4096;
+
 fn cells_from(records: &[TraceRecord], cfg: &PreprocessConfig, start: usize) -> Vec<TrainingCell> {
-    let mut cells = Vec::with_capacity(records.len().saturating_sub(start));
-    // `ts < len_access_shot: u32`, so `time` is lossless.
-    cells.extend(
-        timestamped(records, cfg)
-            .skip(start)
-            .map(|(ts, r)| TrainingCell {
-                page: r.page().raw(),
-                time: ts as u32,
-                weight: 1,
-            }),
+    assert!(
+        cfg.len_window > 0 && cfg.len_access_shot > 0,
+        "Algorithm 1 lengths must be >= 1"
     );
+    let mut n = 0;
+    for_each_class_cell(records, cfg, start, |_| n += 1);
+    let mut cells = Vec::with_capacity(n);
+    for_each_class_cell(records, cfg, start, |c| cells.push(c));
     cells.sort_unstable_by_key(|c| (c.page, c.time));
     merge_runs(&mut cells);
     cells
 }
 
-/// Folds each run of equal keys in a sorted buffer into its first cell,
-/// starting a new cell wherever the weight would overflow.
-fn merge_runs(cells: &mut Vec<TrainingCell>) {
-    cells.dedup_by(|next, kept| match kept.weight.checked_add(next.weight) {
-        Some(w) if (next.page, next.time) == (kept.page, kept.time) => {
-            kept.weight = w;
-            true
+/// Calls `emit` once per distinct page of every scratch-full of every
+/// timestamp class of `records[start..]`, the clock running from
+/// `records[0]`.
+fn for_each_class_cell(
+    records: &[TraceRecord],
+    cfg: &PreprocessConfig,
+    start: usize,
+    mut emit: impl FnMut(TrainingCell),
+) {
+    let end = records.len();
+    if start >= end {
+        return;
+    }
+    let mut scratch = Vec::with_capacity(CLASS_SCRATCH);
+    // A length that does not fit a `usize` is longer than any slice: every
+    // record is in window 0, or every window is its own class.
+    let len_window = usize::try_from(cfg.len_window).unwrap_or(usize::MAX);
+    let shot = usize::try_from(cfg.len_access_shot).unwrap_or(usize::MAX);
+    let (first, last) = (start / len_window, (end - 1) / len_window);
+    // Each of the first `len_access_shot` kept windows heads one class,
+    // which steps on `len_access_shot` windows at a time.
+    for head in (first..=last).take(shot) {
+        // `head % shot < len_access_shot: u32`, so the narrowing is lossless.
+        let time = (head % shot) as u32;
+        for w in (head..=last).step_by(shot) {
+            // `w <= last`, so `from = w × len_window <= end - 1` cannot
+            // overflow, and `to` is clipped by subtraction, not by a sum
+            // that could pass `usize::MAX`.
+            let from = w * len_window;
+            let to = from + len_window.min(end - from);
+            for r in &records[from.max(start)..to] {
+                if scratch.len() == CLASS_SCRATCH {
+                    flush_class(&mut scratch, time, &mut emit);
+                }
+                scratch.push(r.page().raw());
+            }
         }
-        _ => false,
+        flush_class(&mut scratch, time, &mut emit);
+    }
+}
+
+/// Emits one cell per distinct page in `scratch` and empties it.
+fn flush_class(scratch: &mut Vec<u64>, time: u32, emit: &mut impl FnMut(TrainingCell)) {
+    scratch.sort_unstable();
+    for run in scratch.chunk_by(|a, b| a == b) {
+        emit(TrainingCell {
+            page: run[0],
+            time,
+            // A run is at most `CLASS_SCRATCH` pages.
+            weight: run.len() as u32,
+        });
+    }
+    scratch.clear();
+}
+
+/// Folds each run of equal keys in a sorted buffer into its first cell.
+/// A cell full at `u32::MAX` carries the rest of the run into the next
+/// same-key cell, so a run splits at the same points however its weight
+/// was pre-merged.
+fn merge_runs(cells: &mut Vec<TrainingCell>) {
+    cells.dedup_by(|next, kept| {
+        if (next.page, next.time) != (kept.page, kept.time) {
+            return false;
+        }
+        let moved = next.weight.min(u32::MAX - kept.weight);
+        kept.weight += moved;
+        next.weight -= moved;
+        next.weight == 0
     });
 }
 
@@ -428,19 +497,30 @@ mod tests {
             cell(7, 3, 2),
             cell(8, 0, big),
             cell(8, 0, 2),
+            cell(9, 1, big),
+            cell(9, 1, 4_096),
         ];
         merge_runs(&mut cells);
-        // `big + 1` fits; `+ 2` would wrap, so a same-key cell starts.
+        // A cell fills to `u32::MAX` and the rest of its run carries over.
         assert_eq!(
             cells,
             [
                 cell(7, 3, u32::MAX),
                 cell(7, 3, 4),
-                cell(8, 0, big),
-                cell(8, 0, 2)
+                cell(8, 0, u32::MAX),
+                cell(8, 0, 1),
+                cell(9, 1, u32::MAX),
+                cell(9, 1, 4_095),
             ]
         );
         let mass: u64 = cells.iter().map(|c| u64::from(c.weight)).sum();
-        assert_eq!(mass, 2 * u64::from(big) + 7);
+        assert_eq!(mass, 3 * u64::from(big) + 4_103);
+
+        // Pre-merged or not, a run splits at the same points: `big` then
+        // `4 096` is `big` then 4 096 weight-1 cells.
+        let mut ones = vec![cell(9, 1, big)];
+        ones.extend(std::iter::repeat_n(cell(9, 1, 1), 4_096));
+        merge_runs(&mut ones);
+        assert_eq!(ones, [cell(9, 1, u32::MAX), cell(9, 1, 4_095)]);
     }
 }

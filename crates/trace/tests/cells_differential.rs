@@ -1,8 +1,10 @@
 //! Differential suite for training-cell extraction.
 //!
-//! `training_cells` pushes one weight-1 `(page, timestamp)` cell per kept
-//! record into one buffer, sorts it and merges runs of equal keys in place;
-//! `extract_weighted_cells_range` is its `f64` form over an explicit range.
+//! `training_cells` builds the `(page, timestamp)` cells one Algorithm 1
+//! timestamp class at a time, sorting a class's pages in a 4 096-page
+//! scratch, then sorts the cells and merges the partial cells of a class
+//! that overflowed it; `extract_weighted_cells_range` is its `f64` form over
+//! an explicit range.
 //! The oracle here is the extraction they replaced — a `HashMap` from key
 //! to count, drained and sorted by `(page as f64, time as f64)` with
 //! `partial_cmp` — with the Algorithm 1 clock spelled out as the paper's
@@ -11,7 +13,8 @@
 //! window / shot grid {1, 2, 32} × {1, 3, 10 000} and the ranges empty,
 //! `0..len`, `len..len` and a random middle (for `training_cells`, the
 //! `kept_range` of random trim fractions), both must return the oracle's
-//! cells in the same order, bit for bit.
+//! cells in the same order, bit for bit. A deterministic case holds one
+//! class to several times the scratch.
 
 use icgmm_trace::synth::WorkloadKind;
 use icgmm_trace::{
@@ -218,5 +221,38 @@ fn generated_workloads_equal_the_oracle_over_their_kept_range() {
             let got = extract_weighted_cells_range(trace.records(), &cfg, start, end);
             assert_eq!(bits(&got), bits(&want), "{kind}, len_window {len_window}");
         }
+    }
+}
+
+#[test]
+fn a_class_past_the_scratch_folds_back_into_the_oracle() {
+    // `len_access_shot` = 1 puts every window in one class: 14 000 kept
+    // records are over 3× the 4 096-page scratch. Pages come from a pool of
+    // 37, so every page has a run in each scratch-full, and their partial
+    // cells must merge back into one per page.
+    let trace: Trace = (0..20_000u64)
+        .map(|i| {
+            let addr = ((i * 0x9E37_79B9) % 37) << 12;
+            if i % 3 == 0 {
+                TraceRecord::write(addr)
+            } else {
+                TraceRecord::read(addr)
+            }
+        })
+        .collect();
+    for len_window in [1, 32] {
+        let cfg = PreprocessConfig {
+            len_window,
+            len_access_shot: 1,
+            ..Default::default()
+        };
+        let (start, end) = cfg.kept_range(trace.len());
+        assert!(end - start >= 3 * 4_096);
+        let want = oracle(trace.records(), &cfg, start, end);
+        assert_eq!(want.len(), 37);
+        let got = training_cells(&trace, &cfg);
+        assert_eq!(compact_bits(&got), bits(&want), "len_window {len_window}");
+        let got = extract_weighted_cells_range(trace.records(), &cfg, start, end);
+        assert_eq!(bits(&got), bits(&want), "len_window {len_window}");
     }
 }
