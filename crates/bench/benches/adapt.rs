@@ -17,7 +17,10 @@
 //!   (`replay_heldoff_k64`) — a refit producer thread buffering and
 //!   checking beside the replay, zero refits, and the replay taking its
 //!   decisions at each boundary, i.e. the wall-clock tax of arming the
-//!   loop.
+//!   loop. Both sides replay through `run_sharded` at `sim_shards = 1`:
+//!   `Icgmm::run` would fan the static side out over the cores and keep
+//!   the armed side on one shard, and the pair would stop measuring the
+//!   wrapper.
 //!
 //! CI gates the replay pair (held-off adaptation must stay within noise
 //! of the static path), the refit-vs-cold-fit pair and the
@@ -157,7 +160,7 @@ fn bench_adapt(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 static_sys
-                    .run(black_box(&trace), PolicyMode::GmmCachingEviction)
+                    .run_sharded(black_box(&trace), PolicyMode::GmmCachingEviction)
                     .expect("replays"),
             )
         })
@@ -166,7 +169,7 @@ fn bench_adapt(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 heldoff_sys
-                    .run(black_box(&trace), PolicyMode::GmmCachingEviction)
+                    .run_sharded(black_box(&trace), PolicyMode::GmmCachingEviction)
                     .expect("replays"),
             )
         })

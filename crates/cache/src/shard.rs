@@ -67,8 +67,10 @@
 //! routing, no scoped thread and — unless a panic point is
 //! armed — no replay observer; its report goes through the same sum, of
 //! one term. The supervisor's catch-and-re-replay of a panicked shard
-//! stays. This is what lets the single-threaded front-ends *be* the
-//! one-shard geometry at no cost (`tests/shard_alloc_inline.rs`).
+//! stays. This is what lets a front-end that keeps one shard (`run_sharded`
+//! at one shard, a replay that per-shard state or a short slice keeps off
+//! the other cores) *be* the one-shard geometry at no cost
+//! (`tests/shard_alloc_inline.rs`).
 
 use crate::adapt::AdaptStats;
 use crate::cache::SetAssocCache;

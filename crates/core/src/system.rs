@@ -25,6 +25,15 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::thread::{self, Scope};
 
+/// Fewest records (warm-up ⧺ measured) a replay that may pick its shard
+/// count fans out over; a shorter slice replays inline on one shard. Two
+/// shards against one (2 vCPUs, paper geometry, medians of 21 alternating
+/// runs): LRU, the cheapest replay per record, reads 1.6–2.4× at 4 096
+/// records (≈ 70–120 µs of spawn and a second tag store), 1.15–1.4× at
+/// 16–32 k on `memtier` and `hashmap`, 0.6–1.6× at 64–128 k; GMM modes
+/// read 0.78–1.19× at 4 096 and 0.56–0.80× from 16 k to 64 k.
+const FANOUT_MIN: usize = 65_536;
+
 /// Summary of one `fit` (offline training) invocation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FitSummary {
@@ -70,9 +79,10 @@ impl RunReport {
 
 /// The one replay assembly: what it takes to build any shard's
 /// policy/scorer/fault stack — the mode's engine, the configuration's
-/// fault plan, an adaptation plan and the trimmed trace. Empty plans
-/// install no wrapper — and an empty adaptation plan spawns no thread — so
-/// disabled features stay bit-identical. It keeps nothing per shard: a
+/// fault plan, an adaptation plan and the trimmed trace — and how many
+/// shards replay it. Empty plans install no wrapper — and an empty
+/// adaptation plan spawns no producer — so disabled features stay
+/// bit-identical. It keeps nothing per shard: a
 /// shard's counters are fields of its own stack, which whoever replays the
 /// shard reads through [`ScoreSource::telemetry`].
 struct Assembly<'a> {
@@ -80,6 +90,7 @@ struct Assembly<'a> {
     mode: PolicyMode,
     engine: Option<GmmPolicyEngine>,
     adapt: AdaptPlan,
+    shards: usize,
     /// Warm-up ⧺ measured (the trace minus its trimmed tail).
     records: &'a [TraceRecord],
     /// Where the measured middle starts: the warm-up before it is replayed
@@ -272,20 +283,30 @@ impl Icgmm {
     }
 
     /// The shared prologue of every replay front-end: build the mode's
-    /// engine, trim the trace's tail.
+    /// engine, trim the trace's tail, and fix the shard count — `shards`,
+    /// or with `None` one per core when the report cannot depend on it (no
+    /// armed shard panic point, and no engine under an armed adaptation
+    /// plan or health monitor, the per-shard state) and the slice is long
+    /// enough to pay for the fan-out; else one.
     fn assemble<'a>(
         &'a self,
         trace: &'a Trace,
         mode: PolicyMode,
         adapt: AdaptPlan,
+        shards: Option<usize>,
     ) -> Result<Assembly<'a>, IcgmmError> {
         let engine = mode.uses_gmm().then(|| self.policy_engine()).transpose()?;
         let (start, end) = self.cfg.preprocess.kept_range(trace.len());
+        let fault = &self.cfg.fault;
+        let per_shard = engine.is_some() && (!adapt.is_empty() || fault.monitor_armed());
+        let free = !per_shard && !fault.shard_armed() && end >= FANOUT_MIN;
+        let cores = || thread::available_parallelism().map_or(1, |n| n.get());
         Ok(Assembly {
             sys: self,
             mode,
             engine,
             adapt,
+            shards: shards.unwrap_or_else(|| if free { cores() } else { 1 }),
             records: &trace.records()[..end],
             measured_from: start,
         })
@@ -294,15 +315,19 @@ impl Icgmm {
     /// Runs one policy mode over the (trimmed) trace with the analytic
     /// latency model — the paper's Fig. 6 / Table 1 measurement.
     ///
-    /// This is the one-shard geometry of [`Icgmm::run_sharded`], replayed
-    /// inline on the calling thread: one single-point policy-engine
-    /// inference per miss, as in the paper's Algorithm 1 datapath. The
-    /// [`FaultPlan`](icgmm_cache::FaultPlan) therefore applies as to any
-    /// shard: an armed `shard_panic_per_mille` point is caught, the trace
-    /// re-replayed once with it disarmed, and the event counted in
-    /// `FaultStats::{shard_panics, shard_recoveries}`; the functional
-    /// report is bit-identical to an undisturbed run. Armed device faults
-    /// lengthen `total_us`, identically at every shard count.
+    /// This is [`Icgmm::run_sharded`]'s replay with the shard count left to
+    /// the assembly: one single-point policy-engine inference per miss, as
+    /// in the paper's Algorithm 1 datapath. When the report cannot depend
+    /// on the shard count — every mode without a GMM engine, and GMM modes
+    /// unless an adaptation plan or scorer health monitor is armed, with no
+    /// shard panic point armed — a slice of at least `FANOUT_MIN` (64 Ki)
+    /// records fans out to one shard per core, bit-identical to one shard by the
+    /// sharding argument. Otherwise it is the one-shard geometry, replayed
+    /// inline on the calling thread: an armed `shard_panic_per_mille`
+    /// point is caught, the trace re-replayed once with it disarmed, and
+    /// the event counted in `FaultStats::{shard_panics, shard_recoveries}`;
+    /// the functional report is bit-identical to an undisturbed run. Armed
+    /// device faults lengthen `total_us`, identically at every shard count.
     ///
     /// # Errors
     ///
@@ -314,7 +339,8 @@ impl Icgmm {
         self.run_with_latency(trace, mode, &self.cfg.latency)
     }
 
-    /// [`Icgmm::run`] with an explicit latency model (SSD sweeps).
+    /// [`Icgmm::run`] with an explicit latency model (SSD sweeps), on the
+    /// same shard count.
     ///
     /// # Errors
     ///
@@ -325,12 +351,14 @@ impl Icgmm {
         mode: PolicyMode,
         latency: &LatencyModel,
     ) -> Result<RunReport, IcgmmError> {
-        self.replay(trace, mode, latency, 1, self.cfg.adapt)
+        self.replay(trace, mode, latency, None, self.cfg.adapt)
     }
 
-    /// [`Icgmm::run`] with the cache partitioned by set index into the
-    /// configuration's `sim_shards` independent shards, replayed on scoped
-    /// threads, their counters added up.
+    /// [`Icgmm::run`] with the cache partitioned by set index into exactly
+    /// the configuration's `sim_shards` independent shards, replayed on
+    /// scoped threads, their counters added up — the sharding study, which
+    /// keeps its count even where per-shard state makes the report depend
+    /// on it.
     ///
     /// Each shard owns the sets congruent to its index, with its own
     /// policy state and its own policy-engine clone on the *global*
@@ -341,28 +369,28 @@ impl Icgmm {
     /// `tests/shard_differential.rs` and the property grid in
     /// `crates/cache/tests/shard_equivalence.rs`. `gmm_inferences` counts
     /// the inferences the sharded replay actually performed — one per
-    /// scored miss, the single-threaded count. At `sim_shards = 1` this
-    /// *is* [`Icgmm::run`].
+    /// scored miss, the single-threaded count. At `sim_shards = 1` it
+    /// replays inline on the calling thread.
     ///
     /// # Errors
     ///
     /// As for [`Icgmm::run`].
     pub fn run_sharded(&self, trace: &Trace, mode: PolicyMode) -> Result<RunReport, IcgmmError> {
-        let shards = self.cfg.sim_shards;
+        let shards = Some(self.cfg.sim_shards);
         self.replay(trace, mode, &self.cfg.latency, shards, self.cfg.adapt)
     }
 
-    /// The offline replay: [`Icgmm::run`] at one shard, else `run_sharded`.
+    /// The offline replay, on `shards` shards or the assembly's choice.
     fn replay(
         &self,
         trace: &Trace,
         mode: PolicyMode,
         latency: &LatencyModel,
-        shards: usize,
+        shards: Option<usize>,
         adapt: AdaptPlan,
     ) -> Result<RunReport, IcgmmError> {
-        let asm = self.assemble(trace, mode, adapt)?;
-        let engine = ShardedSimulator::new(shards).with_faults(self.cfg.fault);
+        let asm = self.assemble(trace, mode, adapt, shards)?;
+        let engine = ShardedSimulator::new(asm.shards).with_faults(self.cfg.fault);
         let (records, from) = (asm.records, asm.measured_from);
         let rep = thread::scope(|scope| {
             let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx, scope);
@@ -403,10 +431,9 @@ impl Icgmm {
     /// and [`IcgmmError::ShardFailed`] (a worker dies *and* the
     /// supervisor's re-replay dies too) are the same typed errors.
     pub fn serve(&self, trace: &Trace, mode: PolicyMode) -> Result<ServeReport, IcgmmError> {
-        let shards = self.cfg.sim_shards;
-        let asm = self.assemble(trace, mode, self.cfg.adapt)?;
+        let asm = self.assemble(trace, mode, self.cfg.adapt, Some(self.cfg.sim_shards))?;
         let server = CacheServer::new(ServeConfig {
-            shards,
+            shards: asm.shards,
             clients: self.cfg.serve_clients,
             queue_depth: self.cfg.serve_queue_depth,
             fault: self.cfg.fault,
@@ -425,8 +452,9 @@ impl Icgmm {
     /// analytic constants, and reports the SSD traffic, engine busy time
     /// and overlap saving that go with it ([`DataflowReport::from_sim`]).
     ///
-    /// Host replay is [`Icgmm::run`]'s one-shard replay under that model
-    /// (and the frozen model, below), so the configuration's
+    /// Host replay is [`Icgmm::run`]'s replay under that model (and the
+    /// frozen model, below, which fans out unless a health monitor or
+    /// shard panic point is armed), so the configuration's
     /// [`FaultPlan`](icgmm_cache::FaultPlan) applies as on every front-end:
     /// device faults lengthen the makespan, scorer faults and recovered
     /// shard panics land in the report's fault block. Setting
@@ -454,7 +482,7 @@ impl Icgmm {
     ) -> Result<DataflowReport, IcgmmError> {
         let latency = config.latency();
         latency.validate().map_err(IcgmmError::Config)?;
-        let rep = self.replay(trace, mode, &latency, 1, AdaptPlan::empty())?;
+        let rep = self.replay(trace, mode, &latency, None, AdaptPlan::empty())?;
         Ok(DataflowReport::from_sim(&rep.sim, config))
     }
 }
@@ -462,7 +490,7 @@ impl Icgmm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icgmm_cache::CacheConfig;
+    use icgmm_cache::{CacheConfig, FaultPlan};
     use icgmm_gmm::EmConfig;
     use icgmm_trace::synth::WorkloadKind;
     use icgmm_trace::PreprocessConfig;
@@ -576,6 +604,56 @@ mod tests {
                     assert!(sharded.gmm_inferences > 0, "{mode} at {shards} shards");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn only_a_replay_that_cannot_tell_fans_out() {
+        let trace = WorkloadKind::Memtier
+            .default_workload()
+            .generate(FANOUT_MIN * 10 / 9 + 10, 6);
+        let mut sys = Icgmm::new(small_cfg()).unwrap();
+        sys.fit(&trace).unwrap();
+        let model = sys.model().unwrap().clone();
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        let adapt = AdaptPlan::drifty(1);
+        let monitor = FaultPlan {
+            scorer_demote_after: 4,
+            ..FaultPlan::empty()
+        };
+        let panics = FaultPlan {
+            shard_panic_per_mille: 1,
+            ..FaultPlan::empty()
+        };
+        let gmm = PolicyMode::GmmCachingEviction;
+        let short = Trace::from_records(trace.records()[..FANOUT_MIN].to_vec());
+        for (fault, adapt, mode, trace, want) in [
+            (FaultPlan::empty(), AdaptPlan::empty(), gmm, &trace, cores),
+            (
+                FaultPlan::chaos(1),
+                AdaptPlan::empty(),
+                PolicyMode::Belady,
+                &trace,
+                1,
+            ),
+            (FaultPlan::empty(), adapt, gmm, &trace, 1),
+            (FaultPlan::empty(), adapt, PolicyMode::Lru, &trace, cores),
+            (monitor, AdaptPlan::empty(), gmm, &trace, 1),
+            (monitor, adapt, PolicyMode::Belady, &trace, cores),
+            (panics, AdaptPlan::empty(), PolicyMode::Lru, &trace, 1),
+            (FaultPlan::empty(), AdaptPlan::empty(), gmm, &short, 1),
+        ] {
+            let mut sys = Icgmm::new(IcgmmConfig {
+                fault,
+                adapt,
+                ..small_cfg()
+            })
+            .unwrap();
+            sys.set_model(model.clone());
+            let free = sys.assemble(trace, mode, adapt, None).unwrap();
+            assert_eq!(free.shards, want, "{mode} {fault:?} {adapt:?}");
+            // `run_sharded` and `serve` keep the configured count.
+            assert_eq!(sys.assemble(trace, mode, adapt, Some(3)).unwrap().shards, 3);
         }
     }
 

@@ -22,6 +22,7 @@ use crate::scorer::GmmScorer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::thread;
 
 /// EM hyper-parameters. `k = 256` is the paper's component count.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -36,7 +37,9 @@ pub struct EmConfig {
     pub reg_covar: f64,
     /// RNG seed (initialization and empty-component re-seeding).
     pub seed: u64,
-    /// E-step worker threads; `0` selects the available parallelism.
+    /// E-step worker threads; `0` selects the available parallelism. A
+    /// fit uses at most two: the batch splits into two halves, whatever
+    /// the count, so the model does not depend on the host's cores.
     pub threads: usize,
 }
 
@@ -310,15 +313,6 @@ impl EmTrainer {
         let (mut weights, mut means, mut covs) =
             init_params(xs, ws, k, self.cfg.reg_covar.max(1e-9), &mut rng);
 
-        let threads = if self.cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(16)
-        } else {
-            self.cfg.threads
-        };
-
         let mut history = Vec::with_capacity(self.cfg.max_iters);
         let mut converged = false;
         let mut iterations = 0;
@@ -329,7 +323,7 @@ impl EmTrainer {
         for _ in 0..self.cfg.max_iters {
             iterations += 1;
             let scorer = GmmScorer::from_params(&weights, &means, &covs)?;
-            let stats = e_step(&scorer, xs, ws, threads);
+            let stats = e_step(&scorer, xs, ws, self.cfg.threads);
 
             m_step(
                 &stats,
@@ -430,11 +424,13 @@ pub(crate) fn m_step(
 const PARALLEL_ESTEP_MIN: usize = 4_096;
 
 /// One E-step: the sufficient statistics of `xs` (weights `ws`, empty ⇒
-/// one per sample) under `scorer`, split across `threads` workers when
-/// the batch is large enough to pay for them. Samples no component
-/// reaches (non-finite input) contribute nothing. The workers accumulate
-/// in the scorer's slot order; the columns returned are in component
-/// order, un-permuted once here.
+/// one per sample) under `scorer`. A batch of at least
+/// `PARALLEL_ESTEP_MIN` samples is summed in two halves merged in order —
+/// on two workers unless `threads` is 1 (`0` selects the available
+/// parallelism) — so the sums are the same at every `threads`. Samples no
+/// component reaches (non-finite input) contribute nothing. The halves
+/// accumulate in the scorer's slot order; the columns returned are in
+/// component order, un-permuted once here.
 ///
 /// # Panics
 ///
@@ -445,40 +441,45 @@ pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64], threads: usize) -> Su
         "weights must be empty or match samples"
     );
     let k = scorer.k();
-    let threads = threads.max(1);
     let mut stats = SuffStats::zeros(k);
     let mut terms = vec![0.0f64; k];
-    if threads == 1 || xs.len() < PARALLEL_ESTEP_MIN {
-        accumulate(scorer, xs, ws, 0, &mut stats, &mut terms);
-        to_component_order(&mut stats, scorer.slot_components(), &mut terms);
-        return stats;
-    }
-    let chunk = xs.len().div_ceil(threads);
-    let mut partials: Vec<SuffStats> = Vec::with_capacity(threads);
-    // (`crossbeam` stays in this crate's manifest, unused, until the
-    // benchmark PR prunes it with the lockfile — ROADMAP item 2d.)
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            if lo >= xs.len() {
-                break;
-            }
-            let hi = ((t + 1) * chunk).min(xs.len());
-            let slice = &xs[lo..hi];
-            handles.push(scope.spawn(move || {
-                let mut stats = SuffStats::zeros(k);
-                let mut terms = vec![0.0f64; k];
-                accumulate(scorer, slice, ws, lo, &mut stats, &mut terms);
-                stats
-            }));
+    let len = xs.len();
+    let mid = if len < PARALLEL_ESTEP_MIN {
+        len
+    } else {
+        len.div_ceil(2)
+    };
+    let part = |lo: usize, hi: usize, terms: &mut [f64]| {
+        let mut sums = SuffStats::zeros(k);
+        accumulate(scorer, &xs[lo..hi], ws, lo, &mut sums, terms);
+        sums
+    };
+    let serial = mid == len
+        || match threads {
+            0 => !thread::available_parallelism().is_ok_and(|n| n.get() > 1),
+            t => t == 1,
+        };
+    if serial {
+        // An accumulator starts at +0.0 and never becomes -0.0, so the
+        // first half summed straight into `stats` has the bits of
+        // `zeros + half`.
+        accumulate(scorer, &xs[..mid], ws, 0, &mut stats, &mut terms);
+        if mid < len {
+            stats.merge(&part(mid, len, &mut terms));
         }
-        for h in handles {
-            partials.push(h.join().expect("E-step worker panicked"));
+    } else {
+        // Each worker sums into statistics it allocated itself: summing
+        // one half into this thread's `stats` read ≈ 1.4× slower (16 000
+        // points, K = 256: 11.8–16.8 against 8.4–12.5 ms).
+        // (`crossbeam` stays in this crate's manifest, unused, until the
+        // benchmark PR prunes it with the lockfile — ROADMAP item 2d.)
+        let halves = thread::scope(|scope| {
+            let run = |lo, hi| scope.spawn(move || part(lo, hi, &mut vec![0.0f64; k]));
+            [run(0, mid), run(mid, len)].map(|h| h.join().expect("E-step worker panicked"))
+        });
+        for half in &halves {
+            stats.merge(half);
         }
-    });
-    for p in &partials {
-        stats.merge(p);
     }
     to_component_order(&mut stats, scorer.slot_components(), &mut terms);
     stats
@@ -673,6 +674,33 @@ mod tests {
         let (_, r4) = mk(4);
         for (a, b) in r1.log_likelihood.iter().zip(&r4.log_likelihood) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn fit_is_bit_identical_at_every_thread_count() {
+        // Above `PARALLEL_ESTEP_MIN`, so every E-step is split in two.
+        let xs = synth_mixture(6_001, 10);
+        let ws: Vec<f64> = (0..xs.len()).map(|i| 1.0 + (i % 3) as f64).collect();
+        let fit = |threads| {
+            let cfg = EmConfig {
+                k: 8,
+                max_iters: 12,
+                threads,
+                ..Default::default()
+            };
+            let (gmm, report) = EmTrainer::new(cfg).unwrap().fit(&xs, &ws).unwrap();
+            let mut bits: Vec<u64> = gmm.weights().iter().map(|w| w.to_bits()).collect();
+            for c in gmm.components() {
+                let (m, s) = (c.mean(), c.cov());
+                bits.extend([m[0], m[1], s.xx, s.xy, s.yy].map(f64::to_bits));
+            }
+            let mll: Vec<u64> = report.log_likelihood.iter().map(|l| l.to_bits()).collect();
+            (bits, mll, report)
+        };
+        let one = fit(1);
+        for threads in [0, 2, 3] {
+            assert_eq!(fit(threads), one, "threads = {threads}");
         }
     }
 

@@ -107,17 +107,8 @@ impl IncrementalEm {
     /// failures from rebuilding the mixture.
     pub fn refit(&mut self, xs: &[Vec2], ws: &[f64]) -> Result<Gmm, GmmError> {
         let batch_w = total_weight(xs, ws)?;
-        let threads = if self.cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(16)
-        } else {
-            self.cfg.threads
-        };
-
         let scorer = GmmScorer::from_params(&self.weights, &self.means, &self.covs)?;
-        let batch = e_step(&scorer, xs, ws, threads);
+        let batch = e_step(&scorer, xs, ws, self.cfg.threads);
         self.last_batch_mll = batch.loglik / batch_w;
 
         self.stats.scale(self.decay);

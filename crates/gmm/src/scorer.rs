@@ -717,8 +717,8 @@ impl GmmScorer {
     }
 
     /// [`GmmScorer::score_batch`] split across scoped worker threads —
-    /// the same scoped-thread pattern (and thread cap) as the parallel EM
-    /// E-step. `threads = 0` selects the available parallelism; batches
+    /// the same scoped-thread pattern as the parallel EM E-step, capped
+    /// at 16 workers. `threads = 0` selects the available parallelism; batches
     /// under [`PARALLEL_MIN`] points are scored on the caller. Points are
     /// scored independently, so where the batch is split is invisible.
     ///

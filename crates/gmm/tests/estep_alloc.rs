@@ -2,9 +2,11 @@
 //! on the component count, never on how many samples it walks.
 //!
 //! The serial E-step owns seven K-length `f64` columns — six
-//! sufficient-statistic columns plus the per-sample term scratch — and
-//! the per-sample loop (kernel terms, responsibility accumulation) stays
-//! off the heap. An [`IncrementalEm::refit`] adds the flattened scorer
+//! sufficient-statistic columns plus the per-sample term scratch — and,
+//! from `PARALLEL_ESTEP_MIN` (4 096) samples on, six more for the second
+//! half's statistics (the batch is summed in two halves at every thread
+//! count); the per-sample loop (kernel terms, responsibility
+//! accumulation) stays off the heap. An [`IncrementalEm::refit`] adds the flattened scorer
 //! and the rebuilt mixture, both K-sized. A regression to per-sample
 //! scratch (a `Vec` of log terms per point, say) fails on the byte
 //! counts.
@@ -34,18 +36,20 @@ fn estep_allocations_do_not_grow_with_the_sample_count() {
         threads: 1,
         ..Default::default()
     };
-    let (small, large) = (batch(512), batch(4_096));
+    // Two batch sizes below the split and two above it.
+    let (small, below) = (batch(512), batch(2_048));
+    let (large, larger) = (batch(4_096), batch(16_384));
     let (gmm, _) = EmTrainer::new(cfg).unwrap().fit(&small, &[]).unwrap();
     let scorer = GmmScorer::from_gmm(&gmm);
 
-    let columns = 7 * K * std::mem::size_of::<f64>();
-    for xs in [&small, &large] {
+    let column = K * std::mem::size_of::<f64>();
+    for (xs, n) in [(&small, 7), (&below, 7), (&large, 13), (&larger, 13)] {
         let (stats, bytes) = allocated_by(|| e_step(&scorer, xs, &[], 1));
         assert_eq!(
             bytes,
-            columns,
-            "E-step over {} samples allocated {bytes} B, not the seven \
-             K-length columns ({columns} B)",
+            n * column,
+            "E-step over {} samples allocated {bytes} B, not {n} K-length \
+             columns",
             xs.len()
         );
         assert!(stats.loglik.is_finite());
@@ -59,7 +63,12 @@ fn estep_allocations_do_not_grow_with_the_sample_count() {
     };
     assert_eq!(
         refit_bytes(&small),
-        refit_bytes(&large),
+        refit_bytes(&below),
         "a refit's allocations grew with the sample count"
+    );
+    assert_eq!(
+        refit_bytes(&large),
+        refit_bytes(&larger),
+        "a split refit's allocations grew with the sample count"
     );
 }
