@@ -18,7 +18,7 @@
 //!   checking beside the replay, zero refits, and the replay taking its
 //!   decisions at each boundary, i.e. the wall-clock tax of arming the
 //!   loop. Both sides replay through `run_sharded` at `sim_shards = 1`:
-//!   `Icgmm::run` would fan the static side out over the cores and keep
+//!   `Icgmm::run` would fan the static side out to two shards and keep
 //!   the armed side on one shard, and the pair would stop measuring the
 //!   wrapper.
 //!

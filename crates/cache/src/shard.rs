@@ -38,7 +38,8 @@
 //!   per-request oracle across the eviction × admission × score grid. Device
 //!   faults ride the [`FaultPlan`] the supervisor carries: each shard's
 //!   accounting rolls its own measured misses by global position and counts
-//!   what they added, one more sum (exact under integer device constants).
+//!   what they added, one more sum (of `f64`s: exact in any order only
+//!   under integer device times, so `Icgmm::run` keeps them on one shard).
 //!
 //! # Zero-copy fan-out and parallel setup
 //!
@@ -68,8 +69,8 @@
 //! armed — no replay observer; its report goes through the same sum, of
 //! one term. The supervisor's catch-and-re-replay of a panicked shard
 //! stays. This is what lets a front-end that keeps one shard (`run_sharded`
-//! at one shard, a replay that per-shard state or a short slice keeps off
-//! the other cores) *be* the one-shard geometry at no cost
+//! at one shard, a replay that per-shard state, faults or its slice keep
+//! off the other cores) *be* the one-shard geometry at no cost
 //! (`tests/shard_alloc_inline.rs`).
 
 use crate::adapt::AdaptStats;
@@ -182,7 +183,7 @@ impl ShardPartition {
     /// Returns [`ShardRunError::Config`] for invalid cache geometry (the
     /// set mapping would divide by zero) and [`ShardRunError::ZeroShards`]
     /// when `shards == 0`.
-    pub(crate) fn new(shards: usize, cache_cfg: &CacheConfig) -> Result<Self, ShardRunError> {
+    pub fn new(shards: usize, cache_cfg: &CacheConfig) -> Result<Self, ShardRunError> {
         let map = SetMap::new(cache_cfg)?;
         if shards == 0 {
             return Err(ShardRunError::ZeroShards);

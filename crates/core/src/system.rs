@@ -13,7 +13,8 @@ use crate::error::IcgmmError;
 use crate::online::AdaptiveEngine;
 use icgmm_cache::{
     AdaptPlan, BeladyPolicy, FaultyScore, GmmScorePolicy, LatencyModel, LruPolicy, Policy,
-    ScoreSource, ShardCtx, ShardPolicies, ShardedSimulator, SimReport, ThresholdAdmit,
+    ScoreSource, ShardCtx, ShardPartition, ShardPolicies, ShardedSimulator, SimReport,
+    ThresholdAdmit,
 };
 use icgmm_gmm::{calibrate_threshold, EmReport, EmTrainer, StandardScaler};
 use icgmm_hw::{DataflowConfig, DataflowReport};
@@ -25,14 +26,21 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::thread::{self, Scope};
 
-/// Fewest records (warm-up ⧺ measured) a replay that may pick its shard
-/// count fans out over; a shorter slice replays inline on one shard. Two
-/// shards against one (2 vCPUs, paper geometry, medians of 21 alternating
-/// runs): LRU, the cheapest replay per record, reads 1.6–2.4× at 4 096
-/// records (≈ 70–120 µs of spawn and a second tag store), 1.15–1.4× at
-/// 16–32 k on `memtier` and `hashmap`, 0.6–1.6× at 64–128 k; GMM modes
-/// read 0.78–1.19× at 4 096 and 0.56–0.80× from 16 k to 64 k.
+/// A replay that may pick its shard count ([`Icgmm::run`]) fans out to
+/// `FANOUT_SHARDS`, the count measured here (2 vCPUs; each shard builds
+/// full-geometry state, +0.7–0.9 MiB, and walks the whole slice), when a
+/// second core is there, the slice holds `FANOUT_MIN` records or more and
+/// its busiest shard owns at most 5 / 8 (LRU) or 6 / 8 (modes doing more
+/// per record) of every `(len / FANOUT_SAMPLES) | 1`-th record (odd: no
+/// set-parity aliasing). Two shards against one (medians): LRU reads
+/// 1.6–2.4× at 4 096 records, 1.15–1.4× at 16–32 k, 0.6–1.6× at 64–128 k,
+/// GMM 0.78–1.19× at 4 096, 0.56–0.80× at 16–64 k. At 1.2 M records split
+/// 51.5 / 48.5 (`dlrm`) LRU 0.67×, GMM 0.59–0.69×; 72–73 / 27–28 (`memtier`,
+/// `hashmap`) LRU 0.90–0.99×, GMM 0.83–0.89×; `dlrm` skewed to 66 / 76 /
+/// 86 % LRU 0.80 / 0.92 / 0.91×, GMM 0.76 / 0.71 / 0.90×, Belady ≤ 0.87×.
 const FANOUT_MIN: usize = 65_536;
+const FANOUT_SHARDS: usize = 2;
+const FANOUT_SAMPLES: usize = 4_096;
 
 /// Summary of one `fit` (offline training) invocation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -82,9 +90,9 @@ impl RunReport {
 /// fault plan, an adaptation plan and the trimmed trace — and how many
 /// shards replay it. Empty plans install no wrapper — and an empty
 /// adaptation plan spawns no producer — so disabled features stay
-/// bit-identical. It keeps nothing per shard: a
-/// shard's counters are fields of its own stack, which whoever replays the
-/// shard reads through [`ScoreSource::telemetry`].
+/// bit-identical. It keeps nothing per shard: a shard's counters are fields
+/// of its own stack, which whoever replays it reads through
+/// [`ScoreSource::telemetry`].
 struct Assembly<'a> {
     sys: &'a Icgmm,
     mode: PolicyMode,
@@ -284,10 +292,8 @@ impl Icgmm {
 
     /// The shared prologue of every replay front-end: build the mode's
     /// engine, trim the trace's tail, and fix the shard count — `shards`,
-    /// or with `None` one per core when the report cannot depend on it (no
-    /// armed shard panic point, and no engine under an armed adaptation
-    /// plan or health monitor, the per-shard state) and the slice is long
-    /// enough to pay for the fan-out; else one.
+    /// or with `None` two when the report cannot depend on it and two pay
+    /// (see [`FANOUT_MIN`]), else one.
     fn assemble<'a>(
         &'a self,
         trace: &'a Trace,
@@ -297,37 +303,51 @@ impl Icgmm {
     ) -> Result<Assembly<'a>, IcgmmError> {
         let engine = mode.uses_gmm().then(|| self.policy_engine()).transpose()?;
         let (start, end) = self.cfg.preprocess.kept_range(trace.len());
+        let records = &trace.records()[..end];
+        // Per-shard state, panic rolls and `f64` device time depend on the count.
         let fault = &self.cfg.fault;
         let per_shard = engine.is_some() && (!adapt.is_empty() || fault.monitor_armed());
-        let free = !per_shard && !fault.shard_armed() && end >= FANOUT_MIN;
+        let free = !per_shard && !fault.shard_armed() && !fault.device_armed();
         let cores = || thread::available_parallelism().map_or(1, |n| n.get());
+        let fan = || free && end >= FANOUT_MIN && cores() > 1 && self.evenly_split(mode, records);
         Ok(Assembly {
             sys: self,
             mode,
             engine,
             adapt,
-            shards: shards.unwrap_or_else(|| if free { cores() } else { 1 }),
-            records: &trace.records()[..end],
+            shards: shards.unwrap_or_else(|| if fan() { FANOUT_SHARDS } else { 1 }),
+            records,
             measured_from: start,
         })
+    }
+
+    /// Whether `records` split evenly enough between two shards for `mode`.
+    fn evenly_split(&self, mode: PolicyMode, records: &[TraceRecord]) -> bool {
+        let part = ShardPartition::new(FANOUT_SHARDS, &self.cfg.cache).expect("validated geometry");
+        let mut load = [0; FANOUT_SHARDS];
+        for r in records.iter().step_by((records.len() / FANOUT_SAMPLES) | 1) {
+            load[part.shard_of(r.page())] += 1;
+        }
+        let eighths = if mode == PolicyMode::Lru { 5 } else { 6 };
+        8 * load[0].max(load[1]) <= eighths * (load[0] + load[1])
     }
 
     /// Runs one policy mode over the (trimmed) trace with the analytic
     /// latency model — the paper's Fig. 6 / Table 1 measurement.
     ///
-    /// This is [`Icgmm::run_sharded`]'s replay with the shard count left to
-    /// the assembly: one single-point policy-engine inference per miss, as
-    /// in the paper's Algorithm 1 datapath. When the report cannot depend
-    /// on the shard count — every mode without a GMM engine, and GMM modes
-    /// unless an adaptation plan or scorer health monitor is armed, with no
-    /// shard panic point armed — a slice of at least `FANOUT_MIN` (64 Ki)
-    /// records fans out to one shard per core, bit-identical to one shard by the
-    /// sharding argument. Otherwise it is the one-shard geometry, replayed
-    /// inline on the calling thread: an armed `shard_panic_per_mille`
-    /// point is caught, the trace re-replayed once with it disarmed, and
-    /// the event counted in `FaultStats::{shard_panics, shard_recoveries}`;
-    /// the functional report is bit-identical to an undisturbed run. Armed
-    /// device faults lengthen `total_us`, identically at every shard count.
+    /// This is [`Icgmm::run_sharded`]'s replay, one single-point
+    /// policy-engine inference per miss as in the paper's Algorithm 1
+    /// datapath, on two shards when a second core is there, the report
+    /// cannot depend on the count (no GMM engine under an armed adaptation
+    /// plan or health monitor, no armed shard panic point or device fault)
+    /// and the slice is long (64 Ki records) and even enough between the
+    /// shards to pay — bit-identical to one shard by the sharding argument.
+    /// Otherwise it is the one-shard geometry, inline on the calling
+    /// thread. An armed `shard_panic_per_mille` point is caught, the trace
+    /// re-replayed once with it disarmed, and the event counted in
+    /// `FaultStats::{shard_panics, shard_recoveries}`; the functional
+    /// report is bit-identical to an undisturbed run. Armed device faults
+    /// lengthen `total_us`.
     ///
     /// # Errors
     ///
@@ -339,8 +359,7 @@ impl Icgmm {
         self.run_with_latency(trace, mode, &self.cfg.latency)
     }
 
-    /// [`Icgmm::run`] with an explicit latency model (SSD sweeps), on the
-    /// same shard count.
+    /// [`Icgmm::run`] with an explicit latency model (SSD sweeps).
     ///
     /// # Errors
     ///
@@ -355,10 +374,8 @@ impl Icgmm {
     }
 
     /// [`Icgmm::run`] with the cache partitioned by set index into exactly
-    /// the configuration's `sim_shards` independent shards, replayed on
-    /// scoped threads, their counters added up — the sharding study, which
-    /// keeps its count even where per-shard state makes the report depend
-    /// on it.
+    /// the configuration's `sim_shards` independent shards (the sharding
+    /// study), replayed on scoped threads, their counters added up.
     ///
     /// Each shard owns the sets congruent to its index, with its own
     /// policy state and its own policy-engine clone on the *global*
@@ -453,8 +470,8 @@ impl Icgmm {
     /// and overlap saving that go with it ([`DataflowReport::from_sim`]).
     ///
     /// Host replay is [`Icgmm::run`]'s replay under that model (and the
-    /// frozen model, below, which fans out unless a health monitor or
-    /// shard panic point is armed), so the configuration's
+    /// frozen model, below, which may fan out unless a health monitor,
+    /// device fault or shard panic point is armed), so the configuration's
     /// [`FaultPlan`](icgmm_cache::FaultPlan) applies as on every front-end:
     /// device faults lengthen the makespan, scorer faults and recovered
     /// shard panics land in the report's fault block. Setting
@@ -493,7 +510,7 @@ mod tests {
     use icgmm_cache::{CacheConfig, FaultPlan};
     use icgmm_gmm::EmConfig;
     use icgmm_trace::synth::WorkloadKind;
-    use icgmm_trace::PreprocessConfig;
+    use icgmm_trace::{Op, PreprocessConfig};
 
     /// A small config that trains in milliseconds.
     fn small_cfg() -> IcgmmConfig {
@@ -608,40 +625,53 @@ mod tests {
     }
 
     #[test]
-    fn only_a_replay_that_cannot_tell_fans_out() {
-        let trace = WorkloadKind::Memtier
-            .default_workload()
-            .generate(FANOUT_MIN * 10 / 9 + 10, 6);
+    fn only_a_replay_that_cannot_tell_and_splits_evenly_fans_out() {
+        let n = FANOUT_MIN * 10 / 9 + 10;
         let mut sys = Icgmm::new(small_cfg()).unwrap();
-        sys.fit(&trace).unwrap();
+        sys.fit(&WorkloadKind::Memtier.default_workload().generate(n, 6))
+            .unwrap();
         let model = sys.model().unwrap().clone();
-        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        // `tenths` of the records on even pages — even sets, shard 0.
+        let split = |tenths: usize| {
+            let page = |i: usize| 2 * (i % 1_000) as u64 + u64::from(i % 10 >= tenths);
+            let records = (0..n).map(|i| TraceRecord::new(Op::Read, page(i) << 12));
+            Trace::from_records(records.collect())
+        };
+        let (even, seventy, eighty) = (split(5), split(7), split(8));
+        let short = Trace::from_records(even.records()[..FANOUT_MIN].to_vec());
+        let two = thread::available_parallelism().map_or(1, |n| n.get().min(FANOUT_SHARDS));
         let adapt = AdaptPlan::drifty(1);
         let monitor = FaultPlan {
             scorer_demote_after: 4,
+            ..FaultPlan::empty()
+        };
+        let device = FaultPlan {
+            device_fail_per_mille: 1,
             ..FaultPlan::empty()
         };
         let panics = FaultPlan {
             shard_panic_per_mille: 1,
             ..FaultPlan::empty()
         };
-        let gmm = PolicyMode::GmmCachingEviction;
-        let short = Trace::from_records(trace.records()[..FANOUT_MIN].to_vec());
-        for (fault, adapt, mode, trace, want) in [
-            (FaultPlan::empty(), AdaptPlan::empty(), gmm, &trace, cores),
-            (
-                FaultPlan::chaos(1),
-                AdaptPlan::empty(),
-                PolicyMode::Belady,
-                &trace,
-                1,
-            ),
-            (FaultPlan::empty(), adapt, gmm, &trace, 1),
-            (FaultPlan::empty(), adapt, PolicyMode::Lru, &trace, cores),
-            (monitor, AdaptPlan::empty(), gmm, &trace, 1),
-            (monitor, adapt, PolicyMode::Belady, &trace, cores),
-            (panics, AdaptPlan::empty(), PolicyMode::Lru, &trace, 1),
-            (FaultPlan::empty(), AdaptPlan::empty(), gmm, &short, 1),
+        let none = (FaultPlan::empty(), AdaptPlan::empty());
+        let (gmm, lru, belady) = (
+            PolicyMode::GmmCachingEviction,
+            PolicyMode::Lru,
+            PolicyMode::Belady,
+        );
+        for ((fault, adapt), mode, trace, want) in [
+            (none, gmm, &even, two),
+            ((FaultPlan::chaos(1), AdaptPlan::empty()), belady, &even, 1),
+            ((device, AdaptPlan::empty()), lru, &even, 1),
+            ((FaultPlan::empty(), adapt), gmm, &even, 1),
+            ((FaultPlan::empty(), adapt), lru, &even, two),
+            ((monitor, AdaptPlan::empty()), gmm, &even, 1),
+            ((monitor, adapt), belady, &even, two),
+            ((panics, AdaptPlan::empty()), lru, &even, 1),
+            (none, gmm, &short, 1),
+            (none, gmm, &seventy, two),
+            (none, lru, &seventy, 1),
+            (none, belady, &eighty, 1),
         ] {
             let mut sys = Icgmm::new(IcgmmConfig {
                 fault,

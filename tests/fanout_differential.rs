@@ -1,16 +1,17 @@
 //! `Icgmm::run` and `Icgmm::run_dataflow` pick their own shard count: a
-//! replay whose report cannot depend on it fans out to one shard per core,
-//! one that could keeps one shard. Either way the report is
-//! `run_sharded`'s at `sim_shards = 1`, bit for bit — for every policy
-//! mode, Belady's MIN included, under device and scorer faults and with a
-//! shard panic point armed.
+//! replay whose report cannot depend on it, over a slice two shards split
+//! evenly enough, fans out to two shards on a multi-core host; any other
+//! keeps one shard. Either way the report is `run_sharded`'s at
+//! `sim_shards = 1`, bit for bit — for every policy mode, Belady's MIN
+//! included, under scorer faults, and under device faults and an armed
+//! shard panic point, which keep one shard.
 
 use icgmm::{AdaptPlan, Icgmm, IcgmmConfig, PolicyMode, TrainedModel};
-use icgmm_cache::{CacheConfig, FaultPlan};
+use icgmm_cache::{CacheConfig, FaultPlan, LatencyModel};
 use icgmm_gmm::EmConfig;
 use icgmm_hw::{DataflowConfig, DataflowReport};
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
-use icgmm_trace::{PreprocessConfig, Trace};
+use icgmm_trace::{PreprocessConfig, Trace, TraceRecord};
 use std::sync::OnceLock;
 
 const MODES: [PolicyMode; 5] = [
@@ -32,6 +33,14 @@ fn fixture() -> &'static (Trace, TrainedModel) {
             ..Default::default()
         }
         .generate(80_000, 23);
+        // Even enough for every mode to fan out: LRU's bound is 5 / 8.
+        let set = |r: &TraceRecord| {
+            cfg(FaultPlan::empty(), AdaptPlan::empty(), 1)
+                .cache
+                .set_of(r.page())
+        };
+        let odd = trace.records().iter().filter(|r| set(r) % 2 == 1).count();
+        assert!(8 * odd.max(trace.len() - odd) <= 5 * trace.len(), "{odd}");
         let mut sys = Icgmm::new(cfg(FaultPlan::empty(), AdaptPlan::empty(), 1)).unwrap();
         sys.fit(&trace).unwrap();
         let model = sys.model().expect("fitted").clone();
@@ -70,14 +79,15 @@ fn system(cfg: IcgmmConfig) -> Icgmm {
     sys
 }
 
-/// Device faults and scorer faults are rolled by trace position, so they
-/// leave the report independent of the shard count; the panic point is
-/// per shard, so arming it keeps `run` on one shard.
-fn faults(shard_panic_per_mille: u16) -> FaultPlan {
+/// Scorer faults are rolled by trace position, so they leave the report
+/// independent of the shard count. Device faults are too, but the time
+/// they add is a sum of `f64`s in replay order, and the panic point is
+/// per shard, so arming either keeps `run` on one shard.
+fn faults(device_per_mille: u16, shard_panic_per_mille: u16) -> FaultPlan {
     FaultPlan {
         seed: 31,
-        device_fail_per_mille: 100,
-        device_spike_per_mille: 60,
+        device_fail_per_mille: device_per_mille,
+        device_spike_per_mille: device_per_mille / 2,
         scorer_nan_per_mille: 50,
         shard_panic_per_mille,
         ..FaultPlan::empty()
@@ -88,8 +98,8 @@ fn faults(shard_panic_per_mille: u16) -> FaultPlan {
 fn run_and_dataflow_report_what_one_shard_does() {
     let trace = &fixture().0;
     let df = DataflowConfig::default();
-    for panics in [0, 1000] {
-        let plan = faults(panics);
+    for (device, panics) in [(0, 0), (100, 0), (100, 1000)] {
+        let plan = faults(device, panics);
         let sys = system(cfg(plan, AdaptPlan::empty(), 1));
         // One shard's replay under the dataflow latency, for `run_dataflow`.
         let timed = system(IcgmmConfig {
@@ -98,25 +108,58 @@ fn run_and_dataflow_report_what_one_shard_does() {
         });
         for mode in MODES {
             let one = sys.run_sharded(trace, mode).unwrap();
-            assert_eq!(
-                sys.run(trace, mode).unwrap(),
-                one,
-                "{mode}, panics {panics}"
-            );
-            assert!(one.sim.fault.device_failures > 0, "{mode}: no device fault");
+            let what = format!("{mode}, device {device}, panics {panics}");
+            assert_eq!(sys.run(trace, mode).unwrap(), one, "{what}");
+            assert_eq!(one.sim.fault.device_failures > 0, device > 0, "{what}");
             if mode.uses_gmm() {
-                assert!(
-                    one.sim.fault.scorer_nan_injected > 0,
-                    "{mode}: no scorer fault"
-                );
+                assert!(one.sim.fault.scorer_nan_injected > 0, "{what}");
             }
             // 1000‰ kills every shard once: one panic is one shard.
-            assert_eq!(one.sim.fault.shard_panics, u64::from(panics > 0), "{mode}");
+            assert_eq!(one.sim.fault.shard_panics, u64::from(panics > 0), "{what}");
             let want = DataflowReport::from_sim(&timed.run_sharded(trace, mode).unwrap().sim, &df);
             let got = sys.run_dataflow(trace, mode, &df).unwrap();
-            assert_eq!(got, want, "{mode} dataflow, panics {panics}");
+            assert_eq!(got, want, "{what} dataflow");
         }
     }
+}
+
+/// Under command times no `f64` holds exactly, the order device time is
+/// summed in shows in the last bits: two shards report another
+/// `total_us` than one, so device faults must keep `run` on one shard.
+#[test]
+fn device_time_under_inexact_latencies_keeps_one_shard() {
+    let trace = &fixture().0;
+    let latency = LatencyModel {
+        ssd_read_us: 7.3,
+        ssd_write_us: 90.7,
+        ..LatencyModel::paper_tlc()
+    };
+    let plan = FaultPlan {
+        device_backoff_us: 0.1,
+        ..faults(100, 0)
+    };
+    let sys = system(cfg(plan, AdaptPlan::empty(), 1));
+    let timed = |shards| {
+        system(IcgmmConfig {
+            latency,
+            ..cfg(plan, AdaptPlan::empty(), shards)
+        })
+    };
+    let (one, two) = (timed(1), timed(2));
+    let mut differ = 0;
+    for mode in MODES {
+        let want = one.run_sharded(trace, mode).unwrap();
+        assert_eq!(
+            sys.run_with_latency(trace, mode, &latency).unwrap(),
+            want,
+            "{mode}"
+        );
+        assert_eq!(one.run(trace, mode).unwrap(), want, "{mode}");
+        let split = two.run_sharded(trace, mode).unwrap();
+        assert_eq!(split.sim.stats, want.sim.stats, "{mode}");
+        differ += usize::from(split.sim.total_us != want.sim.total_us);
+    }
+    assert!(differ > 0, "every mode summed device time to the same bits");
 }
 
 #[test]
