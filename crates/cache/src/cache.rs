@@ -28,6 +28,17 @@
 //! over-allocated by one line, since the allocator promises only 16 bytes
 //! and a row straddling two lines costs ≈ 5 % of a miss-heavy LRU replay
 //! (ROADMAP, "Cache simulator").
+//!
+//! # A shard's rows
+//!
+//! A shard of a sharded replay holds only its own sets
+//! ([`SetAssocCache::sharded`]): every [`crate::ShardPartition`] gives each
+//! block of `S` consecutive sets exactly one set per shard, so a shard
+//! needs `ceil(sets / S)` rows, set `s` in row `s / S` — a shift at a
+//! power-of-two `S`, and the identity at one shard. The tag stays the
+//! page's *global* tag, unique within the row because the row holds one
+//! set, and an eviction rebuilds its page from the request's global set.
+//! The policy is indexed by the same rows.
 
 use crate::config::{CacheConfig, CacheConfigError, SetMap};
 use crate::policy::{AccessCtx, Policy};
@@ -102,7 +113,11 @@ impl AccessOutcome {
 pub struct SetAssocCache {
     cfg: CacheConfig,
     map: SetMap,
-    /// Holds the tag rows from `tag_base` on: `tags()[set * ways + way]`,
+    /// The shard count the rows are laid out for: set `s` is row
+    /// `s / shards`, `s >> row_shift` when `shards` is a power of two.
+    shards: usize,
+    row_shift: Option<u32>,
+    /// Holds the tag rows from `tag_base` on: `tags()[row * ways + way]`,
     /// 0 where the flag byte is not valid.
     tag_store: Vec<u64>,
     tag_base: usize,
@@ -132,15 +147,47 @@ impl SetAssocCache {
     ///
     /// Returns [`CacheConfigError`] for invalid geometry.
     pub fn new(cfg: CacheConfig) -> Result<Self, CacheConfigError> {
+        Self::sharded(cfg, 1)
+    }
+
+    /// An empty tag store for one shard of `shards` (see the module docs):
+    /// `ceil(sets / shards)` rows, set `s` in row `s / shards`. It must only
+    /// see pages its shard's partition routes to it; one shard is
+    /// [`SetAssocCache::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheConfigError`] for invalid geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shards` is 0.
+    pub fn sharded(cfg: CacheConfig, shards: usize) -> Result<Self, CacheConfigError> {
         let map = SetMap::new(&cfg)?;
-        let (tag_store, tag_base) = aligned_tags(cfg.num_blocks());
+        assert!(
+            shards >= 1,
+            "a tag store holds the sets of at least one shard"
+        );
+        let blocks = map.sets().div_ceil(shards) * cfg.ways;
+        let (tag_store, tag_base) = aligned_tags(blocks);
         Ok(SetAssocCache {
             cfg,
             map,
+            shards,
+            row_shift: shards.is_power_of_two().then(|| shards.trailing_zeros()),
             tag_store,
             tag_base,
-            flags: vec![0; cfg.num_blocks()],
+            flags: vec![0; blocks],
         })
+    }
+
+    /// The row holding `set`.
+    #[inline]
+    fn row(&self, set: usize) -> usize {
+        match self.row_shift {
+            Some(shift) => set >> shift,
+            None => set / self.shards,
+        }
     }
 
     /// The tag rows, one tag per block, starting on a 64-byte boundary.
@@ -160,20 +207,20 @@ impl SetAssocCache {
         &self.cfg
     }
 
-    /// The one tag compare: the way of `set` holding `tag`, if any. Every
+    /// The one tag compare: the way of `row` holding `tag`, if any. Every
     /// way is compared (no data-dependent exit) and the matches are summed
     /// as `way + 1` — 0 on a miss, exact on a hit because at most one way
     /// can match.
     #[inline]
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+    fn find(&self, row: usize, tag: u64) -> Option<usize> {
         let ways = self.cfg.ways;
-        let row = set * ways..set * ways + ways;
-        let tag_row = self.tag_base + row.start..self.tag_base + row.end;
-        let (tags, flags) = (&self.tag_store[tag_row], &self.flags[row]);
+        let slots = row * ways..row * ways + ways;
+        let tag_row = self.tag_base + slots.start..self.tag_base + slots.end;
+        let (tags, flags) = (&self.tag_store[tag_row], &self.flags[slots]);
         let matches = || (tags.iter().zip(flags)).map(|(&t, &f)| t == tag && f & VALID != 0);
         debug_assert!(
             matches().filter(|&m| m).count() <= 1,
-            "page cached twice in set {set}"
+            "page cached twice in row {row}"
         );
         let hit: usize = (matches().enumerate())
             .map(|(w, m)| if m { w + 1 } else { 0 })
@@ -184,7 +231,7 @@ impl SetAssocCache {
     /// Parallel tag compare: the way holding `page`, if present.
     pub fn lookup(&self, page: PageIndex) -> Option<usize> {
         let (set, tag) = self.map.split(page);
-        self.find(set, tag)
+        self.find(self.row(set), tag)
     }
 
     /// `true` when `page` is cached.
@@ -197,9 +244,10 @@ impl SetAssocCache {
         self.flags.iter().filter(|&&f| f & VALID != 0).count()
     }
 
-    /// A block's state (diagnostics and tests).
-    pub fn block(&self, set: usize, way: usize) -> BlockState {
-        let slot = set * self.cfg.ways + way;
+    /// A block's state (diagnostics and tests), by row — the set itself
+    /// in a one-shard store.
+    pub fn block(&self, row: usize, way: usize) -> BlockState {
+        let slot = row * self.cfg.ways + way;
         BlockState {
             tag: self.tags()[slot],
             valid: self.flags[slot] & VALID != 0,
@@ -248,18 +296,19 @@ impl SetAssocCache {
     ) -> (AccessOutcome, Option<f64>) {
         let page = record.page();
         let (set, tag) = self.map.split(page);
+        let row = self.row(set);
         let mut ctx = AccessCtx {
             page,
             op: record.op(),
             seq,
             score: None,
         };
-        if let Some(way) = self.find(set, tag) {
+        if let Some(way) = self.find(row, tag) {
             // Hit: bypass the policy engine entirely.
             if record.op() == Op::Write {
-                self.flags[set * self.cfg.ways + way] |= DIRTY;
+                self.flags[row * self.cfg.ways + way] |= DIRTY;
             }
-            policy.on_hit(set, way, &ctx);
+            policy.on_hit(row, way, &ctx);
             return (AccessOutcome::Hit { way }, None);
         }
 
@@ -268,26 +317,26 @@ impl SetAssocCache {
         if !policy.admits(&ctx) {
             return (AccessOutcome::MissBypassed, raw);
         }
-        let (way, evicted) = self.insert(set, tag, &ctx, policy);
+        let (way, evicted) = self.insert((set, row), tag, &ctx, policy);
         (AccessOutcome::MissInserted { way, evicted }, raw)
     }
 
-    /// Inserts `tag` (which must not be present) into `set`, evicting if
-    /// needed.
+    /// Inserts `tag` (which must not be present) into `set`, held in `row`,
+    /// evicting if needed.
     fn insert(
         &mut self,
-        set: usize,
+        (set, row): (usize, usize),
         tag: u64,
         ctx: &AccessCtx,
         policy: &mut Policy,
     ) -> (usize, Option<Eviction>) {
         let ways = self.cfg.ways;
-        let base = set * ways;
+        let base = row * ways;
         // Prefer an invalid way.
         let way = self.flags[base..base + ways]
             .iter()
             .position(|f| f & VALID == 0)
-            .unwrap_or_else(|| policy.choose_victim(set, ways, ctx));
+            .unwrap_or_else(|| policy.choose_victim(row, ways, ctx));
         debug_assert!(way < ways, "policy returned way out of range");
         let slot = base + way;
         let old = self.flags[slot];
@@ -298,7 +347,7 @@ impl SetAssocCache {
         self.tags_mut()[slot] = tag;
         // Write-allocate: a write miss fetches the page then dirties it.
         self.flags[slot] = VALID | if ctx.op == Op::Write { DIRTY } else { 0 };
-        policy.on_insert(set, way, ctx);
+        policy.on_insert(row, way, ctx);
         (way, evicted)
     }
 
@@ -473,6 +522,37 @@ mod tests {
             }
             assert!((0..sets * 8).all(|p| c.contains(PageIndex::new(p))));
             assert_eq!(c.occupancy(), cfg.num_blocks());
+        }
+    }
+
+    #[test]
+    fn a_shard_store_holds_its_own_rows_and_decides_as_the_whole_one() {
+        // Set counts a power of two and not, shard counts dividing them and
+        // not; each shard's pages (`set mod S`) replayed through a store
+        // of its own rows and through the whole geometry.
+        for (sets, shards) in [(8u64, 2usize), (6, 4), (7, 3), (1, 2), (12, 1)] {
+            let cfg = CacheConfig::new(sets * 2 * 4096, 4096, 2).unwrap();
+            let rows = (sets as usize).div_ceil(shards);
+            for shard in 0..shards {
+                let mut own = SetAssocCache::sharded(cfg, shards).unwrap();
+                assert_eq!(own.tags().len(), rows * 2, "{sets} sets / {shards}");
+                let mut whole = SetAssocCache::new(cfg).unwrap();
+                let (mut own_lru, mut whole_lru) =
+                    (Policy::lru(rows, 2), Policy::lru(sets as usize, 2));
+                let pages = (0..400u64)
+                    .map(|i| i * 7 % 61)
+                    .filter(|p| (p % sets) as usize % shards == shard);
+                for (seq, p) in pages.enumerate() {
+                    let r = if seq % 3 == 0 { write(p) } else { read(p) };
+                    let want = whole.access(&r, seq as u64, None, &mut whole_lru);
+                    assert_eq!(
+                        own.access(&r, seq as u64, None, &mut own_lru),
+                        want,
+                        "page {p}"
+                    );
+                }
+                assert_eq!(own.occupancy(), whole.occupancy());
+            }
         }
     }
 

@@ -181,6 +181,11 @@ impl SetMap {
     pub fn page_of(&self, set: usize, tag: u64) -> PageIndex {
         PageIndex::new(tag * self.sets + set as u64)
     }
+
+    /// The set count.
+    pub fn sets(&self) -> usize {
+        self.sets as usize
+    }
 }
 
 impl Default for CacheConfig {

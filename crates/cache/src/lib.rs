@@ -22,7 +22,10 @@
 //! reports up. The sharded entry points take the whole trace (warm-up ⧺
 //! measured) as one slice plus `measured_from`; a shard is that slice
 //! walked through, above one shard, its [`ShardPartition`] — the routing
-//! rule `set mod S` ([`ShardCtx`]). A report is counters; its modeled time
+//! rule `set mod S`, or at two shards the parity of `set & mask` for an odd
+//! mask a sample of the trace chose ([`ShardPartition::balanced`]) — and
+//! holds only the rows of tag store and policy state its sets need
+//! ([`ShardCtx`]). A report is counters; its modeled time
 //! is [`LatencyModel::total_us`] of them plus what an armed plan's device
 //! faults added ([`SimReport::from_counts`]).
 //!
@@ -84,8 +87,8 @@ pub use policy::{
 };
 pub use score::{ConstantScore, FnScore, ScoreSource};
 pub use shard::{
-    ShardCtx, ShardPartition, ShardPolicies, ShardRunError, ShardSupervisor, ShardedReport,
-    ShardedSimulator,
+    SampleSplit, ShardCtx, ShardPartition, ShardPolicies, ShardRunError, ShardSupervisor,
+    ShardedReport, ShardedSimulator,
 };
 pub use sim::{simulate, ReplayEvent, ReplayObserver, SimReport};
 #[doc(hidden)]

@@ -10,7 +10,9 @@
 //! modes (Fig. 6) are {LRU, GMM score} × {no filter, threshold}. GMM
 //! scores reach the policy through [`AccessCtx::score`], which the
 //! simulator fills in on misses only (hits bypass the policy engine,
-//! exactly as in the paper's Fig. 4).
+//! exactly as in the paper's Fig. 4). The `set` its hooks take is the tag
+//! store's row: the set itself in a one-shard store, `set / S` in a shard
+//! of `S` ([`crate::SetAssocCache::sharded`]).
 
 mod belady;
 mod gmm;

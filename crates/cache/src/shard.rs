@@ -7,8 +7,8 @@
 //! Every decision the simulator makes about a request is local to the
 //! request's *set*: tag lookup, victim choice and per-block policy
 //! metadata never cross a set boundary. Partitioning the sets into `S`
-//! disjoint groups (`set mod S`) therefore partitions the trace into `S`
-//! subsequences whose replays cannot interact — each shard replays its
+//! disjoint groups (any [`ShardPartition`]) therefore partitions the trace
+//! into `S` subsequences whose replays cannot interact — each shard replays its
 //! subsequence against its own tag store and its own policy state and
 //! produces, per record, exactly the outcome the single-threaded replay
 //! produces at the same global position. Three properties make the
@@ -41,17 +41,34 @@
 //!   what they added, one more sum (of `f64`s: exact in any order only
 //!   under integer device times, so `Icgmm::run` keeps them on one shard).
 //!
+//! # The partition
+//!
+//! A [`ShardPartition`] is a rule, not a table: `set mod S`, or at two
+//! shards the parity of `set & mask` for one odd mask (`set mod 2` is the
+//! mask 1). [`ShardPartition::balanced`] picks the mask that splits a
+//! sample of the trace most evenly, from one fast Walsh–Hadamard
+//! transform of the sample's per-set counts: entry `m` of the transform is
+//! shard 0's share minus shard 1's under mask `m`. Hot sets make `set mod
+//! 2` split `memtier` and `hashmap` 72–73 / 27–28; the sampled mask splits
+//! them 52 / 48 and 56 / 44.
+//!
+//! Either rule gives each block of `S` consecutive sets (`2r, 2r + 1` at
+//! two shards, since the mask is odd) exactly one set per shard, so a
+//! shard holds only its own sets: `ceil(sets / S)` rows of tag store
+//! ([`crate::SetAssocCache::sharded`]) and policy state
+//! ([`ShardCtx::rows`]), set `s` in row `s / S`.
+//!
 //! # Zero-copy fan-out and parallel setup
 //!
 //! A replay's input is one slice — the whole trace, warm-up ⧺ measured —
 //! and `measured_from`, the position measurement starts at; a shard is
 //! that slice plus, above one shard, its routing rule ([`ShardCtx`]). The
-//! fan-out never copies the trace and stores nothing per record: a
-//! [`ShardPartition`] *is* the rule `set mod S`, and each worker walks
-//! the caller's slice through it ([`ShardCtx::walk`]), keeping the records
-//! its sets own with their global positions — each record's index,
-//! scorer-clock position and miss-series position at once.
-//! `tests/shard_alloc.rs` pins the routing cost at zero bytes, and the
+//! fan-out never copies the trace and stores nothing per record: each
+//! worker walks the caller's slice through the partition
+//! ([`ShardCtx::walk`]), keeping the records its sets own with their
+//! global positions — each record's index, scorer-clock position and
+//! miss-series position at once. `tests/shard_alloc.rs` pins the routing
+//! cost at zero bytes, a shard's state at its share of the sets, and the
 //! whole run's; only the counting reads `measured_from`.
 //! Policy construction (`make_shard` — including a full Belady oracle
 //! pass over the shard subtrace) runs *inside* each worker, in
@@ -162,17 +179,49 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// The routing rule of a sharded replay: a page belongs to the shard its
-/// set index is congruent to (`set mod shards`). This is all a partition
-/// is — two words, `Copy`, nothing per record — so every consumer finds a
-/// shard's records by walking the trace through it: the offline replay,
-/// the supervisor's re-replay, Belady's oracle ([`ShardCtx::records`]),
-/// the refit producer ([`ShardCtx::routed`]) and serve's clients and
-/// workers. A [`ShardSupervisor`] builds it for its cache geometry and
-/// hands it out ([`ShardSupervisor::partition`]).
+/// set index is congruent to (`set mod shards`), or at two shards to the
+/// parity of `set & mask` for an odd mask (see the module docs). This is
+/// all a partition is — a few words, `Copy`, nothing per record — so every
+/// consumer finds a shard's records by walking the trace through it: the
+/// offline replay, the supervisor's re-replay, Belady's oracle
+/// ([`ShardCtx::records`]), the refit producer ([`ShardCtx::routed`]) and
+/// serve's clients and workers. A [`ShardSupervisor`] builds `set mod S`
+/// for its cache geometry unless handed another (through
+/// [`ShardedSimulator::partitioned`]), and hands it out
+/// ([`ShardSupervisor::partition`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPartition {
     map: SetMap,
     shards: usize,
+    /// The odd mask a two-shard rule routes by; 1 (`set mod 2`) unless
+    /// chosen, unused at other counts.
+    mask: usize,
+}
+
+/// How a page sample splits between the two shards of a
+/// [`ShardPartition::balanced`] rule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SampleSplit {
+    /// Pages sampled.
+    pub sampled: u64,
+    /// Of those, the pages the busier shard owns.
+    pub busiest: u64,
+}
+
+/// In-place fast Walsh–Hadamard transform of a power-of-two-long slice:
+/// afterwards `h[m]` is the sum over `s` of the old `h[s]`, negated where
+/// `popcount(s & m)` is odd.
+fn fwht(h: &mut [i64]) {
+    let mut half = 1;
+    while half < h.len() {
+        for block in h.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                (*a, *b) = (*a + *b, *a - *b);
+            }
+        }
+        half *= 2;
+    }
 }
 
 impl ShardPartition {
@@ -188,7 +237,64 @@ impl ShardPartition {
         if shards == 0 {
             return Err(ShardRunError::ZeroShards);
         }
-        Ok(ShardPartition { map, shards })
+        Ok(ShardPartition {
+            map,
+            shards,
+            mask: 1,
+        })
+    }
+
+    /// The two-shard rule over `cache_cfg`'s sets that routes a set by the
+    /// parity of `set & mask`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardRunError::Config`] for invalid cache geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an even `mask`: it would put both sets of a pair
+    /// `2r, 2r + 1` on one shard, which a shard's row layout rules out.
+    pub fn masked(cache_cfg: &CacheConfig, mask: usize) -> Result<Self, ShardRunError> {
+        assert!(mask % 2 == 1, "a two-shard mask must be odd, not {mask}");
+        Ok(ShardPartition {
+            mask,
+            ..Self::new(2, cache_cfg)?
+        })
+    }
+
+    /// The two-shard rule that splits `sample` most evenly, and how it
+    /// splits it. The sample's pages are counted per set, padded to a
+    /// power of two (at least 2), and put through one fast Walsh–Hadamard
+    /// transform: entry `m` is shard 0's count minus shard 1's under mask
+    /// `m`, entry 0 the sample size. The odd mask with the smallest
+    /// absolute difference wins, ties going to the smaller mask; its busier
+    /// shard owns `(h[0] + |h[m]|) / 2` of the sample. At the paper's 2 048
+    /// sets that is 11 × 1 024 butterflies and one 16 KiB scratch vector,
+    /// freed on return.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardRunError::Config`] for invalid cache geometry.
+    pub fn balanced(
+        cache_cfg: &CacheConfig,
+        sample: impl IntoIterator<Item = PageIndex>,
+    ) -> Result<(Self, SampleSplit), ShardRunError> {
+        let map = SetMap::new(cache_cfg)?;
+        let mut h = vec![0i64; map.sets().next_power_of_two().max(2)];
+        for page in sample {
+            h[map.split(page).0] += 1;
+        }
+        fwht(&mut h);
+        let mask = (1..h.len())
+            .step_by(2)
+            .min_by_key(|&m| h[m].unsigned_abs())
+            .expect("at least one odd mask");
+        let split = SampleSplit {
+            sampled: h[0] as u64,
+            busiest: (h[0].unsigned_abs() + h[mask].unsigned_abs()) / 2,
+        };
+        Ok((Self::masked(cache_cfg, mask)?, split))
     }
 
     /// Benchmark façade — timed by `icgmm_bench`
@@ -204,26 +310,39 @@ impl ShardPartition {
         Self::new(shards, cache_cfg)
     }
 
-    /// The shard owning `page`: its set index modulo the shard count,
-    /// through the set mapping decoded once when the rule was built. Every
-    /// shard walks the whole trace through this, so a power-of-two count
-    /// masks instead of dividing: walking 1.2 M `memtier` records costs
-    /// each shard 3.6 / 2.1 / 1.7 ns per trace record at S = 2 / 4 / 8
-    /// with the mask, against 4.2 / 3.4 / 3.1 with `%` (native, medians of
-    /// 8 alternating best-of-15 runs; the mask lower in 7 / 8 / 8 of them).
+    /// The shard owning `page`, through the set mapping decoded once when
+    /// the rule was built: at two shards the parity of its set index under
+    /// the mask, otherwise the set index modulo the shard count. Every
+    /// shard walks the whole trace through this, so neither rule branches
+    /// on the page or divides at a power-of-two count: walking 1.2 M
+    /// `memtier` records costs each shard 3.6 / 2.1 / 1.7 ns per trace
+    /// record at S = 2 / 4 / 8 with a bit mask, against 4.2 / 3.4 / 3.1
+    /// with `%` (native, medians of 8 alternating best-of-15 runs; the mask
+    /// lower in 7 / 8 / 8 of them).
     #[inline]
     pub fn shard_of(&self, page: PageIndex) -> usize {
         let set = self.map.split(page).0;
-        if self.shards.is_power_of_two() {
-            set & (self.shards - 1)
-        } else {
-            set % self.shards
+        match self.shards {
+            2 => (set & self.mask).count_ones() as usize & 1,
+            s if s.is_power_of_two() => set & (s - 1),
+            s => set % s,
         }
     }
 
     /// The shard count.
     pub fn shards(&self) -> usize {
         self.shards
+    }
+
+    /// The odd mask a two-shard rule routes by; `None` at other counts.
+    pub fn mask(&self) -> Option<usize> {
+        (self.shards == 2).then_some(self.mask)
+    }
+
+    /// The rows a shard's tag store and policy state need:
+    /// `ceil(sets / shards)`, set `s` in row `s / shards`.
+    pub fn rows(&self) -> usize {
+        self.map.sets().div_ceil(self.shards)
     }
 }
 
@@ -250,6 +369,13 @@ impl<'a> ShardCtx<'a> {
     /// Total shard count.
     pub fn shards(&self) -> usize {
         self.part.shards()
+    }
+
+    /// The rows this shard's policy state needs ([`ShardPartition::rows`]):
+    /// its policy is indexed by row, as its tag store is. A policy sized
+    /// for every set also works, and holds rows no record reaches.
+    pub fn rows(&self) -> usize {
+        self.part.rows()
     }
 
     /// The records this shard replays, in order.
@@ -374,12 +500,14 @@ pub struct ShardedReport {
     pub per_shard: Vec<SimReport>,
 }
 
-/// The sharded replay engine. Holds only configuration (shard count,
-/// fault plan); per-run state lives in a [`ShardSupervisor`] and on the
-/// worker threads.
+/// The sharded replay engine. Holds only configuration (shard count or
+/// partition, fault plan); per-run state lives in a [`ShardSupervisor`]
+/// and on the worker threads.
 #[derive(Clone, Debug)]
 pub struct ShardedSimulator {
     shards: usize,
+    /// The rule to route by; `set mod shards` when `None`.
+    part: Option<ShardPartition>,
     fault: FaultPlan,
 }
 
@@ -481,6 +609,17 @@ impl<'a> ShardSupervisor<'a> {
         self.part
     }
 
+    /// This supervisor with its shards routed by `part`, a rule over the
+    /// same geometry and shard count.
+    fn routed_by(self, part: ShardPartition) -> Self {
+        assert_eq!(
+            (part.map, part.shards),
+            (self.part.map, self.part.shards),
+            "a partition for another geometry"
+        );
+        ShardSupervisor { part, ..self }
+    }
+
     /// Shard `shard`: the trace and the rule that routes its records.
     pub fn ctx(&self, shard: usize) -> ShardCtx<'a> {
         ShardCtx {
@@ -526,7 +665,8 @@ impl<'a> ShardSupervisor<'a> {
         walk: impl Iterator<Item = (u64, &'r TraceRecord)>,
     ) -> ShardDone {
         let mut pol = (self.make_shard)(&self.ctx(shard));
-        let mut cache = SetAssocCache::new(self.cache_cfg).expect("geometry validated");
+        let shards = self.part.shards();
+        let mut cache = SetAssocCache::sharded(self.cache_cfg, shards).expect("geometry validated");
         let from = self.measured_from as u64;
         let mut acct = Accounting::new(from, self.series_window, &self.fault, &self.latency);
         let mut point = panic_at.map(PanicPoint);
@@ -650,7 +790,19 @@ impl ShardedSimulator {
     pub fn new(shards: usize) -> Self {
         ShardedSimulator {
             shards,
+            part: None,
             fault: FaultPlan::empty(),
+        }
+    }
+
+    /// A sharded simulator routed by `part` — e.g. a
+    /// [`ShardPartition::balanced`] rule — over `part.shards()` shards.
+    /// Every run must pass the geometry `part` was built for; another one
+    /// panics.
+    pub fn partitioned(part: ShardPartition) -> Self {
+        ShardedSimulator {
+            part: Some(part),
+            ..Self::new(part.shards())
         }
     }
 
@@ -702,7 +854,7 @@ impl ShardedSimulator {
     ) -> Result<ShardedReport, ShardRunError> {
         // Zero-copy fan-out: each shard walks the caller's slice through
         // the routing rule; nothing is stored per record.
-        let sup = &ShardSupervisor::new(
+        let sup = ShardSupervisor::new(
             cache_cfg,
             latency,
             make_shard,
@@ -712,6 +864,10 @@ impl ShardedSimulator {
             measured_from,
             series_window,
         )?;
+        let sup = &match self.part {
+            Some(part) => sup.routed_by(part),
+            None => sup,
+        };
 
         // Replay shards on scoped threads; join order — shard-index order
         // — is the only ordering there is. Worker panics are captured at
@@ -782,18 +938,22 @@ mod tests {
 
     proptest::proptest! {
         /// The one walk. Over random geometries (set counts power of two
-        /// and not) and S ∈ {1, 2, 3, 8}, the shards' walks cover every
-        /// trace position exactly once, each shard's in ascending order
-        /// and only over the sets it owns; `routed(trace)` is `walk()`,
-        /// and one shard walks the whole trace.
+        /// and not) and S ∈ {1, 2, 3, 8} — at two shards `set mod 2` or an
+        /// arbitrary odd mask — the shards' walks cover every trace
+        /// position exactly once, each shard's in ascending order and only
+        /// over the sets it owns, which are one set of each block of S
+        /// consecutive sets; `routed(trace)` is `walk()`, and one shard
+        /// walks the whole trace.
         #[test]
         fn every_position_walks_once_in_order(
             sets in 1u64..40,
             ways in 1usize..5,
-            s in 0usize..4,
+            s in 0usize..5,
+            half_mask in 0usize..64,
             pages in proptest::collection::vec(0u64..512, 0..600),
         ) {
-            let shards = [1, 2, 3, 8][s];
+            let shards = [1, 2, 3, 8, 2][s];
+            let mask = if s == 4 { 2 * half_mask + 1 } else { 1 };
             let cfg = CacheConfig {
                 capacity_bytes: sets * ways as u64 * 4096,
                 block_bytes: 4096,
@@ -803,8 +963,23 @@ mod tests {
             let make = |_: &ShardCtx<'_>| -> ShardPolicies { unreachable!("no shard is built") };
             let plan = FaultPlan::empty();
             let lat = LatencyModel::paper_tlc();
-            let sup = ShardSupervisor::new(cfg, &lat, &make, plan, shards, &trace, 0, None).unwrap();
+            let mut sup = ShardSupervisor::new(cfg, &lat, &make, plan, shards, &trace, 0, None).unwrap();
+            if s == 4 {
+                sup = sup.routed_by(ShardPartition::masked(&cfg, mask).unwrap());
+            }
             let part = sup.partition();
+            proptest::prop_assert_eq!(part.rows(), (sets as usize).div_ceil(shards));
+            let owner = |set: usize| match shards {
+                2 => (set & mask).count_ones() as usize % 2,
+                _ => set % shards,
+            };
+            // Each block of S consecutive sets has one set on every shard.
+            for block in (0..sets as usize).step_by(shards) {
+                let mut owners: Vec<usize> = (block..sets as usize).take(shards).map(owner).collect();
+                owners.sort_unstable();
+                owners.dedup();
+                proptest::prop_assert_eq!(owners.len(), shards.min(sets as usize - block));
+            }
             let mut walked = vec![0u32; trace.len()];
             for shard in 0..shards {
                 let ctx = sup.ctx(shard);
@@ -816,12 +991,79 @@ mod tests {
                     proptest::prop_assert!(last < Some(pos), "{pos} after {last:?}");
                     last = Some(pos);
                     proptest::prop_assert!(std::ptr::eq(r, &trace[pos as usize]));
-                    proptest::prop_assert_eq!(cfg.set_of(r.page()) % shards, shard);
+                    proptest::prop_assert_eq!(owner(cfg.set_of(r.page())), shard);
                     proptest::prop_assert_eq!(part.shard_of(r.page()), shard);
                     walked[pos as usize] += 1;
                 }
             }
             proptest::prop_assert!(walked.iter().all(|&n| n == 1), "{walked:?}");
         }
+    }
+
+    /// `sets` sets of two 4 KiB ways.
+    fn sets_of_two(sets: u64) -> CacheConfig {
+        CacheConfig::new(sets * 2 * 4096, 4096, 2).unwrap()
+    }
+
+    /// The odd mask a search over every one of them picks for `pages` —
+    /// the one whose busier shard owns the fewest, the smaller on a tie —
+    /// and that shard's count.
+    fn searched(cfg: &CacheConfig, pages: &[PageIndex]) -> (usize, u64) {
+        let padded = cfg.num_sets().next_power_of_two().max(2);
+        let mut best = (u64::MAX, 0);
+        for mask in (1..padded).step_by(2) {
+            let mut load = [0u64; 2];
+            for &p in pages {
+                load[(cfg.set_of(p) & mask).count_ones() as usize % 2] += 1;
+            }
+            best = best.min((load[0].max(load[1]), mask));
+        }
+        (best.1, best.0)
+    }
+
+    #[test]
+    fn the_transform_picks_what_a_search_over_every_odd_mask_picks() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Set counts a power of two and not, down to one set; samples from
+        // empty to skewed: half the pages on a few hot ones.
+        for sets in [1u64, 2, 3, 6, 8, 12, 37, 64, 100] {
+            let cfg = sets_of_two(sets);
+            for len in [0usize, 1, 7, 64, 500] {
+                let pages: Vec<PageIndex> = (0..len)
+                    .map(|_| {
+                        let r = next();
+                        PageIndex::new(if r % 2 == 0 { r % 5 * 3 } else { r >> 8 })
+                    })
+                    .collect();
+                let (part, split) = ShardPartition::balanced(&cfg, pages.iter().copied()).unwrap();
+                let (mask, busiest) = searched(&cfg, &pages);
+                let what = format!("{sets} sets, {len} pages");
+                assert_eq!(part.mask(), Some(mask), "{what}");
+                let sampled = len as u64;
+                assert_eq!(split, SampleSplit { sampled, busiest }, "{what}");
+                assert_eq!((part.shards(), part.rows()), (2, sets.div_ceil(2) as usize));
+            }
+        }
+        // Ties: sets 0 and 2, equally loaded, split under masks 3 and 7
+        // alike (mask 1 puts both on shard 0); the smaller wins. A sample
+        // on one set ties every mask: `set mod 2`.
+        let cfg = sets_of_two(8);
+        for (pages, mask, busiest) in [(&[0u64, 2, 8, 10][..], 3, 2), (&[5, 13, 21], 1, 3)] {
+            let pages = pages.iter().map(|&p| PageIndex::new(p));
+            let (part, split) = ShardPartition::balanced(&cfg, pages).unwrap();
+            assert_eq!((part.mask(), split.busiest), (Some(mask), busiest));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be odd")]
+    fn an_even_mask_is_refused() {
+        let _ = ShardPartition::masked(&sets_of_two(8), 2);
     }
 }

@@ -1,6 +1,7 @@
 //! Differential property suite for the sharded replay engine: the summed
 //! [`ShardedSimulator`] report is **bit-identical** to the single-threaded
-//! simulator for every shard count in {1, 2, 4, 8}, across the eviction ×
+//! simulator for every shard count in {1, 2, 4, 8}, and at two shards under
+//! an arbitrary odd mask, across the eviction ×
 //! admission × score grid, with random warm-up splits — under the paper's
 //! integer-µs latency constants and under the non-integer model `icgmm-hw`
 //! derives, where an order-sensitive total would differ between shard
@@ -22,8 +23,8 @@
 use icgmm_cache::{
     simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, CacheConfig,
     FaultPlan, FnScore, LatencyModel, LruPolicy, Policy, ReplayEvent, ReplayObserver, ScoreSource,
-    SetAssocCache, ShardCtx, ShardPolicies, ShardRunError, ShardSupervisor, ShardedReport,
-    ShardedSimulator, SimReport, ThresholdAdmit,
+    SetAssocCache, ShardCtx, ShardPartition, ShardPolicies, ShardRunError, ShardSupervisor,
+    ShardedReport, ShardedSimulator, SimReport, ThresholdAdmit,
 };
 use icgmm_testutil::{
     conflict_trace, latency_for, policy_for, score_for, small_cfg, zipf_trace, CountingScore,
@@ -61,8 +62,22 @@ fn run_sharded_full(
     warmup_len: usize,
     lat: &LatencyModel,
 ) -> ShardedReport {
+    let engine = ShardedSimulator::new(shards);
+    run_on(&engine, eviction, admission, score, trace, warmup_len, lat)
+}
+
+/// [`run_sharded_full`] on `engine`.
+fn run_on(
+    engine: &ShardedSimulator,
+    eviction: &str,
+    admission: &str,
+    score: &str,
+    trace: &[TraceRecord],
+    warmup_len: usize,
+    lat: &LatencyModel,
+) -> ShardedReport {
     let cfg = small_cfg();
-    ShardedSimulator::new(shards)
+    engine
         .run(
             trace,
             warmup_len,
@@ -187,16 +202,20 @@ proptest! {
     /// `total_us`, `avg_us`, miss series), for every shard count ×
     /// eviction × admission × score combination over random Zipf traces
     /// with random warm-up splits, the latency model drawn from
-    /// {`paper_tlc`, the cycle-derived one}.
+    /// {`paper_tlc`, the cycle-derived one} — and on two shards routed by
+    /// an arbitrary odd mask instead of `set mod 2`.
     #[test]
     fn sharded_replay_matches_single_threaded(
-        params in (0u64..1_000_000, 300usize..1200, 24u64..160, (60u64..140), 0u8..45)
+        params in (0u64..1_000_000, 300usize..1200, 24u64..160, (60u64..140), 0u8..45),
+        half_mask in 0usize..64,
     ) {
         let (seed, n, pages, skew_pct, write_pct) = params;
         let skew = skew_pct as f64 / 100.0;
         let trace = zipf_trace(seed, n, pages, skew, write_pct);
         let warmup_len = (seed as usize) % (n / 2);
         let lat = &latency_for(seed);
+        let mask = 2 * half_mask + 1;
+        let masked = ShardedSimulator::partitioned(ShardPartition::masked(&small_cfg(), mask).unwrap());
         for eviction in EVICTIONS {
             for admission in ADMISSIONS {
                 for score in ["none", "constant", "fn"] {
@@ -212,6 +231,13 @@ proptest! {
                             eviction, admission, score, shards, seed, n
                         );
                     }
+                    let sim = run_on(&masked, eviction, admission, score, &trace, warmup_len, lat).sim;
+                    prop_assert_eq!(
+                        &reference,
+                        &sim,
+                        "{}/{}/{} diverged under mask {} (seed {}, n {})",
+                        eviction, admission, score, mask, seed, n
+                    );
                 }
             }
         }

@@ -151,7 +151,6 @@ impl Producer {
     ) -> Result<Self, GmmError> {
         let trainer_cfg = EmConfig {
             seed: salt(plan.seed, shard, 1),
-            threads: 1,
             ..em
         };
         let trainer = IncrementalEm::new(gmm, trainer_cfg, REFIT_DECAY)?;
@@ -432,7 +431,6 @@ mod tests {
         let cfg = EmConfig {
             k,
             max_iters: 15,
-            threads: 1,
             ..Default::default()
         };
         let (gmm, _) = EmTrainer::new(cfg).unwrap().fit(&z, &[]).unwrap();

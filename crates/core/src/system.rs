@@ -27,17 +27,21 @@ use serde::{Deserialize, Serialize};
 use std::thread::{self, Scope};
 
 /// A replay that may pick its shard count ([`Icgmm::run`]) fans out to
-/// `FANOUT_SHARDS`, the count measured here (2 vCPUs; each shard builds
-/// full-geometry state, +0.7–0.9 MiB, and walks the whole slice), when a
-/// second core is there, the slice holds `FANOUT_MIN` records or more and
-/// its busiest shard owns at most 5 / 8 (LRU) or 6 / 8 (modes doing more
-/// per record) of every `(len / FANOUT_SAMPLES) | 1`-th record (odd: no
-/// set-parity aliasing). Two shards against one (medians): LRU reads
-/// 1.6–2.4× at 4 096 records, 1.15–1.4× at 16–32 k, 0.6–1.6× at 64–128 k,
-/// GMM 0.78–1.19× at 4 096, 0.56–0.80× at 16–64 k. At 1.2 M records split
-/// 51.5 / 48.5 (`dlrm`) LRU 0.67×, GMM 0.59–0.69×; 72–73 / 27–28 (`memtier`,
-/// `hashmap`) LRU 0.90–0.99×, GMM 0.83–0.89×; `dlrm` skewed to 66 / 76 /
-/// 86 % LRU 0.80 / 0.92 / 0.91×, GMM 0.76 / 0.71 / 0.90×, Belady ≤ 0.87×.
+/// `FANOUT_SHARDS`, the count measured here (2 vCPUs; each shard holds its
+/// own sets' rows and walks the whole slice), when a second core is there,
+/// the slice holds `FANOUT_MIN` records or more and, under the odd mask
+/// that splits them most evenly ([`ShardPartition::balanced`]), the busier
+/// shard owns at most 5 / 8 (LRU) or 6 / 8 (modes doing more per record)
+/// of every `(len / FANOUT_SAMPLES) | 1`-th record (odd: no parity
+/// aliasing with a period of the trace). Two shards against one (medians):
+/// LRU reads 1.6–2.4× at 4 096 records, 1.15–1.4× at 16–32 k, 0.6–1.6× at
+/// 64–128 k, GMM 0.78–1.19× at 4 096, 0.56–0.80× at 16–64 k. At 1.2 M
+/// records split 51.5 / 48.5 (`dlrm`) LRU 0.67×, GMM 0.59–0.69×; 72–73 /
+/// 27–28 (`memtier`, `hashmap` under `set mod 2`) LRU 0.90–0.99×, GMM
+/// 0.83–0.89×; 52 / 48 and 56 / 44 (the same under the sampled mask) LRU
+/// 0.83× and 0.90× (benchmark `replay_lru_cost_x`, 1.52 → 1.26 and 1.59 →
+/// 1.43); `dlrm` skewed to 66 / 76 / 86 % LRU 0.80 / 0.92 / 0.91×, GMM
+/// 0.76 / 0.71 / 0.90×, Belady ≤ 0.87×.
 const FANOUT_MIN: usize = 65_536;
 const FANOUT_SHARDS: usize = 2;
 const FANOUT_SAMPLES: usize = 4_096;
@@ -98,7 +102,8 @@ struct Assembly<'a> {
     mode: PolicyMode,
     engine: Option<GmmPolicyEngine>,
     adapt: AdaptPlan,
-    shards: usize,
+    /// The rule the replay's shards are routed by.
+    part: ShardPartition,
     /// Warm-up ⧺ measured (the trace minus its trimmed tail).
     records: &'a [TraceRecord],
     /// Where the measured middle starts: the warm-up before it is replayed
@@ -115,7 +120,8 @@ impl<'a> Assembly<'a> {
         'a: 'scope,
     {
         let cfg = &self.sys.cfg;
-        let (sets, ways) = (cfg.cache.num_sets(), cfg.cache.ways);
+        // A shard's policy holds its own sets' rows only.
+        let (sets, ways) = (ctx.rows(), cfg.cache.ways);
         let threshold = Some(ThresholdAdmit {
             threshold: self.sys.model.as_ref().map_or(0.0, |m| m.threshold),
             admit_writes_always: cfg.admit_writes_always,
@@ -291,9 +297,10 @@ impl Icgmm {
     }
 
     /// The shared prologue of every replay front-end: build the mode's
-    /// engine, trim the trace's tail, and fix the shard count — `shards`,
-    /// or with `None` two when the report cannot depend on it and two pay
-    /// (see [`FANOUT_MIN`]), else one.
+    /// engine, trim the trace's tail, and fix the partition — `set mod
+    /// shards`, or with `None` the sampled two-shard rule when the report
+    /// cannot depend on the count and two shards pay (see [`FANOUT_MIN`]),
+    /// else one shard.
     fn assemble<'a>(
         &'a self,
         trace: &'a Trace,
@@ -309,27 +316,44 @@ impl Icgmm {
         let per_shard = engine.is_some() && (!adapt.is_empty() || fault.monitor_armed());
         let free = !per_shard && !fault.shard_armed() && !fault.device_armed();
         let cores = || thread::available_parallelism().map_or(1, |n| n.get());
-        let fan = || free && end >= FANOUT_MIN && cores() > 1 && self.evenly_split(mode, records);
+        let fan = free && shards.is_none() && end >= FANOUT_MIN && cores() >= FANOUT_SHARDS;
+        let part = match fan.then(|| self.balanced(mode, records)).flatten() {
+            Some(part) => part,
+            None => ShardPartition::new(shards.unwrap_or(1), &self.cfg.cache)?,
+        };
         Ok(Assembly {
             sys: self,
             mode,
             engine,
             adapt,
-            shards: shards.unwrap_or_else(|| if fan() { FANOUT_SHARDS } else { 1 }),
+            part,
             records,
             measured_from: start,
         })
     }
 
-    /// Whether `records` split evenly enough between two shards for `mode`.
-    fn evenly_split(&self, mode: PolicyMode, records: &[TraceRecord]) -> bool {
-        let part = ShardPartition::new(FANOUT_SHARDS, &self.cfg.cache).expect("validated geometry");
-        let mut load = [0; FANOUT_SHARDS];
-        for r in records.iter().step_by((records.len() / FANOUT_SAMPLES) | 1) {
-            load[part.shard_of(r.page())] += 1;
-        }
+    /// The two-shard rule that splits a sample of `records` most evenly,
+    /// if its busier shard owns little enough of the sample for `mode`.
+    fn balanced(&self, mode: PolicyMode, records: &[TraceRecord]) -> Option<ShardPartition> {
+        let sample = records.iter().step_by((records.len() / FANOUT_SAMPLES) | 1);
+        let (part, split) = ShardPartition::balanced(&self.cfg.cache, sample.map(|r| r.page()))
+            .expect("validated geometry");
         let eighths = if mode == PolicyMode::Lru { 5 } else { 6 };
-        8 * load[0].max(load[1]) <= eighths * (load[0] + load[1])
+        (8 * split.busiest <= eighths * split.sampled).then_some(part)
+    }
+
+    /// The partition [`Icgmm::run`] replays `mode` over `trace` on: one
+    /// shard, or two routed by the sampled rule (see [`Icgmm::run`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Icgmm::run`], before any replay.
+    pub fn replay_partition(
+        &self,
+        trace: &Trace,
+        mode: PolicyMode,
+    ) -> Result<ShardPartition, IcgmmError> {
+        Ok(self.assemble(trace, mode, self.cfg.adapt, None)?.part)
     }
 
     /// Runs one policy mode over the (trimmed) trace with the analytic
@@ -341,7 +365,9 @@ impl Icgmm {
     /// cannot depend on the count (no GMM engine under an armed adaptation
     /// plan or health monitor, no armed shard panic point or device fault)
     /// and the slice is long (64 Ki records) and even enough between the
-    /// shards to pay — bit-identical to one shard by the sharding argument.
+    /// shards to pay, routed by the odd mask a sample of the slice chose
+    /// ([`Icgmm::replay_partition`]) — bit-identical to one shard by the
+    /// sharding argument, which holds for any set partition.
     /// Otherwise it is the one-shard geometry, inline on the calling
     /// thread. An armed `shard_panic_per_mille` point is caught, the trace
     /// re-replayed once with it disarmed, and the event counted in
@@ -407,7 +433,7 @@ impl Icgmm {
         adapt: AdaptPlan,
     ) -> Result<RunReport, IcgmmError> {
         let asm = self.assemble(trace, mode, adapt, shards)?;
-        let engine = ShardedSimulator::new(asm.shards).with_faults(self.cfg.fault);
+        let engine = ShardedSimulator::partitioned(asm.part).with_faults(self.cfg.fault);
         let (records, from) = (asm.records, asm.measured_from);
         let rep = thread::scope(|scope| {
             let make_shard = |ctx: &ShardCtx<'_>| asm.shard(ctx, scope);
@@ -450,7 +476,7 @@ impl Icgmm {
     pub fn serve(&self, trace: &Trace, mode: PolicyMode) -> Result<ServeReport, IcgmmError> {
         let asm = self.assemble(trace, mode, self.cfg.adapt, Some(self.cfg.sim_shards))?;
         let server = CacheServer::new(ServeConfig {
-            shards: asm.shards,
+            shards: asm.part.shards(),
             clients: self.cfg.serve_clients,
             queue_depth: self.cfg.serve_queue_depth,
             fault: self.cfg.fault,
@@ -631,13 +657,26 @@ mod tests {
         sys.fit(&WorkloadKind::Memtier.default_workload().generate(n, 6))
             .unwrap();
         let model = sys.model().unwrap().clone();
-        // `tenths` of the records on even pages — even sets, shard 0.
-        let split = |tenths: usize| {
-            let page = |i: usize| 2 * (i % 1_000) as u64 + u64::from(i % 10 >= tenths);
+        let trace = |page: &dyn Fn(usize) -> u64| {
             let records = (0..n).map(|i| TraceRecord::new(Op::Read, page(i) << 12));
             Trace::from_records(records.collect())
         };
-        let (even, seventy, eighty) = (split(5), split(7), split(8));
+        // Seven tenths of the records on even sets: `set mod 2` would give
+        // shard 0 70 %, a mask with a higher bit splits both parities.
+        let even = trace(&|i| 2 * (i % 1_000) as u64 + u64::from(i % 10 >= 7));
+        // `tenths` of the records on one set (32 sets), the rest spread
+        // over all of them: no mask splits a set, so one shard owns about
+        // `tenths / 10 + (1 - tenths / 10) / 2` of the trace.
+        let hot = |tenths: usize| {
+            trace(&|i| {
+                if i % 10 < tenths {
+                    32 * (i % 7) as u64
+                } else {
+                    (i % 1_000) as u64
+                }
+            })
+        };
+        let (seventy, eighty) = (hot(4), hot(6));
         let short = Trace::from_records(even.records()[..FANOUT_MIN].to_vec());
         let two = thread::available_parallelism().map_or(1, |n| n.get().min(FANOUT_SHARDS));
         let adapt = AdaptPlan::drifty(1);
@@ -681,9 +720,10 @@ mod tests {
             .unwrap();
             sys.set_model(model.clone());
             let free = sys.assemble(trace, mode, adapt, None).unwrap();
-            assert_eq!(free.shards, want, "{mode} {fault:?} {adapt:?}");
+            assert_eq!(free.part.shards(), want, "{mode} {fault:?} {adapt:?}");
             // `run_sharded` and `serve` keep the configured count.
-            assert_eq!(sys.assemble(trace, mode, adapt, Some(3)).unwrap().shards, 3);
+            let fixed = sys.assemble(trace, mode, adapt, Some(3)).unwrap();
+            assert_eq!(fixed.part.shards(), 3);
         }
     }
 

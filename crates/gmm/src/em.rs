@@ -37,10 +37,6 @@ pub struct EmConfig {
     pub reg_covar: f64,
     /// RNG seed (initialization and empty-component re-seeding).
     pub seed: u64,
-    /// E-step worker threads; `0` selects the available parallelism. A
-    /// fit uses at most two: the batch splits into two halves, whatever
-    /// the count, so the model does not depend on the host's cores.
-    pub threads: usize,
 }
 
 impl Default for EmConfig {
@@ -51,7 +47,6 @@ impl Default for EmConfig {
             tol: 1e-4,
             reg_covar: 1e-6,
             seed: 0x0D0C_5EED,
-            threads: 0,
         }
     }
 }
@@ -323,7 +318,7 @@ impl EmTrainer {
         for _ in 0..self.cfg.max_iters {
             iterations += 1;
             let scorer = GmmScorer::from_params(&weights, &means, &covs)?;
-            let stats = e_step(&scorer, xs, ws, self.cfg.threads);
+            let stats = e_step(&scorer, xs, ws);
 
             m_step(
                 &stats,
@@ -426,16 +421,26 @@ const PARALLEL_ESTEP_MIN: usize = 4_096;
 /// One E-step: the sufficient statistics of `xs` (weights `ws`, empty ⇒
 /// one per sample) under `scorer`. A batch of at least
 /// `PARALLEL_ESTEP_MIN` samples is summed in two halves merged in order —
-/// on two workers unless `threads` is 1 (`0` selects the available
-/// parallelism) — so the sums are the same at every `threads`. Samples no
-/// component reaches (non-finite input) contribute nothing. The halves
-/// accumulate in the scorer's slot order; the columns returned are in
-/// component order, un-permuted once here.
+/// on two workers when the host has a second core, serially otherwise —
+/// so the sums do not depend on the host's cores. Samples no component
+/// reaches (non-finite input) contribute nothing. The halves accumulate in
+/// the scorer's slot order; the columns returned are in component order,
+/// un-permuted once here.
 ///
 /// # Panics
 ///
 /// Panics if `ws` is non-empty and `ws.len() != xs.len()`.
-pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64], threads: usize) -> SuffStats {
+pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64]) -> SuffStats {
+    // Only a split batch asks for the core count (a syscall and a few
+    // hundred bytes of cgroup parsing), as a refit's never does.
+    let split = xs.len() >= PARALLEL_ESTEP_MIN;
+    let cores = || thread::available_parallelism().map_or(1, |n| n.get());
+    e_step_on(scorer, xs, ws, split && cores() > 1)
+}
+
+/// [`e_step`], with a split batch's halves on two workers when `workers`
+/// is set and on the calling thread otherwise.
+fn e_step_on(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64], workers: bool) -> SuffStats {
     assert!(
         ws.is_empty() || ws.len() == xs.len(),
         "weights must be empty or match samples"
@@ -454,12 +459,7 @@ pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64], threads: usize) -> Su
         accumulate(scorer, &xs[lo..hi], ws, lo, &mut sums, terms);
         sums
     };
-    let serial = mid == len
-        || match threads {
-            0 => !thread::available_parallelism().is_ok_and(|n| n.get() > 1),
-            t => t == 1,
-        };
-    if serial {
+    if mid == len || !workers {
         // An accumulator starts at +0.0 and never becomes -0.0, so the
         // first half summed straight into `stats` has the bits of
         // `zeros + half`.
@@ -654,53 +654,66 @@ mod tests {
         assert!(gmm.k() <= 3);
     }
 
+    /// Every column of `stats` as bits.
+    fn stat_bits(stats: &SuffStats) -> Vec<u64> {
+        let columns = [
+            &stats.nk, &stats.sx0, &stats.sx1, &stats.sxx, &stats.sxy, &stats.syy,
+        ];
+        let bits = columns.into_iter().flatten().map(|v| v.to_bits());
+        bits.chain([stats.loglik.to_bits()]).collect()
+    }
+
     #[test]
     fn parallel_and_serial_estep_agree() {
-        let xs = synth_mixture(6_000, 9);
-        let mk = |threads| {
-            EmTrainer::new(EmConfig {
-                k: 3,
-                max_iters: 8,
-                tol: 1e-12,
-                threads,
-                seed: 42,
-                ..Default::default()
-            })
-            .unwrap()
-            .fit(&xs, &[])
-            .unwrap()
-        };
-        let (_, r1) = mk(1);
-        let (_, r4) = mk(4);
-        for (a, b) in r1.log_likelihood.iter().zip(&r4.log_likelihood) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+        // Above and below `PARALLEL_ESTEP_MIN`, weighted and not: two
+        // workers sum what the calling thread sums, bit for bit.
+        let gmm = EmTrainer::new(EmConfig {
+            k: 3,
+            max_iters: 8,
+            seed: 42,
+            ..Default::default()
+        })
+        .unwrap()
+        .fit(&synth_mixture(2_000, 8), &[])
+        .unwrap()
+        .0;
+        let scorer = GmmScorer::from_gmm(&gmm);
+        for n in [100, PARALLEL_ESTEP_MIN - 1, PARALLEL_ESTEP_MIN, 6_001] {
+            let xs = synth_mixture(n, 9);
+            let ws: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
+            for ws in [&[][..], &ws] {
+                let serial = e_step_on(&scorer, &xs, ws, false);
+                let two = e_step_on(&scorer, &xs, ws, true);
+                assert_eq!(stat_bits(&two), stat_bits(&serial), "n = {n}");
+                assert_eq!(stat_bits(&e_step(&scorer, &xs, ws)), stat_bits(&serial));
+            }
         }
     }
 
     #[test]
     fn fit_is_bit_identical_at_every_thread_count() {
-        // Above `PARALLEL_ESTEP_MIN`, so every E-step is split in two.
+        // Above `PARALLEL_ESTEP_MIN`, so every E-step is split in two: at
+        // each mixture a fit passes through, the two-worker sums are the
+        // serial ones, so the fit is the same on one core and on many.
         let xs = synth_mixture(6_001, 10);
         let ws: Vec<f64> = (0..xs.len()).map(|i| 1.0 + (i % 3) as f64).collect();
-        let fit = |threads| {
+        let fit = |max_iters| {
             let cfg = EmConfig {
                 k: 8,
-                max_iters: 12,
-                threads,
+                max_iters,
                 ..Default::default()
             };
-            let (gmm, report) = EmTrainer::new(cfg).unwrap().fit(&xs, &ws).unwrap();
-            let mut bits: Vec<u64> = gmm.weights().iter().map(|w| w.to_bits()).collect();
-            for c in gmm.components() {
-                let (m, s) = (c.mean(), c.cov());
-                bits.extend([m[0], m[1], s.xx, s.xy, s.yy].map(f64::to_bits));
-            }
-            let mll: Vec<u64> = report.log_likelihood.iter().map(|l| l.to_bits()).collect();
-            (bits, mll, report)
+            EmTrainer::new(cfg).unwrap().fit(&xs, &ws).unwrap().0
         };
-        let one = fit(1);
-        for threads in [0, 2, 3] {
-            assert_eq!(fit(threads), one, "threads = {threads}");
+        for iters in [1, 4, 12] {
+            let scorer = GmmScorer::from_gmm(&fit(iters));
+            let serial = e_step_on(&scorer, &xs, &ws, false);
+            let two = e_step_on(&scorer, &xs, &ws, true);
+            assert_eq!(
+                stat_bits(&two),
+                stat_bits(&serial),
+                "after {iters} iterations"
+            );
         }
     }
 

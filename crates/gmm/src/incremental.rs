@@ -108,7 +108,7 @@ impl IncrementalEm {
     pub fn refit(&mut self, xs: &[Vec2], ws: &[f64]) -> Result<Gmm, GmmError> {
         let batch_w = total_weight(xs, ws)?;
         let scorer = GmmScorer::from_params(&self.weights, &self.means, &self.covs)?;
-        let batch = e_step(&scorer, xs, ws, self.cfg.threads);
+        let batch = e_step(&scorer, xs, ws);
         self.last_batch_mll = batch.loglik / batch_w;
 
         self.stats.scale(self.decay);
@@ -181,7 +181,6 @@ mod tests {
         let cfg = EmConfig {
             k,
             max_iters: 30,
-            threads: 1,
             ..Default::default()
         };
         let (gmm, _) = EmTrainer::new(cfg).unwrap().fit(xs, &[]).unwrap();

@@ -163,7 +163,7 @@ fn vectorised_estep_matches_the_scalar_reference_at_every_k() {
         let ws: Vec<f64> = (0..xs.len()).map(|i| 0.25 + (i % 7) as f64).collect();
         for (ws, label) in [(&[][..], "unweighted"), (&ws[..], "weighted")] {
             let want = reference_e_step(&gmm, &xs, ws);
-            let got = e_step(&scorer, &xs, ws, 1);
+            let got = e_step(&scorer, &xs, ws);
             assert_stats_agree(&got, &want, &format!("K={k} {label}"));
             if k > 2 {
                 assert_eq!(
@@ -178,30 +178,29 @@ fn vectorised_estep_matches_the_scalar_reference_at_every_k() {
 
 #[test]
 fn parallel_estep_matches_the_scalar_reference() {
-    // Above the serial/parallel crossover the batch really is split, at
-    // ragged boundaries with three workers, and the partials merged.
+    // Above the serial/parallel crossover the batch really is split in two
+    // halves (on two workers when the host has a second core) and the
+    // partials merged.
     let gmm = mixture(9, 0xBEE);
     let scorer = GmmScorer::from_gmm(&gmm);
     let xs = samples(5_000, 77);
     let ws: Vec<f64> = (0..xs.len()).map(|i| 1.0 + (i % 3) as f64).collect();
     let want = reference_e_step(&gmm, &xs, &ws);
-    for threads in [2, 3] {
-        let got = e_step(&scorer, &xs, &ws, threads);
-        assert_stats_agree(&got, &want, &format!("threads={threads}"));
-    }
+    let got = e_step(&scorer, &xs, &ws);
+    assert_stats_agree(&got, &want, "split batch");
 }
 
 #[test]
 fn estep_statistics_do_not_depend_on_component_order() {
     // Every K serially, and one batch large enough to really be split.
-    let cases = KS.map(|k| (k, 300, 1)).into_iter().chain([(9, 4_300, 3)]);
-    for (k, n, threads) in cases {
+    let cases = KS.map(|k| (k, 300)).into_iter().chain([(9, 4_300)]);
+    for (k, n) in cases {
         let gmm = mixture(k, 0x0DE4);
         let (mixed, perm) = shuffled(&gmm, k as u64);
         let xs = samples(n, 3 * k as u64);
         let ws: Vec<f64> = (0..xs.len()).map(|i| 0.5 + (i % 5) as f64).collect();
-        let want = e_step(&GmmScorer::from_gmm(&gmm), &xs, &ws, threads);
-        let got = e_step(&GmmScorer::from_gmm(&mixed), &xs, &ws, threads);
+        let want = e_step(&GmmScorer::from_gmm(&gmm), &xs, &ws);
+        let got = e_step(&GmmScorer::from_gmm(&mixed), &xs, &ws);
         assert_eq!(got.loglik.to_bits(), want.loglik.to_bits(), "K={k}");
         let columns = [
             (&got.nk, &want.nk),
@@ -216,7 +215,7 @@ fn estep_statistics_do_not_depend_on_component_order() {
                 assert_eq!(
                     got[i].to_bits(),
                     want[j].to_bits(),
-                    "K={k} threads={threads} column {c}: shuffled component {i} is \
+                    "K={k} n={n} column {c}: shuffled component {i} is \
                      component {j}"
                 );
             }
@@ -269,7 +268,6 @@ fn fixed_seed_fit_ends_where_the_reference_loop_does() {
         k: 16,
         max_iters: ITERS,
         tol: 1e-300, // never converge early: both sides run ITERS steps
-        threads: 1,
         seed: 0xACE,
         ..Default::default()
     };

@@ -170,13 +170,12 @@ fn fit_and_incremental_refit_match_the_captured_tables_bit_for_bit() {
     } else {
         (FIT_NO_FMA, REFIT_NO_FMA, MLL_NO_FMA)
     };
-    // One E-step thread: the pinned sums must not depend on the host's
-    // core count.
+    // 400 samples, below the E-step's split: the pinned sums are one
+    // serial pass on every host.
     let cfg = EmConfig {
         k: 4,
         max_iters: 25,
         tol: 1e-9,
-        threads: 1,
         seed: 0x1C6,
         ..Default::default()
     };

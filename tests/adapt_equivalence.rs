@@ -79,7 +79,6 @@ mod inline_oracle {
         ) -> Self {
             let trainer_cfg = EmConfig {
                 seed: salt(plan.seed, shard, 1),
-                threads: 1,
                 ..em
             };
             let reservoir_salt = salt(plan.seed, shard, 2);

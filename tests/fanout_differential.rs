@@ -1,10 +1,11 @@
 //! `Icgmm::run` and `Icgmm::run_dataflow` pick their own shard count: a
 //! replay whose report cannot depend on it, over a slice two shards split
-//! evenly enough, fans out to two shards on a multi-core host; any other
-//! keeps one shard. Either way the report is `run_sharded`'s at
-//! `sim_shards = 1`, bit for bit — for every policy mode, Belady's MIN
-//! included, under scorer faults, and under device faults and an armed
-//! shard panic point, which keep one shard.
+//! evenly enough under the mask a sample chose, fans out to two shards on a
+//! multi-core host; any other keeps one shard. Either way the report is
+//! `run_sharded`'s at `sim_shards = 1`, bit for bit — for every policy
+//! mode, Belady's MIN included, under scorer faults, over a trace whose hot
+//! sets `set mod 2` would put on one shard, and under device faults and an
+//! armed shard panic point, which keep one shard.
 
 use icgmm::{AdaptPlan, Icgmm, IcgmmConfig, PolicyMode, TrainedModel};
 use icgmm_cache::{CacheConfig, FaultPlan, LatencyModel};
@@ -13,6 +14,7 @@ use icgmm_hw::{DataflowConfig, DataflowReport};
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
 use icgmm_trace::{PreprocessConfig, Trace, TraceRecord};
 use std::sync::OnceLock;
+use std::thread;
 
 const MODES: [PolicyMode; 5] = [
     PolicyMode::Lru,
@@ -45,6 +47,24 @@ fn fixture() -> &'static (Trace, TrainedModel) {
         sys.fit(&trace).unwrap();
         let model = sys.model().expect("fitted").clone();
         (trace, model)
+    })
+}
+
+/// The fixture's trace with 44 % of its records moved onto four hot even
+/// sets (0, 2, 4, 6 of 64; twelve pages each, so they conflict in eight
+/// ways): `set mod 2` puts about 72 % of it on shard 0, past every fan-out
+/// bound, while a mask with bit 1 set splits the hot sets two and two.
+fn hot_sets() -> &'static Trace {
+    static HOT: OnceLock<Trace> = OnceLock::new();
+    HOT.get_or_init(|| {
+        let records = fixture().0.records().iter().enumerate().map(|(i, r)| {
+            if i % 25 >= 11 {
+                return *r;
+            }
+            let (set, tag) = (2 * (i % 4) as u64, (i / 4 % 12) as u64);
+            TraceRecord::new(r.op(), (tag * 64 + set) << 12)
+        });
+        Trace::from_records(records.collect())
     })
 }
 
@@ -120,6 +140,47 @@ fn run_and_dataflow_report_what_one_shard_does() {
             let got = sys.run_dataflow(trace, mode, &df).unwrap();
             assert_eq!(got, want, "{what} dataflow");
         }
+    }
+}
+
+#[test]
+fn hot_sets_fan_out_on_a_sampled_mask_and_report_what_one_shard_does() {
+    let trace = hot_sets();
+    let plan = faults(0, 0);
+    let sys = system(cfg(plan, AdaptPlan::empty(), 1));
+    let sets = sys.config().cache;
+    let even = (trace.records().iter())
+        .filter(|r| sets.set_of(r.page()).is_multiple_of(2))
+        .count();
+    assert!(
+        10 * even >= 7 * trace.len(),
+        "set mod 2: {even} of {}",
+        trace.len()
+    );
+    let df = DataflowConfig::default();
+    let timed = system(IcgmmConfig {
+        latency: df.latency(),
+        ..cfg(plan, AdaptPlan::empty(), 1)
+    });
+    let two = thread::available_parallelism().map_or(1, |n| n.get().min(2));
+    for mode in MODES {
+        // LRU included: its 5 / 8 bound holds under the sampled mask.
+        let part = sys.replay_partition(trace, mode).unwrap();
+        assert_eq!(part.shards(), two, "{mode}");
+        if two == 2 {
+            assert_ne!(part.mask(), Some(1), "{mode}: the sample chose set mod 2");
+        }
+        let one = sys.run_sharded(trace, mode).unwrap();
+        assert_eq!(sys.run(trace, mode).unwrap(), one, "{mode}");
+        if mode.uses_gmm() {
+            assert!(one.sim.fault.scorer_nan_injected > 0, "{mode}");
+        }
+        let want = DataflowReport::from_sim(&timed.run_sharded(trace, mode).unwrap().sim, &df);
+        assert_eq!(
+            sys.run_dataflow(trace, mode, &df).unwrap(),
+            want,
+            "{mode} dataflow"
+        );
     }
 }
 
