@@ -10,14 +10,18 @@
 //! # Layout and the one compare
 //!
 //! A set is a *row*: `ways` consecutive `u64` tags (8 ways = one 64-byte
-//! line) and, in a parallel array, one flag byte per block (valid, dirty).
+//! line) and, in a parallel array, one dirty byte per block. An empty way
+//! holds the tag `EMPTY` = `u64::MAX`, which no tag reaches (a
+//! [`TraceRecord`]'s page is below 2^51), so hit, free way and eviction
+//! read the tag row alone; a flag byte compared beside each tag cost a
+//! one-shard LRU replay ≈ 10 % (ROADMAP, "Cache simulator").
 //! A request decodes `page → (set, tag)` once through the cache's
 //! [`SetMap`] and compares the tag against **every** way of the row, with
 //! no early exit — a fixed-trip loop the compiler vectorises, the software
 //! shape of the hardware's one-cycle parallel compare. Reducing the
 //! per-way matches to "the" hit way is exact because a page occupies at
-//! most one valid way of its set: insertion is the only writer of tags and
-//! runs only after the compare found none. [`SetAssocCache::lookup`],
+//! most one way of its set: insertion is the only writer of tags and runs
+//! only after the compare found none. [`SetAssocCache::lookup`],
 //! [`SetAssocCache::contains`] and the access path share that compare, and
 //! an access performs it exactly once: the miss score is taken lazily
 //! ([`SetAssocCache::access_scored`]), after the compare and on a miss
@@ -42,11 +46,12 @@
 
 use crate::config::{CacheConfig, CacheConfigError, SetMap};
 use crate::policy::{AccessCtx, Policy};
-use icgmm_trace::{Op, PageIndex, TraceRecord};
+use icgmm_trace::{Op, PageIndex, TraceRecord, MAX_PADDR, PAGE_SHIFT};
 use serde::{Deserialize, Serialize};
 
 /// One tag-store entry, as [`SetAssocCache::block`] reports it (the store
-/// itself keeps tags and flags in flat rows).
+/// itself keeps tags and dirty bytes in flat rows). An empty way reads
+/// `BlockState::default()`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlockState {
     /// Tag (page index divided by the set count).
@@ -118,23 +123,28 @@ pub struct SetAssocCache {
     shards: usize,
     row_shift: Option<u32>,
     /// Holds the tag rows from `tag_base` on: `tags()[row * ways + way]`,
-    /// 0 where the flag byte is not valid.
+    /// `EMPTY` where the way holds no page.
     tag_store: Vec<u64>,
     tag_base: usize,
-    /// `VALID` / `DIRTY` bits, parallel to `tags()`.
+    /// `DIRTY` or 0, parallel to `tags()`; 0 on an empty way.
     flags: Vec<u8>,
 }
 
-const VALID: u8 = 1;
-const DIRTY: u8 = 2;
+/// The tag of an empty way. No page has it: tags are below 2^51.
+const EMPTY: u64 = u64::MAX;
+
+/// The largest page index a [`TraceRecord`] can carry.
+const MAX_PAGE: u64 = MAX_PADDR >> PAGE_SHIFT;
+
+const DIRTY: u8 = 1;
 
 /// Tags per 64-byte line.
 const LINE_TAGS: usize = 64 / std::mem::size_of::<u64>();
 
-/// `n` zeroed tags starting on a 64-byte boundary: a store one line longer
+/// `n` empty tags starting on a 64-byte boundary: a store one line longer
 /// than `n`, and the offset of the first tag in it.
 fn aligned_tags(n: usize) -> (Vec<u64>, usize) {
-    let store = vec![0u64; n + LINE_TAGS - 1];
+    let store = vec![EMPTY; n + LINE_TAGS - 1];
     let past_line = store.as_ptr() as usize % 64;
     let base = (64 - past_line) % 64 / std::mem::size_of::<u64>();
     (store, base)
@@ -207,17 +217,21 @@ impl SetAssocCache {
         &self.cfg
     }
 
-    /// The one tag compare: the way of `row` holding `tag`, if any. Every
-    /// way is compared (no data-dependent exit) and the matches are summed
-    /// as `way + 1` — 0 on a miss, exact on a hit because at most one way
-    /// can match.
+    /// The tags of `row`.
+    #[inline]
+    fn tag_row(&self, row: usize) -> &[u64] {
+        let start = self.tag_base + row * self.cfg.ways;
+        &self.tag_store[start..start + self.cfg.ways]
+    }
+
+    /// The one tag compare: the way of `row` holding `tag` (never
+    /// `EMPTY`), if any. Every way is compared (no data-dependent exit)
+    /// and the matches are summed as `way + 1` — 0 on a miss, exact on a
+    /// hit because at most one way can match.
     #[inline]
     fn find(&self, row: usize, tag: u64) -> Option<usize> {
-        let ways = self.cfg.ways;
-        let slots = row * ways..row * ways + ways;
-        let tag_row = self.tag_base + slots.start..self.tag_base + slots.end;
-        let (tags, flags) = (&self.tag_store[tag_row], &self.flags[slots]);
-        let matches = || (tags.iter().zip(flags)).map(|(&t, &f)| t == tag && f & VALID != 0);
+        let tags = self.tag_row(row);
+        let matches = || tags.iter().map(|&t| t == tag);
         debug_assert!(
             matches().filter(|&m| m).count() <= 1,
             "page cached twice in row {row}"
@@ -228,8 +242,13 @@ impl SetAssocCache {
         hit.checked_sub(1)
     }
 
-    /// Parallel tag compare: the way holding `page`, if present.
+    /// Parallel tag compare: the way holding `page`, if present. A page
+    /// above `MAX_PADDR >> PAGE_SHIFT`, which no [`TraceRecord`] can carry,
+    /// is never present (its tag could be the empty way's).
     pub fn lookup(&self, page: PageIndex) -> Option<usize> {
+        if page.raw() > MAX_PAGE {
+            return None;
+        }
         let (set, tag) = self.map.split(page);
         self.find(self.row(set), tag)
     }
@@ -241,17 +260,20 @@ impl SetAssocCache {
 
     /// Number of valid blocks.
     pub fn occupancy(&self) -> usize {
-        self.flags.iter().filter(|&&f| f & VALID != 0).count()
+        self.tags().iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// A block's state (diagnostics and tests), by row — the set itself
     /// in a one-shard store.
     pub fn block(&self, row: usize, way: usize) -> BlockState {
         let slot = row * self.cfg.ways + way;
-        BlockState {
-            tag: self.tags()[slot],
-            valid: self.flags[slot] & VALID != 0,
-            dirty: self.flags[slot] & DIRTY != 0,
+        match self.tags()[slot] {
+            EMPTY => BlockState::default(),
+            tag => BlockState {
+                tag,
+                valid: true,
+                dirty: self.flags[slot] & DIRTY != 0,
+            },
         }
     }
 
@@ -331,22 +353,20 @@ impl SetAssocCache {
         policy: &mut Policy,
     ) -> (usize, Option<Eviction>) {
         let ways = self.cfg.ways;
-        let base = row * ways;
-        // Prefer an invalid way.
-        let way = self.flags[base..base + ways]
-            .iter()
-            .position(|f| f & VALID == 0)
+        // Prefer an empty way.
+        let way = (self.tag_row(row).iter())
+            .position(|&t| t == EMPTY)
             .unwrap_or_else(|| policy.choose_victim(row, ways, ctx));
         debug_assert!(way < ways, "policy returned way out of range");
-        let slot = base + way;
-        let old = self.flags[slot];
-        let evicted = (old & VALID != 0).then(|| Eviction {
-            page: self.map.page_of(set, self.tags()[slot]),
-            dirty: old & DIRTY != 0,
+        let slot = row * ways + way;
+        let old = self.tags()[slot];
+        let evicted = (old != EMPTY).then(|| Eviction {
+            page: self.map.page_of(set, old),
+            dirty: self.flags[slot] & DIRTY != 0,
         });
         self.tags_mut()[slot] = tag;
         // Write-allocate: a write miss fetches the page then dirties it.
-        self.flags[slot] = VALID | if ctx.op == Op::Write { DIRTY } else { 0 };
+        self.flags[slot] = if ctx.op == Op::Write { DIRTY } else { 0 };
         policy.on_insert(row, way, ctx);
         (way, evicted)
     }
@@ -354,7 +374,7 @@ impl SetAssocCache {
     /// Invalidates everything (keeps policy state; intended for tests and
     /// phase-reset experiments).
     pub fn clear(&mut self) {
-        self.tags_mut().fill(0);
+        self.tags_mut().fill(EMPTY);
         self.flags.fill(0);
     }
 }
@@ -554,6 +574,77 @@ mod tests {
                 assert_eq!(own.occupancy(), whole.occupancy());
             }
         }
+    }
+
+    #[test]
+    fn an_empty_way_holds_no_page_not_even_the_sentinel_tag() {
+        // At one set a page's tag is the page itself, so `u64::MAX` would
+        // meet the empty way's tag if `lookup` let it through.
+        let absent = [0, 1, 2_048, MAX_PAGE, MAX_PAGE + 1, u64::MAX - 1, u64::MAX];
+        for sets in [1u64, 3, 2_048] {
+            let cfg = CacheConfig::new(sets * 4 * 4096, 4096, 4).unwrap();
+            let mut c = SetAssocCache::new(cfg).unwrap();
+            let mut lru = Policy::lru(cfg.num_sets(), cfg.ways);
+            for round in 0..2 {
+                for p in absent.map(PageIndex::new) {
+                    assert_eq!(c.lookup(p), None, "{sets} sets, round {round}, {p:?}");
+                    assert!(!c.contains(p));
+                }
+                assert_eq!(c.occupancy(), 0);
+                for (set, way) in [(0, 0), (sets as usize - 1, 3)] {
+                    assert_eq!(c.block(set, way), BlockState::default());
+                }
+                // Fill every way, then empty the store again.
+                for p in 0..sets * 4 {
+                    c.access(&write(p), p, None, &mut lru);
+                }
+                assert_eq!(c.occupancy(), cfg.num_blocks());
+                assert!(!c.contains(PageIndex::new(u64::MAX)));
+                c.clear();
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_follows_inserts_evictions_and_clear() {
+        let (mut c, mut lru) = tiny();
+        let mut want = 0;
+        for (seq, p) in [0u64, 1, 0, 2, 3, 4, 5, 1].into_iter().enumerate() {
+            let out = c.access(&read(p), seq as u64, None, &mut lru);
+            if matches!(out, AccessOutcome::MissInserted { evicted: None, .. }) {
+                want += 1;
+            }
+            assert_eq!(c.occupancy(), want, "after page {p}");
+        }
+        assert_eq!(want, 4, "every way filled, then evictions keep it full");
+        c.clear();
+        assert_eq!(c.occupancy(), 0);
+        c.access(&read(7), 8, None, &mut lru);
+        assert_eq!(c.occupancy(), 1);
+    }
+
+    #[test]
+    fn a_write_hit_is_written_back_on_eviction() {
+        let (mut c, mut lru) = tiny();
+        c.access(&read(0), 0, None, &mut lru);
+        c.access(&write(0), 1, None, &mut lru);
+        c.access(&read(2), 2, None, &mut lru);
+        c.access(&read(2), 3, None, &mut lru); // page 0 is LRU
+        let out = c.access(&read(4), 4, None, &mut lru);
+        let evicted = Some(Eviction {
+            page: PageIndex::new(0),
+            dirty: true,
+        });
+        assert_eq!(out, AccessOutcome::MissInserted { way: 0, evicted });
+        // The way that took page 4 starts clean.
+        assert_eq!(
+            c.block(0, 0),
+            BlockState {
+                tag: 2,
+                valid: true,
+                dirty: false
+            }
+        );
     }
 
     #[test]

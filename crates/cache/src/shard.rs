@@ -408,14 +408,15 @@ impl<'a> ShardCtx<'a> {
 }
 
 /// [`ShardCtx::routed`]'s iterator. One shard takes every record untested;
-/// above one, `next_routed` applies the rule 64 records at a time into a
-/// bit mask — `members`, bit `i` for each of this shard's records at
-/// `base + i` not yet yielded. Both are measured choices (1.2 M `memtier`
-/// records): a branch per record mispredicts on about every other one at
-/// two shards (≈ 5.3 ns per trace record and shard, against ≈ 3.2), and
-/// the search inlined into the replay loop, as a `filter`, cost the
-/// one-shard replay — which never searches — ≈ 5 % (LRU, 10.4 → 10.9
-/// ns/record).
+/// above one, `refill` applies the rule 64 records at a time into a bit
+/// mask — `members`, bit `i` for each of this shard's records at
+/// `base + i` not yet yielded — and `next` takes its lowest bit inline.
+/// Measured choices (LRU, ≈ 1.1 M records): a branch per record
+/// mispredicts on about every other one at two shards (≈ 5.3 ns per trace
+/// record and shard, against ≈ 3.2); the whole search inlined, as a
+/// `filter`, cost the one-shard replay ≈ 5 %; with only `refill` out of
+/// line the one-shard replay reads level and a two-shard one 5–20 %
+/// faster than a call per record (ROADMAP, "Cache simulator").
 struct Walk<'t> {
     trace: &'t [TraceRecord],
     /// The first position not yet looked at.
@@ -437,23 +438,28 @@ impl<'t> Iterator for Walk<'t> {
                 self.next += 1;
                 Some(((self.next - 1) as u64, r))
             }
-            Some((part, shard)) => self.next_routed(part, shard),
+            Some((part, shard)) => {
+                if self.members == 0 && !self.refill(part, shard) {
+                    return None;
+                }
+                let pos = self.base + self.members.trailing_zeros() as usize;
+                self.members &= self.members - 1;
+                Some((pos as u64, &self.trace[pos]))
+            }
         }
     }
 }
 
-impl<'t> Walk<'t> {
+impl Walk<'_> {
+    /// Applies the rule to the next blocks of 64 records until one holds
+    /// a member of `shard`; `false` at the end of the trace.
     #[inline(never)]
-    fn next_routed(
-        &mut self,
-        part: ShardPartition,
-        shard: usize,
-    ) -> Option<(u64, &'t TraceRecord)> {
+    fn refill(&mut self, part: ShardPartition, shard: usize) -> bool {
         while self.members == 0 {
             let rest = &self.trace[self.next..];
             let block = &rest[..rest.len().min(64)];
             if block.is_empty() {
-                return None;
+                return false;
             }
             self.base = self.next;
             self.next += block.len();
@@ -461,9 +467,7 @@ impl<'t> Walk<'t> {
                 m | u64::from(part.shard_of(r.page()) == shard) << i
             });
         }
-        let pos = self.base + self.members.trailing_zeros() as usize;
-        self.members &= self.members - 1;
-        Some((pos as u64, &self.trace[pos]))
+        true
     }
 }
 

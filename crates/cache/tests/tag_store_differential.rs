@@ -1,7 +1,8 @@
 //! Differential suite for the flat-row tag store.
 //!
-//! [`SetAssocCache`] keeps a set as a row of tags plus a row of flag bytes
-//! and finds a page with one branch-free compare over the whole row. The
+//! [`SetAssocCache`] keeps a set as a row of tags, an empty way holding a
+//! tag no page can have, plus a row of dirty bytes, and finds a page with
+//! one branch-free compare over the tag row. The
 //! oracle here is the store it replaced — one `BlockState` per block, an
 //! early-exit scan, the set mapping spelled out as `%` and `/` — kept in
 //! this file so the two share no code. Over random geometries (power-of-

@@ -24,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use std::thread::{self, Scope};
 
 /// A replay that may pick its shard count ([`Icgmm::run`]) fans out to
@@ -45,6 +46,13 @@ use std::thread::{self, Scope};
 const FANOUT_MIN: usize = 65_536;
 const FANOUT_SHARDS: usize = 2;
 const FANOUT_SAMPLES: usize = 4_096;
+
+/// The host's core count, read once per process: the query parses cgroup
+/// files and allocates on every call (≈ 13 µs and ≈ 0.5 KiB).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Summary of one `fit` (offline training) invocation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -315,7 +323,6 @@ impl Icgmm {
         let fault = &self.cfg.fault;
         let per_shard = engine.is_some() && (!adapt.is_empty() || fault.monitor_armed());
         let free = !per_shard && !fault.shard_armed() && !fault.device_armed();
-        let cores = || thread::available_parallelism().map_or(1, |n| n.get());
         let fan = free && shards.is_none() && end >= FANOUT_MIN && cores() >= FANOUT_SHARDS;
         let part = match fan.then(|| self.balanced(mode, records)).flatten() {
             Some(part) => part,
@@ -678,7 +685,7 @@ mod tests {
         };
         let (seventy, eighty) = (hot(4), hot(6));
         let short = Trace::from_records(even.records()[..FANOUT_MIN].to_vec());
-        let two = thread::available_parallelism().map_or(1, |n| n.get().min(FANOUT_SHARDS));
+        let two = cores().min(FANOUT_SHARDS);
         let adapt = AdaptPlan::drifty(1);
         let monitor = FaultPlan {
             scorer_demote_after: 4,

@@ -431,11 +431,8 @@ const PARALLEL_ESTEP_MIN: usize = 4_096;
 ///
 /// Panics if `ws` is non-empty and `ws.len() != xs.len()`.
 pub fn e_step(scorer: &GmmScorer, xs: &[Vec2], ws: &[f64]) -> SuffStats {
-    // Only a split batch asks for the core count (a syscall and a few
-    // hundred bytes of cgroup parsing), as a refit's never does.
     let split = xs.len() >= PARALLEL_ESTEP_MIN;
-    let cores = || thread::available_parallelism().map_or(1, |n| n.get());
-    e_step_on(scorer, xs, ws, split && cores() > 1)
+    e_step_on(scorer, xs, ws, split && crate::cores() > 1)
 }
 
 /// [`e_step`], with a split batch's halves on two workers when `workers`

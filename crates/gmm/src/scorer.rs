@@ -728,10 +728,7 @@ impl GmmScorer {
     pub fn score_batch_parallel(&self, xs: &[Vec2], out: &mut [f64], threads: usize) {
         assert_eq!(xs.len(), out.len(), "output length must match input");
         let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(16)
+            crate::cores().min(16)
         } else {
             threads
         };

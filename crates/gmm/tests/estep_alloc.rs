@@ -44,12 +44,14 @@ fn estep_allocations_do_not_grow_with_the_sample_count() {
     let scorer = GmmScorer::from_gmm(&gmm);
 
     let column = K * std::mem::size_of::<f64>();
-    // A split batch asks for the core count (a few hundred bytes of
-    // cgroup parsing) and, when the host has a second core, is summed on
-    // two workers: each half into seven columns of its own, beside the
-    // caller's seven, plus two thread spawns.
+    // A split batch is summed, when the host has a second core, on two
+    // workers: each half into seven columns of its own, beside the
+    // caller's seven, plus two thread spawns (664 B measured).
+    // The core count it asks for is read once per process, by the first
+    // split batch, here.
+    e_step(&scorer, &large, &[]);
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-    let (split, bookkeeping) = (if workers { 21 } else { 13 }, 4_096);
+    let (split, bookkeeping) = if workers { (21, 1_024) } else { (13, 0) };
     let mut split_bytes = Vec::new();
     for (xs, n) in [(&small, 7), (&below, 7), (&large, split), (&larger, split)] {
         let (stats, bytes) = allocated_by(|| e_step(&scorer, xs, &[]));
