@@ -3,7 +3,7 @@
 //!
 //! The GMM-aware adaptive engine lives in `icgmm-core` (this crate is
 //! deliberately model-agnostic); what lives here is everything the cache
-//! and serving layers need to carry and merge:
+//! and serving layers need to carry:
 //!
 //! * [`AdaptPlan`] — a seeded, `Copy` description of the online loop:
 //!   how often to check for drift and how far the likelihood must fall to
@@ -19,7 +19,9 @@
 //!   the scorer generation and the global position of the last swap. A
 //!   shard's adaptive engine keeps its own block as a plain field and
 //!   hands it over through [`crate::ScoreSource::telemetry`] once the
-//!   shard has replayed; sharded reports merge the blocks in shard order.
+//!   shard has replayed. Every shard's engine learns from the whole
+//!   slice, so the shards' blocks are one, and a sharded report carries
+//!   it once.
 //! * [`Reservoir`] — a seeded Algorithm-R reservoir over observed
 //!   `(page, position)` samples: the refit training buffer. Replacement
 //!   decisions reuse the stateless fault-roll hash, so the buffer
@@ -140,9 +142,9 @@ impl AdaptPlan {
 
 /// Online-adaptation counters for one run.
 ///
-/// Carried on [`crate::SimReport`]; merged across shards in shard order
-/// (sums for event counters, maxima for the generation/position stamps),
-/// so sharded reports are as deterministic as single-threaded ones.
+/// Carried on [`crate::SimReport`]. The refit loop walks the whole
+/// replayed slice on every shard, so every shard reports the same block
+/// and a sharded report carries it once ([`crate::ShardSupervisor::merge`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct AdaptStats {
     /// Drift checks performed.
@@ -167,19 +169,6 @@ pub struct AdaptStats {
 }
 
 impl AdaptStats {
-    /// Accumulates `other` into `self`: counters add, the generation and
-    /// last-swap stamps take the maximum across shards.
-    pub fn merge(&mut self, other: &AdaptStats) {
-        self.checks += other.checks;
-        self.drifts += other.drifts;
-        self.refits += other.refits;
-        self.refit_failures += other.refit_failures;
-        self.swaps += other.swaps;
-        self.evals += other.evals;
-        self.generation = self.generation.max(other.generation);
-        self.last_swap_pos = self.last_swap_pos.max(other.last_swap_pos);
-    }
-
     /// `true` when no check ran and no refit fired — the block an empty
     /// plan must produce.
     pub fn is_clean(&self) -> bool {
@@ -415,39 +404,6 @@ mod tests {
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn stats_merge_sums_counters_and_maxes_stamps() {
-        let mut a = AdaptStats {
-            checks: 3,
-            drifts: 1,
-            refits: 1,
-            swaps: 1,
-            evals: 100,
-            generation: 1,
-            last_swap_pos: 500,
-            ..AdaptStats::default()
-        };
-        let b = AdaptStats {
-            checks: 2,
-            refit_failures: 1,
-            evals: 60,
-            generation: 3,
-            last_swap_pos: 200,
-            ..AdaptStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.checks, 5);
-        assert_eq!(a.drifts, 1);
-        assert_eq!(a.refits, 1);
-        assert_eq!(a.refit_failures, 1);
-        assert_eq!(a.swaps, 1);
-        assert_eq!(a.evals, 160);
-        assert_eq!(a.generation, 3, "generation is a max, not a sum");
-        assert_eq!(a.last_swap_pos, 500, "swap position is a max");
-        assert!(!a.is_clean());
-        assert!(AdaptStats::default().is_clean());
     }
 
     fn obs(i: u64) -> ObsSample {

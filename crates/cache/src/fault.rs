@@ -47,7 +47,7 @@
 //! counts its injections, its monitor the ladder's transitions and the
 //! scores it withheld, the shard supervisor its panics and recoveries, and
 //! the replay loop's accounting step the device faults of every measured
-//! miss ([`FaultPlan::device_command_us`]) — for whichever front-end fed
+//! miss ([`FaultPlan::device_command_as`]) — for whichever front-end fed
 //! it the record: `run`, `run_sharded`, `serve` and `run_dataflow` alike.
 //! Whoever replayed a shard reads them once, after the shard's last
 //! record ([`ScoreSource::telemetry`] for the score stack's); an attempt
@@ -63,6 +63,7 @@ use icgmm_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 
 use crate::adapt::AdaptStats;
+use crate::latency::{attos, check_us};
 use crate::score::ScoreSource;
 
 /// Decision streams, so the same position can roll independently for each
@@ -250,18 +251,8 @@ impl FaultPlan {
                 self.device_retry_limit
             ));
         }
-        if !self.device_backoff_us.is_finite() || self.device_backoff_us < 0.0 {
-            return Err(format!(
-                "fault.device_backoff_us must be finite and >= 0, got {}",
-                self.device_backoff_us
-            ));
-        }
-        if !self.device_timeout_us.is_finite() || self.device_timeout_us < 0.0 {
-            return Err(format!(
-                "fault.device_timeout_us must be finite and >= 0, got {}",
-                self.device_timeout_us
-            ));
-        }
+        check_us("fault.device_backoff_us", self.device_backoff_us)?;
+        check_us("fault.device_timeout_us", self.device_timeout_us)?;
         if self.scorer_demote_after > 0 && self.scorer_promote_after == 0 {
             return Err(
                 "fault.scorer_promote_after must be >= 1 when the health monitor is armed".into(),
@@ -286,23 +277,26 @@ impl FaultPlan {
 
     /// Service time of SSD command `cmd` — 0 for the fetch or the bypassed
     /// access, 1 for the dirty write-back — of the request at trace
-    /// position `pos`, whose nominal latency is `nominal`: a spike roll
-    /// scales the attempt latency once, then each failed attempt (each
-    /// rolls independently, so retries can succeed) adds its exponential
-    /// backoff until one succeeds or the retry limit turns into the
-    /// host-side timeout. Counts what it injects in `stats`, the time
-    /// beyond `nominal` in [`FaultStats::device_fault_us`]. Every roll is a
-    /// pure hash of `(plan seed, pos, cmd)`, so a command's faulted time is
-    /// the same at every shard count and on every front-end.
-    pub fn device_command_us(
+    /// position `pos`, whose nominal latency is `nominal_us`, in whole
+    /// attoseconds: a spike roll scales the attempt latency once, then each
+    /// failed attempt (each rolls independently, so retries can succeed)
+    /// adds its exponential backoff until one succeeds or the retry limit
+    /// turns into the host-side timeout, and the sum is rounded once.
+    /// Counts what it injects in `stats`, the time beyond `nominal_us` in
+    /// [`FaultStats::device_fault_as`]. Every roll is a pure hash of `(plan
+    /// seed, pos, cmd)`, so a command's faulted time is the same at every
+    /// shard count and on every front-end. Under validated constants (each
+    /// below 2^64 as) it is below 2^81 as: 17 attempts spiked 8×, a backoff
+    /// factor of at most 2^16 − 1, the timeout.
+    pub fn device_command_as(
         &self,
         pos: u64,
         cmd: u64,
-        nominal: f64,
+        nominal_us: f64,
         stats: &mut FaultStats,
-    ) -> f64 {
+    ) -> u128 {
         let key = 2 * pos + cmd;
-        let mut attempt_us = nominal;
+        let mut attempt_us = nominal_us;
         let spike = fault_roll(self.seed, STREAM_DEVICE_SPIKE, key, 0);
         if roll_hits(spike, self.device_spike_per_mille) {
             attempt_us *= DEVICE_SPIKE_MULT;
@@ -326,9 +320,17 @@ impl FaultPlan {
             stats.device_retries += 1;
             attempt += 1;
         }
-        stats.device_fault_us += total - nominal;
+        let total = attos(total);
+        add_as(&mut stats.device_fault_as, total - attos(nominal_us));
         total
     }
+}
+
+/// Adds `t` attoseconds to one of a run's device-time sums: checked, so
+/// past 2^47 worst-case commands (2^81 as each, see
+/// [`FaultPlan::device_command_as`]) it stops the replay rather than wrap.
+pub(crate) fn add_as(sum: &mut u128, t: u128) {
+    *sum = sum.checked_add(t).expect("device time past 2^128 as");
 }
 
 /// Fault-injection and degradation counters for one run.
@@ -352,17 +354,22 @@ pub struct FaultStats {
     pub device_timeouts: u64,
     /// SSD commands hit by a tail-latency spike.
     pub device_spikes: u64,
-    /// Modeled µs charged beyond nominal device latency (spikes, retries,
-    /// backoff, timeouts).
-    pub device_fault_us: f64,
-    /// Modeled request µs the device faults added: over the faulted
-    /// misses, inference ∥ SSD (or one after the other, without overlap)
-    /// under the faulted SSD time minus under the nominal one. `SimReport::
-    /// total_us` is `LatencyModel::total_us` of the stats plus this. It is
-    /// its own sum, not a difference of totals: it leaves out the engine
-    /// overhead, so it is integer-valued under integer device constants and
-    /// adds up to the same value at every shard count.
-    pub device_request_us: f64,
+    /// Modeled time charged beyond nominal device latency (spikes,
+    /// retries, backoff, timeouts): each command's faulted time rounded
+    /// once to whole attoseconds, minus its nominal time rounded the same
+    /// way. An integer sum, so the same in any order and at every shard
+    /// count; [`crate::micros`] reads it in µs. Not picoseconds: they put a
+    /// miss whose faulted SSD time crosses the inference time up to 1 ps
+    /// off the dataflow timeline (7 × 10⁻¹¹ relative at K = 20 000), so
+    /// every constant stays below 2^64 as (18.4 s) instead. `u128`: see
+    /// [`FaultPlan::device_command_as`].
+    pub device_fault_as: u128,
+    /// Modeled request time the device faults added, in attoseconds: over
+    /// the faulted misses, inference ∥ SSD (or one after the other, without
+    /// overlap) under the faulted SSD time minus under the nominal one.
+    /// `SimReport::total_us` is `LatencyModel::total_us` of the stats plus
+    /// this in µs. Its own integer sum, not a difference of totals.
+    pub device_request_as: u128,
     /// Shard workers that panicked.
     pub shard_panics: u64,
     /// Panicked shards successfully re-replayed by the supervisor.
@@ -388,8 +395,8 @@ impl FaultStats {
         self.device_retries += other.device_retries;
         self.device_timeouts += other.device_timeouts;
         self.device_spikes += other.device_spikes;
-        self.device_fault_us += other.device_fault_us;
-        self.device_request_us += other.device_request_us;
+        add_as(&mut self.device_fault_as, other.device_fault_as);
+        add_as(&mut self.device_request_as, other.device_request_as);
         self.shard_panics += other.shard_panics;
         self.shard_recoveries += other.shard_recoveries;
         self.scorer_demotions += other.scorer_demotions;
@@ -592,6 +599,7 @@ impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::micros;
     use crate::score::ConstantScore;
 
     /// The ladder's counters, read the way a replay reads them.
@@ -657,6 +665,21 @@ mod tests {
         for p in bad {
             assert!(p.validate().is_err(), "{p:?} should be invalid");
         }
+        // Device times are summed in attoseconds: each constant must fit
+        // `u64` of them, up to and including the largest such value.
+        let max = crate::latency::tests::largest_admitted_us();
+        let timed = |backoff, timeout| FaultPlan {
+            device_backoff_us: backoff,
+            device_timeout_us: timeout,
+            ..FaultPlan::chaos(1)
+        };
+        for huge in [1e300, f64::MAX, max.next_up()] {
+            let err = timed(huge, 0.0).validate().unwrap_err();
+            assert!(err.contains("fault.device_backoff_us"), "{err}");
+            let err = timed(0.0, huge).validate().unwrap_err();
+            assert!(err.contains("fault.device_timeout_us"), "{err}");
+        }
+        assert!(timed(max, max).validate().is_ok());
         // The outage bound names its knob; the bound itself is accepted.
         let long = |len| FaultPlan {
             scorer_outage_len: len,
@@ -673,6 +696,29 @@ mod tests {
         let err = retries(MAX_DEVICE_RETRY_LIMIT + 1).validate().unwrap_err();
         assert!(err.contains("fault.device_retry_limit"), "{err}");
         assert!(retries(MAX_DEVICE_RETRY_LIMIT).validate().is_ok());
+    }
+
+    /// The worst command a validated plan can charge — every attempt
+    /// spiked and failed, the longest ladder, every constant at its
+    /// largest — stays below the 2^81 as the sums are sized for.
+    #[test]
+    fn the_worst_validated_command_is_below_2_pow_81_as() {
+        let max = crate::latency::tests::largest_admitted_us();
+        let plan = FaultPlan {
+            device_fail_per_mille: 1000,
+            device_spike_per_mille: 1000,
+            device_retry_limit: MAX_DEVICE_RETRY_LIMIT,
+            device_backoff_us: max,
+            device_timeout_us: max,
+            ..FaultPlan::default()
+        };
+        assert!(plan.validate().is_ok());
+        let mut stats = FaultStats::default();
+        let t = plan.device_command_as(0, 0, max, &mut stats);
+        assert!(t < 1 << 81, "{t}");
+        assert!(t > 1 << 80, "{t}: the ladder is as long as the bound says");
+        assert_eq!(stats.device_timeouts, 1);
+        assert_eq!(stats.device_fault_as, t - attos(max));
     }
 
     #[test]
@@ -830,7 +876,7 @@ mod tests {
             scorer_nan_injected: 1,
             device_retries: 2,
             shard_panics: 3,
-            device_fault_us: 1.5,
+            device_fault_as: attos(1.5),
             ..FaultStats::default()
         };
         let b = FaultStats {
@@ -838,18 +884,21 @@ mod tests {
             device_retries: 20,
             shard_recoveries: 30,
             degraded_scores: 40,
-            device_fault_us: 2.5,
-            device_request_us: 2.0,
+            device_fault_as: attos(2.5),
+            device_request_as: attos(2.0),
             ..FaultStats::default()
         };
         a.merge(&b);
-        assert_eq!(a.device_request_us, 2.0);
+        assert_eq!(micros(a.device_request_as), 2.0);
         assert_eq!(a.scorer_nan_injected, 11);
         assert_eq!(a.device_retries, 22);
         assert_eq!(a.shard_panics, 3);
         assert_eq!(a.shard_recoveries, 30);
         assert_eq!(a.degraded_scores, 40);
-        assert_eq!(a.device_fault_us, 4.0);
+        assert_eq!(
+            (a.device_fault_as, micros(a.device_fault_as)),
+            (attos(4.0), 4.0)
+        );
         assert!(!a.is_clean());
         assert!(FaultStats::default().is_clean());
         assert!(a.injected() >= 11);

@@ -17,12 +17,40 @@
 //! counters), `icgmm-hw`, whose `DataflowConfig::latency` derives a model
 //! from its cycle-level engines, and the replay's accounting step, which
 //! re-costs an armed plan's faulted misses command by command through
-//! [`LatencyModel::split_with`].
+//! [`LatencyModel::split_with`], in whole attoseconds ([`attos`]): an
+//! integer sum, the same in any order, read in µs once ([`micros`]).
 
 use crate::cache::AccessOutcome;
 use crate::stats::CacheStats;
 use icgmm_trace::Op;
 use serde::{Deserialize, Serialize};
+
+/// Attoseconds per microsecond.
+const AS_PER_US: u128 = 1_000_000_000_000;
+
+/// `us` in whole attoseconds, rounded half away from zero; a whole
+/// number of µs converts exactly.
+pub fn attos(us: f64) -> u128 {
+    (us * AS_PER_US as f64).round() as u128
+}
+
+/// `t` attoseconds in µs: whole microseconds and the remainder are
+/// converted apart, so a whole number of µs below 2^53 converts exactly —
+/// a sum of integer-µs device times reads what adding them as `f64` read.
+pub fn micros(t: u128) -> f64 {
+    (t / AS_PER_US) as f64 + (t % AS_PER_US) as f64 / AS_PER_US as f64
+}
+
+/// Refuses a constant in µs that is negative, NaN, or whose attosecond
+/// value does not fit `u64` once rounded (∞ and 1e300 saturate).
+pub(crate) fn check_us(what: &str, us: f64) -> Result<(), String> {
+    if !(us >= 0.0 && attos(us) >> 64 == 0) {
+        return Err(format!(
+            "{what} must be >= 0 and below 2^64 as (18.4 s), got {us}"
+        ));
+    }
+    Ok(())
+}
 
 /// Latency constants, in microseconds.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -166,11 +194,12 @@ impl LatencyModel {
             + stats.write_bypasses as f64 * self.miss_us(write_us)
     }
 
-    /// Rejects constants that would poison every modeled average.
+    /// Rejects constants that would poison every modeled average or
+    /// overflow the attosecond device time (see the module docs).
     ///
     /// # Errors
     ///
-    /// Names the first field that is not finite and non-negative.
+    /// Names the first field that is negative, NaN or 2^64 as or more.
     pub fn validate(&self) -> Result<(), String> {
         for (what, us) in [
             ("latency.hit_us", self.hit_us),
@@ -179,9 +208,7 @@ impl LatencyModel {
             ("latency.ssd_write_us", self.ssd_write_us),
             ("latency.policy_engine_us", self.policy_engine_us),
         ] {
-            if !(us.is_finite() && us >= 0.0) {
-                return Err(format!("{what} must be finite and >= 0, got {us}"));
-            }
+            check_us(what, us)?;
         }
         Ok(())
     }
@@ -194,7 +221,7 @@ impl Default for LatencyModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cache::{AccessOutcome, Eviction};
     use icgmm_trace::PageIndex;
@@ -356,6 +383,15 @@ mod tests {
         );
     }
 
+    /// The largest constant [`check_us`] admits.
+    pub(crate) fn largest_admitted_us() -> f64 {
+        let mut us = 2f64.powi(64) / 1e12;
+        while check_us("", us).is_err() {
+            us = us.next_down();
+        }
+        us
+    }
+
     #[test]
     fn validate_rejects_each_hostile_constant() {
         assert!(LatencyModel::paper_tlc().validate().is_ok());
@@ -366,16 +402,39 @@ mod tests {
             |m, v| m.ssd_write_us = v,
             |m, v| m.policy_engine_us = v,
         ];
+        let max = largest_admitted_us();
+        assert!(attos(max) < 1 << 64 && attos(max.next_up()) >= 1 << 64);
         for (field, set) in set.iter().enumerate() {
-            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            for bad in [
+                f64::NAN,
+                f64::INFINITY,
+                -1.0,
+                1e300,
+                f64::MAX,
+                max.next_up(),
+            ] {
                 let mut m = LatencyModel::paper_tlc();
                 set(&mut m, bad);
                 assert!(m.validate().is_err(), "field {field} = {bad} accepted");
             }
-            let mut m = LatencyModel::paper_tlc();
-            set(&mut m, 0.0);
-            assert!(m.validate().is_ok(), "field {field} = 0 rejected");
+            for good in [0.0, max] {
+                let mut m = LatencyModel::paper_tlc();
+                set(&mut m, good);
+                assert!(m.validate().is_ok(), "field {field} = {good} rejected");
+            }
         }
+    }
+
+    #[test]
+    fn attoseconds_round_once_and_whole_micros_convert_exactly() {
+        assert_eq!(attos(75.0), 75_000_000_000_000);
+        assert_eq!(attos(0.1), 100_000_000_000);
+        assert_eq!(attos(1e-13), 0, "a tenth of an attosecond rounds away");
+        for us in [0.0, 1.0, 75.0, 900.0, 18_446_744.0] {
+            assert_eq!(micros(attos(us)), us);
+        }
+        assert_eq!(micros(attos(7.3)), 7.3);
+        assert_eq!(micros(1_500_000_000_000), 1.5);
     }
 
     #[test]

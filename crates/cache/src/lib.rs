@@ -77,7 +77,7 @@ pub use batch::{SpecParams, SpecStats, WindowedSimulator};
 pub use cache::{AccessOutcome, BlockState, Eviction, SetAssocCache};
 pub use config::{CacheConfig, CacheConfigError, SetMap};
 pub use fault::{FaultPlan, FaultStats, FaultyScore, ScorerHealth};
-pub use latency::LatencyModel;
+pub use latency::{attos, micros, LatencyModel};
 #[doc(hidden)]
 pub use merge::{merge_streams, OutcomeStream, SeqOutcome, StreamingMerge};
 #[doc(hidden)]

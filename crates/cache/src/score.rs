@@ -16,12 +16,12 @@ use icgmm_trace::TraceRecord;
 /// that hit before it.
 ///
 /// A source's score must be a function of the missed record, its
-/// position, and state fixed before the replay. That is what lets a
+/// position, and state no shard's own records move (an adaptive engine's
+/// refit loop walks the whole slice on every shard). That is what lets a
 /// sharded replay hand each shard's clone only its own misses and stay
-/// bit-identical to the single-threaded replay. An armed adaptation plan
-/// or scorer health monitor keeps per-shard state instead (the refit
-/// reservoir, the degradation ladder): such runs are deterministic for a
-/// given shard count, but differ between shard counts.
+/// bit-identical to the single-threaded replay. An armed scorer health
+/// monitor's ladder follows its own shard's scores instead: such runs are
+/// deterministic for a given shard count, but differ between counts.
 pub trait ScoreSource {
     /// Score of `record`, the miss at 0-based global trace position `pos`
     /// (warm-up included). Positions ascend; a shard's source sees only
@@ -44,12 +44,13 @@ pub trait ScoreSource {
         }
     }
 
-    /// Adds the opt-in counters this source has kept — its own and those
-    /// of whatever it wraps — to `fault` and `adapt`. Whoever replayed a
-    /// shard calls this once, after the shard's last record: a source may
-    /// finish there what the shard's hits never asked it for (an adaptive
-    /// engine takes the check decisions past its last miss). A source that
-    /// injects nothing and adapts nothing has nothing to add.
+    /// Adds the fault counters this source has kept — its own and those of
+    /// whatever it wraps — to `fault`, and writes its adaptation block to
+    /// `adapt`. Whoever replayed a shard calls this once, after the shard's
+    /// last record: a source may finish there what the shard's hits never
+    /// asked it for (an adaptive engine takes the check decisions past its
+    /// last miss). A source that injects nothing and adapts nothing has
+    /// nothing to add.
     fn telemetry(&mut self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
         let _ = (fault, adapt);
     }

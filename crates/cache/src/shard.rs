@@ -24,8 +24,10 @@
 //!   ([`ScoreSource::score`] takes it: the shard's walk carries it), so a
 //!   shard's scorer clone never needs to see a foreign record, or even its
 //!   own hits, and scores bit-identically to the single-threaded stream
-//!   (the trait's precondition; an armed adaptation plan or health monitor
-//!   keeps per-shard state and is deterministic per shard count only).
+//!   (the trait's precondition; an armed health monitor keeps per-shard
+//!   state and is deterministic per shard count only, while an adaptive
+//!   engine's refit producer walks the whole slice on every shard, so its
+//!   decisions are the one-shard run's).
 //! * **Accounting is a sum** (argued in `sim.rs`'s module docs): a report
 //!   is integer counters — [`CacheStats`], and a [`crate::MissSeries`]
 //!   bucketed by each record's *global* position — with modeled time
@@ -38,8 +40,9 @@
 //!   per-request oracle across the eviction × admission × score grid. Device
 //!   faults ride the [`FaultPlan`] the supervisor carries: each shard's
 //!   accounting rolls its own measured misses by global position and counts
-//!   what they added, one more sum (of `f64`s: exact in any order only
-//!   under integer device times, so `Icgmm::run` keeps them on one shard).
+//!   what they added, one more sum — of whole attoseconds, so exact in any
+//!   order. The adaptation block is not a sum: every shard reports the
+//!   whole slice's, and the run reports it once.
 //!
 //! # The partition
 //!
@@ -86,11 +89,11 @@
 //! armed — no replay observer; its report goes through the same sum, of
 //! one term. The supervisor's catch-and-re-replay of a panicked shard
 //! stays. This is what lets a front-end that keeps one shard (`run_sharded`
-//! at one shard, a replay that per-shard state, faults or its slice keep
-//! off the other cores) *be* the one-shard geometry at no cost
+//! at one shard, a replay that a panic point, a health monitor, its refit
+//! producers' cost or its slice keep off the other cores) *be* the
+//! one-shard geometry at no cost
 //! (`tests/shard_alloc_inline.rs`).
 
-use crate::adapt::AdaptStats;
 use crate::cache::SetAssocCache;
 use crate::config::{CacheConfig, CacheConfigError, SetMap};
 use crate::fault::{FaultPlan, FaultStats};
@@ -184,8 +187,7 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// all a partition is — a few words, `Copy`, nothing per record — so every
 /// consumer finds a shard's records by walking the trace through it: the
 /// offline replay, the supervisor's re-replay, Belady's oracle
-/// ([`ShardCtx::records`]), the refit producer ([`ShardCtx::routed`]) and
-/// serve's clients and workers. A [`ShardSupervisor`] builds `set mod S`
+/// ([`ShardCtx::records`]) and serve's clients and workers. A [`ShardSupervisor`] builds `set mod S`
 /// for its cache geometry unless handed another (through
 /// [`ShardedSimulator::partitioned`]), and hands it out
 /// ([`ShardSupervisor::partition`]).
@@ -387,18 +389,8 @@ impl<'a> ShardCtx<'a> {
     /// replay loop walks, and what a serve worker checks its arrivals
     /// against.
     pub fn walk(self) -> impl Iterator<Item = (u64, &'a TraceRecord)> + Send + 'a {
-        self.routed(self.trace)
-    }
-
-    /// The same walk over `records` — the slice the supervisor replays.
-    /// It borrows nothing of the ctx, so it may outlive it: a shard's
-    /// adaptation producer walks it on a thread of its own.
-    pub fn routed<'t>(
-        &self,
-        records: &'t [TraceRecord],
-    ) -> impl Iterator<Item = (u64, &'t TraceRecord)> + Send + 't {
         Walk {
-            trace: records,
+            trace: self.trace,
             next: 0,
             rule: (self.shards() > 1).then_some((self.part, self.shard)),
             members: 0,
@@ -407,7 +399,7 @@ impl<'a> ShardCtx<'a> {
     }
 }
 
-/// [`ShardCtx::routed`]'s iterator. One shard takes every record untested;
+/// [`ShardCtx::walk`]'s iterator. One shard takes every record untested;
 /// above one, `refill` applies the rule 64 records at a time into a bit
 /// mask — `members`, bit `i` for each of this shard's records at
 /// `base + i` not yet yielded — and `next` takes its lowest bit inline.
@@ -498,9 +490,9 @@ pub struct ShardedReport {
     pub scores_consumed: u64,
     /// Per-shard reports, for load-balance diagnostics — the terms of the
     /// sum: [`ShardedReport::sim`]'s `stats`, `miss_series` (a shard's
-    /// holds its share of every window) and `fault` / `adapt` blocks are
-    /// theirs added up, plus the supervisor's `shard_panics` /
-    /// `shard_recoveries`.
+    /// holds its share of every window) and `fault` block are theirs added
+    /// up, plus the supervisor's `shard_panics` / `shard_recoveries`; its
+    /// `adapt` block is each of theirs.
     pub per_shard: Vec<SimReport>,
 }
 
@@ -641,8 +633,8 @@ impl<'a> ShardSupervisor<'a> {
     /// streaming loop with the fault plan's panic point armed — independent
     /// of every other shard (own cache, policy, scorer clone and
     /// counters), down to the report's `fault` / `adapt` blocks, which are
-    /// what this shard counted. Returns the shard's report and how many of
-    /// its records consumed a score.
+    /// what this shard's stack counted. Returns the shard's report and how
+    /// many of its records consumed a score.
     pub fn replay<'r>(
         &self,
         shard: usize,
@@ -744,29 +736,32 @@ impl<'a> ShardSupervisor<'a> {
     }
 
     /// The run's report from its shards' `(report, scored count)`s, in
-    /// shard order: counters, series, `fault` / `adapt` blocks and scored
-    /// counts added up (on top of `fault`, the supervisor's own panic /
-    /// recovery counts), modeled time derived from the summed counters —
-    /// the single-threaded report, by the module docs' argument.
+    /// shard order: counters, series, `fault` blocks and scored counts
+    /// added up (on top of `fault`, the supervisor's own panic / recovery
+    /// counts), modeled time derived from the summed counters — the
+    /// single-threaded report, by the module docs' argument — and the
+    /// shards' one `adapt` block.
     ///
     /// # Panics
     ///
     /// Panics when the shards' accesses do not add up to the measured
     /// records: one was lost, duplicated or counted in the wrong phase on
     /// its way to a shard — a transport bug, not to be papered over by a
-    /// plausible-looking report.
+    /// plausible-looking report. Panics, too, when two shards' `adapt`
+    /// blocks differ: every shard's refit producer walks the whole slice,
+    /// so they are one block, and a second one is a bug.
     pub fn merge(&self, shards: Vec<(SimReport, u64)>, mut fault: FaultStats) -> ShardedReport {
         let mut stats = CacheStats::default();
         let mut series = self.series_window.map(MissSeries::new);
-        let mut adapt = AdaptStats::default();
         let mut scores_consumed = 0;
+        let (first, _) = shards.first().expect("at least one shard");
         for (report, scored) in &shards {
             stats.merge(&report.stats);
             if let (Some(sum), Some(part)) = (series.as_mut(), &report.miss_series) {
                 sum.merge(part);
             }
             fault.merge(&report.fault);
-            adapt.merge(&report.adapt);
+            assert_eq!(report.adapt, first.adapt, "the shards' adapt blocks differ");
             scores_consumed += scored;
         }
         assert_eq!(
@@ -774,11 +769,10 @@ impl<'a> ShardSupervisor<'a> {
             (self.records.len() - self.measured_from) as u64,
             "the shards' accesses do not add up to the measured records"
         );
-        let (first, _) = shards.first().expect("at least one shard");
         let (eviction, admission) = (&first.eviction, &first.admission);
         let mut sim =
             SimReport::from_counts(stats, series, fault, &self.latency, eviction, admission);
-        sim.adapt = adapt;
+        sim.adapt = first.adapt;
         ShardedReport {
             sim,
             scores_consumed,
@@ -946,8 +940,7 @@ mod tests {
         /// arbitrary odd mask — the shards' walks cover every trace
         /// position exactly once, each shard's in ascending order and only
         /// over the sets it owns, which are one set of each block of S
-        /// consecutive sets; `routed(trace)` is `walk()`, and one shard
-        /// walks the whole trace.
+        /// consecutive sets, and one shard walks the whole trace.
         #[test]
         fn every_position_walks_once_in_order(
             sets in 1u64..40,
@@ -988,7 +981,6 @@ mod tests {
             for shard in 0..shards {
                 let ctx = sup.ctx(shard);
                 proptest::prop_assert_eq!(ctx.shards(), shards);
-                proptest::prop_assert!(ctx.routed(&trace).eq(ctx.walk()), "routed ≠ walk");
                 proptest::prop_assert!(ctx.records().eq(ctx.walk().map(|(_, r)| r)));
                 let mut last = None;
                 for (pos, r) in ctx.walk() {

@@ -51,14 +51,14 @@
 //!
 //! Device faults are the one per-request addend: with a plan that arms
 //! them, `Accounting::record` rolls each measured miss's SSD commands at
-//! `(position, command)` ([`crate::FaultPlan::device_command_us`]) and
-//! counts what the slower device added to the request in
-//! [`crate::FaultStats::device_request_us`] — a counter like the others,
-//! added to `total_us` once.
+//! `(position, command)` ([`crate::FaultPlan::device_command_as`]) and
+//! counts what the slower device added to the request, in whole
+//! attoseconds, in [`crate::FaultStats::device_request_as`] — an integer
+//! counter like the others, converted to µs and added to `total_us` once.
 
 use crate::cache::{AccessOutcome, SetAssocCache};
-use crate::fault::{FaultPlan, FaultStats};
-use crate::latency::LatencyModel;
+use crate::fault::{add_as, FaultPlan, FaultStats};
+use crate::latency::{attos, micros, LatencyModel};
 use crate::policy::{Evict, Policy, ThresholdAdmit};
 use crate::score::ScoreSource;
 use crate::stats::{CacheStats, MissSeries};
@@ -98,7 +98,7 @@ pub struct SimReport {
     pub stats: CacheStats,
     /// Sum of per-request latency, in µs: [`LatencyModel::total_us`] of
     /// `stats` plus what device faults added
-    /// ([`crate::FaultStats::device_request_us`]).
+    /// ([`crate::FaultStats::device_request_as`]).
     pub total_us: f64,
     /// Average per-request latency, in µs (the paper's Table 1 metric):
     /// `total_us` over `stats.accesses()`, 0 for an empty run.
@@ -132,7 +132,7 @@ impl SimReport {
         eviction: &str,
         admission: &str,
     ) -> Self {
-        let total_us = latency.total_us(&stats) + fault.device_request_us;
+        let total_us = latency.total_us(&stats) + micros(fault.device_request_as);
         let avg_us = match stats.accesses() {
             0 => 0.0,
             n => total_us / n as f64,
@@ -358,25 +358,26 @@ impl<'a> Accounting<'a> {
     }
 
     /// Rolls a measured miss's SSD commands in issue order and counts what
-    /// the faulted device added to the request.
+    /// the faulted device added to the request, in attoseconds.
     #[cold]
     #[inline(never)]
     fn charge_device(&mut self, pos: u64, r: &TraceRecord, outcome: &AccessOutcome) {
         let Some(plan) = &self.device else { return };
         let (lat, fault) = (self.latency, &mut self.fault);
-        let (mut nominal, mut cmd) = (0.0, 0);
-        let (_, faulted) = lat.split_with(r.op(), outcome, |us| {
-            nominal += us;
+        let (mut nominal, mut faulted, mut cmd) = (0, 0, 0);
+        lat.split_with(r.op(), outcome, |us| {
+            nominal += attos(us);
+            faulted += plan.device_command_as(pos, cmd, us, fault);
             cmd += 1;
-            plan.device_command_us(pos, cmd - 1, us, fault)
+            us
         });
-        let faulted = faulted.expect("a miss issues SSD commands");
-        let p = lat.policy_engine_us;
-        fault.device_request_us += if lat.overlap_policy_with_ssd {
+        let p = attos(lat.policy_engine_us);
+        let added = if lat.overlap_policy_with_ssd {
             faulted.max(p) - nominal.max(p)
         } else {
             faulted - nominal
         };
+        add_as(&mut fault.device_request_as, added);
     }
 
     /// The report of everything accounted, under the policy's names.

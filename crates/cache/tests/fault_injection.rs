@@ -5,7 +5,7 @@
 //! recovery paths keep the replay accounting intact.
 
 use icgmm_cache::{
-    simulate, simulate_streaming_with_warmup, AccessOutcome, AdaptStats, Evict, FaultPlan,
+    micros, simulate, simulate_streaming_with_warmup, AccessOutcome, AdaptStats, Evict, FaultPlan,
     FaultStats, FaultyScore, FnScore, GmmScorePolicy, LatencyModel, Policy, ScoreSource,
     SetAssocCache, ShardPolicies, ShardRunError, ShardedReport, ShardedSimulator, ThresholdAdmit,
 };
@@ -210,11 +210,11 @@ proptest! {
         }
         let unarmed = sharded_run(FaultPlan::empty(), 1, &trace).sim;
         prop_assert!(one.fault.device_failures + one.fault.device_spikes > 0);
-        prop_assert!(one.fault.device_fault_us > 0.0);
+        prop_assert!(one.fault.device_fault_as > 0);
         prop_assert_eq!(&one.stats, &unarmed.stats);
         prop_assert_eq!(&one.miss_series, &unarmed.miss_series);
         prop_assert!(one.total_us > unarmed.total_us);
-        prop_assert_eq!(one.total_us, unarmed.total_us + one.fault.device_request_us);
+        prop_assert_eq!(one.total_us, unarmed.total_us + micros(one.fault.device_request_as));
     }
 }
 

@@ -211,7 +211,7 @@ impl IcgmmConfig {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -264,6 +264,31 @@ mod tests {
         c = IcgmmConfig::default();
         c.latency.ssd_write_us = f64::NAN;
         assert!(c.validate().is_err());
+        // Device time is counted in attoseconds: a latency or fault
+        // constant must fit `u64` of them, refused by name through `new`.
+        let max = largest_admitted_us();
+        for huge in [1e300, f64::MAX, max.next_up()] {
+            c = IcgmmConfig::default();
+            c.latency.ssd_read_us = huge;
+            let err = crate::Icgmm::new(c).unwrap_err();
+            assert!(matches!(&err, IcgmmError::Config(m) if m.contains("latency.ssd_read_us")));
+            c = IcgmmConfig::default();
+            c.fault.device_timeout_us = huge;
+            let err = crate::Icgmm::new(c).unwrap_err();
+            assert!(matches!(&err, IcgmmError::Config(m) if m.contains("fault.device_timeout_us")));
+        }
+        c = IcgmmConfig::default();
+        (c.latency.ssd_write_us, c.fault.device_backoff_us) = (max, max);
+        assert!(crate::Icgmm::new(c).is_ok());
+    }
+
+    /// The largest µs constant whose attoseconds fit `u64`.
+    pub(crate) fn largest_admitted_us() -> f64 {
+        let mut us = 2f64.powi(64) / 1e12;
+        while icgmm_cache::attos(us) >= 1 << 64 {
+            us = us.next_down();
+        }
+        us
     }
 
     #[test]

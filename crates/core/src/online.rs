@@ -18,9 +18,9 @@
 //!
 //! As on the paper's engine, whose weight buffer is loaded and never
 //! trained in place, the loop reads no cache outcome: its buffers see
-//! every record of a shard, hits included, and a miss's score feeds
-//! nothing back. So it runs on a thread of its own — a *producer*
-//! ([`AdaptiveEngine::spawn`]) walking the shard's `(position, record)`
+//! every record of the replayed slice, hits included, and a miss's score
+//! feeds nothing back. So it runs on a thread of its own — a *producer*
+//! ([`AdaptiveEngine::spawn`]) walking the slice's `(position, record)`
 //! stream straight off the trace, which sends one decision per check
 //! boundary — its cumulative [`AdaptStats`] and, when the check published
 //! a generation, that generation's scorer — and, after its last record,
@@ -30,7 +30,7 @@
 //! pointer swap), and it blocks only when the producer has not decided one
 //! of them yet. Hits never reach it, so the decisions of boundaries
 //! crossed only by hits are taken at [`ScoreSource::telemetry`], after the
-//! shard's last record, up to the end-of-walk message. Drift checks (256
+//! replay's last record, up to the end-of-walk message. Drift checks (256
 //! scores of the recent ring each, through the producer's own
 //! [`icgmm_gmm::TimeSlice`]) and refits (≈ 1.4 ms each at K = 256, 158 on
 //! `tenants_drift`) stall the replay only when they fall behind it.
@@ -41,23 +41,25 @@
 //! a clock of its own: a check fires immediately before the first record
 //! whose position reaches the next `check_interval` boundary, and a
 //! buffered sample's timestamp is Algorithm 1 of the position it was
-//! buffered at. The producer walks exactly the positions the replay walks
-//! (the shard's routing rule over the same slice), so each miss is scored
-//! by the generation live at its position, and the shard reports every
-//! boundary its walk reached, however far ahead the producer ran.
-//! Consequences, all property-enforced in `tests/adapt_equivalence.rs`:
+//! buffered at. Every shard's producer walks the whole slice under the
+//! same seed streams, whatever shard its follower scores for, so every
+//! follower takes the decisions a one-shard replay takes: each miss is
+//! scored by the generation live at its position, and every shard reports
+//! the same block — every boundary of the slice — however far ahead its
+//! producer ran. Consequences, all property-enforced in
+//! `tests/adapt_equivalence.rs`:
 //!
-//! * an adaptive run equals the inline loop's (kept there as the oracle)
-//!   at every shard count, offline and served, recovered shard panics
-//!   included;
-//! * an adaptive run is a pure function of `(trace seed, adapt seed)` at
-//!   every shard count (shards partition the record stream, so the
-//!   per-shard buffers — and therefore the refits — legitimately differ
-//!   *across* shard counts, never across reruns);
-//! * serving and offline sharded replay stay bit-identical at equal
-//!   shard counts;
+//! * an adaptive run equals the inline loop's (kept there as the oracle),
+//!   offline and served, recovered shard panics included;
+//! * an adaptive run is a pure function of `(trace seed, adapt seed)`,
+//!   the same at 1, 2 and 4 shards, offline and served;
 //! * with the drift trigger held off (`drift_drop = ∞`) the scored
 //!   values are bit-identical to a static-scorer run.
+//!
+//! The price is one producer per shard, each walking every record: on
+//! `tenants_drift` (1.2 M records, 2 vCPUs) two shards took 1.15–1.5× one
+//! shard's time, so `Icgmm::run` keeps an adaptive GMM replay on one
+//! shard.
 //!
 //! The admission threshold stays fixed across refits: it was calibrated
 //! against the offline score distribution, and re-calibrating it online
@@ -90,12 +92,13 @@ const MIN_REFIT_SAMPLES: usize = 8;
 /// 10.3 MiB more peak RSS.
 const HANDOFF_DEPTH: usize = 256;
 
-/// Stateless per-shard stream derivation, so the trainer and reservoir
-/// draw from disjoint, reproducible streams of one `(adapt seed, shard)`
-/// pair (same finalizer construction as the cache crate's fault rolls).
-fn salt(seed: u64, shard: u64, stream: u64) -> u64 {
+/// Stateless stream derivation, so the trainer and the reservoir draw
+/// from disjoint, reproducible streams of the adapt seed, and each
+/// generation's reservoir from a sub-stream of its own (same finalizer
+/// construction as the cache crate's fault rolls).
+fn salt(seed: u64, sub: u64, stream: u64) -> u64 {
     let mut z = seed
-        .wrapping_add(shard.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(sub.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .wrapping_add(stream.wrapping_mul(0xD1B5_4A32_D192_ED03));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -115,8 +118,8 @@ enum Handoff {
     WalkEnd,
 }
 
-/// The refit loop of one shard: drift checks, the reservoir and the
-/// trainer, run over the shard's record stream on a thread of its own.
+/// The refit loop: drift checks, the reservoir and the trainer, run over
+/// the replayed slice's record stream on a thread of its own.
 struct Producer {
     /// The live generation (what checks score with) and the feature map.
     engine: GmmPolicyEngine,
@@ -126,7 +129,7 @@ struct Producer {
     ring: RecentRing,
     detector: DriftDetector,
     /// Base of the per-generation reservoir seed stream (stream 2 of the
-    /// `(adapt seed, shard)` pair; generation g restarts on sub-stream g).
+    /// adapt seed; generation g restarts on sub-stream g).
     reservoir_salt: u64,
     stats: AdaptStats,
     /// Next check boundary: checks fire before buffering a record whose
@@ -147,14 +150,13 @@ impl Producer {
         gmm: &Gmm,
         em: EmConfig,
         plan: AdaptPlan,
-        shard: u64,
     ) -> Result<Self, GmmError> {
         let trainer_cfg = EmConfig {
-            seed: salt(plan.seed, shard, 1),
+            seed: salt(plan.seed, 0, 1),
             ..em
         };
         let trainer = IncrementalEm::new(gmm, trainer_cfg, REFIT_DECAY)?;
-        let reservoir_salt = salt(plan.seed, shard, 2);
+        let reservoir_salt = salt(plan.seed, 0, 2);
         Ok(Producer {
             engine,
             trainer,
@@ -170,7 +172,7 @@ impl Producer {
         })
     }
 
-    /// Walks the shard's records, deciding every boundary before buffering
+    /// Walks the slice's records, deciding every boundary before buffering
     /// the record that reaches it, then says the walk ended — unless the
     /// follower is gone first (its replay attempt died or was refused).
     fn run<'r>(
@@ -292,8 +294,8 @@ impl Producer {
 /// that runs ahead of it on its own thread (see the module docs).
 /// Implements [`ScoreSource`], so it drops into every replay front-end
 /// (offline, sharded, served) the plain engine does. Its refits learn
-/// from its own shard's records only: an adaptive run is deterministic
-/// for a given shard count but differs between shard counts.
+/// from every record of the replayed slice, whichever shard it scores
+/// misses for, so an adaptive run is the same at every shard count.
 #[derive(Debug)]
 pub struct AdaptiveEngine {
     engine: GmmPolicyEngine,
@@ -309,16 +311,11 @@ pub struct AdaptiveEngine {
 impl AdaptiveEngine {
     /// Wraps `engine` with the refit loop described by `plan` and spawns
     /// the loop's producer into `scope`, over `walk`: every record of the
-    /// replay this engine scores misses for, hits included, with its
-    /// global position, in order — a shard's
-    /// [`icgmm_cache::ShardCtx::routed`] walk over the slice its replay
-    /// walks.
+    /// replayed slice, hits and other shards' records included, with its
+    /// global position, in order — the same walk for every shard.
     ///
     /// `gmm` seeds the incremental trainer (the offline-trained mixture —
-    /// generation 0); `em` supplies the M-step hyper-parameters. The
-    /// trainer is pinned to one E-step thread so refits are deterministic
-    /// whatever the host's parallelism. `shard` salts the plan seed so
-    /// each shard's reservoir and re-seed stream are independent.
+    /// generation 0); `em` supplies the M-step hyper-parameters.
     ///
     /// The producer exits when its walk ends or when this engine is
     /// dropped. A panic on the producer is caught there and reaches the
@@ -341,11 +338,10 @@ impl AdaptiveEngine {
         gmm: &Gmm,
         em: EmConfig,
         plan: AdaptPlan,
-        shard: u64,
         walk: impl Iterator<Item = (u64, &'r TraceRecord)> + Send + 'scope,
     ) -> Result<Self, GmmError> {
         debug_assert!(!plan.is_empty(), "callers skip wrapping for empty plans");
-        let producer = Producer::new(engine.clone(), gmm, em, plan, shard)?;
+        let producer = Producer::new(engine.clone(), gmm, em, plan)?;
         let (handoff, decisions) = sync_channel(HANDOFF_DEPTH);
         scope.spawn(move || {
             // Dropping `handoff` on the way out, however the producer
@@ -402,10 +398,11 @@ impl ScoreSource for AdaptiveEngine {
     }
 
     /// Takes the decisions of the boundaries past the last miss — crossed
-    /// by hits only — up to the end of the producer's walk, then reports.
+    /// by hits only — up to the end of the producer's walk, then reports
+    /// the slice's block.
     fn telemetry(&mut self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {
         while self.take() {}
-        adapt.merge(&self.stats);
+        *adapt = self.stats;
     }
 }
 
@@ -457,12 +454,11 @@ mod tests {
     fn adaptive<'s, 'r: 's>(
         scope: &'s Scope<'s, '_>,
         plan: AdaptPlan,
-        shard: u64,
         walk: impl Iterator<Item = (u64, &'r TraceRecord)> + Send + 's,
     ) -> AdaptiveEngine {
         let (model, em) = trained(4, 7);
         let engine = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
-        AdaptiveEngine::spawn(scope, engine, &model.gmm, em, plan, shard, walk).unwrap()
+        AdaptiveEngine::spawn(scope, engine, &model.gmm, em, plan, walk).unwrap()
     }
 
     /// The whole of `records`, at positions `0..`.
@@ -509,7 +505,7 @@ mod tests {
         let mut plain = GmmPolicyEngine::new(&model, &pre(), false).unwrap();
         let records: Vec<TraceRecord> = (0..500).map(record).collect();
         let stats = thread::scope(|s| {
-            let mut adaptive = adaptive(s, plan, 0, all(&records));
+            let mut adaptive = adaptive(s, plan, all(&records));
             for (pos, r) in all(&records) {
                 let (want, got) = (plain.score(r, pos), adaptive.score(r, pos));
                 assert_eq!(want.to_bits(), got.to_bits());
@@ -537,7 +533,7 @@ mod tests {
         let records = phase_change();
         let run = |chunks: &[usize]| {
             thread::scope(|s| {
-                let mut eng = adaptive(s, plan, 0, all(&records));
+                let mut eng = adaptive(s, plan, all(&records));
                 let mut scores = Vec::with_capacity(records.len());
                 let (mut at, mut ci) = (0usize, 0usize);
                 while at < records.len() {
@@ -577,7 +573,7 @@ mod tests {
         let records = phase_change();
         let run = |last_miss: u64| {
             thread::scope(|s| {
-                let mut eng = adaptive(s, plan, 0, all(&records));
+                let mut eng = adaptive(s, plan, all(&records));
                 for (pos, r) in all(&records).take_while(|&(pos, _)| pos <= last_miss) {
                     eng.score(r, pos);
                 }
@@ -608,7 +604,7 @@ mod tests {
             .chain((0..2_000u64).map(|i| TraceRecord::read((500_000 + (i * 31) % 2_048) << 12)))
             .collect();
         thread::scope(|s| {
-            let mut eng = adaptive(s, plan, 0, all(&records));
+            let mut eng = adaptive(s, plan, all(&records));
             for (pos, r) in all(&records) {
                 eng.score(r, pos);
             }
@@ -639,41 +635,37 @@ mod tests {
                 }
             })
             .collect();
-        let run = |shard: u64| {
+        let run = || {
             thread::scope(|s| {
-                let mut eng = adaptive(s, plan, shard, all(&records));
+                let mut eng = adaptive(s, plan, all(&records));
                 let out: Vec<f64> = all(&records).map(|(pos, r)| eng.score(r, pos)).collect();
                 (out, telemetry(&mut eng))
             })
         };
-        let (s1, t1) = run(0);
-        let (s2, t2) = run(0);
+        let (s1, t1) = run();
+        let (s2, t2) = run();
         assert_eq!(t1, t2);
+        assert!(t1.refits > 0, "the phase change must be chased");
         assert_eq!(s1.len(), s2.len());
         for (a, b) in s1.iter().zip(&s2) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // A different shard salt draws a different reservoir stream.
-        let (_, t3) = run(1);
-        assert_eq!(t1.checks, t3.checks, "check positions are shard-salt-free");
     }
 
     #[test]
     fn gapped_observations_track_global_positions() {
-        // Two-shard split of one global stream: each shard sees half the
-        // records, each at its global position, and check boundaries land
-        // at global positions — the shard scoring records past a boundary
-        // checks there, whatever its local record count.
+        // A walk with gaps — every other position of one global stream —
+        // lands check boundaries at global positions: the engine scoring
+        // records past a boundary checks there, whatever its local count.
         let plan = AdaptPlan {
             check_interval: 200,
             drift_drop: f64::INFINITY,
             ..AdaptPlan::drifty(2)
         };
         let records: Vec<TraceRecord> = (0..1_000).map(record).collect();
-        // This "shard" owns the even positions.
         let evens = || all(&records).step_by(2);
         let stats = thread::scope(|s| {
-            let mut eng = adaptive(s, plan, 0, evens());
+            let mut eng = adaptive(s, plan, evens());
             for (pos, r) in evens() {
                 eng.score(r, pos);
             }
@@ -696,7 +688,7 @@ mod tests {
         };
         let records: Vec<TraceRecord> = (0..(HANDOFF_DEPTH as u64 * 64)).map(record).collect();
         thread::scope(|s| {
-            let mut eng = adaptive(s, plan, 0, all(&records));
+            let mut eng = adaptive(s, plan, all(&records));
             for (pos, r) in all(&records).take(100) {
                 eng.score(r, pos);
             }
@@ -718,7 +710,7 @@ mod tests {
         let records: Vec<TraceRecord> = (0..1_000).map(record).collect();
         let hostile = all(&records).inspect(|&(pos, _)| assert!(pos < 350, "hostile walk"));
         let (checks, died) = thread::scope(|s| {
-            let mut eng = adaptive(s, plan, 0, hostile);
+            let mut eng = adaptive(s, plan, hostile);
             for (pos, r) in all(&records).take(400) {
                 eng.score(r, pos);
             }
@@ -752,7 +744,7 @@ mod tests {
         let records: Vec<TraceRecord> = (0..1_000).map(record).collect();
         let hostile = all(&records).inspect(|&(pos, _)| assert!(pos < 650, "hostile walk"));
         let (checks, died) = thread::scope(|s| {
-            let mut eng = adaptive(s, plan, 0, hostile);
+            let mut eng = adaptive(s, plan, hostile);
             for (pos, r) in all(&records).take(300) {
                 eng.score(r, pos);
             }

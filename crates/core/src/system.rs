@@ -150,16 +150,16 @@ impl<'a> Assembly<'a> {
         };
         // An armed adaptation plan has the shard's engine clone follow the
         // online refit loop, which runs ahead on its own thread over the
-        // shard's records (per-shard buffers, shard-salted seed streams).
+        // whole slice (every shard takes one shard's decisions).
         let mut score: Option<Box<dyn ScoreSource + Send>> = match &self.engine {
             None => None,
             Some(e) if self.adapt.is_empty() => Some(Box::new(e.clone())),
             Some(e) => {
                 let model = self.sys.model.as_ref();
                 let gmm = &model.expect("a GMM engine implies a trained model").gmm;
-                let (shard, walk) = (ctx.shard as u64, ctx.routed(self.records));
+                let walk = (0..).zip(self.records);
                 let adaptive =
-                    AdaptiveEngine::spawn(scope, e.clone(), gmm, cfg.em, self.adapt, shard, walk);
+                    AdaptiveEngine::spawn(scope, e.clone(), gmm, cfg.em, self.adapt, walk);
                 Some(Box::new(
                     adaptive.expect("adapt plan validated by IcgmmConfig"),
                 ))
@@ -319,11 +319,13 @@ impl Icgmm {
         let engine = mode.uses_gmm().then(|| self.policy_engine()).transpose()?;
         let (start, end) = self.cfg.preprocess.kept_range(trace.len());
         let records = &trace.records()[..end];
-        // Per-shard state, panic rolls and `f64` device time depend on the count.
+        // Panic points and a GMM engine's health monitor are per shard; an
+        // adaptive GMM replay runs a refit producer per shard, each over the
+        // whole slice (`tenants_drift`, 2 vCPUs: 1.15–1.5× one shard's time).
         let fault = &self.cfg.fault;
-        let per_shard = engine.is_some() && (!adapt.is_empty() || fault.monitor_armed());
-        let free = !per_shard && !fault.shard_armed() && !fault.device_armed();
-        let fan = free && shards.is_none() && end >= FANOUT_MIN && cores() >= FANOUT_SHARDS;
+        let gmm = engine.is_some();
+        let one = fault.shard_armed() || gmm && (fault.monitor_armed() || !adapt.is_empty());
+        let fan = !one && shards.is_none() && end >= FANOUT_MIN && cores() >= FANOUT_SHARDS;
         let part = match fan.then(|| self.balanced(mode, records)).flatten() {
             Some(part) => part,
             None => ShardPartition::new(shards.unwrap_or(1), &self.cfg.cache)?,
@@ -369,10 +371,11 @@ impl Icgmm {
     /// This is [`Icgmm::run_sharded`]'s replay, one single-point
     /// policy-engine inference per miss as in the paper's Algorithm 1
     /// datapath, on two shards when a second core is there, the report
-    /// cannot depend on the count (no GMM engine under an armed adaptation
-    /// plan or health monitor, no armed shard panic point or device fault)
-    /// and the slice is long (64 Ki records) and even enough between the
-    /// shards to pay, routed by the odd mask a sample of the slice chose
+    /// cannot depend on the count (no shard panic point, no GMM engine
+    /// under a health monitor), two shards pay (not an adaptive GMM replay,
+    /// whose refit producers each walk the slice; a long slice, 64 Ki
+    /// records, even enough between the shards), routed by the odd mask a
+    /// sample of the slice chose
     /// ([`Icgmm::replay_partition`]) — bit-identical to one shard by the
     /// sharding argument, which holds for any set partition.
     /// Otherwise it is the one-shard geometry, inline on the calling
@@ -380,7 +383,7 @@ impl Icgmm {
     /// re-replayed once with it disarmed, and the event counted in
     /// `FaultStats::{shard_panics, shard_recoveries}`; the functional
     /// report is bit-identical to an undisturbed run. Armed device faults
-    /// lengthen `total_us`.
+    /// lengthen `total_us` by the same attoseconds at every shard count.
     ///
     /// # Errors
     ///
@@ -396,7 +399,8 @@ impl Icgmm {
     ///
     /// # Errors
     ///
-    /// As for [`Icgmm::run`].
+    /// As for [`Icgmm::run`], plus [`IcgmmError::Config`] when `latency`
+    /// fails [`LatencyModel::validate`].
     pub fn run_with_latency(
         &self,
         trace: &Trace,
@@ -417,10 +421,11 @@ impl Icgmm {
     /// summed [`RunReport::sim`] is **bit-identical** to [`Icgmm::run`]'s
     /// for every shard count, under every latency model — enforced by the differential suite in
     /// `tests/shard_differential.rs` and the property grid in
-    /// `crates/cache/tests/shard_equivalence.rs`. `gmm_inferences` counts
-    /// the inferences the sharded replay actually performed — one per
-    /// scored miss, the single-threaded count. At `sim_shards = 1` it
-    /// replays inline on the calling thread.
+    /// `crates/cache/tests/shard_equivalence.rs`, adaptation and device
+    /// faults included; only a GMM engine's health monitor keeps per-shard
+    /// state. `gmm_inferences` counts the inferences the sharded replay
+    /// actually performed — one per scored miss, the single-threaded count.
+    /// At `sim_shards = 1` it replays inline on the calling thread.
     ///
     /// # Errors
     ///
@@ -439,6 +444,7 @@ impl Icgmm {
         shards: Option<usize>,
         adapt: AdaptPlan,
     ) -> Result<RunReport, IcgmmError> {
+        latency.validate().map_err(IcgmmError::Config)?;
         let asm = self.assemble(trace, mode, adapt, shards)?;
         let engine = ShardedSimulator::partitioned(asm.part).with_faults(self.cfg.fault);
         let (records, from) = (asm.records, asm.measured_from);
@@ -503,8 +509,8 @@ impl Icgmm {
     /// and overlap saving that go with it ([`DataflowReport::from_sim`]).
     ///
     /// Host replay is [`Icgmm::run`]'s replay under that model (and the
-    /// frozen model, below, which may fan out unless a health monitor,
-    /// device fault or shard panic point is armed), so the configuration's
+    /// frozen model, below, which may fan out unless a health monitor or a
+    /// shard panic point is armed), so the configuration's
     /// [`FaultPlan`](icgmm_cache::FaultPlan) applies as on every front-end:
     /// device faults lengthen the makespan, scorer faults and recovered
     /// shard panics land in the report's fault block. Setting
@@ -522,8 +528,8 @@ impl Icgmm {
     /// # Errors
     ///
     /// As for [`Icgmm::run`], plus [`IcgmmError::Config`] when `config`'s
-    /// engines derive a latency that is not finite and non-negative (a
-    /// 0 MHz clock, a NaN SSD profile).
+    /// engines derive a latency that is negative, NaN or 2^64 as or more
+    /// (a 0 MHz clock, a NaN SSD profile, a 1e300 µs read).
     pub fn run_dataflow(
         &self,
         trace: &Trace,
@@ -531,7 +537,6 @@ impl Icgmm {
         config: &DataflowConfig,
     ) -> Result<DataflowReport, IcgmmError> {
         let latency = config.latency();
-        latency.validate().map_err(IcgmmError::Config)?;
         let rep = self.replay(trace, mode, &latency, None, AdaptPlan::empty())?;
         Ok(DataflowReport::from_sim(&rep.sim, config))
     }
@@ -708,7 +713,8 @@ mod tests {
         for ((fault, adapt), mode, trace, want) in [
             (none, gmm, &even, two),
             ((FaultPlan::chaos(1), AdaptPlan::empty()), belady, &even, 1),
-            ((device, AdaptPlan::empty()), lru, &even, 1),
+            ((device, AdaptPlan::empty()), lru, &even, two),
+            ((device, AdaptPlan::empty()), gmm, &even, two),
             ((FaultPlan::empty(), adapt), gmm, &even, 1),
             ((FaultPlan::empty(), adapt), lru, &even, two),
             ((monitor, AdaptPlan::empty()), gmm, &even, 1),
@@ -773,11 +779,20 @@ mod tests {
         negative_ssd.ssd.read_us = -75.0;
         let mut infinite_ssd = DataflowConfig::default();
         infinite_ssd.ssd.write_us = f64::INFINITY;
+        let max = crate::config::tests::largest_admitted_us();
+        let ssd = |read_us| {
+            let mut df = DataflowConfig::default();
+            df.ssd.read_us = read_us;
+            df
+        };
         for (what, df) in [
             ("0 MHz cache engine", stopped_clock),
             ("NaN MHz GMM engine", nan_engine),
             ("negative SSD read", negative_ssd),
             ("infinite SSD write", infinite_ssd),
+            ("1e300 µs SSD read", ssd(1e300)),
+            ("f64::MAX µs SSD read", ssd(f64::MAX)),
+            ("2^64 as SSD read", ssd(max.next_up())),
         ] {
             assert!(
                 matches!(
@@ -787,6 +802,12 @@ mod tests {
                 "{what} accepted"
             );
         }
+        // The largest admitted read replays; `run_with_latency` refuses
+        // what `run_dataflow` refuses.
+        assert!(sys.run_dataflow(&trace, PolicyMode::Lru, &ssd(max)).is_ok());
+        let latency = ssd(max.next_up()).latency();
+        let swept = sys.run_with_latency(&trace, PolicyMode::Lru, &latency);
+        assert!(matches!(swept, Err(IcgmmError::Config(_))));
     }
 
     #[test]

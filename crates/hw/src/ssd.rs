@@ -7,7 +7,7 @@
 //! means the device never sees a second command while it serves one, so
 //! the emulator has no state to model: it is a latency per command
 //! ([`SsdProfile`]), and with device faults armed a longer one
-//! (`icgmm_cache::FaultPlan::device_command_us`, rolled by the replay's
+//! (`icgmm_cache::FaultPlan::device_command_as`, rolled by the replay's
 //! accounting for every front-end).
 
 use icgmm_trace::Op;
@@ -63,7 +63,7 @@ pub struct SsdStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icgmm_cache::{FaultPlan, FaultStats};
+    use icgmm_cache::{attos, micros, FaultPlan, FaultStats};
 
     #[test]
     fn profiles_match_paper_constants() {
@@ -83,8 +83,8 @@ mod tests {
         let run = || {
             let mut fault = FaultStats::default();
             // 200 requests, each with a fetch and a write-back.
-            let busy: f64 = (0..400)
-                .map(|i| plan.device_command_us(i / 2, i % 2, 75.0, &mut fault))
+            let busy: u128 = (0..400)
+                .map(|i| plan.device_command_as(i / 2, i % 2, 75.0, &mut fault))
                 .sum();
             (busy, fault)
         };
@@ -95,9 +95,9 @@ mod tests {
         assert!(a_fault.device_failures > 0, "rate 300/1000 over 400 ops");
         assert!(a_fault.device_retries > 0);
         assert!(a_fault.device_spikes > 0, "rate 100/1000 over 400 ops");
-        assert!(a_fault.device_fault_us > 0.0);
+        assert!(a_fault.device_fault_as > 0);
         // Extra time really lands on the device.
-        assert_eq!(a_busy, 400.0 * 75.0 + a_fault.device_fault_us);
+        assert_eq!(a_busy, 400 * attos(75.0) + a_fault.device_fault_as);
     }
 
     #[test]
@@ -113,12 +113,12 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut f = FaultStats::default();
-        let service = plan.device_command_us(0, 0, 75.0, &mut f);
+        let service = plan.device_command_as(0, 0, 75.0, &mut f);
         assert_eq!(f.device_failures, 3); // attempts 0, 1, 2
         assert_eq!(f.device_retries, 2);
         assert_eq!(f.device_timeouts, 1);
         // 3 attempts × 75 + backoff 10 + 20 + timeout 500.
-        assert_eq!(service, 3.0 * 75.0 + 30.0 + 500.0);
-        assert_eq!(f.device_fault_us, service - 75.0);
+        assert_eq!(micros(service), 3.0 * 75.0 + 30.0 + 500.0);
+        assert_eq!(f.device_fault_as, service - attos(75.0));
     }
 }

@@ -41,7 +41,7 @@
 use crate::cache_engine::CacheEngineModel;
 use crate::gmm_engine::GmmEngineModel;
 use crate::ssd::{SsdProfile, SsdStats};
-use icgmm_cache::{CacheStats, FaultStats, LatencyModel, SimReport};
+use icgmm_cache::{micros, CacheStats, FaultStats, LatencyModel, SimReport};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the dataflow system model.
@@ -150,9 +150,9 @@ impl DataflowReport {
             + s.write_bypasses as f64 * latency.hidden_us(write_us);
         // A faulted miss hides min(f, p) − min(n, p) more inference behind
         // its SSD work: (f − n) − (max(f, p) − max(n, p)), summed.
-        let fault = sim.fault;
+        let (fault, device_us) = (sim.fault, micros(sim.fault.device_fault_as));
         let fault_hidden_us = if latency.overlap_policy_with_ssd {
-            fault.device_fault_us - fault.device_request_us
+            micros(fault.device_fault_as - fault.device_request_as)
         } else {
             0.0
         };
@@ -167,7 +167,7 @@ impl DataflowReport {
             ssd: SsdStats {
                 reads,
                 writes,
-                busy_us: reads as f64 * read_us + writes as f64 * write_us + fault.device_fault_us,
+                busy_us: reads as f64 * read_us + writes as f64 * write_us + device_us,
             },
             loader_stalls: n.saturating_sub(64),
             overlap_saved_us: hidden_us + fault_hidden_us,

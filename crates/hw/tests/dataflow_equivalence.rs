@@ -8,14 +8,16 @@
 //! timeline** below: the loader / finish-time FIFO ring / in-order engine /
 //! busy-until SSD model the closed form replaced, kept here verbatim as the
 //! oracle (only its device-fault roll key moved from a running command
-//! count to the request's position and the command's index in it). The
+//! count to the request's position and the command's index in it, and
+//! what a fault adds to a command and a request to whole attoseconds, as
+//! the accounting counts it). The
 //! reference also shows *why* the closed form is exact — its SSD queue
 //! never holds anything and its FIFO is full from record 64 on.
 
 use icgmm_cache::{
-    simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup, AccessOutcome,
-    FaultPlan, FaultStats, ReplayEvent, ReplayObserver, ScoreSource, SetAssocCache, ShardCtx,
-    ShardPolicies, ShardedSimulator, SimReport,
+    attos, micros, simulate_streaming_observed_with_warmup, simulate_streaming_with_warmup,
+    AccessOutcome, FaultPlan, FaultStats, ReplayEvent, ReplayObserver, ScoreSource, SetAssocCache,
+    ShardCtx, ShardPolicies, ShardedSimulator, SimReport,
 };
 use icgmm_hw::{DataflowConfig, DataflowReport, GmmEngineModel, SsdProfile, SsdStats};
 use icgmm_testutil::{policy_for, score_for, small_cfg, zipf_trace, ADMISSIONS, EVICTIONS, SCORES};
@@ -36,8 +38,10 @@ struct RefSsd {
     queue_wait_us: f64,
     fault_plan: Option<FaultPlan>,
     fault: FaultStats,
-    /// Service time of the last command.
+    /// Service time of the last command, and with device faults armed
+    /// the same in attoseconds.
     service_us: f64,
+    service_as: u128,
 }
 
 impl RefSsd {
@@ -48,9 +52,14 @@ impl RefSsd {
         let start = now_us.max(self.busy_until_us);
         self.queue_wait_us += start - now_us;
         let nominal = self.profile.latency_us(op);
+        // A faulted command takes its nominal time plus what the faults
+        // added, in whole attoseconds.
         let latency = match self.fault_plan {
             None => nominal,
-            Some(plan) => plan.device_command_us(pos, cmd, nominal, &mut self.fault),
+            Some(plan) => {
+                self.service_as = plan.device_command_as(pos, cmd, nominal, &mut self.fault);
+                nominal + micros(self.service_as - attos(nominal))
+            }
         };
         self.service_us = latency;
         self.busy_until_us = start + latency;
@@ -113,6 +122,7 @@ impl RefTimeline {
                 fault_plan: plan.device_armed().then_some(plan),
                 fault: FaultStats::default(),
                 service_us: 0.0,
+                service_as: 0,
             },
         }
     }
@@ -140,12 +150,13 @@ impl RefTimeline {
                 let t0 = start + self.miss_overhead_us;
                 // Page fetch; dirty victims are written back behind it.
                 let mut ssd_done = self.ssd.access(t0, Op::Read, pos, 0);
-                let (mut faulted, mut nominal) = (self.ssd.service_us, self.ssd.profile.read_us);
+                let (mut faulted, mut nominal) =
+                    (self.ssd.service_as, attos(self.ssd.profile.read_us));
                 if let Some(e) = evicted {
                     if e.dirty {
                         ssd_done = self.ssd.access(ssd_done, Op::Write, pos, 1);
-                        faulted += self.ssd.service_us;
-                        nominal += self.ssd.profile.write_us;
+                        faulted += self.ssd.service_as;
+                        nominal += attos(self.ssd.profile.write_us);
                     }
                 }
                 self.charge_device(faulted, nominal);
@@ -154,7 +165,7 @@ impl RefTimeline {
             AccessOutcome::MissBypassed => {
                 let t0 = start + self.miss_overhead_us;
                 let ssd_done = self.ssd.access(t0, op, pos, 0);
-                self.charge_device(self.ssd.service_us, self.ssd.profile.latency_us(op));
+                self.charge_device(self.ssd.service_as, attos(self.ssd.profile.latency_us(op)));
                 self.miss_finish(t0, ssd_done)
             }
         };
@@ -164,14 +175,15 @@ impl RefTimeline {
     }
 
     /// What the device faults added to a miss whose commands the SSD served
-    /// in `faulted` µs against `nominal`: the critical path with the faulted
-    /// SSD time minus with the nominal one.
-    fn charge_device(&mut self, faulted: f64, nominal: f64) {
+    /// in `faulted` as against `nominal`: the critical path with the faulted
+    /// SSD time minus with the nominal one, in attoseconds.
+    fn charge_device(&mut self, faulted: u128, nominal: u128) {
         if self.ssd.fault_plan.is_none() {
             return;
         }
-        self.ssd.fault.device_request_us += if self.overlap {
-            faulted.max(self.gmm_us) - nominal.max(self.gmm_us)
+        let gmm = attos(self.gmm_us);
+        self.ssd.fault.device_request_as += if self.overlap {
+            faulted.max(gmm) - nominal.max(gmm)
         } else {
             faulted - nominal
         };
@@ -336,10 +348,12 @@ proptest! {
                         ("makespan_us", dataflow.makespan_us, reference.prev_finish - CYCLE_US),
                         ("gmm_busy_us", dataflow.gmm_busy_us, reference.gmm_busy_us),
                         ("overlap_saved_us", dataflow.overlap_saved_us, reference.overlap_saved_us),
-                        ("ssd.busy_us", dataflow.ssd.busy_us, reference.ssd.stats.busy_us),
                     ] {
                         prop_assert!(close(new, old), "{}: {} {} vs reference {}", what, name, new, old);
                     }
+                    // Device time is an integer sum: the device's busy time
+                    // is the reference's to the bit, faulted or not.
+                    prop_assert_eq!(dataflow.ssd.busy_us, reference.ssd.stats.busy_us, "{}", what);
                     prop_assert_eq!(dataflow.ssd.reads, reference.ssd.stats.reads, "{}", what);
                     prop_assert_eq!(dataflow.ssd.writes, reference.ssd.stats.writes, "{}", what);
                     prop_assert_eq!(&dataflow.fault, &reference.ssd.fault, "{}", what);

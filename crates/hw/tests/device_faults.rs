@@ -5,7 +5,7 @@
 //! its request's position and its index within the request — and an empty
 //! plan leaves the report bit-identical to today's model.
 
-use icgmm_cache::{FaultPlan, ShardCtx, ShardPolicies, ShardedSimulator};
+use icgmm_cache::{micros, FaultPlan, ShardCtx, ShardPolicies, ShardedSimulator};
 use icgmm_hw::{DataflowConfig, DataflowReport};
 use icgmm_testutil::{policy_for, small_cfg, zipf_trace};
 use icgmm_trace::TraceRecord;
@@ -77,14 +77,14 @@ proptest! {
             armed.fault.device_failures + armed.fault.device_spikes > 0,
             "armed rates injected nothing over {} records", n
         );
-        prop_assert!(armed.fault.device_fault_us > 0.0);
-        prop_assert!(armed.fault.device_request_us > 0.0);
+        prop_assert!(armed.fault.device_fault_as > 0);
+        prop_assert!(armed.fault.device_request_as > 0);
         prop_assert!(
             armed.makespan_us > plain.makespan_us,
             "charged fault time must extend the makespan"
         );
-        prop_assert_eq!(armed.makespan_us, plain.makespan_us + armed.fault.device_request_us);
-        prop_assert_eq!(armed.ssd.busy_us, plain.ssd.busy_us + armed.fault.device_fault_us);
+        prop_assert_eq!(armed.makespan_us, plain.makespan_us + micros(armed.fault.device_request_as));
+        prop_assert_eq!(armed.ssd.busy_us, plain.ssd.busy_us + micros(armed.fault.device_fault_as));
         // Under overlap the inference hides behind a slower device no
         // worse than behind the nominal one.
         prop_assert!(armed.overlap_saved_us >= plain.overlap_saved_us);

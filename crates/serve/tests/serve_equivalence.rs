@@ -172,7 +172,7 @@ proptest! {
                 prop_assert_eq!(rep.requests as usize, n);
                 prop_assert_eq!(rep.sheds, 0);
                 if plan.device_armed() && rep.sim.stats.misses() >= 64 {
-                    prop_assert!(rep.sim.fault.device_request_us > 0.0, "the plan must fire");
+                    prop_assert!(rep.sim.fault.device_request_as > 0, "the plan must fire");
                 }
             }
         }

@@ -3,10 +3,9 @@
 //! thread reports exactly what the inline loop it replaced reports (kept
 //! here as the oracle); an armed plan whose drift trigger is held off
 //! (`drift_drop = +inf`) replays bit-identically to the static scorer at
-//! every shard count and GMM policy mode; adaptive runs are a pure
-//! function of `(trace seed, adapt seed)` per shard count; and the
-//! serving front-end reports adaptive replay exactly like the
-//! offline sharded engine.
+//! every shard count and GMM policy mode; and an adaptive run is one
+//! function of `(trace seed, adapt seed)`: offline and served, at 1, 2
+//! and 4 shards, it reports what `Icgmm::run` reports on one.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -24,8 +23,8 @@ use icgmm_trace::{PreprocessConfig, Trace, TraceRecord};
 use proptest::prelude::*;
 
 /// The adaptation loop as it ran before it moved off the replay thread:
-/// `score` and `telemetry` advance the shard's `ShardCtx::routed` walk on
-/// the replay thread, running every drift check — and every refit —
+/// `score` and `telemetry` advance a walk over the whole replayed slice
+/// on the replay thread, running every drift check — and every refit —
 /// before buffering the record that reaches the check's boundary. A copy
 /// of the loop in `crates/core/src/online.rs`, not a caller of it: the
 /// single-threaded oracle the pipelined engine is held to.
@@ -40,12 +39,12 @@ mod inline_oracle {
 
     const MIN_REFIT_SAMPLES: usize = 8;
 
-    /// A shard's records with their global positions, in order.
+    /// The slice's records with their global positions, in order.
     pub type Walk = Box<dyn Iterator<Item = (u64, &'static TraceRecord)> + Send>;
 
-    fn salt(seed: u64, shard: u64, stream: u64) -> u64 {
+    fn salt(seed: u64, sub: u64, stream: u64) -> u64 {
         let mut z = seed
-            .wrapping_add(shard.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(sub.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .wrapping_add(stream.wrapping_mul(0xD1B5_4A32_D192_ED03));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -63,7 +62,7 @@ mod inline_oracle {
         reservoir_salt: u64,
         stats: AdaptStats,
         next_check: u64,
-        /// What is left of the shard's walk.
+        /// What is left of the slice's walk.
         walk: Walk,
     }
 
@@ -74,14 +73,13 @@ mod inline_oracle {
             em: EmConfig,
             plan: AdaptPlan,
             preprocess: &PreprocessConfig,
-            shard: u64,
             walk: Walk,
         ) -> Self {
             let trainer_cfg = EmConfig {
-                seed: salt(plan.seed, shard, 1),
+                seed: salt(plan.seed, 0, 1),
                 ..em
             };
-            let reservoir_salt = salt(plan.seed, shard, 2);
+            let reservoir_salt = salt(plan.seed, 0, 2);
             InlineAdaptive {
                 engine,
                 clock: TimestampTransformer::from_config(preprocess),
@@ -170,7 +168,7 @@ mod inline_oracle {
 
         fn telemetry(&mut self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {
             self.catch_up(u64::MAX);
-            adapt.merge(&self.stats);
+            *adapt = self.stats;
         }
     }
 }
@@ -248,17 +246,16 @@ fn prefix_model() -> &'static TrainedModel {
 
 /// The stack `Icgmm` assembles for `gmm-caching-eviction` under a plan that
 /// arms no scorer fault, with the inline loop in place of the pipelined one,
-/// walking `ctx`'s records of `records` (the replayed slice).
+/// walking the whole of `records` (the replayed slice) whatever the shard.
 fn oracle_stack(
     cfg: &IcgmmConfig,
     model: &TrainedModel,
-    ctx: &ShardCtx<'_>,
     records: &'static [TraceRecord],
 ) -> ShardPolicies {
     let engine = GmmPolicyEngine::new(model, &cfg.preprocess, false).unwrap();
-    let (em, plan, pre, shard) = (cfg.em, cfg.adapt, &cfg.preprocess, ctx.shard as u64);
-    let walk = Box::new(ctx.routed(records));
-    let inline = inline_oracle::InlineAdaptive::new(engine, &model.gmm, em, plan, pre, shard, walk);
+    let (em, plan, pre) = (cfg.em, cfg.adapt, &cfg.preprocess);
+    let walk = Box::new((0..).zip(records));
+    let inline = inline_oracle::InlineAdaptive::new(engine, &model.gmm, em, plan, pre, walk);
     let threshold = ThresholdAdmit {
         threshold: model.threshold,
         admit_writes_always: cfg.admit_writes_always,
@@ -348,27 +345,36 @@ fn held_off_trigger_is_bit_identical_to_static_across_shards_and_modes() {
 
 #[test]
 fn adaptive_serving_matches_offline_sharded_replay() {
+    // The prefix model, so refits happen and every count has real
+    // decisions to agree on.
     let (trace, _) = fixture();
-    let plan = AdaptPlan::drifty(7);
+    let mode = PolicyMode::GmmCachingEviction;
+    let system = |shards, serve_clients, serve_queue_depth| {
+        let mut sys = Icgmm::new(IcgmmConfig {
+            adapt: AdaptPlan::drifty(7),
+            sim_shards: shards,
+            serve_clients,
+            serve_queue_depth,
+            ..adapt_cfg()
+        })
+        .unwrap();
+        sys.set_model(prefix_model().clone());
+        sys
+    };
+    let one = system(1, 1, 64).run(trace, mode).unwrap();
+    assert!(one.sim.adapt.refits > 0, "no refit: {:?}", one.sim.adapt);
     for (shards, clients, depth) in [(1, 1, 64), (2, 3, 8), (4, 2, 1)] {
-        let mut cfg = adapt_cfg();
-        cfg.adapt = plan;
-        cfg.sim_shards = shards;
-        cfg.serve_clients = clients;
-        cfg.serve_queue_depth = depth;
-        let mut sys = Icgmm::new(cfg).unwrap();
-        sys.set_model(fixture().1.clone());
-
-        let served = sys.serve(trace, PolicyMode::GmmCachingEviction).unwrap();
-        let sharded = sys
-            .run_sharded(trace, PolicyMode::GmmCachingEviction)
-            .unwrap();
+        let sys = system(shards, clients, depth);
+        let served = sys.serve(trace, mode).unwrap();
+        let sharded = sys.run_sharded(trace, mode).unwrap();
         assert_eq!(
             served.sim, sharded.sim,
             "adaptive serve diverged from offline replay at {shards} shards / \
              {clients} clients / depth {depth}"
         );
-        assert_eq!(served.sim.adapt, sharded.sim.adapt);
+        // Every shard's producer walks the whole slice: the report is the
+        // one-shard run's, with no boundary counted twice.
+        assert_eq!(sharded, one, "{shards} shards");
     }
 }
 
@@ -427,10 +433,10 @@ fn dataflow_ignores_an_armed_plan_and_replays_the_frozen_model() {
 /// Modeled dataflow time is a latency model like any other, so it rides
 /// every front-end — live refits included, the combination `run_dataflow`
 /// cannot express: with `latency = DataflowConfig::default().latency()`
-/// and an armed plan, `run` ≡ `run_sharded` ≡ `serve` at one shard and
-/// `run_sharded` ≡ `serve` at four, each average above the analytic one
-/// by the engine's miss overhead per miss; with the plan cleared, `run`'s
-/// average *is* `run_dataflow`'s.
+/// and an armed plan, `run` ≡ `run_sharded` ≡ `serve` at one shard and at
+/// four, each average above the analytic one by the engine's miss
+/// overhead per miss; with the plan cleared, `run`'s average *is*
+/// `run_dataflow`'s.
 #[test]
 fn dataflow_latency_rides_every_front_end_under_live_refits() {
     let (trace, _) = fixture();
@@ -457,9 +463,7 @@ fn dataflow_latency_rides_every_front_end_under_live_refits() {
         let sharded = sys.run_sharded(trace, mode).unwrap();
         assert!(sharded.sim.adapt.swaps > 0, "the plan must be live");
         assert_eq!(sys.serve(trace, mode).unwrap().sim, sharded.sim);
-        if shards == 1 {
-            assert_eq!(sys.run(trace, mode).unwrap(), sharded);
-        }
+        assert_eq!(sys.run(trace, mode).unwrap(), sharded);
         let analytic = system(AdaptPlan::drifty(3), adapt_cfg().latency, shards)
             .run_sharded(trace, mode)
             .unwrap();
@@ -485,7 +489,8 @@ proptest! {
     /// against the oracle it reports the same `SimReport` — adaptation
     /// block included — and the same inference count, at 1, 2 and 4
     /// shards, offline and served, with every shard's first attempt dying
-    /// or none. A dead attempt's producer must exit when its receiver
+    /// or none; and apart from the supervisor's panic counts that report is
+    /// `run`'s on one shard. A dead attempt's producer must exit when its receiver
     /// drops and the recovery spawns a fresh one; a producer that kept
     /// going would leave the run hanging on a full hand-off. The seed is
     /// drawn; the twelve grid points take turns, so each is run at any
@@ -516,7 +521,7 @@ proptest! {
         let mode = PolicyMode::GmmCachingEviction;
         let (start, end) = cfg.preprocess.kept_range(trace.len());
         let records = &trace.records()[..end];
-        let oracle_shard = |ctx: &ShardCtx<'_>| oracle_stack(&cfg, model, ctx, records);
+        let oracle_shard = |_: &ShardCtx<'_>| oracle_stack(&cfg, model, records);
         let ((sim, scores), (want, want_scores)) = if served {
             let got = sys.serve(trace, mode).unwrap();
             let server = CacheServer::new(ServeConfig { shards, clients, queue_depth, fault });
@@ -539,12 +544,18 @@ proptest! {
         prop_assert_eq!(&sim.adapt, &want.adapt, "{} shards, served {}", shards, served);
         prop_assert_eq!(&sim, &want, "{} shards, served {}", shards, served);
         prop_assert_eq!(scores, want_scores);
+        let mut one = Icgmm::new(IcgmmConfig { fault: FaultPlan::empty(), ..cfg }).unwrap();
+        one.set_model(model.clone());
+        let one = one.run(trace, mode).unwrap();
+        let mut scrubbed = sim;
+        (scrubbed.fault.shard_panics, scrubbed.fault.shard_recoveries) = (0, 0);
+        prop_assert_eq!(&scrubbed, &one.sim, "{} shards, served {}", shards, served);
+        prop_assert_eq!(scores, one.gmm_inferences);
     }
 
-    /// An adaptive run is a pure function of `(trace seed, adapt seed)`
-    /// at every shard count: repeat runs are identical down to the
-    /// adaptation counters, and the serving path agrees with offline
-    /// sharded replay under live refits.
+    /// An adaptive run is a pure function of `(trace seed, adapt seed)`,
+    /// the same at every shard count: a sharded run is identical to the
+    /// one-shard `run` down to the adaptation counters, and so is a rerun.
     #[test]
     fn adaptive_runs_are_deterministic_from_seeds(
         adapt_seed in any::<u64>(),
@@ -556,12 +567,13 @@ proptest! {
         let mode = GMM_MODES[mode_ix];
         let sys = system_with(AdaptPlan::drifty(adapt_seed), shards);
         let a = sys.run_sharded(trace, mode).unwrap();
-        let b = sys.run_sharded(trace, mode).unwrap();
+        let b = sys.run(trace, mode).unwrap();
         prop_assert_eq!(
             &a, &b,
-            "adaptive replay must be deterministic at {} shards ({:?})",
+            "adaptive replay at {} shards is not the one-shard run ({:?})",
             shards, mode
         );
+        prop_assert_eq!(&sys.run_sharded(trace, mode).unwrap(), &a, "a rerun differs");
         prop_assert!(a.sim.adapt.checks > 0);
     }
 }

@@ -3,14 +3,14 @@
 //! evenly enough under the mask a sample chose, fans out to two shards on a
 //! multi-core host; any other keeps one shard. Either way the report is
 //! `run_sharded`'s at `sim_shards = 1`, bit for bit — for every policy
-//! mode, Belady's MIN included, under scorer faults, over a trace whose hot
-//! sets `set mod 2` would put on one shard, and under device faults and an
-//! armed shard panic point, which keep one shard.
+//! mode, Belady's MIN included, under scorer and device faults, which fan
+//! out, over a trace whose hot sets `set mod 2` would put on one shard, and
+//! under an armed shard panic point, which keeps one shard.
 
 use icgmm::{AdaptPlan, Icgmm, IcgmmConfig, PolicyMode, TrainedModel};
 use icgmm_cache::{CacheConfig, FaultPlan, LatencyModel};
 use icgmm_gmm::EmConfig;
-use icgmm_hw::{DataflowConfig, DataflowReport};
+use icgmm_hw::{DataflowConfig, DataflowReport, SsdProfile};
 use icgmm_trace::synth::{MultiTenantWorkload, Workload};
 use icgmm_trace::{PreprocessConfig, Trace, TraceRecord};
 use std::sync::OnceLock;
@@ -99,10 +99,10 @@ fn system(cfg: IcgmmConfig) -> Icgmm {
     sys
 }
 
-/// Scorer faults are rolled by trace position, so they leave the report
-/// independent of the shard count. Device faults are too, but the time
-/// they add is a sum of `f64`s in replay order, and the panic point is
-/// per shard, so arming either keeps `run` on one shard.
+/// Scorer and device faults are rolled by trace position, and device time
+/// is summed in whole attoseconds, so they leave the report independent of
+/// the shard count. The panic point is per shard, so arming it keeps `run`
+/// on one shard.
 fn faults(device_per_mille: u16, shard_panic_per_mille: u16) -> FaultPlan {
     FaultPlan {
         seed: 31,
@@ -184,11 +184,13 @@ fn hot_sets_fan_out_on_a_sampled_mask_and_report_what_one_shard_does() {
     }
 }
 
-/// Under command times no `f64` holds exactly, the order device time is
-/// summed in shows in the last bits: two shards report another
-/// `total_us` than one, so device faults must keep `run` on one shard.
+/// Under command times no `f64` holds exactly, an `f64` sum in replay
+/// order would show the order in its last bits. Device time is summed in
+/// whole attoseconds instead, so `run`, `run_with_latency` and
+/// `run_dataflow` fan out, and at 1 and 2 shards every mode reports the
+/// same device time, to the bit.
 #[test]
-fn device_time_under_inexact_latencies_keeps_one_shard() {
+fn device_time_under_inexact_latencies_is_the_same_at_every_shard_count() {
     let trace = &fixture().0;
     let latency = LatencyModel {
         ssd_read_us: 7.3,
@@ -207,22 +209,45 @@ fn device_time_under_inexact_latencies_keeps_one_shard() {
         })
     };
     let (one, two) = (timed(1), timed(2));
-    let mut differ = 0;
+    let df = DataflowConfig {
+        ssd: SsdProfile {
+            name: "inexact".into(),
+            read_us: 7.3,
+            write_us: 90.7,
+        },
+        ..DataflowConfig::default()
+    };
+    let dataflow_timed = |shards| {
+        system(IcgmmConfig {
+            latency: df.latency(),
+            ..cfg(plan, AdaptPlan::empty(), shards)
+        })
+    };
+    let cores = thread::available_parallelism().map_or(1, |n| n.get().min(2));
     for mode in MODES {
+        assert_eq!(sys.replay_partition(trace, mode).unwrap().shards(), cores);
         let want = one.run_sharded(trace, mode).unwrap();
+        assert!(want.sim.fault.device_request_as > 0, "{mode}");
+        assert_eq!(two.run_sharded(trace, mode).unwrap(), want, "{mode}");
         assert_eq!(
             sys.run_with_latency(trace, mode, &latency).unwrap(),
             want,
             "{mode}"
         );
         assert_eq!(one.run(trace, mode).unwrap(), want, "{mode}");
-        let split = two.run_sharded(trace, mode).unwrap();
-        assert_eq!(split.sim.stats, want.sim.stats, "{mode}");
-        differ += usize::from(split.sim.total_us != want.sim.total_us);
+        let got = sys.run_dataflow(trace, mode, &df).unwrap();
+        for shards in [1, 2] {
+            let sim = dataflow_timed(shards).run_sharded(trace, mode).unwrap().sim;
+            let want = DataflowReport::from_sim(&sim, &df);
+            assert_eq!(got, want, "{mode} dataflow at {shards} shards");
+        }
     }
-    assert!(differ > 0, "every mode summed device time to the same bits");
 }
 
+/// A GMM engine's health monitor keeps a per-shard streak, so it keeps
+/// `run` on one shard. An adaptation plan keeps it there too, for cost
+/// only: every shard's refit producer walks the whole slice, so two
+/// shards report what one does, with no boundary counted twice.
 #[test]
 fn per_shard_state_keeps_run_on_one_shard() {
     let trace = &fixture().0;
@@ -243,10 +268,8 @@ fn per_shard_state_keeps_run_on_one_shard() {
         let run = armed.run(trace, mode).unwrap();
         assert_eq!(run, one, "{mode} under an adaptation plan");
         assert!(one.sim.adapt.checks > 0, "{mode}: the plan never checked");
-        // Every shard checks every boundary: two shards count each twice.
         let two = system(cfg(FaultPlan::empty(), adapt, 2));
-        let two = two.run_sharded(trace, mode).unwrap();
-        assert_eq!(two.sim.adapt.checks, 2 * one.sim.adapt.checks, "{mode}");
+        assert_eq!(two.run_sharded(trace, mode).unwrap(), one, "{mode}");
 
         let watched = system(cfg(monitor, AdaptPlan::empty(), 1));
         let one = watched.run_sharded(trace, mode).unwrap();

@@ -135,7 +135,7 @@ fn config_fault_plan_propagates_into_the_dataflow_model() {
         a.fault.device_failures + a.fault.device_spikes > 0,
         "IcgmmConfig::fault never reached the device model"
     );
-    assert!(a.fault.device_fault_us > 0.0);
+    assert!(a.fault.device_fault_as > 0);
     let b = sys.run_dataflow(&trace, PolicyMode::Lru, &df).unwrap();
     assert_eq!(a, b, "device-fault timing must be deterministic");
 
