@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 /// and the per-benchmark admission quantile.
 ///
 /// The paper does not publish its threshold; the quantile here is the
-/// reproduction's per-benchmark calibration knob (reported explicitly by
-/// the harness and swept by the ablation bench).
+/// reproduction's per-benchmark calibration knob (swept on `stream` by the
+/// `fidelity` bin, which records it in `FIDELITY.json`).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BenchmarkSpec {
     /// Which workload model.

@@ -7,7 +7,8 @@
 //! decomposition with per-unit constants calibrated against Table 2's GMM
 //! row {BRAM 8, DSP 113, LUT 58 353, FF 152 583}. What the model is *for*
 //! is scaling: how resources move with K, LUT-table size and pipeline
-//! depth, so the ablation harness can trade accuracy against area.
+//! depth — the area side of a choice of K, whose accuracy side is the
+//! `fidelity` bin's K sweep.
 
 use serde::{Deserialize, Serialize};
 

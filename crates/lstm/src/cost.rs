@@ -8,7 +8,8 @@
 //! recurrent dependency serializes timesteps and gates, and weights stream
 //! from BRAM), which [`LstmCostModel::paper_calibrated`] encodes. Even a
 //! hypothetical 100 %-efficient LSTM (`efficiency = 1.0`) remains ~100×
-//! slower than the GMM engine — the ablation harness prints both.
+//! slower than the GMM engine. Table 2 in the `fidelity` bin prints the
+//! calibrated model beside the GMM engine's.
 
 use crate::network::LstmArch;
 use serde::{Deserialize, Serialize};

@@ -30,8 +30,8 @@ impl SpatialHistogram {
     ///
     /// # Panics
     ///
-    /// If `buckets == 0`; the callers (`fig2`, `trace_explorer`) pass
-    /// constants.
+    /// If `buckets == 0`; the callers (`icgmm_bench::Fig2::of`,
+    /// `trace_explorer`) pass constants.
     pub fn from_records(records: &[TraceRecord], buckets: usize) -> Self {
         assert!(buckets > 0, "buckets must be >= 1");
         if records.is_empty() {
@@ -132,8 +132,9 @@ impl TemporalHeatmap {
     ///
     /// # Panics
     ///
-    /// If `rows`, `cols` or `cfg.len_window` is 0; the callers (`fig2`,
-    /// `trace_explorer`) pass constants and the default config.
+    /// If `rows`, `cols` or `cfg.len_window` is 0; the callers
+    /// (`icgmm_bench::Fig2::of`, `trace_explorer`) pass constants and a
+    /// validated config.
     pub fn from_records(
         records: &[TraceRecord],
         cfg: &PreprocessConfig,
