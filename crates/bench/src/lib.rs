@@ -173,15 +173,19 @@ impl Fidelity {
             .enumerate()
             .filter(|&(i, r)| seen.insert(r.page().raw()) && i >= start)
             .count() as u64;
-        // A setting refits when it changes what `Icgmm::fit` reads, and
-        // otherwise replays over the model fitted above.
-        let fitted = |c: &IcgmmConfig| (c.preprocess, c.em, c.threshold, c.max_train_cells);
+        // A setting refits when it changes what EM trains on, recalibrates
+        // the model fitted above when it changes only the quantile, and
+        // otherwise replays over that model.
+        let fitted = |c: &IcgmmConfig| (c.preprocess, c.em, c.max_train_cells);
         let replay = |cfg: IcgmmConfig, modes: &[PolicyMode]| -> Result<Vec<_>, _> {
             let mut other = Icgmm::new(cfg)?;
-            if fitted(&cfg) == fitted(&config) {
-                other.set_model(sys.model().expect("fitted").clone());
-            } else {
+            if fitted(&cfg) != fitted(&config) {
                 other.fit(&trace)?;
+            } else {
+                other.set_model(sys.model().expect("fitted").clone());
+                if cfg.admission_quantile != config.admission_quantile {
+                    other.calibrate(&trace)?;
+                }
             }
             modes.iter().map(|&mode| other.run(&trace, mode)).collect()
         };
@@ -197,8 +201,9 @@ impl Fidelity {
                 let (mut cfg, mut modes) = (config, knob.3);
                 set(knob.0, &mut cfg, x);
                 if (knob.0, x) == ("quantile", 0.0) {
-                    // The threshold at quantile 0 is the lowest training
-                    // score: the row's gmm-eviction run stands in for it.
+                    // Quantile 0 calibrates the threshold to 0, which
+                    // admits every score: the row's gmm-eviction run
+                    // stands in for it.
                     (cfg, modes) = (config, &[Eviction]);
                 }
                 let row = |mode| fig6.iter().find(|r| r.mode == mode).cloned();
@@ -335,7 +340,7 @@ pub const KNOBS: [Knob; 4] = [
 /// Writes setting `x` of knob `name` into `cfg`.
 fn set(name: &str, cfg: &mut IcgmmConfig, x: f64) {
     match name {
-        "quantile" => cfg.threshold.quantile = x,
+        "quantile" => cfg.admission_quantile = x,
         "K" => cfg.em.k = x as usize,
         "len_access_shot" => cfg.preprocess.len_access_shot = x as u32,
         _ => cfg.cache.capacity_bytes = (x as u64) << 20,
@@ -622,7 +627,7 @@ mod tests {
         assert_eq!(quick.em.k, 64);
         assert!(quick.max_train_cells < full.max_train_cells);
         // The per-benchmark quantile survives scaling.
-        assert_eq!(full.threshold.quantile, quick.threshold.quantile);
+        assert_eq!(full.admission_quantile, quick.admission_quantile);
     }
 
     #[test]

@@ -167,17 +167,13 @@ impl SetAssocCache {
     ///
     /// # Errors
     ///
-    /// Returns [`CacheConfigError`] for invalid geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is 0.
+    /// Returns [`CacheConfigError`] for invalid geometry or zero `shards`.
     pub fn sharded(cfg: CacheConfig, shards: usize) -> Result<Self, CacheConfigError> {
         let map = SetMap::new(&cfg)?;
-        assert!(
-            shards >= 1,
-            "a tag store holds the sets of at least one shard"
-        );
+        if shards == 0 {
+            let what = "shard count must be >= 1".into();
+            return Err(CacheConfigError { what });
+        }
         let blocks = map.sets().div_ceil(shards) * cfg.ways;
         let (tag_store, tag_base) = aligned_tags(blocks);
         Ok(SetAssocCache {
@@ -573,6 +569,8 @@ mod tests {
                 }
                 assert_eq!(own.occupancy(), whole.occupancy());
             }
+            // Zero shards own no rows: a typed error, not a panic.
+            assert!(SetAssocCache::sharded(cfg, 0).is_err(), "{sets} sets / 0");
         }
     }
 

@@ -8,7 +8,7 @@ use std::fmt;
 /// Error returned for inconsistent cache geometry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheConfigError {
-    what: String,
+    pub(crate) what: String,
 }
 
 impl fmt::Display for CacheConfigError {

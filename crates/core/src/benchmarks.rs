@@ -3,7 +3,6 @@
 //! side-by-side reporting.
 
 use crate::config::IcgmmConfig;
-use icgmm_gmm::ThresholdConfig;
 use icgmm_trace::synth::{Workload, WorkloadKind};
 use serde::{Deserialize, Serialize};
 
@@ -59,9 +58,7 @@ impl BenchmarkSpec {
     /// per-benchmark quantile).
     pub fn config(&self) -> IcgmmConfig {
         IcgmmConfig {
-            threshold: ThresholdConfig {
-                quantile: self.admission_quantile,
-            },
+            admission_quantile: self.admission_quantile,
             ..IcgmmConfig::default()
         }
     }
@@ -80,7 +77,9 @@ fn kind_seed(kind: WorkloadKind) -> u64 {
     }
 }
 
-/// Per-benchmark admission quantile (calibration; see DESIGN.md §4).
+/// Per-benchmark admission quantile, set by hand: the `fidelity` bin's
+/// `stream` sweep, recorded in `FIDELITY.json`, is the one measured record
+/// of how the quantile moves a row.
 ///
 /// These are *mass* quantiles of training-cell scores. Under heavy Zipf
 /// skew a few percent of request mass already covers every page beyond

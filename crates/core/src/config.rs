@@ -2,7 +2,7 @@
 
 use crate::error::IcgmmError;
 use icgmm_cache::{AdaptPlan, CacheConfig, FaultPlan, LatencyModel};
-use icgmm_gmm::{EmConfig, ThresholdConfig};
+use icgmm_gmm::EmConfig;
 use icgmm_trace::PreprocessConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -63,7 +63,7 @@ impl fmt::Display for PolicyMode {
 
 /// Full system configuration. Defaults reproduce the paper's deployment:
 /// 64 MiB / 4 KiB / 8-way cache, K = 256, `len_window` 32,
-/// `len_access_shot` 10 000, TLC SSD latencies, threshold quantile 0.05
+/// `len_access_shot` 10 000, TLC SSD latencies, admission quantile 0.05
 /// (per-benchmark calibrated values live in [`crate::benchmarks`]).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct IcgmmConfig {
@@ -73,8 +73,9 @@ pub struct IcgmmConfig {
     pub preprocess: PreprocessConfig,
     /// EM training settings.
     pub em: EmConfig,
-    /// Admission-threshold calibration.
-    pub threshold: ThresholdConfig,
+    /// The admission threshold is this weighted quantile of the training
+    /// cells' scores ([`crate::Icgmm::calibrate`]), in `[0, 1)`; `0` admits all.
+    pub admission_quantile: f64,
     /// Latency constants for the analytic model.
     pub latency: LatencyModel,
     /// Training cells are subsampled to at most this many (keeps K = 256
@@ -130,7 +131,11 @@ impl Default for IcgmmConfig {
             cache: CacheConfig::paper_default(),
             preprocess: PreprocessConfig::default(),
             em: EmConfig::default(),
-            threshold: ThresholdConfig::default(),
+            // Conservative: under heavy access skew a few percent of
+            // request mass already covers every page beyond cache reach,
+            // and over-filtering multiplies misses on pages with genuine
+            // reuse.
+            admission_quantile: 0.05,
             latency: LatencyModel::paper_tlc(),
             max_train_cells: 120_000,
             fixed_point_inference: false,
@@ -161,9 +166,9 @@ impl IcgmmConfig {
         if self.max_train_cells == 0 {
             return Err(IcgmmError::Config("max_train_cells must be >= 1".into()));
         }
-        if !(0.0..1.0).contains(&self.threshold.quantile) {
+        if !(0.0..1.0).contains(&self.admission_quantile) {
             return Err(IcgmmError::Config(
-                "threshold quantile must be in [0, 1)".into(),
+                "admission_quantile must be in [0, 1)".into(),
             ));
         }
         if self.sim_shards == 0 {
@@ -232,7 +237,7 @@ pub(crate) mod tests {
         };
         assert!(matches!(c.validate(), Err(IcgmmError::Config(_))));
         c = IcgmmConfig::default();
-        c.threshold.quantile = 1.5;
+        c.admission_quantile = 1.5;
         assert!(c.validate().is_err());
         c = IcgmmConfig::default();
         c.em.k = 0;

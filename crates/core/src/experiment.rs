@@ -51,20 +51,12 @@ pub fn run_static_vs_adaptive(
         adapt: icgmm_cache::AdaptPlan::empty(),
         ..config
     };
-    let mut trainer_sys = Icgmm::new(static_config)?;
-    let model = if train_prefix > 0 && train_prefix < trace.len() {
-        let prefix = icgmm_trace::Trace::from_records(trace.records()[..train_prefix].to_vec());
-        trainer_sys.fit(&prefix)?;
-        trainer_sys.model().expect("just fitted").clone()
-    } else {
-        trainer_sys.fit(trace)?;
-        trainer_sys.model().expect("just fitted").clone()
-    };
-
+    let prefix = (train_prefix > 0 && train_prefix < trace.len())
+        .then(|| icgmm_trace::Trace::from_records(trace.records()[..train_prefix].to_vec()));
     let mut static_sys = Icgmm::new(static_config)?;
-    static_sys.set_model(model.clone());
+    static_sys.fit(prefix.as_ref().unwrap_or(trace))?;
     let mut adaptive_sys = Icgmm::new(config)?;
-    adaptive_sys.set_model(model);
+    adaptive_sys.set_model(static_sys.model().expect("just fitted").clone());
     Ok(AdaptComparison {
         static_run: static_sys.run(trace, mode)?,
         adaptive_run: adaptive_sys.run(trace, mode)?,

@@ -65,8 +65,6 @@ pub struct FitSummary {
     pub cells_trained: usize,
     /// EM convergence report.
     pub em: EmReport,
-    /// Calibrated admission threshold.
-    pub threshold: f64,
 }
 
 /// Result of one policy run.
@@ -177,6 +175,39 @@ impl<'a> Assembly<'a> {
     }
 }
 
+/// `(records_used, cells_total, xs, ws)`: the [`FitSummary`] counts, then
+/// the kept cells' unscaled `(page, time)` points and their weights.
+type Sample = (usize, usize, Vec<[f64; 2]>, Vec<f64>);
+
+/// What [`Icgmm::fit`] trains on and [`Icgmm::calibrate`] scores: the
+/// Algorithm 1 cells of `trace`'s kept middle under `cfg`, uniformly
+/// subsampled to `max_train_cells`.
+fn training_sample(cfg: &IcgmmConfig, trace: &Trace) -> Result<Sample, IcgmmError> {
+    let (start, end) = cfg.preprocess.kept_range(trace.len());
+    if start >= end {
+        return Err(IcgmmError::EmptyTrace);
+    }
+    // The Algorithm 1 clock runs from the start of the trace; only the
+    // kept middle contributes training cells (paper §3.1).
+    let mut cells = training_cells(trace, &cfg.preprocess);
+    let cells_total = cells.len();
+
+    // Uniform subsample (weights ride along, so weighted EM on it
+    // estimates the same mixture). Fisher–Yates swaps the same positions
+    // whatever it shuffles: an index shuffle picks these cells, in order.
+    if cells.len() > cfg.max_train_cells {
+        let mut rng = StdRng::seed_from_u64(cfg.em.seed ^ 0x5EED_CE11);
+        cells.shuffle(&mut rng);
+        cells.truncate(cfg.max_train_cells);
+    }
+
+    let (xs, ws) = cells
+        .iter()
+        .map(|c| ([c.page as f64, f64::from(c.time)], f64::from(c.weight)))
+        .unzip();
+    Ok((end - start, cells_total, xs, ws))
+}
+
 /// The ICGMM system: configuration + (after [`Icgmm::fit`]) a trained
 /// policy engine.
 ///
@@ -196,7 +227,8 @@ impl<'a> Assembly<'a> {
 pub struct Icgmm {
     cfg: IcgmmConfig,
     model: Option<TrainedModel>,
-    last_fit: Option<FitSummary>,
+    /// The summary [`Icgmm::fit`] returns a reference to.
+    fit: Option<FitSummary>,
 }
 
 impl Icgmm {
@@ -210,7 +242,7 @@ impl Icgmm {
         Ok(Icgmm {
             cfg,
             model: None,
-            last_fit: None,
+            fit: None,
         })
     }
 
@@ -224,70 +256,57 @@ impl Icgmm {
         self.model.as_ref()
     }
 
-    /// The last fit summary, if any.
-    pub fn last_fit(&self) -> Option<&FitSummary> {
-        self.last_fit.as_ref()
-    }
-
     /// Installs an externally trained model (e.g. deserialized from disk).
     pub fn set_model(&mut self, model: TrainedModel) {
         self.model = Some(model);
     }
 
     /// Offline training (paper §3): trim the trace, extract weighted
-    /// `(page, window)` cells, subsample, standardize, run EM, calibrate
-    /// the admission threshold.
+    /// `(page, window)` cells, subsample, standardize, run EM, then
+    /// calibrate the admission threshold on the same sample.
     ///
     /// # Errors
     ///
     /// [`IcgmmError::EmptyTrace`] when nothing survives trimming, or a
     /// wrapped GMM error from EM or the threshold calibration.
     pub fn fit(&mut self, trace: &Trace) -> Result<&FitSummary, IcgmmError> {
-        let (start, end) = self.cfg.preprocess.kept_range(trace.len());
-        if start >= end {
-            return Err(IcgmmError::EmptyTrace);
-        }
-        // The Algorithm 1 clock runs from the start of the trace; only the
-        // kept middle contributes training cells (paper §3.1).
-        let mut cells = training_cells(trace, &self.cfg.preprocess);
-        let records_used = end - start;
-        let cells_total = cells.len();
-
-        // Uniform subsample (weights ride along, so weighted EM on it
-        // estimates the same mixture). Fisher–Yates swaps the same positions
-        // whatever it shuffles: an index shuffle picks these cells, in order.
-        if cells.len() > self.cfg.max_train_cells {
-            let mut rng = StdRng::seed_from_u64(self.cfg.em.seed ^ 0x5EED_CE11);
-            cells.shuffle(&mut rng);
-            cells.truncate(self.cfg.max_train_cells);
-        }
-
-        let (mut xs, ws): (Vec<[f64; 2]>, Vec<f64>) = cells
-            .iter()
-            .map(|c| ([c.page as f64, f64::from(c.time)], f64::from(c.weight)))
-            .unzip();
-        drop(cells);
+        let (records_used, cells_total, mut xs, ws) = training_sample(&self.cfg, trace)?;
         let scaler = StandardScaler::fit(&xs, &ws);
         scaler.transform_all(&mut xs);
 
-        let trainer = EmTrainer::new(self.cfg.em)?;
-        let (gmm, em_report) = trainer.fit(&xs, &ws)?;
-        let threshold = calibrate_threshold(&gmm, &xs, &ws, &self.cfg.threshold)?;
-
-        let summary = FitSummary {
-            records_used,
-            cells_total,
-            cells_trained: xs.len(),
-            em: em_report,
-            threshold,
-        };
+        let (gmm, em) = EmTrainer::new(self.cfg.em)?.fit(&xs, &ws)?;
+        let threshold = calibrate_threshold(&gmm, &xs, &ws, self.cfg.admission_quantile)?;
         self.model = Some(TrainedModel {
             scaler,
             gmm,
             threshold,
         });
-        self.last_fit = Some(summary);
-        Ok(self.last_fit.as_ref().expect("just set"))
+        Ok(self.fit.insert(FitSummary {
+            records_used,
+            cells_total,
+            cells_trained: xs.len(),
+            em,
+        }))
+    }
+
+    /// Re-derives the installed model's admission threshold at the
+    /// configuration's `admission_quantile` over `trace`'s training sample,
+    /// scored in the model's own coordinates (its scaler), without running
+    /// EM. After [`Icgmm::fit`] on the same trace under a configuration that
+    /// differs only in the quantile, the model is bit-identical to the one
+    /// `fit` at this quantile trains.
+    ///
+    /// # Errors
+    ///
+    /// [`IcgmmError::NotFitted`] with no model installed,
+    /// [`IcgmmError::EmptyTrace`] when nothing survives trimming, or a
+    /// wrapped GMM error from the calibration.
+    pub fn calibrate(&mut self, trace: &Trace) -> Result<f64, IcgmmError> {
+        let model = self.model.as_mut().ok_or(IcgmmError::NotFitted)?;
+        let (_, _, mut xs, ws) = training_sample(&self.cfg, trace)?;
+        model.scaler.transform_all(&mut xs);
+        model.threshold = calibrate_threshold(&model.gmm, &xs, &ws, self.cfg.admission_quantile)?;
+        Ok(model.threshold)
     }
 
     /// Builds a fresh policy engine from the trained model.
@@ -591,7 +610,7 @@ mod tests {
         let fit = sys.fit(&trace).unwrap().clone();
         assert!(fit.cells_trained > 0);
         assert!(fit.cells_trained <= fit.cells_total);
-        assert!(fit.threshold.is_finite());
+        assert!(sys.model().unwrap().threshold.is_finite());
 
         for mode in PolicyMode::fig6_modes() {
             let rep = sys.run(&trace, mode).unwrap();

@@ -66,7 +66,7 @@ pub use incremental::IncrementalEm;
 pub use model::Gmm;
 pub use scaler::StandardScaler;
 pub use scorer::{GmmScorer, TimeSlice};
-pub use threshold::{calibrate_threshold, weighted_quantile, ThresholdConfig};
+pub use threshold::{calibrate_threshold, weighted_quantile};
 
 use rand::Rng;
 use std::sync::OnceLock;

@@ -9,25 +9,6 @@
 
 use crate::error::GmmError;
 use crate::model::Gmm;
-use serde::{Deserialize, Serialize};
-
-/// Threshold selection policy.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ThresholdConfig {
-    /// Quantile of training-cell scores used as the admission threshold,
-    /// in `[0, 1)`. `0` admits everything.
-    pub quantile: f64,
-}
-
-impl Default for ThresholdConfig {
-    fn default() -> Self {
-        // A conservative default: under heavy access skew a few percent of
-        // request mass already covers every page beyond cache reach, and
-        // over-filtering multiplies misses on pages with genuine reuse.
-        // Per-benchmark calibrated values live in `icgmm::benchmarks`.
-        ThresholdConfig { quantile: 0.05 }
-    }
-}
 
 /// Weighted quantile (lower interpolation) of `values` with non-negative
 /// `weights` (`weights` empty ⇒ uniform). Values are ordered by
@@ -72,7 +53,8 @@ pub fn weighted_quantile(values: &[f64], weights: &[f64], q: f64) -> Result<f64,
 }
 
 /// Scores every training cell under `gmm` and returns the calibrated
-/// admission threshold.
+/// admission threshold: the weighted `quantile` of the scores, or `0` (admit
+/// everything, no cell scored) for a `quantile` of `0` or less.
 ///
 /// # Errors
 ///
@@ -81,16 +63,16 @@ pub fn calibrate_threshold(
     gmm: &Gmm,
     xs: &[[f64; 2]],
     ws: &[f64],
-    cfg: &ThresholdConfig,
+    quantile: f64,
 ) -> Result<f64, GmmError> {
-    if cfg.quantile <= 0.0 {
+    if quantile <= 0.0 {
         return Ok(0.0); // admit everything
     }
     // Calibration scores every training cell (up to millions): split the
     // batch across worker threads.
     let mut scores = vec![0.0; xs.len()];
     gmm.scorer().score_batch_parallel(xs, &mut scores, 0);
-    weighted_quantile(&scores, ws, cfg.quantile.min(1.0))
+    weighted_quantile(&scores, ws, quantile.min(1.0))
 }
 
 #[cfg(test)]
@@ -138,8 +120,7 @@ mod tests {
         let mismatch = weighted_quantile(&[1.0, 2.0], &[1.0], 0.5);
         assert!(matches!(mismatch, Err(GmmError::InvalidWeights(_))));
         // The public calibration over no training cells.
-        let cfg = ThresholdConfig { quantile: 0.05 };
-        let none = calibrate_threshold(&unit_gmm(), &[], &[], &cfg);
+        let none = calibrate_threshold(&unit_gmm(), &[], &[], 0.05);
         assert_eq!(none, Err(GmmError::EmptyInput));
     }
 
@@ -151,9 +132,8 @@ mod tests {
         let v = [3.0, f64::NAN, 1.0, 2.0];
         assert_eq!(weighted_quantile(&v, &[], 0.5), Ok(2.0));
         assert!(weighted_quantile(&v, &[], 1.0).unwrap().is_nan());
-        let cfg = ThresholdConfig { quantile: 0.25 };
         let xs = [[0.0, 0.0], [f64::NAN, 0.0], [3.0, 3.0], [1.0, 1.0]];
-        assert!(calibrate_threshold(&unit_gmm(), &xs, &[], &cfg).is_ok());
+        assert!(calibrate_threshold(&unit_gmm(), &xs, &[], 0.25).is_ok());
     }
 
     #[test]
@@ -162,7 +142,7 @@ mod tests {
         // 80% of cells near the mean (hot), 20% far (cold).
         let mut xs = vec![[0.0, 0.0]; 80];
         xs.extend(vec![[6.0, 6.0]; 20]);
-        let thr = calibrate_threshold(&gmm, &xs, &[], &ThresholdConfig { quantile: 0.25 });
+        let thr = calibrate_threshold(&gmm, &xs, &[], 0.25);
         let thr = thr.unwrap();
         // The threshold should separate the far cells from the near cells.
         assert!(gmm.score([0.0, 0.0]) >= thr);
@@ -171,8 +151,7 @@ mod tests {
 
     #[test]
     fn zero_quantile_admits_everything() {
-        let cfg = ThresholdConfig { quantile: 0.0 };
-        let thr = calibrate_threshold(&unit_gmm(), &[[0.0, 0.0]], &[], &cfg);
+        let thr = calibrate_threshold(&unit_gmm(), &[[0.0, 0.0]], &[], 0.0);
         assert_eq!(thr, Ok(0.0));
     }
 }

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             k: 48,
             ..Default::default()
         },
-        threshold: icgmm_gmm::ThresholdConfig { quantile: 0.015 },
+        admission_quantile: 0.015,
         max_train_cells: 40_000,
         ..IcgmmConfig::default()
     };

@@ -41,10 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Offline training (paper §3): trim → Algorithm 1 timestamps →
     //    weighted EM → threshold calibration.
-    let fit = system.fit(&trace)?;
+    let fit = system.fit(&trace)?.clone();
+    let threshold = system.model().expect("just fitted").threshold;
     println!(
         "trained: {} cells (from {} requests), EM {} iterations (converged: {}), threshold {:.3e}",
-        fit.cells_trained, fit.records_used, fit.em.iterations, fit.em.converged, fit.threshold
+        fit.cells_trained, fit.records_used, fit.em.iterations, fit.em.converged, threshold
     );
 
     // 4. Run the paper's four policies over the same trace.

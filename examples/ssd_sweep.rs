@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             k: 64,
             ..Default::default()
         },
-        threshold: icgmm_gmm::ThresholdConfig { quantile: 0.35 },
+        admission_quantile: 0.35,
         ..IcgmmConfig::default()
     };
     let mut system = Icgmm::new(cfg)?;

@@ -36,7 +36,7 @@ fn gmm_beats_lru_on_dlrm_like_skew() {
             ..Default::default()
         },
         max_train_cells: 30_000,
-        threshold: icgmm_gmm::ThresholdConfig { quantile: 0.35 },
+        admission_quantile: 0.35,
         ..IcgmmConfig::default()
     })
     .expect("valid config");
@@ -75,7 +75,7 @@ fn gmm_eviction_tracks_lru_on_a_stream() {
             ..Default::default()
         },
         max_train_cells: 30_000,
-        threshold: icgmm_gmm::ThresholdConfig { quantile: 0.02 },
+        admission_quantile: 0.02,
         ..IcgmmConfig::default()
     })
     .expect("valid config");

@@ -1,9 +1,10 @@
 //! Model lifecycle integration tests: save/load round-trips through the
-//! text format, deployment into a fresh system, and `fit` against the
-//! `f64`-cell, index-shuffle subsample it replaced.
+//! text format, deployment into a fresh system, `fit` against the
+//! `f64`-cell, index-shuffle subsample it replaced, and `calibrate` against
+//! `fit` at the same quantile.
 
 use icgmm::persist::{load_model, save_model};
-use icgmm::{FitSummary, Icgmm, IcgmmConfig, PolicyMode, TrainedModel};
+use icgmm::{FitSummary, Icgmm, IcgmmConfig, IcgmmError, PolicyMode, TrainedModel};
 use icgmm_gmm::{calibrate_threshold, EmConfig, EmTrainer, StandardScaler};
 use icgmm_trace::synth::WorkloadKind;
 use icgmm_trace::{extract_weighted_cells_range, Trace, WeightedSample};
@@ -86,13 +87,12 @@ fn index_shuffle_fit(trace: &Trace, cfg: &IcgmmConfig) -> (TrainedModel, FitSumm
     let scaler = StandardScaler::fit(&xs, &ws);
     scaler.transform_all(&mut xs);
     let (gmm, em) = EmTrainer::new(cfg.em).unwrap().fit(&xs, &ws).unwrap();
-    let threshold = calibrate_threshold(&gmm, &xs, &ws, &cfg.threshold).unwrap();
+    let threshold = calibrate_threshold(&gmm, &xs, &ws, cfg.admission_quantile).unwrap();
     let summary = FitSummary {
         records_used: end - start,
         cells_total: cells.len(),
         cells_trained: xs.len(),
         em,
-        threshold,
     };
     (
         TrainedModel {
@@ -138,4 +138,75 @@ fn fit_equals_the_index_shuffle_subsample_bit_for_bit() {
             );
         }
     }
+}
+
+#[test]
+fn calibrate_after_fit_equals_fit_at_the_quantile_bit_for_bit() {
+    let trace = WorkloadKind::Memtier
+        .default_workload()
+        .generate(20_000, 44);
+    let mut trained = Icgmm::new(test_config()).expect("valid config");
+    let fit = trained.fit(&trace).expect("training succeeds").clone();
+    for q in [0.0, 0.02, 0.35, 0.8] {
+        let cfg = IcgmmConfig {
+            admission_quantile: q,
+            ..test_config()
+        };
+        let mut fitted = Icgmm::new(cfg).expect("valid config");
+        let want_fit = fitted.fit(&trace).expect("training succeeds").clone();
+        let mut calibrated = Icgmm::new(cfg).expect("valid config");
+        calibrated.set_model(trained.model().expect("trained").clone());
+        let threshold = calibrated.calibrate(&trace).expect("calibration succeeds");
+        let model = calibrated.model().expect("installed");
+        assert_eq!(threshold.to_bits(), model.threshold.to_bits(), "q = {q}");
+        assert_eq!(
+            fingerprint(model, &fit),
+            fingerprint(fitted.model().expect("trained"), &want_fit),
+            "q = {q}"
+        );
+    }
+}
+
+#[test]
+fn calibrate_needs_a_model_and_a_kept_range() {
+    let trace = WorkloadKind::Memtier
+        .default_workload()
+        .generate(20_000, 45);
+    let mut sys = Icgmm::new(test_config()).expect("valid config");
+    assert!(matches!(sys.calibrate(&trace), Err(IcgmmError::NotFitted)));
+    sys.fit(&trace).expect("training succeeds");
+    let before = sys.model().expect("trained").clone();
+    assert!(matches!(
+        sys.calibrate(&Trace::new()),
+        Err(IcgmmError::EmptyTrace)
+    ));
+    assert_eq!(
+        sys.model(),
+        Some(&before),
+        "a refused calibration keeps the model"
+    );
+}
+
+/// Quantile 0 calibrates the threshold to 0, below every score, so
+/// `gmm-both` admits every miss and replays as `gmm-eviction` — the stand-in
+/// the `fidelity` bin's quantile sweep takes for its quantile-0 row.
+#[test]
+fn gmm_both_at_quantile_zero_replays_as_gmm_eviction() {
+    let trace = WorkloadKind::Stream.default_workload().generate(60_000, 46);
+    let mut sys = Icgmm::new(test_config()).expect("valid config");
+    sys.fit(&trace).expect("training succeeds");
+    let mut zero = Icgmm::new(IcgmmConfig {
+        admission_quantile: 0.0,
+        ..test_config()
+    })
+    .expect("valid config");
+    zero.set_model(sys.model().expect("trained").clone());
+    assert_eq!(zero.calibrate(&trace).expect("calibration succeeds"), 0.0);
+    let both = zero
+        .run(&trace, PolicyMode::GmmCachingEviction)
+        .expect("run");
+    let eviction = sys.run(&trace, PolicyMode::GmmEvictionOnly).expect("run");
+    assert_eq!(both.sim.stats, eviction.sim.stats);
+    assert_eq!(both.gmm_inferences, eviction.gmm_inferences);
+    assert!(both.sim.stats.bypasses() == 0 && both.gmm_inferences > 0);
 }
