@@ -278,27 +278,33 @@ impl SetAssocCache {
     ///
     /// `score` is the policy-engine output for this page; pass `None` when
     /// the policy engine is disabled (the hardware then falls back to LRU,
-    /// per §4.1). Hits never consult `score`.
+    /// per §4.1). Hits never consult `score`. No other page has a score
+    /// here, so a block waiting for one that this access would re-score
+    /// stores score 0 instead.
     pub fn access(
         &mut self,
         record: &TraceRecord,
         seq: u64,
-        score: Option<f64>,
+        mut score: Option<f64>,
         policy: &mut Policy,
     ) -> AccessOutcome {
-        self.access_scored(record, seq, || score, policy).0
+        self.access_scored(record, seq, |_| score.take(), policy)
     }
 
-    /// [`SetAssocCache::access`] with the miss score taken lazily: `score`
-    /// runs after the tag compare, exactly once on a miss and never on a
-    /// hit (the hardware triggers the policy engine on miss only). Returns
-    /// the outcome and the score the access consumed (`None` on a hit).
+    /// [`SetAssocCache::access`] with the scores taken lazily from
+    /// `score(page)`: it runs after the tag compare, once for the missed
+    /// page on a miss and never on a hit (the hardware triggers the policy
+    /// engine on miss only), then once for each unscored block the miss
+    /// re-scores (below).
     ///
-    /// An untrusted score is no score: this is the one place a miss's
-    /// score enters [`AccessCtx`], and a non-finite one enters as `None` —
-    /// the policy decides that request the way it would without a
-    /// policy engine (admit it, evict by recency) and never store it. The
-    /// returned score is still the raw one, so callers count the inference.
+    /// An untrusted score is no score: this is the one place a score
+    /// enters a policy, and a non-finite one enters as `None` — the policy
+    /// decides that request the way it would without a policy engine
+    /// (admit it, evict by recency) and stores no score for the block it
+    /// inserts. A miss with a trusted score that must evict from a set
+    /// holding such blocks first asks `score` for each of their pages, in
+    /// way order ([`GmmScorePolicy`](crate::GmmScorePolicy)). A caller
+    /// counts inferences in `score`.
     ///
     /// Always inlined, like the loop's accounting step: with the replay
     /// loop compiled for more than one record walk, LLVM
@@ -309,9 +315,9 @@ impl SetAssocCache {
         &mut self,
         record: &TraceRecord,
         seq: u64,
-        score: impl FnOnce() -> Option<f64>,
+        mut score: impl FnMut(PageIndex) -> Option<f64>,
         policy: &mut Policy,
-    ) -> (AccessOutcome, Option<f64>) {
+    ) -> AccessOutcome {
         let page = record.page();
         let (set, tag) = self.map.split(page);
         let row = self.row(set);
@@ -327,32 +333,35 @@ impl SetAssocCache {
                 self.flags[row * self.cfg.ways + way] |= DIRTY;
             }
             policy.on_hit(row, way, &ctx);
-            return (AccessOutcome::Hit { way }, None);
+            return AccessOutcome::Hit { way };
         }
 
-        let raw = score();
-        ctx.score = raw.filter(|s| s.is_finite());
+        ctx.score = score(page).filter(|s| s.is_finite());
         if !policy.admits(&ctx) {
-            return (AccessOutcome::MissBypassed, raw);
+            return AccessOutcome::MissBypassed;
         }
-        let (way, evicted) = self.insert((set, row), tag, &ctx, policy);
-        (AccessOutcome::MissInserted { way, evicted }, raw)
+        let (way, evicted) = self.insert((set, row), tag, &ctx, policy, score);
+        AccessOutcome::MissInserted { way, evicted }
     }
 
     /// Inserts `tag` (which must not be present) into `set`, held in `row`,
-    /// evicting if needed.
+    /// evicting if needed; a victim choice re-scores a block's page through
+    /// `score`.
     fn insert(
         &mut self,
         (set, row): (usize, usize),
         tag: u64,
         ctx: &AccessCtx,
         policy: &mut Policy,
+        mut score: impl FnMut(PageIndex) -> Option<f64>,
     ) -> (usize, Option<Eviction>) {
         let ways = self.cfg.ways;
+        let (tags, map) = (self.tag_row(row), &self.map);
         // Prefer an empty way.
-        let way = (self.tag_row(row).iter())
-            .position(|&t| t == EMPTY)
-            .unwrap_or_else(|| policy.choose_victim(row, ways, ctx));
+        let way = tags.iter().position(|&t| t == EMPTY).unwrap_or_else(|| {
+            let rescore = |way: usize| score(map.page_of(set, tags[way])).filter(|s| s.is_finite());
+            policy.choose_victim(row, ways, ctx, rescore)
+        });
         debug_assert!(way < ways, "policy returned way out of range");
         let slot = row * ways + way;
         let old = self.tags()[slot];

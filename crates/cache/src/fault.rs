@@ -1,4 +1,4 @@
-//! Deterministic fault injection and the graceful-degradation ladder.
+//! Deterministic fault injection and graceful degradation.
 //!
 //! The paper's ICGMM sits between a learned model and real flash devices,
 //! neither of which is perfect in deployment: scoring engines emit
@@ -8,44 +8,38 @@
 //! *deterministically*:
 //!
 //! * [`FaultPlan`] — a seeded, `Copy` description of which faults to arm
-//!   (scorer, device, shard) and how the degradation ladder responds
-//!   (the scorer health monitor). An empty plan
-//!   injects nothing and arms nothing; callers skip all wrapping in that
-//!   case, so empty-plan runs take exactly the fault-free code paths and
-//!   stay bit-identical to them (property-enforced by
-//!   `tests/fault_empty_plan.rs`).
+//!   (scorer, device, shard). An empty plan injects nothing; callers skip
+//!   all wrapping in that case, so empty-plan runs take exactly the
+//!   fault-free code paths and stay bit-identical to them
+//!   (property-enforced by `tests/fault_empty_plan.rs`).
 //! * [`FaultStats`] — the observability block carried on `SimReport`
 //!   (and, through it, `RunReport` and `ServeReport`) and
-//!   `DataflowReport`: injected / retried / degraded / recovered counters
+//!   `DataflowReport`: injected / retried / recovered counters
 //!   plus modeled time lost to faults.
 //! * [`FaultyScore`] — a [`ScoreSource`] wrapper that corrupts the scores
-//!   of misses at plan-rolled positions (NaN/±Inf flips, outage windows)
-//!   and owns the scorer health monitor, [`ScorerHealth`]. Each miss is
-//!   scored with its own position, so the wrapper keeps no clock and sees
-//!   no hit.
+//!   of misses at plan-rolled positions (NaN/±Inf flips, outage windows).
+//!   Each miss is scored with its own position, so the wrapper keeps no
+//!   clock and sees no hit.
 //!
-//! # The ladder is "no score"
+//! # Degradation is "no score"
 //!
 //! A score that cannot be trusted is not a score, and a miss without a
-//! score is something every policy already decides: threshold admission
-//! admits it, gmm-score eviction picks its victim by recency and stores
-//! score 0 for the block ([`AccessCtx::score`](crate::AccessCtx::score) is
-//! `None`). So degradation is a value, not a second policy stack, and it
-//! has two rungs:
-//!
-//! * **per request** — a non-finite score never reaches a policy
-//!   ([`crate::SetAssocCache::access_scored`] hands it on as `None`),
-//!   whether a plan injected it or the engine produced it, and whether or
-//!   not a monitor is armed. That request is decided the way LRU would.
-//! * **per streak** — the monitor, once armed, stops trusting *finite*
-//!   scores too after `scorer_demote_after` consecutive bad ones: while it
-//!   is degraded [`FaultyScore`] answers every miss with no score (NaN),
-//!   still scoring underneath, and trusts the engine again after
-//!   `scorer_promote_after` consecutive good ones.
+//! score is something every policy already decides
+//! ([`AccessCtx::score`](crate::AccessCtx::score) is `None`): threshold
+//! admission admits it, gmm-score eviction picks its victim by recency and
+//! leaves the block it inserts unscored. A non-finite score never reaches
+//! a policy ([`crate::SetAssocCache::access_scored`] hands it on as
+//! `None`), whether a plan injected it or the engine produced it, so that
+//! request is decided the way LRU would. The next miss with a trusted
+//! score that must evict from the block's set re-scores it first, at that
+//! miss's position ([`crate::GmmScorePolicy`]). A scorer fault is rolled
+//! by position, so the re-score rolls as that trusted miss did: an outage
+//! or a flip costs the requests it hits and no more. So degradation is a
+//! value, not a second policy stack, and no state of it crosses a
+//! request: a scorer-faulted report is the same at every shard count.
 //!
 //! Counters are plain fields of whoever increments them: the injector
-//! counts its injections, its monitor the ladder's transitions and the
-//! scores it withheld, the shard supervisor its panics and recoveries, and
+//! counts its injections, the shard supervisor its panics and recoveries, and
 //! the replay loop's accounting step the device faults of every measured
 //! miss ([`FaultPlan::device_command_as`]) — for whichever front-end fed
 //! it the record: `run`, `run_sharded`, `serve` and `run_dataflow` alike.
@@ -59,7 +53,7 @@
 //! interleaving and of shard count. (A device fault is keyed by its
 //! request's position and the command's index within the request.)
 
-use icgmm_trace::TraceRecord;
+use icgmm_trace::PageIndex;
 use serde::{Deserialize, Serialize};
 
 use crate::adapt::AdaptStats;
@@ -108,12 +102,12 @@ pub(crate) fn roll_hits(roll: u64, per_mille: u16) -> bool {
     per_mille > 0 && roll % 1000 < per_mille as u64
 }
 
-/// A seeded, config-driven fault-injection plan plus degradation knobs.
+/// A seeded, config-driven fault-injection plan.
 ///
-/// The default plan is *empty*: every injection rate is zero and every
-/// ladder rung disarmed. Callers must check [`FaultPlan::is_empty`] and
-/// skip all wrapping for empty plans — that is what makes the empty-plan
-/// bit-identity property hold by construction rather than by luck.
+/// The default plan is *empty*: every injection rate is zero. Callers
+/// must check [`FaultPlan::is_empty`] and skip all wrapping for empty
+/// plans — that is what makes the empty-plan bit-identity property hold
+/// by construction rather than by luck.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Seed for every injection decision (independent of the trace seed).
@@ -143,13 +137,6 @@ pub struct FaultPlan {
     /// Per-mille probability (rolled once per shard) that a shard worker
     /// panics mid-replay at a plan-chosen record.
     pub shard_panic_per_mille: u16,
-    /// Consecutive non-finite scores before the scorer health monitor
-    /// stops trusting the engine — every miss then goes unscored
-    /// (always admitted, evicted by recency). Zero disarms the monitor;
-    /// a single non-finite score is withheld from the policy either way.
-    pub scorer_demote_after: u32,
-    /// Consecutive finite scores (while degraded) before re-promotion.
-    pub scorer_promote_after: u32,
 }
 
 impl Default for FaultPlan {
@@ -165,8 +152,6 @@ impl Default for FaultPlan {
             device_backoff_us: 50.0,
             device_timeout_us: 1_000.0,
             shard_panic_per_mille: 0,
-            scorer_demote_after: 0,
-            scorer_promote_after: 64,
         }
     }
 }
@@ -178,7 +163,7 @@ impl FaultPlan {
     }
 
     /// A mixed-fault chaos preset used by the soak suites: every fault
-    /// class armed at soak-friendly rates, the health monitor armed.
+    /// class armed at soak-friendly rates.
     pub fn chaos(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -188,16 +173,14 @@ impl FaultPlan {
             device_fail_per_mille: 20,
             device_spike_per_mille: 50,
             shard_panic_per_mille: 500,
-            scorer_demote_after: 8,
-            scorer_promote_after: 64,
             ..FaultPlan::default()
         }
     }
 
-    /// Whether the plan injects nothing and arms no monitor — the
-    /// "today's engines, untouched" configuration.
+    /// Whether the plan injects nothing — the "today's engines,
+    /// untouched" configuration.
     pub fn is_empty(&self) -> bool {
-        !self.scorer_armed() && !self.device_armed() && !self.shard_armed() && !self.monitor_armed()
+        !self.scorer_armed() && !self.device_armed() && !self.shard_armed()
     }
 
     /// Scorer faults armed (non-finite flips or outages)?
@@ -213,11 +196,6 @@ impl FaultPlan {
     /// Shard-worker panic points armed?
     pub fn shard_armed(&self) -> bool {
         self.shard_panic_per_mille > 0
-    }
-
-    /// Scorer health monitor (distrust the engine after a bad streak) armed?
-    pub fn monitor_armed(&self) -> bool {
-        self.scorer_demote_after > 0
     }
 
     /// Validates the plan, returning the first problem found.
@@ -253,11 +231,6 @@ impl FaultPlan {
         }
         check_us("fault.device_backoff_us", self.device_backoff_us)?;
         check_us("fault.device_timeout_us", self.device_timeout_us)?;
-        if self.scorer_demote_after > 0 && self.scorer_promote_after == 0 {
-            return Err(
-                "fault.scorer_promote_after must be >= 1 when the health monitor is armed".into(),
-            );
-        }
         Ok(())
     }
 
@@ -333,7 +306,7 @@ pub(crate) fn add_as(sum: &mut u128, t: u128) {
     *sum = sum.checked_add(t).expect("device time past 2^128 as");
 }
 
-/// Fault-injection and degradation counters for one run.
+/// Fault-injection and recovery counters for one run.
 ///
 /// Carried on `SimReport` (and, through it, `RunReport` and `ServeReport`)
 /// and `DataflowReport`. Every shard's own report holds the shard's
@@ -374,15 +347,6 @@ pub struct FaultStats {
     pub shard_panics: u64,
     /// Panicked shards successfully re-replayed by the supervisor.
     pub shard_recoveries: u64,
-    /// Scorer health-monitor demotions (the engine stops being trusted).
-    pub scorer_demotions: u64,
-    /// Scorer health-monitor re-promotions (the engine is trusted again).
-    pub scorer_repromotions: u64,
-    /// Misses decided without a score because the monitor was degraded —
-    /// each one admitted and its victim chosen by recency. Non-finite
-    /// scores withheld outside a degraded stretch are the injection
-    /// counters above.
-    pub degraded_scores: u64,
 }
 
 impl FaultStats {
@@ -399,12 +363,9 @@ impl FaultStats {
         add_as(&mut self.device_request_as, other.device_request_as);
         self.shard_panics += other.shard_panics;
         self.shard_recoveries += other.shard_recoveries;
-        self.scorer_demotions += other.scorer_demotions;
-        self.scorer_repromotions += other.scorer_repromotions;
-        self.degraded_scores += other.degraded_scores;
     }
 
-    /// Total faults injected (scorer + device + shard), before degradation.
+    /// Total faults injected (scorer + device + shard).
     pub fn injected(&self) -> u64 {
         self.scorer_nan_injected
             + self.scorer_outage_scores
@@ -413,122 +374,34 @@ impl FaultStats {
             + self.shard_panics
     }
 
-    /// `true` when no fault was injected and nothing degraded — the block an
-    /// empty plan must produce.
+    /// `true` when no fault was injected and nothing recovered — the block
+    /// an empty plan must produce.
     pub fn is_clean(&self) -> bool {
         *self == FaultStats::default()
     }
 }
 
-/// The scorer health monitor: tracks consecutive non-finite scores and
-/// decides, with hysteresis, whether the engine is trusted at all (demote
-/// after `scorer_demote_after` bad scores, re-promote after
-/// `scorer_promote_after` good ones). A disarmed monitor
-/// (`scorer_demote_after == 0`) never degrades.
+/// A [`ScoreSource`] wrapper that injects plan-rolled scorer faults: an
+/// injected score is non-finite, which the cache hands the policy as
+/// [`AccessCtx::score`](crate::AccessCtx::score)` = None`, as it does a
+/// genuine non-finite score of the inner engine.
 ///
-/// A plain value owned by the one [`FaultyScore`] of a replay thread
-/// (sharded runs build one per shard), so transitions are a pure function
-/// of that thread's score stream and the run stays deterministic. It keeps
-/// the ladder's three counters ([`ScorerHealth::telemetry`]).
-#[derive(Debug)]
-pub struct ScorerHealth {
-    demote_after: u32,
-    promote_after: u32,
-    degraded: bool,
-    /// Length of the current run of bad scores (healthy) or good ones
-    /// (degraded).
-    streak: u32,
-    demotions: u64,
-    repromotions: u64,
-    degraded_scores: u64,
-}
-
-impl ScorerHealth {
-    /// A monitor armed per `plan`.
-    pub fn new(plan: &FaultPlan) -> Self {
-        ScorerHealth {
-            demote_after: plan.scorer_demote_after,
-            promote_after: plan.scorer_promote_after,
-            degraded: false,
-            streak: 0,
-            demotions: 0,
-            repromotions: 0,
-            degraded_scores: 0,
-        }
-    }
-
-    /// Whether the engine is currently not trusted.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Adds the ladder's counters — transitions, and the scores withheld
-    /// while degraded — to `fault`.
-    pub fn telemetry(&self, fault: &mut FaultStats) {
-        fault.scorer_demotions += self.demotions;
-        fault.scorer_repromotions += self.repromotions;
-        fault.degraded_scores += self.degraded_scores;
-    }
-
-    /// Feeds one score observation (finite or not) into the monitor,
-    /// counting demotions, re-promotions and — when the monitor is
-    /// degraded once it has seen the score — the score as withheld.
-    pub fn observe(&mut self, finite: bool) {
-        if self.demote_after == 0 {
-            return;
-        }
-        // Healthy, a bad score extends the streak; degraded, a good one.
-        if finite == self.degraded {
-            self.streak += 1;
-            let limit = if self.degraded {
-                self.promote_after
-            } else {
-                self.demote_after
-            };
-            if self.streak >= limit {
-                self.degraded = !self.degraded;
-                self.streak = 0;
-                if self.degraded {
-                    self.demotions += 1;
-                } else {
-                    self.repromotions += 1;
-                }
-            }
-        } else {
-            self.streak = 0;
-        }
-        self.degraded_scores += u64::from(self.degraded);
-    }
-}
-
-/// A [`ScoreSource`] wrapper that injects plan-rolled scorer faults and
-/// runs the health monitor over what comes out — which also catches
-/// genuine non-finite scores the inner engine produces on its own.
-///
-/// While the monitor is degraded the wrapper answers every miss with no
-/// score (NaN, which the cache hands the policy as
-/// [`AccessCtx::score`](crate::AccessCtx::score)` = None`); it still
-/// scores underneath, so the re-promotion streak runs.
-///
-/// Every injection decision is keyed on the scored miss's *global trace
-/// position* — identical at every shard count. The armed monitor is not:
-/// its streaks run over its own shard's misses, so a monitored run is
-/// deterministic for a given shard count but differs between them.
+/// Every injection decision is keyed on the scored *global trace
+/// position* — identical at every shard count, and for every page scored
+/// there: a miss's blocks re-scored at its position roll as it did.
 pub struct FaultyScore<S: ScoreSource> {
     inner: S,
     plan: FaultPlan,
-    health: ScorerHealth,
     nan_injected: u64,
     outage_scores: u64,
 }
 
 impl<S: ScoreSource> FaultyScore<S> {
-    /// Wraps `inner`, injecting and monitoring per `plan`.
+    /// Wraps `inner`, injecting per `plan`.
     pub fn new(inner: S, plan: FaultPlan) -> Self {
         FaultyScore {
             inner,
             plan,
-            health: ScorerHealth::new(&plan),
             nan_injected: 0,
             outage_scores: 0,
         }
@@ -574,17 +447,13 @@ impl<S: ScoreSource> FaultyScore<S> {
                 self.nan_injected += 1;
             }
         }
-        self.health.observe(v.is_finite());
-        if self.health.is_degraded() {
-            return f64::NAN;
-        }
         v
     }
 }
 
 impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
-    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
-        let raw = self.inner.score(record, pos);
+    fn score(&mut self, page: PageIndex, pos: u64) -> f64 {
+        let raw = self.inner.score(page, pos);
         self.corrupt(pos, raw)
     }
 
@@ -592,7 +461,6 @@ impl<S: ScoreSource> ScoreSource for FaultyScore<S> {
         self.inner.telemetry(fault, adapt);
         fault.scorer_nan_injected += self.nan_injected;
         fault.scorer_outage_scores += self.outage_scores;
-        self.health.telemetry(fault);
     }
 }
 
@@ -601,13 +469,6 @@ mod tests {
     use super::*;
     use crate::latency::micros;
     use crate::score::ConstantScore;
-
-    /// The ladder's counters, read the way a replay reads them.
-    fn ladder(h: &ScorerHealth) -> FaultStats {
-        let mut fault = FaultStats::default();
-        h.telemetry(&mut fault);
-        fault
-    }
 
     #[test]
     fn default_plan_is_empty_and_valid() {
@@ -622,7 +483,6 @@ mod tests {
         let p = FaultPlan::chaos(7);
         assert!(!p.is_empty());
         assert!(p.scorer_armed() && p.device_armed() && p.shard_armed());
-        assert!(p.monitor_armed());
         assert!(p.validate().is_ok());
     }
 
@@ -654,11 +514,6 @@ mod tests {
             },
             FaultPlan {
                 device_timeout_us: f64::INFINITY,
-                ..FaultPlan::default()
-            },
-            FaultPlan {
-                scorer_demote_after: 4,
-                scorer_promote_after: 0,
                 ..FaultPlan::default()
             },
         ];
@@ -754,7 +609,7 @@ mod tests {
         };
         let run = |mut s: FaultyScore<ConstantScore>| -> Vec<bool> {
             (0..200u64)
-                .map(|i| !s.score(&TraceRecord::read(i << 12), i).is_finite())
+                .map(|i| !s.score(PageIndex::new(i), i).is_finite())
                 .collect()
         };
         let a = run(FaultyScore::new(ConstantScore(0.5), plan));
@@ -773,101 +628,19 @@ mod tests {
         };
         // A shard's clone scores only its own positions and must corrupt
         // exactly the scores the whole-stream source corrupts there.
-        let record = |pos: u64| TraceRecord::read(pos << 12);
         let mut whole = FaultyScore::new(Box::new(ConstantScore(0.5)), plan);
         let expected: Vec<f64> = (0..64u64)
-            .map(|pos| whole.score(&record(pos), pos))
+            .map(|pos| whole.score(PageIndex::new(pos), pos))
             .collect();
         let mut shard = FaultyScore::new(Box::new(ConstantScore(0.5)), plan);
         for pos in (1..64u64).step_by(3) {
-            let (e, o) = (expected[pos as usize], shard.score(&record(pos), pos));
+            let (e, o) = (
+                expected[pos as usize],
+                shard.score(PageIndex::new(pos), pos),
+            );
             assert!(e == o || (e.is_nan() && o.is_nan()), "{e} vs {o}");
         }
         assert!(expected.iter().any(|e| !e.is_finite()));
-    }
-
-    #[test]
-    fn health_monitor_demotes_and_repromotes_with_hysteresis() {
-        let plan = FaultPlan {
-            scorer_demote_after: 3,
-            scorer_promote_after: 2,
-            ..FaultPlan::default()
-        };
-        let mut h = ScorerHealth::new(&plan);
-        h.observe(false);
-        h.observe(false);
-        assert!(!h.is_degraded(), "two bad scores are below the threshold");
-        h.observe(false);
-        assert!(h.is_degraded(), "third consecutive bad score demotes");
-        h.observe(true);
-        assert!(h.is_degraded(), "one good score is below re-promotion");
-        h.observe(true);
-        assert!(
-            !h.is_degraded(),
-            "second consecutive good score re-promotes"
-        );
-        let s = ladder(&h);
-        assert_eq!(s.scorer_demotions, 1);
-        assert_eq!(s.scorer_repromotions, 1);
-        assert_eq!(s.degraded_scores, 2, "the demoting score and the next");
-    }
-
-    #[test]
-    fn a_broken_streak_starts_over_and_a_disarmed_monitor_never_degrades() {
-        let plan = FaultPlan {
-            scorer_demote_after: 2,
-            scorer_promote_after: 2,
-            ..FaultPlan::default()
-        };
-        let mut h = ScorerHealth::new(&plan);
-        for finite in [false, true, false, true] {
-            h.observe(finite);
-            assert!(!h.is_degraded(), "isolated bad scores never make a streak");
-        }
-        h.observe(false);
-        h.observe(false);
-        for finite in [true, false, true] {
-            h.observe(finite);
-            assert!(h.is_degraded(), "isolated good scores never re-promote");
-        }
-        h.observe(true);
-        assert!(!h.is_degraded());
-
-        let mut off = ScorerHealth::new(&FaultPlan::default());
-        (0..100).for_each(|_| off.observe(false));
-        assert!(!off.is_degraded());
-        assert!(ladder(&off).is_clean());
-    }
-
-    /// While degraded the wrapper answers "no score" — finite scores
-    /// included — but keeps scoring underneath, so the streak of good
-    /// scores it withholds is what re-promotes it.
-    #[test]
-    fn degraded_faulty_score_withholds_finite_scores_until_repromoted() {
-        let plan = FaultPlan {
-            scorer_demote_after: 2,
-            scorer_promote_after: 3,
-            ..FaultPlan::default()
-        };
-        // Positions 0 and 1 score NaN on their own; the engine is fine after.
-        let inner = crate::score::FnScore::new(|_, pos| if pos < 2 { f64::NAN } else { 0.5 });
-        let mut s = FaultyScore::new(inner, plan);
-        let scores: Vec<f64> = (0..8u64)
-            .map(|pos| s.score(&TraceRecord::read(pos << 12), pos))
-            .collect();
-        let withheld: Vec<bool> = scores.iter().map(|v| v.is_nan()).collect();
-        // 0, 1: bad (1 demotes). 2, 3: good but withheld. 4: third good
-        // score re-promotes and is served.
-        assert_eq!(
-            withheld,
-            [true, true, true, true, false, false, false, false]
-        );
-        let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
-        s.telemetry(&mut fault, &mut adapt);
-        assert_eq!(fault.scorer_demotions, 1);
-        assert_eq!(fault.scorer_repromotions, 1);
-        assert_eq!(fault.degraded_scores, 3, "positions 1, 2 and 3");
-        assert_eq!(fault.injected(), 0, "the plan injected nothing");
     }
 
     #[test]
@@ -883,7 +656,6 @@ mod tests {
             scorer_nan_injected: 10,
             device_retries: 20,
             shard_recoveries: 30,
-            degraded_scores: 40,
             device_fault_as: attos(2.5),
             device_request_as: attos(2.0),
             ..FaultStats::default()
@@ -894,7 +666,6 @@ mod tests {
         assert_eq!(a.device_retries, 22);
         assert_eq!(a.shard_panics, 3);
         assert_eq!(a.shard_recoveries, 30);
-        assert_eq!(a.degraded_scores, 40);
         assert_eq!(
             (a.device_fault_as, micros(a.device_fault_as)),
             (attos(4.0), 4.0)

@@ -76,7 +76,7 @@ pub use adapt::{
 pub use batch::{SpecParams, SpecStats, WindowedSimulator};
 pub use cache::{AccessOutcome, BlockState, Eviction, SetAssocCache};
 pub use config::{CacheConfig, CacheConfigError, SetMap};
-pub use fault::{FaultPlan, FaultStats, FaultyScore, ScorerHealth};
+pub use fault::{FaultPlan, FaultStats, FaultyScore};
 pub use latency::{attos, micros, LatencyModel};
 #[doc(hidden)]
 pub use merge::{merge_streams, OutcomeStream, SeqOutcome, StreamingMerge};

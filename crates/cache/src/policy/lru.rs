@@ -64,10 +64,10 @@ mod tests {
         for (way, seq) in [(0, 10), (1, 5), (2, 20), (3, 7)] {
             p.on_insert(0, way, &ctx(seq));
         }
-        assert_eq!(p.choose_victim(0, 4, &ctx(30)), 1);
+        assert_eq!(p.choose_victim(0, 4, &ctx(30), |_| None), 1);
         // Touching way 1 moves the victim to way 3.
         p.on_hit(0, 1, &ctx(31));
-        assert_eq!(p.choose_victim(0, 4, &ctx(32)), 3);
+        assert_eq!(p.choose_victim(0, 4, &ctx(32), |_| None), 3);
     }
 
     #[test]
@@ -77,10 +77,10 @@ mod tests {
         p.on_insert(0, 1, &ctx(200));
         p.on_insert(1, 0, &ctx(1));
         p.on_insert(1, 1, &ctx(2));
-        assert_eq!(p.choose_victim(0, 2, &ctx(300)), 0);
-        assert_eq!(p.choose_victim(1, 2, &ctx(300)), 0);
+        assert_eq!(p.choose_victim(0, 2, &ctx(300), |_| None), 0);
+        assert_eq!(p.choose_victim(1, 2, &ctx(300), |_| None), 0);
         p.on_hit(1, 0, &ctx(301));
-        assert_eq!(p.choose_victim(1, 2, &ctx(302)), 1);
+        assert_eq!(p.choose_victim(1, 2, &ctx(302), |_| None), 1);
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub struct AccessCtx {
     /// Policy-engine score of the requested page; `None` on hits (the
     /// hardware does not invoke the GMM on a hit), without a policy engine
     /// (a score-free policy such as plain LRU), and when the engine's score
-    /// is not to be trusted (non-finite, or withheld by a degraded
-    /// [`crate::FaultyScore`]). A `Some` score is always finite.
+    /// is not to be trusted (non-finite, whether the engine produced it or
+    /// a [`crate::FaultyScore`] injected it). A `Some` score is always
+    /// finite.
     pub score: Option<f64>,
 }
 
@@ -121,12 +122,21 @@ impl Policy {
         }
     }
 
-    /// The victim way in a full `set` (all `ways` valid).
+    /// The victim way in a full `set` (all `ways` valid). `rescore(way)`
+    /// is the trusted score of the block at `way` now, if there is one:
+    /// the stored-score rule asks it for the set's unscored blocks before
+    /// a scored miss ranks them ([`GmmScorePolicy`]).
     #[inline]
-    pub fn choose_victim(&mut self, set: usize, ways: usize, ctx: &AccessCtx) -> usize {
+    pub fn choose_victim(
+        &mut self,
+        set: usize,
+        ways: usize,
+        ctx: &AccessCtx,
+        rescore: impl FnMut(usize) -> Option<f64>,
+    ) -> usize {
         match &mut self.evict {
             Evict::Lru(p) => p.choose_victim(set, ways),
-            Evict::GmmScore(p) => p.choose_victim(set, ways, ctx),
+            Evict::GmmScore(p) => p.choose_victim(set, ways, ctx, rescore),
             Evict::Belady(p) => p.choose_victim(set, ways),
         }
     }

@@ -4,29 +4,31 @@
 
 use crate::adapt::AdaptStats;
 use crate::fault::FaultStats;
-use icgmm_trace::TraceRecord;
+use icgmm_trace::{PageIndex, TraceRecord};
 
 /// A per-miss score provider.
 ///
 /// The simulator calls [`ScoreSource::score`] only on misses, mirroring
 /// the hardware, where hits bypass the policy engine — with the missed
-/// record and its global position in the trace: the paper's Algorithm 1
+/// page and its global position in the trace: the paper's Algorithm 1
 /// timestamp is a closed form of that position, which counts all
 /// requests, hits included, so a score needs nothing from the records
-/// that hit before it.
+/// that hit before it. A miss that must evict from a set holding blocks
+/// inserted without a trusted score first re-scores those blocks' pages
+/// at its own position ([`crate::GmmScorePolicy`]), so a position can be
+/// asked for more than once.
 ///
-/// A source's score must be a function of the missed record, its
-/// position, and state no shard's own records move (an adaptive engine's
-/// refit loop walks the whole slice on every shard). That is what lets a
-/// sharded replay hand each shard's clone only its own misses and stay
-/// bit-identical to the single-threaded replay. An armed scorer health
-/// monitor's ladder follows its own shard's scores instead: such runs are
-/// deterministic for a given shard count, but differ between counts.
+/// A source's score must be a function of the page, its position, and
+/// state no shard's own records move (an adaptive engine's refit loop
+/// walks the whole slice on every shard). That is what lets a sharded
+/// replay hand each shard's clone only its own misses and stay
+/// bit-identical to the single-threaded replay.
 pub trait ScoreSource {
-    /// Score of `record`, the miss at 0-based global trace position `pos`
-    /// (warm-up included). Positions ascend; a shard's source sees only
-    /// its own misses' positions, so they need not be contiguous.
-    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64;
+    /// Score of `page` at 0-based global trace position `pos` (warm-up
+    /// included): the page a miss there requested, or a block that miss
+    /// re-scores. Positions never descend; a shard's source sees only its
+    /// own misses' positions, so they need not be contiguous.
+    fn score(&mut self, page: PageIndex, pos: u64) -> f64;
 
     /// Benchmark façade — called by `icgmm_bench`'s window probe and
     /// deleted by the benchmark PR that retires it: scores `records` as
@@ -40,7 +42,7 @@ pub trait ScoreSource {
     fn score_window(&mut self, records: &[TraceRecord], out: &mut [f64]) {
         assert_eq!(records.len(), out.len(), "one score slot per record");
         for (pos, (r, o)) in records.iter().zip(out.iter_mut()).enumerate() {
-            *o = self.score(r, pos as u64);
+            *o = self.score(r.page(), pos as u64);
         }
     }
 
@@ -57,8 +59,8 @@ pub trait ScoreSource {
 }
 
 impl<S: ScoreSource + ?Sized> ScoreSource for Box<S> {
-    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
-        (**self).score(record, pos)
+    fn score(&mut self, page: PageIndex, pos: u64) -> f64 {
+        (**self).score(page, pos)
     }
 
     fn telemetry(&mut self, fault: &mut FaultStats, adapt: &mut AdaptStats) {
@@ -71,7 +73,7 @@ impl<S: ScoreSource + ?Sized> ScoreSource for Box<S> {
 pub struct ConstantScore(pub f64);
 
 impl ScoreSource for ConstantScore {
-    fn score(&mut self, _record: &TraceRecord, _pos: u64) -> f64 {
+    fn score(&mut self, _page: PageIndex, _pos: u64) -> f64 {
         self.0
     }
 }
@@ -89,8 +91,8 @@ impl<F: FnMut(u64, u64) -> f64> FnScore<F> {
 }
 
 impl<F: FnMut(u64, u64) -> f64> ScoreSource for FnScore<F> {
-    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
-        (self.0)(record.page().raw(), pos)
+    fn score(&mut self, page: PageIndex, pos: u64) -> f64 {
+        (self.0)(page.raw(), pos)
     }
 }
 
@@ -101,16 +103,16 @@ mod tests {
     #[test]
     fn constant_score_is_constant() {
         let mut s = ConstantScore(0.7);
-        assert_eq!(s.score(&TraceRecord::read(0x1000), 0), 0.7);
-        assert_eq!(s.score(&TraceRecord::write(0x9000), 1), 0.7);
+        assert_eq!(s.score(PageIndex::new(1), 0), 0.7);
+        assert_eq!(s.score(PageIndex::new(9), 1), 0.7);
     }
 
     #[test]
     fn fn_score_sees_page_and_seq() {
         let mut s = FnScore::new(|page, pos| page as f64 + pos as f64 / 10.0);
-        assert_eq!(s.score(&TraceRecord::read(2 << 12), 0), 2.0);
+        assert_eq!(s.score(PageIndex::new(2), 0), 2.0);
         // Positions are whatever the caller says: a shard skips foreign ones.
-        assert!((s.score(&TraceRecord::read(5 << 12), 4) - 5.4).abs() < 1e-12);
+        assert!((s.score(PageIndex::new(5), 4) - 5.4).abs() < 1e-12);
     }
 
     #[test]
@@ -121,7 +123,7 @@ mod tests {
         let mut out = vec![0.0; records.len()];
         windowed.score_window(&records, &mut out);
         for (pos, (r, o)) in records.iter().zip(&out).enumerate() {
-            assert_eq!(*o, streaming.score(r, pos as u64));
+            assert_eq!(*o, streaming.score(r.page(), pos as u64));
         }
     }
 

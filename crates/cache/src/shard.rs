@@ -18,16 +18,16 @@
 //!   shard-local sequence numbers are order-isomorphic to the global ones,
 //!   so recency stamps, stored scores and Belady positions (built from the
 //!   same shard subsequence) all rank identically.
-//! * **Scores** are functions of the missed record and its global trace
-//!   position — the Algorithm 1 clock, which counts *every* request, is a
-//!   closed form of it. A miss is scored with its position
-//!   ([`ScoreSource::score`] takes it: the shard's walk carries it), so a
-//!   shard's scorer clone never needs to see a foreign record, or even its
-//!   own hits, and scores bit-identically to the single-threaded stream
-//!   (the trait's precondition; an armed health monitor keeps per-shard
-//!   state and is deterministic per shard count only, while an adaptive
-//!   engine's refit producer walks the whole slice on every shard, so its
-//!   decisions are the one-shard run's).
+//! * **Scores** are functions of a page and a global trace position — the
+//!   Algorithm 1 clock, which counts *every* request, is a closed form of
+//!   it. A miss is scored with its position ([`ScoreSource::score`] takes
+//!   it: the shard's walk carries it), and so is any block of its own set
+//!   it re-scores, so a shard's scorer clone never needs to see a foreign
+//!   record, or even its own hits, and scores bit-identically to the
+//!   single-threaded stream (the trait's precondition: injected scorer
+//!   faults are rolled by position, and an adaptive engine's refit
+//!   producer walks the whole slice on every shard, so its decisions are
+//!   the one-shard run's).
 //! * **Accounting is a sum** (argued in `sim.rs`'s module docs): a report
 //!   is integer counters — [`CacheStats`], and a [`crate::MissSeries`]
 //!   bucketed by each record's *global* position — with modeled time
@@ -89,8 +89,8 @@
 //! armed — no replay observer; its report goes through the same sum, of
 //! one term. The supervisor's catch-and-re-replay of a panicked shard
 //! stays. This is what lets a front-end that keeps one shard (`run_sharded`
-//! at one shard, a replay that a panic point, a health monitor, its refit
-//! producers' cost or its slice keep off the other cores) *be* the
+//! at one shard, a replay that a panic point, its refit producers' cost
+//! or its slice keep off the other cores) *be* the
 //! one-shard geometry at no cost
 //! (`tests/shard_alloc_inline.rs`).
 
@@ -117,6 +117,9 @@ pub enum ShardRunError {
     Config(CacheConfigError),
     /// A shard count of zero: there is nothing to partition the sets over.
     ZeroShards,
+    /// An even two-shard mask: it would put both sets of a pair `2r,
+    /// 2r + 1` on one shard, which a shard's row layout rules out.
+    EvenMask(usize),
     /// `series_window = Some(0)`: a miss-rate series needs at least one
     /// request per point. Refused before any shard is started.
     ZeroSeriesWindow,
@@ -147,6 +150,7 @@ impl fmt::Display for ShardRunError {
         match self {
             ShardRunError::Config(e) => e.fmt(f),
             ShardRunError::ZeroShards => write!(f, "shard count must be >= 1"),
+            ShardRunError::EvenMask(mask) => write!(f, "a two-shard mask must be odd, not {mask}"),
             ShardRunError::ZeroSeriesWindow => write!(f, "series_window must be >= 1"),
             ShardRunError::MeasuredPastEnd {
                 measured_from,
@@ -251,14 +255,12 @@ impl ShardPartition {
     ///
     /// # Errors
     ///
-    /// Returns [`ShardRunError::Config`] for invalid cache geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an even `mask`: it would put both sets of a pair
-    /// `2r, 2r + 1` on one shard, which a shard's row layout rules out.
+    /// Returns [`ShardRunError::Config`] for invalid cache geometry and
+    /// [`ShardRunError::EvenMask`] for an even `mask`.
     pub fn masked(cache_cfg: &CacheConfig, mask: usize) -> Result<Self, ShardRunError> {
-        assert!(mask % 2 == 1, "a two-shard mask must be odd, not {mask}");
+        if mask.is_multiple_of(2) {
+            return Err(ShardRunError::EvenMask(mask));
+        }
         Ok(ShardPartition {
             mask,
             ..Self::new(2, cache_cfg)?
@@ -1058,8 +1060,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be odd")]
     fn an_even_mask_is_refused() {
-        let _ = ShardPartition::masked(&sets_of_two(8), 2);
+        let err = ShardPartition::masked(&sets_of_two(8), 2).unwrap_err();
+        assert_eq!(err, ShardRunError::EvenMask(2));
+        assert!(err.to_string().contains("must be odd"), "{err}");
+        assert!(ShardPartition::masked(&sets_of_two(8), 3).is_ok());
     }
 }

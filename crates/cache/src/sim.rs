@@ -12,7 +12,8 @@
 //! same loop: access the cache with each request, and score the request
 //! synchronously at its global trace position if it missed (one
 //! single-point policy-engine inference, as in the paper's Algorithm 1
-//! datapath). A request costs
+//! datapath; an eviction that must rank blocks inserted without a trusted
+//! score re-scores them at the same position). A request costs
 //! **one tag compare**: the access path decides hit or miss itself and
 //! asks for the score only after a miss
 //! ([`SetAssocCache::access_scored`]), so nothing looks the page up a
@@ -267,7 +268,8 @@ where
 /// serving worker's arrivals — and `acct` counts them (it holds the
 /// position measurement starts at: the whole trace's warm-up length,
 /// however few warm-up records this walk holds). Returns the report and
-/// how many records consumed a score (scored misses, warm-up included).
+/// how many scores the source computed (scored misses and re-scored
+/// blocks, warm-up included).
 pub(crate) fn simulate_streaming_impl<'r>(
     records: impl Iterator<Item = (u64, &'r TraceRecord)>,
     cache: &mut SetAssocCache,
@@ -281,11 +283,15 @@ pub(crate) fn simulate_streaming_impl<'r>(
     // by); `pos` is where each one sits in the whole trace (what the score
     // source clocks by). One tag compare decides hit or miss; hits bypass
     // the policy engine (the hardware triggers the GMM on miss only), and a
-    // miss is scored at exactly its record's position.
+    // miss — with any block it re-scores — is scored at exactly its
+    // record's position.
     for (seq, (pos, r)) in (0..).zip(records) {
-        let score_miss = || score.as_deref_mut().map(|s| s.score(r, pos));
-        let (outcome, score_val) = cache.access_scored(r, seq, score_miss, policy);
-        scored += u64::from(score_val.is_some());
+        let score_at_pos = |page| {
+            let s = score.as_deref_mut()?;
+            scored += 1;
+            Some(s.score(page, pos))
+        };
+        let outcome = cache.access_scored(r, seq, score_at_pos, policy);
         acct.record(seq, pos, r, &outcome);
     }
 

@@ -94,9 +94,8 @@ proptest! {
 
 proptest! {
     /// The wrapper is transparent while disarmed: scores pass through
-    /// [`FaultyScore`] unmodified and its monitor never degrades, so the
-    /// wrapped stack's report equals the bare stack's, names included (no
-    /// policy is ever wrapped).
+    /// [`FaultyScore`] unmodified, so the wrapped stack's report equals the
+    /// bare stack's, names included (no policy is ever wrapped).
     #[test]
     fn disarmed_wrappers_are_transparent(
         params in (0u64..1_000_000, 400usize..1000, 24u64..120)

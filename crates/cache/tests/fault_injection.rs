@@ -1,20 +1,21 @@
 //! Fault-armed behaviour of the replay stack: injected faults are
 //! deterministic functions of `(plan seed, trace seed)` — device faults
 //! of position, the same at every shard count — an untrusted score reaches
-//! the policies as no score — per request and per streak, counted — and
-//! recovery paths keep the replay accounting intact.
+//! the policies as no score, the block it inserts is re-scored at the next
+//! trusted eviction in its set, and recovery paths keep the replay
+//! accounting intact.
 
 use icgmm_cache::{
-    micros, simulate, simulate_streaming_with_warmup, AccessOutcome, AdaptStats, Evict, FaultPlan,
-    FaultStats, FaultyScore, FnScore, GmmScorePolicy, LatencyModel, Policy, ScoreSource,
-    SetAssocCache, ShardPolicies, ShardRunError, ShardedReport, ShardedSimulator, ThresholdAdmit,
+    micros, simulate, simulate_streaming_with_warmup, AccessOutcome, Evict, FaultPlan, FaultyScore,
+    FnScore, GmmScorePolicy, LatencyModel, Policy, ScoreSource, SetAssocCache, ShardPolicies,
+    ShardRunError, ShardedReport, ShardedSimulator, ThresholdAdmit,
 };
-use icgmm_testutil::{conflict_trace, policy_for, score_for, small_cfg, zipf_trace};
-use icgmm_trace::TraceRecord;
+use icgmm_testutil::{conflict_trace, policy_for, score_for, small_cfg, zipf_trace, CountingScore};
+use icgmm_trace::{PageIndex, TraceRecord};
 use proptest::prelude::*;
 
-/// The GMM arm's stored score at `(set, way)`.
-fn stored(policy: &Policy, set: usize, way: usize) -> f64 {
+/// The GMM arm's stored score at `(set, way)`, `None` while unscored.
+fn stored(policy: &Policy, set: usize, way: usize) -> Option<f64> {
     match &policy.evict {
         Evict::GmmScore(p) => p.stored_score(set, way),
         other => panic!("not the GMM arm: {other:?}"),
@@ -22,9 +23,9 @@ fn stored(policy: &Policy, set: usize, way: usize) -> f64 {
 }
 
 /// A non-finite score never reaches the policy — so none is ever stored
-/// and none can pin a block: `access_scored` shows the admission filter,
-/// the victim choice and the insert `None` in its place, and still returns
-/// the raw value, so the inference is counted.
+/// and none can pin a block: `access_scored` asks for the raw value once
+/// and shows the admission filter, the victim choice and the insert `None`
+/// in its place.
 #[test]
 fn non_finite_stored_scores_never_corrupt_victim_selection() {
     // One set, one way: every miss after the first also picks a victim.
@@ -42,10 +43,14 @@ fn non_finite_stored_scores_never_corrupt_victim_selection() {
     let mut admitted = Vec::new();
     for (seq, raw) in raws.into_iter().enumerate() {
         let r = TraceRecord::read((seq as u64) << 12);
-        let (outcome, consumed) = cache.access_scored(&r, seq as u64, || Some(raw), &mut policy);
+        let mut asked = 0;
+        let score = |_| {
+            asked += 1;
+            Some(raw)
+        };
+        let outcome = cache.access_scored(&r, seq as u64, score, &mut policy);
         assert!(!outcome.is_hit());
-        let consumed = consumed.expect("a miss consumes its score");
-        assert!(consumed == raw || (consumed.is_nan() && raw.is_nan()));
+        assert_eq!(asked, 1, "a miss asks for its score once");
         if let AccessOutcome::MissInserted { evicted, .. } = outcome {
             assert_eq!(
                 evicted.is_some(),
@@ -55,18 +60,18 @@ fn non_finite_stored_scores_never_corrupt_victim_selection() {
             admitted.push(stored(&policy, 0, 0));
         }
     }
-    // Admitted as unscored misses, stored as score 0; -3.5 bypassed.
-    assert_eq!(admitted, [0.25, 0.0, 0.0, 0.0]);
+    // Admitted as unscored misses, stored as no score; -3.5 bypassed.
+    assert_eq!(admitted, [Some(0.25), None, None, None]);
 
     // An unscored miss is admitted by the threshold filter, evicts by
-    // recency and stores score 0 — for NaN, +∞ and -∞ alike.
+    // recency and leaves its block unscored — for NaN, +∞ and -∞ alike.
     for raw in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         let cfg = icgmm_cache::CacheConfig::new(2 * 4096, 4096, 2).unwrap();
         let mut cache = SetAssocCache::new(cfg).unwrap();
         let mut policy = Policy::new(Some(ThresholdAdmit::new(0.5)), GmmScorePolicy::new(1, 2));
         let mut miss = |policy: &mut Policy, page: u64, raw: f64| {
             let r = TraceRecord::read(page << 12);
-            match cache.access_scored(&r, page, || Some(raw), policy).0 {
+            match cache.access_scored(&r, page, |_| Some(raw), policy) {
                 AccessOutcome::MissInserted { way, .. } => way,
                 other => panic!("expected an admitted miss, got {other:?}"),
             }
@@ -79,12 +84,11 @@ fn non_finite_stored_scores_never_corrupt_victim_selection() {
             1,
             "unscored {raw}: the least recent"
         );
-        assert_eq!(stored(&policy, 0, 1), 0.0, "nothing non-finite is stored");
-        assert_eq!(
-            miss(&mut policy, 4, 0.8),
-            1,
-            "scores are back: unscored block first"
-        );
+        assert_eq!(stored(&policy, 0, 1), None, "nothing non-finite is stored");
+        // Scores are back: the unscored block is re-scored (0.8 here),
+        // then the lowest stored score goes.
+        assert_eq!(miss(&mut policy, 4, 0.8), 0, "re-scored {raw}");
+        assert_eq!(stored(&policy, 0, 1), Some(0.8));
     }
 }
 
@@ -278,60 +282,68 @@ fn unrecoverable_worker_panics_surface_as_typed_errors() {
     }
 }
 
-/// The monitor: a scorer spewing non-finite values is distrusted after
-/// the configured streak, misses go unscored while it is (counted), and it
-/// is trusted again once the scorer recovers — all deterministically, and
-/// no non-finite score is ever stored along the way.
+/// A block inserted by an untrusted miss is re-scored at the next miss
+/// with a trusted score that must evict from its set — at that miss's
+/// position, before the victim is ranked — and not by an untrusted miss
+/// in between. A replay whose every score is trusted asks for the misses'
+/// scores only.
 #[test]
-fn scorer_health_monitor_demotes_serves_degraded_and_repromotes() {
-    let run = || {
-        let cfg = small_cfg();
-        let lat = LatencyModel::paper_tlc();
-        let trace = conflict_trace(3_000, 512, 23);
-        let plan = FaultPlan {
-            seed: 41,
-            scorer_nan_per_mille: 350,
-            scorer_demote_after: 3,
-            scorer_promote_after: 4,
-            ..FaultPlan::empty()
-        };
+fn an_unscored_block_is_rescored_at_the_next_trusted_eviction_in_its_set() {
+    // One set of two ways; positions 2 and 3 score NaN, every other
+    // position scores the page number.
+    let cfg = icgmm_cache::CacheConfig::new(2 * 4096, 4096, 2).unwrap();
+    let trace: Vec<TraceRecord> = (10..15u64).map(|p| TraceRecord::read(p << 12)).collect();
+    let replay = |nan_at: &'static [u64]| {
+        let inner = FnScore::new(|page, pos| {
+            if nan_at.contains(&pos) {
+                f64::NAN
+            } else {
+                page as f64
+            }
+        });
+        let mut score = CountingScore(Box::new(inner), Vec::new());
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let mut policy = policy_for("gmm-score", "threshold", cfg, &trace);
-        let mut sc = FaultyScore::new(score_for("fn").expect("fn score"), plan);
-        let report = simulate(
+        let mut policy = Policy::new(None, GmmScorePolicy::new(1, 2));
+        let lat = LatencyModel::paper_tlc();
+        simulate(
             &trace,
             &mut cache,
             &mut policy,
-            Some(&mut sc as &mut dyn ScoreSource),
+            Some(&mut score),
             &lat,
-            Some(64),
+            None,
         );
-        assert_stored_scores_finite(&policy, cfg);
-        let (mut fault, mut adapt) = (FaultStats::default(), AdaptStats::default());
-        sc.telemetry(&mut fault, &mut adapt);
-        (report, fault)
+        (score.1, cache)
     };
-
-    let (report, fault) = run();
-    assert!(fault.scorer_nan_injected > 0, "plan injected nothing");
-    assert!(fault.scorer_demotions >= 1, "monitor never demoted");
-    assert!(fault.scorer_repromotions >= 1, "monitor never re-promoted");
-    assert!(
-        fault.degraded_scores >= 3 * fault.scorer_repromotions,
-        "a degraded stretch withholds at least the re-promotion streak: {fault:?}"
-    );
-    assert_eq!(report.stats.accesses(), 3_000);
-
-    let (report2, fault2) = run();
-    assert_eq!(report, report2, "degraded replay must be deterministic");
-    assert_eq!(fault, fault2, "degradation counters must be deterministic");
+    // 10 and 11 fill the set; 12 and 13 evict them by recency, unscored
+    // (13's miss re-scores nothing); 14's trusted miss re-scores 12 and
+    // 13 at its own position 4, and 12 — the lower score — goes.
+    let (asked, cache) = replay(&[2, 3]);
+    let want = [
+        (10, 0),
+        (11, 1),
+        (12, 2),
+        (13, 3),
+        (14, 4),
+        (12, 4),
+        (13, 4),
+    ];
+    assert_eq!(asked, want);
+    let cached = |p| cache.contains(PageIndex::new(p));
+    assert!(!cached(12) && cached(13) && cached(14));
+    // A clean replay makes no re-score call.
+    let (asked, _) = replay(&[]);
+    assert_eq!(asked, [(10, 0), (11, 1), (12, 2), (13, 3), (14, 4)]);
 }
 
 fn assert_stored_scores_finite(policy: &Policy, cfg: icgmm_cache::CacheConfig) {
     for set in 0..cfg.num_sets() {
         for way in 0..cfg.ways {
             let s = stored(policy, set, way);
-            assert!(s.is_finite(), "stored score {s} at ({set}, {way})");
+            assert!(
+                s.is_none_or(f64::is_finite),
+                "stored score {s:?} at ({set}, {way})"
+            );
         }
     }
 }
@@ -342,18 +354,16 @@ proptest! {
     #[test]
     fn no_stored_score_is_ever_non_finite(
         params in (0u64..1_000_000, 400usize..1000, 24u64..120),
-        plan in (0u64..1_000_000, 0u16..1001, 0u16..41, 1u32..97, 0u32..6, 1u32..24),
+        plan in (0u64..1_000_000, 0u16..1001, 0u16..41, 1u32..97),
         poisoned_engine in any::<bool>(),
     ) {
         let (seed, n, pages) = params;
-        let (plan_seed, nan_pm, outage_pm, outage_len, demote, promote) = plan;
+        let (plan_seed, nan_pm, outage_pm, outage_len) = plan;
         let plan = FaultPlan {
             seed: plan_seed,
             scorer_nan_per_mille: nan_pm,
             scorer_outage_per_mille: outage_pm,
             scorer_outage_len: outage_len,
-            scorer_demote_after: demote,
-            scorer_promote_after: promote,
             ..FaultPlan::empty()
         };
         prop_assert!(plan.validate().is_ok());

@@ -30,7 +30,7 @@ use icgmm_testutil::{
     conflict_trace, latency_for, policy_for, score_for, small_cfg, zipf_trace, CountingScore,
     ADMISSIONS, EVICTIONS, GMM_STACKS, UNTRUSTED_SCORES,
 };
-use icgmm_trace::TraceRecord;
+use icgmm_trace::{PageIndex, TraceRecord};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -399,14 +399,14 @@ proptest! {
     }
 }
 
-/// A score source that logs every `(position, record)` its
-/// shard asks it to score — under an admit-nothing policy every record
-/// misses, so that is every record the shard replays, in order.
-struct Tap(Arc<Mutex<Vec<(u64, TraceRecord)>>>);
+/// A score source that logs every `(position, page)` its shard asks it
+/// to score — under an admit-nothing policy every record misses, so that
+/// is every record the shard replays, in order.
+struct Tap(Arc<Mutex<Vec<(u64, PageIndex)>>>);
 
 impl ScoreSource for Tap {
-    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
-        self.0.lock().unwrap().push((pos, *record));
+    fn score(&mut self, page: PageIndex, pos: u64) -> f64 {
+        self.0.lock().unwrap().push((pos, page));
         0.5
     }
 }
@@ -431,12 +431,12 @@ proptest! {
                     for score in ["none", "fn"] {
                         let mut c = SetAssocCache::new(cfg).unwrap();
                         let mut pol = policy_for(eviction, admission, cfg, &trace);
-                        let mut sc = score_for(score).map(|s| CountingScore(s, 0));
+                        let mut sc = score_for(score).map(|s| CountingScore(s, Vec::new()));
                         let reference = simulate_streaming_with_warmup(
                             &trace[..m], &trace[m..], &mut c, &mut pol.admit, &mut pol.evict,
                             sc.as_mut().map(|s| s as &mut dyn ScoreSource), lat, Some(WINDOW),
                         );
-                        let consumed = sc.map_or(0, |s| s.1);
+                        let consumed = sc.map_or(0, |s| s.1.len() as u64);
                         for shards in [1usize, 2, 4] {
                             let rep = run_sharded_full(
                                 shards, eviction, admission, score, &trace, m, lat,
@@ -469,7 +469,7 @@ proptest! {
             let built = Mutex::new(Vec::new());
             let make = |ctx: &ShardCtx<'_>| {
                 let seen = Arc::new(Mutex::new(Vec::new()));
-                let shown: Vec<TraceRecord> = ctx.records().copied().collect();
+                let shown: Vec<PageIndex> = ctx.records().map(|r| r.page()).collect();
                 built.lock().unwrap().push((ctx.shard, shown, Arc::clone(&seen)));
                 let admit_nothing = ThresholdAdmit {
                     threshold: f64::INFINITY,
@@ -490,10 +490,10 @@ proptest! {
             let mut positions = Vec::new();
             for (shard, shown, seen) in &built {
                 let seen = seen.lock().unwrap();
-                let replayed: Vec<TraceRecord> = seen.iter().map(|&(_, r)| r).collect();
+                let replayed: Vec<PageIndex> = seen.iter().map(|&(_, p)| p).collect();
                 prop_assert_eq!(shown, &replayed, "shard {} of {}", shard, shards);
-                for &(pos, r) in seen.iter() {
-                    prop_assert_eq!(r, trace[pos as usize]);
+                for &(pos, p) in seen.iter() {
+                    prop_assert_eq!(p, trace[pos as usize].page());
                     positions.push(pos);
                 }
             }

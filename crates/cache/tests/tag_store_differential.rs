@@ -19,9 +19,9 @@
 
 use icgmm_cache::{
     simulate_streaming_observed_with_warmup, AccessCtx, AccessOutcome, BlockState, CacheConfig,
-    Eviction, LatencyModel, Policy, ReplayEvent, ReplayObserver, ScoreSource, SetAssocCache,
+    Eviction, FnScore, LatencyModel, Policy, ReplayEvent, ReplayObserver, SetAssocCache,
 };
-use icgmm_testutil::{policy_for, ADMISSIONS, EVICTIONS};
+use icgmm_testutil::{policy_for, CountingScore, ADMISSIONS, EVICTIONS};
 use icgmm_trace::{Op, PageIndex, TraceRecord, MAX_PADDR};
 use proptest::prelude::*;
 
@@ -93,7 +93,7 @@ impl RefCache {
         }
         let way = (0..self.ways)
             .find(|&w| !self.block(set, w).valid)
-            .unwrap_or_else(|| policy.choose_victim(set, self.ways, &ctx));
+            .unwrap_or_else(|| policy.choose_victim(set, self.ways, &ctx, |_| None));
         let old = self.block(set, way);
         let evicted = old.valid.then(|| Eviction {
             page: PageIndex::new(old.tag * self.sets + set as u64),
@@ -213,9 +213,9 @@ proptest! {
         }
     }
 
-    /// `access(.., score, ..)` ≡ `access_scored(.., || score, ..)`, the
+    /// `access(.., score, ..)` ≡ `access_scored(.., |_| score, ..)`, the
     /// closure runs once per miss (bypassed ones included) and never on a
-    /// hit, and the score handed back is the one consumed.
+    /// hit.
     #[test]
     fn lazy_score_runs_once_per_miss_and_never_on_a_hit(
         params in (0u64..1_000_000, 0usize..SETS.len(), 0usize..WAYS.len(), 200usize..1_200)
@@ -233,10 +233,10 @@ proptest! {
                 let seq = i as u64;
                 let score = Some(score_at(r, seq));
                 let want = eager.access(r, seq, score, &mut pol_a);
-                let (got, consumed) = lazy.access_scored(
+                let got = lazy.access_scored(
                     r,
                     seq,
-                    || {
+                    |_| {
                         calls += 1;
                         score
                     },
@@ -244,41 +244,26 @@ proptest! {
                 );
                 prop_assert_eq!(got, want);
                 misses += u64::from(!got.is_hit());
-                prop_assert_eq!(consumed, if got.is_hit() { None } else { score });
                 prop_assert_eq!(calls, misses, "record {}", i);
             }
         }
     }
 }
 
-/// A score source that logs the `(position, record)` pairs the replay
-/// loop asks it to score.
+/// The pages a replay decided as misses, with their positions.
 #[derive(Default)]
-struct CountingScore {
-    asked: Vec<(u64, TraceRecord)>,
-}
-
-impl ScoreSource for CountingScore {
-    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
-        self.asked.push((pos, *record));
-        (mix(pos) >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// The records a replay decided as misses, with their positions.
-#[derive(Default)]
-struct Misses(Vec<(u64, TraceRecord)>);
+struct Misses(Vec<(u64, u64)>);
 
 impl ReplayObserver for Misses {
     fn on_record(&mut self, ev: &ReplayEvent<'_>) {
         if !ev.outcome.is_hit() {
-            self.0.push((ev.seq, *ev.record));
+            self.0.push((ev.record.page().raw(), ev.seq));
         }
     }
 }
 
 /// The replay step scores misses only: over a whole run the source is
-/// asked for one score per miss — with that miss's own record and
+/// asked for one score per miss — with that miss's own page and
 /// position — and for none on a hit (so `gmm_inferences` cannot move).
 #[test]
 fn replay_asks_for_one_score_per_miss() {
@@ -286,7 +271,11 @@ fn replay_asks_for_one_score_per_miss() {
     let records = conflict_stream(11, 4_000, cfg, 20);
     for admission in ADMISSIONS {
         let mut cache = SetAssocCache::new(cfg).unwrap();
-        let (mut src, mut misses) = (CountingScore::default(), Misses::default());
+        let inner = FnScore::new(|_, pos| (mix(pos) >> 11) as f64 / (1u64 << 53) as f64);
+        let (mut src, mut misses) = (
+            CountingScore(Box::new(inner), Vec::new()),
+            Misses::default(),
+        );
         let mut pol = policy_for("gmm-score", admission, cfg, &records);
         let report = simulate_streaming_observed_with_warmup(
             &[],
@@ -299,8 +288,8 @@ fn replay_asks_for_one_score_per_miss() {
             None,
             &mut misses,
         );
-        assert_eq!(src.asked, misses.0, "{admission}");
-        assert_eq!(src.asked.len() as u64, report.stats.misses());
+        assert_eq!(src.1, misses.0, "{admission}");
+        assert_eq!(src.1.len() as u64, report.stats.misses());
         assert!(report.stats.hits() > 0 && report.stats.misses() > 0);
     }
 }

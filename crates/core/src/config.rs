@@ -110,10 +110,9 @@ pub struct IcgmmConfig {
     /// `run`, `run_sharded`, `serve` and `run_dataflow` alike, with the
     /// same report at every shard count: scorer faults (non-finite scores,
     /// engine outages), device faults (SSD failures, retries, tail-latency
-    /// spikes, charged to each faulted miss's modeled time), shard-worker
-    /// panics, and the degradation ladder's knobs (the scorer health
-    /// monitor). The empty default arms nothing and leaves every run
-    /// bit-identical to a fault-free build.
+    /// spikes, charged to each faulted miss's modeled time) and
+    /// shard-worker panics. The empty default arms nothing and leaves every
+    /// run bit-identical to a fault-free build.
     pub fault: FaultPlan,
     /// Online-adaptation plan: per-shard reservoir sampling of the replay
     /// stream, a drift detector over windowed mean log-likelihood, and

@@ -6,7 +6,7 @@
 use icgmm_cache::ScoreSource;
 use icgmm_gmm::fixed::FixedGmm;
 use icgmm_gmm::{Gmm, GmmError, GmmScorer, StandardScaler, TimeSlice};
-use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
+use icgmm_trace::{PageIndex, PreprocessConfig, TimestampTransformer};
 use serde::{Deserialize, Serialize};
 
 /// Serializable bundle of everything the policy engine needs at run time.
@@ -138,8 +138,8 @@ impl GmmPolicyEngine {
 }
 
 impl ScoreSource for GmmPolicyEngine {
-    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
-        self.score_at(record.page().raw(), self.timestamp_at(pos))
+    fn score(&mut self, page: PageIndex, pos: u64) -> f64 {
+        self.score_at(page.raw(), self.timestamp_at(pos))
     }
 }
 
@@ -147,6 +147,7 @@ impl ScoreSource for GmmPolicyEngine {
 mod tests {
     use super::*;
     use icgmm_gmm::{Gaussian2, Mat2};
+    use icgmm_trace::TraceRecord;
 
     fn model() -> TrainedModel {
         // Hot pages near 1000, any time.
@@ -174,8 +175,8 @@ mod tests {
     #[test]
     fn hot_pages_outscore_cold_pages() {
         let mut e = GmmPolicyEngine::new(&model(), &cfg(), false).unwrap();
-        let hot = e.score(&TraceRecord::read(1000 << 12), 0);
-        let cold = e.score(&TraceRecord::read(500_000 << 12), 1);
+        let hot = e.score(PageIndex::new(1000), 0);
+        let cold = e.score(PageIndex::new(500_000), 1);
         assert!(hot > cold, "hot {hot} <= cold {cold}");
         assert_eq!(e.scores_computed(), 2);
     }
@@ -187,7 +188,7 @@ mod tests {
         let mut fxe = GmmPolicyEngine::new(&m, &cfg(), true).unwrap();
         for (pos, page) in (0u64..).zip([990u64, 1000, 1010, 2000, 100_000]) {
             let r = TraceRecord::read(page << 12);
-            let (a, b) = (f64e.score(&r, pos), fxe.score(&r, pos));
+            let (a, b) = (f64e.score(r.page(), pos), fxe.score(r.page(), pos));
             assert!(
                 (a - b).abs() < a.max(1e-6) * 0.02 + 1e-6,
                 "page {page}: f64 {a} vs fixed {b}"
@@ -202,7 +203,7 @@ mod tests {
         // window 1 — the streamed score is `score_at` that timestamp.
         let r = TraceRecord::read(1000 << 12);
         for (pos, ts) in [(0u64, 0u64), (1, 0), (2, 1), (199, 99), (200, 0)] {
-            let streamed = e.score(&r, pos);
+            let streamed = e.score(r.page(), pos);
             assert_eq!(streamed, e.score_at(1000, ts), "position {pos}");
         }
         assert_eq!(e.scores_computed(), 10);
@@ -220,7 +221,7 @@ mod tests {
             let mut out = vec![0.0; records.len()];
             windowed.score_window(&records, &mut out);
             for (pos, (r, o)) in records.iter().zip(&out).enumerate() {
-                let s = streaming.score(r, pos as u64);
+                let s = streaming.score(r.page(), pos as u64);
                 assert_eq!(o.to_bits(), s.to_bits(), "fixed_point={fixed_point}");
             }
             assert_eq!(windowed.scores_computed(), streaming.scores_computed());
@@ -264,7 +265,7 @@ mod tests {
                 }
                 let live = if pos < swap_at { &a } else { &b };
                 let page = 900 + (pos * 37) % 300;
-                let got = e.score(&TraceRecord::read(page << 12), pos);
+                let got = e.score(PageIndex::new(page), pos);
                 let mut fresh = GmmPolicyEngine::new(live, &pre, false).unwrap();
                 let want = fresh.score_at(page, window);
                 assert_eq!(got.to_bits(), want.to_bits(), "position {pos}");
@@ -294,7 +295,7 @@ mod tests {
     #[test]
     fn score_at_matches_stream_path() {
         let mut e = GmmPolicyEngine::new(&model(), &cfg(), false).unwrap();
-        let streamed = e.score(&TraceRecord::read(1000 << 12), 0);
+        let streamed = e.score(PageIndex::new(1000), 0);
         let mut e2 = GmmPolicyEngine::new(&model(), &cfg(), false).unwrap();
         let direct = e2.score_at(1000, 0);
         assert_eq!(streamed, direct);

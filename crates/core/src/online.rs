@@ -75,7 +75,7 @@ use icgmm_cache::{
     ScoreSource, REFIT_DECAY, RESERVOIR_CAPACITY,
 };
 use icgmm_gmm::{EmConfig, Gmm, GmmError, GmmScorer, IncrementalEm, TimeSlice, Vec2};
-use icgmm_trace::TraceRecord;
+use icgmm_trace::{PageIndex, TraceRecord};
 
 use crate::engine::GmmPolicyEngine;
 
@@ -388,13 +388,13 @@ impl AdaptiveEngine {
 
 impl ScoreSource for AdaptiveEngine {
     /// Takes the decision of every boundary at or below `pos` first.
-    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
+    fn score(&mut self, page: PageIndex, pos: u64) -> f64 {
         while pos >= self.next_check {
             if !self.take() {
                 self.gone();
             }
         }
-        self.engine.score(record, pos)
+        self.engine.score(page, pos)
     }
 
     /// Takes the decisions of the boundaries past the last miss — crossed
@@ -507,7 +507,7 @@ mod tests {
         let stats = thread::scope(|s| {
             let mut adaptive = adaptive(s, plan, all(&records));
             for (pos, r) in all(&records) {
-                let (want, got) = (plain.score(r, pos), adaptive.score(r, pos));
+                let (want, got) = (plain.score(r.page(), pos), adaptive.score(r.page(), pos));
                 assert_eq!(want.to_bits(), got.to_bits());
             }
             telemetry(&mut adaptive)
@@ -539,7 +539,7 @@ mod tests {
                 while at < records.len() {
                     let take = chunks[ci % chunks.len()].min(records.len() - at);
                     for (pos, r) in all(&records).skip(at).take(take) {
-                        scores.push((ci % 2 == 0).then(|| eng.score(r, pos).to_bits()));
+                        scores.push((ci % 2 == 0).then(|| eng.score(r.page(), pos).to_bits()));
                     }
                     at += take;
                     ci += 1;
@@ -575,7 +575,7 @@ mod tests {
             thread::scope(|s| {
                 let mut eng = adaptive(s, plan, all(&records));
                 for (pos, r) in all(&records).take_while(|&(pos, _)| pos <= last_miss) {
-                    eng.score(r, pos);
+                    eng.score(r.page(), pos);
                 }
                 assert_eq!(eng.stats.checks, last_miss / 100, "taken while scoring");
                 telemetry(&mut eng)
@@ -606,7 +606,7 @@ mod tests {
         thread::scope(|s| {
             let mut eng = adaptive(s, plan, all(&records));
             for (pos, r) in all(&records) {
-                eng.score(r, pos);
+                eng.score(r.page(), pos);
             }
             // A replay's report gets the block through the hook.
             let stats = telemetry(&mut eng);
@@ -638,7 +638,9 @@ mod tests {
         let run = || {
             thread::scope(|s| {
                 let mut eng = adaptive(s, plan, all(&records));
-                let out: Vec<f64> = all(&records).map(|(pos, r)| eng.score(r, pos)).collect();
+                let out: Vec<f64> = all(&records)
+                    .map(|(pos, r)| eng.score(r.page(), pos))
+                    .collect();
                 (out, telemetry(&mut eng))
             })
         };
@@ -667,7 +669,7 @@ mod tests {
         let stats = thread::scope(|s| {
             let mut eng = adaptive(s, plan, evens());
             for (pos, r) in evens() {
-                eng.score(r, pos);
+                eng.score(r.page(), pos);
             }
             telemetry(&mut eng)
         });
@@ -690,7 +692,7 @@ mod tests {
         thread::scope(|s| {
             let mut eng = adaptive(s, plan, all(&records));
             for (pos, r) in all(&records).take(100) {
-                eng.score(r, pos);
+                eng.score(r.page(), pos);
             }
             assert_eq!(eng.stats.checks, 12);
         });
@@ -712,12 +714,12 @@ mod tests {
         let (checks, died) = thread::scope(|s| {
             let mut eng = adaptive(s, plan, hostile);
             for (pos, r) in all(&records).take(400) {
-                eng.score(r, pos);
+                eng.score(r.page(), pos);
             }
             let checks = eng.stats.checks;
             let died = catch_unwind(AssertUnwindSafe(|| {
                 for (pos, r) in all(&records).skip(400) {
-                    eng.score(r, pos);
+                    eng.score(r.page(), pos);
                 }
             }));
             (checks, died)
@@ -746,7 +748,7 @@ mod tests {
         let (checks, died) = thread::scope(|s| {
             let mut eng = adaptive(s, plan, hostile);
             for (pos, r) in all(&records).take(300) {
-                eng.score(r, pos);
+                eng.score(r.page(), pos);
             }
             let died = catch_unwind(AssertUnwindSafe(|| telemetry(&mut eng)));
             (eng.stats.checks, died)

@@ -74,8 +74,11 @@ pub struct RunReport {
     pub mode: PolicyMode,
     /// Simulator output (miss rates, latency).
     pub sim: SimReport,
-    /// Policy-engine inferences performed: exactly one per scored miss
-    /// (0 for score-free modes).
+    /// Policy-engine inferences performed: one per scored miss, plus one
+    /// per block a scored eviction re-scores because it was inserted
+    /// without a trusted score (only under scorer faults; 0 for score-free
+    /// modes). Modeled time charges the misses' inferences only, not the
+    /// re-scores (ROADMAP item 9(b) prices them).
     pub gmm_inferences: u64,
     /// Benchmark façade — read by `icgmm_bench`; deleted by the benchmark
     /// PR that retires the `cache.batch.*` probes. Always `None`.
@@ -163,12 +166,11 @@ impl<'a> Assembly<'a> {
                 ))
             }
         };
-        // An armed fault plan passes the scores through the injector and
-        // its health monitor (per shard, so degradation transitions stay
-        // deterministic). The policy is never wrapped: a score that is not
-        // to be trusted reaches it as no score.
+        // Armed scorer faults pass the scores through the injector, which
+        // rolls by position. The policy is never wrapped: a score that is
+        // not to be trusted reaches it as no score.
         let plan = self.sys.cfg.fault;
-        if plan.scorer_armed() || plan.monitor_armed() {
+        if plan.scorer_armed() {
             score = score.map(|s| Box::new(FaultyScore::new(s, plan)) as _);
         }
         ShardPolicies { policy, score }
@@ -338,12 +340,10 @@ impl Icgmm {
         let engine = mode.uses_gmm().then(|| self.policy_engine()).transpose()?;
         let (start, end) = self.cfg.preprocess.kept_range(trace.len());
         let records = &trace.records()[..end];
-        // Panic points and a GMM engine's health monitor are per shard; an
-        // adaptive GMM replay runs a refit producer per shard, each over the
-        // whole slice (`tenants_drift`, 2 vCPUs: 1.15–1.5× one shard's time).
-        let fault = &self.cfg.fault;
-        let gmm = engine.is_some();
-        let one = fault.shard_armed() || gmm && (fault.monitor_armed() || !adapt.is_empty());
+        // Panic points are per shard; an adaptive GMM replay runs a refit
+        // producer per shard, each over the whole slice (`tenants_drift`,
+        // 2 vCPUs: 1.15–1.5× one shard's time).
+        let one = self.cfg.fault.shard_armed() || engine.is_some() && !adapt.is_empty();
         let fan = !one && shards.is_none() && end >= FANOUT_MIN && cores() >= FANOUT_SHARDS;
         let part = match fan.then(|| self.balanced(mode, records)).flatten() {
             Some(part) => part,
@@ -390,19 +390,19 @@ impl Icgmm {
     /// This is [`Icgmm::run_sharded`]'s replay, one single-point
     /// policy-engine inference per miss as in the paper's Algorithm 1
     /// datapath, on two shards when a second core is there, the report
-    /// cannot depend on the count (no shard panic point, no GMM engine
-    /// under a health monitor), two shards pay (not an adaptive GMM replay,
-    /// whose refit producers each walk the slice; a long slice, 64 Ki
-    /// records, even enough between the shards), routed by the odd mask a
-    /// sample of the slice chose
+    /// cannot depend on the count (no shard panic point), two shards pay
+    /// (not an adaptive GMM replay, whose refit producers each walk the
+    /// slice; a long slice, 64 Ki records, even enough between the
+    /// shards), routed by the odd mask a sample of the slice chose
     /// ([`Icgmm::replay_partition`]) — bit-identical to one shard by the
     /// sharding argument, which holds for any set partition.
     /// Otherwise it is the one-shard geometry, inline on the calling
     /// thread. An armed `shard_panic_per_mille` point is caught, the trace
     /// re-replayed once with it disarmed, and the event counted in
     /// `FaultStats::{shard_panics, shard_recoveries}`; the functional
-    /// report is bit-identical to an undisturbed run. Armed device faults
-    /// lengthen `total_us` by the same attoseconds at every shard count.
+    /// report is bit-identical to an undisturbed run. Armed scorer and
+    /// device faults are rolled by trace position, so they give the same
+    /// report at every shard count; device faults lengthen `total_us`.
     ///
     /// # Errors
     ///
@@ -440,10 +440,10 @@ impl Icgmm {
     /// summed [`RunReport::sim`] is **bit-identical** to [`Icgmm::run`]'s
     /// for every shard count, under every latency model — enforced by the differential suite in
     /// `tests/shard_differential.rs` and the property grid in
-    /// `crates/cache/tests/shard_equivalence.rs`, adaptation and device
-    /// faults included; only a GMM engine's health monitor keeps per-shard
-    /// state. `gmm_inferences` counts the inferences the sharded replay
-    /// actually performed — one per scored miss, the single-threaded count.
+    /// `crates/cache/tests/shard_equivalence.rs`, adaptation, scorer and
+    /// device faults included. `gmm_inferences` counts the inferences the
+    /// sharded replay actually performed — one per scored miss and re-scored
+    /// block, the single-threaded count.
     /// At `sim_shards = 1` it replays inline on the calling thread.
     ///
     /// # Errors
@@ -497,7 +497,7 @@ impl Icgmm {
     /// The configuration's [`FaultPlan`](icgmm_cache::FaultPlan) plugs in
     /// unchanged: shard-worker panics are supervisor-recovered
     /// mid-service, device faults ride each worker's accounting, scorer
-    /// faults each worker's [`FaultyScore`] wrapper and its health monitor.
+    /// faults each worker's [`FaultyScore`] wrapper.
     ///
     /// # Errors
     ///
@@ -528,8 +528,8 @@ impl Icgmm {
     /// and overlap saving that go with it ([`DataflowReport::from_sim`]).
     ///
     /// Host replay is [`Icgmm::run`]'s replay under that model (and the
-    /// frozen model, below, which may fan out unless a health monitor or a
-    /// shard panic point is armed), so the configuration's
+    /// frozen model, below, which may fan out unless a shard panic point
+    /// is armed), so the configuration's
     /// [`FaultPlan`](icgmm_cache::FaultPlan) applies as on every front-end:
     /// device faults lengthen the makespan, scorer faults and recovered
     /// shard panics land in the report's fault block. Setting
@@ -711,8 +711,8 @@ mod tests {
         let short = Trace::from_records(even.records()[..FANOUT_MIN].to_vec());
         let two = cores().min(FANOUT_SHARDS);
         let adapt = AdaptPlan::drifty(1);
-        let monitor = FaultPlan {
-            scorer_demote_after: 4,
+        let scorer = FaultPlan {
+            scorer_nan_per_mille: 30,
             ..FaultPlan::empty()
         };
         let device = FaultPlan {
@@ -736,8 +736,8 @@ mod tests {
             ((device, AdaptPlan::empty()), gmm, &even, two),
             ((FaultPlan::empty(), adapt), gmm, &even, 1),
             ((FaultPlan::empty(), adapt), lru, &even, two),
-            ((monitor, AdaptPlan::empty()), gmm, &even, 1),
-            ((monitor, adapt), belady, &even, two),
+            ((scorer, AdaptPlan::empty()), gmm, &even, two),
+            ((scorer, adapt), belady, &even, two),
             ((panics, AdaptPlan::empty()), lru, &even, 1),
             (none, gmm, &short, 1),
             (none, gmm, &seventy, two),

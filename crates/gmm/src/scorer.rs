@@ -45,7 +45,7 @@
 //! ```
 //!
 //! slot `s` into partial sum `s % 8`, and combines the eight partials by
-//! one fixed tree `((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))`. [`exp_unit`] is a
+//! one fixed tree `((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))`. `exp_unit` is a
 //! branch-free ~2-ulp Cody–Waite + Cephes polynomial the compiler
 //! vectorizes right inside the loop (a libm call cannot be).
 //!
@@ -64,7 +64,7 @@
 //! agree bit for bit: which groups were skipped is invisible in the
 //! result. Where most groups are active the branch per group only costs,
 //! so a block whose sampled terms are mostly above the cut takes the
-//! straight-line masked loop instead (see [`unit_terms_block`]) — a
+//! straight-line masked loop instead (see `unit_terms_block`) — a
 //! choice read off the input, with the same bits either way.
 //!
 //! **Slot order.** The scorer owns its layout: the constructors push the
@@ -597,7 +597,7 @@ impl GmmScorer {
     }
 
     /// Log mixture density `ln G(x)` — allocation-free (the terms are
-    /// staged in a [`BLOCK`]-term stack block). Every other entry point
+    /// staged in a `BLOCK`-term stack block). Every other entry point
     /// and the E-step's `lse` are this kernel and agree with it bit for bit.
     ///
     /// Returns `−∞` when every component term underflows to `−∞` (only
@@ -719,7 +719,7 @@ impl GmmScorer {
     /// [`GmmScorer::score_batch`] split across scoped worker threads —
     /// the same scoped-thread pattern as the parallel EM E-step, capped
     /// at 16 workers. `threads = 0` selects the available parallelism; batches
-    /// under [`PARALLEL_MIN`] points are scored on the caller. Points are
+    /// under `PARALLEL_MIN` points are scored on the caller. Points are
     /// scored independently, so where the batch is split is invisible.
     ///
     /// # Panics

@@ -27,8 +27,8 @@ pub struct ServeConfig {
     /// hand-off cost.
     pub queue_depth: usize,
     /// Deterministic fault plan: shard-worker panic points (supervisor-
-    /// recovered), device faults, scorer faults and the health monitor
-    /// all plug in unchanged from the offline engine.
+    /// recovered), device faults and scorer faults all plug in unchanged
+    /// from the offline engine.
     pub fault: FaultPlan,
 }
 

@@ -240,12 +240,12 @@ proptest! {
             {
                 let mut c = SetAssocCache::new(cfg).unwrap();
                 let mut pol = policy_for(eviction, admission, cfg, &trace);
-                let mut sc = score_for(score).map(|s| CountingScore(s, 0));
+                let mut sc = score_for(score).map(|s| CountingScore(s, Vec::new()));
                 let reference = simulate_streaming_with_warmup(
                     &trace[..m], &trace[m..], &mut c, &mut pol.admit, &mut pol.evict,
                     sc.as_mut().map(|s| s as &mut dyn ScoreSource), lat, Some(64),
                 );
-                let consumed = sc.map_or(0, |s| s.1);
+                let consumed = sc.map_or(0, |s| s.1.len() as u64);
                 for shards in [1usize, 2, 4] {
                     let serve_cfg = ServeConfig {
                         shards,

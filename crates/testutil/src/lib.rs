@@ -20,7 +20,7 @@ use icgmm_cache::{
     BeladyPolicy, CacheConfig, ConstantScore, Evict, FaultPlan, FaultyScore, FnScore,
     GmmScorePolicy, LatencyModel, LruPolicy, Policy, ScoreSource, ThresholdAdmit,
 };
-use icgmm_trace::{TraceRecord, Zipf};
+use icgmm_trace::{PageIndex, TraceRecord, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -140,7 +140,7 @@ pub fn policy_for(
 struct PoisonScore;
 
 impl ScoreSource for PoisonScore {
-    fn score(&mut self, _record: &TraceRecord, _pos: u64) -> f64 {
+    fn score(&mut self, _page: PageIndex, _pos: u64) -> f64 {
         panic!("poisoned score");
     }
 }
@@ -175,15 +175,16 @@ pub fn score_for(name: &str) -> Option<Box<dyn ScoreSource + Send>> {
     }
 }
 
-/// A score source that counts the scores it hands out: the inference
-/// count of a replay that reports none of its own (the two-slice
-/// `simulate_streaming_with_warmup`), to hold `scores_consumed` against.
-pub struct CountingScore(pub Box<dyn ScoreSource + Send>, pub u64);
+/// A score source that logs the `(page, position)` of every score it
+/// hands out, in order: the inference count of a replay that reports none
+/// of its own (the two-slice `simulate_streaming_with_warmup`), to hold
+/// `scores_consumed` against, and what each score was asked for.
+pub struct CountingScore(pub Box<dyn ScoreSource + Send>, pub Vec<(u64, u64)>);
 
 impl ScoreSource for CountingScore {
-    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
-        self.1 += 1;
-        self.0.score(record, pos)
+    fn score(&mut self, page: PageIndex, pos: u64) -> f64 {
+        self.1.push((page.raw(), pos));
+        self.0.score(page, pos)
     }
 }
 
@@ -207,7 +208,7 @@ mod tests {
         assert!(score_for("fn").is_some());
         for name in UNTRUSTED_SCORES {
             let mut s = score_for(name).expect("a source");
-            assert!(s.score(&TraceRecord::read(0x5000), 3).is_nan(), "{name}");
+            assert!(s.score(PageIndex::new(5), 3).is_nan(), "{name}");
         }
     }
 

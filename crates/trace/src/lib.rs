@@ -12,7 +12,7 @@
 //! * [`synth`] — seven synthetic workload models standing in for the
 //!   paper's trace benchmarks (`parsec`, `memtier`, `hashmap`, `heap`,
 //!   `sysbench`, `dlrm`, `stream`);
-//! * [`preprocess`] — warm-up trimming, page consolidation and the paper's
+//! * `preprocess` — warm-up trimming, page consolidation and the paper's
 //!   Algorithm 1 timestamp transformation ([`TimestampTransformer`]);
 //! * [`histogram`] — the spatial/temporal distribution views of Fig. 2;
 //! * [`io`] — a plain-text trace format for interchange with external

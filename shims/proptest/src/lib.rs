@@ -111,7 +111,7 @@ pub mod strategy {
         }
     }
 
-    /// Strategy returned by [`any`](super::any).
+    /// Strategy returned by [`any`].
     pub struct Any<T> {
         _marker: core::marker::PhantomData<T>,
     }

@@ -35,7 +35,7 @@ mod inline_oracle {
         ScoreSource, REFIT_DECAY, RESERVOIR_CAPACITY,
     };
     use icgmm_gmm::{EmConfig, Gmm, IncrementalEm, Vec2};
-    use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
+    use icgmm_trace::{PageIndex, PreprocessConfig, TimestampTransformer, TraceRecord};
 
     const MIN_REFIT_SAMPLES: usize = 8;
 
@@ -161,9 +161,9 @@ mod inline_oracle {
     }
 
     impl ScoreSource for InlineAdaptive {
-        fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
+        fn score(&mut self, page: PageIndex, pos: u64) -> f64 {
             self.catch_up(pos);
-            self.engine.score(record, pos)
+            self.engine.score(page, pos)
         }
 
         fn telemetry(&mut self, _fault: &mut FaultStats, adapt: &mut AdaptStats) {

@@ -44,7 +44,7 @@ use icgmm_cache::{
     ReplayObserver, ScoreSource, SetAssocCache, SimReport, ThresholdAdmit,
 };
 use icgmm_trace::synth::WorkloadKind;
-use icgmm_trace::{PreprocessConfig, TimestampTransformer, TraceRecord};
+use icgmm_trace::{PageIndex, PreprocessConfig, TimestampTransformer, TraceRecord};
 
 /// The seed's scorer behind the engine's clock and scaler: `G(x)` as a
 /// component-order libm log-sum-exp over all K terms.
@@ -63,9 +63,9 @@ impl SeedScore {
 }
 
 impl ScoreSource for SeedScore {
-    fn score(&mut self, record: &TraceRecord, pos: u64) -> f64 {
+    fn score(&mut self, page: PageIndex, pos: u64) -> f64 {
         let ts = self.transformer.at(pos);
-        let page = record.page().raw();
+        let page = page.raw();
         let z = self.model.scaler.transform([page as f64, ts as f64]);
         let gmm = &self.model.gmm;
         let logs: Vec<f64> = gmm
@@ -200,7 +200,7 @@ fn kernel_and_seed_scorer_make_the_same_cache_decisions() {
             }
             let bypassed = |o: &AccessOutcome| matches!(o, AccessOutcome::MissBypassed);
             if bypassed(a) != bypassed(b) {
-                let score = probe.score(&trace.records()[i], i as u64);
+                let score = probe.score(trace.records()[i].page(), i as u64);
                 assert!(
                     score.to_bits() == threshold.to_bits(),
                     "{ctx}: record {i}'s admission moved off the knife edge: kernel {a:?} \

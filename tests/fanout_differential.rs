@@ -244,10 +244,9 @@ fn device_time_under_inexact_latencies_is_the_same_at_every_shard_count() {
     }
 }
 
-/// A GMM engine's health monitor keeps a per-shard streak, so it keeps
-/// `run` on one shard. An adaptation plan keeps it there too, for cost
-/// only: every shard's refit producer walks the whole slice, so two
-/// shards report what one does, with no boundary counted twice.
+/// An adaptation plan keeps `run` on one shard, for cost only: every
+/// shard's refit producer walks the whole slice, so two shards report what
+/// one does, with no boundary counted twice.
 #[test]
 fn per_shard_state_keeps_run_on_one_shard() {
     let trace = &fixture().0;
@@ -255,31 +254,64 @@ fn per_shard_state_keeps_run_on_one_shard() {
         check_interval: 4_096,
         ..AdaptPlan::drifty(5)
     };
-    let monitor = FaultPlan {
-        seed: 9,
-        scorer_nan_per_mille: 200,
-        scorer_demote_after: 4,
-        scorer_promote_after: 16,
-        ..FaultPlan::empty()
-    };
     for mode in [PolicyMode::GmmEvictionOnly, PolicyMode::GmmCachingEviction] {
         let armed = system(cfg(FaultPlan::empty(), adapt, 1));
+        assert_eq!(armed.replay_partition(trace, mode).unwrap().shards(), 1);
         let one = armed.run_sharded(trace, mode).unwrap();
         let run = armed.run(trace, mode).unwrap();
         assert_eq!(run, one, "{mode} under an adaptation plan");
         assert!(one.sim.adapt.checks > 0, "{mode}: the plan never checked");
         let two = system(cfg(FaultPlan::empty(), adapt, 2));
         assert_eq!(two.run_sharded(trace, mode).unwrap(), one, "{mode}");
-
-        let watched = system(cfg(monitor, AdaptPlan::empty(), 1));
-        let one = watched.run_sharded(trace, mode).unwrap();
-        assert!(one.sim.fault.scorer_demotions > 0, "{mode}: monitor idle");
-        assert_eq!(watched.run(trace, mode).unwrap(), one, "{mode} monitored");
     }
     // A mode without an engine has no per-shard state to keep: LRU under
-    // the same armed plan fans out and still reports one shard's replay.
-    let lru = system(cfg(monitor, adapt, 1));
+    // the same plan fans out and still reports one shard's replay.
+    let lru = system(cfg(scorer_outages(), adapt, 1));
     let one = lru.run_sharded(trace, PolicyMode::Lru).unwrap();
     assert_eq!(lru.run(trace, PolicyMode::Lru).unwrap(), one);
     assert!(one.sim.adapt.checks == 0 && one.sim.fault.is_clean());
+}
+
+/// Flips and outages heavy enough that many sets hold unscored blocks.
+fn scorer_outages() -> FaultPlan {
+    FaultPlan {
+        seed: 9,
+        scorer_nan_per_mille: 200,
+        scorer_outage_per_mille: 5,
+        scorer_outage_len: 64,
+        ..FaultPlan::empty()
+    }
+}
+
+/// Under scorer faults a block inserted without a trusted score is
+/// re-scored at the next trusted eviction in its set, at that eviction's
+/// position, where every fault roll repeats the trusted miss's: nothing
+/// about it depends on the shard count. So `run` fans out, and equals
+/// `run_sharded` at 1, 2 and 4 shards and `serve`, re-scores counted.
+#[test]
+fn scorer_faults_fan_out_and_report_what_one_shard_does() {
+    let trace = &fixture().0;
+    let cores = thread::available_parallelism().map_or(1, |n| n.get().min(2));
+    for mode in [PolicyMode::GmmEvictionOnly, PolicyMode::GmmCachingEviction] {
+        let sys = system(cfg(scorer_outages(), AdaptPlan::empty(), 1));
+        assert_eq!(sys.replay_partition(trace, mode).unwrap().shards(), cores);
+        let one = sys.run_sharded(trace, mode).unwrap();
+        let fault = one.sim.fault;
+        assert!(fault.scorer_nan_injected > 0 && fault.scorer_outage_scores > 0);
+        // More inferences than the warm-up's records and the measured
+        // misses together: blocks were re-scored.
+        let warmup = sys.config().preprocess.kept_range(trace.len()).0 as u64;
+        assert!(
+            one.gmm_inferences > warmup + one.sim.stats.misses(),
+            "{mode}"
+        );
+        assert_eq!(sys.run(trace, mode).unwrap(), one, "{mode}");
+        for shards in [2, 4] {
+            let sharded = system(cfg(scorer_outages(), AdaptPlan::empty(), shards));
+            assert_eq!(sharded.run_sharded(trace, mode).unwrap(), one, "{mode}");
+            let served = sharded.serve(trace, mode).unwrap();
+            assert_eq!(served.sim, one.sim, "{mode} served at {shards} shards");
+            assert_eq!(served.scores_consumed, one.gmm_inferences, "{mode}");
+        }
+    }
 }

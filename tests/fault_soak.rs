@@ -82,12 +82,10 @@ fn chaos_soak_sharded_replay_never_aborts_and_reproduces() {
 fn chaos_soak_single_threaded_replay_reproduces() {
     let trace = tenant_trace(30_000, 42);
     let plan = FaultPlan {
-        // Aggressive scorer corruption so the monitor engages.
+        // Aggressive scorer corruption: many blocks go in unscored.
         scorer_nan_per_mille: 200,
         scorer_outage_per_mille: 5,
         scorer_outage_len: 64,
-        scorer_demote_after: 4,
-        scorer_promote_after: 16,
         ..FaultPlan::chaos(77)
     };
     let mut sys = Icgmm::new(soak_cfg(plan, 1)).unwrap();
@@ -95,11 +93,7 @@ fn chaos_soak_single_threaded_replay_reproduces() {
 
     let a = sys.run(&trace, PolicyMode::GmmCachingEviction).unwrap();
     assert!(a.sim.fault.scorer_nan_injected > 0, "no scores corrupted");
-    assert!(a.sim.fault.scorer_demotions > 0, "monitor never engaged");
-    assert!(
-        a.sim.fault.degraded_scores > 0,
-        "no miss went unscored while degraded"
-    );
+    assert!(a.sim.fault.scorer_outage_scores > 0, "no outage");
 
     let b = sys.run(&trace, PolicyMode::GmmCachingEviction).unwrap();
     assert_eq!(a, b, "fault-armed replay must reproduce from its seeds");
@@ -194,21 +188,23 @@ fn scaled(kind: WorkloadKind, scale: u64) -> (Trace, IcgmmConfig) {
 }
 
 /// Corrupted scores cost what they touch and no more. With 3 % of scores
-/// flipped to NaN / ±Inf and no monitor armed, gmm-eviction keeps at least
-/// three quarters of its miss-rate gain over LRU (a corrupted score decides
-/// one request by recency; stored, it pinned a block for the rest of the
-/// run, and the pins piled up); under the chaos preset's scorer faults,
-/// where the monitor distrusts the engine almost throughout, the run
-/// stays within 0.1 pt of LRU.
+/// flipped to NaN / ±Inf, gmm-eviction keeps at least three quarters of
+/// its miss-rate gain over LRU (a corrupted score decides one request by
+/// recency, and the block it inserts is re-scored at the next trusted
+/// eviction in its set; stored as it came, it pinned a block for the rest
+/// of the run, and the pins piled up); under the chaos preset's scorer
+/// faults — the flips plus 64-position outages — it keeps at least half.
 ///
 /// Measured (miss %: LRU, clean, flips, chaos):
-/// `stream` ÷ 4 — 14.42, 12.93, 13.13 (13 % of the gain lost), 14.42;
-/// `dlrm` ÷ 8 — 40.27, 33.68, 33.79 (2 %), 40.27. With non-finite scores
-/// stored as they came (the parent of the change that added this test):
-/// `stream` 13.97 (70 % lost) and 14.59 under chaos, `dlrm` 38.01 (66 %
-/// lost) and 39.88.
+/// `stream` ÷ 4 — 14.42, 12.93, 13.05 (8 % of the gain lost), 13.27
+/// (77 % kept); `dlrm` ÷ 8 — 40.27, 33.68, 33.76 (1 %), 36.77 (53 %
+/// kept). With non-finite scores stored as they came: `stream` 13.97 (70 %
+/// lost) and 14.59 under chaos, `dlrm` 38.01 (66 % lost) and 39.88. With
+/// unscored blocks stored as score 0 and never re-scored, flips read
+/// 13.13 and 33.79 (13 % and 2 % lost); a health monitor that distrusted
+/// the engine after 8 bad scores in a row read LRU under chaos (0 % kept).
 #[test]
-fn corrupted_scores_cost_a_fraction_of_the_gain_and_chaos_is_lru() {
+fn corrupted_scores_cost_a_fraction_of_the_gain_and_chaos_keeps_half_of_it() {
     for (name, scale) in [(WorkloadKind::Stream, 4), (WorkloadKind::Dlrm, 8)] {
         let (trace, cfg) = scaled(name, scale);
         let mut sys = Icgmm::new(cfg).unwrap();
@@ -249,8 +245,9 @@ fn corrupted_scores_cost_a_fraction_of_the_gain_and_chaos_is_lru() {
             100.0 * (flipped - clean) / gain
         );
         assert!(
-            (chaos - lru).abs() <= 0.1,
-            "{name}: chaos {chaos:.2} is not LRU's {lru:.2}"
+            lru - chaos >= gain / 2.0,
+            "{name}: chaos kept {:.0} % of the gain ({clean:.2} → {chaos:.2}, LRU {lru:.2})",
+            100.0 * (lru - chaos) / gain
         );
     }
 }

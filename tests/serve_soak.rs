@@ -1,7 +1,7 @@
 //! Chaos soak for the serving front-end: the concurrent service survives
 //! a seeded mixed-fault storm — scorer corruption, engine outages,
-//! shard-worker panics mid-service and the degradation ladder all armed
-//! at once, under multi-tenant cache pressure — with zero aborts, and the
+//! shard-worker panics mid-service and device faults all armed at once,
+//! under multi-tenant cache pressure — with zero aborts, and the
 //! semantic half of the report reproduces bit-for-bit across repeat
 //! serves despite nondeterministic queue timing.
 

@@ -27,8 +27,8 @@ use icgmm_trace::{PreprocessConfig, Trace, TraceRecord};
 
 const MODE: PolicyMode = PolicyMode::GmmCachingEviction;
 
-/// Scorer faults, the health monitor and drift-chasing adaptation all
-/// armed, on a config that trains in milliseconds (K = 64).
+/// Scorer faults and drift-chasing adaptation both armed, on a config
+/// that trains in milliseconds (K = 64).
 fn cfg(fault: FaultPlan, shards: usize) -> IcgmmConfig {
     IcgmmConfig {
         cache: CacheConfig {
@@ -83,17 +83,15 @@ fn system(fault: FaultPlan, shards: usize) -> Icgmm {
     sys
 }
 
-/// Scorer corruption heavy enough for the ladder to demote and re-promote
-/// on every shard; `shard_panic_per_mille` decides whether each shard's
-/// first attempt dies.
-fn ladder_plan(shard_panic_per_mille: u16) -> FaultPlan {
+/// Scorer corruption heavy enough to be counted on every shard;
+/// `shard_panic_per_mille` decides whether each shard's first attempt
+/// dies.
+fn scorer_plan(shard_panic_per_mille: u16) -> FaultPlan {
     FaultPlan {
         seed: 77,
         scorer_nan_per_mille: 200,
         scorer_outage_per_mille: 5,
         scorer_outage_len: 64,
-        scorer_demote_after: 4,
-        scorer_promote_after: 16,
         shard_panic_per_mille,
         ..FaultPlan::empty()
     }
@@ -110,8 +108,7 @@ fn assert_only_the_supervisor_noticed(armed: &SimReport, clean: &SimReport, shar
     scrubbed.fault.shard_recoveries = 0;
     assert_eq!(&scrubbed, clean, "a dead attempt left counters behind");
     assert!(clean.fault.scorer_nan_injected > 0, "{:?}", clean.fault);
-    assert!(clean.fault.scorer_demotions > 0, "{:?}", clean.fault);
-    assert!(clean.fault.degraded_scores > 0, "{:?}", clean.fault);
+    assert!(clean.fault.scorer_outage_scores > 0, "{:?}", clean.fault);
     assert!(clean.adapt.checks > 0, "{:?}", clean.adapt);
     assert!(clean.adapt.refits > 0, "{:?}", clean.adapt);
 }
@@ -120,8 +117,8 @@ fn assert_only_the_supervisor_noticed(armed: &SimReport, clean: &SimReport, shar
 fn a_dead_attempt_takes_its_counters_with_it_offline() {
     let (trace, _) = fixture();
     for shards in [1usize, 2, 4] {
-        let clean = system(ladder_plan(0), shards).run_sharded(trace, MODE);
-        let armed = system(ladder_plan(1000), shards).run_sharded(trace, MODE);
+        let clean = system(scorer_plan(0), shards).run_sharded(trace, MODE);
+        let armed = system(scorer_plan(1000), shards).run_sharded(trace, MODE);
         assert_only_the_supervisor_noticed(&armed.unwrap().sim, &clean.unwrap().sim, shards);
     }
 }
@@ -132,12 +129,12 @@ fn a_dead_attempt_takes_its_counters_with_it_offline() {
 #[test]
 fn a_dead_worker_takes_its_counters_with_it_mid_service() {
     let (trace, _) = fixture();
-    let clean = system(ladder_plan(0), 4).serve(trace, MODE).unwrap();
-    let armed = system(ladder_plan(1000), 4).serve(trace, MODE).unwrap();
+    let clean = system(scorer_plan(0), 4).serve(trace, MODE).unwrap();
+    let armed = system(scorer_plan(1000), 4).serve(trace, MODE).unwrap();
     assert_only_the_supervisor_noticed(&armed.sim, &clean.sim, 4);
     assert_eq!(armed.scores_consumed, clean.scores_consumed);
     // Serving and the offline engine count the same things.
-    let offline = system(ladder_plan(0), 4).run_sharded(trace, MODE);
+    let offline = system(scorer_plan(0), 4).run_sharded(trace, MODE);
     assert_eq!(clean.sim, offline.unwrap().sim);
 }
 
