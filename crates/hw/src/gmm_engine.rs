@@ -84,8 +84,8 @@ mod tests {
         assert!(k256.latency_us() < k1024.latency_us());
         // Marginal cost is II = 1 cycle per extra component.
         assert_eq!(
-            (k1024.latency_cycles() - k256.latency_cycles()).0,
-            (1024 - 256)
+            k1024.latency_cycles().0 - k256.latency_cycles().0,
+            1024 - 256
         );
     }
 }

@@ -8,7 +8,7 @@
 //! highest miss rate in the paper (36.78 % under LRU). Dense MLP weights are
 //! streamed cyclically, and the interaction output is written back.
 
-use super::{line_addr, Workload};
+use super::{line_addr, synth, Workload};
 use crate::record::TraceRecord;
 use crate::trace::Trace;
 use crate::zipf::Zipf;
@@ -84,19 +84,13 @@ impl DlrmWorkload {
 }
 
 impl Workload for DlrmWorkload {
-    fn name(&self) -> &str {
-        "dlrm"
-    }
-
     fn generate(&self, n: usize, seed: u64) -> Trace {
         let zipf = Zipf::new(self.rows_per_table, self.zipf_exponent)
             .expect("workload parameters form a valid Zipf distribution");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Trace::with_capacity(n);
         let mut mlp_line = 0u64;
         let mut sample = 0usize;
 
-        while t.len() < n {
+        synth(n, StdRng::seed_from_u64(seed), |t, rng| {
             sample += 1;
             let phase = sample / self.phase_len_samples.max(1);
             let hot_table = self.emphasized_table(phase);
@@ -106,10 +100,7 @@ impl Workload for DlrmWorkload {
                 let lookups = self.lookups_per_table
                     + usize::from(table == hot_table) * self.lookups_per_table;
                 for _ in 0..lookups {
-                    if t.len() >= n {
-                        break;
-                    }
-                    let rank = zipf.sample(&mut rng) - 1;
+                    let rank = zipf.sample(rng) - 1;
                     let page = self.table_base(table) + rank / self.rows_per_page();
                     let slot = (rank % self.rows_per_page()) * (self.row_bytes / 64).max(1);
                     t.push(TraceRecord::read(line_addr(page, slot)));
@@ -117,20 +108,14 @@ impl Workload for DlrmWorkload {
             }
             // Dense MLP weight stream (cyclic).
             for _ in 0..self.mlp_lines_per_sample {
-                if t.len() >= n {
-                    break;
-                }
                 let page = self.mlp_base() + (mlp_line / 64) % self.mlp_pages;
                 t.push(TraceRecord::read(line_addr(page, mlp_line)));
                 mlp_line += 1;
             }
             // Interaction output write.
-            if t.len() < n {
-                let page = self.out_base() + (sample as u64 % 512);
-                t.push(TraceRecord::write(line_addr(page, sample as u64)));
-            }
-        }
-        t
+            let page = self.out_base() + (sample as u64 % 512);
+            t.push(TraceRecord::write(line_addr(page, sample as u64)));
+        })
     }
 }
 

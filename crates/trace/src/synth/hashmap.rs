@@ -7,7 +7,7 @@
 //! 4 KiB blocks cost a 900 µs SSD program on eviction). Periodic incremental
 //! rehash sweeps scan the bucket array sequentially, polluting an LRU cache.
 
-use super::{line_addr, push_read, push_write, Workload};
+use super::{line_addr, synth, Workload};
 use crate::record::TraceRecord;
 use crate::trace::Trace;
 use crate::zipf::Zipf;
@@ -85,25 +85,22 @@ impl HashmapWorkload {
 }
 
 impl Workload for HashmapWorkload {
-    fn name(&self) -> &str {
-        "hashmap"
-    }
-
     fn generate(&self, n: usize, seed: u64) -> Trace {
         let zipf = Zipf::new(self.entries, self.zipf_exponent)
             .expect("workload parameters form a valid Zipf distribution");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Trace::with_capacity(n);
         let mut ops = 0usize;
         let mut rehash_cursor = 0u64;
 
-        while t.len() < n {
+        synth(n, StdRng::seed_from_u64(seed), |t, rng| {
             ops += 1;
             if self.rehash_every > 0 && ops.is_multiple_of(self.rehash_every) {
                 // Incremental rehash: sequentially scan bucket pages and
                 // relocate their entries into a cold target region — reads
                 // of warm buckets plus write-once dirty pages that pollute
-                // an LRU cache (and cost SSD write-backs on eviction).
+                // an LRU cache (and cost SSD write-backs on eviction). A
+                // read and its relocation write never straddle the end of
+                // the trace: with one record left the scan stops, and the
+                // next operation takes that record.
                 for i in 0..self.rehash_scan_pages {
                     if t.len() + 2 > n {
                         break;
@@ -116,26 +113,20 @@ impl Workload for HashmapWorkload {
                     t.push(TraceRecord::write(line_addr(reloc_page, i)));
                 }
                 rehash_cursor = rehash_cursor.wrapping_add(self.rehash_scan_pages);
-                continue;
+                return;
             }
-            let key = zipf.sample(&mut rng) - 1;
+            let key = zipf.sample(rng) - 1;
             let (bpage, bline) = self.bucket_loc(key);
             t.push(TraceRecord::read(line_addr(bpage, bline)));
-            if t.len() >= n {
-                break;
-            }
             let epage = self.entry_page(key);
             if rng.gen::<f64>() < self.insert_prob {
                 // Insert/update: write the entry, then update the bucket head.
-                push_write(&mut t, &mut rng, epage);
-                if t.len() < n {
-                    t.push(TraceRecord::write(line_addr(bpage, bline)));
-                }
+                t.write(rng, epage);
+                t.push(TraceRecord::write(line_addr(bpage, bline)));
             } else {
-                push_read(&mut t, &mut rng, epage);
+                t.read(rng, epage);
             }
-        }
-        t
+        })
     }
 }
 
@@ -205,6 +196,28 @@ mod tests {
         };
         let t = w.generate(3_000, 3);
         assert_eq!(t.len(), 3_000);
+    }
+
+    #[test]
+    fn a_rehash_read_never_takes_the_last_record_without_its_write() {
+        let w = HashmapWorkload {
+            rehash_every: 100,
+            rehash_scan_pages: 32,
+            ..Default::default()
+        };
+        let long = w.generate(5_000, 6);
+        let p = long
+            .iter()
+            .position(|r| r.op().is_write() && r.page().raw() >= w.relocation_base())
+            .expect("the rehash relocates");
+        let cut = w.generate(p, 6);
+        assert_eq!(cut.len(), p);
+        assert_eq!(cut.records()[..p - 1], long.records()[..p - 1]);
+        // Record p − 1 of the long trace is the rehash read whose write is
+        // record p. Cut at p the pair would straddle the end, so the next
+        // operation takes the slot instead.
+        assert!(!long.records()[p - 1].op().is_write());
+        assert_ne!(cut.records()[p - 1], long.records()[p - 1]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! signal. Sift operations write at every level, making this benchmark
 //! write-heavy (large dirty-eviction penalty, as in the paper's Table 1).
 
-use super::Workload;
+use super::{synth, Workload};
 use crate::record::TraceRecord;
 use crate::trace::Trace;
 use rand::rngs::StdRng;
@@ -74,74 +74,45 @@ impl HeapWorkload {
 }
 
 impl Workload for HeapWorkload {
-    fn name(&self) -> &str {
-        "heap"
-    }
-
     fn generate(&self, n: usize, seed: u64) -> Trace {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Trace::with_capacity(n);
         let mut ops = 0usize;
 
-        while t.len() < n {
+        synth(n, StdRng::seed_from_u64(seed), |t, rng| {
             ops += 1;
             let size = self.occupancy(ops).max(2);
-            let push = |t: &mut Trace, addr: u64, write: bool| {
-                if write {
-                    t.push(TraceRecord::write(addr));
-                } else {
-                    t.push(TraceRecord::read(addr));
-                }
-            };
             if rng.gen::<f64>() < self.push_prob {
                 // Push: append at the frontier...
                 let mut idx = size - 1;
-                push(&mut t, self.slot_addr(idx), true);
+                t.push(TraceRecord::write(self.slot_addr(idx)));
                 // ...then sift up a geometric number of levels.
                 let mut levels = 0.0f64;
-                while t.len() < n
-                    && idx > 0
+                while idx > 0
                     && rng.gen::<f64>()
                         < self.sift_up_mean_levels / (self.sift_up_mean_levels + levels + 1.0)
                 {
                     let parent = (idx - 1) / 2;
-                    push(&mut t, self.slot_addr(parent), false); // compare
-                    if t.len() < n {
-                        push(&mut t, self.slot_addr(parent), true); // swap
-                    }
+                    t.push(TraceRecord::read(self.slot_addr(parent))); // compare
+                    t.push(TraceRecord::write(self.slot_addr(parent))); // swap
                     idx = parent;
                     levels += 1.0;
                 }
             } else {
                 // Pop: read root, move frontier element to root...
-                push(&mut t, self.slot_addr(0), false);
-                if t.len() < n {
-                    push(&mut t, self.slot_addr(size - 1), false);
-                }
-                if t.len() < n {
-                    push(&mut t, self.slot_addr(0), true);
-                }
+                t.push(TraceRecord::read(self.slot_addr(0)));
+                t.push(TraceRecord::read(self.slot_addr(size - 1)));
+                t.push(TraceRecord::write(self.slot_addr(0)));
                 // ...then sift down a random root-to-leaf path.
                 let mut idx = 0u64;
-                while t.len() < n {
-                    let left = 2 * idx + 1;
-                    let right = 2 * idx + 2;
-                    if right >= size {
-                        break;
-                    }
-                    push(&mut t, self.slot_addr(left), false);
-                    if t.len() < n {
-                        push(&mut t, self.slot_addr(right), false);
-                    }
+                while 2 * idx + 2 < size {
+                    let (left, right) = (2 * idx + 1, 2 * idx + 2);
+                    t.push(TraceRecord::read(self.slot_addr(left)));
+                    t.push(TraceRecord::read(self.slot_addr(right)));
                     let chosen = if rng.gen::<bool>() { left } else { right };
-                    if t.len() < n {
-                        push(&mut t, self.slot_addr(chosen), true);
-                    }
+                    t.push(TraceRecord::write(self.slot_addr(chosen)));
                     idx = chosen;
                 }
             }
-        }
-        t
+        })
     }
 }
 

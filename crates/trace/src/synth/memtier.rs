@@ -6,7 +6,7 @@
 //! paper's Fig. 2 Gaussian bumps. The hot key range drifts slowly between
 //! phases (working-set rotation), giving the GMM a temporal signal.
 
-use super::{push_read, push_write, Workload};
+use super::{synth, Workload};
 use crate::record::PAGE_SIZE;
 use crate::trace::Trace;
 use crate::zipf::Zipf;
@@ -68,26 +68,17 @@ impl MemtierWorkload {
 }
 
 impl Workload for MemtierWorkload {
-    fn name(&self) -> &str {
-        "memtier"
-    }
-
     fn generate(&self, n: usize, seed: u64) -> Trace {
         let zipf = Zipf::new(self.keys, self.zipf_exponent)
             .expect("workload parameters form a valid Zipf distribution");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Trace::with_capacity(n);
         let meta_base = self.heap_base_page.saturating_sub(self.meta_pages + 16);
 
-        while t.len() < n {
+        synth(n, StdRng::seed_from_u64(seed), |t, rng| {
             let phase = t.len() / self.phase_len.max(1);
             if self.meta_pages > 0 && rng.gen::<f64>() < self.meta_prob {
                 // Dictionary probe: hot, read-only.
                 let mp = meta_base + rng.gen_range(0..self.meta_pages);
-                push_read(&mut t, &mut rng, mp);
-                if t.len() >= n {
-                    break;
-                }
+                t.read(rng, mp);
             }
             if rng.gen::<f64>() < self.expire_prob {
                 // Expiration-cycle probe: uniformly random key, usually
@@ -95,28 +86,18 @@ impl Workload for MemtierWorkload {
                 // admission-less cache lets it evict something useful.
                 let key = rng.gen_range(0..self.keys);
                 let values_per_page = (PAGE_SIZE / self.value_bytes).max(1);
-                push_read(
-                    &mut t,
-                    &mut rng,
-                    self.heap_base_page + key / values_per_page,
-                );
-                if t.len() >= n {
-                    break;
-                }
+                t.read(rng, self.heap_base_page + key / values_per_page);
             }
-            let rank = zipf.sample(&mut rng);
+            let rank = zipf.sample(rng);
             let page = self.value_page(rank, phase);
             if rng.gen::<f64>() < self.get_prob {
-                push_read(&mut t, &mut rng, page);
+                t.read(rng, page);
             } else {
                 // SET: write the value (two lines: header + payload start).
-                push_write(&mut t, &mut rng, page);
-                if t.len() < n {
-                    push_write(&mut t, &mut rng, page);
-                }
+                t.write(rng, page);
+                t.write(rng, page);
             }
-        }
-        t
+        })
     }
 }
 

@@ -6,7 +6,7 @@
 //! clusters with unequal, phase-rotated popularity, slow mean drift between
 //! phases, and a small uniform cold background (capacity-miss floor).
 
-use super::{clamp_page, normal, push_read, push_write, Workload};
+use super::{clamp_page, normal, synth, Workload};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,20 +71,13 @@ impl ParsecWorkload {
 }
 
 impl Workload for ParsecWorkload {
-    fn name(&self) -> &str {
-        "parsec"
-    }
-
     fn generate(&self, n: usize, seed: u64) -> Trace {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Trace::with_capacity(n);
         let region_pages =
             self.clusters as u64 * self.cluster_spacing_pages + 8 * self.cluster_sigma_pages as u64;
         let bg_base = self.region_base_page + region_pages + 1_000_000;
 
-        while t.len() < n {
-            let i = t.len();
-            let phase = i / self.phase_len.max(1);
+        synth(n, StdRng::seed_from_u64(seed), |t, rng| {
+            let phase = t.len() / self.phase_len.max(1);
             let page = if rng.gen::<f64>() < self.background_prob {
                 bg_base + rng.gen_range(0..self.background_pages)
             } else {
@@ -102,16 +95,15 @@ impl Workload for ParsecWorkload {
                     }
                 }
                 let mean = self.cluster_mean(chosen, phase);
-                let x = normal(&mut rng, mean, self.cluster_sigma_pages);
+                let x = normal(rng, mean, self.cluster_sigma_pages);
                 clamp_page(x, self.region_base_page, region_pages)
             };
             if rng.gen::<f64>() < self.write_prob {
-                push_write(&mut t, &mut rng, page);
+                t.write(rng, page);
             } else {
-                push_read(&mut t, &mut rng, page);
+                t.read(rng, page);
             }
-        }
-        t
+        })
     }
 }
 

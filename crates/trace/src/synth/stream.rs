@@ -11,7 +11,7 @@
 //! Element stride is 512 B (8 touches per 4 KiB page), matching the paper's
 //! ~13 % LRU miss floor: one compulsory miss per page per sweep, 7 hits.
 
-use super::{line_addr, Workload};
+use super::{line_addr, synth, Workload};
 use crate::record::TraceRecord;
 use crate::trace::Trace;
 use rand::rngs::StdRng;
@@ -83,64 +83,42 @@ impl StreamWorkload {
 }
 
 impl Workload for StreamWorkload {
-    fn name(&self) -> &str {
-        "stream"
-    }
-
     fn generate(&self, n: usize, seed: u64) -> Trace {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Trace::with_capacity(n);
         let elems = self.elements();
         let mut kernel_idx = 0usize;
         let mut elem = 0u64;
 
-        // a=0, b=1, c=2
-        while t.len() < n {
-            let kernel = KERNELS[kernel_idx % KERNELS.len()];
+        synth(n, StdRng::seed_from_u64(seed), |t, rng| {
             if self.hot_pages > 0 && rng.gen::<f64>() < self.hot_prob {
                 // Gaussian-profiled control/index region: a dense core the
                 // GMM can pin, with a colder fringe that LRU churns.
                 let x = super::normal(
-                    &mut rng,
+                    rng,
                     self.hot_pages as f64 / 2.0,
                     self.hot_pages as f64 / 5.0,
                 );
                 let hp = self.hot_base() + super::clamp_page(x, 0, self.hot_pages);
                 t.push(TraceRecord::read(line_addr(hp, rng.gen_range(0..64))));
-                if t.len() >= n {
-                    break;
-                }
             }
-            match kernel {
+            // a=0, b=1, c=2
+            match KERNELS[kernel_idx % KERNELS.len()] {
                 Kernel::Copy => {
                     t.push(TraceRecord::read(self.elem_addr(0, elem)));
-                    if t.len() < n {
-                        t.push(TraceRecord::write(self.elem_addr(2, elem)));
-                    }
+                    t.push(TraceRecord::write(self.elem_addr(2, elem)));
                 }
                 Kernel::Scale => {
                     t.push(TraceRecord::read(self.elem_addr(2, elem)));
-                    if t.len() < n {
-                        t.push(TraceRecord::write(self.elem_addr(1, elem)));
-                    }
+                    t.push(TraceRecord::write(self.elem_addr(1, elem)));
                 }
                 Kernel::Add => {
                     t.push(TraceRecord::read(self.elem_addr(0, elem)));
-                    if t.len() < n {
-                        t.push(TraceRecord::read(self.elem_addr(1, elem)));
-                    }
-                    if t.len() < n {
-                        t.push(TraceRecord::write(self.elem_addr(2, elem)));
-                    }
+                    t.push(TraceRecord::read(self.elem_addr(1, elem)));
+                    t.push(TraceRecord::write(self.elem_addr(2, elem)));
                 }
                 Kernel::Triad => {
                     t.push(TraceRecord::read(self.elem_addr(1, elem)));
-                    if t.len() < n {
-                        t.push(TraceRecord::read(self.elem_addr(2, elem)));
-                    }
-                    if t.len() < n {
-                        t.push(TraceRecord::write(self.elem_addr(0, elem)));
-                    }
+                    t.push(TraceRecord::read(self.elem_addr(2, elem)));
+                    t.push(TraceRecord::write(self.elem_addr(0, elem)));
                 }
             }
             elem += 1;
@@ -148,8 +126,7 @@ impl Workload for StreamWorkload {
                 elem = 0;
                 kernel_idx += 1;
             }
-        }
-        t
+        })
     }
 }
 

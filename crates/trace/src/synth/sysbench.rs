@@ -5,7 +5,7 @@
 //! advancing circular redo log — the log sweep is the LRU-hostile component.
 //! The hot leaf range rotates slowly between phases.
 
-use super::{line_addr, push_read, push_write, Workload};
+use super::{line_addr, synth, Workload};
 use crate::record::TraceRecord;
 use crate::trace::Trace;
 use crate::zipf::Zipf;
@@ -96,61 +96,37 @@ impl SysbenchWorkload {
 }
 
 impl Workload for SysbenchWorkload {
-    fn name(&self) -> &str {
-        "sysbench"
-    }
-
     fn generate(&self, n: usize, seed: u64) -> Trace {
         let zipf = Zipf::new(self.rows, self.zipf_exponent)
             .expect("workload parameters form a valid Zipf distribution");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Trace::with_capacity(n);
         let mut log_line = 0u64;
 
-        while t.len() < n {
+        synth(n, StdRng::seed_from_u64(seed), |t, rng| {
             let phase = t.len() / self.phase_len.max(1);
-            let rank = zipf.sample(&mut rng);
+            let rank = zipf.sample(rng);
             let leaf = self.leaf_page(rank, phase);
-
             // Root → inner → leaf traversal.
-            push_read(&mut t, &mut rng, self.root_page());
-            if t.len() >= n {
-                break;
-            }
-            push_read(&mut t, &mut rng, self.inner_page_for(leaf));
-            if t.len() >= n {
-                break;
-            }
-
+            t.read(rng, self.root_page());
+            t.read(rng, self.inner_page_for(leaf));
             if rng.gen::<f64>() < self.range_prob {
                 // Range SELECT: sequential sweep of sibling leaves starting
                 // at a uniformly random position (mostly cold pages).
                 let start = rng.gen_range(0..self.leaf_pages());
                 for i in 0..self.range_leaves {
-                    if t.len() >= n {
-                        break;
-                    }
-                    let page = self.leaf_base() + (start + i) % self.leaf_pages();
-                    push_read(&mut t, &mut rng, page);
+                    t.read(rng, self.leaf_base() + (start + i) % self.leaf_pages());
                 }
-                continue;
+                return;
             }
-            push_read(&mut t, &mut rng, leaf);
-
+            t.read(rng, leaf);
             if rng.gen::<f64>() < self.update_prob {
-                if t.len() < n {
-                    // Row update in place.
-                    push_write(&mut t, &mut rng, leaf);
-                }
-                if t.len() < n {
-                    // Redo-log append: strictly sequential circular stream.
-                    let page = self.log_base() + (log_line / 64) % self.log_pages;
-                    t.push(TraceRecord::write(line_addr(page, log_line)));
-                    log_line += 1;
-                }
+                // Row update in place.
+                t.write(rng, leaf);
+                // Redo-log append: strictly sequential circular stream.
+                let page = self.log_base() + (log_line / 64) % self.log_pages;
+                t.push(TraceRecord::write(line_addr(page, log_line)));
+                log_line += 1;
             }
-        }
-        t
+        })
     }
 }
 

@@ -20,7 +20,7 @@
 //!
 //! Deterministic given `(n, seed)`, like every generator in this module.
 
-use super::{push_read, push_write, Workload};
+use super::{synth, Workload};
 use crate::trace::Trace;
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
@@ -91,10 +91,6 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 }
 
 impl Workload for MultiTenantWorkload {
-    fn name(&self) -> &str {
-        "multi-tenant"
-    }
-
     fn generate(&self, n: usize, seed: u64) -> Trace {
         assert!(self.tenants > 0, "need at least one tenant");
         assert!(self.pages_per_tenant > 0, "tenant regions cannot be empty");
@@ -124,27 +120,25 @@ impl Workload for MultiTenantWorkload {
             })
             .collect();
 
-        let mut t = Trace::with_capacity(n);
-        for _ in 0..n {
-            let who = (tenant_zipf.sample(&mut rng) - 1) as usize;
+        synth(n, rng, |t, rng| {
+            let who = (tenant_zipf.sample(rng) - 1) as usize;
             let st = &mut tenants[who];
-            let mut rank = page_zipf.sample(&mut rng) - 1;
+            let mut rank = page_zipf.sample(rng) - 1;
             if self.phase_len > 0 {
                 rank = (rank + st.rot) % pages;
             }
             let in_region = (rank.wrapping_mul(st.mult).wrapping_add(st.off)) % pages;
             let page = self.base_page + who as u64 * pages + in_region;
             if rng.gen_range(0u8..100) < self.write_pct {
-                push_write(&mut t, &mut rng, page);
+                t.write(rng, page);
             } else {
-                push_read(&mut t, &mut rng, page);
+                t.read(rng, page);
             }
             st.seen += 1;
             if self.phase_len > 0 && st.seen.is_multiple_of(st.period) {
                 st.rot = (st.rot + self.rotate_ranks) % pages;
             }
-        }
-        t
+        })
     }
 }
 
@@ -163,7 +157,6 @@ mod tests {
         let c = w.generate(5_000, 10);
         assert_ne!(a, c);
         assert_eq!(a.len(), 5_000);
-        assert_eq!(w.name(), "multi-tenant");
     }
 
     #[test]

@@ -28,13 +28,6 @@ impl Trace {
         Trace::default()
     }
 
-    /// Creates an empty trace with room for `n` records.
-    pub fn with_capacity(n: usize) -> Self {
-        Trace {
-            records: Vec::with_capacity(n),
-        }
-    }
-
     /// Wraps an existing record vector.
     pub fn from_records(records: Vec<TraceRecord>) -> Self {
         Trace { records }
@@ -204,7 +197,7 @@ mod tests {
     fn collect_and_extend() {
         let t: Trace = sample_trace().into_iter().collect();
         assert_eq!(t.len(), 5);
-        let mut t2 = Trace::with_capacity(8);
+        let mut t2 = Trace::new();
         t2.extend(t.iter().copied());
         assert_eq!(t2, t);
     }
